@@ -538,21 +538,18 @@ pub fn object_escapes(m: &Module, fid: FuncId, id: InstId) -> bool {
 // Andersen-style inclusion-based points-to analysis
 // ---------------------------------------------------------------------------
 
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
-enum VarKey {
-    /// The pointer value produced by an instruction.
-    Local(FuncId, InstId),
-    /// A formal argument.
-    Arg(FuncId, u32),
-    /// The return value of a function.
-    Ret(FuncId),
-    /// The contents of an abstract object (what loads from it yield).
-    Content(usize),
-    /// Synthetic source whose points-to set is exactly `{Unknown}`.
-    UnknownSrc,
-}
+/// "No var": an instruction, argument or return value nothing interned.
+const NO_VAR: u32 = u32::MAX;
+/// The permanently-empty var shared by every integer-constant operand.
+const CONST_VAR: u32 = 0;
+/// Synthetic source var whose points-to set is exactly `{Unknown}`.
+const UNKNOWN_SRC: u32 = 1;
+/// Var holding the contents of [`MemoryObject::Unknown`] (itself).
+const UNKNOWN_CONTENT: u32 = 2;
+/// Object id of [`MemoryObject::Unknown`].
+const UNKNOWN_OBJ: usize = 0;
 
-/// External-callee classification, precomputed per function so call-site
+/// External-callee classification, recorded per function so call-site
 /// generation never re-examines a name string.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum ExternClass {
@@ -566,52 +563,194 @@ enum ExternClass {
     Inert,
 }
 
+/// Everything constraint generation reads of a function *other than the one
+/// whose body it is walking*: what a call site needs to bind arguments and
+/// the return value. A cached constraint block stays valid across an edit
+/// exactly as long as the signatures of the functions it mentions do.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+struct Signature {
+    class: ExternClass,
+    ret_ptr: bool,
+    n_params: u32,
+    /// Bit `i` is set when parameter `i` is pointer-typed.
+    ptr_params: u64,
+}
+
+impl Signature {
+    /// Parameters beyond this many do not fit `ptr_params`.
+    const MAX_EXACT_PARAMS: u32 = 64;
+
+    fn of(f: &noelle_ir::module::Function) -> Signature {
+        let class = if !f.is_declaration() {
+            ExternClass::Defined
+        } else if crate::modref::is_allocator_sym(f.name_sym()) {
+            ExternClass::Alloc
+        } else if crate::modref::external_effects_sym(f.name_sym()).opaque_pointers {
+            ExternClass::Opaque
+        } else {
+            ExternClass::Inert
+        };
+        let mut ptr_params = 0u64;
+        for (i, (_, ty)) in f
+            .params
+            .iter()
+            .enumerate()
+            .take(Self::MAX_EXACT_PARAMS as usize)
+        {
+            if ty.is_ptr() {
+                ptr_params |= 1 << i;
+            }
+        }
+        Signature {
+            class,
+            ret_ptr: f.ret_ty.is_ptr(),
+            n_params: f.params.len() as u32,
+            ptr_params,
+        }
+    }
+
+    /// True when `self` provably describes the same signature as `new`. A
+    /// signature too wide for the bit mask never compares equal, which
+    /// costs such a function's edits a full regeneration and nothing else.
+    fn same_as(&self, new: &Signature) -> bool {
+        self == new && new.n_params <= Self::MAX_EXACT_PARAMS
+    }
+}
+
+/// One entry of a function's constraint block. Var and object operands are
+/// the solver's dense ids, which stay fixed for as long as the block is
+/// retained, so re-solving replays a block without a single hash probe.
+#[derive(Clone, Copy, Debug)]
+enum Constraint {
+    /// `pts(var) ∋ obj`.
+    Seed { var: u32, obj: u32 },
+    /// `pts(to) ⊇ pts(from)`.
+    Copy { from: u32, to: u32 },
+    /// `dst = load ptr`: `pts(dst) ⊇ content(o)` for every `o ∈ pts(ptr)`.
+    Load { ptr: u32, dst: u32 },
+    /// `store src, ptr`: `content(o) ⊇ pts(src)` for every `o ∈ pts(ptr)`.
+    Store { ptr: u32, src: u32 },
+    /// The block mentions this argument var, so queries may observe it.
+    ArgLive(u32),
+    /// The block calls this function directly or takes its address, so it
+    /// is not a root.
+    Ref(FuncId),
+    /// An indirect call site of the block's function, resolved while solving.
+    Site(InstId),
+}
+
+/// A `(start, end)` pair of a [`Block`] as an index range.
+fn span(r: (u32, u32)) -> std::ops::Range<usize> {
+    r.0 as usize..r.1 as usize
+}
+
+/// Where one function's share of the flat tables lives.
+#[derive(Clone, Copy, Debug, Default)]
+struct Block {
+    /// `constraints[cons.0..cons.1]` is this function's block.
+    cons: (u32, u32),
+    /// `local_vars[locals.0 + inst.index()]` is the var of that
+    /// instruction's result (`locals.1` is the end of the table).
+    locals: (u32, u32),
+}
+
+/// What [`AndersenAlias::update`] did.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct AndersenUpdate {
+    /// Functions whose constraint blocks were regenerated (the touched and
+    /// appended ones, or every function when a signature moved).
+    pub regenerated: usize,
+    /// Functions *outside* the touched set whose query-observable rows
+    /// differ from the previous solution's, ascending.
+    pub changed: Vec<FuncId>,
+}
+
 /// Whole-program Andersen points-to analysis and the alias interface on top.
+///
+/// The analysis keeps the constraint system it solved, split into one
+/// *block* per function and stored flat (one constraint array, one
+/// instruction-var table, per-function ranges into both). A block is a pure
+/// function of its function's body and of the [`Signature`]s of the
+/// functions that body mentions, so after an edit
+/// [`AndersenAlias::update`] regenerates only the touched functions'
+/// blocks, replays every other block verbatim, and propagates once over the
+/// whole system. [`AndersenAlias::new`] is the same code with every
+/// function "touched".
 ///
 /// Points-to rows are sparse bitsets over object ids ([`BitSet`]); the
 /// solver is a worklist over the copy-edge constraint graph, sharded by SCC
 /// (see [`Solver::copy_fixpoint`]). The inclusion system has a unique least
-/// fixpoint, so the sharded/parallel schedule yields byte-identical rows to
-/// the sequential one.
+/// fixpoint, so neither the sharded/parallel schedule nor the order blocks
+/// were generated in can show in the rows.
 pub struct AndersenAlias {
-    vars: HashMap<VarKey, usize>,
+    /// Points-to row of every var, by var id.
     pts: Vec<BitSet>,
+    /// By var id, for argument vars only: some constraint of the current
+    /// system mentions the var. An argument nothing mentions is untracked
+    /// ("may point anywhere"), exactly as if it had no var.
+    live: Vec<bool>,
     objects: Vec<MemoryObject>,
     obj_ids: HashMap<MemoryObject, usize>,
+    /// Var holding the contents of each object, by object id.
+    content_of: Vec<u32>,
     /// Resolved callees of each indirect call site.
     indirect_targets: HashMap<(FuncId, InstId), BTreeSet<FuncId>>,
-}
-
-struct Solver<'m> {
-    m: &'m Module,
-    vars: HashMap<VarKey, usize>,
-    pts: Vec<BitSet>,
-    succs: Vec<Vec<u32>>,  // copy edges: pts(to) ⊇ pts(from)
-    loads: Vec<Vec<u32>>,  // loads[p] = dst vars of `dst = load p`
-    stores: Vec<Vec<u32>>, // stores[p] = src vars of `store src, p`
-    edge_seen: HashSet<(u32, u32)>,
-    objects: Vec<MemoryObject>,
-    obj_ids: HashMap<MemoryObject, usize>,
-    /// Content var of each object, filled eagerly by `prepare` so no var is
-    /// created while the solver propagates.
-    content_of: Vec<u32>,
-    extern_class: Vec<ExternClass>,
-    indirect_sites: Vec<(FuncId, InstId)>,
-    resolved: HashMap<(FuncId, InstId), BTreeSet<FuncId>>,
-    /// Dense lazy mirror of `vars` for the function `cache_fid`:
-    /// `inst_var_cache[inst.index()]` / `arg_var_cache[i]` hold the var of
-    /// `Local(cache_fid, inst)` / `Arg(cache_fid, i)`, `u32::MAX` = unknown.
-    cache_fid: FuncId,
-    inst_var_cache: Vec<u32>,
-    arg_var_cache: Vec<u32>,
+    /// Instruction vars minted *while solving* (results of resolved
+    /// indirect calls). They depend on the solution, so they live outside
+    /// the retained tables and are rebuilt by every solve.
+    solve_locals: HashMap<(FuncId, InstId), u32>,
     /// Shared synthetic vars for address-constant operands. These vars only
     /// ever grow *out*-edges (load/store lists, copy edges to call results),
     /// so their rows stay exactly the seeded singleton — one var per global
     /// or function is equivalent to a fresh var per use.
-    global_addr_vars: HashMap<GlobalId, usize>,
-    func_addr_vars: HashMap<FuncId, usize>,
-    /// One permanently-empty var shared by every integer-constant operand.
-    const_var: Option<usize>,
+    global_addr_vars: HashMap<GlobalId, u32>,
+    func_addr_vars: HashMap<FuncId, u32>,
+    /// Var ids released by regenerated blocks, reused before growing `pts`.
+    free_vars: Vec<u32>,
+    /// Globals whose objects exist (a prefix of the module's).
+    globals_seen: usize,
+    /// Per function: the signature its callers' blocks were generated
+    /// against.
+    sigs: Vec<Signature>,
+    /// Per function: var of its first argument. Argument `i` is
+    /// `arg_base + i`, the return value `arg_base + n_params`.
+    arg_base: Vec<u32>,
+    blocks: Vec<Block>,
+    constraints: Vec<Constraint>,
+    local_vars: Vec<u32>,
+}
+
+/// The previous solution's share of what [`AndersenAlias::update`] needs to
+/// tell which functions' rows moved.
+struct Previous {
+    pts: Vec<BitSet>,
+    live: Vec<bool>,
+    blocks: Vec<Block>,
+    local_vars: Vec<u32>,
+    solve_locals: HashMap<(FuncId, InstId), u32>,
+}
+
+/// One solve: generation of the stale blocks, then the transient constraint
+/// graph the retained system is replayed into and propagated over.
+struct Solver<'a> {
+    m: &'a Module,
+    a: &'a mut AndersenAlias,
+    succs: Vec<Vec<u32>>,  // copy edges: pts(to) ⊇ pts(from)
+    loads: Vec<Vec<u32>>,  // loads[p] = dst vars of `dst = load p`
+    stores: Vec<Vec<u32>>, // stores[p] = src vars of `store src, p`
+    /// Copy edges materialized from load/store constraints so far. Block
+    /// constraints never name a content var and materialized edges always
+    /// do, so the two kinds cannot collide and only this kind is tracked.
+    edge_seen: HashSet<(u32, u32)>,
+    indirect_sites: Vec<(FuncId, InstId)>,
+    resolved: HashMap<(FuncId, InstId), BTreeSet<FuncId>>,
+    /// The function whose block is being generated; `None` while solving,
+    /// when constraints go straight into the graph instead.
+    generating: Option<FuncId>,
+    /// Start of that function's table in `local_vars`.
+    gen_locals: usize,
+    /// Its arguments already marked live by this block.
+    arg_seen: Vec<bool>,
 }
 
 /// Run the worklist of one SCC shard to its local fixpoint. `rows` holds the
@@ -761,195 +900,188 @@ fn copy_sccs(succs: &[Vec<u32>]) -> SccSet {
 /// sequential — thread spawn overhead dwarfs the work on small modules.
 const PARALLEL_MIN_VARS: usize = 2048;
 
-impl<'m> Solver<'m> {
-    fn fresh_var(&mut self) -> usize {
-        let v = self.pts.len();
-        self.pts.push(BitSet::new());
-        self.succs.push(Vec::new());
-        self.loads.push(Vec::new());
-        self.stores.push(Vec::new());
-        v
-    }
-
-    fn var(&mut self, key: VarKey) -> usize {
-        // Fast path: dense per-function memo for the two hot key shapes.
-        // Constraint generation asks for `Local(fid, inst)` and
-        // `Arg(fid, i)` once per operand use — a hash probe per use is the
-        // bulk of `generate`'s cost on large modules. The memo lazily
-        // mirrors `vars` for the function named by `cache_fid`; misses fall
-        // through to the map, so it is never a second source of truth.
-        match key {
-            VarKey::Local(fid, id) if fid == self.cache_fid => {
-                let i = id.index();
-                if let Some(&c) = self.inst_var_cache.get(i) {
-                    if c != u32::MAX {
-                        return c as usize;
-                    }
-                }
-                let v = self.var_uncached(key);
-                if let Some(slot) = self.inst_var_cache.get_mut(i) {
-                    *slot = v as u32;
-                }
-                v
-            }
-            VarKey::Arg(fid, k) if fid == self.cache_fid => {
-                let i = k as usize;
-                if let Some(&c) = self.arg_var_cache.get(i) {
-                    if c != u32::MAX {
-                        return c as usize;
-                    }
-                }
-                let v = self.var_uncached(key);
-                if let Some(slot) = self.arg_var_cache.get_mut(i) {
-                    *slot = v as u32;
-                }
-                v
-            }
-            _ => self.var_uncached(key),
+impl<'a> Solver<'a> {
+    fn new(m: &'a Module, a: &'a mut AndersenAlias) -> Solver<'a> {
+        Solver {
+            m,
+            a,
+            succs: Vec::new(),
+            loads: Vec::new(),
+            stores: Vec::new(),
+            edge_seen: HashSet::new(),
+            indirect_sites: Vec::new(),
+            resolved: HashMap::new(),
+            generating: None,
+            gen_locals: 0,
+            arg_seen: Vec::new(),
         }
     }
 
-    fn var_uncached(&mut self, key: VarKey) -> usize {
-        if let Some(&v) = self.vars.get(&key) {
+    /// A var with an empty row: a released id when there is one, a new one
+    /// otherwise. While solving, the graph grows in step.
+    fn alloc_var(&mut self) -> u32 {
+        if let Some(v) = self.a.free_vars.pop() {
             return v;
         }
-        let v = self.fresh_var();
-        self.vars.insert(key, v);
+        let v = self.a.alloc_var();
+        if self.generating.is_none() {
+            self.grow_graph();
+        }
         v
     }
 
-    /// Point the per-function var memo at `fid`.
-    fn set_cache_fn(&mut self, fid: FuncId) {
-        self.cache_fid = fid;
-        let f = self.m.func(fid);
-        let n = f
-            .inst_ids()
-            .iter()
-            .map(|i| i.index() + 1)
-            .max()
-            .unwrap_or(0);
-        self.inst_var_cache.clear();
-        self.inst_var_cache.resize(n, u32::MAX);
-        self.arg_var_cache.clear();
-        self.arg_var_cache.resize(f.params.len(), u32::MAX);
+    /// Give every var its (empty) adjacency lists.
+    fn grow_graph(&mut self) {
+        let n = self.a.pts.len();
+        self.succs.resize_with(n, Vec::new);
+        self.loads.resize_with(n, Vec::new);
+        self.stores.resize_with(n, Vec::new);
     }
 
-    fn object(&mut self, o: MemoryObject) -> usize {
-        if let Some(&i) = self.obj_ids.get(&o) {
-            return i;
-        }
-        let i = self.objects.len();
-        self.objects.push(o);
-        self.obj_ids.insert(o, i);
-        i
-    }
-
-    fn add_edge(&mut self, from: usize, to: usize) -> bool {
-        if from != to && self.edge_seen.insert((from as u32, to as u32)) {
-            self.succs[from].push(to as u32);
-            true
+    /// Record a generated constraint: into the block under generation, or
+    /// straight into the graph when the solve itself produced it.
+    fn emit(&mut self, c: Constraint) {
+        if self.generating.is_some() {
+            self.a.constraints.push(c);
         } else {
-            false
+            self.apply(c);
         }
+    }
+
+    /// Replay one constraint into the transient graph.
+    fn apply(&mut self, c: Constraint) {
+        match c {
+            Constraint::Seed { var, obj } => {
+                self.a.pts[var as usize].insert(obj as usize);
+            }
+            Constraint::Copy { from, to } => {
+                if from != to {
+                    self.succs[from as usize].push(to);
+                }
+            }
+            Constraint::Load { ptr, dst } => self.loads[ptr as usize].push(dst),
+            Constraint::Store { ptr, src } => self.stores[ptr as usize].push(src),
+            Constraint::ArgLive(v) => self.a.live[v as usize] = true,
+            // Both are read off the blocks by `load_blocks`; call bindings
+            // produced while solving change neither.
+            Constraint::Ref(_) | Constraint::Site(_) => {}
+        }
+    }
+
+    /// Var of the result of instruction `id` of `fid`.
+    fn local_var(&mut self, fid: FuncId, id: InstId) -> u32 {
+        if let Some(gen) = self.generating {
+            debug_assert_eq!(gen, fid, "a block only names its own instructions");
+            let slot = self.gen_locals + id.index();
+            if self.a.local_vars[slot] == NO_VAR {
+                self.a.local_vars[slot] = self.alloc_var();
+            }
+            return self.a.local_vars[slot];
+        }
+        let v = self.a.local_var(fid, id);
+        if v != NO_VAR {
+            return v;
+        }
+        let v = self.alloc_var();
+        self.a.solve_locals.insert((fid, id), v);
+        v
+    }
+
+    /// Var of argument `i` of `fid`, marking it live.
+    fn arg_var(&mut self, fid: FuncId, i: u32) -> u32 {
+        let Some(v) = self.a.arg_var(fid, i) else {
+            // An operand naming a parameter the function does not have can
+            // hold no address; like an integer constant, it is empty.
+            return CONST_VAR;
+        };
+        let own = self.generating == Some(fid);
+        if !(own && std::mem::replace(&mut self.arg_seen[i as usize], true)) {
+            self.emit(Constraint::ArgLive(v));
+        }
+        v
+    }
+
+    fn object(&mut self, o: MemoryObject) -> u32 {
+        self.a.object(o) as u32
     }
 
     /// Make `dst ⊇ value` for an operand value of function `fid`.
-    fn flow_value_into(&mut self, fid: FuncId, v: Value, dst: usize) {
+    fn flow_value_into(&mut self, fid: FuncId, v: Value, dst: u32) {
         match v {
             Value::Inst(id) => {
-                let src = self.var(VarKey::Local(fid, id));
-                self.add_edge(src, dst);
+                let from = self.local_var(fid, id);
+                self.emit(Constraint::Copy { from, to: dst });
             }
             Value::Arg(i) => {
-                let src = self.var(VarKey::Arg(fid, i));
-                self.add_edge(src, dst);
+                let from = self.arg_var(fid, i);
+                self.emit(Constraint::Copy { from, to: dst });
             }
             Value::Global(g) => {
-                let o = self.object(MemoryObject::Global(g));
-                self.pts[dst].insert(o);
+                let obj = self.object(MemoryObject::Global(g));
+                self.emit(Constraint::Seed { var: dst, obj });
             }
             Value::Func(f2) => {
-                let o = self.object(MemoryObject::Function(f2));
-                self.pts[dst].insert(o);
+                let obj = self.object(MemoryObject::Function(f2));
+                self.emit(Constraint::Seed { var: dst, obj });
             }
             Value::Const(_) => {}
         }
     }
 
-    fn generate(&mut self) {
-        // Globals that hold pointers into other globals / functions.
-        for gid in self.m.global_ids().collect::<Vec<_>>() {
-            let g = self.m.global(gid);
-            let o = self.object(MemoryObject::Global(gid));
-            let content = self.var(VarKey::Content(o));
-            let _ = (g, content);
-        }
-        let unknown_obj = self.object(MemoryObject::Unknown);
-        let unknown_content = self.var(VarKey::Content(unknown_obj));
-        self.pts[unknown_content].insert(unknown_obj);
-        let usrc = self.var(VarKey::UnknownSrc);
-        self.pts[usrc].insert(unknown_obj);
-
-        // Root functions — never called within the module and never
-        // address-taken (e.g. `main`) — receive their pointer arguments from
-        // outside the analyzed program, so those may point anywhere. Args of
-        // internal functions are bound at their call sites instead.
-        let mut referenced: HashSet<FuncId> = HashSet::new();
-        for fid in self.m.func_ids() {
-            let f = self.m.func(fid);
-            for id in f.inst_ids() {
-                let inst = f.inst(id);
-                if let Inst::Call {
-                    callee: Callee::Direct(cid),
-                    ..
-                } = inst
-                {
-                    referenced.insert(*cid);
-                }
-                inst.for_each_operand(|op| {
-                    if let Value::Func(cid) = op {
-                        referenced.insert(cid);
-                    }
-                });
-            }
-        }
-        for fid in self.m.func_ids().collect::<Vec<_>>() {
-            let f = self.m.func(fid);
-            if f.is_declaration() {
-                continue;
-            }
-            self.set_cache_fn(fid);
-            if !referenced.contains(&fid) {
-                for (i, (_, ty)) in f.params.iter().enumerate() {
-                    if ty.is_ptr() {
-                        let av = self.var(VarKey::Arg(fid, i as u32));
-                        self.pts[av].insert(unknown_obj);
-                    }
+    /// Regenerate the constraint block and instruction-var table of `fid`
+    /// at the end of the flat tables.
+    fn gen_function(&mut self, fid: FuncId) {
+        let m: &'a Module = self.m;
+        let f = m.func(fid);
+        let cons_start = self.a.constraints.len();
+        let locals_start = self.a.local_vars.len();
+        if !f.is_declaration() {
+            self.a
+                .local_vars
+                .resize(locals_start + f.inst_arena_len(), NO_VAR);
+            self.generating = Some(fid);
+            self.gen_locals = locals_start;
+            self.arg_seen.clear();
+            self.arg_seen.resize(f.params.len(), false);
+            for &b in f.block_order() {
+                for &id in &f.block(b).insts {
+                    self.gen_inst(fid, id);
                 }
             }
-            for id in f.inst_ids() {
-                self.gen_inst(fid, id);
-            }
+            self.generating = None;
         }
+        self.a.blocks[fid.index()] = Block {
+            cons: (cons_start as u32, self.a.constraints.len() as u32),
+            locals: (locals_start as u32, self.a.local_vars.len() as u32),
+        };
     }
 
     fn gen_inst(&mut self, fid: FuncId, id: InstId) {
-        // Reborrow the module through `'m` so the instruction is matched in
-        // place while `&mut self` constraint methods run — the alternative,
+        // Borrow the instruction through `'a` so it is matched in place
+        // while `&mut self` constraint methods run — the alternative,
         // cloning each instruction, allocates for every phi/call in the
-        // module and dominates `generate` on large inputs.
-        let m: &'m Module = self.m;
-        match m.func(fid).inst(id) {
+        // module and dominates generation on large inputs.
+        let m: &'a Module = self.m;
+        let f = m.func(fid);
+        let inst = f.inst(id);
+        // Root functions — never called within the module and never
+        // address-taken (e.g. `main`) — receive their pointer arguments from
+        // outside the analyzed program; every mention of a function here
+        // takes it off that list.
+        inst.for_each_operand(|op| {
+            if let Value::Func(cid) = op {
+                self.emit(Constraint::Ref(cid));
+            }
+        });
+        match inst {
             Inst::Alloca { .. } => {
-                let o = self.object(MemoryObject::Alloca(fid, id));
-                let dst = self.var(VarKey::Local(fid, id));
-                self.pts[dst].insert(o);
-                // Content var exists from first use.
-                self.var(VarKey::Content(o));
+                let obj = self.object(MemoryObject::Alloca(fid, id));
+                let var = self.local_var(fid, id);
+                self.emit(Constraint::Seed { var, obj });
             }
             Inst::Gep { base, .. } => {
                 // Field-insensitive: a gep is a copy of its base.
-                let dst = self.var(VarKey::Local(fid, id));
+                let dst = self.local_var(fid, id);
                 self.flow_value_into(fid, *base, dst);
             }
             // Values that cannot hold an address generate no constraints at
@@ -963,12 +1095,12 @@ impl<'m> Solver<'m> {
                 if !to.is_ptr() {
                     return;
                 }
-                let dst = self.var(VarKey::Local(fid, id));
+                let dst = self.local_var(fid, id);
                 match op {
                     noelle_ir::inst::CastOp::Bitcast => self.flow_value_into(fid, *val, dst),
                     noelle_ir::inst::CastOp::IntToPtr => {
-                        let uo = self.object(MemoryObject::Unknown);
-                        self.pts[dst].insert(uo);
+                        let obj = UNKNOWN_OBJ as u32;
+                        self.emit(Constraint::Seed { var: dst, obj });
                     }
                     _ => {}
                 }
@@ -977,7 +1109,7 @@ impl<'m> Solver<'m> {
                 if !ty.is_ptr() {
                     return;
                 }
-                let dst = self.var(VarKey::Local(fid, id));
+                let dst = self.local_var(fid, id);
                 self.flow_value_into(fid, *tval, dst);
                 self.flow_value_into(fid, *fval, dst);
             }
@@ -985,7 +1117,7 @@ impl<'m> Solver<'m> {
                 if !ty.is_ptr() {
                     return;
                 }
-                let dst = self.var(VarKey::Local(fid, id));
+                let dst = self.local_var(fid, id);
                 for &(_, v) in incomings {
                     self.flow_value_into(fid, v, dst);
                 }
@@ -994,9 +1126,9 @@ impl<'m> Solver<'m> {
                 if !ty.is_ptr() {
                     return;
                 }
-                let dst = self.var(VarKey::Local(fid, id));
-                let p = self.value_var(fid, *ptr);
-                self.loads[p].push(dst as u32);
+                let dst = self.local_var(fid, id);
+                let ptr = self.value_var(fid, *ptr);
+                self.emit(Constraint::Load { ptr, dst });
             }
             Inst::Store { val, ptr, ty } => {
                 if !ty.is_ptr() {
@@ -1004,119 +1136,146 @@ impl<'m> Solver<'m> {
                 }
                 // Route the stored value through a dedicated var so constants
                 // and args are handled uniformly.
-                let src = self.var(VarKey::Local(fid, id));
+                let src = self.local_var(fid, id);
                 self.flow_value_into(fid, *val, src);
-                let p = self.value_var(fid, *ptr);
-                self.stores[p].push(src as u32);
+                let ptr = self.value_var(fid, *ptr);
+                self.emit(Constraint::Store { ptr, src });
             }
             Inst::Call { callee, args, .. } => match callee {
-                Callee::Direct(cid) => self.gen_direct_call(fid, id, *cid, args),
+                Callee::Direct(cid) => {
+                    self.emit(Constraint::Ref(*cid));
+                    self.gen_direct_call(fid, id, *cid, args);
+                }
                 Callee::Indirect(fp) => {
-                    let _pvar = self.value_var(fid, *fp);
-                    self.indirect_sites.push((fid, id));
+                    self.value_var(fid, *fp);
+                    self.emit(Constraint::Site(id));
                 }
             },
+            // `Ret(f) ⊇ returned values` belongs to `f`'s own block: call
+            // sites copy out of `Ret(f)` knowing only `f`'s signature, which
+            // is what lets their blocks outlive edits to `f`'s body.
+            Inst::Term(noelle_ir::inst::Terminator::Ret(Some(v))) if f.ret_ty.is_ptr() => {
+                let rv = self.a.ret_var(fid);
+                self.flow_value_into(fid, *v, rv);
+            }
             _ => {}
         }
     }
 
     /// Var holding the points-to set of an operand value (materializing a
     /// synthetic var for address constants).
-    fn value_var(&mut self, fid: FuncId, v: Value) -> usize {
+    fn value_var(&mut self, fid: FuncId, v: Value) -> u32 {
         match v {
-            Value::Inst(id) => self.var(VarKey::Local(fid, id)),
-            Value::Arg(i) => self.var(VarKey::Arg(fid, i)),
+            Value::Inst(id) => self.local_var(fid, id),
+            Value::Arg(i) => self.arg_var(fid, i),
             Value::Global(g) => {
                 // An address constant's var never gains an in-edge (use
                 // sites only append to its load/store lists or copy *out*
                 // of it), so its row stays the seeded `{Global(g)}` for the
                 // whole solve and one var can serve every use of `@g`.
-                if let Some(&dst) = self.global_addr_vars.get(&g) {
+                if let Some(&dst) = self.a.global_addr_vars.get(&g) {
                     return dst;
                 }
-                let dst = self.fresh_var();
-                let o = self.object(MemoryObject::Global(g));
-                self.pts[dst].insert(o);
-                self.global_addr_vars.insert(g, dst);
+                let dst = self.alloc_var();
+                let o = self.a.object(MemoryObject::Global(g));
+                self.a.pts[dst as usize].insert(o);
+                self.a.global_addr_vars.insert(g, dst);
                 dst
             }
             Value::Func(f2) => {
-                if let Some(&dst) = self.func_addr_vars.get(&f2) {
+                if let Some(&dst) = self.a.func_addr_vars.get(&f2) {
                     return dst;
                 }
-                let dst = self.fresh_var();
-                let o = self.object(MemoryObject::Function(f2));
-                self.pts[dst].insert(o);
-                self.func_addr_vars.insert(f2, dst);
+                let dst = self.alloc_var();
+                let o = self.a.object(MemoryObject::Function(f2));
+                self.a.pts[dst as usize].insert(o);
+                self.a.func_addr_vars.insert(f2, dst);
                 dst
             }
-            Value::Const(_) => {
-                // Integer constants carry no address: their var is
-                // permanently empty, so every constant shares one row.
-                match self.const_var {
-                    Some(dst) => dst,
-                    None => {
-                        let dst = self.fresh_var();
-                        self.const_var = Some(dst);
-                        dst
-                    }
-                }
-            }
+            // Integer constants carry no address: every one shares the
+            // permanently-empty var.
+            Value::Const(_) => CONST_VAR,
         }
     }
 
+    /// Bind the call `id` of `fid` to callee `cid`, reading nothing of the
+    /// callee but its recorded [`Signature`].
     fn gen_direct_call(&mut self, fid: FuncId, id: InstId, cid: FuncId, args: &[Value]) {
-        let callee = self.m.func(cid);
-        if callee.is_declaration() {
-            // Classified once per function in `extern_class` — no name
-            // string examined per call site.
-            let dst = self.var(VarKey::Local(fid, id));
-            match self.extern_class[cid.index()] {
+        let sig = self.a.sigs[cid.index()];
+        if sig.class != ExternClass::Defined {
+            let dst = self.local_var(fid, id);
+            match sig.class {
                 ExternClass::Alloc => {
-                    let o = self.object(MemoryObject::Heap(fid, id));
-                    self.pts[dst].insert(o);
-                    self.var(VarKey::Content(o));
+                    let obj = self.object(MemoryObject::Heap(fid, id));
+                    self.emit(Constraint::Seed { var: dst, obj });
                 }
                 ExternClass::Opaque => {
                     // Unknown external: pointer args escape; the result may be
                     // anything reachable from them or fresh unknown memory.
-                    let usrc = self.var(VarKey::UnknownSrc);
-                    let uo = self.object(MemoryObject::Unknown);
-                    self.pts[dst].insert(uo);
+                    let obj = UNKNOWN_OBJ as u32;
+                    self.emit(Constraint::Seed { var: dst, obj });
                     for &a in args {
                         let av = self.value_var(fid, a);
-                        self.stores[av].push(usrc as u32);
-                        self.add_edge(av, dst);
+                        self.emit(Constraint::Store {
+                            ptr: av,
+                            src: UNKNOWN_SRC,
+                        });
+                        self.emit(Constraint::Copy { from: av, to: dst });
                     }
                 }
                 ExternClass::Inert | ExternClass::Defined => {}
             }
             return;
         }
-        for (i, &a) in args.iter().enumerate() {
-            if i < callee.params.len() && callee.params[i].1.is_ptr() {
-                let pv = self.var(VarKey::Arg(cid, i as u32));
+        // Non-pointer params can still smuggle pointers via casts; ignored
+        // (matches field-insensitive precision).
+        let params = &self.m.func(cid).params;
+        for (i, &a) in args.iter().enumerate().take(params.len()) {
+            if params[i].1.is_ptr() {
+                let pv = self.arg_var(cid, i as u32);
                 self.flow_value_into(fid, a, pv);
-            } else if i < callee.params.len() {
-                // Non-pointer params can still smuggle pointers via casts;
-                // ignored (matches field-insensitive precision).
             }
         }
         // Return-value flow only matters when the callee can return an
         // address (same type gate as `gen_inst`: int returns carry none).
-        if !callee.ret_ty.is_ptr() {
-            return;
+        if sig.ret_ptr {
+            let from = self.a.ret_var(cid);
+            let to = self.local_var(fid, id);
+            self.emit(Constraint::Copy { from, to });
         }
-        let rv = self.var(VarKey::Ret(cid));
-        let dst = self.var(VarKey::Local(fid, id));
-        self.add_edge(rv, dst);
-        // Returns inside the callee feed Ret(cid); generated lazily here so
-        // declarations don't need bodies.
-        let callee_f = self.m.func(cid);
-        for bid in callee_f.block_order().to_vec() {
-            if let Some(noelle_ir::inst::Terminator::Ret(Some(v))) = callee_f.terminator(bid) {
-                let v = *v;
-                self.flow_value_into(cid, v, rv);
+    }
+
+    /// Replay every retained block into an empty graph and seed what is not
+    /// part of any block: the synthetic sources, and `Unknown` for the
+    /// pointer arguments of root functions (which receive them from outside
+    /// the analyzed program; arguments of referenced functions are bound at
+    /// their call sites instead).
+    fn load_blocks(&mut self) {
+        self.grow_graph();
+        self.a.pts[UNKNOWN_CONTENT as usize].insert(UNKNOWN_OBJ);
+        self.a.pts[UNKNOWN_SRC as usize].insert(UNKNOWN_OBJ);
+        let mut referenced = vec![false; self.a.blocks.len()];
+        for i in 0..self.a.blocks.len() {
+            let fid = FuncId(i as u32);
+            for k in span(self.a.blocks[i].cons) {
+                match self.a.constraints[k] {
+                    Constraint::Ref(cid) => referenced[cid.index()] = true,
+                    Constraint::Site(id) => self.indirect_sites.push((fid, id)),
+                    c => self.apply(c),
+                }
+            }
+        }
+        for (i, referenced) in referenced.into_iter().enumerate() {
+            let sig = self.a.sigs[i];
+            if referenced || sig.class != ExternClass::Defined {
+                continue;
+            }
+            for (k, (_, ty)) in self.m.functions()[i].params.iter().enumerate() {
+                if ty.is_ptr() {
+                    let v = self.a.arg_base[i] as usize + k;
+                    self.a.pts[v].insert(UNKNOWN_OBJ);
+                    self.a.live[v] = true;
+                }
             }
         }
     }
@@ -1125,10 +1284,9 @@ impl<'m> Solver<'m> {
     /// so propagation never allocates vars. Called once per `solve` round;
     /// `resolve_indirect` can mint new objects, covered by the next round.
     fn prepare(&mut self) {
-        while self.content_of.len() < self.objects.len() {
-            let o = self.content_of.len();
-            let c = self.var(VarKey::Content(o));
-            self.content_of.push(c as u32);
+        while self.a.content_of.len() < self.a.objects.len() {
+            let c = self.alloc_var();
+            self.a.content_of.push(c);
         }
     }
 
@@ -1157,7 +1315,7 @@ impl<'m> Solver<'m> {
     /// set, and since that fixpoint is unique, the sharded schedule is
     /// byte-identical to a sequential solve.
     fn copy_fixpoint(&mut self) {
-        let n = self.pts.len();
+        let n = self.a.pts.len();
         if n == 0 {
             return;
         }
@@ -1210,6 +1368,7 @@ impl<'m> Solver<'m> {
         let workers = std::thread::available_parallelism()
             .map(|x| x.get())
             .unwrap_or(1);
+        let pts = &mut self.a.pts;
         for shard_ids in &by_level {
             let shards: Vec<&[u32]> = shard_ids.iter().map(|&i| sccs.scc(i as usize)).collect();
             let total: usize = shards.iter().map(|s| s.len()).sum();
@@ -1222,12 +1381,12 @@ impl<'m> Solver<'m> {
                 .iter()
                 .map(|sh| {
                     sh.iter()
-                        .map(|&v| std::mem::take(&mut self.pts[v as usize]))
+                        .map(|&v| std::mem::take(&mut pts[v as usize]))
                         .collect()
                 })
                 .collect();
             if workers > 1 && shards.len() > 1 && total >= PARALLEL_MIN_VARS {
-                let settled = &self.pts;
+                let settled = &*pts;
                 let succs = &self.succs;
                 let pred_off = &pred_off;
                 let pred_dat = &pred_dat;
@@ -1247,12 +1406,12 @@ impl<'m> Solver<'m> {
                 });
             } else {
                 for (shard, rows) in shards.iter().zip(rows.iter_mut()) {
-                    solve_shard(shard, rows, &pred_off, &pred_dat, &self.succs, &self.pts);
+                    solve_shard(shard, rows, &pred_off, &pred_dat, &self.succs, pts);
                 }
             }
             for (shard, rows) in shards.iter().zip(rows) {
                 for (&v, row) in shard.iter().zip(rows) {
-                    self.pts[v as usize] = row;
+                    pts[v as usize] = row;
                 }
             }
         }
@@ -1264,12 +1423,12 @@ impl<'m> Solver<'m> {
     /// Returns true if any new edge appeared.
     fn materialize(&mut self) -> bool {
         let mut pending: Vec<(u32, u32)> = Vec::new();
-        for v in 0..self.pts.len() {
+        for v in 0..self.a.pts.len() {
             if self.loads[v].is_empty() && self.stores[v].is_empty() {
                 continue;
             }
-            for o in self.pts[v].iter() {
-                let c = self.content_of[o];
+            for o in self.a.pts[v].iter() {
+                let c = self.a.content_of[o];
                 for &dst in &self.loads[v] {
                     pending.push((c, dst));
                 }
@@ -1279,8 +1438,11 @@ impl<'m> Solver<'m> {
             }
         }
         let mut changed = false;
-        for (a, b) in pending {
-            changed |= self.add_edge(a as usize, b as usize);
+        for (from, to) in pending {
+            if from != to && self.edge_seen.insert((from, to)) {
+                self.succs[from as usize].push(to);
+                changed = true;
+            }
         }
         changed
     }
@@ -1288,31 +1450,30 @@ impl<'m> Solver<'m> {
     /// Resolve indirect calls against the current solution; returns true if
     /// new call edges were added.
     fn resolve_indirect(&mut self) -> bool {
+        let m: &'a Module = self.m;
         let mut changed = false;
-        let sites = self.indirect_sites.clone();
-        for (fid, id) in sites {
-            let f = self.m.func(fid);
-            let (fp, args) = match f.inst(id) {
-                Inst::Call {
-                    callee: Callee::Indirect(fp),
-                    args,
-                    ..
-                } => (*fp, args.clone()),
-                _ => continue,
+        for k in 0..self.indirect_sites.len() {
+            let (fid, id) = self.indirect_sites[k];
+            let Inst::Call {
+                callee: Callee::Indirect(fp),
+                args,
+                ..
+            } = m.func(fid).inst(id)
+            else {
+                continue;
             };
-            let pvar = self.value_var(fid, fp);
-            let targets: Vec<FuncId> = self.pts[pvar]
+            let pvar = self.value_var(fid, *fp);
+            let targets: Vec<FuncId> = self.a.pts[pvar as usize]
                 .iter()
-                .filter_map(|o| match self.objects[o] {
+                .filter_map(|o| match self.a.objects[o] {
                     MemoryObject::Function(cid) => Some(cid),
                     _ => None,
                 })
                 .collect();
             for cid in targets {
-                let entry = self.resolved.entry((fid, id)).or_default();
-                if entry.insert(cid) {
+                if self.resolved.entry((fid, id)).or_default().insert(cid) {
                     changed = true;
-                    self.gen_direct_call(fid, id, cid, &args);
+                    self.gen_direct_call(fid, id, cid, args);
                 }
             }
         }
@@ -1320,99 +1481,303 @@ impl<'m> Solver<'m> {
     }
 }
 
+/// Equality of two query-observable rows over one object table.
+fn same_rows(a: Option<&BitSet>, b: Option<&BitSet>) -> bool {
+    match (a, b) {
+        (None, None) => true,
+        (Some(a), Some(b)) => a.same_set(b),
+        _ => false,
+    }
+}
+
 impl AndersenAlias {
-    /// Run the whole-program points-to analysis over `m`.
+    /// Run the whole-program points-to analysis over `m`: an
+    /// [`AndersenAlias::update`] from the empty system, to which every
+    /// function of `m` is new.
     pub fn new(m: &Module) -> AndersenAlias {
-        let extern_class = m
-            .functions()
-            .iter()
-            .map(|f| {
-                if !f.is_declaration() {
-                    ExternClass::Defined
-                } else if crate::modref::is_allocator_sym(f.name_sym()) {
-                    ExternClass::Alloc
-                } else if crate::modref::external_effects_sym(f.name_sym()).opaque_pointers {
-                    ExternClass::Opaque
-                } else {
-                    ExternClass::Inert
-                }
-            })
-            .collect();
-        let mut s = Solver {
-            m,
-            vars: HashMap::new(),
-            pts: Vec::new(),
-            succs: Vec::new(),
-            loads: Vec::new(),
-            stores: Vec::new(),
-            edge_seen: HashSet::new(),
-            objects: Vec::new(),
-            obj_ids: HashMap::new(),
-            content_of: Vec::new(),
-            extern_class,
-            indirect_sites: Vec::new(),
-            resolved: HashMap::new(),
-            cache_fid: FuncId(u32::MAX),
-            inst_var_cache: Vec::new(),
-            arg_var_cache: Vec::new(),
+        let mut a = AndersenAlias {
+            // `CONST_VAR`, `UNKNOWN_SRC`, `UNKNOWN_CONTENT`.
+            pts: vec![BitSet::new(); 3],
+            live: vec![false; 3],
+            // `UNKNOWN_OBJ`.
+            objects: vec![MemoryObject::Unknown],
+            obj_ids: HashMap::from([(MemoryObject::Unknown, UNKNOWN_OBJ)]),
+            content_of: vec![UNKNOWN_CONTENT],
+            indirect_targets: HashMap::new(),
+            solve_locals: HashMap::new(),
             global_addr_vars: HashMap::new(),
             func_addr_vars: HashMap::new(),
-            const_var: None,
+            free_vars: Vec::new(),
+            globals_seen: 0,
+            sigs: Vec::new(),
+            arg_base: Vec::new(),
+            blocks: Vec::new(),
+            constraints: Vec::new(),
+            local_vars: Vec::new(),
         };
-        s.generate();
+        a.update(m, &BTreeSet::new());
+        a
+    }
+
+    fn alloc_var(&mut self) -> u32 {
+        let v = self.pts.len() as u32;
+        self.pts.push(BitSet::new());
+        self.live.push(false);
+        v
+    }
+
+    fn object(&mut self, o: MemoryObject) -> usize {
+        if let Some(&i) = self.obj_ids.get(&o) {
+            return i;
+        }
+        let i = self.objects.len();
+        self.objects.push(o);
+        self.obj_ids.insert(o, i);
+        i
+    }
+
+    /// Var of instruction `id` of `fid`, or [`NO_VAR`].
+    fn local_var(&self, fid: FuncId, id: InstId) -> u32 {
+        let from_table = self.blocks.get(fid.index()).and_then(|b| {
+            let slot = b.locals.0 as usize + id.index();
+            (slot < b.locals.1 as usize).then(|| self.local_vars[slot])
+        });
+        match from_table {
+            Some(v) if v != NO_VAR => v,
+            _ => self.solve_locals.get(&(fid, id)).copied().unwrap_or(NO_VAR),
+        }
+    }
+
+    /// Var of argument `i` of `fid`, if the function has that parameter.
+    fn arg_var(&self, fid: FuncId, i: u32) -> Option<u32> {
+        let sig = self.sigs.get(fid.index())?;
+        (i < sig.n_params).then(|| self.arg_base[fid.index()] + i)
+    }
+
+    fn ret_var(&self, fid: FuncId) -> u32 {
+        self.arg_base[fid.index()] + self.sigs[fid.index()].n_params
+    }
+
+    /// Bring the solution up to date with `m` after an edit that changed
+    /// at most the bodies of `touched` and appended functions past the ones
+    /// already known. Globals may have been appended too; nothing may have
+    /// been removed.
+    ///
+    /// Only the touched and appended functions' constraint blocks are
+    /// regenerated; all others are replayed as retained. A retained block
+    /// reads other functions through their [`Signature`]s alone, so if a
+    /// touched function's signature moved, every block is regenerated. The
+    /// solve is a full propagation from empty rows either way: exact
+    /// whatever the edit deleted.
+    pub fn update(&mut self, m: &Module, touched: &BTreeSet<FuncId>) -> AndersenUpdate {
+        let known = self.sigs.len();
+        let n = m.functions().len();
+        assert!(known <= n, "functions cannot be removed from a module");
+        let mut all = false;
+        for &fid in touched.iter().filter(|f| f.index() < known) {
+            let sig = Signature::of(m.func(fid));
+            let old = std::mem::replace(&mut self.sigs[fid.index()], sig);
+            all |= !old.same_as(&sig);
+            if old.n_params != sig.n_params {
+                // The old argument vars are leaked, not recycled: a changed
+                // parameter count is as rare as the full regeneration it
+                // forces.
+                self.arg_base[fid.index()] = self.alloc_args(sig.n_params);
+            }
+        }
+        for f in &m.functions()[known..] {
+            let sig = Signature::of(f);
+            self.sigs.push(sig);
+            let base = self.alloc_args(sig.n_params);
+            self.arg_base.push(base);
+        }
+        for gid in m.global_ids().skip(self.globals_seen) {
+            self.object(MemoryObject::Global(gid));
+        }
+        self.globals_seen = m.globals().len();
+
+        // Set the previous solution aside and start every row empty, but
+        // for the address constants, whose rows no block seeds.
+        let nvars = self.pts.len();
+        let prev = Previous {
+            pts: std::mem::replace(&mut self.pts, vec![BitSet::new(); nvars]),
+            live: std::mem::replace(&mut self.live, vec![false; nvars]),
+            blocks: std::mem::replace(&mut self.blocks, vec![Block::default(); n]),
+            local_vars: std::mem::take(&mut self.local_vars),
+            solve_locals: std::mem::take(&mut self.solve_locals),
+        };
+        let prev_constraints = std::mem::take(&mut self.constraints);
+        self.free_vars.extend(prev.solve_locals.values());
+        for (&g, &v) in &self.global_addr_vars {
+            self.pts[v as usize].insert(self.obj_ids[&MemoryObject::Global(g)]);
+        }
+        for (&f, &v) in &self.func_addr_vars {
+            self.pts[v as usize].insert(self.obj_ids[&MemoryObject::Function(f)]);
+        }
+
+        // Rebuild the flat tables in function order: stale blocks are
+        // regenerated, the others copied over as they are. The tables'
+        // sizes are known to within the edit, so reserve them once.
+        let stale = |i: usize| i >= known || all || touched.contains(&FuncId(i as u32));
+        let fresh_slots: usize = (0..n)
+            .filter(|&i| stale(i))
+            .map(|i| m.functions()[i].inst_arena_len())
+            .sum();
+        self.local_vars.reserve(prev.local_vars.len() + fresh_slots);
+        self.constraints
+            .reserve(prev_constraints.len() + fresh_slots / 2);
+        let mut regenerated = 0;
+        let mut s = Solver::new(m, self);
+        for i in 0..n {
+            let fid = FuncId(i as u32);
+            if !stale(i) {
+                let b = prev.blocks[i];
+                let cons = s.a.constraints.len() as u32;
+                let locals = s.a.local_vars.len() as u32;
+                s.a.constraints
+                    .extend_from_slice(&prev_constraints[span(b.cons)]);
+                s.a.local_vars
+                    .extend_from_slice(&prev.local_vars[span(b.locals)]);
+                s.a.blocks[i] = Block {
+                    cons: (cons, cons + (b.cons.1 - b.cons.0)),
+                    locals: (locals, locals + (b.locals.1 - b.locals.0)),
+                };
+                continue;
+            }
+            if i < known {
+                let old = &prev.local_vars[span(prev.blocks[i].locals)];
+                s.a.free_vars
+                    .extend(old.iter().copied().filter(|&v| v != NO_VAR));
+            }
+            s.gen_function(fid);
+            regenerated += 1;
+        }
+        // The old blocks are all copied or superseded: release them before
+        // the solve builds its graph.
+        drop(prev_constraints);
+
+        s.load_blocks();
         loop {
             s.solve();
             if !s.resolve_indirect() {
                 break;
             }
         }
-        AndersenAlias {
-            vars: s.vars,
-            pts: s.pts,
-            objects: s.objects,
-            obj_ids: s.obj_ids,
-            indirect_targets: s.resolved,
+        self.indirect_targets = std::mem::take(&mut s.resolved);
+
+        // Touched functions are the caller's to damage whatever their rows
+        // did; of the rest, report the ones whose rows moved.
+        let mut changed: BTreeSet<FuncId> = (0..known)
+            .map(|i| FuncId(i as u32))
+            .filter(|fid| !touched.contains(fid) && self.rows_moved(&prev, *fid))
+            .collect();
+        // Results of resolved indirect calls: keyed, not tabled, and rare.
+        let untabled = prev.solve_locals.keys().chain(self.solve_locals.keys());
+        for key in untabled.filter(|key| !touched.contains(&key.0)) {
+            let var = |vars: &HashMap<_, u32>| vars.get(key).copied().unwrap_or(NO_VAR);
+            if !same_rows(
+                self.bounded_row(&prev.pts, var(&prev.solve_locals)),
+                self.bounded_row(&self.pts, var(&self.solve_locals)),
+            ) {
+                changed.insert(key.0);
+            }
+        }
+        AndersenUpdate {
+            regenerated,
+            changed: changed.into_iter().collect(),
         }
     }
 
+    /// A fresh run of `n_params + 1` consecutive vars: the arguments, then
+    /// the return value.
+    fn alloc_args(&mut self, n_params: u32) -> u32 {
+        let base = self.pts.len() as u32;
+        for _ in 0..=n_params {
+            self.alloc_var();
+        }
+        base
+    }
+
+    /// The row queries observe for var `v`, or `None` when they cannot tell
+    /// it from "may address anything": no var, an empty row, or a row
+    /// containing [`MemoryObject::Unknown`].
+    fn bounded_row<'r>(&self, pts: &'r [BitSet], v: u32) -> Option<&'r BitSet> {
+        let row = pts.get(v as usize)?;
+        (!row.is_empty() && !row.contains(UNKNOWN_OBJ)).then_some(row)
+    }
+
+    /// Do the tabled query-observable rows of `fid` (a function both
+    /// solutions know) differ between `prev` and `self`? Compared position
+    /// by position in solver space — both solutions share one object table,
+    /// so two bounded rows are equal exactly when their bitsets are.
+    fn rows_moved(&self, prev: &Previous, fid: FuncId) -> bool {
+        let i = fid.index();
+        let old_t = &prev.local_vars[span(prev.blocks[i].locals)];
+        let new_t = &self.local_vars[span(self.blocks[i].locals)];
+        if old_t.len() != new_t.len() {
+            return true;
+        }
+        let locals_same = old_t.iter().zip(new_t).all(|(&o, &n)| {
+            same_rows(
+                self.bounded_row(&prev.pts, o),
+                self.bounded_row(&self.pts, n),
+            )
+        });
+        let live_row = |pts, live: &[bool], v: u32| {
+            live.get(v as usize)
+                .is_some_and(|&l| l)
+                .then(|| self.bounded_row(pts, v))
+                .flatten()
+        };
+        let base = self.arg_base[i];
+        !locals_same
+            || (0..self.sigs[i].n_params).any(|k| {
+                !same_rows(
+                    live_row(&prev.pts, &prev.live, base + k),
+                    live_row(&self.pts, &self.live, base + k),
+                )
+            })
+    }
+
     /// Approximate heap footprint of the points-to state, in bytes: bitset
-    /// rows plus the var and object tables.
+    /// rows, the object tables, and the retained constraint system.
     pub fn approx_heap_bytes(&self) -> usize {
         use std::mem::size_of;
         self.pts.iter().map(BitSet::heap_bytes).sum::<usize>()
             + self.pts.capacity() * size_of::<BitSet>()
-            + self.vars.len() * (size_of::<VarKey>() + size_of::<usize>() + 16)
+            + self.live.capacity()
             + self.objects.capacity() * size_of::<MemoryObject>()
             + self.obj_ids.len() * (size_of::<MemoryObject>() + size_of::<usize>() + 16)
+            + self.content_of.capacity() * size_of::<u32>()
+            + self.constraints.capacity() * size_of::<Constraint>()
+            + self.local_vars.capacity() * size_of::<u32>()
+            + self.blocks.capacity() * size_of::<Block>()
+            + self.sigs.capacity() * size_of::<Signature>()
+            + self.arg_base.capacity() * size_of::<u32>()
     }
 
     /// Points-to set of a pointer value in function `fid`.
     pub fn points_to(&self, fid: FuncId, v: Value) -> BTreeSet<MemoryObject> {
         match v {
-            Value::Inst(id) => self.var_pts(&VarKey::Local(fid, id)),
-            Value::Arg(i) => self.var_pts(&VarKey::Arg(fid, i)),
-            Value::Global(g) => {
-                let mut s = BTreeSet::new();
-                s.insert(MemoryObject::Global(g));
-                s
-            }
-            Value::Func(f2) => {
-                let mut s = BTreeSet::new();
-                s.insert(MemoryObject::Function(f2));
-                s
-            }
+            Value::Inst(id) => self.var_pts(self.local_var(fid, id)),
+            Value::Arg(i) => self.var_pts(self.live_arg_var(fid, i)),
+            Value::Global(g) => BTreeSet::from([MemoryObject::Global(g)]),
+            Value::Func(f2) => BTreeSet::from([MemoryObject::Function(f2)]),
             Value::Const(_) => BTreeSet::new(),
         }
     }
 
-    fn var_pts(&self, key: &VarKey) -> BTreeSet<MemoryObject> {
-        match self.vars.get(key) {
-            Some(&v) => self.pts[v].iter().map(|o| self.objects[o]).collect(),
-            None => {
-                let mut s = BTreeSet::new();
-                s.insert(MemoryObject::Unknown);
-                s
-            }
+    /// Var of argument `i` of `fid` if anything mentions it, else [`NO_VAR`].
+    fn live_arg_var(&self, fid: FuncId, i: u32) -> u32 {
+        self.arg_var(fid, i)
+            .filter(|&v| self.live[v as usize])
+            .unwrap_or(NO_VAR)
+    }
+
+    fn var_pts(&self, v: u32) -> BTreeSet<MemoryObject> {
+        match self.pts.get(v as usize) {
+            Some(row) => row.iter().map(|o| self.objects[o]).collect(),
+            None => BTreeSet::from([MemoryObject::Unknown]),
         }
     }
 
@@ -1426,21 +1791,28 @@ impl AndersenAlias {
     /// untracked variable all behave as "may address anything", so none of
     /// them appears in the map. Two solves whose rows compare equal for a
     /// function therefore answer every alias query on that function
-    /// identically — the comparison the incremental invalidation engine
-    /// uses to decide which cached per-function results survive an edit.
-    pub fn rows_by_function(&self) -> HashMap<FuncId, BTreeMap<(u8, u32), BTreeSet<MemoryObject>>> {
-        let mut out: HashMap<FuncId, BTreeMap<(u8, u32), BTreeSet<MemoryObject>>> = HashMap::new();
-        for (key, &v) in &self.vars {
-            let (fid, row) = match key {
-                VarKey::Local(fid, id) => (*fid, (0u8, id.0)),
-                VarKey::Arg(fid, i) => (*fid, (1u8, *i)),
-                VarKey::Ret(_) | VarKey::Content(_) | VarKey::UnknownSrc => continue,
-            };
-            let set: BTreeSet<MemoryObject> = self.pts[v].iter().map(|o| self.objects[o]).collect();
-            if set.is_empty() || set.contains(&MemoryObject::Unknown) {
-                continue; // canonically "unbounded", same as an absent row
+    /// identically — the comparison [`AndersenAlias::update`] makes in
+    /// solver space to report which functions an edit's re-solve moved.
+    pub fn rows_by_function(&self) -> HashMap<FuncId, PointsToRows> {
+        let mut out: HashMap<FuncId, PointsToRows> = HashMap::new();
+        let mut put = |fid: FuncId, key: (u8, u32), v: u32| {
+            if let Some(row) = self.bounded_row(&self.pts, v) {
+                let set = row.iter().map(|o| self.objects[o]).collect();
+                out.entry(fid).or_default().insert(key, set);
             }
-            out.entry(fid).or_default().insert(row, set);
+        };
+        for (i, b) in self.blocks.iter().enumerate() {
+            let fid = FuncId(i as u32);
+            let table = &self.local_vars[span(b.locals)];
+            for (idx, &v) in table.iter().enumerate() {
+                put(fid, (0, idx as u32), v);
+            }
+            for k in 0..self.sigs[i].n_params {
+                put(fid, (1, k), self.live_arg_var(fid, k));
+            }
+        }
+        for (&(fid, id), &v) in &self.solve_locals {
+            put(fid, (0, id.0), v);
         }
         out
     }
@@ -1452,11 +1824,6 @@ impl AndersenAlias {
             .get(&(fid, id))
             .map(|s| s.iter().copied().collect())
             .unwrap_or_default()
-    }
-
-    /// True if `o` is tracked at all.
-    pub fn knows_object(&self, o: MemoryObject) -> bool {
-        self.obj_ids.contains_key(&o)
     }
 }
 
@@ -2004,6 +2371,316 @@ mod tests {
         let fid = m.add_function(b.finish());
         let andersen = AndersenAlias::new(&m);
         assert_eq!(andersen.alias(fid, q, Value::Arg(0)), AliasResult::May);
+    }
+
+    /// Solve `before`, edit it into `after` (same functions in the same
+    /// order, possibly more at the end) declaring `touched`, and demand
+    /// that the updated solution is the one a from-scratch solve of `after`
+    /// finds — and that the update reported exactly the untouched functions
+    /// whose rows differ between the two from-scratch solves.
+    fn update_matches_fresh(before: &str, after: &str, touched: &[&str]) -> AndersenUpdate {
+        let (a, b) = (parse_module(before).unwrap(), parse_module(after).unwrap());
+        let touched: BTreeSet<FuncId> = touched
+            .iter()
+            .map(|name| b.func_id_by_name(name).expect("touched function exists"))
+            .collect();
+        let mut kept = AndersenAlias::new(&a);
+        let old_rows = kept.rows_by_function();
+        let update = kept.update(&b, &touched);
+        let fresh = AndersenAlias::new(&b);
+        let fresh_rows = fresh.rows_by_function();
+        assert_eq!(kept.rows_by_function(), fresh_rows);
+        for fid in b.func_ids() {
+            for id in b.func(fid).inst_ids() {
+                assert_eq!(
+                    kept.indirect_callees(fid, id),
+                    fresh.indirect_callees(fid, id)
+                );
+                // Raw sets too: an untracked value and an empty row answer
+                // alias queries alike but render differently.
+                let v = Value::Inst(id);
+                assert_eq!(kept.points_to(fid, v), fresh.points_to(fid, v));
+            }
+            for i in 0..b.func(fid).params.len() as u32 {
+                let v = Value::Arg(i);
+                assert_eq!(kept.points_to(fid, v), fresh.points_to(fid, v));
+            }
+        }
+        let moved: Vec<FuncId> = a
+            .func_ids()
+            .filter(|fid| !touched.contains(fid) && old_rows.get(fid) != fresh_rows.get(fid))
+            .collect();
+        assert_eq!(update.changed, moved);
+        update
+    }
+
+    #[test]
+    fn update_after_a_body_edit_regenerates_one_block() {
+        // `pick` returns its first argument, then its second: the untouched
+        // caller's call result moves from {a} to {b}.
+        let module = |ret: &str| {
+            format!(
+                r#"
+module "m" {{
+define i64* @pick(i64* %p, i64* %q) {{
+entry:
+  ret {ret}
+}}
+define i64 @user() {{
+entry:
+  %a = alloca i64, i64 1
+  %b = alloca i64, i64 1
+  %r = call i64* @pick(%a, %b)
+  %v = load i64, %r
+  ret %v
+}}
+define i64 @bystander(i64* %x) {{
+entry:
+  %v = load i64, %x
+  ret %v
+}}
+}}
+"#
+            )
+        };
+        let u = update_matches_fresh(&module("%p"), &module("%q"), &["pick"]);
+        assert_eq!(u.regenerated, 1);
+        assert_eq!(u.changed.len(), 1, "only @user's rows move: {u:?}");
+    }
+
+    #[test]
+    fn update_after_a_deleted_call_makes_the_callee_a_root() {
+        // With the call gone nothing binds `leaf`'s argument any more: it
+        // arrives from outside the program and may point anywhere.
+        let module = |call: &str| {
+            format!(
+                r#"
+module "m" {{
+define i64 @leaf(i64* %p) {{
+entry:
+  %q = gep i64, %p, i64 1
+  %v = load i64, %q
+  ret %v
+}}
+define i64 @main() {{
+entry:
+  %a = alloca i64, i64 4
+  {call}
+  ret i64 0
+}}
+}}
+"#
+            )
+        };
+        let u = update_matches_fresh(
+            &module("%r = call i64 @leaf(%a)"),
+            &module("%r = add i64 i64 1, i64 2"),
+            &["main"],
+        );
+        assert_eq!(u.regenerated, 1);
+        let m = parse_module(&module("")).unwrap();
+        assert_eq!(u.changed, vec![m.func_id_by_name("leaf").unwrap()]);
+    }
+
+    #[test]
+    fn update_after_a_function_becomes_address_taken() {
+        // `cb` starts as a root (argument unknown); once `main` stores its
+        // address it is referenced, and only call sites bind the argument.
+        let module = |store: &str| {
+            format!(
+                r#"
+module "m" {{
+define i64 @cb(i64* %p) {{
+entry:
+  %q = gep i64, %p, i64 0
+  %v = load i64, %q
+  ret %v
+}}
+define i64 @main() {{
+entry:
+  %cell = alloca fn i64 (i64*)*, i64 1
+  {store}
+  ret i64 0
+}}
+}}
+"#
+            )
+        };
+        let u = update_matches_fresh(
+            &module(""),
+            &module("store fn i64 (i64*)* @cb, %cell"),
+            &["main"],
+        );
+        assert_eq!(u.regenerated, 1);
+    }
+
+    #[test]
+    fn update_after_a_signature_change_regenerates_every_block() {
+        // `sink` gains a pointer parameter. `user`'s retained block was
+        // generated against the old signature, so nothing is reused.
+        let module = |params: &str, args: &str| {
+            format!(
+                r#"
+module "m" {{
+define void @sink({params}) {{
+entry:
+  ret void
+}}
+define void @main() {{
+entry:
+  %a = alloca i64, i64 1
+  %b = alloca i64, i64 1
+  call void @sink({args})
+  ret void
+}}
+define void @user() {{
+entry:
+  %c = alloca i64, i64 1
+  call void @sink(%c)
+  ret void
+}}
+}}
+"#
+            )
+        };
+        let u = update_matches_fresh(
+            &module("i64* %p", "%a"),
+            &module("i64* %p, i64* %q", "%a, %b"),
+            &["sink", "main"],
+        );
+        assert_eq!(u.regenerated, 3);
+    }
+
+    #[test]
+    fn update_after_an_appended_declaration() {
+        // What the parallelizers do: outline a task, declare the dispatch
+        // intrinsic, and pass it the task's address and the environment.
+        let before = r#"
+module "m" {
+define i64 @main() {
+entry:
+  %env = alloca i64, i64 4
+  %v = load i64, %env
+  ret %v
+}
+define i64 @other(i64* %p) {
+entry:
+  %v = load i64, %p
+  ret %v
+}
+}
+"#;
+        let after = r#"
+module "m" {
+define i64 @main() {
+entry:
+  %env = alloca i64, i64 4
+  call void @noelle.task.dispatch(@main.task, %env, i64 4)
+  %v = load i64, %env
+  ret %v
+}
+define i64 @other(i64* %p) {
+entry:
+  %v = load i64, %p
+  ret %v
+}
+define void @main.task(i64* %e, i64 %id, i64 %n) {
+entry:
+  %slot = gep i64, %e, %id
+  store i64 %n, %slot
+  ret void
+}
+declare void @noelle.task.dispatch(fn void (i64*, i64, i64)* %task, i64* %env, i64 %n)
+}
+"#;
+        let u = update_matches_fresh(before, after, &["main"]);
+        assert_eq!(u.regenerated, 3, "main, the task and the declaration");
+        assert!(u.changed.is_empty());
+    }
+
+    #[test]
+    fn update_re_resolves_indirect_calls() {
+        // The function pointer narrows from {f1, f2} to {f1}: the call's
+        // result (a var minted while solving) must narrow with it.
+        let module = |fval: &str| {
+            format!(
+                r#"
+module "m" {{
+global @g1 : i64 = i64 0
+global @g2 : i64 = i64 0
+define i64* @f1() {{
+entry:
+  ret @g1
+}}
+define i64* @f2() {{
+entry:
+  ret @g2
+}}
+define i64 @main(i1 %c) {{
+entry:
+  %fp = select fn i64* ()* %c, @f1, {fval}
+  %r = call i64* %fp()
+  %v = load i64, %r
+  ret %v
+}}
+}}
+"#
+            )
+        };
+        let u = update_matches_fresh(&module("@f2"), &module("@f1"), &["main"]);
+        assert_eq!(u.regenerated, 1);
+    }
+
+    #[test]
+    fn update_reports_untouched_callers_of_a_retargeted_pointer() {
+        // The indirect call sits in an untouched function; which function
+        // it reaches is decided by a store elsewhere. Its result's row
+        // exists only as long as the solve resolves the call, and must be
+        // reported when it moves.
+        let module = |target: &str| {
+            format!(
+                r#"
+module "m" {{
+global @g1 : i64 = i64 0
+global @g2 : i64 = i64 0
+define i64* @f1() {{
+entry:
+  ret @g1
+}}
+define i64* @f2() {{
+entry:
+  ret @g2
+}}
+define void @init(fn i64* ()** %cell) {{
+entry:
+  store fn i64* ()* {target}, %cell
+  ret void
+}}
+define i64 @caller(fn i64* ()** %cell) {{
+entry:
+  %fp = load fn i64* ()*, %cell
+  %r = call i64* %fp()
+  %v = load i64, %r
+  ret %v
+}}
+define i64 @main() {{
+entry:
+  %cell = alloca fn i64* ()*, i64 1
+  call void @init(%cell)
+  %v = call i64 @caller(%cell)
+  ret %v
+}}
+}}
+"#
+            )
+        };
+        let u = update_matches_fresh(&module("@f1"), &module("@f2"), &["init"]);
+        assert_eq!(u.regenerated, 1);
+        let m = parse_module(&module("@f1")).unwrap();
+        assert_eq!(u.changed, vec![m.func_id_by_name("caller").unwrap()]);
+        // Retargeted at nothing, the call resolves nowhere and the row goes.
+        let u = update_matches_fresh(&module("@f1"), &module("null"), &["init"]);
+        assert_eq!(u.changed, vec![m.func_id_by_name("caller").unwrap()]);
     }
 
     #[test]

@@ -96,6 +96,25 @@ impl BitSet {
         grew
     }
 
+    /// The occupied extent: index of the first non-zero word and the words
+    /// from it through the last non-zero one.
+    fn occupied(&self) -> (usize, &[u64]) {
+        match self.words.iter().position(|&w| w != 0) {
+            None => (0, &[]),
+            Some(lo) => {
+                let hi = self.words.iter().rposition(|&w| w != 0).unwrap_or(lo);
+                (self.base + lo, &self.words[lo..=hi])
+            }
+        }
+    }
+
+    /// True when both sets hold exactly the same ids. Unlike `==`, which
+    /// compares representations, this ignores how far each row's window
+    /// happens to extend past its occupied words.
+    pub fn same_set(&self, other: &BitSet) -> bool {
+        self.occupied() == other.occupied()
+    }
+
     /// True when no id is present.
     pub fn is_empty(&self) -> bool {
         self.words.iter().all(|&w| w == 0)
@@ -201,6 +220,25 @@ mod tests {
         let mut into_empty = BitSet::new();
         assert!(into_empty.union_with(&hi));
         assert_eq!(into_empty.iter().collect::<Vec<_>>(), vec![5, 10_000]);
+    }
+
+    #[test]
+    fn same_set_ignores_window_shape() {
+        // Same ids reached through different growth orders: the windows
+        // differ (one was opened downward, one upward), the sets do not.
+        let mut a = BitSet::new();
+        a.insert(700);
+        a.insert(5);
+        let mut b = BitSet::new();
+        b.insert(5);
+        b.insert(700);
+        b.insert(9000);
+        assert!(!a.same_set(&b));
+        let mut c = BitSet::new();
+        c.union_with(&a);
+        assert!(a.same_set(&c) && c.same_set(&a));
+        assert!(BitSet::new().same_set(&BitSet::default()));
+        assert!(!a.same_set(&BitSet::new()));
     }
 
     #[test]

@@ -212,7 +212,18 @@ impl ModRefSummaries {
     /// solution [`ModRefSummaries::compute`] would produce from scratch —
     /// including non-monotone edits (a deleted store clears bits), because
     /// the affected entries are reset to their base before iterating.
-    pub fn recompute_scoped(&mut self, m: &Module, affected: &BTreeSet<FuncId>) {
+    ///
+    /// Returns the affected functions whose summary came out different
+    /// (or that had none before), ascending.
+    pub fn recompute_scoped(&mut self, m: &Module, affected: &BTreeSet<FuncId>) -> Vec<FuncId> {
+        let summary = |s: &ModRefSummaries, fid: FuncId| {
+            (
+                s.reads.get(&fid).copied(),
+                s.writes.get(&fid).copied(),
+                s.io.get(&fid).copied(),
+            )
+        };
+        let before: Vec<_> = affected.iter().map(|&fid| summary(self, fid)).collect();
         for &fid in affected {
             let f = m.func(fid);
             if f.is_declaration() {
@@ -264,6 +275,12 @@ impl ModRefSummaries {
                 }
             }
         }
+        affected
+            .iter()
+            .zip(before)
+            .filter(|&(&fid, old)| summary(self, fid) != old)
+            .map(|(&fid, _)| fid)
+            .collect()
     }
 
     /// True if function `fid` may read caller-visible memory.

@@ -6,12 +6,11 @@
 //! walks it innermost-to-outermost; HELIX/DSWP/DOALL use it with profiles to
 //! pick the most profitable loops).
 
-use noelle_ir::cfg::Cfg;
-use noelle_ir::dom::DomTree;
 use noelle_ir::loops::{LoopForest, LoopId, LoopInfo};
-use noelle_ir::module::{FuncId, Module};
+use noelle_ir::module::FuncId;
 use std::collections::{BTreeMap, BTreeSet};
 use std::hash::Hash;
+use std::sync::Arc;
 
 /// A forest of trees over nodes of type `T` with delete-and-reconnect.
 #[derive(Clone, Debug, Default)]
@@ -115,28 +114,24 @@ impl<T: Ord + Copy + Eq + Hash> Forest<T> {
 pub type ProgramLoopRef = (FuncId, LoopId);
 
 /// The program-wide loop forest plus the per-function [`LoopForest`]s it was
-/// built from.
+/// assembled from.
 #[derive(Debug)]
 pub struct ProgramLoopForest {
     /// Nesting forest over `(function, loop)` nodes.
     pub forest: Forest<ProgramLoopRef>,
     /// Per-function loop forests (for loop lookup).
-    pub per_function: BTreeMap<FuncId, LoopForest>,
+    pub per_function: BTreeMap<FuncId, Arc<LoopForest>>,
 }
 
 impl ProgramLoopForest {
-    /// Detect all loops of all defined functions of `m`.
-    pub fn build(m: &Module) -> ProgramLoopForest {
+    /// Link the loops of already-detected per-function forests into one
+    /// program-wide nesting forest.
+    pub fn from_forests(
+        forests: impl IntoIterator<Item = (FuncId, Arc<LoopForest>)>,
+    ) -> ProgramLoopForest {
         let mut forest = Forest::new();
         let mut per_function = BTreeMap::new();
-        for fid in m.func_ids() {
-            let f = m.func(fid);
-            if f.is_declaration() {
-                continue;
-            }
-            let cfg = Cfg::new(f);
-            let dt = DomTree::new(f, &cfg);
-            let lf = LoopForest::new(f, &cfg, &dt);
+        for (fid, lf) in forests {
             for l in lf.loops() {
                 forest.insert((fid, l.id), l.parent.map(|p| (fid, p)));
             }
@@ -203,7 +198,10 @@ mod tests {
     #[test]
     fn program_forest_spans_functions() {
         use noelle_ir::builder::FunctionBuilder;
+        use noelle_ir::cfg::Cfg;
+        use noelle_ir::dom::DomTree;
         use noelle_ir::inst::{BinOp, IcmpPred};
+        use noelle_ir::module::Module;
         use noelle_ir::types::Type;
         use noelle_ir::value::Value;
         let mut m = Module::new("t");
@@ -227,7 +225,12 @@ mod tests {
             b.ret(None);
             m.add_function(b.finish());
         }
-        let plf = ProgramLoopForest::build(&m);
+        let plf = ProgramLoopForest::from_forests(m.func_ids().map(|fid| {
+            let f = m.func(fid);
+            let cfg = Cfg::new(f);
+            let dt = DomTree::new(f, &cfg);
+            (fid, Arc::new(LoopForest::new(f, &cfg, &dt)))
+        }));
         assert_eq!(plf.forest.nodes().count(), 2);
         assert_eq!(plf.innermost_first().len(), 2);
         for node in plf.forest.nodes() {

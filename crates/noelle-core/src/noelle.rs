@@ -102,8 +102,9 @@ pub struct FuncStructures {
     pub dom: DomTree,
     /// Post-dominator tree.
     pub postdom: PostDomTree,
-    /// Loop forest.
-    pub forest: LoopForest,
+    /// Loop forest, shared with every [`ProgramLoopForest`] assembled from
+    /// the cache.
+    pub forest: Arc<LoopForest>,
 }
 
 /// Accumulated build-time cost of one cached abstraction.
@@ -148,9 +149,13 @@ pub struct FuncCacheCounters {
     /// Function cache slots invalidated (by edits or full invalidation).
     pub invalidations: u64,
     /// Edits that kept the whole-module points-to solution because every
-    /// touched function's content fingerprint (and the globals') was
-    /// unchanged — the re-solve was skipped entirely.
+    /// touched function's body fingerprint was unchanged — the re-solve
+    /// was skipped entirely.
     pub andersen_reuses: u64,
+    /// Functions whose points-to constraints were regenerated by edits'
+    /// re-solves: the touched and appended functions of each commit, never
+    /// a multiple of the module size (the cold solve is not counted).
+    pub andersen_regen_funcs: u64,
     /// Artifacts loaded from the durable store instead of recomputed.
     pub store_hits: u64,
     /// Store lookups that found nothing (or found a payload that failed
@@ -158,15 +163,15 @@ pub struct FuncCacheCounters {
     pub store_misses: u64,
 }
 
-/// Fingerprints of the inputs the cached points-to solution was computed
-/// from: one *body* fingerprint per function plus the globals. Bodies, not
-/// full content: alias analysis never reads metadata, so an edit whose
-/// touched functions all hash the same body (a `touch` that changed
-/// nothing, or a metadata-only annotation) provably cannot move any
-/// points-to row, and commit skips the whole-module re-solve.
-struct AndersenInputs {
-    globals: u64,
-    funcs: HashMap<FuncId, u64>,
+/// One function's fingerprints, hashed once per version of the function
+/// and read by everything that keys on them: the points-to gate compares
+/// *bodies* (alias analysis never reads metadata, so an edit whose touched
+/// functions all hash the same body provably cannot move any points-to
+/// row), the durable store addresses by *content*.
+#[derive(Clone, Copy)]
+struct FuncFingerprints {
+    body: u64,
+    content: u64,
 }
 
 /// An open edit transaction over the managed module.
@@ -317,10 +322,16 @@ impl CallEdges {
 pub struct Noelle {
     module: Module,
     tier: AliasTier,
+    /// The points-to solution, kept in step with the module by every
+    /// commit once built.
     andersen: Option<AndersenAlias>,
-    /// Fingerprints of the module content `andersen` was solved from;
-    /// `Some` exactly when `andersen` is.
-    andersen_inputs: Option<AndersenInputs>,
+    /// Fingerprints of the functions' *current* versions, by function
+    /// index, filled on first use; a commit drops the touched functions'
+    /// (functions change only through [`Noelle::edit`], which is what
+    /// keeps the rest current). While `andersen` is built every function
+    /// has an entry, so a commit can tell which touched bodies really
+    /// changed.
+    fingerprints: Vec<Option<FuncFingerprints>>,
     modref: Option<Arc<ModRefSummaries>>,
     /// Incrementally maintained direct call edges; `Some` whenever `modref`
     /// is (commits repair both together, and both die together on
@@ -355,7 +366,7 @@ impl Noelle {
             module,
             tier,
             andersen: None,
-            andersen_inputs: None,
+            fingerprints: Vec::new(),
             modref: None,
             call_edges: None,
             call_graph: None,
@@ -390,19 +401,31 @@ impl Noelle {
     /// The store-key context for the module's *current* content. Partition
     /// and rows keys bake in a module-wide code fingerprint (their inputs
     /// are interprocedural); forest keys use only the owning function.
-    fn store_key_ctx(&self) -> KeyCtx {
+    fn store_key_ctx(&mut self) -> KeyCtx {
+        let n = self.module.functions().len() as u32;
         KeyCtx {
             globals_fp: self.module.globals_fingerprint(),
             module_code_fp: KeyCtx::module_code_fp(
-                self.module
-                    .func_ids()
-                    .map(|fid| self.module.func(fid).content_fingerprint()),
+                (0..n).map(|i| self.fingerprints(FuncId(i)).content),
             ),
             tier: match self.tier {
                 AliasTier::Basic => 0,
                 AliasTier::Full => 1,
             },
         }
+    }
+
+    /// The cached fingerprints of `fid`'s current version.
+    fn fingerprints(&mut self, fid: FuncId) -> FuncFingerprints {
+        let n = self.module.functions().len();
+        if self.fingerprints.len() < n {
+            self.fingerprints.resize(n, None);
+        }
+        let f = self.module.func(fid);
+        *self.fingerprints[fid.index()].get_or_insert_with(|| {
+            let (body, content) = f.fingerprints();
+            FuncFingerprints { body, content }
+        })
     }
 
     /// The module under compilation.
@@ -478,6 +501,17 @@ impl Noelle {
         if touched.is_empty() {
             return BTreeSet::new(); // read-only transaction
         }
+        // What each touched function hashed to before the edit (`None` if
+        // nobody had asked, or the function is new); the entries themselves
+        // are stale now.
+        let old_fingerprints: Vec<Option<FuncFingerprints>> = touched
+            .iter()
+            .map(|fid| {
+                self.fingerprints
+                    .get_mut(fid.index())
+                    .and_then(Option::take)
+            })
+            .collect();
         for &fid in &touched {
             *self.revisions.entry(fid).or_insert(0) += 1;
             self.structures.remove(&fid);
@@ -485,7 +519,7 @@ impl Noelle {
         // Profiles live in module metadata, which a scoped borrow may have
         // rewritten; they are cheap to re-parse on demand.
         self.profiles = None;
-        let Some(old_modref) = self.modref.take() else {
+        let Some(mut modref) = self.modref.take() else {
             // No mod/ref summaries means no PDG, no alias-cache entries and
             // no previous snapshot are cached (they all force mod/ref
             // first). Whole-program state that *can* exist without them —
@@ -493,7 +527,6 @@ impl Noelle {
             // dropped; there is no per-function reuse at stake.
             debug_assert!(self.pdg.is_none() && self.prev_pdg.is_none());
             self.andersen = None;
-            self.andersen_inputs = None;
             self.call_graph = None;
             // The edge map is only repaired on the summary-bearing path;
             // without that repair the touched functions' rows go stale.
@@ -517,51 +550,41 @@ impl Noelle {
             None => CallEdges::build(&self.module),
         };
         let affected = edges.caller_closure(&touched);
-        let mut new_modref = (*old_modref).clone();
-        new_modref.recompute_scoped(&self.module, &affected);
-        let new_modref = Arc::new(new_modref);
+        // In place unless someone still holds the pre-edit summaries.
+        let moved = Arc::make_mut(&mut modref).recompute_scoped(&self.module, &affected);
         // A function's PDG reads the mod/ref summaries of its *direct*
         // callees (indirect calls are handled conservatively), so summary
-        // changes damage direct callers.
-        let mut changed: BTreeSet<FuncId> = touched.clone();
-        for &fid in &affected {
-            if old_modref.may_read(fid) != new_modref.may_read(fid)
-                || old_modref.may_write(fid) != new_modref.may_write(fid)
-                || old_modref.has_io(fid) != new_modref.has_io(fid)
-            {
-                changed.insert(fid);
-            }
-        }
+        // changes damage direct callers — as does any touched function,
+        // whose callers may see a different callee altogether.
         let mut damage = touched.clone();
-        for &c in &changed {
+        for &c in touched.iter().chain(&moved) {
             damage.extend(edges.callers_of(c));
         }
         self.call_edges = Some(edges);
         // Under the full tier the PDG also consults the points-to solution.
-        // The solution is a pure function of the function bodies and the
-        // globals, so if every touched function's body fingerprint (and
-        // the globals') is unchanged, the cached solution is still exact and
-        // the whole-module re-solve is skipped. Otherwise re-solve and
-        // damage every function whose rows moved.
+        // The solution is a pure function of the function bodies (globals
+        // enter by id only, and a changed global count escalated before
+        // reaching here), so if every touched function's body fingerprint
+        // is unchanged, the cached solution is still exact and stays as it
+        // is. Otherwise re-solve, regenerating the touched functions'
+        // constraints only, and damage every function whose rows moved.
         if self.andersen.is_some() {
-            if self.andersen_inputs_unchanged(&touched) {
+            let unchanged = touched
+                .iter()
+                .zip(&old_fingerprints)
+                .all(|(&fid, old)| old.is_some_and(|old| old.body == self.fingerprints(fid).body));
+            if unchanged {
                 self.counters.andersen_reuses += 1;
             } else {
-                let new_andersen = AndersenAlias::new(&self.module);
-                let old_rows = self.andersen.as_ref().expect("checked").rows_by_function();
-                let new_rows = new_andersen.rows_by_function();
-                for fid in self.module.func_ids() {
-                    if old_rows.get(&fid) != new_rows.get(&fid) {
-                        damage.insert(fid);
-                    }
-                }
-                self.andersen = Some(new_andersen);
-                self.record_andersen_inputs();
+                let andersen = self.andersen.as_mut().expect("checked");
+                let update = andersen.update(&self.module, &touched);
+                self.counters.andersen_regen_funcs += update.regenerated as u64;
+                damage.extend(update.changed);
             }
         }
         self.alias_cache.invalidate_funcs(&damage);
         self.call_graph = None;
-        self.modref = Some(new_modref);
+        self.modref = Some(modref);
         if let Some(p) = self.pdg.take() {
             self.prev_pdg = Some(p);
         }
@@ -588,7 +611,7 @@ impl Noelle {
     /// survive so reports cover the whole compilation.
     pub fn invalidate(&mut self) {
         self.andersen = None;
-        self.andersen_inputs = None;
+        self.fingerprints.clear();
         self.modref = None;
         self.call_edges = None;
         self.call_graph = None;
@@ -624,15 +647,20 @@ impl Noelle {
     fn ensure_andersen(&mut self) {
         if self.andersen.is_none() {
             let andersen = AndersenAlias::new(&self.module);
+            // From here on commits compare touched bodies against the
+            // version the solution saw: fingerprint every function now.
+            for i in 0..self.module.functions().len() as u32 {
+                self.fingerprints(FuncId(i));
+            }
             // Queue the observable rows for asynchronous write-back. Rows
             // are a write-only artifact from this process's point of view
             // (the full solver state cannot be reconstructed from them);
             // they exist so fsck and replicas can audit the solve, and so
             // the fuzz oracle can round-trip them.
-            if let Some(store) = &self.store {
+            if let Some(store) = self.store.clone() {
                 let ctx = self.store_key_ctx();
                 for (fid, rows) in andersen.rows_by_function() {
-                    let key = ctx.rows_key(self.module.func(fid).content_fingerprint());
+                    let key = ctx.rows_key(self.fingerprints(fid).content);
                     store.put(
                         key,
                         ArtifactKind::PointsToRows,
@@ -641,41 +669,7 @@ impl Noelle {
                 }
             }
             self.andersen = Some(andersen);
-            self.record_andersen_inputs();
         }
-    }
-
-    /// Snapshot the fingerprints of everything the points-to solution reads.
-    fn record_andersen_inputs(&mut self) {
-        let funcs = self
-            .module
-            .func_ids()
-            .map(|fid| (fid, self.module.func(fid).body_fingerprint()))
-            .collect();
-        self.andersen_inputs = Some(AndersenInputs {
-            globals: self.module.globals_fingerprint(),
-            funcs,
-        });
-    }
-
-    /// True when the cached points-to solution is still exact after an edit
-    /// that touched `touched`: the globals and every touched function hash
-    /// to what the solution was computed from. Functions appended by the
-    /// edit are in `touched` (watermark) and have no recorded fingerprint,
-    /// so any growth forces a re-solve.
-    fn andersen_inputs_unchanged(&self, touched: &BTreeSet<FuncId>) -> bool {
-        let Some(inputs) = &self.andersen_inputs else {
-            return false;
-        };
-        if inputs.globals != self.module.globals_fingerprint() {
-            return false;
-        }
-        touched.iter().all(|fid| {
-            inputs
-                .funcs
-                .get(fid)
-                .is_some_and(|&fp| self.module.func(*fid).body_fingerprint() == fp)
-        })
     }
 
     /// One function's PDG partition from the durable store, if present.
@@ -685,10 +679,10 @@ impl Noelle {
     /// byte-identical to what a full build would see right now. Misses are
     /// not counted here — the fall-back full build accounts for them.
     fn store_partition(&mut self, fid: FuncId) -> Option<Arc<DepGraph<InstId>>> {
-        self.store.as_ref()?;
-        let ctx = self.store_key_ctx();
-        let store = self.store.as_ref().expect("checked above");
-        let key = ctx.partition_key(self.module.func(fid).content_fingerprint());
+        let store = self.store.clone()?;
+        let key = self
+            .store_key_ctx()
+            .partition_key(self.fingerprints(fid).content);
         let g = store
             .get(key)
             .and_then(|b| artifact::decode_partition(&b).ok())?;
@@ -799,31 +793,47 @@ impl Noelle {
         self.note(Abstraction::Pdg);
         if self.pdg.is_none() {
             let t = Instant::now();
-            let defined: Vec<FuncId> = self
-                .module
-                .func_ids()
-                .filter(|&fid| !self.module.func(fid).is_declaration())
-                .collect();
-            let prev = self.prev_pdg.take();
+            let defined = |m: &Module, fid: &FuncId| !m.func(*fid).is_declaration();
             let stale = std::mem::take(&mut self.stale);
-            let ctx = self.store.as_ref().map(|_| self.store_key_ctx());
-            let mut per_function = HashMap::with_capacity(defined.len());
-            let mut rebuild: Vec<FuncId> = Vec::new();
-            for &fid in &defined {
-                // Undamaged partition from the previous in-memory snapshot.
-                if !stale.contains(&fid) {
-                    if let Some(g) = prev.as_ref().and_then(|p| p.per_function.get(&fid)) {
-                        per_function.insert(fid, Arc::clone(g));
-                        self.counters.pdg_hits += 1;
-                        continue;
+            // Start from the previous snapshot's map and look again only at
+            // what the edits since damaged: every function they added or
+            // touched is in `stale`, so what remains is undamaged and
+            // complete. Without a snapshot, every defined function is new.
+            let (mut per_function, wanted): (HashMap<_, _>, Vec<FuncId>) =
+                match self.prev_pdg.take() {
+                    Some(prev) => {
+                        let mut kept = Arc::try_unwrap(prev)
+                            .map(|p| p.per_function)
+                            .unwrap_or_else(|held| held.per_function.clone());
+                        for fid in &stale {
+                            kept.remove(fid);
+                        }
+                        self.counters.pdg_hits += kept.len() as u64;
+                        let module = &self.module;
+                        (
+                            kept,
+                            stale.into_iter().filter(|f| defined(module, f)).collect(),
+                        )
                     }
-                }
-                // Durable store next: content addressing guarantees a hit
-                // was computed from byte-identical inputs, so a warm
-                // restart (or a replica on the same store) skips the
-                // analysis stack entirely. Decode failures are misses.
-                if let (Some(store), Some(ctx)) = (&self.store, &ctx) {
-                    let key = ctx.partition_key(self.module.func(fid).content_fingerprint());
+                    None => {
+                        let all: Vec<FuncId> = self
+                            .module
+                            .func_ids()
+                            .filter(|f| defined(&self.module, f))
+                            .collect();
+                        (HashMap::with_capacity(all.len()), all)
+                    }
+                };
+            // Durable store next: content addressing guarantees a hit was
+            // computed from byte-identical inputs, so a warm restart (or a
+            // replica on the same store) skips the analysis stack entirely.
+            // Decode failures are misses.
+            let store = self.store.clone();
+            let ctx = store.as_ref().map(|_| self.store_key_ctx());
+            let mut rebuild: Vec<FuncId> = Vec::new();
+            for fid in wanted {
+                if let (Some(store), Some(ctx)) = (&store, &ctx) {
+                    let key = ctx.partition_key(self.fingerprints(fid).content);
                     let decoded = store
                         .get(key)
                         .and_then(|b| artifact::decode_partition(&b).ok());
@@ -845,9 +855,9 @@ impl Noelle {
                 let modref = self.ensure_modref();
                 let fresh = self.with_cached_stack(modref, |_, b| b.pdg_partitions(&rebuild));
                 self.counters.pdg_misses += rebuild.len() as u64;
-                if let (Some(store), Some(ctx)) = (&self.store, &ctx) {
+                if let (Some(store), Some(ctx)) = (&store, &ctx) {
                     for (&fid, g) in &fresh {
-                        let key = ctx.partition_key(self.module.func(fid).content_fingerprint());
+                        let key = ctx.partition_key(self.fingerprints(fid).content);
                         store.put(
                             key,
                             ArtifactKind::PdgPartition,
@@ -873,6 +883,7 @@ impl Noelle {
         } else {
             self.counters.struct_misses += 1;
             let t = Instant::now();
+            let content = self.store.is_some().then(|| self.fingerprints(fid).content);
             let f = self.module.func(fid);
             let cfg = Cfg::new(f);
             let dom = DomTree::new(f, &cfg);
@@ -883,7 +894,7 @@ impl Noelle {
             let mut from_store = false;
             let forest = match &self.store {
                 Some(store) => {
-                    let key = KeyCtx::forest_key(f.content_fingerprint());
+                    let key = KeyCtx::forest_key(content.expect("hashed when a store is attached"));
                     match store
                         .get(key)
                         .and_then(|b| artifact::decode_forest(&b).ok())
@@ -918,7 +929,7 @@ impl Noelle {
                     cfg,
                     dom,
                     postdom,
-                    forest,
+                    forest: Arc::new(forest),
                 },
             );
             let elapsed = t.elapsed();
@@ -955,11 +966,28 @@ impl Noelle {
         self.loop_forest(fid).loops().to_vec()
     }
 
-    /// The program-wide loop forest (FR).
+    /// The program-wide loop forest (FR), assembled from the cached
+    /// per-function structures.
     pub fn program_loop_forest(&mut self) -> ProgramLoopForest {
+        let fids: Vec<FuncId> = self.module.func_ids().collect();
+        self.loop_forest_over(fids)
+    }
+
+    /// The program-wide loop forest restricted to the defined functions
+    /// among `fids`: what a tool pinned to one function needs of FR.
+    pub fn loop_forest_over(
+        &mut self,
+        fids: impl IntoIterator<Item = FuncId>,
+    ) -> ProgramLoopForest {
         self.note(Abstraction::Fr);
         self.note(Abstraction::Ls);
-        ProgramLoopForest::build(&self.module)
+        let mut forests = Vec::new();
+        for fid in fids {
+            if !self.module.func(fid).is_declaration() {
+                forests.push((fid, Arc::clone(&self.structures(fid).forest)));
+            }
+        }
+        ProgramLoopForest::from_forests(forests)
     }
 
     /// The canonical Loop abstraction (L) for loop `l` of `fid`: structure,
@@ -1269,6 +1297,45 @@ mod tests {
         });
         let _ = n.pdg();
         assert_eq!(n.func_cache_counters().andersen_reuses, 2);
+    }
+
+    #[test]
+    fn body_edit_regenerates_only_the_touched_constraints() {
+        let mut n = Noelle::new(two_func_module(), AliasTier::Full);
+        let leaf = n.module().func_id_by_name("leaf").unwrap();
+        let _ = n.pdg();
+        // A real body change that keeps the signature: one block out of
+        // two is regenerated, the kernel's is replayed as retained.
+        n.edit(|tx| {
+            let f = tx.func_mut(leaf);
+            let entry = f.entry();
+            f.insert_inst(
+                entry,
+                0,
+                Inst::Bin {
+                    op: BinOp::Add,
+                    ty: Type::I64,
+                    lhs: Value::const_i64(1),
+                    rhs: Value::const_i64(2),
+                },
+            );
+        });
+        let c = n.func_cache_counters();
+        assert_eq!((c.andersen_regen_funcs, c.andersen_reuses), (1, 0));
+        // Adding a global still escalates: any function may alias it, so
+        // the solution is dropped whole, not patched.
+        let ((), damage) = n.edit_with_damage(|tx| {
+            tx.module_touching([])
+                .add_global(noelle_ir::module::Global {
+                    name: "fresh".into(),
+                    ty: Type::I64,
+                    init: noelle_ir::module::GlobalInit::Zero,
+                    is_const: false,
+                });
+        });
+        assert_eq!(damage.len(), n.module().functions().len());
+        assert!(n.andersen.is_none());
+        assert_eq!(n.func_cache_counters().andersen_regen_funcs, 1);
     }
 
     #[test]

@@ -293,6 +293,10 @@ pub fn manager_stats_to_json(n: &Noelle) -> Json {
                     "andersen_reuses".to_string(),
                     Json::Int(c.andersen_reuses as i64),
                 ),
+                (
+                    "andersen_regen_funcs".to_string(),
+                    Json::Int(c.andersen_regen_funcs as i64),
+                ),
             ]),
         ),
     ])

@@ -565,6 +565,14 @@ pub fn check_module(m: &Module, tools: &[FuzzTool], cfg: &OracleConfig) -> Outco
         // touched set only. The repaired graph must be wire-identical to
         // a from-scratch build of the transformed module.
         if cfg.check_incremental {
+            if let Some(detail) = points_to_divergence(&n) {
+                failures.push(Failure {
+                    tool: Some(tool.name.clone()),
+                    kind: FailureKind::IncrementalMismatch,
+                    detail,
+                });
+                continue;
+            }
             let inc_pdg = n.pdg();
             let inc = noelle_core::wire::pdg_to_json(n.module(), &inc_pdg).to_string_compact();
             let mut fresh = Noelle::new(n.module().clone(), AliasTier::Full);
@@ -667,6 +675,42 @@ pub fn check_module(m: &Module, tools: &[FuzzTool], cfg: &OracleConfig) -> Outco
     } else {
         Outcome::Fail { failures }
     }
+}
+
+/// Where the points-to solution a manager maintained across its edits
+/// differs from a from-scratch solve of the module as it now stands, if
+/// anywhere: every function's observable rows and every indirect call's
+/// resolved callees must agree. `None` also when the manager holds no
+/// solution (nothing was maintained).
+pub fn points_to_divergence(n: &Noelle) -> Option<String> {
+    let kept = n.cached_points_to()?;
+    let m = n.module();
+    let fresh = noelle_analysis::alias::AndersenAlias::new(m);
+    let (kept_rows, fresh_rows) = (kept.rows_by_function(), fresh.rows_by_function());
+    for fid in m.func_ids() {
+        let f = m.func(fid);
+        if kept_rows.get(&fid) != fresh_rows.get(&fid) {
+            return Some(format!(
+                "maintained points-to rows of @{} differ from a from-scratch solve:\n  kept  {:?}\n  fresh {:?}",
+                f.name,
+                kept_rows.get(&fid),
+                fresh_rows.get(&fid)
+            ));
+        }
+        for id in f.inst_ids() {
+            let (k, s) = (
+                kept.indirect_callees(fid, id),
+                fresh.indirect_callees(fid, id),
+            );
+            if k != s {
+                return Some(format!(
+                    "maintained callees of indirect call {id:?} in @{} are {k:?}, a from-scratch solve resolves {s:?}",
+                    f.name
+                ));
+            }
+        }
+    }
+    None
 }
 
 /// Reducer predicate: does `m` still exhibit a failure matching `proto`

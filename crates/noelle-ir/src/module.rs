@@ -321,6 +321,13 @@ impl Function {
             .collect()
     }
 
+    /// Size of the instruction arena: every [`InstId`] this function ever
+    /// handed out (attached or since removed) indexes below it, so dense
+    /// per-function side tables can be sized without scanning the body.
+    pub fn inst_arena_len(&self) -> usize {
+        self.insts.len()
+    }
+
     /// Number of attached instructions.
     pub fn num_insts(&self) -> usize {
         self.layout
@@ -396,23 +403,7 @@ impl Function {
     /// content, so a collision that also survives the damage rule is
     /// vanishingly unlikely).
     pub fn content_fingerprint(&self) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        self.name.hash(&mut h);
-        self.params.hash(&mut h);
-        self.ret_ty.hash(&mut h);
-        self.layout.hash(&mut h);
-        self.blocks.hash(&mut h);
-        self.insts.hash(&mut h);
-        self.metadata.hash(&mut h);
-        // `inst_metadata` is a HashMap; hash it in a stable order.
-        let mut keys: Vec<InstId> = self.inst_metadata.keys().copied().collect();
-        keys.sort_unstable();
-        for id in keys {
-            id.hash(&mut h);
-            self.inst_metadata[&id].hash(&mut h);
-        }
-        h.finish()
+        self.fingerprints().1
     }
 
     /// Like [`Function::content_fingerprint`], but covering only what code
@@ -421,6 +412,13 @@ impl Function {
     /// unchanged, so whole-program results that read nothing but bodies
     /// (e.g. a points-to solution) may keep their cache across such edits.
     pub fn body_fingerprint(&self) -> u64 {
+        self.fingerprints().0
+    }
+
+    /// `(body_fingerprint, content_fingerprint)` from one pass over the
+    /// function: the content hash is the body hash continued over the
+    /// metadata, so a caller that wants both pays for the body once.
+    pub fn fingerprints(&self) -> (u64, u64) {
         use std::hash::{Hash, Hasher};
         let mut h = std::collections::hash_map::DefaultHasher::new();
         self.name.hash(&mut h);
@@ -429,7 +427,16 @@ impl Function {
         self.layout.hash(&mut h);
         self.blocks.hash(&mut h);
         self.insts.hash(&mut h);
-        h.finish()
+        let body = h.finish();
+        self.metadata.hash(&mut h);
+        // `inst_metadata` is a HashMap; hash it in a stable order.
+        let mut keys: Vec<InstId> = self.inst_metadata.keys().copied().collect();
+        keys.sort_unstable();
+        for id in keys {
+            id.hash(&mut h);
+            self.inst_metadata[&id].hash(&mut h);
+        }
+        (body, h.finish())
     }
 
     /// The type of `v` in the context of this function and `module`.

@@ -12,7 +12,7 @@
 //!   the paper's observation that "both gcc and icc did not obtain
 //!   additional performance benefits from their parallelization techniques".
 
-use crate::common::{parallelize_with, ParallelReport};
+use crate::common::{candidate_loops, parallelize_with, LoopTargetOpts, ParallelReport};
 use crate::doall::distribute_cyclically;
 use noelle_analysis::alias::BasicAlias;
 use noelle_analysis::modref::ModRefSummaries;
@@ -67,12 +67,7 @@ pub fn conservative_parallelize(m: Module, n_tasks: usize) -> (Module, ParallelR
     let mut report = ParallelReport::default();
     // Basic alias tier only.
     let mut noelle = Noelle::new(m, AliasTier::Basic);
-    let forest = noelle.program_loop_forest();
-    let mut order = forest.innermost_first();
-    order.reverse();
-    for node in order {
-        let (fid, _) = node;
-        let l = forest.loop_info(node).clone();
+    for (fid, l) in candidate_loops(&mut noelle, &LoopTargetOpts::default()) {
         let fname = noelle.module().func(fid).name.clone();
 
         // 1. LLVM-style IV detection: do-while shape required.

@@ -6,6 +6,7 @@
 use noelle_core::env::EnvironmentBuilder;
 use noelle_core::loop_abs::LoopAbstraction;
 use noelle_core::loop_builder::{bypass_loop, ensure_preheader, LoopBuilderError};
+use noelle_core::noelle::Noelle;
 use noelle_core::reduction::Reduction;
 use noelle_core::task::{outline_loop_as_task, TaskError, TaskFunction};
 use noelle_ir::inst::{Inst, InstId, Terminator};
@@ -126,13 +127,50 @@ impl LoopTargetOpts {
         self.workers = workers;
         self
     }
+}
 
-    /// Does this selection admit the loop at `(fname, header)`?
-    pub fn admits(&self, fname: &str, header: BlockId) -> bool {
-        match &self.only {
-            Some((f, h)) => f == fname && *h == header,
-            None => true,
-        }
+/// The loops `target` admits, outermost first (parallelizing an outer loop
+/// subsumes its children; LICM walks the list backwards), with the name of
+/// the function each lives in. One walk of the manager's cached loop
+/// forests shared by every loop tool — and when `target` pins a loop, the
+/// pinned name is resolved to a function once and only that function's
+/// forest is visited, so a planner applying one loop at a time does not
+/// pay for the module per loop.
+pub fn candidate_loops(noelle: &mut Noelle, target: &LoopTargetOpts) -> Vec<(FuncId, LoopInfo)> {
+    let forest = match &target.only {
+        Some((fname, _)) => match noelle.module().func_id_by_name(fname) {
+            Some(fid) => noelle.loop_forest_over([fid]),
+            None => return Vec::new(),
+        },
+        None => noelle.program_loop_forest(),
+    };
+    let mut order = forest.innermost_first();
+    order.reverse();
+    order
+        .into_iter()
+        .map(|node| (node.0, forest.loop_info(node)))
+        .filter(|(_, l)| target.only.as_ref().is_none_or(|(_, h)| *h == l.header))
+        .map(|(fid, l)| (fid, l.clone()))
+        .collect()
+}
+
+/// The loops a run has parallelized so far. A loop nested in one of them
+/// is gone (its parent was outlined into a task and bypassed), so the
+/// remaining candidates of the run are checked against this list.
+#[derive(Default)]
+pub struct DoneLoops(Vec<(FuncId, LoopInfo)>);
+
+impl DoneLoops {
+    /// Record that loop `l` of `fid` was parallelized.
+    pub fn push(&mut self, fid: FuncId, l: LoopInfo) {
+        self.0.push((fid, l));
+    }
+
+    /// Is `l` strictly nested in a loop of `fid` recorded here?
+    pub fn subsume(&self, fid: FuncId, l: &LoopInfo) -> bool {
+        self.0
+            .iter()
+            .any(|(df, dl)| *df == fid && dl.header != l.header && dl.contains(l.header))
     }
 }
 

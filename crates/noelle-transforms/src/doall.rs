@@ -8,7 +8,8 @@
 //! `n_tasks*step`); RD parallelizes reductions by accumulator cloning.
 
 use crate::common::{
-    parallelize_with, task_loop, LoopTargetOpts, ParallelReport, ParallelizeError,
+    candidate_loops, parallelize_with, task_loop, DoneLoops, LoopTargetOpts, ParallelReport,
+    ParallelizeError,
 };
 use noelle_core::ivstepper::{offset_start, scale_step};
 use noelle_core::noelle::{Abstraction, Noelle};
@@ -49,32 +50,12 @@ pub fn run(noelle: &mut Noelle, opts: &DoallOptions) -> ParallelReport {
     let profiles = noelle.profiles();
     let have_profiles = !profiles.block_counts.is_empty();
 
-    // Outermost-first over the program loop forest: parallelizing an outer
-    // loop subsumes its children.
-    let forest = noelle.program_loop_forest();
-    let mut order = forest.innermost_first();
-    order.reverse();
-    let mut done_funcs: Vec<(FuncId, noelle_ir::module::BlockId)> = Vec::new();
-    for node in order {
-        let (fid, _) = node;
-        let l = forest.loop_info(node).clone();
-        // Skip loops nested in an already-parallelized loop of this run.
-        if done_funcs.iter().any(|&(df, dh)| {
-            df == fid && l.header != dh && {
-                let parent = forest.per_function[&fid]
-                    .loops()
-                    .iter()
-                    .find(|x| x.header == dh)
-                    .expect("recorded loop");
-                parent.contains(l.header)
-            }
-        }) {
+    let mut done = DoneLoops::default();
+    for (fid, l) in candidate_loops(noelle, &opts.target) {
+        if done.subsume(fid, &l) {
             continue;
         }
         let fname = noelle.module().func(fid).name.clone();
-        if !opts.target.admits(&fname, l.header) {
-            continue;
-        }
         if have_profiles
             && profiles.loop_hotness(noelle.module(), fid, &l) < opts.target.min_hotness
         {
@@ -103,7 +84,7 @@ pub fn run(noelle: &mut Noelle, opts: &DoallOptions) -> ParallelReport {
         }) {
             Ok(()) => {
                 report.parallelized.push((fname, l.header));
-                done_funcs.push((fid, l.header));
+                done.push(fid, l);
             }
             Err(e) => report.skipped.push((fname, l.header, e.to_string())),
         }

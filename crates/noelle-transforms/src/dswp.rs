@@ -12,9 +12,9 @@
 //! cross-stage memory accesses.
 
 use crate::common::{
-    approx_inst_cost, emit_dispatcher_with_queues, liveouts_supported, reset_reduction_initials,
-    task_fn_ptr_type, task_loop, LoopTargetOpts, ParallelReport, ParallelizeError,
-    QUEUE_POP_INTRINSIC, QUEUE_PUSH_INTRINSIC,
+    approx_inst_cost, candidate_loops, emit_dispatcher_with_queues, liveouts_supported,
+    reset_reduction_initials, task_fn_ptr_type, task_loop, DoneLoops, LoopTargetOpts,
+    ParallelReport, ParallelizeError, QUEUE_POP_INTRINSIC, QUEUE_PUSH_INTRINSIC,
 };
 use noelle_core::loop_abs::LoopAbstraction;
 use noelle_core::noelle::{Abstraction, Noelle};
@@ -68,30 +68,12 @@ pub fn run(noelle: &mut Noelle, opts: &DswpOptions) -> ParallelReport {
     let mut report = ParallelReport::default();
     let profiles = noelle.profiles();
     let have_profiles = !profiles.block_counts.is_empty();
-    let forest = noelle.program_loop_forest();
-    let mut order = forest.innermost_first();
-    order.reverse();
-
-    let mut done: Vec<(FuncId, BlockId)> = Vec::new();
-    for node in order {
-        let (fid, _) = node;
-        let l = forest.loop_info(node).clone();
-        if done.iter().any(|&(df, dh)| {
-            df == fid
-                && l.header != dh
-                && forest.per_function[&fid]
-                    .loops()
-                    .iter()
-                    .find(|x| x.header == dh)
-                    .map(|p| p.contains(l.header))
-                    .unwrap_or(false)
-        }) {
+    let mut done = DoneLoops::default();
+    for (fid, l) in candidate_loops(noelle, &opts.target) {
+        if done.subsume(fid, &l) {
             continue;
         }
         let fname = noelle.module().func(fid).name.clone();
-        if !opts.target.admits(&fname, l.header) {
-            continue;
-        }
         if have_profiles
             && profiles.loop_hotness(noelle.module(), fid, &l) < opts.target.min_hotness
         {
@@ -104,7 +86,7 @@ pub fn run(noelle: &mut Noelle, opts: &DswpOptions) -> ParallelReport {
         {
             Ok(()) => {
                 report.parallelized.push((fname, l.header));
-                done.push((fid, l.header));
+                done.push(fid, l);
             }
             Err(e) => report.skipped.push((fname, l.header, e.to_string())),
         }

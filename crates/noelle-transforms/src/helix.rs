@@ -13,8 +13,8 @@
 //! core-to-core signal latency charged from the AR abstraction.
 
 use crate::common::{
-    approx_inst_cost, parallelize_with, task_loop, LoopTargetOpts, ParallelReport,
-    ParallelizeError, SS_SIGNAL_INTRINSIC, SS_WAIT_INTRINSIC,
+    approx_inst_cost, candidate_loops, parallelize_with, task_loop, DoneLoops, LoopTargetOpts,
+    ParallelReport, ParallelizeError, SS_SIGNAL_INTRINSIC, SS_WAIT_INTRINSIC,
 };
 use crate::doall::distribute_cyclically;
 use noelle_core::loop_abs::LoopAbstraction;
@@ -188,31 +188,14 @@ pub fn run(noelle: &mut Noelle, opts: &HelixOptions) -> ParallelReport {
     let mut report = ParallelReport::default();
     let profiles = noelle.profiles();
     let have_profiles = !profiles.block_counts.is_empty();
-    let forest = noelle.program_loop_forest();
-    let mut order = forest.innermost_first();
-    order.reverse();
     let mut seg_counter: i64 = next_segment_base(noelle.module());
 
-    let mut done: Vec<(FuncId, noelle_ir::module::BlockId)> = Vec::new();
-    for node in order {
-        let (fid, _) = node;
-        let l = forest.loop_info(node).clone();
-        if done.iter().any(|&(df, dh)| {
-            df == fid
-                && l.header != dh
-                && forest.per_function[&fid]
-                    .loops()
-                    .iter()
-                    .find(|x| x.header == dh)
-                    .map(|p| p.contains(l.header))
-                    .unwrap_or(false)
-        }) {
+    let mut done = DoneLoops::default();
+    for (fid, l) in candidate_loops(noelle, &opts.target) {
+        if done.subsume(fid, &l) {
             continue;
         }
         let fname = noelle.module().func(fid).name.clone();
-        if !opts.target.admits(&fname, l.header) {
-            continue;
-        }
         if have_profiles
             && profiles.loop_hotness(noelle.module(), fid, &l) < opts.target.min_hotness
         {
@@ -283,7 +266,7 @@ pub fn run(noelle: &mut Noelle, opts: &HelixOptions) -> ParallelReport {
         }) {
             Ok(()) => {
                 report.parallelized.push((fname, l.header));
-                done.push((fid, l.header));
+                done.push(fid, l);
             }
             Err(e) => report.skipped.push((fname, l.header, e.to_string())),
         }

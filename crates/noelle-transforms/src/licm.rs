@@ -7,6 +7,7 @@
 //! with [`crate::baseline::licm_llvm`], which drives the same hoister with
 //! Algorithm 1.
 
+use crate::common::{candidate_loops, LoopTargetOpts};
 use noelle_analysis::alias::{underlying_objects, MemoryObject};
 use noelle_core::invariants::InvariantSet;
 use noelle_core::loop_builder::hoist_to_preheader;
@@ -120,10 +121,9 @@ pub fn run(noelle: &mut Noelle) -> LicmReport {
         noelle.note(a);
     }
     let mut report = LicmReport::default();
-    let forest = noelle.program_loop_forest();
-    for node in forest.innermost_first() {
-        let (fid, _) = node;
-        let l = forest.loop_info(node).clone();
+    // Innermost first, so an invariant hoists out of a whole nest.
+    let loops = candidate_loops(noelle, &LoopTargetOpts::default());
+    for (fid, l) in loops.into_iter().rev() {
         let la = noelle.loop_abstraction(fid, l.clone());
         let inv = la.invariants.clone();
         let fname = noelle.module().func(fid).name.clone();

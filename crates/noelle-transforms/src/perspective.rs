@@ -9,7 +9,9 @@
 //! the loop parallelizes like DOALL. Speculation support is out of scope, as
 //! DESIGN.md documents.
 
-use crate::common::{parallelize_with, ParallelReport, ParallelizeError};
+use crate::common::{
+    candidate_loops, parallelize_with, LoopTargetOpts, ParallelReport, ParallelizeError,
+};
 use crate::doall::distribute_cyclically;
 use noelle_core::loop_abs::LoopAbstraction;
 use noelle_core::noelle::{Abstraction, Noelle};
@@ -39,12 +41,7 @@ pub fn run(noelle: &mut Noelle, opts: &PerspectiveOptions) -> ParallelReport {
     noelle.note(Abstraction::Pdg);
     noelle.note(Abstraction::ASccDag);
     let mut report = ParallelReport::default();
-    let forest = noelle.program_loop_forest();
-    let mut order = forest.innermost_first();
-    order.reverse();
-    for node in order {
-        let (fid, _) = node;
-        let l = forest.loop_info(node).clone();
+    for (fid, l) in candidate_loops(noelle, &LoopTargetOpts::default()) {
         let fname = noelle.module().func(fid).name.clone();
         let la = noelle.loop_abstraction(fid, l.clone());
         if la.is_doall() {

@@ -9,13 +9,22 @@
 //! 2. Editing one function must **not rebuild** the others: untouched
 //!    partitions are reused by `Arc` handle, and the per-function cache
 //!    counters record hits, not misses.
+//! 3. The points-to solution the manager maintains across commits — only
+//!    the touched functions' constraints regenerated — must equal a
+//!    from-scratch solve after **every** commit, and a commit must cost
+//!    what its edit costs, counted in regenerated functions, not seconds.
 
 use std::sync::Arc;
 
 use noelle::core::noelle::{AliasTier, Noelle};
 use noelle::core::wire;
+use noelle::ir::inst::{BinOp, Inst};
+use noelle::ir::types::Type;
+use noelle::ir::value::Value;
 use noelle::transforms as tools;
-use noelle::workloads::{all, pdg_stress, Workload};
+use noelle::workloads::{all, pdg_stress, scale_module, Workload};
+use noelle_fuzz::oracle::points_to_divergence;
+use noelle_plan::{apply_plan, plan_module, ModulePlan, PlanOptions};
 
 fn workloads() -> Vec<Workload> {
     let mut ws = all();
@@ -56,6 +65,12 @@ fn check_incremental_identity(name: &str, apply: impl Fn(&mut Noelle)) {
         let mut warm = Noelle::new(w.build(), AliasTier::Full);
         let _ = warm.pdg(); // build once, so the edit repairs instead of rebuilding
         apply(&mut warm);
+        assert_eq!(
+            points_to_divergence(&warm),
+            None,
+            "{name} on {}: the maintained points-to solution drifted",
+            w.name
+        );
         let incremental = encode_all(&mut warm);
         let mut fresh = Noelle::new(warm.module().clone(), AliasTier::Full);
         let scratch = encode_all(&mut fresh);
@@ -128,6 +143,121 @@ fn helix_repairs_match_fresh_build() {
             },
         );
     });
+}
+
+/// One planned loop per `apply_plan` call is one body-changing commit per
+/// call, so checking between calls checks after every commit.
+fn one_loop_plans(plan: &ModulePlan) -> impl Iterator<Item = ModulePlan> + '_ {
+    plan.loops
+        .iter()
+        .filter(|l| l.chosen.is_some())
+        .map(|l| ModulePlan {
+            workers: plan.workers,
+            profiled: plan.profiled,
+            loops: vec![l.clone()],
+        })
+}
+
+#[test]
+fn points_to_stays_exact_after_every_plan_commit() {
+    for w in workloads() {
+        let mut n = Noelle::new(w.build(), AliasTier::Full);
+        let plan = plan_module(&mut n, &PlanOptions::default());
+        for step in one_loop_plans(&plan) {
+            apply_plan(&mut n, &step);
+            let l = &step.loops[0];
+            assert_eq!(
+                points_to_divergence(&n),
+                None,
+                "{}: after transforming the loop at {} of @{}",
+                w.name,
+                l.header,
+                l.function
+            );
+        }
+    }
+}
+
+#[test]
+fn a_commit_regenerates_what_it_touched_not_the_module() {
+    let mut n = Noelle::new(scale_module(256, 7), AliasTier::Full);
+    let funcs = n.module().functions().len() as u64;
+    let plan = plan_module(&mut n, &PlanOptions::default());
+    let planned = plan.planned() as u64;
+    assert!(planned > 32, "the scale module should plan many loops");
+
+    // One body edit of one function regenerates one function.
+    let k0 = n.module().func_id_by_name("k0").expect("first kernel");
+    let before = n.func_cache_counters();
+    n.edit(|tx| {
+        let f = tx.func_mut(k0);
+        let entry = f.entry();
+        f.insert_inst(
+            entry,
+            0,
+            Inst::Bin {
+                op: BinOp::Add,
+                ty: Type::I64,
+                lhs: Value::const_i64(1),
+                rhs: Value::const_i64(2),
+            },
+        );
+    });
+    let after = n.func_cache_counters();
+    assert_eq!(after.andersen_regen_funcs - before.andersen_regen_funcs, 1);
+    assert_eq!(after.andersen_reuses, before.andersen_reuses);
+
+    // A whole plan regenerates the sum of what its commits touched — the
+    // transformed function and its new task per loop, the runtime
+    // declarations once — which the per-function revisions add up to.
+    let fids: Vec<_> = n.module().func_ids().collect();
+    let revisions = |n: &Noelle, upto: usize| -> u64 {
+        (0..upto as u32)
+            .map(|i| n.revision(noelle::ir::module::FuncId(i)))
+            .sum()
+    };
+    let (rev0, before) = (revisions(&n, fids.len()), n.func_cache_counters());
+    let report = apply_plan(&mut n, &plan);
+    let after = n.func_cache_counters();
+    let touched = revisions(&n, n.module().functions().len()) - rev0;
+    let regenerated = after.andersen_regen_funcs - before.andersen_regen_funcs;
+    assert_eq!(after.andersen_reuses, before.andersen_reuses);
+    assert_eq!(regenerated, touched);
+    let done = report.parallelized.len() as u64;
+    assert!(
+        done > 32,
+        "most planned loops transform: {done} of {planned}"
+    );
+    assert!(
+        (2 * done..=3 * done + 4).contains(&regenerated),
+        "{regenerated} functions regenerated for {done} loops"
+    );
+    assert!(
+        regenerated < done * funcs / 16,
+        "{regenerated} regenerated is on the order of {done} loops x {funcs} functions"
+    );
+}
+
+#[test]
+fn program_loop_forest_is_assembled_from_the_cache() {
+    let mut n = Noelle::new(scale_module(64, 3), AliasTier::Full);
+    let fids: Vec<_> = n
+        .module()
+        .func_ids()
+        .filter(|&fid| !n.module().func(fid).is_declaration())
+        .collect();
+    for &fid in &fids {
+        let _ = n.loop_forest(fid);
+    }
+    let warm = n.func_cache_counters();
+    assert_eq!(warm.struct_misses, fids.len() as u64);
+    let forest = n.program_loop_forest();
+    assert_eq!(forest.per_function.len(), fids.len());
+    assert_eq!(
+        n.func_cache_counters().struct_misses,
+        warm.struct_misses,
+        "a warm manager detects no loop twice"
+    );
 }
 
 #[test]
