@@ -428,22 +428,27 @@ impl DocSession {
         Json::object(g.plan_hints.iter().map(|(k, v)| (k.clone(), v.clone())))
     }
 
+    /// The `syntax` member of both diagnostics payloads: `null`, or where
+    /// the current text stops parsing and why.
+    fn syntax_json(&self) -> Json {
+        self.syntax_error.as_ref().map_or(Json::Null, |e| {
+            Json::object([
+                ("line".to_string(), Json::Int(e.line as i64)),
+                ("column".to_string(), Json::Int(e.column as i64)),
+                ("message".to_string(), Json::Str(e.message.clone())),
+            ])
+        })
+    }
+
     /// The `ide/diagnostics` payload: version, syntax status, the full lint
     /// report of the last-good analysis, the live parallelism-audit hints,
     /// and the planner hints — in the versioned reply envelope.
     pub fn diagnostics_json(&self) -> Json {
-        let syntax = match &self.syntax_error {
-            None => Json::Null,
-            Some(e) => Json::object([
-                ("line".to_string(), Json::Int(e.line as i64)),
-                ("message".to_string(), Json::Str(e.message.clone())),
-            ]),
-        };
         envelope(
             "diagnostics",
             Json::object([
                 ("version".to_string(), Json::Int(self.version as i64)),
-                ("syntax".to_string(), syntax),
+                ("syntax".to_string(), self.syntax_json()),
                 ("report".to_string(), render_json(&self.findings())),
                 ("audit".to_string(), render_json(&self.audit_findings())),
                 ("plan".to_string(), self.plan_hints()),
@@ -458,13 +463,6 @@ impl DocSession {
     /// pushing the whole module's hints per keystroke would make the reply
     /// O(module); [`DocSession::diagnostics_json`] remains the full pull.
     pub fn push_diagnostics_json(&self) -> Json {
-        let syntax = match &self.syntax_error {
-            None => Json::Null,
-            Some(e) => Json::object([
-                ("line".to_string(), Json::Int(e.line as i64)),
-                ("message".to_string(), Json::Str(e.message.clone())),
-            ]),
-        };
         let mut fresh: Vec<Finding> = self.good.as_ref().map_or_else(Vec::new, |g| {
             g.audit_fresh
                 .values()
@@ -480,7 +478,7 @@ impl DocSession {
             "diagnostics",
             Json::object([
                 ("version".to_string(), Json::Int(self.version as i64)),
-                ("syntax".to_string(), syntax),
+                ("syntax".to_string(), self.syntax_json()),
                 ("report".to_string(), render_json(&self.findings())),
                 ("audit".to_string(), render_json(&fresh)),
                 ("plan".to_string(), fresh_plan),

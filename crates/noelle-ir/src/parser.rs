@@ -1,382 +1,340 @@
 //! Textual IR parser; the inverse of [`crate::printer`].
 //!
+//! One pass over the source bytes. A [`Cursor`] hands out borrowed tokens
+//! with one token of lookahead; every instruction is parsed straight into
+//! the [`Function`] being built. A use of a `%value`, label or `@symbol`
+//! that is not defined yet leaves a placeholder id in the instruction and a
+//! fix-up record behind; the records are patched at the function's closing
+//! brace (`@symbols`: at the end of the module), each carrying the position
+//! of the token that caused it.
+//!
 //! # Errors
 //!
-//! All entry points return [`ParseError`] with a line number and message on
-//! malformed input.
+//! All entry points return [`ParseError`] with the line and column of the
+//! offending token. Syntax errors are reported where the cursor meets them,
+//! resolution errors when their fix-up is patched, so the error reported is
+//! the first in that order.
 
 use crate::inst::{BinOp, Callee, CastOp, FcmpPred, IcmpPred, Inst, InstId, Terminator};
-use crate::module::{BlockId, Function, Global, GlobalInit, Module};
-use crate::types::{FloatWidth, FuncType, IntWidth, Type};
+use crate::module::{BlockId, FuncId, Function, Global, GlobalId, GlobalInit, Module};
+use crate::types::{FuncType, Type};
 use crate::value::{Constant, Value};
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
 
-/// A parse failure: message plus 1-based source line.
+/// A parse failure: message plus the 1-based position of the offending token.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
     /// Human-readable description of the problem.
     pub message: String,
-    /// 1-based line number where the problem was detected.
+    /// 1-based line of the offending token.
     pub line: usize,
+    /// 1-based column of the offending token, in characters.
+    pub column: usize,
 }
 
 impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "parse error at line {}: {}", self.line, self.message)
+        write!(
+            f,
+            "parse error at {}:{}: {}",
+            self.line, self.column, self.message
+        )
     }
 }
 
 impl Error for ParseError {}
 
-#[derive(Debug, Clone, PartialEq)]
-enum Tok {
-    Ident(String),
-    Local(String), // %name
-    Sym(String),   // @name
-    Str(String),
+type Result<T> = std::result::Result<T, ParseError>;
+
+#[derive(Clone, Copy, PartialEq, Debug)]
+enum Tok<'a> {
+    Ident(&'a str),
+    Local(&'a str), // %name
+    Sym(&'a str),   // @name
+    /// The text between the quotes: escapes are validated, not yet decoded.
+    Str(&'a str),
     Int(i64),
     Float(f64),
-    Punct(char),
+    Punct(u8),
+    Eof,
+    /// A lexical error, held in `Cursor::bad` until the parser reaches it.
+    Bad,
 }
 
-struct Lexer {
-    toks: Vec<(Tok, usize)>,
+/// Where a token sits in the source: its byte range and 1-based line.
+#[derive(Clone, Copy, Default)]
+struct At {
+    start: usize,
+    end: usize,
+    line: usize,
+}
+
+/// The lexer: a byte position in the source plus one token of lookahead.
+struct Cursor<'a> {
+    src: &'a str,
+    /// First byte after the lookahead token, and the line it is on.
     pos: usize,
+    line: usize,
+    tok: Tok<'a>,
+    at: At,
+    bad: String,
 }
 
-fn is_ident_start(c: char) -> bool {
-    c.is_ascii_alphabetic() || c == '_'
-}
+impl<'a> Cursor<'a> {
+    fn new(src: &'a str) -> Cursor<'a> {
+        let (tok, at, bad) = (Tok::Eof, At::default(), String::new());
+        let mut cur = Cursor {
+            src,
+            pos: 0,
+            line: 1,
+            tok,
+            at,
+            bad,
+        };
+        cur.scan();
+        cur
+    }
 
-fn is_ident_char(c: char) -> bool {
-    c.is_ascii_alphanumeric() || c == '_' || c == '.' || c == '$'
-}
+    /// Consume the lookahead token, returning where it was.
+    fn bump(&mut self) -> At {
+        let at = self.at;
+        self.scan();
+        at
+    }
 
-fn lex(src: &str) -> Result<Vec<(Tok, usize)>, ParseError> {
-    let mut toks = Vec::new();
-    let mut line = 1usize;
-    let mut chars = src.chars().peekable();
-    while let Some(&c) = chars.peek() {
-        match c {
-            '\n' => {
-                line += 1;
-                chars.next();
+    /// Lex the next token into `tok`/`at`.
+    fn scan(&mut self) {
+        let bytes = self.src.as_bytes();
+        loop {
+            match bytes.get(self.pos) {
+                Some(b'\n') => {
+                    self.pos += 1;
+                    self.line += 1;
+                }
+                Some(b' ' | b'\t' | b'\r' | 0x0b | 0x0c) => self.pos += 1,
+                Some(b';') => {
+                    let rest = &bytes[self.pos..];
+                    self.pos += rest.iter().position(|&c| c == b'\n').unwrap_or(rest.len());
+                }
+                // Any Unicode whitespace separates tokens.
+                Some(&c) if c >= 0x80 => match self.src[self.pos..].chars().next() {
+                    Some(ch) if ch.is_whitespace() => self.pos += ch.len_utf8(),
+                    _ => break,
+                },
+                _ => break,
             }
-            c if c.is_whitespace() => {
-                chars.next();
+        }
+        let start = self.pos;
+        self.at = At {
+            start,
+            end: start,
+            line: self.line,
+        };
+        self.tok = match bytes.get(start) {
+            None => Tok::Eof,
+            Some(&c @ (b'%' | b'@')) => match self.word(start + 1) {
+                "" => self.fail(format!("empty name after '{}'", c as char)),
+                name if c == b'%' => Tok::Local(name),
+                name => Tok::Sym(name),
+            },
+            Some(b'"') => self.string(),
+            Some(b'-' | b'0'..=b'9') => self.number(),
+            Some(&c) if c.is_ascii_alphabetic() || c == b'_' => match self.word(start) {
+                "inf" => Tok::Float(f64::INFINITY),
+                "NaN" => Tok::Float(f64::NAN),
+                word => Tok::Ident(word),
+            },
+            Some(&c) if b"{}[](),:=*!".contains(&c) => {
+                self.pos += 1;
+                Tok::Punct(c)
             }
-            ';' => {
-                // Comment to end of line.
-                while let Some(&c) = chars.peek() {
-                    if c == '\n' {
-                        break;
-                    }
-                    chars.next();
-                }
+            Some(_) => {
+                let ch = self.src[start..].chars().next().unwrap_or('\u{fffd}');
+                self.pos += ch.len_utf8();
+                self.fail(format!("unexpected character '{ch}'"))
             }
-            '%' | '@' => {
-                let kind = c;
-                chars.next();
-                let mut name = String::new();
-                while let Some(&c) = chars.peek() {
-                    if is_ident_char(c) {
-                        name.push(c);
-                        chars.next();
-                    } else {
-                        break;
-                    }
+        };
+        self.at.end = self.pos;
+    }
+
+    fn fail(&mut self, message: impl Into<String>) -> Tok<'a> {
+        self.bad = message.into();
+        Tok::Bad
+    }
+
+    /// The run of name bytes starting at `from`; leaves `pos` after it.
+    fn word(&mut self, from: usize) -> &'a str {
+        let is_name = |c: &&u8| c.is_ascii_alphanumeric() || matches!(c, b'_' | b'.' | b'$');
+        let rest = &self.src.as_bytes()[from..];
+        self.pos = from + rest.iter().take_while(is_name).count();
+        &self.src[from..self.pos]
+    }
+
+    fn string(&mut self) -> Tok<'a> {
+        let bytes = self.src.as_bytes();
+        let open = self.pos;
+        self.pos += 1;
+        loop {
+            match (bytes.get(self.pos), bytes.get(self.pos + 1)) {
+                (Some(b'"'), _) => {
+                    self.pos += 1;
+                    return Tok::Str(&self.src[open + 1..self.pos - 1]);
                 }
-                if name.is_empty() {
-                    return Err(ParseError {
-                        message: format!("empty name after '{kind}'"),
-                        line,
-                    });
+                (Some(b'\\'), Some(b'\\' | b'"' | b'n')) => self.pos += 2,
+                (Some(b'\\'), Some(_)) => {
+                    self.pos += 1;
+                    let escaped = self.src[self.pos..].chars().next().unwrap_or('\u{fffd}');
+                    return self.fail(format!("bad escape '\\{escaped}'"));
                 }
-                toks.push((
-                    if kind == '%' {
-                        Tok::Local(name)
-                    } else {
-                        Tok::Sym(name)
-                    },
-                    line,
-                ));
-            }
-            '"' => {
-                chars.next();
-                let mut s = String::new();
-                loop {
-                    match chars.next() {
-                        Some('"') => break,
-                        Some('\\') => match chars.next() {
-                            Some('\\') => s.push('\\'),
-                            Some('"') => s.push('"'),
-                            Some('n') => s.push('\n'),
-                            other => {
-                                return Err(ParseError {
-                                    message: format!("bad escape {other:?}"),
-                                    line,
-                                })
-                            }
-                        },
-                        Some('\n') => {
-                            return Err(ParseError {
-                                message: "unterminated string".into(),
-                                line,
-                            })
-                        }
-                        Some(c) => s.push(c),
-                        None => {
-                            return Err(ParseError {
-                                message: "unterminated string".into(),
-                                line,
-                            })
-                        }
-                    }
-                }
-                toks.push((Tok::Str(s), line));
-            }
-            c if c.is_ascii_digit() || c == '-' => {
-                let neg = c == '-';
-                if neg {
-                    chars.next();
-                    match chars.peek() {
-                        Some(&d) if d.is_ascii_digit() => {}
-                        Some(&'i') => {
-                            // "-inf"
-                            let mut word = String::new();
-                            while let Some(&c) = chars.peek() {
-                                if is_ident_char(c) {
-                                    word.push(c);
-                                    chars.next();
-                                } else {
-                                    break;
-                                }
-                            }
-                            if word == "inf" {
-                                toks.push((Tok::Float(f64::NEG_INFINITY), line));
-                                continue;
-                            }
-                            return Err(ParseError {
-                                message: format!("unexpected '-{word}'"),
-                                line,
-                            });
-                        }
-                        _ => {
-                            return Err(ParseError {
-                                message: "dangling '-'".into(),
-                                line,
-                            })
-                        }
-                    }
-                }
-                let mut num = String::new();
-                if neg {
-                    num.push('-');
-                }
-                let mut is_float = false;
-                while let Some(&c) = chars.peek() {
-                    if c.is_ascii_digit() {
-                        num.push(c);
-                        chars.next();
-                    } else if c == '.' {
-                        // Only a float if a digit follows (names use dots too,
-                        // but numbers never abut names).
-                        is_float = true;
-                        num.push(c);
-                        chars.next();
-                    } else if c == 'e' || c == 'E' {
-                        is_float = true;
-                        num.push(c);
-                        chars.next();
-                        if let Some(&s) = chars.peek() {
-                            if s == '+' || s == '-' {
-                                num.push(s);
-                                chars.next();
-                            }
-                        }
-                    } else {
-                        break;
-                    }
-                }
-                if is_float {
-                    let v: f64 = num.parse().map_err(|_| ParseError {
-                        message: format!("bad float literal '{num}'"),
-                        line,
-                    })?;
-                    toks.push((Tok::Float(v), line));
-                } else {
-                    let v: i64 = num.parse().map_err(|_| ParseError {
-                        message: format!("bad integer literal '{num}'"),
-                        line,
-                    })?;
-                    toks.push((Tok::Int(v), line));
-                }
-            }
-            c if is_ident_start(c) => {
-                let mut name = String::new();
-                while let Some(&c) = chars.peek() {
-                    if is_ident_char(c) {
-                        name.push(c);
-                        chars.next();
-                    } else {
-                        break;
-                    }
-                }
-                match name.as_str() {
-                    "inf" => toks.push((Tok::Float(f64::INFINITY), line)),
-                    "NaN" => toks.push((Tok::Float(f64::NAN), line)),
-                    _ => toks.push((Tok::Ident(name), line)),
-                }
-            }
-            '{' | '}' | '[' | ']' | '(' | ')' | ',' | ':' | '=' | '*' | '!' => {
-                chars.next();
-                toks.push((Tok::Punct(c), line));
-            }
-            other => {
-                return Err(ParseError {
-                    message: format!("unexpected character '{other}'"),
-                    line,
-                })
+                (Some(b'\n' | b'\\') | None, _) => return self.fail("unterminated string"),
+                (Some(_), _) => self.pos += 1,
             }
         }
     }
-    Ok(toks)
-}
 
-impl Lexer {
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.pos).map(|(t, _)| t)
-    }
-
-    fn peek2(&self) -> Option<&Tok> {
-        self.toks.get(self.pos + 1).map(|(t, _)| t)
-    }
-
-    fn line(&self) -> usize {
-        self.toks
-            .get(self.pos.min(self.toks.len().saturating_sub(1)))
-            .map(|(_, l)| *l)
-            .unwrap_or(0)
-    }
-
-    fn next(&mut self) -> Option<Tok> {
-        let t = self.toks.get(self.pos).map(|(t, _)| t.clone());
-        if t.is_some() {
+    fn number(&mut self) -> Tok<'a> {
+        let bytes = self.src.as_bytes();
+        let start = self.pos;
+        self.pos += 1;
+        if bytes[start] == b'-' {
+            match bytes.get(self.pos) {
+                Some(d) if d.is_ascii_digit() => {}
+                Some(b'i') => {
+                    return match self.word(self.pos) {
+                        "inf" => Tok::Float(f64::NEG_INFINITY),
+                        word => self.fail(format!("unexpected '-{word}'")),
+                    };
+                }
+                _ => return self.fail("dangling '-'"),
+            }
+        }
+        let mut is_float = false;
+        while let Some(&c) = bytes.get(self.pos) {
+            match c {
+                b'0'..=b'9' => {}
+                b'.' => is_float = true,
+                b'e' | b'E' => {
+                    is_float = true;
+                    if matches!(bytes.get(self.pos + 1), Some(b'+' | b'-')) {
+                        self.pos += 1;
+                    }
+                }
+                _ => break,
+            }
             self.pos += 1;
         }
-        t
-    }
-
-    fn err(&self, msg: impl Into<String>) -> ParseError {
-        ParseError {
-            message: msg.into(),
-            line: self.line(),
-        }
-    }
-
-    fn expect_punct(&mut self, c: char) -> Result<(), ParseError> {
-        match self.next() {
-            Some(Tok::Punct(p)) if p == c => Ok(()),
-            other => Err(self.err(format!("expected '{c}', found {other:?}"))),
-        }
-    }
-
-    fn expect_ident(&mut self, word: &str) -> Result<(), ParseError> {
-        match self.next() {
-            Some(Tok::Ident(w)) if w == word => Ok(()),
-            other => Err(self.err(format!("expected '{word}', found {other:?}"))),
-        }
-    }
-
-    fn ident(&mut self) -> Result<String, ParseError> {
-        match self.next() {
-            Some(Tok::Ident(w)) => Ok(w),
-            other => Err(self.err(format!("expected identifier, found {other:?}"))),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, ParseError> {
-        match self.next() {
-            Some(Tok::Str(s)) => Ok(s),
-            other => Err(self.err(format!("expected string, found {other:?}"))),
-        }
-    }
-
-    fn int(&mut self) -> Result<i64, ParseError> {
-        match self.next() {
-            Some(Tok::Int(v)) => Ok(v),
-            other => Err(self.err(format!("expected integer, found {other:?}"))),
-        }
-    }
-
-    /// Line of the most recently consumed token (0 before any `next`).
-    fn last_line(&self) -> usize {
-        if self.pos == 0 {
-            return 0;
-        }
-        self.toks.get(self.pos - 1).map(|(_, l)| *l).unwrap_or(0)
-    }
-
-    fn eat_punct(&mut self, c: char) -> bool {
-        if self.peek() == Some(&Tok::Punct(c)) {
-            self.pos += 1;
-            true
+        let text = &self.src[start..self.pos];
+        let tok = if is_float {
+            text.parse().map(Tok::Float).ok()
         } else {
-            false
+            text.parse().map(Tok::Int).ok()
+        };
+        let kind = if is_float { "float" } else { "integer" };
+        tok.unwrap_or_else(|| self.fail(format!("bad {kind} literal '{text}'")))
+    }
+
+    fn error(&self, at: At, message: impl Into<String>) -> ParseError {
+        let line_start = self.src[..at.start].rfind('\n').map_or(0, |nl| nl + 1);
+        ParseError {
+            message: message.into(),
+            line: at.line,
+            column: self.src[line_start..at.start].chars().count() + 1,
         }
     }
-}
 
-/// Symbolic (unresolved) value reference in the function AST.
-#[derive(Debug, Clone)]
-enum PValue {
-    Local(String),
-    Sym(String),
-    Const(Constant),
-}
+    /// The lookahead token is not one of `expected`.
+    fn unexpected(&self, expected: &str) -> ParseError {
+        let found = &self.src[self.at.start..self.at.end];
+        let message = match self.tok {
+            Tok::Bad => self.bad.clone(),
+            Tok::Eof => format!("expected {expected}, found end of input"),
+            _ => format!("expected {expected}, found '{found}'"),
+        };
+        self.error(self.at, message)
+    }
 
-#[derive(Debug, Clone)]
-enum PCallee {
-    Sym(String),
-    Value(PValue),
-}
+    /// Consume the lookahead token if `pick` accepts it.
+    fn take<T>(&mut self, expected: &str, pick: impl FnOnce(Tok<'a>) -> Option<T>) -> Result<T> {
+        let picked = pick(self.tok).ok_or_else(|| self.unexpected(expected))?;
+        self.scan();
+        Ok(picked)
+    }
 
-/// An instruction with symbolic references, pre-resolution.
-#[derive(Debug)]
-struct PInst {
-    name: Option<String>,
-    kind: PInstKind,
-    meta: Vec<(String, String)>,
-}
+    fn eat(&mut self, c: u8) -> bool {
+        let hit = self.tok == Tok::Punct(c);
+        if hit {
+            self.scan();
+        }
+        hit
+    }
 
-#[derive(Debug)]
-enum PInstKind {
-    Alloca(Type, PValue),
-    Load(Type, PValue),
-    Store(Type, PValue, PValue),
-    Gep(Type, PValue, Vec<PValue>),
-    Bin(BinOp, Type, PValue, PValue),
-    Icmp(IcmpPred, Type, PValue, PValue),
-    Fcmp(FcmpPred, Type, PValue, PValue),
-    Cast(CastOp, Type, PValue, Type),
-    Select(Type, PValue, PValue, PValue),
-    Phi(Type, Vec<(String, PValue)>),
-    Call(Type, PCallee, Vec<PValue>),
-    RetVoid,
-    Ret(PValue),
-    Br(String),
-    CondBr(PValue, String, String),
-    Switch(PValue, String, Vec<(i64, String)>),
-    Unreachable,
-}
+    fn expect(&mut self, c: u8) -> Result<()> {
+        if self.eat(c) {
+            return Ok(());
+        }
+        Err(self.unexpected(&format!("'{}'", c as char)))
+    }
 
-#[derive(Debug)]
-struct PBlock {
-    label: String,
-    insts: Vec<PInst>,
+    fn keyword(&mut self, word: &str) -> Result<()> {
+        if self.tok != Tok::Ident(word) {
+            return Err(self.unexpected(&format!("'{word}'")));
+        }
+        self.scan();
+        Ok(())
+    }
+
+    fn ident(&mut self, what: &str) -> Result<&'a str> {
+        self.take(what, |t| if let Tok::Ident(w) = t { Some(w) } else { None })
+    }
+
+    fn sym(&mut self) -> Result<&'a str> {
+        self.take(
+            "'@name'",
+            |t| if let Tok::Sym(n) = t { Some(n) } else { None },
+        )
+    }
+
+    fn int(&mut self) -> Result<i64> {
+        self.take("an integer", |t| {
+            if let Tok::Int(v) = t {
+                Some(v)
+            } else {
+                None
+            }
+        })
+    }
+
+    /// A string literal, decoded.
+    fn text(&mut self) -> Result<String> {
+        let raw = self.take(
+            "a string",
+            |t| if let Tok::Str(s) = t { Some(s) } else { None },
+        )?;
+        if !raw.contains('\\') {
+            return Ok(raw.to_string());
+        }
+        // The lexer admits `\\`, `\"` and `\n` only.
+        let mut out = String::with_capacity(raw.len());
+        let mut chars = raw.chars();
+        while let Some(ch) = chars.next() {
+            match (ch, if ch == '\\' { chars.next() } else { None }) {
+                (_, Some('n')) => out.push('\n'),
+                (_, Some(escaped)) => out.push(escaped),
+                (plain, None) => out.push(plain),
+            }
+        }
+        Ok(out)
+    }
+
+    /// `"key" = "value"`.
+    fn key_value(&mut self) -> Result<(String, String)> {
+        let key = self.text()?;
+        self.expect(b'=')?;
+        Ok((key, self.text()?))
+    }
 }
 
 /// Source extent of one `define` in the module text: the 1-based line of
@@ -393,565 +351,612 @@ pub struct FuncSpan {
     pub end_line: usize,
 }
 
-/// Parse a whole module from text.
-///
-/// # Errors
-/// Returns [`ParseError`] on malformed input or unresolved references.
-pub fn parse_module(src: &str) -> Result<Module, ParseError> {
-    parse_module_spanned(src).map(|(m, _)| m)
+#[derive(Clone, Copy, PartialEq)]
+enum Use {
+    Local,
+    Label,
+    /// `@name` in value position.
+    Symbol,
+    /// `@name` as the target of a direct call.
+    Callee,
 }
 
-/// Parse a whole module, also reporting the source span of every `define`.
-///
-/// Spans cover function *definitions* only (declarations and globals are
-/// single-line and never need incremental reparse). Span order matches
-/// definition order, i.e. `FuncId` order restricted to defined functions.
-///
-/// # Errors
-/// Returns [`ParseError`] on malformed input or unresolved references.
-pub fn parse_module_spanned(src: &str) -> Result<(Module, Vec<FuncSpan>), ParseError> {
-    let toks = lex(src)?;
-    let mut lx = Lexer { toks, pos: 0 };
-    lx.expect_ident("module")?;
-    let name = lx.string()?;
-    lx.expect_punct('{')?;
-    let mut module = Module::new(name);
+/// A use of a name that was not defined when the cursor passed it. The
+/// instruction holds the placeholder id `u32::MAX - k`, `k` being this
+/// record's index in its list. Real ids count up from zero and a source
+/// text cannot hold enough instructions and uses for the two to meet.
+struct Fixup<'a> {
+    kind: Use,
+    name: &'a str,
+    at: At,
+    func: FuncId,
+    inst: InstId,
+}
 
-    // Function bodies are resolved after all symbols are known, so indirect
-    // references to later functions work.
-    type PendingFn = (
-        String,
-        Vec<(String, Type)>,
-        Type,
-        Vec<PBlock>,
-        Vec<(String, String)>,
-    );
-    let mut pending: Vec<PendingFn> = Vec::new();
-    let mut spans: Vec<FuncSpan> = Vec::new();
+fn hole(k: usize) -> u32 {
+    u32::MAX - k as u32
+}
 
-    loop {
-        match lx.peek() {
-            Some(Tok::Punct('}')) => {
-                lx.next();
-                break;
-            }
-            Some(Tok::Ident(w)) if w == "meta" => {
-                lx.next();
-                let k = lx.string()?;
-                lx.expect_punct('=')?;
-                let v = lx.string()?;
-                module.metadata.insert(k, v);
-            }
-            Some(Tok::Ident(w)) if w == "global" || w == "const" => {
-                let is_const = w == "const";
-                lx.next();
-                if is_const {
-                    lx.expect_ident("global")?;
-                }
-                let gname = match lx.next() {
-                    Some(Tok::Sym(s)) => s,
-                    other => return Err(lx.err(format!("expected @name, found {other:?}"))),
-                };
-                lx.expect_punct(':')?;
-                let ty = parse_type(&mut lx)?;
-                lx.expect_punct('=')?;
-                let init = parse_global_init(&mut lx)?;
-                module.add_global(Global {
-                    name: gname,
-                    ty,
-                    init,
-                    is_const,
-                });
-            }
-            Some(Tok::Ident(w)) if w == "declare" => {
-                lx.next();
-                let ret = parse_type(&mut lx)?;
-                let fname = match lx.next() {
-                    Some(Tok::Sym(s)) => s,
-                    other => return Err(lx.err(format!("expected @name, found {other:?}"))),
-                };
-                let params = parse_params(&mut lx)?;
-                module.add_function(Function::new(fname, params, ret));
-            }
-            Some(Tok::Ident(w)) if w == "define" => {
-                let start_line = lx.line();
-                lx.next();
-                let ret = parse_type(&mut lx)?;
-                let fname = match lx.next() {
-                    Some(Tok::Sym(s)) => s,
-                    other => return Err(lx.err(format!("expected @name, found {other:?}"))),
-                };
-                let params = parse_params(&mut lx)?;
-                lx.expect_punct('{')?;
-                let mut fmeta = Vec::new();
-                while let Some(Tok::Ident(w)) = lx.peek() {
-                    if w != "fmeta" {
-                        break;
-                    }
-                    lx.next();
-                    let k = lx.string()?;
-                    lx.expect_punct('=')?;
-                    let v = lx.string()?;
-                    fmeta.push((k, v));
-                }
-                let blocks = parse_blocks(&mut lx)?;
-                // `parse_blocks` consumed the closing '}' as its last token.
-                spans.push(FuncSpan {
-                    name: fname.clone(),
-                    start_line,
-                    end_line: lx.last_line(),
-                });
-                // Reserve the function slot now so FuncIds match definition
-                // order; the body is materialized later.
-                module.add_function(Function::new(fname.clone(), params.clone(), ret.clone()));
-                pending.push((fname, params, ret, blocks, fmeta));
-            }
-            other => return Err(lx.err(format!("unexpected token {other:?}"))),
+/// Nesting allowed in one type: `[1 x [1 x ...` and `i8***...` recurse in
+/// this parser and in every consumer of [`Type`], so depth is bounded here,
+/// where the text enters.
+const MAX_TYPE_DEPTH: u32 = 64;
+
+struct Parser<'a> {
+    cur: Cursor<'a>,
+    /// Where `@names` resolve: in a finished module (`parse_function_text`),
+    /// where a missing name is unknown; or, without one, in the two tables,
+    /// which grow item by item as a module is parsed, so that a name
+    /// missing now may still appear and its use is deferred.
+    module: Option<&'a Module>,
+    globals: HashMap<&'a str, GlobalId>,
+    funcs: HashMap<&'a str, FuncId>,
+    /// `%names` and labels of the function being parsed; cleared per function.
+    names: HashMap<&'a str, Value>,
+    labels: HashMap<&'a str, BlockId>,
+    /// Pending `%name` and label uses; patched at the closing brace.
+    local_fixups: Vec<Fixup<'a>>,
+    /// Pending `@name` uses; patched at the end of the module.
+    symbol_fixups: Vec<Fixup<'a>>,
+    /// Slot the body being parsed will occupy, and the id its next
+    /// instruction will get.
+    func: FuncId,
+    inst: InstId,
+}
+
+impl<'a> Parser<'a> {
+    fn new(src: &'a str, module: Option<&'a Module>) -> Parser<'a> {
+        Parser {
+            cur: Cursor::new(src),
+            module,
+            globals: HashMap::new(),
+            funcs: HashMap::new(),
+            names: HashMap::new(),
+            labels: HashMap::new(),
+            local_fixups: Vec::new(),
+            symbol_fixups: Vec::new(),
+            func: FuncId(0),
+            inst: InstId(0),
         }
     }
 
-    for (fname, params, ret, blocks, fmeta) in pending {
-        let f = materialize_function(&module, &fname, params, ret, blocks, fmeta)?;
-        let fid = module
-            .func_id_by_name(&fname)
-            .expect("reserved function slot");
-        *module.func_mut(fid) = f;
-    }
-    Ok((module, spans))
-}
-
-/// Parse one `define ... { ... }` snippet against an existing module's
-/// symbol table.
-///
-/// The incremental half of the IDE diff-parser: when an edit is confined to
-/// one function's [`FuncSpan`], only that snippet is re-lexed and re-parsed;
-/// symbols (`@globals`, called functions) resolve against `module`, so any
-/// reference valid in the full text is valid here. The returned function is
-/// *not* installed; the caller swaps it in via its editing API.
-///
-/// # Errors
-/// Returns [`ParseError`] on malformed input, unresolved references, or
-/// trailing tokens after the closing `}`.
-pub fn parse_function_text(module: &Module, src: &str) -> Result<Function, ParseError> {
-    let toks = lex(src)?;
-    let mut lx = Lexer { toks, pos: 0 };
-    lx.expect_ident("define")?;
-    let ret = parse_type(&mut lx)?;
-    let fname = match lx.next() {
-        Some(Tok::Sym(s)) => s,
-        other => return Err(lx.err(format!("expected @name, found {other:?}"))),
-    };
-    let params = parse_params(&mut lx)?;
-    lx.expect_punct('{')?;
-    let mut fmeta = Vec::new();
-    while let Some(Tok::Ident(w)) = lx.peek() {
-        if w != "fmeta" {
-            break;
-        }
-        lx.next();
-        let k = lx.string()?;
-        lx.expect_punct('=')?;
-        let v = lx.string()?;
-        fmeta.push((k, v));
-    }
-    let blocks = parse_blocks(&mut lx)?;
-    if let Some(t) = lx.peek() {
-        return Err(lx.err(format!("trailing input after function body: {t:?}")));
-    }
-    materialize_function(module, &fname, params, ret, blocks, fmeta)
-}
-
-fn parse_params(lx: &mut Lexer) -> Result<Vec<(String, Type)>, ParseError> {
-    lx.expect_punct('(')?;
-    let mut params = Vec::new();
-    if lx.eat_punct(')') {
-        return Ok(params);
-    }
-    loop {
-        let ty = parse_type(lx)?;
-        let name = match lx.next() {
-            Some(Tok::Local(n)) => n,
-            other => return Err(lx.err(format!("expected %param, found {other:?}"))),
+    /// Record a deferred use at `at` and return its placeholder id.
+    fn defer(&mut self, kind: Use, name: &'a str, at: At) -> u32 {
+        let list = match kind {
+            Use::Local | Use::Label => &mut self.local_fixups,
+            Use::Symbol | Use::Callee => &mut self.symbol_fixups,
         };
-        params.push((name, ty));
-        if lx.eat_punct(')') {
-            break;
-        }
-        lx.expect_punct(',')?;
+        list.push(Fixup {
+            kind,
+            name,
+            at,
+            func: self.func,
+            inst: self.inst,
+        });
+        hole(list.len() - 1)
     }
-    Ok(params)
-}
 
-fn parse_global_init(lx: &mut Lexer) -> Result<GlobalInit, ParseError> {
-    match lx.peek() {
-        Some(Tok::Ident(w)) if w == "zero" => {
-            lx.next();
-            Ok(GlobalInit::Zero)
-        }
-        Some(Tok::Punct('[')) => {
-            lx.next();
-            let mut elems = Vec::new();
-            if lx.eat_punct(']') {
-                return Ok(GlobalInit::Array(elems));
-            }
+    /// What a deferred (or immediate) use resolves to, or the error for it.
+    fn unresolved(&self, kind: Use, name: &str, at: At, fname: &str) -> ParseError {
+        let message = match kind {
+            Use::Local => format!("unknown value '%{name}' in @{fname}"),
+            Use::Label => format!("unknown label '{name}' in @{fname}"),
+            Use::Symbol => format!("unknown symbol '@{name}'"),
+            Use::Callee => format!("call to unknown function '@{name}'"),
+        };
+        self.cur.error(at, message)
+    }
+
+    /// `ret @name(params)`: the header shared by `declare` and `define`.
+    /// Starts a new `%name` scope holding the parameters.
+    fn signature(&mut self) -> Result<(&'a str, Function)> {
+        let ret = self.ty()?;
+        let name = self.cur.sym()?;
+        self.cur.expect(b'(')?;
+        self.names.clear();
+        let mut index = 0;
+        let params = self.list(b')', |p| {
+            let ty = p.ty()?;
+            let local = |t| if let Tok::Local(n) = t { Some(n) } else { None };
+            let param = p.cur.take("'%param'", local)?;
+            p.names.insert(param, Value::Arg(index));
+            index += 1;
+            Ok((param.to_string(), ty))
+        })?;
+        Ok((name, Function::new(name, params, ret)))
+    }
+
+    /// `item, item, ... <close>` (or just `<close>`), the opener being
+    /// consumed already.
+    fn list<T>(
+        &mut self,
+        close: u8,
+        mut item: impl FnMut(&mut Self) -> Result<T>,
+    ) -> Result<Vec<T>> {
+        let mut items = Vec::new();
+        if !self.cur.eat(close) {
             loop {
-                elems.push(parse_constant(lx)?);
-                if lx.eat_punct(']') {
+                items.push(item(self)?);
+                if self.cur.eat(close) {
                     break;
                 }
-                lx.expect_punct(',')?;
+                self.cur.expect(b',')?;
             }
-            Ok(GlobalInit::Array(elems))
         }
-        _ => Ok(GlobalInit::Scalar(parse_constant(lx)?)),
+        Ok(items)
     }
-}
 
-/// Parse a type, including pointer suffixes.
-fn parse_type(lx: &mut Lexer) -> Result<Type, ParseError> {
-    let mut ty = match lx.next() {
-        Some(Tok::Ident(w)) => match w.as_str() {
-            "void" => Type::Void,
-            "i1" => Type::I1,
-            "i8" => Type::I8,
-            "i16" => Type::I16,
-            "i32" => Type::I32,
-            "i64" => Type::I64,
-            "f32" => Type::F32,
-            "f64" => Type::F64,
-            "fn" => {
-                let ret = parse_type(lx)?;
-                lx.expect_punct('(')?;
-                let mut params = Vec::new();
-                if !lx.eat_punct(')') {
-                    loop {
-                        params.push(parse_type(lx)?);
-                        if lx.eat_punct(')') {
-                            break;
-                        }
-                        lx.expect_punct(',')?;
-                    }
-                }
-                Type::Func(Arc::new(FuncType { params, ret }))
-            }
-            other => return Err(lx.err(format!("unknown type '{other}'"))),
-        },
-        Some(Tok::Punct('[')) => {
-            let n = lx.int()?;
-            if n < 0 {
-                return Err(lx.err("negative array length"));
-            }
-            lx.expect_ident("x")?;
-            let elem = parse_type(lx)?;
-            lx.expect_punct(']')?;
-            Type::Array(Box::new(elem), n as u64)
+    fn ty(&mut self) -> Result<Type> {
+        self.ty_at(0).map(|(ty, _)| ty)
+    }
+
+    /// A type at nesting `depth`, with its own height: 0 for a scalar, one
+    /// more than its tallest member for anything built from other types.
+    fn ty_at(&mut self, depth: u32) -> Result<(Type, u32)> {
+        let at = self.cur.at;
+        if depth >= MAX_TYPE_DEPTH {
+            return Err(self.cur.error(at, "type nesting too deep"));
         }
-        Some(Tok::Punct('{')) => {
-            let mut fields = Vec::new();
-            if !lx.eat_punct('}') {
-                loop {
-                    fields.push(parse_type(lx)?);
-                    if lx.eat_punct('}') {
-                        break;
+        let (mut ty, mut height) = match self.cur.tok {
+            Tok::Ident(word) => {
+                self.cur.bump();
+                match word {
+                    "void" => (Type::Void, 0),
+                    "i1" => (Type::I1, 0),
+                    "i8" => (Type::I8, 0),
+                    "i16" => (Type::I16, 0),
+                    "i32" => (Type::I32, 0),
+                    "i64" => (Type::I64, 0),
+                    "f32" => (Type::F32, 0),
+                    "f64" => (Type::F64, 0),
+                    "fn" => {
+                        let (ret, ret_height) = self.ty_at(depth + 1)?;
+                        self.cur.expect(b'(')?;
+                        let (params, tallest) = self.types_until(b')', depth)?;
+                        let ty = Type::Func(Arc::new(FuncType { params, ret }));
+                        (ty, 1 + tallest.max(ret_height))
                     }
-                    lx.expect_punct(',')?;
+                    _ => return Err(self.cur.error(at, format!("unknown type '{word}'"))),
                 }
             }
-            Type::Struct(Arc::new(fields))
+            Tok::Punct(b'[') => {
+                self.cur.bump();
+                let len_at = self.cur.at;
+                let len = self.cur.int()?;
+                if len < 0 {
+                    return Err(self.cur.error(len_at, "negative array length"));
+                }
+                self.cur.keyword("x")?;
+                let (elem, elem_height) = self.ty_at(depth + 1)?;
+                self.cur.expect(b']')?;
+                (Type::Array(Box::new(elem), len as u64), 1 + elem_height)
+            }
+            Tok::Punct(b'{') => {
+                self.cur.bump();
+                let (fields, tallest) = self.types_until(b'}', depth)?;
+                (Type::Struct(Arc::new(fields)), 1 + tallest)
+            }
+            _ => return Err(self.cur.unexpected("a type")),
+        };
+        while self.cur.tok == Tok::Punct(b'*') {
+            height += 1;
+            if depth + height > MAX_TYPE_DEPTH {
+                return Err(self.cur.error(self.cur.at, "type nesting too deep"));
+            }
+            self.cur.bump();
+            ty = Type::Ptr(Box::new(ty));
         }
-        other => return Err(lx.err(format!("expected type, found {other:?}"))),
-    };
-    while lx.eat_punct('*') {
-        ty = ty.ptr_to();
+        Ok((ty, height))
     }
-    Ok(ty)
-}
 
-fn int_width_of(ty: &Type) -> Option<IntWidth> {
-    match ty {
-        Type::Int(w) => Some(*w),
-        _ => None,
+    /// Comma-separated member types up to `close`, whose opener is consumed;
+    /// also the height of the tallest.
+    fn types_until(&mut self, close: u8, depth: u32) -> Result<(Vec<Type>, u32)> {
+        let mut tallest = 0;
+        let types = self.list(close, |p| {
+            let (ty, height) = p.ty_at(depth + 1)?;
+            tallest = tallest.max(height);
+            Ok(ty)
+        })?;
+        Ok((types, tallest))
     }
-}
 
-fn float_width_of(ty: &Type) -> Option<FloatWidth> {
-    match ty {
-        Type::Float(w) => Some(*w),
-        _ => None,
-    }
-}
-
-/// Parse a typed constant: `i64 5`, `f64 1.5`, `null`, `undef`.
-fn parse_constant(lx: &mut Lexer) -> Result<Constant, ParseError> {
-    match lx.peek() {
-        Some(Tok::Ident(w)) if w == "null" => {
-            lx.next();
-            Ok(Constant::Null)
+    /// A typed constant: `i64 5`, `f64 1.5`, `null`, `undef`.
+    fn constant(&mut self) -> Result<Constant> {
+        match self.cur.tok {
+            Tok::Ident("null") => {
+                self.cur.bump();
+                Ok(Constant::Null)
+            }
+            Tok::Ident("undef") => {
+                self.cur.bump();
+                Ok(Constant::Undef)
+            }
+            _ => {
+                let at = self.cur.at;
+                match self.ty()? {
+                    Type::Int(w) => Ok(Constant::Int(self.cur.int()?, w)),
+                    Type::Float(w) => {
+                        let v = match self.cur.tok {
+                            Tok::Float(v) => v,
+                            Tok::Int(v) => v as f64,
+                            _ => return Err(self.cur.unexpected("a number")),
+                        };
+                        self.cur.bump();
+                        Ok(Constant::Float(v.to_bits(), w))
+                    }
+                    ty => {
+                        let message = format!("constants of type {ty} are not supported");
+                        Err(self.cur.error(at, message))
+                    }
+                }
+            }
         }
-        Some(Tok::Ident(w)) if w == "undef" => {
-            lx.next();
-            Ok(Constant::Undef)
+    }
+
+    fn global_init(&mut self) -> Result<GlobalInit> {
+        if self.cur.tok == Tok::Ident("zero") {
+            self.cur.bump();
+            return Ok(GlobalInit::Zero);
         }
-        _ => {
-            let ty = parse_type(lx)?;
-            if let Some(w) = int_width_of(&ty) {
-                let v = lx.int()?;
-                Ok(Constant::Int(v, w))
-            } else if let Some(w) = float_width_of(&ty) {
-                let v = match lx.next() {
-                    Some(Tok::Float(v)) => v,
-                    Some(Tok::Int(v)) => v as f64,
-                    other => return Err(lx.err(format!("expected float, found {other:?}"))),
-                };
-                Ok(Constant::Float(v.to_bits(), w))
+        if !self.cur.eat(b'[') {
+            return Ok(GlobalInit::Scalar(self.constant()?));
+        }
+        Ok(GlobalInit::Array(self.list(b']', Self::constant)?))
+    }
+
+    /// An operand: `%name`, `@name`, or a typed constant.
+    fn value(&mut self) -> Result<Value> {
+        let at = self.cur.at;
+        match self.cur.tok {
+            Tok::Local(name) => {
+                self.cur.bump();
+                Ok(match self.names.get(name) {
+                    Some(&v) => v,
+                    None => Value::Inst(InstId(self.defer(Use::Local, name, at))),
+                })
+            }
+            Tok::Sym(name) => {
+                self.cur.bump();
+                self.symbol(Use::Symbol, name, at)
+            }
+            Tok::Ident(_) | Tok::Punct(b'[' | b'{') => Ok(Value::Const(self.constant()?)),
+            _ => Err(self
+                .cur
+                .unexpected("a value ('%name', '@name' or a typed constant)")),
+        }
+    }
+
+    /// What `@name` stands for in a `kind` use, when that can be told: a
+    /// callee is a function; a value is a global or else a function, and
+    /// since a global declared further down would win, a function counts
+    /// only once the module is `complete`.
+    fn resolve(&self, kind: Use, name: &str, complete: bool) -> Option<Value> {
+        let func = || match self.module {
+            Some(m) => m.func_id_by_name(name).map(Value::Func),
+            None => self.funcs.get(name).map(|&f| Value::Func(f)),
+        };
+        let global = || match self.module {
+            Some(m) => m.global_id_by_name(name).map(Value::Global),
+            None => self.globals.get(name).map(|&g| Value::Global(g)),
+        };
+        match kind {
+            Use::Callee => func(),
+            _ => global().or_else(|| func().filter(|_| complete)),
+        }
+    }
+
+    /// `@name` in a `kind` use: what it stands for if that is settled, a
+    /// placeholder function id if the module may still declare it.
+    fn symbol(&mut self, kind: Use, name: &'a str, at: At) -> Result<Value> {
+        let complete = self.module.is_some();
+        match self.resolve(kind, name, complete) {
+            Some(value) => Ok(value),
+            None if complete => Err(self.unresolved(kind, name, at, "")),
+            None => Ok(Value::Func(FuncId(self.defer(kind, name, at)))),
+        }
+    }
+
+    /// The callee of a `call`: `@name` is a direct call, anything else a
+    /// function-pointer value.
+    fn callee(&mut self) -> Result<Callee> {
+        let Tok::Sym(name) = self.cur.tok else {
+            return Ok(Callee::Indirect(self.value()?));
+        };
+        let at = self.cur.bump();
+        match self.symbol(Use::Callee, name, at)? {
+            Value::Func(f) => Ok(Callee::Direct(f)),
+            _ => unreachable!("a callee resolves to a function"),
+        }
+    }
+
+    /// The predicate of an `icmp` or `fcmp`, looked up in `table`.
+    fn pred<T>(&mut self, expected: &str, table: fn(&str) -> Option<T>) -> Result<T> {
+        let at = self.cur.at;
+        let word = self.cur.ident(expected)?;
+        table(word).ok_or_else(|| self.cur.error(at, format!("unknown {expected} '{word}'")))
+    }
+
+    fn label(&mut self) -> Result<BlockId> {
+        let at = self.cur.at;
+        let name = self.cur.ident("a block label")?;
+        Ok(match self.labels.get(name) {
+            Some(&b) => b,
+            None => BlockId(self.defer(Use::Label, name, at)),
+        })
+    }
+
+    /// `lhs, rhs`.
+    fn pair(&mut self) -> Result<(Value, Value)> {
+        let lhs = self.value()?;
+        self.cur.expect(b',')?;
+        Ok((lhs, self.value()?))
+    }
+
+    /// The instruction whose opcode `op` (at `op_at`) was just consumed.
+    fn inst(&mut self, op: &str, op_at: At) -> Result<Inst> {
+        Ok(match op {
+            "alloca" => {
+                let ty = self.ty()?;
+                self.cur.expect(b',')?;
+                let count = self.value()?;
+                Inst::Alloca { ty, count }
+            }
+            "load" => {
+                let ty = self.ty()?;
+                self.cur.expect(b',')?;
+                let ptr = self.value()?;
+                Inst::Load { ty, ptr }
+            }
+            "store" => {
+                let ty = self.ty()?;
+                let (val, ptr) = self.pair()?;
+                Inst::Store { val, ptr, ty }
+            }
+            "gep" => {
+                let base_ty = self.ty()?;
+                self.cur.expect(b',')?;
+                let base = self.value()?;
+                let mut indices = Vec::new();
+                while self.cur.eat(b',') {
+                    indices.push(self.value()?);
+                }
+                if indices.is_empty() {
+                    return Err(self.cur.unexpected("',' and a gep index"));
+                }
+                Inst::Gep {
+                    base,
+                    base_ty,
+                    indices,
+                }
+            }
+            "icmp" => {
+                let pred = self.pred("icmp predicate", icmp_pred)?;
+                let ty = self.ty()?;
+                let (lhs, rhs) = self.pair()?;
+                Inst::Icmp { pred, ty, lhs, rhs }
+            }
+            "fcmp" => {
+                let pred = self.pred("fcmp predicate", fcmp_pred)?;
+                let ty = self.ty()?;
+                let (lhs, rhs) = self.pair()?;
+                Inst::Fcmp { pred, ty, lhs, rhs }
+            }
+            "select" => {
+                let ty = self.ty()?;
+                let cond = self.value()?;
+                self.cur.expect(b',')?;
+                let (tval, fval) = self.pair()?;
+                Inst::Select {
+                    ty,
+                    cond,
+                    tval,
+                    fval,
+                }
+            }
+            "phi" => {
+                let ty = self.ty()?;
+                let mut incomings = Vec::new();
+                while self.cur.eat(b'[') {
+                    let from = self.label()?;
+                    self.cur.expect(b':')?;
+                    incomings.push((from, self.value()?));
+                    self.cur.expect(b']')?;
+                }
+                Inst::Phi { ty, incomings }
+            }
+            "call" => {
+                let ret_ty = self.ty()?;
+                let callee = self.callee()?;
+                self.cur.expect(b'(')?;
+                let args = self.list(b')', Self::value)?;
+                Inst::Call {
+                    callee,
+                    args,
+                    ret_ty,
+                }
+            }
+            "ret" => Inst::Term(Terminator::Ret(if self.cur.tok == Tok::Ident("void") {
+                self.cur.bump();
+                None
             } else {
-                Err(lx.err(format!("constants of type {ty} are not supported")))
+                Some(self.value()?)
+            })),
+            "br" => Inst::Term(Terminator::Br(self.label()?)),
+            "condbr" => {
+                let cond = self.value()?;
+                self.cur.expect(b',')?;
+                let then_bb = self.label()?;
+                self.cur.expect(b',')?;
+                let else_bb = self.label()?;
+                Inst::Term(Terminator::CondBr {
+                    cond,
+                    then_bb,
+                    else_bb,
+                })
             }
-        }
-    }
-}
-
-/// Parse a value: local, symbol, or typed constant.
-fn parse_pvalue(lx: &mut Lexer) -> Result<PValue, ParseError> {
-    match lx.peek() {
-        Some(Tok::Local(_)) => {
-            if let Some(Tok::Local(n)) = lx.next() {
-                Ok(PValue::Local(n))
-            } else {
-                unreachable!()
-            }
-        }
-        Some(Tok::Sym(_)) => {
-            if let Some(Tok::Sym(n)) = lx.next() {
-                Ok(PValue::Sym(n))
-            } else {
-                unreachable!()
-            }
-        }
-        _ => Ok(PValue::Const(parse_constant(lx)?)),
-    }
-}
-
-fn parse_blocks(lx: &mut Lexer) -> Result<Vec<PBlock>, ParseError> {
-    let mut blocks: Vec<PBlock> = Vec::new();
-    loop {
-        match lx.peek() {
-            Some(Tok::Punct('}')) => {
-                lx.next();
-                break;
-            }
-            Some(Tok::Ident(_)) if lx.peek2() == Some(&Tok::Punct(':')) => {
-                let label = lx.ident()?;
-                lx.expect_punct(':')?;
-                blocks.push(PBlock {
-                    label,
-                    insts: Vec::new(),
-                });
-            }
-            Some(_) => {
-                let inst = parse_pinst(lx)?;
-                match blocks.last_mut() {
-                    Some(b) => b.insts.push(inst),
-                    None => return Err(lx.err("instruction before first block label")),
+            "switch" => {
+                let value = self.value()?;
+                self.cur.expect(b',')?;
+                let default = self.label()?;
+                let mut cases = Vec::new();
+                while self.cur.eat(b'[') {
+                    let case = self.cur.int()?;
+                    self.cur.expect(b':')?;
+                    cases.push((case, self.label()?));
+                    self.cur.expect(b']')?;
                 }
+                Inst::Term(Terminator::Switch {
+                    value,
+                    default,
+                    cases,
+                })
             }
-            None => return Err(lx.err("unexpected end of input in function body")),
-        }
-    }
-    if blocks.is_empty() {
-        return Err(lx.err("function body has no blocks"));
-    }
-    Ok(blocks)
-}
-
-fn parse_label(lx: &mut Lexer) -> Result<String, ParseError> {
-    lx.ident()
-}
-
-fn parse_pinst(lx: &mut Lexer) -> Result<PInst, ParseError> {
-    let name = if let Some(Tok::Local(_)) = lx.peek() {
-        if let Some(Tok::Local(n)) = lx.next() {
-            lx.expect_punct('=')?;
-            Some(n)
-        } else {
-            unreachable!()
-        }
-    } else {
-        None
-    };
-    let op = lx.ident()?;
-    let kind = match op.as_str() {
-        "alloca" => {
-            let ty = parse_type(lx)?;
-            lx.expect_punct(',')?;
-            let count = parse_pvalue(lx)?;
-            PInstKind::Alloca(ty, count)
-        }
-        "load" => {
-            let ty = parse_type(lx)?;
-            lx.expect_punct(',')?;
-            let ptr = parse_pvalue(lx)?;
-            PInstKind::Load(ty, ptr)
-        }
-        "store" => {
-            let ty = parse_type(lx)?;
-            let val = parse_pvalue(lx)?;
-            lx.expect_punct(',')?;
-            let ptr = parse_pvalue(lx)?;
-            PInstKind::Store(ty, val, ptr)
-        }
-        "gep" => {
-            let ty = parse_type(lx)?;
-            lx.expect_punct(',')?;
-            let base = parse_pvalue(lx)?;
-            let mut indices = Vec::new();
-            while lx.eat_punct(',') {
-                indices.push(parse_pvalue(lx)?);
-            }
-            if indices.is_empty() {
-                return Err(lx.err("gep requires at least one index"));
-            }
-            PInstKind::Gep(ty, base, indices)
-        }
-        "icmp" => {
-            let pred = parse_icmp_pred(lx)?;
-            let ty = parse_type(lx)?;
-            let lhs = parse_pvalue(lx)?;
-            lx.expect_punct(',')?;
-            let rhs = parse_pvalue(lx)?;
-            PInstKind::Icmp(pred, ty, lhs, rhs)
-        }
-        "fcmp" => {
-            let pred = parse_fcmp_pred(lx)?;
-            let ty = parse_type(lx)?;
-            let lhs = parse_pvalue(lx)?;
-            lx.expect_punct(',')?;
-            let rhs = parse_pvalue(lx)?;
-            PInstKind::Fcmp(pred, ty, lhs, rhs)
-        }
-        "select" => {
-            let ty = parse_type(lx)?;
-            let cond = parse_pvalue(lx)?;
-            lx.expect_punct(',')?;
-            let t = parse_pvalue(lx)?;
-            lx.expect_punct(',')?;
-            let f = parse_pvalue(lx)?;
-            PInstKind::Select(ty, cond, t, f)
-        }
-        "phi" => {
-            let ty = parse_type(lx)?;
-            let mut incomings = Vec::new();
-            while lx.eat_punct('[') {
-                let label = parse_label(lx)?;
-                lx.expect_punct(':')?;
-                let v = parse_pvalue(lx)?;
-                lx.expect_punct(']')?;
-                incomings.push((label, v));
-            }
-            PInstKind::Phi(ty, incomings)
-        }
-        "call" => {
-            let ret = parse_type(lx)?;
-            let callee = match lx.peek() {
-                Some(Tok::Sym(_)) => {
-                    if let Some(Tok::Sym(s)) = lx.next() {
-                        PCallee::Sym(s)
-                    } else {
-                        unreachable!()
-                    }
-                }
-                _ => PCallee::Value(parse_pvalue(lx)?),
-            };
-            lx.expect_punct('(')?;
-            let mut args = Vec::new();
-            if !lx.eat_punct(')') {
-                loop {
-                    args.push(parse_pvalue(lx)?);
-                    if lx.eat_punct(')') {
-                        break;
-                    }
-                    lx.expect_punct(',')?;
-                }
-            }
-            PInstKind::Call(ret, callee, args)
-        }
-        "ret" => {
-            if let Some(Tok::Ident(w)) = lx.peek() {
-                if w == "void" {
-                    lx.next();
-                    PInstKind::RetVoid
+            "unreachable" => Inst::Term(Terminator::Unreachable),
+            _ => {
+                if let Some(&op) = BinOp::all().iter().find(|b| b.mnemonic() == op) {
+                    let ty = self.ty()?;
+                    let (lhs, rhs) = self.pair()?;
+                    Inst::Bin { op, ty, lhs, rhs }
+                } else if let Some(op) = cast_op(op) {
+                    let from = self.ty()?;
+                    let val = self.value()?;
+                    self.cur.keyword("to")?;
+                    let to = self.ty()?;
+                    Inst::Cast { op, from, to, val }
                 } else {
-                    PInstKind::Ret(parse_pvalue(lx)?)
+                    return Err(self.cur.error(op_at, format!("unknown opcode '{op}'")));
                 }
-            } else {
-                PInstKind::Ret(parse_pvalue(lx)?)
             }
-        }
-        "br" => PInstKind::Br(parse_label(lx)?),
-        "condbr" => {
-            let c = parse_pvalue(lx)?;
-            lx.expect_punct(',')?;
-            let t = parse_label(lx)?;
-            lx.expect_punct(',')?;
-            let e = parse_label(lx)?;
-            PInstKind::CondBr(c, t, e)
-        }
-        "switch" => {
-            let v = parse_pvalue(lx)?;
-            lx.expect_punct(',')?;
-            let default = parse_label(lx)?;
-            let mut cases = Vec::new();
-            while lx.eat_punct('[') {
-                let c = lx.int()?;
-                lx.expect_punct(':')?;
-                let l = parse_label(lx)?;
-                lx.expect_punct(']')?;
-                cases.push((c, l));
-            }
-            PInstKind::Switch(v, default, cases)
-        }
-        "unreachable" => PInstKind::Unreachable,
-        mn => {
-            // Binary operation or cast.
-            if let Some(&binop) = BinOp::all().iter().find(|b| b.mnemonic() == mn) {
-                let ty = parse_type(lx)?;
-                let lhs = parse_pvalue(lx)?;
-                lx.expect_punct(',')?;
-                let rhs = parse_pvalue(lx)?;
-                PInstKind::Bin(binop, ty, lhs, rhs)
-            } else if let Some(castop) = cast_of(mn) {
-                let from = parse_type(lx)?;
-                let v = parse_pvalue(lx)?;
-                lx.expect_ident("to")?;
-                let to = parse_type(lx)?;
-                PInstKind::Cast(castop, from, v, to)
-            } else {
-                return Err(lx.err(format!("unknown opcode '{mn}'")));
-            }
-        }
-    };
-    // Optional metadata suffix: !{"k"="v", ...}
-    let mut meta = Vec::new();
-    if lx.eat_punct('!') {
-        lx.expect_punct('{')?;
-        if !lx.eat_punct('}') {
-            loop {
-                let k = lx.string()?;
-                lx.expect_punct('=')?;
-                let v = lx.string()?;
-                meta.push((k, v));
-                if lx.eat_punct('}') {
-                    break;
-                }
-                lx.expect_punct(',')?;
-            }
-        }
+        })
     }
-    Ok(PInst { name, kind, meta })
+
+    /// The body of `f` after its `{`: `fmeta` lines, labelled blocks, the
+    /// closing `}`. Patches the function's own fix-ups and returns the line
+    /// of the closing brace.
+    fn body(&mut self, f: &mut Function) -> Result<usize> {
+        self.labels.clear();
+        self.local_fixups.clear();
+        while self.cur.tok == Tok::Ident("fmeta") {
+            self.cur.bump();
+            let (key, value) = self.cur.key_value()?;
+            f.metadata.insert(key, value);
+        }
+        let mut block = None;
+        let end_line = loop {
+            let at = self.cur.at;
+            let (name, op, op_at) = match self.cur.tok {
+                Tok::Punct(b'}') if block.is_some() => {
+                    self.cur.bump();
+                    break at.line;
+                }
+                Tok::Punct(b'}') => return Err(self.cur.error(at, "function body has no blocks")),
+                Tok::Ident(word) => {
+                    self.cur.bump();
+                    if self.cur.eat(b':') {
+                        let id = f.add_block(word);
+                        if self.labels.insert(word, id).is_some() {
+                            let message = format!("duplicate block label '{word}'");
+                            return Err(self.cur.error(at, message));
+                        }
+                        block = Some(id);
+                        continue;
+                    }
+                    (None, word, at)
+                }
+                Tok::Local(name) => {
+                    self.cur.bump();
+                    self.cur.expect(b'=')?;
+                    let op_at = self.cur.at;
+                    (Some(name), self.cur.ident("an opcode")?, op_at)
+                }
+                Tok::Eof => {
+                    return Err(self
+                        .cur
+                        .error(at, "unexpected end of input in function body"))
+                }
+                _ => return Err(self.cur.unexpected("a block label, an instruction or '}'")),
+            };
+            let Some(block) = block else {
+                return Err(self.cur.error(at, "instruction before first block label"));
+            };
+            self.inst = InstId(f.inst_arena_len() as u32);
+            if let Some(name) = name {
+                if self.names.insert(name, Value::Inst(self.inst)).is_some() {
+                    let message = format!("duplicate SSA name '%{name}' in @{}", f.name);
+                    return Err(self.cur.error(at, message));
+                }
+            }
+            let inst = self.inst(op, op_at)?;
+            let id = f.append_inst(block, inst);
+            if let Some(name) = name {
+                f.set_inst_name(id, name);
+            }
+            // Optional metadata suffix: !{"k"="v", ...}
+            if self.cur.eat(b'!') {
+                self.cur.expect(b'{')?;
+                self.list(b'}', |p| {
+                    let (key, value) = p.cur.key_value()?;
+                    f.set_inst_metadata(id, key, value);
+                    Ok(())
+                })?;
+            }
+        };
+        for (k, fix) in self.local_fixups.iter().enumerate() {
+            let unknown = || self.unresolved(fix.kind, fix.name, fix.at, &f.name);
+            if fix.kind == Use::Local {
+                let value = *self.names.get(fix.name).ok_or_else(unknown)?;
+                let hole = Value::Inst(InstId(hole(k)));
+                f.inst_mut(fix.inst)
+                    .map_operands(|v| if v == hole { value } else { v });
+            } else {
+                let block = *self.labels.get(fix.name).ok_or_else(unknown)?;
+                let hole = BlockId(hole(k));
+                match f.inst_mut(fix.inst) {
+                    Inst::Phi { incomings, .. } => {
+                        for (from, _) in incomings.iter_mut().filter(|(from, _)| *from == hole) {
+                            *from = block;
+                        }
+                    }
+                    Inst::Term(t) => t.replace_successor(hole, block),
+                    _ => unreachable!("only phis and terminators name labels"),
+                }
+            }
+        }
+        Ok(end_line)
+    }
 }
 
-fn cast_of(mn: &str) -> Option<CastOp> {
-    Some(match mn {
+fn icmp_pred(word: &str) -> Option<IcmpPred> {
+    Some(match word {
+        "eq" => IcmpPred::Eq,
+        "ne" => IcmpPred::Ne,
+        "slt" => IcmpPred::Slt,
+        "sle" => IcmpPred::Sle,
+        "sgt" => IcmpPred::Sgt,
+        "sge" => IcmpPred::Sge,
+        "ult" => IcmpPred::Ult,
+        "ule" => IcmpPred::Ule,
+        "ugt" => IcmpPred::Ugt,
+        "uge" => IcmpPred::Uge,
+        _ => return None,
+    })
+}
+
+fn fcmp_pred(word: &str) -> Option<FcmpPred> {
+    Some(match word {
+        "oeq" => FcmpPred::Oeq,
+        "one" => FcmpPred::One,
+        "olt" => FcmpPred::Olt,
+        "ole" => FcmpPred::Ole,
+        "ogt" => FcmpPred::Ogt,
+        "oge" => FcmpPred::Oge,
+        _ => return None,
+    })
+}
+
+fn cast_op(word: &str) -> Option<CastOp> {
+    Some(match word {
         "zext" => CastOp::Zext,
         "sext" => CastOp::Sext,
         "trunc" => CastOp::Trunc,
@@ -966,212 +971,141 @@ fn cast_of(mn: &str) -> Option<CastOp> {
     })
 }
 
-fn parse_icmp_pred(lx: &mut Lexer) -> Result<IcmpPred, ParseError> {
-    let w = lx.ident()?;
-    Ok(match w.as_str() {
-        "eq" => IcmpPred::Eq,
-        "ne" => IcmpPred::Ne,
-        "slt" => IcmpPred::Slt,
-        "sle" => IcmpPred::Sle,
-        "sgt" => IcmpPred::Sgt,
-        "sge" => IcmpPred::Sge,
-        "ult" => IcmpPred::Ult,
-        "ule" => IcmpPred::Ule,
-        "ugt" => IcmpPred::Ugt,
-        "uge" => IcmpPred::Uge,
-        other => return Err(lx.err(format!("unknown icmp predicate '{other}'"))),
-    })
+/// Parse a whole module from text.
+///
+/// # Errors
+/// Returns [`ParseError`] on malformed input or unresolved references.
+pub fn parse_module(src: &str) -> Result<Module> {
+    parse_module_spanned(src).map(|(m, _)| m)
 }
 
-fn parse_fcmp_pred(lx: &mut Lexer) -> Result<FcmpPred, ParseError> {
-    let w = lx.ident()?;
-    Ok(match w.as_str() {
-        "oeq" => FcmpPred::Oeq,
-        "one" => FcmpPred::One,
-        "olt" => FcmpPred::Olt,
-        "ole" => FcmpPred::Ole,
-        "ogt" => FcmpPred::Ogt,
-        "oge" => FcmpPred::Oge,
-        other => return Err(lx.err(format!("unknown fcmp predicate '{other}'"))),
-    })
-}
-
-fn materialize_function(
-    module: &Module,
-    fname: &str,
-    params: Vec<(String, Type)>,
-    ret: Type,
-    blocks: Vec<PBlock>,
-    fmeta: Vec<(String, String)>,
-) -> Result<Function, ParseError> {
-    let mut f = Function::new(fname, params, ret);
-    for (k, v) in fmeta {
-        f.metadata.insert(k, v);
-    }
-
-    let perr = |msg: String| ParseError {
-        message: msg,
-        line: 0,
-    };
-
-    // Pass 1: labels and SSA names.
-    let mut label_map: HashMap<String, BlockId> = HashMap::new();
-    for pb in &blocks {
-        let id = f.add_block(pb.label.clone());
-        if label_map.insert(pb.label.clone(), id).is_some() {
-            return Err(perr(format!("duplicate block label '{}'", pb.label)));
-        }
-    }
-    let mut name_map: HashMap<String, Value> = HashMap::new();
-    for (i, (pname, _)) in f.params.iter().enumerate() {
-        name_map.insert(pname.clone(), Value::Arg(i as u32));
-    }
-    // Instruction ids are assigned in creation order, which will match
-    // textual order, so they can be pre-computed for forward references.
-    let mut next_id = 0u32;
-    for pb in &blocks {
-        for pi in &pb.insts {
-            let id = InstId(next_id);
-            next_id += 1;
-            if let Some(n) = &pi.name {
-                if name_map.insert(n.clone(), Value::Inst(id)).is_some() {
-                    return Err(perr(format!("duplicate SSA name '%{n}' in @{fname}")));
-                }
+/// Parse a whole module, also reporting the source span of every `define`.
+///
+/// Spans cover function *definitions* only (declarations and globals are
+/// single-line and never need incremental reparse). Span order matches
+/// definition order, i.e. `FuncId` order restricted to defined functions.
+///
+/// # Errors
+/// Returns [`ParseError`] on malformed input or unresolved references.
+pub fn parse_module_spanned(src: &str) -> Result<(Module, Vec<FuncSpan>)> {
+    let mut p = Parser::new(src, None);
+    p.cur.keyword("module")?;
+    let mut module = Module::new(p.cur.text()?);
+    p.cur.expect(b'{')?;
+    let mut spans = Vec::new();
+    loop {
+        let at = p.cur.at;
+        match p.cur.tok {
+            Tok::Punct(b'}') => {
+                p.cur.bump();
+                break;
             }
-        }
-    }
-
-    let resolve = |pv: &PValue| -> Result<Value, ParseError> {
-        match pv {
-            PValue::Const(c) => Ok(Value::Const(*c)),
-            PValue::Local(n) => name_map
-                .get(n)
-                .copied()
-                .ok_or_else(|| perr(format!("unknown value '%{n}' in @{fname}"))),
-            PValue::Sym(n) => {
-                if let Some(g) = module.global_id_by_name(n) {
-                    Ok(Value::Global(g))
-                } else if let Some(fid) = module.func_id_by_name(n) {
-                    Ok(Value::Func(fid))
+            Tok::Ident("meta") => {
+                p.cur.bump();
+                let (key, value) = p.cur.key_value()?;
+                module.metadata.insert(key, value);
+            }
+            Tok::Ident(word @ ("global" | "const")) => {
+                p.cur.bump();
+                let is_const = word == "const";
+                if is_const {
+                    p.cur.keyword("global")?;
+                }
+                let name = p.cur.sym()?;
+                p.cur.expect(b':')?;
+                let ty = p.ty()?;
+                p.cur.expect(b'=')?;
+                let init = p.global_init()?;
+                let id = module.add_global(Global {
+                    name: name.to_string(),
+                    ty,
+                    init,
+                    is_const,
+                });
+                p.globals.entry(name).or_insert(id);
+            }
+            Tok::Ident("declare") => {
+                p.cur.bump();
+                let (name, f) = p.signature()?;
+                let id = module.add_function(f);
+                p.funcs.entry(name).or_insert(id);
+            }
+            Tok::Ident("define") => {
+                p.cur.bump();
+                let (name, mut f) = p.signature()?;
+                p.cur.expect(b'{')?;
+                let id = FuncId(module.functions.len() as u32);
+                p.func = *p.funcs.entry(name).or_insert(id);
+                let end_line = p.body(&mut f)?;
+                spans.push(FuncSpan {
+                    name: f.name.clone(),
+                    start_line: at.line,
+                    end_line,
+                });
+                if p.func == id {
+                    module.add_function(f);
                 } else {
-                    Err(perr(format!("unknown symbol '@{n}'")))
+                    // An earlier item owns the name (a forward `declare`,
+                    // say): the body goes where calls by that name land,
+                    // and this slot stays a declaration.
+                    let decl = Function::new(name, f.params.clone(), f.ret_ty.clone());
+                    module.add_function(decl);
+                    *module.func_mut(p.func) = f;
                 }
             }
+            _ => {
+                return Err(p
+                    .cur
+                    .unexpected("'meta', 'global', 'const', 'declare', 'define' or '}'"))
+            }
         }
-    };
-    let resolve_label = |l: &String| -> Result<BlockId, ParseError> {
-        label_map
-            .get(l)
-            .copied()
-            .ok_or_else(|| perr(format!("unknown label '{l}' in @{fname}")))
-    };
+    }
+    for (k, fix) in p.symbol_fixups.iter().enumerate() {
+        let hole = FuncId(hole(k));
+        let unknown = || p.unresolved(fix.kind, fix.name, fix.at, "");
+        // `get_mut`: a later `define` of the same name replaces the body
+        // this record points into, and may be shorter.
+        let insts = &mut module.functions[fix.func.index()].insts;
+        let inst = insts.get_mut(fix.inst.index()).map(|data| &mut data.inst);
+        let value = p.resolve(fix.kind, fix.name, true);
+        match (inst, value.ok_or_else(unknown)?) {
+            (Some(Inst::Call { callee, .. }), Value::Func(f))
+                if *callee == Callee::Direct(hole) =>
+            {
+                *callee = Callee::Direct(f)
+            }
+            (Some(inst), value) => {
+                inst.map_operands(|v| if v == Value::Func(hole) { value } else { v })
+            }
+            (None, _) => {}
+        }
+    }
+    Ok((module, spans))
+}
 
-    // Pass 2: materialize.
-    for (bi, pb) in blocks.iter().enumerate() {
-        let bid = BlockId(bi as u32);
-        for pi in &pb.insts {
-            let inst = match &pi.kind {
-                PInstKind::Alloca(ty, count) => Inst::Alloca {
-                    ty: ty.clone(),
-                    count: resolve(count)?,
-                },
-                PInstKind::Load(ty, ptr) => Inst::Load {
-                    ty: ty.clone(),
-                    ptr: resolve(ptr)?,
-                },
-                PInstKind::Store(ty, val, ptr) => Inst::Store {
-                    ty: ty.clone(),
-                    val: resolve(val)?,
-                    ptr: resolve(ptr)?,
-                },
-                PInstKind::Gep(ty, base, idx) => Inst::Gep {
-                    base: resolve(base)?,
-                    base_ty: ty.clone(),
-                    indices: idx.iter().map(&resolve).collect::<Result<_, _>>()?,
-                },
-                PInstKind::Bin(op, ty, l, r) => Inst::Bin {
-                    op: *op,
-                    ty: ty.clone(),
-                    lhs: resolve(l)?,
-                    rhs: resolve(r)?,
-                },
-                PInstKind::Icmp(p, ty, l, r) => Inst::Icmp {
-                    pred: *p,
-                    ty: ty.clone(),
-                    lhs: resolve(l)?,
-                    rhs: resolve(r)?,
-                },
-                PInstKind::Fcmp(p, ty, l, r) => Inst::Fcmp {
-                    pred: *p,
-                    ty: ty.clone(),
-                    lhs: resolve(l)?,
-                    rhs: resolve(r)?,
-                },
-                PInstKind::Cast(op, from, v, to) => Inst::Cast {
-                    op: *op,
-                    from: from.clone(),
-                    to: to.clone(),
-                    val: resolve(v)?,
-                },
-                PInstKind::Select(ty, c, t, e) => Inst::Select {
-                    ty: ty.clone(),
-                    cond: resolve(c)?,
-                    tval: resolve(t)?,
-                    fval: resolve(e)?,
-                },
-                PInstKind::Phi(ty, incs) => Inst::Phi {
-                    ty: ty.clone(),
-                    incomings: incs
-                        .iter()
-                        .map(|(l, v)| Ok((resolve_label(l)?, resolve(v)?)))
-                        .collect::<Result<_, ParseError>>()?,
-                },
-                PInstKind::Call(ret_ty, callee, args) => {
-                    let callee = match callee {
-                        PCallee::Sym(s) => {
-                            let fid = module
-                                .func_id_by_name(s)
-                                .ok_or_else(|| perr(format!("call to unknown function '@{s}'")))?;
-                            Callee::Direct(fid)
-                        }
-                        PCallee::Value(v) => Callee::Indirect(resolve(v)?),
-                    };
-                    Inst::Call {
-                        callee,
-                        args: args.iter().map(&resolve).collect::<Result<_, _>>()?,
-                        ret_ty: ret_ty.clone(),
-                    }
-                }
-                PInstKind::RetVoid => Inst::Term(Terminator::Ret(None)),
-                PInstKind::Ret(v) => Inst::Term(Terminator::Ret(Some(resolve(v)?))),
-                PInstKind::Br(l) => Inst::Term(Terminator::Br(resolve_label(l)?)),
-                PInstKind::CondBr(c, t, e) => Inst::Term(Terminator::CondBr {
-                    cond: resolve(c)?,
-                    then_bb: resolve_label(t)?,
-                    else_bb: resolve_label(e)?,
-                }),
-                PInstKind::Switch(v, d, cases) => Inst::Term(Terminator::Switch {
-                    value: resolve(v)?,
-                    default: resolve_label(d)?,
-                    cases: cases
-                        .iter()
-                        .map(|(c, l)| Ok((*c, resolve_label(l)?)))
-                        .collect::<Result<_, ParseError>>()?,
-                }),
-                PInstKind::Unreachable => Inst::Term(Terminator::Unreachable),
-            };
-            let id = f.append_inst(bid, inst);
-            if let Some(n) = &pi.name {
-                f.set_inst_name(id, n.clone());
-            }
-            for (k, v) in &pi.meta {
-                f.set_inst_metadata(id, k.clone(), v.clone());
-            }
-        }
+/// Parse one `define ... { ... }` snippet against an existing module's
+/// symbol table.
+///
+/// The incremental half of the IDE diff-parser: when an edit is confined to
+/// one function's [`FuncSpan`], only that snippet is re-parsed; symbols
+/// (`@globals`, called functions) resolve against `module`, so any
+/// reference valid in the full text is valid here. The returned function is
+/// *not* installed; the caller swaps it in via its editing API.
+///
+/// # Errors
+/// Returns [`ParseError`] on malformed input, unresolved references, or
+/// trailing tokens after the closing `}`.
+pub fn parse_function_text(module: &Module, src: &str) -> Result<Function> {
+    let mut p = Parser::new(src, Some(module));
+    p.cur.keyword("define")?;
+    let (_, mut f) = p.signature()?;
+    p.cur.expect(b'{')?;
+    p.body(&mut f)?;
+    if p.cur.tok != Tok::Eof {
+        return Err(p.cur.unexpected("end of input after the function body"));
     }
     Ok(f)
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1291,42 +1225,226 @@ done:
         crate::verifier::verify_module(&m).expect("verifies");
     }
 
-    #[test]
-    fn rejects_unknown_value() {
-        let src = r#"
-module "b" {
-define i64 @f() {
-entry:
-  ret %nope
-}
-}
-"#;
-        let err = parse_module(src).unwrap_err();
-        assert!(err.message.contains("unknown value"));
+    /// `parse_module` of `module "t" { <items> }`, one item per line from
+    /// line 2 on, as `(line, column, message)` of the error it must give.
+    fn error_of(items: &[&str]) -> (usize, usize, String) {
+        let src = format!("module \"t\" {{\n{}\n}}\n", items.join("\n"));
+        let e = parse_module(&src).expect_err("must not parse");
+        (e.line, e.column, e.message)
     }
 
     #[test]
-    fn rejects_duplicate_labels() {
-        let src = r#"
-module "b" {
-define void @f() {
-entry:
-  br entry
-entry:
-  ret void
-}
-}
-"#;
-        let err = parse_module(src).unwrap_err();
-        assert!(err.message.contains("duplicate block label"));
+    fn errors_carry_the_position_of_the_offending_token() {
+        let at = |line, col, msg: &str| (line, col, msg.to_string());
+        // Resolution errors point at the use, not at line 0.
+        let f = |body: &[&str]| {
+            let mut items = vec!["define i64 @f(i64 %p) {", "entry:"];
+            items.extend(body);
+            items.push("}");
+            error_of(&items)
+        };
+        assert_eq!(f(&["  ret %nope"]), at(4, 7, "unknown value '%nope' in @f"));
+        assert_eq!(
+            f(&["  br nowhere"]),
+            at(4, 6, "unknown label 'nowhere' in @f")
+        );
+        assert_eq!(
+            f(&["  %a = load i64, @gone", "  ret %a"]),
+            at(4, 18, "unknown symbol '@gone'")
+        );
+        assert_eq!(
+            f(&["  %a = call i64 @gone()", "  ret %a"]),
+            at(4, 17, "call to unknown function '@gone'")
+        );
+        assert_eq!(
+            f(&["  %a = add i64 %p, %p", "  %a = add i64 %p, %p", "  ret %a"]),
+            at(5, 3, "duplicate SSA name '%a' in @f")
+        );
+        assert_eq!(
+            f(&["  br entry", "entry:", "  ret %p"]),
+            at(5, 1, "duplicate block label 'entry'")
+        );
+        // A duplicate is reported where it stands even when the name was
+        // first met as a forward use.
+        assert_eq!(
+            f(&[
+                "  br next",
+                "next:",
+                "  %x = add i64 %y, %p",
+                "  %y = add i64 %p, %p",
+                "  %y = add i64 %p, %p"
+            ]),
+            at(8, 3, "duplicate SSA name '%y' in @f")
+        );
+        // The token that is wrong, in source form, on its own line: `br 5`
+        // on line 4 is not blamed on the `}` of line 5.
+        assert_eq!(
+            f(&["  br 5"]),
+            at(4, 6, "expected a block label, found '5'")
+        );
+        assert_eq!(
+            f(&["  frobnicate i64 %p"]),
+            at(4, 3, "unknown opcode 'frobnicate'")
+        );
+        assert_eq!(
+            f(&["  store i64 i64 1"]),
+            at(5, 1, "expected ',', found '}'")
+        );
+        assert_eq!(
+            error_of(&["  garbage here"]),
+            at(
+                2,
+                3,
+                "expected 'meta', 'global', 'const', 'declare', 'define' or '}', found 'garbage'"
+            )
+        );
+        assert_eq!(
+            error_of(&["global @g : i64 = i64 0", "define i64 @f() {"]),
+            at(4, 1, "function body has no blocks")
+        );
+        let e = parse_module("module \"t\" {\ndefine i64 @f() {\nentry:\n").unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "parse error at 4:1: unexpected end of input in function body"
+        );
+        let e = parse_module("module \"t\" {\n  meta \"é\" = é").unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "parse error at 2:14: unexpected character 'é'"
+        );
     }
 
     #[test]
-    fn rejects_unknown_opcode_with_line() {
-        let src = "module \"b\" {\ndefine void @f() {\nentry:\n  frobnicate i64 %x\n}\n}\n";
-        let err = parse_module(src).unwrap_err();
-        assert!(err.message.contains("unknown opcode"));
-        assert_eq!(err.line, 4);
+    fn the_first_error_in_the_text_wins() {
+        // A stray byte further down no longer pre-empts the syntax error.
+        let (line, _, message) = error_of(&["define void @f() {", "entry:", "  br 5", "}", "#"]);
+        assert_eq!(
+            (line, message.as_str()),
+            (4, "expected a block label, found '5'")
+        );
+        let (line, _, message) = error_of(&["global @g : i64 = i64 #", "  garbage"]);
+        assert_eq!((line, message.as_str()), (2, "unexpected character '#'"));
+    }
+
+    #[test]
+    fn forward_references_resolve_at_the_closing_brace() {
+        let src = r#"
+module "fwd" {
+declare i64 @both()
+define i64 @first(i64 %n) {
+entry:
+  br later
+later:
+  %p = phi i64 [entry: i64 0] [later: %q]
+  %q = call i64 @second(%p)
+  %t = load i64, @tab
+  %b = load i64, @both
+  %c = icmp slt i64 %q, %n
+  condbr %c, later, done
+done:
+  ret %q
+}
+define i64 @second(i64 %x) {
+entry:
+  ret %x
+}
+global @tab : i64 = i64 0
+global @both : i64 = i64 0
+}
+"#;
+        let m = parse_module(src).expect("parses");
+        crate::verifier::verify_module(&m).expect("verifies");
+        let f = m.func_by_name("first").unwrap();
+        let ids = f.inst_ids();
+        let later = f.block_order()[1];
+        assert_eq!(f.inst(ids[0]), &Inst::Term(Terminator::Br(later)));
+        let Inst::Phi { incomings, .. } = f.inst(ids[1]) else {
+            panic!("phi expected");
+        };
+        assert_eq!(incomings[1], (later, Value::Inst(ids[2])));
+        let second = m.func_id_by_name("second").unwrap();
+        assert!(
+            matches!(f.inst(ids[2]), Inst::Call { callee: Callee::Direct(c), .. } if *c == second)
+        );
+        let tab = m.global_id_by_name("tab").unwrap();
+        assert!(matches!(f.inst(ids[3]), Inst::Load { ptr: Value::Global(g), .. } if *g == tab));
+        // `@both` names a function when it is used, but a global by the end
+        // of the module, and a global wins.
+        let both = m.global_id_by_name("both").unwrap();
+        assert!(matches!(f.inst(ids[4]), Inst::Load { ptr: Value::Global(g), .. } if *g == both));
+    }
+
+    #[test]
+    fn a_forward_declaration_receives_the_body() {
+        let src = "module \"d\" {\ndeclare i64 @f(i64 %x)\ndefine i64 @g() {\nentry:\n  \
+                   %r = call i64 @f(i64 1)\n  ret %r\n}\ndefine i64 @f(i64 %x) {\nentry:\n  ret %x\n}\n}";
+        let m = parse_module(src).expect("parses");
+        assert_eq!(m.functions().len(), 3);
+        assert!(!m.functions()[0].is_declaration() && m.functions()[2].is_declaration());
+        crate::verifier::verify_module(&m).expect("verifies");
+        // Redefinition replaces the body; uses recorded in the old one go.
+        let twice = "module \"d\" {\ndefine i64 @f() {\nentry:\n  %a = call i64 @late()\n  \
+                     %b = call i64 @late()\n  ret %b\n}\ndefine i64 @f() {\nentry:\n  ret i64 1\n}\n\
+                     declare i64 @late()\n}";
+        let m = parse_module(twice).expect("parses");
+        assert_eq!(m.functions()[0].num_insts(), 1);
+    }
+
+    #[test]
+    fn type_nesting_is_bounded() {
+        let global = |ty: &str| format!("module \"t\" {{\nglobal @g : {ty} = zero\n}}\n");
+        let nested = |n: usize| format!("{}i64{}", "[1 x ".repeat(n), "]".repeat(n));
+        parse_module(&global(&nested(MAX_TYPE_DEPTH as usize - 1))).expect("within the bound");
+        for ty in [
+            nested(MAX_TYPE_DEPTH as usize),
+            nested(200_000),
+            format!("i8{}", "*".repeat(200_000)),
+            format!("{}{}", nested(40), "*".repeat(40)),
+            format!("{}i8", "fn ".repeat(200_000)),
+        ] {
+            let e = parse_module(&global(&ty)).unwrap_err();
+            assert_eq!((e.message.as_str(), e.line), ("type nesting too deep", 2));
+        }
+    }
+
+    #[test]
+    fn lexical_corners() {
+        let src = "module \"λ \\\"q\\\" \\\\ \\n\" { ; commentaire é\r\n\
+                   meta \"clé\" = \"värde\"\r\n\
+                   define f64 @f() {\r\nentry:\u{a0}\u{2003}\r\n  \
+                   %a = fadd f64 f64 inf, f64 -inf\r\n  %b = fadd f64 %a, f64 NaN\r\n  \
+                   %c = fadd f64 %b, f64 -2\r\n  ret %c\r\n}\r\n} ; no newline at the end";
+        let m = parse_module(src).expect("parses");
+        assert_eq!(m.name, "λ \"q\" \\ \n");
+        assert_eq!(m.metadata["clé"], "värde");
+        let f = m.func_by_name("f").unwrap();
+        let operands = |i: usize| f.inst(f.inst_ids()[i]).operands();
+        assert_eq!(
+            operands(0),
+            [f64::INFINITY, f64::NEG_INFINITY].map(Value::const_f64)
+        );
+        assert!(matches!(operands(1)[1], Value::Const(c) if c.as_f64().unwrap().is_nan()));
+        assert_eq!(operands(2)[1], Value::const_f64(-2.0));
+        for (bad, message) in [
+            ("module \"a\\qb\" {}", "bad escape '\\q'"),
+            ("module \"open\n\" {}", "unterminated string"),
+            ("module \"m\" { meta \"k\" = - }", "dangling '-'"),
+            (
+                "module \"m\" { meta \"k\" = -infinity }",
+                "unexpected '-infinity'",
+            ),
+            ("module \"m\" { global @ }", "empty name after '@'"),
+            (
+                "module \"m\" { global @g : [99999999999999999999 x i8] = zero }",
+                "bad integer literal '99999999999999999999'",
+            ),
+            (
+                "module \"m\" { global @g : f64 = f64 1.2.3 }",
+                "bad float literal '1.2.3'",
+            ),
+        ] {
+            assert_eq!(parse_module(bad).unwrap_err().message, message, "{bad}");
+        }
     }
 
     #[test]
@@ -1362,9 +1480,22 @@ entry:
         assert_eq!(f.name, "peek");
         let err = parse_function_text(&m, "define void @f() {\nentry:\n  ret void\n}\ngarbage")
             .unwrap_err();
-        assert!(err.message.contains("trailing input"));
+        assert_eq!(
+            err.message,
+            "expected end of input after the function body, found 'garbage'"
+        );
+        assert_eq!((err.line, err.column), (5, 1));
         let err = parse_function_text(&m, "define i64 @f() {\nentry:\n  ret %gone\n}").unwrap_err();
-        assert!(err.message.contains("unknown value"));
+        assert_eq!(err.message, "unknown value '%gone' in @f");
+        let err = parse_function_text(
+            &m,
+            "define i64 @f() {\nentry:\n  %p = bitcast i64* @gone to i8*\n  ret i64 0\n}",
+        )
+        .unwrap_err();
+        assert_eq!(
+            (err.message.as_str(), err.line),
+            ("unknown symbol '@gone'", 3)
+        );
     }
 
     #[test]

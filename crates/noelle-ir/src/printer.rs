@@ -3,285 +3,427 @@
 //! The format round-trips with [`crate::parser`]; `noelle-tools` binaries use
 //! it as the on-disk representation that the paper's tools exchange (a single
 //! whole-program IR file with embedded metadata).
+//!
+//! Everything streams into one `String`: no piece of the output is built
+//! on its own and copied in.
 
 use crate::inst::{Callee, Inst, InstId, Terminator};
-use crate::module::{BlockId, Function, Global, GlobalInit, Module};
+use crate::module::{BlockId, Function, GlobalInit, Module};
+use crate::types::{FloatWidth, IntWidth, Type};
 use crate::value::{Constant, Value};
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::collections::HashSet;
 use std::fmt::Write;
 
 /// Print a whole module in textual form.
 pub fn print_module(m: &Module) -> String {
-    let mut out = String::new();
-    writeln!(out, "module \"{}\" {{", m.name).unwrap();
+    let mut p = Printer::new(m);
+    p.put("module \"").put(&m.name).put("\" {\n");
     for (k, v) in &m.metadata {
-        writeln!(out, "meta \"{}\" = \"{}\"", escape(k), escape(v)).unwrap();
+        p.put("meta ").quoted(k).put(" = ").quoted(v).put("\n");
     }
     if !m.metadata.is_empty() {
-        out.push('\n');
+        p.put("\n");
     }
     for g in m.globals() {
-        out.push_str(&print_global(g));
-        out.push('\n');
+        p.put(if g.is_const { "const " } else { "" });
+        p.put("global @")
+            .put(&g.name)
+            .put(" : ")
+            .ty(&g.ty)
+            .put(" = ");
+        match &g.init {
+            GlobalInit::Zero => p.put("zero"),
+            GlobalInit::Scalar(c) => p.constant(c),
+            GlobalInit::Array(cs) => {
+                let each = |p: &mut Printer, c: &Constant| {
+                    p.constant(c);
+                };
+                p.put("[").list(cs, ", ", each).put("]")
+            }
+        };
+        p.put("\n");
     }
     if !m.globals().is_empty() {
-        out.push('\n');
+        p.put("\n");
     }
     for f in m.functions() {
-        out.push_str(&print_function(m, f));
-        out.push('\n');
+        p.function(f).put("\n");
     }
-    out.push_str("}\n");
-    out
-}
-
-fn print_global(g: &Global) -> String {
-    let prefix = if g.is_const { "const global" } else { "global" };
-    let init = match &g.init {
-        GlobalInit::Zero => "zero".to_string(),
-        GlobalInit::Scalar(c) => print_const(c),
-        GlobalInit::Array(cs) => {
-            let elems: Vec<String> = cs.iter().map(print_const).collect();
-            format!("[{}]", elems.join(", "))
-        }
-    };
-    format!("{} @{} : {} = {}", prefix, g.name, g.ty, init)
-}
-
-fn print_const(c: &Constant) -> String {
-    match c {
-        Constant::Int(v, w) => format!("{w} {v}"),
-        Constant::Float(bits, w) => format!("{w} {:?}", f64::from_bits(*bits)),
-        Constant::Null => "null".to_string(),
-        Constant::Undef => "undef".to_string(),
-    }
-}
-
-/// Unique printable names for blocks and instructions of a function.
-pub(crate) struct Namer {
-    pub blocks: HashMap<BlockId, String>,
-    pub insts: HashMap<InstId, String>,
-}
-
-impl Namer {
-    pub(crate) fn new(f: &Function) -> Namer {
-        let mut used = std::collections::HashSet::new();
-        let mut blocks = HashMap::new();
-        for &b in f.block_order() {
-            let base = {
-                let n = &f.block(b).name;
-                if n.is_empty() {
-                    format!("bb{}", b.0)
-                } else {
-                    n.clone()
-                }
-            };
-            let mut name = base.clone();
-            let mut i = 1;
-            while !used.insert(name.clone()) {
-                name = format!("{base}.{i}");
-                i += 1;
-            }
-            blocks.insert(b, name);
-        }
-        let mut used = std::collections::HashSet::new();
-        for (n, _) in &f.params {
-            used.insert(n.clone());
-        }
-        let mut insts = HashMap::new();
-        for id in f.inst_ids() {
-            if f.inst(id).result_type() == crate::types::Type::Void {
-                continue;
-            }
-            let base = f
-                .inst_data(id)
-                .name
-                .clone()
-                .unwrap_or_else(|| format!("v{}", id.0));
-            let mut name = base.clone();
-            let mut i = 1;
-            while !used.insert(name.clone()) {
-                name = format!("{base}.{i}");
-                i += 1;
-            }
-            insts.insert(id, name);
-        }
-        Namer { blocks, insts }
-    }
+    p.put("}\n");
+    p.out
 }
 
 /// Print one function (definition or declaration).
 pub fn print_function(m: &Module, f: &Function) -> String {
-    let mut out = String::new();
-    let params: Vec<String> = f.params.iter().map(|(n, t)| format!("{t} %{n}")).collect();
-    if f.is_declaration() {
-        writeln!(
-            out,
-            "declare {} @{}({})",
-            f.ret_ty,
-            f.name,
-            params.join(", ")
-        )
-        .unwrap();
-        return out;
-    }
-    writeln!(
-        out,
-        "define {} @{}({}) {{",
-        f.ret_ty,
-        f.name,
-        params.join(", ")
-    )
-    .unwrap();
-    for (k, v) in &f.metadata {
-        writeln!(out, "  fmeta \"{}\" = \"{}\"", escape(k), escape(v)).unwrap();
-    }
-    let namer = Namer::new(f);
-    for &b in f.block_order() {
-        writeln!(out, "{}:", namer.blocks[&b]).unwrap();
-        for &id in &f.block(b).insts {
-            let text = print_inst(m, f, &namer, id);
-            let meta = f
-                .inst_metadata
-                .get(&id)
-                .filter(|m| !m.is_empty())
-                .map(|md| {
-                    let kvs: Vec<String> = md
-                        .iter()
-                        .map(|(k, v)| format!("\"{}\"=\"{}\"", escape(k), escape(v)))
-                        .collect();
-                    format!(" !{{{}}}", kvs.join(", "))
-                })
-                .unwrap_or_default();
-            writeln!(out, "  {text}{meta}").unwrap();
-        }
-    }
-    writeln!(out, "}}").unwrap();
-    out
+    let mut p = Printer::new(m);
+    p.function(f);
+    p.out
 }
 
-fn print_value(m: &Module, f: &Function, namer: &Namer, v: Value) -> String {
-    match v {
-        Value::Inst(id) => format!(
-            "%{}",
-            namer
-                .insts
-                .get(&id)
-                .cloned()
-                .unwrap_or_else(|| format!("v{}", id.0))
-        ),
-        Value::Arg(i) => format!("%{}", f.params[i as usize].0),
-        Value::Const(c) => print_const(&c),
-        Value::Global(g) => format!("@{}", m.global(g).name),
-        Value::Func(fid) => format!("@{}", m.func(fid).name),
+/// Table entry of something without a printable name: an instruction with
+/// no result, or a block or instruction the layout does not reach.
+const UNNAMED: u32 = u32::MAX;
+
+/// Unique printable names for the blocks and instructions of one function,
+/// as dense tables indexed by arena index. A name is its base — the
+/// entry's own name, or a generated `bb<index>` / `v<index>` when it has
+/// none — plus, when an earlier entry took that, the first free `.1`, `.2`,
+/// ... Only the suffix number is stored (0 for none); the base is read from
+/// the function when the name is written.
+#[derive(Default)]
+struct Namer<'m> {
+    blocks: Vec<u32>,
+    insts: Vec<u32>,
+    claimed: Claimed<'m>,
+}
+
+/// The names claimed so far in the namespace being assigned, except
+/// unsuffixed generated ones: the tables already answer for those.
+#[derive(Default)]
+struct Claimed<'m> {
+    names: HashSet<Cow<'m, str>>,
+    scratch: String,
+}
+
+impl<'m> Namer<'m> {
+    fn assign(&mut self, f: &'m Function) {
+        self.blocks.clear();
+        self.blocks.resize(f.num_blocks(), UNNAMED);
+        self.claimed.names.clear();
+        for &b in f.block_order() {
+            let own = Some(f.block(b).name.as_str()).filter(|n| !n.is_empty());
+            let generated =
+                |i: usize| self.blocks.get(i) == Some(&0) && f.blocks[i].name.is_empty();
+            self.blocks[b.index()] = self.claimed.unique(own, "bb", b.0, generated);
+        }
+        self.insts.clear();
+        self.insts.resize(f.inst_arena_len(), UNNAMED);
+        self.claimed.names.clear();
+        let params = f.params.iter().map(|(n, _)| Cow::Borrowed(n.as_str()));
+        self.claimed.names.extend(params);
+        let ids = f.block_order().iter().flat_map(|&b| &f.block(b).insts);
+        for &id in ids.filter(|&&id| has_result(f.inst(id))) {
+            let own = f.inst_data(id).name.as_deref();
+            let generated = |i: usize| self.insts.get(i) == Some(&0) && f.insts[i].name.is_none();
+            self.insts[id.index()] = self.claimed.unique(own, "v", id.0, generated);
+        }
     }
 }
 
-fn print_inst(m: &Module, f: &Function, namer: &Namer, id: InstId) -> String {
-    let v = |val: Value| print_value(m, f, namer, val);
-    let def = namer
-        .insts
-        .get(&id)
-        .map(|n| format!("%{n} = "))
-        .unwrap_or_default();
-    match f.inst(id) {
-        Inst::Alloca { ty, count } => format!("{def}alloca {ty}, {}", v(*count)),
-        Inst::Load { ty, ptr } => format!("{def}load {ty}, {}", v(*ptr)),
-        Inst::Store { val, ptr, ty } => format!("store {ty} {}, {}", v(*val), v(*ptr)),
-        Inst::Gep {
-            base,
-            base_ty,
-            indices,
-        } => {
-            let idx: Vec<String> = indices.iter().map(|i| v(*i)).collect();
-            format!("{def}gep {base_ty}, {}, {}", v(*base), idx.join(", "))
+impl<'m> Claimed<'m> {
+    /// The suffix that makes the name of entry `index` unique: 0 when its
+    /// base is free, else the first `n` with `<base>.<n>` free.
+    /// `generated(i)` tells whether entry `i` already goes by its generated
+    /// name.
+    fn unique(
+        &mut self,
+        own: Option<&'m str>,
+        prefix: &str,
+        index: u32,
+        generated: impl Fn(usize) -> bool,
+    ) -> u32 {
+        let Claimed { names, scratch } = self;
+        let base_free = match own {
+            // An own name can also meet an earlier entry's generated one.
+            Some(name) => {
+                let canonical = |d: &&str| *d == "0" || !d.starts_with(['0', '+']);
+                let digits = name.strip_prefix(prefix).filter(canonical);
+                !names.contains(name) && !digits.and_then(|d| d.parse().ok()).is_some_and(generated)
+            }
+            None => {
+                scratch.clear();
+                let _ = write!(scratch, "{prefix}{index}");
+                !names.contains(scratch.as_str())
+            }
+        };
+        if base_free {
+            names.extend(own.map(Cow::Borrowed));
+            return 0;
         }
-        Inst::Bin { op, ty, lhs, rhs } => {
-            format!("{def}{} {ty} {}, {}", op.mnemonic(), v(*lhs), v(*rhs))
-        }
-        Inst::Icmp { pred, ty, lhs, rhs } => {
-            format!(
-                "{def}icmp {} {ty} {}, {}",
-                pred.mnemonic(),
-                v(*lhs),
-                v(*rhs)
-            )
-        }
-        Inst::Fcmp { pred, ty, lhs, rhs } => {
-            format!(
-                "{def}fcmp {} {ty} {}, {}",
-                pred.mnemonic(),
-                v(*lhs),
-                v(*rhs)
-            )
-        }
-        Inst::Cast { op, from, to, val } => {
-            format!("{def}{} {from} {} to {to}", op.mnemonic(), v(*val))
-        }
-        Inst::Select {
-            ty,
-            cond,
-            tval,
-            fval,
-        } => format!("{def}select {ty} {}, {}, {}", v(*cond), v(*tval), v(*fval)),
-        Inst::Phi { ty, incomings } => {
-            let inc: Vec<String> = incomings
-                .iter()
-                .map(|(b, val)| format!("[{}: {}]", namer.blocks[b], v(*val)))
-                .collect();
-            format!("{def}phi {ty} {}", inc.join(" "))
-        }
-        Inst::Call {
-            callee,
-            args,
-            ret_ty,
-        } => {
-            let target = match callee {
-                Callee::Direct(fid) => format!("@{}", m.func(*fid).name),
-                Callee::Indirect(val) => v(*val),
+        let free = |suffix: &u32| {
+            scratch.clear();
+            let _ = match own {
+                Some(name) => write!(scratch, "{name}.{suffix}"),
+                None => write!(scratch, "{prefix}{index}.{suffix}"),
             };
-            let a: Vec<String> = args.iter().map(|x| v(*x)).collect();
-            format!("{def}call {ret_ty} {target}({})", a.join(", "))
+            !names.contains(scratch.as_str()) && names.insert(Cow::Owned(scratch.clone()))
+        };
+        (1..).find(free).expect("some suffix is free")
+    }
+}
+
+/// True when `inst` produces a value, i.e. its result type is not `void`.
+fn has_result(inst: &Inst) -> bool {
+    match inst {
+        Inst::Store { .. } | Inst::Term(_) => false,
+        Inst::Alloca { .. } | Inst::Gep { .. } | Inst::Icmp { .. } | Inst::Fcmp { .. } => true,
+        Inst::Load { ty, .. }
+        | Inst::Bin { ty, .. }
+        | Inst::Select { ty, .. }
+        | Inst::Phi { ty, .. }
+        | Inst::Cast { to: ty, .. }
+        | Inst::Call { ret_ty: ty, .. } => *ty != Type::Void,
+    }
+}
+
+/// The output buffer and what writing into it needs. Every method appends
+/// and returns `self`, so a line of output reads as one chain.
+struct Printer<'m> {
+    out: String,
+    m: &'m Module,
+    namer: Namer<'m>,
+}
+
+impl<'m> Printer<'m> {
+    fn new(m: &'m Module) -> Printer<'m> {
+        Printer {
+            out: String::new(),
+            m,
+            namer: Namer::default(),
         }
-        Inst::Term(t) => match t {
-            Terminator::Ret(None) => "ret void".to_string(),
-            Terminator::Ret(Some(val)) => format!("ret {}", v(*val)),
-            Terminator::Br(b) => format!("br {}", namer.blocks[b]),
-            Terminator::CondBr {
+    }
+
+    fn put(&mut self, s: &str) -> &mut Self {
+        self.out.push_str(s);
+        self
+    }
+
+    fn int(&mut self, v: impl Into<i64>) -> &mut Self {
+        let _ = write!(self.out, "{}", v.into());
+        self
+    }
+
+    /// `items` through `each`, with `sep` between them.
+    fn list<T>(&mut self, items: &[T], sep: &str, each: impl Fn(&mut Self, &T)) -> &mut Self {
+        for (i, item) in items.iter().enumerate() {
+            self.put(if i > 0 { sep } else { "" });
+            each(self, item);
+        }
+        self
+    }
+
+    fn ty(&mut self, ty: &Type) -> &mut Self {
+        match ty {
+            Type::Void => self.put("void"),
+            Type::Int(IntWidth::I1) => self.put("i1"),
+            Type::Int(IntWidth::I8) => self.put("i8"),
+            Type::Int(IntWidth::I16) => self.put("i16"),
+            Type::Int(IntWidth::I32) => self.put("i32"),
+            Type::Int(IntWidth::I64) => self.put("i64"),
+            Type::Float(FloatWidth::F32) => self.put("f32"),
+            Type::Float(FloatWidth::F64) => self.put("f64"),
+            Type::Ptr(pointee) => self.ty(pointee).put("*"),
+            Type::Array(..) | Type::Struct(_) | Type::Func(_) => {
+                let _ = write!(self.out, "{ty}");
+                self
+            }
+        }
+    }
+
+    fn constant(&mut self, c: &Constant) -> &mut Self {
+        match *c {
+            Constant::Int(v, w) => self.ty(&Type::Int(w)).put(" ").int(v),
+            Constant::Float(bits, w) => {
+                self.ty(&Type::Float(w));
+                let _ = write!(self.out, " {:?}", f64::from_bits(bits));
+                self
+            }
+            Constant::Null => self.put("null"),
+            Constant::Undef => self.put("undef"),
+        }
+    }
+
+    /// `s` in double quotes, with `\`, `"` and newline escaped.
+    fn quoted(&mut self, s: &str) -> &mut Self {
+        self.put("\"");
+        for c in s.chars() {
+            match c {
+                '\\' => self.out.push_str("\\\\"),
+                '"' => self.out.push_str("\\\""),
+                '\n' => self.out.push_str("\\n"),
+                _ => self.out.push(c),
+            }
+        }
+        self.put("\"")
+    }
+
+    /// A name: `own`, or `<prefix><index>` without one, then `.<suffix>`.
+    fn name(&mut self, own: Option<&str>, prefix: &str, index: u32, suffix: u32) -> &mut Self {
+        match own {
+            Some(name) => self.put(name),
+            None => self.put(prefix).int(index),
+        };
+        if suffix != 0 && suffix != UNNAMED {
+            self.put(".").int(suffix);
+        }
+        self
+    }
+
+    fn block(&mut self, f: &Function, b: BlockId) -> &mut Self {
+        let own = Some(f.block(b).name.as_str()).filter(|n| !n.is_empty());
+        self.name(own, "bb", b.0, self.namer.blocks[b.index()])
+    }
+
+    fn value(&mut self, f: &Function, v: Value) -> &mut Self {
+        let m = self.m;
+        match v {
+            // An instruction the namer did not reach prints as `%v<id>`.
+            Value::Inst(id) => match self.namer.insts.get(id.index()) {
+                Some(&suffix) if suffix != UNNAMED => {
+                    let own = f.inst_data(id).name.as_deref();
+                    self.put("%").name(own, "v", id.0, suffix)
+                }
+                _ => self.put("%v").int(id.0),
+            },
+            Value::Arg(i) => self.put("%").put(&f.params[i as usize].0),
+            Value::Const(c) => self.constant(&c),
+            Value::Global(g) => self.put("@").put(&m.global(g).name),
+            Value::Func(fid) => self.put("@").put(&m.func(fid).name),
+        }
+    }
+
+    /// `, `-separated values.
+    fn values(&mut self, f: &Function, vs: &[Value]) -> &mut Self {
+        self.list(vs, ", ", |p, v| {
+            p.value(f, *v);
+        })
+    }
+
+    fn function(&mut self, f: &'m Function) -> &mut Self {
+        self.put(if f.is_declaration() {
+            "declare "
+        } else {
+            "define "
+        });
+        self.ty(&f.ret_ty).put(" @").put(&f.name).put("(");
+        self.list(&f.params, ", ", |p, (name, ty)| {
+            p.ty(ty).put(" %").put(name);
+        });
+        if f.is_declaration() {
+            return self.put(")\n");
+        }
+        self.put(") {\n");
+        for (k, v) in &f.metadata {
+            self.put("  fmeta ")
+                .quoted(k)
+                .put(" = ")
+                .quoted(v)
+                .put("\n");
+        }
+        self.namer.assign(f);
+        for &b in f.block_order() {
+            self.block(f, b).put(":\n");
+            for &id in &f.block(b).insts {
+                self.put("  ").inst(f, id);
+                if let Some(md) = f.inst_metadata.get(&id).filter(|md| !md.is_empty()) {
+                    self.put(" !{");
+                    for (i, (k, v)) in md.iter().enumerate() {
+                        self.put(if i > 0 { ", " } else { "" });
+                        self.quoted(k).put("=").quoted(v);
+                    }
+                    self.put("}");
+                }
+                self.put("\n");
+            }
+        }
+        self.put("}\n")
+    }
+
+    fn inst(&mut self, f: &Function, id: InstId) -> &mut Self {
+        if self.namer.insts[id.index()] != UNNAMED {
+            self.value(f, Value::Inst(id)).put(" = ");
+        }
+        match f.inst(id) {
+            Inst::Alloca { ty, count } => self.put("alloca ").ty(ty).put(", ").value(f, *count),
+            Inst::Load { ty, ptr } => self.put("load ").ty(ty).put(", ").value(f, *ptr),
+            Inst::Store { val, ptr, ty } => {
+                self.put("store ").ty(ty).put(" ").values(f, &[*val, *ptr])
+            }
+            Inst::Gep {
+                base,
+                base_ty,
+                indices,
+            } => {
+                self.put("gep ").ty(base_ty).put(", ").value(f, *base);
+                self.put(", ").values(f, indices)
+            }
+            Inst::Bin { op, ty, lhs, rhs } => {
+                self.put(op.mnemonic()).put(" ").ty(ty).put(" ");
+                self.values(f, &[*lhs, *rhs])
+            }
+            Inst::Icmp { pred, ty, lhs, rhs } => {
+                self.put("icmp ")
+                    .put(pred.mnemonic())
+                    .put(" ")
+                    .ty(ty)
+                    .put(" ");
+                self.values(f, &[*lhs, *rhs])
+            }
+            Inst::Fcmp { pred, ty, lhs, rhs } => {
+                self.put("fcmp ")
+                    .put(pred.mnemonic())
+                    .put(" ")
+                    .ty(ty)
+                    .put(" ");
+                self.values(f, &[*lhs, *rhs])
+            }
+            Inst::Cast { op, from, to, val } => {
+                self.put(op.mnemonic()).put(" ").ty(from).put(" ");
+                self.value(f, *val).put(" to ").ty(to)
+            }
+            Inst::Select {
+                ty,
+                cond,
+                tval,
+                fval,
+            } => {
+                self.put("select ").ty(ty).put(" ");
+                self.values(f, &[*cond, *tval, *fval])
+            }
+            Inst::Phi { ty, incomings } => {
+                self.put("phi ").ty(ty).put(" ");
+                self.list(incomings, " ", |p, (from, val)| {
+                    p.put("[").block(f, *from).put(": ").value(f, *val).put("]");
+                })
+            }
+            Inst::Call {
+                callee,
+                args,
+                ret_ty,
+            } => {
+                self.put("call ").ty(ret_ty).put(" ");
+                match callee {
+                    Callee::Direct(fid) => self.value(f, Value::Func(*fid)),
+                    Callee::Indirect(val) => self.value(f, *val),
+                };
+                self.put("(").values(f, args).put(")")
+            }
+            Inst::Term(Terminator::Ret(None)) => self.put("ret void"),
+            Inst::Term(Terminator::Ret(Some(val))) => self.put("ret ").value(f, *val),
+            Inst::Term(Terminator::Br(to)) => self.put("br ").block(f, *to),
+            Inst::Term(Terminator::CondBr {
                 cond,
                 then_bb,
                 else_bb,
-            } => format!(
-                "condbr {}, {}, {}",
-                v(*cond),
-                namer.blocks[then_bb],
-                namer.blocks[else_bb]
-            ),
-            Terminator::Switch {
+            }) => {
+                self.put("condbr ").value(f, *cond).put(", ");
+                self.block(f, *then_bb).put(", ").block(f, *else_bb)
+            }
+            Inst::Term(Terminator::Switch {
                 value,
                 default,
                 cases,
-            } => {
-                let cs: Vec<String> = cases
-                    .iter()
-                    .map(|(c, b)| format!("[{c}: {}]", namer.blocks[b]))
-                    .collect();
-                format!(
-                    "switch {}, {} {}",
-                    v(*value),
-                    namer.blocks[default],
-                    cs.join(" ")
-                )
+            }) => {
+                self.put("switch ").value(f, *value).put(", ");
+                self.block(f, *default).put(" ");
+                self.list(cases, " ", |p, (case, to)| {
+                    p.put("[").int(*case).put(": ").block(f, *to).put("]");
+                })
             }
-            Terminator::Unreachable => "unreachable".to_string(),
-        },
+            Inst::Term(Terminator::Unreachable) => self.put("unreachable"),
+        }
     }
-}
-
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\")
-        .replace('"', "\\\"")
-        .replace('\n', "\\n")
 }
 
 #[cfg(test)]
@@ -319,30 +461,46 @@ mod tests {
 
     #[test]
     fn duplicate_names_are_made_unique() {
-        let mut b = FunctionBuilder::new("f", vec![("c", Type::I1)], Type::I64);
-        let entry = b.entry_block();
-        let x1 = b.binop(
-            BinOp::Add,
-            Type::I64,
-            Value::const_i64(1),
-            Value::const_i64(2),
-        );
-        let x2 = b.binop(
-            BinOp::Add,
-            Type::I64,
-            Value::const_i64(3),
-            Value::const_i64(4),
-        );
-        b.func_mut().set_inst_name(x1.as_inst().unwrap(), "x");
-        b.func_mut().set_inst_name(x2.as_inst().unwrap(), "x");
-        let s = b.binop(BinOp::Add, Type::I64, x1, x2);
-        b.ret(Some(s));
-        let _ = entry;
+        // Own names that meet a parameter, each other, a generated name
+        // (either way round) and an already suffixed name.
+        let mut b = FunctionBuilder::new("f", vec![("x", Type::I64)], Type::I64);
+        let _ = b.entry_block();
+        let one = Value::const_i64(1);
+        let owns = [
+            Some("x"),
+            Some("x"),
+            None,
+            Some("v2"),
+            Some("v5"),
+            None,
+            Some("x.1"),
+            Some("v05"),
+        ];
+        let mut last = b.arg(0);
+        for own in owns {
+            last = b.binop(BinOp::Add, Type::I64, last, one);
+            if let Some(name) = own {
+                b.func_mut().set_inst_name(last.as_inst().unwrap(), name);
+            }
+        }
+        b.ret(Some(last));
         let mut m = Module::new("m");
         m.add_function(b.finish());
         let text = print_module(&m);
-        assert!(text.contains("%x = "));
-        assert!(text.contains("%x.1 = "));
+        let defs: Vec<&str> = text
+            .lines()
+            .filter_map(|l| l.trim().split_once(" = "))
+            .map(|(d, _)| d)
+            .collect();
+        assert_eq!(
+            defs,
+            ["%x.1", "%x.2", "%v2", "%v2.1", "%v5", "%v5.1", "%x.1.1", "%v05"]
+        );
+        assert!(text.contains("ret %v05"));
+        assert_eq!(
+            print_module(&crate::parser::parse_module(&text).unwrap()),
+            text
+        );
     }
 
     #[test]
