@@ -168,9 +168,11 @@ pub fn decode_rows(bytes: &[u8]) -> Result<PointsToRows, DecodeError> {
 ///
 /// `Sync` is a supertrait so `&dyn AliasAnalysis` can be shared across the
 /// per-function PDG construction threads; every analysis here is immutable
-/// after construction (or, for [`CachedAlias`], internally synchronized).
+/// after construction.
 pub trait AliasAnalysis: Sync {
     /// Query aliasing of pointers `a` and `b`, both values of function `fid`.
+    /// The answer must not depend on the argument order: the PDG builder asks
+    /// once per unordered pair.
     fn alias(&self, fid: FuncId, a: Value, b: Value) -> AliasResult;
 
     /// The set of abstract objects pointer `ptr` may address, or `None` when
@@ -475,7 +477,7 @@ impl AliasAnalysis for BasicAlias<'_> {
         // earlier const-gep rules only produce `Must`/`May` for pointers
         // sharing a base (hence sharing base objects). The set is
         // canonicalized from the sorted-vec form only here, at the trait
-        // boundary (memoized by `CachedAlias`, so once per distinct query).
+        // boundary (the PDG builder asks once per distinct pointer).
         let objs = underlying_objects_vec(self.module, fid, ptr);
         if !objs.first().is_some_and(Option::is_some) {
             return None;
@@ -1911,141 +1913,6 @@ impl AliasAnalysis for AliasStack<'_> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Memoizing wrapper
-// ---------------------------------------------------------------------------
-
-/// Shared memoization state for [`CachedAlias`]. Owns nothing about the
-/// module, so it can outlive the (borrowing) analyses it accelerates: the
-/// `Noelle` manager keeps one across queries and wraps each freshly-built
-/// alias stack around it. Internally synchronized, so one cache may serve
-/// the parallel per-function PDG builders concurrently.
-#[derive(Default)]
-pub struct AliasQueryCache {
-    alias: std::sync::RwLock<HashMap<(FuncId, Value, Value), AliasResult>>,
-    bases: std::sync::RwLock<BaseObjectCache>,
-    hits: std::sync::atomic::AtomicU64,
-    misses: std::sync::atomic::AtomicU64,
-}
-
-/// Memoized base-object resolutions; `None` marks a pointer whose base set
-/// escaped the resolver's fuel (treated as unknown).
-type BaseObjectCache = HashMap<(FuncId, Value), Option<BTreeSet<MemoryObject>>>;
-
-impl AliasQueryCache {
-    /// An empty cache.
-    pub fn new() -> AliasQueryCache {
-        AliasQueryCache::default()
-    }
-
-    /// `(hits, misses)` accumulated over both query kinds.
-    pub fn stats(&self) -> (u64, u64) {
-        use std::sync::atomic::Ordering;
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Fraction of queries answered from the cache (0.0 when unused).
-    pub fn hit_rate(&self) -> f64 {
-        let (h, m) = self.stats();
-        if h + m == 0 {
-            0.0
-        } else {
-            h as f64 / (h + m) as f64
-        }
-    }
-
-    /// Drop all memoized results (module mutated) but keep the counters.
-    pub fn clear(&self) {
-        self.alias.write().unwrap().clear();
-        self.bases.write().unwrap().clear();
-    }
-
-    /// Drop only the entries belonging to the given functions — both query
-    /// kinds key on the owning `FuncId`, so a per-function edit can shed
-    /// exactly the answers it may have changed while every other function's
-    /// memoized results keep serving.
-    pub fn invalidate_funcs(&self, fids: &BTreeSet<FuncId>) {
-        self.alias
-            .write()
-            .unwrap()
-            .retain(|k, _| !fids.contains(&k.0));
-        self.bases
-            .write()
-            .unwrap()
-            .retain(|k, _| !fids.contains(&k.0));
-    }
-
-    /// Number of memoized entries across both query kinds.
-    pub fn len(&self) -> usize {
-        self.alias.read().unwrap().len() + self.bases.read().unwrap().len()
-    }
-
-    /// True when no results are memoized.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    fn hit(&self) {
-        self.hits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    fn miss(&self) {
-        self.misses
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    }
-}
-
-/// Memoizing wrapper over any alias analysis. Alias keys are canonicalized
-/// to `(min, max)` — every analysis here is symmetric in its arguments — so
-/// a query and its flip share one entry.
-pub struct CachedAlias<'a> {
-    inner: &'a dyn AliasAnalysis,
-    cache: &'a AliasQueryCache,
-}
-
-impl<'a> CachedAlias<'a> {
-    /// Wrap `inner`, memoizing into `cache`.
-    pub fn new(inner: &'a dyn AliasAnalysis, cache: &'a AliasQueryCache) -> CachedAlias<'a> {
-        CachedAlias { inner, cache }
-    }
-}
-
-impl AliasAnalysis for CachedAlias<'_> {
-    fn alias(&self, fid: FuncId, a: Value, b: Value) -> AliasResult {
-        let key = if a <= b { (fid, a, b) } else { (fid, b, a) };
-        if let Some(&r) = self.cache.alias.read().unwrap().get(&key) {
-            self.cache.hit();
-            return r;
-        }
-        self.cache.miss();
-        let r = self.inner.alias(key.0, key.1, key.2);
-        self.cache.alias.write().unwrap().insert(key, r);
-        r
-    }
-
-    fn base_objects(&self, fid: FuncId, ptr: Value) -> Option<BTreeSet<MemoryObject>> {
-        if let Some(r) = self.cache.bases.read().unwrap().get(&(fid, ptr)) {
-            self.cache.hit();
-            return r.clone();
-        }
-        self.cache.miss();
-        let r = self.inner.base_objects(fid, ptr);
-        self.cache
-            .bases
-            .write()
-            .unwrap()
-            .insert((fid, ptr), r.clone());
-        r
-    }
-
-    fn name(&self) -> &'static str {
-        "cached-aa"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2329,34 +2196,6 @@ mod tests {
         }
         // An incoming argument has no bounded base set under the basic tier.
         assert_eq!(basic.base_objects(fid, Value::Arg(0)), None);
-    }
-
-    #[test]
-    fn cached_alias_memoizes_and_canonicalizes() {
-        let mut b = FunctionBuilder::new("f", vec![], Type::Void);
-        let entry = b.entry_block();
-        b.switch_to(entry);
-        let p = b.alloca(Type::I64);
-        let q = b.alloca(Type::I64);
-        b.ret(None);
-        let (m, fid) = module_with(b.finish());
-        let basic = BasicAlias::new(&m);
-        let cache = AliasQueryCache::new();
-        let cached = CachedAlias::new(&basic, &cache);
-        assert_eq!(cached.alias(fid, p, q), AliasResult::No);
-        // The flipped query is the same canonical key: a hit.
-        assert_eq!(cached.alias(fid, q, p), AliasResult::No);
-        assert_eq!(cache.stats(), (1, 1));
-        // Base-object queries memoize too.
-        let s1 = cached.base_objects(fid, p);
-        let s2 = cached.base_objects(fid, p);
-        assert_eq!(s1, s2);
-        assert_eq!(cache.stats(), (2, 2));
-        // Clearing drops entries (next query misses) but keeps counters.
-        cache.clear();
-        assert_eq!(cached.alias(fid, p, q), AliasResult::No);
-        assert_eq!(cache.stats(), (2, 3));
-        assert!(cache.hit_rate() > 0.0);
     }
 
     #[test]

@@ -14,9 +14,7 @@ use crate::architecture::Architecture;
 use crate::forest::ProgramLoopForest;
 use crate::loop_abs::LoopAbstraction;
 use crate::profiler::Profiles;
-use noelle_analysis::alias::{
-    AliasAnalysis, AliasQueryCache, AliasStack, AndersenAlias, BasicAlias, CachedAlias,
-};
+use noelle_analysis::alias::{AliasAnalysis, AliasStack, AndersenAlias, BasicAlias};
 use noelle_analysis::modref::ModRefSummaries;
 use noelle_ir::cfg::Cfg;
 use noelle_ir::dom::{DomTree, PostDomTree};
@@ -347,7 +345,6 @@ pub struct Noelle {
     /// Functions whose partitions in `prev_pdg` are untrusted (damaged by
     /// edits since that snapshot was built).
     stale: BTreeSet<FuncId>,
-    alias_cache: Arc<AliasQueryCache>,
     profiles: Option<Profiles>,
     requested: BTreeSet<Abstraction>,
     build_stats: BTreeMap<Abstraction, BuildStat>,
@@ -374,7 +371,6 @@ impl Noelle {
             pdg: None,
             prev_pdg: None,
             stale: BTreeSet::new(),
-            alias_cache: Arc::new(AliasQueryCache::new()),
             profiles: None,
             requested: BTreeSet::new(),
             build_stats: BTreeMap::new(),
@@ -444,11 +440,11 @@ impl Noelle {
     ///   shifted — direct callers of any function whose mod/ref summary
     ///   changed (reached through the cached call graph when present), and
     ///   functions whose points-to rows differ under a fresh Andersen
-    ///   solution;
-    /// * per-function alias-cache entries of exactly that damage set.
+    ///   solution.
     ///
-    /// Everything else — structures, alias answers, and PDG partitions of
-    /// undamaged functions — is reused, and the next [`Noelle::pdg`] call
+    /// Everything else — structures and PDG partitions of undamaged
+    /// functions, and with the partitions the alias verdicts their memory
+    /// edges record — is reused, and the next [`Noelle::pdg`] call
     /// repairs the snapshot instead of rebuilding it. The repaired graph is
     /// edge-identical to a from-scratch build.
     pub fn edit<R>(&mut self, k: impl FnOnce(&mut EditTx<'_>) -> R) -> R {
@@ -520,11 +516,11 @@ impl Noelle {
         // rewritten; they are cheap to re-parse on demand.
         self.profiles = None;
         let Some(mut modref) = self.modref.take() else {
-            // No mod/ref summaries means no PDG, no alias-cache entries and
-            // no previous snapshot are cached (they all force mod/ref
-            // first). Whole-program state that *can* exist without them —
-            // the points-to solution and the call graph — is simply
-            // dropped; there is no per-function reuse at stake.
+            // No mod/ref summaries means no PDG and no previous snapshot
+            // are cached (both force mod/ref first). Whole-program state
+            // that *can* exist without them — the points-to solution and
+            // the call graph — is simply dropped; there is no per-function
+            // reuse at stake.
             debug_assert!(self.pdg.is_none() && self.prev_pdg.is_none());
             self.andersen = None;
             self.call_graph = None;
@@ -582,7 +578,6 @@ impl Noelle {
                 damage.extend(update.changed);
             }
         }
-        self.alias_cache.invalidate_funcs(&damage);
         self.call_graph = None;
         self.modref = Some(modref);
         if let Some(p) = self.pdg.take() {
@@ -606,9 +601,7 @@ impl Noelle {
         std::mem::replace(&mut self.module, m)
     }
 
-    /// Drop every cached abstraction. Alias-cache *entries* are dropped too
-    /// (pointer identities may change under mutation); its hit/miss counters
-    /// survive so reports cover the whole compilation.
+    /// Drop every cached abstraction.
     pub fn invalidate(&mut self) {
         self.andersen = None;
         self.fingerprints.clear();
@@ -619,7 +612,6 @@ impl Noelle {
         self.pdg = None;
         self.prev_pdg = None;
         self.stale.clear();
-        self.alias_cache.clear();
         self.profiles = None;
         for fid in self.module.func_ids() {
             *self.revisions.entry(fid).or_insert(0) += 1;
@@ -745,15 +737,10 @@ impl Noelle {
         self.revisions.get(&fid).copied().unwrap_or(0)
     }
 
-    /// The persistent alias-query cache (for hit-rate reporting).
-    pub fn alias_cache(&self) -> &AliasQueryCache {
-        &self.alias_cache
-    }
-
-    /// Run `k` against the manager's memoizing alias stack and shared
-    /// mod/ref summaries (the immutable-borrow core of [`Noelle::with_pdg`]
-    /// and [`Noelle::pdg`]).
-    fn with_cached_stack<R>(
+    /// Run `k` against the manager's alias stack and shared mod/ref
+    /// summaries (the immutable-borrow core of [`Noelle::with_pdg`] and
+    /// [`Noelle::pdg`]).
+    fn with_stack<R>(
         &self,
         modref: Arc<ModRefSummaries>,
         k: impl FnOnce(&Module, &PdgBuilder<'_>) -> R,
@@ -764,23 +751,21 @@ impl Noelle {
             tiers.push(a);
         }
         let stack = AliasStack::new(tiers);
-        let cached = CachedAlias::new(&stack, &self.alias_cache);
-        let builder = PdgBuilder::new_with_modref(&self.module, &cached, modref);
+        let builder = PdgBuilder::new_with_modref(&self.module, &stack, modref);
         k(&self.module, &builder)
     }
 
     /// Run `k` with a [`PdgBuilder`] configured for this manager's alias
-    /// tier. The builder memoizes alias queries into the manager's
-    /// persistent cache and shares the cached mod/ref summaries, so repeated
-    /// calls do not re-pay analysis costs. The PDG abstraction is recorded
-    /// as requested.
+    /// tier. The builder shares the cached points-to solution and mod/ref
+    /// summaries, so repeated calls do not re-pay analysis costs. The PDG
+    /// abstraction is recorded as requested.
     pub fn with_pdg<R>(&mut self, k: impl FnOnce(&Module, &PdgBuilder<'_>) -> R) -> R {
         self.note(Abstraction::Pdg);
         if self.tier == AliasTier::Full {
             self.ensure_andersen();
         }
         let modref = self.ensure_modref();
-        self.with_cached_stack(modref, k)
+        self.with_stack(modref, k)
     }
 
     /// The whole-program PDG, built once (in parallel, demand-driven) and
@@ -853,7 +838,7 @@ impl Noelle {
                     self.ensure_andersen();
                 }
                 let modref = self.ensure_modref();
-                let fresh = self.with_cached_stack(modref, |_, b| b.pdg_partitions(&rebuild));
+                let fresh = self.with_stack(modref, |_, b| b.pdg_partitions(&rebuild));
                 self.counters.pdg_misses += rebuild.len() as u64;
                 if let (Some(store), Some(ctx)) = (&store, &ctx) {
                     for (&fid, g) in &fresh {
@@ -1020,7 +1005,7 @@ impl Noelle {
         };
         let modref = self.ensure_modref();
         let t = Instant::now();
-        let la = self.with_cached_stack(modref, |_, b| match &fg {
+        let la = self.with_stack(modref, |_, b| match &fg {
             Some(fg) => LoopAbstraction::build_with(b, fid, l, fg),
             None => LoopAbstraction::build(b, fid, l),
         });
@@ -1402,25 +1387,6 @@ mod tests {
         let s = n.structures(fid);
         assert!(!s.forest.loops().is_empty());
         assert!(s.dom.dominates(entry, s.forest.loops()[0].header));
-    }
-
-    #[test]
-    fn alias_cache_persists_across_pdg_requests() {
-        let mut n = Noelle::new(loop_module(), AliasTier::Full);
-        let fid = n.module().func_ids().next().unwrap();
-        n.with_pdg(|_, b| {
-            let _ = b.function_pdg(fid);
-        });
-        let (_, m1) = n.alias_cache().stats();
-        n.with_pdg(|_, b| {
-            let _ = b.function_pdg(fid);
-        });
-        let (h2, m2) = n.alias_cache().stats();
-        // The second identical build answers from the cache: misses did not
-        // grow, hits did.
-        assert_eq!(m1, m2);
-        assert!(h2 > 0);
-        assert!(n.alias_cache().hit_rate() > 0.0);
     }
 
     #[test]

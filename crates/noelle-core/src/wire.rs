@@ -239,7 +239,7 @@ fn build_stat_to_json(s: &BuildStat) -> Json {
 }
 
 /// One manager's cache-health report: per-abstraction build counts/time,
-/// the alias-query cache counters, and the approximate heap held by the
+/// the per-function cache counters, and the approximate heap held by the
 /// cached analysis state. This is what lets a client verify that a repeated
 /// query did *not* rebuild.
 pub fn manager_stats_to_json(n: &Noelle) -> Json {
@@ -248,7 +248,6 @@ pub fn manager_stats_to_json(n: &Noelle) -> Json {
         .iter()
         .map(|(a, s)| (a.short_name().to_string(), build_stat_to_json(s)))
         .collect::<Vec<_>>();
-    let (hits, misses) = n.alias_cache().stats();
     let c = n.func_cache_counters();
     let mem = n.memory_stats();
     Json::object([
@@ -266,13 +265,6 @@ pub fn manager_stats_to_json(n: &Noelle) -> Json {
                     "bytes_per_function".to_string(),
                     Json::Int(mem.bytes_per_function as i64),
                 ),
-            ]),
-        ),
-        (
-            "alias_cache".to_string(),
-            Json::object([
-                ("hits".to_string(), Json::Int(hits as i64)),
-                ("misses".to_string(), Json::Int(misses as i64)),
             ]),
         ),
         (

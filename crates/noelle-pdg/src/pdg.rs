@@ -36,8 +36,9 @@ struct MemEffect {
 /// Builds PDGs for one module against a chosen alias-analysis stack.
 ///
 /// The builder is `Sync` (the module and alias stack are immutable, the
-/// mod/ref summaries shared through an `Arc`), so [`PdgBuilder::program_pdg`]
-/// can fan per-function construction out across threads.
+/// mod/ref summaries shared through an `Arc`) and holds no state between
+/// calls, so [`PdgBuilder::program_pdg`] can fan per-function construction
+/// out across threads.
 pub struct PdgBuilder<'a> {
     module: &'a Module,
     alias: &'a dyn AliasAnalysis,
@@ -175,115 +176,7 @@ impl<'a> PdgBuilder<'a> {
         per_function
     }
 
-    /// Sequential all-pairs reference build of the whole-program PDG: the
-    /// pre-bucketing algorithm, kept as the oracle the bucketed/parallel
-    /// path is tested against and the baseline the benches compare to.
-    pub fn program_pdg_allpairs(&self) -> ProgramPdg {
-        let per_function = self
-            .module
-            .func_ids()
-            .filter(|&fid| !self.module.func(fid).is_declaration())
-            .map(|fid| (fid, Arc::new(self.function_pdg_allpairs(fid))))
-            .collect();
-        ProgramPdg { per_function }
-    }
-
-    /// Sequential whole-program build through [`PdgBuilder::function_pdg_seed_layout`]:
-    /// the measured "old layout" baseline of the scaling benches.
-    pub fn program_pdg_seed_layout(&self) -> ProgramPdg {
-        let per_function = self
-            .module
-            .func_ids()
-            .filter(|&fid| !self.module.func(fid).is_declaration())
-            .map(|fid| (fid, Arc::new(self.function_pdg_seed_layout(fid))))
-            .collect();
-        ProgramPdg { per_function }
-    }
-
-    /// Pre-CSR reference build, preserved verbatim as the baseline the
-    /// data-layout benches extrapolate from. Every cost the layout work
-    /// removed is deliberately still here: adjacency-map graph construction
-    /// (`add_internal`/`add_edge` into hash maps, never frozen), a `Vec`
-    /// allocated per instruction for its operands, `HashMap`-keyed block
-    /// positions with a linear `position_in_block` scan per entry, a
-    /// `BTreeSet`-accumulated pair list, and two independent alias queries
-    /// per memory pair. Edge sets are identical to the bucketed/CSR path
-    /// (pinned by `seed_layout_matches_fast_path`); only the layout differs.
-    pub fn function_pdg_seed_layout(&self, fid: FuncId) -> DepGraph<InstId> {
-        let f = self.module.func(fid);
-        let cfg = Cfg::new(f);
-        let mut g: DepGraph<InstId> = DepGraph::new();
-        let inst_ids = f.inst_ids();
-        for &id in &inst_ids {
-            g.add_internal(id);
-        }
-
-        // Register (SSA) dependences.
-        for &id in &inst_ids {
-            for op in f.inst(id).operands() {
-                if let Value::Inst(def) = op {
-                    g.add_edge(def, id, EdgeAttrs::register());
-                }
-            }
-        }
-
-        // Control dependences, in the same deterministic block order as the
-        // CSR path so the two layouts emit identical edge streams.
-        let pdt = PostDomTree::new(f, &cfg);
-        for (dep_block, ctrls) in sorted_control_deps(&pdt, &cfg) {
-            for ctrl in ctrls {
-                if let Some(term) = f.terminator_id(ctrl) {
-                    for &id in &f.block(dep_block).insts {
-                        g.add_edge(term, id, EdgeAttrs::control());
-                    }
-                }
-            }
-        }
-
-        // Memory dependences over every ordered pair, each direction paying
-        // its own alias query — the pre-layout-work cost model.
-        let mem: Vec<(InstId, MemEffect)> = inst_ids
-            .iter()
-            .filter_map(|&id| self.mem_effect(fid, f, id).map(|e| (id, e)))
-            .collect();
-        let pos: HashMap<InstId, (noelle_ir::module::BlockId, usize)> = inst_ids
-            .iter()
-            .map(|&id| {
-                (
-                    id,
-                    (f.parent_block(id), f.position_in_block(id).unwrap_or(0)),
-                )
-            })
-            .collect();
-        let pairs: BTreeSet<(usize, usize)> =
-            PdgBuilder::all_pairs(mem.len()).into_iter().collect();
-        for (i, j) in pairs {
-            let (ia, ea) = &mem[i];
-            let (ib, eb) = &mem[j];
-            let (ba, pa) = pos[ia];
-            let (bb, pb) = pos[ib];
-            let same_block = ba == bb;
-            let fwd = PdgBuilder::conflict_kind_of(ea, eb, self.pair_aliasing(fid, ea, eb));
-            if let Some((kind, must)) = fwd {
-                if !same_block || pa < pb {
-                    let mut attrs = EdgeAttrs::memory(kind);
-                    attrs.must = must && ea.ptr.is_some() && eb.ptr.is_some();
-                    g.add_edge(*ia, *ib, attrs);
-                }
-            }
-            let bwd = PdgBuilder::conflict_kind_of(eb, ea, self.pair_aliasing(fid, eb, ea));
-            if let Some((kind, must)) = bwd {
-                if !same_block || pb < pa {
-                    let mut attrs = EdgeAttrs::memory(kind);
-                    attrs.must = must && ea.ptr.is_some() && eb.ptr.is_some();
-                    g.add_edge(*ib, *ia, attrs);
-                }
-            }
-        }
-        g
-    }
-
-    fn mem_effect(&self, fid: FuncId, f: &Function, id: InstId) -> Option<MemEffect> {
+    fn mem_effect(&self, f: &Function, id: InstId) -> Option<MemEffect> {
         match f.inst(id) {
             Inst::Load { ptr, .. } => Some(MemEffect {
                 reads: true,
@@ -306,7 +199,6 @@ impl<'a> PdgBuilder<'a> {
                     ),
                     Callee::Indirect(_) => (true, true, true),
                 };
-                let _ = fid;
                 if reads || writes || io {
                     Some(MemEffect {
                         reads,
@@ -322,63 +214,46 @@ impl<'a> PdgBuilder<'a> {
         }
     }
 
-    /// One symmetric alias query for an unordered access pair: `Some`
-    /// when both sides are plain pointer accesses (pointer-based
-    /// disambiguation applies), `None` when either side has no pointer
-    /// (calls, I/O).
-    fn pair_aliasing(&self, fid: FuncId, a: &MemEffect, b: &MemEffect) -> Option<AliasResult> {
-        match (a.ptr, b.ptr) {
-            (Some(pa), Some(pb)) => Some(self.alias.alias(fid, pa, pb)),
-            _ => None,
-        }
-    }
-
-    /// Can accesses `a` and `b` conflict, and with which data-dependence kind
-    /// for the ordered pair `a -> b`? `aliasing` is the pair's symmetric
-    /// alias verdict from [`PdgBuilder::pair_aliasing`] — shared by both
-    /// orientations of the pair.
-    fn conflict_kind_of(
-        a: &MemEffect,
-        b: &MemEffect,
-        aliasing: Option<AliasResult>,
-    ) -> Option<(DataDepKind, bool)> {
-        let mut must = false;
-        match aliasing {
-            Some(AliasResult::No) => return None,
-            Some(AliasResult::Must) => must = true,
-            Some(AliasResult::May) | None => {}
-        }
-        let kind = if a.writes && b.reads {
-            DataDepKind::Raw
+    /// The data-dependence kind of the ordered pair `a -> b`, if the two
+    /// effects conflict at all. Whether they conflict does not depend on the
+    /// order — swapping `a` and `b` swaps RAW with WAR and nothing else — so
+    /// a pair is connected in one direction exactly when it is in the other.
+    fn conflict_kind(a: &MemEffect, b: &MemEffect) -> Option<DataDepKind> {
+        if a.writes && b.reads {
+            Some(DataDepKind::Raw)
         } else if a.reads && b.writes {
-            DataDepKind::War
-        } else if a.writes && b.writes {
-            DataDepKind::Waw
-        } else if a.io && b.io {
+            Some(DataDepKind::War)
+        } else if (a.writes && b.writes) || (a.io && b.io) {
             // Two I/O operations must stay ordered even though they do not
             // touch user-visible memory (e.g. two prints).
-            DataDepKind::Waw
+            Some(DataDepKind::Waw)
         } else {
-            return None;
-        };
-        Some((kind, must))
+            None
+        }
     }
 
     /// Indices into `mem` of the unordered access pairs that base-object
     /// bucketing cannot rule out, in ascending `(i, j)` order (`i < j`).
     ///
     /// Accesses are grouped by the abstract objects their pointer may
-    /// address ([`AliasAnalysis::base_objects`]); only pairs sharing a
-    /// bucket are candidates. Accesses with no bounded base set — calls,
-    /// unknown pointers — land in a catch-all group examined against
-    /// everything. Sound and *exact* relative to the all-pairs loop: a
-    /// skipped pair has disjoint known base sets, for which the alias
-    /// contract guarantees `No` — the all-pairs loop would add no edge.
+    /// address ([`AliasAnalysis::base_objects`], asked once per distinct
+    /// pointer — many accesses share one); only pairs sharing a bucket are
+    /// candidates. Accesses with no bounded base set — calls, unknown
+    /// pointers — land in a catch-all group examined against everything.
+    /// Sound and *exact* relative to the all-pairs loop: a skipped pair has
+    /// disjoint known base sets, for which the alias contract guarantees
+    /// `No` — the all-pairs loop would add no edge.
     fn candidate_pairs(&self, fid: FuncId, mem: &[(InstId, MemEffect)]) -> Vec<(usize, usize)> {
-        let mut buckets: BTreeMap<MemoryObject, Vec<usize>> = BTreeMap::new();
+        let mut bases: HashMap<Value, Option<BTreeSet<MemoryObject>>> = HashMap::new();
+        for p in mem.iter().filter_map(|(_, e)| e.ptr) {
+            bases
+                .entry(p)
+                .or_insert_with(|| self.alias.base_objects(fid, p));
+        }
+        let mut buckets: BTreeMap<&MemoryObject, Vec<usize>> = BTreeMap::new();
         let mut catch_all: Vec<usize> = Vec::new();
         for (i, (_, e)) in mem.iter().enumerate() {
-            match e.ptr.and_then(|p| self.alias.base_objects(fid, p)) {
+            match e.ptr.and_then(|p| bases[&p].as_ref()) {
                 Some(objs) if !objs.is_empty() => {
                     for o in objs {
                         buckets.entry(o).or_default().push(i);
@@ -469,7 +344,7 @@ impl<'a> PdgBuilder<'a> {
         // edges in both directions (flow-insensitive may-dependences).
         let mem: Vec<(InstId, MemEffect)> = inst_ids
             .iter()
-            .filter_map(|&id| self.mem_effect(fid, f, id).map(|e| (id, e)))
+            .filter_map(|&id| self.mem_effect(f, id).map(|e| (id, e)))
             .collect();
         // Dense per-instruction position table (InstId is an arena index).
         let max_idx = inst_ids.iter().map(|id| id.index()).max().unwrap_or(0);
@@ -482,29 +357,46 @@ impl<'a> PdgBuilder<'a> {
         } else {
             self.candidate_pairs(fid, &mem)
         };
+        // This call's alias verdicts. The graph it returns is the memo that
+        // outlives it: a memory edge between two accesses records "not
+        // `No`", its `must` flag records `Must` (see `loop_pdg_with`).
+        let mut verdicts: HashMap<(Value, Value), AliasResult> = HashMap::new();
         for (i, j) in pairs {
             let (ia, ea) = &mem[i];
             let (ib, eb) = &mem[j];
             let (ba, pa) = pos[ia.index()];
             let (bb, pb) = pos[ib.index()];
             let same_block = ba == bb;
-            // One alias query answers both directions: `alias` is symmetric,
-            // so querying each ordered pair separately just doubled the hot
-            // path's cost.
-            let aliasing = self.pair_aliasing(fid, ea, eb);
+            // One verdict per distinct unordered pointer pair answers both
+            // directions of every access pair that uses those pointers
+            // (`alias` is symmetric). Accesses without a pointer — calls,
+            // I/O — are not disambiguated.
+            let must = match (ea.ptr, eb.ptr) {
+                (Some(p), Some(q)) => {
+                    let key = if p <= q { (p, q) } else { (q, p) };
+                    match *verdicts
+                        .entry(key)
+                        .or_insert_with(|| self.alias.alias(fid, key.0, key.1))
+                    {
+                        AliasResult::No => continue,
+                        verdict => verdict == AliasResult::Must,
+                    }
+                }
+                _ => false,
+            };
             // a -> b direction.
-            if let Some((kind, must)) = PdgBuilder::conflict_kind_of(ea, eb, aliasing) {
+            if let Some(kind) = PdgBuilder::conflict_kind(ea, eb) {
                 if !same_block || pa < pb {
                     let mut attrs = EdgeAttrs::memory(kind);
-                    attrs.must = must && ea.ptr.is_some() && eb.ptr.is_some();
+                    attrs.must = must;
                     push(&mut edges, *ia, *ib, attrs);
                 }
             }
             // b -> a direction.
-            if let Some((kind, must)) = PdgBuilder::conflict_kind_of(eb, ea, aliasing) {
+            if let Some(kind) = PdgBuilder::conflict_kind(eb, ea) {
                 if !same_block || pb < pa {
                     let mut attrs = EdgeAttrs::memory(kind);
-                    attrs.must = must && ea.ptr.is_some() && eb.ptr.is_some();
+                    attrs.must = must;
                     push(&mut edges, *ib, *ia, attrs);
                 }
             }
@@ -534,7 +426,7 @@ impl<'a> PdgBuilder<'a> {
             let f = self.module.func(fid);
             f.inst_ids()
                 .into_iter()
-                .filter_map(|id| self.mem_effect(fid, f, id).map(|e| (id, e)))
+                .filter_map(|id| self.mem_effect(f, id).map(|e| (id, e)))
                 .map(|(id, e)| {
                     let objs = e.ptr.and_then(|p| self.alias.base_objects(fid, p));
                     (id, e, objs)
@@ -555,7 +447,7 @@ impl<'a> PdgBuilder<'a> {
                 if !overlap(oa, ob) {
                     continue;
                 }
-                if let Some((kind, _)) = self.conflict_kind_unordered(ea, eb) {
+                if let Some(kind) = PdgBuilder::conflict_kind(ea, eb) {
                     out.push(DepEdge {
                         src: (caller, *ia),
                         dst: (callee, *ib),
@@ -565,22 +457,6 @@ impl<'a> PdgBuilder<'a> {
             }
         }
         out
-    }
-
-    /// [`PdgBuilder::conflict_kind`] without the pointer-pair alias query —
-    /// for accesses in different functions, where the two pointers are not
-    /// comparable values.
-    fn conflict_kind_unordered(&self, a: &MemEffect, b: &MemEffect) -> Option<(DataDepKind, bool)> {
-        let kind = if a.writes && b.reads {
-            DataDepKind::Raw
-        } else if a.reads && b.writes {
-            DataDepKind::War
-        } else if (a.writes && b.writes) || (a.io && b.io) {
-            DataDepKind::Waw
-        } else {
-            return None;
-        };
-        Some((kind, false))
     }
 
     /// Build the *loop dependence graph* of `l` in function `fid`: internal
@@ -594,6 +470,15 @@ impl<'a> PdgBuilder<'a> {
     /// [`PdgBuilder::loop_pdg`] carving from an already-built function PDG —
     /// callers holding a cached whole-program PDG (the `Noelle` manager)
     /// avoid rebuilding the function graph for every loop of a function.
+    ///
+    /// `function_graph` must be this builder's [`PdgBuilder::function_pdg`]
+    /// of `fid`, or a store-decoded copy of it: it is the only record of the
+    /// alias verdicts this function consults. Two accesses of the loop
+    /// conflict exactly when a memory edge connects them there, in either
+    /// direction (the function graph orients same-block pairs one way, and
+    /// a dependence kind exists in both directions or neither);
+    /// the edge's `must` flag is the `Must` verdict. The alias stack is not
+    /// asked again.
     pub fn loop_pdg_with(
         &self,
         fid: FuncId,
@@ -607,8 +492,9 @@ impl<'a> PdgBuilder<'a> {
             .filter(|&id| l.contains(f.parent_block(id)))
             .collect();
 
-        // Start from the carved sub-graph but drop the memory edges between
-        // internal nodes: those are recomputed below with iteration
+        // Start from the carved sub-graph. The memory edges between internal
+        // nodes are not copied: they are read as the pair's alias verdict
+        // (unordered pair -> must) and re-derived below with iteration
         // awareness.
         let carved = function_graph.subgraph(&loop_insts);
         let mut g: DepGraph<InstId> = DepGraph::new();
@@ -618,10 +504,12 @@ impl<'a> PdgBuilder<'a> {
         for n in carved.external_nodes() {
             g.add_external(n);
         }
+        let mut conflicts: HashMap<(InstId, InstId), bool> = HashMap::new();
         for e in carved.edges() {
             let both_internal = loop_insts.contains(&e.src) && loop_insts.contains(&e.dst);
             if both_internal && e.attrs.memory {
-                continue; // recomputed below
+                conflicts.insert((e.src.min(e.dst), e.src.max(e.dst)), e.attrs.must);
+                continue;
             }
             let mut attrs = e.attrs;
             // Register dependence into a header phi along the back edge is
@@ -640,22 +528,18 @@ impl<'a> PdgBuilder<'a> {
             g.add_edge(e.src, e.dst, attrs);
         }
 
-        // Loop-centric memory refinement.
+        // Loop-centric memory refinement. `mem` ascends by `InstId`, so
+        // `(ia, ib)` below is already the table's `(min, max)` key.
         let recs = affine_recurrences(f, l);
         let mem: Vec<(InstId, MemEffect)> = loop_insts
             .iter()
-            .filter_map(|&id| self.mem_effect(fid, f, id).map(|e| (id, e)))
+            .filter_map(|&id| self.mem_effect(f, id).map(|e| (id, e)))
             .collect();
         let iter_local = |e: &MemEffect| {
             e.ptr
                 .map(|p| distinct_per_iteration(f, l, &recs, p))
                 .unwrap_or(false)
         };
-        // Bucketing prunes the cross-access pairs here just as in the
-        // function-level build; a pruned pair has `No` aliasing, for which
-        // both `conflict_kind` directions return `None` below.
-        let candidates: std::collections::HashSet<(usize, usize)> =
-            self.candidate_pairs(fid, &mem).into_iter().collect();
         for (i, (ia, ea)) in mem.iter().enumerate() {
             // Self-dependence of writes across iterations.
             if ea.writes && !iter_local(ea) {
@@ -665,31 +549,25 @@ impl<'a> PdgBuilder<'a> {
                 // I/O must stay ordered across iterations too.
                 g.add_edge(*ia, *ia, EdgeAttrs::memory(DataDepKind::Waw).carried());
             }
-            for (j, (ib, eb)) in mem.iter().enumerate().skip(i + 1) {
-                if !candidates.contains(&(i, j)) {
+            for (ib, eb) in &mem[i + 1..] {
+                let Some(&must) = conflicts.get(&(*ia, *ib)) else {
                     continue;
-                }
-                let aliasing = self.pair_aliasing(fid, ea, eb);
-                let fwd = PdgBuilder::conflict_kind_of(ea, eb, aliasing);
-                let bwd = PdgBuilder::conflict_kind_of(eb, ea, aliasing);
-                if fwd.is_none() && bwd.is_none() {
-                    continue;
-                }
+                };
+                let fwd = PdgBuilder::conflict_kind(ea, eb);
+                let bwd = PdgBuilder::conflict_kind(eb, ea);
                 // Same pointer, provably distinct location each iteration:
                 // only an intra-iteration dependence, oriented by program
                 // order within the body.
                 let same_ptr = ea.ptr.is_some() && ea.ptr == eb.ptr;
                 if same_ptr && iter_local(ea) {
-                    let (pa, pb) = (order_key(f, l, *ia), order_key(f, l, *ib));
-                    let (src, dst, kind_pair) = if pa <= pb {
+                    let (src, dst, kind) = if order_key(f, *ia) <= order_key(f, *ib) {
                         (*ia, *ib, fwd)
                     } else {
                         (*ib, *ia, bwd)
                     };
-                    if let Some((kind, must)) = kind_pair {
+                    if let Some(kind) = kind {
                         let mut attrs = EdgeAttrs::memory(kind);
                         attrs.must = must;
-                        attrs.loop_carried = false;
                         attrs.distance = Some(0);
                         g.add_edge(src, dst, attrs);
                     }
@@ -697,12 +575,12 @@ impl<'a> PdgBuilder<'a> {
                 }
                 // Otherwise the dependence may cross iterations: both
                 // directions, marked carried.
-                if let Some((kind, must)) = fwd {
+                if let Some(kind) = fwd {
                     let mut attrs = EdgeAttrs::memory(kind).carried();
                     attrs.must = must;
                     g.add_edge(*ia, *ib, attrs);
                 }
-                if let Some((kind, must)) = bwd {
+                if let Some(kind) = bwd {
                     let mut attrs = EdgeAttrs::memory(kind).carried();
                     attrs.must = must;
                     g.add_edge(*ib, *ia, attrs);
@@ -733,12 +611,10 @@ impl<'a> PdgBuilder<'a> {
     }
 }
 
-/// Deterministic intra-body order key (block layout position, then position
-/// within block).
 /// Control dependences of every block, in ascending block order with each
 /// controller list ascending too. [`PostDomTree::control_dependences`]
-/// returns hash maps whose iteration order varies per call; both PDG build
-/// paths route through this so their edge streams stay reproducible.
+/// returns hash maps whose iteration order varies per call; sorting keeps the
+/// edge stream reproducible.
 fn sorted_control_deps(
     pdt: &PostDomTree,
     cfg: &Cfg,
@@ -756,7 +632,9 @@ fn sorted_control_deps(
     out
 }
 
-fn order_key(f: &Function, _l: &LoopInfo, id: InstId) -> (usize, usize) {
+/// Deterministic intra-body order key (block layout position, then position
+/// within block).
+fn order_key(f: &Function, id: InstId) -> (usize, usize) {
     let b = f.parent_block(id);
     let bi = f
         .block_order()
@@ -1156,51 +1034,25 @@ mod tests {
     }
 
     #[test]
-    fn seed_layout_matches_fast_path() {
-        // The benches extrapolate from `function_pdg_seed_layout`; it must
-        // stay a pure layout change — same nodes and edge set as the
-        // bucketed/CSR path, never a semantic fork.
-        let m = mixed_module();
-        let basic = BasicAlias::new(&m);
-        let andersen = AndersenAlias::new(&m);
-        let stack =
-            noelle_analysis::alias::AliasStack::new(vec![&basic as &dyn AliasAnalysis, &andersen]);
-        let builder = PdgBuilder::new(&m, &stack);
-        for fid in m.func_ids() {
-            if m.func(fid).is_declaration() {
-                continue;
-            }
-            let fast = builder.function_pdg(fid);
-            let seed = builder.function_pdg_seed_layout(fid);
-            assert!(!seed.is_frozen(), "seed layout must stay adjacency-map");
-            assert_eq!(
-                fast.internal_nodes().collect::<BTreeSet<_>>(),
-                seed.internal_nodes().collect::<BTreeSet<_>>(),
-                "node sets diverged on {}",
-                m.func(fid).name
-            );
-            assert_eq!(
-                edge_set(&fast),
-                edge_set(&seed),
-                "seed layout diverged on {}",
-                m.func(fid).name
-            );
-        }
-    }
-
-    #[test]
     fn parallel_program_pdg_is_deterministic() {
         let m = mixed_module();
         let basic = BasicAlias::new(&m);
         let builder = PdgBuilder::new(&m, &basic);
         let parallel = builder.program_pdg();
-        let sequential = builder.program_pdg_allpairs();
+        let defined: BTreeSet<FuncId> = m
+            .func_ids()
+            .filter(|&fid| !m.func(fid).is_declaration())
+            .collect();
         assert_eq!(
-            parallel.per_function.keys().collect::<BTreeSet<_>>(),
-            sequential.per_function.keys().collect::<BTreeSet<_>>()
+            parallel
+                .per_function
+                .keys()
+                .copied()
+                .collect::<BTreeSet<_>>(),
+            defined
         );
         for (fid, g) in &parallel.per_function {
-            assert_eq!(edge_set(g), edge_set(&sequential.per_function[fid]));
+            assert_eq!(edge_set(g), edge_set(&builder.function_pdg_allpairs(*fid)));
         }
         // And a second parallel run reproduces itself exactly.
         let again = builder.program_pdg();

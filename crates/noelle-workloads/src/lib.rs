@@ -217,7 +217,7 @@ pub fn pdg_stress() -> Workload {
 /// realistically hierarchical. Deterministic for a given `(n_funcs, seed)` —
 /// the seed drives an xorshift64 stream that picks each kernel's shape.
 ///
-/// This is the input for the `pdg_scale` bench: the 41-benchmark corpus
+/// This is the `workload:scale:N` input: the 41-benchmark corpus
 /// mirrors the paper and stays fixed at tens of functions, while the CSR /
 /// sharded-solver work targets modules 3–4 orders of magnitude larger.
 pub fn scale_module(n_funcs: usize, seed: u64) -> Module {

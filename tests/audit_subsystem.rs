@@ -187,6 +187,10 @@ fn audit_json_is_byte_identical_across_runs() {
     let b = render();
     assert_eq!(a, b, "audit JSON must be deterministic");
     assert!(a.contains("\"unproven-alias\""));
+    // And a re-audit over the manager's warm analyses says the same.
+    let (mut n, _) = audit_corpus("unproven_alias.nir");
+    let warm = run_audit(&mut n).to_json().to_string_compact();
+    assert_eq!(a, warm, "re-audit on a warm manager must be deterministic");
 }
 
 // ---------------------------------------------------------------------------

@@ -1,15 +1,17 @@
 //! Layout equivalence: the frozen CSR `DepGraph` form must be
 //! observationally identical to the adjacency-map form it replaced.
 //!
-//! The production build path (`PdgBuilder::function_pdg`) now constructs
-//! graphs directly in frozen CSR form; `function_pdg_seed_layout` preserves
-//! the pre-CSR algorithm verbatim (adjacency maps, never frozen). These
-//! tests pin that the two forms agree on everything a client can observe —
-//! node sets, the ordered edge stream, per-node in/out adjacency, external
-//! boundaries, the aSCCDAG of every loop, and the wire JSON — across the
-//! whole bundled corpus and a 500-seed fuzz-generator campaign.
+//! `PdgBuilder::function_pdg` constructs graphs directly in frozen CSR
+//! form. The reference here replays the same nodes and edge stream through
+//! `DepGraph::new()` + `add_internal`/`add_edge` and never freezes it, so it
+//! answers from the adjacency maps. These tests pin that the two forms
+//! agree on everything a client can observe — node sets, the ordered edge
+//! stream, per-node in/out adjacency, external boundaries, every loop graph
+//! and its aSCCDAG, and the wire JSON — across the whole bundled corpus and
+//! a 500-seed fuzz-generator campaign.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 use noelle::core::wire;
 use noelle::ir::cfg::Cfg;
@@ -18,7 +20,7 @@ use noelle::ir::inst::InstId;
 use noelle::ir::loops::LoopForest;
 use noelle::ir::module::Module;
 use noelle::pdg::depgraph::DepGraph;
-use noelle::pdg::pdg::PdgBuilder;
+use noelle::pdg::pdg::{PdgBuilder, ProgramPdg};
 use noelle::pdg::sccdag::SccDag;
 use noelle::workloads::{all, pdg_stress};
 use noelle_analysis::alias::{AliasAnalysis, AliasStack, AndersenAlias, BasicAlias};
@@ -87,13 +89,27 @@ fn assert_graphs_equivalent(name: &str, frozen: &DepGraph<InstId>, mapped: &DepG
     }
 }
 
+/// The adjacency-map form of `g`: the same nodes and edges, in the same
+/// order, through the incremental interface, left unfrozen.
+fn adjacency_map_form(g: &DepGraph<InstId>) -> DepGraph<InstId> {
+    let mut mapped = DepGraph::new();
+    for n in g.internal_nodes() {
+        mapped.add_internal(n);
+    }
+    for e in g.edges() {
+        mapped.add_edge(e.src, e.dst, e.attrs);
+    }
+    mapped
+}
+
 /// Compare both layouts over every function of `m`, including each loop's
-/// aSCCDAG and the whole-program wire JSON.
+/// graph and aSCCDAG and the whole-program wire JSON.
 fn check_module(name: &str, m: &Module) {
     let basic = BasicAlias::new(m);
     let andersen = AndersenAlias::new(m);
     let stack = AliasStack::new(vec![&basic as &dyn AliasAnalysis, &andersen]);
     let builder = PdgBuilder::new(m, &stack);
+    let mut mapped_program: HashMap<_, _> = HashMap::new();
 
     for fid in m.func_ids() {
         let f = m.func(fid);
@@ -101,7 +117,7 @@ fn check_module(name: &str, m: &Module) {
             continue;
         }
         let frozen = builder.function_pdg(fid);
-        let mapped = builder.function_pdg_seed_layout(fid);
+        let mapped = adjacency_map_form(&frozen);
         let label = format!("{name}/{}", f.name);
         assert_graphs_equivalent(&label, &frozen, &mapped);
 
@@ -112,6 +128,12 @@ fn check_module(name: &str, m: &Module) {
         for l in LoopForest::new(f, &cfg, &dt).loops() {
             let frozen_loop = builder.loop_pdg_with(fid, l, &frozen);
             let mapped_loop = builder.loop_pdg_with(fid, l, &mapped);
+            assert_eq!(
+                frozen_loop.edges(),
+                mapped_loop.edges(),
+                "{label}: loop graphs diverged on loop header {:?}",
+                l.header
+            );
             let a = SccDag::new(f, l, &frozen_loop);
             let b = SccDag::new(f, l, &mapped_loop);
             assert_eq!(
@@ -133,12 +155,16 @@ fn check_module(name: &str, m: &Module) {
                 l.header
             );
         }
+        mapped_program.insert(fid, Arc::new(mapped));
     }
 
     // Wire JSON must be byte-identical — the server serves these bytes.
+    let mapped_program = ProgramPdg {
+        per_function: mapped_program,
+    };
     let fast = wire::pdg_to_json(m, &builder.program_pdg()).to_string_compact();
-    let seed = wire::pdg_to_json(m, &builder.program_pdg_seed_layout()).to_string_compact();
-    assert_eq!(fast, seed, "{name}: wire JSON diverged between layouts");
+    let mapped = wire::pdg_to_json(m, &mapped_program).to_string_compact();
+    assert_eq!(fast, mapped, "{name}: wire JSON diverged between layouts");
 }
 
 #[test]

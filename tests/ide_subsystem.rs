@@ -2,7 +2,8 @@
 //! registry: random single-function text edits must (a) change exactly the
 //! functions whose content fingerprint changed, and (b) leave diagnostics
 //! byte-identical to a cold parse+lint of the final text. Parse errors must
-//! degrade to last-good diagnostics instead of dropping the session.
+//! degrade to last-good diagnostics instead of dropping the session, and the
+//! re-audit an edit triggers must follow the edit, not the module.
 
 use noelle::core::noelle::{AliasTier, Noelle};
 use noelle::ir::parser::parse_module;
@@ -198,4 +199,68 @@ fn parse_errors_degrade_to_last_good_diagnostics() {
         assert!(s.syntax_error().is_none());
         assert_eq!(session_report(&s), good, "{}: diagnostics restored", w.name);
     }
+}
+
+#[test]
+fn reaudit_follows_the_edit_not_the_module() {
+    const FUNCTIONS: usize = 256;
+    const EDITS: u64 = 4;
+    let text = print_module(&workloads::scale_module(FUNCTIONS, 42));
+    let mut s = DocSession::open("scale", &text, AliasTier::Basic);
+    assert!(s.syntax_error().is_none());
+    let define_line = s
+        .spans()
+        .iter()
+        .find(|sp| sp.name == format!("k{}", FUNCTIONS / 2))
+        .expect("target kernel")
+        .start_line;
+    let splice = |s: &mut DocSession, start_line, end_line, line: String| {
+        let out = s
+            .change(
+                s.version() + 1,
+                Change::Splice {
+                    start_line,
+                    end_line,
+                    lines: vec![line],
+                },
+            )
+            .expect("in-range splice");
+        assert!(
+            out.incremental,
+            "one-function edit takes the diff-parse path"
+        );
+        assert!(
+            out.relinted >= 1,
+            "a fingerprint change re-lints its damage"
+        );
+    };
+
+    // Metadata-only edits: the auditor reads bodies, never metadata, so no
+    // verdict can move and nothing is re-audited. The first splice inserts
+    // the line, the rest replace it with a different value.
+    for i in 0..EDITS {
+        let end = define_line + 1 + usize::from(i > 0);
+        let line = format!("  fmeta \"ide.tick\" = \"{i}\"");
+        splice(&mut s, define_line + 1, end, line);
+    }
+    assert_eq!(
+        s.counters().reaudited_functions,
+        0,
+        "metadata-only edits skip the re-audit entirely"
+    );
+
+    // Body edits: a dead instruction after `entry:` moves the fingerprint
+    // the auditor reads. Each re-audits the function plus its one-hop call
+    // closure (a group of 32 kernels and their caller) — never the module.
+    let body_line = define_line + 3; // define, fmeta, entry:, <here>
+    for i in 0..EDITS {
+        let end = body_line + usize::from(i > 0);
+        let line = format!("  %bt = add i64 i64 {i}, i64 {i}");
+        splice(&mut s, body_line, end, line);
+    }
+    let reaudited = s.counters().reaudited_functions;
+    assert!(
+        (EDITS..=EDITS * 64).contains(&reaudited),
+        "{EDITS} body edits re-audited {reaudited} of {FUNCTIONS} functions"
+    );
 }

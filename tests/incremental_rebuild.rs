@@ -301,6 +301,11 @@ fn untouched_functions_are_not_rebuilt() {
     }
     assert_eq!(reused, total_funcs - 1);
     assert_eq!(
+        p1.per_function[&fid].edges(),
+        p2.per_function[&fid].edges(),
+        "a pure touch must not move edges"
+    );
+    assert_eq!(
         after.pdg_misses - before.pdg_misses,
         1,
         "exactly the edited function should be re-analyzed"

@@ -1,12 +1,17 @@
-//! The parallel PDG pipeline's acceptance tests: the bucketed/parallel
-//! build is edge-for-edge identical to the sequential all-pairs oracle on
-//! every bundled workload, loop-carried refinement is iteration-aware on
-//! nested loops, and the demand-driven manager drops stale graphs when the
-//! module is mutated.
+//! The PDG pipeline's acceptance tests: the bucketed/parallel build is
+//! edge-for-edge identical to the sequential all-pairs oracle on every
+//! bundled workload, loop-carried refinement is iteration-aware on nested
+//! loops, the demand-driven manager drops stale graphs when the module is
+//! mutated, every graph reproduces the recorded golden, and the function
+//! graph is the only memo of alias verdicts — a build asks each question
+//! once and a loop graph asks none.
 
-use noelle::analysis::alias::{AliasAnalysis, AliasStack, AndersenAlias, BasicAlias};
+use noelle::analysis::alias::{
+    AliasAnalysis, AliasResult, AliasStack, AndersenAlias, BasicAlias, MemoryObject,
+};
 use noelle::core::loop_builder;
 use noelle::core::noelle::{AliasTier, Noelle};
+use noelle::core::wire;
 use noelle::ir::builder::FunctionBuilder;
 use noelle::ir::cfg::Cfg;
 use noelle::ir::dom::DomTree;
@@ -17,8 +22,11 @@ use noelle::ir::types::Type;
 use noelle::ir::value::Value;
 use noelle::pdg::depgraph::{DataDepKind, DepGraph, DepKind};
 use noelle::pdg::pdg::PdgBuilder;
-use noelle::workloads::{all, pdg_stress};
-use std::sync::Arc;
+use noelle::workloads::{all, pdg_stress, scale_module};
+use noelle_fuzz::generator::{generate, GenConfig};
+use noelle_store::artifact::{decode_partition, encode_partition};
+use std::collections::BTreeSet;
+use std::sync::{Arc, Mutex};
 
 /// Flatten a graph into a comparable (sorted) edge multiset.
 fn edge_set(g: &DepGraph<InstId>) -> Vec<(InstId, InstId, String)> {
@@ -42,17 +50,20 @@ fn parallel_bucketed_pdg_matches_sequential_oracle_on_every_workload() {
         let stack = AliasStack::new(vec![&basic as &dyn AliasAnalysis, &andersen]);
         let builder = PdgBuilder::new(&m, &stack);
         let fast = builder.program_pdg();
-        let oracle = builder.program_pdg_allpairs();
+        let defined: Vec<FuncId> = m
+            .func_ids()
+            .filter(|&fid| !m.func(fid).is_declaration())
+            .collect();
         assert_eq!(
             fast.per_function.len(),
-            oracle.per_function.len(),
+            defined.len(),
             "{}: function count",
             w.name
         );
-        for (fid, g) in &oracle.per_function {
+        for fid in defined {
             assert_eq!(
-                edge_set(&fast.per_function[fid]),
-                edge_set(g),
+                edge_set(&fast.per_function[&fid]),
+                edge_set(&builder.function_pdg_allpairs(fid)),
                 "{}: function {fid:?} diverges from the all-pairs oracle",
                 w.name
             );
@@ -265,4 +276,240 @@ fn manager_drops_stale_pdg_after_loop_builder_mutation() {
         .edges()
         .iter()
         .any(|e| e.src == cond_term && e.dst == load && e.attrs.is_control()));
+}
+
+fn fnv64(seed: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(seed, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The bundled workloads, `pdg_stress`, `scale_module(256)` and fuzz seeds
+/// 0..500 — the corpus `tests/corpus/pdg/edges_golden.json` was recorded on.
+fn golden_corpus() -> Vec<(String, Module)> {
+    let mut out: Vec<(String, Module)> = all()
+        .into_iter()
+        .chain(std::iter::once(pdg_stress()))
+        .map(|w| (w.name.to_string(), w.build()))
+        .collect();
+    out.push(("scale_module(256)".to_string(), scale_module(256, 1)));
+    let cfg = GenConfig::default();
+    out.extend((0..500).map(|seed| (format!("fuzz_{seed}"), generate(seed, &cfg))));
+    out
+}
+
+/// `tests/corpus/pdg/edges_golden.json` was recorded before the loop graph
+/// read its memory dependences from the function graph, while
+/// `loop_pdg_with` still re-asked the alias stack for every pair. Per
+/// module it holds the FNV-64 of the whole-program wire JSON and one FNV-64
+/// folded over every loop graph's stable encoding (node sets, then the
+/// ordered edge stream with every attribute). Whatever builds PDGs must
+/// reproduce it bit for bit.
+#[test]
+fn pdg_edges_reproduce_the_recorded_golden() {
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut doc = String::from("[\n");
+    for (i, (name, m)) in golden_corpus().iter().enumerate() {
+        let basic = BasicAlias::new(m);
+        let andersen = AndersenAlias::new(m);
+        let stack = AliasStack::new(vec![&basic as &dyn AliasAnalysis, &andersen]);
+        let builder = PdgBuilder::new(m, &stack);
+        let pdg = builder.program_pdg();
+        let json = wire::pdg_to_json(m, &pdg).to_string_compact();
+        let (mut loops, mut loop_edges, mut loop_hash) = (0usize, 0usize, FNV_OFFSET);
+        for fid in m.func_ids() {
+            let f = m.func(fid);
+            if f.is_declaration() {
+                continue;
+            }
+            let cfg = Cfg::new(f);
+            let dt = DomTree::new(f, &cfg);
+            for l in LoopForest::new(f, &cfg, &dt).loops() {
+                let g = builder.loop_pdg_with(fid, l, &pdg.per_function[&fid]);
+                loops += 1;
+                loop_edges += g.edges().len();
+                loop_hash = fnv64(loop_hash, &encode_partition(&g));
+            }
+        }
+        if i > 0 {
+            doc.push_str(",\n");
+        }
+        doc.push_str(&format!(
+            "  {{\"name\": \"{name}\", \"edges\": {}, \"pdg\": \"{:016x}\", \"loops\": {loops}, \"loop_edges\": {loop_edges}, \"loop_pdgs\": \"{loop_hash:016x}\"}}",
+            pdg.num_edges(),
+            fnv64(FNV_OFFSET, json.as_bytes()),
+        ));
+    }
+    doc.push_str("\n]\n");
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/corpus/pdg/edges_golden.json"
+    );
+    let golden = std::fs::read_to_string(path).unwrap_or_default();
+    if doc != golden {
+        let actual = concat!(env!("CARGO_TARGET_TMPDIR"), "/edges_golden.actual.json");
+        std::fs::write(actual, &doc).expect("writes the actual document");
+        let line = doc
+            .lines()
+            .zip(golden.lines().chain(std::iter::repeat("")))
+            .find(|(a, g)| a != g)
+            .map_or("<length differs>", |(a, _)| a);
+        panic!(
+            "PDG edges diverge from {path} (actual written to {actual}); first difference: {line}"
+        );
+    }
+}
+
+/// An alias analysis that records every question it is asked.
+struct CountingAlias<'a> {
+    inner: &'a dyn AliasAnalysis,
+    alias_calls: Mutex<Vec<(Value, Value)>>,
+    base_calls: Mutex<Vec<Value>>,
+}
+
+impl CountingAlias<'_> {
+    /// The questions asked since the last call: `alias` pairs in canonical
+    /// `(min, max)` order, and `base_objects` pointers.
+    fn take(&self) -> (Vec<(Value, Value)>, Vec<Value>) {
+        (
+            std::mem::take(&mut self.alias_calls.lock().unwrap()),
+            std::mem::take(&mut self.base_calls.lock().unwrap()),
+        )
+    }
+}
+
+impl AliasAnalysis for CountingAlias<'_> {
+    fn alias(&self, fid: FuncId, a: Value, b: Value) -> AliasResult {
+        self.alias_calls.lock().unwrap().push((a.min(b), a.max(b)));
+        self.inner.alias(fid, a, b)
+    }
+
+    fn base_objects(&self, fid: FuncId, ptr: Value) -> Option<BTreeSet<MemoryObject>> {
+        self.base_calls.lock().unwrap().push(ptr);
+        self.inner.base_objects(fid, ptr)
+    }
+
+    fn name(&self) -> &'static str {
+        "counting-aa"
+    }
+}
+
+fn assert_no_repeats<T: Ord + std::fmt::Debug>(label: &str, mut asked: Vec<T>) {
+    asked.sort();
+    if let Some(w) = asked.windows(2).find(|w| w[0] == w[1]) {
+        panic!("{label}: asked twice about {:?}", w[0]);
+    }
+}
+
+/// What lets the function graph stand in for an alias-query cache: one
+/// `function_pdg` asks about each distinct pointer and each distinct
+/// unordered pointer pair at most once and still finds every edge of the
+/// all-pairs oracle, and `loop_pdg_with` asks nothing at all — whether the
+/// function graph it reads was just built or came back from the store's
+/// partition codec.
+#[test]
+fn function_pdg_asks_each_alias_question_once_and_loop_pdg_asks_none() {
+    let (mut functions, mut loops, mut questions) = (0, 0, 0);
+    for (name, m) in golden_corpus() {
+        let basic = BasicAlias::new(&m);
+        let andersen = AndersenAlias::new(&m);
+        let stack = AliasStack::new(vec![&basic as &dyn AliasAnalysis, &andersen]);
+        let counting = CountingAlias {
+            inner: &stack,
+            alias_calls: Mutex::default(),
+            base_calls: Mutex::default(),
+        };
+        let builder = PdgBuilder::new(&m, &counting);
+        for fid in m.func_ids() {
+            let f = m.func(fid);
+            if f.is_declaration() {
+                continue;
+            }
+            let label = format!("{name}/{}", f.name);
+            let g = builder.function_pdg(fid);
+            let (alias_calls, base_calls) = counting.take();
+            functions += 1;
+            questions += alias_calls.len() + base_calls.len();
+            assert_no_repeats(&format!("{label}: alias"), alias_calls);
+            assert_no_repeats(&format!("{label}: base_objects"), base_calls);
+            assert_eq!(
+                edge_set(&g),
+                edge_set(&builder.function_pdg_allpairs(fid)),
+                "{label}: diverges from the all-pairs oracle"
+            );
+            counting.take();
+
+            let decoded = decode_partition(&encode_partition(&g)).expect("partition decodes");
+            let cfg = Cfg::new(f);
+            let dt = DomTree::new(f, &cfg);
+            for l in LoopForest::new(f, &cfg, &dt).loops() {
+                let in_memory = builder.loop_pdg_with(fid, l, &g);
+                let from_store = builder.loop_pdg_with(fid, l, &decoded);
+                loops += 1;
+                assert_eq!(
+                    counting.take(),
+                    (vec![], vec![]),
+                    "{label}: loop_pdg_with consulted the alias stack"
+                );
+                assert_eq!(
+                    encode_partition(&in_memory),
+                    encode_partition(&from_store),
+                    "{label}: loop graph differs when carved from a store-decoded partition"
+                );
+            }
+        }
+    }
+    // The contract must have been exercised, or it shows nothing.
+    assert!(
+        functions >= 1000 && loops >= 1000 && questions >= 5_000,
+        "{functions} functions, {loops} loops, {questions} questions"
+    );
+}
+
+/// The builder asks `alias` once per unordered pointer pair, in whichever
+/// order the pair canonicalizes to, so the answer must not depend on the
+/// argument order — on either tier or the stack.
+#[test]
+fn alias_answers_are_symmetric() {
+    let cfg = GenConfig::default();
+    let modules = all()
+        .into_iter()
+        .chain(std::iter::once(pdg_stress()))
+        .map(|w| (w.name.to_string(), w.build()))
+        .chain((0..200).map(|seed| (format!("fuzz_{seed}"), generate(seed, &cfg))));
+    let mut pairs = 0usize;
+    for (name, m) in modules {
+        let basic = BasicAlias::new(&m);
+        let andersen = AndersenAlias::new(&m);
+        let stack = AliasStack::new(vec![&basic as &dyn AliasAnalysis, &andersen]);
+        for fid in m.func_ids() {
+            let f = m.func(fid);
+            // Every pointer the function mentions: results and operands.
+            let ptrs: BTreeSet<Value> = f
+                .inst_ids()
+                .into_iter()
+                .flat_map(|id| {
+                    let mut vs = f.inst(id).operands();
+                    vs.push(Value::Inst(id));
+                    vs
+                })
+                .filter(|&v| f.value_type(&m, v).is_ptr())
+                .collect();
+            for &p in &ptrs {
+                for &q in ptrs.range(p..) {
+                    pairs += 1;
+                    for aa in [&basic as &dyn AliasAnalysis, &andersen, &stack] {
+                        assert_eq!(
+                            aa.alias(fid, p, q),
+                            aa.alias(fid, q, p),
+                            "{name}/{}: {} is asymmetric on ({p:?}, {q:?})",
+                            f.name,
+                            aa.name()
+                        );
+                    }
+                }
+            }
+        }
+    }
+    assert!(pairs >= 5_000, "{pairs} pointer pairs");
 }

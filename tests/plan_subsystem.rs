@@ -42,7 +42,10 @@ fn workload_plans_match_checked_in_golden() {
         .into_iter()
         .map(|(name, m)| {
             let mut n = Noelle::new(m, AliasTier::Full);
-            (name, plan_module(&mut n, &opts).to_json())
+            let plan = plan_module(&mut n, &opts).to_json();
+            // A re-plan over the manager's warm analyses says the same.
+            assert_eq!(plan_module(&mut n, &opts).to_json(), plan, "{name}");
+            (name, plan)
         })
         .collect();
     assert_eq!(plans.len(), 42, "the full suite plus pdg_stress");

@@ -1,8 +1,8 @@
 //! End-to-end protocol tests for the `noelle-server` daemon: concurrent
 //! queries coalesce into one build, replies match a direct in-process
 //! build byte-for-byte, deadlines produce timeout errors instead of hung
-//! connections, shutdown drains in-flight work, and `--stdio` mode speaks
-//! newline-delimited JSON.
+//! connections, shutdown drains in-flight work, pipelined replies come back
+//! in request order, and `--stdio` mode speaks newline-delimited JSON.
 
 use noelle::core::json::Json;
 use noelle::core::noelle::{AliasTier, Noelle};
@@ -200,6 +200,36 @@ fn graceful_shutdown_drains_in_flight_requests() {
 
     // The daemon is gone: new connections are refused.
     assert!(Client::connect(&addr).is_err());
+}
+
+#[test]
+fn pipelined_replies_come_back_in_request_order() {
+    // Several workers, so replies to one connection's requests finish out
+    // of order inside the daemon: a cold `pdg` of the stress workload is
+    // followed by cheap `stats` and `loops` requests that overtake it.
+    let server = start_server(4);
+    let mut c = Client::connect(&server.addr.to_string()).expect("connect");
+    load(&mut c, "workload:pdg_stress", "s");
+    let sess = || Json::object([("session".to_string(), Json::Str("s".into()))]);
+    // Kept under the server's per-connection admission depth so nothing is
+    // shed.
+    let ids: Vec<i64> = (0..48)
+        .map(|i| match i % 4 {
+            0 | 1 => c.send("pdg", sess()),
+            2 => c.send("loops", sess()),
+            _ => c.send("stats", Json::object([])),
+        })
+        .collect::<Result<_, _>>()
+        .expect("send");
+    for id in ids {
+        let reply = c.recv_text().expect("pipelined reply");
+        assert!(
+            reply.starts_with(&format!("{{\"id\":{id},\"ok\":")),
+            "replies must come back in request order: {}",
+            &reply[..reply.len().min(80)]
+        );
+    }
+    server.shutdown_and_join();
 }
 
 #[test]
