@@ -166,9 +166,8 @@ pub fn decode_rows(bytes: &[u8]) -> Result<PointsToRows, DecodeError> {
 /// Interface shared by all alias analyses: answer whether two pointer values
 /// of function `fid` may address the same memory.
 ///
-/// `Sync` is a supertrait so `&dyn AliasAnalysis` can be shared across the
-/// per-function PDG construction threads; every analysis here is immutable
-/// after construction.
+/// `Sync` is a supertrait so `&dyn AliasAnalysis` can be shared across
+/// threads; every analysis here is immutable after construction.
 pub trait AliasAnalysis: Sync {
     /// Query aliasing of pointers `a` and `b`, both values of function `fid`.
     /// The answer must not depend on the argument order: the PDG builder asks
@@ -757,8 +756,8 @@ struct Solver<'a> {
 
 /// Run the worklist of one SCC shard to its local fixpoint. `rows` holds the
 /// shard's points-to rows (extracted from the global table); predecessors
-/// outside the shard live at strictly lower condensation levels, already
-/// settled, and are read through `settled`. `shard` is sorted, so in-shard
+/// outside the shard come earlier in the condensation's topological order,
+/// already settled, and are read through `settled`. `shard` is sorted, so in-shard
 /// membership is a binary search.
 fn solve_shard(
     shard: &[u32],
@@ -897,10 +896,6 @@ fn copy_sccs(succs: &[Vec<u32>]) -> SccSet {
     }
     out
 }
-
-/// Below this many vars in a condensation level, shard solving stays
-/// sequential — thread spawn overhead dwarfs the work on small modules.
-const PARALLEL_MIN_VARS: usize = 2048;
 
 impl<'a> Solver<'a> {
     fn new(m: &'a Module, a: &'a mut AndersenAlias) -> Solver<'a> {
@@ -1308,45 +1303,16 @@ impl<'a> Solver<'a> {
     /// Close the points-to rows under the current copy edges.
     ///
     /// The copy graph is condensed into SCCs (Tarjan, reverse-topological
-    /// emission) and the SCCs are level-scheduled: `level(scc) = 1 + max
-    /// level of predecessors`. All predecessors of a level-k SCC are settled
-    /// before level k runs, and SCCs within one level share no edges, so the
-    /// level's shards solve independently — in parallel across
-    /// `std::thread::scope` when the level is big enough. One topologically
-    /// ordered sweep reaches the exact least fixpoint for the current edge
-    /// set, and since that fixpoint is unique, the sharded schedule is
-    /// byte-identical to a sequential solve.
+    /// emission) and the condensation is swept once in topological order:
+    /// every predecessor of an SCC is settled before the SCC runs, so one
+    /// sweep reaches the exact — and unique — least fixpoint for the
+    /// current edge set.
     fn copy_fixpoint(&mut self) {
         let n = self.a.pts.len();
         if n == 0 {
             return;
         }
         let sccs = copy_sccs(&self.succs);
-        let nsccs = sccs.len();
-        let mut scc_of = vec![0u32; n];
-        for i in 0..nsccs {
-            for &v in sccs.scc(i) {
-                scc_of[v as usize] = i as u32;
-            }
-        }
-        // Levels over the condensation; iterate in topological order
-        // (reverse of Tarjan's emission).
-        let mut level = vec![0u32; nsccs];
-        for i in (0..nsccs).rev() {
-            for &v in sccs.scc(i) {
-                for &s in &self.succs[v as usize] {
-                    let t = scc_of[s as usize] as usize;
-                    if t != i && level[t] < level[i] + 1 {
-                        level[t] = level[i] + 1;
-                    }
-                }
-            }
-        }
-        let nlevels = level.iter().max().copied().unwrap_or(0) as usize + 1;
-        let mut by_level: Vec<Vec<u32>> = vec![Vec::new(); nlevels];
-        for i in (0..nsccs).rev() {
-            by_level[level[i] as usize].push(i as u32);
-        }
         // Pull-direction adjacency, packed CSR (counting sort) — rebuilt
         // each round, so no per-node Vec allocations.
         let nedges: usize = self.succs.iter().map(Vec::len).sum();
@@ -1367,54 +1333,17 @@ impl<'a> Solver<'a> {
                 cur[s as usize] += 1;
             }
         }
-        let workers = std::thread::available_parallelism()
-            .map(|x| x.get())
-            .unwrap_or(1);
         let pts = &mut self.a.pts;
-        for shard_ids in &by_level {
-            let shards: Vec<&[u32]> = shard_ids.iter().map(|&i| sccs.scc(i as usize)).collect();
-            let total: usize = shards.iter().map(|s| s.len()).sum();
-            // Extract the level's rows so workers may mutate them while
-            // reading settled lower-level rows through a shared borrow of
-            // the global table. (Rows of *this* level read through the
-            // global table would be empty takes, but same-level SCCs have
-            // no cross edges, so they are never read.)
-            let mut rows: Vec<Vec<BitSet>> = shards
-                .iter()
-                .map(|sh| {
-                    sh.iter()
-                        .map(|&v| std::mem::take(&mut pts[v as usize]))
-                        .collect()
-                })
-                .collect();
-            if workers > 1 && shards.len() > 1 && total >= PARALLEL_MIN_VARS {
-                let settled = &*pts;
-                let succs = &self.succs;
-                let pred_off = &pred_off;
-                let pred_dat = &pred_dat;
-                let mut buckets: Vec<Vec<(&[u32], &mut Vec<BitSet>)>> =
-                    (0..workers).map(|_| Vec::new()).collect();
-                for (i, job) in shards.iter().copied().zip(rows.iter_mut()).enumerate() {
-                    buckets[i % workers].push(job);
-                }
-                std::thread::scope(|sc| {
-                    for bucket in buckets {
-                        sc.spawn(move || {
-                            for (shard, rows) in bucket {
-                                solve_shard(shard, rows, pred_off, pred_dat, succs, settled);
-                            }
-                        });
-                    }
-                });
-            } else {
-                for (shard, rows) in shards.iter().zip(rows.iter_mut()) {
-                    solve_shard(shard, rows, &pred_off, &pred_dat, &self.succs, pts);
-                }
-            }
-            for (shard, rows) in shards.iter().zip(rows) {
-                for (&v, row) in shard.iter().zip(rows) {
-                    pts[v as usize] = row;
-                }
+        // The rows of the SCC being solved, taken out of the table so the
+        // worklist may mutate them while reading the settled rows through
+        // a shared borrow of the table. One buffer for the whole sweep.
+        let mut rows: Vec<BitSet> = Vec::new();
+        for i in (0..sccs.len()).rev() {
+            let shard = sccs.scc(i);
+            rows.extend(shard.iter().map(|&v| std::mem::take(&mut pts[v as usize])));
+            solve_shard(shard, &mut rows, &pred_off, &pred_dat, &self.succs, pts);
+            for (&v, row) in shard.iter().zip(rows.drain(..)) {
+                pts[v as usize] = row;
             }
         }
     }

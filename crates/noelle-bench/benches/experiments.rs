@@ -97,14 +97,13 @@ fn bench_fig5_one_benchmark() {
             let seq = run_module(&m, "main", &[], &cfg).expect("runs");
             seq.profiles.embed(&mut m);
             let mut noelle = Noelle::new(m, AliasTier::Full);
-            noelle_transforms::doall::run(
+            noelle_transforms::common::parallelize(
                 &mut noelle,
-                &noelle_transforms::doall::DoallOptions {
-                    target: noelle_transforms::common::LoopTargetOpts {
-                        min_hotness: 0.02,
-                        only: None,
-                        workers: 4,
-                    },
+                noelle_transforms::common::Parallelizer::Doall,
+                &noelle_transforms::common::LoopTargetOpts {
+                    min_hotness: 0.02,
+                    only: None,
+                    workers: 4,
                 },
             );
             let m2 = noelle.into_module();

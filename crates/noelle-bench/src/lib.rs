@@ -20,6 +20,7 @@ use noelle_ir::loops::LoopForest;
 use noelle_pdg::pdg::{memory_dependence_stats, PdgBuilder};
 use noelle_runtime::{run_module, RunConfig};
 use noelle_transforms as tools;
+use noelle_transforms::common::{parallelize, LoopTargetOpts, Parallelizer};
 use noelle_workloads::{all, Suite, Workload};
 use std::collections::BTreeMap;
 
@@ -204,48 +205,20 @@ fn measure_technique(w: &Workload, technique: &str, cores: usize, arch: &Archite
         }
         _ => {
             let mut noelle = Noelle::new(m, AliasTier::Full);
-            let count = match technique {
-                "doall" => tools::doall::run(
-                    &mut noelle,
-                    &tools::doall::DoallOptions {
-                        target: tools::common::LoopTargetOpts {
-                            min_hotness,
-                            only: None,
-                            workers: cores,
-                        },
-                    },
-                )
-                .count(),
-                "helix" => tools::helix::run(
-                    &mut noelle,
-                    &tools::helix::HelixOptions {
-                        target: tools::common::LoopTargetOpts {
-                            min_hotness,
-                            only: None,
-                            workers: cores,
-                        },
-                        max_sequential_fraction: 0.7,
-                    },
-                )
-                .count(),
-                "dswp" => tools::dswp::run(
-                    &mut noelle,
-                    &tools::dswp::DswpOptions {
-                        target: tools::common::LoopTargetOpts {
-                            min_hotness,
-                            only: None,
-                            workers: 2,
-                        },
-                    },
-                )
-                .count(),
-                "perspective" => tools::perspective::run(
-                    &mut noelle,
-                    &tools::perspective::PerspectiveOptions { n_tasks: cores },
-                )
-                .count(),
+            // Perspective has always run ungated; DSWP as two stages.
+            let (tool, min_hotness, workers) = match technique {
+                "doall" => (Parallelizer::Doall, min_hotness, cores),
+                "helix" => (Parallelizer::Helix, min_hotness, cores),
+                "dswp" => (Parallelizer::Dswp, min_hotness, 2),
+                "perspective" => (Parallelizer::Perspective, 0.0, cores),
                 other => panic!("unknown technique {other}"),
             };
+            let target = LoopTargetOpts {
+                min_hotness,
+                only: None,
+                workers,
+            };
+            let count = parallelize(&mut noelle, tool, &target).count();
             (noelle.into_module(), count > 0)
         }
     };
@@ -362,13 +335,14 @@ pub fn table4_usage() -> Vec<(&'static str, Vec<&'static str>)> {
         let mut noelle = Noelle::new(w.build(), AliasTier::Full);
         match tool {
             "HELIX" => {
-                tools::helix::run(&mut noelle, &tools::helix::HelixOptions::default());
+                parallelize(&mut noelle, Parallelizer::Helix, &LoopTargetOpts::default());
             }
             "DSWP" => {
-                tools::dswp::run(&mut noelle, &tools::dswp::DswpOptions::default());
+                let two_stages = LoopTargetOpts::default().with_workers(2);
+                parallelize(&mut noelle, Parallelizer::Dswp, &two_stages);
             }
             "DOALL" => {
-                tools::doall::run(&mut noelle, &tools::doall::DoallOptions::default());
+                parallelize(&mut noelle, Parallelizer::Doall, &LoopTargetOpts::default());
             }
             "CARAT" => {
                 tools::carat::run(&mut noelle);
@@ -389,10 +363,11 @@ pub fn table4_usage() -> Vec<(&'static str, Vec<&'static str>)> {
                 tools::dead::run(&mut noelle, "main");
             }
             "PERS" => {
-                tools::perspective::run(
-                    &mut noelle,
-                    &tools::perspective::PerspectiveOptions::default(),
-                );
+                let ungated = LoopTargetOpts {
+                    min_hotness: 0.0,
+                    ..LoopTargetOpts::default()
+                };
+                parallelize(&mut noelle, Parallelizer::Perspective, &ungated);
             }
             _ => unreachable!(),
         }
@@ -683,17 +658,12 @@ pub fn ablation_alias_tier(cores: usize) -> (usize, usize) {
             (AliasTier::Full, &mut full_total),
         ] {
             let mut noelle = Noelle::new(w.build(), tier);
-            let report = tools::doall::run(
-                &mut noelle,
-                &tools::doall::DoallOptions {
-                    target: tools::common::LoopTargetOpts {
-                        min_hotness: 0.0,
-                        only: None,
-                        workers: cores,
-                    },
-                },
-            );
-            *total += report.count();
+            let target = LoopTargetOpts {
+                min_hotness: 0.0,
+                only: None,
+                workers: cores,
+            };
+            *total += parallelize(&mut noelle, Parallelizer::Doall, &target).count();
         }
     }
     (basic_total, full_total)

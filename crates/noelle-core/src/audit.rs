@@ -10,9 +10,9 @@
 //! This module owns the *data model* and the dependence-level classifier,
 //! which only needs the loop abstraction and the mod/ref summaries. The
 //! technique verdicts themselves (does DOALL/HELIX/DSWP actually apply?)
-//! are computed by `noelle-lint`'s audit driver against the transforms'
-//! own gate prechecks, so a "clean" verdict is the transform's judgment,
-//! not a re-implementation of it.
+//! are computed by `noelle-lint`'s audit driver by calling the transforms'
+//! own `gate`, so a "clean" verdict is the transform's judgment, not a
+//! re-implementation of it.
 
 use crate::json::Json;
 use crate::loop_abs::LoopAbstraction;

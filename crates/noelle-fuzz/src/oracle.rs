@@ -312,8 +312,7 @@ fn store_round_trip_failures(m: &Module) -> Vec<Failure> {
 /// carrying a resolution hint. Any disagreement is an `AuditMismatch`.
 fn audit_failures(m: &Module, base: &RunResult, run_cfg: &RunConfig, entry: &str) -> Vec<Failure> {
     use noelle_core::audit::Technique;
-    use noelle_transforms::common::LoopTargetOpts;
-    use noelle_transforms::{doall, dswp, helix};
+    use noelle_transforms::common::{parallelize, LoopTargetOpts};
     let fail = |technique: &str, what: String| Failure {
         tool: Some(format!("audit:{technique}")),
         kind: FailureKind::AuditMismatch,
@@ -338,24 +337,12 @@ fn audit_failures(m: &Module, base: &RunResult, run_cfg: &RunConfig, entry: &str
                 continue;
             }
             // Clean ⇒ the transform must accept exactly this loop...
-            let target = LoopTargetOpts::pinned(&la.function, la.header);
+            let mut target = LoopTargetOpts::pinned(&la.function, la.header);
+            if v.technique == Technique::Dswp {
+                target = target.with_workers(2);
+            }
             let mut tn = Noelle::new(m.clone(), AliasTier::Full);
-            let report = match v.technique {
-                Technique::Doall => doall::run(&mut tn, &doall::DoallOptions { target }),
-                Technique::Helix => helix::run(
-                    &mut tn,
-                    &helix::HelixOptions {
-                        target,
-                        ..helix::HelixOptions::default()
-                    },
-                ),
-                Technique::Dswp => dswp::run(
-                    &mut tn,
-                    &dswp::DswpOptions {
-                        target: target.with_workers(2),
-                    },
-                ),
-            };
+            let report = parallelize(&mut tn, v.technique, &target);
             if !report
                 .parallelized
                 .iter()

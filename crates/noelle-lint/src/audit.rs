@@ -2,10 +2,10 @@
 //! verdict (DOALL / HELIX / DSWP) with instruction-level blocker
 //! attribution and a resolution hint for each blocker.
 //!
-//! Verdicts come from the transforms' own `precheck` gates, so "clean"
-//! means "the transform's gate sequence accepts this loop" — the fuzz
-//! oracle validates exactly that reading by running the transform and the
-//! differential oracle on every clean verdict. Blockers come from the
+//! A verdict *is* the transform's own `gate` — the call the driver makes
+//! before it emits — so "clean" means "the transform takes this loop"; the
+//! fuzz oracle still holds every clean verdict against the real run and
+//! the differential oracle. Blockers come from the
 //! dependence-level classifier in `noelle-core::audit`, enriched here with
 //! interprocedural attribution: the Andersen points-to rows behind each
 //! failed alias query, the call sites whose actuals carry the conflicting
@@ -25,12 +25,13 @@ use noelle_core::noelle::{Abstraction, Noelle};
 use noelle_ir::inst::{Callee, Inst, InstId};
 use noelle_ir::module::{FuncId, Module};
 use noelle_ir::value::Value;
-use noelle_transforms::common::ParallelizeError;
-use noelle_transforms::dswp::DswpOptions;
-use noelle_transforms::helix::HelixOptions;
-use noelle_transforms::{doall, dswp, helix};
+use noelle_transforms::common::{gate, ParallelizeError};
+use noelle_transforms::helix;
 use std::collections::{BTreeMap, BTreeSet};
 
+/// Worker count verdicts are issued for: DSWP is judged as the canonical
+/// two-stage pipeline, and no other gate reads the count.
+const AUDIT_WORKERS: usize = 2;
 /// Cap on rendered alias objects / cross-function sites per blocker: the
 /// report names evidence, it does not dump whole rows.
 const MAX_ATTRIBUTION: usize = 8;
@@ -61,7 +62,7 @@ pub fn run_audit(n: &mut Noelle) -> ModuleAudit {
 /// the scoped form to re-audit just the functions an edit damaged.
 pub fn run_audit_scoped(n: &mut Noelle, only: Option<&BTreeSet<FuncId>>) -> ModuleAudit {
     n.note(Abstraction::Audit);
-    let latency = n.architecture().max_latency();
+    let arch = n.architecture();
 
     // Pass A (exclusive borrows): materialize every loop abstraction.
     let mut worklist: Vec<(FuncId, String, LoopAbstraction)> = Vec::new();
@@ -100,39 +101,24 @@ pub fn run_audit_scoped(n: &mut Noelle, only: Option<&BTreeSet<FuncId>>) -> Modu
         }
         let verdicts = Technique::all()
             .into_iter()
-            .map(|t| {
-                let res = match t {
-                    Technique::Doall => doall::precheck(m, fid, la),
-                    Technique::Helix => helix::precheck(
-                        m,
-                        fid,
-                        la,
-                        latency,
-                        HelixOptions::default().max_sequential_fraction,
-                    ),
-                    Technique::Dswp => {
-                        dswp::precheck(m, fid, la, DswpOptions::default().target.workers)
+            .map(|t| match gate(t, m, fid, la, &arch, AUDIT_WORKERS) {
+                Ok(_) => TechniqueAudit {
+                    technique: t,
+                    clean: true,
+                    reason: None,
+                    blockers: Vec::new(),
+                },
+                Err(e) => {
+                    let mut blockers = blockers_for(m, fid, la, &e, &carried);
+                    if blockers.is_empty() {
+                        blockers.push(fallback_blocker(m, fid, la, &e));
                     }
-                };
-                match res {
-                    Ok(()) => TechniqueAudit {
+                    sort_blockers(&mut blockers);
+                    TechniqueAudit {
                         technique: t,
-                        clean: true,
-                        reason: None,
-                        blockers: Vec::new(),
-                    },
-                    Err(e) => {
-                        let mut blockers = blockers_for(m, fid, la, t, &e, &carried);
-                        if blockers.is_empty() {
-                            blockers.push(fallback_blocker(m, fid, la, &e));
-                        }
-                        sort_blockers(&mut blockers);
-                        TechniqueAudit {
-                            technique: t,
-                            clean: false,
-                            reason: Some(e.to_string()),
-                            blockers,
-                        }
+                        clean: false,
+                        reason: Some(e.to_string()),
+                        blockers,
                     }
                 }
             })
@@ -158,12 +144,11 @@ fn header_index(m: &Module, fid: FuncId, b: noelle_ir::module::BlockId) -> usize
         .unwrap_or(usize::MAX)
 }
 
-/// Attribute a technique refusal to blockers, by refusal reason.
+/// Attribute a technique refusal to blockers, by refusal variant.
 fn blockers_for(
     m: &Module,
     fid: FuncId,
     la: &LoopAbstraction,
-    t: Technique,
     e: &ParallelizeError,
     carried: &[Blocker],
 ) -> Vec<Blocker> {
@@ -171,21 +156,9 @@ fn blockers_for(
         ParallelizeError::CarriedDependences => carried.to_vec(),
         ParallelizeError::NoGoverningIv => vec![no_iv_blocker(m, fid, la)],
         ParallelizeError::UnsupportedLiveOut => liveout_blockers(m, fid, la),
-        ParallelizeError::Shape(s) => match (t, s.as_str()) {
-            (
-                Technique::Helix,
-                "unbracketably sequential" | "mostly sequential" | "sequential segment dominates",
-            ) => segment_blockers(m, fid, la, s),
-            (Technique::Dswp, reason)
-                if reason == "fewer than two pipeline stages"
-                    || reason == "backward cross-stage dependence"
-                    || reason == "loop control depends on memory"
-                    || reason == "communicated value defined in the loop header" =>
-            {
-                cyclic_scc_blockers(m, fid, la, s)
-            }
-            _ => vec![shape_blocker(m, fid, la, s)],
-        },
+        ParallelizeError::Segments(why) => segment_blockers(m, fid, la, why),
+        ParallelizeError::Stages(why) => cyclic_scc_blockers(m, fid, la, why),
+        ParallelizeError::Shape(why) => vec![shape_blocker(m, fid, la, why)],
     }
 }
 

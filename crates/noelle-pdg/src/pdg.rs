@@ -37,8 +37,7 @@ struct MemEffect {
 ///
 /// The builder is `Sync` (the module and alias stack are immutable, the
 /// mod/ref summaries shared through an `Arc`) and holds no state between
-/// calls, so [`PdgBuilder::program_pdg`] can fan per-function construction
-/// out across threads.
+/// calls.
 pub struct PdgBuilder<'a> {
     module: &'a Module,
     alias: &'a dyn AliasAnalysis,
@@ -125,9 +124,8 @@ impl<'a> PdgBuilder<'a> {
         Arc::clone(&self.modref)
     }
 
-    /// Build the whole-program PDG, fanning per-function construction out
-    /// across threads. Each function's graph is independent, so the result
-    /// is edge-identical to the sequential build.
+    /// Build the whole-program PDG: one independent graph per defined
+    /// function.
     pub fn program_pdg(&self) -> ProgramPdg {
         let fids: Vec<FuncId> = self
             .module
@@ -139,41 +137,14 @@ impl<'a> PdgBuilder<'a> {
         }
     }
 
-    /// Build the per-function PDG partitions of exactly the given functions,
-    /// fanning construction out across threads. This is the work-list core
-    /// of [`PdgBuilder::program_pdg`], exposed so the incremental engine can
-    /// re-derive only the partitions an edit damaged.
+    /// Build the per-function PDG partitions of exactly the given functions.
+    /// This is the work-list core of [`PdgBuilder::program_pdg`], exposed so
+    /// the incremental engine can re-derive only the partitions an edit
+    /// damaged.
     pub fn pdg_partitions(&self, fids: &[FuncId]) -> HashMap<FuncId, Arc<DepGraph<InstId>>> {
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(fids.len().max(1));
-        if workers <= 1 {
-            return fids
-                .iter()
-                .map(|&fid| (fid, Arc::new(self.function_pdg(fid))))
-                .collect();
-        }
-        let mut per_function = HashMap::with_capacity(fids.len());
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    s.spawn(move || {
-                        // Round-robin chunking keeps per-thread work balanced
-                        // without coordination.
-                        fids.iter()
-                            .skip(w)
-                            .step_by(workers)
-                            .map(|&fid| (fid, Arc::new(self.function_pdg(fid))))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            for h in handles {
-                per_function.extend(h.join().expect("PDG worker panicked"));
-            }
-        });
-        per_function
+        fids.iter()
+            .map(|&fid| (fid, Arc::new(self.function_pdg(fid))))
+            .collect()
     }
 
     fn mem_effect(&self, f: &Function, id: InstId) -> Option<MemEffect> {

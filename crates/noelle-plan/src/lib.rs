@@ -22,12 +22,17 @@ use noelle_core::profiler::Profiles;
 use noelle_ir::loops::LoopInfo;
 use noelle_ir::module::{BlockId, FuncId};
 use noelle_lint::{run_audit, run_audit_scoped};
-use noelle_transforms::common::{approx_inst_cost, LoopTargetOpts};
-use noelle_transforms::{doall, dswp, helix, ParallelReport};
+use noelle_transforms::common::{approx_inst_cost, gate, parallelize, LoopTargetOpts, Recipe};
+use noelle_transforms::dswp::StageSummary;
+use noelle_transforms::ParallelReport;
 
 /// Trip count assumed when neither the static analysis nor the profiles
 /// know how often the loop iterates.
 const DEFAULT_TRIP: f64 = 64.0;
+
+/// Minimum predicted speedup for a loop to be planned at all; below this
+/// the dispatch overhead is not worth paying.
+const MIN_SPEEDUP: f64 = 1.05;
 
 /// Options controlling the planner.
 #[derive(Clone, Debug)]
@@ -35,17 +40,11 @@ pub struct PlanOptions {
     /// Worker budget per parallelized loop (cores for DOALL/HELIX; DSWP
     /// uses up to four pipeline stages out of this budget).
     pub workers: usize,
-    /// Minimum predicted speedup for a loop to be planned at all; below
-    /// this the dispatch overhead is not worth paying.
-    pub min_speedup: f64,
 }
 
 impl Default for PlanOptions {
     fn default() -> PlanOptions {
-        PlanOptions {
-            workers: 4,
-            min_speedup: 1.05,
-        }
+        PlanOptions { workers: 4 }
     }
 }
 
@@ -352,24 +351,41 @@ pub fn plan_from_audit(n: &mut Noelle, audit: &ModuleAudit, opts: &PlanOptions) 
                 });
                 continue;
             }
-            let c = match t {
-                Technique::Doall => predict_doall(&arch, opts.workers, trip, body_cost),
-                Technique::Helix => {
-                    predict_helix(m, fid, &la, &arch, opts.workers, trip, body_cost)
+            // Price the recipe the transform would execute. DSWP uses up
+            // to four stages of the budget.
+            let workers = match t {
+                Technique::Dswp => opts.workers.clamp(2, 4),
+                _ => opts.workers.max(1),
+            };
+            let c = match gate(t, m, fid, &la, &arch, workers) {
+                Ok(Recipe::Helix(segments)) => {
+                    predict_helix(segments.cost, &arch, workers, trip, body_cost)
                 }
-                Technique::Dswp => predict_dswp(
+                Ok(Recipe::Dswp(stages)) => predict_dswp(
+                    &stages.summary(m, fid, &la),
                     m,
                     audit,
                     fid,
                     &laud.function,
                     &l,
-                    &la,
                     &func_loops,
                     &arch,
                     opts,
                     trip,
                     body_cost,
                 ),
+                Ok(_) => predict_doall(&arch, workers, trip, body_cost),
+                // The audit said clean at its own worker count; this budget
+                // can still refuse (only DSWP's gate reads it). Report it
+                // honestly.
+                Err(e) => Candidate {
+                    technique: t,
+                    clean: true,
+                    predicted_speedup: 0.0,
+                    workers,
+                    detail: format!("stage planning refused at {workers} stages: {e}"),
+                    hybrid: None,
+                },
             };
             candidates.push(c);
         }
@@ -428,7 +444,7 @@ pub fn plan_from_audit(n: &mut Noelle, audit: &ModuleAudit, opts: &PlanOptions) 
         let Some((t, s)) = best else {
             continue;
         };
-        if s < opts.min_speedup {
+        if s < MIN_SPEEDUP {
             continue;
         }
         // Nesting conflict with an already-accepted loop of the same function?
@@ -480,9 +496,8 @@ pub fn plan_from_audit(n: &mut Noelle, audit: &ModuleAudit, opts: &PlanOptions) 
             p.reason = match best_candidate(p) {
                 None => "no clean technique".to_string(),
                 Some((t, s)) => format!(
-                    "unplanned: best candidate {} predicts {s:.2}x, below the {:.2}x bar",
-                    t.as_str(),
-                    opts.min_speedup
+                    "unplanned: best candidate {} predicts {s:.2}x, below the {MIN_SPEEDUP:.2}x bar",
+                    t.as_str()
                 ),
             };
         }
@@ -539,8 +554,7 @@ fn trip_estimate(
 }
 
 /// DOALL: iterations split cyclically over `workers` cores; one dispatch.
-fn predict_doall(arch: &Architecture, workers: usize, trip: f64, body: u64) -> Candidate {
-    let w = workers.max(1);
+fn predict_doall(arch: &Architecture, w: usize, trip: f64, body: u64) -> Candidate {
     let seq = trip * body as f64;
     let par = seq / w as f64 + arch.dispatch_overhead as f64;
     let s = if par > 0.0 { seq / par } else { 1.0 };
@@ -559,27 +573,8 @@ fn predict_doall(arch: &Architecture, workers: usize, trip: f64, body: u64) -> C
 
 /// HELIX: parallel portion splits over cores, the sequential-segment chain
 /// plus one cross-core signal latency serializes per iteration.
-#[allow(clippy::too_many_arguments)]
-fn predict_helix(
-    m: &noelle_ir::module::Module,
-    fid: FuncId,
-    la: &noelle_core::loop_abs::LoopAbstraction,
-    arch: &Architecture,
-    workers: usize,
-    trip: f64,
-    body: u64,
-) -> Candidate {
-    let w = workers.max(1);
+fn predict_helix(seg_cost: u64, arch: &Architecture, w: usize, trip: f64, body: u64) -> Candidate {
     let seq = trip * body as f64;
-    let f = m.func(fid);
-    let seg_cost: u64 = helix::sequential_segments(m, fid, la)
-        .map(|segs| {
-            segs.iter()
-                .flat_map(|s| s.iter())
-                .map(|&i| approx_inst_cost(f.inst(i)))
-                .sum()
-        })
-        .unwrap_or(0);
     let serial = if seg_cost > 0 {
         seg_cost as f64 + arch.max_latency() as f64
     } else {
@@ -608,35 +603,19 @@ fn predict_helix(
 /// inner clean loop inside its stage.
 #[allow(clippy::too_many_arguments)]
 fn predict_dswp(
+    ss: &StageSummary,
     m: &noelle_ir::module::Module,
     audit: &ModuleAudit,
     fid: FuncId,
     fname: &str,
     l: &LoopInfo,
-    la: &noelle_core::loop_abs::LoopAbstraction,
     func_loops: &[LoopInfo],
     arch: &Architecture,
     opts: &PlanOptions,
     trip: f64,
     body: u64,
 ) -> Candidate {
-    let want = opts.workers.clamp(2, 4);
     let seq = trip * body as f64;
-    let ss = match dswp::stage_summary(m, fid, la, want) {
-        Ok(ss) => ss,
-        Err(e) => {
-            // The audit said clean for the default stage count; a different
-            // worker budget can still refuse. Report it honestly.
-            return Candidate {
-                technique: Technique::Dswp,
-                clean: true,
-                predicted_speedup: 0.0,
-                workers: want,
-                detail: format!("stage planning refused at {want} stages: {e}"),
-                hybrid: None,
-            };
-        }
-    };
     let q = arch.queue_op_cost as f64;
     let lat = arch.max_latency() as f64;
     let stage_cost = |s: usize| ss.stage_costs[s] as f64 + ss.queue_ops[s] as f64 * q + lat;
@@ -712,17 +691,7 @@ pub fn apply_plan(n: &mut Noelle, plan: &ModulePlan) -> ParallelReport {
             continue;
         };
         let target = LoopTargetOpts::pinned(&l.function, l.header).with_workers(c.workers);
-        let report = match c.technique {
-            Technique::Doall => doall::run(n, &doall::DoallOptions { target }),
-            Technique::Helix => helix::run(
-                n,
-                &helix::HelixOptions {
-                    target,
-                    ..helix::HelixOptions::default()
-                },
-            ),
-            Technique::Dswp => dswp::run(n, &dswp::DswpOptions { target }),
-        };
+        let report = parallelize(n, c.technique, &target);
         merged.parallelized.extend(report.parallelized);
         merged.skipped.extend(report.skipped);
     }

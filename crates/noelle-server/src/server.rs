@@ -1278,13 +1278,7 @@ fn dispatch(state: &Arc<ServerState>, req: &Request) -> MethodResult {
                 .unwrap_or(noelle_plan::PlanOptions::default().workers);
             let mut n = s.noelle.lock().expect("session build lock");
             n.reset_requests();
-            let plan = noelle_plan::plan_module(
-                &mut n,
-                &noelle_plan::PlanOptions {
-                    workers,
-                    ..noelle_plan::PlanOptions::default()
-                },
-            );
+            let plan = noelle_plan::plan_module(&mut n, &noelle_plan::PlanOptions { workers });
             state.plan.record(&plan);
             Ok(Body::Value(envelope(
                 "plan",

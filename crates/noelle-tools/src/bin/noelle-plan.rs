@@ -23,7 +23,6 @@ fn main() {
     let format = args.flag_or("format", "text").to_string();
     let opts = PlanOptions {
         workers: args.flag_usize("workers", PlanOptions::default().workers),
-        ..PlanOptions::default()
     };
     if input == "workload:all" {
         // One deterministic document over the whole suite, keyed by

@@ -7,6 +7,7 @@
 use noelle_core::json::Json;
 use noelle_core::noelle::Noelle;
 use noelle_transforms as tools;
+use noelle_transforms::common::{parallelize, LoopTargetOpts, Parallelizer};
 
 /// Options every registered tool receives.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -93,53 +94,26 @@ pub struct ToolEntry {
     pub run: Runner,
 }
 
+/// Run one parallelizer over every loop, ungated, on `workers` cores.
+fn run_parallelizer(n: &mut Noelle, tool: Parallelizer, workers: usize) -> Result<String, String> {
+    let target = LoopTargetOpts {
+        min_hotness: 0.0,
+        only: None,
+        workers,
+    };
+    Ok(format!("{:?}", parallelize(n, tool, &target)))
+}
+
 fn run_doall(n: &mut Noelle, o: &ToolOptions) -> Result<String, String> {
-    Ok(format!(
-        "{:?}",
-        tools::doall::run(
-            n,
-            &tools::doall::DoallOptions {
-                target: tools::common::LoopTargetOpts {
-                    min_hotness: 0.0,
-                    only: None,
-                    workers: o.cores,
-                },
-            },
-        )
-    ))
+    run_parallelizer(n, Parallelizer::Doall, o.cores)
 }
 
 fn run_helix(n: &mut Noelle, o: &ToolOptions) -> Result<String, String> {
-    Ok(format!(
-        "{:?}",
-        tools::helix::run(
-            n,
-            &tools::helix::HelixOptions {
-                target: tools::common::LoopTargetOpts {
-                    min_hotness: 0.0,
-                    only: None,
-                    workers: o.cores,
-                },
-                max_sequential_fraction: 0.7,
-            },
-        )
-    ))
+    run_parallelizer(n, Parallelizer::Helix, o.cores)
 }
 
 fn run_dswp(n: &mut Noelle, o: &ToolOptions) -> Result<String, String> {
-    Ok(format!(
-        "{:?}",
-        tools::dswp::run(
-            n,
-            &tools::dswp::DswpOptions {
-                target: tools::common::LoopTargetOpts {
-                    min_hotness: 0.0,
-                    only: None,
-                    workers: o.cores.clamp(2, 4),
-                },
-            },
-        )
-    ))
+    run_parallelizer(n, Parallelizer::Dswp, o.cores.clamp(2, 4))
 }
 
 fn run_licm(n: &mut Noelle, _o: &ToolOptions) -> Result<String, String> {
@@ -170,23 +144,11 @@ fn run_time(n: &mut Noelle, _o: &ToolOptions) -> Result<String, String> {
 }
 
 fn run_perspective(n: &mut Noelle, o: &ToolOptions) -> Result<String, String> {
-    Ok(format!(
-        "{:?}",
-        tools::perspective::run(
-            n,
-            &tools::perspective::PerspectiveOptions { n_tasks: o.cores },
-        )
-    ))
+    run_parallelizer(n, Parallelizer::Perspective, o.cores)
 }
 
 fn run_plan(n: &mut Noelle, o: &ToolOptions) -> Result<String, String> {
-    let plan = noelle_plan::plan_module(
-        n,
-        &noelle_plan::PlanOptions {
-            workers: o.cores,
-            ..noelle_plan::PlanOptions::default()
-        },
-    );
+    let plan = noelle_plan::plan_module(n, &noelle_plan::PlanOptions { workers: o.cores });
     let report = noelle_plan::apply_plan(n, &plan);
     Ok(format!(
         "planned {} of {} loop(s), predicted {:.2}x; applied: {report:?}",

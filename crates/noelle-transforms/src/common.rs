@@ -3,13 +3,16 @@
 //! NOELLE-powered part that makes DOALL/HELIX/DSWP expressible in a few
 //! hundred lines each (the Table 3 claim).
 
+use crate::{doall, dswp, helix, perspective};
+use noelle_core::architecture::Architecture;
+use noelle_core::audit::Technique;
 use noelle_core::env::EnvironmentBuilder;
 use noelle_core::loop_abs::LoopAbstraction;
 use noelle_core::loop_builder::{bypass_loop, ensure_preheader, LoopBuilderError};
-use noelle_core::noelle::Noelle;
+use noelle_core::noelle::{Abstraction, Noelle};
 use noelle_core::reduction::Reduction;
 use noelle_core::task::{outline_loop_as_task, TaskError, TaskFunction};
-use noelle_ir::inst::{Inst, InstId, Terminator};
+use noelle_ir::inst::{BinOp, Inst, InstId, Terminator};
 use noelle_ir::loops::LoopInfo;
 use noelle_ir::module::{BlockId, FuncId, Module};
 use noelle_ir::types::{FuncType, Type};
@@ -34,6 +37,7 @@ pub const SS_SIGNAL_INTRINSIC: &str = "noelle.ss.signal";
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ParallelizeError {
     /// The loop shape is unsupported (multiple exits, no pre-header...).
+    /// Free-form: for reasons nobody needs to tell apart.
     Shape(String),
     /// The loop has no governing induction variable.
     NoGoverningIv,
@@ -41,12 +45,20 @@ pub enum ParallelizeError {
     UnsupportedLiveOut,
     /// Loop-carried dependences the technique cannot handle.
     CarriedDependences,
+    /// HELIX: the sequential segments refuse the loop — they cannot be
+    /// bracketed, cover most of the body, or outweigh the parallel work.
+    Segments(&'static str),
+    /// DSWP: the SCC structure admits no forward pipeline.
+    Stages(&'static str),
 }
 
 impl std::fmt::Display for ParallelizeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ParallelizeError::Shape(s) => write!(f, "unsupported loop shape: {s}"),
+            ParallelizeError::Segments(s) | ParallelizeError::Stages(s) => {
+                write!(f, "unsupported loop shape: {s}")
+            }
             ParallelizeError::NoGoverningIv => write!(f, "no governing induction variable"),
             ParallelizeError::UnsupportedLiveOut => write!(f, "unsupported live-out"),
             ParallelizeError::CarriedDependences => write!(f, "unhandled loop-carried dependences"),
@@ -84,11 +96,8 @@ impl ParallelReport {
     }
 }
 
-/// Loop selection shared by every parallelizing technique: which loops a run
-/// may touch and how many workers to deploy on each. DOALL/HELIX/DSWP each
-/// embed one of these instead of re-declaring `min_hotness`/`only`/worker
-/// fields, so the planner, auditor, and fuzzer drive all three through a
-/// single surface.
+/// Loop selection for [`parallelize`]: which loops a run may touch and how
+/// many workers to deploy on each. The only options a parallelizer has.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LoopTargetOpts {
     /// Skip loops whose profiled hotness is below this fraction of total
@@ -174,12 +183,204 @@ impl DoneLoops {
     }
 }
 
+/// A parallelizing tool [`parallelize`] can run. The three the auditor
+/// issues verdicts for convert from their [`Technique`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Parallelizer {
+    /// [`doall`]: cyclic iteration distribution.
+    Doall,
+    /// [`helix`]: iteration distribution with ordered sequential segments.
+    Helix,
+    /// [`dswp`]: SCCs distributed over pipeline stages.
+    Dswp,
+    /// [`perspective`]: DOALL after privatizing a scratch cell.
+    Perspective,
+}
+
+impl From<Technique> for Parallelizer {
+    fn from(t: Technique) -> Parallelizer {
+        match t {
+            Technique::Doall => Parallelizer::Doall,
+            Technique::Helix => Parallelizer::Helix,
+            Technique::Dswp => Parallelizer::Dswp,
+        }
+    }
+}
+
+/// What a technique's [`gate`] decided about one loop: exactly what its
+/// emitter and the planner's cost model need, so neither derives it again.
+#[derive(Debug, Clone)]
+pub enum Recipe {
+    /// DOALL needs nothing beyond the loop abstraction.
+    Doall,
+    /// HELIX: the sequential segments to bracket.
+    Helix(helix::Segments),
+    /// DSWP: the stage partition and the cross-stage value queues.
+    Dswp(dswp::StagePlan),
+    /// Perspective: the scratch `alloca` to privatize.
+    Perspective(InstId),
+}
+
+/// Will `technique` take this loop, and how? Read-only, and the *only*
+/// place the answer is computed: legality, profitability and the emit
+/// mechanics ([`mechanics_gate`]) are all decided here, so `Ok(recipe)`
+/// means [`emit`] succeeds. The driver, the auditor's verdicts and the
+/// planner's prices are all this one call. `workers` is the task count
+/// (DSWP: the wanted stage count).
+pub fn gate(
+    technique: impl Into<Parallelizer>,
+    m: &Module,
+    fid: FuncId,
+    la: &LoopAbstraction,
+    arch: &Architecture,
+    workers: usize,
+) -> Result<Recipe, ParallelizeError> {
+    match technique.into() {
+        Parallelizer::Doall => doall::gate(m, fid, la).map(|()| Recipe::Doall),
+        Parallelizer::Helix => helix::gate(m, fid, la, arch).map(Recipe::Helix),
+        Parallelizer::Dswp => dswp::gate(m, fid, la, workers).map(Recipe::Dswp),
+        Parallelizer::Perspective => perspective::gate(m, fid, la).map(Recipe::Perspective),
+    }
+}
+
+/// Rewrite the loop as `recipe` says, for `workers` tasks.
+pub fn emit(
+    m: &mut Module,
+    fid: FuncId,
+    la: &LoopAbstraction,
+    recipe: &Recipe,
+    workers: usize,
+) -> Result<(), ParallelizeError> {
+    match recipe {
+        Recipe::Doall => doall::emit(m, fid, la, workers),
+        Recipe::Helix(segments) => helix::emit(m, fid, la, segments, workers),
+        Recipe::Dswp(plan) => dswp::emit(m, fid, la, plan),
+        Recipe::Perspective(cell) => perspective::emit(m, fid, la, *cell, workers),
+    }
+}
+
+/// Run one parallelizer over the loops `target` admits, outermost first:
+/// skip what an already-parallelized parent subsumes and what the profile
+/// says is cold, [`gate`] the rest, and [`emit`] each accepted loop in its
+/// own edit transaction.
+pub fn parallelize(
+    noelle: &mut Noelle,
+    technique: impl Into<Parallelizer>,
+    target: &LoopTargetOpts,
+) -> ParallelReport {
+    let technique = technique.into();
+    let requested: &[Abstraction] = match technique {
+        Parallelizer::Doall => &doall::ABSTRACTIONS,
+        Parallelizer::Helix => &helix::ABSTRACTIONS,
+        Parallelizer::Dswp => &dswp::ABSTRACTIONS,
+        Parallelizer::Perspective => &perspective::ABSTRACTIONS,
+    };
+    for &a in requested {
+        noelle.note(a);
+    }
+    // Read without `Noelle::architecture`, which would note AR for every
+    // technique: each one's own list above says whether it asks for it.
+    let arch = Architecture::from_module(noelle.module()).unwrap_or_default();
+    // Nothing is colder than 0: an ungated run never looks at the profile.
+    let profiles = (target.min_hotness > 0.0)
+        .then(|| noelle.profiles())
+        .filter(|p| !p.block_counts.is_empty());
+
+    let mut report = ParallelReport::default();
+    let mut done = DoneLoops::default();
+    for (fid, l) in candidate_loops(noelle, target) {
+        if done.subsume(fid, &l) {
+            continue;
+        }
+        let fname = noelle.module().func(fid).name.clone();
+        if profiles
+            .as_ref()
+            .is_some_and(|p| p.loop_hotness(noelle.module(), fid, &l) < target.min_hotness)
+        {
+            report
+                .skipped
+                .push((fname, l.header, "cold loop".to_string()));
+            continue;
+        }
+        let la = noelle.loop_abstraction(fid, l.clone());
+        let outcome =
+            gate(technique, noelle.module(), fid, &la, &arch, target.workers).and_then(|recipe| {
+                noelle.edit(|tx| emit(tx.module_touching([fid]), fid, &la, &recipe, target.workers))
+            });
+        match outcome {
+            Ok(()) => {
+                report.parallelized.push((fname, l.header));
+                done.push(fid, l);
+            }
+            Err(e) => report.skipped.push((fname, l.header, e.to_string())),
+        }
+    }
+    report
+}
+
+/// The part of every [`gate`] that is about the emitter, not the loop's
+/// dependences: the failure points outlining, the dispatcher and (for the
+/// techniques that distribute iterations, `stepped`) the IV stepper would
+/// otherwise only reach mid-rewrite.
+pub fn mechanics_gate(
+    m: &Module,
+    fid: FuncId,
+    la: &LoopAbstraction,
+    stepped: bool,
+) -> Result<(), ParallelizeError> {
+    // The dispatcher rebuilds live-outs from reduction partials only.
+    if !liveouts_supported(la) {
+        return Err(ParallelizeError::UnsupportedLiveOut);
+    }
+    let l = &la.structure;
+    let f = m.func(fid);
+    // Outlining and the dispatcher need one exit block.
+    if l.exit_blocks().len() != 1 {
+        return Err(ParallelizeError::Shape(
+            "loop has multiple exit blocks".into(),
+        ));
+    }
+    // The dispatcher needs a pre-header, existing or creatable.
+    if l.preheader.is_none()
+        && !f
+            .block_order()
+            .iter()
+            .any(|&b| !l.contains(b) && f.successors(b).contains(&l.header))
+    {
+        return Err(ParallelizeError::Shape(
+            "header has no out-of-loop predecessor".into(),
+        ));
+    }
+    if !stepped {
+        return Ok(());
+    }
+    // Cyclic distribution re-steps every affine recurrence (the task clone
+    // is isomorphic to the loop, so the shapes seen here are the clone's).
+    let recs = noelle_analysis::scev::affine_recurrences(f, l);
+    if recs.is_empty() {
+        return Err(ParallelizeError::NoGoverningIv);
+    }
+    for rec in &recs {
+        let steppable = matches!(f.inst(rec.phi), Inst::Phi { .. })
+            && matches!(
+                f.inst(rec.update),
+                Inst::Bin { op: BinOp::Add | BinOp::Sub, lhs, rhs, .. }
+                    if *lhs == Value::Inst(rec.phi) || *rhs == Value::Inst(rec.phi)
+            );
+        if !steppable {
+            return Err(ParallelizeError::Shape(
+                "induction update has unexpected shape".into(),
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// Static per-instruction cost estimate used by the technique profitability
 /// gates and the planner's speedup predictions. Mirrors the relative weights
 /// of the simulated machine's cost model (computation < memory < div/call)
 /// without depending on the runtime crate.
 pub fn approx_inst_cost(inst: &Inst) -> u64 {
-    use noelle_ir::inst::BinOp;
     match inst {
         Inst::Bin { op, .. } => match op {
             BinOp::Div | BinOp::Rem => 20,
@@ -409,9 +610,10 @@ pub fn emit_dispatcher_with_queues(
     Ok(())
 }
 
-/// Outline + customize + dispatch: the common skeleton of DOALL/HELIX.
-/// `customize` receives the module and the freshly outlined task to apply
-/// technique-specific rewriting (IV stepping, sequential-segment gates...).
+/// Outline + customize + dispatch: the emit skeleton DOALL, HELIX and
+/// Perspective share. `customize` receives the module and the freshly
+/// outlined task to apply technique-specific rewriting (IV stepping,
+/// sequential-segment brackets, privatization).
 pub fn parallelize_with(
     m: &mut Module,
     fid: FuncId,
@@ -420,9 +622,6 @@ pub fn parallelize_with(
     task_name: &str,
     customize: impl FnOnce(&mut Module, &TaskFunction) -> Result<(), ParallelizeError>,
 ) -> Result<(), ParallelizeError> {
-    if !liveouts_supported(la) {
-        return Err(ParallelizeError::UnsupportedLiveOut);
-    }
     let task = outline_loop_as_task(m, fid, &la.structure, &la.env, task_name)?;
     reset_reduction_initials(m, &task, &la.reductions);
     customize(m, &task)?;

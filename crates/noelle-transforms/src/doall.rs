@@ -7,152 +7,50 @@
 //! distribution (cyclic: task `t` starts at `start + t*step` and strides by
 //! `n_tasks*step`); RD parallelizes reductions by accumulator cloning.
 
-use crate::common::{
-    candidate_loops, parallelize_with, task_loop, DoneLoops, LoopTargetOpts, ParallelReport,
-    ParallelizeError,
-};
+use crate::common::{mechanics_gate, parallelize_with, task_loop, ParallelizeError};
 use noelle_core::ivstepper::{offset_start, scale_step};
-use noelle_core::noelle::{Abstraction, Noelle};
+use noelle_core::loop_abs::LoopAbstraction;
+use noelle_core::noelle::Abstraction;
 use noelle_core::task::TaskFunction;
 use noelle_ir::module::{FuncId, Module};
 use noelle_ir::value::Value;
 
-/// Options controlling loop selection. `target.workers` is the number of
-/// tasks (cores) iterations are distributed over; pinning a single loop is
-/// the paper's testing hook: "a user can force a parallelizing custom tool
-/// to parallelize only a given loop".
-#[derive(Clone, Debug, Default)]
-pub struct DoallOptions {
-    /// Shared loop selection: hotness gate, pinning, worker count.
-    pub target: LoopTargetOpts,
-}
+/// The abstractions DOALL asks NOELLE for (its Table 4 row).
+pub const ABSTRACTIONS: [Abstraction; 13] = [
+    Abstraction::Pro,
+    Abstraction::Fr,
+    Abstraction::L,
+    Abstraction::Env,
+    Abstraction::Task,
+    Abstraction::Lb,
+    Abstraction::Iv,
+    Abstraction::Ivs,
+    Abstraction::Inv,
+    Abstraction::Rd,
+    Abstraction::ASccDag,
+    Abstraction::Ar,
+    Abstraction::Ls,
+];
 
-/// Apply DOALL to every eligible loop of the module.
-pub fn run(noelle: &mut Noelle, opts: &DoallOptions) -> ParallelReport {
-    for a in [
-        Abstraction::Pro,
-        Abstraction::Fr,
-        Abstraction::L,
-        Abstraction::Env,
-        Abstraction::Task,
-        Abstraction::Lb,
-        Abstraction::Iv,
-        Abstraction::Ivs,
-        Abstraction::Inv,
-        Abstraction::Rd,
-        Abstraction::ASccDag,
-        Abstraction::Ar,
-        Abstraction::Ls,
-    ] {
-        noelle.note(a);
-    }
-    let mut report = ParallelReport::default();
-    let profiles = noelle.profiles();
-    let have_profiles = !profiles.block_counts.is_empty();
-
-    let mut done = DoneLoops::default();
-    for (fid, l) in candidate_loops(noelle, &opts.target) {
-        if done.subsume(fid, &l) {
-            continue;
-        }
-        let fname = noelle.module().func(fid).name.clone();
-        if have_profiles
-            && profiles.loop_hotness(noelle.module(), fid, &l) < opts.target.min_hotness
-        {
-            report
-                .skipped
-                .push((fname, l.header, "cold loop".to_string()));
-            continue;
-        }
-        let la = noelle.loop_abstraction(fid, l.clone());
-        if !la.is_doall() {
-            report
-                .skipped
-                .push((fname, l.header, "loop-carried dependences".to_string()));
-            continue;
-        }
-        let task_name = format!("{fname}.doall.{}", l.header.0);
-        match noelle.edit(|tx| {
-            parallelize_with(
-                tx.module_touching([fid]),
-                fid,
-                &la,
-                opts.target.workers,
-                &task_name,
-                distribute_cyclically,
-            )
-        }) {
-            Ok(()) => {
-                report.parallelized.push((fname, l.header));
-                done.push(fid, l);
-            }
-            Err(e) => report.skipped.push((fname, l.header, e.to_string())),
-        }
-    }
-    report
-}
-
-/// Decide, without mutating anything, whether DOALL would apply to this
-/// loop: the exact gate sequence of [`run`] + [`parallelize_with`] +
-/// [`distribute_cyclically`], evaluated structurally against the original
-/// loop (the task clone is isomorphic, so recurrence shapes transfer).
-/// The parallelism auditor issues its "clean" verdicts from this check and
-/// the fuzz oracle holds them against the real transform's outcome.
-pub fn precheck(
-    m: &Module,
-    fid: FuncId,
-    la: &noelle_core::loop_abs::LoopAbstraction,
-) -> Result<(), ParallelizeError> {
-    // run(): dependence gate.
+/// DOALL takes a loop whose carried dependences are all handled (IVs,
+/// reductions) and whose iterations the emitter can distribute.
+pub fn gate(m: &Module, fid: FuncId, la: &LoopAbstraction) -> Result<(), ParallelizeError> {
     if !la.is_doall() {
         return Err(ParallelizeError::CarriedDependences);
     }
-    // parallelize_with(): live-out gate.
-    if !crate::common::liveouts_supported(la) {
-        return Err(ParallelizeError::UnsupportedLiveOut);
-    }
-    let l = &la.structure;
-    // outline_loop_as_task() + emit_dispatcher(): single exit block.
-    if l.exit_blocks().len() != 1 {
-        return Err(ParallelizeError::Shape(
-            "loop has multiple exit blocks".into(),
-        ));
-    }
-    let f = m.func(fid);
-    // emit_dispatcher(): a pre-header must exist or be creatable.
-    if l.preheader.is_none()
-        && !f
-            .block_order()
-            .iter()
-            .any(|&b| !l.contains(b) && f.successors(b).contains(&l.header))
-    {
-        return Err(ParallelizeError::Shape(
-            "header has no out-of-loop predecessor".into(),
-        ));
-    }
-    // distribute_cyclically(): every affine recurrence must be steppable.
-    let recs = noelle_analysis::scev::affine_recurrences(f, l);
-    if recs.is_empty() {
-        return Err(ParallelizeError::NoGoverningIv);
-    }
-    for rec in &recs {
-        let phi_ok = matches!(f.inst(rec.phi), noelle_ir::inst::Inst::Phi { .. });
-        let update_ok = matches!(
-            f.inst(rec.update),
-            noelle_ir::inst::Inst::Bin {
-                op: noelle_ir::inst::BinOp::Add | noelle_ir::inst::BinOp::Sub,
-                lhs,
-                rhs,
-                ..
-            } if *lhs == Value::Inst(rec.phi) || *rhs == Value::Inst(rec.phi)
-        );
-        if !phi_ok || !update_ok {
-            return Err(ParallelizeError::Shape(
-                "induction update has unexpected shape".into(),
-            ));
-        }
-    }
-    Ok(())
+    mechanics_gate(m, fid, la, true)
+}
+
+/// Outline the loop into `workers` tasks that split its iterations
+/// cyclically.
+pub fn emit(
+    m: &mut Module,
+    fid: FuncId,
+    la: &LoopAbstraction,
+    workers: usize,
+) -> Result<(), ParallelizeError> {
+    let task_name = format!("{}.doall.{}", m.func(fid).name, la.structure.header.0);
+    parallelize_with(m, fid, la, workers, &task_name, distribute_cyclically)
 }
 
 /// Rewrite the task's governing IV for cyclic distribution: start at
@@ -177,8 +75,8 @@ pub fn distribute_cyclically(m: &mut Module, task: &TaskFunction) -> Result<(), 
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use noelle_core::noelle::AliasTier;
+    use crate::common::{parallelize, LoopTargetOpts, Parallelizer};
+    use noelle_core::noelle::{AliasTier, Noelle};
     use noelle_ir::parser::parse_module;
     use noelle_runtime::{run_module, RunConfig};
 
@@ -227,13 +125,12 @@ done:
         assert_eq!(seq.ret_i64(), Some(499500));
 
         let mut noelle = Noelle::new(m, AliasTier::Full);
-        let report = run(
+        let report = parallelize(
             &mut noelle,
-            &DoallOptions {
-                target: LoopTargetOpts {
-                    min_hotness: 0.0,
-                    ..LoopTargetOpts::default()
-                },
+            Parallelizer::Doall,
+            &LoopTargetOpts {
+                min_hotness: 0.0,
+                ..LoopTargetOpts::default()
             },
         );
         // Both the kernel loop and the fill loop in main are DOALL-able...
@@ -284,13 +181,12 @@ exit:
         let m = parse_module(src).unwrap();
         let seq = run_module(&m, "main", &[], &RunConfig::default()).unwrap();
         let mut noelle = Noelle::new(m, AliasTier::Full);
-        let report = run(
+        let report = parallelize(
             &mut noelle,
-            &DoallOptions {
-                target: LoopTargetOpts {
-                    min_hotness: 0.0,
-                    ..LoopTargetOpts::default()
-                },
+            Parallelizer::Doall,
+            &LoopTargetOpts {
+                min_hotness: 0.0,
+                ..LoopTargetOpts::default()
             },
         );
         assert_eq!(report.count(), 0, "{report:?}");
@@ -316,13 +212,12 @@ exit:
         let mut m = m;
         r.profiles.embed(&mut m);
         let mut noelle = Noelle::new(m, AliasTier::Full);
-        let report = run(
+        let report = parallelize(
             &mut noelle,
-            &DoallOptions {
-                target: LoopTargetOpts {
-                    min_hotness: 2.0, // impossible
-                    ..LoopTargetOpts::default()
-                },
+            Parallelizer::Doall,
+            &LoopTargetOpts {
+                min_hotness: 2.0, // impossible
+                ..LoopTargetOpts::default()
             },
         );
         assert_eq!(report.count(), 0);

@@ -12,12 +12,12 @@
 //! cross-stage memory accesses.
 
 use crate::common::{
-    approx_inst_cost, candidate_loops, emit_dispatcher_with_queues, liveouts_supported,
-    reset_reduction_initials, task_fn_ptr_type, task_loop, DoneLoops, LoopTargetOpts,
-    ParallelReport, ParallelizeError, QUEUE_POP_INTRINSIC, QUEUE_PUSH_INTRINSIC,
+    approx_inst_cost, emit_dispatcher_with_queues, liveouts_supported, mechanics_gate,
+    reset_reduction_initials, task_loop, ParallelizeError, QUEUE_POP_INTRINSIC,
+    QUEUE_PUSH_INTRINSIC,
 };
 use noelle_core::loop_abs::LoopAbstraction;
-use noelle_core::noelle::{Abstraction, Noelle};
+use noelle_core::noelle::Abstraction;
 use noelle_core::reduction::identity_for;
 use noelle_core::task::{outline_loop_as_task, TaskFunction};
 use noelle_ir::cfg::Cfg;
@@ -28,96 +28,54 @@ use noelle_ir::types::Type;
 use noelle_ir::value::Value;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-/// Options controlling DSWP. `target.workers` is the number of pipeline
-/// stages (= cores used); the default is two, the canonical produce/consume
-/// split.
-#[derive(Clone, Debug)]
-pub struct DswpOptions {
-    /// Shared loop selection: hotness gate, pinning, worker (stage) count.
-    pub target: LoopTargetOpts,
-}
+/// The abstractions DSWP asks NOELLE for (its Table 4 row).
+pub const ABSTRACTIONS: [Abstraction; 14] = [
+    Abstraction::Pro,
+    Abstraction::Fr,
+    Abstraction::L,
+    Abstraction::Env,
+    Abstraction::Task,
+    Abstraction::Lb,
+    Abstraction::Iv,
+    Abstraction::Ivs,
+    Abstraction::Inv,
+    Abstraction::Rd,
+    Abstraction::ASccDag,
+    Abstraction::Pdg,
+    Abstraction::Ar,
+    Abstraction::Ls,
+];
 
-impl Default for DswpOptions {
-    fn default() -> DswpOptions {
-        DswpOptions {
-            target: LoopTargetOpts::default().with_workers(2),
-        }
-    }
-}
-
-/// Apply DSWP to every eligible loop of the module.
-pub fn run(noelle: &mut Noelle, opts: &DswpOptions) -> ParallelReport {
-    for a in [
-        Abstraction::Pro,
-        Abstraction::Fr,
-        Abstraction::L,
-        Abstraction::Env,
-        Abstraction::Task,
-        Abstraction::Lb,
-        Abstraction::Iv,
-        Abstraction::Ivs,
-        Abstraction::Inv,
-        Abstraction::Rd,
-        Abstraction::ASccDag,
-        Abstraction::Pdg,
-        Abstraction::Ar,
-        Abstraction::Ls,
-    ] {
-        noelle.note(a);
-    }
-    let mut report = ParallelReport::default();
-    let profiles = noelle.profiles();
-    let have_profiles = !profiles.block_counts.is_empty();
-    let mut done = DoneLoops::default();
-    for (fid, l) in candidate_loops(noelle, &opts.target) {
-        if done.subsume(fid, &l) {
-            continue;
-        }
-        let fname = noelle.module().func(fid).name.clone();
-        if have_profiles
-            && profiles.loop_hotness(noelle.module(), fid, &l) < opts.target.min_hotness
-        {
-            report.skipped.push((fname, l.header, "cold loop".into()));
-            continue;
-        }
-        let la = noelle.loop_abstraction(fid, l.clone());
-        match noelle
-            .edit(|tx| pipeline_loop(tx.module_touching([fid]), fid, &la, opts.target.workers))
-        {
-            Ok(()) => {
-                report.parallelized.push((fname, l.header));
-                done.push(fid, l);
-            }
-            Err(e) => report.skipped.push((fname, l.header, e.to_string())),
-        }
-    }
-    report
-}
-
-/// SCC partition of a loop into pipeline stages.
-struct StagePlan {
+/// DSWP's recipe for one loop: the SCC partition into pipeline stages and
+/// the register values that cross stage boundaries.
+#[derive(Debug, Clone)]
+pub struct StagePlan {
     /// Stage index of every *assignable* SCC.
     stage_of_scc: BTreeMap<usize, usize>,
     /// Instructions replicated in every stage (IVs, control, invariants).
     replicated: BTreeSet<InstId>,
     /// Number of stages actually used.
-    n_stages: usize,
+    pub n_stages: usize,
+    /// `(def, consumer stage)` of each cross-stage value queue, sorted.
+    value_queues: Vec<(InstId, usize)>,
 }
 
-/// The read-only gate phase of [`pipeline_loop`]: everything DSWP decides
-/// before mutating the module. Shared verbatim with [`precheck`] so the
-/// parallelism auditor's verdicts and the transform's behavior cannot
-/// drift apart.
-fn gate(
+/// DSWP takes a loop whose blocks all run once per iteration, whose SCCs
+/// split into at least two stages with only forward register dependences
+/// between them, and whose body outweighs the queue traffic. `want_stages`
+/// is an upper bound; the plan says how many are used.
+pub fn gate(
     m: &Module,
     fid: FuncId,
     la: &LoopAbstraction,
     want_stages: usize,
-) -> Result<(StagePlan, Vec<(InstId, usize)>), ParallelizeError> {
+) -> Result<StagePlan, ParallelizeError> {
     let l = &la.structure;
     if la.ivs.governing().is_none() {
         return Err(ParallelizeError::NoGoverningIv);
     }
+    // Also the first thing `mechanics_gate` checks, below; asked here so a
+    // loop refused on several counts keeps reporting this one first.
     if !liveouts_supported(la) {
         return Err(ParallelizeError::UnsupportedLiveOut);
     }
@@ -138,7 +96,7 @@ fn gate(
         }
     }
 
-    let plan = plan_stages(m, fid, la, want_stages)?;
+    let mut plan = plan_stages(m, fid, la, want_stages)?;
     let n_stages = plan.n_stages;
 
     // Profitability: pipelining pays only when a stage's share of the body
@@ -189,9 +147,7 @@ fn gate(
             continue;
         }
         if sb < sa {
-            return Err(ParallelizeError::Shape(
-                "backward cross-stage dependence".into(),
-            ));
+            return Err(ParallelizeError::Stages("backward cross-stage dependence"));
         }
         if !value_queues.contains(&(e.src, sb)) {
             value_queues.push((e.src, sb));
@@ -202,36 +158,12 @@ fn gate(
     // communicated defs that live in the header (it runs one extra time).
     for &(d, _) in &value_queues {
         if f.parent_block(d) == l.header {
-            return Err(ParallelizeError::Shape(
-                "communicated value defined in the loop header".into(),
+            return Err(ParallelizeError::Stages(
+                "communicated value defined in the loop header",
             ));
         }
     }
-    Ok((plan, value_queues))
-}
-
-/// Decide, without mutating anything, whether DSWP would apply to this
-/// loop: the shared [`gate`] phase plus structural mirrors of the failure
-/// points the transform only reaches mid-rewrite (outlining needs a single
-/// exit block, the token chain needs an unambiguous body block, the
-/// dispatcher needs a creatable pre-header).
-pub fn precheck(
-    m: &Module,
-    fid: FuncId,
-    la: &LoopAbstraction,
-    want_stages: usize,
-) -> Result<(), ParallelizeError> {
-    gate(m, fid, la, want_stages)?;
-    let l = &la.structure;
-    let f = m.func(fid);
-    if l.exit_blocks().len() != 1 {
-        return Err(ParallelizeError::Shape(
-            "loop has multiple exit blocks".into(),
-        ));
-    }
-    // prune_stage(): the token pop lands in the header's unique in-loop
-    // successor (gate() already guarantees a single latch).
-    let latch = l.single_latch().expect("gate checked");
+    // The token pop lands in the header's unique in-loop successor.
     if l.header != latch {
         let in_loop = f
             .successors(l.header)
@@ -244,29 +176,21 @@ pub fn precheck(
             ));
         }
     }
-    // emit_dispatcher_with_queues(): pre-header must exist or be creatable.
-    if l.preheader.is_none()
-        && !f
-            .block_order()
-            .iter()
-            .any(|&b| !l.contains(b) && f.successors(b).contains(&l.header))
-    {
-        return Err(ParallelizeError::Shape(
-            "header has no out-of-loop predecessor".into(),
-        ));
-    }
-    Ok(())
+    mechanics_gate(m, fid, la, false)?;
+    plan.value_queues = value_queues;
+    Ok(plan)
 }
 
-/// Pipeline one loop.
-pub fn pipeline_loop(
+/// Outline one pruned clone of the loop per stage, connect them with
+/// queues, and dispatch them through a trampoline.
+pub fn emit(
     m: &mut Module,
     fid: FuncId,
     la: &LoopAbstraction,
-    want_stages: usize,
+    plan: &StagePlan,
 ) -> Result<(), ParallelizeError> {
     let l = &la.structure;
-    let (plan, value_queues) = gate(m, fid, la, want_stages)?;
+    let value_queues = &plan.value_queues;
     let n_stages = plan.n_stages;
     let n_token_queues = n_stages - 1;
     let n_queues = value_queues.len() + n_token_queues;
@@ -288,16 +212,7 @@ pub fn pipeline_loop(
             &format!("{fname}.dswp.{}.stage{}", l.header.0, s),
         )?;
         reset_reduction_initials(m, &task, &la.reductions);
-        prune_stage(
-            m,
-            la,
-            &task,
-            s,
-            &plan,
-            &queue_index,
-            value_queues.len(),
-            n_stages,
-        )?;
+        prune_stage(m, la, &task, s, plan, &queue_index)?;
         stage_fids.push(task.fid);
     }
 
@@ -314,7 +229,7 @@ pub fn pipeline_loop(
 
 /// Pipeline shape summary for the planner's cost model: per-stage compute
 /// costs, cross-stage queue traffic, and the replicated overhead each stage
-/// carries — derived from the same [`gate`] the transform itself uses, so
+/// carries — derived from the [`StagePlan`] the emitter consumes, so
 /// predictions and behavior cannot drift apart.
 #[derive(Debug, Clone)]
 pub struct StageSummary {
@@ -330,54 +245,49 @@ pub struct StageSummary {
     pub queue_ops: Vec<u64>,
 }
 
-/// Summarize the pipeline DSWP would build for this loop without mutating
-/// anything. Errors exactly when [`precheck`]'s gate phase would refuse.
-pub fn stage_summary(
-    m: &Module,
-    fid: FuncId,
-    la: &LoopAbstraction,
-    want_stages: usize,
-) -> Result<StageSummary, ParallelizeError> {
-    let (plan, value_queues) = gate(m, fid, la, want_stages)?;
-    let f = m.func(fid);
-    let replicated_cost: u64 = plan
-        .replicated
-        .iter()
-        .map(|&i| approx_inst_cost(f.inst(i)))
-        .sum();
-    let mut stage_costs = vec![replicated_cost; plan.n_stages];
-    for (&scc, &s) in &plan.stage_of_scc {
-        for &i in &la.sccdag.nodes()[scc].insts {
-            if !plan.replicated.contains(&i) {
-                stage_costs[s] += approx_inst_cost(f.inst(i));
+impl StagePlan {
+    /// Summarize the pipeline for the planner's cost model.
+    pub fn summary(&self, m: &Module, fid: FuncId, la: &LoopAbstraction) -> StageSummary {
+        let f = m.func(fid);
+        let replicated_cost: u64 = self
+            .replicated
+            .iter()
+            .map(|&i| approx_inst_cost(f.inst(i)))
+            .sum();
+        let mut stage_costs = vec![replicated_cost; self.n_stages];
+        for (&scc, &s) in &self.stage_of_scc {
+            for &i in &la.sccdag.nodes()[scc].insts {
+                if !self.replicated.contains(&i) {
+                    stage_costs[s] += approx_inst_cost(f.inst(i));
+                }
             }
         }
-    }
-    let mut queue_ops = vec![0u64; plan.n_stages];
-    for &(d, consumer) in &value_queues {
-        if let Some(s) = la
-            .sccdag
-            .scc_of(d)
-            .and_then(|s| plan.stage_of_scc.get(&s).copied())
-        {
-            queue_ops[s] += 1; // push in the producer stage
+        let mut queue_ops = vec![0u64; self.n_stages];
+        for &(d, consumer) in &self.value_queues {
+            if let Some(s) = la
+                .sccdag
+                .scc_of(d)
+                .and_then(|s| self.stage_of_scc.get(&s).copied())
+            {
+                queue_ops[s] += 1; // push in the producer stage
+            }
+            queue_ops[consumer] += 1; // pop in the consumer stage
         }
-        queue_ops[consumer] += 1; // pop in the consumer stage
-    }
-    for (s, ops) in queue_ops.iter_mut().enumerate() {
-        if s > 0 {
-            *ops += 1; // token pop from the previous stage
+        for (s, ops) in queue_ops.iter_mut().enumerate() {
+            if s > 0 {
+                *ops += 1; // token pop from the previous stage
+            }
+            if s + 1 < self.n_stages {
+                *ops += 1; // token push to the next stage
+            }
         }
-        if s + 1 < plan.n_stages {
-            *ops += 1; // token push to the next stage
+        StageSummary {
+            n_stages: self.n_stages,
+            stage_costs,
+            value_queues: self.value_queues.len(),
+            queue_ops,
         }
     }
-    Ok(StageSummary {
-        n_stages: plan.n_stages,
-        stage_costs,
-        value_queues: value_queues.len(),
-        queue_ops,
-    })
 }
 
 /// Plan the pipeline stages: the replicated set (IVs, control chains,
@@ -420,9 +330,7 @@ fn plan_stages(
     }
     for &i in &replicated {
         if f.inst(i).may_read_memory() || f.inst(i).may_write_memory() {
-            return Err(ParallelizeError::Shape(
-                "loop control depends on memory".into(),
-            ));
+            return Err(ParallelizeError::Stages("loop control depends on memory"));
         }
     }
 
@@ -439,9 +347,7 @@ fn plan_stages(
         })
         .collect();
     if assignable.len() < 2 {
-        return Err(ParallelizeError::Shape(
-            "fewer than two pipeline stages".into(),
-        ));
+        return Err(ParallelizeError::Stages("fewer than two pipeline stages"));
     }
     let n_stages = want.clamp(2, assignable.len());
     let weights: Vec<usize> = assignable
@@ -466,6 +372,7 @@ fn plan_stages(
         stage_of_scc,
         replicated,
         n_stages: stage + 1,
+        value_queues: Vec::new(),
     })
 }
 
@@ -577,7 +484,6 @@ fn cast_to_i64(
 /// Prune a stage clone: keep this stage's SCCs plus the replicated set,
 /// replace consumed foreign values with queue pops, push produced values,
 /// insert the token chain, and patch dead live-out stores with identities.
-#[allow(clippy::too_many_arguments)]
 fn prune_stage(
     m: &mut Module,
     la: &LoopAbstraction,
@@ -585,22 +491,14 @@ fn prune_stage(
     stage: usize,
     plan: &StagePlan,
     queue_index: &HashMap<(InstId, usize), usize>,
-    n_value_queues: usize,
-    n_stages: usize,
 ) -> Result<(), ParallelizeError> {
+    let (n_value_queues, n_stages) = (plan.value_queues.len(), plan.n_stages);
     let pop_fn = m.get_or_declare(QUEUE_POP_INTRINSIC, vec![Type::I64], Type::I64);
     let push_fn = m.get_or_declare(QUEUE_PUSH_INTRINSIC, vec![Type::I64, Type::I64], Type::Void);
 
     // Load all queue ids in the entry block (before its terminator).
     let env_base_slot = la.env.num_slots(n_stages) as i64;
     let n_queues = n_value_queues + (n_stages - 1);
-    let orig_f = {
-        // Clone the original function's instruction view for stage queries.
-        // (Only instruction kinds are needed.)
-        la.pdg.internal_nodes().collect::<BTreeSet<_>>()
-    };
-    let _ = orig_f;
-
     let tl = task_loop(m, task.fid);
     let latch = tl
         .single_latch()
@@ -802,14 +700,13 @@ fn build_trampoline(m: &mut Module, name: &str, stages: &[FuncId]) -> FuncId {
             cases: case_blocks,
         },
     );
-    let _ = task_fn_ptr_type();
     m.add_function(f)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use noelle_core::noelle::AliasTier;
+    use crate::common::{parallelize, LoopTargetOpts, Parallelizer};
+    use noelle_core::noelle::{AliasTier, Noelle};
     use noelle_ir::parser::parse_module;
     use noelle_runtime::{run_module, RunConfig};
 
@@ -903,14 +800,13 @@ done:
         let seq = run_module(&m, "main", &[], &RunConfig::default()).unwrap();
 
         let mut noelle = Noelle::new(m, AliasTier::Full);
-        let report = run(
+        let report = parallelize(
             &mut noelle,
-            &DswpOptions {
-                target: LoopTargetOpts {
-                    min_hotness: 0.0,
-                    workers: 2,
-                    only: None,
-                },
+            Parallelizer::Dswp,
+            &LoopTargetOpts {
+                min_hotness: 0.0,
+                workers: 2,
+                only: None,
             },
         );
         assert!(
@@ -948,14 +844,13 @@ exit:
 "#;
         let m = parse_module(src).unwrap();
         let mut noelle = Noelle::new(m, AliasTier::Full);
-        let report = run(
+        let report = parallelize(
             &mut noelle,
-            &DswpOptions {
-                target: LoopTargetOpts {
-                    min_hotness: 0.0,
-                    workers: 2,
-                    only: None,
-                },
+            Parallelizer::Dswp,
+            &LoopTargetOpts {
+                min_hotness: 0.0,
+                workers: 2,
+                only: None,
             },
         );
         assert_eq!(report.count(), 0, "{report:?}");

@@ -13,12 +13,13 @@
 //! core-to-core signal latency charged from the AR abstraction.
 
 use crate::common::{
-    approx_inst_cost, candidate_loops, parallelize_with, task_loop, DoneLoops, LoopTargetOpts,
-    ParallelReport, ParallelizeError, SS_SIGNAL_INTRINSIC, SS_WAIT_INTRINSIC,
+    approx_inst_cost, mechanics_gate, parallelize_with, task_loop, ParallelizeError,
+    SS_SIGNAL_INTRINSIC, SS_WAIT_INTRINSIC,
 };
 use crate::doall::distribute_cyclically;
+use noelle_core::architecture::Architecture;
 use noelle_core::loop_abs::LoopAbstraction;
-use noelle_core::noelle::{Abstraction, Noelle};
+use noelle_core::noelle::Abstraction;
 use noelle_core::task::TaskFunction;
 use noelle_ir::cfg::Cfg;
 use noelle_ir::dom::DomTree;
@@ -29,24 +30,37 @@ use noelle_ir::value::Value;
 use noelle_pdg::islands::islands_of;
 use std::collections::BTreeSet;
 
-/// Options controlling HELIX. `target.workers` is the number of cores
-/// iterations are distributed over.
-#[derive(Clone, Debug)]
-pub struct HelixOptions {
-    /// Shared loop selection: hotness gate, pinning, worker count.
-    pub target: LoopTargetOpts,
-    /// Skip loops whose sequential segments cover more than this fraction of
-    /// the loop body (they would serialize everything).
-    pub max_sequential_fraction: f64,
-}
+/// The abstractions HELIX asks NOELLE for (its Table 4 row).
+pub const ABSTRACTIONS: [Abstraction; 15] = [
+    Abstraction::Pro,
+    Abstraction::Fr,
+    Abstraction::L,
+    Abstraction::Env,
+    Abstraction::Task,
+    Abstraction::Dfe,
+    Abstraction::Scd,
+    Abstraction::Lb,
+    Abstraction::Iv,
+    Abstraction::Ivs,
+    Abstraction::Inv,
+    Abstraction::Rd,
+    Abstraction::ASccDag,
+    Abstraction::Ar,
+    Abstraction::Ls,
+];
 
-impl Default for HelixOptions {
-    fn default() -> HelixOptions {
-        HelixOptions {
-            target: LoopTargetOpts::default(),
-            max_sequential_fraction: 0.7,
-        }
-    }
+/// Sequential segments may cover at most this fraction of the loop body;
+/// beyond it they would serialize everything.
+const MAX_SEQUENTIAL_FRACTION: f64 = 0.7;
+
+/// HELIX's recipe for one loop: the sequential segments to bracket and
+/// what one pass through them costs.
+#[derive(Debug, Clone)]
+pub struct Segments {
+    /// The instructions of each segment.
+    pub groups: Vec<BTreeSet<InstId>>,
+    /// Estimated cycles per iteration spent inside segments.
+    pub cost: u64,
 }
 
 /// Compute the sequential segments of a loop: connected groups of SCCs that
@@ -114,178 +128,77 @@ pub fn sequential_segments(
     Some(segments)
 }
 
-/// Decide, without mutating anything, whether HELIX would apply to this
-/// loop: the exact gate sequence of [`run`], then the shared DOALL
-/// mechanics gates (live-outs, outlining, IV stepping, dispatcher).
-/// `latency` is the architecture's cross-core signal latency, as fed to the
-/// profitability gate by [`run`].
-pub fn precheck(
+/// HELIX takes a loop with a governing IV whose sequential segments can be
+/// bracketed, leave enough of the body parallel, and are outweighed (with
+/// the architecture's cross-core signal latency) by the parallel work.
+pub fn gate(
     m: &Module,
     fid: FuncId,
     la: &LoopAbstraction,
-    latency: u64,
-    max_sequential_fraction: f64,
-) -> Result<(), ParallelizeError> {
+    arch: &Architecture,
+) -> Result<Segments, ParallelizeError> {
     if la.ivs.governing().is_none() {
         return Err(ParallelizeError::NoGoverningIv);
     }
-    let Some(segments) = sequential_segments(m, fid, la) else {
-        return Err(ParallelizeError::Shape("unbracketably sequential".into()));
+    let Some(groups) = sequential_segments(m, fid, la) else {
+        return Err(ParallelizeError::Segments("unbracketably sequential"));
     };
-    let seg_insts: usize = segments.iter().map(BTreeSet::len).sum();
+    let seg_insts: usize = groups.iter().map(BTreeSet::len).sum();
     let total = la.pdg.num_internal().max(1);
-    if seg_insts as f64 / total as f64 > max_sequential_fraction {
-        return Err(ParallelizeError::Shape("mostly sequential".into()));
+    if seg_insts as f64 / total as f64 > MAX_SEQUENTIAL_FRACTION {
+        return Err(ParallelizeError::Segments("mostly sequential"));
     }
-    if !segments.is_empty() {
-        let f = m.func(fid);
+    // The signal latency is paid once per iteration on the sequential
+    // chain; the parallel work per iteration must outweigh it.
+    let f = m.func(fid);
+    let cost: u64 = groups
+        .iter()
+        .flatten()
+        .map(|&i| approx_inst_cost(f.inst(i)))
+        .sum();
+    if !groups.is_empty() {
         let body_cost: u64 = la
             .pdg
             .internal_nodes()
             .map(|i| approx_inst_cost(f.inst(i)))
             .sum();
-        let seg_cost: u64 = segments
-            .iter()
-            .flat_map(|s| s.iter())
-            .map(|&i| approx_inst_cost(f.inst(i)))
-            .sum();
-        if body_cost < (seg_cost + latency) * 13 / 10 {
-            return Err(ParallelizeError::Shape(
-                "sequential segment dominates".into(),
-            ));
+        if body_cost < (cost + arch.max_latency()) * 13 / 10 {
+            return Err(ParallelizeError::Segments("sequential segment dominates"));
         }
     }
-    // Shared mechanics: live-outs, single exit, steppable IVs, pre-header.
     // HELIX rides on the same outline + cyclic distribution + dispatcher as
     // DOALL, minus the dependence gate (that is the point of the brackets).
-    match crate::doall::precheck(m, fid, la) {
-        Err(ParallelizeError::CarriedDependences) | Ok(()) => Ok(()),
-        Err(e) => Err(e),
-    }
+    mechanics_gate(m, fid, la, true)?;
+    Ok(Segments { groups, cost })
 }
 
-/// Apply HELIX to every eligible loop of the module.
-pub fn run(noelle: &mut Noelle, opts: &HelixOptions) -> ParallelReport {
-    for a in [
-        Abstraction::Pro,
-        Abstraction::Fr,
-        Abstraction::L,
-        Abstraction::Env,
-        Abstraction::Task,
-        Abstraction::Dfe,
-        Abstraction::Scd,
-        Abstraction::Lb,
-        Abstraction::Iv,
-        Abstraction::Ivs,
-        Abstraction::Inv,
-        Abstraction::Rd,
-        Abstraction::ASccDag,
-        Abstraction::Ar,
-        Abstraction::Ls,
-    ] {
-        noelle.note(a);
-    }
-    let mut report = ParallelReport::default();
-    let profiles = noelle.profiles();
-    let have_profiles = !profiles.block_counts.is_empty();
-    let mut seg_counter: i64 = next_segment_base(noelle.module());
+/// Metadata key counting the segment ids handed out so far, so every
+/// HELIX loop of a module waits and signals on ids of its own.
+const SEGMENTS_KEY: &str = "noelle.helix.segments";
 
-    let mut done = DoneLoops::default();
-    for (fid, l) in candidate_loops(noelle, &opts.target) {
-        if done.subsume(fid, &l) {
-            continue;
-        }
-        let fname = noelle.module().func(fid).name.clone();
-        if have_profiles
-            && profiles.loop_hotness(noelle.module(), fid, &l) < opts.target.min_hotness
-        {
-            report.skipped.push((fname, l.header, "cold loop".into()));
-            continue;
-        }
-        let la = noelle.loop_abstraction(fid, l.clone());
-        if la.ivs.governing().is_none() {
-            report
-                .skipped
-                .push((fname, l.header, "no governing IV".into()));
-            continue;
-        }
-        let Some(segments) = sequential_segments(noelle.module(), fid, &la) else {
-            report
-                .skipped
-                .push((fname, l.header, "unbracketably sequential".into()));
-            continue;
-        };
-        // Fraction check: serializing most of the body is pointless.
-        let seg_insts: usize = segments.iter().map(BTreeSet::len).sum();
-        let total = la.pdg.num_internal().max(1);
-        if seg_insts as f64 / total as f64 > opts.max_sequential_fraction {
-            report
-                .skipped
-                .push((fname, l.header, "mostly sequential".into()));
-            continue;
-        }
-        // Profitability: the cross-core signal latency is paid once per
-        // iteration on the sequential chain; the parallel work per iteration
-        // must outweigh it (AR provides the latency).
-        if !segments.is_empty() {
-            let f = noelle.module().func(fid);
-            let body_cost: u64 = la
-                .pdg
-                .internal_nodes()
-                .map(|i| approx_inst_cost(f.inst(i)))
-                .sum();
-            let seg_cost: u64 = segments
-                .iter()
-                .flat_map(|s| s.iter())
-                .map(|&i| approx_inst_cost(f.inst(i)))
-                .sum();
-            let latency = noelle.architecture().max_latency();
-            if body_cost < (seg_cost + latency) * 13 / 10 {
-                report
-                    .skipped
-                    .push((fname, l.header, "sequential segment dominates".into()));
-                continue;
-            }
-        }
-        let task_name = format!("{fname}.helix.{}", l.header.0);
-        let seg_base = seg_counter;
-        seg_counter += segments.len() as i64;
-        let segments_ref = &segments;
-        match noelle.edit(|tx| {
-            parallelize_with(
-                tx.module_touching([fid]),
-                fid,
-                &la,
-                opts.target.workers,
-                &task_name,
-                |m, task| {
-                    distribute_cyclically(m, task)?;
-                    bracket_segments(m, task, segments_ref, seg_base)
-                },
-            )
-        }) {
-            Ok(()) => {
-                report.parallelized.push((fname, l.header));
-                done.push(fid, l);
-            }
-            Err(e) => report.skipped.push((fname, l.header, e.to_string())),
-        }
-    }
-    // Metadata-only edit: no function bodies change.
-    noelle.edit(|tx| set_segment_base(tx.module_touching([]), seg_counter));
-    report
-}
-
-fn next_segment_base(m: &Module) -> i64 {
-    m.metadata
-        .get("noelle.helix.segments")
+/// Outline the loop into `workers` tasks that split its iterations
+/// cyclically and run each segment in iteration order.
+pub fn emit(
+    m: &mut Module,
+    fid: FuncId,
+    la: &LoopAbstraction,
+    segments: &Segments,
+    workers: usize,
+) -> Result<(), ParallelizeError> {
+    let task_name = format!("{}.helix.{}", m.func(fid).name, la.structure.header.0);
+    let seg_base: i64 = m
+        .metadata
+        .get(SEGMENTS_KEY)
         .and_then(|s| s.parse().ok())
-        .unwrap_or(0)
-}
-
-fn set_segment_base(m: &mut Module, v: i64) {
+        .unwrap_or(0);
+    parallelize_with(m, fid, la, workers, &task_name, |m, task| {
+        distribute_cyclically(m, task)?;
+        bracket_segments(m, task, &segments.groups, seg_base)
+    })?;
+    let next = seg_base + segments.groups.len() as i64;
     m.metadata
-        .insert("noelle.helix.segments".to_string(), v.to_string());
+        .insert(SEGMENTS_KEY.to_string(), next.to_string());
+    Ok(())
 }
 
 /// Insert the iteration counter and the wait/signal brackets into the task
@@ -385,7 +298,8 @@ fn bracket_segments(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use noelle_core::noelle::AliasTier;
+    use crate::common::{parallelize, LoopTargetOpts, Parallelizer};
+    use noelle_core::noelle::{AliasTier, Noelle};
     use noelle_ir::parser::parse_module;
     use noelle_runtime::{run_module, RunConfig};
 
@@ -456,14 +370,12 @@ done:
         let seq = run_module(&m, "main", &[], &RunConfig::default()).unwrap();
 
         let mut noelle = Noelle::new(m, AliasTier::Full);
-        let report = run(
+        let report = parallelize(
             &mut noelle,
-            &HelixOptions {
-                target: LoopTargetOpts {
-                    min_hotness: 0.0,
-                    ..LoopTargetOpts::default()
-                },
-                max_sequential_fraction: 0.7,
+            Parallelizer::Helix,
+            &LoopTargetOpts {
+                min_hotness: 0.0,
+                ..LoopTargetOpts::default()
             },
         );
         assert!(
@@ -481,7 +393,7 @@ done:
 
     #[test]
     fn fully_sequential_loop_skipped() {
-        // Nothing but the recurrence: sequential fraction ~ 1.
+        // Nothing but the recurrence: the segment is the body.
         let src = r#"
 module "seq" {
 define i64 @main() {
@@ -508,21 +420,25 @@ exit:
 "#;
         let m = parse_module(src).unwrap();
         let mut noelle = Noelle::new(m, AliasTier::Full);
-        let report = run(
+        let fid = noelle.module().func_id_by_name("main").unwrap();
+        let l = noelle.loops_of(fid)[0].clone();
+        let la = noelle.loop_abstraction(fid, l);
+        let arch = noelle.architecture();
+        let refusal = gate(noelle.module(), fid, &la, &arch).unwrap_err();
+        assert!(
+            matches!(refusal, ParallelizeError::Segments(_)),
+            "{refusal}"
+        );
+        let report = parallelize(
             &mut noelle,
-            &HelixOptions {
-                target: LoopTargetOpts {
-                    min_hotness: 0.0,
-                    ..LoopTargetOpts::default()
-                },
-                max_sequential_fraction: 0.3,
+            Parallelizer::Helix,
+            &LoopTargetOpts {
+                min_hotness: 0.0,
+                ..LoopTargetOpts::default()
             },
         );
         assert_eq!(report.count(), 0, "{report:?}");
-        assert!(report
-            .skipped
-            .iter()
-            .any(|(_, _, why)| why == "mostly sequential"));
+        assert_eq!(report.skipped[0].2, refusal.to_string());
     }
 
     #[test]

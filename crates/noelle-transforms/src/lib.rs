@@ -33,4 +33,4 @@ pub mod perspective;
 pub mod prvj;
 pub mod time;
 
-pub use common::{LoopTargetOpts, ParallelReport, ParallelizeError};
+pub use common::{parallelize, LoopTargetOpts, ParallelReport, ParallelizeError, Parallelizer};

@@ -9,12 +9,10 @@
 //! the loop parallelizes like DOALL. Speculation support is out of scope, as
 //! DESIGN.md documents.
 
-use crate::common::{
-    candidate_loops, parallelize_with, LoopTargetOpts, ParallelReport, ParallelizeError,
-};
+use crate::common::{mechanics_gate, parallelize_with, ParallelizeError};
 use crate::doall::distribute_cyclically;
 use noelle_core::loop_abs::LoopAbstraction;
-use noelle_core::noelle::{Abstraction, Noelle};
+use noelle_core::noelle::Abstraction;
 use noelle_core::task::TaskFunction;
 use noelle_ir::cfg::Cfg;
 use noelle_ir::dom::DomTree;
@@ -23,68 +21,46 @@ use noelle_ir::module::{FuncId, Module};
 use noelle_ir::value::Value;
 use std::collections::BTreeSet;
 
-/// Options controlling Perspective-lite.
-#[derive(Clone, Debug)]
-pub struct PerspectiveOptions {
-    /// Number of tasks to distribute over.
-    pub n_tasks: usize,
+/// The abstractions Perspective-lite asks NOELLE for (its Table 4 row).
+pub const ABSTRACTIONS: [Abstraction; 2] = [Abstraction::Pdg, Abstraction::ASccDag];
+
+/// Perspective-lite takes a loop that only a privatizable scratch cell
+/// keeps from being DOALL, and returns that cell.
+pub fn gate(m: &Module, fid: FuncId, la: &LoopAbstraction) -> Result<InstId, ParallelizeError> {
+    if la.is_doall() {
+        // Plain DOALL territory; Perspective adds nothing here. Leave it
+        // to DOALL (do not double-parallelize in combined pipelines).
+        return Err(ParallelizeError::Shape(
+            "plain DOALL (no privatization needed)".into(),
+        ));
+    }
+    let cell = privatizable_scratch(m, fid, la)
+        .ok_or_else(|| ParallelizeError::Shape("no privatizable object".into()))?;
+    mechanics_gate(m, fid, la, true)?;
+    Ok(cell)
 }
 
-impl Default for PerspectiveOptions {
-    fn default() -> PerspectiveOptions {
-        PerspectiveOptions { n_tasks: 4 }
-    }
-}
-
-/// Run Perspective-lite over the module.
-pub fn run(noelle: &mut Noelle, opts: &PerspectiveOptions) -> ParallelReport {
-    noelle.note(Abstraction::Pdg);
-    noelle.note(Abstraction::ASccDag);
-    let mut report = ParallelReport::default();
-    for (fid, l) in candidate_loops(noelle, &LoopTargetOpts::default()) {
-        let fname = noelle.module().func(fid).name.clone();
-        let la = noelle.loop_abstraction(fid, l.clone());
-        if la.is_doall() {
-            // Plain DOALL territory; Perspective adds nothing here. Leave it
-            // to DOALL (do not double-parallelize in combined pipelines).
-            report.skipped.push((
-                fname,
-                l.header,
-                "plain DOALL (no privatization needed)".into(),
-            ));
-            continue;
-        }
-        let Some(cell) = privatizable_scratch(noelle.module(), fid, &la) else {
-            report
-                .skipped
-                .push((fname, l.header, "no privatizable object".into()));
-            continue;
-        };
-        let task_name = format!("{fname}.pers.{}", l.header.0);
-        match noelle.edit(|tx| {
-            parallelize_with(
-                tx.module_touching([fid]),
-                fid,
-                &la,
-                opts.n_tasks,
-                &task_name,
-                |m, task| {
-                    privatize(m, task, cell)?;
-                    distribute_cyclically(m, task)
-                },
-            )
-        }) {
-            Ok(()) => report.parallelized.push((fname, l.header)),
-            Err(e) => report.skipped.push((fname, l.header, e.to_string())),
-        }
-    }
-    report
+/// Outline the loop into `workers` DOALL tasks, each with its own copy of
+/// `cell`.
+pub fn emit(
+    m: &mut Module,
+    fid: FuncId,
+    la: &LoopAbstraction,
+    cell: InstId,
+    workers: usize,
+) -> Result<(), ParallelizeError> {
+    let task_name = format!("{}.pers.{}", m.func(fid).name, la.structure.header.0);
+    let alloca = m.func(fid).inst(cell).clone();
+    parallelize_with(m, fid, la, workers, &task_name, |m, task| {
+        privatize(m, task, Value::Inst(cell), alloca)?;
+        distribute_cyclically(m, task)
+    })
 }
 
 /// Find a scratch allocation whose carried dependences are the *only*
 /// obstacle to DOALL, and which every iteration writes before reading
 /// (write-first ⇒ privatizable: per-task copies preserve semantics).
-fn privatizable_scratch(m: &Module, fid: FuncId, la: &LoopAbstraction) -> Option<Value> {
+fn privatizable_scratch(m: &Module, fid: FuncId, la: &LoopAbstraction) -> Option<InstId> {
     let f = m.func(fid);
     let l = &la.structure;
     if la.ivs.governing().is_none() || l.exit_blocks().len() != 1 {
@@ -127,7 +103,16 @@ fn privatizable_scratch(m: &Module, fid: FuncId, la: &LoopAbstraction) -> Option
     }
     // The cell must be a non-escaping alloca defined outside the loop.
     let cell_inst = cell.as_inst()?;
-    if !matches!(f.inst(cell_inst), Inst::Alloca { .. }) || l.contains(f.parent_block(cell_inst)) {
+    // A constant count, so each task can allocate its copy without a value
+    // of the enclosing function.
+    let Inst::Alloca {
+        count: Value::Const(_),
+        ..
+    } = f.inst(cell_inst)
+    else {
+        return None;
+    };
+    if l.contains(f.parent_block(cell_inst)) {
         return None;
     }
     if noelle_analysis::alias::object_escapes(m, fid, cell_inst) {
@@ -177,11 +162,17 @@ fn privatizable_scratch(m: &Module, fid: FuncId, la: &LoopAbstraction) -> Option
     if used_after {
         return None;
     }
-    Some(cell)
+    Some(cell_inst)
 }
 
-/// Give the task its own private copy of the scratch cell.
-fn privatize(m: &mut Module, task: &TaskFunction, cell: Value) -> Result<(), ParallelizeError> {
+/// Give the task its own private copy of the scratch cell: a clone of the
+/// original `alloca`, so the copy has the cell's type and size.
+fn privatize(
+    m: &mut Module,
+    task: &TaskFunction,
+    cell: Value,
+    alloca: Inst,
+) -> Result<(), ParallelizeError> {
     // The cell arrived as a live-in: its loaded clone must be replaced by a
     // fresh per-task alloca.
     let Some(&loaded) = task.value_map.get(&cell) else {
@@ -190,17 +181,7 @@ fn privatize(m: &mut Module, task: &TaskFunction, cell: Value) -> Result<(), Par
         ));
     };
     let tf = m.func_mut(task.fid);
-    // Determine the allocation size from the original alloca type: the task
-    // clone only sees an i64 slot, so allocate a fresh cell of the pointee
-    // type of the pointer.
-    let private = tf.insert_inst(
-        task.entry,
-        0,
-        Inst::Alloca {
-            ty: noelle_ir::types::Type::I64,
-            count: Value::const_i64(1),
-        },
-    );
+    let private = tf.insert_inst(task.entry, 0, alloca);
     tf.replace_all_uses(loaded, Value::Inst(private));
     Ok(())
 }
@@ -208,7 +189,8 @@ fn privatize(m: &mut Module, task: &TaskFunction, cell: Value) -> Result<(), Par
 #[cfg(test)]
 mod tests {
     use super::*;
-    use noelle_core::noelle::AliasTier;
+    use crate::common::{parallelize, LoopTargetOpts, Parallelizer};
+    use noelle_core::noelle::{AliasTier, Noelle};
     use noelle_ir::parser::parse_module;
     use noelle_runtime::{run_module, RunConfig};
 
@@ -258,32 +240,97 @@ done:
 }
 "#;
 
-    #[test]
-    fn privatizes_scratch_and_parallelizes() {
-        let m = parse_module(PROGRAM).unwrap();
-        let seq = run_module(&m, "main", &[], &RunConfig::default()).unwrap();
-
-        // DOALL alone refuses the kernel loop (carried deps through %tmp).
-        {
-            let mut n = Noelle::new(m.clone(), AliasTier::Full);
-            let fid = n.module().func_id_by_name("kernel").unwrap();
-            let l = n.loops_of(fid)[0].clone();
-            let la = n.loop_abstraction(fid, l);
-            assert!(!la.is_doall(), "tmp cell must block plain DOALL");
+    fn ungated() -> LoopTargetOpts {
+        LoopTargetOpts {
+            min_hotness: 0.0,
+            ..LoopTargetOpts::default()
         }
+    }
 
+    /// Run Perspective over `src`; the result must verify, compute what the
+    /// sequential program computes, and be faster. Returns the report and
+    /// the transformed module.
+    fn privatized(src: &str) -> (crate::ParallelReport, Module) {
+        let m = parse_module(src).unwrap();
+        let seq = run_module(&m, "main", &[], &RunConfig::default()).unwrap();
         let mut noelle = Noelle::new(m, AliasTier::Full);
-        let report = run(&mut noelle, &PerspectiveOptions { n_tasks: 4 });
-        assert!(
-            report.parallelized.iter().any(|(f, _)| f == "kernel"),
-            "{report:?}"
-        );
+        let report = parallelize(&mut noelle, Parallelizer::Perspective, &ungated());
         let m2 = noelle.into_module();
         noelle_ir::verifier::verify_module(&m2).unwrap_or_else(|e| panic!("verifies: {e}"));
         let par = run_module(&m2, "main", &[], &RunConfig::default()).unwrap();
         assert_eq!(par.ret_i64(), seq.ret_i64(), "semantics preserved");
         let speedup = seq.cycles as f64 / par.cycles as f64;
         assert!(speedup > 1.3, "speedup = {speedup:.2}");
+        (report, m2)
+    }
+
+    #[test]
+    fn privatizes_scratch_and_parallelizes() {
+        // DOALL alone refuses the kernel loop (carried deps through %tmp).
+        {
+            let mut n = Noelle::new(parse_module(PROGRAM).unwrap(), AliasTier::Full);
+            let fid = n.module().func_id_by_name("kernel").unwrap();
+            let l = n.loops_of(fid)[0].clone();
+            let la = n.loop_abstraction(fid, l);
+            assert!(!la.is_doall(), "tmp cell must block plain DOALL");
+        }
+        let (report, _) = privatized(PROGRAM);
+        assert!(
+            report.parallelized.iter().any(|(f, _)| f == "kernel"),
+            "{report:?}"
+        );
+    }
+
+    #[test]
+    fn private_copy_has_the_cells_type() {
+        // The same kernel with an `f64` scratch cell: the per-task copy
+        // must be an `f64` cell too, or the task's accesses are ill-typed.
+        let src = PROGRAM
+            .replace("%tmp = alloca i64, i64 1", "%tmp = alloca f64, i64 1")
+            .replace(
+                "%sq = mul i64 %v, %v",
+                "%vf = sitofp i64 %v to f64\n  %sq = fmul f64 %vf, %vf",
+            )
+            .replace("store i64 %sq, %tmp", "store f64 %sq, %tmp")
+            .replace(
+                "%t = load i64, %tmp",
+                "%tf = load f64, %tmp\n  %t = fptosi f64 %tf to i64",
+            );
+        let (report, _) = privatized(&src);
+        assert!(
+            report.parallelized.iter().any(|(f, _)| f == "kernel"),
+            "{report:?}"
+        );
+    }
+
+    #[test]
+    fn loop_inside_a_parallelized_loop_is_gone() {
+        // The kernel with a small counting loop in the middle of its body:
+        // once the outer loop is outlined, the inner one only exists on
+        // bypassed dead blocks and gets no verdict.
+        let src = PROGRAM
+            .replace("[body: %i2]", "[tail: %i2]")
+            .replace("[body: %s2]", "[tail: %s2]")
+            .replace(
+                "  %t = load i64, %tmp\n",
+                "  br ih\nih:\n  %j = phi i64 [body: i64 0] [ih: %j2]\n  \
+                 %j2 = add i64 %j, i64 1\n  %cj = icmp slt i64 %j2, i64 4\n  \
+                 condbr %cj, ih, tail\ntail:\n  %t = load i64, %tmp\n",
+            );
+        let (report, m2) = privatized(&src);
+        let kernel = m2.func(m2.func_id_by_name("kernel").unwrap());
+        let oh = kernel.block_order()[1];
+        assert_eq!(report.parallelized, [("kernel".to_string(), oh)]);
+        assert!(
+            report.skipped.iter().all(|(f, _, _)| f != "kernel"),
+            "the inner loop is not a candidate any more: {report:?}"
+        );
+        let tasks = m2
+            .functions()
+            .iter()
+            .filter(|f| f.name.contains(".pers."))
+            .count();
+        assert_eq!(tasks, 1);
     }
 
     #[test]
@@ -315,7 +362,7 @@ exit:
         let m = parse_module(src).unwrap();
         let seq = run_module(&m, "main", &[], &RunConfig::default()).unwrap();
         let mut noelle = Noelle::new(m, AliasTier::Full);
-        let report = run(&mut noelle, &PerspectiveOptions { n_tasks: 4 });
+        let report = parallelize(&mut noelle, Parallelizer::Perspective, &ungated());
         assert_eq!(report.count(), 0, "{report:?}");
         let m2 = noelle.into_module();
         let again = run_module(&m2, "main", &[], &RunConfig::default()).unwrap();

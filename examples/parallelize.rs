@@ -40,42 +40,17 @@ fn main() {
             }
             _ => {
                 let mut n = Noelle::new(module.clone(), AliasTier::Full);
-                let count = match technique {
-                    "doall" => tools::doall::run(
-                        &mut n,
-                        &tools::doall::DoallOptions {
-                            target: tools::LoopTargetOpts {
-                                min_hotness: 0.02,
-                                only: None,
-                                workers: cores,
-                            },
-                        },
-                    )
-                    .count(),
-                    "helix" => tools::helix::run(
-                        &mut n,
-                        &tools::helix::HelixOptions {
-                            target: tools::LoopTargetOpts {
-                                min_hotness: 0.02,
-                                only: None,
-                                workers: cores,
-                            },
-                            max_sequential_fraction: 0.7,
-                        },
-                    )
-                    .count(),
-                    _ => tools::dswp::run(
-                        &mut n,
-                        &tools::dswp::DswpOptions {
-                            target: tools::LoopTargetOpts {
-                                min_hotness: 0.02,
-                                only: None,
-                                workers: 2,
-                            },
-                        },
-                    )
-                    .count(),
+                let (tool, workers) = match technique {
+                    "doall" => (tools::Parallelizer::Doall, cores),
+                    "helix" => (tools::Parallelizer::Helix, cores),
+                    _ => (tools::Parallelizer::Dswp, 2),
                 };
+                let target = tools::LoopTargetOpts {
+                    min_hotness: 0.02,
+                    only: None,
+                    workers,
+                };
+                let count = tools::parallelize(&mut n, tool, &target).count();
                 (n.into_module(), count)
             }
         };

@@ -77,14 +77,13 @@ fn main() {
     );
 
     // Parallelize and re-run.
-    let report = noelle::transforms::doall::run(
+    let report = noelle::transforms::parallelize(
         &mut noelle,
-        &noelle::transforms::doall::DoallOptions {
-            target: noelle::transforms::LoopTargetOpts {
-                min_hotness: 0.0,
-                only: None,
-                workers: 4,
-            },
+        noelle::transforms::Parallelizer::Doall,
+        &noelle::transforms::LoopTargetOpts {
+            min_hotness: 0.0,
+            only: None,
+            workers: 4,
         },
     );
     println!("DOALL parallelized {} loop(s)", report.count());

@@ -28,11 +28,10 @@
 //! let seq = run_module(&module, "main", &[], &RunConfig::default()).expect("runs");
 //!
 //! let mut noelle = Noelle::new(module, AliasTier::Full);
-//! noelle::transforms::doall::run(
+//! noelle::transforms::parallelize(
 //!     &mut noelle,
-//!     &noelle::transforms::doall::DoallOptions {
-//!         target: noelle::transforms::LoopTargetOpts { min_hotness: 0.0, only: None, workers: 4 },
-//!     },
+//!     noelle::transforms::Parallelizer::Doall,
+//!     &noelle::transforms::LoopTargetOpts { min_hotness: 0.0, only: None, workers: 4 },
 //! );
 //! let par = run_module(&noelle.into_module(), "main", &[], &RunConfig::default())
 //!     .expect("parallel version runs");

@@ -15,7 +15,9 @@ use noelle::core::json::Json;
 use noelle::core::noelle::{AliasTier, Noelle};
 use noelle::ir::parser::parse_module;
 use noelle::ir::verifier::verify_module;
-use noelle::transforms::{doall, dswp, helix, LoopTargetOpts};
+use noelle::transforms::common::{emit, gate, parallelize, Parallelizer};
+use noelle::transforms::{LoopTargetOpts, ParallelizeError};
+use noelle_fuzz::generator::{generate, GenConfig};
 use noelle_lint::{audit_code, audit_findings, run_audit};
 use noelle_server::{Client, Server, ServerConfig};
 
@@ -272,24 +274,10 @@ fn no_false_clean_verdicts_across_all_workloads() {
                     continue;
                 }
                 clean_checked += 1;
-                let target = LoopTargetOpts::pinned(&la.function, la.header);
+                let target = LoopTargetOpts::pinned(&la.function, la.header)
+                    .with_workers(workers_for(v.technique));
                 let mut tn = Noelle::new(m.clone(), AliasTier::Full);
-                let report = match v.technique {
-                    Technique::Doall => doall::run(&mut tn, &doall::DoallOptions { target }),
-                    Technique::Helix => helix::run(
-                        &mut tn,
-                        &helix::HelixOptions {
-                            target,
-                            ..helix::HelixOptions::default()
-                        },
-                    ),
-                    Technique::Dswp => dswp::run(
-                        &mut tn,
-                        &dswp::DswpOptions {
-                            target: target.with_workers(2),
-                        },
-                    ),
-                };
+                let report = parallelize(&mut tn, v.technique, &target);
                 assert!(
                     report
                         .parallelized
@@ -319,6 +307,115 @@ fn no_false_clean_verdicts_across_all_workloads() {
         "the suite must exercise both directions (clean {clean_checked}, \
          blocked {blocked_checked})"
     );
+}
+
+/// Worker count each technique is exercised at: the auditor judges DSWP as
+/// the canonical two-stage pipeline.
+fn workers_for(t: impl Into<Parallelizer>) -> usize {
+    match t.into() {
+        Parallelizer::Dswp => 2,
+        _ => LoopTargetOpts::default().workers,
+    }
+}
+
+// ---------------------------------------------------------------------------
+// gate ⇒ emit: a gate that says `Ok` has made every decision, so the emitter
+// it hands its recipe to cannot fail mid-rewrite (an edit does not roll
+// back: a late `Err` would leave a half-outlined task function behind). And
+// a gate that refuses is the auditor's verdict, attributed by the refusal's
+// variant — never by comparing its text.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn gate_ok_means_emit_ok_and_refusals_attribute_by_variant() {
+    let cfg = GenConfig::default();
+    let corpus = workloads_all()
+        .into_iter()
+        .chain((0..200).map(|seed| (format!("fuzz_{seed}"), generate(seed, &cfg))));
+    let (mut emitted, mut refused) = (0usize, 0usize);
+    for (name, m) in corpus {
+        let mut n = Noelle::new(m.clone(), AliasTier::Full);
+        let audit = run_audit(&mut n);
+        let arch = n.architecture();
+        for laud in &audit.loops {
+            let loop_name = format!("{name} @{}:{}", laud.function, laud.header_name);
+            let l = n
+                .loops_of(laud.fid)
+                .into_iter()
+                .find(|l| l.header == laud.header)
+                .expect("audited loop exists");
+            let la = n.loop_abstraction(laud.fid, l);
+            let audited = Technique::all().map(|t| (Parallelizer::from(t), Some(t)));
+            for (p, t) in audited
+                .into_iter()
+                .chain([(Parallelizer::Perspective, None)])
+            {
+                let workers = workers_for(p);
+                match gate(p, n.module(), laud.fid, &la, &arch, workers) {
+                    Ok(recipe) => {
+                        emitted += 1;
+                        assert!(t.is_none_or(|t| laud.verdict(t).clean), "{loop_name}");
+                        let mut tn = Noelle::new(m.clone(), AliasTier::Full);
+                        tn.edit(|tx| {
+                            let tm = tx.module_touching([laud.fid]);
+                            emit(tm, laud.fid, &la, &recipe, workers)
+                        })
+                        .unwrap_or_else(|e| panic!("{loop_name}: {p:?} gate Ok, emit: {e}"));
+                        verify_module(tn.module()).unwrap_or_else(|e| {
+                            panic!("{loop_name}: {p:?} gate Ok, emitted module rejects: {e:?}")
+                        });
+                    }
+                    Err(e) => {
+                        refused += 1;
+                        let Some(t) = t else { continue };
+                        let v = laud.verdict(t);
+                        assert_eq!(v.reason, Some(e.to_string()), "{loop_name}");
+                        use BlockerKind::*;
+                        let expected: &[BlockerKind] = match e {
+                            ParallelizeError::CarriedDependences => &[
+                                CarriedMemoryDep,
+                                UnprovenAlias,
+                                EscapingInduction,
+                                ImpureCall,
+                            ],
+                            ParallelizeError::UnsupportedLiveOut => &[UnsupportedLiveOut],
+                            ParallelizeError::Segments(_) => &[SequentialSegment],
+                            ParallelizeError::Stages(_) => &[CyclicSccSpan],
+                            ParallelizeError::NoGoverningIv | ParallelizeError::Shape(_) => {
+                                &[LoopShape]
+                            }
+                        };
+                        // `LoopShape` is also the anchor of last resort when
+                        // a specialized attribution finds nothing to name.
+                        assert!(
+                            v.blockers
+                                .iter()
+                                .all(|b| expected.contains(&b.kind) || b.kind == LoopShape),
+                            "{loop_name}: {e:?} attributed as {:?}",
+                            v.blockers
+                        );
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        emitted >= 100 && refused >= 100,
+        "the corpus must exercise both directions (emitted {emitted}, refused {refused})"
+    );
+    // The refusals the auditor attributes specially are variants now.
+    let auditor = include_str!("../crates/noelle-lint/src/audit.rs");
+    for text in [
+        "unbracketably sequential",
+        "mostly sequential",
+        "sequential segment dominates",
+        "fewer than two pipeline stages",
+        "backward cross-stage dependence",
+        "loop control depends on memory",
+        "communicated value defined in the loop header",
+    ] {
+        assert!(!auditor.contains(text), "audit.rs still matches {text:?}");
+    }
 }
 
 // ---------------------------------------------------------------------------

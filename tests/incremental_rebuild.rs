@@ -99,14 +99,13 @@ fn dead_repairs_match_fresh_build() {
 #[test]
 fn doall_repairs_match_fresh_build() {
     check_incremental_identity("doall", |n| {
-        tools::doall::run(
+        tools::parallelize(
             n,
-            &tools::doall::DoallOptions {
-                target: tools::LoopTargetOpts {
-                    min_hotness: 0.0,
-                    only: None,
-                    workers: 4,
-                },
+            tools::Parallelizer::Doall,
+            &tools::LoopTargetOpts {
+                min_hotness: 0.0,
+                only: None,
+                workers: 4,
             },
         );
     });
@@ -115,14 +114,13 @@ fn doall_repairs_match_fresh_build() {
 #[test]
 fn dswp_repairs_match_fresh_build() {
     check_incremental_identity("dswp", |n| {
-        tools::dswp::run(
+        tools::parallelize(
             n,
-            &tools::dswp::DswpOptions {
-                target: tools::LoopTargetOpts {
-                    min_hotness: 0.0,
-                    only: None,
-                    workers: 2,
-                },
+            tools::Parallelizer::Dswp,
+            &tools::LoopTargetOpts {
+                min_hotness: 0.0,
+                only: None,
+                workers: 2,
             },
         );
     });
@@ -131,15 +129,13 @@ fn dswp_repairs_match_fresh_build() {
 #[test]
 fn helix_repairs_match_fresh_build() {
     check_incremental_identity("helix", |n| {
-        tools::helix::run(
+        tools::parallelize(
             n,
-            &tools::helix::HelixOptions {
-                target: tools::LoopTargetOpts {
-                    min_hotness: 0.0,
-                    only: None,
-                    workers: 4,
-                },
-                max_sequential_fraction: 0.7,
+            tools::Parallelizer::Helix,
+            &tools::LoopTargetOpts {
+                min_hotness: 0.0,
+                only: None,
+                workers: 4,
             },
         );
     });

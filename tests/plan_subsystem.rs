@@ -227,3 +227,53 @@ fn unknown_method_error_is_structured() {
     );
     server.shutdown_and_join();
 }
+
+// ---------------------------------------------------------------------------
+// Applied-output golden: what `apply_plan` emits, pinned per module.
+// ---------------------------------------------------------------------------
+
+/// `tests/corpus/plan/applied_golden.json` was recorded before the
+/// parallelizers were split into `gate` + `emit` under one driver, while
+/// each technique still had its own `run`. Per module (the suite,
+/// `pdg_stress` and `scale_module(256)`) it holds the FNV-64 of the printed
+/// module after `apply_plan` and the report's counts. Whatever executes
+/// plans must reproduce it bit for bit.
+#[test]
+fn applied_plans_reproduce_the_recorded_golden() {
+    let corpus = workloads_all().into_iter().chain(std::iter::once((
+        "scale_module(256)".to_string(),
+        noelle::workloads::scale_module(256, 1),
+    )));
+    let rows: Vec<String> = corpus
+        .map(|(name, m)| {
+            let mut n = Noelle::new(m, AliasTier::Full);
+            let plan = plan_module(&mut n, &PlanOptions::default());
+            let report = apply_plan(&mut n, &plan);
+            let text = noelle::ir::printer::print_module(n.module());
+            let hash = text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+            format!(
+                "  {{\"name\": \"{name}\", \"ir\": \"{hash:016x}\", \"parallelized\": {}, \"skipped\": {}}}",
+                report.parallelized.len(),
+                report.skipped.len()
+            )
+        })
+        .collect();
+    let doc = format!("[\n{}\n]\n", rows.join(",\n"));
+    let path = corpus_path("applied_golden.json");
+    let golden = std::fs::read_to_string(&path).unwrap_or_default();
+    if doc != golden {
+        let actual = concat!(env!("CARGO_TARGET_TMPDIR"), "/applied_golden.actual.json");
+        std::fs::write(actual, &doc).expect("writes the actual document");
+        let line = doc
+            .lines()
+            .zip(golden.lines().chain(std::iter::repeat("")))
+            .find(|(a, g)| a != g)
+            .map_or("<length differs>", |(a, _)| a);
+        panic!(
+            "applied plans diverge from {} (actual written to {actual}); first difference: {line}",
+            path.display()
+        );
+    }
+}

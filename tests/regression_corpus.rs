@@ -6,8 +6,7 @@
 use noelle::core::noelle::{AliasTier, Noelle};
 use noelle::ir::module::BlockId;
 use noelle::runtime::{run_module, RunConfig};
-use noelle::transforms::doall::{self, DoallOptions};
-use noelle::transforms::LoopTargetOpts;
+use noelle::transforms::{parallelize, LoopTargetOpts, Parallelizer};
 
 fn run_src(src: &str) -> noelle::runtime::RunResult {
     let m = noelle::ir::parser::parse_module(src).expect("parses");
@@ -18,14 +17,13 @@ fn run_src(src: &str) -> noelle::runtime::RunResult {
 fn doall_all(src: &str) -> (noelle::ir::Module, usize) {
     let m = noelle::ir::parser::parse_module(src).expect("parses");
     let mut n = Noelle::new(m, AliasTier::Full);
-    let report = doall::run(
+    let report = parallelize(
         &mut n,
-        &DoallOptions {
-            target: LoopTargetOpts {
-                min_hotness: 0.0,
-                only: None,
-                workers: 4,
-            },
+        Parallelizer::Doall,
+        &LoopTargetOpts {
+            min_hotness: 0.0,
+            only: None,
+            workers: 4,
         },
     );
     (n.into_module(), report.count())
@@ -156,14 +154,13 @@ fn forcing_a_specific_loop_parallelizes_only_it() {
     let m = w.build();
     let baseline = run_module(&m, "main", &[], &RunConfig::default()).expect("runs");
     let mut n = Noelle::new(m, AliasTier::Full);
-    let report = doall::run(
+    let report = parallelize(
         &mut n,
-        &DoallOptions {
-            target: LoopTargetOpts {
-                min_hotness: 0.0,
-                only: Some(("kernel0".to_string(), BlockId(1))),
-                workers: 4,
-            },
+        Parallelizer::Doall,
+        &LoopTargetOpts {
+            min_hotness: 0.0,
+            only: Some(("kernel0".to_string(), BlockId(1))),
+            workers: 4,
         },
     );
     assert_eq!(report.count(), 1, "{report:?}");
@@ -306,14 +303,13 @@ go:
     assert_eq!(before.ret_i64(), Some(5)); // 5*3 == 15
     let m = noelle::ir::parser::parse_module(src).unwrap();
     let mut n = Noelle::new(m, AliasTier::Full);
-    let report = doall::run(
+    let report = parallelize(
         &mut n,
-        &DoallOptions {
-            target: LoopTargetOpts {
-                min_hotness: 0.0,
-                only: Some(("find".to_string(), BlockId(1))),
-                workers: 4,
-            },
+        Parallelizer::Doall,
+        &LoopTargetOpts {
+            min_hotness: 0.0,
+            only: Some(("find".to_string(), BlockId(1))),
+            workers: 4,
         },
     );
     assert_eq!(report.count(), 0, "{report:?}");
@@ -367,14 +363,13 @@ fn float_kernels_preserve_bitwise_results_under_doall() {
     let w = noelle::workloads::by_name("basicmath").expect("exists");
     let (m1, c1) = {
         let mut n = Noelle::new(w.build(), AliasTier::Full);
-        let r = doall::run(
+        let r = parallelize(
             &mut n,
-            &DoallOptions {
-                target: LoopTargetOpts {
-                    min_hotness: 0.0,
-                    only: None,
-                    workers: 4,
-                },
+            Parallelizer::Doall,
+            &LoopTargetOpts {
+                min_hotness: 0.0,
+                only: None,
+                workers: 4,
             },
         );
         (n.into_module(), r.count())

@@ -92,14 +92,13 @@ fn time_preserves_semantics() {
 #[test]
 fn doall_preserves_semantics() {
     check_tool("doall", |n| {
-        tools::doall::run(
+        tools::parallelize(
             n,
-            &tools::doall::DoallOptions {
-                target: tools::LoopTargetOpts {
-                    min_hotness: 0.0,
-                    only: None,
-                    workers: 4,
-                },
+            tools::Parallelizer::Doall,
+            &tools::LoopTargetOpts {
+                min_hotness: 0.0,
+                only: None,
+                workers: 4,
             },
         );
     });
@@ -108,15 +107,13 @@ fn doall_preserves_semantics() {
 #[test]
 fn helix_preserves_semantics() {
     check_tool("helix", |n| {
-        tools::helix::run(
+        tools::parallelize(
             n,
-            &tools::helix::HelixOptions {
-                target: tools::LoopTargetOpts {
-                    min_hotness: 0.0,
-                    only: None,
-                    workers: 4,
-                },
-                max_sequential_fraction: 0.7,
+            tools::Parallelizer::Helix,
+            &tools::LoopTargetOpts {
+                min_hotness: 0.0,
+                only: None,
+                workers: 4,
             },
         );
     });
@@ -125,14 +122,13 @@ fn helix_preserves_semantics() {
 #[test]
 fn dswp_preserves_semantics() {
     check_tool("dswp", |n| {
-        tools::dswp::run(
+        tools::parallelize(
             n,
-            &tools::dswp::DswpOptions {
-                target: tools::LoopTargetOpts {
-                    min_hotness: 0.0,
-                    only: None,
-                    workers: 2,
-                },
+            tools::Parallelizer::Dswp,
+            &tools::LoopTargetOpts {
+                min_hotness: 0.0,
+                only: None,
+                workers: 2,
             },
         );
     });
@@ -141,7 +137,15 @@ fn dswp_preserves_semantics() {
 #[test]
 fn perspective_preserves_semantics() {
     check_tool("perspective", |n| {
-        tools::perspective::run(n, &tools::perspective::PerspectiveOptions { n_tasks: 4 });
+        tools::parallelize(
+            n,
+            tools::Parallelizer::Perspective,
+            &tools::LoopTargetOpts {
+                min_hotness: 0.0,
+                only: None,
+                workers: 4,
+            },
+        );
     });
 }
 
@@ -155,14 +159,13 @@ fn stacked_tools_compose() {
         let mut n = Noelle::new(m, AliasTier::Full);
         tools::licm::run(&mut n);
         tools::time::run(&mut n);
-        tools::doall::run(
+        tools::parallelize(
             &mut n,
-            &tools::doall::DoallOptions {
-                target: tools::LoopTargetOpts {
-                    min_hotness: 0.0,
-                    only: None,
-                    workers: 4,
-                },
+            tools::Parallelizer::Doall,
+            &tools::LoopTargetOpts {
+                min_hotness: 0.0,
+                only: None,
+                workers: 4,
             },
         );
         tools::dead::run(&mut n, "main");

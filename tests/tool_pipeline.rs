@@ -91,14 +91,13 @@ fn figure1_flow_end_to_end() {
 
     // 5. noelle-load + the DOALL custom tool, hotness-guided.
     let mut noelle = Noelle::new(module, AliasTier::Full);
-    let report = noelle::transforms::doall::run(
+    let report = noelle::transforms::parallelize(
         &mut noelle,
-        &noelle::transforms::doall::DoallOptions {
-            target: noelle::transforms::LoopTargetOpts {
-                min_hotness: 0.05,
-                only: None,
-                workers: 4,
-            },
+        noelle::transforms::Parallelizer::Doall,
+        &noelle::transforms::LoopTargetOpts {
+            min_hotness: 0.05,
+            only: None,
+            workers: 4,
         },
     );
     assert!(
