@@ -106,9 +106,10 @@ impl EnvironmentBuilder {
         Value::Inst(id)
     }
 
-    /// Convert `v` of type `ty` to an `i64` for slot storage, appending casts
-    /// at `pos` in `block`. Returns the converted value and the new position.
-    fn to_slot_value(
+    /// Convert `v` of type `ty` to the `i64` a slot (or a queue) carries,
+    /// inserting casts at `pos` in `block`. Returns the converted value and
+    /// the next insertion position.
+    pub fn to_slot_value(
         f: &mut Function,
         block: BlockId,
         mut pos: usize,
@@ -135,8 +136,9 @@ impl EnvironmentBuilder {
         (out, pos)
     }
 
-    /// Convert an `i64` slot value back to type `ty`.
-    fn from_slot_value(
+    /// Convert an `i64` slot value back to type `ty`: the inverse of
+    /// [`EnvironmentBuilder::to_slot_value`].
+    pub fn from_slot_value(
         f: &mut Function,
         block: BlockId,
         mut pos: usize,

@@ -706,7 +706,7 @@ impl Noelle {
     }
 
     /// Approximate heap footprint of the cached analysis state: the
-    /// per-function PDGs (frozen CSR form) and the Andersen points-to rows.
+    /// per-function PDGs and the Andersen points-to rows.
     /// Only what is currently built is counted — a manager that never built
     /// its PDG reports zero PDG bytes.
     pub fn memory_stats(&self) -> MemoryStats {

@@ -12,9 +12,7 @@
 //! and live-outs of the region.
 
 use noelle_ir::bytes::{ByteReader, ByteWriter, DecodeError};
-use std::collections::{BTreeSet, HashMap};
-use std::fmt;
-use std::hash::Hash;
+use std::collections::BTreeSet;
 
 /// Kind of a data dependence.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -121,260 +119,148 @@ pub struct DepEdge<N> {
     pub attrs: EdgeAttrs,
 }
 
-/// Frozen compressed-sparse-row adjacency: node ids sorted for binary
-/// search, per-node edge-id ranges packed into two flat arrays (one per
-/// direction). Within a node's range, edge ids appear in insertion order —
-/// exactly the order the mutable `HashMap<N, Vec<EdgeId>>` adjacency yields —
-/// so freezing is observationally invisible to every query.
+/// The generic dependence graph.
+///
+/// A graph is built once and never changes. It has exactly one layout: a
+/// node table sorted for binary search, each node flagged internal or
+/// external; the edge list, in the order the builder produced it; and a
+/// compressed-sparse-row index over that list — per-node ranges of edge ids
+/// packed into two flat arrays per direction. Within a node's range the ids
+/// ascend, so every adjacency query yields edges in edge-list order.
+///
+/// Edge order is part of the contract: [`EdgeId`]s, the wire JSON and the
+/// durable store's bytes all key on an edge's position in the list.
 #[derive(Clone, Debug)]
-struct Csr<N> {
-    nodes: Vec<N>,
+pub struct DepGraph<N> {
+    /// Every node, ascending, with `true` for internal ones.
+    nodes: Vec<(N, bool)>,
+    edges: Vec<DepEdge<N>>,
     out_off: Vec<u32>,
     out_ids: Vec<EdgeId>,
     in_off: Vec<u32>,
     in_ids: Vec<EdgeId>,
 }
 
-impl<N: Copy + Ord> Csr<N> {
-    fn build(nodes: Vec<N>, edges: &[DepEdge<N>]) -> Csr<N> {
-        let n = nodes.len();
-        let idx = |x: N| {
-            nodes
-                .binary_search(&x)
-                .expect("edge endpoint not in node set")
-        };
-        // Counting sort by endpoint: count, prefix-sum, then replay the edge
-        // list in insertion order so each per-node range stays insertion
-        // ordered.
-        let mut out_off = vec![0u32; n + 1];
-        let mut in_off = vec![0u32; n + 1];
-        for e in edges {
-            out_off[idx(e.src) + 1] += 1;
-            in_off[idx(e.dst) + 1] += 1;
-        }
-        for i in 0..n {
-            out_off[i + 1] += out_off[i];
-            in_off[i + 1] += in_off[i];
-        }
-        let mut out_ids = vec![EdgeId(0); edges.len()];
-        let mut in_ids = vec![EdgeId(0); edges.len()];
-        let mut out_cur = out_off.clone();
-        let mut in_cur = in_off.clone();
-        for (i, e) in edges.iter().enumerate() {
-            let id = EdgeId(i as u32);
-            let s = idx(e.src);
-            out_ids[out_cur[s] as usize] = id;
-            out_cur[s] += 1;
-            let d = idx(e.dst);
-            in_ids[in_cur[d] as usize] = id;
-            in_cur[d] += 1;
-        }
-        Csr {
-            nodes,
-            out_off,
-            out_ids,
-            in_off,
-            in_ids,
-        }
-    }
-
-    fn range<'a>(&self, n: N, off: &[u32], ids: &'a [EdgeId]) -> &'a [EdgeId] {
-        match self.nodes.binary_search(&n) {
-            Ok(i) => &ids[off[i] as usize..off[i + 1] as usize],
-            Err(_) => &[],
-        }
-    }
-
-    fn heap_bytes(&self) -> usize {
-        self.nodes.capacity() * std::mem::size_of::<N>()
-            + (self.out_off.capacity() + self.in_off.capacity()) * 4
-            + (self.out_ids.capacity() + self.in_ids.capacity()) * 4
-    }
+/// Position of `n` in a node table (ascending by node).
+fn find<N: Copy + Ord>(nodes: &[(N, bool)], n: N) -> Option<usize> {
+    nodes.binary_search_by_key(&n, |&(node, _)| node).ok()
 }
 
-/// The generic dependence graph.
-///
-/// The graph has two adjacency representations: a mutable one
-/// (`HashMap<N, Vec<EdgeId>>`, populated by [`DepGraph::add_edge`]) and a
-/// frozen CSR form built by [`DepGraph::freeze`]. Builders freeze a graph
-/// once construction is done; freezing drops the hash maps, packing the
-/// adjacency into four flat arrays. All queries answer identically in both
-/// states, and a mutation after freezing transparently thaws the graph back
-/// to the map form.
-#[derive(Clone, Debug)]
-pub struct DepGraph<N> {
-    internal: BTreeSet<N>,
-    external: BTreeSet<N>,
-    edges: Vec<DepEdge<N>>,
-    out_adj: HashMap<N, Vec<EdgeId>>,
-    in_adj: HashMap<N, Vec<EdgeId>>,
-    csr: Option<Csr<N>>,
+/// Group edge ids by the node `end` picks from each edge: `off[i]..off[i+1]`
+/// is the range of `ids` belonging to `nodes[i]`, ascending. `None` when an
+/// edge names a node missing from `nodes`.
+fn index_by<N: Copy + Ord>(
+    nodes: &[(N, bool)],
+    edges: &[DepEdge<N>],
+    end: impl Fn(&DepEdge<N>) -> N,
+) -> Option<(Vec<u32>, Vec<EdgeId>)> {
+    let slot = |e: &DepEdge<N>| find(nodes, end(e));
+    // Counting sort: count, prefix-sum into range starts, then replay the
+    // edge list in order, using each start as that node's write cursor.
+    let mut off = vec![0u32; nodes.len() + 1];
+    for e in edges {
+        off[slot(e)? + 1] += 1;
+    }
+    for i in 0..nodes.len() {
+        off[i + 1] += off[i];
+    }
+    let mut ids = vec![EdgeId(0); edges.len()];
+    for (i, e) in edges.iter().enumerate() {
+        let cursor = &mut off[slot(e)?];
+        ids[*cursor as usize] = EdgeId(i as u32);
+        *cursor += 1;
+    }
+    // Every cursor now sits at its node's range end, which is the next
+    // node's start: shift right by one to get the starts back.
+    off.rotate_right(1);
+    off[0] = 0;
+    Some((off, ids))
 }
 
-impl<N: Copy + Eq + Ord + Hash + fmt::Debug> DepGraph<N> {
-    /// An empty graph.
-    pub fn new() -> DepGraph<N> {
-        DepGraph {
-            internal: BTreeSet::new(),
-            external: BTreeSet::new(),
-            edges: Vec::new(),
-            out_adj: HashMap::new(),
-            in_adj: HashMap::new(),
-            csr: None,
-        }
-    }
-
-    /// Build a graph directly in its frozen CSR form from an internal node
-    /// set and a complete edge list — the fast path for builders that know
-    /// the whole graph up front. Observationally identical to calling
-    /// `add_internal` for each node, `add_edge` for each edge in order, and
-    /// then [`DepGraph::freeze`], but never materializes the intermediate
-    /// hash-map adjacency. Edge endpoints not in `internal` become external
-    /// nodes, exactly as `add_edge` would make them.
+impl<N: Copy + Ord> DepGraph<N> {
+    /// Build a graph from its internal node set and its complete edge list.
+    /// Edge endpoints not in `internal` become external nodes.
     pub fn from_edges(
         internal: impl IntoIterator<Item = N>,
         edges: Vec<DepEdge<N>>,
     ) -> DepGraph<N> {
-        let internal: BTreeSet<N> = internal.into_iter().collect();
-        let mut external: BTreeSet<N> = BTreeSet::new();
+        let mut nodes: Vec<(N, bool)> = internal.into_iter().map(|n| (n, true)).collect();
+        nodes.sort_unstable();
+        let internal = nodes.len();
         for e in &edges {
-            if !internal.contains(&e.src) {
-                external.insert(e.src);
-            }
-            if !internal.contains(&e.dst) {
-                external.insert(e.dst);
-            }
-        }
-        let mut nodes: Vec<N> = Vec::with_capacity(internal.len() + external.len());
-        nodes.extend(internal.iter().copied());
-        nodes.extend(external.iter().copied());
-        nodes.sort_unstable();
-        let csr = Csr::build(nodes, &edges);
-        DepGraph {
-            internal,
-            external,
-            edges,
-            out_adj: HashMap::new(),
-            in_adj: HashMap::new(),
-            csr: Some(csr),
-        }
-    }
-
-    /// Pack the adjacency into the frozen CSR form and free the hash maps.
-    /// Idempotent. Queries are unaffected; the next `add_edge` thaws.
-    pub fn freeze(&mut self) {
-        if self.csr.is_some() {
-            return;
-        }
-        // internal and external are disjoint sorted sets; merge-collect keeps
-        // the union sorted for binary search.
-        let mut nodes: Vec<N> = Vec::with_capacity(self.internal.len() + self.external.len());
-        nodes.extend(self.internal.iter().copied());
-        nodes.extend(self.external.iter().copied());
-        nodes.sort_unstable();
-        self.csr = Some(Csr::build(nodes, &self.edges));
-        self.out_adj = HashMap::new();
-        self.in_adj = HashMap::new();
-    }
-
-    /// True when the graph is in its frozen CSR form.
-    pub fn is_frozen(&self) -> bool {
-        self.csr.is_some()
-    }
-
-    /// Rebuild the mutable adjacency maps from the edge list and drop the
-    /// CSR view. Replaying the edge list in order reproduces the per-node
-    /// insertion order exactly.
-    fn thaw(&mut self) {
-        if self.csr.take().is_none() {
-            return;
-        }
-        for (i, e) in self.edges.iter().enumerate() {
-            let id = EdgeId(i as u32);
-            self.out_adj.entry(e.src).or_default().push(id);
-            self.in_adj.entry(e.dst).or_default().push(id);
-        }
-    }
-
-    /// Edge ids whose source is `n`, in insertion order.
-    fn out_ids(&self, n: N) -> &[EdgeId] {
-        match &self.csr {
-            Some(csr) => csr.range(n, &csr.out_off, &csr.out_ids),
-            None => self.out_adj.get(&n).map(Vec::as_slice).unwrap_or(&[]),
-        }
-    }
-
-    /// Edge ids whose destination is `n`, in insertion order.
-    fn in_ids(&self, n: N) -> &[EdgeId] {
-        match &self.csr {
-            Some(csr) => csr.range(n, &csr.in_off, &csr.in_ids),
-            None => self.in_adj.get(&n).map(Vec::as_slice).unwrap_or(&[]),
-        }
-    }
-
-    /// Approximate heap footprint in bytes (edge list + node sets + whichever
-    /// adjacency form is live). Used for the `bytes_per_function` estimate.
-    pub fn approx_heap_bytes(&self) -> usize {
-        use std::mem::size_of;
-        // BTreeSet nodes carry per-element overhead beyond the key itself;
-        // 16 bytes is a rough amortized figure.
-        let mut b = self.edges.capacity() * size_of::<DepEdge<N>>()
-            + (self.internal.len() + self.external.len()) * (size_of::<N>() + 16);
-        match &self.csr {
-            Some(csr) => b += csr.heap_bytes(),
-            None => {
-                for v in self.out_adj.values().chain(self.in_adj.values()) {
-                    // Vec storage plus an approximate hash-map slot.
-                    b += v.capacity() * 4 + size_of::<N>() + 24;
+            for n in [e.src, e.dst] {
+                let just_added = nodes.last() == Some(&(n, false));
+                if !just_added && find(&nodes[..internal], n).is_none() {
+                    nodes.push((n, false));
                 }
             }
         }
-        b
+        nodes.sort_unstable();
+        nodes.dedup();
+        DepGraph::index(nodes, edges).expect("every endpoint was put in the node table")
     }
 
-    /// Add an internal node (idempotent; promotes an external node).
-    pub fn add_internal(&mut self, n: N) {
-        self.external.remove(&n);
-        self.internal.insert(n);
+    /// Index `edges` over the finished node table (ascending, no node
+    /// twice). `None` when an edge endpoint is not in the table.
+    fn index(nodes: Vec<(N, bool)>, edges: Vec<DepEdge<N>>) -> Option<DepGraph<N>> {
+        let (out_off, out_ids) = index_by(&nodes, &edges, |e| e.src)?;
+        let (in_off, in_ids) = index_by(&nodes, &edges, |e| e.dst)?;
+        Some(DepGraph {
+            nodes,
+            edges,
+            out_off,
+            out_ids,
+            in_off,
+            in_ids,
+        })
     }
 
-    /// Add an external node (no-op if already internal).
-    pub fn add_external(&mut self, n: N) {
-        if !self.internal.contains(&n) {
-            self.external.insert(n);
+    /// The slice of `ids` that `off` assigns to node `n`.
+    fn range<'a>(&self, n: N, off: &[u32], ids: &'a [EdgeId]) -> &'a [EdgeId] {
+        match find(&self.nodes, n) {
+            Some(i) => &ids[off[i] as usize..off[i + 1] as usize],
+            None => &[],
         }
     }
 
-    /// Add an edge; nodes not yet present are added as external.
-    pub fn add_edge(&mut self, src: N, dst: N, attrs: EdgeAttrs) -> EdgeId {
-        self.thaw();
-        self.add_external(src);
-        self.add_external(dst);
-        let id = EdgeId(self.edges.len() as u32);
-        self.edges.push(DepEdge { src, dst, attrs });
-        self.out_adj.entry(src).or_default().push(id);
-        self.in_adj.entry(dst).or_default().push(id);
-        id
+    /// Edge ids whose source is `n`, ascending.
+    fn out_ids(&self, n: N) -> &[EdgeId] {
+        self.range(n, &self.out_off, &self.out_ids)
     }
 
-    /// Internal nodes (the code region itself).
+    /// Edge ids whose destination is `n`, ascending.
+    fn in_ids(&self, n: N) -> &[EdgeId] {
+        self.range(n, &self.in_off, &self.in_ids)
+    }
+
+    /// Approximate heap footprint in bytes: the node table, the edge list
+    /// and the four index arrays. Used for the `bytes_per_function` estimate.
+    pub fn approx_heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.nodes.capacity() * size_of::<(N, bool)>()
+            + self.edges.capacity() * size_of::<DepEdge<N>>()
+            + (self.out_off.capacity() + self.in_off.capacity()) * size_of::<u32>()
+            + (self.out_ids.capacity() + self.in_ids.capacity()) * size_of::<EdgeId>()
+    }
+
+    /// Internal nodes (the code region itself), ascending.
     pub fn internal_nodes(&self) -> impl Iterator<Item = N> + '_ {
-        self.internal.iter().copied()
+        self.nodes.iter().filter(|n| n.1).map(|n| n.0)
     }
 
-    /// External nodes (live-ins/live-outs of the region).
+    /// External nodes (live-ins/live-outs of the region), ascending.
     pub fn external_nodes(&self) -> impl Iterator<Item = N> + '_ {
-        self.external.iter().copied()
+        self.nodes.iter().filter(|n| !n.1).map(|n| n.0)
     }
 
     /// True if `n` is an internal node.
     pub fn is_internal(&self, n: N) -> bool {
-        self.internal.contains(&n)
+        find(&self.nodes, n).is_some_and(|i| self.nodes[i].1)
     }
 
     /// Number of internal nodes.
     pub fn num_internal(&self) -> usize {
-        self.internal.len()
+        self.internal_nodes().count()
     }
 
     /// All edges.
@@ -397,7 +283,7 @@ impl<N: Copy + Eq + Ord + Hash + fmt::Debug> DepGraph<N> {
     }
 
     /// Edges from `src` to `dst` (there may be several, one per kind).
-    pub fn edges_between(&self, src: N, dst: N) -> impl Iterator<Item = &DepEdge<N>> + '_ {
+    fn edges_between(&self, src: N, dst: N) -> impl Iterator<Item = &DepEdge<N>> + '_ {
         self.edges_from(src).filter(move |e| e.dst == dst)
     }
 
@@ -423,47 +309,36 @@ impl<N: Copy + Eq + Ord + Hash + fmt::Debug> DepGraph<N> {
         self.edges_from(n).map(|e| e.dst).collect()
     }
 
-    /// Build the sub-graph over `keep`: kept nodes become internal; nodes
-    /// outside `keep` that touch a crossing edge become external. This is how
-    /// loop dependence graphs are carved out of a function PDG.
-    pub fn subgraph(&self, keep: &BTreeSet<N>) -> DepGraph<N> {
-        let mut g = DepGraph::new();
-        for &n in keep {
-            g.add_internal(n);
-        }
-        // Gather the touching edges through the adjacency index —
-        // O(|keep| · degree) instead of a scan of every edge. Edge ids are
-        // insertion-ordered, so sorting replays them in the same order the
-        // full scan would.
+    /// The edges with an endpoint in `region`, in edge-list order, gathered
+    /// through the index — O(|region| · degree) instead of a scan of every
+    /// edge.
+    pub(crate) fn edges_touching(
+        &self,
+        region: impl IntoIterator<Item = N>,
+    ) -> impl Iterator<Item = &DepEdge<N>> + '_ {
         let mut touching: Vec<EdgeId> = Vec::new();
-        for &n in keep {
+        for n in region {
             touching.extend_from_slice(self.out_ids(n));
             touching.extend_from_slice(self.in_ids(n));
         }
         touching.sort_unstable();
         touching.dedup();
-        for id in touching {
-            let e = &self.edges[id.0 as usize];
-            g.add_edge(e.src, e.dst, e.attrs);
-        }
-        g
+        touching.into_iter().map(|id| &self.edges[id.0 as usize])
     }
 
-    /// Mutate the attributes of every edge through `f`.
-    pub fn map_edges(&mut self, mut f: impl FnMut(&mut DepEdge<N>)) {
-        for e in &mut self.edges {
-            f(e);
-        }
+    /// Build the sub-graph over `keep`: kept nodes become internal; nodes
+    /// outside `keep` that touch a crossing edge become external.
+    pub fn subgraph(&self, keep: &BTreeSet<N>) -> DepGraph<N> {
+        let edges = self.edges_touching(keep.iter().copied()).copied().collect();
+        DepGraph::from_edges(keep.iter().copied(), edges)
     }
 
     /// External nodes that feed internal ones: the region's dependence
     /// live-ins. Walks only the external nodes' out-adjacency, not the full
     /// edge list.
     pub fn incoming_externals(&self) -> BTreeSet<N> {
-        self.external
-            .iter()
-            .filter(|&&n| self.edges_from(n).any(|e| self.internal.contains(&e.dst)))
-            .copied()
+        self.external_nodes()
+            .filter(|&n| self.edges_from(n).any(|e| self.is_internal(e.dst)))
             .collect()
     }
 
@@ -471,26 +346,25 @@ impl<N: Copy + Eq + Ord + Hash + fmt::Debug> DepGraph<N> {
     /// live-outs. Walks only the external nodes' in-adjacency, not the full
     /// edge list.
     pub fn outgoing_externals(&self) -> BTreeSet<N> {
-        self.external
-            .iter()
-            .filter(|&&n| self.edges_to(n).any(|e| self.internal.contains(&e.src)))
-            .copied()
+        self.external_nodes()
+            .filter(|&n| self.edges_to(n).any(|e| self.is_internal(e.src)))
             .collect()
     }
 
     /// Stable binary encoding of the graph, with nodes written through
-    /// `node` (see `noelle_ir::bytes`). Two graphs with equal node sets and
-    /// equal edge lists (in insertion order) encode to identical bytes,
-    /// regardless of frozen/thawed state — the property the durable store's
-    /// round-trip oracle asserts.
+    /// `node` (see `noelle_ir::bytes`): the internal nodes ascending, the
+    /// external nodes ascending, then the edge list in order. Two graphs
+    /// with equal node sets and equal edge lists encode to identical bytes —
+    /// the property the durable store's round-trip oracle asserts.
     pub fn encode_with(&self, mut node: impl FnMut(N) -> u64) -> Vec<u8> {
         let mut w = ByteWriter::new();
-        w.varint(self.internal.len() as u64);
-        for &n in &self.internal {
+        let internal = self.num_internal();
+        w.varint(internal as u64);
+        for n in self.internal_nodes() {
             w.varint(node(n));
         }
-        w.varint(self.external.len() as u64);
-        for &n in &self.external {
+        w.varint((self.nodes.len() - internal) as u64);
+        for n in self.external_nodes() {
             w.varint(node(n));
         }
         w.varint(self.edges.len() as u64);
@@ -517,45 +391,56 @@ impl<N: Copy + Eq + Ord + Hash + fmt::Debug> DepGraph<N> {
     }
 
     /// Decode a graph encoded by [`DepGraph::encode_with`], mapping node
-    /// codes back through `node`. The decoded graph is returned frozen
-    /// (CSR form) and answers every query identically to the original.
+    /// codes back through `node`. The decoded graph answers every query
+    /// identically to the original.
+    ///
+    /// Nothing is trusted before it is checked: every count is bounded by
+    /// the bytes left to read (a node takes at least one, an edge at least
+    /// three), so a forged count cannot reserve memory the input does not
+    /// pay for; the node and edge lists are adopted as the graph's own only
+    /// once the whole input has been validated.
     ///
     /// # Errors
-    /// Truncated input, trailing bytes, out-of-domain attribute flags, edge
-    /// endpoints outside the node sets, and overlapping internal/external
-    /// sets all surface as [`DecodeError`] — never a panic.
+    /// Truncated input, trailing bytes, a count larger than the input could
+    /// hold, a node list that is not strictly ascending, a node listed as
+    /// both internal and external, out-of-domain attribute flags and edge
+    /// endpoints outside the node lists all surface as [`DecodeError`] —
+    /// never a panic.
     pub fn decode_with(
         bytes: &[u8],
         mut node: impl FnMut(u64) -> Result<N, DecodeError>,
     ) -> Result<DepGraph<N>, DecodeError> {
-        const MAX: usize = 1 << 28;
         let mut r = ByteReader::new(bytes);
-        let n_int = r.count(MAX, "depgraph: internal count")?;
-        let mut internal = BTreeSet::new();
-        for _ in 0..n_int {
-            internal.insert(node(r.varint("depgraph: internal node")?)?);
-        }
-        if internal.len() != n_int {
-            return Err(DecodeError::new("depgraph: duplicate internal node"));
-        }
-        let n_ext = r.count(MAX, "depgraph: external count")?;
-        let mut external = BTreeSet::new();
-        for _ in 0..n_ext {
-            let x = node(r.varint("depgraph: external node")?)?;
-            if internal.contains(&x) || !external.insert(x) {
-                return Err(DecodeError::new("depgraph: external overlaps"));
+        let mut nodes: Vec<(N, bool)> = Vec::new();
+        for (internal, list) in [
+            (true, "depgraph: internal nodes"),
+            (false, "depgraph: external nodes"),
+        ] {
+            let n = r.count(r.remaining(), list)?;
+            let first = nodes.len();
+            nodes.reserve(n);
+            for _ in 0..n {
+                let x = node(r.varint(list)?)?;
+                // Strictly ascending, as the encoder writes them.
+                if nodes[first..].last().is_some_and(|&(prev, _)| prev >= x) {
+                    return Err(DecodeError::new(list));
+                }
+                if find(&nodes[..first], x).is_some() {
+                    return Err(DecodeError::new("depgraph: external overlaps"));
+                }
+                nodes.push((x, internal));
             }
         }
-        let n_edges = r.count(MAX, "depgraph: edge count")?;
-        let mut edges = Vec::with_capacity(n_edges.min(1 << 20));
+        // Two ascending, disjoint runs: sorting merges them.
+        nodes.sort_unstable();
+        // An edge takes at least three bytes, and its position must fit an
+        // `EdgeId`.
+        let most = (r.remaining() / 3).min(u32::MAX as usize);
+        let n_edges = r.count(most, "depgraph: edge count")?;
+        let mut edges = Vec::with_capacity(n_edges);
         for _ in 0..n_edges {
             let src = node(r.varint("depgraph: edge src")?)?;
             let dst = node(r.varint("depgraph: edge dst")?)?;
-            if !(internal.contains(&src) || external.contains(&src))
-                || !(internal.contains(&dst) || external.contains(&dst))
-            {
-                return Err(DecodeError::new("depgraph: edge endpoint unknown"));
-            }
             let flags = r.u8("depgraph: edge flags")?;
             if flags & !0x3f != 0 {
                 return Err(DecodeError::new("depgraph: edge flags"));
@@ -584,25 +469,7 @@ impl<N: Copy + Eq + Ord + Hash + fmt::Debug> DepGraph<N> {
             });
         }
         r.finish("depgraph: trailing bytes")?;
-        let mut nodes: Vec<N> = Vec::with_capacity(internal.len() + external.len());
-        nodes.extend(internal.iter().copied());
-        nodes.extend(external.iter().copied());
-        nodes.sort_unstable();
-        let csr = Csr::build(nodes, &edges);
-        Ok(DepGraph {
-            internal,
-            external,
-            edges,
-            out_adj: HashMap::new(),
-            in_adj: HashMap::new(),
-            csr: Some(csr),
-        })
-    }
-}
-
-impl<N: Copy + Eq + Ord + Hash + fmt::Debug> Default for DepGraph<N> {
-    fn default() -> Self {
-        DepGraph::new()
+        DepGraph::index(nodes, edges).ok_or(DecodeError::new("depgraph: edge endpoint unknown"))
     }
 }
 
@@ -610,50 +477,64 @@ impl<N: Copy + Eq + Ord + Hash + fmt::Debug> Default for DepGraph<N> {
 mod tests {
     use super::*;
 
+    /// A graph over `internal` with the given `(src, dst, attrs)` edges.
+    fn graph(
+        internal: impl IntoIterator<Item = u32>,
+        edges: &[(u32, u32, EdgeAttrs)],
+    ) -> DepGraph<u32> {
+        let edges = edges
+            .iter()
+            .map(|&(src, dst, attrs)| DepEdge { src, dst, attrs })
+            .collect();
+        DepGraph::from_edges(internal, edges)
+    }
+
     #[test]
     fn internal_external_split() {
-        let mut g: DepGraph<u32> = DepGraph::new();
-        g.add_internal(1);
-        g.add_internal(2);
-        g.add_edge(0, 1, EdgeAttrs::register()); // 0 auto-added as external
-        g.add_edge(1, 2, EdgeAttrs::register());
-        g.add_edge(2, 9, EdgeAttrs::register());
+        let g = graph(
+            [2, 1, 2], // unsorted, repeated: the node table sorts and dedups
+            &[
+                (0, 1, EdgeAttrs::register()), // 0 is not internal: external
+                (1, 2, EdgeAttrs::register()),
+                (2, 9, EdgeAttrs::register()),
+            ],
+        );
         assert_eq!(g.num_internal(), 2);
+        assert_eq!(g.internal_nodes().collect::<Vec<_>>(), vec![1, 2]);
         assert_eq!(g.external_nodes().collect::<Vec<_>>(), vec![0, 9]);
+        assert!(g.is_internal(1) && !g.is_internal(0) && !g.is_internal(7));
         assert_eq!(g.incoming_externals(), BTreeSet::from([0]));
         assert_eq!(g.outgoing_externals(), BTreeSet::from([9]));
     }
 
     #[test]
-    fn promote_external_to_internal() {
-        let mut g: DepGraph<u32> = DepGraph::new();
-        g.add_edge(0, 1, EdgeAttrs::register());
-        assert!(!g.is_internal(0));
-        g.add_internal(0);
-        assert!(g.is_internal(0));
-        // adding as external again does not demote
-        g.add_external(0);
-        assert!(g.is_internal(0));
-    }
-
-    #[test]
     fn adjacency_queries() {
-        let mut g: DepGraph<u32> = DepGraph::new();
-        g.add_edge(1, 2, EdgeAttrs::register());
-        g.add_edge(1, 3, EdgeAttrs::control());
-        g.add_edge(2, 3, EdgeAttrs::memory(DataDepKind::Waw));
+        let g = graph(
+            [],
+            &[
+                (1, 2, EdgeAttrs::register()),
+                (1, 3, EdgeAttrs::control()),
+                (2, 3, EdgeAttrs::memory(DataDepKind::Waw)),
+            ],
+        );
         assert_eq!(g.dependents_of(1), BTreeSet::from([2, 3]));
         assert_eq!(g.dependences_of(3), BTreeSet::from([1, 2]));
         assert_eq!(g.edges_from(1).count(), 2);
         assert_eq!(g.edges_to(3).filter(|e| e.attrs.is_control()).count(), 1);
         assert_eq!(g.edges_to(3).filter(|e| e.attrs.is_data()).count(), 1);
+        // A node the graph does not have has no edges.
+        assert_eq!(g.edges_from(7).count() + g.edges_to(7).count(), 0);
     }
 
     #[test]
     fn memory_dep_membership_is_direction_agnostic() {
-        let mut g: DepGraph<u32> = DepGraph::new();
-        g.add_edge(1, 2, EdgeAttrs::register());
-        g.add_edge(2, 3, EdgeAttrs::memory(DataDepKind::War));
+        let g = graph(
+            [],
+            &[
+                (1, 2, EdgeAttrs::register()),
+                (2, 3, EdgeAttrs::memory(DataDepKind::War)),
+            ],
+        );
         assert_eq!(g.edges_between(1, 2).count(), 1);
         assert_eq!(g.edges_between(2, 1).count(), 0);
         // Register edges don't count as memory coverage.
@@ -666,14 +547,15 @@ mod tests {
 
     #[test]
     fn subgraph_carves_region() {
-        let mut g: DepGraph<u32> = DepGraph::new();
-        for n in 0..5 {
-            g.add_internal(n);
-        }
-        g.add_edge(0, 1, EdgeAttrs::register());
-        g.add_edge(1, 2, EdgeAttrs::register());
-        g.add_edge(2, 3, EdgeAttrs::register());
-        g.add_edge(3, 4, EdgeAttrs::register());
+        let g = graph(
+            0..5,
+            &[
+                (0, 1, EdgeAttrs::register()),
+                (1, 2, EdgeAttrs::register()),
+                (2, 3, EdgeAttrs::register()),
+                (3, 4, EdgeAttrs::register()),
+            ],
+        );
         let keep = BTreeSet::from([1, 2]);
         let sub = g.subgraph(&keep);
         assert_eq!(sub.num_internal(), 2);
@@ -690,19 +572,20 @@ mod tests {
 
     #[test]
     fn subgraph_preserves_edge_order() {
-        let mut g: DepGraph<u32> = DepGraph::new();
-        for n in 0..6 {
-            g.add_internal(n);
-        }
-        g.add_edge(5, 1, EdgeAttrs::control());
-        g.add_edge(0, 1, EdgeAttrs::register());
-        g.add_edge(2, 1, EdgeAttrs::memory(DataDepKind::Raw));
-        g.add_edge(3, 4, EdgeAttrs::register()); // untouched by keep
-        g.add_edge(1, 5, EdgeAttrs::register());
+        let g = graph(
+            0..6,
+            &[
+                (5, 1, EdgeAttrs::control()),
+                (0, 1, EdgeAttrs::register()),
+                (2, 1, EdgeAttrs::memory(DataDepKind::Raw)),
+                (3, 4, EdgeAttrs::register()), // untouched by keep
+                (1, 5, EdgeAttrs::register()),
+            ],
+        );
         let keep = BTreeSet::from([1]);
         let sub = g.subgraph(&keep);
-        // The adjacency-indexed carve replays touching edges in insertion
-        // order, exactly as a full edge scan would.
+        // The indexed carve yields touching edges in edge-list order,
+        // exactly as a full edge scan would.
         let expect: Vec<(u32, u32)> = g
             .edges()
             .iter()
@@ -731,80 +614,37 @@ mod tests {
         s
     }
 
-    fn build_sample() -> DepGraph<u32> {
-        let mut g: DepGraph<u32> = DepGraph::new();
-        for n in 0..4 {
-            g.add_internal(n);
-        }
-        g.add_edge(9, 0, EdgeAttrs::control());
-        g.add_edge(0, 1, EdgeAttrs::register());
-        g.add_edge(0, 2, EdgeAttrs::memory(DataDepKind::Raw));
-        g.add_edge(2, 1, EdgeAttrs::register());
-        g.add_edge(1, 3, EdgeAttrs::register());
-        g.add_edge(3, 8, EdgeAttrs::memory(DataDepKind::Waw));
-        g
+    fn sample() -> DepGraph<u32> {
+        let mut carried = EdgeAttrs::memory(DataDepKind::War).carried();
+        carried.distance = Some(-3);
+        graph(
+            0..4,
+            &[
+                (9, 0, EdgeAttrs::control()),
+                (0, 1, EdgeAttrs::register()),
+                (0, 2, EdgeAttrs::memory(DataDepKind::Raw)),
+                (2, 1, EdgeAttrs::register()),
+                (1, 3, EdgeAttrs::register()),
+                (3, 8, EdgeAttrs::memory(DataDepKind::Waw)),
+                (1, 2, carried),
+            ],
+        )
     }
 
     #[test]
-    fn frozen_csr_answers_identically() {
-        let g = build_sample();
-        let before = query_fingerprint(&g);
-        let mut f = g.clone();
-        f.freeze();
-        assert!(f.is_frozen());
-        assert_eq!(query_fingerprint(&f), before);
-        // Subgraph carving is identical too, including edge order.
-        let keep = BTreeSet::from([0, 1]);
-        let a: Vec<_> = g
-            .subgraph(&keep)
-            .edges()
-            .iter()
-            .map(|e| (e.src, e.dst))
-            .collect();
-        let b: Vec<_> = f
-            .subgraph(&keep)
-            .edges()
-            .iter()
-            .map(|e| (e.src, e.dst))
-            .collect();
-        assert_eq!(a, b);
-        // Freezing twice is a no-op.
-        f.freeze();
-        assert_eq!(query_fingerprint(&f), before);
-    }
-
-    #[test]
-    fn mutation_after_freeze_thaws() {
-        let mut g = build_sample();
-        g.freeze();
-        g.add_edge(3, 0, EdgeAttrs::register());
-        assert!(!g.is_frozen());
-        assert_eq!(g.edges_from(3).count(), 2);
-        assert_eq!(g.edges_to(0).count(), 2);
-        // Re-freeze and verify the new edge is in the CSR view.
-        let before = query_fingerprint(&g);
-        g.freeze();
-        assert_eq!(query_fingerprint(&g), before);
-    }
-
-    #[test]
-    fn map_edges_works_while_frozen() {
-        let mut g = build_sample();
-        g.freeze();
-        g.map_edges(|e| e.attrs.loop_carried = true);
-        assert!(g.is_frozen());
-        assert!(g.edges().iter().all(|e| e.attrs.loop_carried));
-    }
-
-    #[test]
-    fn freeze_reports_heap_bytes() {
-        let mut g = build_sample();
-        let unfrozen = g.approx_heap_bytes();
-        g.freeze();
-        let frozen = g.approx_heap_bytes();
-        assert!(unfrozen > 0 && frozen > 0);
-        // The packed form should not be larger than the map form.
-        assert!(frozen <= unfrozen, "frozen {frozen} > unfrozen {unfrozen}");
+    fn index_lists_each_nodes_edges_in_edge_list_order() {
+        let g = sample();
+        assert_eq!(
+            query_fingerprint(&g),
+            "0: out=[(0, 1), (0, 2)] in=[(9, 0)]\n\
+             1: out=[(1, 3), (1, 2)] in=[(0, 1), (2, 1)]\n\
+             2: out=[(2, 1)] in=[(0, 2), (1, 2)]\n\
+             3: out=[(3, 8)] in=[(1, 3)]\n\
+             8: out=[] in=[(3, 8)]\n\
+             9: out=[(9, 0)] in=[]\n\
+             ext_in={9} ext_out={8}\n"
+        );
+        assert!(g.approx_heap_bytes() > std::mem::size_of_val(g.edges()));
     }
 
     #[test]
@@ -823,29 +663,41 @@ mod tests {
         })
     }
 
+    /// Encode a graph by hand: node lists and `(src, dst, flags)` edges.
+    fn raw(internal: &[u64], external: &[u64], edges: &[(u64, u64, u8)]) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        for list in [internal, external] {
+            w.varint(list.len() as u64);
+            list.iter().for_each(|&n| w.varint(n));
+        }
+        w.varint(edges.len() as u64);
+        for &(src, dst, flags) in edges {
+            w.varint(src);
+            w.varint(dst);
+            w.u8(flags);
+        }
+        w.into_bytes()
+    }
+
     #[test]
     fn codec_round_trips_and_is_stable() {
-        let mut g = build_sample();
-        let mut carried = EdgeAttrs::memory(DataDepKind::War).carried();
-        carried.distance = Some(-3);
-        g.add_edge(1, 2, carried);
+        let g = sample();
         let bytes = g.encode_with(u64::from);
         let d = decode_u32(&bytes).unwrap();
-        assert!(d.is_frozen());
         assert_eq!(query_fingerprint(&d), query_fingerprint(&g));
         assert_eq!(d.edges(), g.edges());
-        // Frozen/thawed state does not leak into the encoding, and
-        // re-encoding the decoded graph is byte-identical.
-        let mut f = g.clone();
-        f.freeze();
-        assert_eq!(f.encode_with(u64::from), bytes);
+        // Re-encoding the decoded graph is byte-identical.
         assert_eq!(d.encode_with(u64::from), bytes);
+        // The format itself, pinned on a graph small enough to read.
+        let g = graph([1], &[(1, 4, EdgeAttrs::register())]);
+        assert_eq!(g.encode_with(u64::from), raw(&[1], &[4], &[(1, 4, 0b1001)]));
     }
 
     #[test]
     fn codec_empty_graph() {
-        let g: DepGraph<u32> = DepGraph::new();
+        let g = graph([], &[]);
         let bytes = g.encode_with(u64::from);
+        assert_eq!(bytes, [0, 0, 0]);
         let d = decode_u32(&bytes).unwrap();
         assert_eq!(d.num_internal(), 0);
         assert_eq!(d.edges().len(), 0);
@@ -853,8 +705,7 @@ mod tests {
 
     #[test]
     fn codec_rejects_malformed() {
-        let g = build_sample();
-        let bytes = g.encode_with(u64::from);
+        let bytes = sample().encode_with(u64::from);
         // Truncation at every cut is an error, never a panic.
         for cut in 0..bytes.len() {
             assert!(decode_u32(&bytes[..cut]).is_err(), "cut at {cut}");
@@ -863,34 +714,24 @@ mod tests {
         let mut long = bytes.clone();
         long.push(0);
         assert!(decode_u32(&long).is_err());
-        // An edge endpoint outside the node sets must be a decode error,
-        // not a CSR-build panic.
-        let mut w = ByteWriter::new();
-        w.varint(1); // one internal node: 0
-        w.varint(0);
-        w.varint(0); // no externals
-        w.varint(1); // one edge 0 -> 7 (unknown)
-        w.varint(0);
-        w.varint(7);
-        w.u8(1);
-        assert!(decode_u32(&w.into_bytes()).is_err());
-        // Reserved flag bits rejected.
-        let mut w = ByteWriter::new();
-        w.varint(1);
-        w.varint(0);
-        w.varint(0);
-        w.varint(1);
-        w.varint(0);
-        w.varint(0);
-        w.u8(0x40);
-        assert!(decode_u32(&w.into_bytes()).is_err());
-        // Internal/external overlap rejected.
-        let mut w = ByteWriter::new();
-        w.varint(1);
-        w.varint(0);
-        w.varint(1);
-        w.varint(0);
-        w.varint(0);
-        assert!(decode_u32(&w.into_bytes()).is_err());
+        assert!(decode_u32(&raw(&[0], &[], &[(0, 0, 1)])).is_ok());
+        // An edge endpoint outside the node lists.
+        assert!(decode_u32(&raw(&[0], &[], &[(0, 7, 1)])).is_err());
+        // Reserved flag bits.
+        assert!(decode_u32(&raw(&[0], &[], &[(0, 0, 0x40)])).is_err());
+        // A node both internal and external.
+        assert!(decode_u32(&raw(&[0], &[0], &[])).is_err());
+        // Node lists the encoder could not have written: descending,
+        // repeated.
+        assert!(decode_u32(&raw(&[2, 1], &[], &[])).is_err());
+        assert!(decode_u32(&raw(&[1], &[3, 3], &[])).is_err());
+        // Counts the input is too short to honour, in each position.
+        for bomb in [
+            &[0xff, 0xff, 0xff, 0x7f][..],
+            &[0, 0xff, 0xff, 0xff, 0x7f],
+            &[0, 0, 0xff, 0xff, 0xff, 0x7f],
+        ] {
+            assert!(decode_u32(bomb).is_err());
+        }
     }
 }

@@ -278,9 +278,8 @@ impl<'a> PdgBuilder<'a> {
         let f = self.module.func(fid);
         let cfg = Cfg::new(f);
         let inst_ids = f.inst_ids();
-        // Edges accumulate into a flat list — in exactly the order the
-        // incremental `add_edge` path would create them — and the graph is
-        // born directly in its frozen CSR form.
+        // Edges accumulate into a flat list; its order is the graph's edge
+        // order, which `EdgeId`s, the wire JSON and the store bytes key on.
         let mut edges: Vec<DepEdge<InstId>> = Vec::new();
         let push = |edges: &mut Vec<DepEdge<InstId>>, src, dst, attrs| {
             edges.push(DepEdge { src, dst, attrs });
@@ -297,8 +296,8 @@ impl<'a> PdgBuilder<'a> {
 
         // Control dependences: dependent block's instructions depend on the
         // controlling block's terminator. `control_dependences` hands back
-        // hash maps, so impose block order — the frozen CSR form assigns
-        // `EdgeId`s from the edge stream, which must be reproducible.
+        // hash maps, so impose block order — `EdgeId`s are positions in the
+        // edge stream, which must be reproducible.
         let pdt = PostDomTree::new(f, &cfg);
         for (dep_block, ctrls) in sorted_control_deps(&pdt, &cfg) {
             for ctrl in ctrls {
@@ -463,20 +462,13 @@ impl<'a> PdgBuilder<'a> {
             .filter(|&id| l.contains(f.parent_block(id)))
             .collect();
 
-        // Start from the carved sub-graph. The memory edges between internal
-        // nodes are not copied: they are read as the pair's alias verdict
-        // (unordered pair -> must) and re-derived below with iteration
-        // awareness.
-        let carved = function_graph.subgraph(&loop_insts);
-        let mut g: DepGraph<InstId> = DepGraph::new();
-        for n in carved.internal_nodes() {
-            g.add_internal(n);
-        }
-        for n in carved.external_nodes() {
-            g.add_external(n);
-        }
+        // Start from the function graph's edges that touch the loop, in
+        // their order there. The memory edges between loop instructions are
+        // not copied: they are read as the pair's alias verdict (unordered
+        // pair -> must) and re-derived below with iteration awareness.
+        let mut edges: Vec<DepEdge<InstId>> = Vec::new();
         let mut conflicts: HashMap<(InstId, InstId), bool> = HashMap::new();
-        for e in carved.edges() {
+        for e in function_graph.edges_touching(loop_insts.iter().copied()) {
             let both_internal = loop_insts.contains(&e.src) && loop_insts.contains(&e.dst);
             if both_internal && e.attrs.memory {
                 conflicts.insert((e.src.min(e.dst), e.src.max(e.dst)), e.attrs.must);
@@ -496,8 +488,9 @@ impl<'a> PdgBuilder<'a> {
                     }
                 }
             }
-            g.add_edge(e.src, e.dst, attrs);
+            edges.push(DepEdge { attrs, ..*e });
         }
+        let mut push = |src, dst, attrs| edges.push(DepEdge { src, dst, attrs });
 
         // Loop-centric memory refinement. `mem` ascends by `InstId`, so
         // `(ia, ib)` below is already the table's `(min, max)` key.
@@ -514,11 +507,11 @@ impl<'a> PdgBuilder<'a> {
         for (i, (ia, ea)) in mem.iter().enumerate() {
             // Self-dependence of writes across iterations.
             if ea.writes && !iter_local(ea) {
-                g.add_edge(*ia, *ia, EdgeAttrs::memory(DataDepKind::Waw).carried());
+                push(*ia, *ia, EdgeAttrs::memory(DataDepKind::Waw).carried());
             }
             if ea.io {
                 // I/O must stay ordered across iterations too.
-                g.add_edge(*ia, *ia, EdgeAttrs::memory(DataDepKind::Waw).carried());
+                push(*ia, *ia, EdgeAttrs::memory(DataDepKind::Waw).carried());
             }
             for (ib, eb) in &mem[i + 1..] {
                 let Some(&must) = conflicts.get(&(*ia, *ib)) else {
@@ -540,7 +533,7 @@ impl<'a> PdgBuilder<'a> {
                         let mut attrs = EdgeAttrs::memory(kind);
                         attrs.must = must;
                         attrs.distance = Some(0);
-                        g.add_edge(src, dst, attrs);
+                        push(src, dst, attrs);
                     }
                     continue;
                 }
@@ -549,36 +542,18 @@ impl<'a> PdgBuilder<'a> {
                 if let Some(kind) = fwd {
                     let mut attrs = EdgeAttrs::memory(kind).carried();
                     attrs.must = must;
-                    g.add_edge(*ia, *ib, attrs);
+                    push(*ia, *ib, attrs);
                 }
                 if let Some(kind) = bwd {
                     let mut attrs = EdgeAttrs::memory(kind).carried();
                     attrs.must = must;
-                    g.add_edge(*ib, *ia, attrs);
+                    push(*ib, *ia, attrs);
                 }
             }
         }
-        g.freeze();
-        g
-    }
-
-    /// True if loop `l` has no loop-carried *data* dependence between its
-    /// instructions other than those of its induction recurrences — the DOALL
-    /// legality test.
-    pub fn loop_is_doall(&self, fid: FuncId, l: &LoopInfo) -> bool {
-        self.loop_is_doall_on(fid, l, &self.loop_pdg(fid, l))
-    }
-
-    /// The DOALL legality test on an already-built loop dependence graph.
-    pub fn loop_is_doall_on(&self, fid: FuncId, l: &LoopInfo, g: &DepGraph<InstId>) -> bool {
-        let f = self.module.func(fid);
-        let recs = affine_recurrences(f, l);
-        let iv_nodes: BTreeSet<InstId> = recs.iter().flat_map(|r| [r.phi, r.update]).collect();
-        !g.edges().iter().any(|e| {
-            e.attrs.loop_carried
-                && e.attrs.is_data()
-                && !(iv_nodes.contains(&e.src) && iv_nodes.contains(&e.dst))
-        })
+        // Every boundary node is an endpoint of a copied edge, which is
+        // where `from_edges` finds the externals.
+        DepGraph::from_edges(loop_insts, edges)
     }
 }
 
@@ -784,6 +759,12 @@ mod tests {
         (m, fid, l)
     }
 
+    /// Number of loop-carried data dependences in a loop graph.
+    fn carried_data(g: &DepGraph<InstId>) -> usize {
+        let carried = |e: &&DepEdge<InstId>| e.attrs.loop_carried && e.attrs.is_data();
+        g.edges().iter().filter(carried).count()
+    }
+
     #[test]
     fn function_pdg_has_register_and_control_edges() {
         let (m, fid, _) = doall_loop();
@@ -818,7 +799,8 @@ mod tests {
             carried_mem.is_empty(),
             "unexpected carried memory edges: {carried_mem:?}"
         );
-        assert!(builder.loop_is_doall(fid, &l));
+        // Only the induction variable's update crosses iterations.
+        assert_eq!(carried_data(&g), 1);
     }
 
     #[test]
@@ -827,13 +809,8 @@ mod tests {
         let basic = BasicAlias::new(&m);
         let builder = PdgBuilder::new(&m, &basic);
         let g = builder.loop_pdg(fid, &l);
-        // sum2 -> sum-phi is loop-carried.
-        assert!(g
-            .edges()
-            .iter()
-            .any(|e| e.attrs.loop_carried && e.attrs.is_data() && !e.attrs.memory));
-        // Not DOALL as-is (the reduction SCC is loop-carried).
-        assert!(!builder.loop_is_doall(fid, &l));
+        // Beside the induction variable's, sum2 -> sum-phi is loop-carried.
+        assert_eq!(carried_data(&g), 2);
     }
 
     #[test]
@@ -878,7 +855,6 @@ mod tests {
             .edges()
             .iter()
             .any(|e| e.src == e.dst && e.attrs.memory && e.attrs.loop_carried));
-        assert!(!builder.loop_is_doall(fid, &l));
     }
 
     #[test]
@@ -1041,7 +1017,6 @@ mod tests {
         let direct = builder.loop_pdg(fid, &l);
         let reused = builder.loop_pdg_with(fid, &l, &fg);
         assert_eq!(edge_set(&direct), edge_set(&reused));
-        assert!(builder.loop_is_doall_on(fid, &l, &reused));
     }
 
     #[test]

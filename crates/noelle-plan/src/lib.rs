@@ -12,8 +12,6 @@
 //! explainable report; [`apply_plan`] executes the winners through the
 //! unified [`LoopTargetOpts`] transform surface.
 
-use std::collections::BTreeSet;
-
 use noelle_core::architecture::Architecture;
 use noelle_core::audit::{ModuleAudit, Technique};
 use noelle_core::json::Json;
@@ -21,7 +19,7 @@ use noelle_core::noelle::Noelle;
 use noelle_core::profiler::Profiles;
 use noelle_ir::loops::LoopInfo;
 use noelle_ir::module::{BlockId, FuncId};
-use noelle_lint::{run_audit, run_audit_scoped};
+use noelle_lint::run_audit;
 use noelle_transforms::common::{approx_inst_cost, gate, parallelize, LoopTargetOpts, Recipe};
 use noelle_transforms::dswp::StageSummary;
 use noelle_transforms::ParallelReport;
@@ -285,16 +283,6 @@ fn round4(x: f64) -> f64 {
 /// Plan the whole module.
 pub fn plan_module(n: &mut Noelle, opts: &PlanOptions) -> ModulePlan {
     let audit = run_audit(n);
-    plan_from_audit(n, &audit, opts)
-}
-
-/// Plan only loops in `only` functions (incremental frontends).
-pub fn plan_scoped(
-    n: &mut Noelle,
-    only: Option<&BTreeSet<FuncId>>,
-    opts: &PlanOptions,
-) -> ModulePlan {
-    let audit = run_audit_scoped(n, only);
     plan_from_audit(n, &audit, opts)
 }
 

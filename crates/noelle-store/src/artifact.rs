@@ -17,7 +17,7 @@ pub fn encode_partition(g: &DepGraph<InstId>) -> Vec<u8> {
     g.encode_with(|i| u64::from(i.0))
 }
 
-/// Decode a PDG partition; returns it frozen (CSR form).
+/// Decode a PDG partition.
 ///
 /// # Errors
 /// Any malformed input is a [`DecodeError`] — the store treats it as a miss.

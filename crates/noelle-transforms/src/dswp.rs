@@ -16,13 +16,14 @@ use crate::common::{
     reset_reduction_initials, task_loop, ParallelizeError, QUEUE_POP_INTRINSIC,
     QUEUE_PUSH_INTRINSIC,
 };
+use noelle_core::env::EnvironmentBuilder;
 use noelle_core::loop_abs::LoopAbstraction;
 use noelle_core::noelle::Abstraction;
 use noelle_core::reduction::identity_for;
 use noelle_core::task::{outline_loop_as_task, TaskFunction};
 use noelle_ir::cfg::Cfg;
 use noelle_ir::dom::DomTree;
-use noelle_ir::inst::{Callee, CastOp, Inst, InstId, Terminator};
+use noelle_ir::inst::{Callee, Inst, InstId, Terminator};
 use noelle_ir::module::{BlockId, FuncId, Function, Module};
 use noelle_ir::types::Type;
 use noelle_ir::value::Value;
@@ -376,111 +377,6 @@ fn plan_stages(
     })
 }
 
-/// Cast an i64 queue payload into `ty` at `(block, pos)`; returns the value
-/// and the next insertion position.
-fn cast_from_i64(
-    tf: &mut Function,
-    block: BlockId,
-    pos: usize,
-    v: Value,
-    ty: &Type,
-) -> (Value, usize) {
-    match ty {
-        Type::Int(noelle_ir::types::IntWidth::I64) => (v, pos),
-        Type::Int(_) => {
-            let c = tf.insert_inst(
-                block,
-                pos,
-                Inst::Cast {
-                    op: CastOp::Trunc,
-                    from: Type::I64,
-                    to: ty.clone(),
-                    val: v,
-                },
-            );
-            (Value::Inst(c), pos + 1)
-        }
-        Type::Float(_) => {
-            let c = tf.insert_inst(
-                block,
-                pos,
-                Inst::Cast {
-                    op: CastOp::Bitcast,
-                    from: Type::I64,
-                    to: Type::F64,
-                    val: v,
-                },
-            );
-            (Value::Inst(c), pos + 1)
-        }
-        _ => {
-            let c = tf.insert_inst(
-                block,
-                pos,
-                Inst::Cast {
-                    op: CastOp::IntToPtr,
-                    from: Type::I64,
-                    to: ty.clone(),
-                    val: v,
-                },
-            );
-            (Value::Inst(c), pos + 1)
-        }
-    }
-}
-
-/// Cast `v` of type `ty` to an i64 queue payload at `(block, pos)`.
-fn cast_to_i64(
-    tf: &mut Function,
-    block: BlockId,
-    pos: usize,
-    v: Value,
-    ty: &Type,
-) -> (Value, usize) {
-    match ty {
-        Type::Int(noelle_ir::types::IntWidth::I64) => (v, pos),
-        Type::Int(_) => {
-            let c = tf.insert_inst(
-                block,
-                pos,
-                Inst::Cast {
-                    op: CastOp::Sext,
-                    from: ty.clone(),
-                    to: Type::I64,
-                    val: v,
-                },
-            );
-            (Value::Inst(c), pos + 1)
-        }
-        Type::Float(_) => {
-            let c = tf.insert_inst(
-                block,
-                pos,
-                Inst::Cast {
-                    op: CastOp::Bitcast,
-                    from: Type::F64,
-                    to: Type::I64,
-                    val: v,
-                },
-            );
-            (Value::Inst(c), pos + 1)
-        }
-        _ => {
-            let c = tf.insert_inst(
-                block,
-                pos,
-                Inst::Cast {
-                    op: CastOp::PtrToInt,
-                    from: ty.clone(),
-                    to: Type::I64,
-                    val: v,
-                },
-            );
-            (Value::Inst(c), pos + 1)
-        }
-    }
-}
-
 /// Prune a stage clone: keep this stage's SCCs plus the replicated set,
 /// replace consumed foreign values with queue pops, push produced values,
 /// insert the token chain, and patch dead live-out stores with identities.
@@ -508,7 +404,7 @@ fn prune_stage(
     {
         let entry = task.entry;
         for qi in 0..n_queues {
-            let v = noelle_core::env::EnvironmentBuilder::load_slot(
+            let v = EnvironmentBuilder::load_slot(
                 tf,
                 entry,
                 Value::Arg(0),
@@ -549,7 +445,8 @@ fn prune_stage(
                 let ty = tf.inst(clone).result_type();
                 let b = tf.parent_block(clone);
                 let pos = tf.position_in_block(clone).expect("attached") + 1;
-                let (payload, npos) = cast_to_i64(tf, b, pos, Value::Inst(clone), &ty);
+                let (payload, npos) =
+                    EnvironmentBuilder::to_slot_value(tf, b, pos, Value::Inst(clone), &ty);
                 for (pos, t) in (npos..).zip(consumer_stages) {
                     let qi = queue_index[&(orig, t)];
                     tf.insert_inst(
@@ -580,7 +477,8 @@ fn prune_stage(
                     ret_ty: Type::I64,
                 },
             );
-            let (val, _) = cast_from_i64(tf, b, pos + 1, Value::Inst(pop), &ty);
+            let (val, _) =
+                EnvironmentBuilder::from_slot_value(tf, b, pos + 1, Value::Inst(pop), &ty);
             tf.replace_all_uses(Value::Inst(clone), val);
             tf.remove_inst(clone);
         } else {
@@ -794,34 +692,60 @@ done:
 }
 "#;
 
+    /// [`DSWP_PROGRAM`] with the `%v .. %w19` chain computed in `f32`, so
+    /// the values that cross a stage boundary are narrower than a queue slot.
+    fn dswp_program_f32() -> String {
+        let line = |l: &str| {
+            if l.contains("= load i64, %p") {
+                "  %vi = load i64, %p\n  %v = sitofp i64 %vi to f32".to_string()
+            } else if l.contains("= div i64") {
+                l.replace("div i64", "fdiv f32").replace(", i64 ", ", f32 ") + ".0"
+            } else if l.contains("%s2 = add") {
+                "  %wi = fptosi f32 %w19 to i64\n  %s2 = add i64 %s, %wi".to_string()
+            } else if l.contains(", %v") {
+                l.replace("mul i64", "fmul f32")
+                    .replace("add i64", "fadd f32")
+            } else {
+                l.to_string()
+            }
+        };
+        DSWP_PROGRAM
+            .lines()
+            .map(line)
+            .collect::<Vec<_>>()
+            .join("\n")
+    }
+
     #[test]
     fn dswp_pipelines_and_preserves_semantics() {
-        let m = parse_module(DSWP_PROGRAM).unwrap();
-        let seq = run_module(&m, "main", &[], &RunConfig::default()).unwrap();
+        for (program, workers) in [(DSWP_PROGRAM.to_string(), 2), (dswp_program_f32(), 3)] {
+            let m = parse_module(&program).unwrap();
+            let seq = run_module(&m, "main", &[], &RunConfig::default()).unwrap();
 
-        let mut noelle = Noelle::new(m, AliasTier::Full);
-        let report = parallelize(
-            &mut noelle,
-            Parallelizer::Dswp,
-            &LoopTargetOpts {
-                min_hotness: 0.0,
-                workers: 2,
-                only: None,
-            },
-        );
-        assert!(
-            report.parallelized.iter().any(|(f, _)| f == "kernel"),
-            "kernel loop must pipeline: {report:?}"
-        );
-        let m2 = noelle.into_module();
-        noelle_ir::verifier::verify_module(&m2)
-            .unwrap_or_else(|e| panic!("transformed module verifies: {e}"));
-        let par = run_module(&m2, "main", &[], &RunConfig::default()).unwrap();
-        assert_eq!(par.ret_i64(), seq.ret_i64(), "semantics preserved");
-        assert!(par.counters.get("queues").copied().unwrap_or(0) >= 1);
-        assert!(par.counters.get("queue_ops").copied().unwrap_or(0) > 100);
-        let speedup = seq.cycles as f64 / par.cycles as f64;
-        assert!(speedup > 1.05, "pipelining must pay off: {speedup:.2}");
+            let mut noelle = Noelle::new(m, AliasTier::Full);
+            let report = parallelize(
+                &mut noelle,
+                Parallelizer::Dswp,
+                &LoopTargetOpts {
+                    min_hotness: 0.0,
+                    workers,
+                    only: None,
+                },
+            );
+            assert!(
+                report.parallelized.iter().any(|(f, _)| f == "kernel"),
+                "kernel loop must pipeline: {report:?}"
+            );
+            let m2 = noelle.into_module();
+            noelle_ir::verifier::verify_module(&m2)
+                .unwrap_or_else(|e| panic!("transformed module verifies: {e}"));
+            let par = run_module(&m2, "main", &[], &RunConfig::default()).unwrap();
+            assert_eq!(par.ret_i64(), seq.ret_i64(), "semantics preserved");
+            assert!(par.counters.get("queues").copied().unwrap_or(0) >= 1);
+            assert!(par.counters.get("queue_ops").copied().unwrap_or(0) > 100);
+            let speedup = seq.cycles as f64 / par.cycles as f64;
+            assert!(speedup > 1.05, "pipelining must pay off: {speedup:.2}");
+        }
     }
 
     #[test]

@@ -1,26 +1,39 @@
-//! Allocation budget of the IR text layer, counted exactly.
+//! Allocation budgets of the IR text layer and the dependence graph,
+//! counted exactly.
 //!
 //! Alone in its test binary because it installs a counting global
 //! allocator: parsing may allocate what the module has to own (a name per
 //! named instruction, operand lists, boxed pointee types) and nothing per
-//! token; printing streams into one buffer. The counts do not depend on the
-//! host, so the bounds are tight.
+//! token; printing streams into one buffer; a loop graph is a handful of
+//! flat arrays, not a map entry per node; and the partition decoder
+//! reserves nothing a forged count asks for. The counts do not depend on
+//! the host, so the bounds are tight. The tests take turns ([`alone`]), so
+//! nothing else allocates while a closure is being counted.
 
+use noelle::ir::cfg::Cfg;
+use noelle::ir::dom::DomTree;
+use noelle::ir::loops::LoopForest;
 use noelle::ir::parser::parse_module;
 use noelle::ir::printer::print_module;
+use noelle::pdg::pdg::PdgBuilder;
 use noelle::workloads::scale_module;
+use noelle_analysis::alias::{AliasAnalysis, AliasStack, AndersenAlias, BasicAlias};
+use noelle_store::artifact::decode_partition;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::sync::{Mutex, MutexGuard};
 
 struct Counting;
 
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+static BYTES: AtomicUsize = AtomicUsize::new(0);
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds the
 // `GlobalAlloc` contract; the counter is a relaxed statistic.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Relaxed);
+        BYTES.fetch_add(layout.size(), Relaxed);
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -28,12 +41,19 @@ unsafe impl GlobalAlloc for Counting {
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Relaxed);
+        BYTES.fetch_add(new_size, Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
+
+/// Held by each test for as long as it runs: the counters are global.
+fn alone() -> MutexGuard<'static, ()> {
+    static TURN: Mutex<()> = Mutex::new(());
+    TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn allocations<T>(f: impl FnOnce() -> T) -> (T, usize) {
     let before = ALLOCATIONS.load(Relaxed);
@@ -43,6 +63,7 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (T, usize) {
 
 #[test]
 fn parse_and_print_stay_within_their_allocation_budget() {
+    let _turn = alone();
     let text = print_module(&scale_module(256, 1));
     let (module, parse) = allocations(|| parse_module(&text).expect("parses"));
     let insts = module.total_insts();
@@ -54,4 +75,48 @@ fn parse_and_print_stay_within_their_allocation_budget() {
         print * 10 <= insts,
         "print: {print} allocations for {insts}"
     );
+}
+
+#[test]
+fn a_loop_graph_costs_a_bounded_number_of_blocks() {
+    let _turn = alone();
+    let m = scale_module(256, 1);
+    let basic = BasicAlias::new(&m);
+    let andersen = AndersenAlias::new(&m);
+    let stack = AliasStack::new(vec![&basic as &dyn AliasAnalysis, &andersen]);
+    let builder = PdgBuilder::new(&m, &stack);
+    let (mut blocks, mut insts) = (0, 0);
+    for fid in m.func_ids().filter(|&fid| !m.func(fid).is_declaration()) {
+        let f = m.func(fid);
+        let g = builder.function_pdg(fid);
+        let cfg = Cfg::new(f);
+        let dt = DomTree::new(f, &cfg);
+        for l in LoopForest::new(f, &cfg, &dt).loops() {
+            let (loop_graph, n) = allocations(|| builder.loop_pdg_with(fid, l, &g));
+            blocks += n;
+            insts += loop_graph.num_internal();
+        }
+    }
+    eprintln!("{insts} loop instructions: {blocks} allocations for their loop graphs");
+    assert!(insts > 2000, "{insts} loop instructions");
+    // An adjacency map entry per node would not fit.
+    assert!(
+        blocks <= 4 * insts,
+        "loop graphs: {blocks} allocations for {insts} instructions"
+    );
+}
+
+#[test]
+fn count_bombs_are_rejected_before_anything_is_reserved() {
+    let _turn = alone();
+    // A few bytes claiming 2^28 internal nodes, external nodes or edges.
+    const HUGE: [u8; 5] = [0x80, 0x80, 0x80, 0x80, 0x01];
+    for prefix in [&[][..], &[0], &[0, 0], &[1, 7, 0]] {
+        let bomb = [prefix, &HUGE].concat();
+        let before = BYTES.load(Relaxed);
+        let decoded = decode_partition(&bomb);
+        let reserved = BYTES.load(Relaxed) - before;
+        assert!(decoded.is_err(), "{bomb:?} decodes");
+        assert!(reserved < 4096, "{bomb:?}: {reserved} bytes allocated");
+    }
 }
