@@ -22,6 +22,7 @@ use noelle_ir::module::{BlockId, FuncId, Module};
 use noelle_pdg::depgraph::{DataDepKind, DepKind};
 use noelle_pdg::sccdag::SccKind;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// A parallelization technique the auditor issues a verdict for.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
@@ -175,6 +176,15 @@ pub struct LoopAudit {
     pub header_name: String,
     /// Header block's layout index (deterministic ordering key).
     pub header_index: usize,
+    /// The loop abstraction the verdicts were issued on, for whoever acts
+    /// on them next (the planner prices it instead of building it again).
+    /// It lives exactly as long as the audit does, and its instruction and
+    /// block ids name the module as it was at audit time: read it against
+    /// the auditing manager's module, before that manager's next edit.
+    pub abstraction: Arc<LoopAbstraction>,
+    /// The owning function's [`crate::noelle::Noelle::revision`] at audit
+    /// time (what a consumer of `abstraction` checks it is not late).
+    pub revision: u64,
     /// Per-technique verdicts, in [`Technique::all`] order.
     pub verdicts: Vec<TechniqueAudit>,
 }

@@ -43,17 +43,17 @@ pub struct LoopAbstraction {
 
 impl LoopAbstraction {
     /// Build the full bundle for loop `l` of `fid` using `builder`'s alias
-    /// stack. This is the expensive, on-demand computation the `Noelle`
-    /// manager caches.
+    /// stack, function graph included — for callers without a `Noelle`
+    /// manager (the baseline parallelizer, unit tests).
     pub fn build(builder: &PdgBuilder<'_>, fid: FuncId, l: LoopInfo) -> LoopAbstraction {
         let function_graph = builder.function_pdg(fid);
         LoopAbstraction::build_with(builder, fid, l, &function_graph)
     }
 
     /// [`LoopAbstraction::build`] carving from an already-built function
-    /// PDG — the `Noelle` manager passes its cached whole-program graph so
+    /// PDG — the `Noelle` manager passes the function's cached partition, so
     /// requesting several loop abstractions of one function analyzes the
-    /// function once.
+    /// function once. The bundle itself is not cached: the caller owns it.
     pub fn build_with(
         builder: &PdgBuilder<'_>,
         fid: FuncId,

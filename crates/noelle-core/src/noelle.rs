@@ -7,8 +7,11 @@
 //! dependences."
 //!
 //! [`Noelle`] owns the module being compiled, computes abstractions on first
-//! request, caches what is reusable, and records which abstractions each
-//! custom tool requested — the record behind Table 4 of the paper.
+//! request, and records which abstractions each custom tool requested — the
+//! record behind Table 4 of the paper. What it caches is whole-program
+//! substrate (points-to, mod/ref, call graph) plus one `FuncSlot` per
+//! function; a [`LoopAbstraction`] is built per request from the function's
+//! cached PDG partition and never retained — whoever asked for it owns it.
 
 use crate::architecture::Architecture;
 use crate::forest::ProgramLoopForest;
@@ -17,7 +20,7 @@ use crate::profiler::Profiles;
 use noelle_analysis::alias::{AliasAnalysis, AliasStack, AndersenAlias, BasicAlias};
 use noelle_analysis::modref::ModRefSummaries;
 use noelle_ir::cfg::Cfg;
-use noelle_ir::dom::{DomTree, PostDomTree};
+use noelle_ir::dom::DomTree;
 use noelle_ir::inst::{Callee, Inst, InstId};
 use noelle_ir::loops::{LoopForest, LoopInfo};
 use noelle_ir::module::{FuncId, Function, Module};
@@ -91,15 +94,13 @@ impl Abstraction {
 }
 
 /// The per-function control-flow structures the manager caches together:
-/// one CFG walk serves the dominator trees and the loop forest.
+/// one CFG walk serves the dominator tree and the loop forest.
 #[derive(Debug)]
 pub struct FuncStructures {
     /// Control-flow graph.
     pub cfg: Cfg,
     /// Dominator tree.
     pub dom: DomTree,
-    /// Post-dominator tree.
-    pub postdom: PostDomTree,
     /// Loop forest, shared with every [`ProgramLoopForest`] assembled from
     /// the cache.
     pub forest: Arc<LoopForest>,
@@ -130,13 +131,12 @@ pub struct MemoryStats {
 }
 
 /// Counters over the manager's per-function cache slots (PDG partitions and
-/// control-flow structures). A "hit" is a function whose cached result was
-/// reused across an edit or repeated request; a "miss" is a function that had
-/// to be (re)analyzed; an "invalidation" is a function slot dropped by the
-/// damage-propagation rule.
+/// control-flow structures). A "hit" is a request the function's slot
+/// answered; a "miss" is a function that had to be (re)analyzed; an
+/// "invalidation" is a partition dropped by the damage-propagation rule.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FuncCacheCounters {
-    /// PDG partitions reused from a previous snapshot.
+    /// PDG partition requests served from the function's slot.
     pub pdg_hits: u64,
     /// PDG partitions (re)built from scratch.
     pub pdg_misses: u64,
@@ -170,6 +170,39 @@ pub struct FuncCacheCounters {
 struct FuncFingerprints {
     body: u64,
     content: u64,
+}
+
+/// Everything the manager caches about one function, in two tiers. The
+/// fingerprints and structures read nothing but the function's own text, so
+/// they fall when the function is *touched*; the PDG partition also reads
+/// the function's points-to rows and its direct callees' mod/ref summaries,
+/// so it falls whenever the function is *damaged* — which every touched
+/// function is.
+#[derive(Default)]
+struct FuncSlot {
+    /// Times the function was touched (see [`Noelle::revision`]).
+    revision: u64,
+    /// Hashes of the function's current version, filled on first use. While
+    /// the points-to solution is built every slot has them, so a commit can
+    /// tell which touched bodies really changed.
+    fingerprints: Option<FuncFingerprints>,
+    structures: Option<FuncStructures>,
+    /// The function's dependence graph, shared with every [`ProgramPdg`]
+    /// snapshot assembled while it stands.
+    partition: Option<Arc<DepGraph<InstId>>>,
+}
+
+impl FuncSlot {
+    /// The function's text changed: count the revision and empty the slot,
+    /// returning what the function hashed to before.
+    fn touch(&mut self) -> Option<FuncFingerprints> {
+        let old = self.fingerprints;
+        *self = FuncSlot {
+            revision: self.revision + 1,
+            ..FuncSlot::default()
+        };
+        old
+    }
 }
 
 /// An open edit transaction over the managed module.
@@ -323,13 +356,6 @@ pub struct Noelle {
     /// The points-to solution, kept in step with the module by every
     /// commit once built.
     andersen: Option<AndersenAlias>,
-    /// Fingerprints of the functions' *current* versions, by function
-    /// index, filled on first use; a commit drops the touched functions'
-    /// (functions change only through [`Noelle::edit`], which is what
-    /// keeps the rest current). While `andersen` is built every function
-    /// has an entry, so a commit can tell which touched bodies really
-    /// changed.
-    fingerprints: Vec<Option<FuncFingerprints>>,
     modref: Option<Arc<ModRefSummaries>>,
     /// Incrementally maintained direct call edges; `Some` whenever `modref`
     /// is (commits repair both together, and both die together on
@@ -337,18 +363,18 @@ pub struct Noelle {
     /// edges that match the summaries' module).
     call_edges: Option<CallEdges>,
     call_graph: Option<CallGraph>,
-    structures: HashMap<FuncId, FuncStructures>,
-    pdg: Option<Arc<ProgramPdg>>,
-    /// The last complete PDG snapshot, kept across edits so undamaged
-    /// partitions can be reused by the next [`Noelle::pdg`] call.
-    prev_pdg: Option<Arc<ProgramPdg>>,
-    /// Functions whose partitions in `prev_pdg` are untrusted (damaged by
-    /// edits since that snapshot was built).
-    stale: BTreeSet<FuncId>,
+    /// Per-function cached state, by function index, grown on demand.
+    /// Functions change only through [`Noelle::edit`], whose commit touches
+    /// and damages exactly the slots the edit can reach — which is what
+    /// keeps the rest current.
+    slots: Vec<FuncSlot>,
+    /// The assembled whole-program snapshot: every defined function's
+    /// partition behind one handle. Dropped by any commit that damages a
+    /// function; the partitions themselves stay in their slots.
+    snapshot: Option<Arc<ProgramPdg>>,
     profiles: Option<Profiles>,
     requested: BTreeSet<Abstraction>,
     build_stats: BTreeMap<Abstraction, BuildStat>,
-    revisions: HashMap<FuncId, u64>,
     counters: FuncCacheCounters,
     /// Durable artifact store, when attached. Misses consult it before
     /// recomputing; rebuilt artifacts are written back asynchronously.
@@ -363,18 +389,14 @@ impl Noelle {
             module,
             tier,
             andersen: None,
-            fingerprints: Vec::new(),
             modref: None,
             call_edges: None,
             call_graph: None,
-            structures: HashMap::new(),
-            pdg: None,
-            prev_pdg: None,
-            stale: BTreeSet::new(),
+            slots: Vec::new(),
+            snapshot: None,
             profiles: None,
             requested: BTreeSet::new(),
             build_stats: BTreeMap::new(),
-            revisions: HashMap::new(),
             counters: FuncCacheCounters::default(),
             store: None,
         }
@@ -411,17 +433,24 @@ impl Noelle {
         }
     }
 
+    /// `fid`'s cache slot; the table grows to cover appended functions.
+    fn slot(&mut self, fid: FuncId) -> &mut FuncSlot {
+        if self.slots.len() <= fid.index() {
+            self.slots.resize_with(fid.index() + 1, FuncSlot::default);
+        }
+        &mut self.slots[fid.index()]
+    }
+
     /// The cached fingerprints of `fid`'s current version.
     fn fingerprints(&mut self, fid: FuncId) -> FuncFingerprints {
-        let n = self.module.functions().len();
-        if self.fingerprints.len() < n {
-            self.fingerprints.resize(n, None);
+        if let Some(fp) = self.slot(fid).fingerprints {
+            return fp;
         }
-        let f = self.module.func(fid);
-        *self.fingerprints[fid.index()].get_or_insert_with(|| {
-            let (body, content) = f.fingerprints();
-            FuncFingerprints { body, content }
-        })
+        let (body, content) = self.module.func(fid).fingerprints();
+        *self
+            .slot(fid)
+            .fingerprints
+            .insert(FuncFingerprints { body, content })
     }
 
     /// The module under compilation.
@@ -444,9 +473,10 @@ impl Noelle {
     ///
     /// Everything else — structures and PDG partitions of undamaged
     /// functions, and with the partitions the alias verdicts their memory
-    /// edges record — is reused, and the next [`Noelle::pdg`] call
-    /// repairs the snapshot instead of rebuilding it. The repaired graph is
-    /// edge-identical to a from-scratch build.
+    /// edges record — stays in its slot. A damaged partition is rebuilt
+    /// when somebody next asks for that function ([`Noelle::pdg`] asks for
+    /// every defined one, [`Noelle::loop_abstraction`] for its own), and
+    /// the rebuilt graph is edge-identical to a from-scratch build.
     pub fn edit<R>(&mut self, k: impl FnOnce(&mut EditTx<'_>) -> R) -> R {
         self.edit_with_damage(k).0
     }
@@ -498,39 +528,27 @@ impl Noelle {
             return BTreeSet::new(); // read-only transaction
         }
         // What each touched function hashed to before the edit (`None` if
-        // nobody had asked, or the function is new); the entries themselves
-        // are stale now.
-        let old_fingerprints: Vec<Option<FuncFingerprints>> = touched
-            .iter()
-            .map(|fid| {
-                self.fingerprints
-                    .get_mut(fid.index())
-                    .and_then(Option::take)
-            })
-            .collect();
-        for &fid in &touched {
-            *self.revisions.entry(fid).or_insert(0) += 1;
-            self.structures.remove(&fid);
-        }
+        // nobody had asked, or the function is new).
+        let old_fingerprints: Vec<Option<FuncFingerprints>> =
+            touched.iter().map(|&fid| self.slot(fid).touch()).collect();
         // Profiles live in module metadata, which a scoped borrow may have
         // rewritten; they are cheap to re-parse on demand.
         self.profiles = None;
         let Some(mut modref) = self.modref.take() else {
-            // No mod/ref summaries means no PDG and no previous snapshot
-            // are cached (both force mod/ref first). Whole-program state
-            // that *can* exist without them — the points-to solution and
-            // the call graph — is simply dropped; there is no per-function
-            // reuse at stake.
-            debug_assert!(self.pdg.is_none() && self.prev_pdg.is_none());
+            // Whole-program state that can exist without the summaries —
+            // the points-to solution and the call graph — is simply
+            // dropped, and the edge map with it: it is only repaired on
+            // the summary-bearing path.
             self.andersen = None;
             self.call_graph = None;
-            // The edge map is only repaired on the summary-bearing path;
-            // without that repair the touched functions' rows go stale.
             self.call_edges = None;
-            self.counters.invalidations += touched.len() as u64;
             // Without the old summaries the interprocedural blast radius
-            // cannot be bounded, so report every function as damaged.
-            return self.module.func_ids().collect();
+            // cannot be bounded, so every function is damaged (partitions
+            // can stand without summaries after a warm start from the
+            // store).
+            let all: BTreeSet<FuncId> = self.module.func_ids().collect();
+            self.damage(&all);
+            return all;
         };
         // Repair the direct-call-edge map for the touched functions (first
         // commit builds it whole), then bound the mod/ref repair to the
@@ -580,12 +598,17 @@ impl Noelle {
         }
         self.call_graph = None;
         self.modref = Some(modref);
-        if let Some(p) = self.pdg.take() {
-            self.prev_pdg = Some(p);
-        }
-        self.stale.extend(damage.iter().copied());
-        self.counters.invalidations += damage.len() as u64;
+        self.damage(&damage);
         damage
+    }
+
+    /// Drop the partitions of `fids`, and the assembled snapshot with them.
+    fn damage(&mut self, fids: &BTreeSet<FuncId>) {
+        for &fid in fids {
+            self.slot(fid).partition = None;
+        }
+        self.snapshot = None;
+        self.counters.invalidations += fids.len() as u64;
     }
 
     /// Consume the manager, returning the (possibly transformed) module.
@@ -604,19 +627,16 @@ impl Noelle {
     /// Drop every cached abstraction.
     pub fn invalidate(&mut self) {
         self.andersen = None;
-        self.fingerprints.clear();
         self.modref = None;
         self.call_edges = None;
         self.call_graph = None;
-        self.structures.clear();
-        self.pdg = None;
-        self.prev_pdg = None;
-        self.stale.clear();
+        self.snapshot = None;
         self.profiles = None;
-        for fid in self.module.func_ids() {
-            *self.revisions.entry(fid).or_insert(0) += 1;
+        let n = self.module.functions().len();
+        for i in 0..n as u32 {
+            self.slot(FuncId(i)).touch();
         }
-        self.counters.invalidations += self.module.functions().len() as u64;
+        self.counters.invalidations += n as u64;
     }
 
     /// Record that a custom tool used abstraction `a` (tools call this for
@@ -664,24 +684,6 @@ impl Noelle {
         }
     }
 
-    /// One function's PDG partition from the durable store, if present.
-    ///
-    /// Content addressing makes this safe at any point: the key covers the
-    /// whole module's current content, so a hit was computed from inputs
-    /// byte-identical to what a full build would see right now. Misses are
-    /// not counted here — the fall-back full build accounts for them.
-    fn store_partition(&mut self, fid: FuncId) -> Option<Arc<DepGraph<InstId>>> {
-        let store = self.store.clone()?;
-        let key = self
-            .store_key_ctx()
-            .partition_key(self.fingerprints(fid).content);
-        let g = store
-            .get(key)
-            .and_then(|b| artifact::decode_partition(&b).ok())?;
-        self.counters.store_hits += 1;
-        Some(Arc::new(g))
-    }
-
     fn ensure_modref(&mut self) -> Arc<ModRefSummaries> {
         if self.modref.is_none() {
             self.modref = Some(Arc::new(ModRefSummaries::compute(&self.module)));
@@ -705,12 +707,17 @@ impl Noelle {
         self.counters
     }
 
-    /// Approximate heap footprint of the cached analysis state: the
-    /// per-function PDGs and the Andersen points-to rows.
+    /// Approximate heap footprint of the cached analysis state: the PDG
+    /// partitions the slots hold and the Andersen points-to rows.
     /// Only what is currently built is counted — a manager that never built
-    /// its PDG reports zero PDG bytes.
+    /// a partition reports zero PDG bytes.
     pub fn memory_stats(&self) -> MemoryStats {
-        let pdg_bytes = self.pdg.as_ref().map_or(0, |p| p.approx_heap_bytes());
+        let pdg_bytes = self
+            .slots
+            .iter()
+            .filter_map(|s| s.partition.as_ref())
+            .map(|g| g.approx_heap_bytes() + 32)
+            .sum();
         let andersen_bytes = self
             .andersen
             .as_ref()
@@ -734,7 +741,7 @@ impl Noelle {
     /// since load). Bumped per touched function by [`Noelle::edit`] and for
     /// every function by a full invalidation.
     pub fn revision(&self, fid: FuncId) -> u64 {
-        self.revisions.get(&fid).copied().unwrap_or(0)
+        self.slots.get(fid.index()).map_or(0, |s| s.revision)
     }
 
     /// Run `k` against the manager's alias stack and shared mod/ref
@@ -768,102 +775,89 @@ impl Noelle {
         self.with_stack(modref, k)
     }
 
-    /// The whole-program PDG, built once (in parallel, demand-driven) and
-    /// shared through a cheap `Arc` handle. After an [`Noelle::edit`], the
-    /// next call *repairs* the previous snapshot: only partitions the edit
-    /// damaged are re-derived, everything else is shared with the old graph
-    /// by pointer. Holders of old handles keep a consistent pre-mutation
-    /// snapshot.
-    pub fn pdg(&mut self) -> Arc<ProgramPdg> {
+    /// One function's PDG partition — the only place one comes into being.
+    /// The function's slot answers first; then the durable store, whose
+    /// content addressing guarantees a hit was computed from inputs
+    /// byte-identical to what a build would see right now (a payload that
+    /// fails to decode is a miss); only a partition that survived neither
+    /// pays for the alias stack, so a fully warm start never solves
+    /// points-to. `ctx` is the caller's store-key context, filled on the
+    /// first miss: it hashes every function, so a caller asking for many
+    /// partitions shares one.
+    fn partition(&mut self, fid: FuncId, ctx: &mut Option<KeyCtx>) -> Arc<DepGraph<InstId>> {
         self.note(Abstraction::Pdg);
-        if self.pdg.is_none() {
-            let t = Instant::now();
-            let defined = |m: &Module, fid: &FuncId| !m.func(*fid).is_declaration();
-            let stale = std::mem::take(&mut self.stale);
-            // Start from the previous snapshot's map and look again only at
-            // what the edits since damaged: every function they added or
-            // touched is in `stale`, so what remains is undamaged and
-            // complete. Without a snapshot, every defined function is new.
-            let (mut per_function, wanted): (HashMap<_, _>, Vec<FuncId>) =
-                match self.prev_pdg.take() {
-                    Some(prev) => {
-                        let mut kept = Arc::try_unwrap(prev)
-                            .map(|p| p.per_function)
-                            .unwrap_or_else(|held| held.per_function.clone());
-                        for fid in &stale {
-                            kept.remove(fid);
-                        }
-                        self.counters.pdg_hits += kept.len() as u64;
-                        let module = &self.module;
-                        (
-                            kept,
-                            stale.into_iter().filter(|f| defined(module, f)).collect(),
-                        )
-                    }
-                    None => {
-                        let all: Vec<FuncId> = self
-                            .module
-                            .func_ids()
-                            .filter(|f| defined(&self.module, f))
-                            .collect();
-                        (HashMap::with_capacity(all.len()), all)
-                    }
-                };
-            // Durable store next: content addressing guarantees a hit was
-            // computed from byte-identical inputs, so a warm restart (or a
-            // replica on the same store) skips the analysis stack entirely.
-            // Decode failures are misses.
-            let store = self.store.clone();
-            let ctx = store.as_ref().map(|_| self.store_key_ctx());
-            let mut rebuild: Vec<FuncId> = Vec::new();
-            for fid in wanted {
-                if let (Some(store), Some(ctx)) = (&store, &ctx) {
-                    let key = ctx.partition_key(self.fingerprints(fid).content);
-                    let decoded = store
-                        .get(key)
-                        .and_then(|b| artifact::decode_partition(&b).ok());
-                    if let Some(g) = decoded {
-                        per_function.insert(fid, Arc::new(g));
-                        self.counters.store_hits += 1;
-                        continue;
-                    }
-                    self.counters.store_misses += 1;
-                }
-                rebuild.push(fid);
+        if let Some(g) = self.slot(fid).partition.clone() {
+            self.counters.pdg_hits += 1;
+            return g;
+        }
+        let t = Instant::now();
+        let keyed = self.store.clone().map(|store| {
+            let ctx = *ctx.get_or_insert_with(|| self.store_key_ctx());
+            (store, ctx.partition_key(self.fingerprints(fid).content))
+        });
+        let stored = keyed
+            .as_ref()
+            .and_then(|(store, key)| store.get(*key))
+            .and_then(|b| artifact::decode_partition(&b).ok());
+        let g = match stored {
+            Some(g) => {
+                self.counters.store_hits += 1;
+                Arc::new(g)
             }
-            // Only partitions that survived neither cache pay for the
-            // alias stack; a fully warm start never solves points-to.
-            if !rebuild.is_empty() {
+            None => {
                 if self.tier == AliasTier::Full {
                     self.ensure_andersen();
                 }
                 let modref = self.ensure_modref();
-                let fresh = self.with_stack(modref, |_, b| b.pdg_partitions(&rebuild));
-                self.counters.pdg_misses += rebuild.len() as u64;
-                if let (Some(store), Some(ctx)) = (&store, &ctx) {
-                    for (&fid, g) in &fresh {
-                        let key = ctx.partition_key(self.fingerprints(fid).content);
-                        store.put(
-                            key,
-                            ArtifactKind::PdgPartition,
-                            artifact::encode_partition(g),
-                        );
-                    }
+                let g = Arc::new(self.with_stack(modref, |_, b| b.function_pdg(fid)));
+                self.counters.pdg_misses += 1;
+                if let Some((store, key)) = &keyed {
+                    self.counters.store_misses += 1;
+                    store.put(
+                        *key,
+                        ArtifactKind::PdgPartition,
+                        artifact::encode_partition(&g),
+                    );
                 }
-                per_function.extend(fresh);
+                g
             }
-            self.record_build(Abstraction::Pdg, t.elapsed());
-            self.pdg = Some(Arc::new(ProgramPdg { per_function }));
-        }
-        Arc::clone(self.pdg.as_ref().expect("just set"))
+        };
+        self.record_build(Abstraction::Pdg, t.elapsed());
+        self.slot(fid).partition = Some(Arc::clone(&g));
+        g
     }
 
-    /// The cached control-flow structures (CFG, dominator and post-dominator
-    /// trees, loop forest) of function `fid`, built together on first
-    /// request.
+    /// The whole-program PDG: every defined function's partition, shared
+    /// through a cheap `Arc` handle. After an [`Noelle::edit`] the next
+    /// call assembles a new snapshot, re-deriving only the partitions that
+    /// were damaged and not asked for since; everything else is shared with
+    /// the old graph by pointer. Holders of old handles keep a consistent
+    /// pre-mutation snapshot.
+    pub fn pdg(&mut self) -> Arc<ProgramPdg> {
+        // A standing snapshot answers without visiting `partition`, and the
+        // request record may have been reset since it was assembled.
+        self.note(Abstraction::Pdg);
+        if self.snapshot.is_none() {
+            let defined: Vec<FuncId> = self
+                .module
+                .func_ids()
+                .filter(|&fid| !self.module.func(fid).is_declaration())
+                .collect();
+            let mut ctx = None;
+            let per_function = defined
+                .into_iter()
+                .map(|fid| (fid, self.partition(fid, &mut ctx)))
+                .collect();
+            self.snapshot = Some(Arc::new(ProgramPdg { per_function }));
+        }
+        Arc::clone(self.snapshot.as_ref().expect("just set"))
+    }
+
+    /// The cached control-flow structures (CFG, dominator tree, loop forest)
+    /// of function `fid`, built together on first request.
     pub fn structures(&mut self, fid: FuncId) -> &FuncStructures {
         self.note(Abstraction::Ls);
-        if self.structures.contains_key(&fid) {
+        if self.slot(fid).structures.is_some() {
             self.counters.struct_hits += 1;
         } else {
             self.counters.struct_misses += 1;
@@ -872,12 +866,11 @@ impl Noelle {
             let f = self.module.func(fid);
             let cfg = Cfg::new(f);
             let dom = DomTree::new(f, &cfg);
-            let postdom = PostDomTree::new(f, &cfg);
             // The forest is function-local, so its store key depends only
             // on this function's content — it survives edits elsewhere and
             // warm restarts alike.
-            let mut from_store = false;
             let forest = match &self.store {
+                None => LoopForest::new(f, &cfg, &dom),
                 Some(store) => {
                     let key = KeyCtx::forest_key(content.expect("hashed when a store is attached"));
                     match store
@@ -885,10 +878,11 @@ impl Noelle {
                         .and_then(|b| artifact::decode_forest(&b).ok())
                     {
                         Some(forest) => {
-                            from_store = true;
+                            self.counters.store_hits += 1;
                             forest
                         }
                         None => {
+                            self.counters.store_misses += 1;
                             let forest = LoopForest::new(f, &cfg, &dom);
                             store.put(
                                 key,
@@ -899,28 +893,18 @@ impl Noelle {
                         }
                     }
                 }
-                None => LoopForest::new(f, &cfg, &dom),
             };
-            if self.store.is_some() {
-                if from_store {
-                    self.counters.store_hits += 1;
-                } else {
-                    self.counters.store_misses += 1;
-                }
-            }
-            self.structures.insert(
-                fid,
-                FuncStructures {
-                    cfg,
-                    dom,
-                    postdom,
-                    forest: Arc::new(forest),
-                },
-            );
-            let elapsed = t.elapsed();
-            self.record_build(Abstraction::Ls, elapsed);
+            self.slot(fid).structures = Some(FuncStructures {
+                cfg,
+                dom,
+                forest: Arc::new(forest),
+            });
+            self.record_build(Abstraction::Ls, t.elapsed());
         }
-        &self.structures[&fid]
+        self.slots[fid.index()]
+            .structures
+            .as_ref()
+            .expect("just ensured")
     }
 
     /// Solve a data-flow problem over function `fid` with the engine (DFE),
@@ -935,9 +919,12 @@ impl Noelle {
     ) -> noelle_analysis::dfe::DataFlowResult {
         self.note(Abstraction::Dfe);
         self.structures(fid); // ensure the CFG is cached
-        let f = self.module.func(fid);
-        let cfg = &self.structures[&fid].cfg;
-        noelle_analysis::dfe::DataFlowEngine::new().solve(f, cfg, problem)
+        let cfg = &self.slots[fid.index()]
+            .structures
+            .as_ref()
+            .expect("just ensured")
+            .cfg;
+        noelle_analysis::dfe::DataFlowEngine::new().solve(self.module.func(fid), cfg, problem)
     }
 
     /// The loop structures (LS) of function `fid`, cached.
@@ -988,27 +975,15 @@ impl Noelle {
         ] {
             self.note(a);
         }
-        // Carve from the cached whole-program PDG: requesting several loops
-        // of one function analyzes the function once. When no PDG is
-        // materialized yet, a durable-store hit for just this function's
-        // partition answers the query demand-driven — a restarted daemon
-        // replies without re-deriving (or even decoding) the rest of the
-        // program.
-        let fg = if self.pdg.is_none() {
-            self.store_partition(fid)
-        } else {
-            None
-        };
-        let fg = match fg {
-            Some(g) => Some(g),
-            None => self.pdg().per_function.get(&fid).cloned(),
-        };
+        // Carve from the function's cached partition: requesting several
+        // loops of one function analyzes the function once, and no other
+        // function at all — after an edit only this partition is repaired,
+        // and a restarted daemon answers from the store without decoding
+        // the rest of the program.
+        let fg = self.partition(fid, &mut None);
         let modref = self.ensure_modref();
         let t = Instant::now();
-        let la = self.with_stack(modref, |_, b| match &fg {
-            Some(fg) => LoopAbstraction::build_with(b, fid, l, fg),
-            None => LoopAbstraction::build(b, fid, l),
-        });
+        let la = self.with_stack(modref, |_, b| LoopAbstraction::build_with(b, fid, l, &fg));
         self.record_build(Abstraction::L, t.elapsed());
         la
     }
@@ -1173,8 +1148,12 @@ mod tests {
         assert!(req.contains(&Abstraction::Pdg));
         assert!(req.contains(&Abstraction::ASccDag));
         assert!(req.contains(&Abstraction::L));
+        let _ = n.pdg();
         n.reset_requests();
         assert!(n.requested().is_empty());
+        // A request served from the standing snapshot is still a request.
+        let _ = n.pdg();
+        assert_eq!(n.requested(), vec![Abstraction::Pdg]);
     }
 
     /// Full invalidation must conservatively clear every cache (the
@@ -1187,11 +1166,14 @@ mod tests {
         let _ = n.call_graph();
         let _ = n.pdg();
         n.invalidate();
-        assert!(n.structures.is_empty());
+        assert!(n
+            .slots
+            .iter()
+            .all(|s| s.structures.is_none() && s.partition.is_none()));
         assert!(n.call_graph.is_none());
-        assert!(n.pdg.is_none());
+        assert!(n.snapshot.is_none());
         assert!(n.modref.is_none());
-        assert!(n.prev_pdg.is_none());
+        assert_eq!(n.memory_stats().pdg_bytes, 0);
         assert!(n.revision(fid) > 0);
         // Re-requests still work.
         assert_eq!(n.loops_of(fid).len(), 1);
@@ -1400,6 +1382,9 @@ mod tests {
             n.andersen.is_none(),
             "basic tier must not compute points-to"
         );
+        // Nor does the manager's own partition fill.
+        let _ = n.pdg();
+        assert!(n.andersen.is_none());
         // The call graph still forces points-to (it needs indirect callees).
         let _ = n.call_graph();
         assert!(n.andersen.is_some());

@@ -278,10 +278,18 @@ fn bucket_audit(
         .map(|&fid| (n.module().func(fid).name.clone(), Vec::new()))
         .collect();
     for l in plan.loops.iter().filter(|l| l.any_clean()) {
+        // A weight is the loop's share among the loops planned *together*:
+        // a scoped re-plan cannot know the module-wide number, and a row
+        // carrying its own would disagree with a cold open of the same
+        // text. Stored rows carry none.
+        let mut row = l.to_json();
+        if let Json::Object(fields) = &mut row {
+            fields.remove("weight");
+        }
         plan_rows
             .get_mut(&l.function)
             .expect("planned loop anchors in an audited function")
-            .push(l.to_json());
+            .push(row);
     }
     let plan_buckets = plan_rows
         .into_iter()

@@ -357,22 +357,24 @@ impl LoopForest {
     /// # Errors
     /// Any truncated, overlong, or out-of-domain input is a [`DecodeError`].
     pub fn decode(bytes: &[u8]) -> Result<LoopForest, DecodeError> {
-        const MAX: usize = 1 << 24; // sanity bound on element counts
         let mut r = ByteReader::new(bytes);
-        let n = r.count(MAX, "forest: loop count")?;
+        // Every count is bounded by the bytes left to honour it: a loop
+        // takes at least six (header, three counts, two flags), a block
+        // one, an exit edge two.
+        let n = r.count(r.remaining() / 6, "forest: loop count")?;
         let block = |r: &mut ByteReader<'_>, ctx| -> Result<BlockId, DecodeError> {
             let v = r.varint(ctx)?;
             u32::try_from(v)
                 .map(BlockId)
                 .map_err(|_| DecodeError::new(ctx))
         };
-        let mut loops: Vec<LoopInfo> = Vec::with_capacity(n.min(1024));
+        let mut loops: Vec<LoopInfo> = Vec::with_capacity(n);
         for i in 0..n {
             let header = block(&mut r, "forest: header")?;
-            let latches = (0..r.count(MAX, "forest: latch count")?)
+            let latches = (0..r.count(r.remaining(), "forest: latch count")?)
                 .map(|_| block(&mut r, "forest: latch"))
                 .collect::<Result<Vec<_>, _>>()?;
-            let blocks = (0..r.count(MAX, "forest: block count")?)
+            let blocks = (0..r.count(r.remaining(), "forest: block count")?)
                 .map(|_| block(&mut r, "forest: block"))
                 .collect::<Result<BTreeSet<_>, _>>()?;
             let preheader = match r.u8("forest: preheader flag")? {
@@ -380,7 +382,7 @@ impl LoopForest {
                 1 => Some(block(&mut r, "forest: preheader")?),
                 _ => return Err(DecodeError::new("forest: preheader flag")),
             };
-            let exit_edges = (0..r.count(MAX, "forest: exit count")?)
+            let exit_edges = (0..r.count(r.remaining() / 2, "forest: exit count")?)
                 .map(|_| {
                     Ok((
                         block(&mut r, "forest: exit src")?,
@@ -391,7 +393,7 @@ impl LoopForest {
             let parent = match r.u8("forest: parent flag")? {
                 0 => None,
                 1 => {
-                    let p = r.count(MAX, "forest: parent id")?;
+                    let p = r.count(n, "forest: parent id")?;
                     if p >= n || p == i {
                         return Err(DecodeError::new("forest: parent id"));
                     }

@@ -28,6 +28,7 @@ use noelle_ir::value::Value;
 use noelle_transforms::common::{gate, ParallelizeError};
 use noelle_transforms::helix;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// Worker count verdicts are issued for: DSWP is judged as the canonical
 /// two-stage pipeline, and no other gate reads the count.
@@ -64,8 +65,13 @@ pub fn run_audit_scoped(n: &mut Noelle, only: Option<&BTreeSet<FuncId>>) -> Modu
     n.note(Abstraction::Audit);
     let arch = n.architecture();
 
-    // Pass A (exclusive borrows): materialize every loop abstraction.
-    let mut worklist: Vec<(FuncId, String, LoopAbstraction)> = Vec::new();
+    let modref = n.modref_summaries();
+    // The attribution below reads the solved rows.
+    let _ = n.points_to();
+    // One module scan up front: callee -> direct call sites. Attribution
+    // consults this per blocker; scanning the module per blocker instead
+    // would make the scoped re-audit O(module), not O(edit).
+    let call_sites = call_site_index(n.module());
     let mut fids: Vec<(String, FuncId)> = n
         .module()
         .func_ids()
@@ -74,64 +80,55 @@ pub fn run_audit_scoped(n: &mut Noelle, only: Option<&BTreeSet<FuncId>>) -> Modu
         .map(|fid| (n.module().func(fid).name.clone(), fid))
         .collect();
     fids.sort();
-    for (fname, fid) in fids {
-        let mut loops = n.loops_of(fid);
-        loops.sort_by_key(|l| header_index(n.module(), fid, l.header));
-        for l in loops {
-            let la = n.loop_abstraction(fid, l);
-            worklist.push((fid, fname.clone(), la));
-        }
-    }
-    let modref = n.modref_summaries();
-    let _ = n.points_to(); // force the solve before taking shared borrows
-    let anders = n.cached_points_to().expect("just built");
-    let m = n.module();
-    // One module scan up front: callee -> direct call sites. Attribution
-    // consults this per blocker; scanning the module per blocker instead
-    // would make the scoped re-audit O(module), not O(edit).
-    let call_sites = call_site_index(m);
 
     let mut loops = Vec::new();
-    for (fid, fname, la) in &worklist {
-        let (fid, la) = (*fid, la);
-        // The dependence-level blockers are shared by all three verdicts.
-        let mut carried = carried_dep_blockers(m, la, &modref);
-        for b in &mut carried {
-            enrich(m, fid, b, anders, &modref, &call_sites);
-        }
-        let verdicts = Technique::all()
-            .into_iter()
-            .map(|t| match gate(t, m, fid, la, &arch, AUDIT_WORKERS) {
-                Ok(_) => TechniqueAudit {
-                    technique: t,
-                    clean: true,
-                    reason: None,
-                    blockers: Vec::new(),
-                },
-                Err(e) => {
-                    let mut blockers = blockers_for(m, fid, la, &e, &carried);
-                    if blockers.is_empty() {
-                        blockers.push(fallback_blocker(m, fid, la, &e));
-                    }
-                    sort_blockers(&mut blockers);
-                    TechniqueAudit {
+    for (fname, fid) in fids {
+        let mut func_loops = n.loops_of(fid);
+        func_loops.sort_by_key(|l| header_index(n.module(), fid, l.header));
+        for l in func_loops {
+            let la = Arc::new(n.loop_abstraction(fid, l));
+            let (m, anders) = (n.module(), n.cached_points_to().expect("just built"));
+            // The dependence-level blockers are shared by all three verdicts.
+            let mut carried = carried_dep_blockers(m, &la, &modref);
+            for b in &mut carried {
+                enrich(m, fid, b, anders, &modref, &call_sites);
+            }
+            let verdicts = Technique::all()
+                .into_iter()
+                .map(|t| match gate(t, m, fid, &la, &arch, AUDIT_WORKERS) {
+                    Ok(_) => TechniqueAudit {
                         technique: t,
-                        clean: false,
-                        reason: Some(e.to_string()),
-                        blockers,
+                        clean: true,
+                        reason: None,
+                        blockers: Vec::new(),
+                    },
+                    Err(e) => {
+                        let mut blockers = blockers_for(m, fid, &la, &e, &carried);
+                        if blockers.is_empty() {
+                            blockers.push(fallback_blocker(m, fid, &la, &e));
+                        }
+                        sort_blockers(&mut blockers);
+                        TechniqueAudit {
+                            technique: t,
+                            clean: false,
+                            reason: Some(e.to_string()),
+                            blockers,
+                        }
                     }
-                }
-            })
-            .collect();
-        let header = la.structure.header;
-        loops.push(LoopAudit {
-            fid,
-            function: fname.clone(),
-            header,
-            header_name: m.func(fid).block(header).name.clone(),
-            header_index: header_index(m, fid, header),
-            verdicts,
-        });
+                })
+                .collect();
+            let header = la.structure.header;
+            loops.push(LoopAudit {
+                fid,
+                function: fname.clone(),
+                header,
+                header_name: m.func(fid).block(header).name.clone(),
+                header_index: header_index(m, fid, header),
+                abstraction: la,
+                revision: n.revision(fid),
+                verdicts,
+            });
+        }
     }
     ModuleAudit { loops }
 }

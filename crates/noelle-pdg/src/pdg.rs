@@ -74,14 +74,6 @@ impl ProgramPdg {
             .map(|g| g.has_memory_dep_between(src, dst))
             .unwrap_or(false)
     }
-
-    /// Approximate heap footprint of all per-function graphs, in bytes.
-    pub fn approx_heap_bytes(&self) -> usize {
-        self.per_function
-            .values()
-            .map(|g| g.approx_heap_bytes() + 32)
-            .sum()
-    }
 }
 
 impl<'a> PdgBuilder<'a> {
@@ -127,24 +119,13 @@ impl<'a> PdgBuilder<'a> {
     /// Build the whole-program PDG: one independent graph per defined
     /// function.
     pub fn program_pdg(&self) -> ProgramPdg {
-        let fids: Vec<FuncId> = self
+        let per_function = self
             .module
             .func_ids()
             .filter(|&fid| !self.module.func(fid).is_declaration())
+            .map(|fid| (fid, Arc::new(self.function_pdg(fid))))
             .collect();
-        ProgramPdg {
-            per_function: self.pdg_partitions(&fids),
-        }
-    }
-
-    /// Build the per-function PDG partitions of exactly the given functions.
-    /// This is the work-list core of [`PdgBuilder::program_pdg`], exposed so
-    /// the incremental engine can re-derive only the partitions an edit
-    /// damaged.
-    pub fn pdg_partitions(&self, fids: &[FuncId]) -> HashMap<FuncId, Arc<DepGraph<InstId>>> {
-        fids.iter()
-            .map(|&fid| (fid, Arc::new(self.function_pdg(fid))))
-            .collect()
+        ProgramPdg { per_function }
     }
 
     fn mem_effect(&self, f: &Function, id: InstId) -> Option<MemEffect> {

@@ -113,7 +113,8 @@ impl LoopPlan {
     }
 
     /// Deterministic JSON rendering of one loop's candidate table (the
-    /// per-loop row of [`ModulePlan::to_json`], also pushed as an IDE hint).
+    /// per-loop row of [`ModulePlan::to_json`]; the IDE's hint rows are
+    /// this without `weight`).
     pub fn to_json(&self) -> Json {
         let candidates = self
             .candidates
@@ -287,28 +288,22 @@ pub fn plan_module(n: &mut Noelle, opts: &PlanOptions) -> ModulePlan {
 }
 
 /// Plan against an already-computed audit (shares the feasibility matrix
-/// instead of re-deriving it).
+/// and the loop abstractions instead of re-deriving them). The audit must
+/// be `n`'s own, with no edit committed since: its abstractions name
+/// instructions of the module as audited.
 pub fn plan_from_audit(n: &mut Noelle, audit: &ModuleAudit, opts: &PlanOptions) -> ModulePlan {
     let arch = n.architecture();
     let profiles = n.profiles();
     let profiled = !profiles.block_counts.is_empty();
 
-    // Pass 1: per-loop candidate tables.
-    let mut loops: Vec<(LoopPlan, LoopInfo, FuncId)> = Vec::new();
+    // Pass 1: per-loop candidate tables, priced on the abstraction the
+    // audit issued its verdicts on.
+    let m = n.module();
+    let mut loops: Vec<(LoopPlan, &LoopInfo, FuncId)> = Vec::new();
     for laud in &audit.loops {
-        let Some(fid) = n.module().func_id_by_name(&laud.function) else {
-            continue;
-        };
-        let Some(l) = n
-            .loops_of(fid)
-            .into_iter()
-            .find(|l| l.header == laud.header)
-        else {
-            continue;
-        };
-        let la = n.loop_abstraction(fid, l.clone());
-        let func_loops = n.loops_of(fid);
-        let m = n.module();
+        let (fid, la) = (laud.fid, &*laud.abstraction);
+        debug_assert_eq!(n.revision(fid), laud.revision, "audit predates an edit");
+        let l = &la.structure;
         let f = m.func(fid);
 
         let body_cost: u64 = la
@@ -317,7 +312,7 @@ pub fn plan_from_audit(n: &mut Noelle, audit: &ModuleAudit, opts: &PlanOptions) 
             .map(|i| approx_inst_cost(f.inst(i)))
             .sum::<u64>()
             .max(1);
-        let trip = trip_estimate(&profiles, profiled, m, fid, &l, la.trip_count);
+        let trip = trip_estimate(&profiles, profiled, m, fid, l, la.trip_count);
 
         let mut candidates = Vec::new();
         for t in Technique::all() {
@@ -345,18 +340,16 @@ pub fn plan_from_audit(n: &mut Noelle, audit: &ModuleAudit, opts: &PlanOptions) 
                 Technique::Dswp => opts.workers.clamp(2, 4),
                 _ => opts.workers.max(1),
             };
-            let c = match gate(t, m, fid, &la, &arch, workers) {
+            let c = match gate(t, m, fid, la, &arch, workers) {
                 Ok(Recipe::Helix(segments)) => {
                     predict_helix(segments.cost, &arch, workers, trip, body_cost)
                 }
                 Ok(Recipe::Dswp(stages)) => predict_dswp(
-                    &stages.summary(m, fid, &la),
+                    &stages.summary(m, fid, la),
                     m,
                     audit,
                     fid,
-                    &laud.function,
-                    &l,
-                    &func_loops,
+                    l,
                     &arch,
                     opts,
                     trip,
@@ -383,7 +376,7 @@ pub fn plan_from_audit(n: &mut Noelle, audit: &ModuleAudit, opts: &PlanOptions) 
             header: laud.header,
             header_name: laud.header_name.clone(),
             weight: if profiled {
-                profiles.loop_hotness(n.module(), fid, &l)
+                profiles.loop_hotness(m, fid, l)
             } else {
                 0.0 // filled by the static-share pass below
             },
@@ -595,9 +588,7 @@ fn predict_dswp(
     m: &noelle_ir::module::Module,
     audit: &ModuleAudit,
     fid: FuncId,
-    fname: &str,
     l: &LoopInfo,
-    func_loops: &[LoopInfo],
     arch: &Architecture,
     opts: &PlanOptions,
     trip: f64,
@@ -621,21 +612,18 @@ fn predict_dswp(
     let hybrid = audit
         .loops
         .iter()
-        .filter(|il| il.function == fname && il.header != l.header && l.contains(il.header))
+        .filter(|il| il.fid == fid && il.header != l.header && l.contains(il.header))
         .filter(|il| il.verdict(Technique::Doall).clean)
         .map(|il| {
-            let inner_body: f64 = func_loops
+            let f = m.func(fid);
+            let inner_body: f64 = il
+                .abstraction
+                .structure
+                .blocks
                 .iter()
-                .find(|x| x.header == il.header)
-                .map(|x| {
-                    let f = m.func(fid);
-                    x.blocks
-                        .iter()
-                        .flat_map(|&b| f.block(b).insts.iter())
-                        .map(|&i| approx_inst_cost(f.inst(i)) as f64)
-                        .sum()
-                })
-                .unwrap_or(0.0);
+                .flat_map(|&b| f.block(b).insts.iter())
+                .map(|&i| approx_inst_cost(f.inst(i)) as f64)
+                .sum();
             let w = opts.workers.max(1) as f64;
             let shrunk =
                 (bottleneck - inner_body + inner_body / w + arch.dispatch_overhead as f64).max(1.0);

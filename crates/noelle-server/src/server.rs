@@ -1120,13 +1120,16 @@ fn dispatch(state: &Arc<ServerState>, req: &Request) -> MethodResult {
             let s = session_of(state, req)?;
             let text = {
                 let mut n = s.noelle.lock().expect("session build lock");
-                let before = n
-                    .build_stats()
-                    .get(&Abstraction::Pdg)
-                    .map_or(0, |st| st.builds);
+                // Partition builds so far (none recorded yet on a fresh
+                // manager, or ever on a module of declarations).
+                let builds = |n: &Noelle| {
+                    n.build_stats()
+                        .get(&Abstraction::Pdg)
+                        .map_or(0, |st| st.builds)
+                };
+                let before = builds(&n);
                 let pdg = n.pdg();
-                let builds = n.build_stats()[&Abstraction::Pdg].builds;
-                if builds > before {
+                if builds(&n) > before {
                     s.note_pdg_built(pdg.num_edges());
                 }
                 // The serialized reply is versioned by the session epoch,

@@ -15,7 +15,8 @@
 //! The same scan judges what the partition decoder makes of hostile bytes:
 //! byte-mutated encodings of the corpus graphs must come back as `Err` or
 //! as a graph that is consistent with itself — never a panic (ROADMAP item
-//! 6, this decoder).
+//! 6). The store's other two decoders, loop forests and points-to rows, get
+//! the same mutants of their own corpus payloads.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
@@ -32,7 +33,10 @@ use noelle::pdg::sccdag::SccDag;
 use noelle::workloads::{all, pdg_stress};
 use noelle_analysis::alias::{AliasAnalysis, AliasStack, AndersenAlias, BasicAlias};
 use noelle_fuzz::generator::{generate, GenConfig, SplitMix64};
-use noelle_store::artifact::{decode_partition, encode_partition};
+use noelle_store::artifact::{
+    decode_forest, decode_partition, decode_points_to, encode_forest, encode_partition,
+    encode_points_to,
+};
 
 type Edge = DepEdge<InstId>;
 
@@ -302,35 +306,105 @@ fn mutate(bytes: &[u8], rng: &mut SplitMix64) -> Vec<u8> {
     out
 }
 
-#[test]
-fn byte_mutated_partitions_never_panic_the_decoder() {
+/// Feed one decoder 500 mutants of each workload's `payloads`. `accepts`
+/// decodes a mutant, says whether the decoder took it, and asserts what a
+/// value it took must satisfy.
+fn mutation_smoke(
+    seed: u64,
+    payloads: impl Fn(&Module) -> Vec<Vec<u8>>,
+    accepts: impl Fn(&str, &[u8]) -> bool,
+) {
     const MUTANTS_PER_WORKLOAD: usize = 500;
-    let mut rng = SplitMix64::new(0x4e4f_454c_4c45);
+    let mut rng = SplitMix64::new(seed);
     let (mut mutants, mut rejected) = (0, 0);
     for w in all().into_iter().chain(std::iter::once(pdg_stress())) {
-        let payloads = encoded_partitions(&w.build());
+        let payloads = payloads(&w.build());
         for _ in 0..MUTANTS_PER_WORKLOAD {
             let payload: &Vec<u8> = rng.pick(&payloads);
-            let bytes = mutate(payload, &mut rng);
             mutants += 1;
-            let Ok(g) = decode_partition(&bytes) else {
+            if !accepts(w.name, &mutate(payload, &mut rng)) {
                 rejected += 1;
-                continue;
-            };
-            // Accepted: then it is a graph like any other.
-            assert_queries_match_scan(w.name, &g);
-            let again = encode_partition(&g);
-            let back = decode_partition(&again).unwrap_or_else(|e| panic!("{}: {e}", w.name));
-            assert_eq!(back.edges(), g.edges(), "{}", w.name);
-            assert_eq!(encode_partition(&back), again, "{}", w.name);
+            }
         }
     }
     assert!(mutants >= 20_000, "{mutants} mutants");
-    // The smoke must exercise both outcomes, or it shows nothing.
     let accepted = mutants - rejected;
     eprintln!("{mutants} mutants: {rejected} rejected, {accepted} accepted");
+    // The smoke must exercise both outcomes, or it shows nothing.
     assert!(
         rejected > mutants / 4 && accepted > mutants / 50,
         "{rejected} of {mutants} rejected"
     );
+}
+
+#[test]
+fn byte_mutated_partitions_never_panic_the_decoder() {
+    mutation_smoke(0x4e4f_454c_4c45, encoded_partitions, |name, bytes| {
+        let Ok(g) = decode_partition(bytes) else {
+            return false;
+        };
+        // Accepted: then it is a graph like any other.
+        assert_queries_match_scan(name, &g);
+        let again = encode_partition(&g);
+        let back = decode_partition(&again).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(back.edges(), g.edges(), "{name}");
+        assert_eq!(encode_partition(&back), again, "{name}");
+        true
+    });
+}
+
+#[test]
+fn byte_mutated_forests_never_panic_the_decoder() {
+    let forests = |m: &Module| -> Vec<Vec<u8>> {
+        m.functions()
+            .iter()
+            .filter(|f| !f.is_declaration())
+            .map(|f| {
+                let cfg = Cfg::new(f);
+                encode_forest(&LoopForest::new(f, &cfg, &DomTree::new(f, &cfg)))
+            })
+            .collect()
+    };
+    mutation_smoke(0x464f_5245_5354, forests, |name, bytes| {
+        let Ok(forest) = decode_forest(bytes) else {
+            return false;
+        };
+        // Accepted: then its nesting is consistent, and it is a fixed point
+        // of the codec.
+        for l in forest.loops() {
+            let depth = l.parent.map_or(0, |p| forest.loops()[p.index()].depth);
+            assert_eq!(l.depth, depth + 1, "{name}: {l:?}");
+        }
+        let again = encode_forest(&forest);
+        let back = decode_forest(&again).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(
+            format!("{:?}", back.loops()),
+            format!("{:?}", forest.loops()),
+            "{name}"
+        );
+        assert_eq!(encode_forest(&back), again, "{name}");
+        true
+    });
+}
+
+#[test]
+fn byte_mutated_points_to_rows_never_panic_the_decoder() {
+    let rows = |m: &Module| -> Vec<Vec<u8>> {
+        // In function order: a `HashMap`'s own would reshuffle the mutants
+        // from run to run.
+        let by_function: BTreeMap<_, _> = AndersenAlias::new(m)
+            .rows_by_function()
+            .into_iter()
+            .collect();
+        by_function.values().map(encode_points_to).collect()
+    };
+    mutation_smoke(0x524f_5753, rows, |name, bytes| {
+        let Ok(rows) = decode_points_to(bytes) else {
+            return false;
+        };
+        let again = encode_points_to(&rows);
+        let back = decode_points_to(&again).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(back, rows, "{name}");
+        true
+    });
 }

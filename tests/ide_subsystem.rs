@@ -263,4 +263,18 @@ fn reaudit_follows_the_edit_not_the_module() {
         (EDITS..=EDITS * 64).contains(&reaudited),
         "{EDITS} body edits re-audited {reaudited} of {FUNCTIONS} functions"
     );
+
+    // What the incremental path left behind is what a cold open of the same
+    // text derives, to the byte — hints and plan rows alike.
+    let cold = DocSession::open("scale", &s.text(), AliasTier::Basic);
+    assert_eq!(
+        render_json(&s.audit_findings()).to_string_compact(),
+        render_json(&cold.audit_findings()).to_string_compact(),
+        "incremental audit hints diverge from a cold open"
+    );
+    assert_eq!(
+        s.plan_hints().to_string_compact(),
+        cold.plan_hints().to_string_compact(),
+        "incremental plan hints diverge from a cold open"
+    );
 }

@@ -235,6 +235,54 @@ fn a_commit_regenerates_what_it_touched_not_the_module() {
 }
 
 #[test]
+fn a_loop_request_repairs_its_own_partition_only() {
+    let mut n = Noelle::new(scale_module(64, 3), AliasTier::Full);
+    let _ = n.pdg();
+    let k0 = n.module().func_id_by_name("k0").expect("first kernel");
+    let k1 = n.module().func_id_by_name("k1").expect("second kernel");
+    // A body edit of one kernel and a touch of its neighbour damage both,
+    // and the group function that calls them.
+    let ((), damage) = n.edit_with_damage(|tx| {
+        tx.touch(k1);
+        let f = tx.func_mut(k0);
+        let entry = f.entry();
+        f.insert_inst(
+            entry,
+            0,
+            Inst::Bin {
+                op: BinOp::Add,
+                ty: Type::I64,
+                lhs: Value::const_i64(1),
+                rhs: Value::const_i64(2),
+            },
+        );
+    });
+    let damaged = damage.len() as u64;
+    assert!(
+        damaged > 2 && damage.contains(&k0),
+        "damage set: {damage:?}"
+    );
+
+    // One loop of one damaged function costs that function's partition.
+    let l = n.loops_of(k0).remove(0);
+    let before = n.func_cache_counters().pdg_misses;
+    let _ = n.loop_abstraction(k0, l);
+    let asked = n.func_cache_counters().pdg_misses;
+    assert_eq!(asked - before, 1, "of {damaged} damaged partitions");
+
+    // The whole graph then costs the rest, and is what a fresh manager
+    // builds.
+    let repaired = n.pdg();
+    assert_eq!(n.func_cache_counters().pdg_misses - asked, damaged - 1);
+    let mut fresh = Noelle::new(n.module().clone(), AliasTier::Full);
+    let scratch = fresh.pdg();
+    assert_eq!(
+        wire::pdg_to_json(n.module(), &repaired).to_string_compact(),
+        wire::pdg_to_json(fresh.module(), &scratch).to_string_compact(),
+    );
+}
+
+#[test]
 fn program_loop_forest_is_assembled_from_the_cache() {
     let mut n = Noelle::new(scale_module(64, 3), AliasTier::Full);
     let fids: Vec<_> = n

@@ -5,8 +5,8 @@
 //! allocator: parsing may allocate what the module has to own (a name per
 //! named instruction, operand lists, boxed pointee types) and nothing per
 //! token; printing streams into one buffer; a loop graph is a handful of
-//! flat arrays, not a map entry per node; and the partition decoder
-//! reserves nothing a forged count asks for. The counts do not depend on
+//! flat arrays, not a map entry per node; and the store's decoders reserve
+//! nothing a forged count asks for. The counts do not depend on
 //! the host, so the bounds are tight. The tests take turns ([`alone`]), so
 //! nothing else allocates while a closure is being counted.
 
@@ -18,7 +18,7 @@ use noelle::ir::printer::print_module;
 use noelle::pdg::pdg::PdgBuilder;
 use noelle::workloads::scale_module;
 use noelle_analysis::alias::{AliasAnalysis, AliasStack, AndersenAlias, BasicAlias};
-use noelle_store::artifact::decode_partition;
+use noelle_store::artifact::{decode_forest, decode_partition, decode_points_to};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::{Mutex, MutexGuard};
@@ -109,14 +109,28 @@ fn a_loop_graph_costs_a_bounded_number_of_blocks() {
 #[test]
 fn count_bombs_are_rejected_before_anything_is_reserved() {
     let _turn = alone();
-    // A few bytes claiming 2^28 internal nodes, external nodes or edges.
+    // At most ten bytes claiming 2^28 of something (2^24 loops): each
+    // decoder, at each of its counts.
     const HUGE: [u8; 5] = [0x80, 0x80, 0x80, 0x80, 0x01];
-    for prefix in [&[][..], &[0], &[0, 0], &[1, 7, 0]] {
-        let bomb = [prefix, &HUGE].concat();
-        let before = BYTES.load(Relaxed);
-        let decoded = decode_partition(&bomb);
-        let reserved = BYTES.load(Relaxed) - before;
-        assert!(decoded.is_err(), "{bomb:?} decodes");
-        assert!(reserved < 4096, "{bomb:?}: {reserved} bytes allocated");
-    }
+    const LOOPS: [u8; 4] = [0x80, 0x80, 0x80, 0x08];
+    let defused = |rejects: fn(&[u8]) -> bool, count: &[u8], prefixes: &[&[u8]]| {
+        for prefix in prefixes {
+            let bomb = [prefix, count].concat();
+            let before = BYTES.load(Relaxed);
+            let rejected = rejects(&bomb);
+            let reserved = BYTES.load(Relaxed) - before;
+            assert!(rejected, "{bomb:?} decodes");
+            assert!(reserved < 4096, "{bomb:?}: {reserved} bytes allocated");
+        }
+    };
+    // Internal nodes, external nodes, edges.
+    let partition = |b: &[u8]| decode_partition(b).is_err();
+    defused(partition, &HUGE, &[&[], &[0], &[0, 0], &[1, 7, 0]]);
+    // Loops; then one loop's latches, blocks, exit edges.
+    let forest = |b: &[u8]| decode_forest(b).is_err();
+    defused(forest, &LOOPS, &[&[]]);
+    defused(forest, &HUGE, &[&[1, 0], &[1, 0, 0], &[1, 0, 0, 0, 0]]);
+    // Rows; then one row's objects.
+    let rows = |b: &[u8]| decode_points_to(b).is_err();
+    defused(rows, &HUGE, &[&[], &[1, 0, 0]]);
 }

@@ -7,10 +7,11 @@
 //! while counting its work.
 
 use noelle::core::json::{envelope, Json, ENVELOPE_VERSION};
-use noelle::core::noelle::{AliasTier, Noelle};
+use noelle::core::noelle::{Abstraction, AliasTier, Noelle};
 use noelle::ir::verifier::verify_module;
 use noelle::runtime::{run_module, RunConfig};
-use noelle_plan::{apply_plan, plan_module, spearman, PlanOptions};
+use noelle_lint::run_audit;
+use noelle_plan::{apply_plan, plan_from_audit, plan_module, spearman, PlanOptions};
 use noelle_server::{Client, Server, ServerConfig};
 use std::path::PathBuf;
 
@@ -42,7 +43,17 @@ fn workload_plans_match_checked_in_golden() {
         .into_iter()
         .map(|(name, m)| {
             let mut n = Noelle::new(m, AliasTier::Full);
-            let plan = plan_module(&mut n, &opts).to_json();
+            let loops_built =
+                |n: &Noelle| n.build_stats().get(&Abstraction::L).map_or(0, |s| s.builds);
+            let audit = run_audit(&mut n);
+            let audited = loops_built(&n);
+            let plan = plan_from_audit(&mut n, &audit, &opts).to_json();
+            // The planner prices the abstractions the audit hands it.
+            assert_eq!(
+                loops_built(&n),
+                audited,
+                "{name}: the planner built a loop abstraction of its own"
+            );
             // A re-plan over the manager's warm analyses says the same.
             assert_eq!(plan_module(&mut n, &opts).to_json(), plan, "{name}");
             (name, plan)

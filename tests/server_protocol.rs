@@ -89,8 +89,10 @@ fn concurrent_pdg_queries_coalesce_and_match_in_process_build() {
         assert_eq!(*r, expected, "daemon reply diverges from in-process build");
     }
 
-    // (b) The session's manager built the PDG exactly once: the N racing
-    // requests coalesced behind the per-session build lock.
+    // (b) The session's manager built each function's partition exactly
+    // once: the N racing requests coalesced behind the per-session build
+    // lock.
+    let partitions = direct.pdg().per_function.len() as i64;
     let metrics = c.call("metrics", Json::object([])).expect("metrics");
     let builds = metrics
         .get("sessions")
@@ -99,7 +101,11 @@ fn concurrent_pdg_queries_coalesce_and_match_in_process_build() {
         .and_then(|b| b.get("PDG"))
         .and_then(|p| p.get("builds"))
         .and_then(Json::as_i64);
-    assert_eq!(builds, Some(1), "exactly one PDG build for {N} queries");
+    assert_eq!(
+        builds,
+        Some(partitions),
+        "one build per partition for {N} queries"
+    );
 
     // Per-method metrics saw all N queries.
     let pdg_count = metrics
@@ -160,7 +166,17 @@ fn deadline_times_out_then_warm_cache_answers() {
         .and_then(|b| b.get("PDG"))
         .and_then(|p| p.get("builds"))
         .and_then(Json::as_i64);
-    assert_eq!(builds, Some(1), "timed-out build still completed once");
+    let partitions = noelle::workloads::pdg_stress()
+        .build()
+        .functions()
+        .iter()
+        .filter(|f| !f.is_declaration())
+        .count() as i64;
+    assert_eq!(
+        builds,
+        Some(partitions),
+        "timed-out build still completed, each partition once"
+    );
 
     server.shutdown_and_join();
 }
