@@ -22,7 +22,9 @@ use noelle_ir::inst::{Callee, Inst, InstId};
 use noelle_ir::module::{FuncId, GlobalId, Module};
 use noelle_ir::types::Type;
 use noelle_ir::value::{Constant, Value};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::hash_map::DefaultHasher;
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::hash::{Hash, Hasher};
 
 /// Outcome of an alias query.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -57,6 +59,13 @@ pub enum MemoryObject {
 }
 
 impl MemoryObject {
+    fn as_function(&self) -> Option<FuncId> {
+        match *self {
+            MemoryObject::Function(f) => Some(f),
+            _ => None,
+        }
+    }
+
     fn encode(&self, w: &mut ByteWriter) {
         match *self {
             MemoryObject::Global(g) => {
@@ -541,6 +550,9 @@ pub fn object_escapes(m: &Module, fid: FuncId, id: InstId) -> bool {
 
 /// "No var": an instruction, argument or return value nothing interned.
 const NO_VAR: u32 = u32::MAX;
+/// Owner of a var no function's queries observe: return values, object
+/// contents, the synthetic vars.
+const NO_OWNER: u32 = u32::MAX;
 /// The permanently-empty var shared by every integer-constant operand.
 const CONST_VAR: u32 = 0;
 /// Synthetic source var whose points-to set is exactly `{Unknown}`.
@@ -619,9 +631,10 @@ impl Signature {
 }
 
 /// One entry of a function's constraint block. Var and object operands are
-/// the solver's dense ids, which stay fixed for as long as the block is
-/// retained, so re-solving replays a block without a single hash probe.
-#[derive(Clone, Copy, Debug)]
+/// the solver's dense ids. A regenerated block keeps the var of every
+/// instruction slot it still uses, so an edit that left a constraint alone
+/// regenerates it bit for bit and [`Solver::diff_block`] finds it unchanged.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 enum Constraint {
     /// `pts(var) ∋ obj`.
     Seed { var: u32, obj: u32 },
@@ -636,8 +649,14 @@ enum Constraint {
     /// The block calls this function directly or takes its address, so it
     /// is not a root.
     Ref(FuncId),
-    /// An indirect call site of the block's function, resolved while solving.
-    Site(InstId),
+    /// An indirect call of the block's function through the pointer `fp`,
+    /// bound to a callee for every function `pts(fp)` comes to hold.
+    Site { fp: u32, inst: InstId },
+    /// The two halves of a fingerprint of an indirect call and its argument
+    /// list. A site's bindings are generated from the call's arguments, not
+    /// from its `Site`, so this is what makes a call whose arguments moved
+    /// differ from its old self. It constrains nothing.
+    Actuals(u32, u32),
 }
 
 /// A `(start, end)` pair of a [`Block`] as an index range.
@@ -655,6 +674,44 @@ struct Block {
     locals: (u32, u32),
 }
 
+/// What hangs off a var that something dereferences or calls through, and
+/// how far the solver has acted on it.
+#[derive(Default)]
+struct Deref {
+    /// `(false, dst)` for every `dst = load v`, `(true, src)` for every
+    /// `store src, v`.
+    uses: Vec<(bool, u32)>,
+    /// Indirect call sites whose callee operand is `v`.
+    sites: Vec<(FuncId, InstId)>,
+    /// The part of `pts(v)` acted on: for every object in it, the copy edge
+    /// each use above stands for ([`derived`]) is in the graph and each
+    /// site is bound to it if it is a function. Equal to `pts(v)` whenever
+    /// the solver is at rest.
+    done: BitSet,
+}
+
+/// The copy edge a load or store through a pointer to an object with
+/// content var `content` stands for: `content → dst`, or `src → content`.
+fn derived((is_store, var): (bool, u32), content: u32) -> (u32, u32) {
+    if is_store {
+        (var, content)
+    } else {
+        (content, var)
+    }
+}
+
+/// What the solver keeps per var beside its row.
+#[derive(Clone, Copy)]
+struct Var {
+    /// The function whose queries observe the var — its instruction and
+    /// argument vars — or [`NO_OWNER`].
+    owner: u32,
+    /// Is the var observable? An instruction var is; an argument var once a
+    /// constraint mentions it or its function is a root. An argument nothing
+    /// mentions is untracked ("may point anywhere"), as if it had no var.
+    live: bool,
+}
+
 /// What [`AndersenAlias::update`] did.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct AndersenUpdate {
@@ -664,49 +721,66 @@ pub struct AndersenUpdate {
     /// Functions *outside* the touched set whose query-observable rows
     /// differ from the previous solution's, ascending.
     pub changed: Vec<FuncId>,
+    /// Rows emptied and re-derived: every non-empty row when the edit took
+    /// a constraint away, none when it only added some.
+    pub reset: usize,
 }
 
 /// Whole-program Andersen points-to analysis and the alias interface on top.
 ///
-/// The analysis keeps the constraint system it solved, split into one
-/// *block* per function and stored flat (one constraint array, one
-/// instruction-var table, per-function ranges into both). A block is a pure
-/// function of its function's body and of the [`Signature`]s of the
-/// functions that body mentions, so after an edit
-/// [`AndersenAlias::update`] regenerates only the touched functions'
-/// blocks, replays every other block verbatim, and propagates once over the
-/// whole system. [`AndersenAlias::new`] is the same code with every
-/// function "touched".
+/// The analysis keeps the constraint system it solved and the solution,
+/// and [`AndersenAlias::update`] moves both by what an edit changed:
 ///
-/// Points-to rows are sparse bitsets over object ids ([`BitSet`]); the
-/// solver is a worklist over the copy-edge constraint graph, sharded by SCC
-/// (see [`Solver::copy_fixpoint`]). The inclusion system has a unique least
-/// fixpoint, so neither the sharded/parallel schedule nor the order blocks
-/// were generated in can show in the rows.
+/// - **Blocks.** One constraint block per function, stored flat (one
+///   constraint array, one instruction-var table, per-function ranges into
+///   both). A block is a pure function of its function's body and of the
+///   [`Signature`]s of the functions that body mentions, so only the touched
+///   functions' blocks are regenerated, and only the constraints a block's
+///   new version has and its old one had not are applied.
+/// - **Graph.** What the blocks describe, kept sparse — most vars have no
+///   edge at all: copy successors as an ordered set of pairs, and per
+///   dereferenced var its loads, stores and indirect call sites ([`Deref`])
+///   with how much of its row the edges and call bindings *derived* from
+///   it cover.
+/// - **Rows.** Sparse bitsets over object ids ([`BitSet`]), in place across
+///   updates. The system is monotone, so added constraints only grow rows
+///   and one worklist carries them to the new least fixpoint. A constraint
+///   taken *away* is the one thing rows cannot follow — which objects a row
+///   held only because of it is not recorded — so such an edit empties
+///   every row and the graph and adds every retained block again, through
+///   the same worklist.
+///
+/// [`AndersenAlias::new`] is an update from the empty system. The inclusion
+/// system has a unique least fixpoint, so neither the worklist's order nor
+/// the sequence of edits that led to a system can show in the rows.
 pub struct AndersenAlias {
     /// Points-to row of every var, by var id.
     pts: Vec<BitSet>,
-    /// By var id, for argument vars only: some constraint of the current
-    /// system mentions the var. An argument nothing mentions is untracked
-    /// ("may point anywhere"), exactly as if it had no var.
-    live: Vec<bool>,
+    /// Who observes each var, by var id.
+    vars: Vec<Var>,
     objects: Vec<MemoryObject>,
     obj_ids: HashMap<MemoryObject, usize>,
-    /// Var holding the contents of each object, by object id.
+    /// Var holding the contents of each object, by object id: [`NO_VAR`]
+    /// until something is loaded from or stored to the object through a
+    /// pointer.
     content_of: Vec<u32>,
-    /// Resolved callees of each indirect call site.
-    indirect_targets: HashMap<(FuncId, InstId), BTreeSet<FuncId>>,
-    /// Instruction vars minted *while solving* (results of resolved
-    /// indirect calls). They depend on the solution, so they live outside
-    /// the retained tables and are rebuilt by every solve.
+    /// Copy edges `(from, to)`, the blocks' and the derived ones alike.
+    succ: BTreeSet<(u32, u32)>,
+    /// Vars with a load, store or indirect call hanging off them.
+    deref: HashMap<u32, Deref>,
+    /// The callees every indirect call site of the current system is bound
+    /// to.
+    bindings: HashMap<(FuncId, InstId), BTreeSet<FuncId>>,
+    /// Instruction vars minted *while binding* (results and arguments of
+    /// resolved indirect calls that no block constraint names). They depend
+    /// on the solution, so they live outside the retained tables.
     solve_locals: HashMap<(FuncId, InstId), u32>,
-    /// Shared synthetic vars for address-constant operands. These vars only
-    /// ever grow *out*-edges (load/store lists, copy edges to call results),
-    /// so their rows stay exactly the seeded singleton — one var per global
-    /// or function is equivalent to a fresh var per use.
-    global_addr_vars: HashMap<GlobalId, u32>,
-    func_addr_vars: HashMap<FuncId, u32>,
-    /// Var ids released by regenerated blocks, reused before growing `pts`.
+    /// Shared synthetic vars for address-constant operands, by object id.
+    /// These vars only ever grow *out*-edges (load/store lists, copy edges
+    /// to call results), so their rows stay exactly the seeded singleton —
+    /// one var per global or function is equivalent to a fresh var per use.
+    addr_vars: HashMap<usize, u32>,
+    /// Var ids released by earlier updates: empty rows, no edges.
     free_vars: Vec<u32>,
     /// Globals whose objects exist (a prefix of the module's).
     globals_seen: usize,
@@ -716,262 +790,81 @@ pub struct AndersenAlias {
     /// Per function: var of its first argument. Argument `i` is
     /// `arg_base + i`, the return value `arg_base + n_params`.
     arg_base: Vec<u32>,
+    /// Per function: does a `Ref` name it? A defined function nothing
+    /// references is a root.
+    referenced: Vec<bool>,
     blocks: Vec<Block>,
     constraints: Vec<Constraint>,
     local_vars: Vec<u32>,
 }
 
-/// The previous solution's share of what [`AndersenAlias::update`] needs to
-/// tell which functions' rows moved.
-struct Previous {
-    pts: Vec<BitSet>,
-    live: Vec<bool>,
-    blocks: Vec<Block>,
-    local_vars: Vec<u32>,
-    solve_locals: HashMap<(FuncId, InstId), u32>,
-}
-
-/// One solve: generation of the stale blocks, then the transient constraint
-/// graph the retained system is replayed into and propagated over.
+/// One update: generation of the stale blocks, then the worklist state that
+/// lives only until the fixpoint is reached.
 struct Solver<'a> {
     m: &'a Module,
     a: &'a mut AndersenAlias,
-    succs: Vec<Vec<u32>>,  // copy edges: pts(to) ⊇ pts(from)
-    loads: Vec<Vec<u32>>,  // loads[p] = dst vars of `dst = load p`
-    stores: Vec<Vec<u32>>, // stores[p] = src vars of `store src, p`
-    /// Copy edges materialized from load/store constraints so far. Block
-    /// constraints never name a content var and materialized edges always
-    /// do, so the two kinds cannot collide and only this kind is tracked.
-    edge_seen: HashSet<(u32, u32)>,
-    indirect_sites: Vec<(FuncId, InstId)>,
-    resolved: HashMap<(FuncId, InstId), BTreeSet<FuncId>>,
-    /// The function whose block is being generated; `None` while solving,
-    /// when constraints go straight into the graph instead.
-    generating: Option<FuncId>,
+    touched: &'a BTreeSet<FuncId>,
+    /// Functions the previous solution knew.
+    known: usize,
+    /// The function whose block is being generated or, once the blocks
+    /// are, whose call site is being bound.
+    func: FuncId,
+    /// A block is being generated: constraints go into the table. While a
+    /// site is being bound they go straight into the graph.
+    generating: bool,
     /// Start of that function's table in `local_vars`.
     gen_locals: usize,
+    /// Its previous table, whose vars the new one takes over slot by slot.
+    gen_old: &'a [u32],
     /// Its arguments already marked live by this block.
     arg_seen: Vec<bool>,
-}
-
-/// Run the worklist of one SCC shard to its local fixpoint. `rows` holds the
-/// shard's points-to rows (extracted from the global table); predecessors
-/// outside the shard come earlier in the condensation's topological order,
-/// already settled, and are read through `settled`. `shard` is sorted, so in-shard
-/// membership is a binary search.
-fn solve_shard(
-    shard: &[u32],
-    rows: &mut [BitSet],
-    pred_off: &[u32],
-    pred_dat: &[u32],
-    succs: &[Vec<u32>],
-    settled: &[BitSet],
-) {
-    let preds_of = |v: usize| &pred_dat[pred_off[v] as usize..pred_off[v + 1] as usize];
-    let k = shard.len();
-    if k == 1 {
-        // Singleton SCC: every predecessor is settled (self-edges are never
-        // created), so one union pass reaches the fixpoint — no worklist,
-        // no queue allocation. The overwhelmingly common case.
-        let v = shard[0] as usize;
-        let row = &mut rows[0];
-        for &p in preds_of(v) {
-            row.union_with(&settled[p as usize]);
-        }
-        return;
-    }
-    let mut in_q = vec![true; k];
-    let mut queue: std::collections::VecDeque<u32> = (0..k as u32).collect();
-    while let Some(li) = queue.pop_front() {
-        let li = li as usize;
-        in_q[li] = false;
-        let v = shard[li] as usize;
-        // Take the row out so in-shard predecessor rows stay borrowable.
-        let mut row = std::mem::take(&mut rows[li]);
-        let mut changed = false;
-        for &p in preds_of(v) {
-            if p as usize == v {
-                continue;
-            }
-            let src = match shard.binary_search(&p) {
-                Ok(pj) => &rows[pj],
-                Err(_) => &settled[p as usize],
-            };
-            changed |= row.union_with(src);
-        }
-        rows[li] = row;
-        if changed {
-            for &s in &succs[v] {
-                if let Ok(sj) = shard.binary_search(&s) {
-                    if !in_q[sj] {
-                        in_q[sj] = true;
-                        queue.push_back(sj as u32);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Flattened SCC partition of the copy graph: SCC `i`'s members are
-/// `members[off[i]..off[i+1]]`, sorted ascending. Emission order is
-/// reverse topological (successors before predecessors). Two flat arrays
-/// instead of a `Vec` per SCC: almost every SCC is a singleton, and the
-/// partition is rebuilt every fixpoint round.
-struct SccSet {
-    off: Vec<u32>,
-    members: Vec<u32>,
-}
-
-impl SccSet {
-    fn len(&self) -> usize {
-        self.off.len() - 1
-    }
-
-    fn scc(&self, i: usize) -> &[u32] {
-        &self.members[self.off[i] as usize..self.off[i + 1] as usize]
-    }
-}
-
-/// Tarjan's SCCs of the copy graph, flattened.
-fn copy_sccs(succs: &[Vec<u32>]) -> SccSet {
-    let n = succs.len();
-    const UNVISITED: u32 = u32::MAX;
-    let mut index = vec![UNVISITED; n];
-    let mut lowlink = vec![0u32; n];
-    let mut on_stack = vec![false; n];
-    let mut counter = 0u32;
-    let mut stack: Vec<u32> = Vec::new();
-    let mut out = SccSet {
-        off: vec![0u32],
-        members: Vec::with_capacity(n),
-    };
-    let mut call_stack: Vec<(u32, u32)> = Vec::new();
-    for root in 0..n {
-        if index[root] != UNVISITED {
-            continue;
-        }
-        index[root] = counter;
-        lowlink[root] = counter;
-        counter += 1;
-        stack.push(root as u32);
-        on_stack[root] = true;
-        call_stack.push((root as u32, 0));
-        while let Some(&mut (node, ref mut pos)) = call_stack.last_mut() {
-            let v = node as usize;
-            if (*pos as usize) < succs[v].len() {
-                let w = succs[v][*pos as usize] as usize;
-                *pos += 1;
-                if index[w] == UNVISITED {
-                    index[w] = counter;
-                    lowlink[w] = counter;
-                    counter += 1;
-                    stack.push(w as u32);
-                    on_stack[w] = true;
-                    call_stack.push((w as u32, 0));
-                } else if on_stack[w] {
-                    lowlink[v] = lowlink[v].min(index[w]);
-                }
-            } else {
-                call_stack.pop();
-                if let Some(&(parent, _)) = call_stack.last() {
-                    let p = parent as usize;
-                    lowlink[p] = lowlink[p].min(lowlink[v]);
-                }
-                if lowlink[v] == index[v] {
-                    let start = out.members.len();
-                    loop {
-                        let w = stack.pop().expect("tarjan stack underflow");
-                        on_stack[w as usize] = false;
-                        out.members.push(w);
-                        if w as usize == v {
-                            break;
-                        }
-                    }
-                    out.members[start..].sort_unstable();
-                    out.off.push(out.members.len() as u32);
-                }
-            }
-        }
-    }
-    out
+    /// Constraints the new blocks have and the old ones had not.
+    added: Vec<(FuncId, Constraint)>,
+    /// The edit took something away: the rows start over.
+    retracted: bool,
+    /// Non-empty rows that emptied.
+    reset: usize,
+    /// Per var, grown on demand: is it on the worklist?
+    queued: Vec<bool>,
+    queue: VecDeque<u32>,
+    /// Row and liveness, as the update found them, of every var of an
+    /// untouched function whose row or liveness it changed.
+    before: HashMap<u32, (BitSet, bool)>,
+    /// Vars no block names any more; reusable once the update is over. A
+    /// constraint on one was a deletion, so either it had none or the rows
+    /// started over: it is empty and has no edge.
+    released: Vec<u32>,
+    /// The `solve_locals` of before the rows started over. A site bound
+    /// again to what it was bound to takes its vars back, so that its rows
+    /// compare with what they were; the rest are released.
+    unbound: HashMap<(FuncId, InstId), u32>,
+    scratch: Vec<u32>,
 }
 
 impl<'a> Solver<'a> {
-    fn new(m: &'a Module, a: &'a mut AndersenAlias) -> Solver<'a> {
-        Solver {
-            m,
-            a,
-            succs: Vec::new(),
-            loads: Vec::new(),
-            stores: Vec::new(),
-            edge_seen: HashSet::new(),
-            indirect_sites: Vec::new(),
-            resolved: HashMap::new(),
-            generating: None,
-            gen_locals: 0,
-            arg_seen: Vec::new(),
-        }
-    }
-
-    /// A var with an empty row: a released id when there is one, a new one
-    /// otherwise. While solving, the graph grows in step.
-    fn alloc_var(&mut self) -> u32 {
-        if let Some(v) = self.a.free_vars.pop() {
-            return v;
-        }
-        let v = self.a.alloc_var();
-        if self.generating.is_none() {
-            self.grow_graph();
-        }
-        v
-    }
-
-    /// Give every var its (empty) adjacency lists.
-    fn grow_graph(&mut self) {
-        let n = self.a.pts.len();
-        self.succs.resize_with(n, Vec::new);
-        self.loads.resize_with(n, Vec::new);
-        self.stores.resize_with(n, Vec::new);
-    }
-
-    /// Record a generated constraint: into the block under generation, or
-    /// straight into the graph when the solve itself produced it.
+    /// Record a generated constraint: into the block under generation, or,
+    /// while a call site is being bound, straight into the graph.
     fn emit(&mut self, c: Constraint) {
-        if self.generating.is_some() {
+        if self.generating {
             self.a.constraints.push(c);
         } else {
-            self.apply(c);
-        }
-    }
-
-    /// Replay one constraint into the transient graph.
-    fn apply(&mut self, c: Constraint) {
-        match c {
-            Constraint::Seed { var, obj } => {
-                self.a.pts[var as usize].insert(obj as usize);
-            }
-            Constraint::Copy { from, to } => {
-                if from != to {
-                    self.succs[from as usize].push(to);
-                }
-            }
-            Constraint::Load { ptr, dst } => self.loads[ptr as usize].push(dst),
-            Constraint::Store { ptr, src } => self.stores[ptr as usize].push(src),
-            Constraint::ArgLive(v) => self.a.live[v as usize] = true,
-            // Both are read off the blocks by `load_blocks`; call bindings
-            // produced while solving change neither.
-            Constraint::Ref(_) | Constraint::Site(_) => {}
+            self.add(self.func, c);
         }
     }
 
     /// Var of the result of instruction `id` of `fid`.
     fn local_var(&mut self, fid: FuncId, id: InstId) -> u32 {
-        if let Some(gen) = self.generating {
-            debug_assert_eq!(gen, fid, "a block only names its own instructions");
+        debug_assert_eq!(self.func, fid, "a function names its own instructions");
+        if self.generating {
             let slot = self.gen_locals + id.index();
             if self.a.local_vars[slot] == NO_VAR {
-                self.a.local_vars[slot] = self.alloc_var();
+                // The slot's var of before, be it one only a call binding
+                // had minted.
+                let old = self.gen_old.get(id.index()).filter(|&&v| v != NO_VAR);
+                let old = old
+                    .copied()
+                    .or_else(|| self.a.solve_locals.remove(&(fid, id)));
+                self.a.local_vars[slot] = old.unwrap_or_else(|| self.a.take_var(fid.0));
             }
             return self.a.local_vars[slot];
         }
@@ -979,7 +872,9 @@ impl<'a> Solver<'a> {
         if v != NO_VAR {
             return v;
         }
-        let v = self.alloc_var();
+        // Minted for the binding, and shared with the function's others.
+        let v = self.unbound.remove(&(fid, id));
+        let v = v.unwrap_or_else(|| self.a.take_var(fid.0));
         self.a.solve_locals.insert((fid, id), v);
         v
     }
@@ -991,7 +886,7 @@ impl<'a> Solver<'a> {
             // hold no address; like an integer constant, it is empty.
             return CONST_VAR;
         };
-        let own = self.generating == Some(fid);
+        let own = self.generating && self.func == fid;
         if !(own && std::mem::replace(&mut self.arg_seen[i as usize], true)) {
             self.emit(Constraint::ArgLive(v));
         }
@@ -1026,8 +921,10 @@ impl<'a> Solver<'a> {
     }
 
     /// Regenerate the constraint block and instruction-var table of `fid`
-    /// at the end of the flat tables.
-    fn gen_function(&mut self, fid: FuncId) {
+    /// at the end of the flat tables. An instruction slot the previous
+    /// table `old` had a var for keeps that var if the new block asks for
+    /// the slot; the vars it does not ask for are released.
+    fn gen_function(&mut self, fid: FuncId, old: &'a [u32]) {
         let m: &'a Module = self.m;
         let f = m.func(fid);
         let cons_start = self.a.constraints.len();
@@ -1036,8 +933,9 @@ impl<'a> Solver<'a> {
             self.a
                 .local_vars
                 .resize(locals_start + f.inst_arena_len(), NO_VAR);
-            self.generating = Some(fid);
+            (self.func, self.generating) = (fid, true);
             self.gen_locals = locals_start;
+            self.gen_old = old;
             self.arg_seen.clear();
             self.arg_seen.resize(f.params.len(), false);
             for &b in f.block_order() {
@@ -1045,7 +943,13 @@ impl<'a> Solver<'a> {
                     self.gen_inst(fid, id);
                 }
             }
-            self.generating = None;
+            self.generating = false;
+        }
+        let new = &self.a.local_vars[locals_start..];
+        for (slot, &v) in old.iter().enumerate() {
+            if v != NO_VAR && new.get(slot) != Some(&v) {
+                self.released.push(v);
+            }
         }
         self.a.blocks[fid.index()] = Block {
             cons: (cons_start as u32, self.a.constraints.len() as u32),
@@ -1144,8 +1048,12 @@ impl<'a> Solver<'a> {
                     self.gen_direct_call(fid, id, *cid, args);
                 }
                 Callee::Indirect(fp) => {
-                    self.value_var(fid, *fp);
-                    self.emit(Constraint::Site(id));
+                    let fp = self.value_var(fid, *fp);
+                    self.emit(Constraint::Site { fp, inst: id });
+                    let mut h = DefaultHasher::new();
+                    (id, args).hash(&mut h);
+                    let h = h.finish();
+                    self.emit(Constraint::Actuals(h as u32, (h >> 32) as u32));
                 }
             },
             // `Ret(f) ⊇ returned values` belongs to `f`'s own block: call
@@ -1165,30 +1073,12 @@ impl<'a> Solver<'a> {
         match v {
             Value::Inst(id) => self.local_var(fid, id),
             Value::Arg(i) => self.arg_var(fid, i),
-            Value::Global(g) => {
-                // An address constant's var never gains an in-edge (use
-                // sites only append to its load/store lists or copy *out*
-                // of it), so its row stays the seeded `{Global(g)}` for the
-                // whole solve and one var can serve every use of `@g`.
-                if let Some(&dst) = self.a.global_addr_vars.get(&g) {
-                    return dst;
-                }
-                let dst = self.alloc_var();
-                let o = self.a.object(MemoryObject::Global(g));
-                self.a.pts[dst as usize].insert(o);
-                self.a.global_addr_vars.insert(g, dst);
-                dst
-            }
-            Value::Func(f2) => {
-                if let Some(&dst) = self.a.func_addr_vars.get(&f2) {
-                    return dst;
-                }
-                let dst = self.alloc_var();
-                let o = self.a.object(MemoryObject::Function(f2));
-                self.a.pts[dst as usize].insert(o);
-                self.a.func_addr_vars.insert(f2, dst);
-                dst
-            }
+            // An address constant's var never gains an in-edge (use sites
+            // only append to its load/store lists or copy *out* of it), so
+            // its row stays the seeded `{Global(g)}` for good and one var
+            // can serve every use of `@g`.
+            Value::Global(g) => self.a.address_var(MemoryObject::Global(g)),
+            Value::Func(f2) => self.a.address_var(MemoryObject::Function(f2)),
             // Integer constants carry no address: every one shares the
             // permanently-empty var.
             Value::Const(_) => CONST_VAR,
@@ -1242,173 +1132,277 @@ impl<'a> Solver<'a> {
         }
     }
 
-    /// Replay every retained block into an empty graph and seed what is not
-    /// part of any block: the synthetic sources, and `Unknown` for the
-    /// pointer arguments of root functions (which receive them from outside
-    /// the analyzed program; arguments of referenced functions are bound at
-    /// their call sites instead).
-    fn load_blocks(&mut self) {
-        self.grow_graph();
-        self.a.pts[UNKNOWN_CONTENT as usize].insert(UNKNOWN_OBJ);
-        self.a.pts[UNKNOWN_SRC as usize].insert(UNKNOWN_OBJ);
-        let mut referenced = vec![false; self.a.blocks.len()];
-        for i in 0..self.a.blocks.len() {
-            let fid = FuncId(i as u32);
-            for k in span(self.a.blocks[i].cons) {
-                match self.a.constraints[k] {
-                    Constraint::Ref(cid) => referenced[cid.index()] = true,
-                    Constraint::Site(id) => self.indirect_sites.push((fid, id)),
-                    c => self.apply(c),
-                }
-            }
-        }
-        for (i, referenced) in referenced.into_iter().enumerate() {
-            let sig = self.a.sigs[i];
-            if referenced || sig.class != ExternClass::Defined {
-                continue;
-            }
-            for (k, (_, ty)) in self.m.functions()[i].params.iter().enumerate() {
-                if ty.is_ptr() {
-                    let v = self.a.arg_base[i] as usize + k;
-                    self.a.pts[v].insert(UNKNOWN_OBJ);
-                    self.a.live[v] = true;
-                }
-            }
-        }
-    }
-
-    /// Eagerly materialize the content var of every object created so far,
-    /// so propagation never allocates vars. Called once per `solve` round;
-    /// `resolve_indirect` can mint new objects, covered by the next round.
-    fn prepare(&mut self) {
-        while self.a.content_of.len() < self.a.objects.len() {
-            let c = self.alloc_var();
-            self.a.content_of.push(c);
-        }
-    }
-
-    /// Solve the current constraint system to its least fixpoint:
-    /// alternate copy-edge closure with load/store edge materialization
-    /// until no new edge appears.
-    fn solve(&mut self) {
-        self.prepare();
-        loop {
-            self.copy_fixpoint();
-            if !self.materialize() {
-                break;
-            }
-        }
-    }
-
-    /// Close the points-to rows under the current copy edges.
-    ///
-    /// The copy graph is condensed into SCCs (Tarjan, reverse-topological
-    /// emission) and the condensation is swept once in topological order:
-    /// every predecessor of an SCC is settled before the SCC runs, so one
-    /// sweep reaches the exact — and unique — least fixpoint for the
-    /// current edge set.
-    fn copy_fixpoint(&mut self) {
-        let n = self.a.pts.len();
-        if n == 0 {
+    /// Set the old and new version of `fid`'s block against each other, as
+    /// multisets: what only the new one holds is added; anything only the
+    /// old one holds is what the edit retracted.
+    fn diff_block(&mut self, fid: FuncId, old: &[Constraint]) {
+        let cons = span(self.a.blocks[fid.index()].cons);
+        if self.retracted || *old == self.a.constraints[cons.clone()] {
             return;
         }
-        let sccs = copy_sccs(&self.succs);
-        // Pull-direction adjacency, packed CSR (counting sort) — rebuilt
-        // each round, so no per-node Vec allocations.
-        let nedges: usize = self.succs.iter().map(Vec::len).sum();
-        let mut pred_off = vec![0u32; n + 1];
-        for ss in &self.succs {
-            for &s in ss {
-                pred_off[s as usize + 1] += 1;
+        if old.is_empty() {
+            for k in cons {
+                self.stage(fid, self.a.constraints[k]);
+            }
+            return;
+        }
+        let (mut old, mut new) = (old.to_vec(), self.a.constraints[cons].to_vec());
+        old.sort_unstable();
+        new.sort_unstable();
+        let mut old = old.into_iter().peekable();
+        for c in new {
+            while old.next_if(|o| *o < c).is_some() {
+                self.retracted = true;
+            }
+            if old.next_if_eq(&c).is_none() {
+                self.stage(fid, c);
             }
         }
-        for i in 0..n {
-            pred_off[i + 1] += pred_off[i];
+        self.retracted |= old.next().is_some();
+    }
+
+    /// A constraint the new version of `fid`'s block adds. The first
+    /// reference to a root takes the `Unknown` out of its arguments, which
+    /// is a retraction.
+    fn stage(&mut self, fid: FuncId, c: Constraint) {
+        if let Constraint::Ref(cid) = c {
+            let i = cid.index();
+            let defined = self.a.sigs[i].class == ExternClass::Defined;
+            self.retracted |= i < self.known && defined && !self.a.referenced[i];
         }
-        let mut pred_dat = vec![0u32; nedges];
-        let mut cur = pred_off.clone();
-        for (v, ss) in self.succs.iter().enumerate() {
-            for &s in ss {
-                pred_dat[cur[s as usize] as usize] = v as u32;
-                cur[s as usize] += 1;
-            }
-        }
-        let pts = &mut self.a.pts;
-        // The rows of the SCC being solved, taken out of the table so the
-        // worklist may mutate them while reading the settled rows through
-        // a shared borrow of the table. One buffer for the whole sweep.
-        let mut rows: Vec<BitSet> = Vec::new();
-        for i in (0..sccs.len()).rev() {
-            let shard = sccs.scc(i);
-            rows.extend(shard.iter().map(|&v| std::mem::take(&mut pts[v as usize])));
-            solve_shard(shard, &mut rows, &pred_off, &pred_dat, &self.succs, pts);
-            for (&v, row) in shard.iter().zip(rows.drain(..)) {
-                pts[v as usize] = row;
-            }
+        self.added.push((fid, c));
+    }
+
+    /// Is `v` a var whose movement the update reports: one that a function
+    /// the previous solution knew, and the edit did not touch, observes?
+    fn watched(&self, v: u32) -> bool {
+        let f = self.a.vars[v as usize].owner;
+        (f as usize) < self.known && !self.touched.contains(&FuncId(f))
+    }
+
+    /// Remember `v`'s row and liveness as the update found them. Called
+    /// before the first change to either.
+    fn capture(&mut self, v: u32) {
+        if self.watched(v) && !self.before.contains_key(&v) {
+            let row = self.a.pts[v as usize].clone();
+            self.before.insert(v, (row, self.a.vars[v as usize].live));
         }
     }
 
-    /// Materialize copy edges for the complex (load/store) constraints
-    /// against the current rows: `dst ⊇ content(o)` for every `dst = load p`
-    /// with `o ∈ pts(p)`, and `content(o) ⊇ src` for every `store src, p`.
-    /// Returns true if any new edge appeared.
-    fn materialize(&mut self) -> bool {
-        let mut pending: Vec<(u32, u32)> = Vec::new();
-        for v in 0..self.a.pts.len() {
-            if self.loads[v].is_empty() && self.stores[v].is_empty() {
-                continue;
-            }
-            for o in self.a.pts[v].iter() {
-                let c = self.a.content_of[o];
-                for &dst in &self.loads[v] {
-                    pending.push((c, dst));
-                }
-                for &src in &self.stores[v] {
-                    pending.push((src, c));
-                }
-            }
+    fn enqueue(&mut self, v: u32) {
+        if self.queued.len() <= v as usize {
+            self.queued.resize(self.a.pts.len(), false);
         }
-        let mut changed = false;
-        for (from, to) in pending {
-            if from != to && self.edge_seen.insert((from, to)) {
-                self.succs[from as usize].push(to);
-                changed = true;
-            }
+        if !std::mem::replace(&mut self.queued[v as usize], true) {
+            self.queue.push_back(v);
         }
-        changed
     }
 
-    /// Resolve indirect calls against the current solution; returns true if
-    /// new call edges were added.
-    fn resolve_indirect(&mut self) -> bool {
+    /// `pts(to) ⊇ src`, queueing `to` if that grew it.
+    fn absorb(&mut self, to: u32, src: &BitSet) {
+        if !src.is_subset(&self.a.pts[to as usize]) {
+            self.capture(to);
+            self.a.pts[to as usize].union_with(src);
+            self.enqueue(to);
+        }
+    }
+
+    /// Something mentions the argument var `v`: queries observe it.
+    fn mention(&mut self, v: u32) {
+        if !self.a.vars[v as usize].live {
+            self.capture(v);
+            self.a.vars[v as usize].live = true;
+        }
+    }
+
+    fn add_copy(&mut self, from: u32, to: u32) {
+        if from != to && self.a.succ.insert((from, to)) {
+            let row = std::mem::take(&mut self.a.pts[from as usize]);
+            self.absorb(to, &row);
+            self.a.pts[from as usize] = row;
+        }
+    }
+
+    /// Enter one constraint of `fid` into the graph and let the rows
+    /// follow.
+    fn add(&mut self, fid: FuncId, c: Constraint) {
+        match c {
+            Constraint::Seed { var, obj } => {
+                if !self.a.pts[var as usize].contains(obj as usize) {
+                    self.capture(var);
+                    self.a.pts[var as usize].insert(obj as usize);
+                    self.enqueue(var);
+                }
+            }
+            Constraint::Copy { from, to } => self.add_copy(from, to),
+            Constraint::Load { ptr, dst: var } | Constraint::Store { ptr, src: var } => {
+                let using = (matches!(c, Constraint::Store { .. }), var);
+                let d = self.a.deref.entry(ptr).or_default();
+                d.uses.push(using);
+                let served: Vec<usize> = d.done.iter().collect();
+                for o in served {
+                    let (from, to) = derived(using, self.a.content(o));
+                    self.add_copy(from, to);
+                }
+                self.serve(ptr);
+            }
+            Constraint::Site { fp, inst } => {
+                let site = (fid, inst);
+                let d = self.a.deref.entry(fp).or_default();
+                d.sites.push(site);
+                let callees: Vec<FuncId> = (d.done.iter())
+                    .filter_map(|o| self.a.objects[o].as_function())
+                    .collect();
+                self.a.bindings.insert(site, BTreeSet::new());
+                for cid in callees {
+                    self.bind(site, cid);
+                }
+                self.serve(fp);
+            }
+            Constraint::ArgLive(v) => self.mention(v),
+            Constraint::Ref(cid) => self.a.referenced[cid.index()] = true,
+            Constraint::Actuals(..) => {}
+        }
+    }
+
+    /// Something new hangs off `ptr`: visit it if its row is ahead of what
+    /// has been served.
+    fn serve(&mut self, ptr: u32) {
+        if !self.a.pts[ptr as usize].is_subset(&self.a.deref[&ptr].done) {
+            self.enqueue(ptr);
+        }
+    }
+
+    /// Bind the call `site` to one more callee its pointer came to hold.
+    fn bind(&mut self, site: (FuncId, InstId), cid: FuncId) {
+        let bound = self.a.bindings.get_mut(&site);
+        if !bound.expect("a site has its binding").insert(cid) {
+            return;
+        }
         let m: &'a Module = self.m;
-        let mut changed = false;
-        for k in 0..self.indirect_sites.len() {
-            let (fid, id) = self.indirect_sites[k];
-            let Inst::Call {
-                callee: Callee::Indirect(fp),
-                args,
-                ..
-            } = m.func(fid).inst(id)
-            else {
+        let Inst::Call {
+            callee: Callee::Indirect(_),
+            args,
+            ..
+        } = m.func(site.0).inst(site.1)
+        else {
+            unreachable!("a site is an indirect call");
+        };
+        self.func = site.0;
+        self.gen_direct_call(site.0, site.1, cid, args);
+    }
+
+    /// Make the pointer arguments of the root functions from `first` on
+    /// hold `Unknown`: they arrive from outside the analyzed program.
+    fn settle_roots(&mut self, first: usize) {
+        let m: &'a Module = self.m;
+        for i in first..self.a.sigs.len() {
+            if self.a.sigs[i].class != ExternClass::Defined || self.a.referenced[i] {
                 continue;
-            };
-            let pvar = self.value_var(fid, *fp);
-            let targets: Vec<FuncId> = self.a.pts[pvar as usize]
-                .iter()
-                .filter_map(|o| match self.a.objects[o] {
-                    MemoryObject::Function(cid) => Some(cid),
-                    _ => None,
-                })
-                .collect();
-            for cid in targets {
-                if self.resolved.entry((fid, id)).or_default().insert(cid) {
-                    changed = true;
-                    self.gen_direct_call(fid, id, cid, args);
+            }
+            let fid = FuncId(i as u32);
+            for (var, (_, ty)) in (self.a.arg_base[i]..).zip(&m.func(fid).params) {
+                if ty.is_ptr() {
+                    let obj = UNKNOWN_OBJ as u32;
+                    self.mention(var);
+                    self.add(fid, Constraint::Seed { var, obj });
                 }
             }
         }
-        changed
+    }
+
+    /// The edit took a constraint away, and which objects a row held only
+    /// because of it is not recorded. Start over from what is retained:
+    /// no graph, no rows but the address constants', and every block an
+    /// addition.
+    fn start_over(&mut self) {
+        self.a.succ.clear();
+        self.a.deref.clear();
+        self.a.bindings.clear();
+        self.unbound = std::mem::take(&mut self.a.solve_locals);
+        self.a.referenced.fill(false);
+        for v in 0..self.a.pts.len() {
+            let row = std::mem::take(&mut self.a.pts[v]);
+            if !row.is_empty() {
+                self.reset += 1;
+                if self.watched(v as u32) {
+                    self.before.insert(v as u32, (row, self.a.vars[v].live));
+                }
+            }
+        }
+        let a = &mut *self.a;
+        for (&base, sig) in a.arg_base.iter().zip(&a.sigs) {
+            for arg in &mut a.vars[base as usize..(base + sig.n_params) as usize] {
+                arg.live = false;
+            }
+        }
+        a.pts[UNKNOWN_SRC as usize].insert(UNKNOWN_OBJ);
+        a.pts[UNKNOWN_CONTENT as usize].insert(UNKNOWN_OBJ);
+        for (&o, &v) in &a.addr_vars {
+            a.pts[v as usize].insert(o);
+        }
+        self.added.clear();
+        for (b, fid) in a.blocks.iter().zip((0..).map(FuncId)) {
+            let block = &a.constraints[span(b.cons)];
+            self.added.extend(block.iter().map(|&c| (fid, c)));
+        }
+    }
+
+    /// One step of the worklist: serve what hangs off `v` for the objects
+    /// its row gained, then push the row along `v`'s copy edges.
+    fn visit(&mut self, v: u32) {
+        self.queued[v as usize] = false;
+        let row = &self.a.pts[v as usize];
+        let behind = |d: &&mut Deref| !row.is_subset(&d.done);
+        if let Some(d) = self.a.deref.get_mut(&v).filter(behind) {
+            let fresh: Vec<usize> = row.iter().filter(|&o| !d.done.contains(o)).collect();
+            d.done.union_with(row);
+            let (uses, sites) = (d.uses.clone(), d.sites.clone());
+            for o in fresh {
+                for &using in &uses {
+                    let (from, to) = derived(using, self.a.content(o));
+                    self.add_copy(from, to);
+                }
+                if let Some(cid) = self.a.objects[o].as_function() {
+                    for &site in &sites {
+                        self.bind(site, cid);
+                    }
+                }
+            }
+        }
+        let row = std::mem::take(&mut self.a.pts[v as usize]);
+        let mut succs = std::mem::take(&mut self.scratch);
+        succs.extend(self.a.succ.range((v, 0)..=(v, u32::MAX)).map(|e| e.1));
+        for s in succs.drain(..) {
+            self.absorb(s, &row);
+        }
+        self.scratch = succs;
+        self.a.pts[v as usize] = row;
+    }
+
+    /// The fixpoint is reached: drop the vars nothing uses any more, and
+    /// say which untouched functions see different rows.
+    fn finish(mut self, regenerated: usize) -> AndersenUpdate {
+        self.released.extend(self.unbound.into_values());
+        let a = &mut *self.a;
+        let mut changed = BTreeSet::new();
+        for (&v, (row, was_live)) in &self.before {
+            let then = was_live.then(|| bounded(row)).flatten();
+            let now = a.vars[v as usize].live.then(|| bounded(&a.pts[v as usize]));
+            if !same_rows(then, now.flatten()) {
+                changed.insert(FuncId(a.vars[v as usize].owner));
+            }
+        }
+        for &v in &self.released {
+            debug_assert!(a.pts[v as usize].is_empty(), "no block names it");
+            a.vars[v as usize].owner = NO_OWNER;
+        }
+        a.free_vars.append(&mut self.released);
+        AndersenUpdate {
+            regenerated,
+            changed: changed.into_iter().collect(),
+            reset: self.reset,
+        }
     }
 }
 
@@ -1421,39 +1415,84 @@ fn same_rows(a: Option<&BitSet>, b: Option<&BitSet>) -> bool {
     }
 }
 
+/// The row as queries observe it, or `None` when they cannot tell it from
+/// "may address anything": an empty row, or one containing
+/// [`MemoryObject::Unknown`].
+fn bounded(row: &BitSet) -> Option<&BitSet> {
+    (!row.is_empty() && !row.contains(UNKNOWN_OBJ)).then_some(row)
+}
+
 impl AndersenAlias {
     /// Run the whole-program points-to analysis over `m`: an
     /// [`AndersenAlias::update`] from the empty system, to which every
-    /// function of `m` is new.
+    /// function of `m` is new and every constraint an addition.
     pub fn new(m: &Module) -> AndersenAlias {
         let mut a = AndersenAlias {
-            // `CONST_VAR`, `UNKNOWN_SRC`, `UNKNOWN_CONTENT`.
-            pts: vec![BitSet::new(); 3],
-            live: vec![false; 3],
-            // `UNKNOWN_OBJ`.
+            pts: Vec::new(),
+            vars: Vec::new(),
             objects: vec![MemoryObject::Unknown],
             obj_ids: HashMap::from([(MemoryObject::Unknown, UNKNOWN_OBJ)]),
             content_of: vec![UNKNOWN_CONTENT],
-            indirect_targets: HashMap::new(),
+            succ: BTreeSet::new(),
+            deref: HashMap::new(),
+            bindings: HashMap::new(),
             solve_locals: HashMap::new(),
-            global_addr_vars: HashMap::new(),
-            func_addr_vars: HashMap::new(),
+            addr_vars: HashMap::new(),
             free_vars: Vec::new(),
             globals_seen: 0,
             sigs: Vec::new(),
             arg_base: Vec::new(),
+            referenced: Vec::new(),
             blocks: Vec::new(),
             constraints: Vec::new(),
             local_vars: Vec::new(),
         };
+        assert_eq!(a.take_var(NO_OWNER), CONST_VAR);
+        for v in [UNKNOWN_SRC, UNKNOWN_CONTENT] {
+            assert_eq!(a.take_var(NO_OWNER), v);
+            a.pts[v as usize].insert(UNKNOWN_OBJ);
+        }
         a.update(m, &BTreeSet::new());
+        // The per-var tables are the largest arrays the analysis retains:
+        // give back what doubling over-reserved, less headroom for edits.
+        let room = a.pts.len() + a.pts.len() / 4;
+        a.pts.shrink_to(room);
+        a.vars.shrink_to(room);
         a
     }
 
-    fn alloc_var(&mut self) -> u32 {
-        let v = self.pts.len() as u32;
-        self.pts.push(BitSet::new());
-        self.live.push(false);
+    /// `n` new vars with empty rows and no edges, observed by `owner`'s
+    /// queries if `live`; the id of the first.
+    fn push_vars(&mut self, n: u32, owner: u32, live: bool) -> u32 {
+        let base = self.pts.len();
+        let end = base + n as usize;
+        assert!(end < NO_VAR as usize, "var ids are 32 bits");
+        self.pts.resize(end, BitSet::new());
+        self.vars.resize(end, Var { owner, live });
+        base as u32
+    }
+
+    /// A var with an empty row and no edges, observed by `owner`'s queries
+    /// as an instruction var when it has one: a released id when there is
+    /// one, a new one otherwise.
+    fn take_var(&mut self, owner: u32) -> u32 {
+        let live = owner != NO_OWNER;
+        let Some(v) = self.free_vars.pop() else {
+            return self.push_vars(1, owner, live);
+        };
+        self.vars[v as usize] = Var { owner, live };
+        v
+    }
+
+    /// The var that holds exactly the address of `o`, for good.
+    fn address_var(&mut self, o: MemoryObject) -> u32 {
+        let o = self.object(o);
+        if let Some(&v) = self.addr_vars.get(&o) {
+            return v;
+        }
+        let v = self.take_var(NO_OWNER);
+        self.pts[v as usize].insert(o);
+        self.addr_vars.insert(o, v);
         v
     }
 
@@ -1464,18 +1503,28 @@ impl AndersenAlias {
         let i = self.objects.len();
         self.objects.push(o);
         self.obj_ids.insert(o, i);
+        self.content_of.push(NO_VAR);
         i
     }
 
-    /// Var of instruction `id` of `fid`, or [`NO_VAR`].
+    /// Var holding the contents of object `o`, made on first use.
+    fn content(&mut self, o: usize) -> u32 {
+        if self.content_of[o] == NO_VAR {
+            self.content_of[o] = self.take_var(NO_OWNER);
+        }
+        self.content_of[o]
+    }
+
+    /// Var of instruction `id` of `fid` — the one its block has for it, or
+    /// else the one a call binding minted — or [`NO_VAR`].
     fn local_var(&self, fid: FuncId, id: InstId) -> u32 {
-        let from_table = self.blocks.get(fid.index()).and_then(|b| {
+        let tabled = self.blocks.get(fid.index()).and_then(|b| {
             let slot = b.locals.0 as usize + id.index();
             (slot < b.locals.1 as usize).then(|| self.local_vars[slot])
         });
-        match from_table {
-            Some(v) if v != NO_VAR => v,
-            _ => self.solve_locals.get(&(fid, id)).copied().unwrap_or(NO_VAR),
+        match tabled.unwrap_or(NO_VAR) {
+            NO_VAR => *self.solve_locals.get(&(fid, id)).unwrap_or(&NO_VAR),
+            v => v,
         }
     }
 
@@ -1495,196 +1544,170 @@ impl AndersenAlias {
     /// been removed.
     ///
     /// Only the touched and appended functions' constraint blocks are
-    /// regenerated; all others are replayed as retained. A retained block
-    /// reads other functions through their [`Signature`]s alone, so if a
-    /// touched function's signature moved, every block is regenerated. The
-    /// solve is a full propagation from empty rows either way: exact
-    /// whatever the edit deleted.
+    /// regenerated (every block, if a touched function's [`Signature`]
+    /// moved: a block reads other functions through their signatures
+    /// alone) and set against their old versions. An edit that only added
+    /// constraints — what the parallelizers' commits do — costs those
+    /// constraints: they enter the retained graph and one worklist grows
+    /// the retained rows to the new least fixpoint. An edit that took a
+    /// constraint away, gave a root its first caller or moved a signature
+    /// empties the graph and the rows and adds every retained block again
+    /// through that worklist: the cost of a cold solve less the
+    /// generation, and exact whatever the edit deleted.
     pub fn update(&mut self, m: &Module, touched: &BTreeSet<FuncId>) -> AndersenUpdate {
         let known = self.sigs.len();
         let n = m.functions().len();
         assert!(known <= n, "functions cannot be removed from a module");
-        let mut all = false;
-        for &fid in touched.iter().filter(|f| f.index() < known) {
-            let sig = Signature::of(m.func(fid));
-            let old = std::mem::replace(&mut self.sigs[fid.index()], sig);
-            all |= !old.same_as(&sig);
-            if old.n_params != sig.n_params {
-                // The old argument vars are leaked, not recycled: a changed
-                // parameter count is as rare as the full regeneration it
-                // forces.
-                self.arg_base[fid.index()] = self.alloc_args(sig.n_params);
-            }
-        }
-        for f in &m.functions()[known..] {
-            let sig = Signature::of(f);
-            self.sigs.push(sig);
-            let base = self.alloc_args(sig.n_params);
-            self.arg_base.push(base);
-        }
         for gid in m.global_ids().skip(self.globals_seen) {
             self.object(MemoryObject::Global(gid));
         }
         self.globals_seen = m.globals().len();
 
-        // Set the previous solution aside and start every row empty, but
-        // for the address constants, whose rows no block seeds.
-        let nvars = self.pts.len();
-        let prev = Previous {
-            pts: std::mem::replace(&mut self.pts, vec![BitSet::new(); nvars]),
-            live: std::mem::replace(&mut self.live, vec![false; nvars]),
-            blocks: std::mem::replace(&mut self.blocks, vec![Block::default(); n]),
-            local_vars: std::mem::take(&mut self.local_vars),
-            solve_locals: std::mem::take(&mut self.solve_locals),
+        let prev_blocks = std::mem::replace(&mut self.blocks, vec![Block::default(); n]);
+        let prev_locals = std::mem::take(&mut self.local_vars);
+        let prev_cons = std::mem::take(&mut self.constraints);
+        let mut s = Solver {
+            m,
+            a: self,
+            touched,
+            known,
+            func: FuncId(0),
+            generating: false,
+            gen_locals: 0,
+            gen_old: &[],
+            arg_seen: Vec::new(),
+            added: Vec::new(),
+            retracted: false,
+            reset: 0,
+            queued: Vec::new(),
+            queue: VecDeque::new(),
+            before: HashMap::new(),
+            released: Vec::new(),
+            unbound: HashMap::new(),
+            scratch: Vec::new(),
         };
-        let prev_constraints = std::mem::take(&mut self.constraints);
-        self.free_vars.extend(prev.solve_locals.values());
-        for (&g, &v) in &self.global_addr_vars {
-            self.pts[v as usize].insert(self.obj_ids[&MemoryObject::Global(g)]);
+        // A signature moved: every block is stale, and what the old ones
+        // put on that function's arguments is retracted.
+        let mut all = false;
+        for &fid in touched.iter().filter(|f| f.index() < known) {
+            let sig = Signature::of(m.func(fid));
+            let old = std::mem::replace(&mut s.a.sigs[fid.index()], sig);
+            all |= !old.same_as(&sig);
+            if old.n_params != sig.n_params {
+                // The old argument vars are leaked, not recycled: a changed
+                // parameter count is as rare as the full regeneration it
+                // forces.
+                s.a.arg_base[fid.index()] = s.a.alloc_args(fid, sig.n_params);
+            }
         }
-        for (&f, &v) in &self.func_addr_vars {
-            self.pts[v as usize].insert(self.obj_ids[&MemoryObject::Function(f)]);
+        s.retracted = all;
+        for (f, fid) in m.functions()[known..]
+            .iter()
+            .zip((known as u32..).map(FuncId))
+        {
+            let sig = Signature::of(f);
+            s.a.sigs.push(sig);
+            let base = s.a.alloc_args(fid, sig.n_params);
+            s.a.arg_base.push(base);
+            s.a.referenced.push(false);
         }
 
         // Rebuild the flat tables in function order: stale blocks are
-        // regenerated, the others copied over as they are. The tables'
-        // sizes are known to within the edit, so reserve them once.
+        // regenerated and set against their old version, the others copied
+        // over as they are. The tables' sizes are known to within the edit,
+        // so reserve them once.
         let stale = |i: usize| i >= known || all || touched.contains(&FuncId(i as u32));
         let fresh_slots: usize = (0..n)
             .filter(|&i| stale(i))
             .map(|i| m.functions()[i].inst_arena_len())
             .sum();
-        self.local_vars.reserve(prev.local_vars.len() + fresh_slots);
-        self.constraints
-            .reserve(prev_constraints.len() + fresh_slots / 2);
+        s.a.local_vars.reserve(prev_locals.len() + fresh_slots);
+        s.a.constraints.reserve(prev_cons.len() + fresh_slots / 2);
         let mut regenerated = 0;
-        let mut s = Solver::new(m, self);
         for i in 0..n {
             let fid = FuncId(i as u32);
+            let old = prev_blocks.get(i).copied().unwrap_or_default();
             if !stale(i) {
-                let b = prev.blocks[i];
                 let cons = s.a.constraints.len() as u32;
                 let locals = s.a.local_vars.len() as u32;
                 s.a.constraints
-                    .extend_from_slice(&prev_constraints[span(b.cons)]);
+                    .extend_from_slice(&prev_cons[span(old.cons)]);
                 s.a.local_vars
-                    .extend_from_slice(&prev.local_vars[span(b.locals)]);
+                    .extend_from_slice(&prev_locals[span(old.locals)]);
                 s.a.blocks[i] = Block {
-                    cons: (cons, cons + (b.cons.1 - b.cons.0)),
-                    locals: (locals, locals + (b.locals.1 - b.locals.0)),
+                    cons: (cons, cons + (old.cons.1 - old.cons.0)),
+                    locals: (locals, locals + (old.locals.1 - old.locals.0)),
                 };
                 continue;
             }
-            if i < known {
-                let old = &prev.local_vars[span(prev.blocks[i].locals)];
-                s.a.free_vars
-                    .extend(old.iter().copied().filter(|&v| v != NO_VAR));
-            }
-            s.gen_function(fid);
+            s.gen_function(fid, &prev_locals[span(old.locals)]);
+            s.diff_block(fid, &prev_cons[span(old.cons)]);
             regenerated += 1;
         }
-        // The old blocks are all copied or superseded: release them before
-        // the solve builds its graph.
-        drop(prev_constraints);
+        drop(prev_cons);
+        // The reservation guessed a constraint for every other new
+        // instruction; integer code has far fewer, and the table is kept.
+        let used = s.a.constraints.len();
+        s.a.constraints.shrink_to(used + used / 8);
 
-        s.load_blocks();
-        loop {
-            s.solve();
-            if !s.resolve_indirect() {
-                break;
-            }
+        if s.retracted {
+            s.start_over();
         }
-        self.indirect_targets = std::mem::take(&mut s.resolved);
-
-        // Touched functions are the caller's to damage whatever their rows
-        // did; of the rest, report the ones whose rows moved.
-        let mut changed: BTreeSet<FuncId> = (0..known)
-            .map(|i| FuncId(i as u32))
-            .filter(|fid| !touched.contains(fid) && self.rows_moved(&prev, *fid))
-            .collect();
-        // Results of resolved indirect calls: keyed, not tabled, and rare.
-        let untabled = prev.solve_locals.keys().chain(self.solve_locals.keys());
-        for key in untabled.filter(|key| !touched.contains(&key.0)) {
-            let var = |vars: &HashMap<_, u32>| vars.get(key).copied().unwrap_or(NO_VAR);
-            if !same_rows(
-                self.bounded_row(&prev.pts, var(&prev.solve_locals)),
-                self.bounded_row(&self.pts, var(&self.solve_locals)),
-            ) {
-                changed.insert(key.0);
-            }
+        for (fid, c) in std::mem::take(&mut s.added) {
+            s.add(fid, c);
         }
-        AndersenUpdate {
-            regenerated,
-            changed: changed.into_iter().collect(),
+        s.settle_roots(if s.retracted { 0 } else { known });
+        while let Some(v) = s.queue.pop_front() {
+            s.visit(v);
         }
+        s.finish(regenerated)
     }
 
-    /// A fresh run of `n_params + 1` consecutive vars: the arguments, then
-    /// the return value.
-    fn alloc_args(&mut self, n_params: u32) -> u32 {
-        let base = self.pts.len() as u32;
-        for _ in 0..=n_params {
-            self.alloc_var();
-        }
+    /// A fresh run of `n_params + 1` consecutive vars: the arguments of
+    /// `fid`, which nothing mentions yet, then the return value.
+    fn alloc_args(&mut self, fid: FuncId, n_params: u32) -> u32 {
+        let base = self.push_vars(n_params, fid.0, false);
+        self.push_vars(1, NO_OWNER, false);
         base
     }
 
-    /// The row queries observe for var `v`, or `None` when they cannot tell
-    /// it from "may address anything": no var, an empty row, or a row
-    /// containing [`MemoryObject::Unknown`].
-    fn bounded_row<'r>(&self, pts: &'r [BitSet], v: u32) -> Option<&'r BitSet> {
-        let row = pts.get(v as usize)?;
-        (!row.is_empty() && !row.contains(UNKNOWN_OBJ)).then_some(row)
-    }
-
-    /// Do the tabled query-observable rows of `fid` (a function both
-    /// solutions know) differ between `prev` and `self`? Compared position
-    /// by position in solver space — both solutions share one object table,
-    /// so two bounded rows are equal exactly when their bitsets are.
-    fn rows_moved(&self, prev: &Previous, fid: FuncId) -> bool {
-        let i = fid.index();
-        let old_t = &prev.local_vars[span(prev.blocks[i].locals)];
-        let new_t = &self.local_vars[span(self.blocks[i].locals)];
-        if old_t.len() != new_t.len() {
-            return true;
-        }
-        let locals_same = old_t.iter().zip(new_t).all(|(&o, &n)| {
-            same_rows(
-                self.bounded_row(&prev.pts, o),
-                self.bounded_row(&self.pts, n),
-            )
-        });
-        let live_row = |pts, live: &[bool], v: u32| {
-            live.get(v as usize)
-                .is_some_and(|&l| l)
-                .then(|| self.bounded_row(pts, v))
-                .flatten()
-        };
-        let base = self.arg_base[i];
-        !locals_same
-            || (0..self.sigs[i].n_params).any(|k| {
-                !same_rows(
-                    live_row(&prev.pts, &prev.live, base + k),
-                    live_row(&self.pts, &self.live, base + k),
-                )
-            })
-    }
-
     /// Approximate heap footprint of the points-to state, in bytes: bitset
-    /// rows, the object tables, and the retained constraint system.
+    /// rows and the per-var table, the object tables, the retained
+    /// constraint blocks and the graph they describe.
     pub fn approx_heap_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.pts.iter().map(BitSet::heap_bytes).sum::<usize>()
-            + self.pts.capacity() * size_of::<BitSet>()
-            + self.live.capacity()
-            + self.objects.capacity() * size_of::<MemoryObject>()
-            + self.obj_ids.len() * (size_of::<MemoryObject>() + size_of::<usize>() + 16)
-            + self.content_of.capacity() * size_of::<u32>()
-            + self.constraints.capacity() * size_of::<Constraint>()
-            + self.local_vars.capacity() * size_of::<u32>()
-            + self.blocks.capacity() * size_of::<Block>()
-            + self.sigs.capacity() * size_of::<Signature>()
-            + self.arg_base.capacity() * size_of::<u32>()
+        fn vec<T>(v: &Vec<T>) -> usize {
+            v.capacity() * size_of::<T>()
+        }
+        // A bucket is an entry and a control byte; seven in eight fill.
+        fn map<K, V>(m: &HashMap<K, V>) -> usize {
+            m.capacity() * (size_of::<(K, V)>() + 1) * 8 / 7
+        }
+        let rows = self.pts.iter().chain(self.deref.values().map(|d| &d.done));
+        let hung = self.deref.values().map(|d| vec(&d.uses) + vec(&d.sites));
+        // B-tree nodes hold up to eleven entries and run about two thirds
+        // full.
+        let tree = |len: usize, entry: usize| len * (entry * 3 / 2 + 2);
+        let bound = self.bindings.values().map(|b| tree(b.len(), 4));
+        rows.map(BitSet::heap_bytes).sum::<usize>()
+            + hung.chain(bound).sum::<usize>()
+            + tree(self.succ.len(), 8)
+            + vec(&self.pts)
+            + vec(&self.vars)
+            + vec(&self.objects)
+            + vec(&self.content_of)
+            + vec(&self.free_vars)
+            + vec(&self.sigs)
+            + vec(&self.arg_base)
+            + vec(&self.referenced)
+            + vec(&self.blocks)
+            + vec(&self.constraints)
+            + vec(&self.local_vars)
+            + map(&self.obj_ids)
+            + map(&self.deref)
+            + map(&self.bindings)
+            + map(&self.solve_locals)
+            + map(&self.addr_vars)
     }
 
     /// Points-to set of a pointer value in function `fid`.
@@ -1701,7 +1724,7 @@ impl AndersenAlias {
     /// Var of argument `i` of `fid` if anything mentions it, else [`NO_VAR`].
     fn live_arg_var(&self, fid: FuncId, i: u32) -> u32 {
         self.arg_var(fid, i)
-            .filter(|&v| self.live[v as usize])
+            .filter(|&v| self.vars[v as usize].live)
             .unwrap_or(NO_VAR)
     }
 
@@ -1727,7 +1750,7 @@ impl AndersenAlias {
     pub fn rows_by_function(&self) -> HashMap<FuncId, PointsToRows> {
         let mut out: HashMap<FuncId, PointsToRows> = HashMap::new();
         let mut put = |fid: FuncId, key: (u8, u32), v: u32| {
-            if let Some(row) = self.bounded_row(&self.pts, v) {
+            if let Some(row) = self.pts.get(v as usize).and_then(bounded) {
                 let set = row.iter().map(|o| self.objects[o]).collect();
                 out.entry(fid).or_default().insert(key, set);
             }
@@ -1751,10 +1774,8 @@ impl AndersenAlias {
     /// Possible callees of the indirect call `id` in `fid`, as resolved by
     /// the points-to solution. Used by the complete call graph abstraction.
     pub fn indirect_callees(&self, fid: FuncId, id: InstId) -> Vec<FuncId> {
-        self.indirect_targets
-            .get(&(fid, id))
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default()
+        let bound = self.bindings.get(&(fid, id));
+        bound.map_or_else(Vec::new, |b| b.iter().copied().collect())
     }
 }
 
@@ -2147,39 +2168,51 @@ mod tests {
     /// finds — and that the update reported exactly the untouched functions
     /// whose rows differ between the two from-scratch solves.
     fn update_matches_fresh(before: &str, after: &str, touched: &[&str]) -> AndersenUpdate {
-        let (a, b) = (parse_module(before).unwrap(), parse_module(after).unwrap());
-        let touched: BTreeSet<FuncId> = touched
-            .iter()
-            .map(|name| b.func_id_by_name(name).expect("touched function exists"))
-            .collect();
+        updates_match_fresh(before, &[(after, touched)]).remove(0)
+    }
+
+    /// [`update_matches_fresh`] after every step of a sequence of edits
+    /// carried by one maintained solution.
+    fn updates_match_fresh(before: &str, edits: &[(&str, &[&str])]) -> Vec<AndersenUpdate> {
+        let mut a = parse_module(before).unwrap();
         let mut kept = AndersenAlias::new(&a);
-        let old_rows = kept.rows_by_function();
-        let update = kept.update(&b, &touched);
-        let fresh = AndersenAlias::new(&b);
-        let fresh_rows = fresh.rows_by_function();
-        assert_eq!(kept.rows_by_function(), fresh_rows);
-        for fid in b.func_ids() {
-            for id in b.func(fid).inst_ids() {
-                assert_eq!(
-                    kept.indirect_callees(fid, id),
-                    fresh.indirect_callees(fid, id)
-                );
-                // Raw sets too: an untracked value and an empty row answer
-                // alias queries alike but render differently.
-                let v = Value::Inst(id);
-                assert_eq!(kept.points_to(fid, v), fresh.points_to(fid, v));
+        let mut updates = Vec::new();
+        for &(after, touched) in edits {
+            let b = parse_module(after).unwrap();
+            let touched: BTreeSet<FuncId> = touched
+                .iter()
+                .map(|name| b.func_id_by_name(name).expect("touched function exists"))
+                .collect();
+            let old_rows = kept.rows_by_function();
+            let update = kept.update(&b, &touched);
+            let fresh = AndersenAlias::new(&b);
+            let fresh_rows = fresh.rows_by_function();
+            assert_eq!(kept.rows_by_function(), fresh_rows);
+            for fid in b.func_ids() {
+                for id in b.func(fid).inst_ids() {
+                    assert_eq!(
+                        kept.indirect_callees(fid, id),
+                        fresh.indirect_callees(fid, id)
+                    );
+                    // Raw sets too: an untracked value and an empty row
+                    // answer alias queries alike but render differently.
+                    let v = Value::Inst(id);
+                    assert_eq!(kept.points_to(fid, v), fresh.points_to(fid, v));
+                }
+                for i in 0..b.func(fid).params.len() as u32 {
+                    let v = Value::Arg(i);
+                    assert_eq!(kept.points_to(fid, v), fresh.points_to(fid, v));
+                }
             }
-            for i in 0..b.func(fid).params.len() as u32 {
-                let v = Value::Arg(i);
-                assert_eq!(kept.points_to(fid, v), fresh.points_to(fid, v));
-            }
+            let moved: Vec<FuncId> = a
+                .func_ids()
+                .filter(|fid| !touched.contains(fid) && old_rows.get(fid) != fresh_rows.get(fid))
+                .collect();
+            assert_eq!(update.changed, moved);
+            updates.push(update);
+            a = b;
         }
-        let moved: Vec<FuncId> = a
-            .func_ids()
-            .filter(|fid| !touched.contains(fid) && old_rows.get(fid) != fresh_rows.get(fid))
-            .collect();
-        assert_eq!(update.changed, moved);
-        update
+        updates
     }
 
     #[test]
@@ -2449,6 +2482,350 @@ entry:
         // Retargeted at nothing, the call resolves nowhere and the row goes.
         let u = update_matches_fresh(&module("@f1"), &module("null"), &["init"]);
         assert_eq!(u.changed, vec![m.func_id_by_name("caller").unwrap()]);
+    }
+
+    /// `f` publishes a pointer through a cell (or not), two readers load the
+    /// cell, and `main` wires them up.
+    fn cell_module(f_body: &str, g2_body: &str) -> String {
+        format!(
+            r#"
+module "m" {{
+define void @f(i64** %cell, i64* %x) {{
+entry:
+  {f_body}
+  ret void
+}}
+define i64 @g1(i64** %cell) {{
+entry:
+  %p = load i64*, %cell
+  %v = load i64, %p
+  ret %v
+}}
+define i64 @g2(i64** %cell) {{
+entry:
+  {g2_body}
+  ret i64 0
+}}
+define i64 @main() {{
+entry:
+  %cell = alloca i64*, i64 1
+  %x = alloca i64, i64 1
+  call void @f(%cell, %x)
+  %a = call i64 @g1(%cell)
+  %b = call i64 @g2(%cell)
+  ret %a
+}}
+}}
+"#
+        )
+    }
+
+    #[test]
+    fn update_after_a_removed_store_empties_the_loads_of_that_cell() {
+        // The only store of a pointer into the cell goes: the untouched
+        // readers' loads lose the pointee.
+        let load = "%p = load i64*, %cell";
+        let u = update_matches_fresh(
+            &cell_module("store i64* %x, %cell", load),
+            &cell_module("", load),
+            &["f"],
+        );
+        let m = parse_module(&cell_module("", load)).unwrap();
+        let readers = ["g1", "g2"].map(|g| m.func_id_by_name(g).unwrap());
+        assert_eq!(u.changed, readers);
+        assert!(u.reset > 0);
+    }
+
+    #[test]
+    fn update_after_one_of_two_loads_of_a_cell_goes_leaves_the_other() {
+        // Both readers' loads hang off the same content var; retracting one
+        // must not disturb the other, whose function is not reported.
+        let store = "store i64* %x, %cell";
+        let u = update_matches_fresh(
+            &cell_module(store, "%p = load i64*, %cell"),
+            &cell_module(store, ""),
+            &["g2"],
+        );
+        assert_eq!(u.changed, vec![]);
+
+        // The counted case: two opaque calls each make `Unknown` flow into
+        // the cell through the *same* materialised edge. One goes and the
+        // edge stays; both go and the readers' rows become bounded.
+        let module = |h1: &str, h2: &str| {
+            format!(
+                r#"
+module "m" {{
+define void @h1(i64** %cell) {{
+entry:
+  {h1}
+  ret void
+}}
+define void @h2(i64** %cell) {{
+entry:
+  {h2}
+  ret void
+}}
+define i64 @g(i64** %cell) {{
+entry:
+  %p = load i64*, %cell
+  %v = load i64, %p
+  ret %v
+}}
+define i64 @main() {{
+entry:
+  %cell = alloca i64*, i64 1
+  %x = alloca i64, i64 1
+  store i64* %x, %cell
+  call void @h1(%cell)
+  call void @h2(%cell)
+  %v = call i64 @g(%cell)
+  ret %v
+}}
+declare void @mystery(i64** %p)
+}}
+"#
+            )
+        };
+        let call = "call void @mystery(%cell)";
+        let us = updates_match_fresh(
+            &module(call, call),
+            &[(&module("", call), &["h1"]), (&module("", ""), &["h2"])],
+        );
+        let m = parse_module(&module("", "")).unwrap();
+        assert_eq!(us[0].changed, vec![]);
+        assert_eq!(us[1].changed, vec![m.func_id_by_name("g").unwrap()]);
+    }
+
+    #[test]
+    fn update_empties_a_copy_cycle_that_lost_its_only_support() {
+        // `%p` and `%q` feed each other around the loop; `%a` enters the
+        // cycle from outside. Once `%b` enters instead, `%a` must leave
+        // both rows, though each still has a predecessor that holds it —
+        // what reference counting gets wrong.
+        let module = |seed: &str| {
+            format!(
+                r#"
+module "m" {{
+define i64 @walk(i64 %n) {{
+entry:
+  %a = alloca i64, i64 1
+  %b = alloca i64, i64 1
+  br head
+head:
+  %p = phi i64* [entry: {seed}] [body: %q]
+  %i = phi i64 [entry: i64 0] [body: %j]
+  %c = icmp slt i64 %i, %n
+  condbr %c, body, exit
+body:
+  %q = phi i64* [head: %p]
+  %j = add i64 %i, i64 1
+  br head
+exit:
+  %v = load i64, %p
+  ret %v
+}}
+define i64 @main() {{
+entry:
+  %v = call i64 @walk(i64 4)
+  ret %v
+}}
+}}
+"#
+            )
+        };
+        let u = update_matches_fresh(&module("%a"), &module("%b"), &["walk"]);
+        assert_eq!((u.regenerated, u.changed), (1, vec![]));
+        let m = parse_module(&module("%b")).unwrap();
+        let walk = m.func_id_by_name("walk").unwrap();
+        let mut kept = AndersenAlias::new(&parse_module(&module("%a")).unwrap());
+        kept.update(&m, &BTreeSet::from([walk]));
+        let named = |name: &str| {
+            let f = m.func(walk);
+            let mut ids = f.inst_ids().into_iter();
+            let id = ids.find(|&id| f.inst_data(id).name.as_deref() == Some(name));
+            id.expect("named instruction")
+        };
+        let only_b = BTreeSet::from([MemoryObject::Alloca(walk, named("b"))]);
+        for v in ["p", "q"] {
+            assert_eq!(kept.points_to(walk, Value::Inst(named(v))), only_b);
+        }
+    }
+
+    #[test]
+    fn update_keeps_an_argument_live_until_its_last_mention_goes() {
+        // `leaf` never reads its parameter and its address is taken, so
+        // only the callers' bindings make the argument observable.
+        let module = |c1: &str, c2: &str| {
+            format!(
+                r#"
+module "m" {{
+define i64 @leaf(i64* %p) {{
+entry:
+  ret i64 0
+}}
+define i64 @c1() {{
+entry:
+  %a = alloca i64, i64 1
+  {c1}
+  ret i64 0
+}}
+define i64 @c2() {{
+entry:
+  %b = alloca i64, i64 1
+  {c2}
+  ret i64 0
+}}
+define i64 @main() {{
+entry:
+  %cell = alloca fn i64 (i64*)*, i64 1
+  store fn i64 (i64*)* @leaf, %cell
+  %x = call i64 @c1()
+  %y = call i64 @c2()
+  ret %x
+}}
+}}
+"#
+            )
+        };
+        let (call_a, call_b) = ("%r = call i64 @leaf(%a)", "%r = call i64 @leaf(%b)");
+        let m = parse_module(&module("", "")).unwrap();
+        let leaf = m.func_id_by_name("leaf").unwrap();
+        let us = updates_match_fresh(
+            &module(call_a, call_b),
+            &[(&module("", call_b), &["c1"]), (&module("", ""), &["c2"])],
+        );
+        // {a, b} -> {b}, then -> untracked: the row moves both times.
+        assert_eq!(us[0].changed, vec![leaf]);
+        assert_eq!(us[1].changed, vec![leaf]);
+        let mut kept = AndersenAlias::new(&parse_module(&module(call_a, call_b)).unwrap());
+        let b = parse_module(&module("", call_b)).unwrap();
+        kept.update(&b, &BTreeSet::from([b.func_id_by_name("c1").unwrap()]));
+        assert_eq!(kept.points_to(leaf, Value::Arg(0)).len(), 1);
+        kept.update(&m, &BTreeSet::from([m.func_id_by_name("c2").unwrap()]));
+        let unknown = BTreeSet::from([MemoryObject::Unknown]);
+        assert_eq!(kept.points_to(leaf, Value::Arg(0)), unknown);
+    }
+
+    #[test]
+    fn update_rebinds_an_indirect_call_whose_cell_was_re_pointed() {
+        // A third function decides which of `a` and `b` the untouched
+        // caller reaches: the old callee's argument row shrinks, the new
+        // one's grows, the call's result is re-derived.
+        let module = |target: &str| {
+            format!(
+                r#"
+module "m" {{
+global @ga : i64 = i64 0
+global @gb : i64 = i64 0
+define i64* @a(i64* %p) {{
+entry:
+  ret @ga
+}}
+define i64* @b(i64* %p) {{
+entry:
+  ret @gb
+}}
+define void @init(fn i64* (i64*)** %cell) {{
+entry:
+  store fn i64* (i64*)* {target}, %cell
+  ret void
+}}
+define i64 @caller(fn i64* (i64*)** %cell) {{
+entry:
+  %x = alloca i64, i64 1
+  %fp = load fn i64* (i64*)*, %cell
+  %r = call i64* %fp(%x)
+  %v = load i64, %r
+  ret %v
+}}
+define i64 @main() {{
+entry:
+  %cell = alloca fn i64* (i64*)*, i64 1
+  %both = alloca fn i64* (i64*)*, i64 1
+  store fn i64* (i64*)* @a, %both
+  store fn i64* (i64*)* @b, %both
+  call void @init(%cell)
+  %v = call i64 @caller(%cell)
+  ret %v
+}}
+}}
+"#
+            )
+        };
+        let u = update_matches_fresh(&module("@a"), &module("@b"), &["init"]);
+        let m = parse_module(&module("@b")).unwrap();
+        let moved = ["a", "b", "caller"].map(|f| m.func_id_by_name(f).unwrap());
+        assert_eq!((u.regenerated, u.changed), (1, moved.to_vec()));
+        // And back, on the same maintained solution, then to neither.
+        let us = updates_match_fresh(
+            &module("@a"),
+            &[
+                (&module("@b"), &["init"]),
+                (&module("@a"), &["init"]),
+                (&module("null"), &["init"]),
+            ],
+        );
+        assert_eq!(us[1].changed, moved.to_vec());
+        assert_eq!(us[2].changed, [moved[0], moved[2]]);
+    }
+
+    #[test]
+    fn update_of_an_identical_block_resets_nothing() {
+        let load = "%p = load i64*, %cell";
+        let text = cell_module("store i64* %x, %cell", load);
+        let u = update_matches_fresh(&text, &text, &["f", "g1", "main"]);
+        assert_eq!((u.regenerated, u.changed, u.reset), (3, vec![], 0));
+    }
+
+    #[test]
+    fn update_beside_an_indirect_call_keeps_its_bindings() {
+        // `caller` reaches `a` through a cell. Edits that leave the call
+        // alone only add: the site stays bound and no row starts over,
+        // even when the block comes to name the call's result, whose var
+        // the binding had minted. An edit to the call's arguments does not.
+        let module = |arg: &str, extra: &str| {
+            format!(
+                r#"
+module "m" {{
+global @g : i64 = i64 0
+define i64* @a(i64* %p) {{
+entry:
+  ret %p
+}}
+define i64 @caller(fn i64* (i64*)** %cell, i64 %n) {{
+entry:
+  %x = alloca i64, i64 1
+  %y = alloca i64, i64 1
+  %fp = load fn i64* (i64*)*, %cell
+  %r = call i64* %fp({arg})
+  {extra}
+  ret %n
+}}
+define i64 @main() {{
+entry:
+  %cell = alloca fn i64* (i64*)*, i64 1
+  store fn i64* (i64*)* @a, %cell
+  %v = call i64 @caller(%cell, i64 1)
+  ret %v
+}}
+}}
+"#
+            )
+        };
+        let us = updates_match_fresh(
+            &module("%x", ""),
+            &[
+                (&module("%x", "%m = add i64 %n, i64 1"), &["caller"]),
+                (&module("%x", "%q = gep i64, %r, i64 1"), &["caller"]),
+                (&module("%y", "%q = gep i64, %r, i64 1"), &["caller"]),
+            ],
+        );
+        let m = parse_module(&module("%y", "")).unwrap();
+        let a = m.func_id_by_name("a").unwrap();
+        assert_eq!((&us[0].changed, us[0].reset), (&vec![], 0));
+        assert_eq!((&us[1].changed, us[1].reset), (&vec![], 0));
+        assert_eq!(us[2].changed, vec![a]);
+        assert!(us[2].reset > 0);
     }
 
     #[test]

@@ -96,6 +96,14 @@ impl BitSet {
         grew
     }
 
+    /// True when every id of `self` is in `other`.
+    pub fn is_subset(&self, other: &BitSet) -> bool {
+        self.words.iter().enumerate().all(|(k, &w)| {
+            let theirs = (self.base + k).checked_sub(other.base);
+            w & !theirs.and_then(|i| other.words.get(i)).unwrap_or(&0) == 0
+        })
+    }
+
     /// The occupied extent: index of the first non-zero word and the words
     /// from it through the last non-zero one.
     fn occupied(&self) -> (usize, &[u64]) {
@@ -205,6 +213,22 @@ mod tests {
         assert_eq!(b.iter().collect::<Vec<_>>(), vec![3, 200]);
         // Unioning an equal set is a no-op.
         assert!(!b.union_with(&a));
+    }
+
+    #[test]
+    fn subset_ignores_window_shape() {
+        let mut small = BitSet::new();
+        small.insert(700);
+        let mut big = BitSet::new();
+        big.insert(5);
+        big.insert(700);
+        assert!(small.is_subset(&big) && !big.is_subset(&small));
+        assert!(BitSet::new().is_subset(&small) && !small.is_subset(&BitSet::new()));
+        // A window opened downward and never filled is still no member.
+        small.insert(3);
+        assert!(!small.is_subset(&big));
+        big.insert(3);
+        assert!(small.is_subset(&big) && big.is_subset(&big));
     }
 
     #[test]

@@ -154,6 +154,10 @@ pub struct FuncCacheCounters {
     /// re-solves: the touched and appended functions of each commit, never
     /// a multiple of the module size (the cold solve is not counted).
     pub andersen_regen_funcs: u64,
+    /// Points-to rows those re-solves emptied and re-derived: every row of
+    /// each edit that took pointer flow away, none of an edit that only
+    /// added some (what the transforms' commits do).
+    pub andersen_reset_rows: u64,
     /// Artifacts loaded from the durable store instead of recomputed.
     pub store_hits: u64,
     /// Store lookups that found nothing (or found a payload that failed
@@ -593,6 +597,7 @@ impl Noelle {
                 let andersen = self.andersen.as_mut().expect("checked");
                 let update = andersen.update(&self.module, &touched);
                 self.counters.andersen_regen_funcs += update.regenerated as u64;
+                self.counters.andersen_reset_rows += update.reset as u64;
                 damage.extend(update.changed);
             }
         }

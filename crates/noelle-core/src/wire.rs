@@ -289,6 +289,10 @@ pub fn manager_stats_to_json(n: &Noelle) -> Json {
                     "andersen_regen_funcs".to_string(),
                     Json::Int(c.andersen_regen_funcs as i64),
                 ),
+                (
+                    "andersen_reset_rows".to_string(),
+                    Json::Int(c.andersen_reset_rows as i64),
+                ),
             ]),
         ),
     ])

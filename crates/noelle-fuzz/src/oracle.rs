@@ -1,11 +1,15 @@
 //! The differential oracle: transforms must preserve observable behavior,
 //! and the static PDG must cover every runtime-observed memory dependence.
 
+use crate::generator::SplitMix64;
 use noelle_core::noelle::{AliasTier, Noelle};
-use noelle_ir::module::Module;
+use noelle_ir::inst::{Callee, Inst, InstId, Terminator};
+use noelle_ir::module::{FuncId, Function, Module};
+use noelle_ir::value::{Constant, Value};
 use noelle_ir::verifier::verify_module;
 use noelle_runtime::machine::{run_module, RtError, RunConfig, RunResult};
 use noelle_runtime::memory::RtVal;
+use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// A transform under test. Injected (rather than read from the
@@ -580,7 +584,26 @@ pub fn check_module(m: &Module, tools: &[FuzzTool], cfg: &OracleConfig) -> Outco
                 continue;
             }
         }
-        let tm = n.into_module();
+        let tm = n.module().clone();
+        // The tool only added pointer flow. Take it away again, on the
+        // manager the tool left warm — its tasks, environment stores and
+        // dispatch calls are there to delete — with a script that is a
+        // function of the module and the tool, so the reducer can replay it.
+        if cfg.check_incremental {
+            let mut h = std::collections::hash_map::DefaultHasher::new();
+            (&m.name, &tool.name).hash(&mut h);
+            let seed = h.finish();
+            let script = || edit_script_divergence(&mut n, seed, EDIT_SCRIPT_STEPS);
+            let diverged = catch_unwind(AssertUnwindSafe(script));
+            if let Some(detail) = diverged.unwrap_or_else(|p| Some(panic_text(p))) {
+                failures.push(Failure {
+                    tool: Some(tool.name.clone()),
+                    kind: FailureKind::IncrementalMismatch,
+                    detail,
+                });
+                continue;
+            }
+        }
         if let Err(e) = verify_module(&tm) {
             failures.push(Failure {
                 tool: Some(tool.name.clone()),
@@ -695,6 +718,170 @@ pub fn points_to_divergence(n: &Noelle) -> Option<String> {
                     f.name
                 ));
             }
+        }
+    }
+    None
+}
+
+/// Commits of [`edit_script_divergence`] per tool run under the oracle.
+pub const EDIT_SCRIPT_STEPS: usize = 8;
+
+/// Where one pointer-flow edit lands: an instruction to delete, or one of
+/// its operands (counted as [`Inst::operands`] lists them) to swap.
+type EditSite = (FuncId, InstId, Option<usize>);
+
+/// The kinds of destructive pointer-flow edit a script draws from.
+#[derive(Clone, Copy)]
+enum PointerEdit {
+    /// Delete a pointer-typed `store`.
+    DeleteStore,
+    /// Delete a direct call (its uses become `undef`).
+    DeleteCall,
+    /// Swap a pointer argument of a call.
+    SwapArgument,
+    /// Swap a returned pointer.
+    SwapReturn,
+    /// Swap the callee operand of an indirect call, or a pointer operand of
+    /// the `select` or `phi` that computes it.
+    RepointCallee,
+}
+
+const POINTER_EDITS: [PointerEdit; 5] = [
+    PointerEdit::DeleteStore,
+    PointerEdit::DeleteCall,
+    PointerEdit::SwapArgument,
+    PointerEdit::SwapReturn,
+    PointerEdit::RepointCallee,
+];
+
+/// The sites of one kind of edit, in module order.
+fn edit_sites(m: &Module, kind: PointerEdit) -> Vec<EditSite> {
+    let mut sites = Vec::new();
+    for fid in m.func_ids() {
+        let f = m.func(fid);
+        // The non-constant pointer operands of `id` in `slots`.
+        let pointers = |id: InstId, slots: std::ops::Range<usize>| {
+            let ops = f.inst(id).operands().into_iter().enumerate();
+            ops.filter(move |&(slot, v)| {
+                slots.contains(&slot)
+                    && !matches!(v, Value::Const(_))
+                    && f.value_type(m, v).is_ptr()
+            })
+            .map(move |(slot, _)| (fid, id, Some(slot)))
+        };
+        for &id in f.block_order().iter().flat_map(|&b| &f.block(b).insts) {
+            let callee = match f.inst(id) {
+                Inst::Call { callee, .. } => Some(callee),
+                _ => None,
+            };
+            match (kind, f.inst(id), callee) {
+                (PointerEdit::DeleteStore, Inst::Store { ty, .. }, _) if ty.is_ptr() => {
+                    sites.push((fid, id, None));
+                }
+                (PointerEdit::DeleteCall, _, Some(Callee::Direct(_))) => {
+                    sites.push((fid, id, None));
+                }
+                (PointerEdit::SwapArgument, _, Some(callee)) => {
+                    let first = matches!(callee, Callee::Indirect(_)) as usize;
+                    sites.extend(pointers(id, first..usize::MAX));
+                }
+                (PointerEdit::SwapReturn, Inst::Term(Terminator::Ret(Some(_))), _) => {
+                    sites.extend(pointers(id, 0..1));
+                }
+                (PointerEdit::RepointCallee, _, Some(Callee::Indirect(fp))) => {
+                    sites.extend(pointers(id, 0..1));
+                    match fp.as_inst().map(|d| (d, f.inst(d))) {
+                        Some((d, Inst::Select { .. })) => sites.extend(pointers(d, 1..3)),
+                        Some((d, Inst::Phi { .. })) => sites.extend(pointers(d, 0..usize::MAX)),
+                        _ => {}
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+    sites
+}
+
+/// Every value of `f` with the type of `like`, `like` itself excepted: the
+/// null pointer, arguments, instruction results, globals and functions.
+fn same_typed_values(m: &Module, f: &Function, like: Value) -> Vec<Value> {
+    let ty = f.value_type(m, like);
+    let args = (0..f.params.len() as u32).map(Value::Arg);
+    let insts = f.block_order().iter().flat_map(|&b| &f.block(b).insts);
+    std::iter::once(Value::Const(Constant::Null))
+        .chain(args)
+        .chain(insts.map(|&id| Value::Inst(id)))
+        .chain(m.global_ids().map(Value::Global))
+        .chain(m.func_ids().map(Value::Func))
+        .filter(|&v| v != like && (matches!(v, Value::Const(_)) || f.value_type(m, v) == ty))
+        .collect()
+}
+
+/// Drive `n`'s maintained points-to solution through a script of `steps`
+/// destructive, type-preserving pointer-flow edits drawn from `seed`, one
+/// commit each, and report the first commit after which it differs from a
+/// from-scratch solve ([`points_to_divergence`]) or moved the rows of a
+/// function it did not report as damaged. Deletion is where an
+/// incremental points-to solver goes wrong, and the transforms themselves
+/// only ever add pointer flow. The edits keep types, not dominance or
+/// meaning: the module left behind is for the solver only.
+pub fn edit_script_divergence(n: &mut Noelle, seed: u64, steps: usize) -> Option<String> {
+    let mut rng = SplitMix64::new(seed);
+    // Commits keep the solution only beside the mod/ref summaries.
+    n.points_to();
+    n.modref_summaries();
+    for step in 0..steps {
+        // The kind drawn, or the next one the module still has a site for.
+        let n_kinds = POINTER_EDITS.len();
+        let kinds = POINTER_EDITS
+            .iter()
+            .cycle()
+            .skip(rng.below(n_kinds as u64) as usize);
+        let mut sites = (kinds.take(n_kinds)).map(|&kind| edit_sites(n.module(), kind));
+        let Some(sites) = sites.find(|s| !s.is_empty()) else {
+            return None; // no pointer flow left to edit
+        };
+        let (fid, id, slot) = *rng.pick(&sites);
+        let m = n.module();
+        let f = m.func(fid);
+        let swap = slot.map(|slot| {
+            let values = same_typed_values(m, f, f.inst(id).operands()[slot]);
+            (slot, *rng.pick(&values))
+        });
+        let edit = format!("step {step}: {:?} of @{} -> {swap:?}", f.inst(id), f.name);
+        let rows_before = n.cached_points_to().map(|a| a.rows_by_function());
+        let ((), damage) = n.edit_with_damage(|tx| {
+            let f = tx.func_mut(fid);
+            match swap {
+                None => {
+                    f.replace_all_uses(Value::Inst(id), Value::Const(Constant::Undef));
+                    f.remove_inst(id);
+                }
+                Some((slot, to)) => {
+                    let mut at = 0..;
+                    let swap_at = |v| if at.next() == Some(slot) { to } else { v };
+                    f.inst_mut(id).map_operands(swap_at);
+                }
+            }
+        });
+        if let Some(detail) = points_to_divergence(n) {
+            return Some(format!("after {edit}: {detail}"));
+        }
+        // The rows are right; so must be the list of functions they moved
+        // in, or a stale PDG partition survives the commit.
+        let rows = n.cached_points_to().map(|a| a.rows_by_function());
+        let (Some(before), Some(rows)) = (rows_before, rows) else {
+            continue;
+        };
+        let moved = |fid: &FuncId| before.get(fid) != rows.get(fid);
+        if let Some(fid) = n
+            .module()
+            .func_ids()
+            .find(|fid| moved(fid) && !damage.contains(fid))
+        {
+            let name = &n.module().func(fid).name;
+            return Some(format!("after {edit}: rows of undamaged @{name} moved"));
         }
     }
     None

@@ -11,19 +11,23 @@
 //!    counters record hits, not misses.
 //! 3. The points-to solution the manager maintains across commits — only
 //!    the touched functions' constraints regenerated — must equal a
-//!    from-scratch solve after **every** commit, and a commit must cost
-//!    what its edit costs, counted in regenerated functions, not seconds.
+//!    from-scratch solve after **every** commit — of the transforms, which
+//!    add pointer flow, and of edit scripts that take it away — and a commit
+//!    must cost what its edit costs, counted in regenerated functions and
+//!    reset rows, not seconds.
 
 use std::sync::Arc;
 
 use noelle::core::noelle::{AliasTier, Noelle};
 use noelle::core::wire;
 use noelle::ir::inst::{BinOp, Inst};
+use noelle::ir::parser::parse_module;
 use noelle::ir::types::Type;
 use noelle::ir::value::Value;
 use noelle::transforms as tools;
 use noelle::workloads::{all, pdg_stress, scale_module, Workload};
-use noelle_fuzz::oracle::points_to_divergence;
+use noelle_fuzz::generator::{generate, GenConfig};
+use noelle_fuzz::oracle::{edit_script_divergence, points_to_divergence};
 use noelle_plan::{apply_plan, plan_module, ModulePlan, PlanOptions};
 
 fn workloads() -> Vec<Workload> {
@@ -174,6 +178,131 @@ fn points_to_stays_exact_after_every_plan_commit() {
     }
 }
 
+const POINTER_SOUP: &str = r#"
+module "soup" {
+global @ga : i64 = i64 0
+global @gb : i64 = i64 0
+define i64* @id(i64* %p) {
+entry:
+  ret %p
+}
+define i64* @pick(i64* %p, i64* %q, i1 %c) {
+entry:
+  %r = select i64* %c, %p, %q
+  ret %r
+}
+define i64* @geta(i64* %p) {
+entry:
+  ret @ga
+}
+define i64* @getb(i64* %p) {
+entry:
+  %q = call i64* @id(%p)
+  ret @gb
+}
+define void @publish(i64** %cell, i64* %x) {
+entry:
+  store i64* %x, %cell
+  ret void
+}
+define i64* @fetch(i64** %cell) {
+entry:
+  %p = load i64*, %cell
+  ret %p
+}
+define void @install(fn i64* (i64*)** %tab, i1 %c) {
+entry:
+  %f = select fn i64* (i64*)* %c, @geta, @id
+  store fn i64* (i64*)* %f, %tab
+  ret void
+}
+define i64* @dispatch(fn i64* (i64*)** %tab, i64* %x) {
+entry:
+  %fp = load fn i64* (i64*)*, %tab
+  %r = call i64* %fp(%x)
+  ret %r
+}
+define i64 @walk(i64* %a, i64* %b, i64 %n) {
+entry:
+  br head
+head:
+  %p = phi i64* [entry: %a] [body: %q]
+  %i = phi i64 [entry: i64 0] [body: %j]
+  %c = icmp slt i64 %i, %n
+  condbr %c, body, exit
+body:
+  %q = phi i64* [head: %p]
+  %t = call i64* @pick(%q, %b, %c)
+  %j = add i64 %i, i64 1
+  br head
+exit:
+  %v = load i64, %p
+  ret %v
+}
+define i64 @main(i1 %c) {
+entry:
+  %x = alloca i64, i64 1
+  %y = alloca i64, i64 1
+  %cell = alloca i64*, i64 1
+  %cell2 = alloca i64*, i64 1
+  %tab = alloca fn i64* (i64*)*, i64 1
+  %h = call i64* @malloc(i64 8)
+  call void @publish(%cell, %x)
+  call void @publish(%cell2, %y)
+  %p = call i64* @fetch(%cell)
+  %q = call i64* @fetch(%cell2)
+  %r = call i64* @pick(%p, %q, %c)
+  call void @install(%tab, %c)
+  store fn i64* (i64*)* @getb, %tab
+  %d = call i64* @dispatch(%tab, %r)
+  call void @publish(%cell, %d)
+  call void @publish(%cell2, %h)
+  call void @mystery(%cell2)
+  %e = call i64* @dispatch(%tab, %h)
+  %w = call i64 @walk(%p, %e, i64 4)
+  ret %w
+}
+declare i64* @malloc(i64 %n)
+declare void @mystery(i64** %p)
+}
+"#;
+
+/// Deletion is where an incremental points-to solver goes wrong, and the
+/// transforms only ever add pointer flow: run the fuzz oracle's destructive
+/// edit script — stores and calls deleted, pointer arguments, returned
+/// pointers and indirect callees re-pointed — over each module as the
+/// planner's transforms left it, checking against a from-scratch solve
+/// after every commit.
+#[test]
+fn points_to_stays_exact_through_destructive_edit_scripts() {
+    let generated = (0..50).map(|seed| generate(seed, &GenConfig::default()));
+    // The corpus moves integers through arrays; this one moves pointers
+    // through cells, call chains, a function-pointer table and a phi cycle,
+    // so that there are derived edges and bindings for a deletion to reach.
+    let soup = parse_module(POINTER_SOUP).expect("parses");
+    let soups = std::iter::repeat_with(|| soup.clone()).take(64);
+    let modules = workloads().into_iter().map(|w| w.build());
+    let modules = modules.chain(generated).chain(soups);
+    let (mut commits, mut resets) = (0, 0);
+    for (seed, m) in modules.enumerate() {
+        let name = m.name.clone();
+        let mut n = Noelle::new(m, AliasTier::Full);
+        let plan = plan_module(&mut n, &PlanOptions::default());
+        apply_plan(&mut n, &plan);
+        let before = n.func_cache_counters();
+        let diverged = edit_script_divergence(&mut n, seed as u64, 24);
+        assert_eq!(diverged, None, "{name} (script seed {seed})");
+        let after = n.func_cache_counters();
+        commits += after.andersen_regen_funcs - before.andersen_regen_funcs;
+        resets += after.andersen_reset_rows - before.andersen_reset_rows;
+    }
+    // The scripts found pointer flow to delete, and deleting it reached
+    // rows: this is not a sweep of no-ops.
+    eprintln!("{commits} script commits reset {resets} rows");
+    assert!(commits > 500, "{commits} script commits");
+    assert!(resets > commits, "{resets} rows reset by {commits} commits");
+}
+
 #[test]
 fn a_commit_regenerates_what_it_touched_not_the_module() {
     let mut n = Noelle::new(scale_module(256, 7), AliasTier::Full);
@@ -202,6 +331,9 @@ fn a_commit_regenerates_what_it_touched_not_the_module() {
     let after = n.func_cache_counters();
     assert_eq!(after.andersen_regen_funcs - before.andersen_regen_funcs, 1);
     assert_eq!(after.andersen_reuses, before.andersen_reuses);
+    // ... and, taking no constraint away, leaves every row in place.
+    let reset = after.andersen_reset_rows - before.andersen_reset_rows;
+    assert_eq!(reset, 0, "rows reset by a one-instruction edit");
 
     // A whole plan regenerates the sum of what its commits touched — the
     // transformed function and its new task per loop, the runtime
@@ -232,6 +364,12 @@ fn a_commit_regenerates_what_it_touched_not_the_module() {
         regenerated < done * funcs / 16,
         "{regenerated} regenerated is on the order of {done} loops x {funcs} functions"
     );
+    // The transforms add pointer flow and take none away, so their
+    // commits grow the rows they reach. A commit that deleted some would
+    // empty and re-derive every row: what each commit cost before the
+    // solver kept its rows, and what this pins the plan's commits out of.
+    let reset = after.andersen_reset_rows - before.andersen_reset_rows;
+    assert_eq!(reset, 0, "rows reset by the plan's {done} commits");
 }
 
 #[test]

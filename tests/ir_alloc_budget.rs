@@ -12,14 +12,18 @@
 
 use noelle::ir::cfg::Cfg;
 use noelle::ir::dom::DomTree;
+use noelle::ir::inst::Inst;
 use noelle::ir::loops::LoopForest;
 use noelle::ir::parser::parse_module;
 use noelle::ir::printer::print_module;
+use noelle::ir::types::Type;
+use noelle::ir::value::Value;
 use noelle::pdg::pdg::PdgBuilder;
 use noelle::workloads::scale_module;
 use noelle_analysis::alias::{AliasAnalysis, AliasStack, AndersenAlias, BasicAlias};
 use noelle_store::artifact::{decode_forest, decode_partition, decode_points_to};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::{Mutex, MutexGuard};
 
@@ -133,4 +137,53 @@ fn count_bombs_are_rejected_before_anything_is_reserved() {
     // Rows; then one row's objects.
     let rows = |b: &[u8]| decode_points_to(b).is_err();
     defused(rows, &HUGE, &[&[], &[1, 0, 0]]);
+}
+
+/// Allocations of the `update` that follows inserting one `gep` of the
+/// first argument at the top of `k0`.
+fn leaf_edit_update_allocations(n_funcs: usize) -> usize {
+    let mut m = scale_module(n_funcs, 3);
+    let mut a = AndersenAlias::new(&m);
+    let k0 = m.func_id_by_name("k0").expect("first kernel");
+    let f = m.func_mut(k0);
+    let entry = f.entry();
+    f.insert_inst(
+        entry,
+        0,
+        Inst::Gep {
+            base: Value::Arg(0),
+            base_ty: Type::I64,
+            indices: vec![Value::const_i64(1)],
+        },
+    );
+    let touched = BTreeSet::from([k0]);
+    let (update, n) = allocations(|| a.update(&m, &touched));
+    assert_eq!((update.regenerated, update.reset), (1, 0));
+    n
+}
+
+#[test]
+fn a_points_to_update_allocates_for_the_edit_not_the_module() {
+    let _turn = alone();
+    let (small, large) = (
+        leaf_edit_update_allocations(64),
+        leaf_edit_update_allocations(256),
+    );
+    eprintln!("leaf edit: {small} allocations at 64 functions, {large} at 256");
+    // The parent emptied and re-derived every row: 636 and 2 228.
+    assert!(
+        large <= small + 8,
+        "{small} at 64 functions, {large} at 256"
+    );
+    assert!(small <= 32, "{small} allocations for one added constraint");
+}
+
+#[test]
+fn a_cold_points_to_solve_stays_within_the_parents_allocations() {
+    let _turn = alone();
+    let m = scale_module(256, 3);
+    let (_solved, cold) = allocations(|| AndersenAlias::new(&m));
+    eprintln!("cold solve of scale_module(256, 3): {cold} allocations");
+    // Read off the parent commit (transient graph, SCC sweep): 2 301.
+    assert!(cold <= 2301, "{cold} allocations");
 }
