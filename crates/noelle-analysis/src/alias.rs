@@ -17,7 +17,6 @@
 //! implementations.
 
 use crate::bitset::BitSet;
-use noelle_ir::bytes::{ByteReader, ByteWriter, DecodeError};
 use noelle_ir::inst::{Callee, Inst, InstId};
 use noelle_ir::module::{FuncId, GlobalId, Module};
 use noelle_ir::types::Type;
@@ -65,111 +64,6 @@ impl MemoryObject {
             _ => None,
         }
     }
-
-    fn encode(&self, w: &mut ByteWriter) {
-        match *self {
-            MemoryObject::Global(g) => {
-                w.u8(0);
-                w.varint(u64::from(g.0));
-            }
-            MemoryObject::Alloca(f, i) => {
-                w.u8(1);
-                w.varint(u64::from(f.0));
-                w.varint(u64::from(i.0));
-            }
-            MemoryObject::Heap(f, i) => {
-                w.u8(2);
-                w.varint(u64::from(f.0));
-                w.varint(u64::from(i.0));
-            }
-            MemoryObject::Function(f) => {
-                w.u8(3);
-                w.varint(u64::from(f.0));
-            }
-            MemoryObject::Unknown => w.u8(4),
-        }
-    }
-
-    fn decode(r: &mut ByteReader<'_>) -> Result<MemoryObject, DecodeError> {
-        let id32 = |r: &mut ByteReader<'_>, ctx| {
-            let v = r.varint(ctx)?;
-            u32::try_from(v).map_err(|_| DecodeError::new(ctx))
-        };
-        match r.u8("memory-object: tag")? {
-            0 => Ok(MemoryObject::Global(GlobalId(id32(
-                r,
-                "memory-object: global",
-            )?))),
-            1 => Ok(MemoryObject::Alloca(
-                FuncId(id32(r, "memory-object: alloca func")?),
-                InstId(id32(r, "memory-object: alloca inst")?),
-            )),
-            2 => Ok(MemoryObject::Heap(
-                FuncId(id32(r, "memory-object: heap func")?),
-                InstId(id32(r, "memory-object: heap inst")?),
-            )),
-            3 => Ok(MemoryObject::Function(FuncId(id32(
-                r,
-                "memory-object: function",
-            )?))),
-            4 => Ok(MemoryObject::Unknown),
-            _ => Err(DecodeError::new("memory-object: tag")),
-        }
-    }
-}
-
-/// Stable binary encoding of one function's [`PointsToRows`]. Rows are
-/// written in `BTreeMap`/`BTreeSet` order, so equal rows always produce
-/// identical bytes — the property the store's round-trip oracle asserts.
-pub fn encode_rows(rows: &PointsToRows) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.varint(rows.len() as u64);
-    for (&(space, idx), set) in rows {
-        w.u8(space);
-        w.varint(u64::from(idx));
-        w.varint(set.len() as u64);
-        for o in set {
-            o.encode(&mut w);
-        }
-    }
-    w.into_bytes()
-}
-
-/// Decode rows encoded by [`encode_rows`]. Total: malformed input surfaces
-/// as a [`DecodeError`], never a panic, and the store treats it as a miss.
-///
-/// # Errors
-/// Truncated input, trailing bytes, out-of-domain tags, non-canonical key
-/// or set ordering, and duplicate keys are all rejected.
-pub fn decode_rows(bytes: &[u8]) -> Result<PointsToRows, DecodeError> {
-    const MAX: usize = 1 << 28;
-    let mut r = ByteReader::new(bytes);
-    let n = r.count(MAX, "points-to rows: row count")?;
-    let mut rows = PointsToRows::new();
-    for _ in 0..n {
-        let space = r.u8("points-to rows: key space")?;
-        if space > 1 {
-            return Err(DecodeError::new("points-to rows: key space"));
-        }
-        let idx = r.varint("points-to rows: key index")?;
-        let idx = u32::try_from(idx).map_err(|_| DecodeError::new("points-to rows: key index"))?;
-        let key = (space, idx);
-        if rows.last_key_value().is_some_and(|(k, _)| *k >= key) {
-            return Err(DecodeError::new("points-to rows: key order"));
-        }
-        let m = r.count(MAX, "points-to rows: set size")?;
-        let mut set = BTreeSet::new();
-        for _ in 0..m {
-            let o = MemoryObject::decode(&mut r)?;
-            if set.last().is_some_and(|p| *p >= o) {
-                return Err(DecodeError::new("points-to rows: object order"));
-            }
-            set.insert(o);
-        }
-        rows.insert(key, set);
-    }
-    r.finish("points-to rows: trailing bytes")?;
-    Ok(rows)
 }
 
 /// Interface shared by all alias analyses: answer whether two pointer values
@@ -2826,102 +2720,5 @@ entry:
         assert_eq!((&us[1].changed, us[1].reset), (&vec![], 0));
         assert_eq!(us[2].changed, vec![a]);
         assert!(us[2].reset > 0);
-    }
-
-    #[test]
-    fn rows_codec_round_trips() {
-        let mut rows = PointsToRows::new();
-        rows.insert(
-            (0, 3),
-            BTreeSet::from([
-                MemoryObject::Global(GlobalId(1)),
-                MemoryObject::Alloca(FuncId(0), InstId(7)),
-            ]),
-        );
-        rows.insert(
-            (0, 9),
-            BTreeSet::from([MemoryObject::Heap(FuncId(2), InstId(4))]),
-        );
-        rows.insert(
-            (1, 0),
-            BTreeSet::from([MemoryObject::Function(FuncId(5)), MemoryObject::Unknown]),
-        );
-        let bytes = encode_rows(&rows);
-        let decoded = decode_rows(&bytes).unwrap();
-        assert_eq!(decoded, rows);
-        assert_eq!(encode_rows(&decoded), bytes);
-        // Empty rows round-trip too.
-        let empty = PointsToRows::new();
-        assert_eq!(decode_rows(&encode_rows(&empty)).unwrap(), empty);
-    }
-
-    #[test]
-    fn rows_codec_rejects_malformed() {
-        let mut rows = PointsToRows::new();
-        rows.insert((0, 1), BTreeSet::from([MemoryObject::Global(GlobalId(0))]));
-        rows.insert((1, 2), BTreeSet::from([MemoryObject::Unknown]));
-        let bytes = encode_rows(&rows);
-        for cut in 0..bytes.len() {
-            assert!(decode_rows(&bytes[..cut]).is_err(), "cut at {cut}");
-        }
-        let mut long = bytes.clone();
-        long.push(0);
-        assert!(decode_rows(&long).is_err());
-        // Out-of-domain key space and object tag.
-        let mut w = ByteWriter::new();
-        w.varint(1);
-        w.u8(2); // key space must be 0 or 1
-        w.varint(0);
-        w.varint(0);
-        assert!(decode_rows(&w.into_bytes()).is_err());
-        let mut w = ByteWriter::new();
-        w.varint(1);
-        w.u8(0);
-        w.varint(0);
-        w.varint(1);
-        w.u8(9); // bad object tag
-        assert!(decode_rows(&w.into_bytes()).is_err());
-        // Non-canonical key order (duplicate key) rejected, so equal rows
-        // have exactly one encoding.
-        let mut w = ByteWriter::new();
-        w.varint(2);
-        for _ in 0..2 {
-            w.u8(0);
-            w.varint(5);
-            w.varint(1);
-            w.u8(4);
-        }
-        assert!(decode_rows(&w.into_bytes()).is_err());
-    }
-
-    #[test]
-    fn live_rows_encode_deterministically() {
-        let m = parse_module(
-            r#"
-module "rows" {
-global @g : i64 = i64 0
-define i64 @f(i64* %p) {
-entry:
-  %a = alloca i64, i64 1
-  store i64 i64 1, %p
-  store i64 i64 2, %a
-  %v = load i64, @g
-  ret %v
-}
-}
-"#,
-        )
-        .unwrap();
-        let andersen = AndersenAlias::new(&m);
-        for rows in AndersenAlias::new(&m).rows_by_function().values() {
-            let bytes = encode_rows(rows);
-            assert_eq!(&decode_rows(&bytes).unwrap(), rows);
-        }
-        // Two independent solves of the same module encode identically.
-        let a = andersen.rows_by_function();
-        let b = AndersenAlias::new(&m).rows_by_function();
-        for (fid, rows) in &a {
-            assert_eq!(encode_rows(rows), encode_rows(&b[fid]));
-        }
     }
 }

@@ -701,19 +701,3 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     }
     out
 }
-
-/// Used by tests: the subset of workloads with parallelizable hot loops.
-pub fn parallel_friendly() -> Vec<&'static str> {
-    vec![
-        "blackscholes",
-        "fluidanimate",
-        "streamcluster",
-        "vips",
-        "swaptions",
-        "basicmath",
-        "bitcount",
-        "dijkstra",
-        "susan",
-        "fft",
-    ]
-}

@@ -28,8 +28,8 @@ use noelle_pdg::callgraph::CallGraph;
 use noelle_pdg::depgraph::DepGraph;
 use noelle_pdg::pdg::{PdgBuilder, ProgramPdg};
 use noelle_store::{artifact, ArtifactKind, KeyCtx, Store};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::Arc;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Which alias stack powers the PDG.
@@ -259,14 +259,6 @@ impl EditTx<'_> {
         self.module
     }
 
-    /// Mutable access to the whole module with no scoping promise:
-    /// equivalent to [`EditTx::touch_all`]. Escape hatch for edits whose
-    /// footprint genuinely cannot be described.
-    pub fn module_mut(&mut self) -> &mut Module {
-        self.all = true;
-        self.module
-    }
-
     /// The functions recorded as touched so far (not including the
     /// watermark-detected additions, which are resolved at commit).
     pub fn touched(&self) -> &BTreeSet<FuncId> {
@@ -274,27 +266,26 @@ impl EditTx<'_> {
     }
 }
 
-/// The NOELLE compilation layer over one module.
-/// Direct call edges maintained *incrementally* across edit commits: a
-/// full-module scan builds the map once, after which each commit rescans
-/// only the touched functions' call sites. This is what keeps
-/// [`Noelle::edit`]'s damage computation off the whole module — both the
-/// reverse-caller closure that bounds the mod/ref repair and the
-/// "summary changed, damage direct callers" rule read these edges instead
-/// of rescanning every instruction.
+/// The module's direct call edges, in both directions, as the manager keeps
+/// them ([`Noelle::direct_calls`]): one full-module scan builds the index,
+/// after which each commit rescans only the touched functions' call sites.
+/// This is what keeps [`Noelle::edit`]'s damage computation off the whole
+/// module — the reverse-caller closure that bounds the mod/ref repair and
+/// the "summary changed, damage direct callers" rule read these edges — and
+/// what the auditor and the IDE read instead of scanning for call sites.
 #[derive(Default)]
-struct CallEdges {
-    /// Caller -> deduped direct callees.
-    callees: HashMap<FuncId, BTreeSet<FuncId>>,
-    /// Callee -> direct callers (the reverse index).
-    callers: HashMap<FuncId, BTreeSet<FuncId>>,
+pub struct CallEdges {
+    /// By caller: its deduped direct callees.
+    callees: Vec<BTreeSet<FuncId>>,
+    /// By callee: its direct callers (the reverse index).
+    callers: Vec<BTreeSet<FuncId>>,
 }
 
 impl CallEdges {
     fn scan_function(m: &Module, fid: FuncId) -> BTreeSet<FuncId> {
         let f = m.func(fid);
         let mut out = BTreeSet::new();
-        for id in f.inst_ids() {
+        for &id in f.block_order().iter().flat_map(|&b| &f.block(b).insts) {
             if let Inst::Call {
                 callee: Callee::Direct(cid),
                 ..
@@ -308,34 +299,37 @@ impl CallEdges {
 
     fn build(m: &Module) -> CallEdges {
         let mut e = CallEdges::default();
-        for fid in m.func_ids() {
-            let callees = Self::scan_function(m, fid);
-            for &c in &callees {
-                e.callers.entry(c).or_default().insert(fid);
-            }
-            e.callees.insert(fid, callees);
-        }
+        e.update(m, m.func_ids());
         e
     }
 
-    /// Rescan the call sites of `touched` functions, repairing both maps.
-    fn update(&mut self, m: &Module, touched: &BTreeSet<FuncId>) {
-        for &f in touched {
+    /// Rescan the call sites of `touched` functions, repairing both
+    /// directions. The tables grow to cover appended functions.
+    fn update(&mut self, m: &Module, touched: impl IntoIterator<Item = FuncId>) {
+        let n = m.functions().len();
+        self.callees.resize_with(n, BTreeSet::new);
+        self.callers.resize_with(n, BTreeSet::new);
+        for f in touched {
             let new = Self::scan_function(m, f);
-            let old = self.callees.insert(f, new.clone()).unwrap_or_default();
+            let old = &self.callees[f.index()];
             for c in old.difference(&new) {
-                if let Some(s) = self.callers.get_mut(c) {
-                    s.remove(&f);
-                }
+                self.callers[c.index()].remove(&f);
             }
-            for &c in new.difference(&old) {
-                self.callers.entry(c).or_default().insert(f);
+            for c in new.difference(old) {
+                self.callers[c.index()].insert(f);
             }
+            self.callees[f.index()] = new;
         }
     }
 
-    fn callers_of(&self, f: FuncId) -> impl Iterator<Item = FuncId> + '_ {
-        self.callers.get(&f).into_iter().flatten().copied()
+    /// The functions holding a direct call to `f`, ascending.
+    pub fn callers_of(&self, f: FuncId) -> impl Iterator<Item = FuncId> + '_ {
+        self.callers.get(f.index()).into_iter().flatten().copied()
+    }
+
+    /// The functions `f` calls directly, ascending.
+    pub fn callees_of(&self, f: FuncId) -> impl Iterator<Item = FuncId> + '_ {
+        self.callees.get(f.index()).into_iter().flatten().copied()
     }
 
     /// `seeds` plus every transitive direct caller of a seed — exactly the
@@ -354,6 +348,7 @@ impl CallEdges {
     }
 }
 
+/// The NOELLE compilation layer over one module.
 pub struct Noelle {
     module: Module,
     tier: AliasTier,
@@ -361,11 +356,11 @@ pub struct Noelle {
     /// commit once built.
     andersen: Option<AndersenAlias>,
     modref: Option<Arc<ModRefSummaries>>,
-    /// Incrementally maintained direct call edges; `Some` whenever `modref`
-    /// is (commits repair both together, and both die together on
-    /// invalidation, since the scoped mod/ref repair is only sound with
-    /// edges that match the summaries' module).
-    call_edges: Option<CallEdges>,
+    /// The direct call edges of the module as it stands, built on first
+    /// use ([`Noelle::direct_calls`] or a commit's mod/ref repair). A commit
+    /// either repairs them or drops them, so an index that is here is
+    /// exact.
+    call_edges: OnceLock<CallEdges>,
     call_graph: Option<CallGraph>,
     /// Per-function cached state, by function index, grown on demand.
     /// Functions change only through [`Noelle::edit`], whose commit touches
@@ -394,7 +389,7 @@ impl Noelle {
             tier,
             andersen: None,
             modref: None,
-            call_edges: None,
+            call_edges: OnceLock::new(),
             call_graph: None,
             slots: Vec::new(),
             snapshot: None,
@@ -408,9 +403,9 @@ impl Noelle {
 
     /// Attach a durable artifact store: from now on, PDG-partition and
     /// loop-forest misses consult it before recomputing, and freshly built
-    /// artifacts (including Andersen rows) are queued for asynchronous
-    /// write-back. Content addressing makes attachment safe at any point —
-    /// a stale entry is simply never addressed.
+    /// artifacts are queued for asynchronous write-back. Content addressing
+    /// makes attachment safe at any point — a stale entry is simply never
+    /// addressed.
     pub fn set_store(&mut self, store: Arc<Store>) {
         self.store = Some(store);
     }
@@ -421,8 +416,8 @@ impl Noelle {
     }
 
     /// The store-key context for the module's *current* content. Partition
-    /// and rows keys bake in a module-wide code fingerprint (their inputs
-    /// are interprocedural); forest keys use only the owning function.
+    /// keys bake in a module-wide code fingerprint (their inputs are
+    /// interprocedural); forest keys use only the owning function.
     fn store_key_ctx(&mut self) -> KeyCtx {
         let n = self.module.functions().len() as u32;
         KeyCtx {
@@ -460,6 +455,15 @@ impl Noelle {
     /// The module under compilation.
     pub fn module(&self) -> &Module {
         &self.module
+    }
+
+    /// Who calls whom directly, for the module as it stands. The first
+    /// request scans the module; every commit after that repairs the index
+    /// for the functions it touched, so asking again after an edit costs
+    /// nothing.
+    pub fn direct_calls(&self) -> &CallEdges {
+        self.call_edges
+            .get_or_init(|| CallEdges::build(&self.module))
     }
 
     /// Run an edit transaction over the module. The closure receives an
@@ -545,7 +549,7 @@ impl Noelle {
             // the summary-bearing path.
             self.andersen = None;
             self.call_graph = None;
-            self.call_edges = None;
+            self.call_edges.take();
             // Without the old summaries the interprocedural blast radius
             // cannot be bounded, so every function is damaged (partitions
             // can stand without summaries after a warm start from the
@@ -554,15 +558,15 @@ impl Noelle {
             self.damage(&all);
             return all;
         };
-        // Repair the direct-call-edge map for the touched functions (first
-        // commit builds it whole), then bound the mod/ref repair to the
-        // touched set plus its transitive callers — the only functions
-        // whose summaries an edit can move, since summaries flow
+        // Repair the direct-call-edge map for the touched functions (built
+        // whole if nobody has asked for it yet), then bound the mod/ref
+        // repair to the touched set plus its transitive callers — the only
+        // functions whose summaries an edit can move, since summaries flow
         // callee -> caller. Everything here is proportional to the edit's
         // blast radius, not the module.
         let edges = match self.call_edges.take() {
             Some(mut e) => {
-                e.update(&self.module, &touched);
+                e.update(&self.module, touched.iter().copied());
                 e
             }
             None => CallEdges::build(&self.module),
@@ -578,7 +582,7 @@ impl Noelle {
         for &c in touched.iter().chain(&moved) {
             damage.extend(edges.callers_of(c));
         }
-        self.call_edges = Some(edges);
+        self.call_edges = OnceLock::from(edges);
         // Under the full tier the PDG also consults the points-to solution.
         // The solution is a pure function of the function bodies (globals
         // enter by id only, and a changed global count escalated before
@@ -633,7 +637,7 @@ impl Noelle {
     pub fn invalidate(&mut self) {
         self.andersen = None;
         self.modref = None;
-        self.call_edges = None;
+        self.call_edges.take();
         self.call_graph = None;
         self.snapshot = None;
         self.profiles = None;
@@ -668,22 +672,6 @@ impl Noelle {
             // version the solution saw: fingerprint every function now.
             for i in 0..self.module.functions().len() as u32 {
                 self.fingerprints(FuncId(i));
-            }
-            // Queue the observable rows for asynchronous write-back. Rows
-            // are a write-only artifact from this process's point of view
-            // (the full solver state cannot be reconstructed from them);
-            // they exist so fsck and replicas can audit the solve, and so
-            // the fuzz oracle can round-trip them.
-            if let Some(store) = self.store.clone() {
-                let ctx = self.store_key_ctx();
-                for (fid, rows) in andersen.rows_by_function() {
-                    let key = ctx.rows_key(self.fingerprints(fid).content);
-                    store.put(
-                        key,
-                        ArtifactKind::PointsToRows,
-                        artifact::encode_points_to(&rows),
-                    );
-                }
             }
             self.andersen = Some(andersen);
         }

@@ -58,23 +58,6 @@ pub struct TaskFunction {
     pub env: Environment,
 }
 
-impl TaskFunction {
-    /// The environment pointer argument of the task function.
-    pub fn env_arg(&self) -> Value {
-        Value::Arg(0)
-    }
-
-    /// The task-id argument.
-    pub fn task_id_arg(&self) -> Value {
-        Value::Arg(1)
-    }
-
-    /// The task-count argument.
-    pub fn n_tasks_arg(&self) -> Value {
-        Value::Arg(2)
-    }
-}
-
 /// Clone loop `l` of `src_fid` into a fresh task function named `name`.
 ///
 /// The produced function:

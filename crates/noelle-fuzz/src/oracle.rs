@@ -234,8 +234,8 @@ fn panic_text(p: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Round-trip every durable-store artifact codec over `m`'s analyses.
-/// For each defined function: PDG partition, Andersen points-to rows, and
-/// loop forest must each encode, decode, and re-encode to identical bytes.
+/// For each defined function: PDG partition and loop forest must each
+/// encode, decode, and re-encode to identical bytes.
 /// Byte-identity (not just structural equality) is what content addressing
 /// needs: the same analysis state must always persist as the same payload.
 fn store_round_trip_failures(m: &Module) -> Vec<Failure> {
@@ -273,24 +273,6 @@ fn store_round_trip_failures(m: &Module) -> Vec<Failure> {
             .map(|d| artifact::encode_partition(&d))
             .map_err(|e| e.to_string());
         check(fname, "pdg partition", &bytes, re);
-    }
-
-    let andersen = noelle_analysis::alias::AndersenAlias::new(m);
-    let mut by_fn: Vec<_> = andersen.rows_by_function().into_iter().collect();
-    by_fn.sort_by_key(|(fid, _)| *fid);
-    for (fid, rows) in by_fn {
-        let fname = &m.func(fid).name;
-        let bytes = artifact::encode_points_to(&rows);
-        let re = artifact::decode_points_to(&bytes)
-            .map(|d| {
-                if d != rows {
-                    return Err("decoded rows differ structurally".to_string());
-                }
-                Ok(artifact::encode_points_to(&d))
-            })
-            .map_err(|e| e.to_string())
-            .and_then(|r| r);
-        check(fname, "points-to rows", &bytes, re);
     }
 
     for fid in m.func_ids().filter(|&f| !m.func(f).is_declaration()) {

@@ -38,12 +38,12 @@
 //! checks across the whole workload corpus.
 
 use noelle_core::json::{envelope, Json};
-use noelle_core::noelle::{AliasTier, Noelle};
+use noelle_core::noelle::{AliasTier, EditTx, Noelle};
 use noelle_ir::module::{FuncId, Module};
 use noelle_ir::parser::{parse_function_text, parse_module_spanned, FuncSpan, ParseError};
 use noelle_lint::{
-    audit_findings, render_json, run_audit_scoped, run_global_checks, run_local_checks,
-    sort_findings, Finding,
+    audit_findings, canonical_order, render_json, run_audit_scoped, run_global_checks,
+    run_local_checks, Finding,
 };
 use noelle_plan::{plan_from_audit, PlanOptions};
 use std::collections::{BTreeMap, BTreeSet};
@@ -82,6 +82,17 @@ pub struct DocCounters {
     pub reaudited_functions: u64,
 }
 
+impl std::ops::AddAssign for DocCounters {
+    fn add_assign(&mut self, c: DocCounters) {
+        self.changes += c.changes;
+        self.incremental_reparses += c.incremental_reparses;
+        self.full_reparses += c.full_reparses;
+        self.parse_failures += c.parse_failures;
+        self.relinted_functions += c.relinted_functions;
+        self.reaudited_functions += c.reaudited_functions;
+    }
+}
+
 /// What one accepted change did.
 #[derive(Debug, Clone)]
 pub struct ChangeOutcome {
@@ -97,205 +108,206 @@ pub struct ChangeOutcome {
     pub syntax_error: Option<ParseError>,
 }
 
+impl ChangeOutcome {
+    /// A change that re-derived nothing.
+    fn unchanged(version: u64, incremental: bool, syntax_error: Option<ParseError>) -> Self {
+        ChangeOutcome {
+            version,
+            incremental,
+            changed_functions: Vec::new(),
+            relinted: 0,
+            syntax_error,
+        }
+    }
+}
+
+/// Everything the session keeps about one function, under its name. A name
+/// is the first field findings sort by, so records in map order are already
+/// in canonical order among themselves.
+#[derive(Default)]
+struct FuncDiag {
+    /// Function-local findings, re-derived when an edit damages the
+    /// function.
+    local: Vec<Finding>,
+    /// Parallelism-audit findings (NL01xx) of the function's loops.
+    audit: Vec<Finding>,
+    /// Planner hints: for every loop of the function the audit marks clean
+    /// for at least one technique, the per-candidate predicted-speedup table
+    /// ([`noelle_plan::LoopPlan::to_json`]). Priced from the same scoped
+    /// audit `audit` comes from, so the planner rides the damage path for
+    /// free (no second audit).
+    plan: Vec<Json>,
+    /// Body fingerprint at the last audit. The audit reads nothing but
+    /// function bodies (loop structure, dependences, points-to rows, callee
+    /// summaries), so a damage set whose bodies all hash unchanged — a
+    /// metadata-only edit — provably cannot move any audit verdict, and
+    /// `relint` skips the re-audit outright.
+    body_fp: u64,
+}
+
 /// The last successfully analyzed state of a document.
 struct GoodState {
     noelle: Noelle,
     /// Source spans of every `define`, in definition order, valid for the
     /// text this state was parsed from.
     spans: Vec<FuncSpan>,
-    /// Function-local findings, bucketed by function name. Only buckets in
-    /// the damage set of an edit are recomputed.
-    local: BTreeMap<String, Vec<Finding>>,
     /// Whole-module findings (races, env-slots), recomputed per edit.
     global: Vec<Finding>,
-    /// Parallelism-audit findings (NL01xx), bucketed by the loop-owning
-    /// function. Re-derived for exactly the damage set of an edit — the
-    /// incremental engine's damage already includes the interprocedural
-    /// dependents whose loop verdicts an edit can flip.
-    audit_local: BTreeMap<String, Vec<Finding>>,
-    /// Body fingerprints from the last audit. The audit reads nothing but
-    /// function bodies (loop structure, dependences, points-to rows,
-    /// callee summaries), so a damage set whose bodies all hash unchanged
-    /// — a metadata-only edit — provably cannot move any audit verdict,
-    /// and `relint` skips the re-audit outright.
-    body_fps: BTreeMap<FuncId, u64>,
-    /// The audit buckets the *last* relint re-derived (empty when the edit
-    /// was metadata-only). `ide/change` replies push exactly this delta —
+    /// One record per function, by name.
+    funcs: BTreeMap<String, FuncDiag>,
+    /// The records whose `audit` and `plan` the *last* relint re-derived, in
+    /// name order: every name after a cold start, none after a
+    /// metadata-only edit. `ide/change` replies push exactly these —
     /// serializing the whole module's hints on every keystroke would make
     /// the reply O(module); pulls (`ide/diagnostics`) still get everything.
-    audit_fresh: BTreeMap<String, Vec<Finding>>,
-    /// Planner hints, bucketed by loop-owning function: for every loop the
-    /// audit marks clean for at least one technique, the per-candidate
-    /// predicted-speedup table ([`noelle_plan::LoopPlan::to_json`]). Derived
-    /// from the same scoped audit `audit_local` comes from, so the planner
-    /// rides the damage path for free (no second audit).
-    plan_hints: BTreeMap<String, Json>,
-    /// The plan buckets the *last* relint re-derived (the push delta,
-    /// mirroring `audit_fresh`).
-    plan_fresh: BTreeMap<String, Json>,
+    fresh: Vec<String>,
 }
 
 impl GoodState {
-    /// Cold-start a state from a freshly parsed module: full lint, all
-    /// buckets.
-    fn cold(module: Module, spans: Vec<FuncSpan>, tier: AliasTier) -> GoodState {
-        let mut noelle = Noelle::new(module, tier);
-        let all: BTreeSet<FuncId> = noelle.module().func_ids().collect();
-        let local = bucket_local(&mut noelle, &all);
-        let global = run_global_checks(&mut noelle);
-        let (audit_local, plan_hints) = bucket_audit(&mut noelle, &all);
-        let body_fps = all
-            .iter()
-            .map(|&fid| (fid, noelle.module().func(fid).body_fingerprint()))
-            .collect();
-        let audit_fresh = audit_local.clone();
-        let plan_fresh = plan_hints.clone();
+    /// A state over a freshly parsed module, nothing linted yet: the first
+    /// `relint` takes every function.
+    fn new(module: Module, spans: Vec<FuncSpan>, tier: AliasTier) -> GoodState {
         GoodState {
-            noelle,
+            noelle: Noelle::new(module, tier),
             spans,
-            local,
-            global,
-            audit_local,
-            body_fps,
-            audit_fresh,
-            plan_hints,
-            plan_fresh,
+            global: Vec::new(),
+            funcs: BTreeMap::new(),
+            fresh: Vec::new(),
         }
     }
 
-    /// Re-derive the buckets of `damage` and the whole-module findings.
+    /// Re-derive the records of `damage` and the whole-module findings.
     /// Returns how many functions were re-audited.
     fn relint(&mut self, damage: &BTreeSet<FuncId>) -> usize {
-        let fresh = bucket_local(&mut self.noelle, damage);
-        // A bucket keyed by a name no longer in the module (replaced
-        // function sets keep their names here, but shape changes go through
-        // `cold`) would leak; damage buckets overwrite by name.
-        self.local.extend(fresh);
-        self.global = run_global_checks(&mut self.noelle);
+        let GoodState {
+            noelle: n, funcs, ..
+        } = self;
         // The audit reads only function bodies; if every damaged body
         // hashes unchanged (a metadata-only edit), no verdict can move and
-        // the cached hints stand as-is.
+        // the cached hints stand as-is. A function without a record is new
+        // (a state's first relint; shape changes start a new state, so a
+        // record never outlives its function).
         let mut body_changed = false;
         for &fid in damage {
-            let fp = self.noelle.module().func(fid).body_fingerprint();
-            if self.body_fps.insert(fid, fp) != Some(fp) {
+            let f = n.module().func(fid);
+            let d = funcs.entry(f.name.clone()).or_insert_with(|| {
                 body_changed = true;
-            }
+                FuncDiag::default()
+            });
+            let body_fp = f.body_fingerprint();
+            body_changed |= std::mem::replace(&mut d.body_fp, body_fp) != body_fp;
         }
+        let local = run_local_checks(n, damage);
+        rebucket(funcs, n.module(), damage, local, finding_owner, |d| {
+            &mut d.local
+        });
+        self.global = run_global_checks(n);
         if !body_changed {
-            self.audit_fresh.clear();
-            self.plan_fresh.clear();
+            self.fresh.clear();
             return 0;
         }
         // Audit attribution reaches one call-graph hop beyond a function's
         // body (call sites of its direct callers, store sites of its direct
         // callees), so the audit re-derives the damage set plus that one-hop
-        // closure — still proportional to the edit, never the module.
-        let audit_damage = audit_closure(self.noelle.module(), damage);
-        let (fresh_audit, fresh_plan) = bucket_audit(&mut self.noelle, &audit_damage);
-        self.audit_fresh = fresh_audit.clone();
-        self.audit_local.extend(fresh_audit);
-        self.plan_fresh = fresh_plan.clone();
-        self.plan_hints.extend(fresh_plan);
-        audit_damage.len()
-    }
-}
-
-/// `damage` plus its direct callees and direct callers: every function whose
-/// audit attribution an edit inside `damage` can move.
-fn audit_closure(m: &Module, damage: &BTreeSet<FuncId>) -> BTreeSet<FuncId> {
-    use noelle_ir::inst::{Callee, Inst};
-    let mut out = damage.clone();
-    for fid in m.func_ids() {
-        let f = m.func(fid);
-        for &b in f.block_order() {
-            for &i in &f.block(b).insts {
-                if let Inst::Call {
-                    callee: Callee::Direct(cid),
-                    ..
-                } = f.inst(i)
-                {
-                    // Caller damaged: its callees' cross lists move.
-                    if damage.contains(&fid) {
-                        out.insert(*cid);
-                    }
-                    // Callee damaged: its callers' impure-call evidence
-                    // moves.
-                    if damage.contains(cid) {
-                        out.insert(fid);
-                    }
-                }
+        // closure, read from the manager's call index — still proportional
+        // to the edit, never the module.
+        let calls = n.direct_calls();
+        let mut scope = damage.clone();
+        for &fid in damage {
+            scope.extend(calls.callees_of(fid).chain(calls.callers_of(fid)));
+        }
+        let audit = run_audit_scoped(n, Some(&scope));
+        let hints = audit_findings(n.module(), &audit);
+        rebucket(funcs, n.module(), &scope, hints, finding_owner, |d| {
+            &mut d.audit
+        });
+        let plan = plan_from_audit(n, &audit, &PlanOptions::default());
+        let rows = plan.loops.iter().filter(|l| l.any_clean()).map(|l| {
+            // A weight is the loop's share among the loops planned
+            // *together*: a scoped re-plan cannot know the module-wide
+            // number, and a row carrying its own would disagree with a cold
+            // open of the same text. Stored rows carry none.
+            let mut row = l.to_json();
+            if let Json::Object(fields) = &mut row {
+                fields.remove("weight");
             }
+            row
+        });
+        rebucket(funcs, n.module(), &scope, rows.collect(), row_owner, |d| {
+            &mut d.plan
+        });
+        self.fresh = scope
+            .iter()
+            .map(|&fid| n.module().func(fid).name.clone())
+            .collect();
+        self.fresh.sort();
+        scope.len()
+    }
+
+    /// The records a payload covers: all of them, or the ones the last
+    /// relint re-derived. Name order either way.
+    fn records(&self, fresh_only: bool) -> Vec<(&String, &FuncDiag)> {
+        if fresh_only {
+            self.fresh.iter().map(|n| (n, &self.funcs[n])).collect()
+        } else {
+            self.funcs.iter().collect()
         }
     }
-    out
+
+    /// The merged lint findings in canonical order, by reference: the
+    /// records are in order among themselves, `global` is merged in.
+    fn report(&self) -> Vec<&Finding> {
+        let locals = self.funcs.values().flat_map(|d| &d.local);
+        let mut out: Vec<&Finding> = self.global.iter().chain(locals).collect();
+        out.sort_by(|a, b| canonical_order(a, b));
+        out.dedup();
+        out
+    }
 }
 
-/// Run the function-local passes over `funcs` and bucket the findings by
-/// function name, with an explicit empty bucket for every quiet function
-/// (so stale findings are cleared, not kept).
-fn bucket_local(n: &mut Noelle, funcs: &BTreeSet<FuncId>) -> BTreeMap<String, Vec<Finding>> {
-    let findings = run_local_checks(n, funcs);
-    let mut buckets: BTreeMap<String, Vec<Finding>> = funcs
-        .iter()
-        .map(|&fid| (n.module().func(fid).name.clone(), Vec::new()))
-        .collect();
-    for f in findings {
-        buckets
-            .get_mut(&f.loc.function)
-            .expect("scoped finding anchors in its scope")
-            .push(f);
-    }
-    buckets
+/// The `plan` member of a payload: `{function: [loop rows]}`.
+fn plan_json(records: &[(&String, &FuncDiag)]) -> Json {
+    Json::object(
+        records
+            .iter()
+            .map(|(name, d)| ((*name).clone(), Json::Array(d.plan.clone()))),
+    )
 }
 
-/// Run the parallelism auditor over `funcs` only and bucket the NL01xx
-/// findings by loop-owning function, with explicit empty buckets so a loop
-/// whose blockers were just resolved drops its stale hints. The same scoped
-/// audit also feeds the planner: the second map holds, per function, the
-/// per-candidate predicted-speedup rows of every loop with at least one
-/// clean technique (again with explicit empty buckets, so a loop that just
-/// lost its last clean verdict drops its stale plan hint).
-fn bucket_audit(
-    n: &mut Noelle,
-    funcs: &BTreeSet<FuncId>,
-) -> (BTreeMap<String, Vec<Finding>>, BTreeMap<String, Json>) {
-    let audit = run_audit_scoped(n, Some(funcs));
-    let findings = audit_findings(n.module(), &audit);
-    let mut buckets: BTreeMap<String, Vec<Finding>> = funcs
+fn finding_owner(f: &Finding) -> &str {
+    &f.loc.function
+}
+
+fn row_owner(row: &Json) -> &str {
+    let name = row.get("function").and_then(Json::as_str);
+    name.expect("a plan row names its function")
+}
+
+/// Replace one list of every record in `scope` with its share of `items`: a
+/// flat list in canonical order, each item owned by a function of `scope`. A
+/// function that owns nothing gets an empty list, so what it held before is
+/// cleared, not kept.
+fn rebucket<T>(
+    funcs: &mut BTreeMap<String, FuncDiag>,
+    m: &Module,
+    scope: &BTreeSet<FuncId>,
+    items: Vec<T>,
+    owner: impl Fn(&T) -> &str,
+    list: impl Fn(&mut FuncDiag) -> &mut Vec<T>,
+) {
+    let mut buckets: BTreeMap<&str, Vec<T>> = scope
         .iter()
-        .map(|&fid| (n.module().func(fid).name.clone(), Vec::new()))
+        .map(|&fid| (m.func(fid).name.as_str(), Vec::new()))
         .collect();
-    for f in findings {
+    for item in items {
         buckets
-            .get_mut(&f.loc.function)
-            .expect("audit finding anchors in an audited function")
-            .push(f);
+            .get_mut(owner(&item))
+            .expect("an item is owned by a function in scope")
+            .push(item);
     }
-    let plan = plan_from_audit(n, &audit, &PlanOptions::default());
-    let mut plan_rows: BTreeMap<String, Vec<Json>> = funcs
-        .iter()
-        .map(|&fid| (n.module().func(fid).name.clone(), Vec::new()))
-        .collect();
-    for l in plan.loops.iter().filter(|l| l.any_clean()) {
-        // A weight is the loop's share among the loops planned *together*:
-        // a scoped re-plan cannot know the module-wide number, and a row
-        // carrying its own would disagree with a cold open of the same
-        // text. Stored rows carry none.
-        let mut row = l.to_json();
-        if let Json::Object(fields) = &mut row {
-            fields.remove("weight");
-        }
-        plan_rows
-            .get_mut(&l.function)
-            .expect("planned loop anchors in an audited function")
-            .push(row);
+    for (name, bucket) in buckets {
+        *list(funcs.get_mut(name).expect("every function has a record")) = bucket;
     }
-    let plan_buckets = plan_rows
-        .into_iter()
-        .map(|(name, rows)| (name, Json::Array(rows)))
-        .collect();
-    (buckets, plan_buckets)
 }
 
 /// True when `new` has the same *shape* as `old`: same module name and
@@ -344,7 +356,11 @@ impl DocSession {
             counters: DocCounters::default(),
         };
         match parse_module_spanned(text) {
-            Ok((m, spans)) => s.good = Some(GoodState::cold(m, spans, tier)),
+            Ok((m, spans)) => {
+                let mut g = GoodState::new(m, spans, tier);
+                g.relint(&g.noelle.module().func_ids().collect());
+                s.good = Some(g);
+            }
             Err(e) => {
                 s.syntax_error = Some(e);
                 s.counters.parse_failures += 1;
@@ -398,15 +414,8 @@ impl DocSession {
     /// order — byte-identical (rendered) to a cold parse + lint of the
     /// last-good text.
     pub fn findings(&self) -> Vec<Finding> {
-        let Some(g) = &self.good else {
-            return Vec::new();
-        };
-        let mut out = g.global.clone();
-        for bucket in g.local.values() {
-            out.extend(bucket.iter().cloned());
-        }
-        sort_findings(&mut out);
-        out
+        let report = self.good.as_ref().map(GoodState::report);
+        report.into_iter().flatten().cloned().collect()
     }
 
     /// The parallelism-audit findings (NL01xx hint-severity diagnostics) of
@@ -414,82 +423,58 @@ impl DocSession {
     /// [`DocSession::findings`] so the lint report stays byte-identical to a
     /// cold `run_checks`.
     pub fn audit_findings(&self) -> Vec<Finding> {
-        let Some(g) = &self.good else {
-            return Vec::new();
-        };
-        let mut out: Vec<Finding> = g
-            .audit_local
-            .values()
-            .flat_map(|b| b.iter().cloned())
-            .collect();
-        sort_findings(&mut out);
-        out
+        let records = self.good.iter().flat_map(|g| g.funcs.values());
+        records.flat_map(|d| d.audit.iter().cloned()).collect()
     }
 
     /// Planner hints of the last-good analysis: `{function: [loop rows]}`,
     /// one row per loop with at least one clean technique (the per-candidate
     /// predicted-speedup table and the chosen winner).
     pub fn plan_hints(&self) -> Json {
-        let Some(g) = &self.good else {
-            return Json::object([]);
-        };
-        Json::object(g.plan_hints.iter().map(|(k, v)| (k.clone(), v.clone())))
-    }
-
-    /// The `syntax` member of both diagnostics payloads: `null`, or where
-    /// the current text stops parsing and why.
-    fn syntax_json(&self) -> Json {
-        self.syntax_error.as_ref().map_or(Json::Null, |e| {
-            Json::object([
-                ("line".to_string(), Json::Int(e.line as i64)),
-                ("column".to_string(), Json::Int(e.column as i64)),
-                ("message".to_string(), Json::Str(e.message.clone())),
-            ])
-        })
+        let g = self.good.as_ref();
+        plan_json(&g.map_or_else(Vec::new, |g| g.records(false)))
     }
 
     /// The `ide/diagnostics` payload: version, syntax status, the full lint
     /// report of the last-good analysis, the live parallelism-audit hints,
     /// and the planner hints — in the versioned reply envelope.
     pub fn diagnostics_json(&self) -> Json {
-        envelope(
-            "diagnostics",
-            Json::object([
-                ("version".to_string(), Json::Int(self.version as i64)),
-                ("syntax".to_string(), self.syntax_json()),
-                ("report".to_string(), render_json(&self.findings())),
-                ("audit".to_string(), render_json(&self.audit_findings())),
-                ("plan".to_string(), self.plan_hints()),
-            ]),
-        )
+        self.payload(false)
     }
 
     /// The push-style diagnostics carried by an `ide/change` reply: like
-    /// [`DocSession::diagnostics_json`], but the audit section holds only
-    /// the hints the *last* change re-derived (its audit closure; empty for
-    /// a metadata-only edit). The editor already holds everything older, so
-    /// pushing the whole module's hints per keystroke would make the reply
-    /// O(module); [`DocSession::diagnostics_json`] remains the full pull.
+    /// [`DocSession::diagnostics_json`], but the audit and plan sections
+    /// hold only what the *last* change re-derived (its audit closure;
+    /// nothing for a metadata-only edit). The editor already holds
+    /// everything older, so pushing the whole module's hints per keystroke
+    /// would make the reply O(module); [`DocSession::diagnostics_json`]
+    /// remains the full pull.
     pub fn push_diagnostics_json(&self) -> Json {
-        let mut fresh: Vec<Finding> = self.good.as_ref().map_or_else(Vec::new, |g| {
-            g.audit_fresh
-                .values()
-                .flat_map(|b| b.iter().cloned())
-                .collect()
+        self.payload(true)
+    }
+
+    /// Both diagnostics payloads, rendered from the stored findings by
+    /// reference: nothing is copied but the plan rows the reply owns.
+    fn payload(&self, fresh_only: bool) -> Json {
+        let g = self.good.as_ref();
+        let records = g.map_or_else(Vec::new, |g| g.records(fresh_only));
+        let syntax = self.syntax_error.as_ref().map_or(Json::Null, |e| {
+            Json::object([
+                ("line".to_string(), Json::Int(e.line as i64)),
+                ("column".to_string(), Json::Int(e.column as i64)),
+                ("message".to_string(), Json::Str(e.message.clone())),
+            ])
         });
-        sort_findings(&mut fresh);
-        let fresh_plan = self.good.as_ref().map_or_else(
-            || Json::object([]),
-            |g| Json::object(g.plan_fresh.iter().map(|(k, v)| (k.clone(), v.clone()))),
-        );
+        let report = g.map_or_else(Vec::new, GoodState::report);
+        let audit = records.iter().flat_map(|(_, d)| &d.audit);
         envelope(
             "diagnostics",
             Json::object([
                 ("version".to_string(), Json::Int(self.version as i64)),
-                ("syntax".to_string(), self.syntax_json()),
-                ("report".to_string(), render_json(&self.findings())),
-                ("audit".to_string(), render_json(&fresh)),
-                ("plan".to_string(), fresh_plan),
+                ("syntax".to_string(), syntax),
+                ("report".to_string(), render_json(report)),
+                ("audit".to_string(), render_json(audit)),
+                ("plan".to_string(), plan_json(&records)),
             ]),
         )
     }
@@ -511,20 +496,19 @@ impl DocSession {
                 self.version
             ));
         }
-        match change {
+        // The changed old-line window `[a, b]` (inclusive; `b < a` is a
+        // pure insertion) and the line-count delta, or `None` when the text
+        // stays as it is.
+        let window = match change {
             Change::Full(text) => {
-                self.counters.changes += 1;
                 let new_lines = split_lines(&text);
                 // Whole-text changes are diffed down to one changed window,
                 // so an editor that resends the document still repairs
                 // minimally.
-                let Some((a, b)) = changed_window(&self.lines, &new_lines) else {
-                    self.version = version; // identical text: version only
-                    return Ok(self.noop_outcome(version));
-                };
                 let delta = new_lines.len() as isize - self.lines.len() as isize;
+                let window = changed_window(&self.lines, &new_lines);
                 self.lines = new_lines;
-                Ok(self.repair(version, a, b, delta))
+                window.map(|(a, b)| (a, b, delta))
             }
             Change::Splice {
                 start_line,
@@ -537,74 +521,74 @@ impl DocSession {
                         self.lines.len()
                     ));
                 }
-                self.counters.changes += 1;
-                // Trim the splice to the lines that actually differ (a
-                // sloppy client window still repairs minimally), then apply
-                // it in place: the tail of the document *moves*, it is
-                // never copied — the document costs O(edit), not O(text).
-                let (mut s, mut e, mut repl) = (start_line, end_line, lines);
-                let mut p = 0;
-                while s < e && p < repl.len() && self.lines[s - 1] == repl[p] {
-                    s += 1;
-                    p += 1;
-                }
-                repl.drain(..p);
-                while e > s && !repl.is_empty() && self.lines[e - 2] == repl[repl.len() - 1] {
-                    e -= 1;
-                    repl.pop();
-                }
-                if s == e && repl.is_empty() {
-                    self.version = version; // no-op edit: version only
-                    return Ok(self.noop_outcome(version));
-                }
-                let delta = repl.len() as isize - (e - s) as isize;
-                // Inclusive old-line window; `b < a` encodes pure insertion.
-                let (a, b) = (s, e - 1);
-                self.lines.splice(s - 1..e - 1, repl);
-                Ok(self.repair(version, a, b, delta))
+                // One buffer element per real line, whatever the client
+                // sent: the parser counts lines by `'\n'`, and its spans
+                // index this buffer.
+                let real = lines.iter().flat_map(|l| l.split('\n'));
+                let mut repl: Vec<String> = real.map(str::to_string).collect();
+                let old = &self.lines[start_line - 1..end_line - 1];
+                let (old_len, delta) = (old.len(), repl.len() as isize - old.len() as isize);
+                // Apply only the lines that actually differ (a sloppy client
+                // window still repairs minimally), in place: the tail of the
+                // document *moves*, it is never copied — the document costs
+                // O(edit), not O(text).
+                changed_window(old, &repl).map(|(a, b)| {
+                    let differing = repl.drain(a - 1..repl.len() - (old_len - b));
+                    let at = start_line - 1;
+                    self.lines.splice(at + a - 1..at + b, differing);
+                    (at + a, at + b, delta)
+                })
             }
-        }
-    }
-
-    /// The outcome of a change that did not alter the text.
-    fn noop_outcome(&self, version: u64) -> ChangeOutcome {
-        ChangeOutcome {
-            version,
-            incremental: true,
-            changed_functions: Vec::new(),
-            relinted: 0,
-            syntax_error: self.syntax_error.clone(),
-        }
+        };
+        self.counters.changes += 1;
+        self.version = version;
+        Ok(match window {
+            None => ChangeOutcome::unchanged(version, true, self.syntax_error.clone()),
+            Some((a, b, delta)) => self.repair(a, b, delta),
+        })
     }
 
     /// Repair the analysis after `self.lines` took an edit whose changed
-    /// old-line window was `[a, b]` (inclusive; `b < a` is an insertion)
-    /// with line-count `delta`.
-    fn repair(&mut self, version: u64, a: usize, b: usize, delta: isize) -> ChangeOutcome {
+    /// old-line window was `[a, b]` with line-count `delta`.
+    fn repair(&mut self, a: usize, b: usize, delta: isize) -> ChangeOutcome {
         // The single-function path needs a good state whose spans describe
         // the pre-edit lines — i.e. the document parsed before this edit.
         if self.good.is_some() && self.syntax_error.is_none() {
-            if let Some(outcome) = self.try_incremental(version, a, b, delta) {
-                self.version = version;
+            if let Some(outcome) = self.try_incremental(a, b, delta) {
                 return outcome;
             }
         }
-        let outcome = self.full_reparse(version);
-        self.version = version;
-        outcome
+        self.full_reparse()
+    }
+
+    /// Relint what `damage` reports of the good state's manager — an edit's
+    /// commit, or every function of a new state — count it and name it.
+    fn apply(
+        &mut self,
+        incremental: bool,
+        damage: impl FnOnce(&mut Noelle) -> BTreeSet<FuncId>,
+    ) -> ChangeOutcome {
+        let g = self.good.as_mut().expect("there is a state to relint");
+        let damage = damage(&mut g.noelle);
+        let reaudited = g.relint(&damage);
+        self.counters.relinted_functions += damage.len() as u64;
+        self.counters.reaudited_functions += reaudited as u64;
+        let module = g.noelle.module();
+        let names = damage.iter().map(|&d| module.func(d).name.clone());
+        ChangeOutcome {
+            version: self.version,
+            incremental,
+            changed_functions: names.collect(),
+            relinted: damage.len(),
+            syntax_error: None,
+        }
     }
 
     /// The diff-parse fast path: if the changed line window is confined to
     /// one function's span, re-parse just that snippet. `None` means "take
     /// the full-reparse path" (window not confined, snippet failed, or the
     /// function was renamed). `self.lines` already holds the new text.
-    fn try_incremental(
-        &mut self,
-        version: u64,
-        a: usize,
-        b: usize,
-        delta: isize,
-    ) -> Option<ChangeOutcome> {
+    fn try_incremental(&mut self, a: usize, b: usize, delta: isize) -> Option<ChangeOutcome> {
         // An empty window (pure insertion between old lines a-1 and a) must
         // sit strictly inside a span; a non-empty window must be covered.
         let (lo, hi) = if b < a { (a - 1, a) } else { (a, b) };
@@ -638,111 +622,49 @@ impl DocSession {
         if f.content_fingerprint() == g.noelle.module().func(fid).content_fingerprint() {
             // Comment/whitespace-only: no semantic change, nothing to
             // re-lint.
-            return Some(ChangeOutcome {
-                version,
-                incremental: true,
-                changed_functions: Vec::new(),
-                relinted: 0,
-                syntax_error: None,
-            });
+            return Some(ChangeOutcome::unchanged(self.version, true, None));
         }
-        let ((), damage) = g.noelle.edit_with_damage(|tx| {
-            *tx.func_mut(fid) = f;
-        });
-        let reaudited = g.relint(&damage);
-        self.counters.relinted_functions += damage.len() as u64;
-        self.counters.reaudited_functions += reaudited as u64;
-        let changed_functions = damage
-            .iter()
-            .map(|&d| g.noelle.module().func(d).name.clone())
-            .collect();
-        Some(ChangeOutcome {
-            version,
-            incremental: true,
-            changed_functions,
-            relinted: damage.len(),
-            syntax_error: None,
-        })
+        Some(self.apply(true, |n| n.edit_with_damage(|tx| *tx.func_mut(fid) = f).1))
     }
 
     /// The whole-text path: re-parse everything; apply shape-preserving
     /// results as in-place function swaps, rebuild from cold otherwise, and
     /// degrade to last-good on a parse error.
-    fn full_reparse(&mut self, version: u64) -> ChangeOutcome {
+    fn full_reparse(&mut self) -> ChangeOutcome {
         let text = self.lines.join("\n");
-        match parse_module_spanned(&text) {
+        let (mut m, spans) = match parse_module_spanned(&text) {
+            Ok(parsed) => parsed,
             Err(e) => {
                 self.counters.parse_failures += 1;
                 self.syntax_error = Some(e.clone());
-                ChangeOutcome {
-                    version,
-                    incremental: false,
-                    changed_functions: Vec::new(),
-                    relinted: 0,
-                    syntax_error: Some(e),
-                }
+                return ChangeOutcome::unchanged(self.version, false, Some(e));
             }
-            Ok((mut m, spans)) => {
-                self.counters.full_reparses += 1;
-                self.syntax_error = None;
-                let reusable = self
-                    .good
-                    .as_ref()
-                    .is_some_and(|g| same_shape(g.noelle.module(), &m));
-                if reusable {
-                    let g = self.good.as_mut().expect("checked");
-                    let swap: Vec<FuncId> = g
-                        .noelle
-                        .module()
-                        .func_ids()
-                        .filter(|&fid| {
-                            g.noelle.module().func(fid).content_fingerprint()
-                                != m.func(fid).content_fingerprint()
-                        })
-                        .collect();
-                    g.spans = spans;
-                    if swap.is_empty() {
-                        return ChangeOutcome {
-                            version,
-                            incremental: false,
-                            changed_functions: Vec::new(),
-                            relinted: 0,
-                            syntax_error: None,
-                        };
-                    }
-                    let ((), damage) = g.noelle.edit_with_damage(|tx| {
-                        for &fid in &swap {
-                            std::mem::swap(tx.func_mut(fid), m.func_mut(fid));
-                        }
-                    });
-                    let reaudited = g.relint(&damage);
-                    self.counters.relinted_functions += damage.len() as u64;
-                    self.counters.reaudited_functions += reaudited as u64;
-                    let changed_functions = damage
-                        .iter()
-                        .map(|&d| g.noelle.module().func(d).name.clone())
-                        .collect();
-                    ChangeOutcome {
-                        version,
-                        incremental: false,
-                        changed_functions,
-                        relinted: damage.len(),
-                        syntax_error: None,
-                    }
-                } else {
-                    let changed_functions = m.functions().iter().map(|f| f.name.clone()).collect();
-                    let relinted = m.functions().len();
-                    self.good = Some(GoodState::cold(m, spans, self.tier));
-                    self.counters.relinted_functions += relinted as u64;
-                    self.counters.reaudited_functions += relinted as u64;
-                    ChangeOutcome {
-                        version,
-                        incremental: false,
-                        changed_functions,
-                        relinted,
-                        syntax_error: None,
-                    }
+        };
+        self.counters.full_reparses += 1;
+        self.syntax_error = None;
+        match &mut self.good {
+            Some(g) if same_shape(g.noelle.module(), &m) => {
+                let old = g.noelle.module();
+                let swap: Vec<FuncId> = old
+                    .func_ids()
+                    .filter(|&fid| {
+                        old.func(fid).content_fingerprint() != m.func(fid).content_fingerprint()
+                    })
+                    .collect();
+                g.spans = spans;
+                if swap.is_empty() {
+                    return ChangeOutcome::unchanged(self.version, false, None);
                 }
+                let commit = |tx: &mut EditTx<'_>| {
+                    for &fid in &swap {
+                        std::mem::swap(tx.func_mut(fid), m.func_mut(fid));
+                    }
+                };
+                self.apply(false, |n| n.edit_with_damage(commit).1)
+            }
+            _ => {
+                self.good = Some(GoodState::new(m, spans, self.tier));
+                self.apply(false, |n| n.module().func_ids().collect())
             }
         }
     }
@@ -1077,5 +999,59 @@ entry:\n\
         let out = s.change(2, Change::Full(renamed)).expect("accepted");
         assert!(!out.incremental, "rename rewrites the symbol table");
         assert_matches_cold(&s);
+    }
+
+    #[test]
+    fn a_spliced_line_holding_newlines_is_as_many_lines() {
+        let splice = |start_line, lines: &[&str]| Change::Splice {
+            start_line,
+            end_line: start_line + 1,
+            lines: lines.iter().map(|l| l.to_string()).collect(),
+        };
+        let mut glued = DocSession::open("d", SRC, AliasTier::Basic);
+        let mut apart = DocSession::open("d", SRC, AliasTier::Basic);
+        glued
+            .change(2, splice(2, &["global @g : i64 = i64 1\n\n"]))
+            .expect("valid change");
+        apart
+            .change(2, splice(2, &["global @g : i64 = i64 1", "", ""]))
+            .expect("valid change");
+        let cold = DocSession::open("d", &glued.text(), AliasTier::Basic);
+        for other in [&apart, &cold] {
+            assert_eq!(glued.text(), other.text());
+            assert_eq!(glued.spans(), other.spans());
+            assert_eq!(glued.findings(), other.findings());
+        }
+        // With one buffer element holding three lines, the buffer's line 13
+        // was `@twice`'s closing brace and this was a whitespace edit of it;
+        // the snippet path then sliced the 14-element buffer with the
+        // parser's (real) line 15. Now line 13 is `%dead` and the text stops
+        // parsing: either way the session must answer.
+        let out = glued.change(3, splice(13, &["}  "])).expect("a reply");
+        assert!(out.syntax_error.is_some());
+        let out = glued
+            .change(4, splice(13, &["  %dead = add i64 %x, i64 1"]))
+            .expect("a reply");
+        assert!(out.syntax_error.is_none());
+        let out = glued
+            .change(5, splice(13, &["  %dead = add i64 %x, i64 2"]))
+            .expect("a reply");
+        assert!(out.incremental, "a body edit inside @twice is a snippet");
+        assert_eq!(out.changed_functions, ["twice"]);
+        assert_matches_cold(&glued);
+        // A window resent with unchanged lines behind it — here through the
+        // end of the module — is trimmed to the line that differs, which
+        // lies inside @twice.
+        let window = ["  %dead = add i64 %x, i64 3", "ret %b", "}", "}"];
+        let resent = Change::Splice {
+            start_line: 13,
+            end_line: 17,
+            lines: window.iter().map(|l| l.to_string()).collect(),
+        };
+        let before = glued.text();
+        let out = glued.change(6, resent).expect("a reply");
+        assert!(out.incremental, "trimmed to one span");
+        assert_eq!(glued.text(), before.replace("i64 2", "i64 3"));
+        assert_matches_cold(&glued);
     }
 }

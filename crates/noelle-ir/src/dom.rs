@@ -177,31 +177,6 @@ impl DomTree {
     pub fn root(&self) -> BlockId {
         self.core.root
     }
-
-    /// Dominance frontier of every reachable block (Cooper–Harvey–Kennedy).
-    pub fn dominance_frontier(&self, cfg: &Cfg) -> HashMap<BlockId, HashSet<BlockId>> {
-        let mut df: HashMap<BlockId, HashSet<BlockId>> = HashMap::new();
-        for &b in &cfg.rpo {
-            let preds = cfg.preds(b);
-            if preds.len() < 2 {
-                continue;
-            }
-            for &p in preds {
-                if !cfg.is_reachable(p) {
-                    continue;
-                }
-                let mut runner = p;
-                while self.idom(b) != Some(runner) {
-                    df.entry(runner).or_default().insert(b);
-                    match self.idom(runner) {
-                        Some(next) => runner = next,
-                        None => break,
-                    }
-                }
-            }
-        }
-        df
-    }
 }
 
 /// The post-dominator tree of a function's CFG.
@@ -328,11 +303,6 @@ impl PostDomTree {
     /// True if `a` post-dominates `b` (reflexive).
     pub fn postdominates(&self, a: BlockId, b: BlockId) -> bool {
         self.core.dominates(a, b)
-    }
-
-    /// True if `a` strictly post-dominates `b`.
-    pub fn strictly_postdominates(&self, a: BlockId, b: BlockId) -> bool {
-        a != b && self.postdominates(a, b)
     }
 
     /// Blocks attached directly to the virtual exit.

@@ -663,28 +663,6 @@ impl Inst {
             Inst::Store { .. } | Inst::Call { .. } | Inst::Term(_) | Inst::Alloca { .. }
         )
     }
-
-    /// Short opcode name for diagnostics and profiles.
-    pub fn opcode_name(&self) -> &'static str {
-        match self {
-            Inst::Alloca { .. } => "alloca",
-            Inst::Load { .. } => "load",
-            Inst::Store { .. } => "store",
-            Inst::Gep { .. } => "gep",
-            Inst::Bin { op, .. } => op.mnemonic(),
-            Inst::Icmp { .. } => "icmp",
-            Inst::Fcmp { .. } => "fcmp",
-            Inst::Cast { op, .. } => op.mnemonic(),
-            Inst::Select { .. } => "select",
-            Inst::Phi { .. } => "phi",
-            Inst::Call { .. } => "call",
-            Inst::Term(Terminator::Ret(_)) => "ret",
-            Inst::Term(Terminator::Br(_)) => "br",
-            Inst::Term(Terminator::CondBr { .. }) => "condbr",
-            Inst::Term(Terminator::Switch { .. }) => "switch",
-            Inst::Term(Terminator::Unreachable) => "unreachable",
-        }
-    }
 }
 
 /// Result *pointee* type of a GEP with the given base pointee type and

@@ -177,21 +177,9 @@ impl Function {
         &self.layout
     }
 
-    /// Reorder blocks for printing; `order` must be a permutation of the
-    /// current layout.
-    pub fn set_block_order(&mut self, order: Vec<BlockId>) {
-        debug_assert_eq!(order.len(), self.layout.len());
-        self.layout = order;
-    }
-
     /// Access a block.
     pub fn block(&self, id: BlockId) -> &BasicBlock {
         &self.blocks[id.index()]
-    }
-
-    /// Mutable access to a block.
-    pub fn block_mut(&mut self, id: BlockId) -> &mut BasicBlock {
-        &mut self.blocks[id.index()]
     }
 
     /// Number of blocks ever created (including detached ones).
@@ -527,11 +515,6 @@ impl Module {
     /// Access a global.
     pub fn global(&self, id: GlobalId) -> &Global {
         &self.globals[id.index()]
-    }
-
-    /// Mutable access to a global.
-    pub fn global_mut(&mut self, id: GlobalId) -> &mut Global {
-        &mut self.globals[id.index()]
     }
 
     /// All function ids.

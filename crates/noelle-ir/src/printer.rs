@@ -54,13 +54,6 @@ pub fn print_module(m: &Module) -> String {
     p.out
 }
 
-/// Print one function (definition or declaration).
-pub fn print_function(m: &Module, f: &Function) -> String {
-    let mut p = Printer::new(m);
-    p.function(f);
-    p.out
-}
-
 /// Table entry of something without a printable name: an instruction with
 /// no result, or a block or instruction the layout does not reach.
 const UNNAMED: u32 = u32::MAX;

@@ -100,11 +100,6 @@ impl Value {
         Value::Const(Constant::Int(v, IntWidth::I64))
     }
 
-    /// Convenience constructor for an `i32` constant value.
-    pub fn const_i32(v: i32) -> Value {
-        Value::Const(Constant::Int(v as i64, IntWidth::I32))
-    }
-
     /// Convenience constructor for an `i1` constant value.
     pub fn const_bool(v: bool) -> Value {
         Value::Const(Constant::bool(v))

@@ -21,7 +21,7 @@ use noelle_core::audit::{
     Technique, TechniqueAudit,
 };
 use noelle_core::loop_abs::LoopAbstraction;
-use noelle_core::noelle::{Abstraction, Noelle};
+use noelle_core::noelle::{Abstraction, CallEdges, Noelle};
 use noelle_ir::inst::{Callee, Inst, InstId};
 use noelle_ir::module::{FuncId, Module};
 use noelle_ir::value::Value;
@@ -68,10 +68,6 @@ pub fn run_audit_scoped(n: &mut Noelle, only: Option<&BTreeSet<FuncId>>) -> Modu
     let modref = n.modref_summaries();
     // The attribution below reads the solved rows.
     let _ = n.points_to();
-    // One module scan up front: callee -> direct call sites. Attribution
-    // consults this per blocker; scanning the module per blocker instead
-    // would make the scoped re-audit O(module), not O(edit).
-    let call_sites = call_site_index(n.module());
     let mut fids: Vec<(String, FuncId)> = n
         .module()
         .func_ids()
@@ -91,7 +87,7 @@ pub fn run_audit_scoped(n: &mut Noelle, only: Option<&BTreeSet<FuncId>>) -> Modu
             // The dependence-level blockers are shared by all three verdicts.
             let mut carried = carried_dep_blockers(m, &la, &modref);
             for b in &mut carried {
-                enrich(m, fid, b, anders, &modref, &call_sites);
+                enrich(m, fid, b, anders, &modref, n.direct_calls());
             }
             let verdicts = Technique::all()
                 .into_iter()
@@ -323,33 +319,13 @@ fn cyclic_scc_blockers(
 /// objects behind the failed alias query, the call sites whose actuals
 /// carry the conflicting pointer into this function, and the callee-side
 /// memory accesses behind an impure call.
-/// Every direct call site in the module, indexed by callee.
-fn call_site_index(m: &Module) -> BTreeMap<FuncId, Vec<(FuncId, InstId)>> {
-    let mut idx: BTreeMap<FuncId, Vec<(FuncId, InstId)>> = BTreeMap::new();
-    for caller in m.func_ids() {
-        let cf = m.func(caller);
-        for &bl in cf.block_order() {
-            for &ci in &cf.block(bl).insts {
-                if let Inst::Call {
-                    callee: Callee::Direct(cid),
-                    ..
-                } = cf.inst(ci)
-                {
-                    idx.entry(*cid).or_default().push((caller, ci));
-                }
-            }
-        }
-    }
-    idx
-}
-
 fn enrich(
     m: &Module,
     fid: FuncId,
     b: &mut Blocker,
     anders: &AndersenAlias,
     modref: &ModRefSummaries,
-    call_sites: &BTreeMap<FuncId, Vec<(FuncId, InstId)>>,
+    calls: &CallEdges,
 ) {
     let f = m.func(fid);
     let mut objects: BTreeSet<String> = BTreeSet::new();
@@ -385,13 +361,26 @@ fn enrich(
         }
     }
     // The conflicting pointer arrives through a parameter: attribute the
-    // call sites whose actuals feed it.
+    // call sites whose actuals feed it — callers ascending, each body in
+    // layout order, so which sites survive the cap does not depend on who
+    // asks. Only the callers' bodies are walked, never the module.
     if via_args {
-        for &(caller, ci) in call_sites.get(&fid).into_iter().flatten() {
-            if cross.len() >= MAX_ATTRIBUTION {
-                break;
+        'sites: for caller in calls.callers_of(fid) {
+            let cf = m.func(caller);
+            for &ci in cf.block_order().iter().flat_map(|&bl| &cf.block(bl).insts) {
+                if cross.len() >= MAX_ATTRIBUTION {
+                    break 'sites;
+                }
+                match cf.inst(ci) {
+                    Inst::Call {
+                        callee: Callee::Direct(cid),
+                        ..
+                    } if *cid == fid => {
+                        cross.insert((caller, ci));
+                    }
+                    _ => {}
+                }
             }
-            cross.insert((caller, ci));
         }
     }
     b.objects = objects.into_iter().take(MAX_ATTRIBUTION).collect();

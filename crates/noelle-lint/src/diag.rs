@@ -5,7 +5,7 @@
 use noelle_core::json::Json;
 use noelle_ir::inst::InstId;
 use noelle_ir::module::{FuncId, Module};
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
 use std::fmt;
 
 /// How serious a finding is. Only `Error` findings make `noelle-lint` exit
@@ -109,23 +109,26 @@ impl Finding {
     }
 }
 
-/// Sort findings into the canonical order and drop exact duplicates.
+/// The canonical order of findings, for callers that order *references*
+/// (the IDE merges per-function buckets without copying them).
 ///
-/// The comparator is a *total* order over every field: two findings equal in
-/// (key, message) but differing in severity or related locations must still
-/// land in a fixed relative order, or the final byte stream would depend on
-/// the arrival order — which, under parallel PDG partition repair, is
-/// whatever the thread pool produced first. Totality also makes `dedup`
-/// reliable: equal findings are always adjacent.
+/// A *total* order over every field: two findings equal in (key, message)
+/// but differing in severity or related locations must still land in a
+/// fixed relative order, or the final byte stream would depend on the
+/// arrival order. Totality also makes `dedup` reliable: equal findings are
+/// always adjacent.
+pub fn canonical_order(a: &Finding, b: &Finding) -> Ordering {
+    a.key()
+        .cmp(&b.key())
+        .then_with(|| a.message.cmp(&b.message))
+        .then_with(|| a.severity.cmp(&b.severity))
+        .then_with(|| a.related.cmp(&b.related))
+        .then_with(|| a.loc.cmp(&b.loc))
+}
+
+/// Sort findings into [`canonical_order`] and drop exact duplicates.
 pub fn sort_findings(findings: &mut Vec<Finding>) {
-    findings.sort_by(|a, b| {
-        a.key()
-            .cmp(&b.key())
-            .then_with(|| a.message.cmp(&b.message))
-            .then_with(|| a.severity.cmp(&b.severity))
-            .then_with(|| a.related.cmp(&b.related))
-            .then_with(|| a.loc.cmp(&b.loc))
-    });
+    findings.sort_by(canonical_order);
     findings.dedup();
 }
 
@@ -166,34 +169,28 @@ pub fn render_text(findings: &[Finding]) -> String {
 /// Render findings as a JSON document. Findings must already be sorted; the
 /// output is then byte-identical across runs (object keys are BTreeMap-ordered
 /// and the findings array preserves the canonical order).
-pub fn render_json(findings: &[Finding]) -> Json {
-    let mut by_severity: BTreeMap<&str, i64> = BTreeMap::new();
-    for f in findings {
-        *by_severity.entry(f.severity.as_str()).or_insert(0) += 1;
-    }
+pub fn render_json<'a>(findings: impl IntoIterator<Item = &'a Finding>) -> Json {
+    // Indexed by `Severity as usize`.
+    let mut by_severity = [0i64; 3];
+    let rendered: Vec<Json> = findings
+        .into_iter()
+        .map(|f| {
+            by_severity[f.severity as usize] += 1;
+            f.to_json()
+        })
+        .collect();
+    let count = |s: Severity| Json::Int(by_severity[s as usize]);
     Json::object(vec![
-        (
-            "findings".to_string(),
-            Json::Array(findings.iter().map(|f| f.to_json()).collect()),
-        ),
         (
             "summary".to_string(),
             Json::object(vec![
-                ("total".to_string(), Json::Int(findings.len() as i64)),
-                (
-                    "errors".to_string(),
-                    Json::Int(by_severity.get("error").copied().unwrap_or(0)),
-                ),
-                (
-                    "warnings".to_string(),
-                    Json::Int(by_severity.get("warning").copied().unwrap_or(0)),
-                ),
-                (
-                    "hints".to_string(),
-                    Json::Int(by_severity.get("hint").copied().unwrap_or(0)),
-                ),
+                ("total".to_string(), Json::Int(rendered.len() as i64)),
+                ("errors".to_string(), count(Severity::Error)),
+                ("warnings".to_string(), count(Severity::Warning)),
+                ("hints".to_string(), count(Severity::Hint)),
             ]),
         ),
+        ("findings".to_string(), Json::Array(rendered)),
     ])
 }
 

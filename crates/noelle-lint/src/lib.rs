@@ -24,7 +24,9 @@ pub mod passes;
 pub mod races;
 
 pub use audit::{audit_code, audit_findings, run_audit, run_audit_scoped};
-pub use diag::{has_errors, render_json, render_text, sort_findings, Finding, IrLoc, Severity};
+pub use diag::{
+    canonical_order, has_errors, render_json, render_text, sort_findings, Finding, IrLoc, Severity,
+};
 pub use framework::{
     check_usage, passes, run_checks, run_global_checks, run_local_checks, LintPass,
 };

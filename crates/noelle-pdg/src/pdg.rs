@@ -111,11 +111,6 @@ impl<'a> PdgBuilder<'a> {
         &self.modref
     }
 
-    /// A shareable handle on the mod/ref summaries.
-    pub fn modref_arc(&self) -> Arc<ModRefSummaries> {
-        Arc::clone(&self.modref)
-    }
-
     /// Build the whole-program PDG: one independent graph per defined
     /// function.
     pub fn program_pdg(&self) -> ProgramPdg {
@@ -610,17 +605,6 @@ pub struct DepStats {
     pub total_pairs: usize,
     /// Pairs proven independent (alias result `No`).
     pub disproved: usize,
-}
-
-impl DepStats {
-    /// Fraction of pairs disproved, in `[0, 1]`.
-    pub fn disproved_fraction(&self) -> f64 {
-        if self.total_pairs == 0 {
-            0.0
-        } else {
-            self.disproved as f64 / self.total_pairs as f64
-        }
-    }
 }
 
 /// Compute Figure 3 statistics for `m` under `alias`.

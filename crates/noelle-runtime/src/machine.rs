@@ -124,14 +124,6 @@ impl RunResult {
             _ => None,
         }
     }
-
-    /// The return value as a float, when present.
-    pub fn ret_f64(&self) -> Option<f64> {
-        match self.ret {
-            Some(RtVal::F(v)) => Some(v),
-            _ => None,
-        }
-    }
 }
 
 #[derive(Debug)]

@@ -115,42 +115,6 @@ impl Client {
         })
     }
 
-    /// Send a request and return the raw reply frame text, verifying only
-    /// that it is an `ok` reply. No `Json` tree is built — the choice of a
-    /// throughput-sensitive caller that doesn't need the payload, where
-    /// parsing a multi-kilobyte reply costs more than the server spent
-    /// producing it.
-    ///
-    /// # Errors
-    /// IO/framing failures, premature close, and non-`ok` replies surface
-    /// as `io::Error`.
-    pub fn call_text(&mut self, method: &str, params: Json) -> io::Result<String> {
-        self.next_id += 1;
-        let req = Request {
-            id: self.next_id,
-            method: method.to_string(),
-            params,
-            deadline_ms: None,
-            v: Some(PROTOCOL_VERSION),
-        };
-        write_frame(&mut self.stream, &req.to_json())?;
-        let text = read_frame_text(&mut self.reader)?.ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "connection closed before reply",
-            )
-        })?;
-        // Replies serialize object keys in order, so an `ok` reply is
-        // exactly `{"id":<id>,"ok":...` and an error starts `{"error":...`.
-        let body = text.strip_prefix("{\"id\":").unwrap_or("");
-        let body = body.trim_start_matches(|c: char| c.is_ascii_digit() || c == '-');
-        if body.starts_with(",\"ok\":") {
-            Ok(text)
-        } else {
-            Err(io::Error::other(text))
-        }
-    }
-
     /// Send a request and return just the `ok` payload, turning protocol
     /// errors into `io::Error`.
     ///

@@ -152,13 +152,7 @@ impl IdeState {
     fn totals(&self) -> DocCounters {
         let mut t = *self.retired.lock().expect("ide retired lock");
         for d in self.docs.lock().expect("ide doc table lock").values() {
-            let c = d.counters();
-            t.changes += c.changes;
-            t.incremental_reparses += c.incremental_reparses;
-            t.full_reparses += c.full_reparses;
-            t.parse_failures += c.parse_failures;
-            t.relinted_functions += c.relinted_functions;
-            t.reaudited_functions += c.reaudited_functions;
+            t += d.counters();
         }
         t
     }
@@ -889,53 +883,60 @@ pub fn run_request_text(state: &Arc<ServerState>, req: &Request) -> String {
     }
 }
 
-/// [`run_request_text`] returning the parsed reply value (for embedders
-/// and tests that inspect replies structurally).
-pub fn run_request(state: &Arc<ServerState>, req: &Request) -> Json {
-    Json::parse(&run_request_text(state, req)).expect("replies are valid JSON")
-}
-
 type MethodResult = Result<Body, (ErrorCode, String)>;
 
 fn bad(msg: impl Into<String>) -> (ErrorCode, String) {
     (ErrorCode::BadRequest, msg.into())
 }
 
+fn internal(msg: impl Into<String>) -> (ErrorCode, String) {
+    (ErrorCode::Internal, msg.into())
+}
+
 fn param_str<'a>(req: &'a Request, key: &str) -> Option<&'a str> {
     req.params.get(key).and_then(Json::as_str)
 }
 
-fn load_module(path: &str) -> Result<Module, String> {
+/// The largest `workload:scale:N` a client may ask for: the size the daemon
+/// is designed for (DESIGN §12). The module is built in this process.
+const MAX_SCALE_FUNCTIONS: usize = 100_000;
+
+fn load_module(path: &str) -> Result<Module, (ErrorCode, String)> {
     // `workload:scale:N` builds the synthetic compilation-scale module with
     // N defined functions (deterministic), so benches and smoke tests can
     // exercise daemon behavior at sizes the bundled corpus does not reach.
     if let Some(n) = path.strip_prefix("workload:scale:") {
         let n: usize = n
             .parse()
-            .map_err(|_| format!("bad scale size '{n}' (expected a function count)"))?;
+            .map_err(|_| internal(format!("bad scale size '{n}' (expected a function count)")))?;
+        if n > MAX_SCALE_FUNCTIONS {
+            return Err(bad(format!(
+                "scale size {n} exceeds the limit of {MAX_SCALE_FUNCTIONS} functions"
+            )));
+        }
         return Ok(noelle_workloads::scale_module(n, 42));
     }
     if let Some(name) = path.strip_prefix("workload:") {
         return noelle_workloads::by_name(name)
             .map(|w| w.build())
-            .ok_or_else(|| format!("unknown workload '{name}'"));
+            .ok_or_else(|| internal(format!("unknown workload '{name}'")));
     }
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    noelle_ir::parser::parse_module(&text).map_err(|e| format!("{path}: {e}"))
+    let text = std::fs::read_to_string(path).map_err(|e| internal(format!("{path}: {e}")))?;
+    noelle_ir::parser::parse_module(&text).map_err(|e| internal(format!("{path}: {e}")))
 }
 
 /// Resolve the *text* a document opens with: inline `text`, or a `path`
 /// (file, `workload:NAME`, `workload:scale:N`) printed to `.nir` source so
 /// the IDE session always edits real text.
-fn load_document_text(req: &Request) -> Result<String, String> {
+fn load_document_text(req: &Request) -> Result<String, (ErrorCode, String)> {
     if let Some(text) = param_str(req, "text") {
         return Ok(text.to_string());
     }
-    let path = param_str(req, "path").ok_or("need 'text' or 'path'")?;
+    let path = param_str(req, "path").ok_or_else(|| internal("need 'text' or 'path'"))?;
     if path.starts_with("workload:") {
         return Ok(noelle_ir::printer::print_module(&load_module(path)?));
     }
-    std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))
+    std::fs::read_to_string(path).map_err(|e| internal(format!("{path}: {e}")))
 }
 
 /// The tier an IDE document analyzes under. Unlike `load`, the default is
@@ -1094,7 +1095,7 @@ fn dispatch(state: &Arc<ServerState>, req: &Request) -> MethodResult {
                 "full" => AliasTier::Full,
                 other => return Err(bad(format!("unknown tier '{other}'"))),
             };
-            let m = load_module(path).map_err(|e| (ErrorCode::Internal, e))?;
+            let m = load_module(path)?;
             // TCP connections inject a generated name before routing; the
             // fallback covers stdio mode and direct embedders.
             let name = match param_str(req, "session") {
@@ -1229,7 +1230,7 @@ fn dispatch(state: &Arc<ServerState>, req: &Request) -> MethodResult {
             // the epoch under the build lock so no stale cached reply text
             // survives the mutation.
             s.bump_epoch();
-            let summary = summary.map_err(|e| (ErrorCode::Internal, e))?;
+            let summary = summary.map_err(internal)?;
             let requested = n
                 .requested()
                 .iter()
@@ -1290,7 +1291,7 @@ fn dispatch(state: &Arc<ServerState>, req: &Request) -> MethodResult {
         }
         "ide/open" => {
             let tier = ide_tier(req)?;
-            let text = load_document_text(req).map_err(|e| (ErrorCode::Internal, e))?;
+            let text = load_document_text(req)?;
             let name = match param_str(req, "doc") {
                 Some(d) => d.to_string(),
                 None => format!(
@@ -1373,15 +1374,7 @@ fn dispatch(state: &Arc<ServerState>, req: &Request) -> MethodResult {
                 .remove(name)
                 .ok_or_else(|| (ErrorCode::NoSession, format!("no open document '{name}'")))?;
             let c = doc.counters();
-            {
-                let mut retired = state.ide.retired.lock().expect("ide retired lock");
-                retired.changes += c.changes;
-                retired.incremental_reparses += c.incremental_reparses;
-                retired.full_reparses += c.full_reparses;
-                retired.parse_failures += c.parse_failures;
-                retired.relinted_functions += c.relinted_functions;
-                retired.reaudited_functions += c.reaudited_functions;
-            }
+            *state.ide.retired.lock().expect("ide retired lock") += c;
             state.ide.closes.fetch_add(1, Ordering::Relaxed);
             Ok(Body::Value(Json::object([
                 ("doc".to_string(), Json::Str(name.to_string())),

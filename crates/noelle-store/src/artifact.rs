@@ -1,12 +1,11 @@
 //! Typed encode/decode for each artifact kind.
 //!
 //! Thin shims over the codecs that live next to each data structure
-//! (`DepGraph` in noelle-pdg, points-to rows in noelle-analysis, loop
-//! forests in noelle-ir): this module only fixes the node numbering and
-//! gives the store one `validate` entry point per kind for fsck/compact.
+//! (`DepGraph` in noelle-pdg, loop forests in noelle-ir): this module only
+//! fixes the node numbering and gives the store one `validate` entry point
+//! per kind for fsck/compact.
 
 use crate::key::ArtifactKind;
-use noelle_analysis::alias::{decode_rows, encode_rows, PointsToRows};
 use noelle_ir::bytes::DecodeError;
 use noelle_ir::inst::InstId;
 use noelle_ir::loops::LoopForest;
@@ -29,19 +28,6 @@ pub fn decode_partition(bytes: &[u8]) -> Result<DepGraph<InstId>, DecodeError> {
     })
 }
 
-/// Encode one function's points-to rows.
-pub fn encode_points_to(rows: &PointsToRows) -> Vec<u8> {
-    encode_rows(rows)
-}
-
-/// Decode points-to rows.
-///
-/// # Errors
-/// Any malformed input is a [`DecodeError`] — the store treats it as a miss.
-pub fn decode_points_to(bytes: &[u8]) -> Result<PointsToRows, DecodeError> {
-    decode_rows(bytes)
-}
-
 /// Encode one function's loop forest.
 pub fn encode_forest(forest: &LoopForest) -> Vec<u8> {
     forest.encode()
@@ -60,7 +46,6 @@ pub fn decode_forest(bytes: &[u8]) -> Result<LoopForest, DecodeError> {
 pub fn validate(kind: ArtifactKind, payload: &[u8]) -> bool {
     match kind {
         ArtifactKind::PdgPartition => decode_partition(payload).is_ok(),
-        ArtifactKind::PointsToRows => decode_points_to(payload).is_ok(),
         ArtifactKind::LoopForest => decode_forest(payload).is_ok(),
     }
 }

@@ -14,7 +14,7 @@ use std::hash::{Hash, Hasher};
 /// previously written entries (they become unreferenced garbage for
 /// `compact` to drop) instead of requiring a migration. Bump whenever an
 /// artifact encoding or the key derivation itself changes.
-pub const STORE_REVISION: u32 = 1;
+pub const STORE_REVISION: u32 = 2;
 
 /// What kind of artifact a payload decodes as.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -22,18 +22,16 @@ pub const STORE_REVISION: u32 = 1;
 pub enum ArtifactKind {
     /// One function's PDG partition (`DepGraph<InstId>`), interprocedural.
     PdgPartition = 1,
-    /// One function's canonicalized Andersen points-to rows.
-    PointsToRows = 2,
     /// One function's natural-loop forest, function-local.
     LoopForest = 3,
 }
 
 impl ArtifactKind {
-    /// Decode the on-disk tag byte.
+    /// Decode the on-disk tag byte. Tag `2` stays reserved: revision-1
+    /// stores wrote points-to rows under it.
     pub fn from_tag(tag: u8) -> Option<ArtifactKind> {
         match tag {
             1 => Some(ArtifactKind::PdgPartition),
-            2 => Some(ArtifactKind::PointsToRows),
             3 => Some(ArtifactKind::LoopForest),
             _ => None,
         }
@@ -43,7 +41,6 @@ impl ArtifactKind {
     pub fn name(self) -> &'static str {
         match self {
             ArtifactKind::PdgPartition => "pdg-partition",
-            ArtifactKind::PointsToRows => "points-to-rows",
             ArtifactKind::LoopForest => "loop-forest",
         }
     }
@@ -129,16 +126,6 @@ impl KeyCtx {
         )
     }
 
-    /// Key of one function's points-to rows. Interprocedural, like
-    /// partitions.
-    pub fn rows_key(&self, func_fp: u64) -> StoreKey {
-        StoreKey::derive(
-            ArtifactKind::PointsToRows,
-            self.tier,
-            [self.globals_fp, self.module_code_fp, func_fp],
-        )
-    }
-
     /// Key of one function's loop forest. Function-local: independent of
     /// the globals, the rest of the module, and the alias tier (hence no
     /// `self`), so it survives edits to other functions.
@@ -164,7 +151,6 @@ mod tests {
         let c = ctx();
         assert_eq!(c.partition_key(7), c.partition_key(7));
         assert_ne!(c.partition_key(7), c.partition_key(8));
-        assert_ne!(c.partition_key(7), c.rows_key(7));
         assert_ne!(c.partition_key(7), KeyCtx::forest_key(7));
         let other_tier = KeyCtx { tier: 1, ..c };
         assert_ne!(c.partition_key(7), other_tier.partition_key(7));
@@ -190,14 +176,11 @@ mod tests {
 
     #[test]
     fn kind_tags_round_trip() {
-        for kind in [
-            ArtifactKind::PdgPartition,
-            ArtifactKind::PointsToRows,
-            ArtifactKind::LoopForest,
-        ] {
+        for kind in [ArtifactKind::PdgPartition, ArtifactKind::LoopForest] {
             assert_eq!(ArtifactKind::from_tag(kind as u8), Some(kind));
         }
         assert_eq!(ArtifactKind::from_tag(0), None);
+        assert_eq!(ArtifactKind::from_tag(2), None, "reserved, never reused");
         assert_eq!(ArtifactKind::from_tag(9), None);
     }
 }

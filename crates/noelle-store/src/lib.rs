@@ -4,10 +4,9 @@
 //! the on-disk half of the NOELLE proposition (Matni et al., CGO 2022) that
 //! expensive whole-program abstractions are computed *once* and shared by
 //! many tools. The in-process `Noelle` manager already shares PDG
-//! partitions, points-to rows, and loop forests across requests; this crate
-//! makes that cache survive the process, so a restarted daemon (or a second
-//! replica pointed at the same directory) warm-starts instead of
-//! recomputing.
+//! partitions and loop forests across requests; this crate makes that cache
+//! survive the process, so a restarted daemon (or a second replica pointed
+//! at the same directory) warm-starts instead of recomputing.
 //!
 //! ## Addressing
 //!
@@ -15,13 +14,13 @@
 //! 128-bit hash over the store format revision, the artifact kind, the
 //! alias-analysis tier, the module's globals fingerprint, a module-wide
 //! code fingerprint, and the owning function's
-//! `Function::content_fingerprint`. PDG partitions and points-to rows are
-//! interprocedural — a partition embeds callee mod/ref summaries and global
-//! points-to facts — so their keys include the module-wide code
-//! fingerprint: any edit anywhere misses (falling back to the in-memory
-//! incremental engine), while an identical module always hits. Loop forests
-//! are function-local and are keyed by the function fingerprint alone, so
-//! they survive edits to *other* functions even across a restart.
+//! `Function::content_fingerprint`. PDG partitions are interprocedural — a
+//! partition embeds callee mod/ref summaries and global points-to facts —
+//! so their keys include the module-wide code fingerprint: any edit
+//! anywhere misses (falling back to the in-memory incremental engine),
+//! while an identical module always hits. Loop forests are function-local
+//! and are keyed by the function fingerprint alone, so they survive edits
+//! to *other* functions even across a restart.
 //!
 //! ## Durability
 //!

@@ -335,7 +335,6 @@ impl Store {
         }
         let mut live_by_kind = [
             (ArtifactKind::PdgPartition, 0usize),
-            (ArtifactKind::PointsToRows, 0),
             (ArtifactKind::LoopForest, 0),
         ];
         let mut undecodable = 0usize;
@@ -402,7 +401,7 @@ pub struct FsckReport {
     /// Leftover `.tmp-*` files from interrupted publishes.
     pub temp_files: usize,
     /// Live-entry counts per artifact kind.
-    pub live_by_kind: [(ArtifactKind, usize); 3],
+    pub live_by_kind: [(ArtifactKind, usize); 2],
 }
 
 impl FsckReport {

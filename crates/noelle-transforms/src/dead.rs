@@ -10,7 +10,6 @@
 //! the shape with the instruction-count proxy exposed here.
 
 use noelle_core::noelle::{Abstraction, Noelle};
-use noelle_ir::inst::Inst;
 use noelle_ir::module::{FuncId, Function, Module};
 use noelle_ir::value::Value;
 use std::collections::BTreeSet;
@@ -115,19 +114,6 @@ pub fn run(noelle: &mut Noelle, entry: &str) -> DeadReport {
     });
     report.insts_after = noelle.module().total_insts();
     report
-}
-
-/// Count direct calls in a module (used by tests and sanity checks).
-pub fn count_calls(m: &Module) -> usize {
-    m.func_ids()
-        .map(|fid| {
-            let f = m.func(fid);
-            f.inst_ids()
-                .into_iter()
-                .filter(|&i| matches!(f.inst(i), Inst::Call { .. }))
-                .count()
-        })
-        .sum()
 }
 
 #[cfg(test)]

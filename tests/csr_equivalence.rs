@@ -15,8 +15,8 @@
 //! The same scan judges what the partition decoder makes of hostile bytes:
 //! byte-mutated encodings of the corpus graphs must come back as `Err` or
 //! as a graph that is consistent with itself — never a panic (ROADMAP item
-//! 6). The store's other two decoders, loop forests and points-to rows, get
-//! the same mutants of their own corpus payloads.
+//! 6). The store's other decoder, loop forests, gets the same mutants of its
+//! own corpus payloads.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
@@ -33,10 +33,7 @@ use noelle::pdg::sccdag::SccDag;
 use noelle::workloads::{all, pdg_stress};
 use noelle_analysis::alias::{AliasAnalysis, AliasStack, AndersenAlias, BasicAlias};
 use noelle_fuzz::generator::{generate, GenConfig, SplitMix64};
-use noelle_store::artifact::{
-    decode_forest, decode_partition, decode_points_to, encode_forest, encode_partition,
-    encode_points_to,
-};
+use noelle_store::artifact::{decode_forest, decode_partition, encode_forest, encode_partition};
 
 type Edge = DepEdge<InstId>;
 
@@ -383,28 +380,6 @@ fn byte_mutated_forests_never_panic_the_decoder() {
             "{name}"
         );
         assert_eq!(encode_forest(&back), again, "{name}");
-        true
-    });
-}
-
-#[test]
-fn byte_mutated_points_to_rows_never_panic_the_decoder() {
-    let rows = |m: &Module| -> Vec<Vec<u8>> {
-        // In function order: a `HashMap`'s own would reshuffle the mutants
-        // from run to run.
-        let by_function: BTreeMap<_, _> = AndersenAlias::new(m)
-            .rows_by_function()
-            .into_iter()
-            .collect();
-        by_function.values().map(encode_points_to).collect()
-    };
-    mutation_smoke(0x524f_5753, rows, |name, bytes| {
-        let Ok(rows) = decode_points_to(bytes) else {
-            return false;
-        };
-        let again = encode_points_to(&rows);
-        let back = decode_points_to(&again).unwrap_or_else(|e| panic!("{name}: {e}"));
-        assert_eq!(back, rows, "{name}");
         true
     });
 }

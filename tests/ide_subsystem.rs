@@ -5,6 +5,7 @@
 //! degrade to last-good diagnostics instead of dropping the session, and the
 //! re-audit an edit triggers must follow the edit, not the module.
 
+use noelle::core::json::Json;
 use noelle::core::noelle::{AliasTier, Noelle};
 use noelle::ir::parser::parse_module;
 use noelle::ir::printer::print_module;
@@ -75,6 +76,61 @@ fn session_report(s: &DocSession) -> String {
     render_json(&s.findings()).to_string_compact()
 }
 
+/// What an editor holds that keeps `ide/open`'s payload and patches it with
+/// the push of every `ide/change`: the lint report whole (every push
+/// carries it), audit findings and plan rows by function. A push's plan
+/// section names the functions the change re-derived — `{name: [rows]}`,
+/// an empty list included — so a function it names has its findings
+/// replaced and one it does not keeps what it had. If a push named too few
+/// functions, or findings of one it did not name, the editor would drift
+/// from what `ide/diagnostics` answers.
+struct EditorModel {
+    report: Json,
+    audit: BTreeMap<String, Vec<Json>>,
+    plan: BTreeMap<String, Json>,
+}
+
+fn audit_findings_of(payload: &Json) -> &[Json] {
+    let findings = payload.get("audit").and_then(|a| a.get("findings"));
+    findings.and_then(Json::as_array).expect("audit findings")
+}
+
+impl EditorModel {
+    fn seeded(open: &Json) -> EditorModel {
+        let mut model = EditorModel {
+            report: Json::Null,
+            audit: BTreeMap::new(),
+            plan: BTreeMap::new(),
+        };
+        model.patch(open);
+        model
+    }
+
+    fn patch(&mut self, push: &Json) {
+        self.report = push.get("report").expect("report").clone();
+        let fresh = push.get("plan").and_then(Json::as_object).expect("plan");
+        for (name, rows) in fresh {
+            self.plan.insert(name.clone(), rows.clone());
+            self.audit.insert(name.clone(), Vec::new());
+        }
+        for f in audit_findings_of(push) {
+            let owner = f.get("location").and_then(|l| l.get("function"));
+            let owner = owner.and_then(Json::as_str).expect("finding location");
+            assert!(fresh.contains_key(owner), "finding of unnamed @{owner}");
+            self.audit.get_mut(owner).expect("named").push(f.clone());
+        }
+    }
+
+    fn assert_holds(&self, pull: &Json, context: &str) {
+        assert_eq!(Some(&self.report), pull.get("report"), "{context}: report");
+        let plan = pull.get("plan").and_then(Json::as_object);
+        assert_eq!(Some(&self.plan), plan, "{context}: plan rows");
+        let held: Vec<&Json> = self.audit.values().flatten().collect();
+        let pulled: Vec<&Json> = audit_findings_of(pull).iter().collect();
+        assert_eq!(held, pulled, "{context}: audit findings");
+    }
+}
+
 #[test]
 fn random_single_function_edits_match_cold_lint() {
     let ws = registry();
@@ -93,6 +149,7 @@ fn random_single_function_edits_match_cold_lint() {
             "{}: open",
             w.name
         );
+        let mut editor = EditorModel::seeded(&s.diagnostics_json());
 
         let mut rng = Rng::new(0x1DE0 + wi as u64);
         for step in 0..3u64 {
@@ -162,6 +219,11 @@ fn random_single_function_edits_match_cold_lint() {
                 "{}: edit-then-diagnose == cold parse+lint",
                 w.name
             );
+
+            // (c) An editor that applied every push holds what a pull
+            // answers.
+            editor.patch(&s.push_diagnostics_json());
+            editor.assert_holds(&s.diagnostics_json(), w.name);
         }
     }
 }
@@ -208,20 +270,21 @@ fn reaudit_follows_the_edit_not_the_module() {
     let text = print_module(&workloads::scale_module(FUNCTIONS, 42));
     let mut s = DocSession::open("scale", &text, AliasTier::Basic);
     assert!(s.syntax_error().is_none());
+    let mut editor = EditorModel::seeded(&s.diagnostics_json());
     let define_line = s
         .spans()
         .iter()
         .find(|sp| sp.name == format!("k{}", FUNCTIONS / 2))
         .expect("target kernel")
         .start_line;
-    let splice = |s: &mut DocSession, start_line, end_line, line: String| {
+    let mut splice = |s: &mut DocSession, start_line, end_line, line: String| {
         let out = s
             .change(
                 s.version() + 1,
                 Change::Splice {
                     start_line,
                     end_line,
-                    lines: vec![line],
+                    lines: vec![line.clone()],
                 },
             )
             .expect("in-range splice");
@@ -233,6 +296,10 @@ fn reaudit_follows_the_edit_not_the_module() {
             out.relinted >= 1,
             "a fingerprint change re-lints its damage"
         );
+        // Body edits push the hints of their audit closure and nothing
+        // else; an editor patched with just those stays whole.
+        editor.patch(&s.push_diagnostics_json());
+        editor.assert_holds(&s.diagnostics_json(), &line);
     };
 
     // Metadata-only edits: the auditor reads bodies, never metadata, so no
@@ -263,6 +330,17 @@ fn reaudit_follows_the_edit_not_the_module() {
         (EDITS..=EDITS * 64).contains(&reaudited),
         "{EDITS} body edits re-audited {reaudited} of {FUNCTIONS} functions"
     );
+
+    // One more, in a kernel whose hints name instructions: the inserted line
+    // renumbers them, so an editor the change did not push the kernel's
+    // fresh hints to would now hold stale ones.
+    let hinted = s.audit_findings().into_iter().map(|f| f.loc.function);
+    let hinted = hinted.filter(|name| name.starts_with('k')).nth(40);
+    let hinted = hinted.expect("a kernel with hints");
+    let span = s.spans().iter().find(|sp| sp.name == hinted);
+    let body_line = span.expect("its span").start_line + 2; // define, entry:, <here>
+    let line = "  %bt = add i64 i64 1, i64 1".to_string();
+    splice(&mut s, body_line, body_line, line);
 
     // What the incremental path left behind is what a cold open of the same
     // text derives, to the byte — hints and plan rows alike.

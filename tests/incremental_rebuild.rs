@@ -14,13 +14,15 @@
 //!    from-scratch solve after **every** commit — of the transforms, which
 //!    add pointer flow, and of edit scripts that take it away — and a commit
 //!    must cost what its edit costs, counted in regenerated functions and
-//!    reset rows, not seconds.
+//!    reset rows, not seconds. The direct-call index the manager repairs in
+//!    the same commits must equal a scan of the module after each.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use noelle::core::noelle::{AliasTier, Noelle};
 use noelle::core::wire;
-use noelle::ir::inst::{BinOp, Inst};
+use noelle::ir::inst::{BinOp, Callee, Inst};
 use noelle::ir::parser::parse_module;
 use noelle::ir::types::Type;
 use noelle::ir::value::Value;
@@ -158,22 +160,52 @@ fn one_loop_plans(plan: &ModulePlan) -> impl Iterator<Item = ModulePlan> + '_ {
         })
 }
 
+/// Every direct call edge of the module as the manager's index has it,
+/// asked from both ends, against the edges read off the instructions.
+fn assert_call_index_matches_a_scan(n: &Noelle, context: &str) {
+    let m = n.module();
+    let mut scanned = BTreeSet::new();
+    for caller in m.func_ids() {
+        let f = m.func(caller);
+        for id in f.inst_ids() {
+            if let Inst::Call {
+                callee: Callee::Direct(callee),
+                ..
+            } = f.inst(id)
+            {
+                scanned.insert((caller, *callee));
+            }
+        }
+    }
+    let calls = n.direct_calls();
+    let callees = |f| calls.callees_of(f).map(move |c| (f, c));
+    let callers = |f| calls.callers_of(f).map(move |c| (c, f));
+    let by_caller: BTreeSet<_> = m.func_ids().flat_map(callees).collect();
+    let by_callee: BTreeSet<_> = m.func_ids().flat_map(callers).collect();
+    assert_eq!(by_caller, scanned, "{context}: callees_of");
+    assert_eq!(by_callee, scanned, "{context}: callers_of");
+    for f in m.func_ids() {
+        assert!(calls.callers_of(f).is_sorted(), "{context}: ascending");
+        assert!(calls.callees_of(f).is_sorted(), "{context}: ascending");
+    }
+}
+
 #[test]
 fn points_to_stays_exact_after_every_plan_commit() {
     for w in workloads() {
         let mut n = Noelle::new(w.build(), AliasTier::Full);
+        // The plan's audit asked for the call index, so every commit below
+        // repairs the one built here.
         let plan = plan_module(&mut n, &PlanOptions::default());
         for step in one_loop_plans(&plan) {
             apply_plan(&mut n, &step);
             let l = &step.loops[0];
-            assert_eq!(
-                points_to_divergence(&n),
-                None,
+            let context = format!(
                 "{}: after transforming the loop at {} of @{}",
-                w.name,
-                l.header,
-                l.function
+                w.name, l.header, l.function
             );
+            assert_eq!(points_to_divergence(&n), None, "{context}");
+            assert_call_index_matches_a_scan(&n, &context);
         }
     }
 }

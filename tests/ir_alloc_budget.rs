@@ -5,11 +5,14 @@
 //! allocator: parsing may allocate what the module has to own (a name per
 //! named instruction, operand lists, boxed pointee types) and nothing per
 //! token; printing streams into one buffer; a loop graph is a handful of
-//! flat arrays, not a map entry per node; and the store's decoders reserve
-//! nothing a forged count asks for. The counts do not depend on
+//! flat arrays, not a map entry per node; the store's decoders reserve
+//! nothing a forged count asks for; an IDE body edit allocates for the
+//! functions it re-audits, not for the module, and a pull renders the
+//! stored findings without copying them. The counts do not depend on
 //! the host, so the bounds are tight. The tests take turns ([`alone`]), so
 //! nothing else allocates while a closure is being counted.
 
+use noelle::core::noelle::AliasTier;
 use noelle::ir::cfg::Cfg;
 use noelle::ir::dom::DomTree;
 use noelle::ir::inst::Inst;
@@ -21,7 +24,8 @@ use noelle::ir::value::Value;
 use noelle::pdg::pdg::PdgBuilder;
 use noelle::workloads::scale_module;
 use noelle_analysis::alias::{AliasAnalysis, AliasStack, AndersenAlias, BasicAlias};
-use noelle_store::artifact::{decode_forest, decode_partition, decode_points_to};
+use noelle_ide::{Change, DocSession};
+use noelle_store::artifact::{decode_forest, decode_partition};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
@@ -134,9 +138,6 @@ fn count_bombs_are_rejected_before_anything_is_reserved() {
     let forest = |b: &[u8]| decode_forest(b).is_err();
     defused(forest, &LOOPS, &[&[]]);
     defused(forest, &HUGE, &[&[1, 0], &[1, 0, 0], &[1, 0, 0, 0, 0]]);
-    // Rows; then one row's objects.
-    let rows = |b: &[u8]| decode_points_to(b).is_err();
-    defused(rows, &HUGE, &[&[], &[1, 0, 0]]);
 }
 
 /// Allocations of the `update` that follows inserting one `gep` of the
@@ -186,4 +187,49 @@ fn a_cold_points_to_solve_stays_within_the_parents_allocations() {
     eprintln!("cold solve of scale_module(256, 3): {cold} allocations");
     // Read off the parent commit (transient graph, SCC sweep): 2 301.
     assert!(cold <= 2301, "{cold} allocations");
+}
+
+/// Allocations of a one-operand body edit in `k0` of an open
+/// `scale_module(n_funcs, 3)` document, and of the pull that follows it.
+/// The document is warm: its cold audit built the manager's call index and
+/// an earlier edit put the line there.
+fn body_edit_and_pull_allocations(n_funcs: usize) -> (usize, usize) {
+    let text = print_module(&scale_module(n_funcs, 3));
+    let mut doc = DocSession::open("scale", &text, AliasTier::Basic);
+    let k0 = doc.spans().iter().find(|sp| sp.name == "k0");
+    let line = k0.expect("first kernel").start_line + 2; // define, entry:, <here>
+    let edit = |doc: &mut DocSession, end_line, operand: u32| {
+        let lines = vec![format!("  %bt = add i64 i64 1, i64 {operand}")];
+        let change = Change::Splice {
+            start_line: line,
+            end_line,
+            lines,
+        };
+        let out = doc.change(doc.version() + 1, change).expect("in range");
+        assert!(out.incremental && out.changed_functions.contains(&"k0".to_string()));
+    };
+    edit(&mut doc, line, 1);
+    let ((), edited) = allocations(|| edit(&mut doc, line + 1, 2));
+    let (_payload, pulled) = allocations(|| doc.diagnostics_json());
+    (edited, pulled)
+}
+
+#[test]
+fn a_body_edit_allocates_for_the_edit_and_a_pull_copies_no_finding() {
+    let _turn = alone();
+    let (small, small_pull) = body_edit_and_pull_allocations(64);
+    let (large, large_pull) = body_edit_and_pull_allocations(256);
+    eprintln!("body edit: {small} allocations at 64 functions, {large} at 256");
+    eprintln!("pull: {small_pull} allocations at 64 functions, {large_pull} at 256");
+    // Both edits re-audit `k0`'s group of 32 kernels and its caller, read
+    // off the manager's call index. The parent scanned the module twice
+    // more per edit for direct calls and kept a list per callee from the
+    // second scan: 9 688 and 9 932.
+    assert!(
+        large <= small + 64,
+        "a body edit grows with the module: {small} -> {large} allocations"
+    );
+    // The parent cloned every finding and sorted the copies before
+    // rendering them: 20 780 at 256 functions.
+    assert!(large_pull < 20_780, "{large_pull} allocations for a pull");
 }

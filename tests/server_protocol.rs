@@ -304,6 +304,18 @@ fn sessions_are_isolated_and_queries_cover_every_method() {
             .and_then(Json::as_str),
         Some("no_session")
     );
+    // A synthetic module is built in the daemon's memory: a size beyond
+    // the design limit is refused, by `load` and by `ide/open` alike, with
+    // a message that names the limit.
+    let path = |p: &str| Json::object([("path".to_string(), Json::Str(p.into()))]);
+    for method in ["load", "ide/open"] {
+        let reply = c.request(method, path("workload:scale:1000000000000"));
+        let reply = reply.expect("reply");
+        let err = reply.get("error").expect("refused");
+        assert_eq!(err.get("code").and_then(Json::as_str), Some("bad_request"));
+        let message = err.get("message").and_then(Json::as_str).expect("message");
+        assert!(message.contains("100000"), "{method}: {message}");
+    }
 
     server.shutdown_and_join();
 }
