@@ -205,6 +205,13 @@ pub fn exit_condition(f: &Function, l: &LoopInfo, recs: &[AddRec]) -> Option<Exi
 /// Constant trip count of `l` — the number of times the loop body runs — if
 /// the governing recurrence, bound, and shape are all statically known.
 pub fn const_trip_count(f: &Function, l: &LoopInfo) -> Option<i64> {
+    trip_count_given(f, l, None)
+}
+
+/// [`const_trip_count`] for a caller that knows more than `f` says: a
+/// governing bound that is not a literal is taken to be `bound` (an
+/// argument every call site passes the same constant, say).
+pub fn trip_count_given(f: &Function, l: &LoopInfo, bound: Option<i64>) -> Option<i64> {
     let recs = affine_recurrences(f, l);
     let cond = exit_condition(f, l, &recs)?;
     let rec = &recs[cond.rec_index];
@@ -212,7 +219,7 @@ pub fn const_trip_count(f: &Function, l: &LoopInfo) -> Option<i64> {
     let step = rec.const_step()?;
     let bound = match cond.bound {
         Value::Const(Constant::Int(v, _)) => v,
-        _ => return None,
+        _ => bound?,
     };
     if step == 0 {
         return None;

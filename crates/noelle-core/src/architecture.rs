@@ -7,8 +7,133 @@
 //! description is synthesized deterministically — the substitution DESIGN.md
 //! documents — and consumed identically by HELIX's helper-thread placement
 //! and by the simulated runtime's communication costs.
+//!
+//! It also owns the **cost vocabulary**: what an instruction, an external
+//! routine, a task spawn, a join, a queue operation and a signal cost in
+//! cycles. The simulated machine charges through these functions and the
+//! profitability gates and the planner price through the same ones, so a
+//! tool never assumes what the machine bills — it asks. No cycle count is
+//! written down anywhere else.
 
 use crate::json::Json;
+use noelle_ir::inst::{BinOp, Callee, Inst, Terminator};
+use noelle_ir::module::Module;
+
+/// Cycles of an `alloca`.
+pub const ALLOCA_CYCLES: u64 = 2;
+/// Cycles of a `load` or a `store`.
+pub const MEM_CYCLES: u64 = 4;
+/// Cycles of a `gep`.
+pub const GEP_CYCLES: u64 = 1;
+/// Cycles of a cast.
+pub const CAST_CYCLES: u64 = 1;
+/// Overhead of a call; what the callee runs is charged on top.
+pub const CALL_CYCLES: u64 = 3;
+/// Cycles of an unconditional branch.
+pub const BR_CYCLES: u64 = 1;
+/// Cycles of a `ret`.
+pub const RET_CYCLES: u64 = 1;
+/// Cycles of a `switch`.
+pub const SWITCH_CYCLES: u64 = 3;
+
+/// Cycles charged for one execution of `inst`; a call's callee is charged
+/// separately ([`external_cost`], or its body as it runs). Costs
+/// approximate a simple in-order core; what matters for the evaluation is
+/// the *relative* weight of computation vs. memory vs. communication, not
+/// absolute accuracy.
+pub fn inst_cost(inst: &Inst) -> u64 {
+    match inst {
+        Inst::Alloca { .. } => ALLOCA_CYCLES,
+        Inst::Load { .. } | Inst::Store { .. } => MEM_CYCLES,
+        Inst::Gep { .. } => GEP_CYCLES,
+        Inst::Bin { op, .. } => bin_cost(*op),
+        Inst::Icmp { .. } => 1,
+        Inst::Fcmp { .. } => 2,
+        Inst::Cast { .. } => CAST_CYCLES,
+        Inst::Select { .. } => 1,
+        Inst::Phi { .. } => 0,
+        Inst::Call { .. } => CALL_CYCLES,
+        Inst::Term(Terminator::Ret(_)) => RET_CYCLES,
+        Inst::Term(Terminator::Br(_)) => BR_CYCLES,
+        Inst::Term(Terminator::CondBr { .. }) => 2,
+        Inst::Term(Terminator::Switch { .. }) => SWITCH_CYCLES,
+        Inst::Term(Terminator::Unreachable) => 0,
+    }
+}
+
+/// Cycles of one binary operation.
+pub fn bin_cost(op: BinOp) -> u64 {
+    match op {
+        BinOp::Add
+        | BinOp::Sub
+        | BinOp::And
+        | BinOp::Or
+        | BinOp::Xor
+        | BinOp::Shl
+        | BinOp::AShr
+        | BinOp::LShr
+        | BinOp::SMax
+        | BinOp::SMin => 1,
+        BinOp::Mul => 3,
+        BinOp::Div | BinOp::Rem => 20,
+        BinOp::FAdd | BinOp::FSub => 3,
+        BinOp::FMul => 4,
+        BinOp::FMax | BinOp::FMin => 2,
+        BinOp::FDiv => 18,
+    }
+}
+
+/// Cost of a known external routine, in cycles (the `noelle.*` runtime
+/// intrinsics are routines of the default cost; what a queue operation or
+/// a spawn adds is the [`Architecture`]'s to say).
+pub fn external_cost(name: &str) -> u64 {
+    match name {
+        "sqrt" => 18,
+        "sin" | "cos" | "tan" => 40,
+        "exp" | "log" | "pow" => 45,
+        "fabs" | "floor" | "ceil" => 3,
+        "malloc" | "calloc" => 30,
+        "free" => 10,
+        "print_i64" | "print_f64" => 12,
+        // PRVG families for the PRVJeeves experiments: same interface,
+        // different quality/cost points.
+        "prv.mt.next" => 40, // Mersenne-Twister-class: high quality, slow
+        "prv.lcg.next" => 8, // LCG: medium
+        "prv.xs.next" => 5,  // xorshift: fast
+        "carat.guard" => 2,
+        "coos.callback" => 6,
+        "clock.set" => 4,
+        _ => 10,
+    }
+}
+
+/// What one execution of `inst` is expected to cost in `m`, statically:
+/// [`inst_cost`], and for a direct call what the machine bills on top —
+/// [`external_cost`] for a declaration, one pass over the callee's own
+/// instructions for a definition. The callee's calls stay at their
+/// overhead, which cuts recursion and keeps the estimate a function of the
+/// caller and its direct callees only (the closure an IDE edit re-derives).
+pub fn static_cost(m: &Module, inst: &Inst) -> u64 {
+    let Inst::Call {
+        callee: Callee::Direct(callee),
+        ..
+    } = inst
+    else {
+        return inst_cost(inst);
+    };
+    let callee = m.func(*callee);
+    let runs: u64 = if callee.is_declaration() {
+        external_cost(&callee.name)
+    } else {
+        callee
+            .block_order()
+            .iter()
+            .flat_map(|&b| &callee.block(b).insts)
+            .map(|&i| inst_cost(callee.inst(i)))
+            .sum()
+    };
+    CALL_CYCLES + runs
+}
 
 /// Metadata key under which the architecture description is embedded.
 pub const ARCH_KEY: &str = "noelle.arch";
@@ -105,6 +230,39 @@ impl Architecture {
             .flat_map(|row| row.iter().copied())
             .max()
             .unwrap_or(0)
+    }
+
+    /// The core task `i` of a dispatch runs on.
+    pub fn task_core(&self, i: usize) -> usize {
+        i % self.num_cores
+    }
+
+    /// Cycles after a dispatch at which its task `i` starts: the
+    /// dispatcher spawns serially, one [`Architecture::dispatch_overhead`]
+    /// per task.
+    pub fn spawn_clock(&self, i: usize) -> u64 {
+        self.dispatch_overhead * (i as u64 + 1)
+    }
+
+    /// When a task on core `to` whose clock reads `now` has what core
+    /// `from` made available at `sent`: a joined child's end, a popped
+    /// value, a sequential segment's signal.
+    pub fn arrival(&self, now: u64, sent: u64, from: usize, to: usize) -> u64 {
+        now.max(sent + self.core_latency(from, to))
+    }
+
+    /// Cycles a `noelle.queue.push` or `noelle.queue.pop` occupies its
+    /// core: the call, the runtime routine and the queue operation (a pop
+    /// first waits for the value's [`Architecture::arrival`]).
+    pub fn queue_op_cycles(&self) -> u64 {
+        CALL_CYCLES + external_cost("noelle.queue.push") + self.queue_op_cost
+    }
+
+    /// Cycles a `noelle.ss.wait` or `noelle.ss.signal` occupies its core
+    /// (a wait first waits for the previous signal's
+    /// [`Architecture::arrival`]).
+    pub fn signal_cycles(&self) -> u64 {
+        CALL_CYCLES + external_cost("noelle.ss.signal")
     }
 
     /// Serialize to a JSON value (the embedding format).
@@ -205,6 +363,84 @@ mod tests {
         assert_eq!(a.core_latency(0, 1), 60);
         assert_eq!(a.core_latency(0, 7), 140);
         assert_eq!(a.max_latency(), 140);
+    }
+
+    #[test]
+    fn relative_weights_sane() {
+        use noelle_ir::types::Type;
+        use noelle_ir::value::Value;
+        let bin = |op| Inst::Bin {
+            op,
+            ty: Type::I64,
+            lhs: Value::const_i64(1),
+            rhs: Value::const_i64(2),
+        };
+        let load = Inst::Load {
+            ty: Type::I64,
+            ptr: Value::Arg(0),
+        };
+        assert!(inst_cost(&bin(BinOp::Add)) < inst_cost(&load));
+        assert!(inst_cost(&load) < inst_cost(&bin(BinOp::Div)));
+        let phi = Inst::Phi {
+            ty: Type::I64,
+            incomings: vec![],
+        };
+        assert_eq!(inst_cost(&phi), 0);
+        // PRVG families are ordered by cost.
+        assert!(external_cost("prv.xs.next") < external_cost("prv.lcg.next"));
+        assert!(external_cost("prv.lcg.next") < external_cost("prv.mt.next"));
+    }
+
+    #[test]
+    fn a_call_is_priced_by_what_it_runs() {
+        let m = noelle_ir::parser::parse_module(
+            r#"
+module "t" {
+declare f64 @sqrt(f64 %x)
+define i64 @leaf(i64 %x) {
+entry:
+  %y = mul i64 %x, %x
+  %z = call i64 @main(%y)
+  ret %z
+}
+define i64 @main(i64 %x) {
+entry:
+  %a = call f64 @sqrt(f64 4.0)
+  %b = call i64 @leaf(%x)
+  ret %b
+}
+}
+"#,
+        )
+        .unwrap();
+        let main = m.func(m.func_id_by_name("main").unwrap());
+        let costs: Vec<u64> = main
+            .inst_ids()
+            .iter()
+            .map(|&i| static_cost(&m, main.inst(i)))
+            .collect();
+        // The external routine; the leaf's multiply, its own call at the
+        // overhead (the recursion stops there) and its return; the `ret`.
+        let leaf = bin_cost(BinOp::Mul) + CALL_CYCLES + RET_CYCLES;
+        assert_eq!(
+            costs,
+            [
+                CALL_CYCLES + external_cost("sqrt"),
+                CALL_CYCLES + leaf,
+                RET_CYCLES
+            ]
+        );
+    }
+
+    #[test]
+    fn tasks_spawn_serially_and_arrivals_pay_the_latency() {
+        let a = Architecture::synthetic(4, 2);
+        assert_eq!(a.spawn_clock(0), a.dispatch_overhead);
+        assert_eq!(a.spawn_clock(3), 4 * a.dispatch_overhead);
+        assert_eq!((a.task_core(3), a.task_core(4)), (3, 0));
+        assert_eq!(a.arrival(100, 90, 0, 0), 100);
+        assert_eq!(a.arrival(100, 90, 0, 1), 90 + a.core_latency(0, 1));
+        assert_eq!(a.arrival(100, 90, 0, 3), 90 + a.core_latency(0, 3));
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! Every slot is 64 bits; values of other types are converted with explicit
 //! casts by the [`EnvironmentBuilder`] helpers.
 
+use crate::architecture::{CAST_CYCLES, GEP_CYCLES, MEM_CYCLES};
 use noelle_ir::inst::{CastOp, Inst, InstId};
 use noelle_ir::loops::LoopInfo;
 use noelle_ir::module::{BlockId, Function};
@@ -83,6 +84,20 @@ impl Environment {
     /// Total slots needed when live-outs are replicated per task.
     pub fn num_slots(&self, n_tasks: usize) -> usize {
         self.live_ins.len() + self.live_outs.len() * n_tasks
+    }
+
+    /// Cycles of the instructions [`EnvironmentBuilder::store_slot`] or
+    /// [`EnvironmentBuilder::load_slot`] writes for a value of type `ty`:
+    /// the slot's address, the access, and the casts between `ty` and the
+    /// 64-bit slot.
+    pub fn slot_cycles(ty: &Type) -> u64 {
+        use noelle_ir::types::{FloatWidth, IntWidth};
+        let casts = match ty {
+            Type::Int(IntWidth::I64) => 0,
+            Type::Float(FloatWidth::F32) => 2,
+            _ => 1,
+        };
+        GEP_CYCLES + MEM_CYCLES + casts * CAST_CYCLES
     }
 }
 

@@ -12,6 +12,7 @@
 //! then specialize the clone (IV stepping for DOALL/HELIX, queue insertion
 //! for DSWP) and hand it to the `noelle.task.dispatch` runtime intrinsic.
 
+use crate::architecture::{bin_cost, BR_CYCLES, RET_CYCLES};
 use crate::env::{Environment, EnvironmentBuilder};
 use noelle_ir::inst::{BinOp, Inst, InstId, Terminator};
 use noelle_ir::loops::LoopInfo;
@@ -235,6 +236,24 @@ pub fn outline_loop_as_task(
         block_map,
         env: env.clone(),
     })
+}
+
+/// Cycles of the frame [`outline_loop_as_task`] puts around the cloned
+/// loop, per task: the live-in loads and the branch of `entry`, the slot
+/// arithmetic, the live-out stores and the `ret` of `finish`.
+pub fn task_frame_cycles(env: &Environment) -> u64 {
+    let slot_index = bin_cost(BinOp::Mul) + 2 * bin_cost(BinOp::Add);
+    let loads: u64 = env
+        .live_ins
+        .iter()
+        .map(|(_, ty)| Environment::slot_cycles(ty))
+        .sum();
+    let stores: u64 = env
+        .live_outs
+        .iter()
+        .map(|(_, ty)| slot_index + Environment::slot_cycles(ty))
+        .sum();
+    loads + BR_CYCLES + stores + RET_CYCLES
 }
 
 #[cfg(test)]

@@ -128,6 +128,9 @@ pub struct CampaignSummary {
     pub seed_failures: Vec<SeedFailure>,
     /// Observed dynamic dependences checked against the static PDG.
     pub deps_checked: usize,
+    /// Passing seeds whose applied plan simulated slower than the baseline
+    /// (with `check_plan`): a number to watch, not a failure.
+    pub plans_slower: u64,
     /// Whether the wall-clock budget ended the seed loop early.
     pub stopped_early: bool,
 }
@@ -160,6 +163,11 @@ impl CampaignSummary {
             self.seed_failures.len()
         );
         let _ = writeln!(s, "deps checked against PDG: {}", self.deps_checked);
+        let _ = writeln!(
+            s,
+            "applied plans slower than baseline: {}",
+            self.plans_slower
+        );
         if self.stopped_early {
             let _ = writeln!(s, "stopped early: time budget exhausted");
         }
@@ -312,9 +320,14 @@ pub fn run_campaign(cfg: &FuzzConfig, tools: &[FuzzTool]) -> CampaignSummary {
         summary.seeds_run += 1;
         let m = generate(seed, &cfg.gen);
         match check_module(&m, tools, &ocfg) {
-            Outcome::Pass { deps_checked, .. } => {
+            Outcome::Pass {
+                deps_checked,
+                plan_slower,
+                ..
+            } => {
                 summary.passed += 1;
                 summary.deps_checked += deps_checked;
+                summary.plans_slower += u64::from(plan_slower);
             }
             Outcome::Skip { .. } => summary.skipped += 1,
             Outcome::Fail { failures } => {

@@ -184,6 +184,10 @@ pub enum Outcome {
         tools_applied: usize,
         /// Observed dependences checked against the PDG.
         deps_checked: usize,
+        /// The applied plan simulated slower than the baseline (only with
+        /// [`OracleConfig::check_plan`]). Counted, not failed: a generated
+        /// loop's trip count is the planner's default guess.
+        plan_slower: bool,
     },
     /// The baseline run itself errored (e.g. a checked-in repro whose very
     /// point is a reported runtime error); nothing to differentiate against.
@@ -393,7 +397,14 @@ fn audit_failures(m: &Module, base: &RunResult, run_cfg: &RunConfig, entry: &str
 /// 2. **Soundness of application.** Executing the chosen plan through
 ///    `apply_plan` must produce a module that verifies, runs, and matches
 ///    the baseline on return value, output trace, and globals digest.
-fn plan_failures(m: &Module, base: &RunResult, run_cfg: &RunConfig, entry: &str) -> Vec<Failure> {
+///
+/// Also says whether the planned module ran slower than the baseline.
+fn plan_failures(
+    m: &Module,
+    base: &RunResult,
+    run_cfg: &RunConfig,
+    entry: &str,
+) -> (Vec<Failure>, bool) {
     use noelle_plan::{apply_plan, plan_module, PlanOptions};
     let fail = |what: String| Failure {
         tool: Some("plan".to_string()),
@@ -415,14 +426,15 @@ fn plan_failures(m: &Module, base: &RunResult, run_cfg: &RunConfig, entry: &str)
             first.len(),
             second.len()
         )));
-        return failures;
+        return (failures, false);
     }
     apply_plan(&mut n, &plan);
     let tm = n.into_module();
     if let Err(e) = verify_module(&tm) {
         failures.push(fail(format!("planned module rejects: {e:?}")));
-        return failures;
+        return (failures, false);
     }
+    let mut slower = false;
     match run_caught(&tm, run_cfg, entry) {
         Err(p) => failures.push(fail(format!("planned run panicked: {p}"))),
         Ok(Err(e)) => failures.push(fail(format!("planned run errored: {e}"))),
@@ -436,9 +448,10 @@ fn plan_failures(m: &Module, base: &RunResult, run_cfg: &RunConfig, entry: &str)
                     base.ret, after.ret
                 )));
             }
+            slower = after.cycles > base.cycles;
         }
     }
-    failures
+    (failures, slower)
 }
 
 /// Run the full oracle over `m`: baseline, optional PDG-soundness pass, then
@@ -509,8 +522,11 @@ pub fn check_module(m: &Module, tools: &[FuzzTool], cfg: &OracleConfig) -> Outco
     if cfg.check_audit {
         failures.extend(audit_failures(m, &base, &run_cfg, &cfg.entry));
     }
+    let mut plan_slower = false;
     if cfg.check_plan {
-        failures.extend(plan_failures(m, &base, &run_cfg, &cfg.entry));
+        let (plan, slower) = plan_failures(m, &base, &run_cfg, &cfg.entry);
+        failures.extend(plan);
+        plan_slower = slower;
     }
     for tool in tools {
         let mut n = Noelle::new(m.clone(), AliasTier::Full);
@@ -663,6 +679,7 @@ pub fn check_module(m: &Module, tools: &[FuzzTool], cfg: &OracleConfig) -> Outco
         Outcome::Pass {
             tools_applied: tools.len(),
             deps_checked,
+            plan_slower,
         }
     } else {
         Outcome::Fail { failures }

@@ -1,42 +1,53 @@
 //! The parallelization planner: NOELLE's composed production optimizer.
 //!
 //! The auditor (`noelle-lint::run_audit`) answers *which* techniques are
-//! legal per loop; the planner answers *which one to run*. For every loop
-//! with at least one clean verdict it predicts each technique's speedup
-//! from the architecture model (dispatch overhead, queue costs, inter-core
-//! latency), the embedded profiles (hotness, average trip counts), and the
-//! SCCDAG structure (DOALL chunking, HELIX sequential-segment serial
-//! fraction, DSWP stage balance and queue traffic — including nested
-//! DOALL-inside-DSWP hybrid estimates). It then picks the best candidate
-//! per loop subject to nesting conflicts and emits a deterministic,
-//! explainable report; [`apply_plan`] executes the winners through the
-//! unified [`LoopTargetOpts`] transform surface.
+//! legal per loop; the planner answers *which one to run, on how many
+//! cores*. For every loop with at least one clean verdict it predicts, in
+//! the simulated machine's own cycles, what each technique's recipe costs
+//! at every worker count in its budget: the architecture abstraction says
+//! what an instruction, a spawn, a join, a queue operation and a signal
+//! cost (the same functions the machine charges through), the recipe and
+//! the loop abstraction say what code the transform writes, and the
+//! profiles or the call sites say how often the loop iterates. It then
+//! picks the best candidate per loop subject to nesting conflicts and
+//! emits a deterministic, explainable report; [`apply_plan`] executes the
+//! winners through the unified [`LoopTargetOpts`] transform surface.
 
-use noelle_core::architecture::Architecture;
-use noelle_core::audit::{ModuleAudit, Technique};
+use noelle_analysis::scev::trip_count_given;
+use noelle_core::architecture::{bin_cost, static_cost, Architecture};
+use noelle_core::audit::{LoopAudit, ModuleAudit, Technique};
 use noelle_core::json::Json;
-use noelle_core::noelle::Noelle;
+use noelle_core::noelle::{CallEdges, Noelle};
 use noelle_core::profiler::Profiles;
+use noelle_ir::inst::{BinOp, Callee, Inst};
 use noelle_ir::loops::LoopInfo;
-use noelle_ir::module::{BlockId, FuncId};
+use noelle_ir::module::{BlockId, FuncId, Module};
+use noelle_ir::value::{Constant, Value};
 use noelle_lint::run_audit;
-use noelle_transforms::common::{approx_inst_cost, gate, parallelize, LoopTargetOpts, Recipe};
+use noelle_transforms::common::{fixed_cost, gate, parallelize, FixedCost, LoopTargetOpts, Recipe};
 use noelle_transforms::dswp::StageSummary;
+use noelle_transforms::helix::Segments;
 use noelle_transforms::ParallelReport;
+use std::fmt::Write;
 
 /// Trip count assumed when neither the static analysis nor the profiles
 /// know how often the loop iterates.
 const DEFAULT_TRIP: f64 = 64.0;
 
-/// Minimum predicted speedup for a loop to be planned at all; below this
-/// the dispatch overhead is not worth paying.
+/// Operations a loop bound may sit from the arguments it is computed from
+/// and still be resolved through the call sites (`n - 1`, `2 * n + 1`).
+const BOUND_DEPTH: u32 = 3;
+
+/// Minimum predicted speedup for a loop to be planned at all: the margin
+/// kept against what the prediction leaves out.
 const MIN_SPEEDUP: f64 = 1.05;
 
 /// Options controlling the planner.
 #[derive(Clone, Debug)]
 pub struct PlanOptions {
-    /// Worker budget per parallelized loop (cores for DOALL/HELIX; DSWP
-    /// uses up to four pipeline stages out of this budget).
+    /// Worker budget per parallelized loop: each candidate takes the count
+    /// within it that predicts the fewest cycles (cores for DOALL/HELIX,
+    /// pipeline stages for DSWP).
     pub workers: usize,
 }
 
@@ -46,15 +57,6 @@ impl Default for PlanOptions {
     }
 }
 
-/// Predicted outcome of a nested DOALL inside a DSWP stage.
-#[derive(Clone, Debug)]
-pub struct HybridNote {
-    /// `function:header` of the inner DOALL-clean loop.
-    pub inner: String,
-    /// Predicted speedup of the combined DSWP + inner-DOALL pipeline.
-    pub predicted_speedup: f64,
-}
-
 /// One technique's entry in a loop's candidate table.
 #[derive(Clone, Debug)]
 pub struct Candidate {
@@ -62,17 +64,34 @@ pub struct Candidate {
     pub technique: Technique,
     /// Did the audit mark this technique clean for the loop?
     pub clean: bool,
-    /// Predicted loop-level speedup (sequential cycles / parallel cycles);
-    /// 0 for blocked techniques.
+    /// Predicted loop-level speedup (sequential cycles / parallel cycles)
+    /// at `workers`; 0 for blocked techniques.
     pub predicted_speedup: f64,
-    /// Workers the prediction assumed (DSWP reports its actual stage count).
+    /// Predicted cycles from the dispatch to the end of its join, per
+    /// invocation, at `workers` — what the machine's `dispatch.cycles`
+    /// counter measures; 0 for blocked techniques.
+    pub predicted_cycles: f64,
+    /// The worker count, within the budget, that predicts the fewest
+    /// cycles (DSWP: the stage count).
     pub workers: usize,
     /// Explanation: the cost-model inputs behind the number, or the blocker
     /// behind the refusal.
     pub detail: String,
-    /// Nested DOALL-inside-DSWP estimate, when the loop is a DSWP candidate
-    /// containing a DOALL-clean inner loop.
-    pub hybrid: Option<HybridNote>,
+}
+
+impl Candidate {
+    /// A candidate with no prediction: blocked by the audit, or refused by
+    /// its gate within the budget.
+    fn unpriced(technique: Technique, clean: bool, workers: usize, detail: String) -> Candidate {
+        Candidate {
+            technique,
+            clean,
+            predicted_speedup: 0.0,
+            predicted_cycles: 0.0,
+            workers,
+            detail,
+        }
+    }
 }
 
 /// The planner's verdict for one loop.
@@ -89,7 +108,7 @@ pub struct LoopPlan {
     pub weight: f64,
     /// Estimated iterations per invocation.
     pub trip: f64,
-    /// Estimated per-iteration body cost in cycles.
+    /// Estimated cycles of one iteration, inner loops at their trip counts.
     pub body_cost: u64,
     /// Per-technique candidate table (all three techniques, always).
     pub candidates: Vec<Candidate>,
@@ -120,7 +139,7 @@ impl LoopPlan {
             .candidates
             .iter()
             .map(|c| {
-                let mut pairs = vec![
+                Json::object([
                     (
                         "technique".to_string(),
                         Json::Str(c.technique.as_str().to_string()),
@@ -132,20 +151,7 @@ impl LoopPlan {
                     ),
                     ("workers".to_string(), Json::Int(c.workers as i64)),
                     ("detail".to_string(), Json::Str(c.detail.clone())),
-                ];
-                if let Some(h) = &c.hybrid {
-                    pairs.push((
-                        "hybrid".to_string(),
-                        Json::object([
-                            ("inner".to_string(), Json::Str(h.inner.clone())),
-                            (
-                                "predicted_speedup".to_string(),
-                                Json::Float(round4(h.predicted_speedup)),
-                            ),
-                        ]),
-                    ));
-                }
-                Json::object(pairs)
+                ])
             })
             .collect();
         Json::object([
@@ -264,12 +270,6 @@ impl ModulePlan {
                         c.detail
                     ));
                 }
-                if let Some(h) = &c.hybrid {
-                    out.push_str(&format!(
-                        "     hybrid doall({}) inside dswp: {:.2}x\n",
-                        h.inner, h.predicted_speedup
-                    ));
-                }
             }
             out.push_str(&format!("   -> {}\n", l.reason));
         }
@@ -295,80 +295,38 @@ pub fn plan_from_audit(n: &mut Noelle, audit: &ModuleAudit, opts: &PlanOptions) 
     let arch = n.architecture();
     let profiles = n.profiles();
     let profiled = !profiles.block_counts.is_empty();
+    let (m, calls) = (n.module(), n.direct_calls());
+
+    // Pass 0: every loop's trip count, which prices the loops around it.
+    let trips: Vec<f64> = audit
+        .loops
+        .iter()
+        .map(|laud| trip_estimate(&profiles, profiled, m, calls, laud))
+        .collect();
 
     // Pass 1: per-loop candidate tables, priced on the abstraction the
     // audit issued its verdicts on.
-    let m = n.module();
     let mut loops: Vec<(LoopPlan, &LoopInfo, FuncId)> = Vec::new();
-    for laud in &audit.loops {
+    for (i, laud) in audit.loops.iter().enumerate() {
         let (fid, la) = (laud.fid, &*laud.abstraction);
         debug_assert_eq!(n.revision(fid), laud.revision, "audit predates an edit");
         let l = &la.structure;
-        let f = m.func(fid);
-
-        let body_cost: u64 = la
-            .pdg
-            .internal_nodes()
-            .map(|i| approx_inst_cost(f.inst(i)))
-            .sum::<u64>()
-            .max(1);
-        let trip = trip_estimate(&profiles, profiled, m, fid, l, la.trip_count);
+        let cost = LoopCost::of(m, audit, &trips, i);
 
         let mut candidates = Vec::new();
         for t in Technique::all() {
             let v = laud.verdict(t);
-            if !v.clean {
+            candidates.push(if v.clean {
+                price(t, m, laud, &arch, opts.workers, &cost)
+            } else {
                 let why = v
                     .blockers
                     .first()
                     .map(|b| b.kind.as_str().to_string())
                     .or_else(|| v.reason.clone())
                     .unwrap_or_else(|| "blocked".to_string());
-                candidates.push(Candidate {
-                    technique: t,
-                    clean: false,
-                    predicted_speedup: 0.0,
-                    workers: 0,
-                    detail: why,
-                    hybrid: None,
-                });
-                continue;
-            }
-            // Price the recipe the transform would execute. DSWP uses up
-            // to four stages of the budget.
-            let workers = match t {
-                Technique::Dswp => opts.workers.clamp(2, 4),
-                _ => opts.workers.max(1),
-            };
-            let c = match gate(t, m, fid, la, &arch, workers) {
-                Ok(Recipe::Helix(segments)) => {
-                    predict_helix(segments.cost, &arch, workers, trip, body_cost)
-                }
-                Ok(Recipe::Dswp(stages)) => predict_dswp(
-                    &stages.summary(m, fid, la),
-                    m,
-                    audit,
-                    fid,
-                    l,
-                    &arch,
-                    opts,
-                    trip,
-                    body_cost,
-                ),
-                Ok(_) => predict_doall(&arch, workers, trip, body_cost),
-                // The audit said clean at its own worker count; this budget
-                // can still refuse (only DSWP's gate reads it). Report it
-                // honestly.
-                Err(e) => Candidate {
-                    technique: t,
-                    clean: true,
-                    predicted_speedup: 0.0,
-                    workers,
-                    detail: format!("stage planning refused at {workers} stages: {e}"),
-                    hybrid: None,
-                },
-            };
-            candidates.push(c);
+                Candidate::unpriced(t, false, 0, why)
+            });
         }
 
         let plan = LoopPlan {
@@ -380,8 +338,8 @@ pub fn plan_from_audit(n: &mut Noelle, audit: &ModuleAudit, opts: &PlanOptions) 
             } else {
                 0.0 // filled by the static-share pass below
             },
-            trip,
-            body_cost,
+            trip: cost.trip,
+            body_cost: cost.iter.round().max(1.0) as u64,
             candidates,
             chosen: None,
             reason: String::new(),
@@ -420,14 +378,11 @@ pub fn plan_from_audit(n: &mut Noelle, audit: &ModuleAudit, opts: &PlanOptions) 
     };
     let mut accepted: Vec<usize> = Vec::new();
     for i in order {
-        let best = best_candidate(&loops[i].0);
         let (p, l, fid) = &loops[i];
-        let Some((t, s)) = best else {
+        let Some(best) = best_candidate(p).filter(|c| c.predicted_speedup >= MIN_SPEEDUP) else {
             continue;
         };
-        if s < MIN_SPEEDUP {
-            continue;
-        }
+        let (t, s, w) = (best.technique, best.predicted_speedup, best.workers);
         // Nesting conflict with an already-accepted loop of the same function?
         let conflict = accepted.iter().copied().find(|&j| {
             let (q, lj, fj) = &loops[j];
@@ -443,13 +398,12 @@ pub fn plan_from_audit(n: &mut Noelle, audit: &ModuleAudit, opts: &PlanOptions) 
                     q.chosen.map(|t| t.as_str()).unwrap_or("?"),
                     q.chosen_candidate().map(|c| c.predicted_speedup).unwrap_or(0.0),
                     benefit(q),
-                    benefit(&loops[i].0),
+                    benefit(p),
                 );
                 loops[i].0.reason = reason;
             }
             None => {
-                let runners: Vec<String> = loops[i]
-                    .0
+                let runners: Vec<String> = p
                     .candidates
                     .iter()
                     .filter(|c| c.clean && c.technique != t)
@@ -458,12 +412,12 @@ pub fn plan_from_audit(n: &mut Noelle, audit: &ModuleAudit, opts: &PlanOptions) 
                 loops[i].0.chosen = Some(t);
                 loops[i].0.reason = if runners.is_empty() {
                     format!(
-                        "{} wins: only clean candidate, predicted {s:.2}x",
+                        "{} wins on {w} workers: only clean candidate, predicted {s:.2}x",
                         t.as_str()
                     )
                 } else {
                     format!(
-                        "{} wins: predicted {s:.2}x vs {}",
+                        "{} wins on {w} workers: predicted {s:.2}x vs {}",
                         t.as_str(),
                         runners.join(", ")
                     )
@@ -476,9 +430,12 @@ pub fn plan_from_audit(n: &mut Noelle, audit: &ModuleAudit, opts: &PlanOptions) 
         if p.reason.is_empty() {
             p.reason = match best_candidate(p) {
                 None => "no clean technique".to_string(),
-                Some((t, s)) => format!(
-                    "unplanned: best candidate {} predicts {s:.2}x, below the {MIN_SPEEDUP:.2}x bar",
-                    t.as_str()
+                Some(c) => format!(
+                    "unplanned: best candidate {} predicts {:.2}x at its best worker count, {}, \
+                     below the {MIN_SPEEDUP:.2}x bar",
+                    c.technique.as_str(),
+                    c.predicted_speedup,
+                    c.workers
                 ),
             };
         }
@@ -494,168 +451,361 @@ pub fn plan_from_audit(n: &mut Noelle, audit: &ModuleAudit, opts: &PlanOptions) 
 /// Saved-time benefit of a loop's best candidate: weight × (1 − 1/speedup).
 fn benefit(p: &LoopPlan) -> f64 {
     match best_candidate(p) {
-        Some((_, s)) if s > 1.0 => p.weight * (1.0 - 1.0 / s),
+        Some(c) if c.predicted_speedup > 1.0 => p.weight * (1.0 - 1.0 / c.predicted_speedup),
         _ => 0.0,
     }
 }
 
 /// Best clean candidate by predicted speedup; ties break in `Technique::all`
 /// order (DOALL before HELIX before DSWP — cheaper runtime machinery wins).
-fn best_candidate(p: &LoopPlan) -> Option<(Technique, f64)> {
-    let mut best: Option<(Technique, f64)> = None;
+fn best_candidate(p: &LoopPlan) -> Option<&Candidate> {
+    let mut best: Option<&Candidate> = None;
     for c in &p.candidates {
         if !c.clean || c.predicted_speedup <= 0.0 {
             continue;
         }
-        if best.map(|(_, s)| c.predicted_speedup > s).unwrap_or(true) {
-            best = Some((c.technique, c.predicted_speedup));
+        if best.is_none_or(|b| c.predicted_speedup > b.predicted_speedup) {
+            best = Some(c);
         }
     }
     best
 }
 
+/// How often the loop iterates per invocation: what the profile measured,
+/// else what the function says, else what its callers say — a bound
+/// computed from arguments every direct call site passes the same literal
+/// ([`known_value`]) — else [`DEFAULT_TRIP`].
 fn trip_estimate(
     profiles: &Profiles,
     profiled: bool,
-    m: &noelle_ir::module::Module,
-    fid: FuncId,
-    l: &LoopInfo,
-    static_trip: Option<i64>,
+    m: &Module,
+    calls: &CallEdges,
+    laud: &LoopAudit,
 ) -> f64 {
+    let (fid, la) = (laud.fid, &*laud.abstraction);
     if profiled {
-        let t = profiles.loop_avg_iterations(m, fid, l);
+        let t = profiles.loop_avg_iterations(m, fid, &la.structure);
         if t > 0.0 {
             return t;
         }
     }
-    match static_trip {
+    let from_callers = || {
+        let bound = known_value(m, calls, fid, la.ivs.governing()?.bound?, BOUND_DEPTH)?;
+        trip_count_given(m.func(fid), &la.structure, Some(bound))
+    };
+    match la.trip_count.or_else(from_callers) {
         Some(t) if t > 0 => t as f64,
         _ => DEFAULT_TRIP,
     }
 }
 
-/// DOALL: iterations split cyclically over `workers` cores; one dispatch.
-fn predict_doall(arch: &Architecture, w: usize, trip: f64, body: u64) -> Candidate {
-    let seq = trip * body as f64;
-    let par = seq / w as f64 + arch.dispatch_overhead as f64;
-    let s = if par > 0.0 { seq / par } else { 1.0 };
-    Candidate {
-        technique: Technique::Doall,
-        clean: true,
-        predicted_speedup: s,
-        workers: w,
-        detail: format!(
-            "chunked {trip:.0} iterations x {body} cycles over {w} cores + {} dispatch",
-            arch.dispatch_overhead
-        ),
-        hybrid: None,
-    }
-}
-
-/// HELIX: parallel portion splits over cores, the sequential-segment chain
-/// plus one cross-core signal latency serializes per iteration.
-fn predict_helix(seg_cost: u64, arch: &Architecture, w: usize, trip: f64, body: u64) -> Candidate {
-    let seq = trip * body as f64;
-    let serial = if seg_cost > 0 {
-        seg_cost as f64 + arch.max_latency() as f64
-    } else {
-        0.0
-    };
-    let per_iter = (body as f64 / w as f64).max(serial);
-    let par = trip * per_iter + arch.dispatch_overhead as f64;
-    let s = if par > 0.0 { seq / par } else { 1.0 };
-    let serial_fraction = seg_cost as f64 / body as f64;
-    Candidate {
-        technique: Technique::Helix,
-        clean: true,
-        predicted_speedup: s,
-        workers: w,
-        detail: format!(
-            "serial fraction {serial_fraction:.2} ({seg_cost} of {body} cycles) + {} signal \
-             latency over {w} cores",
-            arch.max_latency()
-        ),
-        hybrid: None,
-    }
-}
-
-/// DSWP: throughput is bounded by the bottleneck stage (compute + queue
-/// traffic + steady-state transfer latency); hybrids additionally DOALL an
-/// inner clean loop inside its stage.
-#[allow(clippy::too_many_arguments)]
-fn predict_dswp(
-    ss: &StageSummary,
-    m: &noelle_ir::module::Module,
-    audit: &ModuleAudit,
-    fid: FuncId,
-    l: &LoopInfo,
-    arch: &Architecture,
-    opts: &PlanOptions,
-    trip: f64,
-    body: u64,
-) -> Candidate {
-    let seq = trip * body as f64;
-    let q = arch.queue_op_cost as f64;
-    let lat = arch.max_latency() as f64;
-    let stage_cost = |s: usize| ss.stage_costs[s] as f64 + ss.queue_ops[s] as f64 * q + lat;
-    let bottleneck = (0..ss.n_stages)
-        .map(stage_cost)
-        .fold(0.0f64, |a, b| a.max(b));
-    let par = trip * bottleneck + arch.dispatch_overhead as f64;
-    let s = if par > 0.0 { seq / par } else { 1.0 };
-
-    // Nested DOALL-inside-DSWP hybrid: an inner loop the audit marked
-    // DOALL-clean could be chunked within its stage, shrinking that stage by
-    // (W-1)/W of the inner body — at the price of one dispatch per outer
-    // iteration. Reported as an estimate; the executable plan stays
-    // single-technique per loop.
-    let hybrid = audit
-        .loops
-        .iter()
-        .filter(|il| il.fid == fid && il.header != l.header && l.contains(il.header))
-        .filter(|il| il.verdict(Technique::Doall).clean)
-        .map(|il| {
-            let f = m.func(fid);
-            let inner_body: f64 = il
-                .abstraction
-                .structure
-                .blocks
-                .iter()
-                .flat_map(|&b| f.block(b).insts.iter())
-                .map(|&i| approx_inst_cost(f.inst(i)) as f64)
-                .sum();
-            let w = opts.workers.max(1) as f64;
-            let shrunk =
-                (bottleneck - inner_body + inner_body / w + arch.dispatch_overhead as f64).max(1.0);
-            let hpar = trip * shrunk.max(bottleneck.min(shrunk)) + arch.dispatch_overhead as f64;
-            let hs = if hpar > 0.0 { seq / hpar } else { 1.0 };
-            HybridNote {
-                inner: format!("{}:{}", il.function, il.header_name),
-                predicted_speedup: hs,
+/// The integer `v` always holds in `fid`, when that can be read off the
+/// call sites: a literal, an argument every direct call of `fid` passes the
+/// same literal, or a sum, difference or product of such, `depth`
+/// operations deep. One call-graph hop and no further: the IDE re-plans an
+/// edited function's direct callers and callees, and a row must not depend
+/// on anything beyond them.
+fn known_value(m: &Module, calls: &CallEdges, fid: FuncId, v: Value, depth: u32) -> Option<i64> {
+    match v {
+        Value::Const(Constant::Int(c, _)) => Some(c),
+        Value::Arg(arg) => {
+            let mut agreed = None;
+            for caller in calls.callers_of(fid) {
+                let f = m.func(caller);
+                for &i in f.block_order().iter().flat_map(|&b| &f.block(b).insts) {
+                    match f.inst(i) {
+                        Inst::Call {
+                            callee: Callee::Direct(c),
+                            args,
+                            ..
+                        } if *c == fid => {
+                            let Some(Value::Const(Constant::Int(c, _))) = args.get(arg as usize)
+                            else {
+                                return None;
+                            };
+                            if agreed.is_some_and(|a| a != *c) {
+                                return None;
+                            }
+                            agreed = Some(*c);
+                        }
+                        _ => {}
+                    }
+                }
             }
-        })
-        .max_by(|a, b| {
-            a.predicted_speedup
-                .partial_cmp(&b.predicted_speedup)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-
-    let balance: Vec<String> = (0..ss.n_stages)
-        .map(|s| format!("{:.0}", stage_cost(s)))
-        .collect();
-    Candidate {
-        technique: Technique::Dswp,
-        clean: true,
-        predicted_speedup: s,
-        workers: ss.n_stages,
-        detail: format!(
-            "{} stages [{}] cycles/iter, {} value queue(s), bottleneck {bottleneck:.0}",
-            ss.n_stages,
-            balance.join(" "),
-            ss.value_queues
-        ),
-        hybrid,
+            agreed
+        }
+        Value::Inst(i) if depth > 0 => {
+            let Inst::Bin { op, lhs, rhs, .. } = m.func(fid).inst(i) else {
+                return None;
+            };
+            let fold: fn(i64, i64) -> i64 = match op {
+                BinOp::Add => i64::wrapping_add,
+                BinOp::Sub => i64::wrapping_sub,
+                BinOp::Mul => i64::wrapping_mul,
+                _ => return None,
+            };
+            Some(fold(
+                known_value(m, calls, fid, *lhs, depth - 1)?,
+                known_value(m, calls, fid, *rhs, depth - 1)?,
+            ))
+        }
+        _ => None,
     }
+}
+
+/// What one invocation of a loop costs run sequentially, in the machine's
+/// cycles: `trip` iterations of `iter` cycles and the final, failing test.
+struct LoopCost {
+    trip: f64,
+    /// One pass over the loop's instructions at [`static_cost`], an inner
+    /// loop's blocks counted once per iteration of it.
+    iter: f64,
+    /// The header's instructions when the loop tests at the top (exits
+    /// from a header that is no latch): they run once more than the body.
+    tail: u64,
+}
+
+impl LoopCost {
+    /// Price loop `i` of the audit; `trips` holds every audited loop's trip.
+    fn of(m: &Module, audit: &ModuleAudit, trips: &[f64], i: usize) -> LoopCost {
+        let laud = &audit.loops[i];
+        let (f, l) = (m.func(laud.fid), &laud.abstraction.structure);
+        // The loops nested in this one sit beside it: the audit lists a
+        // function's loops together.
+        let elsewhere = |o: &LoopAudit| o.fid != laud.fid;
+        let lo = audit.loops[..i]
+            .iter()
+            .rposition(elsewhere)
+            .map_or(0, |j| j + 1);
+        let hi = audit.loops[i..]
+            .iter()
+            .position(elsewhere)
+            .map_or(audit.loops.len(), |j| i + j);
+        let block_cost = |b: BlockId| -> u64 {
+            f.block(b)
+                .insts
+                .iter()
+                .map(|&id| static_cost(m, f.inst(id)))
+                .sum()
+        };
+        let iter = l
+            .blocks
+            .iter()
+            .map(|&b| {
+                let runs: f64 = (lo..hi)
+                    .filter(|&j| j != i)
+                    .map(|j| (&audit.loops[j].abstraction.structure, trips[j]))
+                    .filter(|(inner, _)| l.contains(inner.header) && inner.contains(b))
+                    .map(|(_, trip)| trip)
+                    .product();
+                runs * block_cost(b) as f64
+            })
+            .sum();
+        let tests_at_top = !l.latches.contains(&l.header)
+            && l.exit_edges.iter().any(|&(from, _)| from == l.header);
+        LoopCost {
+            trip: trips[i],
+            iter,
+            tail: if tests_at_top {
+                block_cost(l.header)
+            } else {
+                0
+            },
+        }
+    }
+
+    fn sequential(&self) -> f64 {
+        self.trip * self.iter + self.tail as f64
+    }
+}
+
+/// A recipe's predicted cost at one worker count.
+#[derive(Clone, Copy)]
+struct Price {
+    /// Cycles from the dispatch to the end of its join.
+    span: f64,
+    /// `span` plus the parent's fixed code: what replaces the loop.
+    total: f64,
+    workers: usize,
+}
+
+/// Predict what `recipe`, whose fixed code costs `fixed`, costs on `w`
+/// tasks (DSWP: on its own stages).
+fn predict(
+    m: &Module,
+    laud: &LoopAudit,
+    arch: &Architecture,
+    cost: &LoopCost,
+    recipe: &Recipe,
+    fixed: FixedCost,
+    w: usize,
+) -> Price {
+    let la = &*laud.abstraction;
+    let (span, workers) = match recipe {
+        Recipe::Helix(s) if !s.groups.is_empty() => (helix_span(arch, cost, fixed.task, s, w), w),
+        Recipe::Dswp(stages) => {
+            let ss = stages.summary(m, laud.fid, la);
+            (dswp_span(arch, cost, fixed.task, &ss), ss.n_stages)
+        }
+        _ => (distributed_span(arch, cost, fixed.task, 0.0, w), w),
+    };
+    Price {
+        span,
+        total: fixed.parent_for(workers) as f64 + span,
+        workers,
+    }
+}
+
+/// Price technique `t` on a loop the audit marked clean for it: the recipe
+/// the transform would execute, at the worker count in `1..=budget` (DSWP:
+/// the stage count in `2..=budget` its gate accepts) that predicts the
+/// fewest cycles; the fewer workers on a tie.
+fn price(
+    t: Technique,
+    m: &Module,
+    laud: &LoopAudit,
+    arch: &Architecture,
+    budget: usize,
+    cost: &LoopCost,
+) -> Candidate {
+    let (fid, la) = (laud.fid, &*laud.abstraction);
+    let cheaper = |a: Price, b: Price| if b.total < a.total { b } else { a };
+    let priced = if t == Technique::Dswp {
+        // The recipe depends on the stage count: one per count the gate
+        // accepts.
+        let mut best: Option<(Price, Recipe)> = None;
+        let mut refusal = None;
+        for want in 2..=budget.max(2) {
+            match gate(t, m, fid, la, arch, want) {
+                // Fewer SCCs than wanted: the partition already priced.
+                Ok(Recipe::Dswp(stages)) if stages.n_stages < want => break,
+                Ok(recipe) => {
+                    let fixed = fixed_cost(la, &recipe);
+                    let p = predict(m, laud, arch, cost, &recipe, fixed, want);
+                    if best.as_ref().is_none_or(|(b, _)| p.total < b.total) {
+                        best = Some((p, recipe));
+                    }
+                }
+                Err(e) => refusal = refusal.or(Some(e)),
+            }
+        }
+        best.ok_or_else(|| refusal.expect("the first count is priced or refused"))
+    } else {
+        // One recipe, priced at every count.
+        gate(t, m, fid, la, arch, budget).map(|recipe| {
+            let fixed = fixed_cost(la, &recipe);
+            let best = (1..=budget.max(1))
+                .map(|w| predict(m, laud, arch, cost, &recipe, fixed, w))
+                .reduce(cheaper)
+                .expect("a budget holds a worker");
+            (best, recipe)
+        })
+    };
+    let (p, recipe) = match priced {
+        Ok(priced) => priced,
+        // The audit said clean at its own worker count; this budget can
+        // still refuse (only DSWP's gate reads it). Report it honestly.
+        Err(e) => {
+            let why = format!("refused within {budget} workers: {e}");
+            return Candidate::unpriced(t, true, budget, why);
+        }
+    };
+    let seq = cost.sequential();
+    // One buffer, written twice: the sequential side, then the recipe's.
+    // Whole cycles, as integers: they format several times faster.
+    let whole = |x: f64| x.round() as u64;
+    let mut detail = String::with_capacity(160);
+    let _ = write!(
+        detail,
+        "{} iterations x {} cycles = {} sequential; {} on ",
+        whole(cost.trip),
+        whole(cost.iter),
+        whole(seq),
+        whole(p.total)
+    );
+    let _ = match &recipe {
+        Recipe::Dswp(stages) => {
+            let ss = stages.summary(m, fid, la);
+            let balance: Vec<String> = (0..ss.n_stages)
+                .map(|s| stage_period(arch, &ss, s).to_string())
+                .collect();
+            write!(
+                detail,
+                "{} stages [{}] cycles/iter, {} value queue(s)",
+                ss.n_stages,
+                balance.join(" "),
+                ss.value_queues
+            )
+        }
+        Recipe::Helix(s) if !s.groups.is_empty() => write!(
+            detail,
+            "{} cores, {} cycles/iter in sequential segments",
+            p.workers, s.cost
+        ),
+        _ => write!(
+            detail,
+            "{} cores, the last spawned at {}",
+            p.workers,
+            arch.spawn_clock(p.workers - 1)
+        ),
+    };
+    Candidate {
+        technique: t,
+        clean: true,
+        predicted_speedup: if p.total > 0.0 { seq / p.total } else { 1.0 },
+        predicted_cycles: p.span,
+        workers: p.workers,
+        detail,
+    }
+}
+
+/// Cycles from the dispatch to the end of its join when `w` tasks split the
+/// iterations cyclically (DOALL; HELIX's parallel part): task `t` starts at
+/// its spawn clock, runs its frame, its share of the iterations — each
+/// `extra` cycles dearer than the loop's own — and the final test, and the
+/// parent (on core 0, where `main` runs) sees the last of them after the
+/// join latency.
+fn distributed_span(arch: &Architecture, cost: &LoopCost, frame: u64, extra: f64, w: usize) -> f64 {
+    (0..w)
+        .map(|t| {
+            let share = ((cost.trip - t as f64) / w as f64).ceil().max(0.0);
+            let work = frame + cost.tail + arch.core_latency(arch.task_core(t), 0);
+            arch.spawn_clock(t) as f64 + share * (cost.iter + extra) + work as f64
+        })
+        .fold(0.0, f64::max)
+}
+
+/// HELIX: the iterations split as DOALL's do, each paying its brackets, and
+/// the sequential segments of successive iterations chain through a signal
+/// and — across cores — its latency.
+fn helix_span(arch: &Architecture, cost: &LoopCost, frame: u64, s: &Segments, w: usize) -> f64 {
+    // A wait and a signal per segment, and the iteration counter's add.
+    let brackets = 2 * s.groups.len() as u64 * arch.signal_cycles() + bin_cost(BinOp::Add);
+    let parallel = distributed_span(arch, cost, frame, brackets as f64, w);
+    let hop = arch.core_latency(arch.task_core(0), arch.task_core(w - 1));
+    let link = s.cost + arch.signal_cycles() + hop;
+    let chain = (arch.spawn_clock(0) + frame) as f64 + cost.trip * link as f64 + hop as f64;
+    parallel.max(chain)
+}
+
+/// Cycles stage `s` of a pipeline spends per iteration: its instructions
+/// and its queue operations.
+fn stage_period(arch: &Architecture, ss: &StageSummary, s: usize) -> u64 {
+    ss.stage_costs[s] + ss.queue_ops[s] * arch.queue_op_cycles()
+}
+
+/// DSWP: every stage runs every iteration, so the pipeline moves at its
+/// slowest stage's pace once the last stage has been spawned; what the
+/// stages behind the slowest still hold then drains one hop at a time.
+fn dswp_span(arch: &Architecture, cost: &LoopCost, frame: u64, ss: &StageSummary) -> f64 {
+    let last = ss.n_stages - 1;
+    (0..=last)
+        .map(|s| {
+            let drain = (last - s) as u64 * arch.max_latency();
+            let work = frame + cost.tail + drain + arch.core_latency(arch.task_core(last), 0);
+            arch.spawn_clock(s) as f64 + cost.trip * stage_period(arch, ss, s) as f64 + work as f64
+        })
+        .fold(0.0, f64::max)
 }
 
 /// Execute the plan: each chosen technique runs pinned to its loop through
@@ -674,61 +824,6 @@ pub fn apply_plan(n: &mut Noelle, plan: &ModulePlan) -> ParallelReport {
     merged
 }
 
-/// Spearman rank correlation with average ranks for ties. Returns 1.0 when
-/// both sides are constant (perfect trivial agreement), 0.0 when exactly
-/// one is.
-pub fn spearman(xs: &[f64], ys: &[f64]) -> f64 {
-    assert_eq!(xs.len(), ys.len(), "paired samples");
-    let n = xs.len();
-    if n < 2 {
-        return 1.0;
-    }
-    let rx = ranks(xs);
-    let ry = ranks(ys);
-    let mx = rx.iter().sum::<f64>() / n as f64;
-    let my = ry.iter().sum::<f64>() / n as f64;
-    let mut cov = 0.0;
-    let mut vx = 0.0;
-    let mut vy = 0.0;
-    for i in 0..n {
-        let dx = rx[i] - mx;
-        let dy = ry[i] - my;
-        cov += dx * dy;
-        vx += dx * dx;
-        vy += dy * dy;
-    }
-    if vx == 0.0 && vy == 0.0 {
-        return 1.0;
-    }
-    if vx == 0.0 || vy == 0.0 {
-        return 0.0;
-    }
-    cov / (vx.sqrt() * vy.sqrt())
-}
-
-fn ranks(xs: &[f64]) -> Vec<f64> {
-    let mut idx: Vec<usize> = (0..xs.len()).collect();
-    idx.sort_by(|&a, &b| {
-        xs[a]
-            .partial_cmp(&xs[b])
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    let mut out = vec![0.0; xs.len()];
-    let mut i = 0;
-    while i < idx.len() {
-        let mut j = i;
-        while j + 1 < idx.len() && xs[idx[j + 1]] == xs[idx[i]] {
-            j += 1;
-        }
-        let avg = (i + j) as f64 / 2.0 + 1.0;
-        for &k in &idx[i..=j] {
-            out[k] = avg;
-        }
-        i = j + 1;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -740,14 +835,103 @@ mod tests {
         Noelle::new(w.build(), AliasTier::Full)
     }
 
+    /// Predicted and simulated cycles from dispatch to join, and the whole
+    /// run's simulated cycles, of `t` on `@kernel`'s loop at exactly `w`
+    /// workers.
+    fn at_workers(src: &str, t: Technique, w: usize) -> (f64, u64, u64) {
+        let m = noelle_ir::parser::parse_module(src).expect("parses");
+        let mut n = Noelle::new(m.clone(), AliasTier::Full);
+        let audit = run_audit(&mut n);
+        let arch = n.architecture();
+        let (m, calls) = (n.module(), n.direct_calls());
+        let trips: Vec<f64> = audit
+            .loops
+            .iter()
+            .map(|l| trip_estimate(&Profiles::default(), false, m, calls, l))
+            .collect();
+        let i = audit
+            .loops
+            .iter()
+            .position(|l| l.function == "kernel")
+            .expect("@kernel has a loop");
+        let laud = &audit.loops[i];
+        let cost = LoopCost::of(m, &audit, &trips, i);
+        let recipe = gate(t, m, laud.fid, &laud.abstraction, &arch, w).expect("clean");
+        let fixed = fixed_cost(&laud.abstraction, &recipe);
+        let predicted = predict(m, laud, &arch, &cost, &recipe, fixed, w);
+        assert_eq!(predicted.workers, w);
+
+        let mut alone = Noelle::new(m.clone(), AliasTier::Full);
+        let target = LoopTargetOpts::pinned("kernel", laud.header).with_workers(w);
+        assert_eq!(parallelize(&mut alone, t, &target).count(), 1);
+        let par = run_module(&alone.into_module(), "main", &[], &RunConfig::default()).unwrap();
+        (predicted.span, par.counters["dispatch.cycles"], par.cycles)
+    }
+
+    const DOALL_ONE_LOOP: &str = r#"
+module "one" {
+declare i64* @malloc(i64 %n)
+define i64 @kernel(i64* %a, f64 %scale) {
+entry:
+  br header
+header:
+  %i = phi i64 [entry: i64 0] [body: %i2]
+  %s = phi f64 [entry: f64 0.0] [body: %s2]
+  %c = icmp slt i64 %i, i64 75
+  condbr %c, body, exit
+body:
+  %p = gep i64, %a, %i
+  %v = load i64, %p
+  %x = mul i64 %v, i64 3
+  %y = div i64 %x, i64 7
+  store i64 %y, %p
+  %f = sitofp i64 %y to f64
+  %g = fmul f64 %f, %scale
+  %s2 = fadd f64 %s, %g
+  %i2 = add i64 %i, i64 1
+  br header
+exit:
+  %r = fptosi f64 %s to i64
+  ret %r
+}
+define i64 @main() {
+entry:
+  %buf = call i64* @malloc(i64 2048)
+  %s = call i64 @kernel(%buf, f64 1.5)
+  ret %s
+}
+}
+"#;
+
     #[test]
-    fn spearman_basics() {
-        assert!((spearman(&[1.0, 2.0, 3.0], &[10.0, 20.0, 30.0]) - 1.0).abs() < 1e-12);
-        assert!((spearman(&[1.0, 2.0, 3.0], &[30.0, 20.0, 10.0]) + 1.0).abs() < 1e-12);
-        assert_eq!(spearman(&[1.0, 1.0, 1.0], &[1.0, 1.0, 1.0]), 1.0);
-        assert_eq!(spearman(&[1.0, 1.0, 1.0], &[1.0, 2.0, 3.0]), 0.0);
-        // Ties get average ranks: still monotone overall.
-        assert!(spearman(&[1.0, 2.0, 2.0, 4.0], &[1.0, 3.0, 3.0, 9.0]) > 0.99);
+    fn doall_predictions_are_the_machines_cycles_and_pick_its_best_count() {
+        let mut totals = Vec::new();
+        for w in 1..=4 {
+            let (predicted, simulated, total) = at_workers(DOALL_ONE_LOOP, Technique::Doall, w);
+            let off = (predicted - simulated as f64).abs() / simulated as f64;
+            assert!(
+                off <= 0.05,
+                "w={w}: predicted {predicted:.0}, simulated {simulated}"
+            );
+            totals.push(total);
+        }
+        let fastest = 1 + (0..4).min_by_key(|&w| totals[w]).unwrap();
+        assert_eq!(
+            fastest, 3,
+            "the loop is sized to prefer fewer than the budget"
+        );
+        let m = noelle_ir::parser::parse_module(DOALL_ONE_LOOP).unwrap();
+        let plan = plan_module(
+            &mut Noelle::new(m, AliasTier::Full),
+            &PlanOptions::default(),
+        );
+        let kernel = plan.loops.iter().find(|l| l.function == "kernel").unwrap();
+        assert_eq!(kernel.chosen, Some(Technique::Doall), "{}", kernel.reason);
+        assert_eq!(
+            kernel.chosen_candidate().unwrap().workers,
+            fastest,
+            "simulated totals at 1..=4 workers: {totals:?}"
+        );
     }
 
     #[test]

@@ -34,7 +34,6 @@
 //! assert!(result.cycles > 0);
 //! ```
 
-pub mod cost;
 pub mod machine;
 pub mod memory;
 

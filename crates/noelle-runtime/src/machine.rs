@@ -7,12 +7,11 @@
 //! consistent global virtual time, and the final makespan is the parallel
 //! execution time the Figure 5 experiments report.
 
-use crate::cost::{external_cost, inst_cost};
 use crate::memory::{
     decode_func_ptr, encode_func_ptr, DepTracer, MemError, Memory, ObservedDep, RtVal,
     TypeConfusion,
 };
-use noelle_core::architecture::Architecture;
+use noelle_core::architecture::{external_cost, inst_cost, Architecture};
 use noelle_core::profiler::Profiles;
 use noelle_ir::inst::{Callee, Inst, InstId, Terminator};
 use noelle_ir::module::{BlockId, FuncId, Module};
@@ -106,7 +105,11 @@ pub struct RunResult {
     /// Text emitted through `print_i64`/`print_f64`, in virtual-time order.
     pub output: Vec<String>,
     /// Intrinsic counters: `"guards"`, `"callbacks"`, `"queue_ops"`,
-    /// `"tasks"`, `"max_callback_gap"`, ...
+    /// `"tasks"`, `"max_callback_gap"`, ... and where the dispatches'
+    /// cycles went, summed over dispatches: `"dispatch.cycles"` from the
+    /// dispatch to the end of its join, of which `"dispatch.spawn_cycles"`
+    /// passed before the last task started and `"dispatch.join_cycles"`
+    /// between the last child's end and the parent seeing it.
     pub counters: BTreeMap<String, u64>,
     /// Runtime-observed memory dependences, in canonical order (empty unless
     /// [`RunConfig::trace_deps`] was set).
@@ -337,12 +340,9 @@ impl<'m> Machine<'m> {
                     .items
                     .pop_front()
                     .expect("scheduler checked readiness");
-                let lat = self
-                    .config
-                    .arch
-                    .core_latency(producer, self.tasks[tid].core);
+                let arch = &self.config.arch;
                 let t = &mut self.tasks[tid];
-                t.clock = t.clock.max(ready + lat) + self.config.arch.queue_op_cost;
+                t.clock = arch.arrival(t.clock, ready, producer, t.core) + arch.queue_op_cost;
                 // Deliver: the pop call instruction is the previous one.
                 let frame = t.frames.last_mut().expect("live frame");
                 let call_inst = frame.pending_result_inst();
@@ -361,23 +361,26 @@ impl<'m> Machine<'m> {
             }
             TaskState::BlockedSeg(seg, _) => {
                 let s = &self.segments[&seg];
-                let lat = self
+                let t = &mut self.tasks[tid];
+                t.clock = self
                     .config
                     .arch
-                    .core_latency(s.last_core, self.tasks[tid].core);
-                let resume_at = s.last_time + lat;
-                let t = &mut self.tasks[tid];
-                t.clock = t.clock.max(resume_at);
+                    .arrival(t.clock, s.last_time, s.last_core, t.core);
                 t.state = TaskState::Runnable;
             }
             TaskState::BlockedJoin(kids) => {
-                let my_core = self.tasks[tid].core;
-                let mut end = self.tasks[tid].clock;
-                for &k in &kids {
-                    let child_end = self.tasks[k].clock
-                        + self.config.arch.core_latency(self.tasks[k].core, my_core);
-                    end = end.max(child_end);
+                // The parent's clock has stood at the dispatch since.
+                let (my_core, base) = (self.tasks[tid].core, self.tasks[tid].clock);
+                let arch = &self.config.arch;
+                let (mut end, mut last_child) = (base, base);
+                for k in kids.iter().map(|&k| &self.tasks[k]) {
+                    end = arch.arrival(end, k.clock, k.core, my_core);
+                    last_child = last_child.max(k.clock);
                 }
+                let spawn = arch.spawn_clock(kids.len() - 1);
+                self.bump_counter("dispatch.cycles", end - base);
+                self.bump_counter("dispatch.spawn_cycles", spawn);
+                self.bump_counter("dispatch.join_cycles", end - last_child);
                 let t = &mut self.tasks[tid];
                 t.clock = end;
                 t.state = TaskState::Runnable;
@@ -921,12 +924,9 @@ impl<'m> Machine<'m> {
                         .items
                         .pop_front()
                         .expect("non-empty");
-                    let lat = self
-                        .config
-                        .arch
-                        .core_latency(producer, self.tasks[tid].core);
+                    let arch = &self.config.arch;
                     let t = &mut self.tasks[tid];
-                    t.clock = t.clock.max(ready + lat) + self.config.arch.queue_op_cost;
+                    t.clock = arch.arrival(t.clock, ready, producer, t.core) + arch.queue_op_cost;
                     self.write_reg(tid, inst_id, RtVal::I(v));
                 }
             }
@@ -937,13 +937,11 @@ impl<'m> Machine<'m> {
                 if count >= iter {
                     if iter > 0 {
                         let s = &self.segments[&seg];
-                        let lat = self
-                            .config
-                            .arch
-                            .core_latency(s.last_core, self.tasks[tid].core);
-                        let resume_at = s.last_time + lat;
                         let t = &mut self.tasks[tid];
-                        t.clock = t.clock.max(resume_at);
+                        t.clock =
+                            self.config
+                                .arch
+                                .arrival(t.clock, s.last_time, s.last_core, t.core);
                     }
                 } else {
                     self.tasks[tid].state = TaskState::BlockedSeg(seg, iter);
@@ -971,8 +969,8 @@ impl<'m> Machine<'m> {
                 let base_clock = self.tasks[tid].clock;
                 let mut kids = Vec::new();
                 for i in 0..n {
-                    let core = i % self.config.arch.num_cores;
-                    let clock = base_clock + self.config.arch.dispatch_overhead * (i as u64 + 1);
+                    let core = self.config.arch.task_core(i);
+                    let clock = base_clock + self.config.arch.spawn_clock(i);
                     let kid = self.spawn_task(
                         target,
                         vec![RtVal::I(env), RtVal::I(i as i64), RtVal::I(n as i64)],
@@ -1248,6 +1246,92 @@ done:
         );
         assert_eq!(r.ret_i64(), Some(6)); // 0+1+2+3
         assert_eq!(r.counters.get("tasks"), Some(&4));
+    }
+
+    /// The one place the dispatch schedule is pinned to the architecture
+    /// abstraction: what the planner prices with `spawn_clock` and the join
+    /// latency is what a dispatch costs here.
+    #[test]
+    fn a_dispatch_ends_at_the_last_spawn_plus_the_work_plus_the_join_latency() {
+        let arch = Architecture::default_machine();
+        for n in 1..=6usize {
+            let m = parse_module(&format!(
+                r#"
+module "t" {{
+declare void @noelle.task.dispatch(fn void(i64*, i64, i64)* %f, i64* %env, i64 %n)
+define void @task(i64* %env, i64 %id, i64 %n) {{
+entry:
+  %p = gep i64, %env, %id
+  %x = mul i64 %id, i64 7
+  %y = div i64 %x, i64 3
+  store i64 %y, %p
+  ret void
+}}
+define i64 @main() {{
+entry:
+  %env = alloca i64, i64 8
+  call void @noelle.task.dispatch(@task, %env, i64 {n})
+  ret i64 0
+}}
+}}
+"#
+            ))
+            .unwrap();
+            let cost_of = |name: &str| -> u64 {
+                let f = m.func(m.func_id_by_name(name).unwrap());
+                f.inst_ids().iter().map(|&i| inst_cost(f.inst(i))).sum()
+            };
+            let work = cost_of("task");
+            let span = arch.spawn_clock(n - 1) + work + arch.core_latency(arch.task_core(n - 1), 0);
+            let r = run_module(&m, "main", &[], &RunConfig::default()).unwrap();
+            assert_eq!(r.counters["tasks"], n as u64);
+            assert_eq!(r.counters["dispatch.cycles"], span, "{n} tasks");
+            assert_eq!(r.counters["dispatch.spawn_cycles"], arch.spawn_clock(n - 1));
+            assert_eq!(
+                r.counters["dispatch.join_cycles"],
+                arch.core_latency(arch.task_core(n - 1), 0)
+            );
+            let dispatch = external_cost("noelle.task.dispatch");
+            assert_eq!(r.cycles, cost_of("main") + dispatch + span, "{n} tasks");
+        }
+    }
+
+    /// Queue operations and segment brackets cost their core what the
+    /// architecture abstraction says they do.
+    #[test]
+    fn queue_and_signal_operations_cost_what_the_architecture_says() {
+        let r = run_src(
+            r#"
+module "t" {
+declare i64 @noelle.queue.create(i64 %cap)
+declare void @noelle.queue.push(i64 %q, i64 %v)
+declare i64 @noelle.queue.pop(i64 %q)
+declare void @noelle.ss.wait(i64 %seg, i64 %iter)
+declare void @noelle.ss.signal(i64 %seg)
+define i64 @main() {
+entry:
+  %q = call i64 @noelle.queue.create(i64 4)
+  call void @noelle.queue.push(%q, i64 41)
+  %v = call i64 @noelle.queue.pop(%q)
+  call void @noelle.ss.signal(i64 0)
+  call void @noelle.ss.wait(i64 0, i64 1)
+  ret %v
+}
+}
+"#,
+        );
+        assert_eq!(r.ret_i64(), Some(41));
+        let arch = Architecture::default_machine();
+        let create = inst_cost(&Inst::Call {
+            callee: Callee::Direct(FuncId(0)),
+            args: Vec::new(),
+            ret_ty: Type::I64,
+        }) + external_cost("noelle.queue.create");
+        let ret = inst_cost(&Inst::Term(Terminator::Ret(None)));
+        assert_eq!(
+            r.cycles,
+            create + 2 * arch.queue_op_cycles() + 2 * arch.signal_cycles() + ret
+        );
     }
 
     #[test]

@@ -9,21 +9,42 @@
 //! unified `LoopTargetOpts` transform surface and writes the parallelized
 //! module. `workload:all` plans the whole built-in suite into one JSON
 //! document — the form CI diffs against the checked-in golden.
+//! `--calibrate` instead applies every planned loop alone, runs it on the
+//! simulated machine and prints prediction beside measurement, one row a
+//! loop (`workload:all`: the suite plus `scale_module(133, 42)`, the form
+//! CI diffs against `results/plan_calibration.txt`).
 
 use noelle_core::json::{envelope, Json};
 use noelle_core::noelle::{AliasTier, Noelle};
 use noelle_plan::{apply_plan, plan_module, PlanOptions};
+use noelle_tools::calibrate::{calibrate, corpus, render};
 use noelle_tools::{die, read_module, write_module, Args};
 
 fn main() {
     let args = Args::parse();
     let Some(input) = args.positional.first() else {
-        die("usage: noelle-plan <in.nir|workload:NAME|workload:all> [--workers N] [--format text|json] [--apply] [--o out.nir]");
+        die("usage: noelle-plan <in.nir|workload:NAME|workload:all> [--workers N] [--format text|json] [--calibrate] [--apply] [--o out.nir]");
     };
     let format = args.flag_or("format", "text").to_string();
     let opts = PlanOptions {
         workers: args.flag_usize("workers", PlanOptions::default().workers),
     };
+    if args.flag("calibrate").is_some() {
+        let modules = if input == "workload:all" {
+            corpus()
+        } else {
+            vec![(
+                input.clone(),
+                read_module(input).unwrap_or_else(|e| die(&e)),
+            )]
+        };
+        let mut rows = Vec::new();
+        for (name, m) in &modules {
+            rows.extend(calibrate(name, m, &opts).unwrap_or_else(|e| die(&e)));
+        }
+        print!("{}", render(&rows));
+        return;
+    }
     if input == "workload:all" {
         // One deterministic document over the whole suite, keyed by
         // workload name: the golden-diff form.

@@ -22,6 +22,7 @@
 //! This module provides file IO helpers, a tiny flag parser, and the module
 //! linker shared by `noelle-whole-ir` and `noelle-linker`.
 
+pub mod calibrate;
 pub mod registry;
 
 use noelle_ir::inst::{Callee, Inst};

@@ -4,14 +4,17 @@
 //! hundred lines each (the Table 3 claim).
 
 use crate::{doall, dswp, helix, perspective};
-use noelle_core::architecture::Architecture;
+use noelle_core::architecture::{
+    bin_cost, external_cost, Architecture, ALLOCA_CYCLES, BR_CYCLES, CALL_CYCLES, RET_CYCLES,
+    SWITCH_CYCLES,
+};
 use noelle_core::audit::Technique;
-use noelle_core::env::EnvironmentBuilder;
+use noelle_core::env::{Environment, EnvironmentBuilder};
 use noelle_core::loop_abs::LoopAbstraction;
 use noelle_core::loop_builder::{bypass_loop, ensure_preheader, LoopBuilderError};
 use noelle_core::noelle::{Abstraction, Noelle};
 use noelle_core::reduction::Reduction;
-use noelle_core::task::{outline_loop_as_task, TaskError, TaskFunction};
+use noelle_core::task::{outline_loop_as_task, task_frame_cycles, TaskError, TaskFunction};
 use noelle_ir::inst::{BinOp, Inst, InstId, Terminator};
 use noelle_ir::loops::LoopInfo;
 use noelle_ir::module::{BlockId, FuncId, Module};
@@ -238,7 +241,7 @@ pub fn gate(
     match technique.into() {
         Parallelizer::Doall => doall::gate(m, fid, la).map(|()| Recipe::Doall),
         Parallelizer::Helix => helix::gate(m, fid, la, arch).map(Recipe::Helix),
-        Parallelizer::Dswp => dswp::gate(m, fid, la, workers).map(Recipe::Dswp),
+        Parallelizer::Dswp => dswp::gate(m, fid, la, arch, workers).map(Recipe::Dswp),
         Parallelizer::Perspective => perspective::gate(m, fid, la).map(Recipe::Perspective),
     }
 }
@@ -256,6 +259,68 @@ pub fn emit(
         Recipe::Helix(segments) => helix::emit(m, fid, la, segments, workers),
         Recipe::Dswp(plan) => dswp::emit(m, fid, la, plan),
         Recipe::Perspective(cell) => perspective::emit(m, fid, la, *cell, workers),
+    }
+}
+
+/// Cycles of the fixed code [`emit`] writes for a recipe, per invocation of
+/// the loop, counted off the same inputs `emit` reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FixedCost {
+    /// In the dispatching function, whatever the task count: the
+    /// environment's allocation and live-in stores, the queues' creation,
+    /// the dispatch call and the branch on.
+    pub parent: u64,
+    /// In the dispatching function after the join, once per task: the
+    /// reload of its partial live-outs and their fold into the reductions.
+    pub merge: u64,
+    /// In each task, around its share of the iterations: the frame
+    /// ([`task_frame_cycles`]) plus what the technique adds — the
+    /// re-stepped recurrences of a distributed loop, a stage's queue-id
+    /// loads and its trampoline.
+    pub task: u64,
+}
+
+impl FixedCost {
+    /// The dispatching function's share when `n_tasks` tasks are merged.
+    pub fn parent_for(&self, n_tasks: usize) -> u64 {
+        self.parent + n_tasks as u64 * self.merge
+    }
+}
+
+/// Price the fixed code of `recipe`.
+pub fn fixed_cost(la: &LoopAbstraction, recipe: &Recipe) -> FixedCost {
+    let n_queues = match recipe {
+        Recipe::Dswp(plan) => plan.n_queues() as u64,
+        _ => 0,
+    };
+    let slot = Environment::slot_cycles;
+    let call = |name: &str| CALL_CYCLES + external_cost(name);
+    let stores: u64 = la.env.live_ins.iter().map(|(_, ty)| slot(ty)).sum();
+    let merge = la
+        .env
+        .live_outs
+        .iter()
+        .map(|(v, ty)| {
+            let red = la.reductions.iter().find(|r| Value::Inst(r.phi) == *v);
+            slot(ty) + red.map_or(0, |r| bin_cost(r.op))
+        })
+        .sum();
+    let technique = match recipe {
+        // `build_trampoline`'s switch, call and ret, and `prune_stage`'s
+        // queue-id loads.
+        Recipe::Dswp(_) => SWITCH_CYCLES + CALL_CYCLES + RET_CYCLES + n_queues * slot(&Type::I64),
+        // `distribute_cyclically`: `offset_start` and `scale_step` per
+        // affine recurrence (Perspective distributes the same way).
+        _ => la.ivs.len() as u64 * (2 * bin_cost(BinOp::Mul) + bin_cost(BinOp::Add)),
+    };
+    FixedCost {
+        parent: ALLOCA_CYCLES
+            + stores
+            + n_queues * (call(QUEUE_CREATE_INTRINSIC) + slot(&Type::I64))
+            + call(DISPATCH_INTRINSIC)
+            + BR_CYCLES,
+        merge,
+        task: task_frame_cycles(&la.env) + technique,
     }
 }
 
@@ -376,24 +441,6 @@ pub fn mechanics_gate(
     Ok(())
 }
 
-/// Static per-instruction cost estimate used by the technique profitability
-/// gates and the planner's speedup predictions. Mirrors the relative weights
-/// of the simulated machine's cost model (computation < memory < div/call)
-/// without depending on the runtime crate.
-pub fn approx_inst_cost(inst: &Inst) -> u64 {
-    match inst {
-        Inst::Bin { op, .. } => match op {
-            BinOp::Div | BinOp::Rem => 20,
-            BinOp::FDiv => 18,
-            BinOp::Mul | BinOp::FMul => 3,
-            _ => 1,
-        },
-        Inst::Load { .. } | Inst::Store { .. } => 4,
-        Inst::Call { .. } => 20,
-        _ => 1,
-    }
-}
-
 /// The signature of task functions: `void (i64* env, i64 task_id, i64
 /// n_tasks)`.
 pub fn task_fn_ptr_type() -> Type {
@@ -486,7 +533,7 @@ pub fn emit_dispatcher_with_queues(
     fid: FuncId,
     la: &LoopAbstraction,
     dispatch_target: FuncId,
-    env: &noelle_core::env::Environment,
+    env: &Environment,
     n_tasks: usize,
     n_queues: usize,
 ) -> Result<(), ParallelizeError> {
@@ -649,6 +696,125 @@ mod tests {
         let b = declare_dispatch(&mut m);
         assert_eq!(a, b);
         assert_eq!(m.functions().len(), 1);
+    }
+
+    /// `fixed_cost` counts what `emit` writes: for each technique, the
+    /// blocks the rewrite adds around the loop — the parent's `dispatch`,
+    /// each task's `entry` and `finish`, a stage's trampoline — cost what
+    /// it says, so the planner's prices cannot drift from the emitters.
+    #[test]
+    fn fixed_cost_is_what_emit_writes() {
+        use noelle_core::architecture::{inst_cost, static_cost};
+        use noelle_core::noelle::AliasTier;
+        let src = r#"
+module "t" {
+define f64 @kernel(i64* %a, f32 %scale, i64 %n) {
+entry:
+  br header
+header:
+  %i = phi i64 [entry: i64 0] [body: %i2]
+  %j = phi i64 [entry: i64 5] [body: %j2]
+  %s = phi f64 [entry: f64 0.0] [body: %s2]
+  %c = icmp slt i64 %i, %n
+  condbr %c, body, exit
+body:
+  %p = gep i64, %a, %j
+  %v = load i64, %p
+  %d0 = div i64 %v, i64 7
+  %d1 = div i64 %d0, i64 3
+  %d2 = div i64 %d1, i64 5
+  %d3 = div i64 %d2, i64 9
+  %d4 = div i64 %d3, i64 11
+  %d5 = div i64 %d4, i64 13
+  %d6 = div i64 %d5, i64 2
+  %d7 = div i64 %d6, i64 17
+  %d8 = div i64 %d7, i64 19
+  %d9 = div i64 %d8, i64 23
+  %da = div i64 %d9, i64 7
+  %db = div i64 %da, i64 3
+  %dc = div i64 %db, i64 5
+  %dd = div i64 %dc, i64 9
+  %de = div i64 %dd, i64 11
+  %df = div i64 %de, i64 13
+  %f = sitofp i64 %df to f32
+  %g = fmul f32 %f, %scale
+  %h = fpext f32 %g to f64
+  %s2 = fadd f64 %s, %h
+  %i2 = add i64 %i, i64 1
+  %j2 = add i64 %j, i64 2
+  br header
+exit:
+  ret %s
+}
+}
+"#;
+        for (technique, workers) in [
+            (Parallelizer::Doall, 3),
+            (Parallelizer::Helix, 4),
+            (Parallelizer::Dswp, 2),
+            (Parallelizer::Dswp, 3),
+        ] {
+            let m = noelle_ir::parser::parse_module(src).unwrap();
+            let mut n = Noelle::new(m, AliasTier::Full);
+            let fid = n.module().func_id_by_name("kernel").unwrap();
+            let l = n.loops_of(fid)[0].clone();
+            let la = n.loop_abstraction(fid, l);
+            let arch = Architecture::default_machine();
+            let recipe = gate(technique, n.module(), fid, &la, &arch, workers)
+                .unwrap_or_else(|e| panic!("{technique:?}: {e}"));
+            let predicted = fixed_cost(&la, &recipe);
+            let n_tasks = match &recipe {
+                Recipe::Dswp(plan) => plan.n_stages,
+                _ => workers,
+            };
+            n.edit(|tx| emit(tx.module_touching([fid]), fid, &la, &recipe, workers))
+                .unwrap();
+
+            let m = n.module();
+            let block_cost = |f: &noelle_ir::module::Function, name: &str| -> u64 {
+                let b = f
+                    .block_order()
+                    .iter()
+                    .find(|&&b| f.block(b).name == name)
+                    .unwrap_or_else(|| panic!("@{} has no block {name}", f.name));
+                f.block(*b)
+                    .insts
+                    .iter()
+                    .map(|&i| static_cost(m, f.inst(i)))
+                    .sum()
+            };
+            assert_eq!(
+                predicted.parent_for(n_tasks),
+                block_cost(m.func(fid), "dispatch"),
+                "{technique:?}: the parent's dispatch block"
+            );
+            let tasks: Vec<_> = m
+                .functions()
+                .iter()
+                .filter(|f| f.name.starts_with("kernel.") && !f.name.ends_with(".tramp"))
+                .collect();
+            assert!(!tasks.is_empty());
+            let trampoline = m.functions().iter().find(|f| f.name.ends_with(".tramp"));
+            // One pass through the trampoline: its switch, one stage's call
+            // (the stage itself is the task) and return.
+            let hop = trampoline.map_or(0, |t| {
+                let call_and_ret: u64 = t
+                    .block(t.block_order()[1])
+                    .insts
+                    .iter()
+                    .map(|&i| inst_cost(t.inst(i)))
+                    .sum();
+                block_cost(t, "entry") + call_and_ret
+            });
+            for task in tasks {
+                assert_eq!(
+                    predicted.task,
+                    block_cost(task, "entry") + block_cost(task, "finish") + hop,
+                    "{technique:?}: @{}",
+                    task.name
+                );
+            }
+        }
     }
 
     #[test]

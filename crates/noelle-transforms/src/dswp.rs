@@ -12,10 +12,10 @@
 //! cross-stage memory accesses.
 
 use crate::common::{
-    approx_inst_cost, emit_dispatcher_with_queues, liveouts_supported, mechanics_gate,
-    reset_reduction_initials, task_loop, ParallelizeError, QUEUE_POP_INTRINSIC,
-    QUEUE_PUSH_INTRINSIC,
+    emit_dispatcher_with_queues, liveouts_supported, mechanics_gate, reset_reduction_initials,
+    task_loop, ParallelizeError, QUEUE_POP_INTRINSIC, QUEUE_PUSH_INTRINSIC,
 };
+use noelle_core::architecture::{static_cost, Architecture};
 use noelle_core::env::EnvironmentBuilder;
 use noelle_core::loop_abs::LoopAbstraction;
 use noelle_core::noelle::Abstraction;
@@ -63,12 +63,13 @@ pub struct StagePlan {
 
 /// DSWP takes a loop whose blocks all run once per iteration, whose SCCs
 /// split into at least two stages with only forward register dependences
-/// between them, and whose body outweighs the queue traffic. `want_stages`
-/// is an upper bound; the plan says how many are used.
+/// between them, and whose body outweighs the queue traffic on `arch`.
+/// `want_stages` is an upper bound; the plan says how many are used.
 pub fn gate(
     m: &Module,
     fid: FuncId,
     la: &LoopAbstraction,
+    arch: &Architecture,
     want_stages: usize,
 ) -> Result<StagePlan, ParallelizeError> {
     let l = &la.structure;
@@ -109,12 +110,13 @@ pub fn gate(
         let body_cost: u64 = la
             .pdg
             .internal_nodes()
-            .map(|i| approx_inst_cost(f.inst(i)))
+            .map(|i| static_cost(m, f.inst(i)))
             .sum();
-        // Each stage pays ~2 queue operations (30 cycles each) plus, in the
-        // balanced steady state, one inter-core latency (60 cycles) per
-        // iteration because its pops arrive just before the matching push.
-        let est_stage = body_cost / n_stages as u64 + 2 * 30 + 60;
+        // Each stage pays ~2 queue operations plus, in the balanced steady
+        // state, one inter-core latency per iteration because its pops
+        // arrive just before the matching push.
+        let est_stage =
+            body_cost / n_stages as u64 + 2 * arch.queue_op_cycles() + arch.max_latency();
         if est_stage * 21 / 20 >= body_cost {
             return Err(ParallelizeError::Shape(
                 "loop body too light for pipelining".into(),
@@ -193,8 +195,7 @@ pub fn emit(
     let l = &la.structure;
     let value_queues = &plan.value_queues;
     let n_stages = plan.n_stages;
-    let n_token_queues = n_stages - 1;
-    let n_queues = value_queues.len() + n_token_queues;
+    let n_queues = plan.n_queues();
     let queue_index: HashMap<(InstId, usize), usize> = value_queues
         .iter()
         .enumerate()
@@ -247,19 +248,25 @@ pub struct StageSummary {
 }
 
 impl StagePlan {
+    /// Queues the pipeline runs on: one per cross-stage value and a token
+    /// queue between consecutive stages.
+    pub fn n_queues(&self) -> usize {
+        self.value_queues.len() + self.n_stages - 1
+    }
+
     /// Summarize the pipeline for the planner's cost model.
     pub fn summary(&self, m: &Module, fid: FuncId, la: &LoopAbstraction) -> StageSummary {
         let f = m.func(fid);
         let replicated_cost: u64 = self
             .replicated
             .iter()
-            .map(|&i| approx_inst_cost(f.inst(i)))
+            .map(|&i| static_cost(m, f.inst(i)))
             .sum();
         let mut stage_costs = vec![replicated_cost; self.n_stages];
         for (&scc, &s) in &self.stage_of_scc {
             for &i in &la.sccdag.nodes()[scc].insts {
                 if !self.replicated.contains(&i) {
-                    stage_costs[s] += approx_inst_cost(f.inst(i));
+                    stage_costs[s] += static_cost(m, f.inst(i));
                 }
             }
         }
@@ -394,7 +401,7 @@ fn prune_stage(
 
     // Load all queue ids in the entry block (before its terminator).
     let env_base_slot = la.env.num_slots(n_stages) as i64;
-    let n_queues = n_value_queues + (n_stages - 1);
+    let n_queues = plan.n_queues();
     let tl = task_loop(m, task.fid);
     let latch = tl
         .single_latch()
@@ -604,6 +611,7 @@ fn build_trampoline(m: &mut Module, name: &str, stages: &[FuncId]) -> FuncId {
 #[cfg(test)]
 mod tests {
     use crate::common::{parallelize, LoopTargetOpts, Parallelizer};
+    use noelle_core::architecture::Architecture;
     use noelle_core::noelle::{AliasTier, Noelle};
     use noelle_ir::parser::parse_module;
     use noelle_runtime::{run_module, RunConfig};
@@ -746,6 +754,56 @@ done:
             let speedup = seq.cycles as f64 / par.cycles as f64;
             assert!(speedup > 1.05, "pipelining must pay off: {speedup:.2}");
         }
+    }
+
+    /// The gate prices the machine the module names. Ten of
+    /// [`DSWP_PROGRAM`]'s twenty divide/add pairs are too light to pipeline
+    /// on the default machine and heavy enough on one whose queues are
+    /// free: the loop, the recipe and the hop latency stay the same.
+    #[test]
+    fn the_gate_prices_the_embedded_architectures_queues() {
+        let second_ten = |l: &str| {
+            let def = l.trim_start().split(' ').next().unwrap_or("");
+            def.len() == 4 && (def.starts_with("%u1") || def.starts_with("%w1"))
+        };
+        let light: String = DSWP_PROGRAM
+            .lines()
+            .filter(|l| !second_ten(l))
+            .map(|l| l.replace("%w19", "%w9") + "\n")
+            .collect();
+        let pipelined = |arch: Option<Architecture>| {
+            let mut m = parse_module(&light).unwrap();
+            if let Some(arch) = arch {
+                arch.embed(&mut m);
+            }
+            let mut noelle = Noelle::new(m, AliasTier::Full);
+            let target = LoopTargetOpts {
+                min_hotness: 0.0,
+                workers: 2,
+                only: None,
+            };
+            parallelize(&mut noelle, Parallelizer::Dswp, &target)
+        };
+        let refused = pipelined(None);
+        assert_eq!(refused.count(), 0, "{refused:?}");
+        assert!(
+            refused
+                .skipped
+                .iter()
+                .any(|(f, _, why)| f == "kernel" && why.contains("too light")),
+            "{refused:?}"
+        );
+        let same = pipelined(Some(Architecture::default_machine()));
+        assert_eq!(same.skipped, refused.skipped);
+        let free_queues = Architecture {
+            queue_op_cost: 0,
+            ..Architecture::default_machine()
+        };
+        let taken = pipelined(Some(free_queues));
+        assert!(
+            taken.parallelized.iter().any(|(f, _)| f == "kernel"),
+            "{taken:?}"
+        );
     }
 
     #[test]

@@ -13,11 +13,11 @@
 //! core-to-core signal latency charged from the AR abstraction.
 
 use crate::common::{
-    approx_inst_cost, mechanics_gate, parallelize_with, task_loop, ParallelizeError,
-    SS_SIGNAL_INTRINSIC, SS_WAIT_INTRINSIC,
+    mechanics_gate, parallelize_with, task_loop, ParallelizeError, SS_SIGNAL_INTRINSIC,
+    SS_WAIT_INTRINSIC,
 };
 use crate::doall::distribute_cyclically;
-use noelle_core::architecture::Architecture;
+use noelle_core::architecture::{static_cost, Architecture};
 use noelle_core::loop_abs::LoopAbstraction;
 use noelle_core::noelle::Abstraction;
 use noelle_core::task::TaskFunction;
@@ -148,21 +148,21 @@ pub fn gate(
     if seg_insts as f64 / total as f64 > MAX_SEQUENTIAL_FRACTION {
         return Err(ParallelizeError::Segments("mostly sequential"));
     }
-    // The signal latency is paid once per iteration on the sequential
-    // chain; the parallel work per iteration must outweigh it.
+    // The signal and its latency are paid once per iteration on the
+    // sequential chain; the parallel work per iteration must outweigh it.
     let f = m.func(fid);
     let cost: u64 = groups
         .iter()
         .flatten()
-        .map(|&i| approx_inst_cost(f.inst(i)))
+        .map(|&i| static_cost(m, f.inst(i)))
         .sum();
     if !groups.is_empty() {
         let body_cost: u64 = la
             .pdg
             .internal_nodes()
-            .map(|i| approx_inst_cost(f.inst(i)))
+            .map(|i| static_cost(m, f.inst(i)))
             .sum();
-        if body_cost < (cost + arch.max_latency()) * 13 / 10 {
+        if body_cost < (cost + arch.signal_cycles() + arch.max_latency()) * 13 / 10 {
             return Err(ParallelizeError::Segments("sequential segment dominates"));
         }
     }

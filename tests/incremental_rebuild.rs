@@ -20,6 +20,7 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
+use noelle::core::architecture::Architecture;
 use noelle::core::noelle::{AliasTier, Noelle};
 use noelle::core::wire;
 use noelle::ir::inst::{BinOp, Callee, Inst};
@@ -337,7 +338,16 @@ fn points_to_stays_exact_through_destructive_edit_scripts() {
 
 #[test]
 fn a_commit_regenerates_what_it_touched_not_the_module() {
-    let mut n = Noelle::new(scale_module(256, 7), AliasTier::Full);
+    // The scale module's kernels are too light to earn a dispatch on the
+    // default machine; on one that spawns a task for 20 cycles they do,
+    // and the planner prices the machine the module names.
+    let mut m = scale_module(256, 7);
+    let cheap_spawn = Architecture {
+        dispatch_overhead: 20,
+        ..Architecture::default_machine()
+    };
+    cheap_spawn.embed(&mut m);
+    let mut n = Noelle::new(m, AliasTier::Full);
     let funcs = n.module().functions().len() as u64;
     let plan = plan_module(&mut n, &PlanOptions::default());
     let planned = plan.planned() as u64;

@@ -12,7 +12,7 @@
 //! the host, so the bounds are tight. The tests take turns ([`alone`]), so
 //! nothing else allocates while a closure is being counted.
 
-use noelle::core::noelle::AliasTier;
+use noelle::core::noelle::{AliasTier, Noelle};
 use noelle::ir::cfg::Cfg;
 use noelle::ir::dom::DomTree;
 use noelle::ir::inst::Inst;
@@ -25,6 +25,8 @@ use noelle::pdg::pdg::PdgBuilder;
 use noelle::workloads::scale_module;
 use noelle_analysis::alias::{AliasAnalysis, AliasStack, AndersenAlias, BasicAlias};
 use noelle_ide::{Change, DocSession};
+use noelle_lint::run_audit;
+use noelle_plan::{plan_from_audit, PlanOptions};
 use noelle_store::artifact::{decode_forest, decode_partition};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::BTreeSet;
@@ -232,4 +234,23 @@ fn a_body_edit_allocates_for_the_edit_and_a_pull_copies_no_finding() {
     // The parent cloned every finding and sorted the copies before
     // rendering them: 20 780 at 256 functions.
     assert!(large_pull < 20_780, "{large_pull} allocations for a pull");
+}
+
+/// The planner prices every clean technique at every worker count of its
+/// budget; the arg-max is arithmetic, so doing that costs no more
+/// allocations than pricing each technique once did.
+#[test]
+fn planning_allocates_no_more_than_pricing_one_worker_count_did() {
+    let _turn = alone();
+    let mut n = Noelle::new(scale_module(256, 3), AliasTier::Full);
+    let audit = run_audit(&mut n);
+    let (plan, planning) = allocations(|| plan_from_audit(&mut n, &audit, &PlanOptions::default()));
+    eprintln!(
+        "{} loops planned from an audit in {planning} allocations",
+        plan.loops.len()
+    );
+    assert!(plan.loops.len() > 100, "{} loops", plan.loops.len());
+    // Read at the parent commit, where each technique was priced at one
+    // worker count (and the DSWP candidates carried a hybrid note).
+    assert!(planning <= 3148, "{planning} allocations");
 }
