@@ -26,7 +26,6 @@
 //! | Architecture (AR) | [`architecture`] |
 
 pub mod architecture;
-pub mod audit;
 pub mod env;
 pub mod forest;
 pub mod induction;

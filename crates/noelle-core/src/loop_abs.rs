@@ -13,7 +13,7 @@ use noelle_analysis::scev::const_trip_count;
 use noelle_ir::inst::InstId;
 use noelle_ir::loops::LoopInfo;
 use noelle_ir::module::FuncId;
-use noelle_pdg::depgraph::DepGraph;
+use noelle_pdg::depgraph::{DepEdge, DepGraph};
 use noelle_pdg::pdg::PdgBuilder;
 use noelle_pdg::sccdag::{SccDag, SccKind};
 use std::collections::BTreeSet;
@@ -39,6 +39,8 @@ pub struct LoopAbstraction {
     pub trip_count: Option<i64>,
     /// Live-ins/live-outs of the loop.
     pub env: Environment,
+    /// [`LoopAbstraction::handled_recurrence_insts`], built once.
+    handled: BTreeSet<InstId>,
 }
 
 impl LoopAbstraction {
@@ -69,6 +71,12 @@ impl LoopAbstraction {
         let reds = reductions(f, &l, &sccdag);
         let trip_count = const_trip_count(f, &l);
         let env = Environment::for_loop(m, f, &l);
+        let mut handled = ivs.recurrence_insts();
+        for node in sccdag.nodes() {
+            if node.kind == SccKind::Reducible {
+                handled.extend(node.insts.iter().copied());
+            }
+        }
         LoopAbstraction {
             fid,
             structure: l,
@@ -79,39 +87,36 @@ impl LoopAbstraction {
             reductions: reds,
             trip_count,
             env,
+            handled,
         }
     }
 
     /// Instructions that belong to IV recurrences or reducible SCCs — the
     /// loop-carried cycles a parallelizer knows how to handle specially.
-    pub fn handled_recurrence_insts(&self) -> BTreeSet<InstId> {
-        let mut out = self.ivs.recurrence_insts();
-        for node in self.sccdag.nodes() {
-            if node.kind == SccKind::Reducible {
-                out.extend(node.insts.iter().copied());
-            }
-        }
-        out
+    pub fn handled_recurrence_insts(&self) -> &BTreeSet<InstId> {
+        &self.handled
     }
 
-    /// DOALL legality: every loop-carried data dependence is confined to IV
-    /// recurrences or reducible SCCs, and the loop has a governing IV with a
-    /// single exit.
-    pub fn is_doall(&self) -> bool {
-        if self.ivs.governing().is_none() {
-            return false;
-        }
-        if self.structure.exit_blocks().len() != 1 {
-            return false;
-        }
-        let handled = self.handled_recurrence_insts();
-        !self.pdg.edges().iter().any(|e| {
+    /// The dependences that keep the iterations from being distributed:
+    /// loop-carried data edges between two instructions of the loop that
+    /// are not confined to handled recurrences. The one spelling of the
+    /// predicate every DOALL-level judgment rests on.
+    pub fn blocking_edges(&self) -> impl Iterator<Item = &DepEdge<InstId>> + '_ {
+        self.pdg.edges().iter().filter(|e| {
             e.attrs.loop_carried
                 && e.attrs.is_data()
                 && self.pdg.is_internal(e.src)
                 && self.pdg.is_internal(e.dst)
-                && !(handled.contains(&e.src) && handled.contains(&e.dst))
+                && !(self.handled.contains(&e.src) && self.handled.contains(&e.dst))
         })
+    }
+
+    /// DOALL legality: no dependence blocks the distribution of iterations,
+    /// and the loop has a governing IV with a single exit.
+    pub fn is_doall(&self) -> bool {
+        self.ivs.governing().is_some()
+            && self.structure.exit_blocks().len() == 1
+            && self.blocking_edges().next().is_none()
     }
 
     /// The sequential SCC ids of this loop (HELIX's sequential segments).
@@ -201,6 +206,64 @@ mod tests {
         // The only carried cycles are the IV and the reducible sum.
         assert!(la.is_doall());
         assert!(la.sequential_sccs().is_empty());
+    }
+
+    /// `blocking_edges` against the filter `is_doall`, the audit's
+    /// classifier, Perspective and HELIX each spelled out before it, and
+    /// `is_doall` against its truth table, over every loop of the suite.
+    #[test]
+    fn blocking_edges_are_the_old_filter_and_is_doall_keeps_its_truth_table() {
+        use crate::noelle::{AliasTier, Noelle};
+        let (mut loops, mut blocked) = (0, 0);
+        let suite = noelle_workloads::all()
+            .into_iter()
+            .chain([noelle_workloads::pdg_stress()]);
+        for w in suite {
+            let mut n = Noelle::new(w.build(), AliasTier::Full);
+            let fids: Vec<FuncId> = n.module().func_ids().collect();
+            for fid in fids {
+                if n.module().func(fid).is_declaration() {
+                    continue;
+                }
+                for l in n.loops_of(fid) {
+                    let la = n.loop_abstraction(fid, l);
+                    let mut handled = la.ivs.recurrence_insts();
+                    for node in la.sccdag.nodes() {
+                        if node.kind == SccKind::Reducible {
+                            handled.extend(node.insts.iter().copied());
+                        }
+                    }
+                    assert_eq!(&handled, la.handled_recurrence_insts(), "{}", w.name);
+                    let old: Vec<_> = la
+                        .pdg
+                        .edges()
+                        .iter()
+                        .filter(|e| {
+                            e.attrs.loop_carried
+                                && e.attrs.is_data()
+                                && la.pdg.is_internal(e.src)
+                                && la.pdg.is_internal(e.dst)
+                                && !(handled.contains(&e.src) && handled.contains(&e.dst))
+                        })
+                        .map(|e| (e.src, e.dst))
+                        .collect();
+                    let new: Vec<_> = la.blocking_edges().map(|e| (e.src, e.dst)).collect();
+                    assert_eq!(new, old, "{}", w.name);
+                    assert_eq!(
+                        la.is_doall(),
+                        la.ivs.governing().is_some()
+                            && la.structure.exit_blocks().len() == 1
+                            && old.is_empty(),
+                        "{}",
+                        w.name
+                    );
+                    loops += 1;
+                    blocked += usize::from(!old.is_empty());
+                }
+            }
+        }
+        assert_eq!(loops, 136, "the suite and pdg_stress");
+        assert!(blocked >= 30 && loops - blocked >= 30, "{blocked} blocked");
     }
 
     #[test]

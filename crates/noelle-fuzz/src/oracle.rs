@@ -237,9 +237,9 @@ fn panic_text(p: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Round-trip every durable-store artifact codec over `m`'s analyses.
-/// For each defined function: PDG partition and loop forest must each
-/// encode, decode, and re-encode to identical bytes.
+/// Round-trip the durable store's artifact codec over `m`'s analyses: every
+/// defined function's PDG partition must encode, decode, and re-encode to
+/// identical bytes.
 /// Byte-identity (not just structural equality) is what content addressing
 /// needs: the same analysis state must always persist as the same payload.
 fn store_round_trip_failures(m: &Module) -> Vec<Failure> {
@@ -250,45 +250,22 @@ fn store_round_trip_failures(m: &Module) -> Vec<Failure> {
         detail: what,
     };
     let mut failures = Vec::new();
-    let mut check =
-        |fname: &str, artifact_name: &str, bytes: &[u8], reencoded: Result<Vec<u8>, String>| {
-            match reencoded {
-                Err(e) => failures.push(fail(format!(
-                    "@{fname} {artifact_name}: decode failed: {e}"
-                ))),
-                Ok(re) if re != bytes => failures.push(fail(format!(
-                    "@{fname} {artifact_name}: re-encode diverges ({} vs {} bytes)",
-                    bytes.len(),
-                    re.len()
-                ))),
-                Ok(_) => {}
-            }
-        };
-
     let mut n = Noelle::new(m.clone(), AliasTier::Full);
     let pdg = n.pdg();
     let mut fids: Vec<_> = pdg.per_function.keys().copied().collect();
     fids.sort();
     for fid in fids {
         let fname = &m.func(fid).name;
-        let g = &pdg.per_function[&fid];
-        let bytes = artifact::encode_partition(g);
-        let re = artifact::decode_partition(&bytes)
-            .map(|d| artifact::encode_partition(&d))
-            .map_err(|e| e.to_string());
-        check(fname, "pdg partition", &bytes, re);
-    }
-
-    for fid in m.func_ids().filter(|&f| !m.func(f).is_declaration()) {
-        let f = m.func(fid);
-        let cfg = noelle_ir::cfg::Cfg::new(f);
-        let dom = noelle_ir::dom::DomTree::new(f, &cfg);
-        let forest = noelle_ir::loops::LoopForest::new(f, &cfg, &dom);
-        let bytes = artifact::encode_forest(&forest);
-        let re = artifact::decode_forest(&bytes)
-            .map(|d| artifact::encode_forest(&d))
-            .map_err(|e| e.to_string());
-        check(&f.name, "loop forest", &bytes, re);
+        let bytes = artifact::encode_partition(&pdg.per_function[&fid]);
+        match artifact::decode_partition(&bytes).map(|d| artifact::encode_partition(&d)) {
+            Err(e) => failures.push(fail(format!("@{fname} pdg partition: decode failed: {e}"))),
+            Ok(re) if re != bytes => failures.push(fail(format!(
+                "@{fname} pdg partition: re-encode diverges ({} vs {} bytes)",
+                bytes.len(),
+                re.len()
+            ))),
+            Ok(_) => {}
+        }
     }
     failures
 }
@@ -301,8 +278,8 @@ fn store_round_trip_failures(m: &Module) -> Vec<Failure> {
 /// *blocked* verdict must name at least one instruction-level blocker, each
 /// carrying a resolution hint. Any disagreement is an `AuditMismatch`.
 fn audit_failures(m: &Module, base: &RunResult, run_cfg: &RunConfig, entry: &str) -> Vec<Failure> {
-    use noelle_core::audit::Technique;
-    use noelle_transforms::common::{parallelize, LoopTargetOpts};
+    use noelle_lint::audit::AUDIT_WORKERS;
+    use noelle_transforms::common::{parallelize, LoopTargetOpts, Parallelizer};
     let fail = |technique: &str, what: String| Failure {
         tool: Some(format!("audit:{technique}")),
         kind: FailureKind::AuditMismatch,
@@ -315,7 +292,7 @@ fn audit_failures(m: &Module, base: &RunResult, run_cfg: &RunConfig, entry: &str
         let loop_name = format!("@{}:{}", la.function, la.header_name);
         for v in &la.verdicts {
             let tname = v.technique.as_str();
-            if !v.clean {
+            if !v.clean() {
                 // Blocked ⇒ concrete attribution. (Hints are statically
                 // total on `Blocker`; the check documents the contract.)
                 if v.blockers.is_empty() {
@@ -328,8 +305,8 @@ fn audit_failures(m: &Module, base: &RunResult, run_cfg: &RunConfig, entry: &str
             }
             // Clean ⇒ the transform must accept exactly this loop...
             let mut target = LoopTargetOpts::pinned(&la.function, la.header);
-            if v.technique == Technique::Dswp {
-                target = target.with_workers(2);
+            if v.technique == Parallelizer::Dswp {
+                target = target.with_workers(AUDIT_WORKERS);
             }
             let mut tn = Noelle::new(m.clone(), AliasTier::Full);
             let report = parallelize(&mut tn, v.technique, &target);
@@ -1020,8 +997,8 @@ entry:
     #[test]
     fn store_codecs_round_trip_generated_modules() {
         // The store oracle runs directly: every artifact the daemon would
-        // persist (PDG partitions, points-to rows, loop forests) must
-        // re-encode byte-identically after a decode.
+        // persist (PDG partitions) must re-encode byte-identically after
+        // a decode.
         for seed in 0..10 {
             let m = generate(seed, &GenConfig::default());
             let failures = store_round_trip_failures(&m);

@@ -1,8 +1,8 @@
 //! Stable little-endian binary encoding primitives.
 //!
 //! The durable analysis store (`noelle-store`) persists per-function
-//! artifacts — PDG partitions, points-to rows, loop forests — as byte
-//! payloads whose encoding must be *stable*: the same in-memory value must
+//! artifacts — PDG partitions — as byte payloads whose encoding must be
+//! *stable*: the same in-memory value must
 //! produce the same bytes in every process, on every run, forever within
 //! one store format revision. These primitives are therefore deliberately
 //! boring: fixed-width little-endian integers, LEB128 varints for counts,

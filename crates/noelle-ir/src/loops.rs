@@ -5,7 +5,6 @@
 //! nesting. The semantic half (induction variables, invariants, dependence
 //! graph) is layered on top in `noelle-core` as the paper's L abstraction.
 
-use crate::bytes::{ByteReader, ByteWriter, DecodeError};
 use crate::cfg::Cfg;
 use crate::dom::DomTree;
 use crate::module::{BlockId, Function};
@@ -306,155 +305,6 @@ impl LoopForest {
     pub fn is_empty(&self) -> bool {
         self.loops.is_empty()
     }
-
-    /// Stable binary encoding of the forest (see `noelle-ir::bytes`).
-    ///
-    /// Only the defining fields are written — header, latches, body blocks,
-    /// preheader, exit edges, and parent, per loop in id order. Everything
-    /// derived (children, depths, the top-level list, the innermost-block
-    /// map) is reconstructed by [`LoopForest::decode`] with the same
-    /// algorithm [`LoopForest::new`] uses, so a decoded forest is
-    /// structurally identical to the one that was encoded and cannot carry
-    /// inconsistent redundant state.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        w.varint(self.loops.len() as u64);
-        for l in &self.loops {
-            w.varint(u64::from(l.header.0));
-            w.varint(l.latches.len() as u64);
-            for b in &l.latches {
-                w.varint(u64::from(b.0));
-            }
-            w.varint(l.blocks.len() as u64);
-            for b in &l.blocks {
-                w.varint(u64::from(b.0));
-            }
-            match l.preheader {
-                Some(p) => {
-                    w.u8(1);
-                    w.varint(u64::from(p.0));
-                }
-                None => w.u8(0),
-            }
-            w.varint(l.exit_edges.len() as u64);
-            for (a, b) in &l.exit_edges {
-                w.varint(u64::from(a.0));
-                w.varint(u64::from(b.0));
-            }
-            match l.parent {
-                Some(p) => {
-                    w.u8(1);
-                    w.varint(u64::from(p.0));
-                }
-                None => w.u8(0),
-            }
-        }
-        w.into_bytes()
-    }
-
-    /// Decode a forest encoded by [`LoopForest::encode`].
-    ///
-    /// # Errors
-    /// Any truncated, overlong, or out-of-domain input is a [`DecodeError`].
-    pub fn decode(bytes: &[u8]) -> Result<LoopForest, DecodeError> {
-        let mut r = ByteReader::new(bytes);
-        // Every count is bounded by the bytes left to honour it: a loop
-        // takes at least six (header, three counts, two flags), a block
-        // one, an exit edge two.
-        let n = r.count(r.remaining() / 6, "forest: loop count")?;
-        let block = |r: &mut ByteReader<'_>, ctx| -> Result<BlockId, DecodeError> {
-            let v = r.varint(ctx)?;
-            u32::try_from(v)
-                .map(BlockId)
-                .map_err(|_| DecodeError::new(ctx))
-        };
-        let mut loops: Vec<LoopInfo> = Vec::with_capacity(n);
-        for i in 0..n {
-            let header = block(&mut r, "forest: header")?;
-            let latches = (0..r.count(r.remaining(), "forest: latch count")?)
-                .map(|_| block(&mut r, "forest: latch"))
-                .collect::<Result<Vec<_>, _>>()?;
-            let blocks = (0..r.count(r.remaining(), "forest: block count")?)
-                .map(|_| block(&mut r, "forest: block"))
-                .collect::<Result<BTreeSet<_>, _>>()?;
-            let preheader = match r.u8("forest: preheader flag")? {
-                0 => None,
-                1 => Some(block(&mut r, "forest: preheader")?),
-                _ => return Err(DecodeError::new("forest: preheader flag")),
-            };
-            let exit_edges = (0..r.count(r.remaining() / 2, "forest: exit count")?)
-                .map(|_| {
-                    Ok((
-                        block(&mut r, "forest: exit src")?,
-                        block(&mut r, "forest: exit dst")?,
-                    ))
-                })
-                .collect::<Result<Vec<_>, DecodeError>>()?;
-            let parent = match r.u8("forest: parent flag")? {
-                0 => None,
-                1 => {
-                    let p = r.count(n, "forest: parent id")?;
-                    if p >= n || p == i {
-                        return Err(DecodeError::new("forest: parent id"));
-                    }
-                    Some(LoopId(p as u32))
-                }
-                _ => return Err(DecodeError::new("forest: parent flag")),
-            };
-            loops.push(LoopInfo {
-                id: LoopId(i as u32),
-                header,
-                latches,
-                blocks,
-                preheader,
-                exit_edges,
-                parent,
-                children: Vec::new(),
-                depth: 0,
-            });
-        }
-        r.finish("forest: trailing bytes")?;
-        // Re-derive children, depths, the top-level list, and the
-        // innermost-block map exactly as construction does.
-        for i in 0..loops.len() {
-            if let Some(p) = loops[i].parent {
-                let id = loops[i].id;
-                loops[p.index()].children.push(id);
-            }
-        }
-        let mut top_level = Vec::new();
-        for i in 0..loops.len() {
-            loops[i].children.sort();
-            let mut depth = 1u32;
-            let mut cur = loops[i].parent;
-            let mut hops = 0usize;
-            while let Some(p) = cur {
-                depth += 1;
-                hops += 1;
-                if hops > loops.len() {
-                    return Err(DecodeError::new("forest: parent cycle"));
-                }
-                cur = loops[p.index()].parent;
-            }
-            loops[i].depth = depth;
-            if loops[i].parent.is_none() {
-                top_level.push(loops[i].id);
-            }
-        }
-        let mut block_map: HashMap<BlockId, LoopId> = HashMap::new();
-        let mut by_size: Vec<usize> = (0..loops.len()).collect();
-        by_size.sort_by_key(|&i| std::cmp::Reverse(loops[i].blocks.len()));
-        for &i in &by_size {
-            for &b in &loops[i].blocks {
-                block_map.insert(b, loops[i].id);
-            }
-        }
-        Ok(LoopForest {
-            loops,
-            top_level,
-            block_map,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -627,99 +477,5 @@ mod tests {
         b.ret(None);
         let f = b.finish();
         assert!(forest_of(&f).is_empty());
-    }
-
-    fn assert_forest_eq(a: &LoopForest, b: &LoopForest) {
-        assert_eq!(a.len(), b.len());
-        assert_eq!(a.top_level, b.top_level);
-        assert_eq!(a.block_map, b.block_map);
-        for (x, y) in a.loops.iter().zip(b.loops.iter()) {
-            assert_eq!(x.id, y.id);
-            assert_eq!(x.header, y.header);
-            assert_eq!(x.latches, y.latches);
-            assert_eq!(x.blocks, y.blocks);
-            assert_eq!(x.preheader, y.preheader);
-            assert_eq!(x.exit_edges, y.exit_edges);
-            assert_eq!(x.parent, y.parent);
-            assert_eq!(x.children, y.children);
-            assert_eq!(x.depth, y.depth);
-        }
-    }
-
-    #[test]
-    fn forest_codec_round_trips() {
-        for f in [while_loop(), do_while_loop()] {
-            let forest = forest_of(&f);
-            let bytes = forest.encode();
-            let back = LoopForest::decode(&bytes).expect("decode");
-            assert_forest_eq(&forest, &back);
-            // Re-encoding the decoded forest is byte-identical.
-            assert_eq!(back.encode(), bytes);
-        }
-    }
-
-    #[test]
-    fn forest_codec_rebuilds_nesting() {
-        // A synthetic two-level forest: decode must re-derive children,
-        // depths, the top-level list, and the innermost-block map.
-        let outer = LoopInfo {
-            id: LoopId(0),
-            header: BlockId(1),
-            latches: vec![BlockId(5)],
-            blocks: BTreeSet::from([BlockId(1), BlockId(2), BlockId(3), BlockId(5)]),
-            preheader: Some(BlockId(0)),
-            exit_edges: vec![(BlockId(1), BlockId(6))],
-            parent: None,
-            children: vec![LoopId(1)],
-            depth: 1,
-        };
-        let inner = LoopInfo {
-            id: LoopId(1),
-            header: BlockId(2),
-            latches: vec![BlockId(3)],
-            blocks: BTreeSet::from([BlockId(2), BlockId(3)]),
-            preheader: None,
-            exit_edges: vec![(BlockId(2), BlockId(5))],
-            parent: Some(LoopId(0)),
-            children: Vec::new(),
-            depth: 2,
-        };
-        let mut block_map = HashMap::new();
-        for b in [1u32, 5] {
-            block_map.insert(BlockId(b), LoopId(0));
-        }
-        for b in [2u32, 3] {
-            block_map.insert(BlockId(b), LoopId(1));
-        }
-        let forest = LoopForest {
-            loops: vec![outer, inner],
-            top_level: vec![LoopId(0)],
-            block_map,
-        };
-        let back = LoopForest::decode(&forest.encode()).expect("decode");
-        assert_forest_eq(&forest, &back);
-    }
-
-    #[test]
-    fn forest_decode_rejects_malformed() {
-        let forest = forest_of(&while_loop());
-        let bytes = forest.encode();
-        for cut in 0..bytes.len() {
-            assert!(LoopForest::decode(&bytes[..cut]).is_err(), "cut {cut}");
-        }
-        let mut garbage = bytes.clone();
-        garbage.push(0);
-        assert!(LoopForest::decode(&garbage).is_err(), "trailing byte");
-        // A parent id pointing at itself is out of domain.
-        let mut w = ByteWriter::new();
-        w.varint(1); // one loop
-        w.varint(1); // header
-        w.varint(0); // no latches
-        w.varint(0); // no blocks
-        w.u8(0); // no preheader
-        w.varint(0); // no exits
-        w.u8(1);
-        w.varint(0); // parent = self
-        assert!(LoopForest::decode(&w.into_bytes()).is_err());
     }
 }

@@ -1,43 +1,381 @@
-//! The parallelism auditor: for every loop in the forest, a per-technique
-//! verdict (DOALL / HELIX / DSWP) with instruction-level blocker
-//! attribution and a resolution hint for each blocker.
+//! The parallelism auditor (the AUDIT abstraction): for every loop in the
+//! forest, a per-technique verdict (DOALL / HELIX / DSWP) with
+//! instruction-level blocker attribution and a resolution hint for each
+//! blocker — the static half of a parallelization planner. The paper's
+//! abstractions (PDG, aSCCDAG, IV, RD, mod/ref) already carry everything
+//! needed to explain a refusal, not just to issue one.
 //!
-//! A verdict *is* the transform's own `gate` — the call the driver makes
-//! before it emits — so "clean" means "the transform takes this loop"; the
-//! fuzz oracle still holds every clean verdict against the real run and
-//! the differential oracle. Blockers come from the
-//! dependence-level classifier in `noelle-core::audit`, enriched here with
-//! interprocedural attribution: the Andersen points-to rows behind each
-//! failed alias query, the call sites whose actuals carry the conflicting
-//! pointer into the loop's function, and the callee-side accesses behind
-//! impure calls. The NL01xx diagnostic series surfaces the same blockers
-//! through the normal lint rendering pipeline.
+//! A verdict *holds* the result of the transform's own `gate` — the call
+//! the driver makes before it emits — so "clean" means "the transform takes
+//! this loop", the recipe it carries is the one `emit` takes and the planner
+//! prices, and a refusal is read by its variant; the fuzz oracle still
+//! holds every clean verdict against the real run and the differential
+//! oracle. Blockers come from the dependence-level classifier (over the
+//! loop abstraction's `blocking_edges`), enriched with interprocedural
+//! attribution: the Andersen points-to rows behind each failed alias query,
+//! the call sites whose actuals carry the conflicting pointer into the
+//! loop's function, and the callee-side accesses behind impure calls. The
+//! NL01xx diagnostic series surfaces the same blockers through the normal
+//! lint rendering pipeline.
 
 use crate::diag::{sort_findings, Finding, IrLoc, Severity};
 use noelle_analysis::alias::{AndersenAlias, MemoryObject};
 use noelle_analysis::modref::ModRefSummaries;
-use noelle_core::audit::{
-    carried_dep_blockers, sort_blockers, Blocker, BlockerKind, Hint, LoopAudit, ModuleAudit,
-    Technique, TechniqueAudit,
-};
+use noelle_core::json::Json;
 use noelle_core::loop_abs::LoopAbstraction;
 use noelle_core::noelle::{Abstraction, CallEdges, Noelle};
 use noelle_ir::inst::{Callee, Inst, InstId};
-use noelle_ir::module::{FuncId, Module};
+use noelle_ir::module::{BlockId, FuncId, Module};
 use noelle_ir::value::Value;
-use noelle_transforms::common::{gate, ParallelizeError};
+use noelle_pdg::depgraph::{DataDepKind, DepEdge, DepKind};
+use noelle_pdg::sccdag::SccKind;
+use noelle_transforms::common::{gate, ParallelizeError, Parallelizer, Recipe};
 use noelle_transforms::helix;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// Worker count verdicts are issued for: DSWP is judged as the canonical
 /// two-stage pipeline, and no other gate reads the count.
-const AUDIT_WORKERS: usize = 2;
+pub const AUDIT_WORKERS: usize = 2;
 /// Cap on rendered alias objects / cross-function sites per blocker: the
 /// report names evidence, it does not dump whole rows.
 const MAX_ATTRIBUTION: usize = 8;
 /// Cap on related instructions carried by a segment/SCC blocker.
 const MAX_RELATED: usize = 6;
+
+/// What kind of obstacle blocks a technique on a loop.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+pub enum BlockerKind {
+    /// A proven loop-carried dependence through memory.
+    CarriedMemoryDep,
+    /// A *may* memory dependence: the alias query could not prove the pair
+    /// disjoint, so the dependence is assumed.
+    UnprovenAlias,
+    /// A loop-carried register recurrence that is neither an induction
+    /// variable nor a recognized reduction.
+    EscapingInduction,
+    /// A call with side effects (memory writes or I/O) pinned in the body.
+    ImpureCall,
+    /// A HELIX sequential segment that serializes too much of the body.
+    SequentialSegment,
+    /// A DSWP obstacle at the SCC level: the body collapses into one cyclic
+    /// SCC (or a dependence running backward ties stages together).
+    CyclicSccSpan,
+    /// A live-out that is not a recognized reduction accumulator.
+    UnsupportedLiveOut,
+    /// Structural problems: multiple exits, no governing IV, unprofitable
+    /// shape — anything the technique's gates reject before dependences.
+    LoopShape,
+}
+
+impl BlockerKind {
+    /// Stable kebab-case name used in reports and JSON.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            BlockerKind::CarriedMemoryDep => "carried-memory-dep",
+            BlockerKind::UnprovenAlias => "unproven-alias",
+            BlockerKind::EscapingInduction => "escaping-induction",
+            BlockerKind::ImpureCall => "impure-call",
+            BlockerKind::SequentialSegment => "sequential-segment",
+            BlockerKind::CyclicSccSpan => "cyclic-scc-span",
+            BlockerKind::UnsupportedLiveOut => "unsupported-live-out",
+            BlockerKind::LoopShape => "loop-shape",
+        }
+    }
+}
+
+/// The resolution the auditor suggests for one blocker.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+pub enum Hint {
+    /// The conflicting object is only written (or written-then-read within
+    /// one iteration): give each task a private copy per mod/ref.
+    Privatize,
+    /// The recurrence applies an associative operator: clone the accumulator
+    /// and combine partials (RD).
+    Reduction,
+    /// The dependence is apparent, not proven: speculate it away and guard
+    /// with runtime evidence (DepTracer-style misspeculation checks).
+    Speculate,
+    /// Forward the value/ordering through an inter-core queue (DSWP-style
+    /// decoupling) instead of sharing memory.
+    QueueMediate,
+    /// Restructure the loop (single exit, governing IV, heavier body) —
+    /// nothing dependence-level unblocks it.
+    Restructure,
+}
+
+impl Hint {
+    /// Stable kebab-case name used in reports and JSON.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Hint::Privatize => "privatize",
+            Hint::Reduction => "reduction",
+            Hint::Speculate => "speculate",
+            Hint::QueueMediate => "queue-mediate",
+            Hint::Restructure => "restructure",
+        }
+    }
+}
+
+/// One attributed obstacle: the instruction(s) at fault, the alias evidence,
+/// and a resolution hint.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Blocker {
+    /// Classification of the obstacle.
+    pub kind: BlockerKind,
+    /// Primary anchor instruction (in the loop's function).
+    pub inst: InstId,
+    /// Other instructions of the same function involved (the second half of
+    /// a dependence pair, the rest of a segment...).
+    pub related: Vec<InstId>,
+    /// Interprocedural attribution: instructions in *other* functions the
+    /// obstacle flows through (call-site actuals, callee accesses).
+    pub cross: Vec<(FuncId, InstId)>,
+    /// Rendered alias evidence: the abstract memory objects of the failing
+    /// alias query, from the points-to rows (empty when not memory-related).
+    pub objects: Vec<String>,
+    /// Human-readable specifics.
+    pub detail: String,
+    /// Suggested resolution.
+    pub hint: Hint,
+}
+
+/// The verdict of one technique on one loop.
+#[derive(Clone, Debug)]
+pub struct TechniqueAudit {
+    /// Which technique.
+    pub technique: Parallelizer,
+    /// The technique's own [`gate`] on this loop at [`AUDIT_WORKERS`]: the
+    /// recipe its emitter takes — the transform is expected to apply *and*
+    /// preserve behavior (the fuzz oracle holds the auditor to exactly this
+    /// reading) — or its refusal. A recipe names instructions under the
+    /// same contract as [`LoopAudit::abstraction`].
+    pub outcome: Result<Recipe, ParallelizeError>,
+    /// Attributed blockers (non-empty whenever the gate refused).
+    pub blockers: Vec<Blocker>,
+}
+
+impl TechniqueAudit {
+    /// True when the technique's gate accepts the loop.
+    pub fn clean(&self) -> bool {
+        self.outcome.is_ok()
+    }
+
+    /// The gate's refusal, rendered, when blocked.
+    pub fn reason(&self) -> Option<String> {
+        self.outcome.as_ref().err().map(ToString::to_string)
+    }
+}
+
+/// The audit of one loop: one verdict per technique.
+#[derive(Clone, Debug)]
+pub struct LoopAudit {
+    /// Owning function.
+    pub fid: FuncId,
+    /// Owning function's name (reports are name-keyed, not id-keyed).
+    pub function: String,
+    /// Loop header block.
+    pub header: BlockId,
+    /// Header block's name.
+    pub header_name: String,
+    /// Header block's layout index (deterministic ordering key).
+    pub header_index: usize,
+    /// The loop abstraction the verdicts were issued on, for whoever acts
+    /// on them next (the planner prices it instead of building it again).
+    /// It lives exactly as long as the audit does, and its instruction and
+    /// block ids name the module as it was at audit time: read it against
+    /// the auditing manager's module, before that manager's next edit.
+    pub abstraction: Arc<LoopAbstraction>,
+    /// The owning function's [`Noelle::revision`] at audit time (what a
+    /// consumer of `abstraction` checks it is not late).
+    pub revision: u64,
+    /// Per-technique verdicts, in [`Parallelizer::AUDITED`] order.
+    pub verdicts: Vec<TechniqueAudit>,
+}
+
+impl LoopAudit {
+    /// The verdict for `t`.
+    pub fn verdict(&self, t: Parallelizer) -> &TechniqueAudit {
+        self.verdicts
+            .iter()
+            .find(|v| v.technique == t)
+            .expect("an audited technique")
+    }
+
+    /// True when every technique is blocked.
+    pub fn fully_blocked(&self) -> bool {
+        self.verdicts.iter().all(|v| !v.clean())
+    }
+}
+
+/// The whole-module audit, loops ordered by (function name, header index).
+#[derive(Clone, Debug, Default)]
+pub struct ModuleAudit {
+    /// All audited loops, in canonical order.
+    pub loops: Vec<LoopAudit>,
+}
+
+impl ModuleAudit {
+    /// Loops with at least one clean technique.
+    pub fn parallelizable(&self) -> usize {
+        self.loops.iter().filter(|l| !l.fully_blocked()).count()
+    }
+
+    /// Total blockers across all loops and techniques.
+    pub fn num_blockers(&self) -> usize {
+        self.loops
+            .iter()
+            .flat_map(|l| &l.verdicts)
+            .map(|v| v.blockers.len())
+            .sum()
+    }
+
+    /// Deterministic JSON form: loops in canonical order, every list sorted
+    /// at construction. Byte-identical across runs over the same module.
+    pub fn to_json(&self) -> Json {
+        let loops = self
+            .loops
+            .iter()
+            .map(|l| {
+                let verdicts = l
+                    .verdicts
+                    .iter()
+                    .map(|v| {
+                        let blockers = v
+                            .blockers
+                            .iter()
+                            .map(|b| {
+                                Json::object(vec![
+                                    ("kind".to_string(), Json::Str(b.kind.as_str().to_string())),
+                                    ("inst".to_string(), Json::Int(i64::from(b.inst.0))),
+                                    (
+                                        "related".to_string(),
+                                        Json::Array(
+                                            b.related
+                                                .iter()
+                                                .map(|i| Json::Int(i64::from(i.0)))
+                                                .collect(),
+                                        ),
+                                    ),
+                                    (
+                                        "cross".to_string(),
+                                        Json::Array(
+                                            b.cross
+                                                .iter()
+                                                .map(|(f, i)| {
+                                                    Json::object(vec![
+                                                        (
+                                                            "func".to_string(),
+                                                            Json::Int(i64::from(f.0)),
+                                                        ),
+                                                        (
+                                                            "inst".to_string(),
+                                                            Json::Int(i64::from(i.0)),
+                                                        ),
+                                                    ])
+                                                })
+                                                .collect(),
+                                        ),
+                                    ),
+                                    (
+                                        "objects".to_string(),
+                                        Json::Array(
+                                            b.objects
+                                                .iter()
+                                                .map(|o| Json::Str(o.clone()))
+                                                .collect(),
+                                        ),
+                                    ),
+                                    ("detail".to_string(), Json::Str(b.detail.clone())),
+                                    ("hint".to_string(), Json::Str(b.hint.as_str().to_string())),
+                                ])
+                            })
+                            .collect();
+                        Json::object(vec![
+                            (
+                                "technique".to_string(),
+                                Json::Str(v.technique.as_str().to_string()),
+                            ),
+                            ("clean".to_string(), Json::Bool(v.clean())),
+                            (
+                                "reason".to_string(),
+                                v.reason().map_or(Json::Null, Json::Str),
+                            ),
+                            ("blockers".to_string(), Json::Array(blockers)),
+                        ])
+                    })
+                    .collect();
+                Json::object(vec![
+                    ("function".to_string(), Json::Str(l.function.clone())),
+                    ("header".to_string(), Json::Str(l.header_name.clone())),
+                    ("header_index".to_string(), Json::Int(l.header_index as i64)),
+                    ("verdicts".to_string(), Json::Array(verdicts)),
+                ])
+            })
+            .collect();
+        Json::object(vec![
+            ("loops".to_string(), Json::Array(loops)),
+            (
+                "summary".to_string(),
+                Json::object(vec![
+                    ("loops".to_string(), Json::Int(self.loops.len() as i64)),
+                    (
+                        "parallelizable".to_string(),
+                        Json::Int(self.parallelizable() as i64),
+                    ),
+                    (
+                        "blockers".to_string(),
+                        Json::Int(self.num_blockers() as i64),
+                    ),
+                ]),
+            ),
+        ])
+    }
+
+    /// Deterministic text form, one block per loop.
+    pub fn render_text(&self) -> String {
+        let mut out = String::new();
+        for l in &self.loops {
+            out.push_str(&format!("loop @{}:{}\n", l.function, l.header_name));
+            for v in &l.verdicts {
+                let Err(refusal) = &v.outcome else {
+                    out.push_str(&format!("  {}: clean\n", v.technique.as_str()));
+                    continue;
+                };
+                out.push_str(&format!(
+                    "  {}: blocked ({refusal})\n",
+                    v.technique.as_str()
+                ));
+                for b in &v.blockers {
+                    out.push_str(&format!(
+                        "    [{}] %v{}: {} -> hint: {}\n",
+                        b.kind.as_str(),
+                        b.inst.0,
+                        b.detail,
+                        b.hint.as_str()
+                    ));
+                }
+            }
+        }
+        out.push_str(&format!(
+            "{} loop(s), {} parallelizable, {} blocker(s)\n",
+            self.loops.len(),
+            self.parallelizable(),
+            self.num_blockers()
+        ));
+        out
+    }
+}
+
+/// Canonicalize a blocker list: deterministic order, exact duplicates
+/// dropped. Ordering is total over every field that renders.
+fn sort_blockers(blockers: &mut Vec<Blocker>) {
+    blockers.sort_by(|a, b| {
+        (a.inst, a.kind, &a.detail, a.hint, &a.related, &a.cross)
+            .cmp(&(b.inst, b.kind, &b.detail, b.hint, &b.related, &b.cross))
+    });
+    blockers.dedup();
+}
 
 /// The NL01xx diagnostic code for a blocker category.
 pub fn audit_code(kind: BlockerKind) -> &'static str {
@@ -89,27 +427,22 @@ pub fn run_audit_scoped(n: &mut Noelle, only: Option<&BTreeSet<FuncId>>) -> Modu
             for b in &mut carried {
                 enrich(m, fid, b, anders, &modref, n.direct_calls());
             }
-            let verdicts = Technique::all()
+            let verdicts = Parallelizer::AUDITED
                 .into_iter()
-                .map(|t| match gate(t, m, fid, &la, &arch, AUDIT_WORKERS) {
-                    Ok(_) => TechniqueAudit {
-                        technique: t,
-                        clean: true,
-                        reason: None,
-                        blockers: Vec::new(),
-                    },
-                    Err(e) => {
-                        let mut blockers = blockers_for(m, fid, &la, &e, &carried);
+                .map(|technique| {
+                    let outcome = gate(technique, m, fid, &la, &arch, AUDIT_WORKERS);
+                    let mut blockers = Vec::new();
+                    if let Err(e) = &outcome {
+                        blockers = blockers_for(m, fid, &la, e, &carried);
                         if blockers.is_empty() {
-                            blockers.push(fallback_blocker(m, fid, &la, &e));
+                            blockers.push(fallback_blocker(m, fid, &la, e));
                         }
                         sort_blockers(&mut blockers);
-                        TechniqueAudit {
-                            technique: t,
-                            clean: false,
-                            reason: Some(e.to_string()),
-                            blockers,
-                        }
+                    }
+                    TechniqueAudit {
+                        technique,
+                        outcome,
+                        blockers,
                     }
                 })
                 .collect();
@@ -129,12 +462,205 @@ pub fn run_audit_scoped(n: &mut Noelle, only: Option<&BTreeSet<FuncId>>) -> Modu
     ModuleAudit { loops }
 }
 
-fn header_index(m: &Module, fid: FuncId, b: noelle_ir::module::BlockId) -> usize {
+fn header_index(m: &Module, fid: FuncId, b: BlockId) -> usize {
     m.func(fid)
         .block_order()
         .iter()
         .position(|&x| x == b)
         .unwrap_or(usize::MAX)
+}
+
+/// Classify every blocking edge of `la` into attributed blockers — the
+/// DOALL-level obstacles. Purely structural; [`enrich`] layers the
+/// interprocedural attribution (call chains, points-to rows) on top.
+fn carried_dep_blockers(
+    m: &Module,
+    la: &LoopAbstraction,
+    modref: &ModRefSummaries,
+) -> Vec<Blocker> {
+    let f = m.func(la.fid);
+    // One blocker per unordered instruction pair: the PDG usually holds
+    // several facets (RAW + WAR + WAW) of one conflicting access pair, and
+    // the strongest facet decides the classification — a pair with a RAW
+    // component is a recurrence, not just an overwrite.
+    let mut pairs: BTreeMap<(InstId, InstId), Vec<&DepEdge<InstId>>> = BTreeMap::new();
+    for e in la.blocking_edges() {
+        let key = (e.src.min(e.dst), e.src.max(e.dst));
+        pairs.entry(key).or_default().push(e);
+    }
+    let mut out = Vec::new();
+    for ((anchor, other), edges) in &pairs {
+        let (anchor, other) = (*anchor, *other);
+        let anchor_call = matches!(f.inst(anchor), Inst::Call { .. });
+        let other_call = matches!(f.inst(other), Inst::Call { .. });
+        let any_memory = edges.iter().any(|e| e.attrs.memory);
+        let any_must = edges.iter().any(|e| e.attrs.must);
+        let has_raw = edges
+            .iter()
+            .any(|e| e.attrs.kind == DepKind::Data(DataDepKind::Raw));
+        let kinds = facet_names(edges);
+        let blocker = if anchor_call || other_call {
+            let call = if anchor_call { anchor } else { other };
+            let hint = call_hint(m, la.fid, call, modref);
+            Blocker {
+                kind: BlockerKind::ImpureCall,
+                inst: anchor,
+                related: vec![other],
+                cross: Vec::new(),
+                objects: Vec::new(),
+                detail: format!(
+                    "loop-carried {kinds} dependence pinned by a side-effecting call (%v{})",
+                    call.0
+                ),
+                hint,
+            }
+        } else if any_memory {
+            let reduction_like = has_raw
+                && matches!(
+                    (la.sccdag.scc_of(anchor), la.sccdag.scc_of(other)),
+                    (Some(a), Some(b))
+                        if a == b && scc_is_reduction_like(f, &la.sccdag.nodes()[a].insts)
+                );
+            if any_must {
+                let hint = if reduction_like {
+                    Hint::Reduction
+                } else if !has_raw {
+                    Hint::Privatize
+                } else {
+                    Hint::QueueMediate
+                };
+                Blocker {
+                    kind: BlockerKind::CarriedMemoryDep,
+                    inst: anchor,
+                    related: vec![other],
+                    cross: Vec::new(),
+                    objects: Vec::new(),
+                    detail: format!(
+                        "proven loop-carried {kinds} dependence through memory \
+                         (%v{} <-> %v{})",
+                        anchor.0, other.0
+                    ),
+                    hint,
+                }
+            } else {
+                Blocker {
+                    kind: BlockerKind::UnprovenAlias,
+                    inst: anchor,
+                    related: vec![other],
+                    cross: Vec::new(),
+                    objects: Vec::new(),
+                    detail: format!(
+                        "apparent loop-carried {kinds} dependence: the alias query \
+                         could not prove %v{} and %v{} disjoint",
+                        anchor.0, other.0
+                    ),
+                    hint: if reduction_like {
+                        Hint::Reduction
+                    } else {
+                        Hint::Speculate
+                    },
+                }
+            }
+        } else {
+            // Register recurrence outside IV/reduction handling.
+            Blocker {
+                kind: BlockerKind::EscapingInduction,
+                inst: anchor,
+                related: vec![other],
+                cross: Vec::new(),
+                objects: Vec::new(),
+                detail: format!(
+                    "loop-carried register recurrence (%v{} <-> %v{}) is neither an \
+                     induction variable nor a recognized reduction",
+                    anchor.0, other.0
+                ),
+                hint: register_recurrence_hint(la, anchor),
+            }
+        };
+        out.push(blocker);
+    }
+    sort_blockers(&mut out);
+    out
+}
+
+/// Deterministic "RAW+WAR"-style rendering of the dependence facets a pair
+/// of instructions carries.
+fn facet_names(edges: &[&DepEdge<InstId>]) -> String {
+    let mut names: BTreeSet<&'static str> = BTreeSet::new();
+    for e in edges {
+        names.insert(match e.attrs.kind {
+            DepKind::Data(DataDepKind::Raw) => "RAW",
+            DepKind::Data(DataDepKind::War) => "WAR",
+            DepKind::Data(DataDepKind::Waw) => "WAW",
+            DepKind::Control => "control",
+        });
+    }
+    let order = ["RAW", "WAR", "WAW", "control"];
+    order
+        .iter()
+        .filter(|n| names.contains(*n))
+        .copied()
+        .collect::<Vec<_>>()
+        .join("+")
+}
+
+/// Hint for a side-effecting call inside the loop body, per its mod/ref
+/// summary: pure-write callees can be privatized, I/O must be decoupled
+/// through a queue, everything else needs runtime evidence.
+fn call_hint(m: &Module, fid: FuncId, call: InstId, modref: &ModRefSummaries) -> Hint {
+    if modref.call_has_io(m, fid, call) {
+        Hint::QueueMediate
+    } else if modref.call_may_write(m, fid, call) && !modref.call_may_read(m, fid, call) {
+        Hint::Privatize
+    } else {
+        Hint::Speculate
+    }
+}
+
+/// Hint for an escaping register recurrence: reduction when its SCC looks
+/// like one associative update, restructure otherwise.
+fn register_recurrence_hint(la: &LoopAbstraction, inst: InstId) -> Hint {
+    if let Some(s) = la.sccdag.scc_of(inst) {
+        let node = &la.sccdag.nodes()[s];
+        if node.kind == SccKind::Sequential {
+            // Would it reduce if the operator were recognized?
+            return Hint::Restructure;
+        }
+    }
+    Hint::Reduction
+}
+
+/// True when the SCC's arithmetic is a single associative binary operator
+/// applied along the cycle (add/mul/and/or/xor/min-max style updates).
+fn scc_is_reduction_like(f: &noelle_ir::module::Function, insts: &BTreeSet<InstId>) -> bool {
+    use noelle_ir::inst::BinOp;
+    let mut op: Option<BinOp> = None;
+    for &i in insts {
+        match f.inst(i) {
+            Inst::Bin { op: o, .. } => match o {
+                BinOp::Add
+                | BinOp::Mul
+                | BinOp::And
+                | BinOp::Or
+                | BinOp::Xor
+                | BinOp::FAdd
+                | BinOp::FMul => {
+                    if op.is_some_and(|p| p != *o) {
+                        return false;
+                    }
+                    op = Some(*o);
+                }
+                _ => return false,
+            },
+            Inst::Load { .. }
+            | Inst::Store { .. }
+            | Inst::Phi { .. }
+            | Inst::Gep { .. }
+            | Inst::Cast { .. } => {}
+            _ => return false,
+        }
+    }
+    op.is_some()
 }
 
 /// Attribute a technique refusal to blockers, by refusal variant.
@@ -512,8 +1038,8 @@ exit:
 "#,
         );
         assert_eq!(audit.loops.len(), 1);
-        let v = audit.loops[0].verdict(Technique::Doall);
-        assert!(v.clean, "{v:?}");
+        let v = audit.loops[0].verdict(Parallelizer::Doall);
+        assert!(v.clean(), "{v:?}");
         assert!(v.blockers.is_empty());
     }
 
@@ -545,8 +1071,8 @@ exit:
 "#,
         );
         assert_eq!(audit.loops.len(), 1);
-        let v = audit.loops[0].verdict(Technique::Doall);
-        assert!(!v.clean);
+        let v = audit.loops[0].verdict(Parallelizer::Doall);
+        assert!(!v.clean());
         assert!(!v.blockers.is_empty(), "blocked verdicts carry blockers");
         // The recurrence is through the alloca cell: the attribution must
         // name the abstract object.
@@ -602,8 +1128,8 @@ entry:
             .iter()
             .find(|l| l.function == "kernel")
             .expect("kernel loop audited");
-        let v = lk.verdict(Technique::Doall);
-        assert!(!v.clean);
+        let v = lk.verdict(Parallelizer::Doall);
+        assert!(!v.clean());
         let main_fid = v
             .blockers
             .iter()
@@ -646,5 +1172,127 @@ exit:
             a.to_json().to_string_pretty(),
             b.to_json().to_string_pretty()
         );
+    }
+
+    /// The classifier alone, over the basic alias tier.
+    fn classified(src: &str, func: &str) -> (Module, Vec<Blocker>) {
+        use noelle_analysis::alias::BasicAlias;
+        use noelle_pdg::pdg::PdgBuilder;
+        let m = parse_module(src).unwrap();
+        let fid = m.func_id_by_name(func).unwrap();
+        let f = m.func(fid);
+        let cfg = noelle_ir::cfg::Cfg::new(f);
+        let dt = noelle_ir::dom::DomTree::new(f, &cfg);
+        let forest = noelle_ir::loops::LoopForest::new(f, &cfg, &dt);
+        let l = forest.loops()[0].clone();
+        let basic = BasicAlias::new(&m);
+        let builder = PdgBuilder::new(&m, &basic);
+        let la = LoopAbstraction::build(&builder, fid, l);
+        let modref = ModRefSummaries::compute(&m);
+        let blockers = carried_dep_blockers(&m, &la, &modref);
+        (m, blockers)
+    }
+
+    #[test]
+    fn doall_clean_loop_has_no_blockers() {
+        let (_, blockers) = classified(
+            r#"
+module "t" {
+define i64 @k(i64* %a, i64 %n) {
+entry:
+  br header
+header:
+  %i = phi i64 [entry: i64 0] [body: %i2]
+  %s = phi i64 [entry: i64 0] [body: %s2]
+  %c = icmp slt i64 %i, %n
+  condbr %c, body, exit
+body:
+  %p = gep i64, %a, %i
+  %v = load i64, %p
+  %s2 = add i64 %s, %v
+  %i2 = add i64 %i, i64 1
+  br header
+exit:
+  ret %s
+}
+}
+"#,
+            "k",
+        );
+        assert!(blockers.is_empty(), "{blockers:?}");
+    }
+
+    #[test]
+    fn memory_recurrence_is_attributed_with_reduction_hint() {
+        let (_, blockers) = classified(
+            r#"
+module "t" {
+define i64 @k(i64* %acc, i64 %n) {
+entry:
+  br header
+header:
+  %i = phi i64 [entry: i64 0] [body: %i2]
+  %c = icmp slt i64 %i, %n
+  condbr %c, body, exit
+body:
+  %v = load i64, %acc
+  %v2 = add i64 %v, i64 3
+  store i64 %v2, %acc
+  %i2 = add i64 %i, i64 1
+  br header
+exit:
+  %r = load i64, %acc
+  ret %r
+}
+}
+"#,
+            "k",
+        );
+        assert!(!blockers.is_empty());
+        assert!(
+            blockers.iter().any(|b| matches!(
+                b.kind,
+                BlockerKind::CarriedMemoryDep | BlockerKind::UnprovenAlias
+            )),
+            "{blockers:?}"
+        );
+        // The load-add-store cycle must carry a reduction hint on at least
+        // one attributed dependence.
+        assert!(
+            blockers.iter().any(|b| b.hint == Hint::Reduction),
+            "{blockers:?}"
+        );
+    }
+
+    #[test]
+    fn blockers_render_deterministically() {
+        let (_, mut a) = classified(
+            r#"
+module "t" {
+define i64 @k(i64* %acc, i64 %n) {
+entry:
+  br header
+header:
+  %i = phi i64 [entry: i64 0] [body: %i2]
+  %c = icmp slt i64 %i, %n
+  condbr %c, body, exit
+body:
+  %v = load i64, %acc
+  %v2 = add i64 %v, i64 3
+  store i64 %v2, %acc
+  %i2 = add i64 %i, i64 1
+  br header
+exit:
+  ret i64 0
+}
+}
+"#,
+            "k",
+        );
+        let mut b = a.clone();
+        b.reverse();
+        sort_blockers(&mut a);
+        sort_blockers(&mut b);
+        assert_eq!(a, b);
     }
 }

@@ -15,7 +15,6 @@
 
 use noelle_analysis::scev::trip_count_given;
 use noelle_core::architecture::{bin_cost, static_cost, Architecture};
-use noelle_core::audit::{LoopAudit, ModuleAudit, Technique};
 use noelle_core::json::Json;
 use noelle_core::noelle::{CallEdges, Noelle};
 use noelle_core::profiler::Profiles;
@@ -23,8 +22,11 @@ use noelle_ir::inst::{BinOp, Callee, Inst};
 use noelle_ir::loops::LoopInfo;
 use noelle_ir::module::{BlockId, FuncId, Module};
 use noelle_ir::value::{Constant, Value};
+use noelle_lint::audit::{LoopAudit, ModuleAudit, AUDIT_WORKERS};
 use noelle_lint::run_audit;
-use noelle_transforms::common::{fixed_cost, gate, parallelize, FixedCost, LoopTargetOpts, Recipe};
+use noelle_transforms::common::{
+    fixed_cost, gate, parallelize, FixedCost, LoopTargetOpts, Parallelizer, Recipe,
+};
 use noelle_transforms::dswp::StageSummary;
 use noelle_transforms::helix::Segments;
 use noelle_transforms::ParallelReport;
@@ -61,7 +63,7 @@ impl Default for PlanOptions {
 #[derive(Clone, Debug)]
 pub struct Candidate {
     /// The technique.
-    pub technique: Technique,
+    pub technique: Parallelizer,
     /// Did the audit mark this technique clean for the loop?
     pub clean: bool,
     /// Predicted loop-level speedup (sequential cycles / parallel cycles)
@@ -80,9 +82,9 @@ pub struct Candidate {
 }
 
 impl Candidate {
-    /// A candidate with no prediction: blocked by the audit, or refused by
-    /// its gate within the budget.
-    fn unpriced(technique: Technique, clean: bool, workers: usize, detail: String) -> Candidate {
+    /// A candidate with no prediction: blocked by the audit, or a pipeline
+    /// the budget has no room for.
+    fn unpriced(technique: Parallelizer, clean: bool, workers: usize, detail: String) -> Candidate {
         Candidate {
             technique,
             clean,
@@ -114,7 +116,7 @@ pub struct LoopPlan {
     pub candidates: Vec<Candidate>,
     /// The winning technique, if any candidate cleared the bar and no
     /// nesting conflict vetoed it.
-    pub chosen: Option<Technique>,
+    pub chosen: Option<Parallelizer>,
     /// Why the winner won — or why nothing was planned.
     pub reason: String,
 }
@@ -313,21 +315,20 @@ pub fn plan_from_audit(n: &mut Noelle, audit: &ModuleAudit, opts: &PlanOptions) 
         let l = &la.structure;
         let cost = LoopCost::of(m, audit, &trips, i);
 
-        let mut candidates = Vec::new();
-        for t in Technique::all() {
-            let v = laud.verdict(t);
-            candidates.push(if v.clean {
-                price(t, m, laud, &arch, opts.workers, &cost)
-            } else {
-                let why = v
-                    .blockers
-                    .first()
-                    .map(|b| b.kind.as_str().to_string())
-                    .or_else(|| v.reason.clone())
-                    .unwrap_or_else(|| "blocked".to_string());
-                Candidate::unpriced(t, false, 0, why)
-            });
-        }
+        let candidates = laud
+            .verdicts
+            .iter()
+            .map(|v| match &v.outcome {
+                Ok(recipe) => price(v.technique, m, laud, recipe, &arch, opts.workers, &cost),
+                Err(refusal) => {
+                    let why = v
+                        .blockers
+                        .first()
+                        .map_or_else(|| refusal.to_string(), |b| b.kind.as_str().to_string());
+                    Candidate::unpriced(v.technique, false, 0, why)
+                }
+            })
+            .collect();
 
         let plan = LoopPlan {
             function: laud.function.clone(),
@@ -456,7 +457,7 @@ fn benefit(p: &LoopPlan) -> f64 {
     }
 }
 
-/// Best clean candidate by predicted speedup; ties break in `Technique::all`
+/// Best clean candidate by predicted speedup; ties break in report
 /// order (DOALL before HELIX before DSWP — cheaper runtime machinery wins).
 fn best_candidate(p: &LoopPlan) -> Option<&Candidate> {
     let mut best: Option<&Candidate> = None;
@@ -620,13 +621,14 @@ impl LoopCost {
 }
 
 /// A recipe's predicted cost at one worker count.
-#[derive(Clone, Copy)]
 struct Price {
     /// Cycles from the dispatch to the end of its join.
     span: f64,
     /// `span` plus the parent's fixed code: what replaces the loop.
     total: f64,
     workers: usize,
+    /// The pipeline the span was read off, when the recipe is DSWP's.
+    stages: Option<StageSummary>,
 }
 
 /// Predict what `recipe`, whose fixed code costs `fixed`, costs on `w`
@@ -640,12 +642,14 @@ fn predict(
     fixed: FixedCost,
     w: usize,
 ) -> Price {
-    let la = &*laud.abstraction;
-    let (span, workers) = match recipe {
-        Recipe::Helix(s) if !s.groups.is_empty() => (helix_span(arch, cost, fixed.task, s, w), w),
-        Recipe::Dswp(stages) => {
-            let ss = stages.summary(m, laud.fid, la);
-            (dswp_span(arch, cost, fixed.task, &ss), ss.n_stages)
+    let stages = match recipe {
+        Recipe::Dswp(plan) => Some(plan.summary(m, laud.fid, &laud.abstraction)),
+        _ => None,
+    };
+    let (span, workers) = match (recipe, &stages) {
+        (_, Some(ss)) => (dswp_span(arch, cost, fixed.task, ss), ss.n_stages),
+        (Recipe::Helix(s), _) if !s.groups.is_empty() => {
+            (helix_span(arch, cost, fixed.task, s, w), w)
         }
         _ => (distributed_span(arch, cost, fixed.task, 0.0, w), w),
     };
@@ -653,62 +657,52 @@ fn predict(
         span,
         total: fixed.parent_for(workers) as f64 + span,
         workers,
+        stages,
     }
 }
 
-/// Price technique `t` on a loop the audit marked clean for it: the recipe
-/// the transform would execute, at the worker count in `1..=budget` (DSWP:
-/// the stage count in `2..=budget` its gate accepts) that predicts the
-/// fewest cycles; the fewer workers on a tie.
+/// Price the recipe the audit's verdict for `t` carries — the one the
+/// transform would execute — at the worker count in `1..=budget` that
+/// predicts the fewest cycles; the fewer workers on a tie. DSWP's recipe is
+/// the one that depends on the count: the audit's has [`AUDIT_WORKERS`]
+/// stages, and each larger count within the budget is gated here.
 fn price(
-    t: Technique,
+    t: Parallelizer,
     m: &Module,
     laud: &LoopAudit,
+    recipe: &Recipe,
     arch: &Architecture,
     budget: usize,
     cost: &LoopCost,
 ) -> Candidate {
     let (fid, la) = (laud.fid, &*laud.abstraction);
     let cheaper = |a: Price, b: Price| if b.total < a.total { b } else { a };
-    let priced = if t == Technique::Dswp {
-        // The recipe depends on the stage count: one per count the gate
-        // accepts.
-        let mut best: Option<(Price, Recipe)> = None;
-        let mut refusal = None;
-        for want in 2..=budget.max(2) {
+    let at = |recipe: &Recipe, fixed: FixedCost, w: usize| {
+        predict(m, laud, arch, cost, recipe, fixed, w)
+    };
+    let p = if let Recipe::Dswp(_) = recipe {
+        if budget < AUDIT_WORKERS {
+            let why = format!("a pipeline needs {AUDIT_WORKERS} workers");
+            return Candidate::unpriced(t, true, budget, why);
+        }
+        let mut best = at(recipe, fixed_cost(la, recipe), AUDIT_WORKERS);
+        for want in AUDIT_WORKERS + 1..=budget {
             match gate(t, m, fid, la, arch, want) {
                 // Fewer SCCs than wanted: the partition already priced.
                 Ok(Recipe::Dswp(stages)) if stages.n_stages < want => break,
-                Ok(recipe) => {
-                    let fixed = fixed_cost(la, &recipe);
-                    let p = predict(m, laud, arch, cost, &recipe, fixed, want);
-                    if best.as_ref().is_none_or(|(b, _)| p.total < b.total) {
-                        best = Some((p, recipe));
-                    }
-                }
-                Err(e) => refusal = refusal.or(Some(e)),
+                Ok(wider) => best = cheaper(best, at(&wider, fixed_cost(la, &wider), want)),
+                // A count the gate refuses is not a candidate; the next may be.
+                Err(_) => {}
             }
         }
-        best.ok_or_else(|| refusal.expect("the first count is priced or refused"))
+        best
     } else {
         // One recipe, priced at every count.
-        gate(t, m, fid, la, arch, budget).map(|recipe| {
-            let fixed = fixed_cost(la, &recipe);
-            let best = (1..=budget.max(1))
-                .map(|w| predict(m, laud, arch, cost, &recipe, fixed, w))
-                .reduce(cheaper)
-                .expect("a budget holds a worker");
-            (best, recipe)
-        })
-    };
-    let (p, recipe) = match priced {
-        Ok(priced) => priced,
-        // The audit said clean at its own worker count; this budget can
-        // still refuse (only DSWP's gate reads it). Report it honestly.
-        Err(e) => {
-            let why = format!("refused within {budget} workers: {e}");
-            return Candidate::unpriced(t, true, budget, why);
-        }
+        let fixed = fixed_cost(la, recipe);
+        (1..=budget.max(1))
+            .map(|w| at(recipe, fixed, w))
+            .reduce(cheaper)
+            .expect("a budget holds a worker")
     };
     let seq = cost.sequential();
     // One buffer, written twice: the sequential side, then the recipe's.
@@ -723,11 +717,10 @@ fn price(
         whole(seq),
         whole(p.total)
     );
-    let _ = match &recipe {
-        Recipe::Dswp(stages) => {
-            let ss = stages.summary(m, fid, la);
+    let _ = match (recipe, &p.stages) {
+        (_, Some(ss)) => {
             let balance: Vec<String> = (0..ss.n_stages)
-                .map(|s| stage_period(arch, &ss, s).to_string())
+                .map(|s| stage_period(arch, ss, s).to_string())
                 .collect();
             write!(
                 detail,
@@ -737,7 +730,7 @@ fn price(
                 ss.value_queues
             )
         }
-        Recipe::Helix(s) if !s.groups.is_empty() => write!(
+        (Recipe::Helix(s), _) if !s.groups.is_empty() => write!(
             detail,
             "{} cores, {} cycles/iter in sequential segments",
             p.workers, s.cost
@@ -838,7 +831,7 @@ mod tests {
     /// Predicted and simulated cycles from dispatch to join, and the whole
     /// run's simulated cycles, of `t` on `@kernel`'s loop at exactly `w`
     /// workers.
-    fn at_workers(src: &str, t: Technique, w: usize) -> (f64, u64, u64) {
+    fn at_workers(src: &str, t: Parallelizer, w: usize) -> (f64, u64, u64) {
         let m = noelle_ir::parser::parse_module(src).expect("parses");
         let mut n = Noelle::new(m.clone(), AliasTier::Full);
         let audit = run_audit(&mut n);
@@ -856,9 +849,9 @@ mod tests {
             .expect("@kernel has a loop");
         let laud = &audit.loops[i];
         let cost = LoopCost::of(m, &audit, &trips, i);
-        let recipe = gate(t, m, laud.fid, &laud.abstraction, &arch, w).expect("clean");
-        let fixed = fixed_cost(&laud.abstraction, &recipe);
-        let predicted = predict(m, laud, &arch, &cost, &recipe, fixed, w);
+        let recipe = laud.verdict(t).outcome.as_ref().expect("clean");
+        let fixed = fixed_cost(&laud.abstraction, recipe);
+        let predicted = predict(m, laud, &arch, &cost, recipe, fixed, w);
         assert_eq!(predicted.workers, w);
 
         let mut alone = Noelle::new(m.clone(), AliasTier::Full);
@@ -907,7 +900,7 @@ entry:
     fn doall_predictions_are_the_machines_cycles_and_pick_its_best_count() {
         let mut totals = Vec::new();
         for w in 1..=4 {
-            let (predicted, simulated, total) = at_workers(DOALL_ONE_LOOP, Technique::Doall, w);
+            let (predicted, simulated, total) = at_workers(DOALL_ONE_LOOP, Parallelizer::Doall, w);
             let off = (predicted - simulated as f64).abs() / simulated as f64;
             assert!(
                 off <= 0.05,
@@ -926,11 +919,47 @@ entry:
             &PlanOptions::default(),
         );
         let kernel = plan.loops.iter().find(|l| l.function == "kernel").unwrap();
-        assert_eq!(kernel.chosen, Some(Technique::Doall), "{}", kernel.reason);
+        assert_eq!(
+            kernel.chosen,
+            Some(Parallelizer::Doall),
+            "{}",
+            kernel.reason
+        );
         assert_eq!(
             kernel.chosen_candidate().unwrap().workers,
             fastest,
             "simulated totals at 1..=4 workers: {totals:?}"
+        );
+    }
+
+    /// A pipeline needs two workers. `raytrace`'s `@kernel1` is the suite's
+    /// one DSWP-clean loop: under a smaller budget its DSWP candidate is
+    /// clean and unpriced and nothing is chosen (one DOALL or HELIX task
+    /// only adds its dispatch to the loop); with two, the audit's two
+    /// stages are priced.
+    #[test]
+    fn a_budget_below_two_prices_no_pipeline() {
+        let dswp_at = |workers: usize| {
+            let plan = plan_module(&mut noelle_for("raytrace"), &PlanOptions { workers });
+            let kernel = plan.loops.iter().find(|l| l.function == "kernel1").unwrap();
+            let dswp = kernel.candidates[2].clone();
+            assert_eq!(dswp.technique, Parallelizer::Dswp);
+            assert!(dswp.clean, "{dswp:?}");
+            (kernel.chosen, dswp)
+        };
+        for workers in [0, 1] {
+            let (chosen, dswp) = dswp_at(workers);
+            assert_eq!(chosen, None, "budget {workers}");
+            assert_eq!(dswp.predicted_speedup, 0.0);
+            assert_eq!(dswp.detail, "a pipeline needs 2 workers");
+        }
+        let (_, dswp) = dswp_at(2);
+        assert_eq!(dswp.workers, 2);
+        assert!(
+            dswp.detail
+                .ends_with("on 2 stages [372 365] cycles/iter, 2 value queue(s)"),
+            "{}",
+            dswp.detail
         );
     }
 

@@ -234,7 +234,7 @@ pub struct AuditCounters {
 }
 
 impl AuditCounters {
-    fn record(&self, audit: &noelle_core::audit::ModuleAudit) {
+    fn record(&self, audit: &noelle_lint::audit::ModuleAudit) {
         self.runs.fetch_add(1, Ordering::Relaxed);
         self.loops
             .fetch_add(audit.loops.len() as u64, Ordering::Relaxed);

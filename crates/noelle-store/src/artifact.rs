@@ -1,14 +1,12 @@
 //! Typed encode/decode for each artifact kind.
 //!
-//! Thin shims over the codecs that live next to each data structure
-//! (`DepGraph` in noelle-pdg, loop forests in noelle-ir): this module only
-//! fixes the node numbering and gives the store one `validate` entry point
-//! per kind for fsck/compact.
+//! A thin shim over the codec that lives next to the data structure
+//! (`DepGraph` in noelle-pdg): this module only fixes the node numbering
+//! and gives the store one `validate` entry point for fsck/compact.
 
 use crate::key::ArtifactKind;
 use noelle_ir::bytes::DecodeError;
 use noelle_ir::inst::InstId;
-use noelle_ir::loops::LoopForest;
 use noelle_pdg::depgraph::DepGraph;
 
 /// Encode one function's PDG partition.
@@ -28,24 +26,10 @@ pub fn decode_partition(bytes: &[u8]) -> Result<DepGraph<InstId>, DecodeError> {
     })
 }
 
-/// Encode one function's loop forest.
-pub fn encode_forest(forest: &LoopForest) -> Vec<u8> {
-    forest.encode()
-}
-
-/// Decode a loop forest.
-///
-/// # Errors
-/// Any malformed input is a [`DecodeError`] — the store treats it as a miss.
-pub fn decode_forest(bytes: &[u8]) -> Result<LoopForest, DecodeError> {
-    LoopForest::decode(bytes)
-}
-
 /// True when `payload` decodes cleanly as `kind` — the deep check fsck and
 /// compact apply on top of the CRC.
 pub fn validate(kind: ArtifactKind, payload: &[u8]) -> bool {
     match kind {
         ArtifactKind::PdgPartition => decode_partition(payload).is_ok(),
-        ArtifactKind::LoopForest => decode_forest(payload).is_ok(),
     }
 }

@@ -14,7 +14,7 @@ use std::hash::{Hash, Hasher};
 /// previously written entries (they become unreferenced garbage for
 /// `compact` to drop) instead of requiring a migration. Bump whenever an
 /// artifact encoding or the key derivation itself changes.
-pub const STORE_REVISION: u32 = 2;
+pub const STORE_REVISION: u32 = 3;
 
 /// What kind of artifact a payload decodes as.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -22,17 +22,15 @@ pub const STORE_REVISION: u32 = 2;
 pub enum ArtifactKind {
     /// One function's PDG partition (`DepGraph<InstId>`), interprocedural.
     PdgPartition = 1,
-    /// One function's natural-loop forest, function-local.
-    LoopForest = 3,
 }
 
 impl ArtifactKind {
-    /// Decode the on-disk tag byte. Tag `2` stays reserved: revision-1
-    /// stores wrote points-to rows under it.
+    /// Decode the on-disk tag byte. Tags `2` and `3` stay reserved:
+    /// revision-1 stores wrote points-to rows under `2`, revisions up to 2
+    /// loop forests under `3`.
     pub fn from_tag(tag: u8) -> Option<ArtifactKind> {
         match tag {
             1 => Some(ArtifactKind::PdgPartition),
-            3 => Some(ArtifactKind::LoopForest),
             _ => None,
         }
     }
@@ -41,7 +39,6 @@ impl ArtifactKind {
     pub fn name(self) -> &'static str {
         match self {
             ArtifactKind::PdgPartition => "pdg-partition",
-            ArtifactKind::LoopForest => "loop-forest",
         }
     }
 }
@@ -125,13 +122,6 @@ impl KeyCtx {
             [self.globals_fp, self.module_code_fp, func_fp],
         )
     }
-
-    /// Key of one function's loop forest. Function-local: independent of
-    /// the globals, the rest of the module, and the alias tier (hence no
-    /// `self`), so it survives edits to other functions.
-    pub fn forest_key(func_fp: u64) -> StoreKey {
-        StoreKey::derive(ArtifactKind::LoopForest, 0, [0, 0, func_fp])
-    }
 }
 
 #[cfg(test)]
@@ -151,16 +141,14 @@ mod tests {
         let c = ctx();
         assert_eq!(c.partition_key(7), c.partition_key(7));
         assert_ne!(c.partition_key(7), c.partition_key(8));
-        assert_ne!(c.partition_key(7), KeyCtx::forest_key(7));
         let other_tier = KeyCtx { tier: 1, ..c };
         assert_ne!(c.partition_key(7), other_tier.partition_key(7));
-        // Forest keys ignore module-wide state.
+        // Interprocedural: an edit anywhere in the module moves the key.
         let edited = KeyCtx {
             module_code_fp: 99,
             ..c
         };
         assert_ne!(c.partition_key(7), edited.partition_key(7));
-        assert_eq!(KeyCtx::forest_key(7), KeyCtx::forest_key(7));
     }
 
     #[test]
@@ -176,11 +164,11 @@ mod tests {
 
     #[test]
     fn kind_tags_round_trip() {
-        for kind in [ArtifactKind::PdgPartition, ArtifactKind::LoopForest] {
-            assert_eq!(ArtifactKind::from_tag(kind as u8), Some(kind));
-        }
+        let kind = ArtifactKind::PdgPartition;
+        assert_eq!(ArtifactKind::from_tag(kind as u8), Some(kind));
         assert_eq!(ArtifactKind::from_tag(0), None);
         assert_eq!(ArtifactKind::from_tag(2), None, "reserved, never reused");
+        assert_eq!(ArtifactKind::from_tag(3), None, "reserved, never reused");
         assert_eq!(ArtifactKind::from_tag(9), None);
     }
 }

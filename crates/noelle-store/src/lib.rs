@@ -4,9 +4,9 @@
 //! the on-disk half of the NOELLE proposition (Matni et al., CGO 2022) that
 //! expensive whole-program abstractions are computed *once* and shared by
 //! many tools. The in-process `Noelle` manager already shares PDG
-//! partitions and loop forests across requests; this crate makes that cache
-//! survive the process, so a restarted daemon (or a second replica pointed
-//! at the same directory) warm-starts instead of recomputing.
+//! partitions across requests; this crate makes that cache survive the
+//! process, so a restarted daemon (or a second replica pointed at the same
+//! directory) warm-starts instead of recomputing.
 //!
 //! ## Addressing
 //!
@@ -18,9 +18,10 @@
 //! partition embeds callee mod/ref summaries and global points-to facts —
 //! so their keys include the module-wide code fingerprint: any edit
 //! anywhere misses (falling back to the in-memory incremental engine),
-//! while an identical module always hits. Loop forests are function-local
-//! and are keyed by the function fingerprint alone, so they survive edits
-//! to *other* functions even across a restart.
+//! while an identical module always hits. Partitions are the one artifact
+//! kind: a loop forest is cheaper to build over the dominator tree its
+//! function needs anyway than to look up, check and decode, so it is not
+//! stored.
 //!
 //! ## Durability
 //!

@@ -333,10 +333,7 @@ impl Store {
                 bytes: scan.bytes,
             });
         }
-        let mut live_by_kind = [
-            (ArtifactKind::PdgPartition, 0usize),
-            (ArtifactKind::LoopForest, 0),
-        ];
+        let mut live_by_kind = [(ArtifactKind::PdgPartition, 0usize)];
         let mut undecodable = 0usize;
         for &(_, kind, ok) in live.values() {
             if !ok {
@@ -401,7 +398,7 @@ pub struct FsckReport {
     /// Leftover `.tmp-*` files from interrupted publishes.
     pub temp_files: usize,
     /// Live-entry counts per artifact kind.
-    pub live_by_kind: [(ArtifactKind, usize); 2],
+    pub live_by_kind: [(ArtifactKind, usize); 1],
 }
 
 impl FsckReport {
@@ -509,42 +506,38 @@ mod tests {
         d
     }
 
-    /// A tiny valid loop-forest payload (empty forest).
-    fn forest_payload() -> Vec<u8> {
-        use noelle_ir::loops::LoopForest;
-        use noelle_ir::parser::parse_module;
-        let m = parse_module(
-            r#"
-module "t" {
-define void @f() {
-entry:
-  ret void
-}
-}
-"#,
-        )
-        .unwrap();
-        let f = &m.functions()[0];
-        let cfg = noelle_ir::cfg::Cfg::new(f);
-        let dom = noelle_ir::dom::DomTree::new(f, &cfg);
-        LoopForest::new(f, &cfg, &dom).encode()
+    /// A tiny valid partition payload (a one-instruction graph, no edges).
+    fn partition_payload() -> Vec<u8> {
+        use noelle_ir::inst::InstId;
+        use noelle_pdg::depgraph::DepGraph;
+        artifact::encode_partition(&DepGraph::from_edges([InstId(0)], Vec::new()))
+    }
+
+    /// The key of function fingerprint `func_fp` in some module.
+    fn key(func_fp: u64) -> StoreKey {
+        let ctx = KeyCtx {
+            globals_fp: 11,
+            module_code_fp: 22,
+            tier: 2,
+        };
+        ctx.partition_key(func_fp)
     }
 
     #[test]
     fn put_get_survives_reopen() {
         let dir = tmp_dir("reopen");
-        let key = KeyCtx::forest_key(7);
-        let payload = forest_payload();
+        let k = key(7);
+        let payload = partition_payload();
         {
             let store = Store::open(&dir).unwrap();
-            store.put(key, ArtifactKind::LoopForest, payload.clone());
+            store.put(k, ArtifactKind::PdgPartition, payload.clone());
             store.flush();
-            assert_eq!(store.get(key).unwrap(), payload);
+            assert_eq!(store.get(k).unwrap(), payload);
             let s = store.stats();
             assert_eq!((s.entries, s.hits, s.writes), (1, 1, 1));
         }
         let store = Store::open(&dir).unwrap();
-        assert_eq!(store.get(key).unwrap(), payload);
+        assert_eq!(store.get(k).unwrap(), payload);
         assert_eq!(store.stats().corrupt, 0);
         assert!(store.stats().bytes_on_disk > 0);
         drop(store);
@@ -555,13 +548,13 @@ entry:
     fn duplicate_puts_write_once() {
         let dir = tmp_dir("dedup");
         let store = Store::open(&dir).unwrap();
-        let key = KeyCtx::forest_key(1);
+        let k = key(1);
         for _ in 0..5 {
-            store.put(key, ArtifactKind::LoopForest, forest_payload());
+            store.put(k, ArtifactKind::PdgPartition, partition_payload());
         }
         store.flush();
         for _ in 0..5 {
-            store.put(key, ArtifactKind::LoopForest, forest_payload());
+            store.put(k, ArtifactKind::PdgPartition, partition_payload());
         }
         store.flush();
         let s = store.stats();
@@ -573,13 +566,13 @@ entry:
     #[test]
     fn bit_flip_detected_on_reopen_and_on_read() {
         let dir = tmp_dir("flip");
-        let k1 = KeyCtx::forest_key(1);
-        let k2 = KeyCtx::forest_key(2);
+        let k1 = key(1);
+        let k2 = key(2);
         {
             let store = Store::open(&dir).unwrap();
-            store.put(k1, ArtifactKind::LoopForest, forest_payload());
+            store.put(k1, ArtifactKind::PdgPartition, partition_payload());
             store.flush();
-            store.put(k2, ArtifactKind::LoopForest, forest_payload());
+            store.put(k2, ArtifactKind::PdgPartition, partition_payload());
             store.flush();
         }
         // Flip one payload byte in the first segment.
@@ -616,11 +609,7 @@ entry:
         let dir = tmp_dir("compact");
         let store = Store::open(&dir).unwrap();
         for i in 0..10u64 {
-            store.put(
-                KeyCtx::forest_key(i),
-                ArtifactKind::LoopForest,
-                forest_payload(),
-            );
+            store.put(key(i), ArtifactKind::PdgPartition, partition_payload());
             store.flush(); // one segment per entry
         }
         assert!(fs::read_dir(&dir).unwrap().count() >= 10);
@@ -637,7 +626,7 @@ entry:
             1
         );
         for i in 0..10u64 {
-            assert!(store.get(KeyCtx::forest_key(i)).is_some(), "key {i} lost");
+            assert!(store.get(key(i)).is_some(), "key {i} lost");
         }
         let report = Store::fsck(store.dir()).unwrap();
         assert!(report.clean(), "{report:?}");
@@ -651,17 +640,9 @@ entry:
         let dir = tmp_dir("fsck");
         {
             let store = Store::open(&dir).unwrap();
-            store.put(
-                KeyCtx::forest_key(1),
-                ArtifactKind::LoopForest,
-                forest_payload(),
-            );
+            store.put(key(1), ArtifactKind::PdgPartition, partition_payload());
             store.flush();
-            store.put(
-                KeyCtx::forest_key(2),
-                ArtifactKind::LoopForest,
-                forest_payload(),
-            );
+            store.put(key(2), ArtifactKind::PdgPartition, partition_payload());
             store.flush();
         }
         let seg0 = dir.join(segment_file_name(0));
@@ -686,7 +667,7 @@ entry:
     fn get_miss_counts() {
         let dir = tmp_dir("miss");
         let store = Store::open(&dir).unwrap();
-        assert!(store.get(KeyCtx::forest_key(99)).is_none());
+        assert!(store.get(key(99)).is_none());
         assert_eq!(store.stats().misses, 1);
         drop(store);
         fs::remove_dir_all(&dir).unwrap();

@@ -8,7 +8,6 @@ use noelle_core::architecture::{
     bin_cost, external_cost, Architecture, ALLOCA_CYCLES, BR_CYCLES, CALL_CYCLES, RET_CYCLES,
     SWITCH_CYCLES,
 };
-use noelle_core::audit::Technique;
 use noelle_core::env::{Environment, EnvironmentBuilder};
 use noelle_core::loop_abs::LoopAbstraction;
 use noelle_core::loop_builder::{bypass_loop, ensure_preheader, LoopBuilderError};
@@ -186,8 +185,7 @@ impl DoneLoops {
     }
 }
 
-/// A parallelizing tool [`parallelize`] can run. The three the auditor
-/// issues verdicts for convert from their [`Technique`].
+/// A parallelizing tool [`parallelize`] can run: the one technique enum.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Parallelizer {
     /// [`doall`]: cyclic iteration distribution.
@@ -200,12 +198,19 @@ pub enum Parallelizer {
     Perspective,
 }
 
-impl From<Technique> for Parallelizer {
-    fn from(t: Technique) -> Parallelizer {
-        match t {
-            Technique::Doall => Parallelizer::Doall,
-            Technique::Helix => Parallelizer::Helix,
-            Technique::Dswp => Parallelizer::Dswp,
+impl Parallelizer {
+    /// The techniques the auditor issues a verdict for and the planner
+    /// prices, in report order.
+    pub const AUDITED: [Parallelizer; 3] =
+        [Parallelizer::Doall, Parallelizer::Helix, Parallelizer::Dswp];
+
+    /// Stable lowercase name used in reports and JSON.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Parallelizer::Doall => "doall",
+            Parallelizer::Helix => "helix",
+            Parallelizer::Dswp => "dswp",
+            Parallelizer::Perspective => "perspective",
         }
     }
 }
@@ -231,14 +236,14 @@ pub enum Recipe {
 /// planner's prices are all this one call. `workers` is the task count
 /// (DSWP: the wanted stage count).
 pub fn gate(
-    technique: impl Into<Parallelizer>,
+    technique: Parallelizer,
     m: &Module,
     fid: FuncId,
     la: &LoopAbstraction,
     arch: &Architecture,
     workers: usize,
 ) -> Result<Recipe, ParallelizeError> {
-    match technique.into() {
+    match technique {
         Parallelizer::Doall => doall::gate(m, fid, la).map(|()| Recipe::Doall),
         Parallelizer::Helix => helix::gate(m, fid, la, arch).map(Recipe::Helix),
         Parallelizer::Dswp => dswp::gate(m, fid, la, arch, workers).map(Recipe::Dswp),
@@ -330,10 +335,9 @@ pub fn fixed_cost(la: &LoopAbstraction, recipe: &Recipe) -> FixedCost {
 /// own edit transaction.
 pub fn parallelize(
     noelle: &mut Noelle,
-    technique: impl Into<Parallelizer>,
+    technique: Parallelizer,
     target: &LoopTargetOpts,
 ) -> ParallelReport {
-    let technique = technique.into();
     let requested: &[Abstraction] = match technique {
         Parallelizer::Doall => &doall::ABSTRACTIONS,
         Parallelizer::Helix => &helix::ABSTRACTIONS,

@@ -73,19 +73,12 @@ pub fn sequential_segments(
 ) -> Option<Vec<BTreeSet<InstId>>> {
     let f = m.func(fid);
     let l = &la.structure;
-    let handled = la.handled_recurrence_insts();
 
-    // Problem SCCs: sequential ones, plus SCCs linked by loop-carried data
-    // edges that are not confined to handled recurrences.
+    // Problem SCCs: sequential ones, plus SCCs linked by a blocking edge
+    // that does not run between two induction SCCs.
     let mut problem: BTreeSet<usize> = la.sequential_sccs().into_iter().collect();
     let mut links: Vec<(usize, usize)> = Vec::new();
-    for e in la.pdg.edges() {
-        if !(e.attrs.loop_carried && e.attrs.is_data()) {
-            continue;
-        }
-        if handled.contains(&e.src) && handled.contains(&e.dst) {
-            continue;
-        }
+    for e in la.blocking_edges() {
         let (Some(a), Some(b)) = (la.sccdag.scc_of(e.src), la.sccdag.scc_of(e.dst)) else {
             continue;
         };

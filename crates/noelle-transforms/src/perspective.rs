@@ -66,28 +66,11 @@ fn privatizable_scratch(m: &Module, fid: FuncId, la: &LoopAbstraction) -> Option
     if la.ivs.governing().is_none() || l.exit_blocks().len() != 1 {
         return None;
     }
-    let handled = la.handled_recurrence_insts();
-
-    // Collect the blocking carried edges and the pointers they touch.
-    let mut blocking: Vec<(InstId, InstId)> = Vec::new();
-    for e in la.pdg.edges() {
-        if e.attrs.loop_carried
-            && e.attrs.is_data()
-            && la.pdg.is_internal(e.src)
-            && la.pdg.is_internal(e.dst)
-            && !(handled.contains(&e.src) && handled.contains(&e.dst))
-        {
-            blocking.push((e.src, e.dst));
-        }
-    }
-    if blocking.is_empty() {
-        return None;
-    }
-    // Every blocking endpoint must be a load/store through the SAME direct
-    // alloca pointer (the scratch cell).
+    // Every endpoint of a blocking edge must be a load/store through the
+    // SAME direct alloca pointer (the scratch cell).
     let mut cells: BTreeSet<Value> = BTreeSet::new();
-    for &(a, b) in &blocking {
-        for i in [a, b] {
+    for e in la.blocking_edges() {
+        for i in [e.src, e.dst] {
             match f.inst(i) {
                 Inst::Load { ptr, .. } | Inst::Store { ptr, .. } => {
                     cells.insert(*ptr);
@@ -97,6 +80,7 @@ fn privatizable_scratch(m: &Module, fid: FuncId, la: &LoopAbstraction) -> Option
         }
     }
     let mut it = cells.into_iter();
+    // No blocking edge, no cell.
     let cell = it.next()?;
     if it.next().is_some() {
         return None; // more than one object involved

@@ -15,8 +15,7 @@
 //! The same scan judges what the partition decoder makes of hostile bytes:
 //! byte-mutated encodings of the corpus graphs must come back as `Err` or
 //! as a graph that is consistent with itself — never a panic (ROADMAP item
-//! 6). The store's other decoder, loop forests, gets the same mutants of its
-//! own corpus payloads.
+//! 6).
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
@@ -33,7 +32,7 @@ use noelle::pdg::sccdag::SccDag;
 use noelle::workloads::{all, pdg_stress};
 use noelle_analysis::alias::{AliasAnalysis, AliasStack, AndersenAlias, BasicAlias};
 use noelle_fuzz::generator::{generate, GenConfig, SplitMix64};
-use noelle_store::artifact::{decode_forest, decode_partition, encode_forest, encode_partition};
+use noelle_store::artifact::{decode_partition, encode_partition};
 
 type Edge = DepEdge<InstId>;
 
@@ -303,25 +302,27 @@ fn mutate(bytes: &[u8], rng: &mut SplitMix64) -> Vec<u8> {
     out
 }
 
-/// Feed one decoder 500 mutants of each workload's `payloads`. `accepts`
-/// decodes a mutant, says whether the decoder took it, and asserts what a
-/// value it took must satisfy.
-fn mutation_smoke(
-    seed: u64,
-    payloads: impl Fn(&Module) -> Vec<Vec<u8>>,
-    accepts: impl Fn(&str, &[u8]) -> bool,
-) {
+/// 500 byte-level mutants of each workload's encoded partitions: the
+/// decoder refuses one, or returns a graph like any other.
+#[test]
+fn byte_mutated_partitions_never_panic_the_decoder() {
     const MUTANTS_PER_WORKLOAD: usize = 500;
-    let mut rng = SplitMix64::new(seed);
+    let mut rng = SplitMix64::new(0x4e4f_454c_4c45);
     let (mut mutants, mut rejected) = (0, 0);
     for w in all().into_iter().chain(std::iter::once(pdg_stress())) {
-        let payloads = payloads(&w.build());
+        let (name, payloads) = (w.name, encoded_partitions(&w.build()));
         for _ in 0..MUTANTS_PER_WORKLOAD {
             let payload: &Vec<u8> = rng.pick(&payloads);
             mutants += 1;
-            if !accepts(w.name, &mutate(payload, &mut rng)) {
+            let Ok(g) = decode_partition(&mutate(payload, &mut rng)) else {
                 rejected += 1;
-            }
+                continue;
+            };
+            assert_queries_match_scan(name, &g);
+            let again = encode_partition(&g);
+            let back = decode_partition(&again).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(back.edges(), g.edges(), "{name}");
+            assert_eq!(encode_partition(&back), again, "{name}");
         }
     }
     assert!(mutants >= 20_000, "{mutants} mutants");
@@ -332,54 +333,4 @@ fn mutation_smoke(
         rejected > mutants / 4 && accepted > mutants / 50,
         "{rejected} of {mutants} rejected"
     );
-}
-
-#[test]
-fn byte_mutated_partitions_never_panic_the_decoder() {
-    mutation_smoke(0x4e4f_454c_4c45, encoded_partitions, |name, bytes| {
-        let Ok(g) = decode_partition(bytes) else {
-            return false;
-        };
-        // Accepted: then it is a graph like any other.
-        assert_queries_match_scan(name, &g);
-        let again = encode_partition(&g);
-        let back = decode_partition(&again).unwrap_or_else(|e| panic!("{name}: {e}"));
-        assert_eq!(back.edges(), g.edges(), "{name}");
-        assert_eq!(encode_partition(&back), again, "{name}");
-        true
-    });
-}
-
-#[test]
-fn byte_mutated_forests_never_panic_the_decoder() {
-    let forests = |m: &Module| -> Vec<Vec<u8>> {
-        m.functions()
-            .iter()
-            .filter(|f| !f.is_declaration())
-            .map(|f| {
-                let cfg = Cfg::new(f);
-                encode_forest(&LoopForest::new(f, &cfg, &DomTree::new(f, &cfg)))
-            })
-            .collect()
-    };
-    mutation_smoke(0x464f_5245_5354, forests, |name, bytes| {
-        let Ok(forest) = decode_forest(bytes) else {
-            return false;
-        };
-        // Accepted: then its nesting is consistent, and it is a fixed point
-        // of the codec.
-        for l in forest.loops() {
-            let depth = l.parent.map_or(0, |p| forest.loops()[p.index()].depth);
-            assert_eq!(l.depth, depth + 1, "{name}: {l:?}");
-        }
-        let again = encode_forest(&forest);
-        let back = decode_forest(&again).unwrap_or_else(|e| panic!("{name}: {e}"));
-        assert_eq!(
-            format!("{:?}", back.loops()),
-            format!("{:?}", forest.loops()),
-            "{name}"
-        );
-        assert_eq!(encode_forest(&back), again, "{name}");
-        true
-    });
 }

@@ -139,7 +139,9 @@ fn predicted_cycles_track_the_simulated_machine() {
 
 #[test]
 fn chosen_worker_counts_stay_within_the_budget() {
-    for workers in [2, PlanOptions::default().workers] {
+    // Below two workers nothing can be chosen: one task is the loop plus
+    // its dispatch, and a pipeline needs two stages.
+    for workers in [0, 1, 2, PlanOptions::default().workers] {
         for (name, m) in workloads_all() {
             let mut n = Noelle::new(m, AliasTier::Full);
             let plan = plan_module(&mut n, &PlanOptions { workers });
