@@ -1,18 +1,65 @@
-//! Control-flow-graph utilities: predecessor maps, traversal orders,
-//! reachability.
+//! Control-flow-graph utilities: predecessor and successor lists, reverse
+//! postorder, reachability.
 
 use crate::module::{BlockId, Function};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
-/// Predecessor/successor maps of a function's CFG, computed once.
+/// Per-block lists of blocks, flattened: block `b`'s list is
+/// `blocks[off[b]..off[b + 1]]`.
+#[derive(Clone, Debug)]
+pub(crate) struct Adjacency {
+    off: Vec<u32>,
+    blocks: Vec<BlockId>,
+}
+
+impl Adjacency {
+    /// The lists of `n` blocks from `(block index, member)` pairs; a list
+    /// holds its members in the order the pairs name them.
+    pub(crate) fn group(
+        n: usize,
+        pairs: impl Iterator<Item = (usize, BlockId)> + Clone,
+    ) -> Adjacency {
+        // Counting sort: count into the slot above, prefix-sum into list
+        // starts, fill with each start as the write cursor — which leaves it
+        // at the list's end, the next list's start — and shift back.
+        let mut off = vec![0u32; n + 1];
+        for (at, _) in pairs.clone() {
+            off[at + 1] += 1;
+        }
+        for b in 0..n {
+            off[b + 1] += off[b];
+        }
+        let mut blocks = vec![BlockId(0); off[n] as usize];
+        for (at, member) in pairs {
+            let cursor = &mut off[at];
+            blocks[*cursor as usize] = member;
+            *cursor += 1;
+        }
+        off.rotate_right(1);
+        off[0] = 0;
+        Adjacency { off, blocks }
+    }
+
+    /// The list of `b`; empty for a block the lists were not sized for.
+    pub(crate) fn of(&self, b: BlockId) -> &[BlockId] {
+        match (self.off.get(b.index()), self.off.get(b.index() + 1)) {
+            (Some(&lo), Some(&hi)) => &self.blocks[lo as usize..hi as usize],
+            _ => &[],
+        }
+    }
+}
+
+/// Predecessor/successor lists of a function's CFG, computed once.
 #[derive(Clone, Debug)]
 pub struct Cfg {
-    /// Successors of each block, in terminator order.
-    pub succs: HashMap<BlockId, Vec<BlockId>>,
+    /// Successors of each laid-out block, in terminator order.
+    succs: Adjacency,
     /// Predecessors of each block, in layout order.
-    pub preds: HashMap<BlockId, Vec<BlockId>>,
+    preds: Adjacency,
     /// Blocks reachable from the entry, in reverse postorder.
     pub rpo: Vec<BlockId>,
+    /// Per block index: reachable from the entry.
+    reachable: Vec<bool>,
 }
 
 impl Cfg {
@@ -22,30 +69,54 @@ impl Cfg {
     /// Panics if `f` is a declaration.
     pub fn new(f: &Function) -> Cfg {
         assert!(!f.is_declaration(), "cannot build a CFG for a declaration");
-        let mut succs: HashMap<BlockId, Vec<BlockId>> = HashMap::new();
-        let mut preds: HashMap<BlockId, Vec<BlockId>> = HashMap::new();
+        let n = f.num_blocks();
+        // Every CFG edge: blocks in layout order, each one's successors in
+        // terminator order.
+        let mut edges: Vec<(BlockId, BlockId)> = Vec::with_capacity(2 * f.block_order().len());
         for &b in f.block_order() {
-            preds.entry(b).or_default();
-        }
-        for &b in f.block_order() {
-            let ss = f.successors(b);
-            for &s in &ss {
-                preds.entry(s).or_default().push(b);
+            if let Some(t) = f.terminator(b) {
+                t.for_each_successor(|s| edges.push((b, s)));
             }
-            succs.insert(b, ss);
         }
-        let rpo = reverse_postorder(f);
-        Cfg { succs, preds, rpo }
+        let succs = Adjacency::group(n, edges.iter().map(|&(b, s)| (b.index(), s)));
+        let preds = Adjacency::group(n, edges.iter().map(|&(b, s)| (s.index(), b)));
+
+        // Iterative DFS from the entry with an explicit stack of (block,
+        // next-successor-index); reversed postorder.
+        let mut rpo = Vec::with_capacity(f.block_order().len());
+        let mut reachable = vec![false; n];
+        let entry = f.entry();
+        let mut stack: Vec<(BlockId, usize)> = Vec::with_capacity(f.block_order().len());
+        stack.push((entry, 0));
+        reachable[entry.index()] = true;
+        while let Some(&mut (b, ref mut next)) = stack.last_mut() {
+            if let Some(&s) = succs.of(b).get(*next) {
+                *next += 1;
+                if !std::mem::replace(&mut reachable[s.index()], true) {
+                    stack.push((s, 0));
+                }
+            } else {
+                rpo.push(b);
+                stack.pop();
+            }
+        }
+        rpo.reverse();
+        Cfg {
+            succs,
+            preds,
+            rpo,
+            reachable,
+        }
     }
 
     /// Predecessors of `b`.
     pub fn preds(&self, b: BlockId) -> &[BlockId] {
-        self.preds.get(&b).map(Vec::as_slice).unwrap_or(&[])
+        self.preds.of(b)
     }
 
     /// Successors of `b`.
     pub fn succs(&self, b: BlockId) -> &[BlockId] {
-        self.succs.get(&b).map(Vec::as_slice).unwrap_or(&[])
+        self.succs.of(b)
     }
 
     /// Blocks with no successors (function exits).
@@ -59,7 +130,7 @@ impl Cfg {
 
     /// True if `b` is reachable from the entry.
     pub fn is_reachable(&self, b: BlockId) -> bool {
-        self.rpo.contains(&b)
+        self.reachable.get(b.index()).is_some_and(|&r| r)
     }
 
     /// Position of each block in the reverse postorder (for priority-ordered
@@ -67,36 +138,6 @@ impl Cfg {
     pub fn rpo_index(&self) -> HashMap<BlockId, usize> {
         self.rpo.iter().enumerate().map(|(i, &b)| (b, i)).collect()
     }
-}
-
-/// Blocks reachable from the entry of `f`, in reverse postorder.
-pub fn reverse_postorder(f: &Function) -> Vec<BlockId> {
-    let mut post = Vec::new();
-    let mut visited = HashSet::new();
-    // Iterative DFS with an explicit stack of (block, next-successor-index).
-    let entry = f.entry();
-    let mut stack: Vec<(BlockId, usize)> = vec![(entry, 0)];
-    visited.insert(entry);
-    while let Some(&mut (b, ref mut next)) = stack.last_mut() {
-        let succs = f.successors(b);
-        if *next < succs.len() {
-            let s = succs[*next];
-            *next += 1;
-            if visited.insert(s) {
-                stack.push((s, 0));
-            }
-        } else {
-            post.push(b);
-            stack.pop();
-        }
-    }
-    post.reverse();
-    post
-}
-
-/// Blocks reachable from the entry of `f` (unordered set).
-pub fn reachable_blocks(f: &Function) -> HashSet<BlockId> {
-    reverse_postorder(f).into_iter().collect()
 }
 
 #[cfg(test)]
@@ -166,7 +207,7 @@ mod tests {
         let cfg = Cfg::new(&f);
         assert!(cfg.is_reachable(entry));
         assert!(!cfg.is_reachable(dead));
-        assert_eq!(reachable_blocks(&f).len(), 1);
+        assert_eq!(cfg.rpo, [entry]);
     }
 
     #[test]

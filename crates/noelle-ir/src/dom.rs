@@ -7,30 +7,33 @@
 //! their back. In Rust this falls out naturally: [`DomTree`] and
 //! [`PostDomTree`] are plain owned values.
 
-use crate::cfg::Cfg;
+use crate::cfg::{Adjacency, Cfg};
 use crate::module::{BlockId, Function};
-use std::collections::{HashMap, HashSet};
+
+/// "No node": an unreachable block's immediate dominator.
+const NONE: u32 = u32::MAX;
 
 /// Cooper–Harvey–Kennedy "engineered" iterative dominator algorithm over a
-/// graph given as predecessor lists and a reverse postorder (`rpo[0]` must be
-/// the start node). Returns the immediate dominator of each node (the start
-/// node is its own idom).
-fn chk_idoms(rpo: &[usize], preds: &[Vec<usize>], n: usize) -> Vec<Option<usize>> {
-    let mut rpo_pos = vec![usize::MAX; n];
+/// graph of `n` nodes given by its predecessors (`for_each_pred(b, visit)`
+/// calls `visit` on each one of `b`) and a reverse postorder (`rpo[0]` must
+/// be the start node). Returns the immediate dominator of each node: the
+/// start node is its own, nodes outside `rpo` have [`NONE`].
+fn chk_idoms(rpo: &[u32], for_each_pred: impl Fn(u32, &mut dyn FnMut(u32)), n: usize) -> Vec<u32> {
+    let mut rpo_pos = vec![NONE; n];
     for (i, &b) in rpo.iter().enumerate() {
-        rpo_pos[b] = i;
+        rpo_pos[b as usize] = i as u32;
     }
-    let mut idom: Vec<Option<usize>> = vec![None; n];
+    let mut idom = vec![NONE; n];
     let start = rpo[0];
-    idom[start] = Some(start);
+    idom[start as usize] = start;
 
-    let intersect = |idom: &[Option<usize>], mut a: usize, mut b: usize| -> usize {
+    let intersect = |idom: &[u32], mut a: u32, mut b: u32| -> u32 {
         while a != b {
-            while rpo_pos[a] > rpo_pos[b] {
-                a = idom[a].expect("processed node has idom");
+            while rpo_pos[a as usize] > rpo_pos[b as usize] {
+                a = idom[a as usize];
             }
-            while rpo_pos[b] > rpo_pos[a] {
-                b = idom[b].expect("processed node has idom");
+            while rpo_pos[b as usize] > rpo_pos[a as usize] {
+                b = idom[b as usize];
             }
         }
         a
@@ -40,18 +43,18 @@ fn chk_idoms(rpo: &[usize], preds: &[Vec<usize>], n: usize) -> Vec<Option<usize>
     while changed {
         changed = false;
         for &b in rpo.iter().skip(1) {
-            let mut new_idom: Option<usize> = None;
-            for &p in &preds[b] {
-                if rpo_pos[p] == usize::MAX || idom[p].is_none() {
-                    continue;
+            let mut new_idom = NONE;
+            for_each_pred(b, &mut |p| {
+                // Only predecessors that are in the graph and processed.
+                if rpo_pos[p as usize] != NONE && idom[p as usize] != NONE {
+                    new_idom = match new_idom {
+                        NONE => p,
+                        cur => intersect(&idom, cur, p),
+                    };
                 }
-                new_idom = Some(match new_idom {
-                    None => p,
-                    Some(cur) => intersect(&idom, cur, p),
-                });
-            }
-            if new_idom.is_some() && idom[b] != new_idom {
-                idom[b] = new_idom;
+            });
+            if new_idom != NONE && idom[b as usize] != new_idom {
+                idom[b as usize] = new_idom;
                 changed = true;
             }
         }
@@ -59,66 +62,68 @@ fn chk_idoms(rpo: &[usize], preds: &[Vec<usize>], n: usize) -> Vec<Option<usize>
     idom
 }
 
-/// Shared representation for dominator-style trees over block ids.
+/// Shared representation for dominator-style trees: flat tables over node
+/// indices (a block's arena index; the post-dominator tree adds one node).
 #[derive(Clone, Debug)]
 struct TreeCore {
-    /// Immediate dominator of each node; the root maps to itself.
-    idom: HashMap<BlockId, BlockId>,
-    children: HashMap<BlockId, Vec<BlockId>>,
-    /// DFS interval numbering for O(1) dominance queries.
-    dfs_in: HashMap<BlockId, u32>,
-    dfs_out: HashMap<BlockId, u32>,
-    root: BlockId,
+    /// Immediate dominator of each node; the root maps to itself, nodes
+    /// outside the tree to [`NONE`].
+    idom: Vec<u32>,
+    /// Children of each node, ascending.
+    children: Adjacency,
+    /// DFS `(entry, exit)` numbering for O(1) dominance queries; `entry`
+    /// is [`NONE`] for nodes outside the tree.
+    dfs: Vec<(u32, u32)>,
 }
 
 impl TreeCore {
-    fn build(root: BlockId, idom: HashMap<BlockId, BlockId>) -> TreeCore {
-        let mut children: HashMap<BlockId, Vec<BlockId>> = HashMap::new();
-        for (&b, &d) in &idom {
-            if b != d {
-                children.entry(d).or_default().push(b);
-            }
-        }
-        for c in children.values_mut() {
-            c.sort();
-        }
-        let mut dfs_in = HashMap::new();
-        let mut dfs_out = HashMap::new();
-        let mut counter = 0u32;
+    fn build(root: u32, idom: Vec<u32>) -> TreeCore {
+        let n = idom.len();
+        let in_tree = |b: usize| idom[b] != NONE && idom[b] != b as u32;
+        // Naming the nodes in ascending order leaves every child list
+        // ascending.
+        let children = Adjacency::group(
+            n,
+            (0..n)
+                .filter(|&b| in_tree(b))
+                .map(|b| (idom[b] as usize, BlockId(b as u32))),
+        );
+        let mut core = TreeCore {
+            idom,
+            children,
+            dfs: vec![(NONE, NONE); n],
+        };
         // Iterative DFS to number the tree.
-        let mut stack = vec![(root, false)];
+        let mut counter = 0u32;
+        let mut stack = Vec::with_capacity(n);
+        stack.push((root, false));
         while let Some((b, done)) = stack.pop() {
             if done {
-                dfs_out.insert(b, counter);
+                core.dfs[b as usize].1 = counter;
                 counter += 1;
                 continue;
             }
-            dfs_in.insert(b, counter);
+            core.dfs[b as usize].0 = counter;
             counter += 1;
             stack.push((b, true));
-            if let Some(cs) = children.get(&b) {
-                for &c in cs.iter().rev() {
-                    stack.push((c, false));
-                }
+            for c in core.children.of(BlockId(b)).iter().rev() {
+                stack.push((c.0, false));
             }
         }
-        TreeCore {
-            idom,
-            children,
-            dfs_in,
-            dfs_out,
-            root,
-        }
+        core
+    }
+
+    /// The immediate dominator of `b`, when `b` is in the tree and not its
+    /// root.
+    fn idom(&self, b: BlockId) -> Option<u32> {
+        let d = *self.idom.get(b.index())?;
+        (d != NONE && d != b.0).then_some(d)
     }
 
     fn dominates(&self, a: BlockId, b: BlockId) -> bool {
-        match (
-            self.dfs_in.get(&a),
-            self.dfs_out.get(&a),
-            self.dfs_in.get(&b),
-            self.dfs_out.get(&b),
-        ) {
-            (Some(ai), Some(ao), Some(bi), Some(bo)) => ai <= bi && bo <= ao,
+        let interval = |x: BlockId| self.dfs.get(x.index()).filter(|d| d.0 != NONE);
+        match (interval(a), interval(b)) {
+            (Some(&(ai, ao)), Some(&(bi, bo))) => ai <= bi && bo <= ao,
             _ => false,
         }
     }
@@ -128,34 +133,27 @@ impl TreeCore {
 #[derive(Clone, Debug)]
 pub struct DomTree {
     core: TreeCore,
+    root: BlockId,
 }
 
 impl DomTree {
     /// Build the dominator tree from a CFG.
     pub fn new(f: &Function, cfg: &Cfg) -> DomTree {
-        let n = f.num_blocks();
-        let rpo: Vec<usize> = cfg.rpo.iter().map(|b| b.index()).collect();
-        let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for &b in &cfg.rpo {
-            preds[b.index()] = cfg.preds(b).iter().map(|p| p.index()).collect();
-        }
-        let idoms = chk_idoms(&rpo, &preds, n);
-        let mut map = HashMap::new();
-        for &b in &cfg.rpo {
-            if let Some(d) = idoms[b.index()] {
-                map.insert(b, BlockId(d as u32));
-            }
-        }
+        let rpo: Vec<u32> = cfg.rpo.iter().map(|b| b.0).collect();
+        let preds = |b: u32, visit: &mut dyn FnMut(u32)| {
+            cfg.preds(BlockId(b)).iter().for_each(|p| visit(p.0));
+        };
+        let idoms = chk_idoms(&rpo, preds, f.num_blocks());
         DomTree {
-            core: TreeCore::build(f.entry(), map),
+            core: TreeCore::build(f.entry().0, idoms),
+            root: f.entry(),
         }
     }
 
     /// The immediate dominator of `b` (`None` for the entry or unreachable
     /// blocks).
     pub fn idom(&self, b: BlockId) -> Option<BlockId> {
-        let d = *self.core.idom.get(&b)?;
-        (d != b).then_some(d)
+        self.core.idom(b).map(BlockId)
     }
 
     /// True if `a` dominates `b` (reflexive).
@@ -170,12 +168,12 @@ impl DomTree {
 
     /// Children of `b` in the dominator tree.
     pub fn children(&self, b: BlockId) -> &[BlockId] {
-        self.core.children.get(&b).map(Vec::as_slice).unwrap_or(&[])
+        self.core.children.of(b)
     }
 
     /// The tree root (the entry block).
     pub fn root(&self) -> BlockId {
-        self.core.root
+        self.root
     }
 }
 
@@ -187,6 +185,8 @@ impl DomTree {
 #[derive(Clone, Debug)]
 pub struct PostDomTree {
     core: TreeCore,
+    /// Node index of the virtual exit, the tree's root: one past the blocks.
+    virtual_exit: u32,
     /// The blocks directly attached to the virtual exit.
     virtual_exit_preds: Vec<BlockId>,
 }
@@ -196,75 +196,48 @@ impl PostDomTree {
     pub fn new(f: &Function, cfg: &Cfg) -> PostDomTree {
         let n = f.num_blocks();
         // Node numbering: 0..n for blocks, n for the virtual exit.
-        let vexit = n;
-        let mut exits: Vec<usize> = cfg.exit_blocks().iter().map(|b| b.index()).collect();
+        let vexit = n as u32;
+        let mut exits = cfg.exit_blocks();
 
         // Blocks that cannot reach an exit (infinite loops): walk backwards
         // from exits; anything reachable-from-entry but not in that set needs
         // a tether to the virtual exit.
-        let mut can_exit: HashSet<usize> = HashSet::new();
-        let mut work: Vec<usize> = exits.clone();
+        let mut can_exit = vec![false; n];
+        let mut work = exits.clone();
         while let Some(b) = work.pop() {
-            if !can_exit.insert(b) {
-                continue;
-            }
-            for &p in cfg.preds(BlockId(b as u32)) {
-                work.push(p.index());
+            if !std::mem::replace(&mut can_exit[b.index()], true) {
+                work.extend_from_slice(cfg.preds(b));
             }
         }
-        let mut tethered: Vec<usize> = cfg
-            .rpo
-            .iter()
-            .map(|b| b.index())
-            .filter(|b| !can_exit.contains(b))
-            .collect();
         // One tether per endless region is enough, but tethering each
         // non-exiting block is simpler and still sound (it only weakens
         // post-dominance inside the endless region).
-        exits.append(&mut tethered);
-
-        // Reversed graph: preds of a node are its CFG successors; each exit
-        // block additionally has the virtual exit as a predecessor (the
-        // reversed direction of the conceptual `exit -> vexit` edge).
-        let mut rpreds: Vec<Vec<usize>> = vec![Vec::new(); n + 1];
-        for &b in &cfg.rpo {
-            rpreds[b.index()] = cfg.succs(b).iter().map(|s| s.index()).collect();
-        }
-        for &e in &exits {
-            rpreds[e].push(vexit);
+        exits.extend(cfg.rpo.iter().filter(|b| !can_exit[b.index()]));
+        let mut tied = vec![false; n];
+        for b in &exits {
+            tied[b.index()] = true;
         }
 
         // Reverse postorder of the reversed graph, starting at the virtual
-        // exit. Successors in the reversed graph are CFG predecessors.
-        let rsucc = |node: usize| -> Vec<usize> {
+        // exit, whose successors there are the blocks tied to it; a block's
+        // are its reachable CFG predecessors.
+        let rsuccs = |node: u32| -> &[BlockId] {
             if node == vexit {
-                return vec![];
-            }
-            let mut out: Vec<usize> = cfg
-                .preds(BlockId(node as u32))
-                .iter()
-                .filter(|p| cfg.is_reachable(**p))
-                .map(|p| p.index())
-                .collect();
-            out.sort_unstable();
-            out
-        };
-        let redges_from_vexit = exits.clone();
-        let mut post = Vec::new();
-        let mut visited = HashSet::new();
-        visited.insert(vexit);
-        let mut stack: Vec<(usize, usize)> = vec![(vexit, 0)];
-        while let Some(&mut (node, ref mut next)) = stack.last_mut() {
-            let succs: Vec<usize> = if node == vexit {
-                redges_from_vexit.clone()
+                &exits
             } else {
-                rsucc(node)
-            };
-            if *next < succs.len() {
-                let s = succs[*next];
+                cfg.preds(BlockId(node))
+            }
+        };
+        let mut post: Vec<u32> = Vec::with_capacity(cfg.rpo.len() + 1);
+        let mut visited = can_exit; // the table, reused
+        visited.fill(false);
+        let mut stack: Vec<(u32, usize)> = Vec::with_capacity(cfg.rpo.len() + 1);
+        stack.push((vexit, 0));
+        while let Some(&mut (node, ref mut next)) = stack.last_mut() {
+            if let Some(&s) = rsuccs(node).get(*next) {
                 *next += 1;
-                if visited.insert(s) {
-                    stack.push((s, 0));
+                if cfg.is_reachable(s) && !std::mem::replace(&mut visited[s.index()], true) {
+                    stack.push((s.0, 0));
                 }
             } else {
                 post.push(node);
@@ -273,31 +246,30 @@ impl PostDomTree {
         }
         post.reverse();
 
-        let idoms = chk_idoms(&post, &rpreds, n + 1);
-        let mut map = HashMap::new();
-        for &b in &cfg.rpo {
-            if let Some(d) = idoms[b.index()] {
-                // "Post-dominated only by the virtual exit" is represented by
-                // making the block a direct child of the sentinel root.
-                if d == vexit {
-                    map.insert(b, SENTINEL_ROOT);
-                } else {
-                    map.insert(b, BlockId(d as u32));
+        // Predecessors in the reversed graph: a block's CFG successors, and
+        // the virtual exit for the blocks tied to it (the reversed direction
+        // of the conceptual `exit -> vexit` edge).
+        let rpreds = |b: u32, visit: &mut dyn FnMut(u32)| {
+            if b != vexit {
+                cfg.succs(BlockId(b)).iter().for_each(|s| visit(s.0));
+                if tied[b as usize] {
+                    visit(vexit);
                 }
             }
-        }
-        map.insert(SENTINEL_ROOT, SENTINEL_ROOT);
+        };
+        let idoms = chk_idoms(&post, rpreds, n + 1);
         PostDomTree {
-            core: TreeCore::build(SENTINEL_ROOT, map),
-            virtual_exit_preds: exits.into_iter().map(|b| BlockId(b as u32)).collect(),
+            core: TreeCore::build(vexit, idoms),
+            virtual_exit: vexit,
+            virtual_exit_preds: exits,
         }
     }
 
     /// The immediate post-dominator of `b` (`None` if `b` is only
     /// post-dominated by the virtual exit).
     pub fn ipostdom(&self, b: BlockId) -> Option<BlockId> {
-        let d = *self.core.idom.get(&b)?;
-        (d != SENTINEL_ROOT && d != b).then_some(d)
+        let d = self.core.idom(b)?;
+        (d != self.virtual_exit).then_some(BlockId(d))
     }
 
     /// True if `a` post-dominates `b` (reflexive).
@@ -313,9 +285,12 @@ impl PostDomTree {
     /// Control dependences of a function (Ferrante–Ottenstein–Warren):
     /// `b` is control dependent on branch block `a` iff `a` has a successor
     /// `s` with `b` post-dominating `s`, and `b` does not strictly
-    /// post-dominate `a`. Returns `dependent -> set of controlling blocks`.
-    pub fn control_dependences(&self, cfg: &Cfg) -> HashMap<BlockId, HashSet<BlockId>> {
-        let mut cd: HashMap<BlockId, HashSet<BlockId>> = HashMap::new();
+    /// post-dominate `a`. Returns `(dependent, controlling block)` pairs,
+    /// ascending by dependent and then by controller, none twice — the same
+    /// on every call, so whatever is derived from them in order (the PDG's
+    /// control edges) is reproducible.
+    pub fn control_dependences(&self, cfg: &Cfg) -> Vec<(BlockId, BlockId)> {
+        let mut pairs: Vec<(BlockId, BlockId)> = Vec::new();
         for &a in &cfg.rpo {
             let succs = cfg.succs(a);
             if succs.len() < 2 {
@@ -331,18 +306,16 @@ impl PostDomTree {
                     if Some(b) == stop {
                         break;
                     }
-                    cd.entry(b).or_default().insert(a);
+                    pairs.push((b, a));
                     cur = self.ipostdom(b);
                 }
             }
         }
-        cd
+        pairs.sort_unstable();
+        pairs.dedup();
+        pairs
     }
 }
-
-/// Sentinel block id used as the virtual-exit root of the post-dominator
-/// tree. No real function has 2^32 - 7 blocks.
-const SENTINEL_ROOT: BlockId = BlockId(u32::MAX - 7);
 
 #[cfg(test)]
 mod tests {
@@ -404,11 +377,9 @@ mod tests {
         let cfg = Cfg::new(&f);
         let pdt = PostDomTree::new(&f, &cfg);
         let cd = pdt.control_dependences(&cfg);
-        let [entry, left, right, join] = [0, 1, 2, 3].map(BlockId);
-        assert!(cd[&left].contains(&entry));
-        assert!(cd[&right].contains(&entry));
-        assert!(!cd.contains_key(&join));
-        assert!(!cd.contains_key(&entry));
+        // Neither the entry nor the join is control dependent on anything.
+        let [entry, left, right] = [0, 1, 2].map(BlockId);
+        assert_eq!(cd, [(left, entry), (right, entry)]);
     }
 
     #[test]
@@ -433,9 +404,7 @@ mod tests {
         let cd = pdt.control_dependences(&cfg);
         // The body is control dependent on the header's branch, and so is the
         // header itself (via the back edge path).
-        assert!(cd[&body].contains(&header));
-        assert!(cd[&header].contains(&header));
-        assert!(!cd.contains_key(&exit));
+        assert_eq!(cd, [(header, header), (body, header)]);
     }
 
     #[test]
@@ -495,7 +464,7 @@ mod tests {
         assert_eq!(pdt.ipostdom(a), Some(m));
         assert_eq!(pdt.ipostdom(m), Some(join));
         let cd = pdt.control_dependences(&cfg);
-        assert!(cd[&b].contains(&a));
-        assert!(cd[&m].contains(&entry));
+        // Ascending by dependent (block ids: a, b, c, m, d), then controller.
+        assert_eq!(cd, [(a, entry), (b, a), (c, a), (m, entry), (d, entry)]);
     }
 }

@@ -319,16 +319,27 @@ pub enum Terminator {
 impl Terminator {
     /// Successor blocks in order.
     pub fn successors(&self) -> Vec<BlockId> {
+        let mut out = Vec::new();
+        self.for_each_successor(|b| out.push(b));
+        out
+    }
+
+    /// Visit every successor block in order, without materializing a `Vec`.
+    pub fn for_each_successor(&self, mut f: impl FnMut(BlockId)) {
         match self {
-            Terminator::Ret(_) | Terminator::Unreachable => vec![],
-            Terminator::Br(b) => vec![*b],
+            Terminator::Ret(_) | Terminator::Unreachable => {}
+            Terminator::Br(b) => f(*b),
             Terminator::CondBr {
                 then_bb, else_bb, ..
-            } => vec![*then_bb, *else_bb],
+            } => {
+                f(*then_bb);
+                f(*else_bb);
+            }
             Terminator::Switch { default, cases, .. } => {
-                let mut out = vec![*default];
-                out.extend(cases.iter().map(|(_, b)| *b));
-                out
+                f(*default);
+                for (_, b) in cases {
+                    f(*b);
+                }
             }
         }
     }

@@ -13,7 +13,9 @@
 //!   round-trip;
 //! - a [`verifier`] enforcing SSA and type invariants;
 //! - CFG utilities ([`mod@cfg`]), dominator and post-dominator trees ([`dom`]),
-//!   and a natural-loop forest ([`loops`] — the paper's "loop structure", LS);
+//!   a natural-loop forest ([`loops`] — the paper's "loop structure", LS) and
+//!   the per-function layout index ([`layout`]: every instruction's block rank
+//!   and position from one pass);
 //! - deterministic IDs ([`ids`]) and extendible metadata ([`Module::metadata`])
 //!   mirroring `noelle-meta-*` tooling.
 //!
@@ -42,6 +44,7 @@ pub mod dom;
 pub mod ids;
 pub mod inst;
 pub mod intern;
+pub mod layout;
 pub mod loops;
 pub mod module;
 pub mod parser;

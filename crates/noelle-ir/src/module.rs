@@ -303,10 +303,11 @@ impl Function {
 
     /// All attached instruction ids in layout order.
     pub fn inst_ids(&self) -> Vec<InstId> {
-        self.layout
-            .iter()
-            .flat_map(|b| self.blocks[b.index()].insts.iter().copied())
-            .collect()
+        let mut ids = Vec::with_capacity(self.num_insts());
+        for b in &self.layout {
+            ids.extend_from_slice(&self.blocks[b.index()].insts);
+        }
+        ids
     }
 
     /// Size of the instruction arena: every [`InstId`] this function ever

@@ -3,6 +3,7 @@
 use crate::cfg::Cfg;
 use crate::dom::DomTree;
 use crate::inst::{Callee, Inst, InstId, Terminator};
+use crate::layout::LayoutIndex;
 use crate::module::{BlockId, Function, Module};
 use crate::types::Type;
 use crate::value::{Constant, Value};
@@ -100,6 +101,9 @@ pub fn verify_function(m: &Module, f: &Function, errors: &mut Vec<String>) {
 
     let cfg = Cfg::new(f);
     let dt = DomTree::new(f, &cfg);
+    // Positions come from one pass over the layout: a scan per instruction
+    // and per same-block operand is quadratic in block length.
+    let layout = LayoutIndex::new(f);
 
     // Phi incoming edges match predecessors; SSA dominance; type rules.
     for &b in &cfg.rpo {
@@ -122,7 +126,7 @@ pub fn verify_function(m: &Module, f: &Function, errors: &mut Vec<String>) {
                     ));
                 }
             }
-            check_operand_dominance(f, &cfg, &dt, b, id, errors);
+            check_operand_dominance(f, &cfg, &dt, &layout, b, id, errors);
             check_types(m, f, id, errors);
         }
     }
@@ -131,16 +135,16 @@ pub fn verify_function(m: &Module, f: &Function, errors: &mut Vec<String>) {
 fn def_dominates_use(
     f: &Function,
     dt: &DomTree,
+    layout: &LayoutIndex,
     def: InstId,
     use_block: BlockId,
     use_pos: usize,
 ) -> bool {
     let def_block = f.parent_block(def);
     if def_block == use_block {
-        match f.position_in_block(def) {
-            Some(dp) => dp < use_pos,
-            None => false,
-        }
+        layout
+            .position(def)
+            .is_some_and(|def_pos| def_pos < use_pos)
     } else {
         dt.strictly_dominates(def_block, use_block)
     }
@@ -150,12 +154,13 @@ fn check_operand_dominance(
     f: &Function,
     cfg: &Cfg,
     dt: &DomTree,
+    layout: &LayoutIndex,
     b: BlockId,
     id: InstId,
     errors: &mut Vec<String>,
 ) {
     let fname = &f.name;
-    let pos = f.position_in_block(id).expect("attached");
+    let pos = layout.position(id).expect("attached");
     match f.inst(id) {
         Inst::Phi { incomings, .. } => {
             for (pred, v) in incomings {
@@ -174,21 +179,19 @@ fn check_operand_dominance(
             }
         }
         inst => {
-            for v in inst.operands() {
-                match v {
-                    Value::Inst(def) if !def_dominates_use(f, dt, def, b, pos) => {
-                        errors.push(format!(
-                            "@{fname}: use of {def} in {id} is not dominated by its definition"
-                        ));
-                    }
-                    Value::Arg(i) if i as usize >= f.params.len() => {
-                        errors.push(format!(
-                            "@{fname}: {id} references out-of-range argument {i}"
-                        ));
-                    }
-                    _ => {}
+            inst.for_each_operand(|v| match v {
+                Value::Inst(def) if !def_dominates_use(f, dt, layout, def, b, pos) => {
+                    errors.push(format!(
+                        "@{fname}: use of {def} in {id} is not dominated by its definition"
+                    ));
                 }
-            }
+                Value::Arg(i) if i as usize >= f.params.len() => {
+                    errors.push(format!(
+                        "@{fname}: {id} references out-of-range argument {i}"
+                    ));
+                }
+                _ => {}
+            });
         }
     }
 }
@@ -455,6 +458,37 @@ mod tests {
             .errors
             .iter()
             .any(|e| e.contains("not dominated by its definition")));
+    }
+
+    #[test]
+    fn rejects_use_placed_before_its_same_block_def() {
+        let mut b = FunctionBuilder::new("f", vec![("x", Type::I64)], Type::I64);
+        let entry = b.entry_block();
+        b.switch_to(entry);
+        let def = b.binop(BinOp::Add, Type::I64, b.arg(0), Value::const_i64(1));
+        b.ret(Some(def));
+        let mut f = b.finish();
+        // The user gets the higher arena id but the earlier position: only
+        // positions, not ids, say it runs before its operand is defined.
+        let user = f.insert_inst(
+            entry,
+            0,
+            Inst::Bin {
+                op: BinOp::Mul,
+                ty: Type::I64,
+                lhs: def,
+                rhs: Value::const_i64(2),
+            },
+        );
+        let def = def.as_inst().expect("an instruction");
+        assert!(user > def);
+        let err = verify_one(f).unwrap_err();
+        assert_eq!(
+            err.errors,
+            [format!(
+                "@f: use of {def} in {user} is not dominated by its definition"
+            )]
+        );
     }
 
     #[test]

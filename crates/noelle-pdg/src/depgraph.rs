@@ -12,6 +12,7 @@
 //! and live-outs of the region.
 
 use noelle_ir::bytes::{ByteReader, ByteWriter, DecodeError};
+use noelle_ir::inst::InstId;
 use std::collections::BTreeSet;
 
 /// Kind of a data dependence.
@@ -141,78 +142,170 @@ pub struct DepGraph<N> {
     in_ids: Vec<EdgeId>,
 }
 
+/// What a [`DepGraph`] asks of its node type: an order, which the node table
+/// is sorted by, and — when nodes are ids into one arena, as instructions
+/// are — the index there, which lets construction resolve every edge
+/// endpoint through a dense table instead of a search.
+pub trait Node: Copy + Ord {
+    /// This node's index in its arena; `None` (for every value of the type)
+    /// when nodes are not arena ids.
+    fn arena_index(self) -> Option<usize> {
+        None
+    }
+}
+
+impl Node for InstId {
+    fn arena_index(self) -> Option<usize> {
+        Some(self.index())
+    }
+}
+
+/// Plain numbers as nodes: no arena, endpoints are searched for.
+impl Node for u32 {}
+
 /// Position of `n` in a node table (ascending by node).
 fn find<N: Copy + Ord>(nodes: &[(N, bool)], n: N) -> Option<usize> {
     nodes.binary_search_by_key(&n, |&(node, _)| node).ok()
 }
 
-/// Group edge ids by the node `end` picks from each edge: `off[i]..off[i+1]`
-/// is the range of `ids` belonging to `nodes[i]`, ascending. `None` when an
-/// edge names a node missing from `nodes`.
-fn index_by<N: Copy + Ord>(
-    nodes: &[(N, bool)],
-    edges: &[DepEdge<N>],
-    end: impl Fn(&DepEdge<N>) -> N,
-) -> Option<(Vec<u32>, Vec<EdgeId>)> {
-    let slot = |e: &DepEdge<N>| find(nodes, end(e));
-    // Counting sort: count, prefix-sum into range starts, then replay the
-    // edge list in order, using each start as that node's write cursor.
-    let mut off = vec![0u32; nodes.len() + 1];
-    for e in edges {
-        off[slot(e)? + 1] += 1;
+/// Arena index -> slot in the node table, for every node of the table.
+struct SlotTable(Vec<u32>);
+
+impl SlotTable {
+    /// No slot: the arena index belongs to no node (yet).
+    const NONE: u32 = u32::MAX;
+
+    /// The node slot of `n`. `n` must be in the table this was built over.
+    fn slot<N: Node>(&self, n: N) -> u32 {
+        self.0[n.arena_index().expect("an arena id")]
     }
-    for i in 0..nodes.len() {
-        off[i + 1] += off[i];
+
+    /// Finish the node table of a graph whose `nodes` so far are its
+    /// internal ones (ascending, none twice): every endpoint of `edges` met
+    /// for the first time is appended as an external node, and the table is
+    /// sorted again if there were any. One pass over the edges, no search.
+    /// `None` when `N` is not an arena id.
+    fn build<N: Node>(nodes: &mut Vec<(N, bool)>, edges: &[DepEdge<N>]) -> Option<SlotTable> {
+        let internal = nodes.len();
+        let len = match nodes.last() {
+            Some(&(last, _)) => last.arena_index()? + 1,
+            None => 0,
+        };
+        let mut table = vec![SlotTable::NONE; len];
+        let number = |table: &mut Vec<u32>, nodes: &[(N, bool)]| {
+            for (slot, &(n, _)) in nodes.iter().enumerate() {
+                table[n.arena_index().expect("checked when met")] = slot as u32;
+            }
+        };
+        number(&mut table, nodes);
+        for e in edges {
+            for n in [e.src, e.dst] {
+                let i = n.arena_index()?;
+                if i >= table.len() {
+                    table.resize(i + 1, SlotTable::NONE);
+                }
+                if table[i] == SlotTable::NONE {
+                    table[i] = 0; // any slot: numbered below
+                    nodes.push((n, false));
+                }
+            }
+        }
+        if nodes.len() > internal {
+            nodes.sort_unstable();
+            number(&mut table, nodes);
+        }
+        Some(SlotTable(table))
     }
-    let mut ids = vec![EdgeId(0); edges.len()];
-    for (i, e) in edges.iter().enumerate() {
-        let cursor = &mut off[slot(e)?];
-        ids[*cursor as usize] = EdgeId(i as u32);
-        *cursor += 1;
-    }
-    // Every cursor now sits at its node's range end, which is the next
-    // node's start: shift right by one to get the starts back.
-    off.rotate_right(1);
-    off[0] = 0;
-    Some((off, ids))
 }
 
-impl<N: Copy + Ord> DepGraph<N> {
+/// Both directions of the compressed-sparse-row index over `n_edges` edges
+/// and `n_nodes` node slots, `ends(i)` being edge `i`'s `[source,
+/// destination]` slots: per direction, `off[s]..off[s + 1]` is the range of
+/// `ids` belonging to slot `s`, ascending.
+fn csr(
+    n_nodes: usize,
+    n_edges: usize,
+    ends: impl Fn(usize) -> [u32; 2],
+) -> [(Vec<u32>, Vec<EdgeId>); 2] {
+    // Counting sort: count, prefix-sum into range starts, then replay the
+    // edge list in order, using each start as that slot's write cursor.
+    let mut index = [(); 2].map(|()| (vec![0u32; n_nodes + 1], vec![EdgeId(0); n_edges]));
+    for i in 0..n_edges {
+        for ((off, _), slot) in index.iter_mut().zip(ends(i)) {
+            off[slot as usize + 1] += 1;
+        }
+    }
+    for (off, _) in &mut index {
+        for s in 0..n_nodes {
+            off[s + 1] += off[s];
+        }
+    }
+    for i in 0..n_edges {
+        for ((off, ids), slot) in index.iter_mut().zip(ends(i)) {
+            let cursor = &mut off[slot as usize];
+            ids[*cursor as usize] = EdgeId(i as u32);
+            *cursor += 1;
+        }
+    }
+    // Every cursor now sits at its slot's range end, which is the next
+    // slot's start: shift right by one to get the starts back.
+    for (off, _) in &mut index {
+        off.rotate_right(1);
+        off[0] = 0;
+    }
+    index
+}
+
+impl<N: Node> DepGraph<N> {
     /// Build a graph from its internal node set and its complete edge list.
     /// Edge endpoints not in `internal` become external nodes.
+    ///
+    /// Every endpoint is resolved to its node slot once: through a dense
+    /// table when `N` is an arena id, by one search otherwise.
     pub fn from_edges(
         internal: impl IntoIterator<Item = N>,
         edges: Vec<DepEdge<N>>,
     ) -> DepGraph<N> {
         let mut nodes: Vec<(N, bool)> = internal.into_iter().map(|n| (n, true)).collect();
         nodes.sort_unstable();
-        let internal = nodes.len();
-        for e in &edges {
-            for n in [e.src, e.dst] {
-                let just_added = nodes.last() == Some(&(n, false));
-                if !just_added && find(&nodes[..internal], n).is_none() {
-                    nodes.push((n, false));
-                }
-            }
-        }
-        nodes.sort_unstable();
         nodes.dedup();
-        DepGraph::index(nodes, edges).expect("every endpoint was put in the node table")
+        if let Some(table) = SlotTable::build(&mut nodes, &edges) {
+            let ends = |i: usize| [table.slot(edges[i].src), table.slot(edges[i].dst)];
+            let index = csr(nodes.len(), edges.len(), ends);
+            return DepGraph::assemble(nodes, edges, index);
+        }
+        // No arena: the node table is the internal nodes and every endpoint,
+        // sorted (an internal node after its own mentions as an endpoint)
+        // and merged; then one search per endpoint.
+        let endpoints = edges.iter().flat_map(|e| [(e.src, false), (e.dst, false)]);
+        nodes.extend(endpoints);
+        nodes.sort_unstable();
+        nodes.dedup_by(|later, kept| {
+            later.0 == kept.0 && {
+                kept.1 |= later.1;
+                true
+            }
+        });
+        let slot = |n| find(&nodes, n).expect("every endpoint was put in the node table") as u32;
+        let ends: Vec<[u32; 2]> = edges.iter().map(|e| [slot(e.src), slot(e.dst)]).collect();
+        let index = csr(nodes.len(), edges.len(), |i| ends[i]);
+        DepGraph::assemble(nodes, edges, index)
     }
 
-    /// Index `edges` over the finished node table (ascending, no node
-    /// twice). `None` when an edge endpoint is not in the table.
-    fn index(nodes: Vec<(N, bool)>, edges: Vec<DepEdge<N>>) -> Option<DepGraph<N>> {
-        let (out_off, out_ids) = index_by(&nodes, &edges, |e| e.src)?;
-        let (in_off, in_ids) = index_by(&nodes, &edges, |e| e.dst)?;
-        Some(DepGraph {
+    /// The graph of a finished node table, edge list and index over them.
+    fn assemble(
+        nodes: Vec<(N, bool)>,
+        edges: Vec<DepEdge<N>>,
+        [(out_off, out_ids), (in_off, in_ids)]: [(Vec<u32>, Vec<EdgeId>); 2],
+    ) -> DepGraph<N> {
+        DepGraph {
             nodes,
             edges,
             out_off,
             out_ids,
             in_off,
             in_ids,
-        })
+        }
     }
 
     /// The slice of `ids` that `off` assigns to node `n`.
@@ -315,7 +408,7 @@ impl<N: Copy + Ord> DepGraph<N> {
     pub(crate) fn edges_touching(
         &self,
         region: impl IntoIterator<Item = N>,
-    ) -> impl Iterator<Item = &DepEdge<N>> + '_ {
+    ) -> impl ExactSizeIterator<Item = &DepEdge<N>> + '_ {
         let mut touching: Vec<EdgeId> = Vec::new();
         for n in region {
             touching.extend_from_slice(self.out_ids(n));
@@ -438,9 +531,16 @@ impl<N: Copy + Ord> DepGraph<N> {
         let most = (r.remaining() / 3).min(u32::MAX as usize);
         let n_edges = r.count(most, "depgraph: edge count")?;
         let mut edges = Vec::with_capacity(n_edges);
+        // Each endpoint is searched for once, as it is read.
+        let mut ends: Vec<[u32; 2]> = Vec::with_capacity(n_edges);
+        let slot = |n| match find(&nodes, n) {
+            Some(slot) => Ok(slot as u32),
+            None => Err(DecodeError::new("depgraph: edge endpoint unknown")),
+        };
         for _ in 0..n_edges {
             let src = node(r.varint("depgraph: edge src")?)?;
             let dst = node(r.varint("depgraph: edge dst")?)?;
+            ends.push([slot(src)?, slot(dst)?]);
             let flags = r.u8("depgraph: edge flags")?;
             if flags & !0x3f != 0 {
                 return Err(DecodeError::new("depgraph: edge flags"));
@@ -469,7 +569,8 @@ impl<N: Copy + Ord> DepGraph<N> {
             });
         }
         r.finish("depgraph: trailing bytes")?;
-        DepGraph::index(nodes, edges).ok_or(DecodeError::new("depgraph: edge endpoint unknown"))
+        let index = csr(nodes.len(), edges.len(), |i| ends[i]);
+        Ok(DepGraph::assemble(nodes, edges, index))
     }
 }
 
@@ -645,6 +746,41 @@ mod tests {
              ext_in={9} ext_out={8}\n"
         );
         assert!(g.approx_heap_bytes() > std::mem::size_of_val(g.edges()));
+    }
+
+    #[test]
+    fn arena_ids_resolve_through_the_table_to_the_same_index_a_search_builds() {
+        // Externals below, between and above the internal nodes (the table
+        // has to grow for 40), an internal node listed twice, a self edge.
+        let internal = [7u32, 3, 5, 7];
+        let edges = [(5, 3), (1, 5), (7, 40), (3, 3), (4, 7), (40, 1), (5, 7)];
+        let searched = graph(internal, &edges.map(|(s, d)| (s, d, EdgeAttrs::register())));
+        let dense = DepGraph::from_edges(
+            internal.map(InstId),
+            edges
+                .map(|(s, d)| DepEdge {
+                    src: InstId(s),
+                    dst: InstId(d),
+                    attrs: EdgeAttrs::register(),
+                })
+                .to_vec(),
+        );
+        let ids = |nodes: &[(InstId, bool)]| -> Vec<(u32, bool)> {
+            nodes.iter().map(|&(n, internal)| (n.0, internal)).collect()
+        };
+        assert_eq!(ids(&dense.nodes), searched.nodes);
+        assert_eq!(
+            searched.nodes,
+            [1, 3, 4, 5, 7, 40].map(|n| (n, internal.contains(&n)))
+        );
+        assert_eq!(dense.out_off, searched.out_off);
+        assert_eq!(dense.out_ids, searched.out_ids);
+        assert_eq!(dense.in_off, searched.in_off);
+        assert_eq!(dense.in_ids, searched.in_ids);
+        assert_eq!(
+            dense.encode_with(|n| u64::from(n.0)),
+            searched.encode_with(u64::from)
+        );
     }
 
     #[test]

@@ -17,10 +17,11 @@ use noelle_analysis::scev::{affine_recurrences, trivially_loop_invariant, AddRec
 use noelle_ir::cfg::Cfg;
 use noelle_ir::dom::PostDomTree;
 use noelle_ir::inst::{Callee, Inst, InstId};
+use noelle_ir::layout::{LayoutIndex, Place};
 use noelle_ir::loops::LoopInfo;
-use noelle_ir::module::{FuncId, Function, Module};
+use noelle_ir::module::{BlockId, FuncId, Function, Module};
 use noelle_ir::value::Value;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 /// How an instruction touches memory, as seen by the PDG builder.
@@ -31,6 +32,63 @@ struct MemEffect {
     io: bool,
     /// The pointer operand for plain loads/stores (None for calls).
     ptr: Option<Value>,
+}
+
+/// A memory-touching instruction of the function being built.
+struct Access {
+    inst: InstId,
+    effect: MemEffect,
+    place: Place,
+}
+
+/// Two accesses `a < b` (indices into the function's access list) that
+/// depend on each other through memory, and in which directions.
+struct Conflict {
+    a: u32,
+    b: u32,
+    /// Kind of the dependence `a -> b`, if there is one.
+    forward: Option<DataDepKind>,
+    /// Kind of the dependence `b -> a`, if there is one.
+    backward: Option<DataDepKind>,
+    /// The alias verdict was `Must`.
+    must: bool,
+}
+
+impl Conflict {
+    /// What connects `mem[i]` and `mem[j]`, whose pointers the alias stack
+    /// could not tell apart: an edge per direction in which the effects
+    /// conflict — same-block pairs oriented by position, cross-block pairs
+    /// in both directions (flow-insensitive may-dependences). `None` when
+    /// the effects do not conflict at all.
+    fn of(mem: &[Access], i: u32, j: u32, must: bool) -> Option<Conflict> {
+        let (a, b) = (i.min(j), i.max(j));
+        let (x, y) = (&mem[a as usize], &mem[b as usize]);
+        let same_block = x.place.block_rank == y.place.block_rank;
+        let forward = PdgBuilder::conflict_kind(&x.effect, &y.effect)
+            .filter(|_| !same_block || x.place < y.place);
+        let backward = PdgBuilder::conflict_kind(&y.effect, &x.effect)
+            .filter(|_| !same_block || y.place < x.place);
+        (forward.is_some() || backward.is_some()).then_some(Conflict {
+            a,
+            b,
+            forward,
+            backward,
+            must,
+        })
+    }
+
+    /// The pair's memory edges, `a -> b` first.
+    fn edges<'m>(&self, mem: &'m [Access]) -> impl Iterator<Item = DepEdge<InstId>> + 'm {
+        let (a, b) = (mem[self.a as usize].inst, mem[self.b as usize].inst);
+        let must = self.must;
+        [(a, b, self.forward), (b, a, self.backward)]
+            .into_iter()
+            .filter_map(move |(src, dst, kind)| {
+                let mut attrs = EdgeAttrs::memory(kind?);
+                attrs.must = must;
+                Some(DepEdge { src, dst, attrs })
+            })
+    }
 }
 
 /// Builds PDGs for one module against a chosen alias-analysis stack.
@@ -179,51 +237,30 @@ impl<'a> PdgBuilder<'a> {
         }
     }
 
-    /// Indices into `mem` of the unordered access pairs that base-object
-    /// bucketing cannot rule out, in ascending `(i, j)` order (`i < j`).
+    /// The unordered pointer pairs `(p, q)`, `p <= q`, that base-object
+    /// bucketing cannot rule out, ascending, as ids into `ptrs`.
     ///
-    /// Accesses are grouped by the abstract objects their pointer may
-    /// address ([`AliasAnalysis::base_objects`], asked once per distinct
-    /// pointer — many accesses share one); only pairs sharing a bucket are
-    /// candidates. Accesses with no bounded base set — calls, unknown
-    /// pointers — land in a catch-all group examined against everything.
-    /// Sound and *exact* relative to the all-pairs loop: a skipped pair has
+    /// Pointers are grouped by the abstract objects they may address
+    /// ([`AliasAnalysis::base_objects`], asked once per pointer); only pairs
+    /// sharing a bucket are candidates. Pointers with no bounded base set
+    /// land in a catch-all group paired with everything. Sound and *exact*
+    /// relative to [`PdgBuilder::all_pointer_pairs`]: a skipped pair has
     /// disjoint known base sets, for which the alias contract guarantees
-    /// `No` — the all-pairs loop would add no edge.
-    fn candidate_pairs(&self, fid: FuncId, mem: &[(InstId, MemEffect)]) -> Vec<(usize, usize)> {
-        let mut bases: HashMap<Value, Option<BTreeSet<MemoryObject>>> = HashMap::new();
-        for p in mem.iter().filter_map(|(_, e)| e.ptr) {
-            bases
-                .entry(p)
-                .or_insert_with(|| self.alias.base_objects(fid, p));
-        }
-        let mut buckets: BTreeMap<&MemoryObject, Vec<usize>> = BTreeMap::new();
-        let mut catch_all: Vec<usize> = Vec::new();
-        for (i, (_, e)) in mem.iter().enumerate() {
-            match e.ptr.and_then(|p| bases[&p].as_ref()) {
-                Some(objs) if !objs.is_empty() => {
-                    for o in objs {
-                        buckets.entry(o).or_default().push(i);
-                    }
-                }
-                _ => catch_all.push(i),
+    /// `No` — no edge would come of it.
+    fn candidate_pointer_pairs(&self, fid: FuncId, ptrs: &[Value]) -> Vec<(u32, u32)> {
+        let mut bucketed: Vec<(MemoryObject, u32)> = Vec::with_capacity(ptrs.len());
+        let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(2 * ptrs.len());
+        for (p, &ptr) in ptrs.iter().enumerate() {
+            let p = p as u32;
+            match self.alias.base_objects(fid, ptr) {
+                Some(objs) if !objs.is_empty() => bucketed.extend(objs.iter().map(|&o| (o, p))),
+                _ => pairs.extend((0..ptrs.len() as u32).map(|q| (p.min(q), p.max(q)))),
             }
         }
-        // Flat collect + sort + dedup: same ascending pair list a
-        // `BTreeSet` would yield, without a tree insert per candidate.
-        let mut pairs: Vec<(usize, usize)> = Vec::new();
-        for idxs in buckets.values() {
-            for (k, &i) in idxs.iter().enumerate() {
-                for &j in &idxs[k + 1..] {
-                    pairs.push((i, j));
-                }
-            }
-        }
-        for &i in &catch_all {
-            for j in 0..mem.len() {
-                if i != j {
-                    pairs.push((i.min(j), i.max(j)));
-                }
+        bucketed.sort_unstable();
+        for bucket in bucketed.chunk_by(|a, b| a.0 == b.0) {
+            for (k, &(_, p)) in bucket.iter().enumerate() {
+                pairs.extend(bucket[k..].iter().map(|&(_, q)| (p, q)));
             }
         }
         pairs.sort_unstable();
@@ -231,20 +268,82 @@ impl<'a> PdgBuilder<'a> {
         pairs
     }
 
-    /// All unordered index pairs — the pre-bucketing reference enumeration.
-    fn all_pairs(n: usize) -> Vec<(usize, usize)> {
-        (0..n)
-            .flat_map(|i| (i + 1..n).map(move |j| (i, j)))
-            .collect()
+    /// All unordered pointer pairs — the pre-bucketing reference enumeration.
+    fn all_pointer_pairs(n: u32) -> Vec<(u32, u32)> {
+        (0..n).flat_map(|p| (p..n).map(move |q| (p, q))).collect()
+    }
+
+    /// The pairs of accesses that depend on each other, ascending by
+    /// `(a, b)`.
+    ///
+    /// Works on interned pointers: the distinct pointer operands of `mem`
+    /// get dense ids once, the accesses are sorted into groups by them, and
+    /// the alias stack is asked once per distinct unordered pointer pair
+    /// some access pair could need (`alias` is symmetric; a pointer is paired with
+    /// itself only when two accesses share it). A verdict other than `No`
+    /// makes candidates of every access pair over the two pointers, `must`
+    /// recording `Must`. Accesses without a pointer — calls, I/O — are not
+    /// disambiguated: each pairs with every other access.
+    fn conflicts(&self, fid: FuncId, mem: &[Access], all_pairs: bool) -> Vec<Conflict> {
+        // Pointer ids ascend as the values do, so `(p, q)` with `p <= q` is
+        // also the `(min, max)` order `alias` is asked in.
+        let mut ptrs: Vec<Value> = mem.iter().filter_map(|a| a.effect.ptr).collect();
+        ptrs.sort_unstable();
+        ptrs.dedup();
+        // The accesses by group, each group ascending: group `g` holds the
+        // accesses through `ptrs[g]`; the last one, those with no pointer.
+        let mut by_group: Vec<(u32, u32)> = mem
+            .iter()
+            .zip(0..)
+            .map(|(a, i)| match a.effect.ptr {
+                Some(p) => (ptrs.binary_search(&p).expect("interned above") as u32, i),
+                None => (ptrs.len() as u32, i),
+            })
+            .collect();
+        by_group.sort_unstable();
+        let uses = |g: u32| {
+            let lo = by_group.partition_point(|&(h, _)| h < g);
+            let len = by_group[lo..].partition_point(|&(h, _)| h == g);
+            &by_group[lo..lo + len]
+        };
+
+        let pointer_pairs = if all_pairs {
+            PdgBuilder::all_pointer_pairs(ptrs.len() as u32)
+        } else {
+            self.candidate_pointer_pairs(fid, &ptrs)
+        };
+        let mut conflicts: Vec<Conflict> = Vec::with_capacity(4 * mem.len());
+        for (p, q) in pointer_pairs {
+            let (through_p, through_q) = (uses(p), uses(q));
+            if p == q && through_p.len() < 2 {
+                continue;
+            }
+            let must = match self.alias.alias(fid, ptrs[p as usize], ptrs[q as usize]) {
+                AliasResult::No => continue,
+                verdict => verdict == AliasResult::Must,
+            };
+            for (k, &(_, i)) in through_p.iter().enumerate() {
+                let later = &through_p[k + 1..];
+                let partners = if p == q { later } else { through_q }.iter();
+                conflicts.extend(partners.filter_map(|&(_, j)| Conflict::of(mem, i, j, must)));
+            }
+        }
+        for &(_, i) in uses(ptrs.len() as u32) {
+            let others =
+                (0..mem.len() as u32).filter(|&j| mem[j as usize].effect.ptr.is_some() || j > i);
+            conflicts.extend(others.filter_map(|j| Conflict::of(mem, i, j, false)));
+        }
+        conflicts.sort_unstable_by_key(|c| (u64::from(c.a) << 32) | u64::from(c.b));
+        conflicts
     }
 
     /// Build the dependence graph of one function (all instructions
-    /// internal), enumerating memory pairs through base-object bucketing.
+    /// internal), enumerating pointer pairs through base-object bucketing.
     pub fn function_pdg(&self, fid: FuncId) -> DepGraph<InstId> {
         self.function_pdg_impl(fid, false)
     }
 
-    /// Reference build examining every memory pair — the oracle
+    /// Reference build examining every pointer pair — the oracle
     /// [`PdgBuilder::function_pdg`] is tested against.
     pub fn function_pdg_allpairs(&self, fid: FuncId) -> DepGraph<InstId> {
         self.function_pdg_impl(fid, true)
@@ -253,100 +352,69 @@ impl<'a> PdgBuilder<'a> {
     fn function_pdg_impl(&self, fid: FuncId, all_pairs: bool) -> DepGraph<InstId> {
         let f = self.module.func(fid);
         let cfg = Cfg::new(f);
+        let layout = LayoutIndex::new(f);
         let inst_ids = f.inst_ids();
-        // Edges accumulate into a flat list; its order is the graph's edge
-        // order, which `EdgeId`s, the wire JSON and the store bytes key on.
-        let mut edges: Vec<DepEdge<InstId>> = Vec::new();
-        let push = |edges: &mut Vec<DepEdge<InstId>>, src, dst, attrs| {
-            edges.push(DepEdge { src, dst, attrs });
-        };
 
-        // Register (SSA) dependences.
-        for &id in &inst_ids {
-            for op in f.inst(id).operands() {
-                if let Value::Inst(def) = op {
-                    push(&mut edges, def, id, EdgeAttrs::register());
-                }
-            }
+        // One pass over the body finds the memory accesses and counts the
+        // register dependences: with the other two kinds counted below, the
+        // edge list is reserved once, at its final size.
+        let mut mem: Vec<Access> = Vec::with_capacity(inst_ids.len() / 2);
+        let mut n_register = 0;
+        for &inst in &inst_ids {
+            f.inst(inst)
+                .for_each_operand(|op| n_register += usize::from(matches!(op, Value::Inst(_))));
+            mem.extend(self.mem_effect(f, inst).map(|effect| Access {
+                inst,
+                effect,
+                place: layout.place(inst).expect("listed in a block"),
+            }));
         }
 
         // Control dependences: dependent block's instructions depend on the
-        // controlling block's terminator. `control_dependences` hands back
-        // hash maps, so impose block order — `EdgeId`s are positions in the
-        // edge stream, which must be reproducible.
-        let pdt = PostDomTree::new(f, &cfg);
-        for (dep_block, ctrls) in sorted_control_deps(&pdt, &cfg) {
-            for ctrl in ctrls {
-                if let Some(term) = f.terminator_id(ctrl) {
-                    for &id in &f.block(dep_block).insts {
-                        push(&mut edges, term, id, EdgeAttrs::control());
-                    }
-                }
-            }
-        }
+        // controlling block's terminator.
+        let control = PostDomTree::new(f, &cfg).control_dependences(&cfg);
+        let controlled = |&(dependent, ctrl): &(BlockId, BlockId)| {
+            let insts = &f.block(dependent).insts;
+            f.terminator_id(ctrl).map(|term| (term, insts))
+        };
+        let n_control: usize = control
+            .iter()
+            .filter_map(controlled)
+            .map(|(_, insts)| insts.len())
+            .sum();
 
         // Memory dependences: ordered pairs of memory-touching instructions.
-        // Same-block pairs are oriented by position; cross-block pairs get
-        // edges in both directions (flow-insensitive may-dependences).
-        let mem: Vec<(InstId, MemEffect)> = inst_ids
-            .iter()
-            .filter_map(|&id| self.mem_effect(f, id).map(|e| (id, e)))
-            .collect();
-        // Dense per-instruction position table (InstId is an arena index).
-        let max_idx = inst_ids.iter().map(|id| id.index()).max().unwrap_or(0);
-        let mut pos = vec![(noelle_ir::module::BlockId(0), 0usize); max_idx + 1];
+        // The graph is the memo of this call's alias verdicts that outlives
+        // it: a memory edge between two accesses records "not `No`", its
+        // `must` flag records `Must` (see `loop_pdg_with`).
+        let conflicts = self.conflicts(fid, &mem, all_pairs);
+        let n_memory: usize = conflicts.iter().map(|c| c.edges(&mem).count()).sum();
+
+        // The edge list's order is the graph's edge order, which `EdgeId`s,
+        // the wire JSON and the store bytes key on: register, control,
+        // memory.
+        let mut edges: Vec<DepEdge<InstId>> = Vec::with_capacity(n_register + n_control + n_memory);
         for &id in &inst_ids {
-            pos[id.index()] = (f.parent_block(id), f.position_in_block(id).unwrap_or(0));
+            f.inst(id).for_each_operand(|op| {
+                if let Value::Inst(def) = op {
+                    edges.push(DepEdge {
+                        src: def,
+                        dst: id,
+                        attrs: EdgeAttrs::register(),
+                    });
+                }
+            });
         }
-        let pairs = if all_pairs {
-            PdgBuilder::all_pairs(mem.len())
-        } else {
-            self.candidate_pairs(fid, &mem)
-        };
-        // This call's alias verdicts. The graph it returns is the memo that
-        // outlives it: a memory edge between two accesses records "not
-        // `No`", its `must` flag records `Must` (see `loop_pdg_with`).
-        let mut verdicts: HashMap<(Value, Value), AliasResult> = HashMap::new();
-        for (i, j) in pairs {
-            let (ia, ea) = &mem[i];
-            let (ib, eb) = &mem[j];
-            let (ba, pa) = pos[ia.index()];
-            let (bb, pb) = pos[ib.index()];
-            let same_block = ba == bb;
-            // One verdict per distinct unordered pointer pair answers both
-            // directions of every access pair that uses those pointers
-            // (`alias` is symmetric). Accesses without a pointer — calls,
-            // I/O — are not disambiguated.
-            let must = match (ea.ptr, eb.ptr) {
-                (Some(p), Some(q)) => {
-                    let key = if p <= q { (p, q) } else { (q, p) };
-                    match *verdicts
-                        .entry(key)
-                        .or_insert_with(|| self.alias.alias(fid, key.0, key.1))
-                    {
-                        AliasResult::No => continue,
-                        verdict => verdict == AliasResult::Must,
-                    }
-                }
-                _ => false,
-            };
-            // a -> b direction.
-            if let Some(kind) = PdgBuilder::conflict_kind(ea, eb) {
-                if !same_block || pa < pb {
-                    let mut attrs = EdgeAttrs::memory(kind);
-                    attrs.must = must;
-                    push(&mut edges, *ia, *ib, attrs);
-                }
-            }
-            // b -> a direction.
-            if let Some(kind) = PdgBuilder::conflict_kind(eb, ea) {
-                if !same_block || pb < pa {
-                    let mut attrs = EdgeAttrs::memory(kind);
-                    attrs.must = must;
-                    push(&mut edges, *ib, *ia, attrs);
-                }
-            }
+        for (term, insts) in control.iter().filter_map(controlled) {
+            let attrs = EdgeAttrs::control();
+            edges.extend(insts.iter().map(|&dst| DepEdge {
+                src: term,
+                dst,
+                attrs,
+            }));
         }
+        edges.extend(conflicts.iter().flat_map(|c| c.edges(&mem)));
+        debug_assert_eq!(edges.len(), n_register + n_control + n_memory);
         DepGraph::from_edges(inst_ids, edges)
     }
 
@@ -432,22 +500,30 @@ impl<'a> PdgBuilder<'a> {
         function_graph: &DepGraph<InstId>,
     ) -> DepGraph<InstId> {
         let f = self.module.func(fid);
-        let loop_insts: BTreeSet<InstId> = f
-            .inst_ids()
-            .into_iter()
-            .filter(|&id| l.contains(f.parent_block(id)))
-            .collect();
+        // The loop's instructions, ascending, and the same set as a mark per
+        // arena index.
+        let mut loop_insts: Vec<InstId> = Vec::new();
+        for &b in f.block_order().iter().filter(|&&b| l.contains(b)) {
+            loop_insts.extend_from_slice(&f.block(b).insts);
+        }
+        loop_insts.sort_unstable();
+        let mut in_loop = vec![false; f.inst_arena_len()];
+        for id in &loop_insts {
+            in_loop[id.index()] = true;
+        }
+        let in_loop = |id: InstId| in_loop.get(id.index()).is_some_and(|&marked| marked);
 
         // Start from the function graph's edges that touch the loop, in
         // their order there. The memory edges between loop instructions are
         // not copied: they are read as the pair's alias verdict (unordered
         // pair -> must) and re-derived below with iteration awareness.
-        let mut edges: Vec<DepEdge<InstId>> = Vec::new();
-        let mut conflicts: HashMap<(InstId, InstId), bool> = HashMap::new();
-        for e in function_graph.edges_touching(loop_insts.iter().copied()) {
-            let both_internal = loop_insts.contains(&e.src) && loop_insts.contains(&e.dst);
+        let touching = function_graph.edges_touching(loop_insts.iter().copied());
+        let mut edges: Vec<DepEdge<InstId>> = Vec::with_capacity(touching.len());
+        let mut conflicts: Vec<(InstId, InstId, bool)> = Vec::new();
+        for e in touching {
+            let both_internal = in_loop(e.src) && in_loop(e.dst);
             if both_internal && e.attrs.memory {
-                conflicts.insert((e.src.min(e.dst), e.src.max(e.dst)), e.attrs.must);
+                conflicts.push((e.src.min(e.dst), e.src.max(e.dst), e.attrs.must));
                 continue;
             }
             let mut attrs = e.attrs;
@@ -466,44 +542,55 @@ impl<'a> PdgBuilder<'a> {
             }
             edges.push(DepEdge { attrs, ..*e });
         }
+        // One entry per conflicting pair (the function graph may hold the
+        // pair's edge in both directions), ascending: the order the
+        // refinement below visits pairs in.
+        conflicts.sort_unstable();
+        conflicts.dedup_by_key(|&mut (a, b, _)| (a, b));
+        let mut conflicts = conflicts.into_iter().peekable();
         let mut push = |src, dst, attrs| edges.push(DepEdge { src, dst, attrs });
 
-        // Loop-centric memory refinement. `mem` ascends by `InstId`, so
-        // `(ia, ib)` below is already the table's `(min, max)` key.
+        // Loop-centric memory refinement: every memory access of the loop in
+        // ascending order, each followed by its conflicts with the accesses
+        // after it.
         let recs = affine_recurrences(f, l);
-        let mem: Vec<(InstId, MemEffect)> = loop_insts
-            .iter()
-            .filter_map(|&id| self.mem_effect(f, id).map(|e| (id, e)))
-            .collect();
+        // Body order, for the pairs that need it: most loops have none.
+        let mut layout: Option<LayoutIndex> = None;
         let iter_local = |e: &MemEffect| {
             e.ptr
                 .map(|p| distinct_per_iteration(f, l, &recs, p))
                 .unwrap_or(false)
         };
-        for (i, (ia, ea)) in mem.iter().enumerate() {
+        for &ia in &loop_insts {
+            let Some(ea) = self.mem_effect(f, ia) else {
+                continue;
+            };
             // Self-dependence of writes across iterations.
-            if ea.writes && !iter_local(ea) {
-                push(*ia, *ia, EdgeAttrs::memory(DataDepKind::Waw).carried());
+            if ea.writes && !iter_local(&ea) {
+                push(ia, ia, EdgeAttrs::memory(DataDepKind::Waw).carried());
             }
             if ea.io {
                 // I/O must stay ordered across iterations too.
-                push(*ia, *ia, EdgeAttrs::memory(DataDepKind::Waw).carried());
+                push(ia, ia, EdgeAttrs::memory(DataDepKind::Waw).carried());
             }
-            for (ib, eb) in &mem[i + 1..] {
-                let Some(&must) = conflicts.get(&(*ia, *ib)) else {
+            while let Some((a, ib, must)) = conflicts.next_if(|&(a, _, _)| a <= ia) {
+                // Only a graph that is not this function's could name an
+                // instruction that touches no memory.
+                let Some(eb) = self.mem_effect(f, ib).filter(|_| a == ia) else {
                     continue;
                 };
-                let fwd = PdgBuilder::conflict_kind(ea, eb);
-                let bwd = PdgBuilder::conflict_kind(eb, ea);
+                let fwd = PdgBuilder::conflict_kind(&ea, &eb);
+                let bwd = PdgBuilder::conflict_kind(&eb, &ea);
                 // Same pointer, provably distinct location each iteration:
                 // only an intra-iteration dependence, oriented by program
                 // order within the body.
                 let same_ptr = ea.ptr.is_some() && ea.ptr == eb.ptr;
-                if same_ptr && iter_local(ea) {
-                    let (src, dst, kind) = if order_key(f, *ia) <= order_key(f, *ib) {
-                        (*ia, *ib, fwd)
+                if same_ptr && iter_local(&ea) {
+                    let layout = layout.get_or_insert_with(|| LayoutIndex::new(f));
+                    let (src, dst, kind) = if layout.place(ia) <= layout.place(ib) {
+                        (ia, ib, fwd)
                     } else {
-                        (*ib, *ia, bwd)
+                        (ib, ia, bwd)
                     };
                     if let Some(kind) = kind {
                         let mut attrs = EdgeAttrs::memory(kind);
@@ -518,12 +605,12 @@ impl<'a> PdgBuilder<'a> {
                 if let Some(kind) = fwd {
                     let mut attrs = EdgeAttrs::memory(kind).carried();
                     attrs.must = must;
-                    push(*ia, *ib, attrs);
+                    push(ia, ib, attrs);
                 }
                 if let Some(kind) = bwd {
                     let mut attrs = EdgeAttrs::memory(kind).carried();
                     attrs.must = must;
-                    push(*ib, *ia, attrs);
+                    push(ib, ia, attrs);
                 }
             }
         }
@@ -531,39 +618,6 @@ impl<'a> PdgBuilder<'a> {
         // where `from_edges` finds the externals.
         DepGraph::from_edges(loop_insts, edges)
     }
-}
-
-/// Control dependences of every block, in ascending block order with each
-/// controller list ascending too. [`PostDomTree::control_dependences`]
-/// returns hash maps whose iteration order varies per call; sorting keeps the
-/// edge stream reproducible.
-fn sorted_control_deps(
-    pdt: &PostDomTree,
-    cfg: &Cfg,
-) -> Vec<(noelle_ir::module::BlockId, Vec<noelle_ir::module::BlockId>)> {
-    let mut out: Vec<_> = pdt
-        .control_dependences(cfg)
-        .into_iter()
-        .map(|(dep, ctrls)| {
-            let mut ctrls: Vec<_> = ctrls.into_iter().collect();
-            ctrls.sort_unstable_by_key(|b| b.0);
-            (dep, ctrls)
-        })
-        .collect();
-    out.sort_unstable_by_key(|(dep, _)| dep.0);
-    out
-}
-
-/// Deterministic intra-body order key (block layout position, then position
-/// within block).
-fn order_key(f: &Function, id: InstId) -> (usize, usize) {
-    let b = f.parent_block(id);
-    let bi = f
-        .block_order()
-        .iter()
-        .position(|&x| x == b)
-        .unwrap_or(usize::MAX);
-    (bi, f.position_in_block(id).unwrap_or(0))
 }
 
 /// True if `ptr` provably addresses a *different* location on every

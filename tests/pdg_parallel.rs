@@ -22,8 +22,10 @@ use noelle::ir::types::Type;
 use noelle::ir::value::Value;
 use noelle::pdg::depgraph::{DataDepKind, DepGraph, DepKind};
 use noelle::pdg::pdg::PdgBuilder;
+use noelle::transforms::{parallelize, LoopTargetOpts, Parallelizer};
 use noelle::workloads::{all, pdg_stress, scale_module};
 use noelle_fuzz::generator::{generate, GenConfig};
+use noelle_plan::{apply_plan, plan_module, PlanOptions};
 use noelle_store::artifact::{decode_partition, encode_partition};
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
@@ -69,6 +71,101 @@ fn parallel_bucketed_pdg_matches_sequential_oracle_on_every_workload() {
             );
         }
     }
+}
+
+/// Every node's adjacency queries answer what a scan of the edge list says,
+/// in edge-list order, and the internal nodes are exactly `internal`.
+fn assert_adjacency_matches_scan(label: &str, g: &DepGraph<InstId>, internal: &BTreeSet<InstId>) {
+    assert_eq!(
+        &g.internal_nodes().collect::<BTreeSet<_>>(),
+        internal,
+        "{label}: internal nodes"
+    );
+    let endpoints = g.edges().iter().flat_map(|e| [e.src, e.dst]);
+    assert_eq!(
+        g.external_nodes().collect::<BTreeSet<_>>(),
+        endpoints.filter(|n| !internal.contains(n)).collect(),
+        "{label}: external nodes"
+    );
+    for n in g.internal_nodes().chain(g.external_nodes()) {
+        let from: Vec<_> = g.edges().iter().filter(|e| e.src == n).collect();
+        let to: Vec<_> = g.edges().iter().filter(|e| e.dst == n).collect();
+        assert_eq!(
+            g.edges_from(n).collect::<Vec<_>>(),
+            from,
+            "{label}: from {n}"
+        );
+        assert_eq!(g.edges_to(n).collect::<Vec<_>>(), to, "{label}: to {n}");
+    }
+}
+
+/// The golden corpus only holds freshly built modules: no arena holes, and
+/// `InstId` order is layout order. After `apply_plan` and a DSWP sweep
+/// neither holds — pipeline stages dropped instructions (arena holes),
+/// dispatch code was appended out of layout order, task functions are new —
+/// and the dense tables the build
+/// keys by arena index must not care: every function graph equals the
+/// all-pairs reference edge for edge *in order*, every loop graph survives
+/// the partition codec byte for byte, and adjacency answers what a scan of
+/// the edge list says.
+#[test]
+fn transformed_functions_build_the_same_graphs_as_the_allpairs_oracle() {
+    let mut workloads = all();
+    workloads.push(pdg_stress());
+    let (mut functions, mut loops, mut with_holes, mut out_of_order) = (0, 0, 0, 0);
+    for w in &workloads {
+        let mut n = Noelle::new(w.build(), AliasTier::Full);
+        let plan = plan_module(&mut n, &PlanOptions::default());
+        apply_plan(&mut n, &plan);
+        // The planner never picks DSWP, the one emitter that detaches
+        // instructions (a stage drops the clones other stages own).
+        let every_loop = LoopTargetOpts {
+            min_hotness: 0.0,
+            only: None,
+            workers: 2,
+        };
+        parallelize(&mut n, Parallelizer::Dswp, &every_loop);
+        let m = n.into_module();
+        let basic = BasicAlias::new(&m);
+        let andersen = AndersenAlias::new(&m);
+        let stack = AliasStack::new(vec![&basic as &dyn AliasAnalysis, &andersen]);
+        let builder = PdgBuilder::new(&m, &stack);
+        for fid in m.func_ids().filter(|&fid| !m.func(fid).is_declaration()) {
+            let f = m.func(fid);
+            let label = format!("{}/{}", w.name, f.name);
+            let g = builder.function_pdg(fid);
+            functions += 1;
+            assert_eq!(
+                encode_partition(&g),
+                encode_partition(&builder.function_pdg_allpairs(fid)),
+                "{label}: diverges from the all-pairs oracle"
+            );
+            let layout = f.inst_ids();
+            out_of_order += usize::from(!layout.windows(2).all(|w| w[0] < w[1]));
+            if layout.len() < f.inst_arena_len() {
+                with_holes += 1;
+                assert_adjacency_matches_scan(&label, &g, &layout.iter().copied().collect());
+            }
+            let cfg = Cfg::new(f);
+            let dt = DomTree::new(f, &cfg);
+            for l in LoopForest::new(f, &cfg, &dt).loops() {
+                let bytes = encode_partition(&builder.loop_pdg_with(fid, l, &g));
+                let decoded = decode_partition(&bytes).expect("loop graph decodes");
+                loops += 1;
+                assert_eq!(
+                    encode_partition(&decoded),
+                    bytes,
+                    "{label}: loop graph does not round-trip"
+                );
+            }
+        }
+    }
+    // The corpus must hold what the test is about, or it shows nothing.
+    assert!(
+        functions >= 300 && loops >= 100 && with_holes >= 1 && out_of_order >= 50,
+        "{functions} functions, {loops} loops, {with_holes} with detached instructions, \
+         {out_of_order} laid out against id order"
+    );
 }
 
 /// `for i { for j { a[j] += 1 } }`: the store/load pair on `a[j]` is
