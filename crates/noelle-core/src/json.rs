@@ -123,6 +123,43 @@ impl Json {
         out
     }
 
+    /// Compact rendering of an object with the `rendered` members — each a
+    /// key the object does not hold and the compact text of its value —
+    /// merged in where their keys sort: byte for byte what
+    /// [`Json::to_string_compact`] gives for the object that holds those
+    /// members as values. For replies that embed a large document somebody
+    /// has already rendered.
+    ///
+    /// # Panics
+    /// `self` must be an object.
+    pub fn to_string_compact_with(&self, rendered: &[(&str, &str)]) -> String {
+        let Json::Object(map) = self else {
+            panic!("only an object has members");
+        };
+        let mut members: Vec<(&str, Result<&Json, &str>)> = map
+            .iter()
+            .map(|(k, v)| (k.as_str(), Ok(v)))
+            .chain(rendered.iter().map(|&(k, text)| (k, Err(text))))
+            .collect();
+        members.sort_by_key(|&(k, _)| k);
+        let embedded: usize = rendered.iter().map(|(k, text)| k.len() + text.len()).sum();
+        let mut out = String::with_capacity(embedded + 256);
+        out.push('{');
+        for (i, (k, v)) in members.into_iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            write_escaped(&mut out, k);
+            out.push(':');
+            match v {
+                Ok(value) => value.write(&mut out, None, 0),
+                Err(text) => out.push_str(text),
+            }
+        }
+        out.push('}');
+        out
+    }
+
     fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
         match self {
             Json::Null => out.push_str("null"),
@@ -485,6 +522,30 @@ mod tests {
         for text in [v.to_string_compact(), v.to_string_pretty()] {
             assert_eq!(Json::parse(&text), Some(v.clone()));
         }
+    }
+
+    #[test]
+    fn rendered_members_land_where_their_keys_sort() {
+        let big = Json::Array(vec![Json::Int(1), Json::Str("two".into())]);
+        let whole = Json::object([
+            ("a".to_string(), big.clone()),
+            ("k\"ey".to_string(), Json::Null),
+            ("m".to_string(), Json::Bool(false)),
+            ("z".to_string(), big.clone()),
+        ]);
+        let rest = Json::object([
+            ("k\"ey".to_string(), Json::Null),
+            ("m".to_string(), Json::Bool(false)),
+        ]);
+        let text = big.to_string_compact();
+        assert_eq!(
+            rest.to_string_compact_with(&[("z", &text), ("a", &text)]),
+            whole.to_string_compact()
+        );
+        assert_eq!(
+            Json::object([]).to_string_compact_with(&[]),
+            Json::object([]).to_string_compact()
+        );
     }
 
     #[test]

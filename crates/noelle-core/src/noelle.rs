@@ -179,9 +179,10 @@ struct FuncFingerprints {
 /// Everything the manager caches about one function, in two tiers. The
 /// fingerprints and structures read nothing but the function's own text, so
 /// they fall when the function is *touched*; the PDG partition also reads
-/// the function's points-to rows and its direct callees' mod/ref summaries,
-/// so it falls whenever the function is *damaged* — which every touched
-/// function is.
+/// the function's points-to rows and its direct callees' mod/ref summaries
+/// and interfaces, so it falls whenever the function is *damaged* — which
+/// every touched function is, and a caller of one only when a summary or an
+/// interface it reads moved.
 #[derive(Default)]
 struct FuncSlot {
     /// Times the function was touched (see [`Noelle::revision`]).
@@ -223,7 +224,11 @@ impl FuncSlot {
 /// can alias memory in any function.
 pub struct EditTx<'a> {
     module: &'a mut Module,
-    touched: BTreeSet<FuncId>,
+    /// Every function recorded as touched, with its
+    /// [`Function::interface_fingerprint`] as it was at the first touch —
+    /// before the edit, since touching is how an edit gets at a function.
+    /// The commit compares it with the function it finds.
+    touched: BTreeMap<FuncId, u64>,
     all: bool,
 }
 
@@ -235,7 +240,10 @@ impl EditTx<'_> {
 
     /// Record `fid` as touched without borrowing it.
     pub fn touch(&mut self, fid: FuncId) {
-        self.touched.insert(fid);
+        let module = &*self.module;
+        self.touched
+            .entry(fid)
+            .or_insert_with(|| module.func(fid).interface_fingerprint());
     }
 
     /// Escalate to a conservative whole-module invalidation (structural
@@ -246,7 +254,7 @@ impl EditTx<'_> {
 
     /// Mutable access to one function, recording it as touched.
     pub fn func_mut(&mut self, fid: FuncId) -> &mut Function {
-        self.touched.insert(fid);
+        self.touch(fid);
         self.module.func_mut(fid)
     }
 
@@ -255,14 +263,16 @@ impl EditTx<'_> {
     /// during the borrow are picked up by the watermark; metadata-only
     /// edits may pass an empty list.
     pub fn module_touching(&mut self, touched: impl IntoIterator<Item = FuncId>) -> &mut Module {
-        self.touched.extend(touched);
+        for fid in touched {
+            self.touch(fid);
+        }
         self.module
     }
 
-    /// The functions recorded as touched so far (not including the
-    /// watermark-detected additions, which are resolved at commit).
-    pub fn touched(&self) -> &BTreeSet<FuncId> {
-        &self.touched
+    /// The functions recorded as touched so far, ascending (not including
+    /// the watermark-detected additions, which are resolved at commit).
+    pub fn touched(&self) -> impl Iterator<Item = FuncId> + '_ {
+        self.touched.keys().copied()
     }
 }
 
@@ -271,8 +281,9 @@ impl EditTx<'_> {
 /// after which each commit rescans only the touched functions' call sites.
 /// This is what keeps [`Noelle::edit`]'s damage computation off the whole
 /// module — the reverse-caller closure that bounds the mod/ref repair and
-/// the "summary changed, damage direct callers" rule read these edges — and
-/// what the auditor and the IDE read instead of scanning for call sites.
+/// the "summary or interface moved, damage direct callers" rule read these
+/// edges — and what the auditor and the IDE read instead of scanning for
+/// call sites.
 #[derive(Default)]
 pub struct CallEdges {
     /// By caller: its deduped direct callees.
@@ -474,10 +485,11 @@ impl Noelle {
     /// * per-function structures and local PDG partitions of touched
     ///   functions;
     /// * PDG partitions of functions whose view of the program could have
-    ///   shifted — direct callers of any function whose mod/ref summary
-    ///   changed (reached through the cached call graph when present), and
-    ///   functions whose points-to rows differ under a fresh Andersen
-    ///   solution.
+    ///   shifted — direct callers of a function whose mod/ref summary or
+    ///   interface ([`Function::interface_fingerprint`]) moved, and
+    ///   functions whose points-to rows differ under the repaired Andersen
+    ///   solution. A body edit that moves neither damages nobody but the
+    ///   function itself.
     ///
     /// Everything else — structures and PDG partitions of undamaged
     /// functions, and with the partitions the alias verdicts their memory
@@ -507,15 +519,18 @@ impl Noelle {
         let (r, mut touched, mut all) = {
             let mut tx = EditTx {
                 module: &mut self.module,
-                touched: BTreeSet::new(),
+                touched: BTreeMap::new(),
                 all: false,
             };
             let r = k(&mut tx);
             (r, std::mem::take(&mut tx.touched), tx.all)
         };
-        // Functions appended during the edit are new by construction.
+        // Functions appended during the edit are new by construction. They
+        // have no interface from before it, which is recorded as one theirs
+        // cannot equal: to whoever calls them they count as moved.
         for i in baseline_funcs..self.module.functions().len() {
-            touched.insert(FuncId(i as u32));
+            let fid = FuncId(i as u32);
+            touched.insert(fid, !self.module.func(fid).interface_fingerprint());
         }
         // A new global can be aliased from any function: escalate.
         if self.module.globals().len() != baseline_globals {
@@ -527,7 +542,7 @@ impl Noelle {
 
     /// Apply the damage-propagation rule for a committed edit transaction,
     /// returning the damage set.
-    fn commit(&mut self, touched: BTreeSet<FuncId>, all: bool) -> BTreeSet<FuncId> {
+    fn commit(&mut self, touched: BTreeMap<FuncId, u64>, all: bool) -> BTreeSet<FuncId> {
         if all {
             self.invalidate();
             return self.module.func_ids().collect();
@@ -538,7 +553,7 @@ impl Noelle {
         // What each touched function hashed to before the edit (`None` if
         // nobody had asked, or the function is new).
         let old_fingerprints: Vec<Option<FuncFingerprints>> =
-            touched.iter().map(|&fid| self.slot(fid).touch()).collect();
+            touched.keys().map(|&fid| self.slot(fid).touch()).collect();
         // Profiles live in module metadata, which a scoped borrow may have
         // rewritten; they are cheap to re-parse on demand.
         self.profiles = None;
@@ -558,6 +573,10 @@ impl Noelle {
             self.damage(&all);
             return all;
         };
+        // The touched functions now; the damage set once the callers and
+        // the moved points-to rows below have joined them.
+        let mut damage = BTreeSet::new();
+        damage.extend(touched.keys().copied());
         // Repair the direct-call-edge map for the touched functions (built
         // whole if nobody has asked for it yet), then bound the mod/ref
         // repair to the touched set plus its transitive callers — the only
@@ -566,23 +585,14 @@ impl Noelle {
         // blast radius, not the module.
         let edges = match self.call_edges.take() {
             Some(mut e) => {
-                e.update(&self.module, touched.iter().copied());
+                e.update(&self.module, damage.iter().copied());
                 e
             }
             None => CallEdges::build(&self.module),
         };
-        let affected = edges.caller_closure(&touched);
+        let affected = edges.caller_closure(&damage);
         // In place unless someone still holds the pre-edit summaries.
         let moved = Arc::make_mut(&mut modref).recompute_scoped(&self.module, &affected);
-        // A function's PDG reads the mod/ref summaries of its *direct*
-        // callees (indirect calls are handled conservatively), so summary
-        // changes damage direct callers — as does any touched function,
-        // whose callers may see a different callee altogether.
-        let mut damage = touched.clone();
-        for &c in touched.iter().chain(&moved) {
-            damage.extend(edges.callers_of(c));
-        }
-        self.call_edges = OnceLock::from(edges);
         // Under the full tier the PDG also consults the points-to solution.
         // The solution is a pure function of the function bodies (globals
         // enter by id only, and a changed global count escalated before
@@ -590,8 +600,9 @@ impl Noelle {
         // is unchanged, the cached solution is still exact and stays as it
         // is. Otherwise re-solve, regenerating the touched functions'
         // constraints only, and damage every function whose rows moved.
+        let mut rows_moved = Vec::new();
         if self.andersen.is_some() {
-            let unchanged = touched
+            let unchanged = damage
                 .iter()
                 .zip(&old_fingerprints)
                 .all(|(&fid, old)| old.is_some_and(|old| old.body == self.fingerprints(fid).body));
@@ -599,12 +610,26 @@ impl Noelle {
                 self.counters.andersen_reuses += 1;
             } else {
                 let andersen = self.andersen.as_mut().expect("checked");
-                let update = andersen.update(&self.module, &touched);
+                let update = andersen.update(&self.module, &damage);
                 self.counters.andersen_regen_funcs += update.regenerated as u64;
                 self.counters.andersen_reset_rows += update.reset as u64;
-                damage.extend(update.changed);
+                rows_moved = update.changed;
             }
         }
+        // What a function's PDG reads of a *direct* callee (indirect calls
+        // are handled conservatively) is the callee's mod/ref summary and
+        // its interface — the name picks allocators and known externals,
+        // the signature shapes the argument flow, a declaration has no
+        // body to summarize. So a touched function damages its direct
+        // callers exactly when one of the two moved.
+        let reshaped = touched.iter().filter_map(|(&fid, &before)| {
+            (self.module.func(fid).interface_fingerprint() != before).then_some(fid)
+        });
+        for c in reshaped.chain(moved) {
+            damage.extend(edges.callers_of(c));
+        }
+        damage.extend(rows_moved);
+        self.call_edges = OnceLock::from(edges);
         self.call_graph = None;
         self.modref = Some(modref);
         self.damage(&damage);

@@ -42,8 +42,8 @@ use noelle_core::noelle::{AliasTier, EditTx, Noelle};
 use noelle_ir::module::{FuncId, Module};
 use noelle_ir::parser::{parse_function_text, parse_module_spanned, FuncSpan, ParseError};
 use noelle_lint::{
-    audit_findings, canonical_order, render_json, run_audit_scoped, run_global_checks,
-    run_local_checks, Finding,
+    audit_findings, canonical_order, render_compact, render_json, run_audit_scoped,
+    run_global_checks, run_local_checks, Finding, Tally,
 };
 use noelle_plan::{plan_from_audit, PlanOptions};
 use std::collections::{BTreeMap, BTreeSet};
@@ -131,18 +131,62 @@ struct FuncDiag {
     local: Vec<Finding>,
     /// Parallelism-audit findings (NL01xx) of the function's loops.
     audit: Vec<Finding>,
+    /// `audit` as a payload carries it, rendered once when it was derived:
+    /// each finding's compact JSON, comma-joined — this function's stretch
+    /// of the `audit.findings` array — and the count by severity. A pull
+    /// concatenates these; it renders nothing an edit did not re-derive.
+    audit_text: String,
+    audit_tally: Tally,
     /// Planner hints: for every loop of the function the audit marks clean
     /// for at least one technique, the per-candidate predicted-speedup table
     /// ([`noelle_plan::LoopPlan::to_json`]). Priced from the same scoped
     /// audit `audit` comes from, so the planner rides the damage path for
-    /// free (no second audit).
-    plan: Vec<Json>,
+    /// free (no second audit). Rows are only ever rendered, so what is kept
+    /// is their text: this function's member of a payload's `plan` object,
+    /// `"name":[rows]`.
+    plan: String,
     /// Body fingerprint at the last audit. The audit reads nothing but
     /// function bodies (loop structure, dependences, points-to rows, callee
     /// summaries), so a damage set whose bodies all hash unchanged — a
     /// metadata-only edit — provably cannot move any audit verdict, and
     /// `relint` skips the re-audit outright.
     body_fp: u64,
+}
+
+impl FuncDiag {
+    fn set_audit(&mut self, findings: Vec<Finding>) {
+        self.audit_tally = Tally::default();
+        let rendered = findings.iter().map(|f| {
+            self.audit_tally.count(f);
+            f.to_json()
+        });
+        self.audit_text = inside(Json::Array(rendered.collect()).to_string_compact());
+        self.audit = findings;
+    }
+}
+
+/// The elements of a rendered array, or the members of a rendered object:
+/// the text between its brackets, which is what [`joined`] concatenates.
+fn inside(mut rendered: String) -> String {
+    rendered.pop();
+    rendered.remove(0);
+    rendered
+}
+
+/// `open`, the non-empty `parts` comma-joined, `close`: the compact text of
+/// the array or object whose [`inside`] the parts are stretches of.
+fn joined<'a>(open: char, parts: impl Iterator<Item = &'a str> + Clone, close: char) -> String {
+    let len: usize = parts.clone().map(|p| p.len() + 1).sum();
+    let mut out = String::with_capacity(len + 2);
+    out.push(open);
+    for p in parts.filter(|p| !p.is_empty()) {
+        if out.len() > 1 {
+            out.push(',');
+        }
+        out.push_str(p);
+    }
+    out.push(close);
+    out
 }
 
 /// The last successfully analyzed state of a document.
@@ -198,19 +242,28 @@ impl GoodState {
             body_changed |= std::mem::replace(&mut d.body_fp, body_fp) != body_fp;
         }
         let local = run_local_checks(n, damage);
-        rebucket(funcs, n.module(), damage, local, finding_owner, |d| {
-            &mut d.local
-        });
+        rebucket(
+            funcs,
+            n.module(),
+            damage,
+            local,
+            finding_owner,
+            |d, _, l| d.local = l,
+        );
         self.global = run_global_checks(n);
         if !body_changed {
             self.fresh.clear();
             return 0;
         }
-        // Audit attribution reaches one call-graph hop beyond a function's
-        // body (call sites of its direct callers, store sites of its direct
-        // callees), so the audit re-derives the damage set plus that one-hop
-        // closure, read from the manager's call index — still proportional
-        // to the edit, never the module.
+        // The manager damages a caller only when a callee's summary or
+        // interface moved, but the audit reads one call-graph hop beyond
+        // that: attribution names call sites of a function's direct callers
+        // and store sites of its direct callees, and the gates price a call
+        // by the callee's body. So the audit re-derives the damage set plus
+        // that one-hop closure, read from the manager's call index — for a
+        // body edit of one kernel, the kernel and its group function, not
+        // the group's other kernels — proportional to the edit, never the
+        // module.
         let calls = n.direct_calls();
         let mut scope = damage.clone();
         for &fid in damage {
@@ -218,9 +271,14 @@ impl GoodState {
         }
         let audit = run_audit_scoped(n, Some(&scope));
         let hints = audit_findings(n.module(), &audit);
-        rebucket(funcs, n.module(), &scope, hints, finding_owner, |d| {
-            &mut d.audit
-        });
+        rebucket(
+            funcs,
+            n.module(),
+            &scope,
+            hints,
+            finding_owner,
+            |d, _, hints| d.set_audit(hints),
+        );
         let plan = plan_from_audit(n, &audit, &PlanOptions::default());
         let rows = plan.loops.iter().filter(|l| l.any_clean()).map(|l| {
             // A weight is the loop's share among the loops planned
@@ -233,9 +291,18 @@ impl GoodState {
             }
             row
         });
-        rebucket(funcs, n.module(), &scope, rows.collect(), row_owner, |d| {
-            &mut d.plan
-        });
+        let rows = rows.collect();
+        rebucket(
+            funcs,
+            n.module(),
+            &scope,
+            rows,
+            row_owner,
+            |d, name, rows| {
+                let member = Json::object([(name.to_string(), Json::Array(rows))]);
+                d.plan = inside(member.to_string_compact());
+            },
+        );
         self.fresh = scope
             .iter()
             .map(|&fid| n.module().func(fid).name.clone())
@@ -265,13 +332,9 @@ impl GoodState {
     }
 }
 
-/// The `plan` member of a payload: `{function: [loop rows]}`.
-fn plan_json(records: &[(&String, &FuncDiag)]) -> Json {
-    Json::object(
-        records
-            .iter()
-            .map(|(name, d)| ((*name).clone(), Json::Array(d.plan.clone()))),
-    )
+/// The `plan` member of a payload, `{function: [loop rows]}`, as text.
+fn plan_text(records: &[(&String, &FuncDiag)]) -> String {
+    joined('{', records.iter().map(|(_, d)| d.plan.as_str()), '}')
 }
 
 fn finding_owner(f: &Finding) -> &str {
@@ -283,17 +346,17 @@ fn row_owner(row: &Json) -> &str {
     name.expect("a plan row names its function")
 }
 
-/// Replace one list of every record in `scope` with its share of `items`: a
-/// flat list in canonical order, each item owned by a function of `scope`. A
-/// function that owns nothing gets an empty list, so what it held before is
-/// cleared, not kept.
+/// Hand every record in `scope` its share of `items` — a flat list in
+/// canonical order, each item owned by a function of `scope` — through
+/// `set`. A function that owns nothing is handed an empty list, so what it
+/// held before is cleared, not kept.
 fn rebucket<T>(
     funcs: &mut BTreeMap<String, FuncDiag>,
     m: &Module,
     scope: &BTreeSet<FuncId>,
     items: Vec<T>,
     owner: impl Fn(&T) -> &str,
-    list: impl Fn(&mut FuncDiag) -> &mut Vec<T>,
+    mut set: impl FnMut(&mut FuncDiag, &str, Vec<T>),
 ) {
     let mut buckets: BTreeMap<&str, Vec<T>> = scope
         .iter()
@@ -306,7 +369,8 @@ fn rebucket<T>(
             .push(item);
     }
     for (name, bucket) in buckets {
-        *list(funcs.get_mut(name).expect("every function has a record")) = bucket;
+        let d = funcs.get_mut(name).expect("every function has a record");
+        set(d, name, bucket);
     }
 }
 
@@ -431,8 +495,7 @@ impl DocSession {
     /// one row per loop with at least one clean technique (the per-candidate
     /// predicted-speedup table and the chosen winner).
     pub fn plan_hints(&self) -> Json {
-        let g = self.good.as_ref();
-        plan_json(&g.map_or_else(Vec::new, |g| g.records(false)))
+        Json::parse(&plan_text(&self.records(false))).expect("rendered here")
     }
 
     /// The `ide/diagnostics` payload: version, syntax status, the full lint
@@ -453,11 +516,29 @@ impl DocSession {
         self.payload(true)
     }
 
-    /// Both diagnostics payloads, rendered from the stored findings by
-    /// reference: nothing is copied but the plan rows the reply owns.
-    fn payload(&self, fresh_only: bool) -> Json {
+    /// [`DocSession::diagnostics_json`] as the compact text a reply carries,
+    /// byte for byte, without the tree: the audit and plan sections are
+    /// concatenated from what each record rendered when it was derived.
+    pub fn diagnostics_text(&self) -> String {
+        self.payload_text(false)
+    }
+
+    /// [`DocSession::push_diagnostics_json`] as compact text, likewise.
+    pub fn push_diagnostics_text(&self) -> String {
+        self.payload_text(true)
+    }
+
+    /// The records a payload covers (see [`GoodState::records`]); none
+    /// while the document has never parsed.
+    fn records(&self, fresh_only: bool) -> Vec<(&String, &FuncDiag)> {
         let g = self.good.as_ref();
-        let records = g.map_or_else(Vec::new, |g| g.records(fresh_only));
+        g.map_or_else(Vec::new, |g| g.records(fresh_only))
+    }
+
+    /// The members of both payloads that are small or change with every
+    /// edit, rendered per payload from the stored findings by reference:
+    /// everything but `audit` and `plan`.
+    fn payload_head(&self) -> [(String, Json); 3] {
         let syntax = self.syntax_error.as_ref().map_or(Json::Null, |e| {
             Json::object([
                 ("line".to_string(), Json::Int(e.line as i64)),
@@ -465,18 +546,44 @@ impl DocSession {
                 ("message".to_string(), Json::Str(e.message.clone())),
             ])
         });
-        let report = g.map_or_else(Vec::new, GoodState::report);
+        let report = self.good.as_ref().map_or_else(Vec::new, GoodState::report);
+        [
+            ("version".to_string(), Json::Int(self.version as i64)),
+            ("syntax".to_string(), syntax),
+            ("report".to_string(), render_json(report)),
+        ]
+    }
+
+    /// Either diagnostics payload as a tree, for in-process callers: the
+    /// audit section rendered from the stored findings, the plan section
+    /// read back from its text.
+    fn payload(&self, fresh_only: bool) -> Json {
+        let records = self.records(fresh_only);
         let audit = records.iter().flat_map(|(_, d)| &d.audit);
+        let plan = Json::parse(&plan_text(&records)).expect("rendered here");
+        let sections = [
+            ("audit".to_string(), render_json(audit)),
+            ("plan".to_string(), plan),
+        ];
         envelope(
             "diagnostics",
-            Json::object([
-                ("version".to_string(), Json::Int(self.version as i64)),
-                ("syntax".to_string(), syntax),
-                ("report".to_string(), render_json(report)),
-                ("audit".to_string(), render_json(audit)),
-                ("plan".to_string(), plan_json(&records)),
-            ]),
+            Json::object(self.payload_head().into_iter().chain(sections)),
         )
+    }
+
+    /// Either diagnostics payload as text: what [`DocSession::payload`]
+    /// renders to, assembled without building its audit and plan sections.
+    fn payload_text(&self, fresh_only: bool) -> String {
+        let records = self.records(fresh_only);
+        let mut tally = Tally::default();
+        for (_, d) in &records {
+            tally += d.audit_tally;
+        }
+        let findings = joined('[', records.iter().map(|(_, d)| d.audit_text.as_str()), ']');
+        let audit = render_compact(tally, &findings);
+        let plan = plan_text(&records);
+        envelope("diagnostics", Json::object(self.payload_head()))
+            .to_string_compact_with(&[("audit", &audit), ("plan", &plan)])
     }
 
     /// Apply one versioned change. `version` must be strictly greater than

@@ -428,6 +428,24 @@ impl Function {
         (body, h.finish())
     }
 
+    /// A 64-bit fingerprint of what a *call site* can read of this function
+    /// without looking inside it: name, parameter types, return type, and
+    /// whether there is a body at all. A body edit leaves it unchanged, so
+    /// whatever a caller derived from it (argument flow, allocator and
+    /// known-external recognition by name) stands.
+    pub fn interface_fingerprint(&self) -> u64 {
+        use std::hash::{Hash, Hasher};
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        self.name.hash(&mut h);
+        self.params.len().hash(&mut h);
+        for (_, ty) in &self.params {
+            ty.hash(&mut h);
+        }
+        self.ret_ty.hash(&mut h);
+        self.is_declaration().hash(&mut h);
+        h.finish()
+    }
+
     /// The type of `v` in the context of this function and `module`.
     pub fn value_type(&self, module: &Module, v: Value) -> Type {
         match v {

@@ -166,32 +166,67 @@ pub fn render_text(findings: &[Finding]) -> String {
     out
 }
 
+/// Findings counted by severity: the `summary` member of a rendered report.
+/// Kept apart from the rendering so that a holder of findings it has already
+/// rendered (the IDE's per-function records) can add counts up instead.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Tally {
+    /// Indexed by `Severity as usize`.
+    by_severity: [i64; 3],
+}
+
+impl Tally {
+    /// Count one finding.
+    pub fn count(&mut self, f: &Finding) {
+        self.by_severity[f.severity as usize] += 1;
+    }
+
+    pub fn to_json(&self) -> Json {
+        let count = |s: Severity| Json::Int(self.by_severity[s as usize]);
+        Json::object(vec![
+            (
+                "total".to_string(),
+                Json::Int(self.by_severity.iter().sum()),
+            ),
+            ("errors".to_string(), count(Severity::Error)),
+            ("warnings".to_string(), count(Severity::Warning)),
+            ("hints".to_string(), count(Severity::Hint)),
+        ])
+    }
+}
+
+impl std::ops::AddAssign for Tally {
+    fn add_assign(&mut self, other: Tally) {
+        for (mine, theirs) in self.by_severity.iter_mut().zip(other.by_severity) {
+            *mine += theirs;
+        }
+    }
+}
+
 /// Render findings as a JSON document. Findings must already be sorted; the
 /// output is then byte-identical across runs (object keys are BTreeMap-ordered
 /// and the findings array preserves the canonical order).
 pub fn render_json<'a>(findings: impl IntoIterator<Item = &'a Finding>) -> Json {
-    // Indexed by `Severity as usize`.
-    let mut by_severity = [0i64; 3];
+    let mut tally = Tally::default();
     let rendered: Vec<Json> = findings
         .into_iter()
         .map(|f| {
-            by_severity[f.severity as usize] += 1;
+            tally.count(f);
             f.to_json()
         })
         .collect();
-    let count = |s: Severity| Json::Int(by_severity[s as usize]);
     Json::object(vec![
-        (
-            "summary".to_string(),
-            Json::object(vec![
-                ("total".to_string(), Json::Int(rendered.len() as i64)),
-                ("errors".to_string(), count(Severity::Error)),
-                ("warnings".to_string(), count(Severity::Warning)),
-                ("hints".to_string(), count(Severity::Hint)),
-            ]),
-        ),
+        ("summary".to_string(), tally.to_json()),
         ("findings".to_string(), Json::Array(rendered)),
     ])
+}
+
+/// What [`render_json`] renders to (compact), for findings somebody has
+/// already rendered: `findings` is the compact text of the array of their
+/// [`Finding::to_json`]s, `tally` their count.
+pub fn render_compact(tally: Tally, findings: &str) -> String {
+    Json::object(vec![("summary".to_string(), tally.to_json())])
+        .to_string_compact_with(&[("findings", findings)])
 }
 
 /// True if any finding should make a checking tool exit nonzero.

@@ -25,7 +25,8 @@ pub mod races;
 
 pub use audit::{audit_code, audit_findings, run_audit, run_audit_scoped};
 pub use diag::{
-    canonical_order, has_errors, render_json, render_text, sort_findings, Finding, IrLoc, Severity,
+    canonical_order, has_errors, render_compact, render_json, render_text, sort_findings, Finding,
+    IrLoc, Severity, Tally,
 };
 pub use framework::{
     check_usage, passes, run_checks, run_global_checks, run_local_checks, LintPass,

@@ -276,9 +276,11 @@ impl LintPass for HoistableCalls {
 }
 
 /// The loop walk behind [`HoistableCalls`], over an explicit function list.
-/// Findings anchor in the caller; callee purity comes from whole-module
-/// mod/ref summaries, so a summary change damages its direct callers (which
-/// the manager's edit damage rule already includes).
+/// Findings anchor in the caller. What the pass reads of a callee is its
+/// declaration-ness and three summary bits (reads, writes, I/O), and the
+/// manager's damage rule damages a function's direct callers exactly when
+/// its interface — declaration-ness included — or its mod/ref summary
+/// moves, so a caller whose finding could change is always re-linted.
 fn run_hoistable_calls(n: &mut Noelle, fids: &[FuncId]) -> Vec<Finding> {
     {
         let mut loops_by_fn = BTreeMap::new();

@@ -855,7 +855,9 @@ fn submit(state: &Arc<ServerState>, shard_idx: usize, req: &Request) -> PendingR
 }
 
 /// The `ok` payload of a reply: either a value tree, or compact text
-/// cached from an earlier serialization (the warm `pdg` fast path).
+/// somebody already has — cached from an earlier serialization (the warm
+/// `pdg` fast path), or assembled from rendered parts (the IDE's
+/// diagnostics).
 enum Body {
     Value(Json),
     Text(Arc<String>),
@@ -884,6 +886,15 @@ pub fn run_request_text(state: &Arc<ServerState>, req: &Request) -> String {
 }
 
 type MethodResult = Result<Body, (ErrorCode, String)>;
+
+/// An IDE reply around the document's diagnostics, which the session hands
+/// over as text it rendered once per function: `reply`'s own members are
+/// rendered here, the `diagnostics` member is copied in.
+fn with_diagnostics(reply: Json, diagnostics: &str) -> Body {
+    Body::Text(Arc::new(
+        reply.to_string_compact_with(&[("diagnostics", diagnostics)]),
+    ))
+}
 
 fn bad(msg: impl Into<String>) -> (ErrorCode, String) {
     (ErrorCode::BadRequest, msg.into())
@@ -1301,7 +1312,7 @@ fn dispatch(state: &Arc<ServerState>, req: &Request) -> MethodResult {
             };
             let doc = DocSession::open(name.clone(), &text, tier);
             let functions = doc.noelle().map_or(0, |n| n.module().functions().len());
-            let diagnostics = doc.diagnostics_json();
+            let diagnostics = doc.diagnostics_text();
             state
                 .ide
                 .docs
@@ -1310,12 +1321,12 @@ fn dispatch(state: &Arc<ServerState>, req: &Request) -> MethodResult {
                 .insert(name.clone(), doc);
             state.ide.opens.fetch_add(1, Ordering::Relaxed);
             state.ide.diag_pushes.fetch_add(1, Ordering::Relaxed);
-            Ok(Body::Value(Json::object([
+            let reply = Json::object([
                 ("doc".to_string(), Json::Str(name)),
                 ("version".to_string(), Json::Int(1)),
                 ("functions".to_string(), Json::Int(functions as i64)),
-                ("diagnostics".to_string(), diagnostics),
-            ])))
+            ]);
+            Ok(with_diagnostics(reply, &diagnostics))
         }
         "ide/change" => {
             let name = param_str(req, "doc").ok_or_else(|| bad("missing 'doc' param"))?;
@@ -1332,10 +1343,10 @@ fn dispatch(state: &Arc<ServerState>, req: &Request) -> MethodResult {
             let outcome = doc.change(version, change).map_err(bad)?;
             // Push semantics: the reply carries only the audit hints this
             // change re-derived; `ide/diagnostics` pulls the full set.
-            let diagnostics = doc.push_diagnostics_json();
+            let diagnostics = doc.push_diagnostics_text();
             drop(docs);
             state.ide.diag_pushes.fetch_add(1, Ordering::Relaxed);
-            Ok(Body::Value(Json::object([
+            let reply = Json::object([
                 ("doc".to_string(), Json::Str(name.to_string())),
                 ("version".to_string(), Json::Int(outcome.version as i64)),
                 ("incremental".to_string(), Json::Bool(outcome.incremental)),
@@ -1350,8 +1361,8 @@ fn dispatch(state: &Arc<ServerState>, req: &Request) -> MethodResult {
                     ),
                 ),
                 ("relinted".to_string(), Json::Int(outcome.relinted as i64)),
-                ("diagnostics".to_string(), diagnostics),
-            ])))
+            ]);
+            Ok(with_diagnostics(reply, &diagnostics))
         }
         "ide/diagnostics" => {
             let name = param_str(req, "doc").ok_or_else(|| bad("missing 'doc' param"))?;
@@ -1359,10 +1370,10 @@ fn dispatch(state: &Arc<ServerState>, req: &Request) -> MethodResult {
             let doc = docs
                 .get(name)
                 .ok_or_else(|| (ErrorCode::NoSession, format!("no open document '{name}'")))?;
-            let diagnostics = doc.diagnostics_json();
+            let diagnostics = doc.diagnostics_text();
             drop(docs);
             state.ide.diag_pushes.fetch_add(1, Ordering::Relaxed);
-            Ok(Body::Value(diagnostics))
+            Ok(Body::Text(Arc::new(diagnostics)))
         }
         "ide/close" => {
             let name = param_str(req, "doc").ok_or_else(|| bad("missing 'doc' param"))?;

@@ -131,6 +131,21 @@ impl EditorModel {
     }
 }
 
+/// What the daemon sends is what an in-process caller gets, rendered: the
+/// text payload — concatenated from what each record rendered when it was
+/// derived — against the tree built from the stored findings, byte for
+/// byte, for the pull and for the push.
+fn assert_text_is_the_tree(s: &DocSession, context: &str) {
+    assert!(
+        s.diagnostics_text() == s.diagnostics_json().to_string_compact(),
+        "{context}: the pull's text is not its tree rendered"
+    );
+    assert!(
+        s.push_diagnostics_text() == s.push_diagnostics_json().to_string_compact(),
+        "{context}: the push's text is not its tree rendered"
+    );
+}
+
 #[test]
 fn random_single_function_edits_match_cold_lint() {
     let ws = registry();
@@ -150,6 +165,7 @@ fn random_single_function_edits_match_cold_lint() {
             w.name
         );
         let mut editor = EditorModel::seeded(&s.diagnostics_json());
+        assert_text_is_the_tree(&s, w.name);
 
         let mut rng = Rng::new(0x1DE0 + wi as u64);
         for step in 0..3u64 {
@@ -224,6 +240,7 @@ fn random_single_function_edits_match_cold_lint() {
             // answers.
             editor.patch(&s.push_diagnostics_json());
             editor.assert_holds(&s.diagnostics_json(), w.name);
+            assert_text_is_the_tree(&s, w.name);
         }
     }
 }
@@ -248,6 +265,7 @@ fn parse_errors_degrade_to_last_good_diagnostics() {
             .expect("broken text is accepted, not rejected");
         assert!(out.syntax_error.is_some(), "{}: syntax diagnostic", w.name);
         assert!(s.syntax_error().is_some());
+        assert_text_is_the_tree(&s, w.name);
         assert_eq!(
             session_report(&s),
             good,
@@ -260,6 +278,7 @@ fn parse_errors_degrade_to_last_good_diagnostics() {
         assert!(out.syntax_error.is_none(), "{}: recovered", w.name);
         assert!(s.syntax_error().is_none());
         assert_eq!(session_report(&s), good, "{}: diagnostics restored", w.name);
+        assert_text_is_the_tree(&s, w.name);
     }
 }
 
@@ -300,6 +319,7 @@ fn reaudit_follows_the_edit_not_the_module() {
         // else; an editor patched with just those stays whole.
         editor.patch(&s.push_diagnostics_json());
         editor.assert_holds(&s.diagnostics_json(), &line);
+        assert_text_is_the_tree(s, &line);
     };
 
     // Metadata-only edits: the auditor reads bodies, never metadata, so no
@@ -317,8 +337,9 @@ fn reaudit_follows_the_edit_not_the_module() {
     );
 
     // Body edits: a dead instruction after `entry:` moves the fingerprint
-    // the auditor reads. Each re-audits the function plus its one-hop call
-    // closure (a group of 32 kernels and their caller) — never the module.
+    // the auditor reads and nothing a caller does, so the kernel alone is
+    // damaged. Each re-audits it plus its one-hop call closure — its group
+    // function, which prices the kernel's body — never the 31 siblings.
     let body_line = define_line + 3; // define, fmeta, entry:, <here>
     for i in 0..EDITS {
         let end = body_line + usize::from(i > 0);
@@ -326,8 +347,9 @@ fn reaudit_follows_the_edit_not_the_module() {
         splice(&mut s, body_line, end, line);
     }
     let reaudited = s.counters().reaudited_functions;
-    assert!(
-        (EDITS..=EDITS * 64).contains(&reaudited),
+    assert_eq!(
+        reaudited,
+        EDITS * 2,
         "{EDITS} body edits re-audited {reaudited} of {FUNCTIONS} functions"
     );
 
@@ -355,4 +377,90 @@ fn reaudit_follows_the_edit_not_the_module() {
         cold.plan_hints().to_string_compact(),
         "incremental plan hints diverge from a cold open"
     );
+}
+
+/// One document through every kind of state a session has — never parsed,
+/// cold start, body edit, metadata keystroke, syntax-broken, repaired,
+/// same-shape full reparse, shape change — holding the text payloads
+/// against the trees at each.
+#[test]
+fn the_text_payload_is_the_tree_rendered_in_every_state() {
+    let mut documents: Vec<(String, String)> = registry()
+        .iter()
+        .step_by(6)
+        .map(|w| (w.name.to_string(), print_module(&w.build())))
+        .collect();
+    let scale = workloads::scale_module(64, 3);
+    documents.push(("scale".to_string(), print_module(&scale)));
+    for (name, text) in documents {
+        let splice = |start_line: usize, replaced: usize, line: &str| Change::Splice {
+            start_line,
+            end_line: start_line + replaced,
+            lines: vec![line.to_string()],
+        };
+        let mut s = DocSession::open(name.as_str(), "module \"x\" {", AliasTier::Basic);
+        let step = |s: &mut DocSession, what: &str, change: Change| {
+            let out = s.change(s.version() + 1, change).expect("in range");
+            assert_text_is_the_tree(s, &format!("{name}: {what}"));
+            out
+        };
+        assert!(s.syntax_error().is_some());
+        assert_text_is_the_tree(&s, &format!("{name}: never parsed"));
+        step(&mut s, "cold start", Change::Full(text));
+        assert!(s.syntax_error().is_none());
+
+        // The last function's first label is its entry block's; a dead
+        // instruction under it is a body edit.
+        let (first, last) = (s.spans()[0].clone(), s.spans().last().expect("one").clone());
+        let body = s.text();
+        let mut body = body.lines().enumerate().skip(last.start_line);
+        let (label, _) = body
+            .find(|(_, l)| l.ends_with(':'))
+            .expect("an entry label");
+        let out = step(
+            &mut s,
+            "body edit",
+            splice(label + 2, 0, "  %bt = add i64 i64 1, i64 2"),
+        );
+        assert!(out.incremental && out.relinted >= 1);
+        let reaudited = s.counters().reaudited_functions;
+        assert!(reaudited > 0, "{name}: a body edit re-audits");
+
+        let meta = first.start_line + 1;
+        let out = step(
+            &mut s,
+            "keystroke",
+            splice(meta, 0, "  fmeta \"k\" = \"1\""),
+        );
+        assert!(out.incremental && out.relinted >= 1);
+        assert_eq!(s.counters().reaudited_functions, reaudited);
+        let out = step(&mut s, "broken", splice(meta, 1, "  utterly not nir"));
+        assert!(out.syntax_error.is_some());
+        let out = step(&mut s, "repaired", splice(meta, 1, "  fmeta \"k\" = \"2\""));
+        assert!(out.syntax_error.is_none());
+
+        // Two functions changed in one text: no single span holds the
+        // window, the shape is the same, so both are swapped in place.
+        if first.name != last.name {
+            let last_define = s.spans().last().expect("one").start_line;
+            let mut lines: Vec<String> = s.text().lines().map(str::to_string).collect();
+            lines.insert(last_define, "  fmeta \"k\" = \"3\"".to_string());
+            lines[meta - 1] = "  fmeta \"k\" = \"3\"".to_string();
+            let full = s.counters().full_reparses;
+            let out = step(&mut s, "full reparse", Change::Full(lines.join("\n")));
+            assert!(!out.incremental && out.relinted == 2);
+            assert_eq!(s.counters().full_reparses, full + 1);
+        }
+
+        // One more function: a new shape, so a new state from cold.
+        let mut grown = s.text();
+        let close = grown.rfind('}').expect("the module's closing brace");
+        grown.insert_str(
+            close,
+            "define i64 @ide.added(i64 %x) {\nentry:\n  ret %x\n}\n",
+        );
+        let out = step(&mut s, "shape change", Change::Full(grown));
+        assert!(out.syntax_error.is_none() && !out.incremental);
+        assert!(s.plan_hints().get("ide.added").is_some());
+    }
 }

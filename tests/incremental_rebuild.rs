@@ -20,17 +20,24 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
+use noelle::analysis::modref::ModRefSummaries;
 use noelle::core::architecture::Architecture;
+use noelle::core::json::Json;
 use noelle::core::noelle::{AliasTier, Noelle};
 use noelle::core::wire;
 use noelle::ir::inst::{BinOp, Callee, Inst};
+use noelle::ir::module::{FuncId, Function};
 use noelle::ir::parser::parse_module;
+use noelle::ir::printer::print_module;
 use noelle::ir::types::Type;
 use noelle::ir::value::Value;
+use noelle::ir::Module;
+use noelle::pdg::pdg::ProgramPdg;
 use noelle::transforms as tools;
 use noelle::workloads::{all, pdg_stress, scale_module, Workload};
 use noelle_fuzz::generator::{generate, GenConfig};
 use noelle_fuzz::oracle::{edit_script_divergence, points_to_divergence};
+use noelle_ide::{Change, DocSession};
 use noelle_plan::{apply_plan, plan_module, ModulePlan, PlanOptions};
 
 fn workloads() -> Vec<Workload> {
@@ -420,28 +427,15 @@ fn a_loop_request_repairs_its_own_partition_only() {
     let _ = n.pdg();
     let k0 = n.module().func_id_by_name("k0").expect("first kernel");
     let k1 = n.module().func_id_by_name("k1").expect("second kernel");
-    // A body edit of one kernel and a touch of its neighbour damage both,
-    // and the group function that calls them.
+    // A body edit of one kernel and a touch of its neighbour damage both
+    // and nobody else: neither summary and neither interface moved, so the
+    // group function that calls them reads what it read before.
     let ((), damage) = n.edit_with_damage(|tx| {
         tx.touch(k1);
-        let f = tx.func_mut(k0);
-        let entry = f.entry();
-        f.insert_inst(
-            entry,
-            0,
-            Inst::Bin {
-                op: BinOp::Add,
-                ty: Type::I64,
-                lhs: Value::const_i64(1),
-                rhs: Value::const_i64(2),
-            },
-        );
+        insert_dead_add(tx.module_touching([k0]), k0);
     });
+    assert_eq!(damage, BTreeSet::from([k0, k1]));
     let damaged = damage.len() as u64;
-    assert!(
-        damaged > 2 && damage.contains(&k0),
-        "damage set: {damage:?}"
-    );
 
     // One loop of one damaged function costs that function's partition.
     let l = n.loops_of(k0).remove(0);
@@ -454,11 +448,229 @@ fn a_loop_request_repairs_its_own_partition_only() {
     // builds.
     let repaired = n.pdg();
     assert_eq!(n.func_cache_counters().pdg_misses - asked, damaged - 1);
-    let mut fresh = Noelle::new(n.module().clone(), AliasTier::Full);
+    assert_same_pdg_as_fresh(&mut n, &repaired);
+
+    // `k0`'s first I/O call moves its summary, which its callers do read:
+    // now the group function is damaged too, and only its callers beyond.
+    let group = n.direct_calls().callers_of(k0).next().expect("k0's group");
+    assert!(!n.modref_summaries().has_io(k0), "the kernels are quiet");
+    let ((), damage) = n.edit_with_damage(|tx| {
+        let m = tx.module_touching([k0]);
+        let print = m.get_or_declare("print_i64", vec![Type::I64], Type::Void);
+        let entry = m.func(k0).entry();
+        let call = Inst::Call {
+            callee: Callee::Direct(print),
+            args: vec![Value::const_i64(7)],
+            ret_ty: Type::Void,
+        };
+        m.func_mut(k0).insert_inst(entry, 0, call);
+    });
+    assert!(n.modref_summaries().has_io(k0));
+    assert!(
+        damage.contains(&k0) && damage.contains(&group) && !damage.contains(&k1),
+        "damage set: {damage:?}"
+    );
+    let repaired = n.pdg();
+    assert_same_pdg_as_fresh(&mut n, &repaired);
+}
+
+/// `n`'s repaired whole-program graph is, to the byte, what a fresh manager
+/// builds over the same module.
+fn assert_same_pdg_as_fresh(n: &mut Noelle, repaired: &ProgramPdg) {
+    let mut fresh = Noelle::new(n.module().clone(), n.tier());
     let scratch = fresh.pdg();
     assert_eq!(
-        wire::pdg_to_json(n.module(), &repaired).to_string_compact(),
+        wire::pdg_to_json(n.module(), repaired).to_string_compact(),
         wire::pdg_to_json(fresh.module(), &scratch).to_string_compact(),
+    );
+}
+
+/// A dead `add` at the top of `f`: a body edit no caller can observe.
+fn insert_dead_add(m: &mut Module, f: FuncId) {
+    let entry = m.func(f).entry();
+    let dead_add = Inst::Bin {
+        op: BinOp::Add,
+        ty: Type::I64,
+        lhs: Value::const_i64(1),
+        rhs: Value::const_i64(2),
+    };
+    m.func_mut(f).insert_inst(entry, 0, dead_add);
+}
+
+/// Make `f` do the first thing its summary says it does not — write (a
+/// store to a fresh slot), read (a load from one), or I/O (a print) — so
+/// that one mod/ref bit flips. False when the summary already says all
+/// three.
+fn flip_a_summary_bit(m: &mut Module, f: FuncId, summary: &ModRefSummaries) -> bool {
+    let entry = m.func(f).entry();
+    let slot = Inst::Alloca {
+        ty: Type::I64,
+        count: Value::const_i64(1),
+    };
+    if !summary.may_write(f) || !summary.may_read(f) {
+        let slot = Value::Inst(m.func_mut(f).insert_inst(entry, 0, slot));
+        let access = if !summary.may_write(f) {
+            Inst::Store {
+                val: Value::const_i64(1),
+                ptr: slot,
+                ty: Type::I64,
+            }
+        } else {
+            Inst::Load {
+                ptr: slot,
+                ty: Type::I64,
+            }
+        };
+        m.func_mut(f).insert_inst(entry, 1, access);
+    } else if !summary.has_io(f) {
+        let print = m.get_or_declare("print_i64", vec![Type::I64], Type::Void);
+        let call = Inst::Call {
+            callee: Callee::Direct(print),
+            args: vec![Value::const_i64(7)],
+            ret_ty: Type::Void,
+        };
+        m.func_mut(f).insert_inst(entry, 0, call);
+    } else {
+        return false;
+    }
+    true
+}
+
+/// Change what a call site reads of `f` and nothing else: the width of its
+/// first integer parameter, or one more parameter when it has none. The
+/// callers are left as they are (they no longer verify; nothing here runs
+/// them).
+fn change_the_signature(m: &mut Module, f: FuncId) {
+    let params = &mut m.func_mut(f).params;
+    match params.iter_mut().find(|(_, ty)| ty.is_int()) {
+        Some((_, ty)) => {
+            *ty = if *ty == Type::I64 {
+                Type::I32
+            } else {
+                Type::I64
+            }
+        }
+        None => params.push(("extra".to_string(), Type::I64)),
+    }
+}
+
+/// Take `f`'s body away: the declaration a call site then sees has the same
+/// name and signature, and a summary only its name decides.
+fn make_a_declaration(m: &mut Module, f: FuncId) {
+    let old = m.func(f);
+    let bare = Function::new(old.name.clone(), old.params.clone(), old.ret_ty.clone());
+    *m.func_mut(f) = bare;
+}
+
+/// One edit of `f`, made in the manager's module through a transaction and
+/// in the document through its text, each then held against the
+/// from-scratch answer: a fresh manager's graph, a cold open's diagnostics.
+/// Returns what the edit returned, the manager's damage set, and how many
+/// functions the document re-linted.
+fn edit_both<R>(
+    (n, doc): (&mut Noelle, &mut DocSession),
+    f: FuncId,
+    context: &str,
+    edit: impl FnOnce(&mut Module) -> R,
+) -> (R, BTreeSet<FuncId>, usize) {
+    let (r, damage) = n.edit_with_damage(|tx| edit(tx.module_touching([f])));
+    let repaired = n.pdg();
+    assert_same_pdg_as_fresh(n, &repaired);
+    let text = print_module(n.module());
+    let out = doc.change(doc.version() + 1, Change::Full(text));
+    let out = out.expect("the version advances");
+    assert!(out.syntax_error.is_none(), "{context}");
+    let cold = DocSession::open(doc.name(), &doc.text(), doc.tier());
+    assert!(
+        diagnostics_sans_version(doc) == diagnostics_sans_version(&cold),
+        "{context}: the document's diagnostics are not a cold open's"
+    );
+    (r, damage, out.relinted)
+}
+
+/// A document's whole pull, less the one member that counts its edits.
+fn diagnostics_sans_version(doc: &DocSession) -> Json {
+    let Json::Object(mut fields) = doc.diagnostics_json() else {
+        panic!("a payload is an object");
+    };
+    fields.remove("version");
+    Json::Object(fields)
+}
+
+/// The damage rule's two directions, for every called function of the
+/// corpus and a sample of a scale module's — every seventh from the last,
+/// which takes in a group function and nine kernels of both groups; each
+/// costs four cold opens of the document. An edit no caller can observe (a
+/// body edit that moves no summary bit) damages the function alone, one a
+/// caller can
+/// observe (a flipped bit, a changed signature, a body gone) damages every
+/// direct caller — and whichever it was, the repaired graph is a fresh
+/// manager's and the document's diagnostics are a cold open's, to the byte.
+#[test]
+fn a_caller_is_damaged_exactly_when_it_can_observe_the_edit() {
+    let mut modules: Vec<(String, Module, usize)> = workloads()
+        .iter()
+        .map(|w| (w.name.to_string(), w.build(), 1))
+        .collect();
+    modules.push(("scale".to_string(), scale_module(64, 3), 7));
+    let (mut unobserved, mut observed) = (0, 0);
+    for (name, m, stride) in &modules {
+        let text = print_module(m);
+        let calls = Noelle::new(m.clone(), AliasTier::Full);
+        let calls = calls.direct_calls();
+        let callers_of =
+            |f| -> BTreeSet<FuncId> { calls.callers_of(f).filter(|&c| c != f).collect() };
+        let called = m
+            .func_ids()
+            .filter(|&f| !m.func(f).is_declaration() && !callers_of(f).is_empty());
+        let called: Vec<FuncId> = called.collect();
+        for &f in called.iter().rev().step_by(*stride) {
+            let callers = callers_of(f);
+            let context = |what: &str| format!("{name}: @{}: {what}", m.func(f).name);
+            let mut n = Noelle::new(m.clone(), AliasTier::Full);
+            let _ = n.pdg();
+            let mut doc = DocSession::open(name.as_str(), &text, AliasTier::Basic);
+
+            let context_a = context("a dead add");
+            let ((), damage, relinted) =
+                edit_both((&mut n, &mut doc), f, &context_a, |m| insert_dead_add(m, f));
+            assert_eq!(damage, BTreeSet::from([f]), "{context_a}");
+            assert_eq!(relinted, 1, "{context_a}: the document's damage");
+            unobserved += 1;
+
+            let context_b = context("a summary bit");
+            let summary = n.modref_summaries();
+            let (flipped, damage, _) = edit_both((&mut n, &mut doc), f, &context_b, |m| {
+                flip_a_summary_bit(m, f, &summary)
+            });
+            if flipped {
+                assert!(damage.is_superset(&callers), "{context_b}: {damage:?}");
+                observed += 1;
+            }
+
+            let context_c = context("a signature");
+            let ((), damage, relinted) = edit_both((&mut n, &mut doc), f, &context_c, |m| {
+                change_the_signature(m, f)
+            });
+            assert!(damage.is_superset(&callers), "{context_c}: {damage:?}");
+            assert!(
+                relinted > callers.len(),
+                "{context_c}: the document's damage"
+            );
+            observed += 1;
+
+            let context_d = context("a declaration");
+            let ((), damage, _) = edit_both((&mut n, &mut doc), f, &context_d, |m| {
+                make_a_declaration(m, f)
+            });
+            assert!(damage.is_superset(&callers), "{context_d}: {damage:?}");
+            observed += 1;
+        }
+    }
+    eprintln!("{unobserved} edits no caller observes, {observed} it does");
+    assert!(
+        unobserved >= 90 && observed >= 270,
+        "{unobserved} edits no caller observes, {observed} it does"
     );
 }
 
