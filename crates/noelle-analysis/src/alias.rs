@@ -112,7 +112,7 @@ pub fn alloca_address_taken(f: &noelle_ir::module::Function, id: InstId) -> bool
             // non-escaping use.
             Inst::Load { .. } => false,
             Inst::Store { val, .. } => *val == a,
-            _ => f.inst(other).operands().contains(&a),
+            _ => f.inst(other).uses(a),
         };
         if uses_a {
             return true;

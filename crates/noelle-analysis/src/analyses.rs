@@ -46,11 +46,11 @@ impl LivenessProblem<'_> {
                 kill.insert(di);
                 gen.remove(di);
             }
-            for op in self.f.inst(id).operands() {
+            self.f.inst(id).for_each_operand(|op| {
                 if let Some(&ui) = self.index_of.get(&op) {
                     gen.insert(ui);
                 }
-            }
+            });
         }
         (gen, kill)
     }

@@ -62,15 +62,14 @@ pub fn trivially_loop_invariant(f: &Function, l: &LoopInfo, v: Value) -> bool {
 /// Find every affine recurrence rooted at a header phi of `l`.
 pub fn affine_recurrences(f: &Function, l: &LoopInfo) -> Vec<AddRec> {
     let mut out = Vec::new();
-    for phi_id in f.phis(l.header) {
-        let incomings = match f.inst(phi_id) {
-            Inst::Phi { incomings, .. } => incomings.clone(),
-            _ => unreachable!("phis() returns phis"),
+    for &phi_id in &f.block(l.header).insts {
+        let Inst::Phi { incomings, .. } = f.inst(phi_id) else {
+            break; // the phis lead the block
         };
         let mut start: Option<Value> = None;
         let mut update_val: Option<Value> = None;
         let mut ok = true;
-        for (pred, v) in &incomings {
+        for (pred, v) in incomings {
             if l.contains(*pred) {
                 match update_val {
                     None => update_val = Some(*v),
@@ -204,16 +203,21 @@ pub fn exit_condition(f: &Function, l: &LoopInfo, recs: &[AddRec]) -> Option<Exi
 
 /// Constant trip count of `l` — the number of times the loop body runs — if
 /// the governing recurrence, bound, and shape are all statically known.
-pub fn const_trip_count(f: &Function, l: &LoopInfo) -> Option<i64> {
-    trip_count_given(f, l, None)
+/// `recs` are the loop's [`affine_recurrences`].
+pub fn const_trip_count(f: &Function, l: &LoopInfo, recs: &[AddRec]) -> Option<i64> {
+    trip_count_given(f, l, recs, None)
 }
 
 /// [`const_trip_count`] for a caller that knows more than `f` says: a
 /// governing bound that is not a literal is taken to be `bound` (an
 /// argument every call site passes the same constant, say).
-pub fn trip_count_given(f: &Function, l: &LoopInfo, bound: Option<i64>) -> Option<i64> {
-    let recs = affine_recurrences(f, l);
-    let cond = exit_condition(f, l, &recs)?;
+pub fn trip_count_given(
+    f: &Function,
+    l: &LoopInfo,
+    recs: &[AddRec],
+    bound: Option<i64>,
+) -> Option<i64> {
+    let cond = exit_condition(f, l, recs)?;
     let rec = &recs[cond.rec_index];
     let start = rec.const_start()?;
     let step = rec.const_step()?;
@@ -375,7 +379,7 @@ mod tests {
         ] {
             let (f, l) = counted_loop(start, step, bound);
             assert_eq!(
-                const_trip_count(&f, &l),
+                const_trip_count(&f, &l, &affine_recurrences(&f, &l)),
                 Some(expect),
                 "start={start} step={step} bound={bound}"
             );
@@ -407,10 +411,10 @@ mod tests {
         let forest = LoopForest::new(&f, &cfg, &dt);
         let l = &forest.loops()[0];
         // Recurrence is found but the bound is an argument.
-        assert_eq!(affine_recurrences(&f, l).len(), 1);
-        assert_eq!(const_trip_count(&f, l), None);
-        // The exit condition is still recognized symbolically.
         let recs = affine_recurrences(&f, l);
+        assert_eq!(recs.len(), 1);
+        assert_eq!(const_trip_count(&f, l, &recs), None);
+        // The exit condition is still recognized symbolically.
         let cond = exit_condition(&f, l, &recs).expect("found");
         assert_eq!(cond.bound, Value::Arg(0));
         assert!(cond.continue_on_true);
@@ -443,7 +447,7 @@ mod tests {
         let l = &forest.loops()[0];
         let recs = affine_recurrences(&f, l);
         assert_eq!(recs[0].const_step(), Some(-2));
-        assert_eq!(const_trip_count(&f, l), Some(5));
+        assert_eq!(const_trip_count(&f, l, &recs), Some(5));
     }
 
     #[test]

@@ -111,10 +111,11 @@ fn bench_loop_views() {
         let forest = LoopForest::new(f, &cfg, &dt);
         let l = forest.loops()[0].clone();
         let pdg = builder.loop_pdg(fid, &l);
+        let recs = noelle_analysis::scev::affine_recurrences(f, &l);
         report(
             "loop_views/sccdag",
             median_micros(|| {
-                std::hint::black_box(SccDag::new(f, &l, &pdg));
+                std::hint::black_box(SccDag::new(f, &l, &pdg, &recs));
             }),
         );
     }

@@ -10,6 +10,7 @@
 
 use noelle_analysis::alias::{AliasAnalysis, AliasStack, AndersenAlias, BasicAlias};
 use noelle_analysis::modref::ModRefSummaries;
+use noelle_analysis::scev::affine_recurrences;
 use noelle_core::architecture::Architecture;
 use noelle_core::induction::{ivs_llvm, ivs_noelle};
 use noelle_core::invariants::{invariants_llvm, invariants_noelle};
@@ -106,7 +107,7 @@ pub fn fig4_invariants() -> Vec<Fig4Row> {
                 let fg = builder.function_pdg(fid);
                 for l in forest.loops() {
                     n_llvm += invariants_llvm(&m, fid, l, &dt, &basic, &modref).len();
-                    let g = builder.loop_pdg_with(fid, l, &fg);
+                    let g = builder.loop_pdg_with(fid, l, &fg, &affine_recurrences(f, l));
                     n_noelle += invariants_noelle(f, l, &g).len();
                 }
             }
@@ -151,7 +152,8 @@ pub fn iv_counts() -> Vec<IvRow> {
                 let forest = LoopForest::new(f, &cfg, &dt);
                 for l in forest.loops() {
                     n_llvm += usize::from(ivs_llvm(f, l).governing().is_some());
-                    n_noelle += usize::from(ivs_noelle(f, l).governing().is_some());
+                    let recs = affine_recurrences(f, l);
+                    n_noelle += usize::from(ivs_noelle(f, l, &recs).governing().is_some());
                 }
             }
             IvRow {

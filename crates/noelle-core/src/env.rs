@@ -32,32 +32,37 @@ impl Environment {
     pub fn for_loop(m: &noelle_ir::Module, f: &Function, l: &LoopInfo) -> Environment {
         let mut live_ins: Vec<(Value, Type)> = Vec::new();
         let mut live_outs: Vec<(Value, Type)> = Vec::new();
-        let mut seen_in = std::collections::HashSet::new();
-        let mut seen_out = std::collections::HashSet::new();
-        let in_loop = |id: InstId| l.contains(f.parent_block(id));
-        for id in f.inst_ids() {
-            if in_loop(id) {
-                // Operands defined outside are live-ins. Phi incomings from
-                // outside blocks count too.
-                for op in f.inst(id).operands() {
-                    let is_livein = match op {
-                        Value::Arg(_) => true,
-                        Value::Inst(d) => !in_loop(d),
-                        _ => false, // constants/globals need no slot
+        // A mark per block of the loop, and a mark per value once it has a
+        // slot: instructions by arena index, arguments after them.
+        let mut in_loop = vec![false; f.num_blocks()];
+        for &b in &l.blocks {
+            in_loop[b.index()] = true;
+        }
+        let defined_in_loop = |d: InstId| in_loop[f.parent_block(d).index()];
+        let args = f.inst_arena_len();
+        let mut seen = vec![false; args + f.params.len()];
+        for &b in f.block_order() {
+            let inside = in_loop[b.index()];
+            for &id in &f.block(b).insts {
+                f.inst(id).for_each_operand(|op| {
+                    let mark = match op {
+                        // Operands defined outside are live-ins. Phi
+                        // incomings from outside blocks count too.
+                        Value::Arg(i) if inside => args + i as usize,
+                        // Uses outside the loop of loop-defined values are
+                        // live-outs.
+                        Value::Inst(d) if inside != defined_in_loop(d) => d.index(),
+                        _ => return, // constants/globals need no slot
                     };
-                    if is_livein && seen_in.insert(op) {
-                        live_ins.push((op, f.value_type(m, op)));
+                    if !std::mem::replace(&mut seen[mark], true) {
+                        let slots = if inside {
+                            &mut live_ins
+                        } else {
+                            &mut live_outs
+                        };
+                        slots.push((op, f.value_type(m, op)));
                     }
-                }
-            } else {
-                // Uses outside the loop of loop-defined values are live-outs.
-                for op in f.inst(id).operands() {
-                    if let Value::Inst(d) = op {
-                        if in_loop(d) && seen_out.insert(op) {
-                            live_outs.push((op, f.value_type(m, op)));
-                        }
-                    }
-                }
+                });
             }
         }
         Environment {

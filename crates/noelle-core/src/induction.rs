@@ -71,15 +71,24 @@ impl InductionVariables {
     }
 }
 
-/// NOELLE's shape-independent, SCC-based IV detection.
-pub fn ivs_noelle(f: &Function, l: &LoopInfo) -> InductionVariables {
-    let recs = affine_recurrences(f, l);
-    let cond = exit_condition(f, l, &recs);
-    let mut ivs = Vec::new();
+/// NOELLE's shape-independent, SCC-based IV detection over the loop's
+/// affine recurrences (`noelle_analysis::scev::affine_recurrences`).
+pub fn ivs_noelle(f: &Function, l: &LoopInfo, recs: &[AddRec]) -> InductionVariables {
+    if recs.is_empty() {
+        return InductionVariables::default();
+    }
+    let cond = exit_condition(f, l, recs);
+    let loop_insts: Vec<InstId> = f
+        .block_order()
+        .iter()
+        .filter(|&&b| l.contains(b))
+        .flat_map(|&b| f.block(b).insts.iter().copied())
+        .collect();
+    let mut ivs = Vec::with_capacity(recs.len());
     for (i, rec) in recs.iter().enumerate() {
         let governing = cond.as_ref().map(|c| c.rec_index == i).unwrap_or(false);
         let bound = cond.as_ref().filter(|c| c.rec_index == i).map(|c| c.bound);
-        let derived = derived_ivs(f, l, rec);
+        let derived = derived_ivs(f, l, rec, &loop_insts);
         ivs.push(InductionVariable {
             rec: rec.clone(),
             governing,
@@ -118,10 +127,15 @@ pub fn ivs_llvm(f: &Function, l: &LoopInfo) -> InductionVariables {
     InductionVariables { ivs }
 }
 
-/// Instructions in `l` whose value is affine in `rec`: transitive closure of
-/// `add`/`sub`/`mul`/`shl` where one operand is IV-derived and the other is
-/// trivially loop-invariant.
-fn derived_ivs(f: &Function, l: &LoopInfo, rec: &AddRec) -> BTreeSet<InstId> {
+/// Instructions of `loop_insts` (those of `l`) whose value is affine in
+/// `rec`: transitive closure of `add`/`sub`/`mul`/`shl` where one operand is
+/// IV-derived and the other is trivially loop-invariant.
+fn derived_ivs(
+    f: &Function,
+    l: &LoopInfo,
+    rec: &AddRec,
+    loop_insts: &[InstId],
+) -> BTreeSet<InstId> {
     use noelle_analysis::scev::trivially_loop_invariant as inv;
     let mut derived: BTreeSet<InstId> = BTreeSet::new();
     let mut changed = true;
@@ -131,14 +145,9 @@ fn derived_ivs(f: &Function, l: &LoopInfo, rec: &AddRec) -> BTreeSet<InstId> {
             _ => false,
         }
     };
-    let loop_insts: Vec<InstId> = f
-        .inst_ids()
-        .into_iter()
-        .filter(|&id| l.contains(f.parent_block(id)))
-        .collect();
     while changed {
         changed = false;
-        for &id in &loop_insts {
+        for &id in loop_insts {
             if derived.contains(&id) || id == rec.phi || id == rec.update {
                 continue;
             }
@@ -227,7 +236,7 @@ mod tests {
     #[test]
     fn noelle_finds_governing_iv_in_while_loop() {
         let (f, l) = while_loop_with_derived();
-        let ivs = ivs_noelle(&f, &l);
+        let ivs = ivs_noelle(&f, &l, &affine_recurrences(&f, &l));
         assert_eq!(ivs.len(), 1);
         let gov = ivs.governing().expect("governing IV");
         assert_eq!(gov.rec.const_step(), Some(1));
@@ -249,7 +258,7 @@ mod tests {
     #[test]
     fn both_find_iv_in_do_while_loop() {
         let (f, l) = do_while_loop();
-        let a = ivs_noelle(&f, &l);
+        let a = ivs_noelle(&f, &l, &affine_recurrences(&f, &l));
         let b = ivs_llvm(&f, &l);
         assert_eq!(a.len(), 1);
         assert_eq!(b.len(), 1);
@@ -260,7 +269,7 @@ mod tests {
     #[test]
     fn recurrence_insts_cover_phi_and_update() {
         let (f, l) = while_loop_with_derived();
-        let ivs = ivs_noelle(&f, &l);
+        let ivs = ivs_noelle(&f, &l, &affine_recurrences(&f, &l));
         let insts = ivs.recurrence_insts();
         assert_eq!(insts.len(), 2);
         for id in insts {
@@ -301,7 +310,7 @@ mod tests {
         let dt = DomTree::new(&f, &cfg);
         let forest = LoopForest::new(&f, &cfg, &dt);
         let l = forest.loops()[0].clone();
-        let ivs = ivs_noelle(&f, &l);
+        let ivs = ivs_noelle(&f, &l, &affine_recurrences(&f, &l));
         assert_eq!(ivs.len(), 2);
         assert_eq!(ivs.ivs.iter().filter(|iv| iv.governing).count(), 1);
         let j_iv = ivs

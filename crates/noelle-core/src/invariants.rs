@@ -27,8 +27,8 @@ use noelle_ir::inst::{Callee, Inst, InstId};
 use noelle_ir::loops::LoopInfo;
 use noelle_ir::module::{FuncId, Function, Module};
 use noelle_ir::value::Value;
-use noelle_pdg::depgraph::DepGraph;
-use std::collections::{BTreeSet, HashMap};
+use noelle_pdg::depgraph::{DepEdge, DepGraph};
+use std::collections::BTreeSet;
 
 /// The set of invariant instructions of one loop, with value-level queries —
 /// the INV abstraction handed out by the manager.
@@ -119,12 +119,12 @@ fn is_invariant_llvm_one(
     }
     // "for operand in I.getOperands(): if operand is defined in L then
     // return False" — note: NOT a recursive invariance check.
-    for op in inst.operands() {
-        if let Value::Inst(def) = op {
-            if l.contains(f.parent_block(def)) {
-                return false;
-            }
-        }
+    let mut operand_in_loop = false;
+    inst.for_each_operand(|op| {
+        operand_in_loop |= matches!(op, Value::Inst(def) if l.contains(f.parent_block(def)));
+    });
+    if operand_in_loop {
+        return false;
     }
     match inst {
         Inst::Load { ptr, .. } => {
@@ -219,76 +219,159 @@ fn is_invariant_llvm_one(
 /// instructions of `l` using the loop dependence graph. Smaller, simpler,
 /// and more precise — the comparison the paper draws in §2.5.
 pub fn invariants_noelle(f: &Function, l: &LoopInfo, loop_pdg: &DepGraph<InstId>) -> InvariantSet {
-    let loop_insts: Vec<InstId> = f
-        .inst_ids()
-        .into_iter()
-        .filter(|&id| l.contains(f.parent_block(id)))
-        .collect();
-    let mut memo: HashMap<InstId, bool> = HashMap::new();
+    let mut in_loop = vec![false; f.num_blocks()];
+    for &b in &l.blocks {
+        in_loop[b.index()] = true;
+    }
+    let mut walk = InvariantWalk {
+        f,
+        dg: loop_pdg,
+        in_loop,
+        state: vec![Visit::Unknown; f.inst_arena_len()],
+    };
+    // One stack of frames for every root: an instruction and the rest of
+    // its dependences to walk.
+    let mut frames = Vec::new();
+    let deps_of = |id| loop_pdg.edges_to(id);
     let mut out = BTreeSet::new();
-    for &id in &loop_insts {
-        let mut stack = Vec::new();
-        if is_invariant_noelle_rec(f, l, loop_pdg, id, &mut stack, &mut memo) {
-            out.insert(id);
+    for &b in f.block_order() {
+        if !walk.in_loop[b.index()] {
+            continue;
+        }
+        for &id in &f.block(b).insts {
+            if walk.is_invariant(id, &mut frames, deps_of) {
+                out.insert(id);
+            }
         }
     }
     InvariantSet::new(out)
 }
 
-fn is_invariant_noelle_rec(
-    f: &Function,
-    l: &LoopInfo,
-    dg: &DepGraph<InstId>,
-    id: InstId,
-    stack: &mut Vec<InstId>,
-    memo: &mut HashMap<InstId, bool>,
-) -> bool {
-    // "if I in s then return False" — a dependence cycle is a recurrence.
-    if stack.contains(&id) {
-        return false;
-    }
-    if let Some(&r) = memo.get(&id) {
-        return r;
-    }
-    // Instructions whose *execution* matters (effects) or whose value varies
-    // structurally can never be invariant.
-    let base_eligible = match f.inst(id) {
-        Inst::Phi { .. } | Inst::Term(_) | Inst::Alloca { .. } | Inst::Store { .. } => false,
-        // Calls: only if the PDG gave them no memory/IO edges from inside the
-        // loop (pure calls have none) — handled below by dependence walking —
-        // but a call that writes memory or does I/O carries a self-edge in
-        // the loop PDG, so it is excluded there. Conservatively exclude any
-        // call with a memory self-edge.
-        Inst::Call { .. } => !dg
-            .edges_to(id)
-            .chain(dg.edges_from(id))
-            .any(|e| e.attrs.memory && e.src == e.dst),
-        _ => true,
-    };
-    if !base_eligible {
-        memo.insert(id, false);
-        return false;
-    }
-    stack.push(id);
-    // "for PDG dependence J to I": walk the data dependences of I.
-    let mut result = true;
-    for e in dg.edges_to(id) {
-        if !e.attrs.is_data() {
-            continue;
-        }
-        let j = e.src;
-        if j == id {
-            result = false;
-            break;
-        }
-        if l.contains(f.parent_block(j)) && !is_invariant_noelle_rec(f, l, dg, j, stack, memo) {
-            result = false;
-            break;
+/// Where Algorithm 2's walk stands with one instruction.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Visit {
+    Unknown,
+    /// On the walk's stack: reached again, it closes a dependence cycle.
+    OnStack,
+    Invariant,
+    Variant,
+}
+
+/// Algorithm 2's dependence walk over one loop, with an explicit stack: a
+/// chain of any length costs heap, not call frames. The memo is a state per
+/// arena index of the function, the loop a mark per block.
+struct InvariantWalk<'a> {
+    f: &'a Function,
+    dg: &'a DepGraph<InstId>,
+    in_loop: Vec<bool>,
+    state: Vec<Visit>,
+}
+
+impl InvariantWalk<'_> {
+    /// Instructions whose *execution* matters (effects) or whose value
+    /// varies structurally can never be invariant.
+    fn eligible(&self, id: InstId) -> bool {
+        match self.f.inst(id) {
+            Inst::Phi { .. } | Inst::Term(_) | Inst::Alloca { .. } | Inst::Store { .. } => false,
+            // Calls: only if the PDG gave them no memory/IO edges from inside
+            // the loop (pure calls have none) — handled below by dependence
+            // walking — but a call that writes memory or does I/O carries a
+            // self-edge in the loop PDG, so it is excluded there.
+            // Conservatively exclude any call with a memory self-edge.
+            Inst::Call { .. } => !self
+                .dg
+                .edges_to(id)
+                .chain(self.dg.edges_from(id))
+                .any(|e| e.attrs.memory && e.src == e.dst),
+            _ => true,
         }
     }
-    stack.pop();
-    memo.insert(id, result);
-    result
+
+    /// Is loop instruction `root` invariant? Every instruction the walk
+    /// settles on the way is memoized. `frames` is the walk's stack, empty
+    /// between calls; `deps_of` lists an instruction's dependences.
+    fn is_invariant<'g, D: Iterator<Item = &'g DepEdge<InstId>>>(
+        &mut self,
+        root: InstId,
+        frames: &mut Vec<(InstId, D)>,
+        deps_of: impl Fn(InstId) -> D,
+    ) -> bool {
+        if !self.enter(root) {
+            return false;
+        }
+        if self.state[root.index()] == Visit::Invariant {
+            return true;
+        }
+        // "for PDG dependence J to I": each frame walks the data
+        // dependences of its instruction, descending into the ones inside
+        // the loop that are not settled yet.
+        frames.push((root, deps_of(root)));
+        // The verdict of the frame just popped, for the frame below it.
+        let mut child: Option<bool> = None;
+        while let Some((id, deps)) = frames.last_mut() {
+            let id = *id;
+            let mut verdict = (child.take() == Some(false)).then_some(false);
+            let mut descend = None;
+            if verdict.is_none() {
+                for e in deps.by_ref() {
+                    if !e.attrs.is_data() {
+                        continue;
+                    }
+                    let j = e.src;
+                    // "if I in s then return False" — a dependence cycle is
+                    // a recurrence.
+                    if j == id {
+                        verdict = Some(false);
+                        break;
+                    }
+                    if !self.in_loop[self.f.parent_block(j).index()] {
+                        continue;
+                    }
+                    if !self.enter(j) {
+                        verdict = Some(false);
+                        break;
+                    }
+                    if self.state[j.index()] == Visit::OnStack {
+                        descend = Some(j);
+                        break;
+                    }
+                }
+            }
+            if let Some(j) = descend {
+                frames.push((j, deps_of(j)));
+                continue;
+            }
+            // Every dependence was walked without a variant one: invariant.
+            let verdict = verdict.unwrap_or(true);
+            self.state[id.index()] = if verdict {
+                Visit::Invariant
+            } else {
+                Visit::Variant
+            };
+            frames.pop();
+            child = Some(verdict);
+        }
+        self.state[root.index()] == Visit::Invariant
+    }
+
+    /// Reach `id` from a dependence (or as a root): `false` when it is
+    /// known variant — settled so, ineligible, or on the stack already;
+    /// otherwise it is settled invariant, or newly marked `OnStack` for the
+    /// caller to push its frame.
+    fn enter(&mut self, id: InstId) -> bool {
+        match self.state[id.index()] {
+            Visit::OnStack | Visit::Variant => false,
+            Visit::Invariant => true,
+            Visit::Unknown if !self.eligible(id) => {
+                self.state[id.index()] = Visit::Variant;
+                false
+            }
+            Visit::Unknown => {
+                self.state[id.index()] = Visit::OnStack;
+                true
+            }
+        }
+    }
 }
 
 #[cfg(test)]

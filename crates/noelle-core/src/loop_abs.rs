@@ -9,14 +9,16 @@ use crate::env::Environment;
 use crate::induction::{ivs_noelle, InductionVariables};
 use crate::invariants::{invariants_noelle, InvariantSet};
 use crate::reduction::{reductions, Reduction};
-use noelle_analysis::scev::const_trip_count;
+use noelle_analysis::scev::{affine_recurrences, const_trip_count};
+use noelle_ir::cfg::Cfg;
+use noelle_ir::dom::DomTree;
 use noelle_ir::inst::InstId;
 use noelle_ir::loops::LoopInfo;
 use noelle_ir::module::FuncId;
 use noelle_pdg::depgraph::{DepEdge, DepGraph};
 use noelle_pdg::pdg::PdgBuilder;
 use noelle_pdg::sccdag::{SccDag, SccKind};
-use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// The canonical loop: structure + dependences + semantic views.
 #[derive(Debug)]
@@ -25,6 +27,9 @@ pub struct LoopAbstraction {
     pub fid: FuncId,
     /// The loop structure (LS).
     pub structure: LoopInfo,
+    /// The owning function's dominator tree — the manager's cached one,
+    /// shared, not a copy — which the techniques' gates read.
+    pub dom: Arc<DomTree>,
     /// The loop dependence graph (from the PDG, loop-refined).
     pub pdg: DepGraph<InstId>,
     /// The augmented SCCDAG.
@@ -40,46 +45,57 @@ pub struct LoopAbstraction {
     /// Live-ins/live-outs of the loop.
     pub env: Environment,
     /// [`LoopAbstraction::handled_recurrence_insts`], built once.
-    handled: BTreeSet<InstId>,
+    handled: Vec<InstId>,
 }
 
 impl LoopAbstraction {
     /// Build the full bundle for loop `l` of `fid` using `builder`'s alias
-    /// stack, function graph included — for callers without a `Noelle`
-    /// manager (the baseline parallelizer, unit tests).
+    /// stack, function graph and dominator tree included — for callers
+    /// without a `Noelle` manager (the baseline parallelizer, unit tests).
     pub fn build(builder: &PdgBuilder<'_>, fid: FuncId, l: LoopInfo) -> LoopAbstraction {
+        let f = builder.module().func(fid);
+        let dom = Arc::new(DomTree::new(f, &Cfg::new(f)));
         let function_graph = builder.function_pdg(fid);
-        LoopAbstraction::build_with(builder, fid, l, &function_graph)
+        LoopAbstraction::build_with(builder, fid, l, &function_graph, dom)
     }
 
     /// [`LoopAbstraction::build`] carving from an already-built function
-    /// PDG — the `Noelle` manager passes the function's cached partition, so
+    /// PDG and reading an already-built dominator tree — the `Noelle`
+    /// manager passes the function's cached partition and tree, so
     /// requesting several loop abstractions of one function analyzes the
     /// function once. The bundle itself is not cached: the caller owns it.
+    ///
+    /// The loop's affine recurrences are found once and handed to every
+    /// view that reads them (loop PDG, aSCCDAG, IVs, trip count).
     pub fn build_with(
         builder: &PdgBuilder<'_>,
         fid: FuncId,
         l: LoopInfo,
         function_graph: &DepGraph<InstId>,
+        dom: Arc<DomTree>,
     ) -> LoopAbstraction {
         let m = builder.module();
         let f = m.func(fid);
-        let pdg = builder.loop_pdg_with(fid, &l, function_graph);
-        let sccdag = SccDag::new(f, &l, &pdg);
-        let ivs = ivs_noelle(f, &l);
+        let recs = affine_recurrences(f, &l);
+        let pdg = builder.loop_pdg_with(fid, &l, function_graph, &recs);
+        let sccdag = SccDag::new(f, &l, &pdg, &recs);
+        let ivs = ivs_noelle(f, &l, &recs);
         let invariants = invariants_noelle(f, &l, &pdg);
         let reds = reductions(f, &l, &sccdag);
-        let trip_count = const_trip_count(f, &l);
+        let trip_count = const_trip_count(f, &l, &recs);
         let env = Environment::for_loop(m, f, &l);
-        let mut handled = ivs.recurrence_insts();
+        let mut handled: Vec<InstId> = recs.iter().flat_map(|r| [r.phi, r.update]).collect();
         for node in sccdag.nodes() {
             if node.kind == SccKind::Reducible {
-                handled.extend(node.insts.iter().copied());
+                handled.extend_from_slice(sccdag.insts(node.id));
             }
         }
+        handled.sort_unstable();
+        handled.dedup();
         LoopAbstraction {
             fid,
             structure: l,
+            dom,
             pdg,
             sccdag,
             ivs,
@@ -93,7 +109,8 @@ impl LoopAbstraction {
 
     /// Instructions that belong to IV recurrences or reducible SCCs — the
     /// loop-carried cycles a parallelizer knows how to handle specially.
-    pub fn handled_recurrence_insts(&self) -> &BTreeSet<InstId> {
+    /// Ascending, none twice.
+    pub fn handled_recurrence_insts(&self) -> &[InstId] {
         &self.handled
     }
 
@@ -107,8 +124,12 @@ impl LoopAbstraction {
                 && e.attrs.is_data()
                 && self.pdg.is_internal(e.src)
                 && self.pdg.is_internal(e.dst)
-                && !(self.handled.contains(&e.src) && self.handled.contains(&e.dst))
+                && !(self.handles(e.src) && self.handles(e.dst))
         })
+    }
+
+    fn handles(&self, i: InstId) -> bool {
+        self.handled.binary_search(&i).is_ok()
     }
 
     /// DOALL legality: no dependence blocks the distribution of iterations,
@@ -136,8 +157,6 @@ mod tests {
     use super::*;
     use noelle_analysis::alias::BasicAlias;
     use noelle_ir::builder::FunctionBuilder;
-    use noelle_ir::cfg::Cfg;
-    use noelle_ir::dom::DomTree;
     use noelle_ir::inst::{BinOp, IcmpPred};
     use noelle_ir::loops::LoopForest;
     use noelle_ir::module::Module;
@@ -230,10 +249,14 @@ mod tests {
                     let mut handled = la.ivs.recurrence_insts();
                     for node in la.sccdag.nodes() {
                         if node.kind == SccKind::Reducible {
-                            handled.extend(node.insts.iter().copied());
+                            handled.extend(la.sccdag.insts(node.id).iter().copied());
                         }
                     }
-                    assert_eq!(&handled, la.handled_recurrence_insts(), "{}", w.name);
+                    assert!(
+                        handled.iter().eq(la.handled_recurrence_insts()),
+                        "{}",
+                        w.name
+                    );
                     let old: Vec<_> = la
                         .pdg
                         .edges()

@@ -99,8 +99,9 @@ impl Abstraction {
 pub struct FuncStructures {
     /// Control-flow graph.
     pub cfg: Cfg,
-    /// Dominator tree.
-    pub dom: DomTree,
+    /// Dominator tree, shared with every [`LoopAbstraction`] built while
+    /// it stands.
+    pub dom: Arc<DomTree>,
     /// Loop forest, shared with every [`ProgramLoopForest`] assembled from
     /// the cache.
     pub forest: Arc<LoopForest>,
@@ -875,6 +876,12 @@ impl Noelle {
     /// of function `fid`, built together on first request.
     pub fn structures(&mut self, fid: FuncId) -> &FuncStructures {
         self.note(Abstraction::Ls);
+        self.cached_structures(fid)
+    }
+
+    /// [`Noelle::structures`] without recording a request: for the manager's
+    /// own readers, which ask for them on behalf of another abstraction.
+    fn cached_structures(&mut self, fid: FuncId) -> &FuncStructures {
         if self.slot(fid).structures.is_some() {
             self.counters.struct_hits += 1;
         } else {
@@ -888,7 +895,7 @@ impl Noelle {
             let forest = LoopForest::new(f, &cfg, &dom);
             self.slot(fid).structures = Some(FuncStructures {
                 cfg,
-                dom,
+                dom: Arc::new(dom),
                 forest: Arc::new(forest),
             });
             self.record_build(Abstraction::Ls, t.elapsed());
@@ -973,9 +980,12 @@ impl Noelle {
         // and a restarted daemon answers from the store without decoding
         // the rest of the program.
         let fg = self.partition(fid, &mut None);
+        let dom = Arc::clone(&self.cached_structures(fid).dom);
         let modref = self.ensure_modref();
         let t = Instant::now();
-        let la = self.with_stack(modref, |_, b| LoopAbstraction::build_with(b, fid, l, &fg));
+        let la = self.with_stack(modref, |_, b| {
+            LoopAbstraction::build_with(b, fid, l, &fg, dom)
+        });
         self.record_build(Abstraction::L, t.elapsed());
         la
     }

@@ -174,7 +174,8 @@ mod tests {
         let basic = BasicAlias::new(&m);
         let builder = PdgBuilder::new(&m, &basic);
         let g = builder.loop_pdg(fid, &l);
-        let dag = SccDag::new(f, &l, &g);
+        let recs = noelle_analysis::scev::affine_recurrences(f, &l);
+        let dag = SccDag::new(f, &l, &g, &recs);
         let rds = reductions(f, &l, &dag);
         assert_eq!(rds.len(), 1);
         assert_eq!(rds[0].op, BinOp::SMax);

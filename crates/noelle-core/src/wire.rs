@@ -107,7 +107,12 @@ pub fn sccdag_to_json(dag: &SccDag) -> Json {
                 ("id".to_string(), Json::Int(n.id as i64)),
                 (
                     "insts".to_string(),
-                    Json::Array(n.insts.iter().map(|i| Json::Int(i.0 as i64)).collect()),
+                    Json::Array(
+                        dag.insts(n.id)
+                            .iter()
+                            .map(|i| Json::Int(i.0 as i64))
+                            .collect(),
+                    ),
                 ),
                 ("kind".to_string(), Json::Str(scc_kind_name(n.kind).into())),
                 ("is_induction".to_string(), Json::Bool(n.is_induction)),

@@ -703,7 +703,7 @@ pub fn points_to_divergence(n: &Noelle) -> Option<String> {
 pub const EDIT_SCRIPT_STEPS: usize = 8;
 
 /// Where one pointer-flow edit lands: an instruction to delete, or one of
-/// its operands (counted as [`Inst::operands`] lists them) to swap.
+/// its operands (counted in [`Inst::for_each_operand`] order) to swap.
 type EditSite = (FuncId, InstId, Option<usize>);
 
 /// The kinds of destructive pointer-flow edit a script draws from.
@@ -730,6 +730,14 @@ const POINTER_EDITS: [PointerEdit; 5] = [
     PointerEdit::RepointCallee,
 ];
 
+/// The operands of `inst` as a list, for the edits that address one by its
+/// slot.
+pub(crate) fn operand_list(inst: &Inst) -> Vec<Value> {
+    let mut ops = Vec::new();
+    inst.for_each_operand(|v| ops.push(v));
+    ops
+}
+
 /// The sites of one kind of edit, in module order.
 fn edit_sites(m: &Module, kind: PointerEdit) -> Vec<EditSite> {
     let mut sites = Vec::new();
@@ -737,7 +745,7 @@ fn edit_sites(m: &Module, kind: PointerEdit) -> Vec<EditSite> {
         let f = m.func(fid);
         // The non-constant pointer operands of `id` in `slots`.
         let pointers = |id: InstId, slots: std::ops::Range<usize>| {
-            let ops = f.inst(id).operands().into_iter().enumerate();
+            let ops = operand_list(f.inst(id)).into_iter().enumerate();
             ops.filter(move |&(slot, v)| {
                 slots.contains(&slot)
                     && !matches!(v, Value::Const(_))
@@ -822,7 +830,7 @@ pub fn edit_script_divergence(n: &mut Noelle, seed: u64, steps: usize) -> Option
         let m = n.module();
         let f = m.func(fid);
         let swap = slot.map(|slot| {
-            let values = same_typed_values(m, f, f.inst(id).operands()[slot]);
+            let values = same_typed_values(m, f, operand_list(f.inst(id))[slot]);
             (slot, *rng.pick(&values))
         });
         let edit = format!("step {step}: {:?} of @{} -> {swap:?}", f.inst(id), f.name);

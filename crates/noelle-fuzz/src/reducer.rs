@@ -38,6 +38,8 @@ use noelle_ir::types::Type;
 use noelle_ir::value::{Constant, Value};
 use noelle_ir::verifier::verify_module;
 
+use crate::oracle::operand_list;
+
 /// Default bound on reduction rounds; each round is a full pass sequence.
 pub const DEFAULT_MAX_ROUNDS: usize = 12;
 
@@ -87,11 +89,11 @@ fn metric(m: &Module) -> Metric {
             reachable += f.block(b).insts.len();
         }
         for id in f.inst_ids() {
-            for op in f.inst(id).operands() {
+            f.inst(id).for_each_operand(|op| {
                 if let Value::Const(Constant::Int(v, _)) = op {
                     const_mag += v.unsigned_abs() as u128;
                 }
-            }
+            });
         }
     }
     (reachable, m.total_insts(), const_mag)
@@ -301,7 +303,7 @@ impl<'a> Reducer<'a> {
                 if f.position_in_block(id).is_none() {
                     continue;
                 }
-                let ops = f.inst(id).operands();
+                let ops = operand_list(f.inst(id));
                 for (k, op) in ops.iter().enumerate() {
                     let (v, w) = match op {
                         Value::Const(Constant::Int(v, w)) if v.unsigned_abs() > 1 => (*v, *w),

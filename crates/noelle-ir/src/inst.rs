@@ -512,44 +512,9 @@ impl Inst {
         }
     }
 
-    /// All value operands of the instruction, in a fixed order.
-    pub fn operands(&self) -> Vec<Value> {
-        match self {
-            Inst::Alloca { count, .. } => vec![*count],
-            Inst::Load { ptr, .. } => vec![*ptr],
-            Inst::Store { val, ptr, .. } => vec![*val, *ptr],
-            Inst::Gep { base, indices, .. } => {
-                let mut out = vec![*base];
-                out.extend(indices.iter().copied());
-                out
-            }
-            Inst::Bin { lhs, rhs, .. } => vec![*lhs, *rhs],
-            Inst::Icmp { lhs, rhs, .. } | Inst::Fcmp { lhs, rhs, .. } => vec![*lhs, *rhs],
-            Inst::Cast { val, .. } => vec![*val],
-            Inst::Select {
-                cond, tval, fval, ..
-            } => vec![*cond, *tval, *fval],
-            Inst::Phi { incomings, .. } => incomings.iter().map(|(_, v)| *v).collect(),
-            Inst::Call { callee, args, .. } => {
-                let mut out = Vec::with_capacity(args.len() + 1);
-                if let Callee::Indirect(v) = callee {
-                    out.push(*v);
-                }
-                out.extend(args.iter().copied());
-                out
-            }
-            Inst::Term(t) => match t {
-                Terminator::Ret(Some(v)) => vec![*v],
-                Terminator::Ret(None) | Terminator::Br(_) | Terminator::Unreachable => vec![],
-                Terminator::CondBr { cond, .. } => vec![*cond],
-                Terminator::Switch { value, .. } => vec![*value],
-            },
-        }
-    }
-
-    /// Visit every value operand in the same fixed order as [`Inst::operands`]
-    /// without materializing a `Vec` — the per-instruction allocation in
-    /// `operands` dominates whole-module scans on large modules.
+    /// Visit every value operand, in a fixed order: the one way to walk an
+    /// instruction's operands. A caller that needs them as a list collects
+    /// one.
     pub fn for_each_operand(&self, mut f: impl FnMut(Value)) {
         match self {
             Inst::Alloca { count, .. } => f(*count),
@@ -598,6 +563,13 @@ impl Inst {
                 Terminator::Switch { value, .. } => f(*value),
             },
         }
+    }
+
+    /// True if `v` is one of the instruction's operands.
+    pub fn uses(&self, v: Value) -> bool {
+        let mut found = false;
+        self.for_each_operand(|op| found |= op == v);
+        found
     }
 
     /// Apply `f` to every value operand in place (replace-all-uses support).
@@ -800,7 +772,10 @@ mod tests {
             Value::Arg(0) => Value::const_i64(7),
             other => other,
         });
-        assert_eq!(i.operands(), vec![Value::const_i64(7), Value::Arg(1)]);
+        let mut operands = Vec::new();
+        i.for_each_operand(|v| operands.push(v));
+        assert_eq!(operands, vec![Value::const_i64(7), Value::Arg(1)]);
+        assert!(i.uses(Value::Arg(1)) && !i.uses(Value::Arg(0)));
     }
 
     #[test]

@@ -340,11 +340,11 @@ impl Function {
     pub fn compute_uses(&self) -> HashMap<InstId, Vec<InstId>> {
         let mut uses: HashMap<InstId, Vec<InstId>> = HashMap::new();
         for id in self.inst_ids() {
-            for op in self.inst(id).operands() {
+            self.inst(id).for_each_operand(|op| {
                 if let Value::Inst(def) = op {
                     uses.entry(def).or_default().push(id);
                 }
-            }
+            });
         }
         uses
     }

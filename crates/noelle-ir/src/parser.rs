@@ -1418,7 +1418,11 @@ global @both : i64 = i64 0
         assert_eq!(m.name, "λ \"q\" \\ \n");
         assert_eq!(m.metadata["clé"], "värde");
         let f = m.func_by_name("f").unwrap();
-        let operands = |i: usize| f.inst(f.inst_ids()[i]).operands();
+        let operands = |i: usize| {
+            let mut ops = Vec::new();
+            f.inst(f.inst_ids()[i]).for_each_operand(|v| ops.push(v));
+            ops
+        };
         assert_eq!(
             operands(0),
             [f64::INFINITY, f64::NEG_INFINITY].map(Value::const_f64)

@@ -519,7 +519,7 @@ fn carried_dep_blockers(
                 && matches!(
                     (la.sccdag.scc_of(anchor), la.sccdag.scc_of(other)),
                     (Some(a), Some(b))
-                        if a == b && scc_is_reduction_like(f, &la.sccdag.nodes()[a].insts)
+                        if a == b && scc_is_reduction_like(f, la.sccdag.insts(a))
                 );
             if any_must {
                 let hint = if reduction_like {
@@ -632,7 +632,7 @@ fn register_recurrence_hint(la: &LoopAbstraction, inst: InstId) -> Hint {
 
 /// True when the SCC's arithmetic is a single associative binary operator
 /// applied along the cycle (add/mul/and/or/xor/min-max style updates).
-fn scc_is_reduction_like(f: &noelle_ir::module::Function, insts: &BTreeSet<InstId>) -> bool {
+fn scc_is_reduction_like(f: &noelle_ir::module::Function, insts: &[InstId]) -> bool {
     use noelle_ir::inst::BinOp;
     let mut op: Option<BinOp> = None;
     for &i in insts {
@@ -778,7 +778,7 @@ fn segment_blockers(m: &Module, fid: FuncId, la: &LoopAbstraction, reason: &str)
         None => la
             .sequential_sccs()
             .into_iter()
-            .map(|s| la.sccdag.nodes()[s].insts.clone())
+            .map(|s| la.sccdag.insts(s).iter().copied().collect())
             .collect(),
     };
     for insts in groups {
@@ -814,19 +814,15 @@ fn cyclic_scc_blockers(
         .sccdag
         .nodes()
         .iter()
-        .filter(|n| !n.is_induction && n.insts.len() > 1)
-        .max_by_key(|n| n.insts.len());
-    let Some(node) = best else {
+        .filter(|n| !n.is_induction)
+        .map(|n| la.sccdag.insts(n.id))
+        .filter(|insts| insts.len() > 1)
+        .max_by_key(|insts| insts.len());
+    let Some(insts) = best else {
         return vec![shape_blocker(m, fid, la, reason)];
     };
-    let anchor = *node.insts.iter().next().expect("non-empty SCC");
-    let related: Vec<InstId> = node
-        .insts
-        .iter()
-        .copied()
-        .skip(1)
-        .take(MAX_RELATED)
-        .collect();
+    let anchor = insts[0];
+    let related: Vec<InstId> = insts.iter().copied().skip(1).take(MAX_RELATED).collect();
     vec![Blocker {
         kind: BlockerKind::CyclicSccSpan,
         inst: anchor,
@@ -835,7 +831,7 @@ fn cyclic_scc_blockers(
         objects: Vec::new(),
         detail: format!(
             "cyclic SCC of {} instruction(s) resists pipeline staging ({reason})",
-            node.insts.len()
+            insts.len()
         ),
         hint: Hint::Speculate,
     }]

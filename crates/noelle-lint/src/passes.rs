@@ -397,11 +397,11 @@ fn run_hygiene(n: &mut Noelle, fids: &[FuncId]) -> Vec<Finding> {
             let reachable = reachable_blocks(m, fid);
             let mut used: BTreeSet<InstId> = BTreeSet::new();
             for id in f.inst_ids() {
-                for op in f.inst(id).operands() {
+                f.inst(id).for_each_operand(|op| {
                     if let Value::Inst(u) = op {
                         used.insert(u);
                     }
-                }
+                });
             }
             for &b in f.block_order() {
                 if !reachable.contains(&b) {

@@ -301,7 +301,7 @@ fn arg_sources(m: &Module, fid: FuncId, argno: usize) -> Option<Vec<(FuncId, Val
                     continue;
                 }
             }
-            if inst.operands().contains(&Value::Func(fid)) {
+            if inst.uses(Value::Func(fid)) {
                 return None;
             }
         }
@@ -736,10 +736,11 @@ fn depends_on_task_id(f: &Function, v: Value, visited: &mut BTreeSet<InstId>) ->
             if !visited.insert(id) {
                 return false;
             }
-            f.inst(id)
-                .operands()
-                .iter()
-                .any(|&o| depends_on_task_id(f, o, visited))
+            let mut depends = false;
+            f.inst(id).for_each_operand(|o| {
+                depends = depends || depends_on_task_id(f, o, visited);
+            });
+            depends
         }
         _ => false,
     }

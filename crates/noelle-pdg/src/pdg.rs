@@ -478,7 +478,8 @@ impl<'a> PdgBuilder<'a> {
     /// producers/consumers, and memory/register dependences carry
     /// loop-carried flags refined with loop-centric analyses.
     pub fn loop_pdg(&self, fid: FuncId, l: &LoopInfo) -> DepGraph<InstId> {
-        self.loop_pdg_with(fid, l, &self.function_pdg(fid))
+        let recs = affine_recurrences(self.module.func(fid), l);
+        self.loop_pdg_with(fid, l, &self.function_pdg(fid), &recs)
     }
 
     /// [`PdgBuilder::loop_pdg`] carving from an already-built function PDG —
@@ -492,12 +493,14 @@ impl<'a> PdgBuilder<'a> {
     /// direction (the function graph orients same-block pairs one way, and
     /// a dependence kind exists in both directions or neither);
     /// the edge's `must` flag is the `Must` verdict. The alias stack is not
-    /// asked again.
+    /// asked again. `recs` are the loop's `affine_recurrences`, which the
+    /// caller computes once for every view of the loop that reads them.
     pub fn loop_pdg_with(
         &self,
         fid: FuncId,
         l: &LoopInfo,
         function_graph: &DepGraph<InstId>,
+        recs: &[AddRec],
     ) -> DepGraph<InstId> {
         let f = self.module.func(fid);
         // The loop's instructions, ascending, and the same set as a mark per
@@ -553,12 +556,11 @@ impl<'a> PdgBuilder<'a> {
         // Loop-centric memory refinement: every memory access of the loop in
         // ascending order, each followed by its conflicts with the accesses
         // after it.
-        let recs = affine_recurrences(f, l);
         // Body order, for the pairs that need it: most loops have none.
         let mut layout: Option<LayoutIndex> = None;
         let iter_local = |e: &MemEffect| {
             e.ptr
-                .map(|p| distinct_per_iteration(f, l, &recs, p))
+                .map(|p| distinct_per_iteration(f, l, recs, p))
                 .unwrap_or(false)
         };
         for &ia in &loop_insts {
@@ -1034,7 +1036,8 @@ mod tests {
         let builder = PdgBuilder::new(&m, &basic);
         let fg = builder.function_pdg(fid);
         let direct = builder.loop_pdg(fid, &l);
-        let reused = builder.loop_pdg_with(fid, &l, &fg);
+        let recs = affine_recurrences(m.func(fid), &l);
+        let reused = builder.loop_pdg_with(fid, &l, &fg, &recs);
         assert_eq!(edge_set(&direct), edge_set(&reused));
     }
 

@@ -8,10 +8,10 @@
 //! [`SccKind::Sequential`], or [`SccKind::Reducible`].
 
 use crate::depgraph::DepGraph;
+use noelle_analysis::scev::AddRec;
 use noelle_ir::inst::{BinOp, Inst, InstId};
 use noelle_ir::loops::LoopInfo;
 use noelle_ir::module::Function;
-use std::collections::{BTreeSet, HashMap};
 
 /// Classification of an SCC of a loop dependence graph.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -26,13 +26,11 @@ pub enum SccKind {
     Reducible,
 }
 
-/// One SCC of the aSCCDAG.
+/// One SCC of the aSCCDAG. Its instructions are [`SccDag::insts`]`(id)`.
 #[derive(Clone, Debug)]
 pub struct SccNode {
     /// Dense id of this SCC within its DAG.
     pub id: usize,
-    /// Instructions composing the SCC.
-    pub insts: BTreeSet<InstId>,
     /// Classification.
     pub kind: SccKind,
     /// For reducible SCCs: the reduction operator.
@@ -45,62 +43,93 @@ pub struct SccNode {
     pub is_induction: bool,
 }
 
-/// The augmented SCCDAG of a loop.
+/// The augmented SCCDAG of a loop, in the loop's own slot space: the
+/// loop's instructions ascending, the SCC of each, every SCC's members as
+/// one range of a single array, and the DAG edges as a sorted list. Nothing
+/// is keyed by instruction and nothing is allocated per SCC.
 #[derive(Clone, Debug)]
 pub struct SccDag {
     nodes: Vec<SccNode>,
-    /// DAG edges between SCCs: `(src, dst)` with `dst` depending on `src`.
-    edges: BTreeSet<(usize, usize)>,
-    /// SCC of each instruction.
-    scc_of: HashMap<InstId, usize>,
+    /// The members of every SCC, grouped by SCC in emission order, each
+    /// group ascending.
+    members: Vec<InstId>,
+    /// SCC `s` owns `members[offsets[s]..offsets[s + 1]]`.
+    offsets: Vec<u32>,
+    /// The loop's instructions (the graph's internal nodes), ascending.
+    internal: Vec<InstId>,
+    /// SCC of `internal[k]`.
+    comp: Vec<u32>,
+    /// DAG edges `(src, dst)` with `dst` depending on `src`: ascending, none
+    /// twice.
+    edges: Vec<(usize, usize)>,
+}
+
+/// What [`classify`] needs to know of an SCC's edges, gathered for every
+/// SCC in one pass over the loop graph.
+#[derive(Clone, Copy, Default)]
+struct SccFacts {
+    /// A loop-carried data edge joins two of its members.
+    carried: bool,
+    /// One of those goes through memory.
+    carried_memory: bool,
+    /// A register value of one of its members feeds another SCC of the loop.
+    leaks: bool,
 }
 
 impl SccDag {
     /// Build the aSCCDAG of loop `l` from its loop dependence graph
-    /// (`loop_pdg` of [`crate::pdg::PdgBuilder`]).
-    pub fn new(f: &Function, l: &LoopInfo, g: &DepGraph<InstId>) -> SccDag {
+    /// (`loop_pdg_with` of [`crate::pdg::PdgBuilder`]) and the loop's affine
+    /// recurrences (`noelle_analysis::scev::affine_recurrences`).
+    pub fn new(f: &Function, l: &LoopInfo, g: &DepGraph<InstId>, recs: &[AddRec]) -> SccDag {
         let internal: Vec<InstId> = g.internal_nodes().collect();
-        let sccs = tarjan(&internal, g);
-        let mut scc_of = HashMap::new();
-        for (i, scc) in sccs.iter().enumerate() {
-            for &n in scc {
-                scc_of.insert(n, i);
-            }
-        }
-        let mut edges = BTreeSet::new();
+        let (members, offsets, comp) = tarjan(&internal, g);
+        let n = offsets.len() - 1;
+        let scc_of = |x: InstId| internal.binary_search(&x).ok().map(|k| comp[k] as usize);
+        let mut edges = Vec::with_capacity(g.edges().len());
+        let mut facts = vec![SccFacts::default(); n];
         for e in g.edges() {
-            if let (Some(&a), Some(&b)) = (scc_of.get(&e.src), scc_of.get(&e.dst)) {
-                if a != b {
-                    edges.insert((a, b));
-                }
+            let (Some(a), Some(b)) = (scc_of(e.src), scc_of(e.dst)) else {
+                continue;
+            };
+            let register = e.attrs.is_data() && !e.attrs.memory;
+            if a != b {
+                edges.push((a, b));
+                facts[a].leaks |= register;
+            } else if e.attrs.loop_carried && e.attrs.is_data() {
+                facts[a].carried = true;
+                facts[a].carried_memory |= e.attrs.memory;
             }
         }
-        let recs = noelle_analysis::scev::affine_recurrences(f, l);
-        let iv_insts: BTreeSet<InstId> = recs.iter().flat_map(|r| [r.phi, r.update]).collect();
-        let mut nodes = Vec::new();
-        for (i, scc) in sccs.iter().enumerate() {
-            let insts: BTreeSet<InstId> = scc.iter().copied().collect();
-            let (kind, reduction_op, reduction_phi) = classify(f, l, g, &insts);
-            // A governing-IV SCC also pulls in the exit compare and the loop
-            // branch through control-dependence edges; those still count as
-            // an induction SCC (each core recomputes them).
-            let is_induction = insts.iter().any(|x| iv_insts.contains(x))
-                && insts.iter().all(|x| {
-                    iv_insts.contains(x) || matches!(f.inst(*x), Inst::Icmp { .. } | Inst::Term(_))
-                });
-            nodes.push(SccNode {
-                id: i,
-                insts,
-                kind,
-                reduction_op,
-                reduction_phi,
-                is_induction,
-            });
-        }
+        edges.sort_unstable();
+        edges.dedup();
+        let is_rec = |x: &InstId| recs.iter().any(|r| r.phi == *x || r.update == *x);
+        let nodes = (0..n)
+            .map(|s| {
+                let insts = &members[offsets[s] as usize..offsets[s + 1] as usize];
+                let (kind, reduction_op, reduction_phi) = classify(f, l, insts, facts[s]);
+                // A governing-IV SCC also pulls in the exit compare and the
+                // loop branch through control-dependence edges; those still
+                // count as an induction SCC (each core recomputes them).
+                let is_induction = insts.iter().any(is_rec)
+                    && insts.iter().all(|x| {
+                        is_rec(x) || matches!(f.inst(*x), Inst::Icmp { .. } | Inst::Term(_))
+                    });
+                SccNode {
+                    id: s,
+                    kind,
+                    reduction_op,
+                    reduction_phi,
+                    is_induction,
+                }
+            })
+            .collect();
         SccDag {
             nodes,
+            members,
+            offsets,
+            internal,
+            comp,
             edges,
-            scc_of,
         }
     }
 
@@ -109,21 +138,29 @@ impl SccDag {
         &self.nodes
     }
 
-    /// Inter-SCC dependence edges.
+    /// The instructions of SCC `s`, ascending.
+    pub fn insts(&self, s: usize) -> &[InstId] {
+        &self.members[self.offsets[s] as usize..self.offsets[s + 1] as usize]
+    }
+
+    /// Inter-SCC dependence edges, ascending.
     pub fn edges(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         self.edges.iter().copied()
     }
 
     /// SCC containing instruction `i`, if it is part of the loop.
     pub fn scc_of(&self, i: InstId) -> Option<usize> {
-        self.scc_of.get(&i).copied()
+        let k = self.internal.binary_search(&i).ok()?;
+        Some(self.comp[k] as usize)
     }
 
     /// SCCs with no incoming inter-SCC edges.
     pub fn roots(&self) -> Vec<usize> {
-        (0..self.nodes.len())
-            .filter(|&n| !self.edges.iter().any(|&(_, d)| d == n))
-            .collect()
+        let mut fed = vec![false; self.nodes.len()];
+        for &(_, d) in &self.edges {
+            fed[d] = true;
+        }
+        (0..self.nodes.len()).filter(|&s| !fed[s]).collect()
     }
 
     /// Topological order of the SCC DAG.
@@ -137,12 +174,12 @@ impl SccDag {
         let mut out = Vec::with_capacity(n);
         while let Some(x) = queue.pop() {
             out.push(x);
-            for &(s, d) in &self.edges {
-                if s == x {
-                    indeg[d] -= 1;
-                    if indeg[d] == 0 {
-                        queue.push(d);
-                    }
+            // The edges are sorted, so `x`'s are one run.
+            let first = self.edges.partition_point(|&(s, _)| s < x);
+            for &(_, d) in self.edges[first..].iter().take_while(|&&(s, _)| s == x) {
+                indeg[d] -= 1;
+                if indeg[d] == 0 {
+                    queue.push(d);
                 }
             }
         }
@@ -165,61 +202,63 @@ impl SccDag {
     }
 }
 
-/// Tarjan's algorithm over the internal nodes of `g` (iterative).
+/// Tarjan's algorithm over the internal nodes of `g` (iterative), in flat
+/// arrays: `(members, offsets, comp)` — every SCC's nodes as one ascending
+/// run of `members` (SCC `s` is `offsets[s]..offsets[s + 1]`), in emission
+/// order, and the SCC of `nodes[k]` as `comp[k]`.
 ///
-/// Works entirely on dense `0..n` indices: `nodes` is sorted (it comes from
-/// the graph's internal `BTreeSet`), so node→index is a binary search and all
-/// per-node state lives in flat `Vec`s instead of a `HashMap<InstId, _>`.
-/// Successor lists are packed once up front into a CSR array, sorted and
-/// deduplicated exactly as the map-based version sorted its neighbor vectors
-/// — roots and successors are visited in the same order, so the SCC output
-/// (contents and emission order) is identical.
-fn tarjan(nodes: &[InstId], g: &DepGraph<InstId>) -> Vec<Vec<InstId>> {
+/// Works entirely on dense `0..n` indices: `nodes` is sorted (the graph's
+/// internal nodes are), so node→index is a binary search. Successor lists
+/// are packed once up front into a CSR array, sorted and deduplicated, so
+/// roots and successors are visited in ascending order. A visited node is on
+/// the Tarjan stack exactly until its SCC is emitted, which is when it gets
+/// a `comp` — no separate on-stack flag.
+fn tarjan(nodes: &[InstId], g: &DepGraph<InstId>) -> (Vec<InstId>, Vec<u32>, Vec<u32>) {
     let n = nodes.len();
-    let idx = |x: InstId| {
-        nodes
-            .binary_search(&x)
-            .expect("successor not an internal node")
-    };
     // CSR successor packing. InstId sorting and dense-index sorting agree
     // because `nodes` is sorted and the mapping is monotone.
     let mut succ_off = Vec::with_capacity(n + 1);
-    let mut succ: Vec<u32> = Vec::new();
-    let mut scratch: Vec<u32> = Vec::new();
+    let mut succ: Vec<u32> = Vec::with_capacity(g.edges().len());
     succ_off.push(0u32);
     for &node in nodes {
-        scratch.clear();
-        scratch.extend(
+        let start = succ.len();
+        succ.extend(
             g.edges_from(node)
-                .filter(|e| g.is_internal(e.dst))
-                .map(|e| idx(e.dst) as u32),
+                .filter_map(|e| nodes.binary_search(&e.dst).ok())
+                .map(|w| w as u32),
         );
-        scratch.sort_unstable();
-        scratch.dedup();
-        succ.extend_from_slice(&scratch);
+        succ[start..].sort_unstable();
+        let mut kept = start;
+        for r in start..succ.len() {
+            if kept == start || succ[r] != succ[kept - 1] {
+                succ[kept] = succ[r];
+                kept += 1;
+            }
+        }
+        succ.truncate(kept);
         succ_off.push(succ.len() as u32);
     }
     let succs_of = |v: usize| -> &[u32] { &succ[succ_off[v] as usize..succ_off[v + 1] as usize] };
 
-    const UNVISITED: u32 = u32::MAX;
-    let mut index = vec![UNVISITED; n];
-    let mut lowlink = vec![0u32; n];
-    let mut on_stack = vec![false; n];
+    const NONE: u32 = u32::MAX;
+    // (index, lowlink) of each node; `index` is NONE until visited.
+    let mut num = vec![(NONE, 0u32); n];
+    let mut comp = vec![NONE; n];
     let mut counter = 0u32;
-    let mut stack: Vec<u32> = Vec::new();
-    let mut sccs: Vec<Vec<InstId>> = Vec::new();
+    let mut stack: Vec<u32> = Vec::with_capacity(n);
+    let mut members: Vec<InstId> = Vec::with_capacity(n);
+    let mut offsets: Vec<u32> = Vec::with_capacity(n + 1);
+    offsets.push(0);
     // Iterative DFS: (node, next successor position).
-    let mut call_stack: Vec<(u32, u32)> = Vec::new();
+    let mut call_stack: Vec<(u32, u32)> = Vec::with_capacity(n);
 
     for root in 0..n {
-        if index[root] != UNVISITED {
+        if num[root].0 != NONE {
             continue;
         }
-        index[root] = counter;
-        lowlink[root] = counter;
+        num[root] = (counter, counter);
         counter += 1;
         stack.push(root as u32);
-        on_stack[root] = true;
         call_stack.push((root as u32, 0));
 
         while let Some(&mut (node, ref mut pos)) = call_stack.last_mut() {
@@ -228,66 +267,57 @@ fn tarjan(nodes: &[InstId], g: &DepGraph<InstId>) -> Vec<Vec<InstId>> {
             if (*pos as usize) < succs.len() {
                 let w = succs[*pos as usize] as usize;
                 *pos += 1;
-                if index[w] == UNVISITED {
-                    index[w] = counter;
-                    lowlink[w] = counter;
+                if num[w].0 == NONE {
+                    num[w] = (counter, counter);
                     counter += 1;
                     stack.push(w as u32);
-                    on_stack[w] = true;
                     call_stack.push((w as u32, 0));
-                } else if on_stack[w] {
-                    lowlink[v] = lowlink[v].min(index[w]);
+                } else if comp[w] == NONE {
+                    // Visited and not yet emitted: on the stack.
+                    num[v].1 = num[v].1.min(num[w].0);
                 }
             } else {
                 call_stack.pop();
                 if let Some(&(parent, _)) = call_stack.last() {
                     let p = parent as usize;
-                    lowlink[p] = lowlink[p].min(lowlink[v]);
+                    num[p].1 = num[p].1.min(num[v].1);
                 }
-                if lowlink[v] == index[v] {
-                    let mut scc = Vec::new();
+                if num[v].1 == num[v].0 {
+                    let scc = (offsets.len() - 1) as u32;
+                    let start = members.len();
                     loop {
                         let w = stack.pop().expect("tarjan stack underflow") as usize;
-                        on_stack[w] = false;
-                        scc.push(nodes[w]);
+                        comp[w] = scc;
+                        members.push(nodes[w]);
                         if w == v {
                             break;
                         }
                     }
-                    scc.sort();
-                    sccs.push(scc);
+                    members[start..].sort_unstable();
+                    offsets.push(members.len() as u32);
                 }
             }
         }
     }
-    sccs
+    (members, offsets, comp)
 }
 
-/// Classify an SCC per the paper's aSCCDAG definition.
+/// Classify an SCC per the paper's aSCCDAG definition, from its members and
+/// what the loop graph's edges say of it.
 fn classify(
     f: &Function,
     l: &LoopInfo,
-    g: &DepGraph<InstId>,
-    insts: &BTreeSet<InstId>,
+    insts: &[InstId],
+    facts: SccFacts,
 ) -> (SccKind, Option<BinOp>, Option<InstId>) {
     // Loop-carried data dependences internal to the SCC?
-    let carried: Vec<_> = g
-        .edges()
-        .iter()
-        .filter(|e| {
-            e.attrs.loop_carried
-                && e.attrs.is_data()
-                && insts.contains(&e.src)
-                && insts.contains(&e.dst)
-        })
-        .collect();
-    if carried.is_empty() {
+    if !facts.carried {
         return (SccKind::Independent, None, None);
     }
     // Reduction pattern: the SCC is {phi, op} (possibly with casts) where op
     // is commutative+associative and the phi lives in the header. Memory
     // dependences disqualify.
-    if carried.iter().any(|e| e.attrs.memory) {
+    if facts.carried_memory {
         return (SccKind::Sequential, None, None);
     }
     let mut phi = None;
@@ -310,21 +340,11 @@ fn classify(
             _ => clean = false,
         }
     }
-    if let (true, Some(phi), Some(op)) = (clean, phi, op) {
-        // The accumulated value must not be observed mid-loop by
-        // instructions outside the SCC (other than after the loop). Uses of
-        // the phi or the op inside the loop but outside the SCC break the
-        // reduction.
-        let observed_inside = g.edges().iter().any(|e| {
-            insts.contains(&e.src)
-                && !insts.contains(&e.dst)
-                && g.is_internal(e.dst)
-                && e.attrs.is_data()
-                && !e.attrs.memory
-        });
-        if !observed_inside {
-            return (SccKind::Reducible, Some(op), Some(phi));
-        }
+    // The accumulated value must not be observed mid-loop by instructions
+    // outside the SCC (other than after the loop): a register use of the
+    // phi or the op by another SCC of the loop breaks the reduction.
+    if let (true, Some(phi), Some(op), false) = (clean, phi, op, facts.leaks) {
+        return (SccKind::Reducible, Some(op), Some(phi));
     }
     (SccKind::Sequential, None, None)
 }
@@ -334,6 +354,7 @@ mod tests {
     use super::*;
     use crate::pdg::PdgBuilder;
     use noelle_analysis::alias::BasicAlias;
+    use noelle_analysis::scev::affine_recurrences;
     use noelle_ir::builder::FunctionBuilder;
     use noelle_ir::cfg::Cfg;
     use noelle_ir::dom::DomTree;
@@ -344,6 +365,11 @@ mod tests {
     use noelle_ir::value::Value;
 
     fn build_reduction() -> (Module, FuncId, LoopInfo) {
+        reduction_loop(false)
+    }
+
+    /// `sum += a[i]`, with `sum * 3` computed in the body when `observed`.
+    fn reduction_loop(observed: bool) -> (Module, FuncId, LoopInfo) {
         let mut m = Module::new("t");
         let mut b = FunctionBuilder::new(
             "k",
@@ -365,6 +391,9 @@ mod tests {
         let p = b.index_ptr(Type::I64, b.arg(0), i);
         let v = b.load(Type::I64, p);
         let sum2 = b.binop(BinOp::Add, Type::I64, sum, v);
+        if observed {
+            b.binop(BinOp::Mul, Type::I64, sum2, Value::const_i64(3));
+        }
         let i2 = b.binop(BinOp::Add, Type::I64, i, Value::const_i64(1));
         b.br(header);
         b.add_incoming(i, body, i2);
@@ -387,7 +416,7 @@ mod tests {
         let builder = PdgBuilder::new(&m, &basic);
         let g = builder.loop_pdg(fid, &l);
         let f = m.func(fid);
-        let dag = SccDag::new(f, &l, &g);
+        let dag = SccDag::new(f, &l, &g, &affine_recurrences(f, &l));
         let reducible: Vec<_> = dag
             .nodes()
             .iter()
@@ -409,13 +438,13 @@ mod tests {
         let builder = PdgBuilder::new(&m, &basic);
         let g = builder.loop_pdg(fid, &l);
         let f = m.func(fid);
-        let dag = SccDag::new(f, &l, &g);
+        let dag = SccDag::new(f, &l, &g, &affine_recurrences(f, &l));
         // The a[i] load (no carried deps) sits in an Independent SCC.
         let load_scc = dag
             .nodes()
             .iter()
             .find(|n| {
-                n.insts
+                dag.insts(n.id)
                     .iter()
                     .any(|&i| matches!(f.inst(i), Inst::Load { .. }))
             })
@@ -430,13 +459,13 @@ mod tests {
         let builder = PdgBuilder::new(&m, &basic);
         let g = builder.loop_pdg(fid, &l);
         let f = m.func(fid);
-        let dag = SccDag::new(f, &l, &g);
+        let dag = SccDag::new(f, &l, &g, &affine_recurrences(f, &l));
         // The reduction SCC depends on the load SCC (sum2 = sum + v).
         let load_scc = dag
             .nodes()
             .iter()
             .position(|n| {
-                n.insts
+                dag.insts(n.id)
                     .iter()
                     .any(|&i| matches!(f.inst(i), Inst::Load { .. }))
             })
@@ -452,6 +481,23 @@ mod tests {
         let pos = |x: usize| topo.iter().position(|&y| y == x).unwrap();
         assert!(pos(load_scc) < pos(red_scc));
         assert_eq!(topo.len(), dag.nodes().len());
+    }
+
+    #[test]
+    fn a_reduction_observed_inside_the_loop_is_sequential() {
+        // for (i...) { sum += a[i]; t = sum * 3; }: another SCC reads the
+        // running sum every iteration, so it cannot be split into per-core
+        // partials.
+        let (m, fid, l) = reduction_loop(true);
+        let basic = BasicAlias::new(&m);
+        let g = PdgBuilder::new(&m, &basic).loop_pdg(fid, &l);
+        let f = m.func(fid);
+        let dag = SccDag::new(f, &l, &g, &affine_recurrences(f, &l));
+        let sum = f.phis(l.header)[1];
+        let s = dag.scc_of(sum).unwrap();
+        assert_eq!(dag.insts(s).len(), 2, "the accumulator phi and its update");
+        assert_eq!(dag.nodes()[s].kind, SccKind::Sequential);
+        assert!(dag.nodes().iter().all(|n| n.kind != SccKind::Reducible));
     }
 
     #[test]
@@ -492,18 +538,16 @@ mod tests {
         let basic = BasicAlias::new(&m);
         let builder = PdgBuilder::new(&m, &basic);
         let g = builder.loop_pdg(fid, &l);
-        let dag = SccDag::new(f, &l, &g);
+        let dag = SccDag::new(f, &l, &g, &affine_recurrences(f, &l));
         let seq = dag.sequential_sccs();
         assert!(!seq.is_empty());
         assert!(!dag.is_fully_parallelizable());
         // The sequential SCC contains both the load and the store.
-        let node = &dag.nodes()[seq[0]];
-        assert!(node
-            .insts
+        let insts = dag.insts(seq[0]);
+        assert!(insts
             .iter()
             .any(|&i| matches!(f.inst(i), Inst::Load { .. })));
-        assert!(node
-            .insts
+        assert!(insts
             .iter()
             .any(|&i| matches!(f.inst(i), Inst::Store { .. })));
     }

@@ -13,7 +13,7 @@
 //! emits a deterministic, explainable report; [`apply_plan`] executes the
 //! winners through the unified [`LoopTargetOpts`] transform surface.
 
-use noelle_analysis::scev::trip_count_given;
+use noelle_analysis::scev::{affine_recurrences, trip_count_given};
 use noelle_core::architecture::{bin_cost, static_cost, Architecture};
 use noelle_core::json::Json;
 use noelle_core::noelle::{CallEdges, Noelle};
@@ -492,7 +492,8 @@ fn trip_estimate(
     }
     let from_callers = || {
         let bound = known_value(m, calls, fid, la.ivs.governing()?.bound?, BOUND_DEPTH)?;
-        trip_count_given(m.func(fid), &la.structure, Some(bound))
+        let (f, l) = (m.func(fid), &la.structure);
+        trip_count_given(f, l, &affine_recurrences(f, l), Some(bound))
     };
     match la.trip_count.or_else(from_callers) {
         Some(t) if t > 0 => t as f64,

@@ -425,11 +425,11 @@ pub fn mechanics_gate(
     }
     // Cyclic distribution re-steps every affine recurrence (the task clone
     // is isomorphic to the loop, so the shapes seen here are the clone's).
-    let recs = noelle_analysis::scev::affine_recurrences(f, l);
-    if recs.is_empty() {
+    // The loop's IVs are its affine recurrences, one each.
+    if la.ivs.is_empty() {
         return Err(ParallelizeError::NoGoverningIv);
     }
-    for rec in &recs {
+    for rec in la.ivs.ivs.iter().map(|iv| &iv.rec) {
         let steppable = matches!(f.inst(rec.phi), Inst::Phi { .. })
             && matches!(
                 f.inst(rec.update),

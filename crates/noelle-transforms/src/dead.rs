@@ -43,13 +43,13 @@ fn address_taken(m: &Module) -> BTreeSet<FuncId> {
     for fid in m.func_ids() {
         let f = m.func(fid);
         for id in f.inst_ids() {
-            for op in f.inst(id).operands() {
+            f.inst(id).for_each_operand(|op| {
                 if let Value::Func(t) = op {
                     // A direct call's callee is not an operand, so any Func
                     // operand is a genuine address-taking use.
                     out.insert(t);
                 }
-            }
+            });
             // Indirect callee operands are covered above; direct callees are
             // not address-taking.
             let _ = id;
@@ -100,7 +100,7 @@ pub fn run(noelle: &mut Noelle, entry: &str) -> DeadReport {
                     let rf = m.func(*r);
                     rf.inst_ids()
                         .iter()
-                        .any(|&i| rf.inst(i).operands().contains(&Value::Func(fid)))
+                        .any(|&i| rf.inst(i).uses(Value::Func(fid)))
                 })
             {
                 continue;

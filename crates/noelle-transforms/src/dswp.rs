@@ -21,8 +21,6 @@ use noelle_core::loop_abs::LoopAbstraction;
 use noelle_core::noelle::Abstraction;
 use noelle_core::reduction::identity_for;
 use noelle_core::task::{outline_loop_as_task, TaskFunction};
-use noelle_ir::cfg::Cfg;
-use noelle_ir::dom::DomTree;
 use noelle_ir::inst::{Callee, Inst, InstId, Terminator};
 use noelle_ir::module::{BlockId, FuncId, Function, Module};
 use noelle_ir::types::Type;
@@ -85,17 +83,10 @@ pub fn gate(
         .single_latch()
         .ok_or_else(|| ParallelizeError::Shape("multiple latches".into()))?;
     // Every loop block must run exactly once per iteration.
-    {
-        let f = m.func(fid);
-        let cfg = Cfg::new(f);
-        let dt = DomTree::new(f, &cfg);
-        for &b in &l.blocks {
-            if !dt.dominates(b, latch) {
-                return Err(ParallelizeError::Shape(
-                    "conditional control flow inside loop body".into(),
-                ));
-            }
-        }
+    if l.blocks.iter().any(|&b| !la.dom.dominates(b, latch)) {
+        return Err(ParallelizeError::Shape(
+            "conditional control flow inside loop body".into(),
+        ));
     }
 
     let mut plan = plan_stages(m, fid, la, want_stages)?;
@@ -264,7 +255,7 @@ impl StagePlan {
             .sum();
         let mut stage_costs = vec![replicated_cost; self.n_stages];
         for (&scc, &s) in &self.stage_of_scc {
-            for &i in &la.sccdag.nodes()[scc].insts {
+            for &i in la.sccdag.insts(scc) {
                 if !self.replicated.contains(&i) {
                     stage_costs[s] += static_cost(m, f.inst(i));
                 }
@@ -312,7 +303,7 @@ fn plan_stages(
     let mut replicated: BTreeSet<InstId> = la.invariants.iter().collect();
     for node in la.sccdag.nodes() {
         if node.is_induction {
-            replicated.extend(node.insts.iter().copied());
+            replicated.extend(la.sccdag.insts(node.id).iter().copied());
         }
     }
     // Terminator operand closure over register dependences.
@@ -346,10 +337,10 @@ fn plan_stages(
     let assignable: Vec<usize> = topo
         .into_iter()
         .filter(|&s| {
-            let node = &la.sccdag.nodes()[s];
-            !node.is_induction
-                && !node
-                    .insts
+            !la.sccdag.nodes()[s].is_induction
+                && !la
+                    .sccdag
+                    .insts(s)
                     .iter()
                     .all(|&i| replicated.contains(&i) || matches!(f.inst(i), Inst::Term(_)))
         })
@@ -360,7 +351,7 @@ fn plan_stages(
     let n_stages = want.clamp(2, assignable.len());
     let weights: Vec<usize> = assignable
         .iter()
-        .map(|&s| la.sccdag.nodes()[s].insts.len())
+        .map(|&s| la.sccdag.insts(s).len())
         .collect();
     let total: usize = weights.iter().sum();
     let per_stage = total.div_ceil(n_stages);

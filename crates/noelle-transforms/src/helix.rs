@@ -21,8 +21,6 @@ use noelle_core::architecture::{static_cost, Architecture};
 use noelle_core::loop_abs::LoopAbstraction;
 use noelle_core::noelle::Abstraction;
 use noelle_core::task::TaskFunction;
-use noelle_ir::cfg::Cfg;
-use noelle_ir::dom::DomTree;
 use noelle_ir::inst::{Callee, Inst, InstId};
 use noelle_ir::module::{FuncId, Module};
 use noelle_ir::types::Type;
@@ -102,19 +100,17 @@ pub fn sequential_segments(
     // Bracketing requires every segment instruction to execute exactly once
     // per iteration: its block must dominate the (single) latch.
     let latch = l.single_latch()?;
-    let cfg = Cfg::new(f);
-    let dt = DomTree::new(f, &cfg);
     let mut segments = Vec::new();
     for g in groups {
         let mut insts: BTreeSet<InstId> = BTreeSet::new();
         for scc in g {
-            insts.extend(la.sccdag.nodes()[scc].insts.iter().copied());
+            insts.extend(la.sccdag.insts(scc).iter().copied());
         }
-        for &i in &insts {
-            let b = f.parent_block(i);
-            if !dt.dominates(b, latch) {
-                return None;
-            }
+        if insts
+            .iter()
+            .any(|&i| !la.dom.dominates(f.parent_block(i), latch))
+        {
+            return None;
         }
         segments.push(insts);
     }

@@ -89,9 +89,11 @@ pub fn hoist_invariants(m: &mut Module, fid: FuncId, l: &LoopInfo, inv: &Invaria
         for id in candidates {
             let f = m.func(fid);
             // Every in-loop operand must already be hoisted.
-            let ready = f.inst(id).operands().iter().all(|op| match op {
-                Value::Inst(d) => !l.contains(f.parent_block(*d)) || hoisted.contains(d),
-                _ => true,
+            let mut ready = true;
+            f.inst(id).for_each_operand(|op| {
+                if let Value::Inst(d) = op {
+                    ready &= !l.contains(f.parent_block(d)) || hoisted.contains(&d);
+                }
             });
             if !ready {
                 continue;

@@ -14,8 +14,6 @@ use crate::doall::distribute_cyclically;
 use noelle_core::loop_abs::LoopAbstraction;
 use noelle_core::noelle::Abstraction;
 use noelle_core::task::TaskFunction;
-use noelle_ir::cfg::Cfg;
-use noelle_ir::dom::DomTree;
 use noelle_ir::inst::{Inst, InstId};
 use noelle_ir::module::{FuncId, Module};
 use noelle_ir::value::Value;
@@ -106,31 +104,21 @@ fn privatizable_scratch(m: &Module, fid: FuncId, la: &LoopAbstraction) -> Option
     // loop) and must be written before read in every iteration: every load
     // from it inside the loop is dominated by a store to it inside the loop
     // whose block also lies in the loop and dominates the load.
-    let cfg = Cfg::new(f);
-    let dt = DomTree::new(f, &cfg);
-    let loop_stores: Vec<InstId> = f
-        .inst_ids()
-        .into_iter()
-        .filter(|&i| {
-            l.contains(f.parent_block(i))
-                && matches!(f.inst(i), Inst::Store { ptr, .. } if *ptr == cell)
-        })
-        .collect();
-    let loop_loads: Vec<InstId> = f
-        .inst_ids()
-        .into_iter()
-        .filter(|&i| {
-            l.contains(f.parent_block(i))
-                && matches!(f.inst(i), Inst::Load { ptr, .. } if *ptr == cell)
-        })
-        .collect();
-    for &ld in &loop_loads {
-        let dominated = loop_stores.iter().any(|&st| {
+    let insts_where = |inside: bool| {
+        f.block_order()
+            .iter()
+            .filter(move |&&b| l.contains(b) == inside)
+            .flat_map(|&b| f.block(b).insts.iter().copied())
+    };
+    let stores_cell = |i: &InstId| matches!(f.inst(*i), Inst::Store { ptr, .. } if *ptr == cell);
+    let loads_cell = |i: &InstId| matches!(f.inst(*i), Inst::Load { ptr, .. } if *ptr == cell);
+    for ld in insts_where(true).filter(loads_cell) {
+        let dominated = insts_where(true).filter(stores_cell).any(|st| {
             let (sb, lb) = (f.parent_block(st), f.parent_block(ld));
             if sb == lb {
                 f.position_in_block(st) < f.position_in_block(ld)
             } else {
-                dt.strictly_dominates(sb, lb)
+                la.dom.strictly_dominates(sb, lb)
             }
         });
         if !dominated {
@@ -139,11 +127,7 @@ fn privatizable_scratch(m: &Module, fid: FuncId, la: &LoopAbstraction) -> Option
     }
     // No use of the cell's content after the loop (otherwise the final
     // iteration's value would need reconstruction).
-    let used_after = f.inst_ids().into_iter().any(|i| {
-        !l.contains(f.parent_block(i))
-            && matches!(f.inst(i), Inst::Load { ptr, .. } if *ptr == cell)
-    });
-    if used_after {
+    if insts_where(false).any(|i| loads_cell(&i)) {
         return None;
     }
     Some(cell_inst)

@@ -16,19 +16,34 @@
 //! byte-mutated encodings of the corpus graphs must come back as `Err` or
 //! as a graph that is consistent with itself — never a panic (ROADMAP item
 //! 6).
+//!
+//! The aSCCDAG is built in the loop's slot space (flat members, one pass
+//! over the edges for the DAG and every SCC's classification). Its oracle
+//! here is the construction it replaced, kept verbatim as test code: Tarjan
+//! into a `Vec` per SCC, an instruction-to-SCC map, a set of DAG edges and
+//! a classifier that scans the whole edge list per SCC. On every loop the
+//! two must agree on members and emission order, kinds, reductions,
+//! induction flags, DAG edges, roots and topological order; Algorithm 2's
+//! invariants and the loop environment must equal the recursive, map-based
+//! walks they replaced.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
+use noelle::analysis::scev::{affine_recurrences, AddRec};
+use noelle::core::env::Environment;
+use noelle::core::invariants::invariants_noelle;
 use noelle::core::wire;
 use noelle::ir::cfg::Cfg;
 use noelle::ir::dom::DomTree;
-use noelle::ir::inst::InstId;
-use noelle::ir::loops::LoopForest;
-use noelle::ir::module::Module;
+use noelle::ir::inst::{BinOp, Inst, InstId};
+use noelle::ir::loops::{LoopForest, LoopInfo};
+use noelle::ir::module::{Function, Module};
+use noelle::ir::types::Type;
+use noelle::ir::value::Value;
 use noelle::pdg::depgraph::{DepEdge, DepGraph};
 use noelle::pdg::pdg::{PdgBuilder, ProgramPdg};
-use noelle::pdg::sccdag::SccDag;
+use noelle::pdg::sccdag::{SccDag, SccKind};
 use noelle::workloads::{all, pdg_stress};
 use noelle_analysis::alias::{AliasAnalysis, AliasStack, AndersenAlias, BasicAlias};
 use noelle_fuzz::generator::{generate, GenConfig, SplitMix64};
@@ -200,26 +215,48 @@ fn check_module(name: &str, m: &Module) {
 
             // The loop graph, from the built and from the decoded function
             // graph, and what the aSCCDAG's Tarjan pass makes of each.
-            let loop_graph = builder.loop_pdg_with(fid, l, &g);
+            let recs = affine_recurrences(f, l);
+            let loop_graph = builder.loop_pdg_with(fid, l, &g, &recs);
             assert_index_matches_scan(&label, &loop_graph, &keep);
             assert_eq!(
-                builder.loop_pdg_with(fid, l, &decoded).edges(),
+                builder.loop_pdg_with(fid, l, &decoded, &recs).edges(),
                 loop_graph.edges(),
                 "{label}: loop graph from the decoded function graph"
             );
-            let a = SccDag::new(f, l, &loop_graph);
-            let b = SccDag::new(f, l, &round_trip(&label, &loop_graph, &keep));
+            let a = SccDag::new(f, l, &loop_graph, &recs);
+            let b = SccDag::new(f, l, &round_trip(&label, &loop_graph, &keep), &recs);
             assert_eq!(
                 format!("{:?}", a.nodes()),
                 format!("{:?}", b.nodes()),
                 "{label}: aSCCDAG nodes"
             );
+            for s in 0..a.nodes().len() {
+                assert_eq!(a.insts(s), b.insts(s), "{label}: aSCCDAG members");
+            }
             assert_eq!(
                 a.edges().collect::<BTreeSet<_>>(),
                 b.edges().collect::<BTreeSet<_>>(),
                 "{label}: aSCCDAG edges"
             );
             assert_eq!(a.topo_order(), b.topo_order(), "{label}: aSCCDAG order");
+
+            // The flat aSCCDAG and the loop walks against the constructions
+            // they replaced.
+            assert_sccdag_matches_reference(
+                &label,
+                &a,
+                &ReferenceDag::new(f, l, &loop_graph, &recs),
+            );
+            assert!(
+                invariants_noelle(f, l, &loop_graph)
+                    .iter()
+                    .eq(reference_invariants(f, l, &loop_graph)),
+                "{label}: invariants"
+            );
+            let env = Environment::for_loop(m, f, l);
+            let (live_ins, live_outs) = reference_environment(m, f, l);
+            assert_eq!(env.live_ins, live_ins, "{label}: live-ins");
+            assert_eq!(env.live_outs, live_outs, "{label}: live-outs");
         }
         decoded_program.insert(fid, Arc::new(decoded));
     }
@@ -271,11 +308,348 @@ fn encoded_partitions(m: &Module) -> Vec<Vec<u8>> {
         let cfg = Cfg::new(f);
         let dt = DomTree::new(f, &cfg);
         for l in LoopForest::new(f, &cfg, &dt).loops() {
-            out.push(encode_partition(&builder.loop_pdg_with(fid, l, &g)));
+            let recs = affine_recurrences(f, l);
+            out.push(encode_partition(&builder.loop_pdg_with(fid, l, &g, &recs)));
         }
         out.push(encode_partition(&g));
     }
     out
+}
+
+/// One SCC of [`ReferenceDag`].
+#[derive(Debug)]
+struct ReferenceScc {
+    insts: BTreeSet<InstId>,
+    kind: SccKind,
+    reduction_op: Option<BinOp>,
+    reduction_phi: Option<InstId>,
+    is_induction: bool,
+}
+
+/// The aSCCDAG construction the flat one replaced, kept as the oracle.
+struct ReferenceDag {
+    nodes: Vec<ReferenceScc>,
+    edges: BTreeSet<(usize, usize)>,
+}
+
+impl ReferenceDag {
+    fn new(f: &Function, l: &LoopInfo, g: &DepGraph<InstId>, recs: &[AddRec]) -> ReferenceDag {
+        let internal: Vec<InstId> = g.internal_nodes().collect();
+        let sccs = reference_tarjan(&internal, g);
+        let mut scc_of = HashMap::new();
+        for (i, scc) in sccs.iter().enumerate() {
+            for &n in scc {
+                scc_of.insert(n, i);
+            }
+        }
+        let mut edges = BTreeSet::new();
+        for e in g.edges() {
+            if let (Some(&a), Some(&b)) = (scc_of.get(&e.src), scc_of.get(&e.dst)) {
+                if a != b {
+                    edges.insert((a, b));
+                }
+            }
+        }
+        let iv_insts: BTreeSet<InstId> = recs.iter().flat_map(|r| [r.phi, r.update]).collect();
+        let mut nodes = Vec::new();
+        for scc in &sccs {
+            let insts: BTreeSet<InstId> = scc.iter().copied().collect();
+            let (kind, reduction_op, reduction_phi) = reference_classify(f, l, g, &insts);
+            let is_induction = insts.iter().any(|x| iv_insts.contains(x))
+                && insts.iter().all(|x| {
+                    iv_insts.contains(x) || matches!(f.inst(*x), Inst::Icmp { .. } | Inst::Term(_))
+                });
+            nodes.push(ReferenceScc {
+                insts,
+                kind,
+                reduction_op,
+                reduction_phi,
+                is_induction,
+            });
+        }
+        ReferenceDag { nodes, edges }
+    }
+
+    fn roots(&self) -> Vec<usize> {
+        (0..self.nodes.len())
+            .filter(|&n| !self.edges.iter().any(|&(_, d)| d == n))
+            .collect()
+    }
+
+    fn topo_order(&self) -> Vec<usize> {
+        let n = self.nodes.len();
+        let mut indeg = vec![0usize; n];
+        for &(_, d) in &self.edges {
+            indeg[d] += 1;
+        }
+        let mut queue: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
+        let mut out = Vec::with_capacity(n);
+        while let Some(x) = queue.pop() {
+            out.push(x);
+            for &(s, d) in &self.edges {
+                if s == x {
+                    indeg[d] -= 1;
+                    if indeg[d] == 0 {
+                        queue.push(d);
+                    }
+                }
+            }
+        }
+        out
+    }
+}
+
+/// Tarjan's algorithm as the map-based aSCCDAG ran it: one `Vec` per SCC,
+/// sorted, in emission order.
+fn reference_tarjan(nodes: &[InstId], g: &DepGraph<InstId>) -> Vec<Vec<InstId>> {
+    let n = nodes.len();
+    let idx = |x: InstId| nodes.binary_search(&x).expect("internal");
+    let succs: Vec<Vec<usize>> = nodes
+        .iter()
+        .map(|&node| {
+            let mut out: Vec<usize> = g
+                .edges_from(node)
+                .filter(|e| g.is_internal(e.dst))
+                .map(|e| idx(e.dst))
+                .collect();
+            out.sort_unstable();
+            out.dedup();
+            out
+        })
+        .collect();
+    const UNVISITED: usize = usize::MAX;
+    let mut index = vec![UNVISITED; n];
+    let mut lowlink = vec![0; n];
+    let mut on_stack = vec![false; n];
+    let mut counter = 0;
+    let mut stack = Vec::new();
+    let mut sccs = Vec::new();
+    let mut call_stack: Vec<(usize, usize)> = Vec::new();
+    for root in 0..n {
+        if index[root] != UNVISITED {
+            continue;
+        }
+        index[root] = counter;
+        lowlink[root] = counter;
+        counter += 1;
+        stack.push(root);
+        on_stack[root] = true;
+        call_stack.push((root, 0));
+        while let Some(&mut (v, ref mut pos)) = call_stack.last_mut() {
+            if *pos < succs[v].len() {
+                let w = succs[v][*pos];
+                *pos += 1;
+                if index[w] == UNVISITED {
+                    index[w] = counter;
+                    lowlink[w] = counter;
+                    counter += 1;
+                    stack.push(w);
+                    on_stack[w] = true;
+                    call_stack.push((w, 0));
+                } else if on_stack[w] {
+                    lowlink[v] = lowlink[v].min(index[w]);
+                }
+            } else {
+                call_stack.pop();
+                if let Some(&(p, _)) = call_stack.last() {
+                    lowlink[p] = lowlink[p].min(lowlink[v]);
+                }
+                if lowlink[v] == index[v] {
+                    let mut scc = Vec::new();
+                    loop {
+                        let w = stack.pop().expect("tarjan stack");
+                        on_stack[w] = false;
+                        scc.push(nodes[w]);
+                        if w == v {
+                            break;
+                        }
+                    }
+                    scc.sort();
+                    sccs.push(scc);
+                }
+            }
+        }
+    }
+    sccs
+}
+
+/// The per-SCC classifier the flat aSCCDAG replaced: two scans of the
+/// whole edge list per SCC.
+fn reference_classify(
+    f: &Function,
+    l: &LoopInfo,
+    g: &DepGraph<InstId>,
+    insts: &BTreeSet<InstId>,
+) -> (SccKind, Option<BinOp>, Option<InstId>) {
+    let carried: Vec<_> = g
+        .edges()
+        .iter()
+        .filter(|e| {
+            e.attrs.loop_carried
+                && e.attrs.is_data()
+                && insts.contains(&e.src)
+                && insts.contains(&e.dst)
+        })
+        .collect();
+    if carried.is_empty() {
+        return (SccKind::Independent, None, None);
+    }
+    if carried.iter().any(|e| e.attrs.memory) {
+        return (SccKind::Sequential, None, None);
+    }
+    let mut phi = None;
+    let mut op = None;
+    let mut clean = true;
+    for &i in insts {
+        match f.inst(i) {
+            Inst::Phi { .. } if f.parent_block(i) == l.header => {
+                if phi.replace(i).is_some() {
+                    clean = false;
+                }
+            }
+            Inst::Bin { op: o, .. } if o.is_reduction_op() => match op {
+                None => op = Some(*o),
+                Some(prev) if prev == *o => {}
+                _ => clean = false,
+            },
+            _ => clean = false,
+        }
+    }
+    if let (true, Some(phi), Some(op)) = (clean, phi, op) {
+        let observed_inside = g.edges().iter().any(|e| {
+            insts.contains(&e.src)
+                && !insts.contains(&e.dst)
+                && g.is_internal(e.dst)
+                && e.attrs.is_data()
+                && !e.attrs.memory
+        });
+        if !observed_inside {
+            return (SccKind::Reducible, Some(op), Some(phi));
+        }
+    }
+    (SccKind::Sequential, None, None)
+}
+
+fn assert_sccdag_matches_reference(label: &str, dag: &SccDag, reference: &ReferenceDag) {
+    assert_eq!(
+        dag.nodes().len(),
+        reference.nodes.len(),
+        "{label}: SCC count"
+    );
+    for (node, want) in dag.nodes().iter().zip(&reference.nodes) {
+        let s = node.id;
+        assert!(
+            dag.insts(s).iter().eq(&want.insts),
+            "{label}: SCC {s} members"
+        );
+        assert_eq!(node.kind, want.kind, "{label}: SCC {s} kind");
+        assert_eq!(node.reduction_op, want.reduction_op, "{label}: SCC {s} op");
+        assert_eq!(
+            node.reduction_phi, want.reduction_phi,
+            "{label}: SCC {s} phi"
+        );
+        assert_eq!(
+            node.is_induction, want.is_induction,
+            "{label}: SCC {s} induction"
+        );
+        for &i in dag.insts(s) {
+            assert_eq!(dag.scc_of(i), Some(s), "{label}: scc_of({i:?})");
+        }
+    }
+    assert!(
+        dag.edges().eq(reference.edges.iter().copied()),
+        "{label}: DAG edges"
+    );
+    assert_eq!(dag.roots(), reference.roots(), "{label}: roots");
+    assert_eq!(
+        dag.topo_order(),
+        reference.topo_order(),
+        "{label}: topological order"
+    );
+}
+
+/// Algorithm 2 as the recursive, map-memoized walk it was.
+fn reference_invariants(f: &Function, l: &LoopInfo, dg: &DepGraph<InstId>) -> Vec<InstId> {
+    fn invariant(
+        f: &Function,
+        l: &LoopInfo,
+        dg: &DepGraph<InstId>,
+        id: InstId,
+        stack: &mut Vec<InstId>,
+        memo: &mut HashMap<InstId, bool>,
+    ) -> bool {
+        if stack.contains(&id) {
+            return false;
+        }
+        if let Some(&r) = memo.get(&id) {
+            return r;
+        }
+        let eligible = match f.inst(id) {
+            Inst::Phi { .. } | Inst::Term(_) | Inst::Alloca { .. } | Inst::Store { .. } => false,
+            Inst::Call { .. } => !dg
+                .edges_to(id)
+                .chain(dg.edges_from(id))
+                .any(|e| e.attrs.memory && e.src == e.dst),
+            _ => true,
+        };
+        if !eligible {
+            memo.insert(id, false);
+            return false;
+        }
+        stack.push(id);
+        let mut result = true;
+        for e in dg.edges_to(id) {
+            if !e.attrs.is_data() {
+                continue;
+            }
+            let j = e.src;
+            if j == id || l.contains(f.parent_block(j)) && !invariant(f, l, dg, j, stack, memo) {
+                result = false;
+                break;
+            }
+        }
+        stack.pop();
+        memo.insert(id, result);
+        result
+    }
+    let mut memo = HashMap::new();
+    let mut out: Vec<InstId> = f
+        .inst_ids()
+        .into_iter()
+        .filter(|&id| l.contains(f.parent_block(id)))
+        .filter(|&id| invariant(f, l, dg, id, &mut Vec::new(), &mut memo))
+        .collect();
+    out.sort();
+    out
+}
+
+/// Live-ins or live-outs, in slot order.
+type Slots = Vec<(Value, Type)>;
+
+/// The loop environment as the whole-function, set-deduplicated walk it was.
+fn reference_environment(m: &Module, f: &Function, l: &LoopInfo) -> (Slots, Slots) {
+    let (mut live_ins, mut live_outs) = (Vec::new(), Vec::new());
+    let (mut seen_in, mut seen_out) = (BTreeSet::new(), BTreeSet::new());
+    let in_loop = |id: InstId| l.contains(f.parent_block(id));
+    for id in f.inst_ids() {
+        let mut operands = Vec::new();
+        f.inst(id).for_each_operand(|op| operands.push(op));
+        for op in operands {
+            if in_loop(id) {
+                let is_livein = match op {
+                    Value::Arg(_) => true,
+                    Value::Inst(d) => !in_loop(d),
+                    _ => false,
+                };
+                if is_livein && seen_in.insert(op) {
+                    live_ins.push((op, f.value_type(m, op)));
+                }
+            } else if matches!(op, Value::Inst(d) if in_loop(d)) && seen_out.insert(op) {
+                live_outs.push((op, f.value_type(m, op)));
+            }
+        }
+    }
+    (live_ins, live_outs)
 }
 
 /// One to three random byte-level edits of `bytes`: flip a bit, overwrite

@@ -9,10 +9,14 @@
 //! through a handful more, not a map entry per pointer or pair; the store's
 //! decoders reserve nothing a forged count asks for; an IDE body edit
 //! allocates for the functions it re-audits, not for the module, and a pull
-//! renders the stored findings without copying them. The counts do not
+//! renders the stored findings without copying them; a loop abstraction is
+//! a handful of flat arrays per loop, and a technique's gate reads the
+//! function's dominator tree instead of building one. The counts do not
 //! depend on the host, so the bounds are tight. The tests take turns ([`alone`]), so
 //! nothing else allocates while a closure is being counted.
 
+use noelle::analysis::scev::affine_recurrences;
+use noelle::core::architecture::Architecture;
 use noelle::core::noelle::{AliasTier, Noelle};
 use noelle::ir::cfg::Cfg;
 use noelle::ir::dom::DomTree;
@@ -23,9 +27,12 @@ use noelle::ir::printer::print_module;
 use noelle::ir::types::Type;
 use noelle::ir::value::Value;
 use noelle::pdg::pdg::PdgBuilder;
+use noelle::transforms::common::gate;
+use noelle::transforms::Parallelizer;
 use noelle::workloads::scale_module;
 use noelle_analysis::alias::{AliasAnalysis, AliasStack, AndersenAlias, BasicAlias};
 use noelle_ide::{Change, DocSession};
+use noelle_lint::audit::AUDIT_WORKERS;
 use noelle_lint::run_audit;
 use noelle_plan::{plan_from_audit, PlanOptions};
 use noelle_store::artifact::decode_partition;
@@ -110,7 +117,8 @@ fn a_loop_graph_costs_a_bounded_number_of_blocks() {
         let cfg = Cfg::new(f);
         let dt = DomTree::new(f, &cfg);
         for l in LoopForest::new(f, &cfg, &dt).loops() {
-            let (loop_graph, n) = allocations(|| builder.loop_pdg_with(fid, l, &g));
+            let (loop_graph, n) =
+                allocations(|| builder.loop_pdg_with(fid, l, &g, &affine_recurrences(f, l)));
             blocks += n;
             insts += loop_graph.num_internal();
         }
@@ -298,4 +306,98 @@ fn planning_allocates_no_more_than_pricing_one_worker_count_did() {
     // Read with the planner gating nothing it was handed: it allocated
     // 2 751 when it gated every clean technique again for its recipe.
     assert!(planning <= 1185, "{planning} allocations");
+}
+
+#[test]
+fn a_loop_abstraction_costs_a_few_allocations_per_loop_instruction() {
+    let _turn = alone();
+    let mut n = Noelle::new(scale_module(256, 1), AliasTier::Full);
+    let _ = n.pdg(); // every partition and the mod/ref summaries, built
+    let fids: Vec<_> = n.module().func_ids().collect();
+    let (mut blocks, mut insts, mut loops) = (0, 0, 0);
+    for fid in fids {
+        if n.module().func(fid).is_declaration() {
+            continue;
+        }
+        for l in n.loops_of(fid) {
+            let (la, count) = allocations(|| n.loop_abstraction(fid, l));
+            blocks += count;
+            insts += la.pdg.num_internal();
+            loops += 1;
+        }
+    }
+    eprintln!("{loops} loops, {insts} loop instructions: {blocks} allocations");
+    assert!(insts > 2000, "{insts} loop instructions");
+    // Read with the flat aSCCDAG and the loop-scoped walks: 8 263 for
+    // 2 183 loop instructions (3.79 each). A map and a set per SCC, a
+    // whole-function instruction list per view, a memo map with a stack per
+    // instruction and a `Vec` per operand list took 22 507 (10.31).
+    assert!(
+        10 * blocks <= 39 * insts,
+        "loop abstractions: {blocks} allocations for {insts} instructions"
+    );
+}
+
+/// `@doall` sums an array; `@carried` accumulates into `*p`, a memory
+/// recurrence that leaves HELIX sequential segments to bracket and DSWP a
+/// body whose blocks it must check. Each loop has a pre-header, and each
+/// function `pad` straight-line blocks after its loop.
+fn padded_kernels(pad: usize) -> String {
+    let tail: String = (0..pad)
+        .map(|k| format!("pad{k}:\n  br pad{}\n", k + 1))
+        .collect();
+    let kernel = |name: &str, body: &str, ret: &str| {
+        format!(
+            "define i64 @{name}(i64* %p, i64* %a, i64 %n) {{\nentry:\n  br header\nheader:\n  \
+             %i = phi i64 [entry: i64 0] [body: %i2]\n  %s = phi i64 [entry: i64 0] [body: %s2]\n  \
+             %c = icmp slt i64 %i, %n\n  condbr %c, body, exit\nbody:\n  %q = gep i64, %a, %i\n  \
+             %v = load i64, %q\n{body}  %i2 = add i64 %i, i64 1\n  br header\nexit:\n  br pad0\n\
+             {tail}pad{pad}:\n  ret {ret}\n}}\n"
+        )
+    };
+    format!(
+        "module \"pad\" {{\n{}{}}}\n",
+        kernel("doall", "  %s2 = add i64 %s, %v\n", "%s"),
+        kernel(
+            "carried",
+            "  %t = load i64, %p\n  %u = add i64 %t, %v\n  store i64 %u, %p\n  %s2 = add i64 %s, i64 0\n",
+            "i64 0"
+        )
+    )
+}
+
+/// Bytes each audited technique's gate allocates on each kernel of
+/// [`padded_kernels`]`(pad)`.
+fn gate_bytes(pad: usize) -> Vec<(String, usize)> {
+    let m = parse_module(&padded_kernels(pad)).expect("parses");
+    let mut n = Noelle::new(m, AliasTier::Full);
+    let arch = Architecture::default_machine();
+    let mut out = Vec::new();
+    for name in ["doall", "carried"] {
+        let fid = n.module().func_id_by_name(name).expect("kernel");
+        let l = n.loops_of(fid).remove(0);
+        let la = n.loop_abstraction(fid, l);
+        for technique in Parallelizer::AUDITED {
+            let m = n.module();
+            let (_, _, bytes) =
+                allocations_and_bytes(|| gate(technique, m, fid, &la, &arch, AUDIT_WORKERS));
+            out.push((format!("{name}/{}", technique.as_str()), bytes));
+        }
+    }
+    out
+}
+
+#[test]
+fn a_gate_allocates_nothing_for_the_blocks_outside_its_loop() {
+    let _turn = alone();
+    let (small, large) = (gate_bytes(0), gate_bytes(4096));
+    for ((what, near), (_, far)) in small.iter().zip(&large) {
+        eprintln!("{what}: {near} bytes with no blocks after the loop, {far} with 4096");
+        // A dominator tree of its own costs a gate tens of bytes per block
+        // of the function: 4096 blocks would add well over 100 000.
+        assert!(
+            *far <= near + 64,
+            "{what}: {near} -> {far} bytes as the function grew by 4096 blocks"
+        );
+    }
 }

@@ -9,6 +9,7 @@
 use noelle::analysis::alias::{
     AliasAnalysis, AliasResult, AliasStack, AndersenAlias, BasicAlias, MemoryObject,
 };
+use noelle::analysis::scev::affine_recurrences;
 use noelle::core::loop_builder;
 use noelle::core::noelle::{AliasTier, Noelle};
 use noelle::core::wire;
@@ -149,7 +150,8 @@ fn transformed_functions_build_the_same_graphs_as_the_allpairs_oracle() {
             let cfg = Cfg::new(f);
             let dt = DomTree::new(f, &cfg);
             for l in LoopForest::new(f, &cfg, &dt).loops() {
-                let bytes = encode_partition(&builder.loop_pdg_with(fid, l, &g));
+                let recs = affine_recurrences(f, l);
+                let bytes = encode_partition(&builder.loop_pdg_with(fid, l, &g, &recs));
                 let decoded = decode_partition(&bytes).expect("loop graph decodes");
                 loops += 1;
                 assert_eq!(
@@ -422,7 +424,8 @@ fn pdg_edges_reproduce_the_recorded_golden() {
             let cfg = Cfg::new(f);
             let dt = DomTree::new(f, &cfg);
             for l in LoopForest::new(f, &cfg, &dt).loops() {
-                let g = builder.loop_pdg_with(fid, l, &pdg.per_function[&fid]);
+                let recs = affine_recurrences(f, l);
+                let g = builder.loop_pdg_with(fid, l, &pdg.per_function[&fid], &recs);
                 loops += 1;
                 loop_edges += g.edges().len();
                 loop_hash = fnv64(loop_hash, &encode_partition(&g));
@@ -540,8 +543,9 @@ fn function_pdg_asks_each_alias_question_once_and_loop_pdg_asks_none() {
             let cfg = Cfg::new(f);
             let dt = DomTree::new(f, &cfg);
             for l in LoopForest::new(f, &cfg, &dt).loops() {
-                let in_memory = builder.loop_pdg_with(fid, l, &g);
-                let from_store = builder.loop_pdg_with(fid, l, &decoded);
+                let recs = affine_recurrences(f, l);
+                let in_memory = builder.loop_pdg_with(fid, l, &g, &recs);
+                let from_store = builder.loop_pdg_with(fid, l, &decoded, &recs);
                 loops += 1;
                 assert_eq!(
                     counting.take(),
@@ -586,8 +590,8 @@ fn alias_answers_are_symmetric() {
                 .inst_ids()
                 .into_iter()
                 .flat_map(|id| {
-                    let mut vs = f.inst(id).operands();
-                    vs.push(Value::Inst(id));
+                    let mut vs = vec![Value::Inst(id)];
+                    f.inst(id).for_each_operand(|v| vs.push(v));
                     vs
                 })
                 .filter(|&v| f.value_type(&m, v).is_ptr())

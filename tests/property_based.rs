@@ -219,10 +219,11 @@ fn sccdag_partitions_loop_instructions() {
             let basic = BasicAlias::new(&m);
             let builder = PdgBuilder::new(&m, &basic);
             let g = builder.loop_pdg(fid, l);
-            let dag = SccDag::new(f, l, &g);
+            let recs = noelle_analysis::scev::affine_recurrences(f, l);
+            let dag = SccDag::new(f, l, &g, &recs);
             // Every internal instruction is in exactly one SCC, and the SCC
             // DAG's topological order covers every node exactly once.
-            let covered: usize = dag.nodes().iter().map(|n| n.insts.len()).sum();
+            let covered: usize = dag.nodes().iter().map(|n| dag.insts(n.id).len()).sum();
             assert_eq!(covered, g.num_internal());
             let topo = dag.topo_order();
             assert_eq!(topo.len(), dag.nodes().len());
