@@ -102,7 +102,6 @@ fn bench_fig5_one_benchmark() {
                 noelle_transforms::common::Parallelizer::Doall,
                 &noelle_transforms::common::LoopTargetOpts {
                     min_hotness: 0.02,
-                    only: None,
                     workers: 4,
                 },
             );

@@ -217,7 +217,6 @@ fn measure_technique(w: &Workload, technique: &str, cores: usize, arch: &Archite
             };
             let target = LoopTargetOpts {
                 min_hotness,
-                only: None,
                 workers,
             };
             let count = parallelize(&mut noelle, tool, &target).count();
@@ -340,7 +339,10 @@ pub fn table4_usage() -> Vec<(&'static str, Vec<&'static str>)> {
                 parallelize(&mut noelle, Parallelizer::Helix, &LoopTargetOpts::default());
             }
             "DSWP" => {
-                let two_stages = LoopTargetOpts::default().with_workers(2);
+                let two_stages = LoopTargetOpts {
+                    workers: 2,
+                    ..LoopTargetOpts::default()
+                };
                 parallelize(&mut noelle, Parallelizer::Dswp, &two_stages);
             }
             "DOALL" => {
@@ -662,7 +664,6 @@ pub fn ablation_alias_tier(cores: usize) -> (usize, usize) {
             let mut noelle = Noelle::new(w.build(), tier);
             let target = LoopTargetOpts {
                 min_hotness: 0.0,
-                only: None,
                 workers: cores,
             };
             *total += parallelize(&mut noelle, Parallelizer::Doall, &target).count();

@@ -28,6 +28,11 @@ pub enum Json {
     Object(BTreeMap<String, Json>),
 }
 
+/// Deepest nesting of arrays and objects [`Json::parse`] accepts (`[]` is
+/// one level): the parser recurses once per level, and a hostile document
+/// must not overflow the stack of the thread that parses it.
+pub const MAX_DEPTH: usize = 128;
+
 /// Version of the reply envelope shared by the CLI JSON outputs, the
 /// daemon's `lint`/`audit`/`plan` methods, and the IDE's diagnostic pushes.
 /// Bumped together with the daemon protocol when an envelope's shape moves.
@@ -221,12 +226,12 @@ impl Json {
         }
     }
 
-    /// Parse a JSON document. Returns `None` on any syntax error or
-    /// trailing garbage.
+    /// Parse a JSON document. Returns `None` on any syntax error, trailing
+    /// garbage, or nesting deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Option<Json> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let v = parse_value(bytes, &mut pos)?;
+        let v = parse_value(bytes, &mut pos, MAX_DEPTH)?;
         skip_ws(bytes, &mut pos);
         if pos == bytes.len() {
             Some(v)
@@ -250,11 +255,12 @@ impl Json {
     /// (`12` may be the prefix of `123`), and is parsed greedily as
     /// complete. NDJSON framing resolves this in practice — a number is only
     /// final once its newline separator has arrived, so split buffers end
-    /// either mid-token (syntax error → `None`) or at a separator.
+    /// either mid-token (syntax error → `None`) or at a separator. Nesting
+    /// deeper than [`MAX_DEPTH`] is `None` however many bytes follow.
     pub fn parse_prefix(text: &str) -> Option<(Json, usize)> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let v = parse_value(bytes, &mut pos)?;
+        let v = parse_value(bytes, &mut pos, MAX_DEPTH)?;
         Some((v, pos))
     }
 }
@@ -312,7 +318,8 @@ fn eat(b: &[u8], pos: &mut usize, c: u8) -> Option<()> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Option<Json> {
+/// The value at `pos`, in which arrays and objects nest `levels` deep.
+fn parse_value(b: &[u8], pos: &mut usize, levels: usize) -> Option<Json> {
     skip_ws(b, pos);
     match *b.get(*pos)? {
         b'n' => parse_lit(b, pos, "null", Json::Null),
@@ -320,6 +327,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Option<Json> {
         b'f' => parse_lit(b, pos, "false", Json::Bool(false)),
         b'"' => parse_string(b, pos).map(Json::Str),
         b'[' => {
+            let levels = levels.checked_sub(1)?;
             *pos += 1;
             let mut items = Vec::new();
             skip_ws(b, pos);
@@ -328,7 +336,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Option<Json> {
                 return Some(Json::Array(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, levels)?);
                 skip_ws(b, pos);
                 match b.get(*pos)? {
                     b',' => *pos += 1,
@@ -341,6 +349,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Option<Json> {
             }
         }
         b'{' => {
+            let levels = levels.checked_sub(1)?;
             *pos += 1;
             let mut map = BTreeMap::new();
             skip_ws(b, pos);
@@ -352,7 +361,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Option<Json> {
                 skip_ws(b, pos);
                 let key = parse_string(b, pos)?;
                 eat(b, pos, b':')?;
-                map.insert(key, parse_value(b, pos)?);
+                map.insert(key, parse_value(b, pos, levels)?);
                 skip_ws(b, pos);
                 match b.get(*pos)? {
                     b',' => *pos += 1,

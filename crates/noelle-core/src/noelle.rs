@@ -29,6 +29,7 @@ use noelle_pdg::depgraph::DepGraph;
 use noelle_pdg::pdg::{PdgBuilder, ProgramPdg};
 use noelle_store::{artifact, ArtifactKind, KeyCtx, Store};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -186,8 +187,8 @@ struct FuncFingerprints {
 /// interface it reads moved.
 #[derive(Default)]
 struct FuncSlot {
-    /// Times the function was touched (see [`Noelle::revision`]).
-    revision: u64,
+    /// The commit that last damaged the function (see [`Noelle::epoch`]).
+    epoch: u64,
     /// Hashes of the function's current version, filled on first use. While
     /// the points-to solution is built every slot has them, so a commit can
     /// tell which touched bodies really changed.
@@ -199,16 +200,18 @@ struct FuncSlot {
 }
 
 impl FuncSlot {
-    /// The function's text changed: count the revision and empty the slot,
-    /// returning what the function hashed to before.
+    /// The function's text changed: empty the slot, returning what the
+    /// function hashed to before. The commit then damages the function.
     fn touch(&mut self) -> Option<FuncFingerprints> {
-        let old = self.fingerprints;
-        *self = FuncSlot {
-            revision: self.revision + 1,
-            ..FuncSlot::default()
-        };
-        old
+        std::mem::take(self).fingerprints
     }
+}
+
+/// A value no manager in the process has handed out (`fetch_add` alone makes
+/// it so; it orders no other data): a commit's stamp on what it damaged.
+fn next_epoch() -> u64 {
+    static EPOCHS: AtomicU64 = AtomicU64::new(1);
+    EPOCHS.fetch_add(1, Ordering::Relaxed)
 }
 
 /// An open edit transaction over the managed module.
@@ -379,6 +382,8 @@ pub struct Noelle {
     /// and damages exactly the slots the edit can reach — which is what
     /// keeps the rest current.
     slots: Vec<FuncSlot>,
+    /// The epoch of every function no commit has damaged: below any commit's.
+    loaded: u64,
     /// The assembled whole-program snapshot: every defined function's
     /// partition behind one handle. Dropped by any commit that damages a
     /// function; the partitions themselves stay in their slots.
@@ -404,6 +409,7 @@ impl Noelle {
             call_edges: OnceLock::new(),
             call_graph: None,
             slots: Vec::new(),
+            loaded: next_epoch(),
             snapshot: None,
             profiles: None,
             requested: BTreeSet::new(),
@@ -637,10 +643,14 @@ impl Noelle {
         damage
     }
 
-    /// Drop the partitions of `fids`, and the assembled snapshot with them.
+    /// Drop the partitions of `fids`, and the assembled snapshot with them,
+    /// and stamp the functions with a new epoch.
     fn damage(&mut self, fids: &BTreeSet<FuncId>) {
+        let epoch = next_epoch();
         for &fid in fids {
-            self.slot(fid).partition = None;
+            let slot = self.slot(fid);
+            slot.partition = None;
+            slot.epoch = epoch;
         }
         self.snapshot = None;
         self.counters.invalidations += fids.len() as u64;
@@ -667,11 +677,11 @@ impl Noelle {
         self.call_graph = None;
         self.snapshot = None;
         self.profiles = None;
-        let n = self.module.functions().len();
-        for i in 0..n as u32 {
-            self.slot(FuncId(i)).touch();
+        let all: BTreeSet<FuncId> = self.module.func_ids().collect();
+        for &fid in &all {
+            self.slot(fid).touch();
         }
-        self.counters.invalidations += n as u64;
+        self.damage(&all);
     }
 
     /// Record that a custom tool used abstraction `a` (tools call this for
@@ -756,11 +766,13 @@ impl Noelle {
         }
     }
 
-    /// How many times function `fid` has been invalidated (0 = never edited
-    /// since load). Bumped per touched function by [`Noelle::edit`] and for
-    /// every function by a full invalidation.
-    pub fn revision(&self, fid: FuncId) -> u64 {
-        self.slots.get(fid.index()).map_or(0, |s| s.revision)
+    /// Which version of its analyses function `fid` is at: a value that
+    /// moves with every commit whose damage set holds `fid`, and nowhere
+    /// else, and that no other manager in the process ever reports. What was
+    /// derived from `fid`'s analyses at epoch `e` stands while it reads `e`.
+    pub fn epoch(&self, fid: FuncId) -> u64 {
+        let damaged = self.slots.get(fid.index()).map_or(0, |s| s.epoch);
+        damaged.max(self.loaded)
     }
 
     /// Run `k` against the manager's alias stack and shared mod/ref
@@ -940,18 +952,9 @@ impl Noelle {
     /// The program-wide loop forest (FR), assembled from the cached
     /// per-function structures.
     pub fn program_loop_forest(&mut self) -> ProgramLoopForest {
-        let fids: Vec<FuncId> = self.module.func_ids().collect();
-        self.loop_forest_over(fids)
-    }
-
-    /// The program-wide loop forest restricted to the defined functions
-    /// among `fids`: what a tool pinned to one function needs of FR.
-    pub fn loop_forest_over(
-        &mut self,
-        fids: impl IntoIterator<Item = FuncId>,
-    ) -> ProgramLoopForest {
         self.note(Abstraction::Fr);
         self.note(Abstraction::Ls);
+        let fids: Vec<FuncId> = self.module.func_ids().collect();
         let mut forests = Vec::new();
         for fid in fids {
             if !self.module.func(fid).is_declaration() {
@@ -1171,6 +1174,7 @@ mod tests {
         let _ = n.loop_forest(fid);
         let _ = n.call_graph();
         let _ = n.pdg();
+        let e0 = n.epoch(fid);
         n.invalidate();
         assert!(n
             .slots
@@ -1180,7 +1184,7 @@ mod tests {
         assert!(n.snapshot.is_none());
         assert!(n.modref.is_none());
         assert_eq!(n.memory_stats().pdg_bytes, 0);
-        assert!(n.revision(fid) > 0);
+        assert_ne!(n.epoch(fid), e0);
         // Re-requests still work.
         assert_eq!(n.loops_of(fid).len(), 1);
     }
@@ -1196,9 +1200,9 @@ mod tests {
         assert_eq!(n.build_stats()[&Abstraction::Pdg].builds, 1);
         // An edit touching the function forces a repair; the old handle
         // stays readable.
-        let r1 = n.revision(fid);
+        let e1 = n.epoch(fid);
         n.edit(|tx| tx.touch(fid));
-        assert_eq!(n.revision(fid), r1 + 1);
+        assert_ne!(n.epoch(fid), e1);
         let p3 = n.pdg();
         assert!(!Arc::ptr_eq(&p1, &p3));
         assert_eq!(n.build_stats()[&Abstraction::Pdg].builds, 2);
@@ -1223,6 +1227,7 @@ mod tests {
         let k = n.module().func_id_by_name("k").unwrap();
         let leaf = n.module().func_id_by_name("leaf").unwrap();
         let p1 = n.pdg();
+        let (ek, eleaf) = (n.epoch(k), n.epoch(leaf));
         // Edit only the leaf: the kernel's partition must be reused by
         // pointer, and the counters must record exactly that split.
         n.edit(|tx| {
@@ -1239,9 +1244,8 @@ mod tests {
         ));
         assert_eq!(after.pdg_hits - before.pdg_hits, 1);
         assert_eq!(after.pdg_misses - before.pdg_misses, 1);
-        // The kernel's structures survived the edit; the leaf's were
-        // dropped.
-        assert!(n.revision(leaf) == 1 && n.revision(k) == 0);
+        // The kernel's analyses survived the edit; the leaf's were dropped.
+        assert!(n.epoch(leaf) != eleaf && n.epoch(k) == ek);
     }
 
     #[test]
@@ -1311,25 +1315,38 @@ mod tests {
         assert_eq!(n.func_cache_counters().andersen_regen_funcs, 1);
     }
 
+    /// The damage set of each commit, and the epochs it moves: exactly its
+    /// functions', to values no other manager holds.
     #[test]
     fn edit_with_damage_reports_touched_and_escalations() {
         let mut n = Noelle::new(two_func_module(), AliasTier::Full);
         let leaf = n.module().func_id_by_name("leaf").unwrap();
         let _ = n.pdg();
+        let fids: Vec<FuncId> = n.module().func_ids().collect();
+        let other = Noelle::new(two_func_module(), AliasTier::Full);
+        let mut commit = |k: &dyn Fn(&mut EditTx<'_>)| {
+            let before: Vec<u64> = fids.iter().map(|&f| n.epoch(f)).collect();
+            let ((), d) = n.edit_with_damage(k);
+            for (&f, e) in fids.iter().zip(before) {
+                assert_eq!(n.epoch(f) != e, d.contains(&f), "{f:?} in {d:?}");
+                assert_ne!(n.epoch(f), other.epoch(f));
+            }
+            d
+        };
         // Read-only: empty damage.
-        let ((), d) = n.edit_with_damage(|tx| {
+        let d = commit(&|tx| {
             let _ = tx.module().name.len();
         });
         assert!(d.is_empty());
         // A metadata-only touch damages exactly the touched function (its
         // mod/ref summary cannot change).
-        let ((), d) = n.edit_with_damage(|tx| {
+        let d = commit(&|tx| {
             tx.func_mut(leaf).metadata.insert("note".into(), "v".into());
         });
         assert!(d.contains(&leaf) && d.len() == 1, "damage = {d:?}");
         // touch_all escalates to every function.
-        let ((), d) = n.edit_with_damage(|tx| tx.touch_all());
-        assert_eq!(d.len(), n.module().functions().len());
+        let d = commit(&|tx| tx.touch_all());
+        assert_eq!(d.len(), fids.len());
     }
 
     #[test]
@@ -1359,7 +1376,8 @@ mod tests {
         let fresh = n.module().func_id_by_name("fresh").unwrap();
         assert!(p2.per_function.contains_key(&fresh));
         assert!(!p1.per_function.contains_key(&fresh));
-        assert_eq!(n.revision(fresh), 1);
+        let k = n.module().func_id_by_name("k").unwrap();
+        assert_ne!(n.epoch(fresh), n.epoch(k));
     }
 
     #[test]

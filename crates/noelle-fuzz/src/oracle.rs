@@ -271,15 +271,14 @@ fn store_round_trip_failures(m: &Module) -> Vec<Failure> {
 }
 
 /// Validate the parallelism auditor's verdicts against reality. For every
-/// loop × technique: a *clean* verdict must survive running that transform
-/// restricted to exactly the audited loop — the transform must report the
-/// loop parallelized, the result must verify, and the differential oracle
-/// (return value, output trace, globals digest) must match the baseline. A
-/// *blocked* verdict must name at least one instruction-level blocker, each
-/// carrying a resolution hint. Any disagreement is an `AuditMismatch`.
+/// loop × technique: a *clean* verdict's recipe, emitted on a copy of the
+/// audited module — what the planner's `apply_plan` emits — must take, the
+/// result must verify, and the differential oracle (return value, output
+/// trace, globals digest) must match the baseline. A *blocked* verdict must
+/// name at least one instruction-level blocker, each carrying a resolution
+/// hint. Any disagreement is an `AuditMismatch`.
 fn audit_failures(m: &Module, base: &RunResult, run_cfg: &RunConfig, entry: &str) -> Vec<Failure> {
-    use noelle_lint::audit::AUDIT_WORKERS;
-    use noelle_transforms::common::{parallelize, LoopTargetOpts, Parallelizer};
+    use noelle_transforms::common::{emit, LoopTargetOpts};
     let fail = |technique: &str, what: String| Failure {
         tool: Some(format!("audit:{technique}")),
         kind: FailureKind::AuditMismatch,
@@ -292,7 +291,7 @@ fn audit_failures(m: &Module, base: &RunResult, run_cfg: &RunConfig, entry: &str
         let loop_name = format!("@{}:{}", la.function, la.header_name);
         for v in &la.verdicts {
             let tname = v.technique.as_str();
-            if !v.clean() {
+            let Ok(recipe) = &v.outcome else {
                 // Blocked ⇒ concrete attribution. (Hints are statically
                 // total on `Blocker`; the check documents the contract.)
                 if v.blockers.is_empty() {
@@ -302,64 +301,33 @@ fn audit_failures(m: &Module, base: &RunResult, run_cfg: &RunConfig, entry: &str
                     ));
                 }
                 continue;
-            }
-            // Clean ⇒ the transform must accept exactly this loop...
-            let mut target = LoopTargetOpts::pinned(&la.function, la.header);
-            if v.technique == Parallelizer::Dswp {
-                target = target.with_workers(AUDIT_WORKERS);
-            }
+            };
+            // Clean ⇒ the recipe emits on exactly this loop (a pipeline's
+            // stage count is the recipe's own)...
             let mut tn = Noelle::new(m.clone(), AliasTier::Full);
-            let report = parallelize(&mut tn, v.technique, &target);
-            if !report
-                .parallelized
-                .iter()
-                .any(|(f, h)| *f == la.function && *h == la.header)
-            {
-                let why = report
-                    .skipped
-                    .iter()
-                    .find(|(f, h, _)| *f == la.function && *h == la.header)
-                    .map(|(_, _, r)| r.clone())
-                    .unwrap_or_else(|| "loop not attempted".to_string());
+            let (fid, workers) = (la.fid, LoopTargetOpts::default().workers);
+            let emitted = tn.edit(|tx| {
+                emit(
+                    tx.module_touching([fid]),
+                    fid,
+                    &la.abstraction,
+                    recipe,
+                    workers,
+                )
+            });
+            if let Err(e) = emitted {
                 failures.push(fail(
                     tname,
-                    format!("clean verdict on {loop_name}, but the transform refused: {why}"),
+                    format!("clean verdict on {loop_name}, but the recipe does not emit: {e}"),
                 ));
                 continue;
             }
             // ...and the parallelized module must still behave.
-            let tm = tn.into_module();
-            if let Err(e) = verify_module(&tm) {
+            if let Err(why) = rerun(&tn.into_module(), base, run_cfg, entry) {
                 failures.push(fail(
                     tname,
-                    format!("clean verdict on {loop_name}, transformed module rejects: {e:?}"),
+                    format!("clean verdict on {loop_name}, transformed {why}"),
                 ));
-                continue;
-            }
-            match run_caught(&tm, run_cfg, entry) {
-                Err(p) => failures.push(fail(
-                    tname,
-                    format!("clean verdict on {loop_name}, transformed run panicked: {p}"),
-                )),
-                Ok(Err(e)) => failures.push(fail(
-                    tname,
-                    format!("clean verdict on {loop_name}, transformed run errored: {e}"),
-                )),
-                Ok(Ok(after)) => {
-                    if ret_bits(base) != ret_bits(&after)
-                        || base.output != after.output
-                        || base.globals_digest != after.globals_digest
-                    {
-                        failures.push(fail(
-                            tname,
-                            format!(
-                                "clean verdict on {loop_name}, but behavior diverged \
-                                 (ret {:?} vs {:?})",
-                                base.ret, after.ret
-                            ),
-                        ));
-                    }
-                }
             }
         }
     }
@@ -406,29 +374,37 @@ fn plan_failures(
         return (failures, false);
     }
     apply_plan(&mut n, &plan);
-    let tm = n.into_module();
-    if let Err(e) = verify_module(&tm) {
-        failures.push(fail(format!("planned module rejects: {e:?}")));
-        return (failures, false);
-    }
-    let mut slower = false;
-    match run_caught(&tm, run_cfg, entry) {
-        Err(p) => failures.push(fail(format!("planned run panicked: {p}"))),
-        Ok(Err(e)) => failures.push(fail(format!("planned run errored: {e}"))),
-        Ok(Ok(after)) => {
-            if ret_bits(base) != ret_bits(&after)
-                || base.output != after.output
-                || base.globals_digest != after.globals_digest
-            {
-                failures.push(fail(format!(
-                    "planned module diverged from baseline (ret {:?} vs {:?})",
-                    base.ret, after.ret
-                )));
-            }
-            slower = after.cycles > base.cycles;
+    match rerun(&n.into_module(), base, run_cfg, entry) {
+        Err(why) => {
+            failures.push(fail(format!("planned {why}")));
+            (failures, false)
         }
+        Ok(after) => (failures, after.cycles > base.cycles),
     }
-    (failures, slower)
+}
+
+/// Verify and run a transformed module against the baseline's return
+/// value, output trace and globals digest; `Err` says how it fails.
+fn rerun(
+    tm: &Module,
+    base: &RunResult,
+    run_cfg: &RunConfig,
+    entry: &str,
+) -> Result<RunResult, String> {
+    verify_module(tm).map_err(|e| format!("module rejects: {e:?}"))?;
+    let after = run_caught(tm, run_cfg, entry)
+        .map_err(|p| format!("run panicked: {p}"))?
+        .map_err(|e| format!("run errored: {e}"))?;
+    if ret_bits(base) != ret_bits(&after)
+        || base.output != after.output
+        || base.globals_digest != after.globals_digest
+    {
+        return Err(format!(
+            "module diverged from baseline (ret {:?} vs {:?})",
+            base.ret, after.ret
+        ));
+    }
+    Ok(after)
 }
 
 /// Run the full oracle over `m`: baseline, optional PDG-soundness pass, then

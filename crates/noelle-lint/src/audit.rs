@@ -181,14 +181,14 @@ pub struct LoopAudit {
     /// Header block's layout index (deterministic ordering key).
     pub header_index: usize,
     /// The loop abstraction the verdicts were issued on, for whoever acts
-    /// on them next (the planner prices it instead of building it again).
-    /// It lives exactly as long as the audit does, and its instruction and
-    /// block ids name the module as it was at audit time: read it against
-    /// the auditing manager's module, before that manager's next edit.
+    /// on them next (the planner prices it, and a plan emits it, instead of
+    /// building it again). Its instruction and block ids name the module as
+    /// audited: read it against the auditing manager's module while `epoch`
+    /// below still stands.
     pub abstraction: Arc<LoopAbstraction>,
-    /// The owning function's [`Noelle::revision`] at audit time (what a
-    /// consumer of `abstraction` checks it is not late).
-    pub revision: u64,
+    /// The owning function's [`Noelle::epoch`] at audit time: while the
+    /// auditing manager reports it, a fresh audit would say the same.
+    pub epoch: u64,
     /// Per-technique verdicts, in [`Parallelizer::AUDITED`] order.
     pub verdicts: Vec<TechniqueAudit>,
 }
@@ -399,7 +399,7 @@ pub fn run_audit(n: &mut Noelle) -> ModuleAudit {
 
 /// Audit only the loops of the given functions (`None` = all). The IDE uses
 /// the scoped form to re-audit just the functions an edit damaged.
-pub fn run_audit_scoped(n: &mut Noelle, only: Option<&BTreeSet<FuncId>>) -> ModuleAudit {
+pub fn run_audit_scoped(n: &mut Noelle, scope: Option<&BTreeSet<FuncId>>) -> ModuleAudit {
     n.note(Abstraction::Audit);
     let arch = n.architecture();
 
@@ -410,7 +410,7 @@ pub fn run_audit_scoped(n: &mut Noelle, only: Option<&BTreeSet<FuncId>>) -> Modu
         .module()
         .func_ids()
         .filter(|&fid| !n.module().func(fid).block_order().is_empty())
-        .filter(|fid| only.is_none_or(|set| set.contains(fid)))
+        .filter(|fid| scope.is_none_or(|set| set.contains(fid)))
         .map(|fid| (n.module().func(fid).name.clone(), fid))
         .collect();
     fids.sort();
@@ -454,7 +454,7 @@ pub fn run_audit_scoped(n: &mut Noelle, only: Option<&BTreeSet<FuncId>>) -> Modu
                 header_name: m.func(fid).block(header).name.clone(),
                 header_index: header_index(m, fid, header),
                 abstraction: la,
-                revision: n.revision(fid),
+                epoch: n.epoch(fid),
                 verdicts,
             });
         }

@@ -10,27 +10,26 @@
 //! the loop abstraction say what code the transform writes, and the
 //! profiles or the call sites say how often the loop iterates. It then
 //! picks the best candidate per loop subject to nesting conflicts and
-//! emits a deterministic, explainable report; [`apply_plan`] executes the
-//! winners through the unified [`LoopTargetOpts`] transform surface.
+//! emits a deterministic, explainable report. Each winner carries the
+//! judgment it was priced on, and [`apply_plan`] emits exactly that.
 
 use noelle_analysis::scev::{affine_recurrences, trip_count_given};
 use noelle_core::architecture::{bin_cost, static_cost, Architecture};
 use noelle_core::json::Json;
+use noelle_core::loop_abs::LoopAbstraction;
 use noelle_core::noelle::{CallEdges, Noelle};
 use noelle_core::profiler::Profiles;
 use noelle_ir::inst::{BinOp, Callee, Inst};
-use noelle_ir::loops::LoopInfo;
 use noelle_ir::module::{BlockId, FuncId, Module};
 use noelle_ir::value::{Constant, Value};
 use noelle_lint::audit::{LoopAudit, ModuleAudit, AUDIT_WORKERS};
 use noelle_lint::run_audit;
-use noelle_transforms::common::{
-    fixed_cost, gate, parallelize, FixedCost, LoopTargetOpts, Parallelizer, Recipe,
-};
+use noelle_transforms::common::{emit, fixed_cost, gate, FixedCost, Parallelizer, Recipe};
 use noelle_transforms::dswp::StageSummary;
 use noelle_transforms::helix::Segments;
-use noelle_transforms::ParallelReport;
+use noelle_transforms::{ParallelReport, ParallelizeError};
 use std::fmt::Write;
+use std::sync::Arc;
 
 /// Trip count assumed when neither the static analysis nor the profiles
 /// know how often the loop iterates.
@@ -119,6 +118,32 @@ pub struct LoopPlan {
     pub chosen: Option<Parallelizer>,
     /// Why the winner won — or why nothing was planned.
     pub reason: String,
+    /// What the winner was priced on; `None` exactly when nothing won.
+    pub judgment: Option<Judgment>,
+}
+
+/// The judgment a chosen loop was priced on: the audit's loop abstraction
+/// and the recipe of the chosen technique's verdict (DSWP: the one gated at
+/// the chosen stage count), at the epoch the audit read them.
+#[derive(Clone, Debug)]
+pub struct Judgment {
+    /// Owning function.
+    pub fid: FuncId,
+    /// The abstraction the audit issued its verdicts on.
+    pub abstraction: Arc<LoopAbstraction>,
+    /// The owning function's [`Noelle::epoch`] at audit time.
+    pub epoch: u64,
+    /// What the chosen technique's gate decided.
+    pub recipe: Recipe,
+}
+
+impl Judgment {
+    /// Emit the recipe on `workers` tasks in one edit of `n`: the planning
+    /// manager while the epoch matches, or one over a copy of its module.
+    pub fn emit(&self, n: &mut Noelle, workers: usize) -> Result<(), ParallelizeError> {
+        let (fid, la) = (self.fid, &*self.abstraction);
+        n.edit(|tx| emit(tx.module_touching([fid]), fid, la, &self.recipe, workers))
+    }
 }
 
 impl LoopPlan {
@@ -307,19 +332,23 @@ pub fn plan_from_audit(n: &mut Noelle, audit: &ModuleAudit, opts: &PlanOptions) 
         .collect();
 
     // Pass 1: per-loop candidate tables, priced on the abstraction the
-    // audit issued its verdicts on.
-    let mut loops: Vec<(LoopPlan, &LoopInfo, FuncId)> = Vec::new();
+    // audit issued its verdicts on, and any wider DSWP recipe priced.
+    let mut loops: Vec<LoopPlan> = Vec::with_capacity(audit.loops.len());
+    let mut wider: Vec<Option<Recipe>> = Vec::with_capacity(audit.loops.len());
     for (i, laud) in audit.loops.iter().enumerate() {
-        let (fid, la) = (laud.fid, &*laud.abstraction);
-        debug_assert_eq!(n.revision(fid), laud.revision, "audit predates an edit");
-        let l = &la.structure;
+        debug_assert_eq!(n.epoch(laud.fid), laud.epoch, "audit predates an edit");
         let cost = LoopCost::of(m, audit, &trips, i);
 
+        let mut priced_wider = None;
         let candidates = laud
             .verdicts
             .iter()
             .map(|v| match &v.outcome {
-                Ok(recipe) => price(v.technique, m, laud, recipe, &arch, opts.workers, &cost),
+                Ok(recipe) => {
+                    let (c, w) = price(v.technique, m, laud, recipe, &arch, opts.workers, &cost);
+                    priced_wider = w.or(priced_wider.take());
+                    c
+                }
                 Err(refusal) => {
                     let why = v
                         .blockers
@@ -330,12 +359,12 @@ pub fn plan_from_audit(n: &mut Noelle, audit: &ModuleAudit, opts: &PlanOptions) 
             })
             .collect();
 
-        let plan = LoopPlan {
+        loops.push(LoopPlan {
             function: laud.function.clone(),
             header: laud.header,
             header_name: laud.header_name.clone(),
             weight: if profiled {
-                profiles.loop_hotness(m, fid, l)
+                profiles.loop_hotness(m, laud.fid, &laud.abstraction.structure)
             } else {
                 0.0 // filled by the static-share pass below
             },
@@ -344,19 +373,17 @@ pub fn plan_from_audit(n: &mut Noelle, audit: &ModuleAudit, opts: &PlanOptions) 
             candidates,
             chosen: None,
             reason: String::new(),
-        };
-        loops.push((plan, l, fid));
+            judgment: None,
+        });
+        wider.push(priced_wider);
     }
 
     // Unprofiled modules: weigh loops by their static cost share so the
     // nesting arbitration and the program-speedup prediction stay defined.
     if !profiled {
-        let total: f64 = loops
-            .iter()
-            .map(|(p, _, _)| p.trip * p.body_cost as f64)
-            .sum();
+        let total: f64 = loops.iter().map(|p| p.trip * p.body_cost as f64).sum();
         if total > 0.0 {
-            for (p, _, _) in &mut loops {
+            for p in &mut loops {
                 p.weight = (p.trip * p.body_cost as f64 / total).min(1.0);
             }
         }
@@ -368,30 +395,33 @@ pub fn plan_from_audit(n: &mut Noelle, audit: &ModuleAudit, opts: &PlanOptions) 
     let order: Vec<usize> = {
         let mut idx: Vec<usize> = (0..loops.len()).collect();
         idx.sort_by(|&a, &b| {
-            let ba = benefit(&loops[a].0);
-            let bb = benefit(&loops[b].0);
+            let ba = benefit(&loops[a]);
+            let bb = benefit(&loops[b]);
             bb.partial_cmp(&ba)
                 .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| loops[a].0.function.cmp(&loops[b].0.function))
-                .then_with(|| loops[a].0.header.0.cmp(&loops[b].0.header.0))
+                .then_with(|| loops[a].function.cmp(&loops[b].function))
+                .then_with(|| loops[a].header.0.cmp(&loops[b].header.0))
         });
         idx
     };
     let mut accepted: Vec<usize> = Vec::new();
     for i in order {
-        let (p, l, fid) = &loops[i];
+        let (p, laud) = (&loops[i], &audit.loops[i]);
         let Some(best) = best_candidate(p).filter(|c| c.predicted_speedup >= MIN_SPEEDUP) else {
             continue;
         };
         let (t, s, w) = (best.technique, best.predicted_speedup, best.workers);
         // Nesting conflict with an already-accepted loop of the same function?
+        let l = &laud.abstraction.structure;
         let conflict = accepted.iter().copied().find(|&j| {
-            let (q, lj, fj) = &loops[j];
-            fj == fid && q.header != p.header && (lj.contains(p.header) || l.contains(q.header))
+            let (q, lj) = (&loops[j], &audit.loops[j].abstraction.structure);
+            audit.loops[j].fid == laud.fid
+                && q.header != p.header
+                && (lj.contains(p.header) || l.contains(q.header))
         });
         match conflict {
             Some(j) => {
-                let (q, _, _) = &loops[j];
+                let q = &loops[j];
                 let reason = format!(
                     "skipped: nesting conflict with planned @{}:{} ({} {:.2}x, benefit {:.4} vs {:.4})",
                     q.function,
@@ -401,7 +431,7 @@ pub fn plan_from_audit(n: &mut Noelle, audit: &ModuleAudit, opts: &PlanOptions) 
                     benefit(q),
                     benefit(p),
                 );
-                loops[i].0.reason = reason;
+                loops[i].reason = reason;
             }
             None => {
                 let runners: Vec<String> = p
@@ -410,8 +440,17 @@ pub fn plan_from_audit(n: &mut Noelle, audit: &ModuleAudit, opts: &PlanOptions) 
                     .filter(|c| c.clean && c.technique != t)
                     .map(|c| format!("{} {:.2}x", c.technique.as_str(), c.predicted_speedup))
                     .collect();
-                loops[i].0.chosen = Some(t);
-                loops[i].0.reason = if runners.is_empty() {
+                let recipe = (wider[i].take().filter(|_| t == Parallelizer::Dswp))
+                    .or_else(|| laud.verdict(t).outcome.clone().ok())
+                    .expect("a chosen technique is clean");
+                loops[i].judgment = Some(Judgment {
+                    fid: laud.fid,
+                    abstraction: Arc::clone(&laud.abstraction),
+                    epoch: laud.epoch,
+                    recipe,
+                });
+                loops[i].chosen = Some(t);
+                loops[i].reason = if runners.is_empty() {
                     format!(
                         "{} wins on {w} workers: only clean candidate, predicted {s:.2}x",
                         t.as_str()
@@ -427,7 +466,7 @@ pub fn plan_from_audit(n: &mut Noelle, audit: &ModuleAudit, opts: &PlanOptions) 
             }
         }
     }
-    for (p, _, _) in &mut loops {
+    for p in &mut loops {
         if p.reason.is_empty() {
             p.reason = match best_candidate(p) {
                 None => "no clean technique".to_string(),
@@ -445,7 +484,7 @@ pub fn plan_from_audit(n: &mut Noelle, audit: &ModuleAudit, opts: &PlanOptions) 
     ModulePlan {
         workers: opts.workers,
         profiled,
-        loops: loops.into_iter().map(|(p, _, _)| p).collect(),
+        loops,
     }
 }
 
@@ -666,7 +705,8 @@ fn predict(
 /// transform would execute — at the worker count in `1..=budget` that
 /// predicts the fewest cycles; the fewer workers on a tie. DSWP's recipe is
 /// the one that depends on the count: the audit's has [`AUDIT_WORKERS`]
-/// stages, and each larger count within the budget is gated here.
+/// stages, and each larger count within the budget is gated here. When a
+/// wider pipeline wins, its recipe is returned beside the candidate.
 fn price(
     t: Parallelizer,
     m: &Module,
@@ -675,23 +715,29 @@ fn price(
     arch: &Architecture,
     budget: usize,
     cost: &LoopCost,
-) -> Candidate {
+) -> (Candidate, Option<Recipe>) {
     let (fid, la) = (laud.fid, &*laud.abstraction);
     let cheaper = |a: Price, b: Price| if b.total < a.total { b } else { a };
     let at = |recipe: &Recipe, fixed: FixedCost, w: usize| {
         predict(m, laud, arch, cost, recipe, fixed, w)
     };
+    let mut priced_wider = None;
     let p = if let Recipe::Dswp(_) = recipe {
         if budget < AUDIT_WORKERS {
             let why = format!("a pipeline needs {AUDIT_WORKERS} workers");
-            return Candidate::unpriced(t, true, budget, why);
+            return (Candidate::unpriced(t, true, budget, why), None);
         }
         let mut best = at(recipe, fixed_cost(la, recipe), AUDIT_WORKERS);
         for want in AUDIT_WORKERS + 1..=budget {
             match gate(t, m, fid, la, arch, want) {
                 // Fewer SCCs than wanted: the partition already priced.
                 Ok(Recipe::Dswp(stages)) if stages.n_stages < want => break,
-                Ok(wider) => best = cheaper(best, at(&wider, fixed_cost(la, &wider), want)),
+                Ok(wider) => {
+                    let p = at(&wider, fixed_cost(la, &wider), want);
+                    if p.total < best.total {
+                        (best, priced_wider) = (p, Some(wider));
+                    }
+                }
                 // A count the gate refuses is not a candidate; the next may be.
                 Err(_) => {}
             }
@@ -743,14 +789,15 @@ fn price(
             arch.spawn_clock(p.workers - 1)
         ),
     };
-    Candidate {
+    let candidate = Candidate {
         technique: t,
         clean: true,
         predicted_speedup: if p.total > 0.0 { seq / p.total } else { 1.0 },
         predicted_cycles: p.span,
         workers: p.workers,
         detail,
-    }
+    };
+    (candidate, priced_wider)
 }
 
 /// Cycles from the dispatch to the end of its join when `w` tasks split the
@@ -802,20 +849,43 @@ fn dswp_span(arch: &Architecture, cost: &LoopCost, frame: u64, ss: &StageSummary
         .fold(0.0, f64::max)
 }
 
-/// Execute the plan: each chosen technique runs pinned to its loop through
-/// the unified [`LoopTargetOpts`] surface. Returns the merged report.
+/// Execute the plan in order: a chosen loop emits the recipe its
+/// [`Judgment`] carries while `n` reports the epoch it was judged at. Where
+/// the epoch moved (an earlier emit damaged the function, an edit landed
+/// since, or `n` did not plan), the chosen technique's [`gate`] judges the
+/// loop again as it stands, and a refusal is reported as skipped.
 pub fn apply_plan(n: &mut Noelle, plan: &ModulePlan) -> ParallelReport {
-    let mut merged = ParallelReport::default();
+    let mut report = ParallelReport::default();
     for l in &plan.loops {
-        let Some(c) = l.chosen_candidate() else {
+        let (Some(c), Some(judged)) = (l.chosen_candidate(), &l.judgment) else {
             continue;
         };
-        let target = LoopTargetOpts::pinned(&l.function, l.header).with_workers(c.workers);
-        let report = parallelize(n, c.technique, &target);
-        merged.parallelized.extend(report.parallelized);
-        merged.skipped.extend(report.skipped);
+        for &a in c.technique.abstractions() {
+            n.note(a);
+        }
+        let (fid, workers) = (judged.fid, c.workers);
+        let outcome = if n.epoch(fid) == judged.epoch {
+            judged.emit(n, workers)
+        } else {
+            // A loop the edits since have removed is not attempted.
+            let Some(lp) = n.loops_of(fid).into_iter().find(|lp| lp.header == l.header) else {
+                continue;
+            };
+            let la = n.loop_abstraction(fid, lp);
+            // Read without `Noelle::architecture`, as `parallelize` reads it.
+            let arch = Architecture::from_module(n.module()).unwrap_or_default();
+            gate(c.technique, n.module(), fid, &la, &arch, workers).and_then(|recipe| {
+                n.edit(|tx| emit(tx.module_touching([fid]), fid, &la, &recipe, workers))
+            })
+        };
+        match outcome {
+            Ok(()) => report.parallelized.push((l.function.clone(), l.header)),
+            Err(e) => report
+                .skipped
+                .push((l.function.clone(), l.header, e.to_string())),
+        }
     }
-    merged
+    report
 }
 
 #[cfg(test)]
@@ -856,8 +926,17 @@ mod tests {
         assert_eq!(predicted.workers, w);
 
         let mut alone = Noelle::new(m.clone(), AliasTier::Full);
-        let target = LoopTargetOpts::pinned("kernel", laud.header).with_workers(w);
-        assert_eq!(parallelize(&mut alone, t, &target).count(), 1);
+        alone
+            .edit(|tx| {
+                emit(
+                    tx.module_touching([laud.fid]),
+                    laud.fid,
+                    &laud.abstraction,
+                    recipe,
+                    w,
+                )
+            })
+            .expect("a clean verdict emits");
         let par = run_module(&alone.into_module(), "main", &[], &RunConfig::default()).unwrap();
         (predicted.span, par.counters["dispatch.cycles"], par.cycles)
     }

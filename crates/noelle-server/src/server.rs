@@ -25,8 +25,8 @@
 
 use crate::metrics::{Metrics, Outcome};
 use crate::protocol::{
-    read_frame, response_err, response_ok, response_ok_text, write_frame_text, ErrorCode, Request,
-    PROTOCOL_VERSION,
+    read_frame_text, response_err, response_ok, response_ok_text, write_frame_text, ErrorCode,
+    Request, PROTOCOL_VERSION,
 };
 use crate::session::{Session, SessionTable};
 use noelle_core::json::{envelope, Json};
@@ -616,11 +616,11 @@ fn accept_loop(
     }
 }
 
-/// Read one frame, tolerating read-timeout polls so the thread can notice
-/// shutdown between frames. Returns `None` on EOF, error, or shutdown.
-fn read_frame_polling(stream: &mut impl io::Read, state: &ServerState) -> Option<Json> {
+/// Read one frame's text, tolerating read-timeout polls so the thread can
+/// notice shutdown between frames. `None` on EOF, error, or shutdown.
+fn read_frame_polling(stream: &mut impl io::Read, state: &ServerState) -> Option<String> {
     loop {
-        match read_frame(stream) {
+        match read_frame_text(stream) {
             Ok(v) => return v,
             Err(e)
                 if matches!(
@@ -713,7 +713,9 @@ fn connection_loop(stream: TcpStream, state: &Arc<ServerState>) {
         let Some(frame) = read_frame_polling(&mut reader, state) else {
             break;
         };
-        let pending = match Request::from_json(&frame) {
+        // A frame that is no JSON value arrived whole all the same: answer it.
+        let parsed = Json::parse(&frame).ok_or_else(|| "frame is not valid JSON".to_string());
+        let pending = match parsed.and_then(|v| Request::from_json(&v)) {
             Err(e) => {
                 PendingReply::Ready(response_err(0, ErrorCode::BadRequest, &e).to_string_compact())
             }

@@ -53,7 +53,7 @@ fn run_audit_mode(input: &str, format: &str) {
     if input == "workload:all" {
         // One deterministic document over the whole suite, keyed by
         // workload name: the golden-diff form.
-        let audits: Vec<(String, Json)> = noelle_workloads_all()
+        let audits: Vec<(String, Json)> = noelle_workloads::built_suite()
             .into_iter()
             .map(|(name, m)| {
                 let mut n = Noelle::new(m, AliasTier::Full);
@@ -98,12 +98,4 @@ fn run_audit_mode(input: &str, format: &str) {
         }
         other => die(&format!("unknown format '{other}' (expected text|json)")),
     }
-}
-
-fn noelle_workloads_all() -> Vec<(String, noelle_ir::module::Module)> {
-    noelle_workloads::all()
-        .into_iter()
-        .chain(std::iter::once(noelle_workloads::pdg_stress()))
-        .map(|w| (w.name.to_string(), w.build()))
-        .collect()
 }

@@ -5,9 +5,8 @@
 //! the embedded profiles, and the SCCDAG structure, then picks the best
 //! candidate per loop under nesting conflicts. The report is deterministic
 //! and explainable: a per-loop candidate table with predicted speedups and
-//! why the winner won. `--apply` executes the chosen plan through the
-//! unified `LoopTargetOpts` transform surface and writes the parallelized
-//! module. `workload:all` plans the whole built-in suite into one JSON
+//! why the winner won. `--apply` emits the recipe each chosen loop was
+//! judged on and writes the parallelized module. `workload:all` plans the whole built-in suite into one JSON
 //! document — the form CI diffs against the checked-in golden.
 //! `--calibrate` instead applies every planned loop alone, runs it on the
 //! simulated machine and prints prediction beside measurement, one row a
@@ -48,7 +47,7 @@ fn main() {
     if input == "workload:all" {
         // One deterministic document over the whole suite, keyed by
         // workload name: the golden-diff form.
-        let plans: Vec<(String, Json)> = noelle_workloads_all()
+        let plans: Vec<(String, Json)> = noelle_workloads::built_suite()
             .into_iter()
             .map(|(name, m)| {
                 let mut n = Noelle::new(m, AliasTier::Full);
@@ -86,12 +85,4 @@ fn main() {
         let out = args.flag_or("o", "-");
         write_module(&noelle.into_module(), out).unwrap_or_else(|e| die(&e));
     }
-}
-
-fn noelle_workloads_all() -> Vec<(String, noelle_ir::module::Module)> {
-    noelle_workloads::all()
-        .into_iter()
-        .chain(std::iter::once(noelle_workloads::pdg_stress()))
-        .map(|w| (w.name.to_string(), w.build()))
-        .collect()
 }

@@ -9,10 +9,9 @@ use noelle_core::noelle::{AliasTier, Noelle};
 use noelle_ir::module::Module;
 use noelle_plan::{plan_module, PlanOptions};
 use noelle_runtime::{run_module, RunConfig};
-use noelle_transforms::common::{parallelize, LoopTargetOpts};
 use std::fmt::Write;
 
-/// One planned loop: the prediction and the pinned, alone measurement.
+/// One planned loop: the prediction and the measurement of it alone.
 /// Cycle columns are totals over the loop's invocations in one run.
 #[derive(Debug, Clone)]
 pub struct Row {
@@ -48,21 +47,16 @@ impl Row {
 /// The calibration corpus: the 41 paper workloads, `pdg_stress`, and the
 /// scale module the transform benchmark is shaped after.
 pub fn corpus() -> Vec<(String, Module)> {
-    noelle_workloads::all()
-        .into_iter()
-        .chain(std::iter::once(noelle_workloads::pdg_stress()))
-        .map(|w| (w.name.to_string(), w.build()))
-        .chain(std::iter::once((
-            "scale_module(133,42)".to_string(),
-            noelle_workloads::scale_module(133, 42),
-        )))
-        .collect()
+    let mut modules = noelle_workloads::built_suite();
+    let scale = noelle_workloads::scale_module(133, 42);
+    modules.push(("scale_module(133,42)".to_string(), scale));
+    modules
 }
 
-/// Plan `m` and measure every planned loop pinned and alone.
+/// Plan `m` and measure every planned loop applied alone.
 ///
 /// # Errors
-/// Returns a message when a run fails, a planned loop is refused, or a
+/// Returns a message when a run fails, a planned loop does not emit, or a
 /// transformed module computes something else than its input.
 pub fn calibrate(name: &str, m: &Module, opts: &PlanOptions) -> Result<Vec<Row>, String> {
     let run = |m: &Module| {
@@ -72,18 +66,18 @@ pub fn calibrate(name: &str, m: &Module, opts: &PlanOptions) -> Result<Vec<Row>,
     let plan = plan_module(&mut Noelle::new(m.clone(), AliasTier::Full), opts);
     let mut rows = Vec::new();
     for l in &plan.loops {
-        let Some(c) = l.chosen_candidate() else {
+        let (Some(c), Some(judged)) = (l.chosen_candidate(), &l.judgment) else {
             continue;
         };
+        // The recipe the plan was priced on, emitted on a copy of the
+        // module it was judged on: what `apply_plan` emits for the loop.
         let mut alone = Noelle::new(m.clone(), AliasTier::Full);
-        let target = LoopTargetOpts::pinned(&l.function, l.header).with_workers(c.workers);
-        let report = parallelize(&mut alone, c.technique, &target);
-        if report.parallelized.len() != 1 {
-            return Err(format!(
-                "{name}: planned loop @{}:{} was not taken: {:?}",
-                l.function, l.header_name, report.skipped
-            ));
-        }
+        judged.emit(&mut alone, c.workers).map_err(|e| {
+            format!(
+                "{name}: planned loop @{}:{} does not emit: {e}",
+                l.function, l.header_name
+            )
+        })?;
         let par = run(&alone.into_module())?;
         if (par.ret, &par.output, par.globals_digest) != (seq.ret, &seq.output, seq.globals_digest)
         {

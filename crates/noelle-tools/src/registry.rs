@@ -98,7 +98,6 @@ pub struct ToolEntry {
 fn run_parallelizer(n: &mut Noelle, tool: Parallelizer, workers: usize) -> Result<String, String> {
     let target = LoopTargetOpts {
         min_hotness: 0.0,
-        only: None,
         workers,
     };
     Ok(format!("{:?}", parallelize(n, tool, &target)))

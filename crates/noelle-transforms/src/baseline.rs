@@ -12,7 +12,7 @@
 //!   the paper's observation that "both gcc and icc did not obtain
 //!   additional performance benefits from their parallelization techniques".
 
-use crate::common::{candidate_loops, parallelize_with, LoopTargetOpts, ParallelReport};
+use crate::common::{candidate_loops, parallelize_with, ParallelReport};
 use crate::doall::distribute_cyclically;
 use noelle_analysis::alias::BasicAlias;
 use noelle_analysis::modref::ModRefSummaries;
@@ -67,7 +67,7 @@ pub fn conservative_parallelize(m: Module, n_tasks: usize) -> (Module, ParallelR
     let mut report = ParallelReport::default();
     // Basic alias tier only.
     let mut noelle = Noelle::new(m, AliasTier::Basic);
-    for (fid, l) in candidate_loops(&mut noelle, &LoopTargetOpts::default()) {
+    for (fid, l) in candidate_loops(&mut noelle) {
         let fname = noelle.module().func(fid).name.clone();
 
         // 1. LLVM-style IV detection: do-while shape required.

@@ -105,8 +105,6 @@ pub struct LoopTargetOpts {
     /// Skip loops whose profiled hotness is below this fraction of total
     /// execution (ignored when the module carries no profiles).
     pub min_hotness: f64,
-    /// Restrict the run to exactly one loop, `(function name, header block)`.
-    pub only: Option<(String, BlockId)>,
     /// Worker count: tasks for DOALL/HELIX, pipeline stages for DSWP.
     pub workers: usize,
 }
@@ -115,74 +113,22 @@ impl Default for LoopTargetOpts {
     fn default() -> Self {
         LoopTargetOpts {
             min_hotness: 0.05,
-            only: None,
             workers: 4,
         }
     }
 }
 
-impl LoopTargetOpts {
-    /// Target exactly one loop, bypassing the hotness gate — the caller
-    /// (planner, auditor, fuzz oracle) has already decided this loop is
-    /// worth transforming.
-    pub fn pinned(function: &str, header: BlockId) -> Self {
-        LoopTargetOpts {
-            min_hotness: 0.0,
-            only: Some((function.to_string(), header)),
-            ..LoopTargetOpts::default()
-        }
-    }
-
-    /// Same selection with a different worker count.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
-        self
-    }
-}
-
-/// The loops `target` admits, outermost first (parallelizing an outer loop
-/// subsumes its children; LICM walks the list backwards), with the name of
-/// the function each lives in. One walk of the manager's cached loop
-/// forests shared by every loop tool — and when `target` pins a loop, the
-/// pinned name is resolved to a function once and only that function's
-/// forest is visited, so a planner applying one loop at a time does not
-/// pay for the module per loop.
-pub fn candidate_loops(noelle: &mut Noelle, target: &LoopTargetOpts) -> Vec<(FuncId, LoopInfo)> {
-    let forest = match &target.only {
-        Some((fname, _)) => match noelle.module().func_id_by_name(fname) {
-            Some(fid) => noelle.loop_forest_over([fid]),
-            None => return Vec::new(),
-        },
-        None => noelle.program_loop_forest(),
-    };
+/// Every loop of the module with its function, outermost first (an outer
+/// loop parallelized subsumes its children; LICM walks the list backwards):
+/// the one walk of the manager's cached loop forests every loop tool shares.
+pub fn candidate_loops(noelle: &mut Noelle) -> Vec<(FuncId, LoopInfo)> {
+    let forest = noelle.program_loop_forest();
     let mut order = forest.innermost_first();
     order.reverse();
     order
         .into_iter()
-        .map(|node| (node.0, forest.loop_info(node)))
-        .filter(|(_, l)| target.only.as_ref().is_none_or(|(_, h)| *h == l.header))
-        .map(|(fid, l)| (fid, l.clone()))
+        .map(|node| (node.0, forest.loop_info(node).clone()))
         .collect()
-}
-
-/// The loops a run has parallelized so far. A loop nested in one of them
-/// is gone (its parent was outlined into a task and bypassed), so the
-/// remaining candidates of the run are checked against this list.
-#[derive(Default)]
-pub struct DoneLoops(Vec<(FuncId, LoopInfo)>);
-
-impl DoneLoops {
-    /// Record that loop `l` of `fid` was parallelized.
-    pub fn push(&mut self, fid: FuncId, l: LoopInfo) {
-        self.0.push((fid, l));
-    }
-
-    /// Is `l` strictly nested in a loop of `fid` recorded here?
-    pub fn subsume(&self, fid: FuncId, l: &LoopInfo) -> bool {
-        self.0
-            .iter()
-            .any(|(df, dl)| *df == fid && dl.header != l.header && dl.contains(l.header))
-    }
 }
 
 /// A parallelizing tool [`parallelize`] can run: the one technique enum.
@@ -211,6 +157,16 @@ impl Parallelizer {
             Parallelizer::Helix => "helix",
             Parallelizer::Dswp => "dswp",
             Parallelizer::Perspective => "perspective",
+        }
+    }
+
+    /// The abstractions the technique asks the manager for: its Table 4 row.
+    pub fn abstractions(self) -> &'static [Abstraction] {
+        match self {
+            Parallelizer::Doall => &doall::ABSTRACTIONS,
+            Parallelizer::Helix => &helix::ABSTRACTIONS,
+            Parallelizer::Dswp => &dswp::ABSTRACTIONS,
+            Parallelizer::Perspective => &perspective::ABSTRACTIONS,
         }
     }
 }
@@ -329,7 +285,7 @@ pub fn fixed_cost(la: &LoopAbstraction, recipe: &Recipe) -> FixedCost {
     }
 }
 
-/// Run one parallelizer over the loops `target` admits, outermost first:
+/// Run one parallelizer over every loop of the module, outermost first:
 /// skip what an already-parallelized parent subsumes and what the profile
 /// says is cold, [`gate`] the rest, and [`emit`] each accepted loop in its
 /// own edit transaction.
@@ -338,13 +294,7 @@ pub fn parallelize(
     technique: Parallelizer,
     target: &LoopTargetOpts,
 ) -> ParallelReport {
-    let requested: &[Abstraction] = match technique {
-        Parallelizer::Doall => &doall::ABSTRACTIONS,
-        Parallelizer::Helix => &helix::ABSTRACTIONS,
-        Parallelizer::Dswp => &dswp::ABSTRACTIONS,
-        Parallelizer::Perspective => &perspective::ABSTRACTIONS,
-    };
-    for &a in requested {
+    for &a in technique.abstractions() {
         noelle.note(a);
     }
     // Read without `Noelle::architecture`, which would note AR for every
@@ -356,9 +306,12 @@ pub fn parallelize(
         .filter(|p| !p.block_counts.is_empty());
 
     let mut report = ParallelReport::default();
-    let mut done = DoneLoops::default();
-    for (fid, l) in candidate_loops(noelle, target) {
-        if done.subsume(fid, &l) {
+    // A loop nested in one parallelized so far is gone: its parent was
+    // outlined into a task and bypassed.
+    let mut done: Vec<(FuncId, LoopInfo)> = Vec::new();
+    for (fid, l) in candidate_loops(noelle) {
+        let inside = |(df, dl): &(FuncId, LoopInfo)| *df == fid && dl.contains(l.header);
+        if done.iter().any(inside) {
             continue;
         }
         let fname = noelle.module().func(fid).name.clone();
@@ -379,7 +332,7 @@ pub fn parallelize(
         match outcome {
             Ok(()) => {
                 report.parallelized.push((fname, l.header));
-                done.push(fid, l);
+                done.push((fid, l));
             }
             Err(e) => report.skipped.push((fname, l.header, e.to_string())),
         }

@@ -728,7 +728,6 @@ done:
                 &LoopTargetOpts {
                     min_hotness: 0.0,
                     workers,
-                    only: None,
                 },
             );
             assert!(
@@ -771,7 +770,6 @@ done:
             let target = LoopTargetOpts {
                 min_hotness: 0.0,
                 workers: 2,
-                only: None,
             };
             parallelize(&mut noelle, Parallelizer::Dswp, &target)
         };
@@ -823,7 +821,6 @@ exit:
             &LoopTargetOpts {
                 min_hotness: 0.0,
                 workers: 2,
-                only: None,
             },
         );
         assert_eq!(report.count(), 0, "{report:?}");

@@ -7,7 +7,7 @@
 //! with [`crate::baseline::licm_llvm`], which drives the same hoister with
 //! Algorithm 1.
 
-use crate::common::{candidate_loops, LoopTargetOpts};
+use crate::common::candidate_loops;
 use noelle_analysis::alias::{underlying_objects, MemoryObject};
 use noelle_core::invariants::InvariantSet;
 use noelle_core::loop_builder::hoist_to_preheader;
@@ -124,7 +124,7 @@ pub fn run(noelle: &mut Noelle) -> LicmReport {
     }
     let mut report = LicmReport::default();
     // Innermost first, so an invariant hoists out of a whole nest.
-    let loops = candidate_loops(noelle, &LoopTargetOpts::default());
+    let loops = candidate_loops(noelle);
     for (fid, l) in loops.into_iter().rev() {
         let la = noelle.loop_abstraction(fid, l.clone());
         let inv = la.invariants.clone();

@@ -211,6 +211,16 @@ pub fn pdg_stress() -> Workload {
     }
 }
 
+/// What `workload:all` names to the report tools: every workload of [`all`]
+/// and [`pdg_stress`], built, beside its name.
+pub fn built_suite() -> Vec<(String, Module)> {
+    all()
+        .into_iter()
+        .chain(std::iter::once(pdg_stress()))
+        .map(|w| (w.name.to_string(), w.build()))
+        .collect()
+}
+
 /// Synthetic compilation-scale module: `n_funcs` defined functions built by
 /// cycling the corpus kernel shapes, grouped under per-group caller functions
 /// (32 kernels per group) so `main` stays small and the call graph is

@@ -47,7 +47,6 @@ fn main() {
                 };
                 let target = tools::LoopTargetOpts {
                     min_hotness: 0.02,
-                    only: None,
                     workers,
                 };
                 let count = tools::parallelize(&mut n, tool, &target).count();

@@ -82,7 +82,6 @@ fn main() {
         noelle::transforms::Parallelizer::Doall,
         &noelle::transforms::LoopTargetOpts {
             min_hotness: 0.0,
-            only: None,
             workers: 4,
         },
     );

@@ -31,7 +31,7 @@
 //! noelle::transforms::parallelize(
 //!     &mut noelle,
 //!     noelle::transforms::Parallelizer::Doall,
-//!     &noelle::transforms::LoopTargetOpts { min_hotness: 0.0, only: None, workers: 4 },
+//!     &noelle::transforms::LoopTargetOpts { min_hotness: 0.0, workers: 4 },
 //! );
 //! let par = run_module(&noelle.into_module(), "main", &[], &RunConfig::default())
 //!     .expect("parallel version runs");

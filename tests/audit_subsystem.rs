@@ -14,7 +14,7 @@ use noelle::core::json::Json;
 use noelle::core::noelle::{AliasTier, Noelle};
 use noelle::ir::parser::parse_module;
 use noelle::ir::verifier::verify_module;
-use noelle::transforms::common::{emit, gate, parallelize, Parallelizer};
+use noelle::transforms::common::{emit, gate, Parallelizer};
 use noelle::transforms::{LoopTargetOpts, ParallelizeError};
 use noelle_fuzz::generator::{generate, GenConfig};
 use noelle_lint::audit::{BlockerKind, Hint, ModuleAudit, TechniqueAudit, AUDIT_WORKERS};
@@ -236,9 +236,10 @@ fn workload_audit_matches_checked_in_golden() {
 }
 
 // ---------------------------------------------------------------------------
-// Zero false "clean" across the suite: every clean verdict must survive
-// running its transform pinned to exactly the audited loop, and every
-// blocked verdict must name at least one concrete instruction with a hint.
+// Zero false "clean" across the suite: every clean verdict's recipe must
+// emit on exactly the audited loop and leave a module that verifies, and
+// every blocked verdict must name at least one concrete instruction with a
+// hint.
 // (Behavioral equivalence of the transformed modules is the differential
 // fuzz oracle's job — `noelle-fuzz --check-audit` — so this sweep stops at
 // "applies and verifies".)
@@ -254,7 +255,7 @@ fn no_false_clean_verdicts_across_all_workloads() {
         for la in &audit.loops {
             let loop_name = format!("{name} @{}:{}", la.function, la.header_name);
             for v in &la.verdicts {
-                if !v.clean() {
+                let Ok(recipe) = &v.outcome else {
                     blocked_checked += 1;
                     assert!(
                         !v.blockers.is_empty(),
@@ -272,26 +273,22 @@ fn no_false_clean_verdicts_across_all_workloads() {
                         );
                     }
                     continue;
-                }
+                };
                 clean_checked += 1;
-                let target = LoopTargetOpts::pinned(&la.function, la.header)
-                    .with_workers(workers_for(v.technique));
+                // The recipe, emitted on a copy of the audited module: what
+                // `apply_plan` emits for a loop the plan chose.
                 let mut tn = Noelle::new(m.clone(), AliasTier::Full);
-                let report = parallelize(&mut tn, v.technique, &target);
-                assert!(
-                    report
-                        .parallelized
-                        .iter()
-                        .any(|(f, h)| *f == la.function && *h == la.header),
-                    "{loop_name}: clean {} verdict but the transform refused: {}",
-                    v.technique.as_str(),
-                    report
-                        .skipped
-                        .iter()
-                        .find(|(f, h, _)| *f == la.function && *h == la.header)
-                        .map(|(_, _, r)| r.as_str())
-                        .unwrap_or("loop not attempted")
-                );
+                let workers = workers_for(v.technique);
+                tn.edit(|tx| {
+                    let tm = tx.module_touching([la.fid]);
+                    emit(tm, la.fid, &la.abstraction, recipe, workers)
+                })
+                .unwrap_or_else(|e| {
+                    panic!(
+                        "{loop_name}: clean {} verdict but the recipe does not emit: {e}",
+                        v.technique.as_str()
+                    )
+                });
                 let tm = tn.into_module();
                 verify_module(&tm).unwrap_or_else(|e| {
                     panic!(

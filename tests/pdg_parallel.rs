@@ -122,7 +122,6 @@ fn transformed_functions_build_the_same_graphs_as_the_allpairs_oracle() {
         // instructions (a stage drops the clones other stages own).
         let every_loop = LoopTargetOpts {
             min_hotness: 0.0,
-            only: None,
             workers: 2,
         };
         parallelize(&mut n, Parallelizer::Dswp, &every_loop);

@@ -2,20 +2,25 @@
 //! report must match the checked-in golden byte-for-byte, the predictions
 //! must be the simulated machine's cycles (no planned loop of the
 //! calibration corpus loses when applied alone, and the median error of the
-//! predicted cycles stays within 25 %), applying a plan must preserve
-//! observable behavior and never slow a workload down, and the daemon's
+//! predicted cycles stays within 25 %), applying a plan must emit what the
+//! audit judged — judging a loop again only where its function's epoch
+//! moved — preserve observable behavior and never slow a workload down, and
+//! the daemon's
 //! `plan` method must serve the same report inside the versioned reply
 //! envelope while counting its work.
 
 use noelle::core::architecture::Architecture;
 use noelle::core::json::{envelope, Json, ENVELOPE_VERSION};
 use noelle::core::noelle::{Abstraction, AliasTier, Noelle};
+use noelle::ir::printer::print_module;
 use noelle::ir::verifier::verify_module;
 use noelle::runtime::{run_module, RunConfig};
+use noelle::transforms::common::{emit, gate, Parallelizer};
 use noelle_lint::run_audit;
 use noelle_plan::{apply_plan, plan_from_audit, plan_module, PlanOptions};
 use noelle_server::{Client, Server, ServerConfig};
 use noelle_tools::calibrate::{calibrate, corpus, error_summary, render, Row};
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
@@ -47,8 +52,6 @@ fn workload_plans_match_checked_in_golden() {
         .into_iter()
         .map(|(name, m)| {
             let mut n = Noelle::new(m, AliasTier::Full);
-            let loops_built =
-                |n: &Noelle| n.build_stats().get(&Abstraction::L).map_or(0, |s| s.builds);
             let audit = run_audit(&mut n);
             let audited = loops_built(&n);
             let plan = plan_from_audit(&mut n, &audit, &opts).to_json();
@@ -78,6 +81,241 @@ fn workload_plans_match_checked_in_golden() {
          regenerate with `noelle-plan workload:all --format json` if the \
          change is intentional"
     );
+}
+
+// ---------------------------------------------------------------------------
+// Judged once, audit to emit: `apply_plan` emits the recipe each chosen
+// loop's judgment carries, and builds a loop abstraction only where the
+// function's epoch says the judgment went stale.
+// ---------------------------------------------------------------------------
+
+fn loops_built(n: &Noelle) -> u64 {
+    n.build_stats().get(&Abstraction::L).map_or(0, |s| s.builds)
+}
+
+/// Across `apply_plan` on the suite, a loop abstraction is built for each
+/// planned loop whose function an earlier emit of the plan damaged — the 37
+/// `@main:fill_header` loops their kernels' emits reach — and for no other.
+/// Which functions those are is read off the damage sets of the same emits
+/// committed one by one on a second manager, not off the epochs; the two
+/// managers end on the same text.
+#[test]
+fn apply_plan_judges_again_only_what_an_earlier_emit_damaged() {
+    let (mut planned, mut stale) = (0, 0);
+    for (name, m) in workloads_all() {
+        let mut n = Noelle::new(m.clone(), AliasTier::Full);
+        let audit = run_audit(&mut n);
+        let plan = plan_from_audit(&mut n, &audit, &PlanOptions::default());
+
+        // The twin holds the analyses the damage rule reads, as `n` does.
+        let mut twin = Noelle::new(m, AliasTier::Full);
+        run_audit(&mut twin);
+        let arch = twin.architecture();
+        let (mut damaged, mut expected) = (BTreeSet::new(), 0);
+        for l in &plan.loops {
+            let (Some(c), Some(judged)) = (l.chosen_candidate(), &l.judgment) else {
+                continue;
+            };
+            let fid = judged.fid;
+            let rejudged;
+            let (la, recipe) = if damaged.contains(&fid) {
+                expected += 1;
+                let lp = twin
+                    .loops_of(fid)
+                    .into_iter()
+                    .find(|lp| lp.header == l.header);
+                let la = twin.loop_abstraction(fid, lp.expect("the loop stands"));
+                let recipe = gate(c.technique, twin.module(), fid, &la, &arch, c.workers);
+                rejudged = (la, recipe.expect("the suite's stale loops still pass"));
+                (&rejudged.0, &rejudged.1)
+            } else {
+                (&*judged.abstraction, &judged.recipe)
+            };
+            let (emitted, damage) = twin
+                .edit_with_damage(|tx| emit(tx.module_touching([fid]), fid, la, recipe, c.workers));
+            emitted.unwrap_or_else(|e| panic!("{name}: @{}: {e}", l.function));
+            damaged.extend(damage);
+        }
+
+        let before = loops_built(&n);
+        let report = apply_plan(&mut n, &plan);
+        assert_eq!(report.count(), plan.planned(), "{name}: {report:?}");
+        assert_eq!(loops_built(&n) - before, expected, "{name}");
+        assert_eq!(
+            print_module(n.module()),
+            print_module(twin.module()),
+            "{name}"
+        );
+        planned += plan.planned();
+        stale += expected;
+    }
+    assert_eq!((planned, stale), (94, 37), "planned, judged again");
+}
+
+/// The module a stale verdict is made on: `@kernel`'s loop calls `@scale`,
+/// which reads nothing and writes nothing, so DOALL takes the loop; `@main`
+/// fills the array first.
+const STALE_SRC: &str = r#"
+module "stale" {
+declare i64* @malloc(i64 %n)
+define i64 @scale(i64 %x, i64* %p) {
+entry:
+  %y = mul i64 %x, i64 3
+  %z = div i64 %y, i64 7
+  ret %z
+}
+define i64 @kernel(i64* %a) {
+entry:
+  br header
+header:
+  %i = phi i64 [entry: i64 0] [body: %i2]
+  %s = phi i64 [entry: i64 0] [body: %s2]
+  %c = icmp slt i64 %i, i64 400
+  condbr %c, body, exit
+body:
+  %q = gep i64, %a, %i
+  %v = load i64, %q
+  %w = call i64 @scale(%v, %a)
+  %d0 = div i64 %w, i64 3
+  %d1 = mul i64 %d0, i64 5
+  %d2 = div i64 %d1, i64 7
+  %d3 = mul i64 %d2, i64 11
+  %d4 = div i64 %d3, i64 13
+  store i64 %d4, %q
+  %s2 = add i64 %s, %d4
+  %i2 = add i64 %i, i64 1
+  br header
+exit:
+  ret %s
+}
+define i64 @main() {
+entry:
+  %buf = call i64* @malloc(i64 3200)
+  br fill_header
+fill_header:
+  %j = phi i64 [entry: i64 0] [fill_body: %j2]
+  %f = icmp slt i64 %j, i64 400
+  condbr %f, fill_body, run
+fill_body:
+  %p = gep i64, %buf, %j
+  %x = mul i64 %j, i64 37
+  %y = div i64 %x, i64 3
+  %z = add i64 %y, i64 11
+  store i64 %z, %p
+  %j2 = add i64 %j, i64 1
+  br fill_header
+run:
+  %r = call i64 @kernel(%buf)
+  ret %r
+}
+}
+"#;
+
+/// ROADMAP item 1's bar. After the plan, `@scale` starts storing to the
+/// array its caller's loop walks: its mod/ref summary moves, the damage
+/// rule reaches `@kernel`, and `apply_plan` must judge that loop again and
+/// skip it with the gate's reason, not emit the DOALL the audit judged.
+/// The result still computes what the edited module computes. And a plan
+/// applied to another manager over the same text is judged again loop by
+/// loop, emitting what that manager's own plan emits.
+#[test]
+fn a_stale_verdict_is_judged_again_and_skipped_with_the_gates_reason() {
+    let stores = STALE_SRC.replace(
+        "  %y = mul i64 %x, i64 3\n",
+        "  %y = mul i64 %x, i64 3\n  store i64 %y, %p\n",
+    );
+    let edited = noelle::ir::parser::parse_module(&stores).expect("the edited text parses");
+    let mut n = Noelle::new(
+        noelle::ir::parser::parse_module(STALE_SRC).expect("parses"),
+        AliasTier::Full,
+    );
+    let plan = plan_module(&mut n, &PlanOptions::default());
+    let chosen: Vec<(&str, Option<Parallelizer>)> = plan
+        .loops
+        .iter()
+        .map(|l| (l.function.as_str(), l.chosen))
+        .collect();
+    let doall = Some(Parallelizer::Doall);
+    assert_eq!(
+        chosen,
+        [("kernel", doall), ("main", doall)],
+        "{}",
+        plan.render_text()
+    );
+
+    let (scale, kernel) = (
+        n.module().func_id_by_name("scale").expect("@scale"),
+        n.module().func_id_by_name("kernel").expect("@kernel"),
+    );
+    let ((), damage) = n.edit_with_damage(|tx| {
+        let body = edited.func(scale).clone();
+        *tx.func_mut(scale) = body;
+    });
+    assert!(damage.contains(&kernel), "{damage:?}");
+    let seq = run_module(&edited, "main", &[], &RunConfig::default()).expect("runs");
+
+    // What the gate says of the edited loop, asked on a manager of its own.
+    let mut judge = Noelle::new(edited, AliasTier::Full);
+    let header = plan.loops[0].header;
+    let l = judge
+        .loops_of(kernel)
+        .into_iter()
+        .find(|l| l.header == header);
+    let la = judge.loop_abstraction(kernel, l.expect("the loop stands"));
+    let arch = judge.architecture();
+    let workers = plan.loops[0].chosen_candidate().expect("chosen").workers;
+    let refusal = gate(
+        Parallelizer::Doall,
+        judge.module(),
+        kernel,
+        &la,
+        &arch,
+        workers,
+    )
+    .expect_err("a callee that stores to the array carries a dependence");
+
+    let before = loops_built(&n);
+    let report = apply_plan(&mut n, &plan);
+    assert_eq!(
+        report.skipped,
+        [("kernel".to_string(), header, refusal.to_string())],
+        "{report:?}"
+    );
+    assert_eq!(
+        report.parallelized,
+        [("main".to_string(), plan.loops[1].header)]
+    );
+    assert_eq!(
+        loops_built(&n) - before,
+        1,
+        "only @kernel's loop is judged again"
+    );
+    let par = run_module(n.module(), "main", &[], &RunConfig::default()).expect("runs");
+    assert_eq!(
+        (par.ret, par.output, par.globals_digest),
+        (seq.ret, seq.output, seq.globals_digest)
+    );
+
+    // Another manager: no epoch of it is one the plan was judged at.
+    for m in [
+        noelle::ir::parser::parse_module(STALE_SRC).expect("parses"),
+        noelle::workloads::by_name("blackscholes")
+            .expect("exists")
+            .build(),
+    ] {
+        let plan = plan_module(
+            &mut Noelle::new(m.clone(), AliasTier::Full),
+            &PlanOptions::default(),
+        );
+        let mut other = Noelle::new(m.clone(), AliasTier::Full);
+        let report = apply_plan(&mut other, &plan);
+        assert_eq!(report.count(), plan.planned());
+        assert_eq!(loops_built(&other), plan.planned() as u64);
+        let mut own = Noelle::new(m, AliasTier::Full);
+        let own_plan = plan_module(&mut own, &PlanOptions::default());
+        apply_plan(&mut own, &own_plan);
+        assert_eq!(print_module(other.module()), print_module(own.module()));
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -6,12 +6,33 @@
 use noelle::core::noelle::{AliasTier, Noelle};
 use noelle::ir::module::BlockId;
 use noelle::runtime::{run_module, RunConfig};
-use noelle::transforms::{parallelize, LoopTargetOpts, Parallelizer};
+use noelle::transforms::common::{emit, gate};
+use noelle::transforms::{parallelize, LoopTargetOpts, ParallelizeError, Parallelizer};
 
 fn run_src(src: &str) -> noelle::runtime::RunResult {
     let m = noelle::ir::parser::parse_module(src).expect("parses");
     noelle::ir::verifier::verify_module(&m).expect("verifies");
     run_module(&m, "main", &[], &RunConfig::default()).expect("runs")
+}
+
+/// The §2.4 testing hook: force technique `t` onto the loop headed by
+/// `header` in `function`, and nothing else — its abstraction, its gate,
+/// then the emit of the recipe the gate returned.
+fn force(
+    n: &mut Noelle,
+    t: Parallelizer,
+    function: &str,
+    header: BlockId,
+) -> Result<(), ParallelizeError> {
+    let fid = n
+        .module()
+        .func_id_by_name(function)
+        .expect("function exists");
+    let l = n.loops_of(fid).into_iter().find(|l| l.header == header);
+    let la = n.loop_abstraction(fid, l.expect("loop exists"));
+    let arch = n.architecture();
+    let recipe = gate(t, n.module(), fid, &la, &arch, 4)?;
+    n.edit(|tx| emit(tx.module_touching([fid]), fid, &la, &recipe, 4))
 }
 
 fn doall_all(src: &str) -> (noelle::ir::Module, usize) {
@@ -22,7 +43,6 @@ fn doall_all(src: &str) -> (noelle::ir::Module, usize) {
         Parallelizer::Doall,
         &LoopTargetOpts {
             min_hotness: 0.0,
-            only: None,
             workers: 4,
         },
     );
@@ -154,18 +174,15 @@ fn forcing_a_specific_loop_parallelizes_only_it() {
     let m = w.build();
     let baseline = run_module(&m, "main", &[], &RunConfig::default()).expect("runs");
     let mut n = Noelle::new(m, AliasTier::Full);
-    let report = parallelize(
-        &mut n,
-        Parallelizer::Doall,
-        &LoopTargetOpts {
-            min_hotness: 0.0,
-            only: Some(("kernel0".to_string(), BlockId(1))),
-            workers: 4,
-        },
-    );
-    assert_eq!(report.count(), 1, "{report:?}");
-    assert_eq!(report.parallelized[0].0, "kernel0");
+    force(&mut n, Parallelizer::Doall, "kernel0", BlockId(1)).expect("kernel0's loop is DOALL");
     let m2 = n.into_module();
+    let tasks: Vec<&str> = m2
+        .functions()
+        .iter()
+        .map(|f| f.name.as_str())
+        .filter(|name| name.contains(".doall."))
+        .collect();
+    assert_eq!(tasks, ["kernel0.doall.1"]);
     let after = run_module(&m2, "main", &[], &RunConfig::default()).expect("runs");
     assert_eq!(after.ret_i64(), baseline.ret_i64());
 }
@@ -303,16 +320,8 @@ go:
     assert_eq!(before.ret_i64(), Some(5)); // 5*3 == 15
     let m = noelle::ir::parser::parse_module(src).unwrap();
     let mut n = Noelle::new(m, AliasTier::Full);
-    let report = parallelize(
-        &mut n,
-        Parallelizer::Doall,
-        &LoopTargetOpts {
-            min_hotness: 0.0,
-            only: Some(("find".to_string(), BlockId(1))),
-            workers: 4,
-        },
-    );
-    assert_eq!(report.count(), 0, "{report:?}");
+    let taken = force(&mut n, Parallelizer::Doall, "find", BlockId(1));
+    assert!(taken.is_err(), "the early exit must refuse DOALL");
     let after = run_module(&n.into_module(), "main", &[], &RunConfig::default()).expect("runs");
     assert_eq!(after.ret_i64(), Some(5));
 }
@@ -368,7 +377,6 @@ fn float_kernels_preserve_bitwise_results_under_doall() {
             Parallelizer::Doall,
             &LoopTargetOpts {
                 min_hotness: 0.0,
-                only: None,
                 workers: 4,
             },
         );

@@ -97,7 +97,6 @@ fn doall_preserves_semantics() {
             tools::Parallelizer::Doall,
             &tools::LoopTargetOpts {
                 min_hotness: 0.0,
-                only: None,
                 workers: 4,
             },
         );
@@ -112,7 +111,6 @@ fn helix_preserves_semantics() {
             tools::Parallelizer::Helix,
             &tools::LoopTargetOpts {
                 min_hotness: 0.0,
-                only: None,
                 workers: 4,
             },
         );
@@ -127,7 +125,6 @@ fn dswp_preserves_semantics() {
             tools::Parallelizer::Dswp,
             &tools::LoopTargetOpts {
                 min_hotness: 0.0,
-                only: None,
                 workers: 2,
             },
         );
@@ -142,7 +139,6 @@ fn perspective_preserves_semantics() {
             tools::Parallelizer::Perspective,
             &tools::LoopTargetOpts {
                 min_hotness: 0.0,
-                only: None,
                 workers: 4,
             },
         );
@@ -164,7 +160,6 @@ fn stacked_tools_compose() {
             tools::Parallelizer::Doall,
             &tools::LoopTargetOpts {
                 min_hotness: 0.0,
-                only: None,
                 workers: 4,
             },
         );

@@ -96,7 +96,6 @@ fn figure1_flow_end_to_end() {
         noelle::transforms::Parallelizer::Doall,
         &noelle::transforms::LoopTargetOpts {
             min_hotness: 0.05,
-            only: None,
             workers: 4,
         },
     );
