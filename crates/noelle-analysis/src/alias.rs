@@ -2536,7 +2536,7 @@ entry:
         let named = |name: &str| {
             let f = m.func(walk);
             let mut ids = f.inst_ids().into_iter();
-            let id = ids.find(|&id| f.inst_data(id).name.as_deref() == Some(name));
+            let id = ids.find(|&id| f.inst_name(id) == Some(name));
             id.expect("named instruction")
         };
         let only_b = BTreeSet::from([MemoryObject::Alloca(walk, named("b"))]);

@@ -138,7 +138,33 @@ impl BinOp {
         }
     }
 
-    /// All binary operations (for fuzzing and the parser's mnemonic table).
+    /// The operation whose [`BinOp::mnemonic`] is `word`.
+    pub fn from_mnemonic(word: &str) -> Option<BinOp> {
+        Some(match word {
+            "add" => BinOp::Add,
+            "sub" => BinOp::Sub,
+            "mul" => BinOp::Mul,
+            "div" => BinOp::Div,
+            "rem" => BinOp::Rem,
+            "and" => BinOp::And,
+            "or" => BinOp::Or,
+            "xor" => BinOp::Xor,
+            "shl" => BinOp::Shl,
+            "ashr" => BinOp::AShr,
+            "lshr" => BinOp::LShr,
+            "smax" => BinOp::SMax,
+            "smin" => BinOp::SMin,
+            "fadd" => BinOp::FAdd,
+            "fsub" => BinOp::FSub,
+            "fmul" => BinOp::FMul,
+            "fdiv" => BinOp::FDiv,
+            "fmax" => BinOp::FMax,
+            "fmin" => BinOp::FMin,
+            _ => return None,
+        })
+    }
+
+    /// All binary operations.
     pub fn all() -> &'static [BinOp] {
         &[
             BinOp::Add,
@@ -197,6 +223,23 @@ impl IcmpPred {
         }
     }
 
+    /// The predicate whose [`IcmpPred::mnemonic`] is `word`.
+    pub fn from_mnemonic(word: &str) -> Option<IcmpPred> {
+        Some(match word {
+            "eq" => IcmpPred::Eq,
+            "ne" => IcmpPred::Ne,
+            "slt" => IcmpPred::Slt,
+            "sle" => IcmpPred::Sle,
+            "sgt" => IcmpPred::Sgt,
+            "sge" => IcmpPred::Sge,
+            "ult" => IcmpPred::Ult,
+            "ule" => IcmpPred::Ule,
+            "ugt" => IcmpPred::Ugt,
+            "uge" => IcmpPred::Uge,
+            _ => return None,
+        })
+    }
+
     /// The predicate with operands swapped (`a < b` becomes `b > a`).
     ///
     /// Used by the Time-Squeezer custom tool, which rewrites compare
@@ -241,6 +284,19 @@ impl FcmpPred {
             FcmpPred::Oge => "oge",
         }
     }
+
+    /// The predicate whose [`FcmpPred::mnemonic`] is `word`.
+    pub fn from_mnemonic(word: &str) -> Option<FcmpPred> {
+        Some(match word {
+            "oeq" => FcmpPred::Oeq,
+            "one" => FcmpPred::One,
+            "olt" => FcmpPred::Olt,
+            "ole" => FcmpPred::Ole,
+            "ogt" => FcmpPred::Ogt,
+            "oge" => FcmpPred::Oge,
+            _ => return None,
+        })
+    }
 }
 
 /// Conversion operations.
@@ -274,6 +330,23 @@ impl CastOp {
             CastOp::FpExt => "fpext",
             CastOp::FpTrunc => "fptrunc",
         }
+    }
+
+    /// The operation whose [`CastOp::mnemonic`] is `word`.
+    pub fn from_mnemonic(word: &str) -> Option<CastOp> {
+        Some(match word {
+            "zext" => CastOp::Zext,
+            "sext" => CastOp::Sext,
+            "trunc" => CastOp::Trunc,
+            "bitcast" => CastOp::Bitcast,
+            "ptrtoint" => CastOp::PtrToInt,
+            "inttoptr" => CastOp::IntToPtr,
+            "sitofp" => CastOp::SiToFp,
+            "fptosi" => CastOp::FpToSi,
+            "fpext" => CastOp::FpExt,
+            "fptrunc" => CastOp::FpTrunc,
+            _ => return None,
+        })
     }
 }
 
@@ -512,6 +585,22 @@ impl Inst {
         }
     }
 
+    /// True when the instruction produces a value, i.e. its
+    /// [`Inst::result_type`] is not `void`; only such an instruction has a
+    /// name in the text.
+    pub fn has_result(&self) -> bool {
+        match self {
+            Inst::Store { .. } | Inst::Term(_) => false,
+            Inst::Alloca { .. } | Inst::Gep { .. } | Inst::Icmp { .. } | Inst::Fcmp { .. } => true,
+            Inst::Load { ty, .. }
+            | Inst::Bin { ty, .. }
+            | Inst::Select { ty, .. }
+            | Inst::Phi { ty, .. }
+            | Inst::Cast { to: ty, .. }
+            | Inst::Call { ret_ty: ty, .. } => *ty != Type::Void,
+        }
+    }
+
     /// Visit every value operand, in a fixed order: the one way to walk an
     /// instruction's operands. A caller that needs them as a list collects
     /// one.
@@ -669,15 +758,15 @@ pub fn gep_result_type(base_ty: &Type, indices: &[Value]) -> Type {
     ty
 }
 
-/// An instruction with its book-keeping: parent block and SSA name.
+/// An instruction with its book-keeping: the parent block. An own SSA name,
+/// which few instructions have, lives beside the arena
+/// ([`Function::inst_name`](crate::Function::inst_name)).
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct InstData {
     /// The instruction itself.
     pub inst: Inst,
     /// Parent block (maintained by [`Function`](crate::Function)).
     pub block: BlockId,
-    /// Optional SSA name used by the printer; `%<id>` otherwise.
-    pub name: Option<String>,
 }
 
 #[cfg(test)]
@@ -737,6 +826,13 @@ mod tests {
             ty: Type::I64,
         };
         assert_eq!(store.result_type(), Type::Void);
+        assert!(alloca.has_result() && icmp.has_result() && !store.has_result());
+        let void_call = Inst::Call {
+            callee: Callee::Indirect(Value::Arg(0)),
+            args: vec![],
+            ret_ty: Type::Void,
+        };
+        assert!(!void_call.has_result());
     }
 
     #[test]
@@ -785,22 +881,46 @@ mod tests {
         }
     }
 
+    const ICMP_PREDS: [IcmpPred; 10] = [
+        IcmpPred::Eq,
+        IcmpPred::Ne,
+        IcmpPred::Slt,
+        IcmpPred::Sle,
+        IcmpPred::Sgt,
+        IcmpPred::Sge,
+        IcmpPred::Ult,
+        IcmpPred::Ule,
+        IcmpPred::Ugt,
+        IcmpPred::Uge,
+    ];
+
     #[test]
     fn icmp_swap_is_involutive() {
-        for p in [
-            IcmpPred::Eq,
-            IcmpPred::Ne,
-            IcmpPred::Slt,
-            IcmpPred::Sle,
-            IcmpPred::Sgt,
-            IcmpPred::Sge,
-            IcmpPred::Ult,
-            IcmpPred::Ule,
-            IcmpPred::Ugt,
-            IcmpPred::Uge,
-        ] {
+        for p in ICMP_PREDS {
             assert_eq!(p.swapped().swapped(), p);
         }
+    }
+
+    #[test]
+    fn every_mnemonic_reads_back_as_its_variant() {
+        for &op in BinOp::all() {
+            assert_eq!(BinOp::from_mnemonic(op.mnemonic()), Some(op));
+        }
+        for p in ICMP_PREDS {
+            assert_eq!(IcmpPred::from_mnemonic(p.mnemonic()), Some(p));
+        }
+        use FcmpPred::*;
+        for p in [Oeq, One, Olt, Ole, Ogt, Oge] {
+            assert_eq!(FcmpPred::from_mnemonic(p.mnemonic()), Some(p));
+        }
+        use CastOp::*;
+        for op in [
+            Zext, Sext, Trunc, Bitcast, PtrToInt, IntToPtr, SiToFp, FpToSi, FpExt, FpTrunc,
+        ] {
+            assert_eq!(CastOp::from_mnemonic(op.mnemonic()), Some(op));
+        }
+        assert_eq!(BinOp::from_mnemonic("icmp"), None);
+        assert_eq!(CastOp::from_mnemonic("add"), None);
     }
 
     #[test]

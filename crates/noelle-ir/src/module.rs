@@ -107,6 +107,10 @@ pub struct Function {
     /// Block layout (printing and iteration order); `layout[0]` is the entry.
     pub(crate) layout: Vec<BlockId>,
     pub(crate) insts: Vec<InstData>,
+    /// Own SSA names of the instructions that have one; the printer makes
+    /// up `v<id>` for the rest. Empty, and so unallocated, for built code
+    /// and for parsed text that spells only the printer's numbering.
+    pub(crate) inst_names: BTreeMap<InstId, String>,
     /// Function-level metadata (profiles, NOELLE annotations).
     pub metadata: BTreeMap<String, String>,
     /// Per-instruction metadata.
@@ -129,6 +133,7 @@ impl Function {
             blocks: Vec::new(),
             layout: Vec::new(),
             insts: Vec::new(),
+            inst_names: BTreeMap::new(),
             metadata: BTreeMap::new(),
             inst_metadata: HashMap::new(),
             name_sym,
@@ -197,11 +202,6 @@ impl Function {
         &mut self.insts[id.index()].inst
     }
 
-    /// Access an instruction's book-keeping data.
-    pub fn inst_data(&self, id: InstId) -> &InstData {
-        &self.insts[id.index()]
-    }
-
     /// The block containing `id`.
     pub fn parent_block(&self, id: InstId) -> BlockId {
         self.insts[id.index()].block
@@ -210,11 +210,7 @@ impl Function {
     /// Append `inst` to `block`, returning its id.
     pub fn append_inst(&mut self, block: BlockId, inst: Inst) -> InstId {
         let id = InstId(self.insts.len() as u32);
-        self.insts.push(InstData {
-            inst,
-            block,
-            name: None,
-        });
+        self.insts.push(InstData { inst, block });
         self.blocks[block.index()].insts.push(id);
         id
     }
@@ -226,11 +222,7 @@ impl Function {
     /// Panics if `pos > block.insts.len()`.
     pub fn insert_inst(&mut self, block: BlockId, pos: usize, inst: Inst) -> InstId {
         let id = InstId(self.insts.len() as u32);
-        self.insts.push(InstData {
-            inst,
-            block,
-            name: None,
-        });
+        self.insts.push(InstData { inst, block });
         self.blocks[block.index()].insts.insert(pos, id);
         id
     }
@@ -360,7 +352,12 @@ impl Function {
 
     /// Set the printed SSA name of an instruction.
     pub fn set_inst_name(&mut self, id: InstId, name: impl Into<String>) {
-        self.insts[id.index()].name = Some(name.into());
+        self.inst_names.insert(id, name.into());
+    }
+
+    /// The instruction's own SSA name, if it was given one.
+    pub fn inst_name(&self, id: InstId) -> Option<&str> {
+        self.inst_names.get(&id).map(String::as_str)
     }
 
     /// Attach metadata `key = value` to instruction `id`.
@@ -416,6 +413,7 @@ impl Function {
         self.layout.hash(&mut h);
         self.blocks.hash(&mut h);
         self.insts.hash(&mut h);
+        self.inst_names.hash(&mut h);
         let body = h.finish();
         self.metadata.hash(&mut h);
         // `inst_metadata` is a HashMap; hash it in a stable order.

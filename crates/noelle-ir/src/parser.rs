@@ -6,7 +6,9 @@
 //! that is not defined yet leaves a placeholder id in the instruction and a
 //! fix-up record behind; the records are patched at the function's closing
 //! brace (`@symbols`: at the end of the module), each carrying the position
-//! of the token that caused it.
+//! of the token that caused it. A `%v<i>` defined at arena index `i`, the
+//! printer's spelling of an instruction without a name, resolves by that
+//! index and leaves no name in the function.
 //!
 //! # Errors
 //!
@@ -17,6 +19,7 @@
 
 use crate::inst::{BinOp, Callee, CastOp, FcmpPred, IcmpPred, Inst, InstId, Terminator};
 use crate::module::{BlockId, FuncId, Function, Global, GlobalId, GlobalInit, Module};
+use crate::printer::generated_index;
 use crate::types::{FuncType, Type};
 use crate::value::{Constant, Value};
 use std::collections::HashMap;
@@ -63,6 +66,22 @@ enum Tok<'a> {
     /// A lexical error, held in `Cursor::bad` until the parser reaches it.
     Bad,
 }
+
+/// Which bytes may continue a name: ASCII letters and digits, `_`, `.`, `$`.
+static NAME_BYTE: [bool; 256] = {
+    let mut table = [false; 256];
+    let mut c = 0;
+    while c < 256 {
+        let b = c as u8;
+        table[c] = b.is_ascii_alphanumeric() || matches!(b, b'_' | b'.' | b'$');
+        c += 1;
+    }
+    table
+};
+
+/// Decimal digits an `i64` always holds: a longer literal is read by
+/// `str::parse`, which reports overflow.
+const EXACT_DIGITS: usize = 18;
 
 /// Where a token sits in the source: its byte range and 1-based line.
 #[derive(Clone, Copy, Default)]
@@ -147,7 +166,9 @@ impl<'a> Cursor<'a> {
                 "NaN" => Tok::Float(f64::NAN),
                 word => Tok::Ident(word),
             },
-            Some(&c) if b"{}[](),:=*!".contains(&c) => {
+            Some(
+                &c @ (b'{' | b'}' | b'[' | b']' | b'(' | b')' | b',' | b':' | b'=' | b'*' | b'!'),
+            ) => {
                 self.pos += 1;
                 Tok::Punct(c)
             }
@@ -167,9 +188,12 @@ impl<'a> Cursor<'a> {
 
     /// The run of name bytes starting at `from`; leaves `pos` after it.
     fn word(&mut self, from: usize) -> &'a str {
-        let is_name = |c: &&u8| c.is_ascii_alphanumeric() || matches!(c, b'_' | b'.' | b'$');
         let rest = &self.src.as_bytes()[from..];
-        self.pos = from + rest.iter().take_while(is_name).count();
+        self.pos = from
+            + rest
+                .iter()
+                .take_while(|&&c| NAME_BYTE[usize::from(c)])
+                .count();
         &self.src[from..self.pos]
     }
 
@@ -198,8 +222,9 @@ impl<'a> Cursor<'a> {
     fn number(&mut self) -> Tok<'a> {
         let bytes = self.src.as_bytes();
         let start = self.pos;
-        self.pos += 1;
-        if bytes[start] == b'-' {
+        let negative = bytes[start] == b'-';
+        if negative {
+            self.pos += 1;
             match bytes.get(self.pos) {
                 Some(d) if d.is_ascii_digit() => {}
                 Some(b'i') => {
@@ -211,10 +236,15 @@ impl<'a> Cursor<'a> {
                 _ => return self.fail("dangling '-'"),
             }
         }
+        // The magnitude, exact while there are at most `EXACT_DIGITS` digits.
+        let (mut magnitude, mut digits) = (0i64, 0);
         let mut is_float = false;
         while let Some(&c) = bytes.get(self.pos) {
             match c {
-                b'0'..=b'9' => {}
+                b'0'..=b'9' => {
+                    magnitude = magnitude.wrapping_mul(10).wrapping_add(i64::from(c - b'0'));
+                    digits += 1;
+                }
                 b'.' => is_float = true,
                 b'e' | b'E' => {
                     is_float = true;
@@ -225,6 +255,9 @@ impl<'a> Cursor<'a> {
                 _ => break,
             }
             self.pos += 1;
+        }
+        if !is_float && digits <= EXACT_DIGITS {
+            return Tok::Int(if negative { -magnitude } else { magnitude });
         }
         let text = &self.src[start..self.pos];
         let tok = if is_float {
@@ -394,6 +427,11 @@ struct Parser<'a> {
     /// `%names` and labels of the function being parsed; cleared per function.
     names: HashMap<&'a str, Value>,
     labels: HashMap<&'a str, BlockId>,
+    /// Per instruction of that function, whether it is *numbered*: defined
+    /// as `%v<i>` at arena index `i`, the printer's own spelling of an
+    /// instruction without a name. Such a name takes no `names` entry and
+    /// is not stored.
+    numbered: Vec<bool>,
     /// Pending `%name` and label uses; patched at the closing brace.
     local_fixups: Vec<Fixup<'a>>,
     /// Pending `@name` uses; patched at the end of the module.
@@ -413,6 +451,7 @@ impl<'a> Parser<'a> {
             funcs: HashMap::new(),
             names: HashMap::new(),
             labels: HashMap::new(),
+            numbered: Vec::new(),
             local_fixups: Vec::new(),
             symbol_fixups: Vec::new(),
             func: FuncId(0),
@@ -454,6 +493,7 @@ impl<'a> Parser<'a> {
         let name = self.cur.sym()?;
         self.cur.expect(b'(')?;
         self.names.clear();
+        self.numbered.clear();
         let mut index = 0;
         let params = self.list(b')', |p| {
             let ty = p.ty()?;
@@ -611,8 +651,8 @@ impl<'a> Parser<'a> {
         match self.cur.tok {
             Tok::Local(name) => {
                 self.cur.bump();
-                Ok(match self.names.get(name) {
-                    Some(&v) => v,
+                Ok(match self.local(name) {
+                    Some(v) => v,
                     None => Value::Inst(InstId(self.defer(Use::Local, name, at))),
                 })
             }
@@ -624,6 +664,15 @@ impl<'a> Parser<'a> {
             _ => Err(self
                 .cur
                 .unexpected("a value ('%name', '@name' or a typed constant)")),
+        }
+    }
+
+    /// What `%name` stands for so far: a numbered instruction, else a
+    /// parameter or an instruction's own name.
+    fn local(&self, name: &str) -> Option<Value> {
+        match generated_index(name, "v") {
+            Some(i) if self.numbered.get(i) == Some(&true) => Some(Value::Inst(InstId(i as u32))),
+            _ => self.names.get(name).copied(),
         }
     }
 
@@ -731,13 +780,13 @@ impl<'a> Parser<'a> {
                 }
             }
             "icmp" => {
-                let pred = self.pred("icmp predicate", icmp_pred)?;
+                let pred = self.pred("icmp predicate", IcmpPred::from_mnemonic)?;
                 let ty = self.ty()?;
                 let (lhs, rhs) = self.pair()?;
                 Inst::Icmp { pred, ty, lhs, rhs }
             }
             "fcmp" => {
-                let pred = self.pred("fcmp predicate", fcmp_pred)?;
+                let pred = self.pred("fcmp predicate", FcmpPred::from_mnemonic)?;
                 let ty = self.ty()?;
                 let (lhs, rhs) = self.pair()?;
                 Inst::Fcmp { pred, ty, lhs, rhs }
@@ -814,11 +863,11 @@ impl<'a> Parser<'a> {
             }
             "unreachable" => Inst::Term(Terminator::Unreachable),
             _ => {
-                if let Some(&op) = BinOp::all().iter().find(|b| b.mnemonic() == op) {
+                if let Some(op) = BinOp::from_mnemonic(op) {
                     let ty = self.ty()?;
                     let (lhs, rhs) = self.pair()?;
                     Inst::Bin { op, ty, lhs, rhs }
-                } else if let Some(op) = cast_op(op) {
+                } else if let Some(op) = CastOp::from_mnemonic(op) {
                     let from = self.ty()?;
                     let val = self.value()?;
                     self.cur.keyword("to")?;
@@ -881,15 +930,25 @@ impl<'a> Parser<'a> {
                 return Err(self.cur.error(at, "instruction before first block label"));
             };
             self.inst = InstId(f.inst_arena_len() as u32);
+            let numbered = name.and_then(|n| generated_index(n, "v")) == Some(self.inst.index());
             if let Some(name) = name {
-                if self.names.insert(name, Value::Inst(self.inst)).is_some() {
+                if self.local(name).is_some() {
                     let message = format!("duplicate SSA name '%{name}' in @{}", f.name);
                     return Err(self.cur.error(at, message));
                 }
+                if !numbered {
+                    self.names.insert(name, Value::Inst(self.inst));
+                }
             }
+            self.numbered.push(numbered);
             let inst = self.inst(op, op_at)?;
+            if let Some(name) = name.filter(|_| !inst.has_result()) {
+                return Err(self
+                    .cur
+                    .error(at, format!("%{name}: '{op}' produces no value")));
+            }
             let id = f.append_inst(block, inst);
-            if let Some(name) = name {
+            if let Some(name) = name.filter(|_| !numbered) {
                 f.set_inst_name(id, name);
             }
             // Optional metadata suffix: !{"k"="v", ...}
@@ -905,7 +964,7 @@ impl<'a> Parser<'a> {
         for (k, fix) in self.local_fixups.iter().enumerate() {
             let unknown = || self.unresolved(fix.kind, fix.name, fix.at, &f.name);
             if fix.kind == Use::Local {
-                let value = *self.names.get(fix.name).ok_or_else(unknown)?;
+                let value = self.local(fix.name).ok_or_else(unknown)?;
                 let hole = Value::Inst(InstId(hole(k)));
                 f.inst_mut(fix.inst)
                     .map_operands(|v| if v == hole { value } else { v });
@@ -925,50 +984,6 @@ impl<'a> Parser<'a> {
         }
         Ok(end_line)
     }
-}
-
-fn icmp_pred(word: &str) -> Option<IcmpPred> {
-    Some(match word {
-        "eq" => IcmpPred::Eq,
-        "ne" => IcmpPred::Ne,
-        "slt" => IcmpPred::Slt,
-        "sle" => IcmpPred::Sle,
-        "sgt" => IcmpPred::Sgt,
-        "sge" => IcmpPred::Sge,
-        "ult" => IcmpPred::Ult,
-        "ule" => IcmpPred::Ule,
-        "ugt" => IcmpPred::Ugt,
-        "uge" => IcmpPred::Uge,
-        _ => return None,
-    })
-}
-
-fn fcmp_pred(word: &str) -> Option<FcmpPred> {
-    Some(match word {
-        "oeq" => FcmpPred::Oeq,
-        "one" => FcmpPred::One,
-        "olt" => FcmpPred::Olt,
-        "ole" => FcmpPred::Ole,
-        "ogt" => FcmpPred::Ogt,
-        "oge" => FcmpPred::Oge,
-        _ => return None,
-    })
-}
-
-fn cast_op(word: &str) -> Option<CastOp> {
-    Some(match word {
-        "zext" => CastOp::Zext,
-        "sext" => CastOp::Sext,
-        "trunc" => CastOp::Trunc,
-        "bitcast" => CastOp::Bitcast,
-        "ptrtoint" => CastOp::PtrToInt,
-        "inttoptr" => CastOp::IntToPtr,
-        "sitofp" => CastOp::SiToFp,
-        "fptosi" => CastOp::FpToSi,
-        "fpext" => CastOp::FpExt,
-        "fptrunc" => CastOp::FpTrunc,
-        _ => return None,
-    })
 }
 
 /// Parse a whole module from text.
@@ -1264,6 +1279,23 @@ done:
             f(&["  br entry", "entry:", "  ret %p"]),
             at(5, 1, "duplicate block label 'entry'")
         );
+        // A name on an instruction without a result would vanish in print.
+        assert_eq!(
+            f(&[
+                "  %x = store i64 i64 1, @g",
+                "  %y = add i64 %x, i64 1",
+                "  ret %y"
+            ]),
+            at(4, 3, "%x: 'store' produces no value")
+        );
+        assert_eq!(
+            f(&["  %x = call void @f(%p)", "  ret %p"]),
+            at(4, 3, "%x: 'call' produces no value")
+        );
+        assert_eq!(
+            f(&["  %r = ret %p"]),
+            at(4, 3, "%r: 'ret' produces no value")
+        );
         // A duplicate is reported where it stands even when the name was
         // first met as a forward use.
         assert_eq!(
@@ -1449,6 +1481,35 @@ global @both : i64 = i64 0
         ] {
             assert_eq!(parse_module(bad).unwrap_err().message, message, "{bad}");
         }
+    }
+
+    #[test]
+    fn integers_read_in_place_agree_with_str_parse() {
+        for literal in [
+            "0",
+            "007",
+            "-0",
+            "-12",
+            "999999999999999999",
+            "-999999999999999999",
+            "1000000000000000000",
+            "9223372036854775807",
+            "-9223372036854775808",
+        ] {
+            let src = format!("module \"m\" {{ global @g : i64 = i64 {literal} }}");
+            let m = parse_module(&src).expect(literal);
+            let expected = Constant::Int(literal.parse().unwrap(), crate::types::IntWidth::I64);
+            assert_eq!(
+                m.globals()[0].init,
+                GlobalInit::Scalar(expected),
+                "{literal}"
+            );
+        }
+        let e = parse_module("module \"m\" { global @g : i64 = i64 9223372036854775808 }");
+        assert_eq!(
+            e.unwrap_err().message,
+            "bad integer literal '9223372036854775808'"
+        );
     }
 
     #[test]

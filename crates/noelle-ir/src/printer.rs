@@ -96,10 +96,10 @@ impl<'m> Namer<'m> {
         let params = f.params.iter().map(|(n, _)| Cow::Borrowed(n.as_str()));
         self.claimed.names.extend(params);
         let ids = f.block_order().iter().flat_map(|&b| &f.block(b).insts);
-        for &id in ids.filter(|&&id| has_result(f.inst(id))) {
-            let own = f.inst_data(id).name.as_deref();
-            let generated = |i: usize| self.insts.get(i) == Some(&0) && f.insts[i].name.is_none();
-            self.insts[id.index()] = self.claimed.unique(own, "v", id.0, generated);
+        for &id in ids.filter(|&&id| f.inst(id).has_result()) {
+            let generated =
+                |i: usize| self.insts.get(i) == Some(&0) && f.inst_name(InstId(i as u32)).is_none();
+            self.insts[id.index()] = self.claimed.unique(f.inst_name(id), "v", id.0, generated);
         }
     }
 }
@@ -120,9 +120,7 @@ impl<'m> Claimed<'m> {
         let base_free = match own {
             // An own name can also meet an earlier entry's generated one.
             Some(name) => {
-                let canonical = |d: &&str| *d == "0" || !d.starts_with(['0', '+']);
-                let digits = name.strip_prefix(prefix).filter(canonical);
-                !names.contains(name) && !digits.and_then(|d| d.parse().ok()).is_some_and(generated)
+                !names.contains(name) && !generated_index(name, prefix).is_some_and(generated)
             }
             None => {
                 scratch.clear();
@@ -146,18 +144,13 @@ impl<'m> Claimed<'m> {
     }
 }
 
-/// True when `inst` produces a value, i.e. its result type is not `void`.
-fn has_result(inst: &Inst) -> bool {
-    match inst {
-        Inst::Store { .. } | Inst::Term(_) => false,
-        Inst::Alloca { .. } | Inst::Gep { .. } | Inst::Icmp { .. } | Inst::Fcmp { .. } => true,
-        Inst::Load { ty, .. }
-        | Inst::Bin { ty, .. }
-        | Inst::Select { ty, .. }
-        | Inst::Phi { ty, .. }
-        | Inst::Cast { to: ty, .. }
-        | Inst::Call { ret_ty: ty, .. } => *ty != Type::Void,
-    }
+/// The index whose generated name `name` is: `prefix` followed by the
+/// index's digits as the printer writes them, `0` or without a leading `0`.
+pub(crate) fn generated_index(name: &str, prefix: &str) -> Option<usize> {
+    let canonical = |d: &&str| *d == "0" || !d.starts_with(['0', '+']);
+    name.strip_prefix(prefix)
+        .filter(canonical)
+        .and_then(|d| d.parse().ok())
 }
 
 /// The output buffer and what writing into it needs. Every method appends
@@ -264,8 +257,7 @@ impl<'m> Printer<'m> {
             // An instruction the namer did not reach prints as `%v<id>`.
             Value::Inst(id) => match self.namer.insts.get(id.index()) {
                 Some(&suffix) if suffix != UNNAMED => {
-                    let own = f.inst_data(id).name.as_deref();
-                    self.put("%").name(own, "v", id.0, suffix)
+                    self.put("%").name(f.inst_name(id), "v", id.0, suffix)
                 }
                 _ => self.put("%v").int(id.0),
             },

@@ -9,11 +9,21 @@
 //!
 //! The mutation smoke feeds byte-mutated workload texts to the parser: each
 //! must come back as `Err` or as a module the verifier can judge — never a
-//! panic (ROADMAP item 4, parser only).
+//! panic. A module that parses must print to text that reads back to the
+//! same text, and must hold the same code as the mutant with every `%v`
+//! respelled `%$v`, which the parser can only resolve by name.
+//!
+//! A `%v<i>` defined at arena index `i` is the printer's own spelling of an
+//! instruction without a name, and the parser stores no name for it; any
+//! other spelling is the instruction's own name.
 
+use noelle::ir::builder::FunctionBuilder;
+use noelle::ir::inst::{BinOp, Inst, InstId};
 use noelle::ir::module::Module;
 use noelle::ir::parser::parse_module;
 use noelle::ir::printer::print_module;
+use noelle::ir::types::Type;
+use noelle::ir::value::Value;
 use noelle::ir::verifier::verify_module;
 use noelle::workloads::{all, pdg_stress, scale_module};
 use noelle_fuzz::generator::{generate, GenConfig, SplitMix64};
@@ -106,6 +116,20 @@ fn mutate(text: &[u8], rng: &mut SplitMix64) -> Vec<u8> {
     out
 }
 
+/// True when `a` and `b` hold the same instructions in the same blocks,
+/// whatever their names.
+fn same_code(a: &Module, b: &Module) -> bool {
+    let (fs, gs) = (a.functions(), b.functions());
+    fs.len() == gs.len()
+        && fs.iter().zip(gs).all(|(f, g)| {
+            let ids = f.inst_ids();
+            ids == g.inst_ids()
+                && ids
+                    .iter()
+                    .all(|&id| f.inst(id) == g.inst(id) && f.parent_block(id) == g.parent_block(id))
+        })
+}
+
 #[test]
 fn byte_mutated_workload_texts_never_panic_the_parser() {
     const MUTANTS_PER_WORKLOAD: usize = 500;
@@ -121,7 +145,22 @@ fn byte_mutated_workload_texts_never_panic_the_parser() {
             let Ok(src) = std::str::from_utf8(&bytes) else {
                 continue;
             };
-            match parse_module(src) {
+            let outcome = parse_module(src);
+            // The same text with not one name in the printer's numbering,
+            // unless the mutant already spells a name that way.
+            if !src.contains("%$v") {
+                match (&outcome, parse_module(&src.replace("%v", "%$v"))) {
+                    (Ok(m), Ok(named)) => assert!(
+                        same_code(m, &named),
+                        "{}: a numbered name reads otherwise than an own name",
+                        w.name
+                    ),
+                    (Err(_), Err(_)) => {}
+                    (Ok(_), Err(e)) => panic!("{}: only the respelled text fails: {e}", w.name),
+                    (Err(e), Ok(_)) => panic!("{}: only the numbered text fails: {e}", w.name),
+                }
+            }
+            match outcome {
                 Err(e) => {
                     assert!(e.line >= 1 && e.column >= 1, "{}: {e}", w.name);
                     rejected += 1;
@@ -129,6 +168,15 @@ fn byte_mutated_workload_texts_never_panic_the_parser() {
                 Ok(m) => {
                     parsed += 1;
                     verified += usize::from(verify_module(&m).is_ok());
+                    let printed = print_module(&m);
+                    let again = parse_module(&printed)
+                        .unwrap_or_else(|e| panic!("{}: a parsed mutant prints as {e}", w.name));
+                    assert_eq!(
+                        print_module(&again),
+                        printed,
+                        "{}: a parsed mutant does not print to a fixpoint",
+                        w.name
+                    );
                 }
             }
         }
@@ -139,5 +187,135 @@ fn byte_mutated_workload_texts_never_panic_the_parser() {
     assert!(
         parsed > 0 && verified > 0,
         "{parsed} parsed, {verified} verified"
+    );
+}
+
+/// A module holding `define i64 @f(<params>)` with `body`, one line each,
+/// laid out as the printer lays it out.
+fn one_function(params: &str, body: &[&str]) -> String {
+    let body = body.join("\n");
+    format!("module \"n\" {{\ndefine i64 @f({params}) {{\n{body}\n}}\n\n}}\n")
+}
+
+/// Parses `text`, which must print back byte for byte and verify.
+fn round_trip(text: &str) -> Module {
+    let m = parse_module(text).unwrap_or_else(|e| panic!("{e}\n{text}"));
+    assert_eq!(print_module(&m), text);
+    verify_module(&m).unwrap_or_else(|e| panic!("{e:?}\n{text}"));
+    m
+}
+
+/// The own name of every instruction of the module's first function, in
+/// layout order.
+fn own_names(m: &Module) -> Vec<Option<&str>> {
+    let f = &m.functions()[0];
+    f.inst_ids().into_iter().map(|id| f.inst_name(id)).collect()
+}
+
+#[test]
+fn numbered_names_are_exactly_the_printers() {
+    // `%v<i>` at arena index `i`: numbered, no name.
+    let m = round_trip(&one_function(
+        "i64 %p",
+        &[
+            "entry:",
+            "  %v0 = add i64 %p, i64 1",
+            "  %v1 = add i64 %v0, i64 2",
+            "  ret %v1",
+        ],
+    ));
+    assert_eq!(own_names(&m), [None, None, None]);
+    // `%v7` at index 3 and `%v07` are spellings of their own.
+    let m = round_trip(&one_function(
+        "i64 %p",
+        &[
+            "entry:",
+            "  %v0 = add i64 %p, i64 1",
+            "  %v1 = add i64 %v0, i64 1",
+            "  %v07 = add i64 %v1, i64 1",
+            "  %v7 = add i64 %v07, i64 1",
+            "  ret %v7",
+        ],
+    ));
+    assert_eq!(own_names(&m), [None, None, Some("v07"), Some("v7"), None]);
+    // A parameter `%v0` beside unnamed instruction 0, which the printer
+    // calls `%v0.1`: that is a name of its own once read back.
+    let mut b = FunctionBuilder::new("f", vec![("v0", Type::I64)], Type::I64);
+    let entry = b.entry_block();
+    b.switch_to(entry);
+    let sum = b.binop(BinOp::Add, Type::I64, b.arg(0), Value::const_i64(1));
+    b.ret(Some(sum));
+    let mut built = Module::new("n");
+    built.add_function(b.finish());
+    let text = print_module(&built);
+    assert!(text.contains("  %v0.1 = add i64 %v0, i64 1\n"), "{text}");
+    assert_eq!(own_names(&round_trip(&text)), [Some("v0.1"), None]);
+    // A phi's forward use of `%v9` resolves to instruction 9.
+    let mut body = vec![
+        "entry:".to_string(),
+        "  br loop".to_string(),
+        "loop:".to_string(),
+        "  %v1 = phi i64 [entry: i64 0] [loop: %v9]".to_string(),
+    ];
+    body.extend((2..10).map(|i| format!("  %v{i} = add i64 %v{}, i64 1", i - 1)));
+    body.extend(
+        [
+            "  %v10 = icmp slt i64 %v9, %n",
+            "  condbr %v10, loop, exit",
+            "exit:",
+            "  ret %v9",
+        ]
+        .map(String::from),
+    );
+    let body: Vec<&str> = body.iter().map(String::as_str).collect();
+    let m = round_trip(&one_function("i64 %n", &body));
+    assert!(own_names(&m).iter().all(Option::is_none));
+    let f = &m.functions()[0];
+    let Inst::Phi { incomings, .. } = f.inst(InstId(1)) else {
+        panic!("instruction 1 is the phi");
+    };
+    assert_eq!(incomings[1].1, Value::Inst(InstId(9)));
+}
+
+#[test]
+fn a_numbered_name_meets_a_parameter_or_an_own_name_as_a_duplicate() {
+    let error = |params: &str, body: &[&str]| {
+        let e = parse_module(&one_function(params, body)).expect_err("a duplicate");
+        (e.line, e.column, e.message)
+    };
+    let duplicate = |line, name: &str| (line, 3, format!("duplicate SSA name '%{name}' in @f"));
+    // Numbered after a parameter of that name.
+    assert_eq!(
+        error(
+            "i64 %v0",
+            &["entry:", "  %v0 = add i64 %v0, i64 1", "  ret %v0"]
+        ),
+        duplicate(4, "v0")
+    );
+    // Numbered after an own name: `%v1` at index 0, then at index 1.
+    assert_eq!(
+        error(
+            "i64 %p",
+            &[
+                "entry:",
+                "  %v1 = add i64 %p, i64 1",
+                "  %v1 = add i64 %p, i64 1",
+                "  ret %v1"
+            ]
+        ),
+        duplicate(5, "v1")
+    );
+    // An own name after a numbered one: `%v0` at index 0, then at index 1.
+    assert_eq!(
+        error(
+            "i64 %p",
+            &[
+                "entry:",
+                "  %v0 = add i64 %p, i64 1",
+                "  %v0 = add i64 %p, i64 1",
+                "  ret %v0"
+            ]
+        ),
+        duplicate(5, "v0")
     );
 }
