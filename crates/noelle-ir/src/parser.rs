@@ -7,8 +7,8 @@
 //! fix-up record behind; the records are patched at the function's closing
 //! brace (`@symbols`: at the end of the module), each carrying the position
 //! of the token that caused it. A `%v<i>` defined at arena index `i`, the
-//! printer's spelling of an instruction without a name, resolves by that
-//! index and leaves no name in the function.
+//! printer's spelling of an instruction without a name, leaves no name in
+//! the function.
 //!
 //! # Errors
 //!
@@ -66,22 +66,6 @@ enum Tok<'a> {
     /// A lexical error, held in `Cursor::bad` until the parser reaches it.
     Bad,
 }
-
-/// Which bytes may continue a name: ASCII letters and digits, `_`, `.`, `$`.
-static NAME_BYTE: [bool; 256] = {
-    let mut table = [false; 256];
-    let mut c = 0;
-    while c < 256 {
-        let b = c as u8;
-        table[c] = b.is_ascii_alphanumeric() || matches!(b, b'_' | b'.' | b'$');
-        c += 1;
-    }
-    table
-};
-
-/// Decimal digits an `i64` always holds: a longer literal is read by
-/// `str::parse`, which reports overflow.
-const EXACT_DIGITS: usize = 18;
 
 /// Where a token sits in the source: its byte range and 1-based line.
 #[derive(Clone, Copy, Default)]
@@ -166,9 +150,7 @@ impl<'a> Cursor<'a> {
                 "NaN" => Tok::Float(f64::NAN),
                 word => Tok::Ident(word),
             },
-            Some(
-                &c @ (b'{' | b'}' | b'[' | b']' | b'(' | b')' | b',' | b':' | b'=' | b'*' | b'!'),
-            ) => {
+            Some(&c) if b"{}[](),:=*!".contains(&c) => {
                 self.pos += 1;
                 Tok::Punct(c)
             }
@@ -188,12 +170,9 @@ impl<'a> Cursor<'a> {
 
     /// The run of name bytes starting at `from`; leaves `pos` after it.
     fn word(&mut self, from: usize) -> &'a str {
+        let is_name = |c: &&u8| c.is_ascii_alphanumeric() || matches!(c, b'_' | b'.' | b'$');
         let rest = &self.src.as_bytes()[from..];
-        self.pos = from
-            + rest
-                .iter()
-                .take_while(|&&c| NAME_BYTE[usize::from(c)])
-                .count();
+        self.pos = from + rest.iter().take_while(is_name).count();
         &self.src[from..self.pos]
     }
 
@@ -236,14 +215,14 @@ impl<'a> Cursor<'a> {
                 _ => return self.fail("dangling '-'"),
             }
         }
-        // The magnitude, exact while there are at most `EXACT_DIGITS` digits.
-        let (mut magnitude, mut digits) = (0i64, 0);
+        // The value negated, so that `i64::MIN` fits; `None` once it overflows.
+        let mut negated = Some(0i64);
         let mut is_float = false;
         while let Some(&c) = bytes.get(self.pos) {
             match c {
                 b'0'..=b'9' => {
-                    magnitude = magnitude.wrapping_mul(10).wrapping_add(i64::from(c - b'0'));
-                    digits += 1;
+                    let digit = i64::from(c - b'0');
+                    negated = negated.and_then(|v| v.checked_mul(10)?.checked_sub(digit));
                 }
                 b'.' => is_float = true,
                 b'e' | b'E' => {
@@ -256,14 +235,13 @@ impl<'a> Cursor<'a> {
             }
             self.pos += 1;
         }
-        if !is_float && digits <= EXACT_DIGITS {
-            return Tok::Int(if negative { -magnitude } else { magnitude });
-        }
         let text = &self.src[start..self.pos];
         let tok = if is_float {
             text.parse().map(Tok::Float).ok()
+        } else if negative {
+            negated.map(Tok::Int)
         } else {
-            text.parse().map(Tok::Int).ok()
+            negated.and_then(i64::checked_neg).map(Tok::Int)
         };
         let kind = if is_float { "float" } else { "integer" };
         tok.unwrap_or_else(|| self.fail(format!("bad {kind} literal '{text}'")))
@@ -427,11 +405,6 @@ struct Parser<'a> {
     /// `%names` and labels of the function being parsed; cleared per function.
     names: HashMap<&'a str, Value>,
     labels: HashMap<&'a str, BlockId>,
-    /// Per instruction of that function, whether it is *numbered*: defined
-    /// as `%v<i>` at arena index `i`, the printer's own spelling of an
-    /// instruction without a name. Such a name takes no `names` entry and
-    /// is not stored.
-    numbered: Vec<bool>,
     /// Pending `%name` and label uses; patched at the closing brace.
     local_fixups: Vec<Fixup<'a>>,
     /// Pending `@name` uses; patched at the end of the module.
@@ -451,7 +424,6 @@ impl<'a> Parser<'a> {
             funcs: HashMap::new(),
             names: HashMap::new(),
             labels: HashMap::new(),
-            numbered: Vec::new(),
             local_fixups: Vec::new(),
             symbol_fixups: Vec::new(),
             func: FuncId(0),
@@ -493,7 +465,6 @@ impl<'a> Parser<'a> {
         let name = self.cur.sym()?;
         self.cur.expect(b'(')?;
         self.names.clear();
-        self.numbered.clear();
         let mut index = 0;
         let params = self.list(b')', |p| {
             let ty = p.ty()?;
@@ -651,8 +622,8 @@ impl<'a> Parser<'a> {
         match self.cur.tok {
             Tok::Local(name) => {
                 self.cur.bump();
-                Ok(match self.local(name) {
-                    Some(v) => v,
+                Ok(match self.names.get(name) {
+                    Some(&v) => v,
                     None => Value::Inst(InstId(self.defer(Use::Local, name, at))),
                 })
             }
@@ -664,15 +635,6 @@ impl<'a> Parser<'a> {
             _ => Err(self
                 .cur
                 .unexpected("a value ('%name', '@name' or a typed constant)")),
-        }
-    }
-
-    /// What `%name` stands for so far: a numbered instruction, else a
-    /// parameter or an instruction's own name.
-    fn local(&self, name: &str) -> Option<Value> {
-        match generated_index(name, "v") {
-            Some(i) if self.numbered.get(i) == Some(&true) => Some(Value::Inst(InstId(i as u32))),
-            _ => self.names.get(name).copied(),
         }
     }
 
@@ -930,17 +892,12 @@ impl<'a> Parser<'a> {
                 return Err(self.cur.error(at, "instruction before first block label"));
             };
             self.inst = InstId(f.inst_arena_len() as u32);
-            let numbered = name.and_then(|n| generated_index(n, "v")) == Some(self.inst.index());
             if let Some(name) = name {
-                if self.local(name).is_some() {
+                if self.names.insert(name, Value::Inst(self.inst)).is_some() {
                     let message = format!("duplicate SSA name '%{name}' in @{}", f.name);
                     return Err(self.cur.error(at, message));
                 }
-                if !numbered {
-                    self.names.insert(name, Value::Inst(self.inst));
-                }
             }
-            self.numbered.push(numbered);
             let inst = self.inst(op, op_at)?;
             if let Some(name) = name.filter(|_| !inst.has_result()) {
                 return Err(self
@@ -948,7 +905,9 @@ impl<'a> Parser<'a> {
                     .error(at, format!("%{name}: '{op}' produces no value")));
             }
             let id = f.append_inst(block, inst);
-            if let Some(name) = name.filter(|_| !numbered) {
+            // `%v<i>` at arena index `i` is how the printer spells an
+            // instruction without a name, so it is not stored.
+            if let Some(name) = name.filter(|n| generated_index(n, "v") != Some(id.index())) {
                 f.set_inst_name(id, name);
             }
             // Optional metadata suffix: !{"k"="v", ...}
@@ -964,7 +923,7 @@ impl<'a> Parser<'a> {
         for (k, fix) in self.local_fixups.iter().enumerate() {
             let unknown = || self.unresolved(fix.kind, fix.name, fix.at, &f.name);
             if fix.kind == Use::Local {
-                let value = self.local(fix.name).ok_or_else(unknown)?;
+                let value = *self.names.get(fix.name).ok_or_else(unknown)?;
                 let hole = Value::Inst(InstId(hole(k)));
                 f.inst_mut(fix.inst)
                     .map_operands(|v| if v == hole { value } else { v });
@@ -1505,11 +1464,17 @@ global @both : i64 = i64 0
                 "{literal}"
             );
         }
-        let e = parse_module("module \"m\" { global @g : i64 = i64 9223372036854775808 }");
-        assert_eq!(
-            e.unwrap_err().message,
-            "bad integer literal '9223372036854775808'"
-        );
+        for literal in [
+            "9223372036854775808",
+            "-9223372036854775809",
+            "99999999999999999999",
+        ] {
+            let src = format!("module \"m\" {{ global @g : i64 = i64 {literal} }}");
+            assert_eq!(
+                parse_module(&src).unwrap_err().message,
+                format!("bad integer literal '{literal}'")
+            );
+        }
     }
 
     #[test]

@@ -96,9 +96,9 @@ fn parse_and_print_stay_within_their_allocation_budget() {
     let (printed, print) = allocations(|| print_module(&module));
     assert_eq!(printed, text);
     eprintln!("{insts} instructions: parse {parse} allocations, print {print}");
-    // 7 025 for 21 803 instructions (0.32 each): the printer's `%v<i>`
-    // reads back as arena index `i` and leaves no name behind. With a
-    // `String` per such name it was 23 318 (1.07).
+    // 7 024 for 21 803 instructions (0.32 each): the printer's `%v<i>` at
+    // arena index `i` reads back leaving no name behind. With a `String`
+    // per such name it was 23 318 (1.07).
     assert!(
         100 * parse <= 35 * insts,
         "parse: {parse} allocations for {insts}"

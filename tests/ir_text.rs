@@ -10,8 +10,9 @@
 //! The mutation smoke feeds byte-mutated workload texts to the parser: each
 //! must come back as `Err` or as a module the verifier can judge — never a
 //! panic. A module that parses must print to text that reads back to the
-//! same text, and must hold the same code as the mutant with every `%v`
-//! respelled `%$v`, which the parser can only resolve by name.
+//! same text, and must hold the same code and the same own names as the
+//! mutant with every `%v` respelled `%$v`, bar each `%v<i>` on instruction
+//! `i`, which the parser drops.
 //!
 //! A `%v<i>` defined at arena index `i` is the printer's own spelling of an
 //! instruction without a name, and the parser stores no name for it; any
@@ -116,17 +117,28 @@ fn mutate(text: &[u8], rng: &mut SplitMix64) -> Vec<u8> {
     out
 }
 
-/// True when `a` and `b` hold the same instructions in the same blocks,
-/// whatever their names.
+/// True when `a` and `b`, its twin with every `%v` respelled `%$v`, hold
+/// the same instructions in the same blocks, and `a` keeps every name of
+/// `b` but a `v<i>` on instruction `i`, which the printer writes itself.
 fn same_code(a: &Module, b: &Module) -> bool {
     let (fs, gs) = (a.functions(), b.functions());
     fs.len() == gs.len()
         && fs.iter().zip(gs).all(|(f, g)| {
             let ids = f.inst_ids();
             ids == g.inst_ids()
-                && ids
-                    .iter()
-                    .all(|&id| f.inst(id) == g.inst(id) && f.parent_block(id) == g.parent_block(id))
+                && ids.iter().all(|&id| {
+                    let own = g
+                        .inst_name(id)
+                        .map(|n| {
+                            n.strip_prefix('$')
+                                .filter(|r| r.starts_with('v'))
+                                .unwrap_or(n)
+                        })
+                        .filter(|&n| n != format!("v{}", id.index()));
+                    f.inst(id) == g.inst(id)
+                        && f.parent_block(id) == g.parent_block(id)
+                        && f.inst_name(id) == own
+                })
         })
 }
 
@@ -152,7 +164,7 @@ fn byte_mutated_workload_texts_never_panic_the_parser() {
                 match (&outcome, parse_module(&src.replace("%v", "%$v"))) {
                     (Ok(m), Ok(named)) => assert!(
                         same_code(m, &named),
-                        "{}: a numbered name reads otherwise than an own name",
+                        "{}: the code or the own names differ from the `%$v` twin's",
                         w.name
                     ),
                     (Err(_), Err(_)) => {}
