@@ -2,12 +2,24 @@
 //!
 //! The build environment has no network access to crates.io, so the
 //! metadata-embedding paths (profiles, architecture descriptions, PDG
-//! summaries) serialize through this module instead of serde. Objects keep
-//! their keys in a `BTreeMap` so every serialization is deterministic — a
-//! requirement for the byte-identical module round-trip tests.
+//! summaries) and the daemon's wire frames serialize through this module
+//! instead of serde.
+//!
+//! An object is a [`Map`]: its members in one reference-counted block,
+//! sorted by key, each key once. Every serialization is therefore
+//! deterministic — a requirement for the byte-identical round-trip tests —
+//! an object costs one allocation of exactly its members, and cloning a
+//! value that holds one only counts a reference, so a reader that keeps a
+//! member of a parsed reply copies nothing. The parser builds every array
+//! and object once, at its final length: the items and members of each open
+//! bracket wait on two stacks shared by the whole document and are drained
+//! into one block when it closes. A string without escapes is one copy of
+//! its slice of the input. Numbers follow RFC 8259's grammar; an integer
+//! outside `i64` and a float outside `f64`'s range are refused, so every
+//! accepted number prints back to an equal value.
 
-use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// A JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -25,7 +37,110 @@ pub enum Json {
     /// An array.
     Array(Vec<Json>),
     /// An object with deterministically ordered keys.
-    Object(BTreeMap<String, Json>),
+    Object(Map),
+}
+
+/// The members of a JSON object: one shared block sorted by key, each key
+/// once. Lookup is a binary search; iteration is in key order. Cloning
+/// counts a reference, and an empty map allocates nothing.
+#[derive(Clone, Default, PartialEq)]
+pub struct Map(Arc<[(String, Json)]>);
+
+/// Iterator over a [`Map`]'s members in key order.
+pub type Iter<'a> = std::iter::Map<std::slice::Iter<'a, (String, Json)>, SplitMember>;
+
+type SplitMember = fn(&(String, Json)) -> (&String, &Json);
+
+impl Map {
+    /// The value under `key`.
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        let at = self.0.binary_search_by(|(k, _)| k.as_str().cmp(key)).ok()?;
+        Some(&self.0[at].1)
+    }
+
+    /// Does the map hold `key`?
+    pub fn contains_key(&self, key: &str) -> bool {
+        self.get(key).is_some()
+    }
+
+    /// Number of members.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Does the map hold no member?
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The members in key order.
+    pub fn iter(&self) -> Iter<'_> {
+        let split: SplitMember = |(k, v)| (k, v);
+        self.0.iter().map(split)
+    }
+
+    /// The keys in order.
+    pub fn keys(&self) -> impl DoubleEndedIterator<Item = &String> + ExactSizeIterator {
+        self.0.iter().map(|(k, _)| k)
+    }
+
+    /// The values in key order.
+    pub fn values(&self) -> impl DoubleEndedIterator<Item = &Json> + ExactSizeIterator {
+        self.0.iter().map(|(_, v)| v)
+    }
+}
+
+impl<'a> IntoIterator for &'a Map {
+    type Item = (&'a String, &'a Json);
+    type IntoIter = Iter<'a>;
+
+    fn into_iter(self) -> Iter<'a> {
+        self.iter()
+    }
+}
+
+/// Collects into one block — exactly sized when the iterator knows its
+/// length — then sorts it in place. Of several members with one key the
+/// last collected stays, as `insert` into a map keeps the last value.
+impl FromIterator<(String, Json)> for Map {
+    fn from_iter<I: IntoIterator<Item = (String, Json)>>(pairs: I) -> Map {
+        let pairs = pairs.into_iter();
+        if pairs.size_hint().1 == Some(0) {
+            return Map::default();
+        }
+        let mut block: Arc<[(String, Json)]> = pairs.collect();
+        if block.is_empty() {
+            return Map::default();
+        }
+        let members = Arc::get_mut(&mut block).expect("a block just collected has one owner");
+        if members.is_sorted_by(|a, b| a.0 < b.0) {
+            return Map(block);
+        }
+        // Stable, so members with one key keep the order they came in.
+        members.sort_by(|a, b| a.0.cmp(&b.0));
+        if members.windows(2).all(|w| w[0].0 != w[1].0) {
+            return Map(block);
+        }
+        let mut last_of_each = Vec::with_capacity(members.len());
+        for at in 0..members.len() {
+            let repeated = members
+                .get(at + 1)
+                .is_some_and(|next| next.0 == members[at].0);
+            if !repeated {
+                last_of_each.push(std::mem::replace(
+                    &mut members[at],
+                    (String::new(), Json::Null),
+                ));
+            }
+        }
+        Map(last_of_each.into())
+    }
+}
+
+impl fmt::Debug for Map {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
 }
 
 /// Deepest nesting of arrays and objects [`Json::parse`] accepts (`[]` is
@@ -46,16 +161,24 @@ pub const ENVELOPE_VERSION: i64 = 2;
 /// # Panics
 /// `body` must be an object (every envelope payload is).
 pub fn envelope(kind: &str, body: Json) -> Json {
-    let Json::Object(mut fields) = body else {
+    let Json::Object(fields) = body else {
         panic!("envelope body must be a JSON object");
     };
-    fields.insert("v".to_string(), Json::Int(ENVELOPE_VERSION));
-    fields.insert("kind".to_string(), Json::Str(kind.to_string()));
-    Json::Object(fields)
+    let stamp = [
+        ("v".to_string(), Json::Int(ENVELOPE_VERSION)),
+        ("kind".to_string(), Json::Str(kind.to_string())),
+    ];
+    Json::object(
+        fields
+            .iter()
+            .map(|(k, v)| (k.clone(), v.clone()))
+            .chain(stamp),
+    )
 }
 
 impl Json {
-    /// Build an object from key/value pairs.
+    /// Build an object from key/value pairs (of a repeated key, the last
+    /// value stays).
     pub fn object(pairs: impl IntoIterator<Item = (String, Json)>) -> Json {
         Json::Object(pairs.into_iter().collect())
     }
@@ -101,8 +224,8 @@ impl Json {
         }
     }
 
-    /// The value as an object map.
-    pub fn as_object(&self) -> Option<&BTreeMap<String, Json>> {
+    /// The value as an object's members.
+    pub fn as_object(&self) -> Option<&Map> {
         match self {
             Json::Object(o) => Some(o),
             _ => None,
@@ -229,15 +352,10 @@ impl Json {
     /// Parse a JSON document. Returns `None` on any syntax error, trailing
     /// garbage, or nesting deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Option<Json> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let v = parse_value(bytes, &mut pos, MAX_DEPTH)?;
-        skip_ws(bytes, &mut pos);
-        if pos == bytes.len() {
-            Some(v)
-        } else {
-            None
-        }
+        let mut p = Parser::new(text);
+        let v = p.value(MAX_DEPTH)?;
+        p.skip_ws();
+        (p.pos == text.len()).then_some(v)
     }
 
     /// Parse one JSON value off the front of `text`, returning the value and
@@ -258,10 +376,9 @@ impl Json {
     /// either mid-token (syntax error → `None`) or at a separator. Nesting
     /// deeper than [`MAX_DEPTH`] is `None` however many bytes follow.
     pub fn parse_prefix(text: &str) -> Option<(Json, usize)> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let v = parse_value(bytes, &mut pos, MAX_DEPTH)?;
-        Some((v, pos))
+        let mut p = Parser::new(text);
+        let v = p.value(MAX_DEPTH)?;
+        Some((v, p.pos))
     }
 }
 
@@ -302,214 +419,243 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
+/// A recursive-descent reader over one document. The items of every array
+/// still open wait on `items`, innermost last, and the members of every
+/// object still open on `members`; a closing bracket drains its own into a
+/// block of exactly their number.
+struct Parser<'a> {
+    text: &'a str,
+    pos: usize,
+    items: Vec<Json>,
+    members: Vec<(String, Json)>,
 }
 
-fn eat(b: &[u8], pos: &mut usize, c: u8) -> Option<()> {
-    skip_ws(b, pos);
-    if *pos < b.len() && b[*pos] == c {
-        *pos += 1;
-        Some(())
-    } else {
-        None
+impl<'a> Parser<'a> {
+    fn new(text: &'a str) -> Self {
+        Parser {
+            text,
+            pos: 0,
+            items: Vec::new(),
+            members: Vec::new(),
+        }
     }
-}
 
-/// The value at `pos`, in which arrays and objects nest `levels` deep.
-fn parse_value(b: &[u8], pos: &mut usize, levels: usize) -> Option<Json> {
-    skip_ws(b, pos);
-    match *b.get(*pos)? {
-        b'n' => parse_lit(b, pos, "null", Json::Null),
-        b't' => parse_lit(b, pos, "true", Json::Bool(true)),
-        b'f' => parse_lit(b, pos, "false", Json::Bool(false)),
-        b'"' => parse_string(b, pos).map(Json::Str),
-        b'[' => {
-            let levels = levels.checked_sub(1)?;
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Some(Json::Array(items));
-            }
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    /// After optional whitespace, is `byte` next? Consumes it if so.
+    fn eat(&mut self, byte: u8) -> bool {
+        self.skip_ws();
+        let next = self.peek() == Some(byte);
+        self.pos += usize::from(next);
+        next
+    }
+
+    /// After an item or member: `Some(false)` past a `,`, `Some(true)` past
+    /// the `close` bracket, `None` on anything else.
+    fn separator(&mut self, close: u8) -> Option<bool> {
+        if self.eat(b',') {
+            Some(false)
+        } else {
+            self.eat(close).then_some(true)
+        }
+    }
+
+    /// The value at `pos`, in which arrays and objects nest `levels` deep.
+    fn value(&mut self, levels: usize) -> Option<Json> {
+        self.skip_ws();
+        match self.peek()? {
+            b'n' => self.literal("null", Json::Null),
+            b't' => self.literal("true", Json::Bool(true)),
+            b'f' => self.literal("false", Json::Bool(false)),
+            b'"' => self.string().map(Json::Str),
+            b'[' => self.array(levels.checked_sub(1)?),
+            b'{' => self.object(levels.checked_sub(1)?),
+            _ => self.number(),
+        }
+    }
+
+    fn literal(&mut self, lit: &str, v: Json) -> Option<Json> {
+        self.text[self.pos..].starts_with(lit).then(|| {
+            self.pos += lit.len();
+            v
+        })
+    }
+
+    fn array(&mut self, levels: usize) -> Option<Json> {
+        self.pos += 1;
+        let start = self.items.len();
+        if !self.eat(b']') {
             loop {
-                items.push(parse_value(b, pos, levels)?);
-                skip_ws(b, pos);
-                match b.get(*pos)? {
-                    b',' => *pos += 1,
-                    b']' => {
-                        *pos += 1;
-                        return Some(Json::Array(items));
-                    }
-                    _ => return None,
+                let item = self.value(levels)?;
+                self.items.push(item);
+                if self.separator(b']')? {
+                    break;
                 }
             }
         }
-        b'{' => {
-            let levels = levels.checked_sub(1)?;
-            *pos += 1;
-            let mut map = BTreeMap::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Some(Json::Object(map));
-            }
+        Some(Json::Array(self.items.drain(start..).collect()))
+    }
+
+    fn object(&mut self, levels: usize) -> Option<Json> {
+        self.pos += 1;
+        let start = self.members.len();
+        if !self.eat(b'}') {
             loop {
-                skip_ws(b, pos);
-                let key = parse_string(b, pos)?;
-                eat(b, pos, b':')?;
-                map.insert(key, parse_value(b, pos, levels)?);
-                skip_ws(b, pos);
-                match b.get(*pos)? {
-                    b',' => *pos += 1,
-                    b'}' => {
-                        *pos += 1;
-                        return Some(Json::Object(map));
-                    }
-                    _ => return None,
+                self.skip_ws();
+                let key = self.string()?;
+                if !self.eat(b':') {
+                    return None;
+                }
+                let value = self.value(levels)?;
+                self.members.push((key, value));
+                if self.separator(b'}')? {
+                    break;
                 }
             }
         }
-        _ => parse_number(b, pos),
+        Some(Json::Object(self.members.drain(start..).collect()))
     }
-}
 
-fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: Json) -> Option<Json> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Some(v)
-    } else {
-        None
-    }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Option<String> {
-    if b.get(*pos) != Some(&b'"') {
-        return None;
-    }
-    *pos += 1;
-    // Fast path: scan the leading escape-free run and copy it in one shot;
-    // most strings close without any escape at all.
-    let start = *pos;
-    let mut i = *pos;
-    loop {
-        match *b.get(i)? {
-            b'"' => {
-                let s = std::str::from_utf8(&b[start..i]).ok()?;
-                *pos = i + 1;
-                return Some(s.to_string());
-            }
-            b'\\' => break,
-            _ => i += 1,
+    /// The string whose opening quote is at `pos`.
+    fn string(&mut self) -> Option<String> {
+        let b = self.text.as_bytes();
+        if b.get(self.pos) != Some(&b'"') {
+            return None;
         }
-    }
-    let mut out = String::with_capacity(i - start + 16);
-    out.push_str(std::str::from_utf8(&b[start..i]).ok()?);
-    *pos = i;
-    loop {
-        let c = *b.get(*pos)?;
-        *pos += 1;
-        match c {
-            b'"' => return Some(out),
-            b'\\' => {
-                let e = *b.get(*pos)?;
-                *pos += 1;
-                match e {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b'r' => out.push('\r'),
-                    b't' => out.push('\t'),
-                    b'b' => out.push('\u{8}'),
-                    b'f' => out.push('\u{c}'),
-                    b'u' => {
-                        let cp = parse_hex4(b, pos)?;
-                        if (0xD800..=0xDBFF).contains(&cp) {
-                            // High surrogate: a `\uXXXX` low surrogate must
-                            // follow to form one astral code point.
-                            if b.get(*pos) == Some(&b'\\') && b.get(*pos + 1) == Some(&b'u') {
-                                *pos += 2;
-                                let lo = parse_hex4(b, pos)?;
-                                if (0xDC00..=0xDFFF).contains(&lo) {
-                                    let c = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
-                                    out.push(char::from_u32(c).unwrap_or('\u{fffd}'));
-                                } else {
-                                    // Unpaired high surrogate; the second
-                                    // escape stands on its own.
-                                    out.push('\u{fffd}');
-                                    out.push(char::from_u32(lo).unwrap_or('\u{fffd}'));
-                                }
-                            } else {
-                                out.push('\u{fffd}');
-                            }
+        let start = self.pos + 1;
+        // Most strings close without an escape: one copy of the slice. The
+        // slice ends at an ASCII quote, so it is whole UTF-8.
+        let mut at = start;
+        loop {
+            match *b.get(at)? {
+                b'"' => {
+                    self.pos = at + 1;
+                    return Some(self.text[start..at].to_owned());
+                }
+                b'\\' => break,
+                _ => at += 1,
+            }
+        }
+        let mut end = at;
+        loop {
+            match *b.get(end)? {
+                b'"' => break,
+                b'\\' => end += 2,
+                _ => end += 1,
+            }
+        }
+        // No escape is shorter than the text it stands for, so the raw
+        // length bounds the decoded one and the buffer never grows.
+        let mut out = String::with_capacity(end - start);
+        let mut run = start;
+        while at < end {
+            if b[at] != b'\\' {
+                at += 1;
+                continue;
+            }
+            out.push_str(&self.text[run..at]);
+            let escape = b[at + 1];
+            at += 2;
+            match escape {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'u' => {
+                    let cp = hex4(b, at)?;
+                    at += 4;
+                    let paired = b.get(at..at + 2) == Some(b"\\u");
+                    let c = if (0xD800..0xDC00).contains(&cp) && paired {
+                        // A high surrogate and the escape after it: one
+                        // astral code point when that is a low surrogate.
+                        let lo = hex4(b, at + 2)?;
+                        at += 6;
+                        if (0xDC00..0xE000).contains(&lo) {
+                            char::from_u32(0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00))
                         } else {
-                            // Lone low surrogates land in the from_u32 None
-                            // branch and degrade to U+FFFD.
-                            out.push(char::from_u32(cp).unwrap_or('\u{fffd}'));
+                            // Unpaired high surrogate; the second escape
+                            // stands on its own.
+                            out.push('\u{fffd}');
+                            char::from_u32(lo)
                         }
-                    }
-                    _ => return None,
+                    } else {
+                        char::from_u32(cp)
+                    };
+                    // Unpaired surrogates degrade to U+FFFD.
+                    out.push(c.unwrap_or('\u{fffd}'));
                 }
+                _ => return None,
             }
-            c => {
-                // Re-decode multi-byte UTF-8 sequences.
-                if c < 0x80 {
-                    out.push(c as char);
-                } else {
-                    let start = *pos - 1;
-                    let len = utf8_len(c);
-                    let s = std::str::from_utf8(b.get(start..start + len)?).ok()?;
-                    out.push_str(s);
-                    *pos = start + len;
-                }
-            }
+            run = at;
+        }
+        out.push_str(&self.text[run..end]);
+        self.pos = end + 1;
+        Some(out)
+    }
+
+    /// `-?(0|[1-9]\d*)(\.\d+)?([eE][+-]?\d+)?`: an `Int` without fraction
+    /// or exponent (refused outside `i64`), else a `Float` (refused when
+    /// it overflows to an infinity).
+    fn number(&mut self) -> Option<Json> {
+        let b = self.text.as_bytes();
+        let start = self.pos;
+        let mut at = start + usize::from(b.get(start) == Some(&b'-'));
+        match b.get(at)? {
+            b'0' => at += 1,
+            b'1'..=b'9' => at = digits(b, at),
+            _ => return None,
+        }
+        let mut float = false;
+        if b.get(at) == Some(&b'.') {
+            float = true;
+            at = some_digits(b, at + 1)?;
+        }
+        if matches!(b.get(at), Some(b'e' | b'E')) {
+            float = true;
+            at += 1;
+            at += usize::from(matches!(b.get(at), Some(b'+' | b'-')));
+            at = some_digits(b, at)?;
+        }
+        let text = &self.text[start..at];
+        self.pos = at;
+        if float {
+            let v: f64 = text.parse().ok()?;
+            v.is_finite().then_some(Json::Float(v))
+        } else {
+            text.parse().ok().map(Json::Int)
         }
     }
 }
 
-fn parse_hex4(b: &[u8], pos: &mut usize) -> Option<u32> {
-    let hex = std::str::from_utf8(b.get(*pos..*pos + 4)?).ok()?;
-    *pos += 4;
-    u32::from_str_radix(hex, 16).ok()
+/// The end of the run of ASCII digits at `at`.
+fn digits(b: &[u8], at: usize) -> usize {
+    at + b[at..].iter().take_while(|c| c.is_ascii_digit()).count()
 }
 
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0xC0..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        _ => 4,
-    }
+/// The end of a non-empty run of ASCII digits at `at`.
+fn some_digits(b: &[u8], at: usize) -> Option<usize> {
+    let end = digits(b, at);
+    (end > at).then_some(end)
 }
 
-fn parse_number(b: &[u8], pos: &mut usize) -> Option<Json> {
-    let start = *pos;
-    if b.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    let mut is_float = false;
-    while let Some(&c) = b.get(*pos) {
-        match c {
-            b'0'..=b'9' => *pos += 1,
-            b'.' | b'e' | b'E' | b'+' | b'-' => {
-                is_float = true;
-                *pos += 1;
-            }
-            _ => break,
-        }
-    }
-    let text = std::str::from_utf8(&b[start..*pos]).ok()?;
-    if text.is_empty() || text == "-" {
-        return None;
-    }
-    if is_float {
-        text.parse::<f64>().ok().map(Json::Float)
-    } else {
-        text.parse::<i64>().ok().map(Json::Int)
-    }
+/// The four hex digits at `at`.
+fn hex4(b: &[u8], at: usize) -> Option<u32> {
+    let digits = b.get(at..at + 4)?;
+    digits
+        .iter()
+        .try_fold(0, |cp, &d| Some(cp << 4 | char::from(d).to_digit(16)?))
 }
 
 #[cfg(test)]
@@ -573,6 +719,9 @@ mod tests {
         assert_eq!(Json::parse("[1,]"), None);
         assert_eq!(Json::parse("1 2"), None);
         assert_eq!(Json::parse(""), None);
+        assert_eq!(Json::parse(r#"{"a" 1}"#), None);
+        assert_eq!(Json::parse(r#"{"a":1,}"#), None);
+        assert_eq!(Json::parse(r#"{1:2}"#), None);
     }
 
     #[test]
@@ -588,6 +737,42 @@ mod tests {
         assert_eq!(Json::parse(" 7 \n\t"), Some(Json::Int(7)));
     }
 
+    /// RFC 8259's number grammar, and nothing that prints back as
+    /// something else.
+    #[test]
+    fn numbers_are_the_rfc_grammar_and_reprint_to_equal_values() {
+        let accepted = [
+            ("0", Json::Int(0)),
+            ("-0", Json::Int(0)),
+            ("7", Json::Int(7)),
+            ("-12", Json::Int(-12)),
+            ("9223372036854775807", Json::Int(i64::MAX)),
+            ("-9223372036854775808", Json::Int(i64::MIN)),
+            ("0.5", Json::Float(0.5)),
+            ("-0.25", Json::Float(-0.25)),
+            ("2.0", Json::Float(2.0)),
+            ("1e3", Json::Float(1000.0)),
+            ("1E+3", Json::Float(1000.0)),
+            ("25e-2", Json::Float(0.25)),
+            ("-1.5e2", Json::Float(-150.0)),
+            ("1e308", Json::Float(1e308)),
+            ("1e-400", Json::Float(0.0)),
+        ];
+        for (text, want) in &accepted {
+            let v = Json::parse(text).unwrap_or_else(|| panic!("{text} is refused"));
+            assert_eq!(&v, want, "{text}");
+            let again = Json::parse(&v.to_string_compact());
+            assert_eq!(again.as_ref(), Some(&v), "{text} reprints as {v}");
+            let in_array = Json::parse(&format!("[{text}]")).expect("in an array");
+            assert_eq!(in_array.as_array(), Some(&[v][..]), "[{text}]");
+        }
+        let refused = "+1 .5 1. 01 -01 00 - --1 1.e5 1e 1e+ 1E- 0x10 1e999 -1e400 [1e400] \
+                       9223372036854775808 Infinity NaN";
+        for text in refused.split(' ') {
+            assert_eq!(Json::parse(text), None, "{text} is accepted");
+        }
+    }
+
     #[test]
     fn decodes_unicode_escapes_and_surrogate_pairs() {
         // BMP escapes.
@@ -595,8 +780,12 @@ mod tests {
             Json::parse("\"\\u00e9\\u2211\""),
             Some(Json::Str("é∑".into()))
         );
-        // Raw (unescaped) UTF-8 passes through.
+        // Raw (unescaped) UTF-8 passes through, beside escapes too.
         assert_eq!(Json::parse(r#""é∑😀""#), Some(Json::Str("é∑😀".into())));
+        assert_eq!(
+            Json::parse(r#""é\n∑\"😀""#),
+            Some(Json::Str("é\n∑\"😀".into()))
+        );
         // Astral plane via a surrogate pair (U+1F600).
         assert_eq!(
             Json::parse("\"\\ud83d\\ude00\""),
@@ -612,15 +801,23 @@ mod tests {
             Json::parse(r#""\udc00""#),
             Some(Json::Str("\u{fffd}".into()))
         );
-        // High surrogate followed by a normal escape: the second escape
-        // survives on its own.
+        // High surrogate followed by a plain character or a normal escape:
+        // what follows survives on its own.
         assert_eq!(
             Json::parse(r#""\ud800A""#),
             Some(Json::Str("\u{fffd}A".into()))
         );
-        // Truncated escape is a syntax error.
+        assert_eq!(
+            Json::parse("\"\\ud800\\u0041\""),
+            Some(Json::Str("\u{fffd}A".into()))
+        );
+        // Truncated or malformed escapes are syntax errors.
         assert_eq!(Json::parse(r#""\ud83d\ude0"#), None);
+        assert_eq!(Json::parse(r#""\u12""#), None);
         assert_eq!(Json::parse(r#""\uzzzz""#), None);
+        assert_eq!(Json::parse(r#""\u+abc""#), None);
+        assert_eq!(Json::parse(r#""\q""#), None);
+        assert_eq!(Json::parse(r#""ab\"#), None);
     }
 
     #[test]
@@ -630,6 +827,7 @@ mod tests {
             "日本語テスト",
             "mixed 😀 emoji ∑∫√",
             "\u{fffd}",
+            "tab\tquote\"back\\slash\u{1}",
         ] {
             let v = Json::Str(s.to_string());
             for text in [v.to_string_compact(), v.to_string_pretty()] {
@@ -648,6 +846,31 @@ mod tests {
         // Floats that print without a dot keep their float-ness.
         let f = Json::Float(2.0);
         assert_eq!(Json::parse(&f.to_string_compact()), Some(f));
+    }
+
+    #[test]
+    fn a_map_is_sorted_and_keeps_the_last_of_a_repeated_key() {
+        let m = Json::object([
+            ("b".to_string(), Json::Int(1)),
+            ("a".to_string(), Json::Int(2)),
+            ("b".to_string(), Json::Int(3)),
+        ]);
+        assert_eq!(m.to_string_compact(), r#"{"a":2,"b":3}"#);
+        let o = m.as_object().expect("an object");
+        assert_eq!(o.len(), 2);
+        assert_eq!(o.keys().collect::<Vec<_>>(), ["a", "b"]);
+        assert_eq!(
+            o.values().collect::<Vec<_>>(),
+            [&Json::Int(2), &Json::Int(3)]
+        );
+        assert!(o.contains_key("a") && !o.contains_key("c"));
+        assert_eq!(format!("{o:?}"), r#"{"a": Int(2), "b": Int(3)}"#);
+        // A clone shares the block.
+        let Json::Object(copy) = m.clone() else {
+            unreachable!()
+        };
+        assert!(Arc::ptr_eq(&copy.0, &o.0));
+        assert!(Map::default().is_empty());
     }
 
     #[test]

@@ -285,11 +285,14 @@ impl GoodState {
             // *together*: a scoped re-plan cannot know the module-wide
             // number, and a row carrying its own would disagree with a cold
             // open of the same text. Stored rows carry none.
-            let mut row = l.to_json();
-            if let Json::Object(fields) = &mut row {
-                fields.remove("weight");
-            }
-            row
+            let row = l.to_json();
+            Json::object(
+                row.as_object()
+                    .into_iter()
+                    .flatten()
+                    .filter(|(k, _)| k.as_str() != "weight")
+                    .map(|(k, v)| (k.clone(), v.clone())),
+            )
         });
         let rows = rows.collect();
         rebucket(

@@ -122,18 +122,13 @@ impl Client {
     /// Error replies map to `io::ErrorKind::Other` with the wire message.
     pub fn call(&mut self, method: &str, params: Json) -> io::Result<Json> {
         let reply = self.request(method, params)?;
-        match reply {
-            Json::Object(mut o) => match o.remove("ok") {
-                Some(v) => Ok(v),
-                None => {
-                    let msg = o
-                        .get("error")
-                        .map(Json::to_string_compact)
-                        .unwrap_or_else(|| "malformed reply".to_string());
-                    Err(io::Error::other(msg))
-                }
-            },
-            _ => Err(io::Error::other("malformed reply")),
+        if let Some(ok) = reply.get("ok") {
+            return Ok(ok.clone());
         }
+        let msg = reply
+            .get("error")
+            .map(Json::to_string_compact)
+            .unwrap_or_else(|| "malformed reply".to_string());
+        Err(io::Error::other(msg))
     }
 }

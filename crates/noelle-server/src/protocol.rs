@@ -28,6 +28,11 @@ pub const PROTOCOL_VERSION: i64 = 2;
 /// rather than an allocation request.
 pub const MAX_FRAME_BYTES: usize = 64 << 20;
 
+/// What a frame reader reserves ahead of a payload that has not arrived
+/// yet: a header may claim up to [`MAX_FRAME_BYTES`], and a peer that sends
+/// four bytes must not make the daemon reserve them all.
+const READ_STEP: usize = 1 << 20;
+
 /// Write one length-prefixed frame.
 ///
 /// # Errors
@@ -77,9 +82,14 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Json>> {
 /// The throughput-sensitive twin of [`read_frame`] for callers that only
 /// inspect the envelope. `Ok(None)` on clean EOF before any prefix byte.
 ///
+/// The buffer grows as the payload arrives: it never reserves more than
+/// 1 MiB or twice the bytes received, whichever is more. A frame under
+/// 1 MiB is one allocation of exactly its length, and a header that claims
+/// 64 MiB ahead of 16 bytes costs 1 MiB.
+///
 /// # Errors
-/// IO failures, oversized frames, and invalid UTF-8 surface as
-/// `InvalidData`.
+/// Oversized frames and invalid UTF-8 surface as `InvalidData`, a payload
+/// cut short as `UnexpectedEof`, other IO failures as they are.
 pub fn read_frame_text(r: &mut impl Read) -> io::Result<Option<String>> {
     let mut len_buf = [0u8; 4];
     match r.read(&mut len_buf[..1])? {
@@ -93,8 +103,16 @@ pub fn read_frame_text(r: &mut impl Read) -> io::Result<Option<String>> {
             "frame exceeds MAX_FRAME_BYTES",
         ));
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
+    let mut payload = Vec::new();
+    while payload.len() < len {
+        let filled = payload.len();
+        // Room for as many bytes again as have arrived, at least a step,
+        // never past the claim.
+        let step = filled.max(READ_STEP).min(len - filled);
+        payload.reserve_exact(step);
+        payload.resize(filled + step, 0);
+        r.read_exact(&mut payload[filled..])?;
+    }
     String::from_utf8(payload)
         .map(Some)
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame is not UTF-8"))
@@ -133,13 +151,12 @@ impl Request {
             .and_then(Json::as_str)
             .ok_or("request needs a string 'method'")?
             .to_string();
-        let params = obj
-            .get("params")
-            .cloned()
-            .unwrap_or_else(|| Json::object([]));
-        if params.as_object().is_none() {
-            return Err("'params' must be an object".into());
-        }
+        // An object: cloning it counts a reference.
+        let params = match obj.get("params") {
+            None => Json::object([]),
+            Some(p @ Json::Object(_)) => p.clone(),
+            Some(_) => return Err("'params' must be an object".into()),
+        };
         let deadline_ms = obj.get("deadline_ms").and_then(Json::as_u64);
         let v = obj.get("v").and_then(Json::as_i64);
         Ok(Request {
@@ -221,7 +238,7 @@ pub fn response_ok(id: i64, result: Json) -> Json {
 /// A successful reply spliced around an already-compact `ok` payload.
 /// Byte-identical to `response_ok(id, v).to_string_compact()` when
 /// `ok_compact == v.to_string_compact()` — objects serialize their keys in
-/// `BTreeMap` order, and `"id" < "ok" < "v"`.
+/// sorted order, and `"id" < "ok" < "v"`.
 pub fn response_ok_text(id: i64, ok_compact: &str) -> String {
     format!("{{\"id\":{id},\"ok\":{ok_compact},\"v\":{PROTOCOL_VERSION}}}")
 }

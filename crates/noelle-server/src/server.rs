@@ -641,10 +641,11 @@ fn read_frame_polling(stream: &mut impl io::Read, state: &ServerState) -> Option
 /// requests get their generated name *before* routing, so the session is
 /// owned by the shard its name hashes to).
 fn with_session(req: &Request, name: &str) -> Request {
-    let mut params = req.params.as_object().cloned().unwrap_or_default();
-    params.insert("session".to_string(), Json::Str(name.to_string()));
+    let kept = req.params.as_object().into_iter().flatten();
+    let session = ("session".to_string(), Json::Str(name.to_string()));
+    let params = kept.map(|(k, v)| (k.clone(), v.clone())).chain([session]);
     Request {
-        params: Json::Object(params),
+        params: Json::object(params),
         ..req.clone()
     }
 }

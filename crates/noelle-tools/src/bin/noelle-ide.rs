@@ -64,12 +64,11 @@ fn request_of(id: i64, cmd: &Json) -> Result<Request, String> {
     if !matches!(name, "open" | "change" | "diagnostics" | "close") {
         return Err(format!("unknown cmd '{name}'"));
     }
-    let mut params = obj.clone();
-    params.remove("cmd");
+    let params = obj.iter().filter(|(k, _)| k.as_str() != "cmd");
     Ok(Request {
         id,
         method: format!("ide/{name}"),
-        params: Json::Object(params),
+        params: Json::object(params.map(|(k, v)| (k.clone(), v.clone()))),
         deadline_ms: None,
         v: None,
     })

@@ -7,7 +7,6 @@ use noelle_analysis::AliasAnalysis;
 use noelle_core::json::Json;
 use noelle_pdg::pdg::PdgBuilder;
 use noelle_tools::{die, read_module, write_module, Args};
-use std::collections::BTreeMap;
 
 fn main() {
     let args = Args::parse();
@@ -23,7 +22,8 @@ fn main() {
         let stack = AliasStack::new(vec![&basic as &dyn AliasAnalysis, &andersen]);
         let builder = PdgBuilder::new(&m, &stack);
         let pdg = builder.program_pdg();
-        let mut per_function = BTreeMap::new();
+        // In function order: `Json::object` sorts the members by name.
+        let mut per_function = Vec::new();
         for (fid, g) in &pdg.per_function {
             let f = m.func(*fid);
             let edges: Vec<Json> = g
@@ -40,13 +40,13 @@ fn main() {
                     ]))
                 })
                 .collect();
-            per_function.insert(f.name.clone(), Json::Array(edges));
+            per_function.push((f.name.clone(), Json::Array(edges)));
         }
         (pdg.num_edges(), per_function)
     };
     m.metadata.insert(
         "noelle.pdg".to_string(),
-        Json::Object(per_function).to_string_compact(),
+        Json::object(per_function).to_string_compact(),
     );
     eprintln!("embedded {edge_count} dependence edges");
     write_module(&m, args.flag_or("o", "-")).unwrap_or_else(|e| die(&e));

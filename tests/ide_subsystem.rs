@@ -123,8 +123,8 @@ impl EditorModel {
 
     fn assert_holds(&self, pull: &Json, context: &str) {
         assert_eq!(Some(&self.report), pull.get("report"), "{context}: report");
-        let plan = pull.get("plan").and_then(Json::as_object);
-        assert_eq!(Some(&self.plan), plan, "{context}: plan rows");
+        let plan = Json::object(self.plan.iter().map(|(k, v)| (k.clone(), v.clone())));
+        assert_eq!(Some(&plan), pull.get("plan"), "{context}: plan rows");
         let held: Vec<&Json> = self.audit.values().flatten().collect();
         let pulled: Vec<&Json> = audit_findings_of(pull).iter().collect();
         assert_eq!(held, pulled, "{context}: audit findings");

@@ -581,11 +581,11 @@ fn edit_both<R>(
 
 /// A document's whole pull, less the one member that counts its edits.
 fn diagnostics_sans_version(doc: &DocSession) -> Json {
-    let Json::Object(mut fields) = doc.diagnostics_json() else {
+    let Json::Object(fields) = doc.diagnostics_json() else {
         panic!("a payload is an object");
     };
-    fields.remove("version");
-    Json::Object(fields)
+    let rest = fields.iter().filter(|(k, _)| k.as_str() != "version");
+    Json::object(rest.map(|(k, v)| (k.clone(), v.clone())))
 }
 
 /// The damage rule's two directions, for every called function of the

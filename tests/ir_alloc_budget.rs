@@ -8,9 +8,11 @@
 //! streams into one buffer; a loop graph is a handful of
 //! flat arrays, not a map entry per node, and a function graph is built
 //! through a handful more, not a map entry per pointer or pair; the store's
-//! decoders reserve nothing a forged count asks for; an IDE body edit
-//! allocates for the functions it re-audits, not for the module, and a pull
-//! renders the stored findings without copying them; a loop abstraction is
+//! decoders and the daemon's frame reader reserve nothing a forged count
+//! asks for; an IDE body edit allocates for the functions it re-audits, not
+//! for the module, and a pull renders the stored findings without copying
+//! them; a parsed reply is one block per string and container, and a clone
+//! of it copies nothing; a loop abstraction is
 //! a handful of flat arrays per loop, and a technique's gate reads the
 //! function's dominator tree instead of building one. The counts do not
 //! depend on the host, so the bounds are tight. The tests take turns ([`alone`]), so
@@ -18,6 +20,7 @@
 
 use noelle::analysis::scev::affine_recurrences;
 use noelle::core::architecture::Architecture;
+use noelle::core::json::Json;
 use noelle::core::noelle::{AliasTier, Noelle};
 use noelle::ir::cfg::Cfg;
 use noelle::ir::dom::DomTree;
@@ -36,9 +39,12 @@ use noelle_ide::{Change, DocSession};
 use noelle_lint::audit::AUDIT_WORKERS;
 use noelle_lint::run_audit;
 use noelle_plan::{plan_from_audit, PlanOptions};
+use noelle_server::protocol::{read_frame_text, MAX_FRAME_BYTES};
 use noelle_store::artifact::decode_partition;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::BTreeSet;
+use std::hint::black_box;
+use std::io;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::{Mutex, MutexGuard};
 
@@ -199,6 +205,79 @@ fn count_bombs_are_rejected_before_anything_is_reserved() {
         assert!(rejected, "{bomb:?} decodes");
         assert!(reserved < 4096, "{bomb:?}: {reserved} bytes allocated");
     }
+}
+
+#[test]
+fn a_frame_header_reserves_no_more_than_a_step_ahead_of_the_bytes_that_arrive() {
+    let _turn = alone();
+    // A header claiming the largest frame there is, then 16 bytes, then EOF.
+    let mut wire = (MAX_FRAME_BYTES as u32).to_be_bytes().to_vec();
+    wire.extend_from_slice(&[b' '; 16]);
+    let (read, blocks, reserved) = allocations_and_bytes(|| read_frame_text(&mut &wire[..]));
+    let refused = read.expect_err("16 bytes are not a 64 MiB frame");
+    assert_eq!(refused.kind(), io::ErrorKind::UnexpectedEof);
+    eprintln!("a 64 MiB header and 16 bytes: {blocks} allocations, {reserved} bytes");
+    // One 1 MiB step, beside what the test harness may allocate to start
+    // the next test's thread. Reserving what the header claimed took all
+    // 64 MiB.
+    assert!(
+        reserved < (1 << 20) + (64 << 10),
+        "{reserved} bytes allocated"
+    );
+}
+
+/// The blocks a parsed value owns: one per non-empty string and key, and
+/// one per non-empty array and object.
+fn owned_blocks(v: &Json) -> usize {
+    match v {
+        Json::Str(s) => usize::from(!s.is_empty()),
+        Json::Array(items) => {
+            usize::from(!items.is_empty()) + items.iter().map(owned_blocks).sum::<usize>()
+        }
+        Json::Object(map) => {
+            let members = map
+                .iter()
+                .map(|(k, v)| usize::from(!k.is_empty()) + owned_blocks(v));
+            usize::from(!map.is_empty()) + members.sum::<usize>()
+        }
+        _ => 0,
+    }
+}
+
+#[test]
+fn a_parsed_pull_is_one_block_per_string_and_container_and_a_clone_copies_nothing() {
+    let _turn = alone();
+    let text = print_module(&scale_module(256, 3));
+    let pull = DocSession::open("scale", &text, AliasTier::Basic).diagnostics_text();
+    let (parsed, parse, bytes) =
+        allocations_and_bytes(|| Json::parse(&pull).expect("a pull is JSON"));
+    let blocks = owned_blocks(&parsed);
+    eprintln!(
+        "{} bytes of pull: {parse} allocations for {blocks} blocks, {bytes} bytes",
+        pull.len()
+    );
+    // 15 453 for 15 436 blocks and 824 792 bytes (3.9 per byte of text):
+    // the rest is the parser's two shared stacks doubling up to their
+    // peaks. With a map node per object and arrays doubling as they grew it
+    // was 15 545 and 1 607 160 bytes (7.5).
+    assert!(
+        parse <= blocks + 64,
+        "parse: {parse} allocations for {blocks} blocks"
+    );
+    assert!(
+        bytes <= 4 * pull.len(),
+        "parse: {bytes} bytes for {} of text",
+        pull.len()
+    );
+    // Every container of a pull is under an object, which a clone shares.
+    let (copy, cloned) = allocations(|| parsed.clone());
+    assert_eq!(cloned, 0, "a clone of the pull allocated");
+    assert_eq!(copy, parsed);
+    let ((), empty) = allocations(|| {
+        black_box(Json::object([]));
+        black_box(Json::parse("{}"));
+    });
+    assert_eq!(empty, 0, "an empty object allocated");
 }
 
 /// Allocations of the `update` that follows inserting one `gep` of the

@@ -6,12 +6,15 @@
 //! structured error and keeps serving the connection. The mutation smoke
 //! feeds byte-mutated replies and frames of a real daemon session to
 //! `Json::parse` and `protocol::read_frame`: each mutant is refused or
-//! decoded, never a panic (ROADMAP item 7, decoders).
+//! decoded, never a panic (ROADMAP item 7, decoders). An object, built or
+//! parsed, is the `BTreeMap` it replaced: the same members, order, lookups
+//! and rendering, a repeated key keeping its last value.
 
 use noelle::core::json::{Json, MAX_DEPTH};
 use noelle_fuzz::generator::SplitMix64;
 use noelle_server::protocol::{read_frame, write_frame_text};
 use noelle_server::{Server, ServerConfig};
+use std::collections::BTreeMap;
 use std::io::Cursor;
 use std::net::TcpStream;
 
@@ -237,4 +240,49 @@ fn byte_mutated_replies_and_frames_never_panic_the_decoders() {
         broken > STREAM_MUTANTS / 2 && frames > STREAM_MUTANTS,
         "{broken} broken, {frames} frames"
     );
+}
+
+/// A key of one to three characters from a small alphabet, so a sequence of
+/// a few dozen repeats some and arrives out of order.
+fn short_key(rng: &mut SplitMix64) -> String {
+    let len = 1 + rng.below(3) as usize;
+    (0..len)
+        .map(|_| *rng.pick(&['a', 'b', 'c', 'é', '"']))
+        .collect()
+}
+
+#[test]
+fn an_object_is_the_btreemap_it_replaced() {
+    let mut rng = SplitMix64::new(0x4d41_5053);
+    for _ in 0..400 {
+        // Up to 40 members: longer than a sort's small-input cutoff.
+        let pairs: Vec<(String, Json)> = (0..rng.below(41))
+            .map(|i| (short_key(&mut rng), Json::Int(i as i64)))
+            .collect();
+        let mut reference = BTreeMap::new();
+        for (k, v) in &pairs {
+            reference.insert(k.clone(), v.clone());
+        }
+        let built = Json::object(pairs.clone());
+        let map = built.as_object().expect("an object");
+        assert_eq!(map.len(), reference.len());
+        assert!(map.iter().eq(reference.iter()), "{pairs:?}");
+        for _ in 0..8 {
+            let probe = short_key(&mut rng);
+            assert_eq!(map.get(&probe), reference.get(&probe), "{probe:?}");
+        }
+        let member = |(k, v): (&String, &Json)| format!("{}:{v}", Json::Str(k.clone()));
+        let rendered: Vec<String> = reference.iter().map(member).collect();
+        assert_eq!(
+            built.to_string_compact(),
+            format!("{{{}}}", rendered.join(","))
+        );
+        // Written as the pairs came, repeats and all, it parses to the same.
+        let written: Vec<String> = pairs.iter().map(|(k, v)| member((k, v))).collect();
+        let parsed = Json::parse(&format!("{{{}}}", written.join(",")));
+        assert_eq!(parsed.as_ref(), Some(&built), "{written:?}");
+    }
+    let parsed = Json::parse(r#"{"b":1,"a":2,"b":3}"#).expect("parses");
+    assert_eq!(parsed.get("b"), Some(&Json::Int(3)));
+    assert_eq!(parsed.to_string_compact(), r#"{"a":2,"b":3}"#);
 }
