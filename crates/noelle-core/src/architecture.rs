@@ -27,10 +27,14 @@ pub const MEM_CYCLES: u64 = 4;
 pub const GEP_CYCLES: u64 = 1;
 /// Cycles of a cast.
 pub const CAST_CYCLES: u64 = 1;
+/// Cycles of an `icmp`.
+pub const ICMP_CYCLES: u64 = 1;
 /// Overhead of a call; what the callee runs is charged on top.
 pub const CALL_CYCLES: u64 = 3;
 /// Cycles of an unconditional branch.
 pub const BR_CYCLES: u64 = 1;
+/// Cycles of a conditional branch.
+pub const CONDBR_CYCLES: u64 = 2;
 /// Cycles of a `ret`.
 pub const RET_CYCLES: u64 = 1;
 /// Cycles of a `switch`.
@@ -47,7 +51,7 @@ pub fn inst_cost(inst: &Inst) -> u64 {
         Inst::Load { .. } | Inst::Store { .. } => MEM_CYCLES,
         Inst::Gep { .. } => GEP_CYCLES,
         Inst::Bin { op, .. } => bin_cost(*op),
-        Inst::Icmp { .. } => 1,
+        Inst::Icmp { .. } => ICMP_CYCLES,
         Inst::Fcmp { .. } => 2,
         Inst::Cast { .. } => CAST_CYCLES,
         Inst::Select { .. } => 1,
@@ -55,7 +59,7 @@ pub fn inst_cost(inst: &Inst) -> u64 {
         Inst::Call { .. } => CALL_CYCLES,
         Inst::Term(Terminator::Ret(_)) => RET_CYCLES,
         Inst::Term(Terminator::Br(_)) => BR_CYCLES,
-        Inst::Term(Terminator::CondBr { .. }) => 2,
+        Inst::Term(Terminator::CondBr { .. }) => CONDBR_CYCLES,
         Inst::Term(Terminator::Switch { .. }) => SWITCH_CYCLES,
         Inst::Term(Terminator::Unreachable) => 0,
     }
@@ -212,10 +216,14 @@ impl Architecture {
         }
     }
 
+    /// Logical cores of [`Architecture::default_machine`], known without
+    /// building its tables.
+    pub const DEFAULT_CORES: usize = 12;
+
     /// The default evaluation machine: 12 cores on 1 NUMA node, mirroring
     /// the paper's Xeon E5-2695 v3 platform shape.
     pub fn default_machine() -> Architecture {
-        Architecture::synthetic(12, 1)
+        Architecture::synthetic(Architecture::DEFAULT_CORES, 1)
     }
 
     /// Latency between two cores in cycles.

@@ -129,10 +129,11 @@ pub fn hoist_to_preheader(
 }
 
 /// Redirect the pre-header of `l` to `replacement` instead of the loop
-/// header, making the loop body unreachable. `replacement` must eventually
-/// branch to the loop's (unique) exit block; the caller is responsible for
-/// replacing uses of loop-defined values that escape. Exit-block phis with
-/// incomings from exiting blocks are rewired to `replacement` using
+/// header, making the loop body unreachable. The code `replacement` starts
+/// must branch to the loop's (unique) exit block from block `tail` (which
+/// may be `replacement` itself); the caller is responsible for replacing
+/// uses of loop-defined values that escape. Exit-block phis with incomings
+/// from exiting blocks are rewired to come from `tail` using
 /// `exit_phi_values` (phi instruction → new incoming value).
 ///
 /// # Errors
@@ -141,6 +142,7 @@ pub fn bypass_loop(
     f: &mut Function,
     l: &LoopInfo,
     replacement: BlockId,
+    tail: BlockId,
     exit_phi_values: &[(InstId, Value)],
 ) -> Result<BlockId, LoopBuilderError> {
     let exits = l.exit_blocks();
@@ -154,7 +156,7 @@ pub fn bypass_loop(
         }
     }
     // Rewire exit phis: incomings from in-loop blocks now come from the
-    // replacement block.
+    // replacement's tail.
     for phi_id in f.phis(exit) {
         let new_value = exit_phi_values
             .iter()
@@ -168,7 +170,7 @@ pub fn bypass_loop(
             .into_iter()
             .filter_map(|(b, v)| {
                 if l.contains(b) {
-                    new_value.map(|nv| (replacement, nv))
+                    new_value.map(|nv| (tail, nv))
                 } else {
                     Some((b, v))
                 }
@@ -322,7 +324,14 @@ mod tests {
             },
         );
         f.set_terminator(dispatch, Terminator::Br(l.exit_blocks()[0]));
-        bypass_loop(f, &l, dispatch, &[(out.as_inst().unwrap(), Value::Inst(v))]).unwrap();
+        bypass_loop(
+            f,
+            &l,
+            dispatch,
+            dispatch,
+            &[(out.as_inst().unwrap(), Value::Inst(v))],
+        )
+        .unwrap();
         noelle_ir::verifier::verify_module(&m).expect("verifies after bypass");
         // The loop is unreachable now.
         let f = m.func(fid);
@@ -360,7 +369,7 @@ mod tests {
         let dispatch = f.add_block("dispatch");
         f.set_terminator(dispatch, Terminator::Unreachable);
         assert_eq!(
-            bypass_loop(f, &l, dispatch, &[]),
+            bypass_loop(f, &l, dispatch, dispatch, &[]),
             Err(LoopBuilderError::MultipleExits)
         );
     }

@@ -48,13 +48,17 @@ const MIN_SPEEDUP: f64 = 1.05;
 pub struct PlanOptions {
     /// Worker budget per parallelized loop: each candidate takes the count
     /// within it that predicts the fewest cycles (cores for DOALL/HELIX,
-    /// pipeline stages for DSWP).
+    /// pipeline stages for DSWP). The planner caps it at the module's
+    /// machine's cores: tasks that share a core would not run in parallel.
     pub workers: usize,
 }
 
 impl Default for PlanOptions {
+    /// Every core of the default machine.
     fn default() -> PlanOptions {
-        PlanOptions { workers: 4 }
+        PlanOptions {
+            workers: Architecture::DEFAULT_CORES,
+        }
     }
 }
 
@@ -203,7 +207,8 @@ impl LoopPlan {
 /// A whole-module parallelization plan.
 #[derive(Clone, Debug)]
 pub struct ModulePlan {
-    /// Worker budget the plan was computed for.
+    /// Worker budget the plan was computed for: the asked budget, capped
+    /// at the machine's cores.
     pub workers: usize,
     /// Were embedded profiles available to weigh the loops?
     pub profiled: bool,
@@ -320,6 +325,8 @@ pub fn plan_module(n: &mut Noelle, opts: &PlanOptions) -> ModulePlan {
 /// instructions of the module as audited.
 pub fn plan_from_audit(n: &mut Noelle, audit: &ModuleAudit, opts: &PlanOptions) -> ModulePlan {
     let arch = n.architecture();
+    // The machine gives each task a core of its own only up to its cores.
+    let budget = opts.workers.min(arch.num_cores);
     let profiles = n.profiles();
     let profiled = !profiles.block_counts.is_empty();
     let (m, calls) = (n.module(), n.direct_calls());
@@ -345,7 +352,7 @@ pub fn plan_from_audit(n: &mut Noelle, audit: &ModuleAudit, opts: &PlanOptions) 
             .iter()
             .map(|v| match &v.outcome {
                 Ok(recipe) => {
-                    let (c, w) = price(v.technique, m, laud, recipe, &arch, opts.workers, &cost);
+                    let (c, w) = price(v.technique, m, laud, recipe, &arch, budget, &cost);
                     priced_wider = w.or(priced_wider.take());
                     c
                 }
@@ -482,7 +489,7 @@ pub fn plan_from_audit(n: &mut Noelle, audit: &ModuleAudit, opts: &PlanOptions) 
     }
 
     ModulePlan {
-        workers: opts.workers,
+        workers: budget,
         profiled,
         loops,
     }
@@ -717,7 +724,6 @@ fn price(
     cost: &LoopCost,
 ) -> (Candidate, Option<Recipe>) {
     let (fid, la) = (laud.fid, &*laud.abstraction);
-    let cheaper = |a: Price, b: Price| if b.total < a.total { b } else { a };
     let at = |recipe: &Recipe, fixed: FixedCost, w: usize| {
         predict(m, laud, arch, cost, recipe, fixed, w)
     };
@@ -744,12 +750,22 @@ fn price(
         }
         best
     } else {
-        // One recipe, priced at every count.
+        // One recipe, priced at each count until one whose last spawn alone
+        // costs as much as the cheapest so far: every count past it spawns
+        // later still, so none of them can be cheaper.
         let fixed = fixed_cost(la, recipe);
-        (1..=budget.max(1))
-            .map(|w| at(recipe, fixed, w))
-            .reduce(cheaper)
-            .expect("a budget holds a worker")
+        let mut best = at(recipe, fixed, 1);
+        for w in 2..=budget {
+            let floor = fixed.parent_for(w) + arch.spawn_clock(w - 1) + fixed.task + cost.tail;
+            if floor as f64 >= best.total {
+                break;
+            }
+            let p = at(recipe, fixed, w);
+            if p.total < best.total {
+                best = p;
+            }
+        }
+        best
     };
     let seq = cost.sequential();
     // One buffer, written twice: the sequential side, then the recipe's.

@@ -54,7 +54,7 @@ fn selected_tools(selector: &str, cores: usize) -> Vec<FuzzTool> {
                 });
             let run = entry.run;
             FuzzTool::new(entry.name, move |n: &mut Noelle| {
-                run(n, &ToolOptions { cores })
+                run(n, &ToolOptions { cores: Some(cores) })
             })
         })
         .collect()

@@ -6,19 +6,23 @@
 
 use noelle_core::json::Json;
 use noelle_core::noelle::Noelle;
+use noelle_plan::PlanOptions;
 use noelle_transforms as tools;
 use noelle_transforms::common::{parallelize, LoopTargetOpts, Parallelizer};
 
 /// Options every registered tool receives.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ToolOptions {
-    /// Worker/task count for parallelizers.
-    pub cores: usize,
+    /// Worker/task count for parallelizers and the planner's budget. `None`
+    /// leaves each tool its own default: [`LoopTargetOpts`]'s for the
+    /// parallelizers, [`PlanOptions`]'s for `plan`.
+    pub cores: Option<usize>,
 }
 
-impl Default for ToolOptions {
-    fn default() -> ToolOptions {
-        ToolOptions { cores: 4 }
+impl ToolOptions {
+    /// A parallelizer's task count: the caller's, else [`LoopTargetOpts`]'s.
+    fn tasks(&self) -> usize {
+        self.cores.unwrap_or(LoopTargetOpts::default().workers)
     }
 }
 
@@ -36,12 +40,12 @@ pub struct ToolInvocation {
 
 impl ToolInvocation {
     /// Parse from command-line flags: `--tool <name>` (default `doall`) and
-    /// `--cores <n>` (default [`ToolOptions::default`]).
+    /// `--cores <n>` (default: unset, each tool's own).
     pub fn from_args(args: &crate::Args) -> ToolInvocation {
         ToolInvocation {
             name: args.flag_or("tool", "doall").to_string(),
             options: ToolOptions {
-                cores: args.flag_usize("cores", ToolOptions::default().cores),
+                cores: args.flag("cores").and_then(|s| s.parse().ok()),
             },
         }
     }
@@ -49,7 +53,7 @@ impl ToolInvocation {
     /// Parse from wire params: `{"tool": <name>, "cores": <n>?}`.
     ///
     /// # Errors
-    /// A missing or non-string `tool` field is an error; `cores` defaults.
+    /// A missing or non-string `tool` field is an error; `cores` is optional.
     pub fn from_json(params: &Json) -> Result<ToolInvocation, String> {
         let name = params
             .get("tool")
@@ -59,8 +63,7 @@ impl ToolInvocation {
         let cores = params
             .get("cores")
             .and_then(Json::as_i64)
-            .map(|c| c as usize)
-            .unwrap_or(ToolOptions::default().cores);
+            .map(|c| c as usize);
         Ok(ToolInvocation {
             name,
             options: ToolOptions { cores },
@@ -69,10 +72,11 @@ impl ToolInvocation {
 
     /// Encode as wire params (the inverse of [`ToolInvocation::from_json`]).
     pub fn to_params(&self) -> Vec<(String, Json)> {
-        vec![
-            ("tool".to_string(), Json::Str(self.name.clone())),
-            ("cores".to_string(), Json::Int(self.options.cores as i64)),
-        ]
+        let mut params = vec![("tool".to_string(), Json::Str(self.name.clone()))];
+        if let Some(cores) = self.options.cores {
+            params.push(("cores".to_string(), Json::Int(cores as i64)));
+        }
+        params
     }
 
     /// Dispatch through the registry.
@@ -104,15 +108,15 @@ fn run_parallelizer(n: &mut Noelle, tool: Parallelizer, workers: usize) -> Resul
 }
 
 fn run_doall(n: &mut Noelle, o: &ToolOptions) -> Result<String, String> {
-    run_parallelizer(n, Parallelizer::Doall, o.cores)
+    run_parallelizer(n, Parallelizer::Doall, o.tasks())
 }
 
 fn run_helix(n: &mut Noelle, o: &ToolOptions) -> Result<String, String> {
-    run_parallelizer(n, Parallelizer::Helix, o.cores)
+    run_parallelizer(n, Parallelizer::Helix, o.tasks())
 }
 
 fn run_dswp(n: &mut Noelle, o: &ToolOptions) -> Result<String, String> {
-    run_parallelizer(n, Parallelizer::Dswp, o.cores.clamp(2, 4))
+    run_parallelizer(n, Parallelizer::Dswp, o.tasks().clamp(2, 4))
 }
 
 fn run_licm(n: &mut Noelle, _o: &ToolOptions) -> Result<String, String> {
@@ -143,16 +147,18 @@ fn run_time(n: &mut Noelle, _o: &ToolOptions) -> Result<String, String> {
 }
 
 fn run_perspective(n: &mut Noelle, o: &ToolOptions) -> Result<String, String> {
-    run_parallelizer(n, Parallelizer::Perspective, o.cores)
+    run_parallelizer(n, Parallelizer::Perspective, o.tasks())
 }
 
 fn run_plan(n: &mut Noelle, o: &ToolOptions) -> Result<String, String> {
-    let plan = noelle_plan::plan_module(n, &noelle_plan::PlanOptions { workers: o.cores });
+    let workers = o.cores.unwrap_or(PlanOptions::default().workers);
+    let plan = noelle_plan::plan_module(n, &PlanOptions { workers });
     let report = noelle_plan::apply_plan(n, &plan);
     Ok(format!(
-        "planned {} of {} loop(s), predicted {:.2}x; applied: {report:?}",
+        "planned {} of {} loop(s) on {} workers, predicted {:.2}x; applied: {report:?}",
         plan.planned(),
         plan.loops.len(),
+        plan.workers,
         plan.predicted_program_speedup()
     ))
 }
@@ -161,7 +167,7 @@ fn run_autopar(n: &mut Noelle, o: &ToolOptions) -> Result<String, String> {
     // The conservative baseline rebuilds the module rather than editing in
     // place; swap the result back into the manager.
     let m = n.module().clone();
-    let (m2, report) = tools::baseline::conservative_parallelize(m, o.cores);
+    let (m2, report) = tools::baseline::conservative_parallelize(m, o.tasks());
     n.replace_module(m2);
     Ok(format!("{report:?}"))
 }
@@ -250,6 +256,21 @@ mod tests {
             let r = run_tool(&mut n, t.name, &ToolOptions::default());
             assert!(r.is_ok(), "tool {} failed: {r:?}", t.name);
         }
+    }
+
+    /// With no `cores` set, `plan` plans for the planner's own default
+    /// budget, as `noelle-plan`, the IDE and the benchmark do.
+    #[test]
+    fn the_plan_tool_defaults_to_the_planners_budget() {
+        let w = noelle_workloads::by_name("blackscholes").expect("workload");
+        let mut n = Noelle::new(w.build(), AliasTier::Full);
+        let summary = run_tool(&mut n, "plan", &ToolOptions::default()).unwrap();
+        let mut n = Noelle::new(w.build(), AliasTier::Full);
+        let workers = noelle_plan::plan_module(&mut n, &PlanOptions::default()).workers;
+        assert!(
+            summary.contains(&format!(" on {workers} workers,")),
+            "{summary}"
+        );
     }
 
     #[test]

@@ -5,8 +5,8 @@
 
 use crate::{doall, dswp, helix, perspective};
 use noelle_core::architecture::{
-    bin_cost, external_cost, Architecture, ALLOCA_CYCLES, BR_CYCLES, CALL_CYCLES, RET_CYCLES,
-    SWITCH_CYCLES,
+    bin_cost, external_cost, Architecture, ALLOCA_CYCLES, BR_CYCLES, CALL_CYCLES, CONDBR_CYCLES,
+    ICMP_CYCLES, RET_CYCLES, SWITCH_CYCLES,
 };
 use noelle_core::env::{Environment, EnvironmentBuilder};
 use noelle_core::loop_abs::LoopAbstraction;
@@ -14,9 +14,9 @@ use noelle_core::loop_builder::{bypass_loop, ensure_preheader, LoopBuilderError}
 use noelle_core::noelle::{Abstraction, Noelle};
 use noelle_core::reduction::Reduction;
 use noelle_core::task::{outline_loop_as_task, task_frame_cycles, TaskError, TaskFunction};
-use noelle_ir::inst::{BinOp, Inst, InstId, Terminator};
+use noelle_ir::inst::{BinOp, IcmpPred, Inst, InstId, Terminator};
 use noelle_ir::loops::LoopInfo;
-use noelle_ir::module::{BlockId, FuncId, Module};
+use noelle_ir::module::{BlockId, FuncId, Function, Module};
 use noelle_ir::types::{FuncType, Type};
 use noelle_ir::value::Value;
 use std::sync::Arc;
@@ -231,8 +231,10 @@ pub struct FixedCost {
     /// environment's allocation and live-in stores, the queues' creation,
     /// the dispatch call and the branch on.
     pub parent: u64,
-    /// In the dispatching function after the join, once per task: the
-    /// reload of its partial live-outs and their fold into the reductions.
+    /// In the dispatching function after the join, once per task: one trip
+    /// of the `merge` loop — per reduction the slot index, the reload of
+    /// the task's partial and its fold; then the task counter's step, test
+    /// and branch. 0 when the loop has no live-outs (no `merge` block).
     pub merge: u64,
     /// In each task, around its share of the iterations: the frame
     /// ([`task_frame_cycles`]) plus what the technique adds — the
@@ -257,15 +259,21 @@ pub fn fixed_cost(la: &LoopAbstraction, recipe: &Recipe) -> FixedCost {
     let slot = Environment::slot_cycles;
     let call = |name: &str| CALL_CYCLES + external_cost(name);
     let stores: u64 = la.env.live_ins.iter().map(|(_, ty)| slot(ty)).sum();
-    let merge = la
+    let add = bin_cost(BinOp::Add);
+    let folds: u64 = la
         .env
         .live_outs
         .iter()
         .map(|(v, ty)| {
             let red = la.reductions.iter().find(|r| Value::Inst(r.phi) == *v);
-            slot(ty) + red.map_or(0, |r| bin_cost(r.op))
+            add + slot(ty) + red.map_or(0, |r| bin_cost(r.op))
         })
         .sum();
+    let merge = if la.env.live_outs.is_empty() {
+        0
+    } else {
+        folds + add + ICMP_CYCLES + CONDBR_CYCLES
+    };
     let technique = match recipe {
         // `build_trampoline`'s switch, call and ret, and `prune_stage`'s
         // queue-id loads.
@@ -469,7 +477,9 @@ pub fn reset_reduction_initials(m: &mut Module, task: &TaskFunction, reductions:
 ///
 /// 1. a `dispatch` block allocates the environment and stores the live-ins,
 /// 2. calls `noelle.task.dispatch(task, env, n_tasks)`,
-/// 3. reloads per-task live-out slots, combining reductions, and
+/// 3. when the loop has live-outs, branches to a `merge` block that loops
+///    over the task ids, reloading each task's live-out slots and folding
+///    them into the reductions, and
 /// 4. bypasses the loop, rewiring its exit phis and external uses.
 pub fn emit_dispatcher(
     m: &mut Module,
@@ -544,39 +554,78 @@ pub fn emit_dispatcher_with_queues(
         },
     );
 
-    // 3. Live-out reconstruction: fold the per-task partial values with the
-    //    reduction operator, seeded by the sequential initial value.
+    // 3. Live-out reconstruction: one `merge` block loops over the task ids
+    //    and folds each task's partials, task 0 first, into accumulators
+    //    seeded by the sequential initial values. The parent's code is the
+    //    same whatever the task count.
     let mut combined: Vec<(Value, Value)> = Vec::new(); // (original, rebuilt)
-    for (idx, (v, ty)) in env.live_outs.iter().enumerate() {
-        let red = la
-            .reductions
-            .iter()
-            .find(|r| Value::Inst(r.phi) == *v)
-            .ok_or(ParallelizeError::UnsupportedLiveOut)?;
-        let mut acc = red.initial;
-        for t in 0..n_tasks {
-            let slot = env.live_out_base() + idx * n_tasks + t;
-            let part = EnvironmentBuilder::load_slot(
-                f,
-                dispatch,
-                env_ptr,
-                Value::const_i64(slot as i64),
-                ty,
-            );
-            let op = f.append_inst(
-                dispatch,
-                Inst::Bin {
-                    op: red.op,
+    let tail = if env.live_outs.is_empty() {
+        f.set_terminator(dispatch, Terminator::Br(exit_block));
+        dispatch
+    } else {
+        let merge = f.add_block("merge");
+        f.set_terminator(dispatch, Terminator::Br(merge));
+        // Phis first: the task id and one accumulator per reduction, each
+        // born with its back edge, whose value the trip computes below.
+        let phi = |f: &mut Function, ty: &Type, init: Value| {
+            let incomings = vec![(dispatch, init), (merge, init)];
+            f.append_inst(
+                merge,
+                Inst::Phi {
                     ty: ty.clone(),
-                    lhs: acc,
-                    rhs: part,
+                    incomings,
                 },
-            );
-            acc = Value::Inst(op);
+            )
+        };
+        let set_back = |f: &mut Function, phi: InstId, next: Value| {
+            if let Inst::Phi { incomings, .. } = f.inst_mut(phi) {
+                incomings[1].1 = next;
+            }
+        };
+        let t_phi = phi(f, &Type::I64, Value::const_i64(0));
+        let t = Value::Inst(t_phi);
+        let mut accs = Vec::with_capacity(env.live_outs.len());
+        for (v, ty) in &env.live_outs {
+            let red = la
+                .reductions
+                .iter()
+                .find(|r| Value::Inst(r.phi) == *v)
+                .ok_or(ParallelizeError::UnsupportedLiveOut)?;
+            accs.push((red.op, phi(f, ty, red.initial)));
         }
-        combined.push((*v, acc));
-    }
-    f.set_terminator(dispatch, Terminator::Br(exit_block));
+        let bin = |f: &mut Function, op, ty: &Type, lhs, rhs| {
+            let ty = ty.clone();
+            Value::Inst(f.append_inst(merge, Inst::Bin { op, ty, lhs, rhs }))
+        };
+        for (idx, ((v, ty), (op, acc))) in env.live_outs.iter().zip(accs).enumerate() {
+            let first = Value::const_i64((env.live_out_base() + idx * n_tasks) as i64);
+            let slot = bin(f, BinOp::Add, &Type::I64, t, first);
+            let part = EnvironmentBuilder::load_slot(f, merge, env_ptr, slot, ty);
+            let next = bin(f, op, ty, Value::Inst(acc), part);
+            set_back(f, acc, next);
+            combined.push((*v, next));
+        }
+        let t_next = bin(f, BinOp::Add, &Type::I64, t, Value::const_i64(1));
+        set_back(f, t_phi, t_next);
+        let more = f.append_inst(
+            merge,
+            Inst::Icmp {
+                pred: IcmpPred::Slt,
+                ty: Type::I64,
+                lhs: t_next,
+                rhs: Value::const_i64(n_tasks as i64),
+            },
+        );
+        f.set_terminator(
+            merge,
+            Terminator::CondBr {
+                cond: Value::Inst(more),
+                then_bb: merge,
+                else_bb: exit_block,
+            },
+        );
+        merge
+    };
 
     // 4. Bypass the loop. Exit phis take the rebuilt values.
     let exit_phi_values: Vec<(InstId, Value)> = f
@@ -596,13 +645,14 @@ pub fn emit_dispatcher_with_queues(
                 .map(|(_, rebuilt)| (phi, *rebuilt))
         })
         .collect();
-    bypass_loop(f, l, dispatch, &exit_phi_values)?;
+    bypass_loop(f, l, dispatch, tail, &exit_phi_values)?;
 
     // Remaining external uses of live-outs (outside the now-dead loop and
     // not through the exit phis) read the rebuilt values.
     let loop_blocks = l.blocks.clone();
     for id in f.inst_ids() {
-        if loop_blocks.contains(&f.parent_block(id)) || f.parent_block(id) == dispatch {
+        let b = f.parent_block(id);
+        if loop_blocks.contains(&b) || b == dispatch || b == tail {
             continue;
         }
         for (orig, rebuilt) in &combined {
@@ -656,9 +706,10 @@ mod tests {
     }
 
     /// `fixed_cost` counts what `emit` writes: for each technique, the
-    /// blocks the rewrite adds around the loop — the parent's `dispatch`,
-    /// each task's `entry` and `finish`, a stage's trampoline — cost what
-    /// it says, so the planner's prices cannot drift from the emitters.
+    /// blocks the rewrite adds around the loop — the parent's `dispatch`
+    /// and one trip of its `merge` loop per task, each task's `entry` and
+    /// `finish`, a stage's trampoline — cost what it says, so the planner's
+    /// prices cannot drift from the emitters.
     #[test]
     fn fixed_cost_is_what_emit_writes() {
         use noelle_core::architecture::{inst_cost, static_cost};
@@ -706,8 +757,11 @@ exit:
 }
 "#;
         for (technique, workers) in [
+            (Parallelizer::Doall, 1),
             (Parallelizer::Doall, 3),
+            (Parallelizer::Doall, 12),
             (Parallelizer::Helix, 4),
+            (Parallelizer::Helix, 12),
             (Parallelizer::Dswp, 2),
             (Parallelizer::Dswp, 3),
         ] {
@@ -740,10 +794,11 @@ exit:
                     .map(|&i| static_cost(m, f.inst(i)))
                     .sum()
             };
+            let parent = m.func(fid);
             assert_eq!(
                 predicted.parent_for(n_tasks),
-                block_cost(m.func(fid), "dispatch"),
-                "{technique:?}: the parent's dispatch block"
+                block_cost(parent, "dispatch") + n_tasks as u64 * block_cost(parent, "merge"),
+                "{technique:?} on {n_tasks} tasks: the parent's dispatch and merge trips"
             );
             let tasks: Vec<_> = m
                 .functions()

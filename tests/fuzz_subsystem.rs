@@ -25,7 +25,7 @@ fn pipeline_tools() -> Vec<FuzzTool> {
         .map(|t| {
             let run = t.run;
             FuzzTool::new(t.name, move |n: &mut Noelle| {
-                run(n, &ToolOptions { cores: 3 })
+                run(n, &ToolOptions { cores: Some(3) })
             })
         })
         .collect()

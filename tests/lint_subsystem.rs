@@ -34,7 +34,7 @@ fn run_registered_tool(n: &mut Noelle, name: &str) -> Result<String, String> {
         .iter()
         .find(|t| t.name == name)
         .unwrap_or_else(|| panic!("tool {name} registered"));
-    (tool.run)(n, &ToolOptions { cores: 4 })
+    (tool.run)(n, &ToolOptions { cores: Some(4) })
 }
 
 // ---------------------------------------------------------------------------

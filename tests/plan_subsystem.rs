@@ -395,6 +395,38 @@ fn chosen_worker_counts_stay_within_the_budget() {
     }
 }
 
+/// The budget stops at the machine's cores. The machine puts task `i` on
+/// core `i % cores` yet gives every task a clock of its own, so a plan for
+/// more tasks than cores would predict — and simulate — parallelism the
+/// machine does not have. On a 4-core machine the default budget is 4.
+#[test]
+fn a_plan_never_has_more_workers_than_the_machine_has_cores() {
+    let mut widest = 0;
+    for (name, mut m) in workloads_all() {
+        Architecture::synthetic(4, 1).embed(&mut m);
+        let plan = plan_module(
+            &mut Noelle::new(m, AliasTier::Full),
+            &PlanOptions::default(),
+        );
+        let summary = plan.to_json().get("summary").cloned().unwrap();
+        assert_eq!(
+            summary.get("workers").and_then(Json::as_i64),
+            Some(4),
+            "{name}"
+        );
+        for c in plan.loops.iter().filter_map(|l| l.chosen_candidate()) {
+            assert!(
+                c.workers <= 4,
+                "{name}: {} on {}",
+                c.technique.as_str(),
+                c.workers
+            );
+            widest = widest.max(c.workers);
+        }
+    }
+    assert_eq!(widest, 4, "some loop takes every core");
+}
+
 /// The composed optimizer's claim, per module: the applied plan behaves as
 /// the input does and is no slower on the simulated machine.
 #[test]
