@@ -77,27 +77,84 @@ pub trait AliasAnalysis: Sync {
     /// once per unordered pair.
     fn alias(&self, fid: FuncId, a: Value, b: Value) -> AliasResult;
 
-    /// The set of abstract objects pointer `ptr` may address, or `None` when
-    /// the analysis cannot bound it. The contract consumed by the PDG's
-    /// base-object bucketing: whenever `base_objects` returns disjoint
-    /// non-`None` sets for two pointers, `alias` on that pair returns
-    /// [`AliasResult::No`] — so the pair can be skipped without querying.
-    fn base_objects(&self, fid: FuncId, ptr: Value) -> Option<BTreeSet<MemoryObject>> {
-        let _ = (fid, ptr);
-        None
+    /// [`AliasAnalysis::alias`] working in `scratch`'s buffers instead of
+    /// its own: the same answer, for callers that ask many questions.
+    fn alias_in(&self, fid: FuncId, a: Value, b: Value, scratch: &mut BaseObjects) -> AliasResult {
+        let _ = scratch;
+        self.alias(fid, a, b)
+    }
+
+    /// The abstract objects pointer `ptr` may address: `true` with them in
+    /// `out` ([`BaseObjects::objects`]), or `false` when the analysis cannot
+    /// bound them. The contract consumed by the PDG's base-object bucketing:
+    /// whenever `base_objects` answers disjoint sets for two pointers,
+    /// `alias` on that pair returns [`AliasResult::No`] — so the pair can be
+    /// skipped without querying.
+    ///
+    /// Every buffer a query works in is `out`'s, so a caller asking about
+    /// many pointers through one `out` pays for the buffers once.
+    fn base_objects(&self, fid: FuncId, ptr: Value, out: &mut BaseObjects) -> bool {
+        let _ = (fid, ptr, out);
+        false
     }
 
     /// Human-readable name for reports.
     fn name(&self) -> &'static str;
 }
 
+/// The caller's buffers for [`AliasAnalysis::base_objects`] and
+/// [`AliasAnalysis::alias_in`]: the answer of the last base-object query
+/// and the scratch the tiers fill on the way to it. They keep their
+/// capacity across queries.
+#[derive(Debug, Default)]
+pub struct BaseObjects {
+    /// The last answer, sorted and deduplicated.
+    objs: Vec<MemoryObject>,
+    /// Answers held while another fills `objs` ([`BaseObjects::hold`]),
+    /// and the spare buffers they leave when given back.
+    held: Vec<Vec<MemoryObject>>,
+    /// The values the basic tier's walk visited.
+    visited: Vec<Value>,
+}
+
+impl BaseObjects {
+    /// Empty buffers.
+    pub fn new() -> BaseObjects {
+        BaseObjects::default()
+    }
+
+    /// The objects of the last query that answered `true`, sorted and
+    /// deduplicated.
+    pub fn objects(&self) -> &[MemoryObject] {
+        &self.objs
+    }
+
+    /// Make `objs` the answer: what a tier does before it returns `true`.
+    fn set(&mut self, objs: impl IntoIterator<Item = MemoryObject>) {
+        self.objs.clear();
+        self.objs.extend(objs);
+        self.objs.sort_unstable();
+        self.objs.dedup();
+    }
+
+    /// Take the answer out, leaving a spare buffer in its place: how a
+    /// query that compares two answers keeps the first while the second
+    /// fills `objs`.
+    fn hold(&mut self) -> Vec<MemoryObject> {
+        let spare = self.held.pop().unwrap_or_default();
+        std::mem::replace(&mut self.objs, spare)
+    }
+
+    /// Give back a buffer [`BaseObjects::hold`] took.
+    fn release(&mut self, buf: Vec<MemoryObject>) {
+        self.held.push(buf);
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Underlying objects
 // ---------------------------------------------------------------------------
 
-/// The syntactic base(s) of a pointer value, chased through `gep`s, pointer
-/// casts, `select`s and `phi`s (bounded depth). `None` in the returned set
-/// means "unknown base".
 /// True when the address of alloca `id` escapes the direct load/store
 /// idiom in `f`: used as a stored *value*, a call argument, a `gep` base,
 /// a cast source, or any other position besides the pointer operand of a
@@ -121,56 +178,63 @@ pub fn alloca_address_taken(f: &noelle_ir::module::Function, id: InstId) -> bool
     false
 }
 
-pub fn underlying_objects(m: &Module, fid: FuncId, v: Value) -> BTreeSet<Option<MemoryObject>> {
-    underlying_objects_vec(m, fid, v).into_iter().collect()
+/// The syntactic base(s) of a pointer value, chased through `gep`s, pointer
+/// casts, `select`s and `phi`s (bounded depth), sorted and deduplicated.
+/// [`MemoryObject::Unknown`] stands for a base the walk cannot name; it
+/// sorts last, so "contains unknown" is a last-element check.
+pub fn underlying_objects(m: &Module, fid: FuncId, v: Value) -> Vec<MemoryObject> {
+    let mut out = BaseObjects::new();
+    walk_bases(m, fid, v, &mut out);
+    out.objs
 }
 
-/// Small-vec form of [`underlying_objects`]: the same base set as a sorted,
-/// deduplicated `Vec`. This is what the hot query paths use — a `Vec` of a
-/// few elements beats a `BTreeSet` allocation per query; consumers that need
-/// a set (the `base_objects` trait boundary, external callers) canonicalize
-/// once at their own boundary.
-pub fn underlying_objects_vec(m: &Module, fid: FuncId, v: Value) -> Vec<Option<MemoryObject>> {
-    let mut out = Vec::new();
-    let mut visited = Vec::new();
-    collect_bases(m, fid, v, &mut out, &mut visited, 32);
-    out.sort_unstable();
-    out.dedup();
-    out
+/// [`underlying_objects`] into `out`'s answer.
+fn walk_bases(m: &Module, fid: FuncId, v: Value, out: &mut BaseObjects) {
+    out.objs.clear();
+    out.visited.clear();
+    collect_bases(m, fid, v, &mut out.objs, &mut out.visited, 32);
+    out.objs.sort_unstable();
+    out.objs.dedup();
+}
+
+/// True when a sorted base set names every base: non-empty, and without
+/// [`MemoryObject::Unknown`].
+fn all_known(objs: &[MemoryObject]) -> bool {
+    objs.last().is_some_and(|&o| o != MemoryObject::Unknown)
 }
 
 fn collect_bases(
     m: &Module,
     fid: FuncId,
     v: Value,
-    out: &mut Vec<Option<MemoryObject>>,
+    out: &mut Vec<MemoryObject>,
     visited: &mut Vec<Value>,
     fuel: u32,
 ) {
     // The walk is fuel-bounded, so the visited list stays small and a linear
     // scan beats hashing.
     if fuel == 0 || visited.contains(&v) {
-        out.push(None);
+        out.push(MemoryObject::Unknown);
         return;
     }
     visited.push(v);
     let f = m.func(fid);
     match v {
         Value::Global(g) => {
-            out.push(Some(MemoryObject::Global(g)));
+            out.push(MemoryObject::Global(g));
         }
         Value::Func(callee) => {
-            out.push(Some(MemoryObject::Function(callee)));
+            out.push(MemoryObject::Function(callee));
         }
         Value::Const(_) => {
             // Null / undef / integer constants: no object.
         }
         Value::Arg(_) => {
-            out.push(None);
+            out.push(MemoryObject::Unknown);
         }
         Value::Inst(id) => match f.inst(id) {
             Inst::Alloca { .. } => {
-                out.push(Some(MemoryObject::Alloca(fid, id)));
+                out.push(MemoryObject::Alloca(fid, id));
             }
             Inst::Gep { base, .. } => collect_bases(m, fid, *base, out, visited, fuel - 1),
             Inst::Cast {
@@ -179,7 +243,7 @@ fn collect_bases(
                 ..
             } => collect_bases(m, fid, *val, out, visited, fuel - 1),
             Inst::Cast { .. } => {
-                out.push(None);
+                out.push(MemoryObject::Unknown);
             }
             Inst::Select { tval, fval, .. } => {
                 collect_bases(m, fid, *tval, out, visited, fuel - 1);
@@ -193,21 +257,21 @@ fn collect_bases(
             Inst::Call { callee, .. } => {
                 if let Callee::Direct(cid) = callee {
                     if crate::modref::is_allocator_sym(m.func(*cid).name_sym()) {
-                        out.push(Some(MemoryObject::Heap(fid, id)));
+                        out.push(MemoryObject::Heap(fid, id));
                         return;
                     }
                 }
-                out.push(None);
+                out.push(MemoryObject::Unknown);
             }
             _ => {
-                out.push(None);
+                out.push(MemoryObject::Unknown);
             }
         },
     }
 }
 
 /// True when two sorted, deduplicated slices share no element.
-fn sorted_disjoint<T: Ord>(a: &[T], b: &[T]) -> bool {
+pub fn sorted_disjoint<T: Ord>(a: &[T], b: &[T]) -> bool {
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {
         match a[i].cmp(&b[j]) {
@@ -275,6 +339,28 @@ impl<'m> BasicAlias<'m> {
         }
     }
 
+    /// The underlying-object rules over two pointers' sorted base sets.
+    fn disjoint_bases(&self, oa: &[MemoryObject], ob: &[MemoryObject]) -> bool {
+        let (a_known, b_known) = (all_known(oa), all_known(ob));
+        if a_known && b_known {
+            return sorted_disjoint(oa, ob);
+        }
+        if !a_known && !b_known {
+            return false;
+        }
+        // One side is a set of identified function-local objects, the other
+        // is unknown (e.g. an incoming argument). A fresh alloca cannot be
+        // addressed by a pointer that existed before it (LLVM's
+        // non-escaping-alloca rule); globals, by contrast, can.
+        let known = if a_known { oa } else { ob };
+        known.iter().all(|o| match *o {
+            MemoryObject::Alloca(f2, i) | MemoryObject::Heap(f2, i) => {
+                !object_escapes(self.module, f2, i)
+            }
+            _ => false,
+        })
+    }
+
     fn pointee_scalar_kind(&self, fid: FuncId, v: Value) -> Option<Type> {
         let f = self.module.func(fid);
         match f.value_type(self.module, v) {
@@ -286,6 +372,10 @@ impl<'m> BasicAlias<'m> {
 
 impl AliasAnalysis for BasicAlias<'_> {
     fn alias(&self, fid: FuncId, a: Value, b: Value) -> AliasResult {
+        self.alias_in(fid, a, b, &mut BaseObjects::new())
+    }
+
+    fn alias_in(&self, fid: FuncId, a: Value, b: Value, scratch: &mut BaseObjects) -> AliasResult {
         if a == b {
             return AliasResult::Must;
         }
@@ -324,39 +414,14 @@ impl AliasAnalysis for BasicAlias<'_> {
             _ => {}
         }
 
-        // Underlying-object rules. The sorted-vec form avoids a `BTreeSet`
-        // allocation per query; `None` sorts first, so "contains unknown" is
-        // a first-element check.
-        let oa = underlying_objects_vec(self.module, fid, a);
-        let ob = underlying_objects_vec(self.module, fid, b);
-        let a_known = oa.first().is_some_and(Option::is_some);
-        let b_known = ob.first().is_some_and(Option::is_some);
-        if a_known && b_known {
-            if sorted_disjoint(&oa, &ob) {
-                return AliasResult::No;
-            }
-        } else if a_known || b_known {
-            // One side is a set of identified function-local objects, the
-            // other is unknown (e.g. an incoming argument). A fresh alloca
-            // cannot be addressed by a pointer that existed before it (LLVM's
-            // non-escaping-alloca rule); globals, by contrast, can.
-            let (known, _unknown) = if a_known { (&oa, &ob) } else { (&ob, &oa) };
-            if known.iter().all(|o| {
-                matches!(
-                    o,
-                    Some(MemoryObject::Alloca(_, _)) | Some(MemoryObject::Heap(_, _))
-                )
-            }) {
-                let escaped = known.iter().any(|o| match o {
-                    Some(MemoryObject::Alloca(f2, i)) | Some(MemoryObject::Heap(f2, i)) => {
-                        object_escapes(self.module, *f2, *i)
-                    }
-                    _ => true,
-                });
-                if !escaped {
-                    return AliasResult::No;
-                }
-            }
+        // Underlying-object rules, `a`'s bases held while `b`'s are walked.
+        walk_bases(self.module, fid, a, scratch);
+        let oa = scratch.hold();
+        walk_bases(self.module, fid, b, scratch);
+        let disjoint = self.disjoint_bases(&oa, scratch.objects());
+        scratch.release(oa);
+        if disjoint {
+            return AliasResult::No;
         }
 
         // Strict-aliasing (TBAA-lite): distinct scalar pointee types do not
@@ -373,18 +438,13 @@ impl AliasAnalysis for BasicAlias<'_> {
         AliasResult::May
     }
 
-    fn base_objects(&self, fid: FuncId, ptr: Value) -> Option<BTreeSet<MemoryObject>> {
+    fn base_objects(&self, fid: FuncId, ptr: Value, out: &mut BaseObjects) -> bool {
         // Sound for bucketing because the underlying-object rule in `alias`
         // answers `No` on any pair of fully-known disjoint base sets, and the
         // earlier const-gep rules only produce `Must`/`May` for pointers
-        // sharing a base (hence sharing base objects). The set is
-        // canonicalized from the sorted-vec form only here, at the trait
-        // boundary (the PDG builder asks once per distinct pointer).
-        let objs = underlying_objects_vec(self.module, fid, ptr);
-        if !objs.first().is_some_and(Option::is_some) {
-            return None;
-        }
-        Some(objs.into_iter().flatten().collect())
+        // sharing a base (hence sharing base objects).
+        walk_bases(self.module, fid, ptr, out);
+        all_known(&out.objs)
     }
 
     fn name(&self) -> &'static str {
@@ -1316,6 +1376,13 @@ fn bounded(row: &BitSet) -> Option<&BitSet> {
     (!row.is_empty() && !row.contains(UNKNOWN_OBJ)).then_some(row)
 }
 
+/// A non-empty points-to set as the solution holds it: a var's row, or the
+/// one object of a value no row stands for.
+enum Pts<'a> {
+    Row(&'a BitSet),
+    One(MemoryObject),
+}
+
 impl AndersenAlias {
     /// Run the whole-program points-to analysis over `m`: an
     /// [`AndersenAlias::update`] from the empty system, to which every
@@ -1604,14 +1671,42 @@ impl AndersenAlias {
             + map(&self.addr_vars)
     }
 
-    /// Points-to set of a pointer value in function `fid`.
-    pub fn points_to(&self, fid: FuncId, v: Value) -> BTreeSet<MemoryObject> {
-        match v {
-            Value::Inst(id) => self.var_pts(self.local_var(fid, id)),
-            Value::Arg(i) => self.var_pts(self.live_arg_var(fid, i)),
-            Value::Global(g) => BTreeSet::from([MemoryObject::Global(g)]),
-            Value::Func(f2) => BTreeSet::from([MemoryObject::Function(f2)]),
-            Value::Const(_) => BTreeSet::new(),
+    /// Points-to set of a pointer value in function `fid`, read off the
+    /// solution: each object once, in no particular order.
+    pub fn points_to(&self, fid: FuncId, v: Value) -> impl Iterator<Item = MemoryObject> + '_ {
+        let (row, one) = match self.pts_of(fid, v) {
+            Some(Pts::Row(row)) => (Some(row), None),
+            Some(Pts::One(o)) => (None, Some(o)),
+            None => (None, None),
+        };
+        let objs = row.into_iter().flat_map(BitSet::iter);
+        objs.map(|o| self.objects[o]).chain(one)
+    }
+
+    /// Where the points-to set of `v` lives, or `None` when it is empty (a
+    /// constant).
+    fn pts_of(&self, fid: FuncId, v: Value) -> Option<Pts<'_>> {
+        let var = match v {
+            Value::Inst(id) => self.local_var(fid, id),
+            Value::Arg(i) => self.live_arg_var(fid, i),
+            Value::Global(g) => return Some(Pts::One(MemoryObject::Global(g))),
+            Value::Func(f2) => return Some(Pts::One(MemoryObject::Function(f2))),
+            Value::Const(_) => return None,
+        };
+        // A value the solution has no var for may address anything.
+        Some(match self.pts.get(var as usize) {
+            Some(row) => Pts::Row(row),
+            None => Pts::One(MemoryObject::Unknown),
+        })
+    }
+
+    /// The points-to set of `v` as queries read it, or `None` when they
+    /// cannot bound it: empty, or holding [`MemoryObject::Unknown`].
+    fn bounded_pts(&self, fid: FuncId, v: Value) -> Option<Pts<'_>> {
+        match self.pts_of(fid, v)? {
+            Pts::Row(row) => bounded(row).map(Pts::Row),
+            Pts::One(MemoryObject::Unknown) => None,
+            one => Some(one),
         }
     }
 
@@ -1620,13 +1715,6 @@ impl AndersenAlias {
         self.arg_var(fid, i)
             .filter(|&v| self.vars[v as usize].live)
             .unwrap_or(NO_VAR)
-    }
-
-    fn var_pts(&self, v: u32) -> BTreeSet<MemoryObject> {
-        match self.pts.get(v as usize) {
-            Some(row) => row.iter().map(|o| self.objects[o]).collect(),
-            None => BTreeSet::from([MemoryObject::Unknown]),
-        }
     }
 
     /// The query-observable points-to rows of every function, keyed by
@@ -1681,28 +1769,34 @@ impl AliasAnalysis for AndersenAlias {
         if matches!(a, Value::Const(Constant::Null)) || matches!(b, Value::Const(Constant::Null)) {
             return AliasResult::No;
         }
-        let pa = self.points_to(fid, a);
-        let pb = self.points_to(fid, b);
-        if pa.is_empty() || pb.is_empty() {
+        let (Some(pa), Some(pb)) = (self.bounded_pts(fid, a), self.bounded_pts(fid, b)) else {
             return AliasResult::May;
+        };
+        // Object ids number the objects one to one, so rows meet exactly
+        // when their object sets do.
+        let overlap = match (pa, pb) {
+            (Pts::Row(x), Pts::Row(y)) => x.intersects(y),
+            (Pts::Row(row), Pts::One(o)) | (Pts::One(o), Pts::Row(row)) => {
+                self.obj_ids.get(&o).is_some_and(|&i| row.contains(i))
+            }
+            (Pts::One(x), Pts::One(y)) => x == y,
+        };
+        if overlap {
+            AliasResult::May
+        } else {
+            AliasResult::No
         }
-        if pa.contains(&MemoryObject::Unknown) || pb.contains(&MemoryObject::Unknown) {
-            return AliasResult::May;
-        }
-        if pa.intersection(&pb).next().is_none() {
-            return AliasResult::No;
-        }
-        AliasResult::May
     }
 
-    fn base_objects(&self, fid: FuncId, ptr: Value) -> Option<BTreeSet<MemoryObject>> {
+    fn base_objects(&self, fid: FuncId, ptr: Value, out: &mut BaseObjects) -> bool {
         // Sound for bucketing: `alias` answers `No` exactly when both
         // points-to sets are non-empty, Unknown-free, and disjoint.
-        let pts = self.points_to(fid, ptr);
-        if pts.is_empty() || pts.contains(&MemoryObject::Unknown) {
-            return None;
+        match self.bounded_pts(fid, ptr) {
+            Some(Pts::Row(row)) => out.set(row.iter().map(|o| self.objects[o])),
+            Some(Pts::One(o)) => out.set([o]),
+            None => return false,
         }
-        Some(pts)
+        true
     }
 
     fn name(&self) -> &'static str {
@@ -1726,8 +1820,12 @@ impl<'a> AliasStack<'a> {
 
 impl AliasAnalysis for AliasStack<'_> {
     fn alias(&self, fid: FuncId, a: Value, b: Value) -> AliasResult {
+        self.alias_in(fid, a, b, &mut BaseObjects::new())
+    }
+
+    fn alias_in(&self, fid: FuncId, a: Value, b: Value, scratch: &mut BaseObjects) -> AliasResult {
         for t in &self.tiers {
-            match t.alias(fid, a, b) {
+            match t.alias_in(fid, a, b, scratch) {
                 AliasResult::May => continue,
                 decisive => return decisive,
             }
@@ -1736,20 +1834,34 @@ impl AliasAnalysis for AliasStack<'_> {
         // concrete objects its pointer can address, so the tightest sets may
         // come from different tiers and still prove disjointness. This also
         // makes the stack honor the `base_objects` bucketing contract.
-        if let (Some(sa), Some(sb)) = (self.base_objects(fid, a), self.base_objects(fid, b)) {
-            if sa.intersection(&sb).next().is_none() {
-                return AliasResult::No;
-            }
+        if !self.base_objects(fid, a, scratch) {
+            return AliasResult::May;
         }
-        AliasResult::May
+        let sa = scratch.hold();
+        let disjoint =
+            self.base_objects(fid, b, scratch) && sorted_disjoint(&sa, scratch.objects());
+        scratch.release(sa);
+        if disjoint {
+            AliasResult::No
+        } else {
+            AliasResult::May
+        }
     }
 
-    fn base_objects(&self, fid: FuncId, ptr: Value) -> Option<BTreeSet<MemoryObject>> {
-        // The tightest (smallest) known set among the tiers.
-        self.tiers
-            .iter()
-            .filter_map(|t| t.base_objects(fid, ptr))
-            .min_by_key(BTreeSet::len)
+    fn base_objects(&self, fid: FuncId, ptr: Value, out: &mut BaseObjects) -> bool {
+        // The tightest (smallest) bounded set among the tiers, the first on
+        // a tie. It is held while the later tiers fill `out`.
+        let mut best = out.hold();
+        let mut found = false;
+        for t in &self.tiers {
+            if t.base_objects(fid, ptr, out) && (!found || out.objs.len() < best.len()) {
+                std::mem::swap(&mut out.objs, &mut best);
+                found = true;
+            }
+        }
+        std::mem::swap(&mut out.objs, &mut best);
+        out.release(best);
+        found
     }
 
     fn name(&self) -> &'static str {
@@ -1764,6 +1876,11 @@ mod tests {
     use noelle_ir::module::{Global, GlobalInit};
     use noelle_ir::parser::parse_module;
     use noelle_ir::types::Type;
+
+    /// `v`'s points-to set as a set.
+    fn pts(a: &AndersenAlias, fid: FuncId, v: Value) -> BTreeSet<MemoryObject> {
+        a.points_to(fid, v).collect()
+    }
 
     fn module_with(f: noelle_ir::module::Function) -> (Module, FuncId) {
         let mut m = Module::new("t");
@@ -2031,15 +2148,16 @@ mod tests {
         let basic = BasicAlias::new(&m);
         let andersen = AndersenAlias::new(&m);
         let stack = AliasStack::new(vec![&basic as &dyn AliasAnalysis, &andersen]);
+        let (mut sp, mut sq) = (BaseObjects::new(), BaseObjects::new());
         for aa in [&basic as &dyn AliasAnalysis, &andersen, &stack] {
-            let sp = aa.base_objects(fid, p).expect("alloca base is known");
-            let sq = aa.base_objects(fid, q).expect("alloca base is known");
+            assert!(aa.base_objects(fid, p, &mut sp), "alloca base is known");
+            assert!(aa.base_objects(fid, q, &mut sq), "alloca base is known");
             // Disjoint known sets must imply a `No` answer.
-            assert!(sp.intersection(&sq).next().is_none());
+            assert!(sorted_disjoint(sp.objects(), sq.objects()));
             assert_eq!(aa.alias(fid, p, q), AliasResult::No, "{}", aa.name());
         }
         // An incoming argument has no bounded base set under the basic tier.
-        assert_eq!(basic.base_objects(fid, Value::Arg(0)), None);
+        assert!(!basic.base_objects(fid, Value::Arg(0), &mut sp));
     }
 
     #[test]
@@ -2091,11 +2209,11 @@ mod tests {
                     // Raw sets too: an untracked value and an empty row
                     // answer alias queries alike but render differently.
                     let v = Value::Inst(id);
-                    assert_eq!(kept.points_to(fid, v), fresh.points_to(fid, v));
+                    assert_eq!(pts(&kept, fid, v), pts(&fresh, fid, v));
                 }
                 for i in 0..b.func(fid).params.len() as u32 {
                     let v = Value::Arg(i);
-                    assert_eq!(kept.points_to(fid, v), fresh.points_to(fid, v));
+                    assert_eq!(pts(&kept, fid, v), pts(&fresh, fid, v));
                 }
             }
             let moved: Vec<FuncId> = a
@@ -2541,7 +2659,7 @@ entry:
         };
         let only_b = BTreeSet::from([MemoryObject::Alloca(walk, named("b"))]);
         for v in ["p", "q"] {
-            assert_eq!(kept.points_to(walk, Value::Inst(named(v))), only_b);
+            assert_eq!(pts(&kept, walk, Value::Inst(named(v))), only_b);
         }
     }
 
@@ -2594,10 +2712,10 @@ entry:
         let mut kept = AndersenAlias::new(&parse_module(&module(call_a, call_b)).unwrap());
         let b = parse_module(&module("", call_b)).unwrap();
         kept.update(&b, &BTreeSet::from([b.func_id_by_name("c1").unwrap()]));
-        assert_eq!(kept.points_to(leaf, Value::Arg(0)).len(), 1);
+        assert_eq!(pts(&kept, leaf, Value::Arg(0)).len(), 1);
         kept.update(&m, &BTreeSet::from([m.func_id_by_name("c2").unwrap()]));
         let unknown = BTreeSet::from([MemoryObject::Unknown]);
-        assert_eq!(kept.points_to(leaf, Value::Arg(0)), unknown);
+        assert_eq!(pts(&kept, leaf, Value::Arg(0)), unknown);
     }
 
     #[test]

@@ -104,6 +104,14 @@ impl BitSet {
         })
     }
 
+    /// True when some id is in both sets. Only the words both windows cover
+    /// are compared.
+    pub fn intersects(&self, other: &BitSet) -> bool {
+        let lo = self.base.max(other.base);
+        let hi = (self.base + self.words.len()).min(other.base + other.words.len());
+        (lo..hi).any(|w| self.words[w - self.base] & other.words[w - other.base] != 0)
+    }
+
     /// The occupied extent: index of the first non-zero word and the words
     /// from it through the last non-zero one.
     fn occupied(&self) -> (usize, &[u64]) {
@@ -229,6 +237,25 @@ mod tests {
         assert!(!small.is_subset(&big));
         big.insert(3);
         assert!(small.is_subset(&big) && big.is_subset(&big));
+    }
+
+    #[test]
+    fn intersects_reads_only_the_shared_window() {
+        let mut a = BitSet::new();
+        a.insert(5);
+        a.insert(10_000);
+        let mut b = BitSet::new();
+        b.insert(6);
+        b.insert(9_999);
+        assert!(!a.intersects(&b) && !b.intersects(&a));
+        b.insert(10_000);
+        assert!(a.intersects(&b) && b.intersects(&a));
+        // Windows that do not overlap at all, and empty sets.
+        let mut far = BitSet::new();
+        far.insert(1_000_000);
+        assert!(!a.intersects(&far) && !far.intersects(&a));
+        assert!(!a.intersects(&BitSet::new()) && !BitSet::new().intersects(&a));
+        assert!(far.intersects(&far));
     }
 
     #[test]

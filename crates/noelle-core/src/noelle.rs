@@ -28,6 +28,7 @@ use noelle_pdg::callgraph::CallGraph;
 use noelle_pdg::depgraph::DepGraph;
 use noelle_pdg::pdg::{PdgBuilder, ProgramPdg};
 use noelle_store::{artifact, ArtifactKind, KeyCtx, Store};
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -189,9 +190,10 @@ struct FuncFingerprints {
 struct FuncSlot {
     /// The commit that last damaged the function (see [`Noelle::epoch`]).
     epoch: u64,
-    /// Hashes of the function's current version, filled on first use. While
-    /// the points-to solution is built every slot has them, so a commit can
-    /// tell which touched bodies really changed.
+    /// Hashes of the function's current version, filled on first use: by
+    /// the store's keys, or by an edit's first touch while a points-to
+    /// solution stands, so the commit can tell whether the body it finds is
+    /// the one the solution saw.
     fingerprints: Option<FuncFingerprints>,
     structures: Option<FuncStructures>,
     /// The function's dependence graph, shared with every [`ProgramPdg`]
@@ -200,6 +202,23 @@ struct FuncSlot {
 }
 
 impl FuncSlot {
+    /// `fid`'s slot in `slots`; the table grows to cover appended functions.
+    fn of(slots: &mut Vec<FuncSlot>, fid: FuncId) -> &mut FuncSlot {
+        if slots.len() <= fid.index() {
+            slots.resize_with(fid.index() + 1, FuncSlot::default);
+        }
+        &mut slots[fid.index()]
+    }
+
+    /// The fingerprints of the function's current version, `f`, hashed on
+    /// first use.
+    fn fingerprints(&mut self, f: &Function) -> FuncFingerprints {
+        *self.fingerprints.get_or_insert_with(|| {
+            let (body, content) = f.fingerprints();
+            FuncFingerprints { body, content }
+        })
+    }
+
     /// The function's text changed: empty the slot, returning what the
     /// function hashed to before. The commit then damages the function.
     fn touch(&mut self) -> Option<FuncFingerprints> {
@@ -228,6 +247,11 @@ fn next_epoch() -> u64 {
 /// can alias memory in any function.
 pub struct EditTx<'a> {
     module: &'a mut Module,
+    /// The manager's cache slots, for the pre-edit fingerprints.
+    slots: &'a mut Vec<FuncSlot>,
+    /// A points-to solution stands, so the commit will ask whether each
+    /// touched body changed.
+    solved: bool,
     /// Every function recorded as touched, with its
     /// [`Function::interface_fingerprint`] as it was at the first touch —
     /// before the edit, since touching is how an edit gets at a function.
@@ -242,12 +266,19 @@ impl EditTx<'_> {
         self.module
     }
 
-    /// Record `fid` as touched without borrowing it.
+    /// Record `fid` as touched without borrowing it. The first touch is
+    /// also where a function under a points-to solution gets hashed, if
+    /// nothing hashed this version before: the commit compares that body
+    /// with the one it finds.
     pub fn touch(&mut self, fid: FuncId) {
-        let module = &*self.module;
-        self.touched
-            .entry(fid)
-            .or_insert_with(|| module.func(fid).interface_fingerprint());
+        let Entry::Vacant(entry) = self.touched.entry(fid) else {
+            return;
+        };
+        let f = self.module.func(fid);
+        entry.insert(f.interface_fingerprint());
+        if self.solved {
+            FuncSlot::of(self.slots, fid).fingerprints(f);
+        }
     }
 
     /// Escalate to a conservative whole-module invalidation (structural
@@ -452,22 +483,12 @@ impl Noelle {
 
     /// `fid`'s cache slot; the table grows to cover appended functions.
     fn slot(&mut self, fid: FuncId) -> &mut FuncSlot {
-        if self.slots.len() <= fid.index() {
-            self.slots.resize_with(fid.index() + 1, FuncSlot::default);
-        }
-        &mut self.slots[fid.index()]
+        FuncSlot::of(&mut self.slots, fid)
     }
 
     /// The cached fingerprints of `fid`'s current version.
     fn fingerprints(&mut self, fid: FuncId) -> FuncFingerprints {
-        if let Some(fp) = self.slot(fid).fingerprints {
-            return fp;
-        }
-        let (body, content) = self.module.func(fid).fingerprints();
-        *self
-            .slot(fid)
-            .fingerprints
-            .insert(FuncFingerprints { body, content })
+        FuncSlot::of(&mut self.slots, fid).fingerprints(self.module.func(fid))
     }
 
     /// The module under compilation.
@@ -526,6 +547,8 @@ impl Noelle {
         let (r, mut touched, mut all) = {
             let mut tx = EditTx {
                 module: &mut self.module,
+                slots: &mut self.slots,
+                solved: self.andersen.is_some(),
                 touched: BTreeMap::new(),
                 all: false,
             };
@@ -557,8 +580,9 @@ impl Noelle {
         if touched.is_empty() {
             return BTreeSet::new(); // read-only transaction
         }
-        // What each touched function hashed to before the edit (`None` if
-        // nobody had asked, or the function is new).
+        // What each touched function hashed to before the edit: filled at
+        // the first touch while a points-to solution stood, `None` if
+        // nobody asked or the function is new.
         let old_fingerprints: Vec<Option<FuncFingerprints>> =
             touched.keys().map(|&fid| self.slot(fid).touch()).collect();
         // Profiles live in module metadata, which a scoped borrow may have
@@ -703,13 +727,9 @@ impl Noelle {
 
     fn ensure_andersen(&mut self) {
         if self.andersen.is_none() {
-            let andersen = AndersenAlias::new(&self.module);
-            // From here on commits compare touched bodies against the
-            // version the solution saw: fingerprint every function now.
-            for i in 0..self.module.functions().len() as u32 {
-                self.fingerprints(FuncId(i));
-            }
-            self.andersen = Some(andersen);
+            // Nothing is hashed here: an edit hashes what it touches, before
+            // it changes it (`EditTx::touch`).
+            self.andersen = Some(AndersenAlias::new(&self.module));
         }
     }
 
@@ -1274,6 +1294,60 @@ mod tests {
         });
         let _ = n.pdg();
         assert_eq!(n.func_cache_counters().andersen_reuses, 2);
+    }
+
+    /// The slots holding fingerprints, by function.
+    fn hashed(n: &Noelle) -> Vec<FuncId> {
+        let slots = n.slots.iter().enumerate();
+        let hashed = slots.filter(|(_, s)| s.fingerprints.is_some());
+        hashed.map(|(i, _)| FuncId(i as u32)).collect()
+    }
+
+    #[test]
+    fn a_cold_solve_hashes_no_function() {
+        let mut n = Noelle::new(two_func_module(), AliasTier::Full);
+        let _ = n.points_to();
+        let _ = n.pdg();
+        assert!(n.andersen.is_some());
+        assert_eq!(hashed(&n), vec![]);
+    }
+
+    /// The gate compares the body the solution saw, hashed at the edit's
+    /// first touch, with the body the commit finds.
+    #[test]
+    fn a_body_edit_under_a_solution_re_solves_points_to() {
+        let mut n = Noelle::new(two_func_module(), AliasTier::Full);
+        let leaf = n.module().func_id_by_name("leaf").unwrap();
+        let _ = n.pdg();
+        n.edit(|tx| {
+            let f = tx.func_mut(leaf);
+            let entry = f.entry();
+            let dead = Inst::Bin {
+                op: BinOp::Add,
+                ty: Type::I64,
+                lhs: Value::const_i64(1),
+                rhs: Value::const_i64(2),
+            };
+            f.insert_inst(entry, 0, dead);
+        });
+        let c = n.func_cache_counters();
+        assert_eq!((c.andersen_regen_funcs, c.andersen_reuses), (1, 0));
+        // Only what the edit touched was hashed.
+        assert_eq!(hashed(&n), vec![leaf]);
+    }
+
+    #[test]
+    fn a_metadata_edit_under_a_solution_reuses_it() {
+        let mut n = Noelle::new(two_func_module(), AliasTier::Full);
+        let leaf = n.module().func_id_by_name("leaf").unwrap();
+        let _ = n.pdg();
+        n.edit(|tx| {
+            let f = tx.func_mut(leaf);
+            f.metadata.insert("note".into(), "edited".into());
+        });
+        let c = n.func_cache_counters();
+        assert_eq!((c.andersen_regen_funcs, c.andersen_reuses), (0, 1));
+        assert_eq!(hashed(&n), vec![leaf]);
     }
 
     #[test]

@@ -63,8 +63,9 @@ impl CallGraph {
                         ..
                     } => {
                         let mut resolved = andersen.indirect_callees(fid, id);
-                        let pts = andersen.points_to(fid, *fp);
-                        let unknown = pts.contains(&MemoryObject::Unknown) || pts.is_empty();
+                        let mut pts = andersen.points_to(fid, *fp).peekable();
+                        let unknown =
+                            pts.peek().is_none() || pts.any(|o| o == MemoryObject::Unknown);
                         if unknown {
                             unresolved_sites.push((fid, id));
                         }

@@ -11,7 +11,9 @@
 //! loop in-question").
 
 use crate::depgraph::{DataDepKind, DepEdge, DepGraph, EdgeAttrs};
-use noelle_analysis::alias::{AliasAnalysis, AliasResult, MemoryObject};
+use noelle_analysis::alias::{
+    sorted_disjoint, AliasAnalysis, AliasResult, BaseObjects, MemoryObject,
+};
 use noelle_analysis::modref::ModRefSummaries;
 use noelle_analysis::scev::{affine_recurrences, trivially_loop_invariant, AddRec};
 use noelle_ir::cfg::Cfg;
@@ -21,7 +23,7 @@ use noelle_ir::layout::{LayoutIndex, Place};
 use noelle_ir::loops::LoopInfo;
 use noelle_ir::module::{BlockId, FuncId, Function, Module};
 use noelle_ir::value::Value;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// How an instruction touches memory, as seen by the PDG builder.
@@ -247,14 +249,20 @@ impl<'a> PdgBuilder<'a> {
     /// relative to [`PdgBuilder::all_pointer_pairs`]: a skipped pair has
     /// disjoint known base sets, for which the alias contract guarantees
     /// `No` — no edge would come of it.
-    fn candidate_pointer_pairs(&self, fid: FuncId, ptrs: &[Value]) -> Vec<(u32, u32)> {
+    fn candidate_pointer_pairs(
+        &self,
+        fid: FuncId,
+        ptrs: &[Value],
+        objs: &mut BaseObjects,
+    ) -> Vec<(u32, u32)> {
         let mut bucketed: Vec<(MemoryObject, u32)> = Vec::with_capacity(ptrs.len());
         let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(2 * ptrs.len());
         for (p, &ptr) in ptrs.iter().enumerate() {
             let p = p as u32;
-            match self.alias.base_objects(fid, ptr) {
-                Some(objs) if !objs.is_empty() => bucketed.extend(objs.iter().map(|&o| (o, p))),
-                _ => pairs.extend((0..ptrs.len() as u32).map(|q| (p.min(q), p.max(q)))),
+            if self.alias.base_objects(fid, ptr, objs) && !objs.objects().is_empty() {
+                bucketed.extend(objs.objects().iter().map(|&o| (o, p)));
+            } else {
+                pairs.extend((0..ptrs.len() as u32).map(|q| (p.min(q), p.max(q))));
             }
         }
         bucketed.sort_unstable();
@@ -307,10 +315,12 @@ impl<'a> PdgBuilder<'a> {
             &by_group[lo..lo + len]
         };
 
+        // The buffers of every alias question this build asks.
+        let mut scratch = BaseObjects::new();
         let pointer_pairs = if all_pairs {
             PdgBuilder::all_pointer_pairs(ptrs.len() as u32)
         } else {
-            self.candidate_pointer_pairs(fid, &ptrs)
+            self.candidate_pointer_pairs(fid, &ptrs, &mut scratch)
         };
         let mut conflicts: Vec<Conflict> = Vec::with_capacity(4 * mem.len());
         for (p, q) in pointer_pairs {
@@ -318,7 +328,8 @@ impl<'a> PdgBuilder<'a> {
             if p == q && through_p.len() < 2 {
                 continue;
             }
-            let must = match self.alias.alias(fid, ptrs[p as usize], ptrs[q as usize]) {
+            let (a, b) = (ptrs[p as usize], ptrs[q as usize]);
+            let must = match self.alias.alias_in(fid, a, b, &mut scratch) {
                 AliasResult::No => continue,
                 verdict => verdict == AliasResult::Must,
             };
@@ -344,7 +355,9 @@ impl<'a> PdgBuilder<'a> {
     }
 
     /// Reference build examining every pointer pair — the oracle
-    /// [`PdgBuilder::function_pdg`] is tested against.
+    /// [`PdgBuilder::function_pdg`] is tested against, built only for tests
+    /// (the `test-support` feature).
+    #[cfg(any(test, feature = "test-support"))]
     pub fn function_pdg_allpairs(&self, fid: FuncId) -> DepGraph<InstId> {
         self.function_pdg_impl(fid, true)
     }
@@ -436,25 +449,25 @@ impl<'a> PdgBuilder<'a> {
         caller: FuncId,
         callee: FuncId,
     ) -> Vec<DepEdge<(FuncId, InstId)>> {
-        let collect = |fid: FuncId| -> Vec<(InstId, MemEffect, Option<BTreeSet<MemoryObject>>)> {
+        let mut buf = BaseObjects::new();
+        let mut collect = |fid: FuncId| -> Vec<(InstId, MemEffect, Option<Vec<MemoryObject>>)> {
             let f = self.module.func(fid);
             f.inst_ids()
                 .into_iter()
                 .filter_map(|id| self.mem_effect(f, id).map(|e| (id, e)))
                 .map(|(id, e)| {
-                    let objs = e.ptr.and_then(|p| self.alias.base_objects(fid, p));
-                    (id, e, objs)
+                    let bounded = e.ptr.filter(|&p| self.alias.base_objects(fid, p, &mut buf));
+                    (id, e, bounded.map(|_| buf.objects().to_vec()))
                 })
                 .collect()
         };
         let caller_mem = collect(caller);
         let callee_mem = collect(callee);
-        let overlap =
-            |a: &Option<BTreeSet<MemoryObject>>, b: &Option<BTreeSet<MemoryObject>>| match (a, b) {
-                (Some(x), Some(y)) => x.intersection(y).next().is_some(),
-                // An unbounded base set may address anything.
-                _ => true,
-            };
+        let overlap = |a: &Option<Vec<MemoryObject>>, b: &Option<Vec<MemoryObject>>| match (a, b) {
+            (Some(x), Some(y)) => !sorted_disjoint(x, y),
+            // An unbounded base set may address anything.
+            _ => true,
+        };
         let mut out = Vec::new();
         for (ia, ea, oa) in &caller_mem {
             for (ib, eb, ob) in &callee_mem {
@@ -704,6 +717,7 @@ mod tests {
     use noelle_ir::inst::{BinOp, IcmpPred};
     use noelle_ir::loops::LoopForest;
     use noelle_ir::types::Type;
+    use std::collections::BTreeSet;
 
     /// for (i = 0; i < n; i++) a[i] = a[i] + 1   — DOALL-able.
     fn doall_loop() -> (Module, FuncId, LoopInfo) {

@@ -40,12 +40,9 @@ fn statically_valid(m: &Module, fid: FuncId, ptr: Value) -> bool {
     // Whole-object addresses.
     let objs = underlying_objects(m, fid, ptr);
     let all_known = !objs.is_empty()
-        && objs.iter().all(|o| {
-            matches!(
-                o,
-                Some(MemoryObject::Alloca(_, _)) | Some(MemoryObject::Global(_))
-            )
-        });
+        && objs
+            .iter()
+            .all(|o| matches!(o, MemoryObject::Alloca(_, _) | MemoryObject::Global(_)));
     if !all_known {
         return false;
     }

@@ -36,12 +36,9 @@ pub fn safe_to_speculate(m: &Module, fid: FuncId, id: InstId) -> bool {
         Inst::Load { ptr, .. } => {
             let objs = underlying_objects(m, fid, *ptr);
             !objs.is_empty()
-                && objs.iter().all(|o| {
-                    matches!(
-                        o,
-                        Some(MemoryObject::Alloca(_, _)) | Some(MemoryObject::Global(_))
-                    )
-                })
+                && objs
+                    .iter()
+                    .all(|o| matches!(o, MemoryObject::Alloca(_, _) | MemoryObject::Global(_)))
         }
         Inst::Call {
             callee: Callee::Direct(cid),

@@ -7,7 +7,7 @@
 //! once and a loop graph asks none.
 
 use noelle::analysis::alias::{
-    AliasAnalysis, AliasResult, AliasStack, AndersenAlias, BasicAlias, MemoryObject,
+    AliasAnalysis, AliasResult, AliasStack, AndersenAlias, BaseObjects, BasicAlias,
 };
 use noelle::analysis::scev::affine_recurrences;
 use noelle::core::loop_builder;
@@ -483,9 +483,9 @@ impl AliasAnalysis for CountingAlias<'_> {
         self.inner.alias(fid, a, b)
     }
 
-    fn base_objects(&self, fid: FuncId, ptr: Value) -> Option<BTreeSet<MemoryObject>> {
+    fn base_objects(&self, fid: FuncId, ptr: Value, out: &mut BaseObjects) -> bool {
         self.base_calls.lock().unwrap().push(ptr);
-        self.inner.base_objects(fid, ptr)
+        self.inner.base_objects(fid, ptr, out)
     }
 
     fn name(&self) -> &'static str {
