@@ -1,4 +1,5 @@
-//! A minimal, dependency-free JSON value type with a parser and printers.
+//! A minimal, dependency-free JSON value type with a validating parser and
+//! printers.
 //!
 //! The build environment has no network access to crates.io, so the
 //! metadata-embedding paths (profiles, architecture descriptions, PDG
@@ -8,18 +9,32 @@
 //! An object is a [`Map`]: its members in one reference-counted block,
 //! sorted by key, each key once. Every serialization is therefore
 //! deterministic — a requirement for the byte-identical round-trip tests —
-//! an object costs one allocation of exactly its members, and cloning a
-//! value that holds one only counts a reference, so a reader that keeps a
-//! member of a parsed reply copies nothing. The parser builds every array
-//! and object once, at its final length: the items and members of each open
-//! bracket wait on two stacks shared by the whole document and are drained
-//! into one block when it closes. A string without escapes is one copy of
-//! its slice of the input. Numbers follow RFC 8259's grammar; an integer
-//! outside `i64` and a float outside `f64`'s range are refused, so every
-//! accepted number prints back to an equal value.
+//! and cloning a value that holds an object only counts a reference.
+//!
+//! A parse is one validating pass. It accepts RFC 8259 nested at most
+//! [`MAX_DEPTH`] deep (raw control bytes inside strings let through; an
+//! integer outside `i64` and a float outside `f64`'s range refused, so every
+//! accepted number prints back to an equal value) and names the byte where
+//! it stops on anything else ([`JsonError`]). On its way it records a
+//! *tape*: per non-empty array and object, its extent, the end of its
+//! subtree and whether its text is exactly what [`Json::to_string_compact`]
+//! writes for it (no whitespace, keys without escapes in strictly ascending
+//! order, numbers and escapes spelled as the writer spells them). The text
+//! is copied once into a block shared with the tape, and a parsed object is
+//! a *raw* map of that document: its members are decoded on first look — at
+//! most once, however many threads look — by the rule [`Json::object`]
+//! follows, and the objects among them stay raw in turn. Arrays are decoded
+//! with whatever holds them, as `Json::Array` is a public `Vec`. Compact
+//! output copies the text of an undecoded canonical object verbatim;
+//! anything else is rendered member by member. So a reader that takes three
+//! members of an 800 kB reply and prints them pays for one pass, one copy of
+//! the text and the members on the path to them, and dropping the reply
+//! frees a handful of blocks. The price: a member kept from a large reply,
+//! a clone of it included, pins that reply's text, tape and every object
+//! decoded in it until the last such member is dropped.
 
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock, Weak};
 
 /// A JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -42,9 +57,30 @@ pub enum Json {
 
 /// The members of a JSON object: one shared block sorted by key, each key
 /// once. Lookup is a binary search; iteration is in key order. Cloning
-/// counts a reference, and an empty map allocates nothing.
-#[derive(Clone, Default, PartialEq)]
-pub struct Map(Arc<[(String, Json)]>);
+/// counts a reference, and an empty map allocates nothing. A parsed map
+/// decodes its block from the document's text the first time it is read.
+#[derive(Default)]
+pub struct Map(Repr);
+
+enum Repr {
+    /// Members collected by [`Json::object`].
+    Built(Arc<[(String, Json)]>),
+    /// The object at this tape index of a parsed document, held by a
+    /// caller.
+    Raw(Arc<Document>, usize),
+    /// The object at this tape index of a parsed document, as a member or
+    /// item in a block that same document holds. Nothing else ever holds
+    /// one — the decoder makes it only for such a block, and a clone is a
+    /// `Raw` — so whoever lends out the block keeps the document alive, and
+    /// a strong reference here would be a cycle.
+    Held(Weak<Document>, usize),
+}
+
+impl Default for Repr {
+    fn default() -> Repr {
+        Repr::Built(Arc::default())
+    }
+}
 
 /// Iterator over a [`Map`]'s members in key order.
 pub type Iter<'a> = std::iter::Map<std::slice::Iter<'a, (String, Json)>, SplitMember>;
@@ -54,8 +90,11 @@ type SplitMember = fn(&(String, Json)) -> (&String, &Json);
 impl Map {
     /// The value under `key`.
     pub fn get(&self, key: &str) -> Option<&Json> {
-        let at = self.0.binary_search_by(|(k, _)| k.as_str().cmp(key)).ok()?;
-        Some(&self.0[at].1)
+        let members = self.members();
+        let at = members
+            .binary_search_by(|(k, _)| k.as_str().cmp(key))
+            .ok()?;
+        Some(&members[at].1)
     }
 
     /// Does the map hold `key`?
@@ -65,28 +104,76 @@ impl Map {
 
     /// Number of members.
     pub fn len(&self) -> usize {
-        self.0.len()
+        self.members().len()
     }
 
     /// Does the map hold no member?
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.members().is_empty()
     }
 
     /// The members in key order.
     pub fn iter(&self) -> Iter<'_> {
         let split: SplitMember = |(k, v)| (k, v);
-        self.0.iter().map(split)
+        self.members().iter().map(split)
     }
 
     /// The keys in order.
     pub fn keys(&self) -> impl DoubleEndedIterator<Item = &String> + ExactSizeIterator {
-        self.0.iter().map(|(k, _)| k)
+        self.members().iter().map(|(k, _)| k)
     }
 
     /// The values in key order.
     pub fn values(&self) -> impl DoubleEndedIterator<Item = &Json> + ExactSizeIterator {
-        self.0.iter().map(|(_, v)| v)
+        self.members().iter().map(|(_, v)| v)
+    }
+
+    /// The block, decoded now if this is a parsed object nobody has read.
+    fn members(&self) -> &[(String, Json)] {
+        match &self.0 {
+            Repr::Built(block) => block,
+            Repr::Raw(doc, node) => doc.members(*node, || Arc::downgrade(doc)),
+            Repr::Held(doc, node) => held(doc).members(*node, || Weak::clone(doc)),
+        }
+    }
+
+    /// The text compact output writes for this map, when that is its
+    /// undecoded text as parsed.
+    fn verbatim(&self) -> Option<&str> {
+        match &self.0 {
+            Repr::Built(_) => None,
+            Repr::Raw(doc, node) => doc.verbatim(*node),
+            Repr::Held(doc, node) => held(doc).verbatim(*node),
+        }
+    }
+}
+
+/// The document a [`Repr::Held`] map names.
+fn held(doc: &Weak<Document>) -> &Document {
+    // SAFETY: a held map lives only in a block of the document it names
+    // (see `Repr::Held`), and that block is lent out only by a borrow of a
+    // value that keeps the document alive: a `Raw` map, or a held map lent
+    // out the same way. So the document outlives this borrow of `doc`.
+    unsafe { &*doc.as_ptr() }
+}
+
+impl Clone for Map {
+    fn clone(&self) -> Map {
+        Map(match &self.0 {
+            Repr::Built(block) => Repr::Built(Arc::clone(block)),
+            Repr::Raw(doc, node) => Repr::Raw(Arc::clone(doc), *node),
+            // The document is alive while `self` is borrowed (see
+            // `Repr::Held`), so the upgrade succeeds.
+            Repr::Held(doc, node) => doc
+                .upgrade()
+                .map_or_else(Repr::default, |doc| Repr::Raw(doc, *node)),
+        })
+    }
+}
+
+impl PartialEq for Map {
+    fn eq(&self, other: &Map) -> bool {
+        self.members() == other.members()
     }
 }
 
@@ -99,42 +186,47 @@ impl<'a> IntoIterator for &'a Map {
     }
 }
 
-/// Collects into one block — exactly sized when the iterator knows its
-/// length — then sorts it in place. Of several members with one key the
-/// last collected stays, as `insert` into a map keeps the last value.
 impl FromIterator<(String, Json)> for Map {
     fn from_iter<I: IntoIterator<Item = (String, Json)>>(pairs: I) -> Map {
-        let pairs = pairs.into_iter();
-        if pairs.size_hint().1 == Some(0) {
-            return Map::default();
-        }
-        let mut block: Arc<[(String, Json)]> = pairs.collect();
-        if block.is_empty() {
-            return Map::default();
-        }
-        let members = Arc::get_mut(&mut block).expect("a block just collected has one owner");
-        if members.is_sorted_by(|a, b| a.0 < b.0) {
-            return Map(block);
-        }
-        // Stable, so members with one key keep the order they came in.
-        members.sort_by(|a, b| a.0.cmp(&b.0));
-        if members.windows(2).all(|w| w[0].0 != w[1].0) {
-            return Map(block);
-        }
-        let mut last_of_each = Vec::with_capacity(members.len());
-        for at in 0..members.len() {
-            let repeated = members
-                .get(at + 1)
-                .is_some_and(|next| next.0 == members[at].0);
-            if !repeated {
-                last_of_each.push(std::mem::replace(
-                    &mut members[at],
-                    (String::new(), Json::Null),
-                ));
-            }
-        }
-        Map(last_of_each.into())
+        Map(Repr::Built(block_of(pairs)))
     }
+}
+
+/// A map's one collection rule, for built and decoded maps alike: collect
+/// into one block — exactly sized when the iterator knows its length — and
+/// sort it in place. Of several members with one key the last collected
+/// stays, as `insert` into a map keeps the last value.
+fn block_of<I: IntoIterator<Item = (String, Json)>>(pairs: I) -> Arc<[(String, Json)]> {
+    let pairs = pairs.into_iter();
+    if pairs.size_hint().1 == Some(0) {
+        return Arc::default();
+    }
+    let mut block: Arc<[(String, Json)]> = pairs.collect();
+    if block.is_empty() {
+        return Arc::default();
+    }
+    let members = Arc::get_mut(&mut block).expect("a block just collected has one owner");
+    if members.is_sorted_by(|a, b| a.0 < b.0) {
+        return block;
+    }
+    // Stable, so members with one key keep the order they came in.
+    members.sort_by(|a, b| a.0.cmp(&b.0));
+    if members.windows(2).all(|w| w[0].0 != w[1].0) {
+        return block;
+    }
+    let mut last_of_each = Vec::with_capacity(members.len());
+    for at in 0..members.len() {
+        let repeated = members
+            .get(at + 1)
+            .is_some_and(|next| next.0 == members[at].0);
+        if !repeated {
+            last_of_each.push(std::mem::replace(
+                &mut members[at],
+                (String::new(), Json::Null),
+            ));
+        }
+    }
+    last_of_each.into()
 }
 
 impl fmt::Debug for Map {
@@ -143,9 +235,62 @@ impl fmt::Debug for Map {
     }
 }
 
+/// A validated text and its tape, shared by every map parsed from it.
+struct Document {
+    text: Box<str>,
+    /// One entry per non-empty array and object, in document order.
+    tape: Vec<Node>,
+}
+
+/// A non-empty array or object of a [`Document`].
+struct Node {
+    /// Offset of the opening bracket.
+    start: usize,
+    /// Offset just past the closing bracket.
+    end: usize,
+    /// Tape index just past this container's subtree.
+    next: usize,
+    /// Items or members as written, a repeated key counted each time.
+    items: usize,
+    /// Is `text[start..end]` what compact output writes for the value?
+    canonical: bool,
+    /// An object's members, once somebody has looked.
+    members: OnceLock<Arc<[(String, Json)]>>,
+}
+
+impl Document {
+    /// The members of the object at tape index `node`, decoded now if
+    /// nobody has looked yet; the objects among them are held by the
+    /// document `owner` returns, which is this one.
+    fn members(&self, node: usize, owner: impl FnOnce() -> Weak<Document>) -> &[(String, Json)] {
+        let Some(object) = self.tape.get(node) else {
+            return &[];
+        };
+        object.members.get_or_init(|| {
+            let mut decoder = Decoder {
+                text: &self.text,
+                tape: &self.tape,
+                at: object.start + 1,
+                next: node + 1,
+                nest: Nest::Held(owner()),
+            };
+            block_of((0..object.items).map(|_| decoder.member()))
+        })
+    }
+
+    /// The text of the object at `node` while it is canonical and undecoded.
+    fn verbatim(&self, node: usize) -> Option<&str> {
+        let object = self.tape.get(node)?;
+        let untouched = object.canonical && object.members.get().is_none();
+        self.text
+            .get(object.start..object.end)
+            .filter(|_| untouched)
+    }
+}
+
 /// Deepest nesting of arrays and objects [`Json::parse`] accepts (`[]` is
-/// one level): the parser recurses once per level, and a hostile document
-/// must not overflow the stack of the thread that parses it.
+/// one level): the validator recurses once per level, and a hostile
+/// document must not overflow the stack of the thread that parses it.
 pub const MAX_DEPTH: usize = 128;
 
 /// Version of the reply envelope shared by the CLI JSON outputs, the
@@ -175,6 +320,50 @@ pub fn envelope(kind: &str, body: Json) -> Json {
             .chain(stamp),
     )
 }
+
+/// Where [`Json::try_parse`] stopped, and what it expected there.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct JsonError {
+    /// Byte offset into the text: the first byte that does not fit, or the
+    /// text's length when it ends too early.
+    pub offset: usize,
+    /// 1-based line of `offset`.
+    pub line: usize,
+    /// 1-based column of `offset`, in characters.
+    pub column: usize,
+    /// What would have been accepted at `offset`.
+    pub expected: &'static str,
+}
+
+impl JsonError {
+    fn new(text: &str, offset: usize, expected: &'static str) -> JsonError {
+        let before = text.as_bytes().get(..offset).unwrap_or_default();
+        let line_start = before
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .map_or(0, |at| at + 1);
+        // A character is one byte that is not a UTF-8 continuation byte.
+        let chars = before[line_start..].iter().filter(|&&b| b & 0xC0 != 0x80);
+        JsonError {
+            offset,
+            line: 1 + before.iter().filter(|&&b| b == b'\n').count(),
+            column: 1 + chars.count(),
+            expected,
+        }
+    }
+}
+
+impl fmt::Display for JsonError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "expected {} at line {}, column {} (byte {})",
+            self.expected, self.line, self.column, self.offset
+        )
+    }
+}
+
+impl std::error::Error for JsonError {}
 
 impl Json {
     /// Build an object from key/value pairs (of a repeated key, the last
@@ -296,18 +485,7 @@ impl Json {
                 use fmt::Write;
                 let _ = write!(out, "{v}");
             }
-            Json::Float(v) => {
-                if v.is_finite() {
-                    let s = format!("{v}");
-                    out.push_str(&s);
-                    // Keep the float/int distinction through a round trip.
-                    if !s.contains('.') && !s.contains('e') && !s.contains('E') {
-                        out.push_str(".0");
-                    }
-                } else {
-                    out.push_str("null");
-                }
-            }
+            Json::Float(v) => write_float(out, *v),
             Json::Str(s) => write_escaped(out, s),
             Json::Array(items) => {
                 if items.is_empty() {
@@ -326,6 +504,10 @@ impl Json {
                 out.push(']');
             }
             Json::Object(map) => {
+                if let (None, Some(text)) = (indent, map.verbatim()) {
+                    out.push_str(text);
+                    return;
+                }
                 if map.is_empty() {
                     out.push_str("{}");
                     return;
@@ -349,13 +531,19 @@ impl Json {
         }
     }
 
-    /// Parse a JSON document. Returns `None` on any syntax error, trailing
-    /// garbage, or nesting deeper than [`MAX_DEPTH`].
+    /// Parse a JSON document: [`Json::try_parse`] without the position of a
+    /// refusal.
     pub fn parse(text: &str) -> Option<Json> {
-        let mut p = Parser::new(text);
-        let v = p.value(MAX_DEPTH)?;
-        p.skip_ws();
-        (p.pos == text.len()).then_some(v)
+        Json::try_parse(text).ok()
+    }
+
+    /// Parse a JSON document, or say where it stops being one: a syntax
+    /// error, trailing garbage, or nesting deeper than [`MAX_DEPTH`].
+    ///
+    /// # Errors
+    /// The first byte that does not fit, and what was expected there.
+    pub fn try_parse(text: &str) -> Result<Json, JsonError> {
+        Json::read(text, true).map(|(v, _)| v)
     }
 
     /// Parse one JSON value off the front of `text`, returning the value and
@@ -376,9 +564,62 @@ impl Json {
     /// either mid-token (syntax error → `None`) or at a separator. Nesting
     /// deeper than [`MAX_DEPTH`] is `None` however many bytes follow.
     pub fn parse_prefix(text: &str) -> Option<(Json, usize)> {
-        let mut p = Parser::new(text);
-        let v = p.value(MAX_DEPTH)?;
-        Some((v, p.pos))
+        Json::read(text, false).ok()
+    }
+
+    /// Validate the value at the front of `text` (all of `text` when
+    /// `whole`), then decode what is not left raw: the value and the end of
+    /// its text.
+    fn read(text: &str, whole: bool) -> Result<(Json, usize), JsonError> {
+        let mut v = Validator {
+            text,
+            pos: 0,
+            tape: Vec::new(),
+        };
+        v.skip_ws();
+        let start = v.pos;
+        let fault = |f: Fault| JsonError::new(text, f.at, f.expected);
+        v.value(MAX_DEPTH, &mut true).map_err(fault)?;
+        let end = v.pos;
+        if whole {
+            v.skip_ws();
+            if v.pos < text.len() {
+                return Err(JsonError::new(text, v.pos, "the end of the text"));
+            }
+        }
+        let text = text.get(..end).unwrap_or(text);
+        if v.tape.is_empty() {
+            // A scalar or an empty container: nothing to share, and no
+            // object for `nest` to make.
+            let mut decoder = Decoder {
+                text,
+                tape: &[],
+                at: start,
+                next: 0,
+                nest: Nest::Held(Weak::new()),
+            };
+            return Ok((decoder.value(), end));
+        }
+        let mut tape = v.tape;
+        if tape.capacity() > 2 * tape.len() {
+            // Most of the brackets it made room for were inside strings.
+            tape.shrink_to_fit();
+        }
+        let doc = Arc::new(Document {
+            text: text.into(),
+            tape,
+        });
+        if doc.text.as_bytes().get(start) == Some(&b'{') {
+            return Ok((Json::Object(Map(Repr::Raw(doc, 0))), end));
+        }
+        let mut decoder = Decoder {
+            text: &doc.text,
+            tape: &doc.tape,
+            at: start,
+            next: 0,
+            nest: Nest::Owned(&doc),
+        };
+        Ok((decoder.value(), end))
     }
 }
 
@@ -397,225 +638,253 @@ fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    // Copy maximal runs needing no escape in one shot; most strings are
-    // entirely plain.
-    let mut rest = s;
-    while let Some(i) = rest.find(|c: char| matches!(c, '"' | '\\') || (c as u32) < 0x20) {
-        out.push_str(&rest[..i]);
-        let c = rest[i..].chars().next().expect("found above");
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c => out.push_str(&format!("\\u{:04x}", c as u32)),
-        }
-        rest = &rest[i + c.len_utf8()..];
+/// A finite float as `{}` prints it, with `.0` appended when that has no
+/// fraction or exponent, so it parses back as a float; `null` otherwise.
+fn write_float(out: &mut String, v: f64) {
+    use fmt::Write;
+    if !v.is_finite() {
+        out.push_str("null");
+        return;
     }
-    out.push_str(rest);
+    let start = out.len();
+    let _ = write!(out, "{v}");
+    if !out[start..].contains(['.', 'e', 'E']) {
+        out.push_str(".0");
+    }
+}
+
+/// `s` quoted, with `"`, `\` and the control bytes escaped: `\n`, `\r` and
+/// `\t` by name, the rest as `\u00xx`. Every byte escaped is ASCII, so runs
+/// between them are copied as they are.
+fn write_escaped(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.push('"');
+    let b = s.as_bytes();
+    let mut run = 0;
+    while let Some(skip) = b[run..]
+        .iter()
+        .position(|&c| c == b'"' || c == b'\\' || c < 0x20)
+    {
+        let at = run + skip;
+        out.push_str(&s[run..at]);
+        match b[at] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            c => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(c >> 4)]));
+                out.push(char::from(HEX[usize::from(c & 0xf)]));
+            }
+        }
+        run = at + 1;
+    }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
-/// A recursive-descent reader over one document. The items of every array
-/// still open wait on `items`, innermost last, and the members of every
-/// object still open on `members`; a closing bracket drains its own into a
-/// block of exactly their number.
-struct Parser<'a> {
+/// Where a validation stopped and what it expected there.
+struct Fault {
+    at: usize,
+    expected: &'static str,
+}
+
+fn fault<T>(at: usize, expected: &'static str) -> Result<T, Fault> {
+    Err(Fault { at, expected })
+}
+
+/// How a string is spelled, from most to least like the writer's output.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Spelling {
+    /// No escape and no raw control byte: the text is the string.
+    Plain,
+    /// Only the escapes [`write_escaped`] writes.
+    Escaped,
+    /// Anything else the grammar allows.
+    Other,
+}
+
+/// The one pass over a document: checks it against the grammar, records
+/// the tape, and finds out which containers are spelled as compact output
+/// spells them.
+struct Validator<'a> {
     text: &'a str,
     pos: usize,
-    items: Vec<Json>,
-    members: Vec<(String, Json)>,
+    tape: Vec<Node>,
 }
 
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Parser {
-            text,
-            pos: 0,
-            items: Vec::new(),
-            members: Vec::new(),
-        }
-    }
-
+impl Validator<'_> {
     fn peek(&self) -> Option<u8> {
         self.text.as_bytes().get(self.pos).copied()
     }
 
-    fn skip_ws(&mut self) {
+    /// Skips whitespace; was there any?
+    fn skip_ws(&mut self) -> bool {
+        let start = self.pos;
         while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
-    }
-
-    /// After optional whitespace, is `byte` next? Consumes it if so.
-    fn eat(&mut self, byte: u8) -> bool {
-        self.skip_ws();
-        let next = self.peek() == Some(byte);
-        self.pos += usize::from(next);
-        next
-    }
-
-    /// After an item or member: `Some(false)` past a `,`, `Some(true)` past
-    /// the `close` bracket, `None` on anything else.
-    fn separator(&mut self, close: u8) -> Option<bool> {
-        if self.eat(b',') {
-            Some(false)
-        } else {
-            self.eat(close).then_some(true)
-        }
+        self.pos > start
     }
 
     /// The value at `pos`, in which arrays and objects nest `levels` deep.
-    fn value(&mut self, levels: usize) -> Option<Json> {
-        self.skip_ws();
-        match self.peek()? {
-            b'n' => self.literal("null", Json::Null),
-            b't' => self.literal("true", Json::Bool(true)),
-            b'f' => self.literal("false", Json::Bool(false)),
-            b'"' => self.string().map(Json::Str),
-            b'[' => self.array(levels.checked_sub(1)?),
-            b'{' => self.object(levels.checked_sub(1)?),
-            _ => self.number(),
+    /// Clears `canonical` unless it is spelled as compact output spells it.
+    fn value(&mut self, levels: usize, canonical: &mut bool) -> Result<(), Fault> {
+        match self.peek() {
+            Some(b'n') => self.literal("null"),
+            Some(b't') => self.literal("true"),
+            Some(b'f') => self.literal("false"),
+            Some(b'"') => {
+                *canonical &= self.string()? != Spelling::Other;
+                Ok(())
+            }
+            Some(b'[' | b'{') => match levels.checked_sub(1) {
+                Some(levels) => {
+                    *canonical &= self.container(levels)?;
+                    Ok(())
+                }
+                None => fault(self.pos, "at most 128 levels of nesting"),
+            },
+            _ => self.number(canonical),
         }
     }
 
-    fn literal(&mut self, lit: &str, v: Json) -> Option<Json> {
-        self.text[self.pos..].starts_with(lit).then(|| {
-            self.pos += lit.len();
-            v
-        })
+    fn literal(&mut self, lit: &'static str) -> Result<(), Fault> {
+        let rest = self.text.as_bytes().get(self.pos..).unwrap_or_default();
+        let same = lit.bytes().zip(rest).take_while(|(a, b)| a == *b).count();
+        if same < lit.len() {
+            return fault(self.pos + same, lit);
+        }
+        self.pos += lit.len();
+        Ok(())
     }
 
-    fn array(&mut self, levels: usize) -> Option<Json> {
+    /// The array or object whose bracket is at `pos`, its items nesting
+    /// `levels` deep: is it canonical? A non-empty one gets a tape entry
+    /// before its items do.
+    fn container(&mut self, levels: usize) -> Result<bool, Fault> {
+        let text = self.text;
+        let start = self.pos;
+        let object = self.peek() == Some(b'{');
+        let (close, after_item) = if object {
+            (b'}', "',' or '}'")
+        } else {
+            (b']', "',' or ']'")
+        };
         self.pos += 1;
-        let start = self.items.len();
-        if !self.eat(b']') {
-            loop {
-                let item = self.value(levels)?;
-                self.items.push(item);
-                if self.separator(b']')? {
+        let mut canonical = !self.skip_ws();
+        if self.peek() == Some(close) {
+            self.pos += 1;
+            return Ok(canonical);
+        }
+        let node = self.tape.len();
+        if node == 0 {
+            // Room for every bracket left, so the tape never moves.
+            let rest = text.as_bytes().get(start..).unwrap_or_default();
+            let brackets = rest.iter().filter(|&&b| b == b'{' || b == b'[').count();
+            self.tape.reserve_exact(brackets);
+        }
+        self.tape.push(Node {
+            start,
+            end: start,
+            next: node,
+            items: 0,
+            canonical: false,
+            members: OnceLock::new(),
+        });
+        let mut items = 0;
+        let mut last_key: Option<&[u8]> = None;
+        loop {
+            if object {
+                if self.peek() != Some(b'"') {
+                    return fault(self.pos, "a string key");
+                }
+                let key_start = self.pos + 1;
+                let plain = self.string()? == Spelling::Plain;
+                let key = text.as_bytes().get(key_start..self.pos - 1);
+                let key = key.unwrap_or_default();
+                canonical &= plain && last_key.is_none_or(|last| last < key);
+                last_key = Some(key);
+                canonical &= !self.skip_ws();
+                if self.peek() != Some(b':') {
+                    return fault(self.pos, "':'");
+                }
+                self.pos += 1;
+                canonical &= !self.skip_ws();
+            }
+            self.value(levels, &mut canonical)?;
+            items += 1;
+            canonical &= !self.skip_ws();
+            match self.peek() {
+                Some(b',') => {
+                    self.pos += 1;
+                    canonical &= !self.skip_ws();
+                }
+                Some(b) if b == close => {
+                    self.pos += 1;
                     break;
                 }
+                _ => return fault(self.pos, after_item),
             }
         }
-        Some(Json::Array(self.items.drain(start..).collect()))
-    }
-
-    fn object(&mut self, levels: usize) -> Option<Json> {
-        self.pos += 1;
-        let start = self.members.len();
-        if !self.eat(b'}') {
-            loop {
-                self.skip_ws();
-                let key = self.string()?;
-                if !self.eat(b':') {
-                    return None;
-                }
-                let value = self.value(levels)?;
-                self.members.push((key, value));
-                if self.separator(b'}')? {
-                    break;
-                }
-            }
+        let next = self.tape.len();
+        if let Some(entry) = self.tape.get_mut(node) {
+            entry.end = self.pos;
+            entry.next = next;
+            entry.items = items;
+            entry.canonical = canonical;
         }
-        Some(Json::Object(self.members.drain(start..).collect()))
+        Ok(canonical)
     }
 
-    /// The string whose opening quote is at `pos`.
-    fn string(&mut self) -> Option<String> {
+    /// The string whose opening quote is at `pos`: how is it spelled?
+    fn string(&mut self) -> Result<Spelling, Fault> {
         let b = self.text.as_bytes();
-        if b.get(self.pos) != Some(&b'"') {
-            return None;
-        }
-        let start = self.pos + 1;
-        // Most strings close without an escape: one copy of the slice. The
-        // slice ends at an ASCII quote, so it is whole UTF-8.
-        let mut at = start;
+        let mut at = self.pos + 1;
+        let mut spelling = Spelling::Plain;
         loop {
-            match *b.get(at)? {
-                b'"' => {
+            let rest = b.get(at..).unwrap_or_default();
+            let Some(skip) = rest
+                .iter()
+                .position(|&c| c == b'"' || c == b'\\' || c < 0x20)
+            else {
+                return fault(b.len(), "'\"' closing the string");
+            };
+            at += skip;
+            match b.get(at) {
+                Some(b'"') => {
                     self.pos = at + 1;
-                    return Some(self.text[start..at].to_owned());
+                    return Ok(spelling);
                 }
-                b'\\' => break,
-                _ => at += 1,
-            }
-        }
-        let mut end = at;
-        loop {
-            match *b.get(end)? {
-                b'"' => break,
-                b'\\' => end += 2,
-                _ => end += 1,
-            }
-        }
-        // No escape is shorter than the text it stands for, so the raw
-        // length bounds the decoded one and the buffer never grows.
-        let mut out = String::with_capacity(end - start);
-        let mut run = start;
-        while at < end {
-            if b[at] != b'\\' {
-                at += 1;
-                continue;
-            }
-            out.push_str(&self.text[run..at]);
-            let escape = b[at + 1];
-            at += 2;
-            match escape {
-                b'"' => out.push('"'),
-                b'\\' => out.push('\\'),
-                b'/' => out.push('/'),
-                b'n' => out.push('\n'),
-                b'r' => out.push('\r'),
-                b't' => out.push('\t'),
-                b'b' => out.push('\u{8}'),
-                b'f' => out.push('\u{c}'),
-                b'u' => {
-                    let cp = hex4(b, at)?;
-                    at += 4;
-                    let paired = b.get(at..at + 2) == Some(b"\\u");
-                    let c = if (0xD800..0xDC00).contains(&cp) && paired {
-                        // A high surrogate and the escape after it: one
-                        // astral code point when that is a low surrogate.
-                        let lo = hex4(b, at + 2)?;
-                        at += 6;
-                        if (0xDC00..0xE000).contains(&lo) {
-                            char::from_u32(0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00))
-                        } else {
-                            // Unpaired high surrogate; the second escape
-                            // stands on its own.
-                            out.push('\u{fffd}');
-                            char::from_u32(lo)
-                        }
-                    } else {
-                        char::from_u32(cp)
-                    };
-                    // Unpaired surrogates degrade to U+FFFD.
-                    out.push(c.unwrap_or('\u{fffd}'));
+                Some(b'\\') => {
+                    let (escape, next) = escape(b, at + 1)?;
+                    spelling = spelling.max(escape);
+                    at = next;
                 }
-                _ => return None,
+                // A raw control byte: accepted, and written escaped.
+                _ => {
+                    spelling = Spelling::Other;
+                    at += 1;
+                }
             }
-            run = at;
         }
-        out.push_str(&self.text[run..end]);
-        self.pos = end + 1;
-        Some(out)
     }
 
-    /// `-?(0|[1-9]\d*)(\.\d+)?([eE][+-]?\d+)?`: an `Int` without fraction
-    /// or exponent (refused outside `i64`), else a `Float` (refused when
-    /// it overflows to an infinity).
-    fn number(&mut self) -> Option<Json> {
+    /// `-?(0|[1-9]\d*)(\.\d+)?([eE][+-]?\d+)?`: an integer without fraction
+    /// or exponent (refused outside `i64`), else a float (refused when it
+    /// overflows to an infinity). A range refusal names the number's last
+    /// byte.
+    fn number(&mut self, canonical: &mut bool) -> Result<(), Fault> {
         let b = self.text.as_bytes();
         let start = self.pos;
         let mut at = start + usize::from(b.get(start) == Some(&b'-'));
-        match b.get(at)? {
-            b'0' => at += 1,
-            b'1'..=b'9' => at = digits(b, at),
-            _ => return None,
+        match b.get(at) {
+            Some(b'0') => at += 1,
+            Some(b'1'..=b'9') => at = digits(b, at),
+            _ if at > start => return fault(at, "a digit"),
+            _ => return fault(at, "a value"),
         }
         let mut float = false;
         if b.get(at) == Some(&b'.') {
@@ -630,24 +899,92 @@ impl<'a> Parser<'a> {
         }
         let text = &self.text[start..at];
         self.pos = at;
-        if float {
-            let v: f64 = text.parse().ok()?;
-            v.is_finite().then_some(Json::Float(v))
-        } else {
-            text.parse().ok().map(Json::Int)
+        if !float {
+            if text.parse::<i64>().is_err() {
+                return fault(at - 1, "an integer within i64's range");
+            }
+            *canonical &= text != "-0";
+            return Ok(());
         }
+        let Some(v) = text.parse::<f64>().ok().filter(|v| v.is_finite()) else {
+            return fault(at - 1, "a number within f64's range");
+        };
+        *canonical = *canonical && written_as(text, v);
+        Ok(())
+    }
+}
+
+/// Is `text` what [`write_float`] writes for `v`? Compared while `v` is
+/// being formatted, so nothing is allocated.
+fn written_as(text: &str, v: f64) -> bool {
+    /// What is left of the text once the output so far matched it.
+    struct Rest<'a>(&'a str);
+    impl fmt::Write for Rest<'_> {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            self.0 = self.0.strip_prefix(s).ok_or(fmt::Error)?;
+            Ok(())
+        }
+    }
+    let mut rest = Rest(text);
+    if fmt::write(&mut rest, format_args!("{v}")).is_err() {
+        return false;
+    }
+    let printed = &text[..text.len() - rest.0.len()];
+    let dot = if printed.contains(['.', 'e', 'E']) {
+        ""
+    } else {
+        ".0"
+    };
+    rest.0 == dot
+}
+
+/// The escape whose character is at `at` (just past its backslash): how it
+/// is spelled and where it ends.
+fn escape(b: &[u8], at: usize) -> Result<(Spelling, usize), Fault> {
+    match b.get(at) {
+        Some(b'"' | b'\\' | b'n' | b'r' | b't') => Ok((Spelling::Escaped, at + 1)),
+        Some(b'/' | b'b' | b'f') => Ok((Spelling::Other, at + 1)),
+        Some(b'u') => {
+            let hex = at + 1;
+            if let Some(bad) =
+                (hex..hex + 4).find(|&i| !b.get(i).is_some_and(u8::is_ascii_hexdigit))
+            {
+                return fault(bad, "a hex digit");
+            }
+            // The writer spells a control byte other than `\n`, `\r` and
+            // `\t` as `\u00xx`, in lowercase, and nothing else this way.
+            let cp = hex4(b, hex).unwrap_or(u32::MAX);
+            let lowercase = !b[hex..hex + 4].iter().any(u8::is_ascii_uppercase);
+            let written = cp < 0x20 && !matches!(cp, 0x09 | 0x0a | 0x0d) && lowercase;
+            let spelling = if written {
+                Spelling::Escaped
+            } else {
+                Spelling::Other
+            };
+            Ok((spelling, hex + 4))
+        }
+        _ => fault(at, "an escape character"),
     }
 }
 
 /// The end of the run of ASCII digits at `at`.
 fn digits(b: &[u8], at: usize) -> usize {
-    at + b[at..].iter().take_while(|c| c.is_ascii_digit()).count()
+    at + b
+        .get(at..)
+        .unwrap_or_default()
+        .iter()
+        .take_while(|c| c.is_ascii_digit())
+        .count()
 }
 
 /// The end of a non-empty run of ASCII digits at `at`.
-fn some_digits(b: &[u8], at: usize) -> Option<usize> {
+fn some_digits(b: &[u8], at: usize) -> Result<usize, Fault> {
     let end = digits(b, at);
-    (end > at).then_some(end)
+    if end > at {
+        Ok(end)
+    } else {
+        fault(at, "a digit")
+    }
 }
 
 /// The four hex digits at `at`.
@@ -656,6 +993,216 @@ fn hex4(b: &[u8], at: usize) -> Option<u32> {
     digits
         .iter()
         .try_fold(0, |cp, &d| Some(cp << 4 | char::from(d).to_digit(16)?))
+}
+
+/// Reads validated text into values: besides the validator, the only code
+/// that reads a document. It trusts the validation — every byte it meets is
+/// one the grammar allows there — so it has no error path.
+struct Decoder<'a> {
+    text: &'a str,
+    tape: &'a [Node],
+    /// Offset of the next byte to read.
+    at: usize,
+    /// Tape index of the next non-empty container.
+    next: usize,
+    nest: Nest<'a>,
+}
+
+/// What the objects a decoder meets become.
+enum Nest<'a> {
+    /// [`Repr::Raw`]: the values go to a caller.
+    Owned(&'a Arc<Document>),
+    /// [`Repr::Held`]: the values go into a block of the document.
+    Held(Weak<Document>),
+}
+
+impl<'a> Decoder<'a> {
+    fn byte(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.at).copied()
+    }
+
+    fn skip_ws(&mut self) {
+        while matches!(self.byte(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.at += 1;
+        }
+    }
+
+    /// Past the whitespace and the one punctuation byte at `at`.
+    fn punct(&mut self) {
+        self.skip_ws();
+        self.at += 1;
+    }
+
+    /// The member at `at`, and the `,` or `}` after it.
+    fn member(&mut self) -> (String, Json) {
+        self.skip_ws();
+        let key = self.string();
+        self.punct();
+        let value = self.value();
+        self.punct();
+        (key, value)
+    }
+
+    fn value(&mut self) -> Json {
+        self.skip_ws();
+        match self.byte() {
+            Some(b'"') => Json::Str(self.string()),
+            Some(b'{') => Json::Object(self.object()),
+            Some(b'[') => Json::Array(self.array()),
+            Some(b't') => self.literal(4, Json::Bool(true)),
+            Some(b'f') => self.literal(5, Json::Bool(false)),
+            Some(b'-' | b'0'..=b'9') => self.number(),
+            _ => self.literal(4, Json::Null),
+        }
+    }
+
+    fn literal(&mut self, len: usize, v: Json) -> Json {
+        self.at += len;
+        v
+    }
+
+    /// The tape entry of the container whose bracket is at `at`; `None`
+    /// past it when it is empty, as those have none.
+    fn open(&mut self) -> Option<(usize, &'a Node)> {
+        let node = self.next;
+        match self.tape.get(node) {
+            Some(entry) if entry.start == self.at => Some((node, entry)),
+            _ => {
+                self.at += 1;
+                self.punct();
+                None
+            }
+        }
+    }
+
+    fn object(&mut self) -> Map {
+        let Some((node, entry)) = self.open() else {
+            return Map::default();
+        };
+        self.at = entry.end;
+        self.next = entry.next;
+        Map(match &self.nest {
+            Nest::Owned(doc) => Repr::Raw(Arc::clone(doc), node),
+            Nest::Held(doc) => Repr::Held(Weak::clone(doc), node),
+        })
+    }
+
+    fn array(&mut self) -> Vec<Json> {
+        let Some((node, entry)) = self.open() else {
+            return Vec::new();
+        };
+        self.at += 1;
+        self.next = node + 1;
+        let items = (0..entry.items)
+            .map(|_| {
+                let item = self.value();
+                self.punct();
+                item
+            })
+            .collect();
+        self.at = entry.end;
+        self.next = entry.next;
+        items
+    }
+
+    /// The string whose opening quote is at `at`. Most strings have no
+    /// escape: one copy of the slice.
+    fn string(&mut self) -> String {
+        let b = self.text.as_bytes();
+        let start = self.at + 1;
+        let mut end = start;
+        let mut escaped = false;
+        while let Some(skip) = b
+            .get(end..)
+            .and_then(|rest| rest.iter().position(|&c| c == b'"' || c == b'\\'))
+        {
+            end += skip;
+            if b.get(end) == Some(&b'"') {
+                break;
+            }
+            escaped = true;
+            end += 2;
+        }
+        self.at = end + 1;
+        let raw = self.text.get(start..end).unwrap_or_default();
+        if escaped {
+            unescape(raw)
+        } else {
+            raw.to_owned()
+        }
+    }
+
+    /// The number at `at`: an `Int` unless it has a fraction or exponent.
+    fn number(&mut self) -> Json {
+        let b = self.text.as_bytes();
+        let start = self.at;
+        let rest = b.get(start..).unwrap_or_default();
+        let len = rest
+            .iter()
+            .take_while(|c| matches!(c, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'))
+            .count();
+        self.at = start + len;
+        let text = self.text.get(start..self.at).unwrap_or_default();
+        if text.contains(['.', 'e', 'E']) {
+            Json::Float(text.parse().unwrap_or_default())
+        } else {
+            Json::Int(text.parse().unwrap_or_default())
+        }
+    }
+}
+
+/// The contents of a validated string that holds escapes, decoded.
+/// Unpaired surrogates degrade to U+FFFD.
+fn unescape(raw: &str) -> String {
+    let b = raw.as_bytes();
+    // No escape is shorter than the text it stands for, so the raw length
+    // bounds the decoded one and the buffer never grows.
+    let mut out = String::with_capacity(raw.len());
+    let (mut at, mut run) = (0, 0);
+    while let Some(skip) = b
+        .get(at..)
+        .and_then(|rest| rest.iter().position(|&c| c == b'\\'))
+    {
+        at += skip;
+        out.push_str(raw.get(run..at).unwrap_or_default());
+        let escape = b.get(at + 1).copied();
+        at += 2;
+        match escape {
+            Some(b'"') => out.push('"'),
+            Some(b'\\') => out.push('\\'),
+            Some(b'/') => out.push('/'),
+            Some(b'n') => out.push('\n'),
+            Some(b'r') => out.push('\r'),
+            Some(b't') => out.push('\t'),
+            Some(b'b') => out.push('\u{8}'),
+            Some(b'f') => out.push('\u{c}'),
+            _ => {
+                let cp = hex4(b, at).unwrap_or(0xFFFD);
+                at += 4;
+                let paired = b.get(at..at + 2) == Some(b"\\u");
+                let c = if (0xD800..0xDC00).contains(&cp) && paired {
+                    // A high surrogate and the escape after it: one astral
+                    // code point when that is a low surrogate.
+                    let lo = hex4(b, at + 2).unwrap_or(0xFFFD);
+                    at += 6;
+                    if (0xDC00..0xE000).contains(&lo) {
+                        char::from_u32(0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00))
+                    } else {
+                        // Unpaired high surrogate; the second escape stands
+                        // on its own.
+                        out.push('\u{fffd}');
+                        char::from_u32(lo)
+                    }
+                } else {
+                    char::from_u32(cp)
+                };
+                out.push(c.unwrap_or('\u{fffd}'));
+            }
+        }
+        run = at;
+    }
+    out.push_str(raw.get(run..).unwrap_or_default());
+    out
 }
 
 #[cfg(test)]
@@ -722,6 +1269,35 @@ mod tests {
         assert_eq!(Json::parse(r#"{"a" 1}"#), None);
         assert_eq!(Json::parse(r#"{"a":1,}"#), None);
         assert_eq!(Json::parse(r#"{1:2}"#), None);
+    }
+
+    #[test]
+    fn a_refusal_names_the_byte_and_what_was_expected_there() {
+        let at = |text: &str| {
+            let e = Json::try_parse(text).err();
+            e.map(|e| (e.offset, e.line, e.column, e.expected))
+        };
+        assert_eq!(at("[1,]"), Some((3, 1, 4, "a value")));
+        assert_eq!(at("{\"a\" 1}"), Some((5, 1, 6, "':'")));
+        assert_eq!(at("{\n  \"é\": tru }"), Some((13, 2, 11, "true")));
+        assert_eq!(at("[\"\\q\"]"), Some((3, 1, 4, "an escape character")));
+        assert_eq!(at("[\"\\u12x4\"]"), Some((6, 1, 7, "a hex digit")));
+        assert_eq!(at("[1.]"), Some((3, 1, 4, "a digit")));
+        assert_eq!(
+            at("[99999999999999999999]"),
+            Some((20, 1, 21, "an integer within i64's range"))
+        );
+        assert_eq!(at("[1] x"), Some((4, 1, 5, "the end of the text")));
+        assert_eq!(at("[\"abc"), Some((5, 1, 6, "'\"' closing the string")));
+        assert_eq!(at(""), Some((0, 1, 1, "a value")));
+        let deep = "[".repeat(MAX_DEPTH + 1);
+        assert_eq!(at(&deep).map(|e| e.0), Some(MAX_DEPTH));
+        assert_eq!(at("[[1], {\"a\": [true, null]}]"), None);
+        let e = Json::try_parse("[1,]").err().map(|e| e.to_string());
+        assert_eq!(
+            e.as_deref(),
+            Some("expected a value at line 1, column 4 (byte 3)")
+        );
     }
 
     #[test]
@@ -869,7 +1445,7 @@ mod tests {
         let Json::Object(copy) = m.clone() else {
             unreachable!()
         };
-        assert!(Arc::ptr_eq(&copy.0, &o.0));
+        assert!(std::ptr::eq(copy.members(), o.members()));
         assert!(Map::default().is_empty());
     }
 

@@ -68,13 +68,16 @@ pub fn write_frame_text(w: &mut impl Write, payload: &str) -> io::Result<()> {
 ///
 /// # Errors
 /// IO failures, oversized frames, invalid UTF-8, and JSON syntax errors
-/// (including trailing garbage) all surface as `InvalidData`.
+/// (including trailing garbage) all surface as `InvalidData`; a syntax
+/// error's message names the line, column and byte where the frame stops
+/// being JSON.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Json>> {
     match read_frame_text(r)? {
         None => Ok(None),
-        Some(text) => Json::parse(&text)
-            .map(Some)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "frame is not valid JSON")),
+        Some(text) => Json::try_parse(&text).map(Some).map_err(|e| {
+            let message = format!("frame is not valid JSON: {e}");
+            io::Error::new(io::ErrorKind::InvalidData, message)
+        }),
     }
 }
 

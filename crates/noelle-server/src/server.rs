@@ -497,10 +497,12 @@ impl Server {
             if line.trim().is_empty() {
                 continue;
             }
-            let reply = match Json::parse(&line) {
-                None => response_err(0, ErrorCode::BadRequest, "line is not valid JSON")
-                    .to_string_compact(),
-                Some(v) => match Request::from_json(&v) {
+            let reply = match Json::try_parse(&line) {
+                Err(e) => {
+                    let message = format!("line is not valid JSON: {e}");
+                    response_err(0, ErrorCode::BadRequest, &message).to_string_compact()
+                }
+                Ok(v) => match Request::from_json(&v) {
                     Err(e) => response_err(0, ErrorCode::BadRequest, &e).to_string_compact(),
                     Ok(req) => run_request_text(&state, &req),
                 },
@@ -715,7 +717,7 @@ fn connection_loop(stream: TcpStream, state: &Arc<ServerState>) {
             break;
         };
         // A frame that is no JSON value arrived whole all the same: answer it.
-        let parsed = Json::parse(&frame).ok_or_else(|| "frame is not valid JSON".to_string());
+        let parsed = Json::try_parse(&frame).map_err(|e| format!("frame is not valid JSON: {e}"));
         let pending = match parsed.and_then(|v| Request::from_json(&v)) {
             Err(e) => {
                 PendingReply::Ready(response_err(0, ErrorCode::BadRequest, &e).to_string_compact())

@@ -11,8 +11,9 @@
 //! decoders and the daemon's frame reader reserve nothing a forged count
 //! asks for; an IDE body edit allocates for the functions it re-audits, not
 //! for the module, and a pull renders the stored findings without copying
-//! them; a parsed reply is one block per string and container, and a clone
-//! of it copies nothing; a loop abstraction is
+//! them; a parsed reply decodes no more than is read, a reader printing
+//! three members of a pull decodes one object, and a clone copies nothing;
+//! a loop abstraction is
 //! a handful of flat arrays per loop, and a technique's gate reads the
 //! function's dominator tree instead of building one. The counts do not
 //! depend on the host, so the bounds are tight. The tests take turns ([`alone`]), so
@@ -315,10 +316,11 @@ fn a_parsed_pull_is_one_block_per_string_and_container_and_a_clone_copies_nothin
         "{} bytes of pull: {parse} allocations for {blocks} blocks, {bytes} bytes",
         pull.len()
     );
-    // 15 453 for 15 436 blocks and 824 792 bytes (3.9 per byte of text):
-    // the rest is the parser's two shared stacks doubling up to their
-    // peaks. With a map node per object and arrays doubling as they grew it
-    // was 15 545 and 1 607 160 bytes (7.5).
+    // 3 for 15 436 blocks and 448 672 bytes (2.1 per byte of text): the
+    // text, its tape and the document; no object is decoded before it is
+    // read. Decoding every block at the parse took 15 453 and 824 792
+    // bytes, and with a map node per object and arrays doubling as they
+    // grew 15 545 and 1 607 160 bytes (7.5).
     assert!(
         parse <= blocks + 64,
         "parse: {parse} allocations for {blocks} blocks"
@@ -337,6 +339,29 @@ fn a_parsed_pull_is_one_block_per_string_and_container_and_a_clone_copies_nothin
         black_box(Json::parse("{}"));
     });
     assert_eq!(empty, 0, "an empty object allocated");
+}
+
+#[test]
+fn a_pull_read_for_three_members_costs_the_members_on_the_path() {
+    let _turn = alone();
+    let text = print_module(&scale_module(256, 3));
+    let pull = DocSession::open("scale", &text, AliasTier::Basic).diagnostics_text();
+    let (printed, allocated) = allocations(|| {
+        let parsed = Json::parse(&pull).expect("a pull is JSON");
+        ["audit", "plan", "report"].map(|key| {
+            let member = parsed.get(key).expect("a pull member");
+            member.to_string_compact()
+        })
+    });
+    eprintln!("{} bytes of pull: {allocated} allocations", pull.len());
+    // The text, its tape and the document that shares them, the top
+    // object's block, its seven keys and one string, and the three printed
+    // members, each a verbatim copy of its slice of the text: 15.
+    assert!(allocated <= 16, "{allocated} allocations");
+    for (key, printed) in ["audit", "plan", "report"].iter().zip(&printed) {
+        let served = format!("\"{key}\":{printed}");
+        assert!(pull.contains(&served), "{key} is not the served slice");
+    }
 }
 
 /// Allocations of the `update` that follows inserting one `gep` of the
