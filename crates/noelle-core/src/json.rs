@@ -25,7 +25,7 @@
 //! most once, however many threads look — by the rule [`Json::object`]
 //! follows, and the objects among them stay raw in turn. Arrays are decoded
 //! with whatever holds them, as `Json::Array` is a public `Vec`. Compact
-//! output copies the text of an undecoded canonical object verbatim;
+//! output copies the text of a canonical object verbatim, read or not;
 //! anything else is rendered member by member. So a reader that takes three
 //! members of an 800 kB reply and prints them pays for one pass, one copy of
 //! the text and the members on the path to them, and dropping the reply
@@ -137,8 +137,8 @@ impl Map {
         }
     }
 
-    /// The text compact output writes for this map, when that is its
-    /// undecoded text as parsed.
+    /// The text compact output writes for this map, when that is its text
+    /// as parsed.
     fn verbatim(&self) -> Option<&str> {
         match &self.0 {
             Repr::Built(_) => None,
@@ -278,13 +278,12 @@ impl Document {
         })
     }
 
-    /// The text of the object at `node` while it is canonical and undecoded.
+    /// The text of the object at `node` when it is canonical. A decoded
+    /// block never changes, so that stays what compact output writes.
     fn verbatim(&self, node: usize) -> Option<&str> {
         let object = self.tape.get(node)?;
-        let untouched = object.canonical && object.members.get().is_none();
-        self.text
-            .get(object.start..object.end)
-            .filter(|_| untouched)
+        let text = self.text.get(object.start..object.end)?;
+        object.canonical.then_some(text)
     }
 }
 
@@ -575,6 +574,7 @@ impl Json {
             text,
             pos: 0,
             tape: Vec::new(),
+            whole,
         };
         v.skip_ws();
         let start = v.pos;
@@ -713,7 +713,13 @@ struct Validator<'a> {
     text: &'a str,
     pos: usize,
     tape: Vec<Node>,
+    /// Is the value all of `text`, so that `text`'s brackets bound its
+    /// containers? Not when it is a prefix of a stream.
+    whole: bool,
 }
+
+/// Most tape entries a parse reserves before validation reaches them: 1 MiB.
+const TAPE_RESERVE: usize = (1 << 20) / std::mem::size_of::<Node>();
 
 impl Validator<'_> {
     fn peek(&self) -> Option<u8> {
@@ -780,11 +786,15 @@ impl Validator<'_> {
             return Ok(canonical);
         }
         let node = self.tape.len();
-        if node == 0 {
-            // Room for every bracket left, so the tape never moves.
+        if node == 0 && self.whole {
+            // A whole document has no more containers than brackets: room
+            // for them in one block, so a reply's tape is one allocation.
+            // The brackets counted may sit in strings or past an error not
+            // reached yet, so at most `TAPE_RESERVE` are; past that the
+            // tape grows as containers are found.
             let rest = text.as_bytes().get(start..).unwrap_or_default();
-            let brackets = rest.iter().filter(|&&b| b == b'{' || b == b'[').count();
-            self.tape.reserve_exact(brackets);
+            let brackets = rest.iter().filter(|&&b| b == b'{' || b == b'[');
+            self.tape.reserve_exact(brackets.take(TAPE_RESERVE).count());
         }
         self.tape.push(Node {
             start,

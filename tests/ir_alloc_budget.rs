@@ -9,7 +9,8 @@
 //! flat arrays, not a map entry per node, and a function graph is built
 //! through a handful more, not a map entry per pointer or pair; the store's
 //! decoders and the daemon's frame reader reserve nothing a forged count
-//! asks for; an IDE body edit allocates for the functions it re-audits, not
+//! asks for, nor a JSON parse more tape than one step past what it has
+//! validated; an IDE body edit allocates for the functions it re-audits, not
 //! for the module, and a pull renders the stored findings without copying
 //! them; a parsed reply decodes no more than is read, a reader printing
 //! three members of a pull decodes one object, and a clone copies nothing;
@@ -362,6 +363,45 @@ fn a_pull_read_for_three_members_costs_the_members_on_the_path() {
         let served = format!("\"{key}\":{printed}");
         assert!(pull.contains(&served), "{key} is not the served slice");
     }
+}
+
+#[test]
+fn a_parse_reserves_tape_only_a_step_ahead_of_what_it_has_validated() {
+    let _turn = alone();
+    // The largest frame there is, all brackets after an error at byte 1.
+    let mut frame = String::from("[x");
+    frame.push_str(&"[".repeat(MAX_FRAME_BYTES - frame.len()));
+    let (parsed, blocks, reserved) = allocations_and_bytes(|| Json::try_parse(&frame));
+    let refused = parsed.expect_err("`[x` is not JSON");
+    assert_eq!(refused.offset, 1);
+    eprintln!(
+        "{} bytes of brackets: {blocks} allocations, {reserved} bytes",
+        frame.len()
+    );
+    // One 1 MiB step. Reserving a tape entry per bracket took 4 GiB.
+    assert!(
+        reserved < (1 << 20) + (64 << 10),
+        "{reserved} bytes allocated"
+    );
+    drop(frame);
+
+    // A valid document whose brackets are all inside one string: the text,
+    // the string and one step of tape.
+    let inner = "[".repeat(8 << 20);
+    let frame = format!("[\"{inner}\"]");
+    let (parsed, _, reserved) = allocations_and_bytes(|| Json::parse(&frame));
+    assert_eq!(parsed, Some(Json::Array(vec![Json::Str(inner)])));
+    assert!(
+        reserved < 2 * frame.len() + (1 << 20) + (64 << 10),
+        "{reserved} bytes allocated for {} of text",
+        frame.len()
+    );
+
+    // A value at the front of a stream reserves nothing for what follows.
+    let stream = format!("[1]{}", "[".repeat(8 << 20));
+    let (parsed, _, reserved) = allocations_and_bytes(|| Json::parse_prefix(&stream));
+    assert_eq!(parsed, Some((Json::Array(vec![Json::Int(1)]), 3)));
+    assert!(reserved < 64 << 10, "{reserved} bytes allocated");
 }
 
 /// Allocations of the `update` that follows inserting one `gep` of the
