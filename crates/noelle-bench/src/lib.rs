@@ -256,24 +256,15 @@ pub fn speedups(suites: &[Suite], cores: usize) -> Vec<Fig5Row> {
                 ..RunConfig::default()
             };
             let seq = run_module(&m, "main", &[], &cfg).expect("workload runs");
-            let mut speedup_map = BTreeMap::new();
-            for technique in ["doall", "helix", "dswp", "autopar", "perspective"] {
-                speedup_map.insert(
-                    match technique {
-                        "doall" => "doall",
-                        "helix" => "helix",
-                        "dswp" => "dswp",
-                        "autopar" => "autopar",
-                        _ => "perspective",
-                    },
-                    measure_technique(w, technique, cores, &arch),
-                );
-            }
+            let speedups = ["doall", "helix", "dswp", "autopar", "perspective"]
+                .into_iter()
+                .map(|technique| (technique, measure_technique(w, technique, cores, &arch)))
+                .collect();
             Fig5Row {
                 bench: w.name.to_string(),
                 suite: w.suite.name(),
                 seq_cycles: seq.cycles,
-                speedups: speedup_map,
+                speedups,
             }
         })
         .collect()

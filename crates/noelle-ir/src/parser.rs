@@ -1,14 +1,22 @@
 //! Textual IR parser; the inverse of [`crate::printer`].
 //!
 //! One pass over the source bytes. A [`Cursor`] hands out borrowed tokens
-//! with one token of lookahead; every instruction is parsed straight into
-//! the [`Function`] being built. A use of a `%value`, label or `@symbol`
-//! that is not defined yet leaves a placeholder id in the instruction and a
-//! fix-up record behind; the records are patched at the function's closing
-//! brace (`@symbols`: at the end of the module), each carrying the position
-//! of the token that caused it. A `%v<i>` defined at arena index `i`, the
-//! printer's spelling of an instruction without a name, leaves no name in
-//! the function.
+//! with one token of lookahead, classing each byte through one table
+//! lookup; every instruction is parsed straight into the [`Function`] being
+//! built. A use of a `%value`, label or `@symbol` that is not defined yet
+//! leaves a placeholder id in the instruction and a fix-up record behind;
+//! the records are patched at the function's closing brace (`@symbols`: at
+//! the end of the module), each carrying the position of the token that
+//! caused it.
+//!
+//! A `%v<n>` spelled as the printer spells numbers, `n` below 2^16, comes
+//! out of the lexer with its number and is bound and resolved by it, in a
+//! table indexed by `n` that the parse keeps across bodies; every other
+//! `%name`, label and `@symbol` goes through a keyed hash map. A `%v<i>`
+//! defined at arena index `i`, the printer's spelling of an instruction
+//! without a name, leaves no name in the function. A module parse builds
+//! every body's instructions in one arena and moves each body out at its
+//! exact size.
 //!
 //! # Errors
 //!
@@ -56,7 +64,11 @@ type Result<T> = std::result::Result<T, ParseError>;
 enum Tok<'a> {
     Ident(&'a str),
     Local(&'a str), // %name
-    Sym(&'a str),   // @name
+    /// `%v<n>`, `n` spelled as the printer spells it and below 2^16: a
+    /// `%name` resolved by its number. A variant of its own, because a
+    /// second field on `Local` slowed the handling of every token.
+    Numbered(u16),
+    Sym(&'a str), // @name
     /// The text between the quotes: escapes are validated, not yet decoded.
     Str(&'a str),
     Int(i64),
@@ -73,6 +85,55 @@ struct At {
     start: usize,
     end: usize,
     line: usize,
+}
+
+// The lexer's byte classes.
+/// A byte of a name: alphanumeric, `_`, `.` or `$`.
+const NAME: u8 = 1;
+/// Space that does not end a line.
+const SPACE: u8 = 2;
+/// A byte that is a token by itself.
+const PUNCT: u8 = 3;
+
+/// The class of every byte, 0 for none of the above.
+static CLASSES: [u8; 256] = {
+    let mut classes = [0; 256];
+    let mut c = 0;
+    while c < 256 {
+        let b = c as u8;
+        classes[c] = match b {
+            b'_' | b'.' | b'$' => NAME,
+            _ if b.is_ascii_alphanumeric() => NAME,
+            b' ' | b'\t' | b'\r' | 0x0b | 0x0c => SPACE,
+            b'{' | b'}' | b'[' | b']' | b'(' | b')' | b',' | b':' | b'=' | b'*' | b'!' => PUNCT,
+            _ => 0,
+        };
+        c += 1;
+    }
+    classes
+};
+
+fn class(c: u8) -> u8 {
+    CLASSES[usize::from(c)]
+}
+
+/// `n` if `name` is `v<n>` with `n` spelled as the printer writes it (`0`
+/// or without a leading `0`, the rule of `generated_index`) and below 2^16.
+/// Every `%name` passes through here, so the digits are read by hand:
+/// `generated_index`'s `str::parse` cost 0.9 ms of a 13 ms parse.
+fn number(name: &str) -> Option<u16> {
+    let digits = name.strip_prefix('v')?.as_bytes();
+    if digits.is_empty() || digits.len() > 5 || (digits[0] == b'0' && digits.len() > 1) {
+        return None;
+    }
+    let mut n = 0u32;
+    for &d in digits {
+        if !d.is_ascii_digit() {
+            return None;
+        }
+        n = n * 10 + u32::from(d - b'0');
+    }
+    u16::try_from(n).ok()
 }
 
 /// The lexer: a byte position in the source plus one token of lookahead.
@@ -113,20 +174,16 @@ impl<'a> Cursor<'a> {
         let bytes = self.src.as_bytes();
         loop {
             match bytes.get(self.pos) {
+                Some(&c) if class(c) == SPACE => self.pos += 1,
                 Some(b'\n') => {
                     self.pos += 1;
                     self.line += 1;
                 }
-                Some(b' ' | b'\t' | b'\r' | 0x0b | 0x0c) => self.pos += 1,
                 Some(b';') => {
                     let rest = &bytes[self.pos..];
                     self.pos += rest.iter().position(|&c| c == b'\n').unwrap_or(rest.len());
                 }
-                // Any Unicode whitespace separates tokens.
-                Some(&c) if c >= 0x80 => match self.src[self.pos..].chars().next() {
-                    Some(ch) if ch.is_whitespace() => self.pos += ch.len_utf8(),
-                    _ => break,
-                },
+                Some(&c) if c >= 0x80 && self.unicode_space() => {}
                 _ => break,
             }
         }
@@ -138,9 +195,12 @@ impl<'a> Cursor<'a> {
         };
         self.tok = match bytes.get(start) {
             None => Tok::Eof,
-            Some(&c @ (b'%' | b'@')) => match self.word(start + 1) {
-                "" => self.fail(format!("empty name after '{}'", c as char)),
-                name if c == b'%' => Tok::Local(name),
+            Some(b'%') => match self.word(start + 1) {
+                "" => self.fail("empty name after '%'"),
+                name => number(name).map_or(Tok::Local(name), Tok::Numbered),
+            },
+            Some(b'@') => match self.word(start + 1) {
+                "" => self.fail("empty name after '@'"),
                 name => Tok::Sym(name),
             },
             Some(b'"') => self.string(),
@@ -150,19 +210,37 @@ impl<'a> Cursor<'a> {
                 "NaN" => Tok::Float(f64::NAN),
                 word => Tok::Ident(word),
             },
-            Some(&c) if b"{}[](),:=*!".contains(&c) => {
+            Some(&c) if class(c) == PUNCT => {
                 self.pos += 1;
                 Tok::Punct(c)
             }
-            Some(_) => {
-                let ch = self.src[start..].chars().next().unwrap_or('\u{fffd}');
-                self.pos += ch.len_utf8();
-                self.fail(format!("unexpected character '{ch}'"))
-            }
+            Some(_) => self.stray(),
         };
         self.at.end = self.pos;
     }
 
+    /// Steps over the Unicode whitespace at `pos`, if that is what it holds:
+    /// any of it separates tokens.
+    #[cold]
+    fn unicode_space(&mut self) -> bool {
+        match self.src[self.pos..].chars().next() {
+            Some(ch) if ch.is_whitespace() => {
+                self.pos += ch.len_utf8();
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// The character at `pos` starts no token.
+    #[cold]
+    fn stray(&mut self) -> Tok<'a> {
+        let ch = self.src[self.pos..].chars().next().unwrap_or('\u{fffd}');
+        self.pos += ch.len_utf8();
+        self.fail(format!("unexpected character '{ch}'"))
+    }
+
+    #[cold]
     fn fail(&mut self, message: impl Into<String>) -> Tok<'a> {
         self.bad = message.into();
         Tok::Bad
@@ -170,9 +248,9 @@ impl<'a> Cursor<'a> {
 
     /// The run of name bytes starting at `from`; leaves `pos` after it.
     fn word(&mut self, from: usize) -> &'a str {
-        let is_name = |c: &&u8| c.is_ascii_alphanumeric() || matches!(c, b'_' | b'.' | b'$');
         let rest = &self.src.as_bytes()[from..];
-        self.pos = from + rest.iter().take_while(is_name).count();
+        let len = rest.iter().position(|&c| class(c) != NAME);
+        self.pos = from + len.unwrap_or(rest.len());
         &self.src[from..self.pos]
     }
 
@@ -247,6 +325,7 @@ impl<'a> Cursor<'a> {
         tok.unwrap_or_else(|| self.fail(format!("bad {kind} literal '{text}'")))
     }
 
+    #[cold]
     fn error(&self, at: At, message: impl Into<String>) -> ParseError {
         let line_start = self.src[..at.start].rfind('\n').map_or(0, |nl| nl + 1);
         ParseError {
@@ -256,7 +335,17 @@ impl<'a> Cursor<'a> {
         }
     }
 
+    /// The lookahead `%name`, and its number if it has one.
+    fn local(&self) -> Option<(&'a str, Option<u16>)> {
+        match self.tok {
+            Tok::Local(name) => Some((name, None)),
+            Tok::Numbered(n) => Some((&self.src[self.at.start + 1..self.at.end], Some(n))),
+            _ => None,
+        }
+    }
+
     /// The lookahead token is not one of `expected`.
+    #[cold]
     fn unexpected(&self, expected: &str) -> ParseError {
         let found = &self.src[self.at.start..self.at.end];
         let message = match self.tok {
@@ -362,9 +451,10 @@ pub struct FuncSpan {
     pub end_line: usize,
 }
 
-#[derive(Clone, Copy, PartialEq)]
+#[derive(Clone, Copy)]
 enum Use {
-    Local,
+    /// `%name`, with its number if it has one (`Tok::Numbered`).
+    Local(Option<u16>),
     Label,
     /// `@name` in value position.
     Symbol,
@@ -388,6 +478,51 @@ fn hole(k: usize) -> u32 {
     u32::MAX - k as u32
 }
 
+/// The `%v<n>` names bound in the body being parsed, indexed by `n`: what
+/// `LLParser` keeps in `NumberedVals`, apart from its symbol table. A slot
+/// holds a binding only if it carries the body's stamp, so a new body
+/// clears the table by taking the next stamp, whatever numbers the bodies
+/// before it reached.
+struct NumberedNames {
+    stamp: u32,
+    slots: Vec<(u32, Value)>,
+}
+
+impl NumberedNames {
+    fn new() -> NumberedNames {
+        // Stamp 0 is no body's: a slot that has it was never bound.
+        NumberedNames {
+            stamp: 1,
+            slots: Vec::new(),
+        }
+    }
+
+    fn clear(&mut self) {
+        self.stamp += 1;
+    }
+
+    fn get(&self, n: u16) -> Option<Value> {
+        match self.slots.get(usize::from(n)) {
+            Some(&(stamp, value)) if stamp == self.stamp => Some(value),
+            _ => None,
+        }
+    }
+
+    /// Binds `%v<n>` to `value`; false if the body had bound it already.
+    fn insert(&mut self, n: u16, value: Value) -> bool {
+        let n = usize::from(n);
+        if n >= self.slots.len() {
+            // Whole powers of two from 64 on: few steps for a body that
+            // counts up from `%v0`, one for a lone far number.
+            let len = (n + 1).next_power_of_two().max(64);
+            self.slots.resize(len, (0, value));
+        }
+        let fresh = self.slots[n].0 != self.stamp;
+        self.slots[n] = (self.stamp, value);
+        fresh
+    }
+}
+
 /// Nesting allowed in one type: `[1 x [1 x ...` and `i8***...` recurse in
 /// this parser and in every consumer of [`Type`], so depth is bounded here,
 /// where the text enters.
@@ -402,8 +537,10 @@ struct Parser<'a> {
     module: Option<&'a Module>,
     globals: HashMap<&'a str, GlobalId>,
     funcs: HashMap<&'a str, FuncId>,
-    /// `%names` and labels of the function being parsed; cleared per function.
+    /// `%names` and labels of the function being parsed; cleared per
+    /// function. A `%v<n>` with a number is in `numbered` instead.
     names: HashMap<&'a str, Value>,
+    numbered: NumberedNames,
     labels: HashMap<&'a str, BlockId>,
     /// Pending `%name` and label uses; patched at the closing brace.
     local_fixups: Vec<Fixup<'a>>,
@@ -423,6 +560,7 @@ impl<'a> Parser<'a> {
             globals: HashMap::new(),
             funcs: HashMap::new(),
             names: HashMap::new(),
+            numbered: NumberedNames::new(),
             labels: HashMap::new(),
             local_fixups: Vec::new(),
             symbol_fixups: Vec::new(),
@@ -434,7 +572,7 @@ impl<'a> Parser<'a> {
     /// Record a deferred use at `at` and return its placeholder id.
     fn defer(&mut self, kind: Use, name: &'a str, at: At) -> u32 {
         let list = match kind {
-            Use::Local | Use::Label => &mut self.local_fixups,
+            Use::Local(_) | Use::Label => &mut self.local_fixups,
             Use::Symbol | Use::Callee => &mut self.symbol_fixups,
         };
         list.push(Fixup {
@@ -450,12 +588,29 @@ impl<'a> Parser<'a> {
     /// What a deferred (or immediate) use resolves to, or the error for it.
     fn unresolved(&self, kind: Use, name: &str, at: At, fname: &str) -> ParseError {
         let message = match kind {
-            Use::Local => format!("unknown value '%{name}' in @{fname}"),
+            Use::Local(_) => format!("unknown value '%{name}' in @{fname}"),
             Use::Label => format!("unknown label '{name}' in @{fname}"),
             Use::Symbol => format!("unknown symbol '@{name}'"),
             Use::Callee => format!("call to unknown function '@{name}'"),
         };
         self.cur.error(at, message)
+    }
+
+    /// What `%name`, numbered `number` if it is, stands for in the body
+    /// being parsed.
+    fn lookup(&self, name: &str, number: Option<u16>) -> Option<Value> {
+        match number {
+            Some(n) => self.numbered.get(n),
+            None => self.names.get(name).copied(),
+        }
+    }
+
+    /// Binds `%name` to `value`; false if the body had bound it already.
+    fn bind(&mut self, name: &'a str, number: Option<u16>, value: Value) -> bool {
+        match number {
+            Some(n) => self.numbered.insert(n, value),
+            None => self.names.insert(name, value).is_none(),
+        }
     }
 
     /// `ret @name(params)`: the header shared by `declare` and `define`.
@@ -465,12 +620,15 @@ impl<'a> Parser<'a> {
         let name = self.cur.sym()?;
         self.cur.expect(b'(')?;
         self.names.clear();
+        self.numbered.clear();
         let mut index = 0;
         let params = self.list(b')', |p| {
             let ty = p.ty()?;
-            let local = |t| if let Tok::Local(n) = t { Some(n) } else { None };
-            let param = p.cur.take("'%param'", local)?;
-            p.names.insert(param, Value::Arg(index));
+            let Some((param, number)) = p.cur.local() else {
+                return Err(p.cur.unexpected("'%param'"));
+            };
+            p.cur.bump();
+            p.bind(param, number, Value::Arg(index));
             index += 1;
             Ok((param.to_string(), ty))
         })?;
@@ -619,14 +777,14 @@ impl<'a> Parser<'a> {
     /// An operand: `%name`, `@name`, or a typed constant.
     fn value(&mut self) -> Result<Value> {
         let at = self.cur.at;
+        if let Some((name, number)) = self.cur.local() {
+            self.cur.bump();
+            return Ok(match self.lookup(name, number) {
+                Some(v) => v,
+                None => Value::Inst(InstId(self.defer(Use::Local(number), name, at))),
+            });
+        }
         match self.cur.tok {
-            Tok::Local(name) => {
-                self.cur.bump();
-                Ok(match self.names.get(name) {
-                    Some(&v) => v,
-                    None => Value::Inst(InstId(self.defer(Use::Local, name, at))),
-                })
-            }
             Tok::Sym(name) => {
                 self.cur.bump();
                 self.symbol(Use::Symbol, name, at)
@@ -875,11 +1033,12 @@ impl<'a> Parser<'a> {
                     }
                     (None, word, at)
                 }
-                Tok::Local(name) => {
+                Tok::Local(_) | Tok::Numbered(_) => {
+                    let local = self.cur.local();
                     self.cur.bump();
                     self.cur.expect(b'=')?;
                     let op_at = self.cur.at;
-                    (Some(name), self.cur.ident("an opcode")?, op_at)
+                    (local, self.cur.ident("an opcode")?, op_at)
                 }
                 Tok::Eof => {
                     return Err(self
@@ -892,14 +1051,14 @@ impl<'a> Parser<'a> {
                 return Err(self.cur.error(at, "instruction before first block label"));
             };
             self.inst = InstId(f.inst_arena_len() as u32);
-            if let Some(name) = name {
-                if self.names.insert(name, Value::Inst(self.inst)).is_some() {
+            if let Some((name, number)) = name {
+                if !self.bind(name, number, Value::Inst(self.inst)) {
                     let message = format!("duplicate SSA name '%{name}' in @{}", f.name);
                     return Err(self.cur.error(at, message));
                 }
             }
             let inst = self.inst(op, op_at)?;
-            if let Some(name) = name.filter(|_| !inst.has_result()) {
+            if let Some((name, _)) = name.filter(|_| !inst.has_result()) {
                 return Err(self
                     .cur
                     .error(at, format!("%{name}: '{op}' produces no value")));
@@ -907,8 +1066,13 @@ impl<'a> Parser<'a> {
             let id = f.append_inst(block, inst);
             // `%v<i>` at arena index `i` is how the printer spells an
             // instruction without a name, so it is not stored.
-            if let Some(name) = name.filter(|n| generated_index(n, "v") != Some(id.index())) {
-                f.set_inst_name(id, name);
+            if let Some((name, number)) = name {
+                let index = number
+                    .map(usize::from)
+                    .or_else(|| generated_index(name, "v"));
+                if index != Some(id.index()) {
+                    f.set_inst_name(id, name);
+                }
             }
             // Optional metadata suffix: !{"k"="v", ...}
             if self.cur.eat(b'!') {
@@ -922,8 +1086,8 @@ impl<'a> Parser<'a> {
         };
         for (k, fix) in self.local_fixups.iter().enumerate() {
             let unknown = || self.unresolved(fix.kind, fix.name, fix.at, &f.name);
-            if fix.kind == Use::Local {
-                let value = *self.names.get(fix.name).ok_or_else(unknown)?;
+            if let Use::Local(number) = fix.kind {
+                let value = self.lookup(fix.name, number).ok_or_else(unknown)?;
                 let hole = Value::Inst(InstId(hole(k)));
                 f.inst_mut(fix.inst)
                     .map_operands(|v| if v == hole { value } else { v });
@@ -967,6 +1131,9 @@ pub fn parse_module_spanned(src: &str) -> Result<(Module, Vec<FuncSpan>)> {
     let mut module = Module::new(p.cur.text()?);
     p.cur.expect(b'{')?;
     let mut spans = Vec::new();
+    // Every body is built in this one arena, then moved out at its exact
+    // size: one allocation per body, not a doubling series.
+    let mut arena = Vec::new();
     loop {
         let at = p.cur.at;
         match p.cur.tok {
@@ -1010,7 +1177,11 @@ pub fn parse_module_spanned(src: &str) -> Result<(Module, Vec<FuncSpan>)> {
                 p.cur.expect(b'{')?;
                 let id = FuncId(module.functions.len() as u32);
                 p.func = *p.funcs.entry(name).or_insert(id);
+                f.insts = std::mem::take(&mut arena);
                 let end_line = p.body(&mut f)?;
+                arena = std::mem::take(&mut f.insts);
+                f.insts = Vec::with_capacity(arena.len());
+                f.insts.append(&mut arena);
                 spans.push(FuncSpan {
                     name: f.name.clone(),
                     start_line: at.line,

@@ -4,7 +4,8 @@
 //! Alone in its test binary because it installs a counting global
 //! allocator: parsing may allocate what the module has to own (operand
 //! lists, boxed pointee types, a name for an instruction whose name the
-//! printer did not make up) and nothing per token or per `%v<i>`; printing
+//! printer did not make up), a module's bodies at their exact size, and
+//! nothing per token or per `%v<i>`; printing
 //! streams into one buffer; a loop graph is a handful of
 //! flat arrays, not a map entry per node, and a function graph is built
 //! through a handful more, not a map entry per pointer or pair; the store's
@@ -29,7 +30,7 @@ use noelle::ir::dom::DomTree;
 use noelle::ir::inst::{Inst, InstData};
 use noelle::ir::loops::LoopForest;
 use noelle::ir::module::{FuncId, Module};
-use noelle::ir::parser::parse_module;
+use noelle::ir::parser::{parse_function_text, parse_module, parse_module_spanned};
 use noelle::ir::printer::print_module;
 use noelle::ir::types::Type;
 use noelle::ir::value::Value;
@@ -102,14 +103,20 @@ fn allocations_and_bytes<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
 fn parse_and_print_stay_within_their_allocation_budget() {
     let _turn = alone();
     let text = print_module(&scale_module(256, 1));
-    let (module, parse) = allocations(|| parse_module(&text).expect("parses"));
+    let (module, parse, parse_bytes) =
+        allocations_and_bytes(|| parse_module(&text).expect("parses"));
     let insts = module.total_insts();
     let (printed, print) = allocations(|| print_module(&module));
     assert_eq!(printed, text);
-    eprintln!("{insts} instructions: parse {parse} allocations, print {print}");
-    // 7 024 for 21 803 instructions (0.32 each): the printer's `%v<i>` at
-    // arena index `i` reads back leaving no name behind. With a `String`
-    // per such name it was 23 318 (1.07).
+    let (_copy, _, clone_bytes) = allocations_and_bytes(|| module.clone());
+    eprintln!(
+        "{insts} instructions: parse {parse} allocations and {parse_bytes} bytes, \
+         print {print}, a clone {clone_bytes} bytes"
+    );
+    // 6 069 for 21 803 instructions (0.28 each): the printer's `%v<i>` at
+    // arena index `i` reads back leaving no name behind, and each body's
+    // instructions are one allocation. With a `String` per such name it was
+    // 23 318 (1.07); with each body's arena grown by doubling, 7 024.
     assert!(
         100 * parse <= 35 * insts,
         "parse: {parse} allocations for {insts}"
@@ -123,6 +130,49 @@ fn parse_and_print_stay_within_their_allocation_budget() {
         print * 10 <= insts,
         "print: {print} allocations for {insts}"
     );
+    // A module parse builds every body in one arena and moves it out at its
+    // exact size, as a clone allocates it: 1.27 times a clone's bytes. Each
+    // body's arena grown by doubling, and a hashed entry per `%v<i>`, made
+    // it 3.16.
+    assert!(
+        2 * parse_bytes <= 3 * clone_bytes,
+        "parse: {parse_bytes} bytes, a clone {clone_bytes}"
+    );
+    // One body on its own, the IDE's per-edit parse: the largest kernel
+    // (the last of those with 257 instructions) is built in place and may
+    // cost no more than it did while every `%v<i>` was hashed: 34
+    // allocations and 111 292 bytes (31 and 105 316 now).
+    let (_, spans) = parse_module_spanned(&text).expect("parses");
+    let span = spans
+        .iter()
+        .max_by_key(|sp| module.func_by_name(&sp.name).map_or(0, |f| f.num_insts()))
+        .expect("a defined function");
+    let lines: Vec<&str> = text.lines().collect();
+    let snippet = lines[span.start_line - 1..span.end_line].join("\n");
+    let (body, one, one_bytes) =
+        allocations_and_bytes(|| parse_function_text(&module, &snippet).expect("parses"));
+    eprintln!(
+        "@{} ({} instructions) alone: {one} allocations, {one_bytes} bytes",
+        span.name,
+        body.num_insts()
+    );
+    assert_eq!(body.num_insts(), 257, "the kernel the bound was taken on");
+    assert!(
+        one <= 34 && one_bytes <= 111_292,
+        "one body: {one} allocations, {one_bytes} bytes"
+    );
+}
+
+/// `%v<n>` resolves through a table indexed by `n` only below the table's
+/// bound; a far number is hashed like any other name and reserves nothing.
+#[test]
+fn a_far_numbered_name_reserves_nothing() {
+    let _turn = alone();
+    let text = "module \"n\" {\ndefine i64 @f(i64 %p) {\nentry:\n  \
+                %v4000000 = add i64 %p, i64 1\n  ret %v4000000\n}\n\n}\n";
+    let (module, _, bytes) = allocations_and_bytes(|| parse_module(text).expect("parses"));
+    assert_eq!(print_module(&module), text);
+    assert!(bytes <= 64 << 10, "{bytes} bytes for one instruction");
 }
 
 #[test]

@@ -16,7 +16,10 @@
 //!
 //! A `%v<i>` defined at arena index `i` is the printer's own spelling of an
 //! instruction without a name, and the parser stores no name for it; any
-//! other spelling is the instruction's own name.
+//! other spelling is the instruction's own name. The parser resolves a
+//! `%v<n>` below 2^16 by its number and any other name by hashing it; the
+//! two meet at the bound, and a name on one side must behave as one on the
+//! other.
 
 use noelle::ir::builder::FunctionBuilder;
 use noelle::ir::inst::{BinOp, Inst, InstId};
@@ -287,6 +290,56 @@ fn numbered_names_are_exactly_the_printers() {
         panic!("instruction 1 is the phi");
     };
     assert_eq!(incomings[1].1, Value::Inst(InstId(9)));
+    // Numbers just below and just past the numbered table's bound (2^16),
+    // past `u32` and of 20 digits, away from their index: own names all.
+    let m = round_trip(&one_function(
+        "i64 %p",
+        &[
+            "entry:",
+            "  %v65535 = add i64 %p, i64 1",
+            "  %v65536 = add i64 %v65535, i64 1",
+            "  %v4294967296 = add i64 %v65536, %v65535",
+            "  %v12345678901234567890 = add i64 %v4294967296, i64 1",
+            "  %v99999999999999999999 = add i64 %v12345678901234567890, i64 1",
+            "  ret %v99999999999999999999",
+        ],
+    ));
+    assert_eq!(
+        own_names(&m),
+        [
+            Some("v65535"),
+            Some("v65536"),
+            Some("v4294967296"),
+            Some("v12345678901234567890"),
+            Some("v99999999999999999999"),
+            None
+        ]
+    );
+    // The same two numbers at their own index, either side of the bound:
+    // numbered both, whichever table resolved them. `%v65537` is used before
+    // it is defined (which the verifier would refuse; resolution is what is
+    // checked here).
+    let mut body = vec![
+        "entry:".to_string(),
+        "  %v0 = add i64 %p, i64 1".to_string(),
+    ];
+    body.extend((1..65_538).map(|i| {
+        let operand = if i == 65_536 { 65_537 } else { i - 1 };
+        format!("  %v{i} = add i64 %v{operand}, i64 1")
+    }));
+    body.push("  ret %v65537".to_string());
+    let body: Vec<&str> = body.iter().map(String::as_str).collect();
+    let m = parse_module(&one_function("i64 %p", &body)).expect("parses");
+    let f = &m.functions()[0];
+    assert!(f.inst_ids().into_iter().all(|id| f.inst_name(id).is_none()));
+    let Inst::Bin { lhs, .. } = f.inst(InstId(65_536)) else {
+        panic!("instruction 65536 is an add");
+    };
+    assert_eq!(*lhs, Value::Inst(InstId(65_537)));
+    let Inst::Bin { lhs, .. } = f.inst(InstId(65_535)) else {
+        panic!("instruction 65535 is an add");
+    };
+    assert_eq!(*lhs, Value::Inst(InstId(65_534)));
 }
 
 #[test]
@@ -330,4 +383,49 @@ fn a_numbered_name_meets_a_parameter_or_an_own_name_as_a_duplicate() {
         ),
         duplicate(5, "v0")
     );
+    // Numbered at index 3 after a parameter `%v3`, and the same either side
+    // of the numbered table's bound.
+    assert_eq!(
+        error(
+            "i64 %v3",
+            &[
+                "entry:",
+                "  %v0 = add i64 %v3, i64 1",
+                "  %v1 = add i64 %v0, i64 1",
+                "  %v2 = add i64 %v1, i64 1",
+                "  %v3 = add i64 %v2, i64 1",
+                "  ret %v3"
+            ]
+        ),
+        duplicate(7, "v3")
+    );
+    for name in ["v65535", "v65536"] {
+        assert_eq!(
+            error(
+                &format!("i64 %{name}"),
+                &[
+                    "entry:",
+                    &format!("  %{name} = add i64 %{name}, i64 1"),
+                    &format!("  ret %{name}"),
+                ]
+            ),
+            duplicate(4, name)
+        );
+    }
+    // A forward use of a number that is never defined is reported at the
+    // use, in the table's range, past it, and past `u64`.
+    for name in ["v9", "v65536", "v4000000", "v99999999999999999999"] {
+        assert_eq!(
+            error(
+                "i64 %p",
+                &[
+                    "entry:",
+                    "  %v0 = add i64 %p, i64 1",
+                    &format!("  %v1 = add i64 %v0, %{name}"),
+                    "  ret %v1",
+                ]
+            ),
+            (5, 22, format!("unknown value '%{name}' in @f"))
+        );
+    }
 }
