@@ -1808,12 +1808,13 @@ impl AliasAnalysis for AndersenAlias {
 /// answer `No` or `Must` wins; otherwise the next tier is consulted. This is
 /// how NOELLE composes LLVM's analyses with SCAF and SVF.
 pub struct AliasStack<'a> {
-    tiers: Vec<&'a dyn AliasAnalysis>,
+    tiers: &'a [&'a dyn AliasAnalysis],
 }
 
 impl<'a> AliasStack<'a> {
-    /// Build a stack from ordered tiers.
-    pub fn new(tiers: Vec<&'a dyn AliasAnalysis>) -> AliasStack<'a> {
+    /// Build a stack from ordered tiers, borrowed: building one allocates
+    /// nothing.
+    pub fn new(tiers: &'a [&'a dyn AliasAnalysis]) -> AliasStack<'a> {
         AliasStack { tiers }
     }
 }
@@ -1824,7 +1825,7 @@ impl AliasAnalysis for AliasStack<'_> {
     }
 
     fn alias_in(&self, fid: FuncId, a: Value, b: Value, scratch: &mut BaseObjects) -> AliasResult {
-        for t in &self.tiers {
+        for t in self.tiers {
             match t.alias_in(fid, a, b, scratch) {
                 AliasResult::May => continue,
                 decisive => return decisive,
@@ -1853,7 +1854,7 @@ impl AliasAnalysis for AliasStack<'_> {
         // a tie. It is held while the later tiers fill `out`.
         let mut best = out.hold();
         let mut found = false;
-        for t in &self.tiers {
+        for t in self.tiers {
             if t.base_objects(fid, ptr, out) && (!found || out.objs.len() < best.len()) {
                 std::mem::swap(&mut out.objs, &mut best);
                 found = true;
@@ -2125,7 +2126,8 @@ mod tests {
         let fid = m.add_function(b.finish());
         let basic = BasicAlias::new(&m);
         let andersen = AndersenAlias::new(&m);
-        let stack = AliasStack::new(vec![&basic, &andersen]);
+        let tiers = [&basic as &dyn AliasAnalysis, &andersen];
+        let stack = AliasStack::new(&tiers);
         assert_eq!(
             stack.alias(fid, Value::Global(g1), Value::Global(g2)),
             AliasResult::No
@@ -2147,7 +2149,8 @@ mod tests {
         let (m, fid) = module_with(b.finish());
         let basic = BasicAlias::new(&m);
         let andersen = AndersenAlias::new(&m);
-        let stack = AliasStack::new(vec![&basic as &dyn AliasAnalysis, &andersen]);
+        let tiers = [&basic as &dyn AliasAnalysis, &andersen];
+        let stack = AliasStack::new(&tiers);
         let (mut sp, mut sq) = (BaseObjects::new(), BaseObjects::new());
         for aa in [&basic as &dyn AliasAnalysis, &andersen, &stack] {
             assert!(aa.base_objects(fid, p, &mut sp), "alloca base is known");

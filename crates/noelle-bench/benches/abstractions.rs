@@ -67,7 +67,8 @@ fn bench_pdg() {
         {
             let basic = BasicAlias::new(&m);
             let andersen = AndersenAlias::new(&m);
-            let stack = AliasStack::new(vec![&basic as &dyn AliasAnalysis, &andersen]);
+            let tiers = [&basic as &dyn AliasAnalysis, &andersen];
+            let stack = AliasStack::new(&tiers);
             let builder = PdgBuilder::new(&m, &stack);
             report(
                 &format!("pdg/program_pdg_full/{}", w.name),

@@ -47,7 +47,8 @@ fn bench_fig3() {
         median_micros(|| {
             let basic = BasicAlias::new(&m);
             let andersen = AndersenAlias::new(&m);
-            let stack = AliasStack::new(vec![&basic as &dyn AliasAnalysis, &andersen]);
+            let tiers = [&basic as &dyn AliasAnalysis, &andersen];
+            let stack = AliasStack::new(&tiers);
             std::hint::black_box((
                 memory_dependence_stats(&m, &basic),
                 memory_dependence_stats(&m, &stack),

@@ -53,7 +53,8 @@ pub fn fig3_dependences() -> Vec<Fig3Row> {
             let basic = BasicAlias::new(&m);
             let s_basic = memory_dependence_stats(&m, &basic);
             let andersen = AndersenAlias::new(&m);
-            let stack = AliasStack::new(vec![&basic as &dyn AliasAnalysis, &andersen]);
+            let tiers = [&basic as &dyn AliasAnalysis, &andersen];
+            let stack = AliasStack::new(&tiers);
             let s_full = memory_dependence_stats(&m, &stack);
             Fig3Row {
                 bench: w.name.to_string(),
@@ -93,7 +94,8 @@ pub fn fig4_invariants() -> Vec<Fig4Row> {
             let modref = std::sync::Arc::new(ModRefSummaries::compute(&m));
             let basic = BasicAlias::new(&m);
             let andersen = AndersenAlias::new(&m);
-            let stack = AliasStack::new(vec![&basic as &dyn AliasAnalysis, &andersen]);
+            let tiers = [&basic as &dyn AliasAnalysis, &andersen];
+            let stack = AliasStack::new(&tiers);
             let builder = PdgBuilder::new_with_modref(&m, &stack, std::sync::Arc::clone(&modref));
             let (mut n_llvm, mut n_noelle) = (0usize, 0usize);
             for fid in m.func_ids() {

@@ -433,7 +433,8 @@ mod tests {
         let llvm = invariants_llvm(m, fid, l, &dt, &basic, &modref);
 
         let andersen = AndersenAlias::new(m);
-        let stack = AliasStack::new(vec![&basic, &andersen]);
+        let tiers = [&basic as &dyn AliasAnalysis, &andersen];
+        let stack = AliasStack::new(&tiers);
         let builder = PdgBuilder::new(m, &stack);
         let g = builder.loop_pdg(fid, l);
         let noelle = invariants_noelle(f, l, &g);

@@ -16,7 +16,7 @@ use noelle_ir::inst::InstId;
 use noelle_ir::loops::LoopInfo;
 use noelle_ir::module::FuncId;
 use noelle_pdg::depgraph::{DepEdge, DepGraph};
-use noelle_pdg::pdg::PdgBuilder;
+use noelle_pdg::pdg::{BuildBuffers, PdgBuilder};
 use noelle_pdg::sccdag::{SccDag, SccKind};
 use std::sync::Arc;
 
@@ -54,16 +54,20 @@ impl LoopAbstraction {
     /// without a `Noelle` manager (the baseline parallelizer, unit tests).
     pub fn build(builder: &PdgBuilder<'_>, fid: FuncId, l: LoopInfo) -> LoopAbstraction {
         let f = builder.module().func(fid);
-        let dom = Arc::new(DomTree::new(f, &Cfg::new(f)));
-        let function_graph = builder.function_pdg(fid);
-        LoopAbstraction::build_with(builder, fid, l, &function_graph, dom)
+        let cfg = Cfg::new(f);
+        let dom = Arc::new(DomTree::new(f, &cfg));
+        let mut buf = BuildBuffers::default();
+        let function_graph = builder.function_pdg_in(fid, &cfg, &mut buf);
+        LoopAbstraction::build_with(builder, fid, l, &function_graph, dom, &mut buf)
     }
 
     /// [`LoopAbstraction::build`] carving from an already-built function
     /// PDG and reading an already-built dominator tree — the `Noelle`
     /// manager passes the function's cached partition and tree, so
     /// requesting several loop abstractions of one function analyzes the
-    /// function once. The bundle itself is not cached: the caller owns it.
+    /// function once — and working in the caller's buffers (the loop
+    /// graph's and the aSCCDAG's temporaries). The bundle itself is not
+    /// cached: the caller owns it.
     ///
     /// The loop's affine recurrences are found once and handed to every
     /// view that reads them (loop PDG, aSCCDAG, IVs, trip count).
@@ -73,12 +77,13 @@ impl LoopAbstraction {
         l: LoopInfo,
         function_graph: &DepGraph<InstId>,
         dom: Arc<DomTree>,
+        buf: &mut BuildBuffers,
     ) -> LoopAbstraction {
         let m = builder.module();
         let f = m.func(fid);
         let recs = affine_recurrences(f, &l);
-        let pdg = builder.loop_pdg_with(fid, &l, function_graph, &recs);
-        let sccdag = SccDag::new(f, &l, &pdg, &recs);
+        let pdg = builder.loop_pdg_in(fid, &l, function_graph, &recs, buf);
+        let sccdag = SccDag::new_in(f, &l, &pdg, &recs, buf);
         let ivs = ivs_noelle(f, &l, &recs);
         let invariants = invariants_noelle(f, &l, &pdg);
         let reds = reductions(f, &l, &sccdag);

@@ -26,7 +26,7 @@ use noelle_ir::loops::{LoopForest, LoopInfo};
 use noelle_ir::module::{FuncId, Function, Module};
 use noelle_pdg::callgraph::CallGraph;
 use noelle_pdg::depgraph::DepGraph;
-use noelle_pdg::pdg::{PdgBuilder, ProgramPdg};
+use noelle_pdg::pdg::{BuildBuffers, PdgBuilder, ProgramPdg};
 use noelle_store::{artifact, ArtifactKind, KeyCtx, Store};
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
@@ -426,6 +426,10 @@ pub struct Noelle {
     /// Durable artifact store, when attached. Misses consult it before
     /// recomputing; rebuilt artifacts are written back asynchronously.
     store: Option<Arc<Store>>,
+    /// The working storage of every partition and loop-abstraction build,
+    /// cleared by each and never shrunk: sized by the largest function
+    /// built so far.
+    buffers: BuildBuffers,
 }
 
 impl Noelle {
@@ -447,6 +451,7 @@ impl Noelle {
             build_stats: BTreeMap::new(),
             counters: FuncCacheCounters::default(),
             store: None,
+            buffers: BuildBuffers::default(),
         }
     }
 
@@ -804,11 +809,12 @@ impl Noelle {
         k: impl FnOnce(&Module, &PdgBuilder<'_>) -> R,
     ) -> R {
         let basic = BasicAlias::new(&self.module);
-        let mut tiers: Vec<&dyn AliasAnalysis> = vec![&basic];
-        if let (AliasTier::Full, Some(a)) = (self.tier, self.andersen.as_ref()) {
-            tiers.push(a);
-        }
-        let stack = AliasStack::new(tiers);
+        let full = self
+            .andersen
+            .as_ref()
+            .filter(|_| self.tier == AliasTier::Full);
+        let tiers: [&dyn AliasAnalysis; 2] = [&basic, full.map_or(&basic, |a| a)];
+        let stack = AliasStack::new(&tiers[..1 + usize::from(full.is_some())]);
         let builder = PdgBuilder::new_with_modref(&self.module, &stack, modref);
         k(&self.module, &builder)
     }
@@ -832,9 +838,11 @@ impl Noelle {
     /// byte-identical to what a build would see right now (a payload that
     /// fails to decode is a miss); only a partition that survived neither
     /// pays for the alias stack, so a fully warm start never solves
-    /// points-to. `ctx` is the caller's store-key context, filled on the
-    /// first miss: it hashes every function, so a caller asking for many
-    /// partitions shares one.
+    /// points-to. A build reads the CFG of the function's
+    /// [`FuncStructures`], built first if they are missing, and works in
+    /// the manager's buffers. `ctx` is the caller's store-key context,
+    /// filled on the first miss: it hashes every function, so a caller
+    /// asking for many partitions shares one.
     fn partition(&mut self, fid: FuncId, ctx: &mut Option<KeyCtx>) -> Arc<DepGraph<InstId>> {
         self.note(Abstraction::Pdg);
         if let Some(g) = self.slot(fid).partition.clone() {
@@ -860,7 +868,12 @@ impl Noelle {
                     self.ensure_andersen();
                 }
                 let modref = self.ensure_modref();
-                let g = Arc::new(self.with_stack(modref, |_, b| b.function_pdg(fid)));
+                self.cached_structures(fid);
+                let mut buf = std::mem::take(&mut self.buffers);
+                let cfg = &self.built_structures(fid).cfg;
+                let g = self.with_stack(modref, |_, b| b.function_pdg_in(fid, cfg, &mut buf));
+                self.buffers = buf;
+                let g = Arc::new(g);
                 self.counters.pdg_misses += 1;
                 if let Some((store, key)) = &keyed {
                     self.counters.store_misses += 1;
@@ -932,10 +945,16 @@ impl Noelle {
             });
             self.record_build(Abstraction::Ls, t.elapsed());
         }
+        self.built_structures(fid)
+    }
+
+    /// The structures of `fid` once [`Noelle::cached_structures`] has
+    /// ensured them, borrowing the manager only for reading.
+    fn built_structures(&self, fid: FuncId) -> &FuncStructures {
         self.slots[fid.index()]
             .structures
             .as_ref()
-            .expect("just ensured")
+            .expect("ensured by `cached_structures`")
     }
 
     /// Solve a data-flow problem over function `fid` with the engine (DFE),
@@ -950,11 +969,7 @@ impl Noelle {
     ) -> noelle_analysis::dfe::DataFlowResult {
         self.note(Abstraction::Dfe);
         self.structures(fid); // ensure the CFG is cached
-        let cfg = &self.slots[fid.index()]
-            .structures
-            .as_ref()
-            .expect("just ensured")
-            .cfg;
+        let cfg = &self.built_structures(fid).cfg;
         noelle_analysis::dfe::DataFlowEngine::new().solve(self.module.func(fid), cfg, problem)
     }
 
@@ -1006,9 +1021,11 @@ impl Noelle {
         let dom = Arc::clone(&self.cached_structures(fid).dom);
         let modref = self.ensure_modref();
         let t = Instant::now();
+        let mut buf = std::mem::take(&mut self.buffers);
         let la = self.with_stack(modref, |_, b| {
-            LoopAbstraction::build_with(b, fid, l, &fg, dom)
+            LoopAbstraction::build_with(b, fid, l, &fg, dom, &mut buf)
         });
+        self.buffers = buf;
         self.record_build(Abstraction::L, t.elapsed());
         la
     }

@@ -6,7 +6,7 @@ use std::collections::HashMap;
 
 /// Per-block lists of blocks, flattened: block `b`'s list is
 /// `blocks[off[b]..off[b + 1]]`.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub(crate) struct Adjacency {
     off: Vec<u32>,
     blocks: Vec<BlockId>,
@@ -19,25 +19,39 @@ impl Adjacency {
         n: usize,
         pairs: impl Iterator<Item = (usize, BlockId)> + Clone,
     ) -> Adjacency {
+        let mut lists = Adjacency::default();
+        lists.regroup(n, pairs);
+        lists
+    }
+
+    /// [`Adjacency::group`] in place, keeping the storage of the lists
+    /// this value held before.
+    pub(crate) fn regroup(
+        &mut self,
+        n: usize,
+        pairs: impl Iterator<Item = (usize, BlockId)> + Clone,
+    ) {
         // Counting sort: count into the slot above, prefix-sum into list
         // starts, fill with each start as the write cursor — which leaves it
         // at the list's end, the next list's start — and shift back.
-        let mut off = vec![0u32; n + 1];
+        let off = &mut self.off;
+        off.clear();
+        off.resize(n + 1, 0);
         for (at, _) in pairs.clone() {
             off[at + 1] += 1;
         }
         for b in 0..n {
             off[b + 1] += off[b];
         }
-        let mut blocks = vec![BlockId(0); off[n] as usize];
+        self.blocks.clear();
+        self.blocks.resize(off[n] as usize, BlockId(0));
         for (at, member) in pairs {
             let cursor = &mut off[at];
-            blocks[*cursor as usize] = member;
+            self.blocks[*cursor as usize] = member;
             *cursor += 1;
         }
         off.rotate_right(1);
         off[0] = 0;
-        Adjacency { off, blocks }
     }
 
     /// The list of `b`; empty for a block the lists were not sized for.

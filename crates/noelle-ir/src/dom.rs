@@ -16,14 +16,23 @@ const NONE: u32 = u32::MAX;
 /// Cooper–Harvey–Kennedy "engineered" iterative dominator algorithm over a
 /// graph of `n` nodes given by its predecessors (`for_each_pred(b, visit)`
 /// calls `visit` on each one of `b`) and a reverse postorder (`rpo[0]` must
-/// be the start node). Returns the immediate dominator of each node: the
-/// start node is its own, nodes outside `rpo` have [`NONE`].
-fn chk_idoms(rpo: &[u32], for_each_pred: impl Fn(u32, &mut dyn FnMut(u32)), n: usize) -> Vec<u32> {
-    let mut rpo_pos = vec![NONE; n];
+/// be the start node). Leaves the immediate dominator of each node in
+/// `idom`: the start node is its own, nodes outside `rpo` have [`NONE`].
+/// `rpo_pos` is scratch; both keep their storage.
+fn chk_idoms(
+    rpo: &[u32],
+    for_each_pred: impl Fn(u32, &mut dyn FnMut(u32)),
+    n: usize,
+    idom: &mut Vec<u32>,
+    rpo_pos: &mut Vec<u32>,
+) {
+    rpo_pos.clear();
+    rpo_pos.resize(n, NONE);
     for (i, &b) in rpo.iter().enumerate() {
         rpo_pos[b as usize] = i as u32;
     }
-    let mut idom = vec![NONE; n];
+    idom.clear();
+    idom.resize(n, NONE);
     let start = rpo[0];
     idom[start as usize] = start;
 
@@ -49,7 +58,7 @@ fn chk_idoms(rpo: &[u32], for_each_pred: impl Fn(u32, &mut dyn FnMut(u32)), n: u
                 if rpo_pos[p as usize] != NONE && idom[p as usize] != NONE {
                     new_idom = match new_idom {
                         NONE => p,
-                        cur => intersect(&idom, cur, p),
+                        cur => intersect(idom, cur, p),
                     };
                 }
             });
@@ -59,12 +68,11 @@ fn chk_idoms(rpo: &[u32], for_each_pred: impl Fn(u32, &mut dyn FnMut(u32)), n: u
             }
         }
     }
-    idom
 }
 
 /// Shared representation for dominator-style trees: flat tables over node
 /// indices (a block's arena index; the post-dominator tree adds one node).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 struct TreeCore {
     /// Immediate dominator of each node; the root maps to itself, nodes
     /// outside the tree to [`NONE`].
@@ -77,40 +85,39 @@ struct TreeCore {
 }
 
 impl TreeCore {
-    fn build(root: u32, idom: Vec<u32>) -> TreeCore {
+    /// Derive the children and the DFS numbering from `idom`, in place;
+    /// `stack` is scratch.
+    fn number(&mut self, root: u32, stack: &mut Vec<(u32, bool)>) {
+        let idom = &self.idom;
         let n = idom.len();
         let in_tree = |b: usize| idom[b] != NONE && idom[b] != b as u32;
         // Naming the nodes in ascending order leaves every child list
         // ascending.
-        let children = Adjacency::group(
+        self.children.regroup(
             n,
             (0..n)
                 .filter(|&b| in_tree(b))
                 .map(|b| (idom[b] as usize, BlockId(b as u32))),
         );
-        let mut core = TreeCore {
-            idom,
-            children,
-            dfs: vec![(NONE, NONE); n],
-        };
+        self.dfs.clear();
+        self.dfs.resize(n, (NONE, NONE));
         // Iterative DFS to number the tree.
         let mut counter = 0u32;
-        let mut stack = Vec::with_capacity(n);
+        stack.clear();
         stack.push((root, false));
         while let Some((b, done)) = stack.pop() {
             if done {
-                core.dfs[b as usize].1 = counter;
+                self.dfs[b as usize].1 = counter;
                 counter += 1;
                 continue;
             }
-            core.dfs[b as usize].0 = counter;
+            self.dfs[b as usize].0 = counter;
             counter += 1;
             stack.push((b, true));
-            for c in core.children.of(BlockId(b)).iter().rev() {
+            for c in self.children.of(BlockId(b)).iter().rev() {
                 stack.push((c.0, false));
             }
         }
-        core
     }
 
     /// The immediate dominator of `b`, when `b` is in the tree and not its
@@ -143,9 +150,11 @@ impl DomTree {
         let preds = |b: u32, visit: &mut dyn FnMut(u32)| {
             cfg.preds(BlockId(b)).iter().for_each(|p| visit(p.0));
         };
-        let idoms = chk_idoms(&rpo, preds, f.num_blocks());
+        let mut core = TreeCore::default();
+        chk_idoms(&rpo, preds, f.num_blocks(), &mut core.idom, &mut Vec::new());
+        core.number(f.entry().0, &mut Vec::new());
         DomTree {
-            core: TreeCore::build(f.entry().0, idoms),
+            core,
             root: f.entry(),
         }
     }
@@ -182,73 +191,117 @@ impl DomTree {
 /// A virtual exit node joins all exit blocks (and a representative of every
 /// infinite loop, so functions with endless loops — which the COOS custom
 /// tool must handle — still get a total post-dominance relation).
-#[derive(Clone, Debug)]
+///
+/// The default value is the tree of no function: every query answers
+/// `None` or `false`. [`PostDomTree::rebuild`] makes a tree the tree of
+/// another function in place, in the storage it already holds, so a tree
+/// kept by a caller that builds many (the PDG build's buffers) allocates
+/// only for a function larger than any before.
+#[derive(Clone, Debug, Default)]
 pub struct PostDomTree {
     core: TreeCore,
     /// Node index of the virtual exit, the tree's root: one past the blocks.
     virtual_exit: u32,
     /// The blocks directly attached to the virtual exit.
     virtual_exit_preds: Vec<BlockId>,
+    /// The working storage of [`PostDomTree::rebuild`].
+    scratch: PostDomScratch,
+}
+
+/// What [`PostDomTree::rebuild`] works in, kept between rebuilds.
+#[derive(Clone, Debug, Default)]
+struct PostDomScratch {
+    /// Per block: can reach an exit; then, visited by the reverse walk.
+    marks: Vec<bool>,
+    /// Per block: attached to the virtual exit.
+    tied: Vec<bool>,
+    /// Blocks waiting in the backward walk from the exits.
+    work: Vec<BlockId>,
+    /// Reverse postorder of the reversed graph.
+    post: Vec<u32>,
+    /// The reverse walk's `(node, next successor)` stack.
+    walk: Vec<(u32, usize)>,
+    /// `chk_idoms`' reverse-postorder positions.
+    rpo_pos: Vec<u32>,
+    /// The tree numbering's DFS stack.
+    number: Vec<(u32, bool)>,
 }
 
 impl PostDomTree {
     /// Build the post-dominator tree from a CFG.
     pub fn new(f: &Function, cfg: &Cfg) -> PostDomTree {
+        let mut tree = PostDomTree::default();
+        tree.rebuild(f, cfg);
+        tree
+    }
+
+    /// Make this the post-dominator tree of `f`, whose CFG is `cfg`,
+    /// reusing the storage the tree holds.
+    pub fn rebuild(&mut self, f: &Function, cfg: &Cfg) {
         let n = f.num_blocks();
         // Node numbering: 0..n for blocks, n for the virtual exit.
         let vexit = n as u32;
-        let mut exits = cfg.exit_blocks();
+        let s = &mut self.scratch;
+        let exits = &mut self.virtual_exit_preds;
+        exits.clear();
+        exits.extend(cfg.rpo.iter().filter(|&&b| cfg.succs(b).is_empty()));
 
         // Blocks that cannot reach an exit (infinite loops): walk backwards
         // from exits; anything reachable-from-entry but not in that set needs
         // a tether to the virtual exit.
-        let mut can_exit = vec![false; n];
-        let mut work = exits.clone();
-        while let Some(b) = work.pop() {
+        let can_exit = &mut s.marks;
+        can_exit.clear();
+        can_exit.resize(n, false);
+        s.work.clear();
+        s.work.extend_from_slice(exits);
+        while let Some(b) = s.work.pop() {
             if !std::mem::replace(&mut can_exit[b.index()], true) {
-                work.extend_from_slice(cfg.preds(b));
+                s.work.extend_from_slice(cfg.preds(b));
             }
         }
         // One tether per endless region is enough, but tethering each
         // non-exiting block is simpler and still sound (it only weakens
         // post-dominance inside the endless region).
         exits.extend(cfg.rpo.iter().filter(|b| !can_exit[b.index()]));
-        let mut tied = vec![false; n];
-        for b in &exits {
-            tied[b.index()] = true;
+        s.tied.clear();
+        s.tied.resize(n, false);
+        for b in exits.iter() {
+            s.tied[b.index()] = true;
         }
 
         // Reverse postorder of the reversed graph, starting at the virtual
         // exit, whose successors there are the blocks tied to it; a block's
         // are its reachable CFG predecessors.
+        let exits: &[BlockId] = exits;
         let rsuccs = |node: u32| -> &[BlockId] {
             if node == vexit {
-                &exits
+                exits
             } else {
                 cfg.preds(BlockId(node))
             }
         };
-        let mut post: Vec<u32> = Vec::with_capacity(cfg.rpo.len() + 1);
-        let mut visited = can_exit; // the table, reused
+        let visited = &mut s.marks; // the table, reused
         visited.fill(false);
-        let mut stack: Vec<(u32, usize)> = Vec::with_capacity(cfg.rpo.len() + 1);
-        stack.push((vexit, 0));
-        while let Some(&mut (node, ref mut next)) = stack.last_mut() {
-            if let Some(&s) = rsuccs(node).get(*next) {
+        s.post.clear();
+        s.walk.clear();
+        s.walk.push((vexit, 0));
+        while let Some(&mut (node, ref mut next)) = s.walk.last_mut() {
+            if let Some(&b) = rsuccs(node).get(*next) {
                 *next += 1;
-                if cfg.is_reachable(s) && !std::mem::replace(&mut visited[s.index()], true) {
-                    stack.push((s.0, 0));
+                if cfg.is_reachable(b) && !std::mem::replace(&mut visited[b.index()], true) {
+                    s.walk.push((b.0, 0));
                 }
             } else {
-                post.push(node);
-                stack.pop();
+                s.post.push(node);
+                s.walk.pop();
             }
         }
-        post.reverse();
+        s.post.reverse();
 
         // Predecessors in the reversed graph: a block's CFG successors, and
         // the virtual exit for the blocks tied to it (the reversed direction
         // of the conceptual `exit -> vexit` edge).
+        let tied = &s.tied;
         let rpreds = |b: u32, visit: &mut dyn FnMut(u32)| {
             if b != vexit {
                 cfg.succs(BlockId(b)).iter().for_each(|s| visit(s.0));
@@ -257,12 +310,9 @@ impl PostDomTree {
                 }
             }
         };
-        let idoms = chk_idoms(&post, rpreds, n + 1);
-        PostDomTree {
-            core: TreeCore::build(vexit, idoms),
-            virtual_exit: vexit,
-            virtual_exit_preds: exits,
-        }
+        chk_idoms(&s.post, rpreds, n + 1, &mut self.core.idom, &mut s.rpo_pos);
+        self.core.number(vexit, &mut s.number);
+        self.virtual_exit = vexit;
     }
 
     /// The immediate post-dominator of `b` (`None` if `b` is only
@@ -290,7 +340,15 @@ impl PostDomTree {
     /// on every call, so whatever is derived from them in order (the PDG's
     /// control edges) is reproducible.
     pub fn control_dependences(&self, cfg: &Cfg) -> Vec<(BlockId, BlockId)> {
-        let mut pairs: Vec<(BlockId, BlockId)> = Vec::new();
+        let mut pairs = Vec::new();
+        self.control_dependences_into(cfg, &mut pairs);
+        pairs
+    }
+
+    /// [`PostDomTree::control_dependences`] into `pairs`, which is cleared
+    /// first and keeps its storage.
+    pub fn control_dependences_into(&self, cfg: &Cfg, pairs: &mut Vec<(BlockId, BlockId)>) {
+        pairs.clear();
         for &a in &cfg.rpo {
             let succs = cfg.succs(a);
             if succs.len() < 2 {
@@ -313,7 +371,6 @@ impl PostDomTree {
         }
         pairs.sort_unstable();
         pairs.dedup();
-        pairs
     }
 }
 
@@ -427,9 +484,41 @@ mod tests {
         let _ = pdt.postdominates(spin, entry);
     }
 
+    /// A tree rebuilt in place over functions of every size, larger and
+    /// then smaller, answers what a fresh build of each does.
     #[test]
-    fn nested_if_dominance() {
-        // entry -> a | d ; a -> b | c ; b,c -> m ; m,d -> join
+    fn a_rebuilt_tree_answers_as_a_fresh_one() {
+        let mut spin = FunctionBuilder::new("spin", vec![], Type::Void);
+        let (entry, body) = (spin.entry_block(), spin.block("spin"));
+        spin.switch_to(entry);
+        spin.br(body);
+        spin.switch_to(body);
+        spin.br(body);
+        let funcs = [diamond(), nested_ifs(), spin.finish(), diamond()];
+        let mut reused = PostDomTree::default();
+        let mut pairs = vec![(BlockId(9), BlockId(9))];
+        for f in &funcs {
+            let cfg = Cfg::new(f);
+            let fresh = PostDomTree::new(f, &cfg);
+            reused.rebuild(f, &cfg);
+            reused.control_dependences_into(&cfg, &mut pairs);
+            assert_eq!(pairs, fresh.control_dependences(&cfg), "{}", f.name);
+            assert_eq!(reused.virtual_exit_preds(), fresh.virtual_exit_preds());
+            for a in f.block_order() {
+                assert_eq!(reused.ipostdom(*a), fresh.ipostdom(*a), "{}", f.name);
+                for b in f.block_order() {
+                    let both = [&reused, &fresh].map(|t| t.postdominates(*a, *b));
+                    assert_eq!(both[0], both[1], "{}: {a:?} {b:?}", f.name);
+                }
+            }
+        }
+        // Beyond the last function's blocks, nothing is left behind.
+        assert_eq!(reused.ipostdom(BlockId(5)), None);
+        assert!(!reused.postdominates(BlockId(5), BlockId(5)));
+    }
+
+    /// entry -> a | d ; a -> b | c ; b,c -> m ; m,d -> join
+    fn nested_ifs() -> Function {
         let mut bd =
             FunctionBuilder::new("f", vec![("c1", Type::I1), ("c2", Type::I1)], Type::Void);
         let entry = bd.entry_block();
@@ -453,7 +542,13 @@ mod tests {
         bd.br(join);
         bd.switch_to(join);
         bd.ret(None);
-        let f = bd.finish();
+        bd.finish()
+    }
+
+    #[test]
+    fn nested_if_dominance() {
+        let f = nested_ifs();
+        let [entry, a, b, c, m, d, join] = [0, 1, 2, 3, 4, 5, 6].map(BlockId);
         let cfg = Cfg::new(&f);
         let dt = DomTree::new(&f, &cfg);
         assert_eq!(dt.idom(m), Some(a));

@@ -28,7 +28,9 @@ const HOLE: Place = Place {
 
 /// The [`Place`] of every instruction of one function, by arena index.
 /// Ids that were removed from their block, or never listed in one, are
-/// holes: they have no place.
+/// holes: they have no place. The default value is the index of no
+/// function: every id is a hole.
+#[derive(Default)]
 pub struct LayoutIndex {
     places: Vec<Place>,
 }
@@ -36,7 +38,17 @@ pub struct LayoutIndex {
 impl LayoutIndex {
     /// Index `f` as it is laid out right now.
     pub fn new(f: &Function) -> LayoutIndex {
-        let mut places = vec![HOLE; f.inst_arena_len()];
+        let mut index = LayoutIndex::default();
+        index.rebuild(f);
+        index
+    }
+
+    /// Make this the index of `f` as it is laid out right now, reusing the
+    /// table this index held.
+    pub fn rebuild(&mut self, f: &Function) {
+        let places = &mut self.places;
+        places.clear();
+        places.resize(f.inst_arena_len(), HOLE);
         for (rank, &b) in f.block_order().iter().enumerate() {
             for (pos, &id) in f.block(b).insts.iter().enumerate() {
                 places[id.index()] = Place {
@@ -45,7 +57,6 @@ impl LayoutIndex {
                 };
             }
         }
-        LayoutIndex { places }
     }
 
     /// The place of `id`; `None` when it is detached.

@@ -404,25 +404,31 @@ impl<N: Node> DepGraph<N> {
 
     /// The edges with an endpoint in `region`, in edge-list order, gathered
     /// through the index — O(|region| · degree) instead of a scan of every
-    /// edge.
-    pub(crate) fn edges_touching(
-        &self,
+    /// edge. Their ids are collected in `ids`, which is cleared first and
+    /// keeps its storage.
+    pub(crate) fn edges_touching<'s>(
+        &'s self,
         region: impl IntoIterator<Item = N>,
-    ) -> impl ExactSizeIterator<Item = &DepEdge<N>> + '_ {
-        let mut touching: Vec<EdgeId> = Vec::new();
+        ids: &'s mut Vec<EdgeId>,
+    ) -> impl ExactSizeIterator<Item = &'s DepEdge<N>> + 's {
+        ids.clear();
         for n in region {
-            touching.extend_from_slice(self.out_ids(n));
-            touching.extend_from_slice(self.in_ids(n));
+            ids.extend_from_slice(self.out_ids(n));
+            ids.extend_from_slice(self.in_ids(n));
         }
-        touching.sort_unstable();
-        touching.dedup();
-        touching.into_iter().map(|id| &self.edges[id.0 as usize])
+        ids.sort_unstable();
+        ids.dedup();
+        ids.iter().map(|id| &self.edges[id.0 as usize])
     }
 
     /// Build the sub-graph over `keep`: kept nodes become internal; nodes
     /// outside `keep` that touch a crossing edge become external.
     pub fn subgraph(&self, keep: &BTreeSet<N>) -> DepGraph<N> {
-        let edges = self.edges_touching(keep.iter().copied()).copied().collect();
+        let mut ids = Vec::new();
+        let edges = self
+            .edges_touching(keep.iter().copied(), &mut ids)
+            .copied()
+            .collect();
         DepGraph::from_edges(keep.iter().copied(), edges)
     }
 

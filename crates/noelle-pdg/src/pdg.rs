@@ -10,7 +10,8 @@
 //! analyses to refine the dependences included in the PDG for the specific
 //! loop in-question").
 
-use crate::depgraph::{DataDepKind, DepEdge, DepGraph, EdgeAttrs};
+use crate::depgraph::{DataDepKind, DepEdge, DepGraph, EdgeAttrs, EdgeId};
+use crate::sccdag::SccScratch;
 use noelle_analysis::alias::{
     sorted_disjoint, AliasAnalysis, AliasResult, BaseObjects, MemoryObject,
 };
@@ -45,6 +46,7 @@ struct Access {
 
 /// Two accesses `a < b` (indices into the function's access list) that
 /// depend on each other through memory, and in which directions.
+#[derive(Clone, Copy, Default)]
 struct Conflict {
     a: u32,
     b: u32,
@@ -93,11 +95,66 @@ impl Conflict {
     }
 }
 
+/// The working storage of PDG partition and loop-abstraction builds: every
+/// temporary table a build fills and drops, the post-dominator tree and
+/// Tarjan's state included.
+///
+/// The caller owns the buffers. Every build clears what it uses before it
+/// reads it and never shrinks it, so a caller that keeps one set — the
+/// `Noelle` manager does, for every partition and loop abstraction it
+/// builds — allocates temporaries only for a function larger than any
+/// before, and the set is bounded by the largest function built. Nothing
+/// one build leaves in them reaches the next. The entry points without a
+/// buffer parameter ([`PdgBuilder::function_pdg`],
+/// [`PdgBuilder::loop_pdg_with`], [`crate::sccdag::SccDag::new`]) run the
+/// same code on a fresh set.
+#[derive(Default)]
+pub struct BuildBuffers {
+    /// The function's instructions, in layout order.
+    insts: Vec<InstId>,
+    /// Where each of them sits: the function's, or the loop's function's.
+    layout: LayoutIndex,
+    /// Its memory accesses, in the same order.
+    mem: Vec<Access>,
+    /// The distinct pointer operands of `mem`, ascending: a pointer's id
+    /// is its rank.
+    ptrs: Vec<Value>,
+    /// `(pointer id, access)`, ascending: the accesses by pointer group.
+    by_group: Vec<(u32, u32)>,
+    /// `(object, pointer id)`: the base-object buckets.
+    bucketed: Vec<(MemoryObject, u32)>,
+    /// The pointer pairs the alias stack is asked about.
+    pairs: Vec<(u32, u32)>,
+    /// The alias stack's buffers.
+    objs: BaseObjects,
+    /// The conflicting access pairs: as found, then in `(a, b)` order.
+    conflicts: Vec<Conflict>,
+    /// The counting sort's output, swapped with `conflicts`.
+    sorted: Vec<Conflict>,
+    /// The counting sort's bucket cursors, one per access and one more.
+    starts: Vec<u32>,
+    /// The function's post-dominator tree, rebuilt in place.
+    pdt: PostDomTree,
+    /// `(dependent, controlling)` block pairs.
+    control: Vec<(BlockId, BlockId)>,
+    /// A loop's instructions, ascending.
+    loop_insts: Vec<InstId>,
+    /// The same set, as a mark per arena index.
+    in_loop: Vec<bool>,
+    /// The function-graph edges that touch the loop.
+    touching: Vec<EdgeId>,
+    /// `(min, max, must)` per conflicting pair of loop accesses.
+    loop_conflicts: Vec<(InstId, InstId, bool)>,
+    /// Tarjan's walk over the loop graph.
+    pub(crate) scc: SccScratch,
+}
+
 /// Builds PDGs for one module against a chosen alias-analysis stack.
 ///
 /// The builder is `Sync` (the module and alias stack are immutable, the
 /// mod/ref summaries shared through an `Arc`) and holds no state between
-/// calls.
+/// calls: a build's working storage is the [`BuildBuffers`] its caller
+/// passes.
 pub struct PdgBuilder<'a> {
     module: &'a Module,
     alias: &'a dyn AliasAnalysis,
@@ -172,13 +229,17 @@ impl<'a> PdgBuilder<'a> {
     }
 
     /// Build the whole-program PDG: one independent graph per defined
-    /// function.
+    /// function, every build in one set of buffers.
     pub fn program_pdg(&self) -> ProgramPdg {
+        let mut buf = BuildBuffers::default();
         let per_function = self
             .module
             .func_ids()
             .filter(|&fid| !self.module.func(fid).is_declaration())
-            .map(|fid| (fid, Arc::new(self.function_pdg(fid))))
+            .map(|fid| {
+                let cfg = Cfg::new(self.module.func(fid));
+                (fid, Arc::new(self.function_pdg_in(fid, &cfg, &mut buf)))
+            })
             .collect();
         ProgramPdg { per_function }
     }
@@ -240,7 +301,8 @@ impl<'a> PdgBuilder<'a> {
     }
 
     /// The unordered pointer pairs `(p, q)`, `p <= q`, that base-object
-    /// bucketing cannot rule out, ascending, as ids into `ptrs`.
+    /// bucketing cannot rule out, ascending, as ids into `ptrs`, into
+    /// `pairs`; `bucketed` is scratch.
     ///
     /// Pointers are grouped by the abstract objects they may address
     /// ([`AliasAnalysis::base_objects`], asked once per pointer); only pairs
@@ -254,9 +316,11 @@ impl<'a> PdgBuilder<'a> {
         fid: FuncId,
         ptrs: &[Value],
         objs: &mut BaseObjects,
-    ) -> Vec<(u32, u32)> {
-        let mut bucketed: Vec<(MemoryObject, u32)> = Vec::with_capacity(ptrs.len());
-        let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(2 * ptrs.len());
+        bucketed: &mut Vec<(MemoryObject, u32)>,
+        pairs: &mut Vec<(u32, u32)>,
+    ) {
+        bucketed.clear();
+        pairs.clear();
         for (p, &ptr) in ptrs.iter().enumerate() {
             let p = p as u32;
             if self.alias.base_objects(fid, ptr, objs) && !objs.objects().is_empty() {
@@ -273,16 +337,17 @@ impl<'a> PdgBuilder<'a> {
         }
         pairs.sort_unstable();
         pairs.dedup();
-        pairs
     }
 
-    /// All unordered pointer pairs — the pre-bucketing reference enumeration.
-    fn all_pointer_pairs(n: u32) -> Vec<(u32, u32)> {
-        (0..n).flat_map(|p| (p..n).map(move |q| (p, q))).collect()
+    /// All unordered pointer pairs — the pre-bucketing reference
+    /// enumeration — into `pairs`.
+    fn all_pointer_pairs(n: u32, pairs: &mut Vec<(u32, u32)>) {
+        pairs.clear();
+        pairs.extend((0..n).flat_map(|p| (p..n).map(move |q| (p, q))));
     }
 
-    /// The pairs of accesses that depend on each other, ascending by
-    /// `(a, b)`.
+    /// The pairs of accesses of `buf.mem` that depend on each other,
+    /// ascending by `(a, b)`, into `buf.conflicts`.
     ///
     /// Works on interned pointers: the distinct pointer operands of `mem`
     /// get dense ids once, the accesses are sorted into groups by them, and
@@ -292,44 +357,54 @@ impl<'a> PdgBuilder<'a> {
     /// makes candidates of every access pair over the two pointers, `must`
     /// recording `Must`. Accesses without a pointer — calls, I/O — are not
     /// disambiguated: each pairs with every other access.
-    fn conflicts(&self, fid: FuncId, mem: &[Access], all_pairs: bool) -> Vec<Conflict> {
+    fn conflicts(&self, fid: FuncId, buf: &mut BuildBuffers, all_pairs: bool) {
+        let BuildBuffers {
+            mem,
+            ptrs,
+            by_group,
+            bucketed,
+            pairs,
+            objs,
+            conflicts,
+            sorted,
+            starts,
+            ..
+        } = buf;
         // Pointer ids ascend as the values do, so `(p, q)` with `p <= q` is
         // also the `(min, max)` order `alias` is asked in.
-        let mut ptrs: Vec<Value> = mem.iter().filter_map(|a| a.effect.ptr).collect();
+        ptrs.clear();
+        ptrs.extend(mem.iter().filter_map(|a| a.effect.ptr));
         ptrs.sort_unstable();
         ptrs.dedup();
         // The accesses by group, each group ascending: group `g` holds the
         // accesses through `ptrs[g]`; the last one, those with no pointer.
-        let mut by_group: Vec<(u32, u32)> = mem
-            .iter()
-            .zip(0..)
-            .map(|(a, i)| match a.effect.ptr {
-                Some(p) => (ptrs.binary_search(&p).expect("interned above") as u32, i),
-                None => (ptrs.len() as u32, i),
-            })
-            .collect();
+        by_group.clear();
+        by_group.extend(mem.iter().zip(0..).map(|(a, i)| match a.effect.ptr {
+            Some(p) => (ptrs.binary_search(&p).expect("interned above") as u32, i),
+            None => (ptrs.len() as u32, i),
+        }));
         by_group.sort_unstable();
+        let by_group = &*by_group;
         let uses = |g: u32| {
             let lo = by_group.partition_point(|&(h, _)| h < g);
             let len = by_group[lo..].partition_point(|&(h, _)| h == g);
             &by_group[lo..lo + len]
         };
 
-        // The buffers of every alias question this build asks.
-        let mut scratch = BaseObjects::new();
-        let pointer_pairs = if all_pairs {
-            PdgBuilder::all_pointer_pairs(ptrs.len() as u32)
+        if all_pairs {
+            PdgBuilder::all_pointer_pairs(ptrs.len() as u32, pairs);
         } else {
-            self.candidate_pointer_pairs(fid, &ptrs, &mut scratch)
-        };
-        let mut conflicts: Vec<Conflict> = Vec::with_capacity(4 * mem.len());
-        for (p, q) in pointer_pairs {
+            self.candidate_pointer_pairs(fid, ptrs, objs, bucketed, pairs);
+        }
+        conflicts.clear();
+        conflicts.reserve(4 * mem.len());
+        for &(p, q) in pairs.iter() {
             let (through_p, through_q) = (uses(p), uses(q));
             if p == q && through_p.len() < 2 {
                 continue;
             }
             let (a, b) = (ptrs[p as usize], ptrs[q as usize]);
-            let must = match self.alias.alias_in(fid, a, b, &mut scratch) {
+            let must = match self.alias.alias_in(fid, a, b, objs) {
                 AliasResult::No => continue,
                 verdict => verdict == AliasResult::Must,
             };
@@ -344,14 +419,50 @@ impl<'a> PdgBuilder<'a> {
                 (0..mem.len() as u32).filter(|&j| mem[j as usize].effect.ptr.is_some() || j > i);
             conflicts.extend(others.filter_map(|j| Conflict::of(mem, i, j, false)));
         }
-        conflicts.sort_unstable_by_key(|c| (u64::from(c.a) << 32) | u64::from(c.b));
-        conflicts
+        // A counting sort on `a`, then each run by `b`: the `(a, b)` keys
+        // are unique, so this is the order a comparison sort of the whole
+        // list gives, without comparing across runs.
+        starts.clear();
+        starts.resize(mem.len() + 1, 0);
+        for c in conflicts.iter() {
+            starts[c.a as usize + 1] += 1;
+        }
+        for i in 0..mem.len() {
+            starts[i + 1] += starts[i];
+        }
+        sorted.clear();
+        sorted.resize(conflicts.len(), Conflict::default());
+        for c in conflicts.iter() {
+            let cursor = &mut starts[c.a as usize];
+            sorted[*cursor as usize] = *c;
+            *cursor += 1;
+        }
+        // Each cursor now ends its run, which the previous one starts.
+        let mut lo = 0;
+        for &hi in &starts[..mem.len()] {
+            sorted[lo..hi as usize].sort_unstable_by_key(|c| c.b);
+            lo = hi as usize;
+        }
+        std::mem::swap(conflicts, sorted);
     }
 
     /// Build the dependence graph of one function (all instructions
     /// internal), enumerating pointer pairs through base-object bucketing.
     pub fn function_pdg(&self, fid: FuncId) -> DepGraph<InstId> {
-        self.function_pdg_impl(fid, false)
+        let cfg = Cfg::new(self.module.func(fid));
+        self.function_pdg_in(fid, &cfg, &mut BuildBuffers::default())
+    }
+
+    /// [`PdgBuilder::function_pdg`] over the function's CFG `cfg`, which
+    /// the caller already holds, working in `buf`: every temporary of the
+    /// build comes out of the buffers, and what it allocates is the graph.
+    pub fn function_pdg_in(
+        &self,
+        fid: FuncId,
+        cfg: &Cfg,
+        buf: &mut BuildBuffers,
+    ) -> DepGraph<InstId> {
+        self.function_pdg_impl(fid, cfg, buf, false)
     }
 
     /// Reference build examining every pointer pair — the oracle
@@ -359,38 +470,51 @@ impl<'a> PdgBuilder<'a> {
     /// (the `test-support` feature).
     #[cfg(any(test, feature = "test-support"))]
     pub fn function_pdg_allpairs(&self, fid: FuncId) -> DepGraph<InstId> {
-        self.function_pdg_impl(fid, true)
+        let cfg = Cfg::new(self.module.func(fid));
+        self.function_pdg_impl(fid, &cfg, &mut BuildBuffers::default(), true)
     }
 
-    fn function_pdg_impl(&self, fid: FuncId, all_pairs: bool) -> DepGraph<InstId> {
+    fn function_pdg_impl(
+        &self,
+        fid: FuncId,
+        cfg: &Cfg,
+        buf: &mut BuildBuffers,
+        all_pairs: bool,
+    ) -> DepGraph<InstId> {
         let f = self.module.func(fid);
-        let cfg = Cfg::new(f);
-        let layout = LayoutIndex::new(f);
-        let inst_ids = f.inst_ids();
+        buf.layout.rebuild(f);
+        let layout = &buf.layout;
+        buf.insts.clear();
+        for &b in f.block_order() {
+            buf.insts.extend_from_slice(&f.block(b).insts);
+        }
 
         // One pass over the body finds the memory accesses and counts the
         // register dependences: with the other two kinds counted below, the
         // edge list is reserved once, at its final size.
-        let mut mem: Vec<Access> = Vec::with_capacity(inst_ids.len() / 2);
+        buf.mem.clear();
         let mut n_register = 0;
-        for &inst in &inst_ids {
+        for &inst in &buf.insts {
             f.inst(inst)
                 .for_each_operand(|op| n_register += usize::from(matches!(op, Value::Inst(_))));
-            mem.extend(self.mem_effect(f, inst).map(|effect| Access {
-                inst,
-                effect,
-                place: layout.place(inst).expect("listed in a block"),
-            }));
+            buf.mem
+                .extend(self.mem_effect(f, inst).map(|effect| Access {
+                    inst,
+                    effect,
+                    place: layout.place(inst).expect("listed in a block"),
+                }));
         }
 
         // Control dependences: dependent block's instructions depend on the
         // controlling block's terminator.
-        let control = PostDomTree::new(f, &cfg).control_dependences(&cfg);
+        buf.pdt.rebuild(f, cfg);
+        buf.pdt.control_dependences_into(cfg, &mut buf.control);
         let controlled = |&(dependent, ctrl): &(BlockId, BlockId)| {
             let insts = &f.block(dependent).insts;
             f.terminator_id(ctrl).map(|term| (term, insts))
         };
-        let n_control: usize = control
+        let n_control: usize = buf
+            .control
             .iter()
             .filter_map(controlled)
             .map(|(_, insts)| insts.len())
@@ -400,14 +524,15 @@ impl<'a> PdgBuilder<'a> {
         // The graph is the memo of this call's alias verdicts that outlives
         // it: a memory edge between two accesses records "not `No`", its
         // `must` flag records `Must` (see `loop_pdg_with`).
-        let conflicts = self.conflicts(fid, &mem, all_pairs);
-        let n_memory: usize = conflicts.iter().map(|c| c.edges(&mem).count()).sum();
+        self.conflicts(fid, buf, all_pairs);
+        let (mem, conflicts) = (&buf.mem, &buf.conflicts);
+        let n_memory: usize = conflicts.iter().map(|c| c.edges(mem).count()).sum();
 
         // The edge list's order is the graph's edge order, which `EdgeId`s,
         // the wire JSON and the store bytes key on: register, control,
         // memory.
         let mut edges: Vec<DepEdge<InstId>> = Vec::with_capacity(n_register + n_control + n_memory);
-        for &id in &inst_ids {
+        for &id in &buf.insts {
             f.inst(id).for_each_operand(|op| {
                 if let Value::Inst(def) = op {
                     edges.push(DepEdge {
@@ -418,7 +543,7 @@ impl<'a> PdgBuilder<'a> {
                 }
             });
         }
-        for (term, insts) in control.iter().filter_map(controlled) {
+        for (term, insts) in buf.control.iter().filter_map(controlled) {
             let attrs = EdgeAttrs::control();
             edges.extend(insts.iter().map(|&dst| DepEdge {
                 src: term,
@@ -426,9 +551,9 @@ impl<'a> PdgBuilder<'a> {
                 attrs,
             }));
         }
-        edges.extend(conflicts.iter().flat_map(|c| c.edges(&mem)));
+        edges.extend(conflicts.iter().flat_map(|c| c.edges(mem)));
         debug_assert_eq!(edges.len(), n_register + n_control + n_memory);
-        DepGraph::from_edges(inst_ids, edges)
+        DepGraph::from_edges(buf.insts.iter().copied(), edges)
     }
 
     /// Memory dependences that cross a function boundary: every ordered pair
@@ -515,16 +640,39 @@ impl<'a> PdgBuilder<'a> {
         function_graph: &DepGraph<InstId>,
         recs: &[AddRec],
     ) -> DepGraph<InstId> {
+        self.loop_pdg_in(fid, l, function_graph, recs, &mut BuildBuffers::default())
+    }
+
+    /// [`PdgBuilder::loop_pdg_with`] working in `buf`: the loop's
+    /// instructions and marks, the ids of the edges that touch it, its
+    /// conflicting pairs and the body order live there.
+    pub fn loop_pdg_in(
+        &self,
+        fid: FuncId,
+        l: &LoopInfo,
+        function_graph: &DepGraph<InstId>,
+        recs: &[AddRec],
+        buf: &mut BuildBuffers,
+    ) -> DepGraph<InstId> {
         let f = self.module.func(fid);
+        let BuildBuffers {
+            layout,
+            loop_insts,
+            in_loop,
+            touching,
+            loop_conflicts: conflicts,
+            ..
+        } = buf;
         // The loop's instructions, ascending, and the same set as a mark per
         // arena index.
-        let mut loop_insts: Vec<InstId> = Vec::new();
+        loop_insts.clear();
         for &b in f.block_order().iter().filter(|&&b| l.contains(b)) {
             loop_insts.extend_from_slice(&f.block(b).insts);
         }
         loop_insts.sort_unstable();
-        let mut in_loop = vec![false; f.inst_arena_len()];
-        for id in &loop_insts {
+        in_loop.clear();
+        in_loop.resize(f.inst_arena_len(), false);
+        for id in loop_insts.iter() {
             in_loop[id.index()] = true;
         }
         let in_loop = |id: InstId| in_loop.get(id.index()).is_some_and(|&marked| marked);
@@ -533,9 +681,9 @@ impl<'a> PdgBuilder<'a> {
         // their order there. The memory edges between loop instructions are
         // not copied: they are read as the pair's alias verdict (unordered
         // pair -> must) and re-derived below with iteration awareness.
-        let touching = function_graph.edges_touching(loop_insts.iter().copied());
+        let touching = function_graph.edges_touching(loop_insts.iter().copied(), touching);
         let mut edges: Vec<DepEdge<InstId>> = Vec::with_capacity(touching.len());
-        let mut conflicts: Vec<(InstId, InstId, bool)> = Vec::new();
+        conflicts.clear();
         for e in touching {
             let both_internal = in_loop(e.src) && in_loop(e.dst);
             if both_internal && e.attrs.memory {
@@ -563,20 +711,21 @@ impl<'a> PdgBuilder<'a> {
         // refinement below visits pairs in.
         conflicts.sort_unstable();
         conflicts.dedup_by_key(|&mut (a, b, _)| (a, b));
-        let mut conflicts = conflicts.into_iter().peekable();
+        let mut conflicts = conflicts.iter().copied().peekable();
         let mut push = |src, dst, attrs| edges.push(DepEdge { src, dst, attrs });
 
         // Loop-centric memory refinement: every memory access of the loop in
         // ascending order, each followed by its conflicts with the accesses
         // after it.
-        // Body order, for the pairs that need it: most loops have none.
-        let mut layout: Option<LayoutIndex> = None;
+        // Body order, indexed on the first pair that needs it: most loops
+        // have none.
+        let mut indexed = false;
         let iter_local = |e: &MemEffect| {
             e.ptr
                 .map(|p| distinct_per_iteration(f, l, recs, p))
                 .unwrap_or(false)
         };
-        for &ia in &loop_insts {
+        for &ia in loop_insts.iter() {
             let Some(ea) = self.mem_effect(f, ia) else {
                 continue;
             };
@@ -601,7 +750,9 @@ impl<'a> PdgBuilder<'a> {
                 // order within the body.
                 let same_ptr = ea.ptr.is_some() && ea.ptr == eb.ptr;
                 if same_ptr && iter_local(&ea) {
-                    let layout = layout.get_or_insert_with(|| LayoutIndex::new(f));
+                    if !std::mem::replace(&mut indexed, true) {
+                        layout.rebuild(f);
+                    }
                     let (src, dst, kind) = if layout.place(ia) <= layout.place(ib) {
                         (ia, ib, fwd)
                     } else {
@@ -631,7 +782,7 @@ impl<'a> PdgBuilder<'a> {
         }
         // Every boundary node is an endpoint of a copied edge, which is
         // where `from_edges` finds the externals.
-        DepGraph::from_edges(loop_insts, edges)
+        DepGraph::from_edges(loop_insts.iter().copied(), edges)
     }
 }
 
@@ -994,8 +1145,8 @@ mod tests {
         let m = mixed_module();
         let basic = BasicAlias::new(&m);
         let andersen = AndersenAlias::new(&m);
-        let stack =
-            noelle_analysis::alias::AliasStack::new(vec![&basic as &dyn AliasAnalysis, &andersen]);
+        let tiers = [&basic as &dyn AliasAnalysis, &andersen];
+        let stack = noelle_analysis::alias::AliasStack::new(&tiers);
         for alias in [&basic as &dyn AliasAnalysis, &andersen, &stack] {
             let builder = PdgBuilder::new(&m, alias);
             for fid in m.func_ids() {

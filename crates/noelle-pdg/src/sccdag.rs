@@ -8,6 +8,7 @@
 //! [`SccKind::Sequential`], or [`SccKind::Reducible`].
 
 use crate::depgraph::DepGraph;
+use crate::pdg::BuildBuffers;
 use noelle_analysis::scev::AddRec;
 use noelle_ir::inst::{BinOp, Inst, InstId};
 use noelle_ir::loops::LoopInfo;
@@ -67,7 +68,7 @@ pub struct SccDag {
 /// What [`classify`] needs to know of an SCC's edges, gathered for every
 /// SCC in one pass over the loop graph.
 #[derive(Clone, Copy, Default)]
-struct SccFacts {
+pub(crate) struct SccFacts {
     /// A loop-carried data edge joins two of its members.
     carried: bool,
     /// One of those goes through memory.
@@ -76,17 +77,51 @@ struct SccFacts {
     leaks: bool,
 }
 
+/// The working storage of Tarjan's walk and of the classification after
+/// it, kept between builds in [`BuildBuffers`]: what [`SccDag::new_in`]
+/// needs and does not keep.
+#[derive(Default)]
+pub(crate) struct SccScratch {
+    /// CSR successor lists in dense node indices.
+    succ_off: Vec<u32>,
+    succ: Vec<u32>,
+    /// `(index, lowlink)` of each node.
+    num: Vec<(u32, u32)>,
+    /// Tarjan's stack.
+    stack: Vec<u32>,
+    /// The iterative DFS: `(node, next successor position)`.
+    call_stack: Vec<(u32, u32)>,
+    /// What the loop graph's edges say of each SCC.
+    facts: Vec<SccFacts>,
+}
+
 impl SccDag {
     /// Build the aSCCDAG of loop `l` from its loop dependence graph
     /// (`loop_pdg_with` of [`crate::pdg::PdgBuilder`]) and the loop's affine
     /// recurrences (`noelle_analysis::scev::affine_recurrences`).
     pub fn new(f: &Function, l: &LoopInfo, g: &DepGraph<InstId>, recs: &[AddRec]) -> SccDag {
+        SccDag::new_in(f, l, g, recs, &mut BuildBuffers::default())
+    }
+
+    /// [`SccDag::new`] working in `buf`, which a caller building many
+    /// loops' abstractions keeps: Tarjan's state and the per-SCC facts
+    /// live there, and the DAG keeps only its own arrays.
+    pub fn new_in(
+        f: &Function,
+        l: &LoopInfo,
+        g: &DepGraph<InstId>,
+        recs: &[AddRec],
+        buf: &mut BuildBuffers,
+    ) -> SccDag {
         let internal: Vec<InstId> = g.internal_nodes().collect();
-        let (members, offsets, comp) = tarjan(&internal, g);
+        let scratch = &mut buf.scc;
+        let (members, offsets, comp) = tarjan(&internal, g, scratch);
         let n = offsets.len() - 1;
         let scc_of = |x: InstId| internal.binary_search(&x).ok().map(|k| comp[k] as usize);
         let mut edges = Vec::with_capacity(g.edges().len());
-        let mut facts = vec![SccFacts::default(); n];
+        let facts = &mut scratch.facts;
+        facts.clear();
+        facts.resize(n, SccFacts::default());
         for e in g.edges() {
             let (Some(a), Some(b)) = (scc_of(e.src), scc_of(e.dst)) else {
                 continue;
@@ -212,13 +247,26 @@ impl SccDag {
 /// are packed once up front into a CSR array, sorted and deduplicated, so
 /// roots and successors are visited in ascending order. A visited node is on
 /// the Tarjan stack exactly until its SCC is emitted, which is when it gets
-/// a `comp` — no separate on-stack flag.
-fn tarjan(nodes: &[InstId], g: &DepGraph<InstId>) -> (Vec<InstId>, Vec<u32>, Vec<u32>) {
+/// a `comp` — no separate on-stack flag. Everything but the result lives in
+/// `scratch`.
+fn tarjan(
+    nodes: &[InstId],
+    g: &DepGraph<InstId>,
+    scratch: &mut SccScratch,
+) -> (Vec<InstId>, Vec<u32>, Vec<u32>) {
     let n = nodes.len();
     // CSR successor packing. InstId sorting and dense-index sorting agree
     // because `nodes` is sorted and the mapping is monotone.
-    let mut succ_off = Vec::with_capacity(n + 1);
-    let mut succ: Vec<u32> = Vec::with_capacity(g.edges().len());
+    let SccScratch {
+        succ_off,
+        succ,
+        num,
+        stack,
+        call_stack,
+        ..
+    } = scratch;
+    succ_off.clear();
+    succ.clear();
     succ_off.push(0u32);
     for &node in nodes {
         let start = succ.len();
@@ -238,19 +286,21 @@ fn tarjan(nodes: &[InstId], g: &DepGraph<InstId>) -> (Vec<InstId>, Vec<u32>, Vec
         succ.truncate(kept);
         succ_off.push(succ.len() as u32);
     }
+    let (succ, succ_off) = (&*succ, &*succ_off);
     let succs_of = |v: usize| -> &[u32] { &succ[succ_off[v] as usize..succ_off[v + 1] as usize] };
 
     const NONE: u32 = u32::MAX;
     // (index, lowlink) of each node; `index` is NONE until visited.
-    let mut num = vec![(NONE, 0u32); n];
+    num.clear();
+    num.resize(n, (NONE, 0u32));
     let mut comp = vec![NONE; n];
     let mut counter = 0u32;
-    let mut stack: Vec<u32> = Vec::with_capacity(n);
+    stack.clear();
     let mut members: Vec<InstId> = Vec::with_capacity(n);
     let mut offsets: Vec<u32> = Vec::with_capacity(n + 1);
     offsets.push(0);
     // Iterative DFS: (node, next successor position).
-    let mut call_stack: Vec<(u32, u32)> = Vec::with_capacity(n);
+    call_stack.clear();
 
     for root in 0..n {
         if num[root].0 != NONE {

@@ -19,7 +19,8 @@ fn main() {
     let (edge_count, per_function) = {
         let basic = BasicAlias::new(&m);
         let andersen = AndersenAlias::new(&m);
-        let stack = AliasStack::new(vec![&basic as &dyn AliasAnalysis, &andersen]);
+        let tiers = [&basic as &dyn AliasAnalysis, &andersen];
+        let stack = AliasStack::new(&tiers);
         let builder = PdgBuilder::new(&m, &stack);
         let pdg = builder.program_pdg();
         // In function order: `Json::object` sorts the members by name.

@@ -25,7 +25,7 @@ use noelle_ir::inst::{Callee, Inst, InstId, Terminator};
 use noelle_ir::module::{BlockId, FuncId, Function, Module};
 use noelle_ir::types::Type;
 use noelle_ir::value::Value;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 
 /// The abstractions DSWP asks NOELLE for (its Table 4 row).
 pub const ABSTRACTIONS: [Abstraction; 14] = [
@@ -51,8 +51,9 @@ pub const ABSTRACTIONS: [Abstraction; 14] = [
 pub struct StagePlan {
     /// Stage index of every *assignable* SCC.
     stage_of_scc: BTreeMap<usize, usize>,
-    /// Instructions replicated in every stage (IVs, control, invariants).
-    replicated: BTreeSet<InstId>,
+    /// Instructions replicated in every stage (IVs, control, invariants),
+    /// ascending, none twice.
+    replicated: Vec<InstId>,
     /// Number of stages actually used.
     pub n_stages: usize,
     /// `(def, consumer stage)` of each cross-stage value queue, sorted.
@@ -118,7 +119,7 @@ pub fn gate(
     // Cross-stage register dependences: (def, consumer stage) pairs.
     let f = m.func(fid);
     let stage_of_inst = |i: InstId| -> Option<usize> {
-        if plan.replicated.contains(&i) || matches!(f.inst(i), Inst::Term(_)) {
+        if plan.replicates(i) || matches!(f.inst(i), Inst::Term(_)) {
             return None; // present everywhere
         }
         la.sccdag
@@ -239,6 +240,11 @@ pub struct StageSummary {
 }
 
 impl StagePlan {
+    /// True if `i` is replicated in every stage.
+    fn replicates(&self, i: InstId) -> bool {
+        self.replicated.binary_search(&i).is_ok()
+    }
+
     /// Queues the pipeline runs on: one per cross-stage value and a token
     /// queue between consecutive stages.
     pub fn n_queues(&self) -> usize {
@@ -256,7 +262,7 @@ impl StagePlan {
         let mut stage_costs = vec![replicated_cost; self.n_stages];
         for (&scc, &s) in &self.stage_of_scc {
             for &i in la.sccdag.insts(scc) {
-                if !self.replicated.contains(&i) {
+                if !self.replicates(i) {
                     stage_costs[s] += static_cost(m, f.inst(i));
                 }
             }
@@ -299,33 +305,34 @@ fn plan_stages(
     want: usize,
 ) -> Result<StagePlan, ParallelizeError> {
     let f = m.func(fid);
-    let f_insts: BTreeSet<InstId> = la.pdg.internal_nodes().collect();
-    let mut replicated: BTreeSet<InstId> = la.invariants.iter().collect();
+    let mut replicated: Vec<InstId> = la.invariants.iter().collect();
     for node in la.sccdag.nodes() {
         if node.is_induction {
-            replicated.extend(la.sccdag.insts(node.id).iter().copied());
+            replicated.extend_from_slice(la.sccdag.insts(node.id));
         }
     }
+    replicated.sort_unstable();
+    replicated.dedup();
     // Terminator operand closure over register dependences.
+    let register_deps = |i: InstId| {
+        let edges = la.pdg.edges_to(i);
+        let register = edges.filter(|e| e.attrs.is_data() && !e.attrs.memory);
+        register
+            .map(|e| e.src)
+            .filter(|&src| la.pdg.is_internal(src))
+    };
     let mut work: Vec<InstId> = Vec::new();
-    for &i in &f_insts {
+    for i in la.pdg.internal_nodes() {
         if matches!(f.inst(i), Inst::Term(_)) {
-            for e in la.pdg.edges_to(i) {
-                if e.attrs.is_data() && !e.attrs.memory && f_insts.contains(&e.src) {
-                    work.push(e.src);
-                }
-            }
+            work.extend(register_deps(i));
         }
     }
     while let Some(n) = work.pop() {
-        if !replicated.insert(n) {
+        let Err(at) = replicated.binary_search(&n) else {
             continue;
-        }
-        for e in la.pdg.edges_to(n) {
-            if e.attrs.is_data() && !e.attrs.memory && f_insts.contains(&e.src) {
-                work.push(e.src);
-            }
-        }
+        };
+        replicated.insert(at, n);
+        work.extend(register_deps(n));
     }
     for &i in &replicated {
         if f.inst(i).may_read_memory() || f.inst(i).may_write_memory() {
@@ -338,11 +345,9 @@ fn plan_stages(
         .into_iter()
         .filter(|&s| {
             !la.sccdag.nodes()[s].is_induction
-                && !la
-                    .sccdag
-                    .insts(s)
-                    .iter()
-                    .all(|&i| replicated.contains(&i) || matches!(f.inst(i), Inst::Term(_)))
+                && !la.sccdag.insts(s).iter().all(|&i| {
+                    replicated.binary_search(&i).is_ok() || matches!(f.inst(i), Inst::Term(_))
+                })
         })
         .collect();
     if assignable.len() < 2 {
@@ -427,7 +432,7 @@ fn prune_stage(
         let Some(Value::Inst(clone)) = task.value_map.get(&Value::Inst(orig)).copied() else {
             continue;
         };
-        let kept = plan.replicated.contains(&orig)
+        let kept = plan.replicates(orig)
             || matches!(tf.inst(clone), Inst::Term(_))
             || stage_of(orig) == Some(stage);
         if kept {

@@ -172,7 +172,8 @@ fn round_trip(name: &str, g: &DepGraph<InstId>, internal: &BTreeSet<InstId>) -> 
 fn check_module(name: &str, m: &Module) {
     let basic = BasicAlias::new(m);
     let andersen = AndersenAlias::new(m);
-    let stack = AliasStack::new(vec![&basic as &dyn AliasAnalysis, &andersen]);
+    let tiers = [&basic as &dyn AliasAnalysis, &andersen];
+    let stack = AliasStack::new(&tiers);
     let builder = PdgBuilder::new(m, &stack);
     let mut decoded_program: HashMap<_, _> = HashMap::new();
 

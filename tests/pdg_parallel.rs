@@ -4,7 +4,8 @@
 //! loops, the demand-driven manager drops stale graphs when the module is
 //! mutated, every graph reproduces the recorded golden, and the function
 //! graph is the only memo of alias verdicts — a build asks each question
-//! once and a loop graph asks none.
+//! once and a loop graph asks none — and the manager's reused build buffers
+//! carry nothing from one build to the next.
 
 use noelle::analysis::alias::{
     AliasAnalysis, AliasResult, AliasStack, AndersenAlias, BaseObjects, BasicAlias,
@@ -23,12 +24,13 @@ use noelle::ir::types::Type;
 use noelle::ir::value::Value;
 use noelle::pdg::depgraph::{DataDepKind, DepGraph, DepKind};
 use noelle::pdg::pdg::PdgBuilder;
+use noelle::pdg::sccdag::SccDag;
 use noelle::transforms::{parallelize, LoopTargetOpts, Parallelizer};
 use noelle::workloads::{all, pdg_stress, scale_module};
 use noelle_fuzz::generator::{generate, GenConfig};
 use noelle_plan::{apply_plan, plan_module, PlanOptions};
 use noelle_store::artifact::{decode_partition, encode_partition};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
 
 /// Flatten a graph into a comparable (sorted) edge multiset.
@@ -50,7 +52,8 @@ fn parallel_bucketed_pdg_matches_sequential_oracle_on_every_workload() {
         let m = w.build();
         let basic = BasicAlias::new(&m);
         let andersen = AndersenAlias::new(&m);
-        let stack = AliasStack::new(vec![&basic as &dyn AliasAnalysis, &andersen]);
+        let tiers = [&basic as &dyn AliasAnalysis, &andersen];
+        let stack = AliasStack::new(&tiers);
         let builder = PdgBuilder::new(&m, &stack);
         let fast = builder.program_pdg();
         let defined: Vec<FuncId> = m
@@ -128,7 +131,8 @@ fn transformed_functions_build_the_same_graphs_as_the_allpairs_oracle() {
         let m = n.into_module();
         let basic = BasicAlias::new(&m);
         let andersen = AndersenAlias::new(&m);
-        let stack = AliasStack::new(vec![&basic as &dyn AliasAnalysis, &andersen]);
+        let tiers = [&basic as &dyn AliasAnalysis, &andersen];
+        let stack = AliasStack::new(&tiers);
         let builder = PdgBuilder::new(&m, &stack);
         for fid in m.func_ids().filter(|&fid| !m.func(fid).is_declaration()) {
             let f = m.func(fid);
@@ -410,7 +414,8 @@ fn pdg_edges_reproduce_the_recorded_golden() {
     for (i, (name, m)) in golden_corpus().iter().enumerate() {
         let basic = BasicAlias::new(m);
         let andersen = AndersenAlias::new(m);
-        let stack = AliasStack::new(vec![&basic as &dyn AliasAnalysis, &andersen]);
+        let tiers = [&basic as &dyn AliasAnalysis, &andersen];
+        let stack = AliasStack::new(&tiers);
         let builder = PdgBuilder::new(m, &stack);
         let pdg = builder.program_pdg();
         let json = wire::pdg_to_json(m, &pdg).to_string_compact();
@@ -512,7 +517,8 @@ fn function_pdg_asks_each_alias_question_once_and_loop_pdg_asks_none() {
     for (name, m) in golden_corpus() {
         let basic = BasicAlias::new(&m);
         let andersen = AndersenAlias::new(&m);
-        let stack = AliasStack::new(vec![&basic as &dyn AliasAnalysis, &andersen]);
+        let tiers = [&basic as &dyn AliasAnalysis, &andersen];
+        let stack = AliasStack::new(&tiers);
         let counting = CountingAlias {
             inner: &stack,
             alias_calls: Mutex::default(),
@@ -581,7 +587,8 @@ fn alias_answers_are_symmetric() {
     for (name, m) in modules {
         let basic = BasicAlias::new(&m);
         let andersen = AndersenAlias::new(&m);
-        let stack = AliasStack::new(vec![&basic as &dyn AliasAnalysis, &andersen]);
+        let tiers = [&basic as &dyn AliasAnalysis, &andersen];
+        let stack = AliasStack::new(&tiers);
         for fid in m.func_ids() {
             let f = m.func(fid);
             // Every pointer the function mentions: results and operands.
@@ -612,4 +619,111 @@ fn alias_answers_are_symmetric() {
         }
     }
     assert!(pairs >= 5_000, "{pairs} pointer pairs");
+}
+
+/// Every partition and loop abstraction of `n`'s module, built by the
+/// manager in its one set of buffers — the loops' functions largest first,
+/// so every later build is smaller than one before it, then the partitions
+/// no loop asked for — checked against builds in fresh buffers: each graph
+/// byte for byte, each partition edge for edge against the all-pairs
+/// oracle, each loop's SCCs member for member. Returns how many graphs and
+/// loops it checked.
+fn check_manager_builds(label: &str, n: &mut Noelle) -> (usize, usize) {
+    let m = n.module();
+    let mut order: Vec<FuncId> = m
+        .func_ids()
+        .filter(|&fid| !m.func(fid).is_declaration())
+        .collect();
+    order.sort_by_key(|&fid| std::cmp::Reverse(m.func(fid).num_insts()));
+    let mut built = Vec::new();
+    for fid in order {
+        for l in n.loops_of(fid) {
+            built.push(n.loop_abstraction(fid, l));
+        }
+    }
+    let pdg = n.pdg();
+    let m = n.module();
+    let basic = BasicAlias::new(m);
+    let andersen = AndersenAlias::new(m);
+    let tiers = [&basic as &dyn AliasAnalysis, &andersen];
+    let stack = AliasStack::new(&tiers);
+    let builder = PdgBuilder::new(m, &stack);
+    let mut fresh = BTreeMap::new();
+    for (&fid, g) in &pdg.per_function {
+        let name = &m.func(fid).name;
+        let alone = builder.function_pdg(fid);
+        assert_eq!(
+            encode_partition(g),
+            encode_partition(&alone),
+            "{label}/{name}: the manager's partition differs from a fresh build"
+        );
+        assert_eq!(
+            g.edges(),
+            builder.function_pdg_allpairs(fid).edges(),
+            "{label}/{name}: the manager's partition differs from the all-pairs oracle"
+        );
+        fresh.insert(fid, alone);
+    }
+    for la in &built {
+        let f = m.func(la.fid);
+        let what = format!("{label}/{} loop at {:?}", f.name, la.structure.header);
+        let recs = affine_recurrences(f, &la.structure);
+        let alone = builder.loop_pdg_with(la.fid, &la.structure, &fresh[&la.fid], &recs);
+        assert_eq!(
+            encode_partition(&la.pdg),
+            encode_partition(&alone),
+            "{what}: the loop graph differs from a fresh build"
+        );
+        let dag = SccDag::new(f, &la.structure, &alone, &recs);
+        assert_eq!(la.sccdag.nodes().len(), dag.nodes().len(), "{what}");
+        for (ours, theirs) in la.sccdag.nodes().iter().zip(dag.nodes()) {
+            assert_eq!(la.sccdag.insts(ours.id), dag.insts(theirs.id), "{what}");
+            assert_eq!(ours.kind, theirs.kind, "{what}");
+        }
+    }
+    (pdg.per_function.len(), built.len())
+}
+
+/// The manager builds every partition and loop abstraction in one reused
+/// set of buffers, and nothing one build leaves there may reach the next:
+/// on the suite, `pdg_stress` and `scale_module(256, 1)`, and again after
+/// an edit shrinks each module's largest function (its stores removed,
+/// which also leaves holes in its instruction arena), every graph is the
+/// one fresh buffers build.
+#[test]
+fn reused_build_buffers_carry_nothing_from_one_build_to_the_next() {
+    let mut modules: Vec<(String, Module)> = all()
+        .into_iter()
+        .chain([pdg_stress()])
+        .map(|w| (w.name.to_string(), w.build()))
+        .collect();
+    modules.push(("scale_module(256, 1)".to_string(), scale_module(256, 1)));
+    let (mut graphs, mut loops, mut shrunk) = (0, 0, 0);
+    for (name, m) in modules {
+        let mut n = Noelle::new(m, AliasTier::Full);
+        let largest = n
+            .module()
+            .func_ids()
+            .max_by_key(|&fid| n.module().func(fid).num_insts())
+            .expect("a function");
+        let (g, l) = check_manager_builds(&format!("{name} (cold)"), &mut n);
+        n.edit(|tx| {
+            let f = tx.func_mut(largest);
+            let stores = f
+                .inst_ids()
+                .into_iter()
+                .filter(|&id| matches!(f.inst(id), Inst::Store { .. }));
+            for id in stores.collect::<Vec<_>>() {
+                f.remove_inst(id);
+                shrunk += 1;
+            }
+        });
+        let (g2, l2) = check_manager_builds(&format!("{name} (after the edit)"), &mut n);
+        (graphs, loops) = (graphs + g + g2, loops + l + l2);
+    }
+    // The corpus must hold what the test is about, or it shows nothing.
+    assert!(
+        graphs >= 900 && loops >= 500 && shrunk >= 100,
+        "{graphs} graphs, {loops} loops, {shrunk} stores removed"
+    );
 }
