@@ -256,7 +256,7 @@ fn collect_bases(
             }
             Inst::Call { callee, .. } => {
                 if let Callee::Direct(cid) = callee {
-                    if crate::modref::is_allocator_sym(m.func(*cid).name_sym()) {
+                    if crate::modref::is_allocator(&m.func(*cid).name) {
                         out.push(MemoryObject::Heap(fid, id));
                         return;
                     }
@@ -550,9 +550,9 @@ impl Signature {
     fn of(f: &noelle_ir::module::Function) -> Signature {
         let class = if !f.is_declaration() {
             ExternClass::Defined
-        } else if crate::modref::is_allocator_sym(f.name_sym()) {
+        } else if crate::modref::is_allocator(&f.name) {
             ExternClass::Alloc
-        } else if crate::modref::external_effects_sym(f.name_sym()).opaque_pointers {
+        } else if crate::modref::external_effects(&f.name).opaque_pointers {
             ExternClass::Opaque
         } else {
             ExternClass::Inert

@@ -5,10 +5,8 @@
 //! `getModRefBehavior` on calls).
 
 use noelle_ir::inst::{Callee, Inst, InstId};
-use noelle_ir::intern::Symbol;
 use noelle_ir::module::{FuncId, Module};
 use std::collections::{BTreeSet, HashMap};
-use std::sync::{OnceLock, RwLock};
 
 /// Memory behaviour of a known external (declared) function.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -39,36 +37,6 @@ impl ExternalEffect {
 /// True if `name` is a known allocation routine.
 pub fn is_allocator(name: &str) -> bool {
     matches!(name, "malloc" | "calloc" | "noelle.alloc")
-}
-
-/// Symbol form of [`is_allocator`]: three `u32` comparisons against the
-/// pre-interned allocator names, no string traffic. The form the alias hot
-/// paths use, paired with the interned name every `Function` caches.
-pub fn is_allocator_sym(sym: Symbol) -> bool {
-    static ALLOCATORS: OnceLock<[Symbol; 3]> = OnceLock::new();
-    ALLOCATORS
-        .get_or_init(|| {
-            [
-                Symbol::intern("malloc"),
-                Symbol::intern("calloc"),
-                Symbol::intern("noelle.alloc"),
-            ]
-        })
-        .contains(&sym)
-}
-
-/// Symbol form of [`external_effects`], memoized per symbol: the prefix
-/// matching runs once per distinct external name for the process lifetime,
-/// and repeat classifications are a map probe keyed by `u32`.
-pub fn external_effects_sym(sym: Symbol) -> ExternalEffect {
-    static CACHE: OnceLock<RwLock<HashMap<Symbol, ExternalEffect>>> = OnceLock::new();
-    let cache = CACHE.get_or_init(|| RwLock::new(HashMap::new()));
-    if let Some(&e) = cache.read().unwrap().get(&sym) {
-        return e;
-    }
-    let e = external_effects(sym.as_str());
-    cache.write().unwrap().insert(sym, e);
-    e
 }
 
 /// Effects of a known external function. Unknown names get a fully
@@ -150,7 +118,7 @@ impl ModRefSummaries {
         for fid in m.func_ids() {
             let f = m.func(fid);
             if f.is_declaration() {
-                let e = external_effects_sym(f.name_sym());
+                let e = external_effects(&f.name);
                 reads.insert(fid, e.reads_memory);
                 writes.insert(fid, e.writes_memory);
                 io.insert(fid, e.io);
@@ -227,7 +195,7 @@ impl ModRefSummaries {
         for &fid in affected {
             let f = m.func(fid);
             if f.is_declaration() {
-                let e = external_effects_sym(f.name_sym());
+                let e = external_effects(&f.name);
                 self.reads.insert(fid, e.reads_memory);
                 self.writes.insert(fid, e.writes_memory);
                 self.io.insert(fid, e.io);

@@ -1,8 +1,8 @@
 //! Regenerate Table 3: custom tool sizes — the paper's headline LoC
 //! reduction claim, with our measured NOELLE-based sizes alongside.
 
-fn main() {
-    let rows: Vec<Vec<String>> = noelle_bench::table3_loc()
+fn main() -> Result<(), String> {
+    let rows: Vec<Vec<String>> = noelle_bench::table3_loc()?
         .iter()
         .map(|r| {
             vec![
@@ -30,4 +30,5 @@ fn main() {
     );
     println!("\nEvery NOELLE-based tool stays in the same few-hundred-line band the paper");
     println!("reports (PERS excepted, as in the paper), far below its LLVM-only size.");
+    Ok(())
 }

@@ -400,20 +400,22 @@ fn workspace_root() -> std::path::PathBuf {
         .expect("workspace root exists")
 }
 
-fn count_loc(files: &[&'static str]) -> usize {
+/// Total lines of `files`. A file that cannot be read is an error naming
+/// it, so a renamed or deleted file cannot drop out of a table unnoticed.
+fn count_loc(files: &[&'static str]) -> Result<usize, String> {
     let root = workspace_root();
     files
         .iter()
         .map(|f| {
             std::fs::read_to_string(root.join(f))
                 .map(|t| t.lines().count())
-                .unwrap_or(0)
+                .map_err(|e| format!("cannot count the lines of {f}: {e}"))
         })
         .sum()
 }
 
 /// Regenerate Table 1: LoC per NOELLE abstraction (our Rust measurements).
-pub fn table1_loc() -> Vec<LocRow> {
+pub fn table1_loc() -> Result<Vec<LocRow>, String> {
     let rows: Vec<(&'static str, Vec<&'static str>)> = vec![
         (
             "PDG",
@@ -482,16 +484,18 @@ pub fn table1_loc() -> Vec<LocRow> {
         ),
     ];
     rows.into_iter()
-        .map(|(name, files)| LocRow {
-            loc: count_loc(&files),
-            name,
-            files,
+        .map(|(name, files)| {
+            Ok(LocRow {
+                loc: count_loc(&files)?,
+                name,
+                files,
+            })
         })
         .collect()
 }
 
 /// Regenerate Table 2: LoC per NOELLE tool.
-pub fn table2_loc() -> Vec<LocRow> {
+pub fn table2_loc() -> Result<Vec<LocRow>, String> {
     let rows: Vec<(&'static str, Vec<&'static str>)> = vec![
         (
             "noelle-whole-IR",
@@ -538,10 +542,12 @@ pub fn table2_loc() -> Vec<LocRow> {
         ),
     ];
     rows.into_iter()
-        .map(|(name, files)| LocRow {
-            loc: count_loc(&files),
-            name,
-            files,
+        .map(|(name, files)| {
+            Ok(LocRow {
+                loc: count_loc(&files)?,
+                name,
+                files,
+            })
         })
         .collect()
 }
@@ -568,14 +574,16 @@ impl Table3Row {
 }
 
 /// Regenerate Table 3 (paper numbers + our measured tool sizes).
-pub fn table3_loc() -> Vec<Table3Row> {
-    let t = |tool, paper_llvm, paper_noelle, files: Vec<&'static str>| Table3Row {
-        tool,
-        paper_llvm,
-        paper_noelle,
-        ours: count_loc(&files),
+pub fn table3_loc() -> Result<Vec<Table3Row>, String> {
+    let t = |tool, paper_llvm, paper_noelle, files: Vec<&'static str>| {
+        Ok(Table3Row {
+            tool,
+            paper_llvm,
+            paper_noelle,
+            ours: count_loc(&files)?,
+        })
     };
-    vec![
+    [
         t(
             "TIME",
             510,
@@ -637,6 +645,8 @@ pub fn table3_loc() -> Vec<Table3Row> {
             vec!["crates/noelle-transforms/src/perspective.rs"],
         ),
     ]
+    .into_iter()
+    .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -696,4 +706,13 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
         out.push('\n');
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn an_unreadable_file_is_an_error_that_names_it() {
+        let loc = super::count_loc(&["crates/noelle-bench/src/lib.rs", "crates/gone.rs"]);
+        assert!(loc.is_err_and(|e| e.contains("crates/gone.rs")));
+    }
 }

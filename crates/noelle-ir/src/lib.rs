@@ -43,7 +43,6 @@ pub mod cfg;
 pub mod dom;
 pub mod ids;
 pub mod inst;
-pub mod intern;
 pub mod layout;
 pub mod loops;
 pub mod module;

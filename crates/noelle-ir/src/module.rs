@@ -1,7 +1,6 @@
 //! Modules, functions, blocks, and globals.
 
 use crate::inst::{Inst, InstData, InstId, Terminator};
-use crate::intern::Symbol;
 use crate::types::{FuncType, Type};
 use crate::value::{Constant, Value};
 use std::collections::BTreeMap;
@@ -115,19 +114,13 @@ pub struct Function {
     pub metadata: BTreeMap<String, String>,
     /// Per-instruction metadata.
     pub inst_metadata: HashMap<InstId, BTreeMap<String, String>>,
-    /// Interned symbol of `name`, cached at construction. Every constructor
-    /// funnels through [`Function::new`] and nothing renames functions after
-    /// the fact, so the cache cannot go stale.
-    pub(crate) name_sym: Symbol,
 }
 
 impl Function {
     /// Create an empty function (a declaration until blocks are added).
     pub fn new(name: impl Into<String>, params: Vec<(String, Type)>, ret_ty: Type) -> Function {
-        let name = name.into();
-        let name_sym = Symbol::intern(&name);
         Function {
-            name,
+            name: name.into(),
             params,
             ret_ty,
             blocks: Vec::new(),
@@ -136,13 +129,7 @@ impl Function {
             inst_names: BTreeMap::new(),
             metadata: BTreeMap::new(),
             inst_metadata: HashMap::new(),
-            name_sym,
         }
-    }
-
-    /// The function name as an interned symbol (`u32` comparisons).
-    pub fn name_sym(&self) -> Symbol {
-        self.name_sym
     }
 
     /// True if the function has no body.
@@ -554,21 +541,17 @@ impl Module {
         &self.globals
     }
 
-    /// Look up a function id by symbol name. Compares cached interned
-    /// symbols — one hash of `name`, then `u32` equality per function —
-    /// instead of a string comparison per function.
+    /// Look up a function id by symbol name.
     pub fn func_id_by_name(&self, name: &str) -> Option<FuncId> {
-        let sym = Symbol::intern(name);
         self.functions
             .iter()
-            .position(|f| f.name_sym == sym)
+            .position(|f| f.name == name)
             .map(|i| FuncId(i as u32))
     }
 
     /// Look up a function by symbol name.
     pub fn func_by_name(&self, name: &str) -> Option<&Function> {
-        let sym = Symbol::intern(name);
-        self.functions.iter().find(|f| f.name_sym == sym)
+        self.functions.iter().find(|f| f.name == name)
     }
 
     /// Look up a global id by symbol name.

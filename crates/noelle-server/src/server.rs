@@ -829,14 +829,14 @@ fn submit(state: &Arc<ServerState>, shard_idx: usize, req: &Request) -> PendingR
             deadline: Instant::now() + budget,
             budget,
             id: req.id,
-            method: req.method.clone(),
+            method: metric_key(&req.method).to_string(),
         },
         Err(TrySendError::Full(_)) => {
             shard.depth.fetch_sub(1, Ordering::Relaxed);
             shard.shed.fetch_add(1, Ordering::Relaxed);
             state
                 .metrics
-                .observe(&req.method, Duration::ZERO, Outcome::Shed);
+                .observe(metric_key(&req.method), Duration::ZERO, Outcome::Shed);
             PendingReply::Ready(
                 response_err(
                     req.id,
@@ -875,16 +875,17 @@ pub fn run_request_text(state: &Arc<ServerState>, req: &Request) -> String {
     let t = Instant::now();
     let result = dispatch(state, req);
     let latency = t.elapsed();
+    let key = metric_key(&req.method);
     match result {
         Ok(body) => {
-            state.metrics.observe(&req.method, latency, Outcome::Ok);
+            state.metrics.observe(key, latency, Outcome::Ok);
             match body {
                 Body::Value(v) => response_ok(req.id, v).to_string_compact(),
                 Body::Text(text) => response_ok_text(req.id, &text),
             }
         }
         Err((code, msg)) => {
-            state.metrics.observe(&req.method, latency, Outcome::Error);
+            state.metrics.observe(key, latency, Outcome::Error);
             response_err(req.id, code, &msg).to_string_compact()
         }
     }
@@ -1008,10 +1009,6 @@ fn session_of(state: &ServerState, req: &Request) -> Result<Arc<Session>, (Error
     })
 }
 
-fn func_by_name(m: &Module, name: &str) -> Option<FuncId> {
-    m.func_ids().find(|&fid| m.func(fid).name == name)
-}
-
 /// Store counters as a JSON object (`null` when no store is configured).
 fn store_json(state: &ServerState) -> Json {
     match &state.store {
@@ -1096,15 +1093,43 @@ fn dispatch(state: &Arc<ServerState>, req: &Request) -> MethodResult {
     if state.is_shutting_down() && req.method != "shutdown" {
         return Err((ErrorCode::Shutdown, "daemon is shutting down".into()));
     }
-    match req.method.as_str() {
-        "ping" => Ok(Body::Value(Json::object([
-            ("pong".to_string(), Json::Bool(true)),
-            (
-                "uptime_ms".to_string(),
-                Json::Int(state.started.elapsed().as_millis() as i64),
-            ),
-        ]))),
-        "load" => {
+    match handler(&req.method) {
+        Some(serve) => serve(state, req),
+        None => Err((
+            ErrorCode::UnknownMethod,
+            format!("unknown method '{}'", req.method),
+        )),
+    }
+}
+
+/// The name `method`'s metrics are kept under: the method itself when the
+/// daemon serves it, else `unknown`, so the names a client makes up cannot
+/// grow the table.
+fn metric_key(method: &str) -> &str {
+    if handler(method).is_some() {
+        method
+    } else {
+        "unknown"
+    }
+}
+
+/// How the daemon serves one method.
+type Handler = fn(&Arc<ServerState>, &Request) -> MethodResult;
+
+/// The handler of `method`, or `None` when the daemon does not serve it.
+/// This match is the daemon's one list of methods.
+fn handler(method: &str) -> Option<Handler> {
+    let serve: Handler = match method {
+        "ping" => |state, _| {
+            Ok(Body::Value(Json::object([
+                ("pong".to_string(), Json::Bool(true)),
+                (
+                    "uptime_ms".to_string(),
+                    Json::Int(state.started.elapsed().as_millis() as i64),
+                ),
+            ])))
+        },
+        "load" => |state, req| {
             let path = param_str(req, "path").ok_or_else(|| bad("missing 'path' param"))?;
             let tier = match param_str(req, "tier").unwrap_or("full") {
                 "basic" => AliasTier::Basic,
@@ -1132,8 +1157,8 @@ fn dispatch(state: &Arc<ServerState>, req: &Request) -> MethodResult {
                     Json::Int(s.approx_bytes() as i64),
                 ),
             ])))
-        }
-        "pdg" => {
+        },
+        "pdg" => |state, req| {
             let s = session_of(state, req)?;
             let text = {
                 let mut n = s.noelle.lock().expect("session build lock");
@@ -1168,8 +1193,8 @@ fn dispatch(state: &Arc<ServerState>, req: &Request) -> MethodResult {
             // The graph may have grown the session's footprint past budget.
             state.shard_of(&s.name).sessions.evict_over_budget();
             Ok(Body::Text(text))
-        }
-        "loops" => {
+        },
+        "loops" => |state, req| {
             let s = session_of(state, req)?;
             let mut n = s.noelle.lock().expect("session build lock");
             let whole_module = param_str(req, "func").is_none();
@@ -1180,7 +1205,9 @@ fn dispatch(state: &Arc<ServerState>, req: &Request) -> MethodResult {
                 }
             }
             let fids: Vec<FuncId> = match param_str(req, "func") {
-                Some(name) => vec![func_by_name(n.module(), name)
+                Some(name) => vec![n
+                    .module()
+                    .func_id_by_name(name)
                     .ok_or_else(|| bad(format!("no function '{name}'")))?],
                 None => n
                     .module()
@@ -1203,15 +1230,17 @@ fn dispatch(state: &Arc<ServerState>, req: &Request) -> MethodResult {
                 return Ok(Body::Text(text));
             }
             Ok(Body::Value(Json::object(per_fn)))
-        }
-        "sccdag" | "induction" | "invariants" => {
+        },
+        "sccdag" | "induction" | "invariants" => |state, req| {
             let s = session_of(state, req)?;
             let fname = param_str(req, "func")
                 .ok_or_else(|| bad("missing 'func' param"))?
                 .to_string();
             let idx = req.params.get("loop").and_then(Json::as_u64).unwrap_or(0) as usize;
             let mut n = s.noelle.lock().expect("session build lock");
-            let fid = func_by_name(n.module(), &fname)
+            let fid = n
+                .module()
+                .func_id_by_name(&fname)
                 .ok_or_else(|| bad(format!("no function '{fname}'")))?;
             let loops = n.loops_of(fid);
             let l = loops
@@ -1224,15 +1253,15 @@ fn dispatch(state: &Arc<ServerState>, req: &Request) -> MethodResult {
                 "induction" => wire::ivs_to_json(&la.ivs),
                 _ => wire::invariants_to_json(&la.invariants),
             }))
-        }
-        "callgraph" => {
+        },
+        "callgraph" => |state, req| {
             let s = session_of(state, req)?;
             let mut n = s.noelle.lock().expect("session build lock");
             let _ = n.call_graph();
             let cg = n.cached_call_graph().expect("just built");
             Ok(Body::Value(wire::callgraph_to_json(n.module(), cg)))
-        }
-        "run-tool" => {
+        },
+        "run-tool" => |state, req| {
             let runner = state
                 .tool_runner
                 .as_ref()
@@ -1257,8 +1286,8 @@ fn dispatch(state: &Arc<ServerState>, req: &Request) -> MethodResult {
                 ("summary".to_string(), Json::Str(summary)),
                 ("requested".to_string(), Json::Array(requested)),
             ])))
-        }
-        "lint" => {
+        },
+        "lint" => |state, req| {
             let s = session_of(state, req)?;
             let check = param_str(req, "check").unwrap_or("all");
             let mut n = s.noelle.lock().expect("session build lock");
@@ -1269,8 +1298,8 @@ fn dispatch(state: &Arc<ServerState>, req: &Request) -> MethodResult {
                 "lint",
                 noelle_lint::render_json(&findings),
             )))
-        }
-        "audit" => {
+        },
+        "audit" => |state, req| {
             let s = session_of(state, req)?;
             let mut n = s.noelle.lock().expect("session build lock");
             n.reset_requests();
@@ -1287,8 +1316,8 @@ fn dispatch(state: &Arc<ServerState>, req: &Request) -> MethodResult {
                     ),
                 ]),
             )))
-        }
-        "plan" => {
+        },
+        "plan" => |state, req| {
             let s = session_of(state, req)?;
             let workers = req
                 .params
@@ -1304,8 +1333,8 @@ fn dispatch(state: &Arc<ServerState>, req: &Request) -> MethodResult {
                 "plan",
                 Json::object([("plan".to_string(), plan.to_json())]),
             )))
-        }
-        "ide/open" => {
+        },
+        "ide/open" => |state, req| {
             let tier = ide_tier(req)?;
             let text = load_document_text(req)?;
             let name = match param_str(req, "doc") {
@@ -1332,8 +1361,8 @@ fn dispatch(state: &Arc<ServerState>, req: &Request) -> MethodResult {
                 ("functions".to_string(), Json::Int(functions as i64)),
             ]);
             Ok(with_diagnostics(reply, &diagnostics))
-        }
-        "ide/change" => {
+        },
+        "ide/change" => |state, req| {
             let name = param_str(req, "doc").ok_or_else(|| bad("missing 'doc' param"))?;
             let version = req
                 .params
@@ -1368,8 +1397,8 @@ fn dispatch(state: &Arc<ServerState>, req: &Request) -> MethodResult {
                 ("relinted".to_string(), Json::Int(outcome.relinted as i64)),
             ]);
             Ok(with_diagnostics(reply, &diagnostics))
-        }
-        "ide/diagnostics" => {
+        },
+        "ide/diagnostics" => |state, req| {
             let name = param_str(req, "doc").ok_or_else(|| bad("missing 'doc' param"))?;
             let docs = state.ide.docs.lock().expect("ide doc table lock");
             let doc = docs
@@ -1379,8 +1408,8 @@ fn dispatch(state: &Arc<ServerState>, req: &Request) -> MethodResult {
             drop(docs);
             state.ide.diag_pushes.fetch_add(1, Ordering::Relaxed);
             Ok(Body::Text(Arc::new(diagnostics)))
-        }
-        "ide/close" => {
+        },
+        "ide/close" => |state, req| {
             let name = param_str(req, "doc").ok_or_else(|| bad("missing 'doc' param"))?;
             let doc = state
                 .ide
@@ -1405,21 +1434,23 @@ fn dispatch(state: &Arc<ServerState>, req: &Request) -> MethodResult {
                     Json::Int(c.full_reparses as i64),
                 ),
             ])))
-        }
-        "stats" => Ok(Body::Value(Json::object([
-            (
-                "uptime_ms".to_string(),
-                Json::Int(state.started.elapsed().as_millis() as i64),
-            ),
-            ("protocol_version".to_string(), Json::Int(PROTOCOL_VERSION)),
-            ("table".to_string(), table_json(state)),
-            ("shards".to_string(), shards_json(state)),
-            ("store".to_string(), store_json(state)),
-            ("ide".to_string(), state.ide.stats_json()),
-            ("audit".to_string(), state.audit.to_json()),
-            ("plan".to_string(), state.plan.to_json()),
-        ]))),
-        "metrics" => {
+        },
+        "stats" => |state, _| {
+            Ok(Body::Value(Json::object([
+                (
+                    "uptime_ms".to_string(),
+                    Json::Int(state.started.elapsed().as_millis() as i64),
+                ),
+                ("protocol_version".to_string(), Json::Int(PROTOCOL_VERSION)),
+                ("table".to_string(), table_json(state)),
+                ("shards".to_string(), shards_json(state)),
+                ("store".to_string(), store_json(state)),
+                ("ide".to_string(), state.ide.stats_json()),
+                ("audit".to_string(), state.audit.to_json()),
+                ("plan".to_string(), state.plan.to_json()),
+            ])))
+        },
+        "metrics" => |state, _| {
             let mut managers: Vec<(String, Json)> = Vec::new();
             for sh in &state.shards {
                 for s in sh.sessions.snapshot() {
@@ -1442,17 +1473,15 @@ fn dispatch(state: &Arc<ServerState>, req: &Request) -> MethodResult {
                 ("audit".to_string(), state.audit.to_json()),
                 ("plan".to_string(), state.plan.to_json()),
             ])))
-        }
-        "shutdown" => {
+        },
+        "shutdown" => |state, _| {
             state.trigger_shutdown();
             Ok(Body::Value(Json::object([(
                 "stopping".to_string(),
                 Json::Bool(true),
             )])))
-        }
-        other => Err((
-            ErrorCode::UnknownMethod,
-            format!("unknown method '{other}'"),
-        )),
-    }
+        },
+        _ => return None,
+    };
+    Some(serve)
 }

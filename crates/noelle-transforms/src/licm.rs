@@ -44,7 +44,7 @@ pub fn safe_to_speculate(m: &Module, fid: FuncId, id: InstId) -> bool {
             callee: Callee::Direct(cid),
             ..
         } => {
-            let e = noelle_analysis::modref::external_effects_sym(m.func(*cid).name_sym());
+            let e = noelle_analysis::modref::external_effects(&m.func(*cid).name);
             m.func(*cid).is_declaration() && !e.reads_memory && !e.writes_memory && !e.io
         }
         Inst::Call { .. } | Inst::Store { .. } | Inst::Term(_) | Inst::Phi { .. } => false,

@@ -18,7 +18,8 @@
 //! a loop abstraction is
 //! a handful of flat arrays per loop, and a technique's gate reads the
 //! function's dominator tree instead of building one, and DSWP's no set of
-//! the loop's instructions. The counts do not
+//! the loop's instructions; and a dropped document gives back every byte
+//! it held, its function names included. The counts do not
 //! depend on the host, so the bounds are tight. The tests take turns ([`alone`]), so
 //! nothing else allocates while a closure is being counted.
 
@@ -59,6 +60,8 @@ struct Counting;
 
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 static BYTES: AtomicUsize = AtomicUsize::new(0);
+/// Bytes allocated and not yet freed; wraps, so read it as a difference.
+static LIVE: AtomicUsize = AtomicUsize::new(0);
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds the
 // `GlobalAlloc` contract; the counter is a relaxed statistic.
@@ -66,14 +69,17 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Relaxed);
         BYTES.fetch_add(layout.size(), Relaxed);
+        LIVE.fetch_add(layout.size(), Relaxed);
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size(), Relaxed);
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Relaxed);
         BYTES.fetch_add(new_size, Relaxed);
+        LIVE.fetch_add(new_size.wrapping_sub(layout.size()), Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -562,6 +568,48 @@ fn a_body_edit_allocates_for_the_edit_and_a_pull_copies_no_finding() {
     assert!(
         large_pull <= small_pull + 8 && large_pull < 100,
         "a pull grows with the document: {small_pull} -> {large_pull} allocations"
+    );
+}
+
+/// Opens `scale_module(64, 3)` as a document with every kernel and group
+/// function renamed for `round`, edits a kernel's body, and drops it.
+fn open_edit_and_drop(template: &str, round: usize) {
+    let prefix = format!("@round{round:05}_");
+    let text = template
+        .replace("@k", &format!("{prefix}k"))
+        .replace("@group", &format!("{prefix}group"));
+    let mut doc = DocSession::open("names", &text, AliasTier::Basic);
+    let k0 = format!("round{round:05}_k0");
+    let span = doc.spans().iter().find(|sp| sp.name == k0);
+    let line = span.expect("first kernel").start_line + 2; // define, entry:, <here>
+    let change = Change::Splice {
+        start_line: line,
+        end_line: line,
+        lines: vec!["  %bt = add i64 i64 1, i64 2".to_string()],
+    };
+    let out = doc.change(doc.version() + 1, change).expect("in range");
+    assert!(out.incremental && out.changed_functions.contains(&k0));
+}
+
+#[test]
+fn a_dropped_document_gives_back_its_function_names() {
+    let _turn = alone();
+    let template = print_module(&scale_module(64, 3));
+    // The first round builds whatever the process builds once.
+    open_edit_and_drop(&template, 0);
+    let baseline = LIVE.load(Relaxed);
+    const ROUNDS: usize = 20;
+    for round in 1..=ROUNDS {
+        open_edit_and_drop(&template, round);
+    }
+    let grown = LIVE.load(Relaxed).wrapping_sub(baseline) as isize;
+    eprintln!("live bytes after {ROUNDS} documents of fresh names: {grown:+}");
+    // 20 rounds name 1 260 functions. The process-global interner this
+    // replaced kept each of them: 91 032 bytes by now. The test harness's
+    // own threads may hold a few bytes more than at the baseline.
+    assert!(
+        grown <= 4096,
+        "{grown} bytes outlive {ROUNDS} dropped documents"
     );
 }
 

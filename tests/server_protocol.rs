@@ -512,3 +512,45 @@ fn lint_method_reports_races_from_a_cached_session() {
 
     server.shutdown_and_join();
 }
+
+#[test]
+fn unknown_methods_share_one_metrics_entry() {
+    // A client names the method, so the daemon keeps a metrics entry only
+    // for the methods it serves and counts every other name under
+    // `unknown`: N made-up names, inline, routed to a shard and under the
+    // IDE prefix, add one key to the `requests` table.
+    let server = start_server(2);
+    let mut c = Client::connect(&server.addr.to_string()).expect("connect");
+    let requests = |c: &mut Client| {
+        let metrics = c.call("metrics", Json::object([])).expect("metrics");
+        metrics.get("requests").expect("requests").clone()
+    };
+    requests(&mut c);
+    let before = requests(&mut c);
+    const N: usize = 24;
+    for i in 0..N {
+        let (method, params) = match i % 3 {
+            0 => (format!("made-up-{i}"), Json::object([])),
+            1 => (
+                format!("routed-{i}"),
+                Json::object([("session".to_string(), Json::Str("s".into()))]),
+            ),
+            _ => (format!("ide/made-up-{i}"), Json::object([])),
+        };
+        let reply = c.request(&method, params).expect("reply");
+        assert_eq!(
+            reply
+                .get("error")
+                .and_then(|e| e.get("code"))
+                .and_then(Json::as_str),
+            Some("unknown_method"),
+            "{method}: {reply:?}"
+        );
+    }
+    let after = requests(&mut c);
+    let keys = |v: &Json| v.as_object().map_or(0, |o| o.len());
+    assert_eq!(keys(&after), keys(&before) + 1, "{before:?} -> {after:?}");
+    let unknown = after.get("unknown").and_then(|m| m.get("count"));
+    assert_eq!(unknown.and_then(Json::as_i64), Some(N as i64), "{after:?}");
+    server.shutdown_and_join();
+}
