@@ -149,13 +149,13 @@ pub struct FuncCacheCounters {
     pub struct_misses: u64,
     /// Function cache slots invalidated (by edits or full invalidation).
     pub invalidations: u64,
-    /// Edits that kept the whole-module points-to solution because every
-    /// touched function's body fingerprint was unchanged — the re-solve
-    /// was skipped entirely.
+    /// Edits that kept the whole-module points-to solution because no
+    /// touched function's body moved — the re-solve was skipped entirely.
     pub andersen_reuses: u64,
     /// Functions whose points-to constraints were regenerated by edits'
-    /// re-solves: the touched and appended functions of each commit, never
-    /// a multiple of the module size (the cold solve is not counted).
+    /// re-solves: the functions each commit moved the body of, appended
+    /// ones included, never a multiple of the module size (the cold solve
+    /// is not counted).
     pub andersen_regen_funcs: u64,
     /// Points-to rows those re-solves emptied and re-derived: every row of
     /// each edit that took pointer flow away, none of an edit that only
@@ -169,10 +169,10 @@ pub struct FuncCacheCounters {
 }
 
 /// One function's fingerprints, hashed once per version of the function
-/// and read by everything that keys on them: the points-to gate compares
-/// *bodies* (alias analysis never reads metadata, so an edit whose touched
-/// functions all hash the same body provably cannot move any points-to
-/// row), the durable store addresses by *content*.
+/// and read by everything that keys on them: the commit compares *bodies*
+/// (no analysis reads function or instruction metadata, so a touched
+/// function that hashes the same body provably moves no cached result),
+/// the durable store addresses by *content*.
 #[derive(Clone, Copy)]
 struct FuncFingerprints {
     body: u64,
@@ -180,20 +180,21 @@ struct FuncFingerprints {
 }
 
 /// Everything the manager caches about one function, in two tiers. The
-/// fingerprints and structures read nothing but the function's own text, so
-/// they fall when the function is *touched*; the PDG partition also reads
-/// the function's points-to rows and its direct callees' mod/ref summaries
-/// and interfaces, so it falls whenever the function is *damaged* — which
-/// every touched function is, and a caller of one only when a summary or an
-/// interface it reads moved.
+/// structures read nothing but the function's own body, so they fall when
+/// a commit finds that body *moved*; the PDG partition also reads the
+/// function's points-to rows and its direct callees' mod/ref summaries and
+/// interfaces, so it falls whenever the function is *damaged* — which every
+/// function whose body moved is, and a caller of one only when a summary or
+/// an interface it reads moved. A touched function whose body did not move
+/// keeps its whole slot, fingerprints refreshed.
 #[derive(Default)]
 struct FuncSlot {
     /// The commit that last damaged the function (see [`Noelle::epoch`]).
     epoch: u64,
-    /// Hashes of the function's current version, filled on first use: by
-    /// the store's keys, or by an edit's first touch while a points-to
-    /// solution stands, so the commit can tell whether the body it finds is
-    /// the one the solution saw.
+    /// Hashes of the function's current version: filled by an edit's first
+    /// touch, so the commit can tell whether the body it finds is the one
+    /// the cached state saw, refreshed by that commit, and otherwise filled
+    /// on first use by the store's keys.
     fingerprints: Option<FuncFingerprints>,
     structures: Option<FuncStructures>,
     /// The function's dependence graph, shared with every [`ProgramPdg`]
@@ -219,10 +220,23 @@ impl FuncSlot {
         })
     }
 
-    /// The function's text changed: empty the slot, returning what the
-    /// function hashed to before. The commit then damages the function.
-    fn touch(&mut self) -> Option<FuncFingerprints> {
-        std::mem::take(self).fingerprints
+    /// A commit found `f` as the touched function's new version: hash it,
+    /// and empty the slot unless its body is the one the first touch
+    /// hashed. True when the body moved — the commit then damages the
+    /// function. A slot holding no hash (a function the edit appended) has
+    /// no body to compare, so it is emptied without hashing.
+    fn commit(&mut self, f: &Function) -> bool {
+        let Some(old) = self.fingerprints else {
+            *self = FuncSlot::default();
+            return true;
+        };
+        let (body, content) = f.fingerprints();
+        let moved = old.body != body;
+        if moved {
+            *self = FuncSlot::default();
+        }
+        self.fingerprints = Some(FuncFingerprints { body, content });
+        moved
     }
 }
 
@@ -237,8 +251,9 @@ fn next_epoch() -> u64 {
 ///
 /// Created by [`Noelle::edit`]. The transaction hands out module access and
 /// records which functions the edit touches; at commit the manager
-/// invalidates exactly the touched functions plus the functions the damage
-/// rule says can observe them, instead of dropping every cached abstraction.
+/// invalidates exactly the touched functions whose bodies moved plus the
+/// functions the damage rule says can observe them, instead of dropping
+/// every cached abstraction.
 ///
 /// Functions *added* during the transaction (e.g. via
 /// `Module::get_or_declare` or `Module::add_function` on a scoped borrow)
@@ -249,9 +264,6 @@ pub struct EditTx<'a> {
     module: &'a mut Module,
     /// The manager's cache slots, for the pre-edit fingerprints.
     slots: &'a mut Vec<FuncSlot>,
-    /// A points-to solution stands, so the commit will ask whether each
-    /// touched body changed.
-    solved: bool,
     /// Every function recorded as touched, with its
     /// [`Function::interface_fingerprint`] as it was at the first touch —
     /// before the edit, since touching is how an edit gets at a function.
@@ -267,18 +279,17 @@ impl EditTx<'_> {
     }
 
     /// Record `fid` as touched without borrowing it. The first touch is
-    /// also where a function under a points-to solution gets hashed, if
-    /// nothing hashed this version before: the commit compares that body
-    /// with the one it finds.
+    /// also where the function gets hashed, if nothing hashed this version
+    /// before: the commit compares that body with the one it finds, and a
+    /// touch that leaves the body as it was — a metadata edit, or no edit
+    /// at all — damages nothing.
     pub fn touch(&mut self, fid: FuncId) {
         let Entry::Vacant(entry) = self.touched.entry(fid) else {
             return;
         };
         let f = self.module.func(fid);
         entry.insert(f.interface_fingerprint());
-        if self.solved {
-            FuncSlot::of(self.slots, fid).fingerprints(f);
-        }
+        FuncSlot::of(self.slots, fid).fingerprints(f);
     }
 
     /// Escalate to a conservative whole-module invalidation (structural
@@ -513,10 +524,12 @@ impl Noelle {
     /// Run an edit transaction over the module. The closure receives an
     /// [`EditTx`] that hands out module access while recording which
     /// functions the edit touches; on return the manager invalidates only
-    /// the touched functions plus the damage the edit can propagate:
+    /// the touched functions whose bodies moved plus the damage the edit can
+    /// propagate:
     ///
     /// * per-function structures and local PDG partitions of touched
-    ///   functions;
+    ///   functions whose bodies moved (a touched function whose body hashes
+    ///   as before keeps everything: no analysis reads metadata);
     /// * PDG partitions of functions whose view of the program could have
     ///   shifted — direct callers of a function whose mod/ref summary or
     ///   interface ([`Function::interface_fingerprint`]) moved, and
@@ -540,9 +553,11 @@ impl Noelle {
     /// per-function derived state — the IDE's incremental linter — re-derive
     /// exactly this set and keep everything else.
     ///
-    /// The set is conservative: it always contains the touched functions,
-    /// and escalating edits (new globals, [`EditTx::touch_all`]) report
-    /// every function. A read-only transaction reports an empty set.
+    /// The set is conservative: it contains every touched function whose
+    /// body moved (appended functions included), and escalating edits (new
+    /// globals, [`EditTx::touch_all`]) report every function. A transaction
+    /// that moved no body — read-only, metadata-only, or touches that
+    /// changed nothing — reports an empty set.
     pub fn edit_with_damage<R>(
         &mut self,
         k: impl FnOnce(&mut EditTx<'_>) -> R,
@@ -553,7 +568,6 @@ impl Noelle {
             let mut tx = EditTx {
                 module: &mut self.module,
                 slots: &mut self.slots,
-                solved: self.andersen.is_some(),
                 touched: BTreeMap::new(),
                 all: false,
             };
@@ -562,10 +576,12 @@ impl Noelle {
         };
         // Functions appended during the edit are new by construction. They
         // have no interface from before it, which is recorded as one theirs
-        // cannot equal: to whoever calls them they count as moved.
+        // cannot equal: to whoever calls them they count as moved. Nor a
+        // body: whatever a touch during the edit hashed, no analysis saw.
         for i in baseline_funcs..self.module.functions().len() {
             let fid = FuncId(i as u32);
             touched.insert(fid, !self.module.func(fid).interface_fingerprint());
+            self.slot(fid).fingerprints = None;
         }
         // A new global can be aliased from any function: escalate.
         if self.module.globals().len() != baseline_globals {
@@ -577,7 +593,7 @@ impl Noelle {
 
     /// Apply the damage-propagation rule for a committed edit transaction,
     /// returning the damage set.
-    fn commit(&mut self, touched: BTreeMap<FuncId, u64>, all: bool) -> BTreeSet<FuncId> {
+    fn commit(&mut self, mut touched: BTreeMap<FuncId, u64>, all: bool) -> BTreeSet<FuncId> {
         if all {
             self.invalidate();
             return self.module.func_ids().collect();
@@ -585,14 +601,23 @@ impl Noelle {
         if touched.is_empty() {
             return BTreeSet::new(); // read-only transaction
         }
-        // What each touched function hashed to before the edit: filled at
-        // the first touch while a points-to solution stood, `None` if
-        // nobody asked or the function is new.
-        let old_fingerprints: Vec<Option<FuncFingerprints>> =
-            touched.keys().map(|&fid| self.slot(fid).touch()).collect();
         // Profiles live in module metadata, which a scoped borrow may have
         // rewritten; they are cheap to re-parse on demand.
         self.profiles = None;
+        // The commit's first question: did the body move? Every cached
+        // abstraction reads bodies only (globals enter by id, and a changed
+        // global count escalated before reaching here), so a touched
+        // function whose body hashes as it did at the first touch keeps its
+        // slot, and is left out of the call-edge rescan, the mod/ref repair
+        // and the points-to update. Its interface cannot have moved either:
+        // the body hash covers it.
+        touched.retain(|&fid, _| FuncSlot::of(&mut self.slots, fid).commit(self.module.func(fid)));
+        if touched.is_empty() {
+            if self.andersen.is_some() {
+                self.counters.andersen_reuses += 1;
+            }
+            return BTreeSet::new();
+        }
         let Some(mut modref) = self.modref.take() else {
             // Whole-program state that can exist without the summaries —
             // the points-to solution and the call graph — is simply
@@ -609,8 +634,8 @@ impl Noelle {
             self.damage(&all);
             return all;
         };
-        // The touched functions now; the damage set once the callers and
-        // the moved points-to rows below have joined them.
+        // The touched functions whose bodies moved now; the damage set once
+        // the callers and the moved points-to rows below have joined them.
         let mut damage = BTreeSet::new();
         damage.extend(touched.keys().copied());
         // Repair the direct-call-edge map for the touched functions (built
@@ -629,28 +654,15 @@ impl Noelle {
         let affected = edges.caller_closure(&damage);
         // In place unless someone still holds the pre-edit summaries.
         let moved = Arc::make_mut(&mut modref).recompute_scoped(&self.module, &affected);
-        // Under the full tier the PDG also consults the points-to solution.
-        // The solution is a pure function of the function bodies (globals
-        // enter by id only, and a changed global count escalated before
-        // reaching here), so if every touched function's body fingerprint
-        // is unchanged, the cached solution is still exact and stays as it
-        // is. Otherwise re-solve, regenerating the touched functions'
-        // constraints only, and damage every function whose rows moved.
+        // Under the full tier the PDG also consults the points-to solution:
+        // re-solve, regenerating the moved bodies' constraints only, and
+        // damage every function whose rows moved.
         let mut rows_moved = Vec::new();
-        if self.andersen.is_some() {
-            let unchanged = damage
-                .iter()
-                .zip(&old_fingerprints)
-                .all(|(&fid, old)| old.is_some_and(|old| old.body == self.fingerprints(fid).body));
-            if unchanged {
-                self.counters.andersen_reuses += 1;
-            } else {
-                let andersen = self.andersen.as_mut().expect("checked");
-                let update = andersen.update(&self.module, &damage);
-                self.counters.andersen_regen_funcs += update.regenerated as u64;
-                self.counters.andersen_reset_rows += update.reset as u64;
-                rows_moved = update.changed;
-            }
+        if let Some(andersen) = self.andersen.as_mut() {
+            let update = andersen.update(&self.module, &damage);
+            self.counters.andersen_regen_funcs += update.regenerated as u64;
+            self.counters.andersen_reset_rows += update.reset as u64;
+            rows_moved = update.changed;
         }
         // What a function's PDG reads of a *direct* callee (indirect calls
         // are handled conservatively) is the callee's mod/ref summary and
@@ -708,7 +720,7 @@ impl Noelle {
         self.profiles = None;
         let all: BTreeSet<FuncId> = self.module.func_ids().collect();
         for &fid in &all {
-            self.slot(fid).touch();
+            *self.slot(fid) = FuncSlot::default();
         }
         self.damage(&all);
     }
@@ -1226,6 +1238,27 @@ mod tests {
         assert_eq!(n.loops_of(fid).len(), 1);
     }
 
+    /// `name`'s id in the managed module.
+    fn fid(n: &Noelle, name: &str) -> FuncId {
+        n.module()
+            .func_id_by_name(name)
+            .expect("a function of the module")
+    }
+
+    /// A body edit that moves nothing a caller reads: a dead add at the
+    /// top of `fid`'s entry block.
+    fn insert_dead_add(tx: &mut EditTx<'_>, fid: FuncId) {
+        let f = tx.func_mut(fid);
+        let entry = f.entry();
+        let dead = Inst::Bin {
+            op: BinOp::Add,
+            ty: Type::I64,
+            lhs: Value::const_i64(1),
+            rhs: Value::const_i64(2),
+        };
+        f.insert_inst(entry, 0, dead);
+    }
+
     #[test]
     fn pdg_handle_is_cached_and_cheap() {
         let mut n = Noelle::new(loop_module(), AliasTier::Full);
@@ -1235,10 +1268,9 @@ mod tests {
         // Same underlying graph, no rebuild.
         assert!(Arc::ptr_eq(&p1, &p2));
         assert_eq!(n.build_stats()[&Abstraction::Pdg].builds, 1);
-        // An edit touching the function forces a repair; the old handle
-        // stays readable.
+        // A body edit forces a repair; the old handle stays readable.
         let e1 = n.epoch(fid);
-        n.edit(|tx| tx.touch(fid));
+        n.edit(|tx| insert_dead_add(tx, fid));
         assert_ne!(n.epoch(fid), e1);
         let p3 = n.pdg();
         assert!(!Arc::ptr_eq(&p1, &p3));
@@ -1261,15 +1293,13 @@ mod tests {
     #[test]
     fn edit_reuses_untouched_partitions() {
         let mut n = Noelle::new(two_func_module(), AliasTier::Full);
-        let k = n.module().func_id_by_name("k").unwrap();
-        let leaf = n.module().func_id_by_name("leaf").unwrap();
+        let k = fid(&n, "k");
+        let leaf = fid(&n, "leaf");
         let p1 = n.pdg();
         let (ek, eleaf) = (n.epoch(k), n.epoch(leaf));
         // Edit only the leaf: the kernel's partition must be reused by
         // pointer, and the counters must record exactly that split.
-        n.edit(|tx| {
-            let _ = tx.func_mut(leaf);
-        });
+        n.edit(|tx| insert_dead_add(tx, leaf));
         let before = n.func_cache_counters();
         let p2 = n.pdg();
         let after = n.func_cache_counters();
@@ -1288,11 +1318,10 @@ mod tests {
     #[test]
     fn unchanged_touch_skips_points_to_resolve() {
         let mut n = Noelle::new(two_func_module(), AliasTier::Full);
-        let leaf = n.module().func_id_by_name("leaf").unwrap();
+        let leaf = fid(&n, "leaf");
         let _ = n.pdg();
         // A touch that turns out not to change the function: every
-        // fingerprint matches, so the points-to solution is reused as-is
-        // (the touched partition still rebuilds).
+        // fingerprint matches, so the points-to solution is reused as-is.
         n.edit(|tx| tx.touch(leaf));
         let _ = n.pdg();
         assert_eq!(n.func_cache_counters().andersen_reuses, 1);
@@ -1334,19 +1363,9 @@ mod tests {
     #[test]
     fn a_body_edit_under_a_solution_re_solves_points_to() {
         let mut n = Noelle::new(two_func_module(), AliasTier::Full);
-        let leaf = n.module().func_id_by_name("leaf").unwrap();
+        let leaf = fid(&n, "leaf");
         let _ = n.pdg();
-        n.edit(|tx| {
-            let f = tx.func_mut(leaf);
-            let entry = f.entry();
-            let dead = Inst::Bin {
-                op: BinOp::Add,
-                ty: Type::I64,
-                lhs: Value::const_i64(1),
-                rhs: Value::const_i64(2),
-            };
-            f.insert_inst(entry, 0, dead);
-        });
+        n.edit(|tx| insert_dead_add(tx, leaf));
         let c = n.func_cache_counters();
         assert_eq!((c.andersen_regen_funcs, c.andersen_reuses), (1, 0));
         // Only what the edit touched was hashed.
@@ -1356,7 +1375,7 @@ mod tests {
     #[test]
     fn a_metadata_edit_under_a_solution_reuses_it() {
         let mut n = Noelle::new(two_func_module(), AliasTier::Full);
-        let leaf = n.module().func_id_by_name("leaf").unwrap();
+        let leaf = fid(&n, "leaf");
         let _ = n.pdg();
         n.edit(|tx| {
             let f = tx.func_mut(leaf);
@@ -1370,24 +1389,11 @@ mod tests {
     #[test]
     fn body_edit_regenerates_only_the_touched_constraints() {
         let mut n = Noelle::new(two_func_module(), AliasTier::Full);
-        let leaf = n.module().func_id_by_name("leaf").unwrap();
+        let leaf = fid(&n, "leaf");
         let _ = n.pdg();
         // A real body change that keeps the signature: one block out of
         // two is regenerated, the kernel's is replayed as retained.
-        n.edit(|tx| {
-            let f = tx.func_mut(leaf);
-            let entry = f.entry();
-            f.insert_inst(
-                entry,
-                0,
-                Inst::Bin {
-                    op: BinOp::Add,
-                    ty: Type::I64,
-                    lhs: Value::const_i64(1),
-                    rhs: Value::const_i64(2),
-                },
-            );
-        });
+        n.edit(|tx| insert_dead_add(tx, leaf));
         let c = n.func_cache_counters();
         assert_eq!((c.andersen_regen_funcs, c.andersen_reuses), (1, 0));
         // Adding a global still escalates: any function may alias it, so
@@ -1411,7 +1417,7 @@ mod tests {
     #[test]
     fn edit_with_damage_reports_touched_and_escalations() {
         let mut n = Noelle::new(two_func_module(), AliasTier::Full);
-        let leaf = n.module().func_id_by_name("leaf").unwrap();
+        let leaf = fid(&n, "leaf");
         let _ = n.pdg();
         let fids: Vec<FuncId> = n.module().func_ids().collect();
         let other = Noelle::new(two_func_module(), AliasTier::Full);
@@ -1429,15 +1435,64 @@ mod tests {
             let _ = tx.module().name.len();
         });
         assert!(d.is_empty());
-        // A metadata-only touch damages exactly the touched function (its
-        // mod/ref summary cannot change).
+        // A body edit that moves no summary damages exactly the edited
+        // function.
+        let d = commit(&|tx| insert_dead_add(tx, leaf));
+        assert!(d.contains(&leaf) && d.len() == 1, "damage = {d:?}");
+        // A metadata-only edit moves no body: nothing is damaged.
         let d = commit(&|tx| {
             tx.func_mut(leaf).metadata.insert("note".into(), "v".into());
         });
-        assert!(d.contains(&leaf) && d.len() == 1, "damage = {d:?}");
+        assert!(d.is_empty(), "damage = {d:?}");
         // touch_all escalates to every function.
         let d = commit(&|tx| tx.touch_all());
         assert_eq!(d.len(), fids.len());
+    }
+
+    /// A commit whose touched functions all keep their bodies — a metadata
+    /// edit, a bare touch — keeps everything cached about them: no damage,
+    /// the same epoch, the same partition, structures and points-to
+    /// solution. Only the slot's content hash follows the text.
+    #[test]
+    fn a_commit_that_moves_no_body_keeps_every_cached_abstraction() {
+        let mut n = Noelle::new(two_func_module(), AliasTier::Full);
+        let (k, leaf) = (fid(&n, "k"), fid(&n, "leaf"));
+        let p1 = n.pdg();
+        assert_eq!(n.loop_forest(k).loops().len(), 1);
+        let builds = n.build_stats().clone();
+        let edits: [&dyn Fn(&mut EditTx<'_>); 2] = [
+            &|tx| {
+                tx.func_mut(k).metadata.insert("note".into(), "v".into());
+            },
+            &|tx| tx.touch(k),
+        ];
+        for edit in edits {
+            let (epoch, reuses) = (n.epoch(k), n.func_cache_counters().andersen_reuses);
+            let ((), damage) = n.edit_with_damage(edit);
+            assert!(damage.is_empty(), "damage = {damage:?}");
+            assert_eq!(n.epoch(k), epoch);
+            assert_eq!(n.func_cache_counters().andersen_reuses, reuses + 1);
+            let content = n.module().func(k).fingerprints().1;
+            assert_eq!(
+                n.slots[k.index()].fingerprints.map(|f| f.content),
+                Some(content)
+            );
+            assert!(Arc::ptr_eq(&p1, &n.pdg()));
+            assert_eq!(n.loop_forest(k).loops().len(), 1);
+            assert_eq!(n.build_stats(), &builds, "nothing was built again");
+        }
+        // A mixed commit damages only the function whose body moved.
+        let ((), damage) = n.edit_with_damage(|tx| {
+            tx.func_mut(k).metadata.insert("note".into(), "w".into());
+            insert_dead_add(tx, leaf);
+        });
+        assert_eq!(damage, BTreeSet::from([leaf]));
+        let p2 = n.pdg();
+        assert!(Arc::ptr_eq(&p1.per_function[&k], &p2.per_function[&k]));
+        assert!(!Arc::ptr_eq(
+            &p1.per_function[&leaf],
+            &p2.per_function[&leaf]
+        ));
     }
 
     #[test]
@@ -1464,10 +1519,10 @@ mod tests {
             m.add_function(b.finish());
         });
         let p2 = n.pdg();
-        let fresh = n.module().func_id_by_name("fresh").unwrap();
+        let fresh = fid(&n, "fresh");
         assert!(p2.per_function.contains_key(&fresh));
         assert!(!p1.per_function.contains_key(&fresh));
-        let k = n.module().func_id_by_name("k").unwrap();
+        let k = fid(&n, "k");
         assert_ne!(n.epoch(fresh), n.epoch(k));
     }
 

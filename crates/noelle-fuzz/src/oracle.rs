@@ -1011,24 +1011,34 @@ entry:
 
     #[test]
     fn incremental_repair_matches_fresh_build_after_edits() {
-        // A behavior-preserving editing tool: warm the PDG, then touch
-        // `main` through `edit`, so the oracle's incremental check
-        // exercises real damage propagation and partition reuse.
+        // A behavior-preserving editing tool: warm the PDG, then add a
+        // dead instruction to `main` through `edit` — a body edit, so the
+        // oracle's incremental check exercises real damage propagation and
+        // partition reuse (a bare touch moves no body and damages nothing).
         let cfg = OracleConfig {
             check_incremental: true,
             ..OracleConfig::default()
         };
         for seed in 0..5 {
-            let warm_then_touch = FuzzTool::new("nop-edit", |n| {
+            let warm_then_edit = FuzzTool::new("nop-edit", |n| {
                 let _ = n.pdg(); // build, so the edit repairs instead of rebuilding
                 let fid = n.module().func_id_by_name("main").expect("main");
-                n.edit(|tx| {
-                    tx.touch(fid);
+                let ((), damage) = n.edit_with_damage(|tx| {
+                    let f = tx.func_mut(fid);
+                    let entry = f.entry();
+                    let dead = Inst::Bin {
+                        op: noelle_ir::inst::BinOp::Add,
+                        ty: noelle_ir::types::Type::I64,
+                        lhs: Value::const_i64(1),
+                        rhs: Value::const_i64(2),
+                    };
+                    f.insert_inst(entry, 0, dead);
                 });
-                Ok("touched main".into())
+                assert!(damage.contains(&fid), "a body edit damages its function");
+                Ok("added a dead instruction to main".into())
             });
             let m = generate(seed, &GenConfig::default());
-            let out = check_module(&m, &[warm_then_touch], &cfg);
+            let out = check_module(&m, &[warm_then_edit], &cfg);
             assert!(
                 !matches!(
                     &out,

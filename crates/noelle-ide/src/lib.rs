@@ -19,15 +19,16 @@
 //!    re-parsed, and if the module *shape* (name, metadata, globals,
 //!    function list) is unchanged the result is applied as an in-place
 //!    multi-function edit instead of a cold reload.
-//! 3. **Fingerprint gate.** Functions whose
-//!    [`content_fingerprint`](noelle_ir::module::Function::content_fingerprint)
-//!    is unchanged are not edits at all (comment/whitespace changes); the
-//!    session just shifts its spans.
+//! 3. **No-op gate.** A function equal to the one it replaces is not an
+//!    edit at all (comment/whitespace changes); the session just shifts its
+//!    spans.
 //! 4. **Damage-scoped re-lint.** Real edits go through
-//!    [`Noelle::edit_with_damage`]; exactly the damage set's function-local
-//!    findings are re-derived ([`run_local_checks`]) and the whole-module
-//!    passes re-run ([`run_global_checks`], O(functions) without task
-//!    dispatch sites). Untouched functions keep their cached findings.
+//!    [`Noelle::edit_with_damage`], whose commit asks whether each edited
+//!    body moved; exactly the damage set's function-local findings are
+//!    re-derived ([`run_local_checks`]) and the whole-module passes re-run
+//!    ([`run_global_checks`], O(functions) without task dispatch sites). An
+//!    edit that moved no body (a metadata keystroke) damages nothing and
+//!    runs no check. Undamaged functions keep their cached findings.
 //! 5. **Graceful degradation.** A parse error (snippet or whole-text)
 //!    *keeps* the last-good analysis and its diagnostics; the session
 //!    reports the syntax error alongside them and recovers in place once a
@@ -100,7 +101,8 @@ pub struct ChangeOutcome {
     pub version: u64,
     /// True when the single-function diff-parse path served the change.
     pub incremental: bool,
-    /// Names of functions whose analysis results were re-derived.
+    /// Names of the functions whose text changed and of those whose
+    /// analysis results were re-derived.
     pub changed_functions: Vec<String>,
     /// Functions re-linted (the damage set size).
     pub relinted: usize,
@@ -145,12 +147,6 @@ struct FuncDiag {
     /// is their text: this function's member of a payload's `plan` object,
     /// `"name":[rows]`.
     plan: String,
-    /// Body fingerprint at the last audit. The audit reads nothing but
-    /// function bodies (loop structure, dependences, points-to rows, callee
-    /// summaries), so a damage set whose bodies all hash unchanged — a
-    /// metadata-only edit — provably cannot move any audit verdict, and
-    /// `relint` skips the re-audit outright.
-    body_fp: u64,
 }
 
 impl FuncDiag {
@@ -221,25 +217,26 @@ impl GoodState {
     }
 
     /// Re-derive the records of `damage` and the whole-module findings.
-    /// Returns how many functions were re-audited.
+    /// Returns how many functions were re-audited. The manager damages a
+    /// function only when a body moved or the state is new, and no check
+    /// reads metadata, so an empty damage set — a metadata keystroke —
+    /// leaves every finding as it stands.
     fn relint(&mut self, damage: &BTreeSet<FuncId>) -> usize {
+        self.fresh.clear();
+        if damage.is_empty() {
+            return 0;
+        }
         let GoodState {
             noelle: n, funcs, ..
         } = self;
-        // The audit reads only function bodies; if every damaged body
-        // hashes unchanged (a metadata-only edit), no verdict can move and
-        // the cached hints stand as-is. A function without a record is new
-        // (a state's first relint; shape changes start a new state, so a
-        // record never outlives its function).
-        let mut body_changed = false;
+        // A function without a record is new (a state's first relint; shape
+        // changes start a new state, so a record never outlives its
+        // function).
         for &fid in damage {
-            let f = n.module().func(fid);
-            let d = funcs.entry(f.name.clone()).or_insert_with(|| {
-                body_changed = true;
-                FuncDiag::default()
-            });
-            let body_fp = f.body_fingerprint();
-            body_changed |= std::mem::replace(&mut d.body_fp, body_fp) != body_fp;
+            let name = &n.module().func(fid).name;
+            if !funcs.contains_key(name) {
+                funcs.insert(name.clone(), FuncDiag::default());
+            }
         }
         let local = run_local_checks(n, damage);
         rebucket(
@@ -251,10 +248,6 @@ impl GoodState {
             |d, _, l| d.local = l,
         );
         self.global = run_global_checks(n);
-        if !body_changed {
-            self.fresh.clear();
-            return 0;
-        }
         // The manager damages a caller only when a callee's summary or
         // interface moved, but the audit reads one call-graph hop beyond
         // that: attribution names call sites of a function's direct callers
@@ -378,13 +371,13 @@ fn rebucket<T>(
 }
 
 /// True when `new` has the same *shape* as `old`: same module name and
-/// metadata, same globals (by fingerprint), and the same function list
-/// (names, order, declaration-ness). Shape-preserving re-parses can be
-/// applied as in-place function swaps, keeping every undamaged cache slot.
+/// metadata, same globals, and the same function list (names, order,
+/// declaration-ness). Shape-preserving re-parses can be applied as in-place
+/// function swaps, keeping every undamaged cache slot.
 fn same_shape(old: &Module, new: &Module) -> bool {
     old.name == new.name
         && old.metadata == new.metadata
-        && old.globals_fingerprint() == new.globals_fingerprint()
+        && old.globals() == new.globals()
         && old.functions().len() == new.functions().len()
         && old
             .functions()
@@ -671,25 +664,30 @@ impl DocSession {
         self.full_reparse()
     }
 
-    /// Relint what `damage` reports of the good state's manager — an edit's
-    /// commit, or every function of a new state — count it and name it.
+    /// Relint what `damage` reports of the good state's manager — the
+    /// commit of an edit of the `edited` functions, or every function of a
+    /// new state — count it, and name it with the edited functions, which
+    /// changed text even where they moved no body.
     fn apply(
         &mut self,
         incremental: bool,
+        edited: &[FuncId],
         damage: impl FnOnce(&mut Noelle) -> BTreeSet<FuncId>,
     ) -> ChangeOutcome {
         let g = self.good.as_mut().expect("there is a state to relint");
-        let damage = damage(&mut g.noelle);
+        let mut damage = damage(&mut g.noelle);
+        let relinted = damage.len();
         let reaudited = g.relint(&damage);
-        self.counters.relinted_functions += damage.len() as u64;
+        self.counters.relinted_functions += relinted as u64;
         self.counters.reaudited_functions += reaudited as u64;
+        damage.extend(edited);
         let module = g.noelle.module();
         let names = damage.iter().map(|&d| module.func(d).name.clone());
         ChangeOutcome {
             version: self.version,
             incremental,
             changed_functions: names.collect(),
-            relinted: damage.len(),
+            relinted,
             syntax_error: None,
         }
     }
@@ -729,12 +727,14 @@ impl DocSession {
                 s.end_line = (s.end_line as isize + delta) as usize;
             }
         }
-        if f.content_fingerprint() == g.noelle.module().func(fid).content_fingerprint() {
+        if f == *g.noelle.module().func(fid) {
             // Comment/whitespace-only: no semantic change, nothing to
             // re-lint.
             return Some(ChangeOutcome::unchanged(self.version, true, None));
         }
-        Some(self.apply(true, |n| n.edit_with_damage(|tx| *tx.func_mut(fid) = f).1))
+        Some(self.apply(true, &[fid], |n| {
+            n.edit_with_damage(|tx| *tx.func_mut(fid) = f).1
+        }))
     }
 
     /// The whole-text path: re-parse everything; apply shape-preserving
@@ -757,9 +757,7 @@ impl DocSession {
                 let old = g.noelle.module();
                 let swap: Vec<FuncId> = old
                     .func_ids()
-                    .filter(|&fid| {
-                        old.func(fid).content_fingerprint() != m.func(fid).content_fingerprint()
-                    })
+                    .filter(|&fid| old.func(fid) != m.func(fid))
                     .collect();
                 g.spans = spans;
                 if swap.is_empty() {
@@ -770,11 +768,11 @@ impl DocSession {
                         std::mem::swap(tx.func_mut(fid), m.func_mut(fid));
                     }
                 };
-                self.apply(false, |n| n.edit_with_damage(commit).1)
+                self.apply(false, &swap, |n| n.edit_with_damage(commit).1)
             }
             _ => {
                 self.good = Some(GoodState::new(m, spans, self.tier));
-                self.apply(false, |n| n.module().func_ids().collect())
+                self.apply(false, &[], |n| n.module().func_ids().collect())
             }
         }
     }
@@ -891,7 +889,7 @@ entry:\n\
             )
             .expect("valid change");
         assert!(out.incremental);
-        assert_eq!(out.relinted, 0, "same fingerprint, no re-lint");
+        assert_eq!(out.relinted, 0, "the same function, no re-lint");
         assert_eq!(s.counters().relinted_functions, 0);
         assert_matches_cold(&s);
     }
@@ -934,8 +932,8 @@ entry:\n\
     #[test]
     fn module_level_edit_falls_back_to_full_reparse() {
         let mut s = DocSession::open("d", SRC, AliasTier::Basic);
-        // Change the global initializer: outside every span, and a new
-        // globals fingerprint, so the cold path runs.
+        // Change the global initializer: outside every span, and new
+        // globals, so the cold path runs.
         let out = s
             .change(
                 2,

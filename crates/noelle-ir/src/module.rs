@@ -368,29 +368,16 @@ impl Function {
             .map(String::as_str)
     }
 
-    /// A 64-bit fingerprint of everything that defines this function's
-    /// behavior: name, signature, block structure and layout, every
-    /// instruction, and all metadata. Two functions with equal content hash
-    /// equal; analyses may treat an unchanged fingerprint across an edit as
-    /// "this function did not change" (the hash is SipHash over the full
-    /// content, so a collision that also survives the damage rule is
-    /// vanishingly unlikely).
-    pub fn content_fingerprint(&self) -> u64 {
-        self.fingerprints().1
-    }
-
-    /// Like [`Function::content_fingerprint`], but covering only what code
-    /// analyses can observe: name, signature, block structure and layout,
-    /// and every instruction — no metadata. A metadata-only edit leaves it
-    /// unchanged, so whole-program results that read nothing but bodies
-    /// (e.g. a points-to solution) may keep their cache across such edits.
-    pub fn body_fingerprint(&self) -> u64 {
-        self.fingerprints().0
-    }
-
-    /// `(body_fingerprint, content_fingerprint)` from one pass over the
-    /// function: the content hash is the body hash continued over the
-    /// metadata, so a caller that wants both pays for the body once.
+    /// Two 64-bit fingerprints from one pass over the function, `(body,
+    /// content)`. The *body* hash covers what code analyses can observe:
+    /// name, signature, block structure and layout, every instruction and
+    /// its own name — no metadata, so a metadata-only edit leaves it
+    /// unchanged and whatever reads nothing but bodies may keep its cache.
+    /// The *content* hash is the body hash continued over all metadata:
+    /// everything the function's text says, what content addressing keys
+    /// on. Both are SipHash over the full input, so a collision that also
+    /// survives the damage rule is vanishingly unlikely. Whether a function
+    /// changed at all is `==`, which compares the same fields exactly.
     pub fn fingerprints(&self) -> (u64, u64) {
         use std::hash::{Hash, Hasher};
         let mut h = std::collections::hash_map::DefaultHasher::new();
@@ -570,8 +557,8 @@ impl Module {
 
     /// A 64-bit fingerprint of the module's globals (names, types,
     /// initializers, constness) and module-level metadata. Companion to
-    /// [`Function::content_fingerprint`] for whole-module analyses whose
-    /// inputs are "every function body plus the globals".
+    /// [`Function::fingerprints`] for whole-module analyses whose inputs
+    /// are "every function body plus the globals".
     pub fn globals_fingerprint(&self) -> u64 {
         use std::hash::{Hash, Hasher};
         let mut h = std::collections::hash_map::DefaultHasher::new();

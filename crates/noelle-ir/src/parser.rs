@@ -1663,8 +1663,8 @@ global @both : i64 = i64 0
         let f = parse_function_text(&m, &snippet).expect("snippet parses");
         let fid = m.func_id_by_name("sum").unwrap();
         assert_eq!(
-            f.content_fingerprint(),
-            m.func(fid).content_fingerprint(),
+            f.fingerprints(),
+            m.func(fid).fingerprints(),
             "snippet reparse is content-identical"
         );
     }

@@ -91,7 +91,7 @@ pub struct KeyCtx {
     /// `Module::globals_fingerprint()`.
     pub globals_fp: u64,
     /// Order-independent fingerprint of every defined function's
-    /// `content_fingerprint` (see [`KeyCtx::module_code_fp`]).
+    /// content fingerprint (see [`KeyCtx::module_code_fp`]).
     pub module_code_fp: u64,
     /// Alias-analysis tier the artifacts were computed under, as a stable
     /// small integer.

@@ -13,8 +13,8 @@
 //! Artifacts are addressed by *content*, never by name: a [`StoreKey`] is a
 //! 128-bit hash over the store format revision, the artifact kind, the
 //! alias-analysis tier, the module's globals fingerprint, a module-wide
-//! code fingerprint, and the owning function's
-//! `Function::content_fingerprint`. PDG partitions are interprocedural — a
+//! code fingerprint, and the owning function's content fingerprint
+//! (`Function::fingerprints`). PDG partitions are interprocedural — a
 //! partition embeds callee mod/ref summaries and global points-to facts —
 //! so their keys include the module-wide code fingerprint: any edit
 //! anywhere misses (falling back to the in-memory incremental engine),

@@ -50,7 +50,7 @@ fn fingerprints(m: &Module) -> BTreeMap<String, u64> {
     m.functions()
         .iter()
         .filter(|f| !f.is_declaration())
-        .map(|f| (f.name.clone(), f.content_fingerprint()))
+        .map(|f| (f.name.clone(), f.fingerprints().1))
         .collect()
 }
 
@@ -221,10 +221,10 @@ fn random_single_function_edits_match_cold_lint() {
                 BTreeSet::new()
             };
             assert_eq!(truth, expected, "{}: edit touched @{target} only", w.name);
-            let damage: BTreeSet<String> = out.changed_functions.iter().cloned().collect();
+            let named: BTreeSet<String> = out.changed_functions.iter().cloned().collect();
             assert!(
-                truth.is_subset(&damage),
-                "{}: re-linted set covers every changed function",
+                truth.is_subset(&named),
+                "{}: the reply names every changed function",
                 w.name
             );
 
@@ -311,24 +311,26 @@ fn reaudit_follows_the_edit_not_the_module() {
             out.incremental,
             "one-function edit takes the diff-parse path"
         );
-        assert!(
-            out.relinted >= 1,
-            "a fingerprint change re-lints its damage"
-        );
         // Body edits push the hints of their audit closure and nothing
         // else; an editor patched with just those stays whole.
         editor.patch(&s.push_diagnostics_json());
         editor.assert_holds(&s.diagnostics_json(), &line);
         assert_text_is_the_tree(s, &line);
+        out
     };
+    let target = format!("k{}", FUNCTIONS / 2);
 
-    // Metadata-only edits: the auditor reads bodies, never metadata, so no
-    // verdict can move and nothing is re-audited. The first splice inserts
-    // the line, the rest replace it with a different value.
+    // Metadata-only edits: no analysis reads metadata, so the commit finds
+    // no body moved and damages nothing — nothing is relinted or
+    // re-audited, though the reply still names the function whose text
+    // changed. The first splice inserts the line, the rest replace it with
+    // a different value.
     for i in 0..EDITS {
         let end = define_line + 1 + usize::from(i > 0);
         let line = format!("  fmeta \"ide.tick\" = \"{i}\"");
-        splice(&mut s, define_line + 1, end, line);
+        let out = splice(&mut s, define_line + 1, end, line);
+        assert_eq!(out.relinted, 0, "a metadata keystroke relints nothing");
+        assert_eq!(out.changed_functions, std::slice::from_ref(&target));
     }
     assert_eq!(
         s.counters().reaudited_functions,
@@ -344,7 +346,8 @@ fn reaudit_follows_the_edit_not_the_module() {
     for i in 0..EDITS {
         let end = body_line + usize::from(i > 0);
         let line = format!("  %bt = add i64 i64 {i}, i64 {i}");
-        splice(&mut s, body_line, end, line);
+        let out = splice(&mut s, body_line, end, line);
+        assert!(out.relinted >= 1, "a body edit re-lints its damage");
     }
     let reaudited = s.counters().reaudited_functions;
     assert_eq!(
@@ -362,7 +365,8 @@ fn reaudit_follows_the_edit_not_the_module() {
     let span = s.spans().iter().find(|sp| sp.name == hinted);
     let body_line = span.expect("its span").start_line + 2; // define, entry:, <here>
     let line = "  %bt = add i64 i64 1, i64 1".to_string();
-    splice(&mut s, body_line, body_line, line);
+    let out = splice(&mut s, body_line, body_line, line);
+    assert!(out.relinted >= 1, "a body edit re-lints its damage");
 
     // What the incremental path left behind is what a cold open of the same
     // text derives, to the byte — hints and plan rows alike.
@@ -377,6 +381,55 @@ fn reaudit_follows_the_edit_not_the_module() {
         cold.plan_hints().to_string_compact(),
         "incremental plan hints diverge from a cold open"
     );
+}
+
+/// Metadata keystrokes move no body, so they damage nothing: each reply
+/// relints 0 functions and names the one whose text changed, the function's
+/// analyses keep their epoch, the session's counters do not move, and what
+/// it serves is byte for byte what a cold open of the same text serves.
+#[test]
+fn metadata_keystrokes_relint_nothing_and_serve_a_cold_open() {
+    const KEYSTROKES: usize = 12;
+    let text = print_module(&workloads::scale_module(64, 3));
+    let mut s = DocSession::open("scale", &text, AliasTier::Basic);
+    let before = s.counters();
+    let epoch = |s: &DocSession, name: &str| {
+        let n = s.noelle().expect("the document parses");
+        n.epoch(
+            n.module()
+                .func_id_by_name(name)
+                .expect("a defined function"),
+        )
+    };
+    for i in 0..KEYSTROKES {
+        let span = s.spans()[i * 7 % s.spans().len()].clone();
+        let was = epoch(&s, &span.name);
+        let keystroke = Change::Splice {
+            start_line: span.start_line + 1,
+            end_line: span.start_line + 1,
+            lines: vec![format!("  fmeta \"ide.k{i}\" = \"{i}\"")],
+        };
+        let out = s.change(s.version() + 1, keystroke).expect("in range");
+        assert!(out.incremental && out.syntax_error.is_none());
+        assert_eq!(out.relinted, 0, "keystroke {i} relinted its damage");
+        assert_eq!(out.changed_functions, std::slice::from_ref(&span.name));
+        assert_eq!(epoch(&s, &span.name), was, "keystroke {i} moved an epoch");
+        assert_text_is_the_tree(&s, &format!("keystroke {i}"));
+    }
+    let after = s.counters();
+    assert_eq!(after.relinted_functions, before.relinted_functions);
+    assert_eq!(after.reaudited_functions, before.reaudited_functions);
+    assert_eq!(
+        after.incremental_reparses,
+        before.incremental_reparses + KEYSTROKES as u64
+    );
+    let cold = DocSession::open("scale", &s.text(), AliasTier::Basic);
+    assert!(s.text().contains("ide.k11") && cold.syntax_error().is_none());
+    let unversioned = |d: &DocSession| {
+        let version = format!("\"version\":{}", d.version());
+        d.diagnostics_text().replacen(&version, "\"version\":0", 1)
+    };
+    assert_eq!(unversioned(&s), unversioned(&cold));
 }
 
 /// One document through every kind of state a session has — never parsed,
@@ -432,7 +485,8 @@ fn the_text_payload_is_the_tree_rendered_in_every_state() {
             "keystroke",
             splice(meta, 0, "  fmeta \"k\" = \"1\""),
         );
-        assert!(out.incremental && out.relinted >= 1);
+        assert!(out.incremental && out.relinted == 0);
+        assert_eq!(out.changed_functions, std::slice::from_ref(&first.name));
         assert_eq!(s.counters().reaudited_functions, reaudited);
         let out = step(&mut s, "broken", splice(meta, 1, "  utterly not nir"));
         assert!(out.syntax_error.is_some());
@@ -448,7 +502,11 @@ fn the_text_payload_is_the_tree_rendered_in_every_state() {
             lines[meta - 1] = "  fmeta \"k\" = \"3\"".to_string();
             let full = s.counters().full_reparses;
             let out = step(&mut s, "full reparse", Change::Full(lines.join("\n")));
-            assert!(!out.incremental && out.relinted == 2);
+            assert!(!out.incremental && out.relinted == 0);
+            assert_eq!(
+                out.changed_functions,
+                [first.name.clone(), last.name.clone()]
+            );
             assert_eq!(s.counters().full_reparses, full + 1);
         }
 

@@ -418,12 +418,13 @@ fn a_loop_request_repairs_its_own_partition_only() {
     let _ = n.pdg();
     let k0 = n.module().func_id_by_name("k0").expect("first kernel");
     let k1 = n.module().func_id_by_name("k1").expect("second kernel");
-    // A body edit of one kernel and a touch of its neighbour damage both
-    // and nobody else: neither summary and neither interface moved, so the
-    // group function that calls them reads what it read before.
+    // A body edit of two kernels damages both and nobody else: neither
+    // summary and neither interface moved, so the group function that calls
+    // them reads what it read before.
     let ((), damage) = n.edit_with_damage(|tx| {
-        tx.touch(k1);
-        insert_dead_add(tx.module_touching([k0]), k0);
+        let m = tx.module_touching([k0, k1]);
+        insert_dead_add(m, k0);
+        insert_dead_add(m, k1);
     });
     assert_eq!(damage, BTreeSet::from([k0, k1]));
     let damaged = damage.len() as u64;
@@ -707,9 +708,7 @@ fn untouched_functions_are_not_rebuilt() {
         .module()
         .func_id_by_name("main")
         .expect("stress workload has main");
-    n.edit(|tx| {
-        tx.touch(fid);
-    });
+    n.edit(|tx| insert_dead_add(tx.module_touching([fid]), fid));
     let p2 = n.pdg();
     let after = n.func_cache_counters();
 
@@ -730,7 +729,7 @@ fn untouched_functions_are_not_rebuilt() {
     assert_eq!(
         p1.per_function[&fid].edges(),
         p2.per_function[&fid].edges(),
-        "a pure touch must not move edges"
+        "a dead add must not move edges"
     );
     assert_eq!(
         after.pdg_misses - before.pdg_misses,
