@@ -14,7 +14,7 @@
 use crate::induction::InductionVariables;
 use crate::invariants::InvariantSet;
 use crate::json::Json;
-use crate::noelle::{BuildStat, Noelle};
+use crate::noelle::{BuildStat, FuncCacheCounters, MemoryStats, Noelle};
 use noelle_ir::inst::InstId;
 use noelle_ir::loops::LoopInfo;
 use noelle_ir::module::Module;
@@ -233,71 +233,61 @@ pub fn callgraph_to_json(m: &Module, cg: &CallGraph) -> Json {
     ])
 }
 
-fn build_stat_to_json(s: &BuildStat) -> Json {
-    Json::object([
-        ("builds".to_string(), Json::Int(s.builds as i64)),
-        (
-            "nanos".to_string(),
-            Json::Int(s.nanos.min(i64::MAX as u128) as i64),
-        ),
-    ])
-}
-
 /// One manager's cache-health report: per-abstraction build counts/time,
 /// the per-function cache counters, and the approximate heap held by the
 /// cached analysis state. This is what lets a client verify that a repeated
-/// query did *not* rebuild.
+/// query did *not* rebuild. The one place [`BuildStat`],
+/// [`FuncCacheCounters`] and [`MemoryStats`] become JSON.
 pub fn manager_stats_to_json(n: &Noelle) -> Json {
-    let builds = n
-        .build_stats()
-        .iter()
-        .map(|(a, s)| (a.short_name().to_string(), build_stat_to_json(s)))
-        .collect::<Vec<_>>();
-    let c = n.func_cache_counters();
-    let mem = n.memory_stats();
+    let int = |k: &str, v: u64| (k.to_string(), Json::Int(v.min(i64::MAX as u64) as i64));
+    let build = |s: &BuildStat| {
+        let nanos = s.nanos.min(i64::MAX as u128) as u64;
+        Json::object([int("builds", s.builds), int("nanos", nanos)])
+    };
+    let builds = n.build_stats().iter();
+    let builds = builds.map(|(a, s)| (a.short_name().to_string(), build(s)));
+    let MemoryStats {
+        pdg_bytes,
+        andersen_bytes,
+        functions,
+        bytes_per_function,
+    } = n.memory_stats();
+    let FuncCacheCounters {
+        pdg_hits,
+        pdg_misses,
+        struct_hits,
+        struct_misses,
+        invalidations,
+        andersen_reuses,
+        andersen_regen_funcs,
+        andersen_reset_rows,
+        store_hits,
+        store_misses,
+    } = n.func_cache_counters();
     Json::object([
         ("builds".to_string(), Json::object(builds)),
         (
             "memory".to_string(),
             Json::object([
-                ("pdg_bytes".to_string(), Json::Int(mem.pdg_bytes as i64)),
-                (
-                    "andersen_bytes".to_string(),
-                    Json::Int(mem.andersen_bytes as i64),
-                ),
-                ("functions".to_string(), Json::Int(mem.functions as i64)),
-                (
-                    "bytes_per_function".to_string(),
-                    Json::Int(mem.bytes_per_function as i64),
-                ),
+                int("pdg_bytes", pdg_bytes as u64),
+                int("andersen_bytes", andersen_bytes as u64),
+                int("functions", functions as u64),
+                int("bytes_per_function", bytes_per_function),
             ]),
         ),
         (
             "func_cache".to_string(),
             Json::object([
-                ("pdg_hits".to_string(), Json::Int(c.pdg_hits as i64)),
-                ("pdg_misses".to_string(), Json::Int(c.pdg_misses as i64)),
-                ("struct_hits".to_string(), Json::Int(c.struct_hits as i64)),
-                (
-                    "struct_misses".to_string(),
-                    Json::Int(c.struct_misses as i64),
-                ),
-                (
-                    "invalidations".to_string(),
-                    Json::Int(c.invalidations as i64),
-                ),
-                (
-                    "andersen_reuses".to_string(),
-                    Json::Int(c.andersen_reuses as i64),
-                ),
-                (
-                    "andersen_regen_funcs".to_string(),
-                    Json::Int(c.andersen_regen_funcs as i64),
-                ),
-                (
-                    "andersen_reset_rows".to_string(),
-                    Json::Int(c.andersen_reset_rows as i64),
-                ),
+                int("pdg_hits", pdg_hits),
+                int("pdg_misses", pdg_misses),
+                int("struct_hits", struct_hits),
+                int("struct_misses", struct_misses),
+                int("invalidations", invalidations),
+                int("andersen_reuses", andersen_reuses),
+                int("andersen_regen_funcs", andersen_regen_funcs),
+                int("andersen_reset_rows", andersen_reset_rows),
+                int("store_hits", store_hits),
+                int("store_misses", store_misses),
             ]),
         ),
     ])

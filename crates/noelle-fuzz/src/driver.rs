@@ -46,31 +46,15 @@ pub struct FuzzConfig {
     pub seed_start: u64,
     /// Optional wall-clock budget; the seed loop stops once exceeded.
     pub time_budget_ms: Option<u64>,
-    /// Enable the dynamic PDG-soundness oracle on baseline runs.
-    pub trace_deps: bool,
-    /// Run the static NL0001 race detector over every tool's output.
-    pub lint_races: bool,
-    /// Check that each tool's incrementally repaired PDG matches a
-    /// from-scratch build of its output module.
-    pub check_incremental: bool,
-    /// Round-trip analysis artifacts through the `noelle-store` byte
-    /// codecs and require byte-identical re-encoding.
-    pub check_store: bool,
-    /// Validate the parallelism auditor's per-loop verdicts by actually
-    /// running the transforms (clean ⇒ applies + differential oracle
-    /// passes; blocked ⇒ concrete attribution).
-    pub check_audit: bool,
-    /// Validate the parallelization planner (byte-identical plans across
-    /// fresh managers; applied plans pass the differential oracle).
-    pub check_plan: bool,
+    /// The oracle's knobs: which checks run on every module, and the
+    /// interpreter's step budget per run.
+    pub oracle: OracleConfig,
     /// Directory of persisted repros to replay (and to write new ones).
     pub corpus_dir: Option<PathBuf>,
     /// Write failing seeds + minimized repros into `corpus_dir`.
     pub persist: bool,
     /// Generator shape/size configuration.
     pub gen: GenConfig,
-    /// Interpreter step budget per run.
-    pub max_steps: u64,
     /// Bound on reducer rounds per failure.
     pub reduce_rounds: usize,
 }
@@ -81,16 +65,10 @@ impl Default for FuzzConfig {
             seeds: 100,
             seed_start: 0,
             time_budget_ms: None,
-            trace_deps: false,
-            lint_races: false,
-            check_incremental: true,
-            check_store: true,
-            check_audit: false,
-            check_plan: false,
+            oracle: OracleConfig::default(),
             corpus_dir: None,
             persist: false,
             gen: GenConfig::default(),
-            max_steps: OracleConfig::default().max_steps,
             reduce_rounds: DEFAULT_MAX_ROUNDS,
         }
     }
@@ -196,19 +174,6 @@ impl CampaignSummary {
     }
 }
 
-fn oracle_cfg(cfg: &FuzzConfig) -> OracleConfig {
-    OracleConfig {
-        trace_deps: cfg.trace_deps,
-        lint_races: cfg.lint_races,
-        check_incremental: cfg.check_incremental,
-        check_store: cfg.check_store,
-        check_audit: cfg.check_audit,
-        check_plan: cfg.check_plan,
-        max_steps: cfg.max_steps,
-        ..OracleConfig::default()
-    }
-}
-
 /// Replay every `*.nir` under `dir` (sorted by file name), recording
 /// violations into `summary`.
 fn replay_corpus(
@@ -225,7 +190,6 @@ fn replay_corpus(
         Err(_) => return, // no corpus yet
     };
     entries.sort();
-    let ocfg = oracle_cfg(cfg);
     for path in entries {
         summary.corpus_replayed += 1;
         let name = path
@@ -250,7 +214,7 @@ fn replay_corpus(
                 continue;
             }
         };
-        match check_module(&m, tools, &ocfg) {
+        match check_module(&m, tools, &cfg.oracle) {
             Outcome::Fail { failures } => {
                 let f = &failures[0];
                 let tool = f.tool.as_deref().unwrap_or("oracle");
@@ -284,8 +248,8 @@ fn persist_failure(
     }
 
     let reduce_cfg = OracleConfig {
-        max_steps: cfg.max_steps.min(REDUCE_MAX_STEPS),
-        ..oracle_cfg(cfg)
+        max_steps: cfg.oracle.max_steps.min(REDUCE_MAX_STEPS),
+        ..cfg.oracle.clone()
     };
     let pred = |c: &noelle_ir::module::Module| fails_like(c, tools, &reduce_cfg, failure);
     let (min, stats) = reduce(m, &pred, cfg.reduce_rounds);
@@ -309,7 +273,6 @@ pub fn run_campaign(cfg: &FuzzConfig, tools: &[FuzzTool]) -> CampaignSummary {
         replay_corpus(dir, tools, cfg, &mut summary);
     }
 
-    let ocfg = oracle_cfg(cfg);
     for seed in cfg.seed_start..cfg.seed_start.saturating_add(cfg.seeds) {
         if let Some(budget) = cfg.time_budget_ms {
             if start.elapsed().as_millis() as u64 > budget {
@@ -319,7 +282,7 @@ pub fn run_campaign(cfg: &FuzzConfig, tools: &[FuzzTool]) -> CampaignSummary {
         }
         summary.seeds_run += 1;
         let m = generate(seed, &cfg.gen);
-        match check_module(&m, tools, &ocfg) {
+        match check_module(&m, tools, &cfg.oracle) {
             Outcome::Pass {
                 deps_checked,
                 plan_slower,
@@ -362,7 +325,10 @@ mod tests {
     fn small_cfg() -> FuzzConfig {
         FuzzConfig {
             seeds: 10,
-            trace_deps: true,
+            oracle: OracleConfig {
+                trace_deps: true,
+                ..OracleConfig::default()
+            },
             gen: GenConfig {
                 max_kernels: 1,
                 size_budget: 60,

@@ -7,7 +7,7 @@
 //! this crate keeps them resident: `noelle-served` holds a table of loaded
 //! modules, each behind a warm [`Noelle`](noelle_core::noelle::Noelle)
 //! manager, and serves `load` / `pdg` / `sccdag` / `loops` / `induction` /
-//! `invariants` / `callgraph` / `run-tool` / `stats` / `metrics` queries
+//! `invariants` / `callgraph` / `run-tool` / `stats` queries
 //! from many clients over localhost TCP.
 //!
 //! Production-shaping properties:
@@ -30,9 +30,10 @@
 //!   memory.
 //! - **Deadlines**: every request gets a timeout error instead of a hung
 //!   connection.
-//! - **Observability** ([`metrics`]): per-method counters and latency
-//!   quantiles, per-shard queue depth and shed counts, store hit/miss
-//!   counters, plus per-session build/cache counters.
+//! - **Observability** ([`metrics`]): one `stats` reply carries per-method
+//!   counters and latency quantiles, per-shard queue depth and shed counts,
+//!   store hit/miss counters, per-session build/cache counters, and the
+//!   daemon-wide IDE, audit and plan counters, each number once.
 //! - **Graceful shutdown**: queued requests drain before workers exit.
 
 pub mod client;

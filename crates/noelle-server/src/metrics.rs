@@ -1,11 +1,14 @@
-//! Request counters and latency histograms.
+//! The daemon's one counter registry: per-method request counters and
+//! latency histograms, and one fixed table of daemon-wide event counters.
 //!
-//! The daemon's `metrics` method reports, per wire method, how many
+//! The `stats` reply reports, under `requests`, per wire method how many
 //! requests ran, how many failed or timed out, and p50/p95/p99 latency.
 //! Latencies land in lock-free power-of-two microsecond buckets, so
 //! recording from many worker threads never contends; quantiles are read
 //! back as the upper bound of the bucket holding the target rank —
 //! resolution is a factor of two, which is plenty for tail monitoring.
+//! Each [`Counter`] is one relaxed atomic, reported once, in the section
+//! of `stats` its name gives.
 
 use noelle_core::json::Json;
 use std::collections::BTreeMap;
@@ -101,10 +104,69 @@ pub enum Outcome {
     Shed,
 }
 
+/// A daemon-wide event counter: one slot of [`Metrics`]' table.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Counter {
+    /// `audit` requests served.
+    AuditRuns,
+    /// Loops audited across all runs.
+    AuditLoops,
+    /// Audited loops with at least one clean technique verdict.
+    AuditParallelizable,
+    /// Blockers attributed across all runs.
+    AuditBlockers,
+    /// `plan` requests served.
+    PlanRuns,
+    /// Loops the planner considered across all runs.
+    PlanLoops,
+    /// Loops given a technique across all runs.
+    PlanPlanned,
+    /// Documents opened.
+    IdeOpens,
+    /// Documents closed.
+    IdeCloses,
+    /// Diagnostics payloads sent: every `ide/open` and `ide/change` reply
+    /// carries one, and every `ide/diagnostics` pull is one.
+    IdeDiagPushes,
+}
+
+impl Counter {
+    /// Every counter, in table order.
+    pub const ALL: [Counter; 10] = [
+        Counter::AuditRuns,
+        Counter::AuditLoops,
+        Counter::AuditParallelizable,
+        Counter::AuditBlockers,
+        Counter::PlanRuns,
+        Counter::PlanLoops,
+        Counter::PlanPlanned,
+        Counter::IdeOpens,
+        Counter::IdeCloses,
+        Counter::IdeDiagPushes,
+    ];
+
+    /// Where `stats` reports the counter: its section and its key there.
+    pub fn name(self) -> (&'static str, &'static str) {
+        match self {
+            Counter::AuditRuns => ("audit", "runs"),
+            Counter::AuditLoops => ("audit", "loops"),
+            Counter::AuditParallelizable => ("audit", "parallelizable"),
+            Counter::AuditBlockers => ("audit", "blockers"),
+            Counter::PlanRuns => ("plan", "runs"),
+            Counter::PlanLoops => ("plan", "loops"),
+            Counter::PlanPlanned => ("plan", "planned"),
+            Counter::IdeOpens => ("ide", "opens"),
+            Counter::IdeCloses => ("ide", "closes"),
+            Counter::IdeDiagPushes => ("ide", "diag_pushes"),
+        }
+    }
+}
+
 /// The daemon-wide metric registry.
 #[derive(Default)]
 pub struct Metrics {
     methods: Mutex<BTreeMap<String, Arc<MethodMetrics>>>,
+    counters: [AtomicU64; Counter::ALL.len()],
 }
 
 impl Metrics {
@@ -139,6 +201,23 @@ impl Metrics {
                 m.sheds.fetch_add(1, Ordering::Relaxed);
             }
         }
+    }
+
+    /// Add `n` to counter `c`.
+    pub fn add(&self, c: Counter, n: u64) {
+        self.counters[c as usize].fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// The counters `stats` reports in `section`, as that section's
+    /// members.
+    pub fn section<'a>(&'a self, section: &'a str) -> impl Iterator<Item = (String, Json)> + 'a {
+        Counter::ALL
+            .into_iter()
+            .filter(move |c| c.name().0 == section)
+            .map(|c| {
+                let n = self.counters[c as usize].load(Ordering::Relaxed);
+                (c.name().1.to_string(), Json::Int(n as i64))
+            })
     }
 
     /// Snapshot every method's counters and latency quantiles.
@@ -218,5 +297,22 @@ mod tests {
         assert_eq!(pdg.get("errors").and_then(Json::as_i64), Some(1));
         assert_eq!(pdg.get("timeouts").and_then(Json::as_i64), Some(1));
         assert_eq!(pdg.get("sheds").and_then(Json::as_i64), Some(1));
+    }
+
+    #[test]
+    fn each_counter_has_its_own_slot_and_name() {
+        let m = Metrics::new();
+        for (i, c) in Counter::ALL.into_iter().enumerate() {
+            assert_eq!(c as usize, i, "{c:?} is out of table order");
+            m.add(c, i as u64 + 1);
+        }
+        let mut names = std::collections::BTreeSet::new();
+        for c in Counter::ALL {
+            assert!(names.insert(c.name()), "{:?} is named twice", c.name());
+            let (section, key) = c.name();
+            let members: Vec<_> = m.section(section).collect();
+            let n = c as i64 + 1;
+            assert!(members.contains(&(key.to_string(), Json::Int(n))));
+        }
     }
 }

@@ -21,7 +21,7 @@ use std::io::{self, Read, Write};
 
 /// Current protocol version. Version 1 is the original unversioned wire
 /// format; version 2 added the `"v"` field itself, per-function cache
-/// counters in `stats`/`metrics`, and registry-parsed `run-tool` params.
+/// counters in `stats`, and registry-parsed `run-tool` params.
 pub const PROTOCOL_VERSION: i64 = 2;
 
 /// Upper bound on a frame payload; anything larger is a protocol error

@@ -8,7 +8,7 @@
 //! name, and enqueues it with `try_send` — a full shard queue **sheds**
 //! the request immediately with a structured `overloaded` error instead of
 //! letting latency grow without bound. Cheap control-plane methods
-//! (`ping`, `stats`, `metrics`, `shutdown`) run inline on the connection
+//! (`ping`, `stats`, `shutdown`) run inline on the connection
 //! thread and never queue behind analysis work.
 //!
 //! The admitted path keeps its deadline: if the reply does not arrive in
@@ -23,7 +23,7 @@
 //! drain their queue before exiting, so no admitted request is dropped
 //! unanswered (modulo its own deadline).
 
-use crate::metrics::{Metrics, Outcome};
+use crate::metrics::{Counter, Metrics, Outcome};
 use crate::protocol::{
     read_frame_text, response_err, response_ok, response_ok_text, write_frame_text, ErrorCode,
     Request, PROTOCOL_VERSION,
@@ -44,7 +44,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{
     channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender, TrySendError,
 };
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -117,85 +117,39 @@ impl Shard {
     }
 }
 
-/// The IDE document table and its counters. Documents are *not* sessions:
-/// they hold text (possibly unparseable) plus a last-good analysis, live
-/// outside the shard tables, and their methods run inline on the
-/// connection thread — an edit's damage-scoped repair is the latency
-/// budget, not a queue hop.
+/// The IDE document table. Documents are *not* sessions: they hold text
+/// (possibly unparseable) plus a last-good analysis, live outside the shard
+/// tables, and their methods run inline on the connection thread — an
+/// edit's damage-scoped repair is the latency budget, not a queue hop.
 #[derive(Default)]
-pub struct IdeState {
-    docs: Mutex<BTreeMap<String, DocSession>>,
+struct IdeState {
+    docs: Mutex<Docs>,
     auto_name: AtomicU64,
-    opens: AtomicU64,
-    closes: AtomicU64,
-    /// Diagnostics payloads pushed to clients (every `ide/open` and
-    /// `ide/change` reply carries one; `ide/diagnostics` pulls count too).
-    diag_pushes: AtomicU64,
-    // Counters of already-closed documents, folded in at close so the
-    // daemon-wide stats survive the documents they describe.
-    retired: Mutex<DocCounters>,
+}
+
+/// The open documents and the counters of those already closed, behind one
+/// lock: a close moves a document's counters from one to the other at once,
+/// so the daemon-wide totals never lose them in between.
+#[derive(Default)]
+struct Docs {
+    open: BTreeMap<String, DocSession>,
+    retired: DocCounters,
 }
 
 impl IdeState {
-    /// Open documents right now.
-    pub fn open_docs(&self) -> usize {
-        self.docs.lock().expect("ide doc table lock").len()
+    fn docs(&self) -> MutexGuard<'_, Docs> {
+        self.docs.lock().expect("ide doc table lock")
     }
 
-    /// Diagnostics payloads pushed so far.
-    pub fn diag_pushes(&self) -> u64 {
-        self.diag_pushes.load(Ordering::Relaxed)
-    }
-
-    /// Daemon-wide document counters: live documents plus everything
-    /// already closed.
-    fn totals(&self) -> DocCounters {
-        let mut t = *self.retired.lock().expect("ide retired lock");
-        for d in self.docs.lock().expect("ide doc table lock").values() {
+    /// Open documents right now, and the daemon-wide document counters:
+    /// live documents plus everything already closed.
+    fn totals(&self) -> (usize, DocCounters) {
+        let docs = self.docs();
+        let mut t = docs.retired;
+        for d in docs.open.values() {
             t += d.counters();
         }
-        t
-    }
-
-    /// The `"ide"` section of `stats`/`metrics`.
-    pub fn stats_json(&self) -> Json {
-        let t = self.totals();
-        Json::object([
-            ("open_docs".to_string(), Json::Int(self.open_docs() as i64)),
-            (
-                "opens".to_string(),
-                Json::Int(self.opens.load(Ordering::Relaxed) as i64),
-            ),
-            (
-                "closes".to_string(),
-                Json::Int(self.closes.load(Ordering::Relaxed) as i64),
-            ),
-            (
-                "diag_pushes".to_string(),
-                Json::Int(self.diag_pushes() as i64),
-            ),
-            ("changes".to_string(), Json::Int(t.changes as i64)),
-            (
-                "incremental_reparses".to_string(),
-                Json::Int(t.incremental_reparses as i64),
-            ),
-            (
-                "full_reparses".to_string(),
-                Json::Int(t.full_reparses as i64),
-            ),
-            (
-                "parse_failures".to_string(),
-                Json::Int(t.parse_failures as i64),
-            ),
-            (
-                "relinted_functions".to_string(),
-                Json::Int(t.relinted_functions as i64),
-            ),
-            (
-                "reaudited_functions".to_string(),
-                Json::Int(t.reaudited_functions as i64),
-            ),
-        ])
+        (docs.open.len(), t)
     }
 }
 
@@ -208,101 +162,11 @@ pub struct ServerState {
     /// The durable artifact store, when configured.
     pub store: Option<Arc<Store>>,
     /// IDE document sessions (`ide/*` methods).
-    pub ide: IdeState,
-    /// Parallelism-auditor counters (`audit` method).
-    pub audit: AuditCounters,
-    /// Parallelization-planner counters (`plan` method).
-    pub plan: PlanCounters,
+    ide: IdeState,
     tool_runner: Option<ToolRunner>,
     shutdown: AtomicBool,
     auto_name: AtomicU64,
     started: Instant,
-}
-
-/// Daemon-wide counters for the parallelism auditor, surfaced under the
-/// `audit` key of both `stats` and `metrics`.
-#[derive(Default)]
-pub struct AuditCounters {
-    /// `audit` requests served.
-    pub runs: AtomicU64,
-    /// Loops audited across all runs.
-    pub loops: AtomicU64,
-    /// Loops with at least one clean technique verdict.
-    pub parallelizable: AtomicU64,
-    /// Blockers attributed across all runs.
-    pub blockers: AtomicU64,
-}
-
-impl AuditCounters {
-    fn record(&self, audit: &noelle_lint::audit::ModuleAudit) {
-        self.runs.fetch_add(1, Ordering::Relaxed);
-        self.loops
-            .fetch_add(audit.loops.len() as u64, Ordering::Relaxed);
-        self.parallelizable
-            .fetch_add(audit.parallelizable() as u64, Ordering::Relaxed);
-        self.blockers
-            .fetch_add(audit.num_blockers() as u64, Ordering::Relaxed);
-    }
-
-    fn to_json(&self) -> Json {
-        Json::object([
-            (
-                "runs".to_string(),
-                Json::Int(self.runs.load(Ordering::Relaxed) as i64),
-            ),
-            (
-                "loops".to_string(),
-                Json::Int(self.loops.load(Ordering::Relaxed) as i64),
-            ),
-            (
-                "parallelizable".to_string(),
-                Json::Int(self.parallelizable.load(Ordering::Relaxed) as i64),
-            ),
-            (
-                "blockers".to_string(),
-                Json::Int(self.blockers.load(Ordering::Relaxed) as i64),
-            ),
-        ])
-    }
-}
-
-/// Daemon-wide counters for the parallelization planner, surfaced under
-/// the `plan` key of both `stats` and `metrics`.
-#[derive(Default)]
-pub struct PlanCounters {
-    /// `plan` requests served.
-    pub runs: AtomicU64,
-    /// Loops considered across all runs.
-    pub loops: AtomicU64,
-    /// Loops with a chosen technique across all runs.
-    pub planned: AtomicU64,
-}
-
-impl PlanCounters {
-    fn record(&self, plan: &noelle_plan::ModulePlan) {
-        self.runs.fetch_add(1, Ordering::Relaxed);
-        self.loops
-            .fetch_add(plan.loops.len() as u64, Ordering::Relaxed);
-        self.planned
-            .fetch_add(plan.planned() as u64, Ordering::Relaxed);
-    }
-
-    fn to_json(&self) -> Json {
-        Json::object([
-            (
-                "runs".to_string(),
-                Json::Int(self.runs.load(Ordering::Relaxed) as i64),
-            ),
-            (
-                "loops".to_string(),
-                Json::Int(self.loops.load(Ordering::Relaxed) as i64),
-            ),
-            (
-                "planned".to_string(),
-                Json::Int(self.planned.load(Ordering::Relaxed) as i64),
-            ),
-        ])
-    }
 }
 
 impl ServerState {
@@ -332,8 +196,6 @@ impl ServerState {
             metrics: Metrics::new(),
             store,
             ide: IdeState::default(),
-            audit: AuditCounters::default(),
-            plan: PlanCounters::default(),
             tool_runner,
             shutdown: AtomicBool::new(false),
             auto_name: AtomicU64::new(0),
@@ -657,7 +519,7 @@ fn with_session(req: &Request, name: &str) -> Request {
 /// session).
 fn routed_shard(state: &ServerState, req: &Request) -> Option<usize> {
     match req.method.as_str() {
-        "ping" | "stats" | "metrics" | "shutdown" => None,
+        "ping" | "stats" | "shutdown" => None,
         // IDE methods run inline: a document's damage-scoped repair is the
         // fast path by construction, and serializing it behind a shard's
         // analysis builds would forfeit exactly the latency the diff-parser
@@ -1058,14 +920,37 @@ fn shards_json(state: &ServerState) -> Json {
     )
 }
 
+/// One session's row of `table.sessions`: its footprint, its module's
+/// function count, and its manager's build, memory and cache counters.
+fn session_json(s: &Session) -> Json {
+    let approx_bytes = (
+        "approx_bytes".to_string(),
+        Json::Int(s.approx_bytes() as i64),
+    );
+    let Ok(n) = s.noelle.lock() else {
+        // A request panicked under the build lock; its counters are not read.
+        return Json::object([
+            approx_bytes,
+            ("functions".to_string(), Json::Int(-1)),
+            ("func_cache".to_string(), Json::Null),
+        ]);
+    };
+    let functions = n.module().functions().len() as i64;
+    let manager = wire::manager_stats_to_json(&n);
+    let members = manager.as_object().into_iter().flatten();
+    Json::object(members.map(|(k, v)| (k.clone(), v.clone())).chain([
+        approx_bytes,
+        ("functions".to_string(), Json::Int(functions)),
+    ]))
+}
+
 /// The cross-shard session table view: every shard's rows merged and
 /// sorted, with the daemon-wide budgets.
 fn table_json(state: &ServerState) -> Json {
-    let mut rows: Vec<(String, Json)> = Vec::new();
-    for sh in &state.shards {
-        rows.extend(sh.sessions.session_rows());
-    }
-    rows.sort_by(|a, b| a.0.cmp(&b.0));
+    let rows: Vec<(String, Json)> = (state.shards.iter())
+        .flat_map(|sh| sh.sessions.snapshot())
+        .map(|s| (s.name.clone(), session_json(&s)))
+        .collect();
     Json::object([
         ("count".to_string(), Json::Int(rows.len() as i64)),
         ("sessions".to_string(), Json::object(rows)),
@@ -1078,6 +963,47 @@ fn table_json(state: &ServerState) -> Json {
             Json::Int(state.cfg.max_bytes as i64),
         ),
         ("evictions".to_string(), Json::Int(state.evictions() as i64)),
+    ])
+}
+
+/// A document's counters as reply members.
+fn doc_counters_json(c: &DocCounters) -> [(String, Json); 6] {
+    let member = |k: &str, v: u64| (k.to_string(), Json::Int(v as i64));
+    [
+        member("changes", c.changes),
+        member("incremental_reparses", c.incremental_reparses),
+        member("full_reparses", c.full_reparses),
+        member("parse_failures", c.parse_failures),
+        member("relinted_functions", c.relinted_functions),
+        member("reaudited_functions", c.reaudited_functions),
+    ]
+}
+
+/// The `stats` reply: every number the daemon keeps, each in one section.
+fn stats_json(state: &ServerState) -> Json {
+    let (open_docs, docs) = state.ide.totals();
+    let ide = (state.metrics.section("ide"))
+        .chain(doc_counters_json(&docs))
+        .chain([("open_docs".to_string(), Json::Int(open_docs as i64))]);
+    Json::object([
+        (
+            "uptime_ms".to_string(),
+            Json::Int(state.started.elapsed().as_millis() as i64),
+        ),
+        ("protocol_version".to_string(), Json::Int(PROTOCOL_VERSION)),
+        ("requests".to_string(), state.metrics.to_json()),
+        ("table".to_string(), table_json(state)),
+        ("shards".to_string(), shards_json(state)),
+        ("store".to_string(), store_json(state)),
+        ("ide".to_string(), Json::object(ide)),
+        (
+            "audit".to_string(),
+            Json::object(state.metrics.section("audit")),
+        ),
+        (
+            "plan".to_string(),
+            Json::object(state.metrics.section("plan")),
+        ),
     ])
 }
 
@@ -1304,7 +1230,11 @@ fn handler(method: &str) -> Option<Handler> {
             let mut n = s.noelle.lock().expect("session build lock");
             n.reset_requests();
             let audit = noelle_lint::run_audit(&mut n);
-            state.audit.record(&audit);
+            let metrics = &state.metrics;
+            metrics.add(Counter::AuditRuns, 1);
+            metrics.add(Counter::AuditLoops, audit.loops.len() as u64);
+            metrics.add(Counter::AuditParallelizable, audit.parallelizable() as u64);
+            metrics.add(Counter::AuditBlockers, audit.num_blockers() as u64);
             let findings = noelle_lint::audit_findings(n.module(), &audit);
             Ok(Body::Value(envelope(
                 "audit",
@@ -1328,7 +1258,10 @@ fn handler(method: &str) -> Option<Handler> {
             let mut n = s.noelle.lock().expect("session build lock");
             n.reset_requests();
             let plan = noelle_plan::plan_module(&mut n, &noelle_plan::PlanOptions { workers });
-            state.plan.record(&plan);
+            let metrics = &state.metrics;
+            metrics.add(Counter::PlanRuns, 1);
+            metrics.add(Counter::PlanLoops, plan.loops.len() as u64);
+            metrics.add(Counter::PlanPlanned, plan.planned() as u64);
             Ok(Body::Value(envelope(
                 "plan",
                 Json::object([("plan".to_string(), plan.to_json())]),
@@ -1347,14 +1280,15 @@ fn handler(method: &str) -> Option<Handler> {
             let doc = DocSession::open(name.clone(), &text, tier);
             let functions = doc.noelle().map_or(0, |n| n.module().functions().len());
             let diagnostics = doc.diagnostics_text();
-            state
-                .ide
-                .docs
-                .lock()
-                .expect("ide doc table lock")
-                .insert(name.clone(), doc);
-            state.ide.opens.fetch_add(1, Ordering::Relaxed);
-            state.ide.diag_pushes.fetch_add(1, Ordering::Relaxed);
+            let mut docs = state.ide.docs();
+            // A document opened again under its name replaces the open one,
+            // whose counters stay in the totals as if it had been closed.
+            if let Some(replaced) = docs.open.insert(name.clone(), doc) {
+                docs.retired += replaced.counters();
+            }
+            drop(docs);
+            state.metrics.add(Counter::IdeOpens, 1);
+            state.metrics.add(Counter::IdeDiagPushes, 1);
             let reply = Json::object([
                 ("doc".to_string(), Json::Str(name)),
                 ("version".to_string(), Json::Int(1)),
@@ -1370,16 +1304,15 @@ fn handler(method: &str) -> Option<Handler> {
                 .and_then(Json::as_u64)
                 .ok_or_else(|| bad("missing integer 'version' param"))?;
             let change = ide_change_of(req)?;
-            let mut docs = state.ide.docs.lock().expect("ide doc table lock");
-            let doc = docs
-                .get_mut(name)
+            let mut docs = state.ide.docs();
+            let doc = (docs.open.get_mut(name))
                 .ok_or_else(|| (ErrorCode::NoSession, format!("no open document '{name}'")))?;
             let outcome = doc.change(version, change).map_err(bad)?;
             // Push semantics: the reply carries only the audit hints this
             // change re-derived; `ide/diagnostics` pulls the full set.
             let diagnostics = doc.push_diagnostics_text();
             drop(docs);
-            state.ide.diag_pushes.fetch_add(1, Ordering::Relaxed);
+            state.metrics.add(Counter::IdeDiagPushes, 1);
             let reply = Json::object([
                 ("doc".to_string(), Json::Str(name.to_string())),
                 ("version".to_string(), Json::Int(outcome.version as i64)),
@@ -1400,80 +1333,32 @@ fn handler(method: &str) -> Option<Handler> {
         },
         "ide/diagnostics" => |state, req| {
             let name = param_str(req, "doc").ok_or_else(|| bad("missing 'doc' param"))?;
-            let docs = state.ide.docs.lock().expect("ide doc table lock");
-            let doc = docs
-                .get(name)
+            let docs = state.ide.docs();
+            let doc = (docs.open.get(name))
                 .ok_or_else(|| (ErrorCode::NoSession, format!("no open document '{name}'")))?;
             let diagnostics = doc.diagnostics_text();
             drop(docs);
-            state.ide.diag_pushes.fetch_add(1, Ordering::Relaxed);
+            state.metrics.add(Counter::IdeDiagPushes, 1);
             Ok(Body::Text(Arc::new(diagnostics)))
         },
         "ide/close" => |state, req| {
             let name = param_str(req, "doc").ok_or_else(|| bad("missing 'doc' param"))?;
-            let doc = state
-                .ide
-                .docs
-                .lock()
-                .expect("ide doc table lock")
-                .remove(name)
+            let mut docs = state.ide.docs();
+            let doc = (docs.open.remove(name))
                 .ok_or_else(|| (ErrorCode::NoSession, format!("no open document '{name}'")))?;
             let c = doc.counters();
-            *state.ide.retired.lock().expect("ide retired lock") += c;
-            state.ide.closes.fetch_add(1, Ordering::Relaxed);
-            Ok(Body::Value(Json::object([
+            docs.retired += c;
+            drop(docs); // the document itself is dropped outside the lock
+            state.metrics.add(Counter::IdeCloses, 1);
+            let closed = [
                 ("doc".to_string(), Json::Str(name.to_string())),
                 ("closed".to_string(), Json::Bool(true)),
-                ("changes".to_string(), Json::Int(c.changes as i64)),
-                (
-                    "incremental_reparses".to_string(),
-                    Json::Int(c.incremental_reparses as i64),
-                ),
-                (
-                    "full_reparses".to_string(),
-                    Json::Int(c.full_reparses as i64),
-                ),
-            ])))
+            ];
+            Ok(Body::Value(Json::object(
+                closed.into_iter().chain(doc_counters_json(&c)),
+            )))
         },
-        "stats" => |state, _| {
-            Ok(Body::Value(Json::object([
-                (
-                    "uptime_ms".to_string(),
-                    Json::Int(state.started.elapsed().as_millis() as i64),
-                ),
-                ("protocol_version".to_string(), Json::Int(PROTOCOL_VERSION)),
-                ("table".to_string(), table_json(state)),
-                ("shards".to_string(), shards_json(state)),
-                ("store".to_string(), store_json(state)),
-                ("ide".to_string(), state.ide.stats_json()),
-                ("audit".to_string(), state.audit.to_json()),
-                ("plan".to_string(), state.plan.to_json()),
-            ])))
-        },
-        "metrics" => |state, _| {
-            let mut managers: Vec<(String, Json)> = Vec::new();
-            for sh in &state.shards {
-                for s in sh.sessions.snapshot() {
-                    let stats = s
-                        .noelle
-                        .lock()
-                        .map(|n| wire::manager_stats_to_json(&n))
-                        .unwrap_or(Json::Null);
-                    managers.push((s.name.clone(), stats));
-                }
-            }
-            managers.sort_by(|a, b| a.0.cmp(&b.0));
-            Ok(Body::Value(Json::object([
-                ("requests".to_string(), state.metrics.to_json()),
-                ("sessions".to_string(), Json::object(managers)),
-                ("evictions".to_string(), Json::Int(state.evictions() as i64)),
-                ("shards".to_string(), shards_json(state)),
-                ("store".to_string(), store_json(state)),
-                ("ide".to_string(), state.ide.stats_json()),
-                ("audit".to_string(), state.audit.to_json()),
-                ("plan".to_string(), state.plan.to_json()),
-            ])))
-        },
+        "stats" => |state, _| Ok(Body::Value(stats_json(state))),
         "shutdown" => |state, _| {
             state.trigger_shutdown();
             Ok(Body::Value(Json::object([(

@@ -14,7 +14,6 @@
 //! a coarse estimate (instruction count when loaded, plus PDG edges once
 //! built); the point is bounding growth, not accounting to the byte.
 
-use noelle_core::json::Json;
 use noelle_core::noelle::Noelle;
 use noelle_ir::module::Module;
 use std::collections::HashMap;
@@ -34,7 +33,7 @@ pub fn estimate_module_bytes(m: &Module) -> usize {
 
 /// One loaded module and its warm manager.
 pub struct Session {
-    /// Session name (client-chosen or generated).
+    /// Session name (client-chosen, or generated by the daemon).
     pub name: String,
     /// The demand-driven manager; its mutex is the per-session build lock.
     pub noelle: Mutex<Noelle>,
@@ -106,7 +105,6 @@ pub struct SessionTable {
     max_bytes: usize,
     clock: AtomicU64,
     evictions: AtomicU64,
-    auto_name: AtomicU64,
     inner: Mutex<HashMap<String, Arc<Session>>>,
 }
 
@@ -119,18 +117,12 @@ impl SessionTable {
             max_bytes: max_bytes.max(1),
             clock: AtomicU64::new(1),
             evictions: AtomicU64::new(0),
-            auto_name: AtomicU64::new(0),
             inner: Mutex::new(HashMap::new()),
         }
     }
 
     fn tick(&self) -> u64 {
         self.clock.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// A fresh generated session name (`s1`, `s2`, ...).
-    pub fn generate_name(&self) -> String {
-        format!("s{}", self.auto_name.fetch_add(1, Ordering::Relaxed) + 1)
     }
 
     /// Insert (or replace) a session holding `noelle`, then evict if over
@@ -203,76 +195,6 @@ impl SessionTable {
     pub fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
     }
-
-    /// One stats row per session, sorted by name: footprint, function
-    /// count, and the manager's per-function cache counters (in-memory and
-    /// durable-store). The building block of `stats_json` and of the
-    /// server's cross-shard aggregation.
-    pub fn session_rows(&self) -> Vec<(String, Json)> {
-        let map = self.inner.lock().expect("session lock");
-        let mut sessions: Vec<(String, Arc<Session>)> = map
-            .iter()
-            .map(|(k, v)| (k.clone(), Arc::clone(v)))
-            .collect();
-        sessions.sort_by(|a, b| a.0.cmp(&b.0));
-        drop(map);
-        sessions
-            .iter()
-            .map(|(name, s)| {
-                let (funcs, func_cache) = s
-                    .noelle
-                    .lock()
-                    .map(|n| {
-                        let c = n.func_cache_counters();
-                        (
-                            n.module().functions().len() as i64,
-                            Json::object([
-                                ("pdg_hits".to_string(), Json::Int(c.pdg_hits as i64)),
-                                ("pdg_misses".to_string(), Json::Int(c.pdg_misses as i64)),
-                                ("struct_hits".to_string(), Json::Int(c.struct_hits as i64)),
-                                (
-                                    "struct_misses".to_string(),
-                                    Json::Int(c.struct_misses as i64),
-                                ),
-                                ("store_hits".to_string(), Json::Int(c.store_hits as i64)),
-                                ("store_misses".to_string(), Json::Int(c.store_misses as i64)),
-                                (
-                                    "invalidations".to_string(),
-                                    Json::Int(c.invalidations as i64),
-                                ),
-                            ]),
-                        )
-                    })
-                    .unwrap_or((-1, Json::Null));
-                (
-                    name.clone(),
-                    Json::object([
-                        (
-                            "approx_bytes".to_string(),
-                            Json::Int(s.approx_bytes() as i64),
-                        ),
-                        ("functions".to_string(), Json::Int(funcs)),
-                        ("func_cache".to_string(), func_cache),
-                    ]),
-                )
-            })
-            .collect()
-    }
-
-    /// Table-level stats: budgets, usage, and one line per session.
-    pub fn stats_json(&self) -> Json {
-        let rows = self.session_rows();
-        Json::object([
-            ("count".to_string(), Json::Int(rows.len() as i64)),
-            ("sessions".to_string(), Json::object(rows)),
-            (
-                "max_entries".to_string(),
-                Json::Int(self.max_entries as i64),
-            ),
-            ("max_bytes".to_string(), Json::Int(self.max_bytes as i64)),
-            ("evictions".to_string(), Json::Int(self.evictions() as i64)),
-        ])
-    }
 }
 
 #[cfg(test)]
@@ -306,11 +228,5 @@ mod tests {
         // Over budget, but the most recent session always survives.
         assert_eq!(t.len(), 1);
         assert!(t.get("b").is_some());
-    }
-
-    #[test]
-    fn generated_names_are_unique() {
-        let t = SessionTable::new(4, usize::MAX);
-        assert_ne!(t.generate_name(), t.generate_name());
     }
 }

@@ -14,7 +14,7 @@ use std::path::PathBuf;
 
 use noelle_core::noelle::Noelle;
 use noelle_fuzz::driver::{run_campaign, FuzzConfig};
-use noelle_fuzz::oracle::FuzzTool;
+use noelle_fuzz::oracle::{FuzzTool, OracleConfig};
 use noelle_tools::registry::{self, ToolOptions};
 use noelle_tools::{die, Args};
 
@@ -74,12 +74,15 @@ fn main() {
         time_budget_ms: args
             .flag("time-budget-ms")
             .map(|s| s.parse().unwrap_or_else(|_| usage())),
-        trace_deps: args.flag("trace-deps").is_some(),
-        lint_races: args.flag("lint-races").is_some(),
-        check_incremental: args.flag("no-incremental-check").is_none(),
-        check_store: args.flag("no-store-check").is_none(),
-        check_audit: args.flag("check-audit").is_some(),
-        check_plan: args.flag("check-plan").is_some(),
+        oracle: OracleConfig {
+            trace_deps: args.flag("trace-deps").is_some(),
+            lint_races: args.flag("lint-races").is_some(),
+            check_incremental: args.flag("no-incremental-check").is_none(),
+            check_store: args.flag("no-store-check").is_none(),
+            check_audit: args.flag("check-audit").is_some(),
+            check_plan: args.flag("check-plan").is_some(),
+            ..OracleConfig::default()
+        },
         persist: corpus_dir.is_some() && args.flag("no-persist").is_none(),
         corpus_dir,
         ..FuzzConfig::default()

@@ -14,7 +14,7 @@
 //! noelle-query pdg --session bs
 //! noelle-query sccdag --session bs --func main --loop 0
 //! noelle-query run-tool --session bs --tool doall --cores 8
-//! noelle-query metrics
+//! noelle-query stats
 //! noelle-query shutdown
 //! ```
 
@@ -27,7 +27,7 @@ fn main() {
     let args = Args::parse();
     let Some(method) = args.positional.first() else {
         die(
-            "usage: noelle-query <load|pdg|sccdag|loops|induction|invariants|callgraph|run-tool|stats|metrics|ping|shutdown> [--addr HOST:PORT] [--session NAME] [--path P] [--func F] [--loop N] [--tool T] [--cores N] [--deadline-ms N] [--compact]",
+            "usage: noelle-query <load|pdg|sccdag|loops|induction|invariants|callgraph|run-tool|stats|ping|shutdown> [--addr HOST:PORT] [--session NAME] [--path P] [--func F] [--loop N] [--tool T] [--cores N] [--deadline-ms N] [--compact]",
         );
     };
     let addr = args.flag_or("addr", "127.0.0.1:7711");
@@ -70,7 +70,7 @@ fn main() {
     } else {
         reply.to_string_pretty()
     };
-    // Tolerate a closed stdout (`noelle-query metrics | head`): a broken
+    // Tolerate a closed stdout (`noelle-query stats | head`): a broken
     // pipe is how the reader says "enough", not an error.
     use std::io::Write;
     let _ = writeln!(std::io::stdout(), "{text}");

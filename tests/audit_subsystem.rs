@@ -515,7 +515,7 @@ fn technique_coverage_matches_the_checked_in_table() {
 
 // ---------------------------------------------------------------------------
 // The daemon's `audit` method: report + diagnostics in one reply, counters
-// visible in both `stats` and `metrics`.
+// visible in `stats`.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -560,19 +560,17 @@ fn server_audit_method_reports_and_counts() {
         "reply carries the NL01xx findings alongside the report"
     );
 
-    for method in ["stats", "metrics"] {
-        let doc = c.call(method, Json::object([])).expect(method);
-        let runs = doc
-            .get("audit")
-            .and_then(|a| a.get("runs"))
-            .and_then(Json::as_i64);
-        assert_eq!(runs, Some(1), "{method} must surface the audit counters");
-        let blockers = doc
-            .get("audit")
-            .and_then(|a| a.get("blockers"))
-            .and_then(Json::as_i64)
-            .expect("counters carry blocker totals");
-        assert!(blockers >= 0);
-    }
+    let doc = c.call("stats", Json::object([])).expect("stats");
+    let runs = doc
+        .get("audit")
+        .and_then(|a| a.get("runs"))
+        .and_then(Json::as_i64);
+    assert_eq!(runs, Some(1), "stats must surface the audit counters");
+    let blockers = doc
+        .get("audit")
+        .and_then(|a| a.get("blockers"))
+        .and_then(Json::as_i64)
+        .expect("counters carry blocker totals");
+    assert!(blockers >= 0);
     server.shutdown_and_join();
 }

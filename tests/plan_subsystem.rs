@@ -516,20 +516,18 @@ fn server_plan_method_reports_and_counts() {
         "wire plan == local plan"
     );
 
-    for method in ["stats", "metrics"] {
-        let doc = c.call(method, Json::object([])).expect(method);
-        let runs = doc
-            .get("plan")
-            .and_then(|p| p.get("runs"))
-            .and_then(Json::as_i64);
-        assert_eq!(runs, Some(1), "{method} must surface the plan counters");
-        let planned = doc
-            .get("plan")
-            .and_then(|p| p.get("planned"))
-            .and_then(Json::as_i64)
-            .expect("counters carry planned totals");
-        assert!(planned >= 1);
-    }
+    let doc = c.call("stats", Json::object([])).expect("stats");
+    let runs = doc
+        .get("plan")
+        .and_then(|p| p.get("runs"))
+        .and_then(Json::as_i64);
+    assert_eq!(runs, Some(1), "stats must surface the plan counters");
+    let planned = doc
+        .get("plan")
+        .and_then(|p| p.get("planned"))
+        .and_then(Json::as_i64)
+        .expect("counters carry planned totals");
+    assert!(planned >= 1);
     server.shutdown_and_join();
 }
 

@@ -2,13 +2,18 @@
 //! queries coalesce into one build, replies match a direct in-process
 //! build byte-for-byte, deadlines produce timeout errors instead of hung
 //! connections, shutdown drains in-flight work, pipelined replies come back
-//! in request order, and `--stdio` mode speaks newline-delimited JSON.
+//! in request order, `--stdio` mode speaks newline-delimited JSON, and one
+//! `stats` reply reports every counter once.
 
 use noelle::core::json::Json;
 use noelle::core::noelle::{AliasTier, Noelle};
 use noelle::core::wire;
+use noelle_server::protocol::Request;
+use noelle_server::server::run_request_text;
 use noelle_server::{Client, RunningServer, Server, ServerConfig};
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::Cursor;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 fn start_server(workers: usize) -> RunningServer {
     Server::new(ServerConfig {
@@ -93,9 +98,10 @@ fn concurrent_pdg_queries_coalesce_and_match_in_process_build() {
     // once: the N racing requests coalesced behind the per-session build
     // lock.
     let partitions = direct.pdg().per_function.len() as i64;
-    let metrics = c.call("metrics", Json::object([])).expect("metrics");
-    let builds = metrics
-        .get("sessions")
+    let stats = c.call("stats", Json::object([])).expect("stats");
+    let builds = stats
+        .get("table")
+        .and_then(|t| t.get("sessions"))
         .and_then(|s| s.get("bs"))
         .and_then(|s| s.get("builds"))
         .and_then(|b| b.get("PDG"))
@@ -107,8 +113,8 @@ fn concurrent_pdg_queries_coalesce_and_match_in_process_build() {
         "one build per partition for {N} queries"
     );
 
-    // Per-method metrics saw all N queries.
-    let pdg_count = metrics
+    // The per-method counters saw all N queries.
+    let pdg_count = stats
         .get("requests")
         .and_then(|r| r.get("pdg"))
         .and_then(|p| p.get("count"))
@@ -152,15 +158,16 @@ fn deadline_times_out_then_warm_cache_answers() {
         .expect("retry succeeds");
     assert!(ok.get("num_edges").and_then(Json::as_i64).unwrap() > 0);
 
-    let metrics = c.call("metrics", Json::object([])).expect("metrics");
-    let timeouts = metrics
+    let stats = c.call("stats", Json::object([])).expect("stats");
+    let timeouts = stats
         .get("requests")
         .and_then(|r| r.get("pdg"))
         .and_then(|p| p.get("timeouts"))
         .and_then(Json::as_i64);
     assert_eq!(timeouts, Some(1));
-    let builds = metrics
-        .get("sessions")
+    let builds = stats
+        .get("table")
+        .and_then(|t| t.get("sessions"))
         .and_then(|s| s.get("hot"))
         .and_then(|s| s.get("builds"))
         .and_then(|b| b.get("PDG"))
@@ -432,9 +439,10 @@ fn run_tool_reuses_function_cache_across_queries() {
     let ok = c.call("pdg", sess).expect("second pdg");
     assert!(ok.get("num_edges").and_then(Json::as_i64).unwrap() > 0);
 
-    let metrics = c.call("metrics", Json::object([])).expect("metrics");
-    let cache = metrics
-        .get("sessions")
+    let stats = c.call("stats", Json::object([])).expect("stats");
+    let cache = stats
+        .get("table")
+        .and_then(|t| t.get("sessions"))
         .and_then(|s| s.get("warm"))
         .and_then(|s| s.get("func_cache"))
         .expect("per-session func_cache counters");
@@ -442,7 +450,7 @@ fn run_tool_reuses_function_cache_across_queries() {
     let invalidations = cache.get("invalidations").and_then(Json::as_i64).unwrap();
     assert!(
         hits > 0,
-        "run-tool then pdg must reuse untouched partitions: {metrics:?}"
+        "run-tool then pdg must reuse untouched partitions: {stats:?}"
     );
     assert!(
         invalidations > 0,
@@ -522,8 +530,8 @@ fn unknown_methods_share_one_metrics_entry() {
     let server = start_server(2);
     let mut c = Client::connect(&server.addr.to_string()).expect("connect");
     let requests = |c: &mut Client| {
-        let metrics = c.call("metrics", Json::object([])).expect("metrics");
-        metrics.get("requests").expect("requests").clone()
+        let stats = c.call("stats", Json::object([])).expect("stats");
+        stats.get("requests").expect("requests").clone()
     };
     requests(&mut c);
     let before = requests(&mut c);
@@ -553,4 +561,265 @@ fn unknown_methods_share_one_metrics_entry() {
     let unknown = after.get("unknown").and_then(|m| m.get("count"));
     assert_eq!(unknown.and_then(Json::as_i64), Some(N as i64), "{after:?}");
     server.shutdown_and_join();
+}
+
+/// Every key path of the `stats` reply to this test's requests that a
+/// client read before the reply carried `requests` and the managers'
+/// `builds` and `memory`. Each must still be there.
+const STATS_PATHS: &[&str] = &[
+    "audit.blockers",
+    "audit.loops",
+    "audit.parallelizable",
+    "audit.runs",
+    "ide.changes",
+    "ide.closes",
+    "ide.diag_pushes",
+    "ide.full_reparses",
+    "ide.incremental_reparses",
+    "ide.open_docs",
+    "ide.opens",
+    "ide.parse_failures",
+    "ide.reaudited_functions",
+    "ide.relinted_functions",
+    "plan.loops",
+    "plan.planned",
+    "plan.runs",
+    "protocol_version",
+    "shards[0].evictions",
+    "shards[0].queue_capacity",
+    "shards[0].queue_depth",
+    "shards[0].sessions",
+    "shards[0].shed",
+    "shards[1].evictions",
+    "shards[1].queue_capacity",
+    "shards[1].queue_depth",
+    "shards[1].sessions",
+    "shards[1].shed",
+    "store",
+    "table.count",
+    "table.evictions",
+    "table.max_bytes",
+    "table.max_entries",
+    "table.sessions.bs.approx_bytes",
+    "table.sessions.bs.func_cache.invalidations",
+    "table.sessions.bs.func_cache.pdg_hits",
+    "table.sessions.bs.func_cache.pdg_misses",
+    "table.sessions.bs.func_cache.store_hits",
+    "table.sessions.bs.func_cache.store_misses",
+    "table.sessions.bs.func_cache.struct_hits",
+    "table.sessions.bs.func_cache.struct_misses",
+    "table.sessions.bs.functions",
+    "uptime_ms",
+];
+
+/// The key paths of `v`'s scalar leaves (`null` included).
+fn leaf_paths(v: &Json, at: &str, out: &mut BTreeSet<String>) {
+    let join = |k: &str| {
+        if at.is_empty() {
+            k.to_string()
+        } else {
+            format!("{at}.{k}")
+        }
+    };
+    match v {
+        Json::Object(o) => o.iter().for_each(|(k, x)| leaf_paths(x, &join(k), out)),
+        Json::Array(xs) => (xs.iter().enumerate()).for_each(|(i, x)| {
+            leaf_paths(x, &format!("{at}[{i}]"), out);
+        }),
+        _ => {
+            out.insert(at.to_string());
+        }
+    }
+}
+
+#[test]
+fn stats_reports_each_number_once() {
+    // One reply reports everything the daemon counts, each section once:
+    // the per-method request table, the session table with each manager's
+    // builds, memory and whole cache counters, the shards, the store, and
+    // the IDE, audit and plan counters. There is no second endpoint.
+    let server = start_server(2);
+    let mut c = Client::connect(&server.addr.to_string()).expect("connect");
+    load(&mut c, "workload:blackscholes", "bs");
+    let sess = Json::object([("session".to_string(), Json::Str("bs".into()))]);
+    for method in ["pdg", "audit", "plan"] {
+        c.call(method, sess.clone()).expect(method);
+    }
+    let doc = |rest: &[(&str, Json)]| {
+        let doc = [("doc".to_string(), Json::Str("demo".into()))];
+        Json::object(
+            doc.into_iter()
+                .chain(rest.iter().map(|(k, v)| (k.to_string(), v.clone()))),
+        )
+    };
+    let text = include_str!("corpus/ide/demo.nir");
+    c.call("ide/open", doc(&[("text", Json::Str(text.into()))]))
+        .expect("ide/open");
+    let note = Json::Str("  fmeta \"ide.note\" = \"edited\"".into());
+    let splice = [
+        ("version", Json::Int(2)),
+        ("start_line", Json::Int(5)),
+        ("end_line", Json::Int(5)),
+        ("lines", Json::Array(vec![note])),
+    ];
+    c.call("ide/change", doc(&splice)).expect("ide/change");
+    c.call("ide/close", doc(&[])).expect("ide/close");
+
+    let stats = c.call("stats", Json::object([])).expect("stats");
+    let sections: Vec<&String> = stats.as_object().expect("an object").keys().collect();
+    let expected = [
+        "audit",
+        "ide",
+        "plan",
+        "protocol_version",
+        "requests",
+        "shards",
+        "store",
+        "table",
+        "uptime_ms",
+    ];
+    assert_eq!(sections, expected, "{stats:?}");
+    let mut paths = BTreeSet::new();
+    leaf_paths(&stats, "", &mut paths);
+    for p in STATS_PATHS {
+        assert!(paths.contains(*p), "stats lost {p}: {stats:?}");
+    }
+    let ide = stats.get("ide").expect("ide");
+    for (key, n) in [
+        ("opens", 1),
+        ("closes", 1),
+        ("changes", 1),
+        ("open_docs", 0),
+    ] {
+        assert_eq!(ide.get(key).and_then(Json::as_i64), Some(n), "ide.{key}");
+    }
+    // A metadata edit relints nothing.
+    assert_eq!(
+        ide.get("relinted_functions").and_then(Json::as_i64),
+        Some(0)
+    );
+    for section in ["audit", "plan"] {
+        let runs = stats.get(section).and_then(|s| s.get("runs"));
+        assert_eq!(runs.and_then(Json::as_i64), Some(1), "{section}.runs");
+    }
+
+    let row = stats
+        .get("table")
+        .and_then(|t| t.get("sessions"))
+        .and_then(|s| s.get("bs"))
+        .expect("the session's row");
+    let mut direct = Noelle::new(
+        noelle::workloads::by_name("blackscholes")
+            .expect("workload")
+            .build(),
+        AliasTier::Full,
+    );
+    let partitions = direct.pdg().per_function.len() as i64;
+    let pdg_builds = row.get("builds").and_then(|b| b.get("PDG"));
+    let pdg_builds = pdg_builds.and_then(|p| p.get("builds"));
+    assert_eq!(pdg_builds.and_then(Json::as_i64), Some(partitions));
+    let memory = row.get("memory").expect("the manager's memory");
+    assert!(memory.get("pdg_bytes").and_then(Json::as_i64).unwrap() > 0);
+    let cache = row.get("func_cache").and_then(Json::as_object).unwrap();
+    let cache: Vec<&String> = cache.keys().collect();
+    let fields = [
+        "andersen_regen_funcs",
+        "andersen_reset_rows",
+        "andersen_reuses",
+        "invalidations",
+        "pdg_hits",
+        "pdg_misses",
+        "store_hits",
+        "store_misses",
+        "struct_hits",
+        "struct_misses",
+    ];
+    assert_eq!(cache, fields, "every FuncCacheCounters field, once");
+    let pdg = stats.get("requests").and_then(|r| r.get("pdg"));
+    let pdg = pdg.and_then(|p| p.get("count")).and_then(Json::as_i64);
+    assert_eq!(pdg, Some(1));
+
+    // The old second endpoint is an unknown method, counted as one.
+    let reply = c.request("metrics", Json::object([])).expect("reply");
+    let code = reply.get("error").and_then(|e| e.get("code"));
+    assert_eq!(code.and_then(Json::as_str), Some("unknown_method"));
+    let stats = c.call("stats", Json::object([])).expect("stats");
+    let unknown = stats.get("requests").and_then(|r| r.get("unknown"));
+    let unknown = unknown.and_then(|u| u.get("count")).and_then(Json::as_i64);
+    assert_eq!(unknown, Some(1), "{stats:?}");
+    server.shutdown_and_join();
+}
+
+#[test]
+fn ide_totals_in_stats_never_go_backwards() {
+    // A close moves a document's counters into the closed documents'
+    // totals under the lock it removes the document with, and so does an
+    // open that replaces a document of the same name, so a `stats` polled
+    // while documents open, change, reopen and close sees every `ide`
+    // total only grow.
+    let state = Server::new(ServerConfig::default())
+        .embedded()
+        .expect("embedded daemon");
+    let call = |method: &str, params: Json| {
+        let req = Json::object([
+            ("id".to_string(), Json::Int(1)),
+            ("method".to_string(), Json::Str(method.into())),
+            ("params".to_string(), params),
+        ]);
+        let req = Request::from_json(&req).expect("a request");
+        let reply = Json::parse(&run_request_text(&state, &req)).expect("a JSON reply");
+        let ok = reply.get("ok").cloned();
+        ok.unwrap_or_else(|| panic!("{method}: {reply:?}"))
+    };
+    let text = Json::Str(include_str!("corpus/ide/demo.nir").into());
+    let note = Json::Str("  fmeta \"ide.note\" = \"edited\"".into());
+    const ROUNDS: i64 = 3000;
+    let done = AtomicBool::new(false);
+    let polls = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            for round in 0..ROUNDS {
+                let doc = ("doc".to_string(), Json::Str("d".into()));
+                // Every other round opens the document twice before closing it.
+                for _ in 0..1 + round % 2 {
+                    let open = [doc.clone(), ("text".to_string(), text.clone())];
+                    call("ide/open", Json::object(open));
+                    let change = [
+                        doc.clone(),
+                        ("version".to_string(), Json::Int(2)),
+                        ("start_line".to_string(), Json::Int(5)),
+                        ("end_line".to_string(), Json::Int(5)),
+                        ("lines".to_string(), Json::Array(vec![note.clone()])),
+                    ];
+                    call("ide/change", Json::object(change));
+                }
+                call("ide/close", Json::object([doc]));
+            }
+            done.store(true, Ordering::SeqCst);
+        });
+        let mut last: BTreeMap<String, i64> = BTreeMap::new();
+        let mut polls = 0;
+        while !done.load(Ordering::SeqCst) {
+            let stats = call("stats", Json::object([]));
+            let ide = stats.get("ide").and_then(Json::as_object).expect("ide");
+            for (key, v) in ide.iter().filter(|(k, _)| *k != "open_docs") {
+                let v = v.as_i64().expect("a count");
+                let before = last.insert(key.clone(), v).unwrap_or(0);
+                assert!(v >= before, "ide.{key} went from {before} to {v}");
+            }
+            polls += 1;
+        }
+        polls
+    });
+    assert!(polls > 0);
+    let ide = call("stats", Json::object([]));
+    let ide = ide.get("ide").expect("ide");
+    let opens = ROUNDS + ROUNDS / 2;
+    for (key, n) in [
+        ("opens", opens),
+        ("closes", ROUNDS),
+        ("changes", opens),
+        ("incremental_reparses", opens),
+    ] {
+        assert_eq!(ide.get(key).and_then(Json::as_i64), Some(n), "ide.{key}");
+    }
 }

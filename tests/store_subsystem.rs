@@ -282,10 +282,10 @@ fn overloaded_shard_sheds_with_structured_errors() {
     assert!(oks > 0, "admitted requests completed");
     assert!(sheds > 0, "a one-deep queue under a 12-way flood must shed");
 
-    // The shed counter and a bounded tail latency show up in metrics: the
+    // The shed counter and a bounded tail latency show up in stats: the
     // admitted requests' p99 is build+queue time, not unbounded backlog.
-    let metrics = c.call("metrics", Json::object([])).expect("metrics");
-    let pdg = metrics
+    let stats = c.call("stats", Json::object([])).expect("stats");
+    let pdg = stats
         .get("requests")
         .and_then(|r| r.get("pdg"))
         .expect("pdg metrics");
