@@ -640,7 +640,9 @@ fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
 
 /// A finite float as `{}` prints it, with `.0` appended when that has no
 /// fraction or exponent, so it parses back as a float; `null` otherwise.
-fn write_float(out: &mut String, v: f64) {
+/// What compact output writes for a `Json::Float`, for writers that render
+/// a document straight into text.
+pub fn write_float(out: &mut String, v: f64) {
     use fmt::Write;
     if !v.is_finite() {
         out.push_str("null");
@@ -655,17 +657,19 @@ fn write_float(out: &mut String, v: f64) {
 
 /// `s` quoted, with `"`, `\` and the control bytes escaped: `\n`, `\r` and
 /// `\t` by name, the rest as `\u00xx`. Every byte escaped is ASCII, so runs
-/// between them are copied as they are.
-fn write_escaped(out: &mut String, s: &str) {
+/// between them are copied as they are. What compact output writes for a
+/// `Json::Str` or a key, for writers that render a document straight into
+/// text.
+pub fn write_escaped(out: &mut String, s: &str) {
     const HEX: &[u8; 16] = b"0123456789abcdef";
     out.push('"');
     let b = s.as_bytes();
     let mut run = 0;
-    while let Some(skip) = b[run..]
-        .iter()
-        .position(|&c| c == b'"' || c == b'\\' || c < 0x20)
-    {
-        let at = run + skip;
+    loop {
+        let at = run + plain_run(&b[run..]);
+        if at == b.len() {
+            break;
+        }
         out.push_str(&s[run..at]);
         match b[at] {
             b'"' => out.push_str("\\\""),
@@ -683,6 +687,35 @@ fn write_escaped(out: &mut String, s: &str) {
     }
     out.push_str(&s[run..]);
     out.push('"');
+}
+
+/// How many bytes at the front of `b` a string holds as they are: the run
+/// before its first `"`, `\` or control byte, all of `b` when there is
+/// none. Eight bytes at a time: in each word, the lowest byte flagged as
+/// equal to a quote or a backslash, or as below 0x20, is exactly the first
+/// such byte (a borrow only ever flags bytes above a true hit).
+fn plain_run(b: &[u8]) -> usize {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGH: u64 = 0x8080_8080_8080_8080;
+    let zero_byte = |w: u64| w.wrapping_sub(ONES) & !w;
+    let mut words = b.chunks_exact(8);
+    let mut at = 0;
+    for chunk in &mut words {
+        let w = u64::from_le_bytes(<[u8; 8]>::try_from(chunk).unwrap_or_default());
+        let quote = zero_byte(w ^ (ONES * u64::from(b'"')));
+        let backslash = zero_byte(w ^ (ONES * u64::from(b'\\')));
+        let control = w.wrapping_sub(ONES * 0x20) & !w;
+        let hit = (quote | backslash | control) & HIGH;
+        if hit != 0 {
+            return at + (hit.trailing_zeros() / 8) as usize;
+        }
+        at += 8;
+    }
+    let tail = words.remainder();
+    at + tail
+        .iter()
+        .position(|&c| c == b'"' || c == b'\\' || c < 0x20)
+        .unwrap_or(tail.len())
 }
 
 /// Where a validation stopped and what it expected there.
@@ -793,8 +826,17 @@ impl Validator<'_> {
             // reached yet, so at most `TAPE_RESERVE` are; past that the
             // tape grows as containers are found.
             let rest = text.as_bytes().get(start..).unwrap_or_default();
-            let brackets = rest.iter().filter(|&&b| b == b'{' || b == b'[');
-            self.tape.reserve_exact(brackets.take(TAPE_RESERVE).count());
+            // `b | 0x20` is `{` for `{` and `[` alone; a byte-wide count
+            // per run of 255 bytes is one the compiler vectorizes.
+            let in_run = |run: &[u8]| run.iter().fold(0u8, |n, &b| n + u8::from(b | 0x20 == b'{'));
+            let mut brackets = 0;
+            for run in rest.chunks(255) {
+                if brackets >= TAPE_RESERVE {
+                    break;
+                }
+                brackets += usize::from(in_run(run));
+            }
+            self.tape.reserve_exact(brackets.min(TAPE_RESERVE));
         }
         self.tape.push(Node {
             start,
@@ -855,14 +897,10 @@ impl Validator<'_> {
         let mut at = self.pos + 1;
         let mut spelling = Spelling::Plain;
         loop {
-            let rest = b.get(at..).unwrap_or_default();
-            let Some(skip) = rest
-                .iter()
-                .position(|&c| c == b'"' || c == b'\\' || c < 0x20)
-            else {
+            at += plain_run(b.get(at..).unwrap_or_default());
+            if at >= b.len() {
                 return fault(b.len(), "'\"' closing the string");
-            };
-            at += skip;
+            }
             match b.get(at) {
                 Some(b'"') => {
                     self.pos = at + 1;
@@ -916,12 +954,42 @@ impl Validator<'_> {
             *canonical &= text != "-0";
             return Ok(());
         }
+        if let Some(written) = short_decimal_written(text) {
+            *canonical &= written;
+            return Ok(());
+        }
         let Some(v) = text.parse::<f64>().ok().filter(|v| v.is_finite()) else {
             return fault(at - 1, "a number within f64's range");
         };
         *canonical = *canonical && written_as(text, v);
         Ok(())
     }
+}
+
+/// Is the float `text` what [`write_float`] writes for its value, read off
+/// the text alone? Answered for `-?I.F` in at most 24 bytes with at most 15
+/// significant digits: such a decimal is finite, and no other decimal of
+/// at most 15 digits rounds to the same `f64`, so the shortest spelling
+/// that reads back as it — what `{}` prints, never with an exponent — has
+/// exactly its digits. Then it is written so when `F` is `0` (an integer,
+/// which the writer ends in `.0`) or does not end in a zero. `None` for any
+/// other float: [`written_as`] formats it.
+fn short_decimal_written(text: &str) -> Option<bool> {
+    if text.len() > 24 {
+        return None;
+    }
+    let (int, frac) = text.strip_prefix('-').unwrap_or(text).split_once('.')?;
+    if !frac.bytes().all(|c| c.is_ascii_digit()) {
+        return None;
+    }
+    let digits = || int.bytes().chain(frac.bytes());
+    let total = int.len() + frac.len();
+    let leading = digits().take_while(|&c| c == b'0').count();
+    let trailing = digits().rev().take_while(|&c| c == b'0').count();
+    if total.saturating_sub(leading + trailing) > 15 {
+        return None;
+    }
+    Some(frac == "0" || !frac.ends_with('0'))
 }
 
 /// Is `text` what [`write_float`] writes for `v`? Compared while `v` is
@@ -1500,5 +1568,102 @@ mod tests {
             assert_eq!(Some(v), whole);
             assert!(n <= doc.len());
         }
+    }
+
+    /// A SplitMix64 stream: the tests' seeded inputs.
+    fn stream(mut seed: u64) -> impl FnMut() -> u64 {
+        move || {
+            seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = seed;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+    }
+
+    #[test]
+    fn a_plain_run_stops_where_a_byte_by_byte_scan_stops() {
+        let mut next = stream(7);
+        let alphabet = [
+            b'a', b' ', b'"', b'\\', 0x00, 0x1f, 0x20, 0x7f, 0x80, 0xc3, 0xff,
+        ];
+        for _ in 0..20_000 {
+            let len = (next() % 40) as usize;
+            let sparse = next().is_multiple_of(4);
+            let bytes: Vec<u8> = (0..len)
+                .map(|_| match next() % if sparse { 64 } else { 11 } {
+                    k if (k as usize) < alphabet.len() => alphabet[k as usize],
+                    _ => b'x',
+                })
+                .collect();
+            let naive = bytes
+                .iter()
+                .position(|&c| c == b'"' || c == b'\\' || c < 0x20)
+                .unwrap_or(len);
+            assert_eq!(plain_run(&bytes), naive, "{bytes:?}");
+        }
+    }
+
+    #[test]
+    fn a_short_decimal_is_judged_as_formatting_it_would_judge_it() {
+        let mut next = stream(11);
+        let mut judged = 0;
+        let mut check = |text: &str| {
+            // Only numbers the grammar takes reach the check.
+            let Some(fast) = short_decimal_written(text).filter(|_| Json::parse(text).is_some())
+            else {
+                return;
+            };
+            let v: f64 = text.parse().unwrap_or(f64::NAN);
+            assert!(v.is_finite(), "{text}");
+            assert_eq!(fast, written_as(text, v), "{text}");
+            judged += 1;
+        };
+        for _ in 0..50_000 {
+            // What the writer writes, and the spellings one edit away.
+            let v = match next() % 3 {
+                0 => f64::from_bits(next()),
+                1 => (next() % 1_000_000) as f64 / 10f64.powi((next() % 9) as i32),
+                _ => (next() % 100_000) as f64 * 10f64.powi((next() % 12) as i32),
+            };
+            if !v.is_finite() {
+                continue;
+            }
+            let mut text = String::new();
+            write_float(&mut text, v);
+            check(&text);
+            check(&format!("{text}0"));
+            check(&format!("{text}1"));
+            check(&text.replacen('.', "0.", 1));
+            check(&text.replacen('.', ".0", 1));
+            // A random decimal of up to 20 digits.
+            let digits: String = (0..1 + next() % 20)
+                .map(|_| char::from(b'0' + (next() % 10) as u8))
+                .collect();
+            let dot = 1 + (next() as usize) % digits.len();
+            let (int, frac) = digits.split_at(dot.min(digits.len() - 1).max(1));
+            let int = int.trim_start_matches('0');
+            let int = if int.is_empty() { "0" } else { int };
+            check(&format!(
+                "{int}.{}",
+                if frac.is_empty() { "0" } else { frac }
+            ));
+            check(&format!(
+                "-{int}.{}",
+                if frac.is_empty() { "0" } else { frac }
+            ));
+        }
+        for text in [
+            "0.0",
+            "-0.0",
+            "0.5",
+            "1.50",
+            "512.0",
+            "1e3",
+            "0.30000000000000004",
+        ] {
+            check(text);
+        }
+        assert!(judged > 100_000, "{judged} judged");
     }
 }

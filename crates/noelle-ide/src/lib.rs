@@ -38,7 +38,7 @@
 //! parse + lint of the current document text — the property the test suite
 //! checks across the whole workload corpus.
 
-use noelle_core::json::{envelope, Json};
+use noelle_core::json::{self, envelope, Json};
 use noelle_core::noelle::{AliasTier, EditTx, Noelle};
 use noelle_ir::module::{FuncId, Module};
 use noelle_ir::parser::{parse_function_text, parse_module_spanned, FuncSpan, ParseError};
@@ -141,7 +141,7 @@ struct FuncDiag {
     audit_tally: Tally,
     /// Planner hints: for every loop of the function the audit marks clean
     /// for at least one technique, the per-candidate predicted-speedup table
-    /// ([`noelle_plan::LoopPlan::to_json`]). Priced from the same scoped
+    /// ([`noelle_plan::LoopPlan::write_json`]). Priced from the same scoped
     /// audit `audit` comes from, so the planner rides the damage path for
     /// free (no second audit). Rows are only ever rendered, so what is kept
     /// is their text: this function's member of a payload's `plan` object,
@@ -273,30 +273,29 @@ impl GoodState {
             |d, _, hints| d.set_audit(hints),
         );
         let plan = plan_from_audit(n, &audit, &PlanOptions::default());
-        let rows = plan.loops.iter().filter(|l| l.any_clean()).map(|l| {
-            // A weight is the loop's share among the loops planned
-            // *together*: a scoped re-plan cannot know the module-wide
-            // number, and a row carrying its own would disagree with a cold
-            // open of the same text. Stored rows carry none.
-            let row = l.to_json();
-            Json::object(
-                row.as_object()
-                    .into_iter()
-                    .flatten()
-                    .filter(|(k, _)| k.as_str() != "weight")
-                    .map(|(k, v)| (k.clone(), v.clone())),
-            )
-        });
-        let rows = rows.collect();
+        let rows = plan.loops.iter().filter(|l| l.any_clean()).collect();
         rebucket(
             funcs,
             n.module(),
             &scope,
             rows,
-            row_owner,
+            |l| l.function.as_str(),
             |d, name, rows| {
-                let member = Json::object([(name.to_string(), Json::Array(rows))]);
-                d.plan = inside(member.to_string_compact());
+                // A weight is the loop's share among the loops planned
+                // *together*: a scoped re-plan cannot know the module-wide
+                // number, and a row carrying its own would disagree with a
+                // cold open of the same text. Stored rows carry none.
+                let mut member = String::new();
+                json::write_escaped(&mut member, name);
+                member.push_str(":[");
+                for (k, l) in rows.iter().enumerate() {
+                    if k > 0 {
+                        member.push(',');
+                    }
+                    l.write_json(&mut member, false);
+                }
+                member.push(']');
+                d.plan = member;
             },
         );
         self.fresh = scope
@@ -335,11 +334,6 @@ fn plan_text(records: &[(&String, &FuncDiag)]) -> String {
 
 fn finding_owner(f: &Finding) -> &str {
     &f.loc.function
-}
-
-fn row_owner(row: &Json) -> &str {
-    let name = row.get("function").and_then(Json::as_str);
-    name.expect("a plan row names its function")
 }
 
 /// Hand every record in `scope` its share of `items` — a flat list in

@@ -25,13 +25,15 @@ use noelle_core::json::Json;
 use noelle_core::loop_abs::LoopAbstraction;
 use noelle_core::noelle::{Abstraction, CallEdges, Noelle};
 use noelle_ir::inst::{Callee, Inst, InstId};
-use noelle_ir::module::{BlockId, FuncId, Module};
+use noelle_ir::loops::LoopInfo;
+use noelle_ir::module::{BlockId, FuncId, Function, Module};
 use noelle_ir::value::Value;
 use noelle_pdg::depgraph::{DataDepKind, DepEdge, DepKind};
 use noelle_pdg::sccdag::SccKind;
 use noelle_transforms::common::{gate, ParallelizeError, Parallelizer, Recipe};
 use noelle_transforms::helix;
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
 use std::sync::Arc;
 
 /// Worker count verdicts are issued for: DSWP is judged as the canonical
@@ -406,34 +408,44 @@ pub fn run_audit_scoped(n: &mut Noelle, scope: Option<&BTreeSet<FuncId>>) -> Mod
     let modref = n.modref_summaries();
     // The attribution below reads the solved rows.
     let _ = n.points_to();
-    let mut fids: Vec<(String, FuncId)> = n
-        .module()
+    let m = n.module();
+    let mut fids: Vec<FuncId> = m
         .func_ids()
-        .filter(|&fid| !n.module().func(fid).block_order().is_empty())
+        .filter(|&fid| !m.func(fid).block_order().is_empty())
         .filter(|fid| scope.is_none_or(|set| set.contains(fid)))
-        .map(|fid| (n.module().func(fid).name.clone(), fid))
         .collect();
-    fids.sort();
+    fids.sort_by_key(|&fid| (&m.func(fid).name, fid));
 
+    let mut buf = AuditBuffers::default();
     let mut loops = Vec::new();
-    for (fname, fid) in fids {
-        let mut func_loops = n.loops_of(fid);
-        func_loops.sort_by_key(|l| header_index(n.module(), fid, l.header));
-        for l in func_loops {
+    for fid in fids {
+        // Each loop's header index is computed once: it orders the loops
+        // and is reported.
+        let func_loops = n.loops_of(fid);
+        let f = n.module().func(fid);
+        let at = |l: LoopInfo| (header_index(f, l.header), l);
+        buf.loops.extend(func_loops.into_iter().map(at));
+        buf.loops.sort_unstable_by_key(|&(at, _)| at);
+        for (header_index, l) in buf.loops.drain(..) {
             let la = Arc::new(n.loop_abstraction(fid, l));
             let (m, anders) = (n.module(), n.cached_points_to().expect("just built"));
-            // The dependence-level blockers are shared by all three verdicts.
-            let mut carried = carried_dep_blockers(m, &la, &modref);
-            for b in &mut carried {
-                enrich(m, fid, b, anders, &modref, n.direct_calls());
-            }
             let verdicts = Parallelizer::AUDITED
                 .into_iter()
                 .map(|technique| {
                     let outcome = gate(technique, m, fid, &la, &arch, AUDIT_WORKERS);
                     let mut blockers = Vec::new();
                     if let Err(e) = &outcome {
-                        blockers = blockers_for(m, fid, &la, e, &carried);
+                        // The dependence-level blockers are classified for
+                        // the refusal that reads them, and move into it.
+                        let carried = || {
+                            let mut carried = carried_dep_blockers(m, &la, &modref, &mut buf.pairs);
+                            let calls = n.direct_calls();
+                            for b in &mut carried {
+                                enrich(m, fid, b, anders, &modref, calls, &mut buf.attribution);
+                            }
+                            carried
+                        };
+                        blockers = blockers_for(m, fid, &la, e, carried);
                         if blockers.is_empty() {
                             blockers.push(fallback_blocker(m, fid, &la, e));
                         }
@@ -446,13 +458,13 @@ pub fn run_audit_scoped(n: &mut Noelle, scope: Option<&BTreeSet<FuncId>>) -> Mod
                     }
                 })
                 .collect();
-            let header = la.structure.header;
+            let (f, header) = (m.func(fid), la.structure.header);
             loops.push(LoopAudit {
                 fid,
-                function: fname.clone(),
+                function: f.name.clone(),
                 header,
-                header_name: m.func(fid).block(header).name.clone(),
-                header_index: header_index(m, fid, header),
+                header_name: f.block(header).name.clone(),
+                header_index,
                 abstraction: la,
                 epoch: n.epoch(fid),
                 verdicts,
@@ -462,43 +474,137 @@ pub fn run_audit_scoped(n: &mut Noelle, scope: Option<&BTreeSet<FuncId>>) -> Mod
     ModuleAudit { loops }
 }
 
-fn header_index(m: &Module, fid: FuncId, b: BlockId) -> usize {
-    m.func(fid)
-        .block_order()
+/// The audit's working storage, reused from one loop to the next.
+#[derive(Default)]
+struct AuditBuffers {
+    /// One function's loops, each beside its header's layout index.
+    loops: Vec<(usize, LoopInfo)>,
+    /// One loop's blocking edges as `(anchor, other, facets)`, grouped by
+    /// instruction pair with a sort.
+    pairs: Vec<(InstId, InstId, u8)>,
+    /// One blocker's attribution, before it is rendered.
+    attribution: Attribution,
+}
+
+/// What [`enrich`] collects for one blocker, kept across blockers.
+#[derive(Default)]
+struct Attribution {
+    /// The alias objects, as keys.
+    objects: Vec<MemoryObject>,
+    /// Each distinct object rendered once.
+    rendered: Vec<String>,
+    /// Distinct cross-function sites, at most [`MAX_ATTRIBUTION`].
+    cross: Vec<(FuncId, InstId)>,
+    /// The direct call sites of `sites_of`: found once per function, however
+    /// many of its blockers name them.
+    sites: Vec<(FuncId, InstId)>,
+    sites_of: Option<FuncId>,
+}
+
+/// Every direct call site of `fid` into `out`: callers ascending, each body
+/// in layout order, so which sites survive the attribution cap does not
+/// depend on who asks. Only the callers' bodies are walked, never the
+/// module.
+fn call_sites(m: &Module, calls: &CallEdges, fid: FuncId, out: &mut Vec<(FuncId, InstId)>) {
+    out.clear();
+    for caller in calls.callers_of(fid) {
+        let cf = m.func(caller);
+        for &ci in cf.block_order().iter().flat_map(|&bl| &cf.block(bl).insts) {
+            if let Inst::Call {
+                callee: Callee::Direct(cid),
+                ..
+            } = cf.inst(ci)
+            {
+                if *cid == fid {
+                    out.push((caller, ci));
+                }
+            }
+        }
+    }
+}
+
+fn header_index(f: &Function, b: BlockId) -> usize {
+    f.block_order()
         .iter()
         .position(|&x| x == b)
         .unwrap_or(usize::MAX)
 }
 
+// The facet bits of a dependence pair: its kinds, which index
+// `FACET_NAMES`, then whether any of its edges goes through memory and
+// whether any is a must-dependence.
+const RAW: u8 = 1;
+const WAR: u8 = 2;
+const WAW: u8 = 4;
+const CONTROL: u8 = 8;
+const KINDS: u8 = RAW | WAR | WAW | CONTROL;
+const MEMORY: u8 = 16;
+const MUST: u8 = 32;
+
+/// The "RAW+WAR"-style rendering of every set of dependence kinds, indexed
+/// by its bits.
+const FACET_NAMES: [&str; 16] = [
+    "",
+    "RAW",
+    "WAR",
+    "RAW+WAR",
+    "WAW",
+    "RAW+WAW",
+    "WAR+WAW",
+    "RAW+WAR+WAW",
+    "control",
+    "RAW+control",
+    "WAR+control",
+    "RAW+WAR+control",
+    "WAW+control",
+    "RAW+WAW+control",
+    "WAR+WAW+control",
+    "RAW+WAR+WAW+control",
+];
+
+fn facet_bits(e: &DepEdge<InstId>) -> u8 {
+    let kind = match e.attrs.kind {
+        DepKind::Data(DataDepKind::Raw) => RAW,
+        DepKind::Data(DataDepKind::War) => WAR,
+        DepKind::Data(DataDepKind::Waw) => WAW,
+        DepKind::Control => CONTROL,
+    };
+    let memory = if e.attrs.memory { MEMORY } else { 0 };
+    kind | memory | if e.attrs.must { MUST } else { 0 }
+}
+
 /// Classify every blocking edge of `la` into attributed blockers — the
 /// DOALL-level obstacles. Purely structural; [`enrich`] layers the
 /// interprocedural attribution (call chains, points-to rows) on top.
+/// `pairs` is scratch space.
 fn carried_dep_blockers(
     m: &Module,
     la: &LoopAbstraction,
     modref: &ModRefSummaries,
+    pairs: &mut Vec<(InstId, InstId, u8)>,
 ) -> Vec<Blocker> {
     let f = m.func(la.fid);
     // One blocker per unordered instruction pair: the PDG usually holds
     // several facets (RAW + WAR + WAW) of one conflicting access pair, and
     // the strongest facet decides the classification — a pair with a RAW
     // component is a recurrence, not just an overwrite.
-    let mut pairs: BTreeMap<(InstId, InstId), Vec<&DepEdge<InstId>>> = BTreeMap::new();
-    for e in la.blocking_edges() {
-        let key = (e.src.min(e.dst), e.src.max(e.dst));
-        pairs.entry(key).or_default().push(e);
-    }
-    let mut out = Vec::new();
-    for ((anchor, other), edges) in &pairs {
-        let (anchor, other) = (*anchor, *other);
+    pairs.clear();
+    pairs.extend(
+        la.blocking_edges()
+            .map(|e| (e.src.min(e.dst), e.src.max(e.dst), facet_bits(e))),
+    );
+    pairs.sort_unstable();
+    let runs = || pairs.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1));
+    let mut out = Vec::with_capacity(runs().count());
+    for run in runs() {
+        let (anchor, other) = (run[0].0, run[0].1);
+        let facets = run.iter().fold(0, |acc, &(_, _, bits)| acc | bits);
         let anchor_call = matches!(f.inst(anchor), Inst::Call { .. });
         let other_call = matches!(f.inst(other), Inst::Call { .. });
-        let any_memory = edges.iter().any(|e| e.attrs.memory);
-        let any_must = edges.iter().any(|e| e.attrs.must);
-        let has_raw = edges
-            .iter()
-            .any(|e| e.attrs.kind == DepKind::Data(DataDepKind::Raw));
-        let kinds = facet_names(edges);
+        let any_memory = facets & MEMORY != 0;
+        let any_must = facets & MUST != 0;
+        let has_raw = facets & RAW != 0;
+        let kinds = FACET_NAMES[usize::from(facets & KINDS)];
         let blocker = if anchor_call || other_call {
             let call = if anchor_call { anchor } else { other };
             let hint = call_hint(m, la.fid, call, modref);
@@ -508,10 +614,10 @@ fn carried_dep_blockers(
                 related: vec![other],
                 cross: Vec::new(),
                 objects: Vec::new(),
-                detail: format!(
+                detail: exact(format_args!(
                     "loop-carried {kinds} dependence pinned by a side-effecting call (%v{})",
                     call.0
-                ),
+                )),
                 hint,
             }
         } else if any_memory {
@@ -535,11 +641,11 @@ fn carried_dep_blockers(
                     related: vec![other],
                     cross: Vec::new(),
                     objects: Vec::new(),
-                    detail: format!(
+                    detail: exact(format_args!(
                         "proven loop-carried {kinds} dependence through memory \
                          (%v{} <-> %v{})",
                         anchor.0, other.0
-                    ),
+                    )),
                     hint,
                 }
             } else {
@@ -549,11 +655,11 @@ fn carried_dep_blockers(
                     related: vec![other],
                     cross: Vec::new(),
                     objects: Vec::new(),
-                    detail: format!(
+                    detail: exact(format_args!(
                         "apparent loop-carried {kinds} dependence: the alias query \
                          could not prove %v{} and %v{} disjoint",
                         anchor.0, other.0
-                    ),
+                    )),
                     hint: if reduction_like {
                         Hint::Reduction
                     } else {
@@ -569,11 +675,11 @@ fn carried_dep_blockers(
                 related: vec![other],
                 cross: Vec::new(),
                 objects: Vec::new(),
-                detail: format!(
+                detail: exact(format_args!(
                     "loop-carried register recurrence (%v{} <-> %v{}) is neither an \
                      induction variable nor a recognized reduction",
                     anchor.0, other.0
-                ),
+                )),
                 hint: register_recurrence_hint(la, anchor),
             }
         };
@@ -581,27 +687,6 @@ fn carried_dep_blockers(
     }
     sort_blockers(&mut out);
     out
-}
-
-/// Deterministic "RAW+WAR"-style rendering of the dependence facets a pair
-/// of instructions carries.
-fn facet_names(edges: &[&DepEdge<InstId>]) -> String {
-    let mut names: BTreeSet<&'static str> = BTreeSet::new();
-    for e in edges {
-        names.insert(match e.attrs.kind {
-            DepKind::Data(DataDepKind::Raw) => "RAW",
-            DepKind::Data(DataDepKind::War) => "WAR",
-            DepKind::Data(DataDepKind::Waw) => "WAW",
-            DepKind::Control => "control",
-        });
-    }
-    let order = ["RAW", "WAR", "WAW", "control"];
-    order
-        .iter()
-        .filter(|n| names.contains(*n))
-        .copied()
-        .collect::<Vec<_>>()
-        .join("+")
 }
 
 /// Hint for a side-effecting call inside the loop body, per its mod/ref
@@ -663,16 +748,17 @@ fn scc_is_reduction_like(f: &noelle_ir::module::Function, insts: &[InstId]) -> b
     op.is_some()
 }
 
-/// Attribute a technique refusal to blockers, by refusal variant.
+/// Attribute a technique refusal to blockers, by refusal variant;
+/// `carried` classifies the loop's carried dependences.
 fn blockers_for(
     m: &Module,
     fid: FuncId,
     la: &LoopAbstraction,
     e: &ParallelizeError,
-    carried: &[Blocker],
+    carried: impl FnOnce() -> Vec<Blocker>,
 ) -> Vec<Blocker> {
     match e {
-        ParallelizeError::CarriedDependences => carried.to_vec(),
+        ParallelizeError::CarriedDependences => carried(),
         ParallelizeError::NoGoverningIv => vec![no_iv_blocker(m, fid, la)],
         ParallelizeError::UnsupportedLiveOut => liveout_blockers(m, fid, la),
         ParallelizeError::Segments(why) => segment_blockers(m, fid, la, why),
@@ -696,7 +782,7 @@ fn fallback_blocker(
         related: Vec::new(),
         cross: Vec::new(),
         objects: Vec::new(),
-        detail: e.to_string(),
+        detail: exact(format_args!("{e}")),
         hint: Hint::Restructure,
     }
 }
@@ -747,10 +833,10 @@ fn liveout_blockers(m: &Module, fid: FuncId, la: &LoopAbstraction) -> Vec<Blocke
             related: Vec::new(),
             cross: Vec::new(),
             objects: Vec::new(),
-            detail: format!(
+            detail: exact(format_args!(
                 "live-out %v{} is not a recognized reduction accumulator",
                 anchor.0
-            ),
+            )),
             hint: Hint::Reduction,
         });
     }
@@ -764,7 +850,7 @@ fn shape_blocker(m: &Module, fid: FuncId, la: &LoopAbstraction, reason: &str) ->
         related: Vec::new(),
         cross: Vec::new(),
         objects: Vec::new(),
-        detail: format!("unsupported loop shape: {reason}"),
+        detail: exact(format_args!("unsupported loop shape: {reason}")),
         hint: Hint::Restructure,
     }
 }
@@ -792,10 +878,10 @@ fn segment_blockers(m: &Module, fid: FuncId, la: &LoopAbstraction, reason: &str)
             related,
             cross: Vec::new(),
             objects: Vec::new(),
-            detail: format!(
+            detail: exact(format_args!(
                 "sequential segment of {} instruction(s) serializes the loop ({reason})",
                 insts.len()
-            ),
+            )),
             hint: Hint::QueueMediate,
         });
     }
@@ -829,10 +915,10 @@ fn cyclic_scc_blockers(
         related,
         cross: Vec::new(),
         objects: Vec::new(),
-        detail: format!(
+        detail: exact(format_args!(
             "cyclic SCC of {} instruction(s) resists pipeline staging ({reason})",
             insts.len()
-        ),
+        )),
         hint: Hint::Speculate,
     }]
 }
@@ -840,7 +926,8 @@ fn cyclic_scc_blockers(
 /// Interprocedural enrichment of a dependence blocker: the points-to
 /// objects behind the failed alias query, the call sites whose actuals
 /// carry the conflicting pointer into this function, and the callee-side
-/// memory accesses behind an impure call.
+/// memory accesses behind an impure call. The objects are collected as
+/// keys and each is rendered once; `scratch` holds them meanwhile.
 fn enrich(
     m: &Module,
     fid: FuncId,
@@ -848,17 +935,27 @@ fn enrich(
     anders: &AndersenAlias,
     modref: &ModRefSummaries,
     calls: &CallEdges,
+    scratch: &mut Attribution,
 ) {
     let f = m.func(fid);
-    let mut objects: BTreeSet<String> = BTreeSet::new();
-    let mut cross: BTreeSet<(FuncId, InstId)> = BTreeSet::new();
+    let Attribution {
+        objects,
+        rendered,
+        cross,
+        sites,
+        sites_of,
+    } = scratch;
+    objects.clear();
+    let add_site = |cross: &mut Vec<_>, site| {
+        if !cross.contains(&site) {
+            cross.push(site);
+        }
+    };
     let mut via_args = false;
     for &i in std::iter::once(&b.inst).chain(b.related.iter()) {
         match f.inst(i) {
             Inst::Load { ptr, .. } | Inst::Store { ptr, .. } => {
-                for o in anders.points_to(fid, *ptr) {
-                    objects.insert(render_object(m, &o));
-                }
+                objects.extend(anders.points_to(fid, *ptr));
                 via_args |= roots_in_args(f, *ptr, 0);
             }
             // The callee accesses that make the call impure.
@@ -872,9 +969,7 @@ fn enrich(
                         break;
                     }
                     match cf.inst(ci) {
-                        Inst::Store { .. } | Inst::Call { .. } => {
-                            cross.insert((*cid, ci));
-                        }
+                        Inst::Store { .. } | Inst::Call { .. } => add_site(cross, (*cid, ci)),
                         _ => {}
                     }
                 }
@@ -883,30 +978,30 @@ fn enrich(
         }
     }
     // The conflicting pointer arrives through a parameter: attribute the
-    // call sites whose actuals feed it — callers ascending, each body in
-    // layout order, so which sites survive the cap does not depend on who
-    // asks. Only the callers' bodies are walked, never the module.
+    // call sites whose actuals feed it, in the order `call_sites` lists them.
     if via_args {
-        'sites: for caller in calls.callers_of(fid) {
-            let cf = m.func(caller);
-            for &ci in cf.block_order().iter().flat_map(|&bl| &cf.block(bl).insts) {
-                if cross.len() >= MAX_ATTRIBUTION {
-                    break 'sites;
-                }
-                match cf.inst(ci) {
-                    Inst::Call {
-                        callee: Callee::Direct(cid),
-                        ..
-                    } if *cid == fid => {
-                        cross.insert((caller, ci));
-                    }
-                    _ => {}
-                }
+        if *sites_of != Some(fid) {
+            call_sites(m, calls, fid, sites);
+            *sites_of = Some(fid);
+        }
+        for &site in sites.iter() {
+            if cross.len() >= MAX_ATTRIBUTION {
+                break;
             }
+            add_site(cross, site);
         }
     }
-    b.objects = objects.into_iter().take(MAX_ATTRIBUTION).collect();
-    b.cross = cross.into_iter().take(MAX_ATTRIBUTION).collect();
+    objects.sort_unstable();
+    objects.dedup();
+    rendered.extend(objects.iter().map(|o| render_object(m, o)));
+    rendered.sort_unstable();
+    rendered.dedup();
+    let kept = rendered.len().min(MAX_ATTRIBUTION);
+    b.objects = rendered.drain(..kept).collect();
+    rendered.clear();
+    cross.sort_unstable();
+    b.cross = cross.to_vec();
+    cross.clear();
 }
 
 /// Does the pointer chase down to a function argument (through geps, casts,
@@ -932,13 +1027,32 @@ fn roots_in_args(f: &noelle_ir::module::Function, v: Value, depth: usize) -> boo
     }
 }
 
+/// `args` rendered into a `String` of exactly its length: a blocker's
+/// text lives as long as the audit does.
+fn exact(args: fmt::Arguments<'_>) -> String {
+    struct Len(usize);
+    impl fmt::Write for Len {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            self.0 += s.len();
+            Ok(())
+        }
+    }
+    let mut len = Len(0);
+    let _ = fmt::Write::write_fmt(&mut len, args);
+    let mut text = String::with_capacity(len.0);
+    let _ = fmt::Write::write_fmt(&mut text, args);
+    text
+}
+
 /// Stable human-readable name for an abstract memory object.
 fn render_object(m: &Module, o: &MemoryObject) -> String {
     match o {
-        MemoryObject::Global(g) => format!("global @{}", m.global(*g).name),
-        MemoryObject::Alloca(f, i) => format!("alloca %v{} in @{}", i.0, m.func(*f).name),
-        MemoryObject::Heap(f, i) => format!("heap %v{} in @{}", i.0, m.func(*f).name),
-        MemoryObject::Function(f) => format!("function @{}", m.func(*f).name),
+        MemoryObject::Global(g) => exact(format_args!("global @{}", m.global(*g).name)),
+        MemoryObject::Alloca(f, i) => {
+            exact(format_args!("alloca %v{} in @{}", i.0, m.func(*f).name))
+        }
+        MemoryObject::Heap(f, i) => exact(format_args!("heap %v{} in @{}", i.0, m.func(*f).name)),
+        MemoryObject::Function(f) => exact(format_args!("function @{}", m.func(*f).name)),
         MemoryObject::Unknown => "unknown memory".to_string(),
     }
 }
@@ -1185,7 +1299,7 @@ exit:
         let builder = PdgBuilder::new(&m, &basic);
         let la = LoopAbstraction::build(&builder, fid, l);
         let modref = ModRefSummaries::compute(&m);
-        let blockers = carried_dep_blockers(&m, &la, &modref);
+        let blockers = carried_dep_blockers(&m, &la, &modref, &mut Vec::new());
         (m, blockers)
     }
 

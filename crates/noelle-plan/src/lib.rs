@@ -12,10 +12,17 @@
 //! picks the best candidate per loop subject to nesting conflicts and
 //! emits a deterministic, explainable report. Each winner carries the
 //! judgment it was priced on, and [`apply_plan`] emits exactly that.
+//!
+//! The report has one writer: [`LoopPlan::write_json`] writes a loop's row
+//! and [`ModulePlan::json_text`] the whole report straight into one
+//! `String`, members in key order, spelled as compact output spells them.
+//! [`ModulePlan::to_json`] parses that text, so the document's compact
+//! output is the text itself, copied; the IDE writes its hint rows with the
+//! same writer, less `weight`. Nothing builds a report tree.
 
 use noelle_analysis::scev::{affine_recurrences, trip_count_given};
 use noelle_core::architecture::{bin_cost, static_cost, Architecture};
-use noelle_core::json::Json;
+use noelle_core::json::{self, Json};
 use noelle_core::loop_abs::LoopAbstraction;
 use noelle_core::noelle::{CallEdges, Noelle};
 use noelle_core::profiler::Profiles;
@@ -162,45 +169,58 @@ impl LoopPlan {
         self.candidates.iter().any(|c| c.clean)
     }
 
-    /// Deterministic JSON rendering of one loop's candidate table (the
-    /// per-loop row of [`ModulePlan::to_json`]; the IDE's hint rows are
-    /// this without `weight`).
-    pub fn to_json(&self) -> Json {
-        let candidates = self
-            .candidates
-            .iter()
-            .map(|c| {
-                Json::object([
-                    (
-                        "technique".to_string(),
-                        Json::Str(c.technique.as_str().to_string()),
-                    ),
-                    ("clean".to_string(), Json::Bool(c.clean)),
-                    (
-                        "predicted_speedup".to_string(),
-                        Json::Float(round4(c.predicted_speedup)),
-                    ),
-                    ("workers".to_string(), Json::Int(c.workers as i64)),
-                    ("detail".to_string(), Json::Str(c.detail.clone())),
-                ])
-            })
-            .collect();
-        Json::object([
-            ("function".to_string(), Json::Str(self.function.clone())),
-            ("header".to_string(), Json::Str(self.header_name.clone())),
-            ("weight".to_string(), Json::Float(round4(self.weight))),
-            ("trip".to_string(), Json::Float(round4(self.trip))),
-            ("body_cost".to_string(), Json::Int(self.body_cost as i64)),
-            ("candidates".to_string(), Json::Array(candidates)),
-            (
-                "chosen".to_string(),
-                match self.chosen {
-                    Some(t) => Json::Str(t.as_str().to_string()),
-                    None => Json::Null,
-                },
-            ),
-            ("reason".to_string(), Json::Str(self.reason.clone())),
-        ])
+    /// Write this loop's row of the report — its candidate table, the
+    /// winner and the reason — into `out` as compact JSON, members in key
+    /// order. A row of [`ModulePlan::json_text`] carries `weight`; the IDE's
+    /// hint rows leave it out (a weight is a share among the loops planned
+    /// together, and the IDE plans a few functions at a time).
+    pub fn write_json(&self, out: &mut String, with_weight: bool) {
+        out.push_str("{\"body_cost\":");
+        let _ = write!(out, "{}", self.body_cost as i64);
+        out.push_str(",\"candidates\":[");
+        for (k, c) in self.candidates.iter().enumerate() {
+            if k > 0 {
+                out.push(',');
+            }
+            out.push_str(if c.clean {
+                "{\"clean\":true,\"detail\":"
+            } else {
+                "{\"clean\":false,\"detail\":"
+            });
+            json::write_escaped(out, &c.detail);
+            out.push_str(",\"predicted_speedup\":");
+            json::write_float(out, round4(c.predicted_speedup));
+            out.push_str(",\"technique\":");
+            json::write_escaped(out, c.technique.as_str());
+            let _ = write!(out, ",\"workers\":{}}}", c.workers as i64);
+        }
+        out.push_str("],\"chosen\":");
+        match self.chosen {
+            Some(t) => json::write_escaped(out, t.as_str()),
+            None => out.push_str("null"),
+        }
+        out.push_str(",\"function\":");
+        json::write_escaped(out, &self.function);
+        out.push_str(",\"header\":");
+        json::write_escaped(out, &self.header_name);
+        out.push_str(",\"reason\":");
+        json::write_escaped(out, &self.reason);
+        out.push_str(",\"trip\":");
+        json::write_float(out, round4(self.trip));
+        if with_weight {
+            out.push_str(",\"weight\":");
+            json::write_float(out, round4(self.weight));
+        }
+        out.push('}');
+    }
+
+    /// Room for this loop's row: its strings, and beside them more than its
+    /// keys and numbers take. A row that does not fit (a string with
+    /// escapes, a huge number) only grows the buffer.
+    fn row_capacity(&self) -> usize {
+        let details: usize = self.candidates.iter().map(|c| c.detail.len()).sum();
+        const PER_ROW: usize = 640;
+        PER_ROW + self.function.len() + self.header_name.len() + self.reason.len() + details
     }
 }
 
@@ -243,25 +263,41 @@ impl ModulePlan {
         1.0 / (scaled + rest)
     }
 
-    /// Deterministic JSON rendering (the golden / wire format).
+    /// The report (the golden / wire format) as a document: [`Json::parse`]
+    /// of [`ModulePlan::json_text`], so its compact output is that text,
+    /// copied.
     pub fn to_json(&self) -> Json {
-        let loops = self.loops.iter().map(LoopPlan::to_json).collect();
-        Json::object([
-            (
-                "summary".to_string(),
-                Json::object([
-                    ("loops".to_string(), Json::Int(self.loops.len() as i64)),
-                    ("planned".to_string(), Json::Int(self.planned() as i64)),
-                    (
-                        "predicted_speedup".to_string(),
-                        Json::Float(round4(self.predicted_program_speedup())),
-                    ),
-                    ("workers".to_string(), Json::Int(self.workers as i64)),
-                    ("profiled".to_string(), Json::Bool(self.profiled)),
-                ]),
-            ),
-            ("loops".to_string(), Json::Array(loops)),
-        ])
+        // The writer writes JSON: the round-trip test holds every workload's
+        // report to that, byte for byte.
+        Json::parse(&self.json_text()).unwrap_or(Json::Null)
+    }
+
+    /// The report as compact JSON, written in one pass into one buffer:
+    /// `{"loops": [rows], "summary": {...}}`, members in key order, so it
+    /// is byte for byte what compact output of the document writes.
+    pub fn json_text(&self) -> String {
+        let rows: usize = self.loops.iter().map(LoopPlan::row_capacity).sum();
+        let mut out = String::with_capacity(rows + 256);
+        out.push_str("{\"loops\":[");
+        for (k, l) in self.loops.iter().enumerate() {
+            if k > 0 {
+                out.push(',');
+            }
+            l.write_json(&mut out, true);
+        }
+        let _ = write!(
+            out,
+            "],\"summary\":{{\"loops\":{},\"planned\":{},\"predicted_speedup\":",
+            self.loops.len() as i64,
+            self.planned() as i64
+        );
+        json::write_float(&mut out, round4(self.predicted_program_speedup()));
+        let _ = write!(
+            out,
+            ",\"profiled\":{},\"workers\":{}}}}}",
+            self.profiled, self.workers as i64
+        );
+        out
     }
 
     /// Deterministic human-readable rendering.
@@ -399,12 +435,12 @@ pub fn plan_from_audit(n: &mut Noelle, audit: &ModuleAudit, opts: &PlanOptions) 
     // Pass 2: pick winners under nesting conflicts. Greedy by saved-time
     // benefit: a loop's plan excludes plans on any loop it contains or is
     // contained by (same function).
+    let benefits: Vec<f64> = loops.iter().map(benefit).collect();
     let order: Vec<usize> = {
         let mut idx: Vec<usize> = (0..loops.len()).collect();
         idx.sort_by(|&a, &b| {
-            let ba = benefit(&loops[a]);
-            let bb = benefit(&loops[b]);
-            bb.partial_cmp(&ba)
+            benefits[b]
+                .partial_cmp(&benefits[a])
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then_with(|| loops[a].function.cmp(&loops[b].function))
                 .then_with(|| loops[a].header.0.cmp(&loops[b].header.0))
@@ -435,8 +471,8 @@ pub fn plan_from_audit(n: &mut Noelle, audit: &ModuleAudit, opts: &PlanOptions) 
                     q.header_name,
                     q.chosen.map(|t| t.as_str()).unwrap_or("?"),
                     q.chosen_candidate().map(|c| c.predicted_speedup).unwrap_or(0.0),
-                    benefit(q),
-                    benefit(p),
+                    benefits[j],
+                    benefits[i],
                 );
                 loops[i].reason = reason;
             }

@@ -19,6 +19,7 @@ use noelle_ir::loops::LoopInfo;
 use noelle_ir::module::{BlockId, FuncId, Function, Module};
 use noelle_ir::types::{FuncType, Type};
 use noelle_ir::value::Value;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Name of the task-dispatch runtime intrinsic: runs `n_tasks` instances of
@@ -39,8 +40,9 @@ pub const SS_SIGNAL_INTRINSIC: &str = "noelle.ss.signal";
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ParallelizeError {
     /// The loop shape is unsupported (multiple exits, no pre-header...).
-    /// Free-form: for reasons nobody needs to tell apart.
-    Shape(String),
+    /// Free-form: for reasons nobody needs to tell apart. A fixed reason is
+    /// borrowed, so refusing with it allocates nothing.
+    Shape(Cow<'static, str>),
     /// The loop has no governing induction variable.
     NoGoverningIv,
     /// A live-out is neither a reduction nor reconstructible.
@@ -72,13 +74,13 @@ impl std::error::Error for ParallelizeError {}
 
 impl From<TaskError> for ParallelizeError {
     fn from(e: TaskError) -> ParallelizeError {
-        ParallelizeError::Shape(e.to_string())
+        ParallelizeError::Shape(e.to_string().into())
     }
 }
 
 impl From<LoopBuilderError> for ParallelizeError {
     fn from(e: LoopBuilderError) -> ParallelizeError {
-        ParallelizeError::Shape(e.to_string())
+        ParallelizeError::Shape(e.to_string().into())
     }
 }
 

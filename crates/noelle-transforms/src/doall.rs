@@ -66,9 +66,9 @@ pub fn distribute_cyclically(m: &mut Module, task: &TaskFunction) -> Result<(), 
     }
     for rec in &recs {
         offset_start(tf, &l, rec, Value::Arg(1))
-            .map_err(|e| ParallelizeError::Shape(e.to_string()))?;
+            .map_err(|e| ParallelizeError::Shape(e.to_string().into()))?;
         scale_step(tf, &l, rec, Value::Arg(2))
-            .map_err(|e| ParallelizeError::Shape(e.to_string()))?;
+            .map_err(|e| ParallelizeError::Shape(e.to_string().into()))?;
     }
     Ok(())
 }

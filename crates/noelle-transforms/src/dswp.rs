@@ -90,20 +90,24 @@ pub fn gate(
         ));
     }
 
-    let mut plan = plan_stages(m, fid, la, want_stages)?;
-    let n_stages = plan.n_stages;
+    let f = m.func(fid);
+    let replicated = replicated_set(f, la)?;
+    let owned = |s: usize| assignable(f, la, &replicated, s);
+    let n_owned = (0..la.sccdag.nodes().len()).filter(|&s| owned(s)).count();
+    if n_owned < 2 {
+        return Err(ParallelizeError::Stages("fewer than two pipeline stages"));
+    }
 
     // Profitability: pipelining pays only when a stage's share of the body
     // exceeds the queue traffic it must perform each iteration. A light loop
     // body drowned in queue operations would *slow down* (the selection step
     // real DSWP implementations also perform).
-    {
-        let f = m.func(fid);
-        let body_cost: u64 = la
-            .pdg
-            .internal_nodes()
-            .map(|i| static_cost(m, f.inst(i)))
-            .sum();
+    let body_cost: u64 = la
+        .pdg
+        .internal_nodes()
+        .map(|i| static_cost(m, f.inst(i)))
+        .sum();
+    let pays_on = |n_stages: usize| {
         // Each stage pays ~2 queue operations plus, in the balanced steady
         // state, one inter-core latency per iteration because its pops
         // arrive just before the matching push.
@@ -114,10 +118,33 @@ pub fn gate(
                 "loop body too light for pipelining".into(),
             ));
         }
-    }
+        Ok(())
+    };
+    // A body too light for the most stages the SCCs allow is too light for
+    // any fewer, so the SCCs are ordered only for a loop that may pipeline,
+    // and partitioned only for one that does.
+    let most = want_stages.clamp(2, n_owned);
+    pays_on(most)?;
+    let order: Vec<usize> = la
+        .sccdag
+        .topo_order()
+        .into_iter()
+        .filter(|&s| owned(s))
+        .collect();
+    let n_stages = walk(la, &order, most, |_, _| {});
+    pays_on(n_stages)?;
+    let mut stage_of_scc = BTreeMap::new();
+    walk(la, &order, most, |scc, stage| {
+        stage_of_scc.insert(scc, stage);
+    });
+    let mut plan = StagePlan {
+        stage_of_scc,
+        replicated,
+        n_stages,
+        value_queues: Vec::new(),
+    };
 
     // Cross-stage register dependences: (def, consumer stage) pairs.
-    let f = m.func(fid);
     let stage_of_inst = |i: InstId| -> Option<usize> {
         if plan.replicates(i) || matches!(f.inst(i), Inst::Term(_)) {
             return None; // present everywhere
@@ -295,17 +322,13 @@ impl StagePlan {
     }
 }
 
-/// Plan the pipeline stages: the replicated set (IVs, control chains,
-/// invariants) and a contiguous, weight-balanced partition of the remaining
-/// SCCs in topological order.
-fn plan_stages(
-    m: &Module,
-    fid: FuncId,
-    la: &LoopAbstraction,
-    want: usize,
-) -> Result<StagePlan, ParallelizeError> {
-    let f = m.func(fid);
-    let mut replicated: Vec<InstId> = la.invariants.iter().collect();
+/// The instructions every stage replicates (IVs, control chains,
+/// invariants), ascending, none twice; refused when loop control reads or
+/// writes memory.
+fn replicated_set(f: &Function, la: &LoopAbstraction) -> Result<Vec<InstId>, ParallelizeError> {
+    // Room for every loop instruction: the set never grows past that.
+    let mut replicated: Vec<InstId> = Vec::with_capacity(la.pdg.num_internal());
+    replicated.extend(la.invariants.iter());
     for node in la.sccdag.nodes() {
         if node.is_induction {
             replicated.extend_from_slice(la.sccdag.insts(node.id));
@@ -339,45 +362,42 @@ fn plan_stages(
             return Err(ParallelizeError::Stages("loop control depends on memory"));
         }
     }
+    Ok(replicated)
+}
 
-    let topo = la.sccdag.topo_order();
-    let assignable: Vec<usize> = topo
-        .into_iter()
-        .filter(|&s| {
-            !la.sccdag.nodes()[s].is_induction
-                && !la.sccdag.insts(s).iter().all(|&i| {
-                    replicated.binary_search(&i).is_ok() || matches!(f.inst(i), Inst::Term(_))
-                })
-        })
-        .collect();
-    if assignable.len() < 2 {
-        return Err(ParallelizeError::Stages("fewer than two pipeline stages"));
-    }
-    let n_stages = want.clamp(2, assignable.len());
-    let weights: Vec<usize> = assignable
-        .iter()
-        .map(|&s| la.sccdag.insts(s).len())
-        .collect();
-    let total: usize = weights.iter().sum();
-    let per_stage = total.div_ceil(n_stages);
-    let mut stage_of_scc = BTreeMap::new();
-    let mut stage = 0usize;
-    let mut acc = 0usize;
-    for (k, &scc) in assignable.iter().enumerate() {
-        stage_of_scc.insert(scc, stage);
-        acc += weights[k];
-        let remaining = assignable.len() - k - 1;
-        if acc >= per_stage && stage + 1 < n_stages && remaining >= n_stages - stage - 1 {
+/// Can a stage own SCC `s`? Not an induction, and not only replicated
+/// instructions and terminators.
+fn assignable(f: &Function, la: &LoopAbstraction, replicated: &[InstId], s: usize) -> bool {
+    !la.sccdag.nodes()[s].is_induction
+        && !la
+            .sccdag
+            .insts(s)
+            .iter()
+            .all(|&i| replicated.binary_search(&i).is_ok() || matches!(f.inst(i), Inst::Term(_)))
+}
+
+/// Walk the assignable SCCs `order`, in topological order, into at most `n`
+/// contiguous stages of about equal weight (instruction count); `place`
+/// sees each SCC with its stage. Returns the number of stages used.
+fn walk(
+    la: &LoopAbstraction,
+    order: &[usize],
+    n: usize,
+    mut place: impl FnMut(usize, usize),
+) -> usize {
+    let weight = |s: usize| la.sccdag.insts(s).len();
+    let per_stage = order.iter().map(|&s| weight(s)).sum::<usize>().div_ceil(n);
+    let (mut stage, mut acc) = (0usize, 0usize);
+    for (k, &scc) in order.iter().enumerate() {
+        place(scc, stage);
+        acc += weight(scc);
+        let remaining = order.len() - k - 1;
+        if acc >= per_stage && stage + 1 < n && remaining >= n - stage - 1 {
             stage += 1;
             acc = 0;
         }
     }
-    Ok(StagePlan {
-        stage_of_scc,
-        replicated,
-        n_stages: stage + 1,
-        value_queues: Vec::new(),
-    })
+    stage + 1
 }
 
 /// Prune a stage clone: keep this stage's SCCs plus the replicated set,

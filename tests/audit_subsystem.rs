@@ -461,7 +461,7 @@ fn technique_coverage_matches_the_checked_in_table() {
                         row.clean += 1;
                         continue;
                     }
-                    Err(ParallelizeError::Shape(why)) => ("Shape", why.clone()),
+                    Err(ParallelizeError::Shape(why)) => ("Shape", why.to_string()),
                     Err(ParallelizeError::Segments(why)) => ("Segments", why.to_string()),
                     Err(ParallelizeError::Stages(why)) => ("Stages", why.to_string()),
                     Err(ParallelizeError::NoGoverningIv) => ("NoGoverningIv", String::new()),

@@ -18,8 +18,12 @@
 //! a loop abstraction is
 //! a handful of flat arrays per loop, and a technique's gate reads the
 //! function's dominator tree instead of building one, and DSWP's no set of
-//! the loop's instructions; and a dropped document gives back every byte
-//! it held, its function names included. The counts do not
+//! the loop's instructions, nor a partition for a loop too light to
+//! pipeline; the audit allocates for what it finds, not per dependence
+//! pair, facet or alias object; the plan report is one buffer of text read
+//! back as one document, a constant number of blocks whatever the loop
+//! count; and a dropped document gives back every byte it held, its
+//! function names included. The counts do not
 //! depend on the host, so the bounds are tight. The tests take turns ([`alone`]), so
 //! nothing else allocates while a closure is being counted.
 
@@ -38,7 +42,7 @@ use noelle::ir::types::Type;
 use noelle::ir::value::Value;
 use noelle::pdg::pdg::PdgBuilder;
 use noelle::transforms::common::gate;
-use noelle::transforms::Parallelizer;
+use noelle::transforms::{ParallelizeError, Parallelizer};
 use noelle::workloads::scale_module;
 use noelle_analysis::alias::{
     AliasAnalysis, AliasResult, AliasStack, AndersenAlias, BaseObjects, BasicAlias,
@@ -46,7 +50,7 @@ use noelle_analysis::alias::{
 use noelle_ide::{Change, DocSession};
 use noelle_lint::audit::AUDIT_WORKERS;
 use noelle_lint::run_audit;
-use noelle_plan::{plan_from_audit, PlanOptions};
+use noelle_plan::{plan_from_audit, plan_module, PlanOptions};
 use noelle_server::protocol::{read_frame_text, MAX_FRAME_BYTES};
 use noelle_store::artifact::decode_partition;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -687,12 +691,13 @@ fn the_dswp_gate_allocates_no_set_per_loop() {
     }
     eprintln!("{loops} loops, {insts} loop instructions: {blocks} allocations to gate DSWP");
     assert!(insts > 2000, "{insts} loop instructions");
-    // 1 405 for 158 loops (8.9 each): the gate reads membership off the
-    // loop graph and keeps the replicated set as a sorted `Vec`. Building a
-    // `BTreeSet` of the loop's instructions and another for the replicated
-    // set took 2 315 (14.7).
+    // 316 for 158 loops (2 each): the gate reads membership off the loop
+    // graph, keeps the replicated set as a sorted `Vec` sized once, and
+    // refuses a light body before it partitions. Partitioning first took
+    // 1 405 (8.9); a `BTreeSet` of the loop's instructions and another for
+    // the replicated set, 2 315 (14.7).
     assert!(
-        blocks <= 9 * loops,
+        blocks <= 2 * loops,
         "the DSWP gate: {blocks} allocations for {loops} loops"
     );
 }
@@ -759,4 +764,104 @@ fn a_gate_allocates_nothing_for_the_blocks_outside_its_loop() {
             "{what}: {near} -> {far} bytes as the function grew by 4096 blocks"
         );
     }
+}
+
+/// A manager over `scale_module(256, 3)` with everything the audit reads
+/// built beforehand, as a cold analysis builds it: the points-to rows, the
+/// mod/ref summaries, every partition and every loop forest.
+fn analyzed_scale_module() -> Noelle {
+    let mut n = Noelle::new(scale_module(256, 3), AliasTier::Full);
+    let _ = n.points_to();
+    let _ = n.modref_summaries();
+    let _ = n.pdg();
+    let fids: Vec<_> = n.module().func_ids().collect();
+    for fid in fids {
+        if !n.module().func(fid).is_declaration() {
+            n.loop_forest(fid);
+        }
+    }
+    n
+}
+
+/// The audit allocates for what it finds — a loop's abstraction, its
+/// verdicts and the text of its blockers — and nothing per fact besides:
+/// one set of scratch buffers serves every loop, dependence pairs are
+/// grouped by a sort, and a refusal over carried dependences takes the
+/// blockers classified for it instead of a copy.
+#[test]
+fn an_audited_loop_allocates_for_its_findings() {
+    let _turn = alone();
+    let mut n = analyzed_scale_module();
+    let (audit, count) = allocations(|| run_audit(&mut n));
+    let (loops, blockers) = (audit.loops.len(), audit.num_blockers());
+    eprintln!("{loops} loops, {blockers} blockers audited in {count} allocations");
+    assert!(loops > 100, "{loops} loops");
+    // 10 810 for 164 loops (65.9 each), 5 865 of them the loop
+    // abstractions. With a map of edge lists per loop, a set per pair's
+    // facets, a set of rendered objects per blocker, the carried blockers
+    // cloned into the refusal and every function's name cloned, it was
+    // 13 911 (84.8).
+    assert!(
+        count <= 67 * loops,
+        "the audit: {count} allocations for {loops} loops"
+    );
+}
+
+/// The plan report is written into one buffer and read back as one parsed
+/// document, whose compact output copies the text: a fixed handful of
+/// blocks, however many loops it lists.
+#[test]
+fn the_plan_report_is_written_in_a_constant_number_of_allocations() {
+    let _turn = alone();
+    let mut counts = Vec::new();
+    for funcs in [64, 256] {
+        let mut n = Noelle::new(scale_module(funcs, 3), AliasTier::Full);
+        let plan = plan_module(&mut n, &PlanOptions::default());
+        let (report, count) = allocations(|| plan.to_json().to_string_compact());
+        eprintln!(
+            "{} loops: a {}-byte report in {count} allocations",
+            plan.loops.len(),
+            report.len()
+        );
+        counts.push(count);
+    }
+    // 5 at 39 loops and at 164: the text, the parsed document, its copy of
+    // the text and its tape, and the compact output. Building a tree
+    // first took 1 466 and 6 093.
+    assert!(counts.iter().all(|&c| c <= 5), "{counts:?}");
+}
+
+/// DSWP's two cheap refusals and its light-body test come before the
+/// weight-balanced partition: a loop too light to pipeline costs the
+/// replicated set and its work list, and no stage map.
+#[test]
+fn dswp_refuses_a_light_loop_without_building_a_partition() {
+    let _turn = alone();
+    let mut n = analyzed_scale_module();
+    let arch = Architecture::default_machine();
+    let fids: Vec<_> = n.module().func_ids().collect();
+    let (mut blocks, mut light) = (0, 0);
+    for fid in fids {
+        if n.module().func(fid).is_declaration() {
+            continue;
+        }
+        for l in n.loops_of(fid) {
+            let la = n.loop_abstraction(fid, l);
+            let m = n.module();
+            let (verdict, count) =
+                allocations(|| gate(Parallelizer::Dswp, m, fid, &la, &arch, AUDIT_WORKERS));
+            if matches!(verdict, Err(ParallelizeError::Shape(why)) if why.contains("too light")) {
+                blocks += count;
+                light += 1;
+            }
+        }
+    }
+    eprintln!("{light} loops refused as too light in {blocks} allocations");
+    assert!(light > 100, "{light} loops refused as too light");
+    // 328 for 164 loops (2 each). Partitioning first, with the refusal's
+    // text in a `String` of its own, took 1 442 (8.8).
+    assert!(
+        blocks <= 2 * light,
+        "{blocks} allocations for {light} light loops"
+    );
 }

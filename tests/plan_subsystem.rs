@@ -16,6 +16,8 @@ use noelle::ir::printer::print_module;
 use noelle::ir::verifier::verify_module;
 use noelle::runtime::{run_module, RunConfig};
 use noelle::transforms::common::{emit, gate, Parallelizer};
+use noelle::workloads::scale_module;
+use noelle_ide::DocSession;
 use noelle_lint::run_audit;
 use noelle_plan::{apply_plan, plan_from_audit, plan_module, PlanOptions};
 use noelle_server::{Client, Server, ServerConfig};
@@ -81,6 +83,57 @@ fn workload_plans_match_checked_in_golden() {
          regenerate with `noelle-plan workload:all --format json` if the \
          change is intentional"
     );
+}
+
+// ---------------------------------------------------------------------------
+// One writer: the report text is the plan's only serialization. A parse of
+// it prints back byte for byte, and the IDE's hint rows are its rows
+// without `weight`.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn the_report_writer_is_the_only_serialization() {
+    let opts = PlanOptions::default();
+    let scale = ("scale_module(256, 3)".to_string(), scale_module(256, 3));
+    let mut hinted = 0;
+    for (name, m) in workloads_all().into_iter().chain(std::iter::once(scale)) {
+        let source = print_module(&m);
+        let plan = plan_module(&mut Noelle::new(m, AliasTier::Full), &opts);
+        let text = plan.json_text();
+        let parsed = Json::parse(&text).expect("the report is JSON");
+        assert_eq!(parsed.to_string_compact(), text, "{name}: compact");
+        // Decoded member by member, it still writes the same text.
+        let decoded = Json::parse(&parsed.to_string_pretty()).expect("pretty is JSON");
+        assert_eq!(decoded.to_string_compact(), text, "{name}: pretty");
+        assert_eq!(plan.to_json().to_string_compact(), text, "{name}: to_json");
+
+        // A cold open plans the whole module: its rows are the module
+        // plan's rows with a clean candidate, in the same order, less
+        // each one's weight.
+        let doc = DocSession::open(name.as_str(), &source, AliasTier::Full);
+        let pulled: Vec<Json> = doc
+            .plan_hints()
+            .as_object()
+            .expect("hints are an object")
+            .values()
+            .flat_map(|rows| rows.as_array().expect("rows").to_vec())
+            .collect();
+        let rows = parsed.get("loops").and_then(Json::as_array).expect("rows");
+        let expected: Vec<Json> = plan
+            .loops
+            .iter()
+            .zip(rows)
+            .filter(|(l, _)| l.any_clean())
+            .map(|(_, row)| {
+                let members = row.as_object().expect("a row is an object").iter();
+                let kept = members.filter(|(k, _)| k.as_str() != "weight");
+                Json::object(kept.map(|(k, v)| (k.clone(), v.clone())))
+            })
+            .collect();
+        assert_eq!(pulled, expected, "{name}: the IDE's rows");
+        hinted += pulled.len();
+    }
+    assert!(hinted > 100, "{hinted} rows compared");
 }
 
 // ---------------------------------------------------------------------------
