@@ -15,6 +15,7 @@ use noelle_ir::dom::DomTree;
 use noelle_ir::inst::InstId;
 use noelle_ir::loops::LoopInfo;
 use noelle_ir::module::FuncId;
+use noelle_ir::value::Value;
 use noelle_pdg::depgraph::{DepEdge, DepGraph};
 use noelle_pdg::pdg::{BuildBuffers, PdgBuilder};
 use noelle_pdg::sccdag::{SccDag, SccKind};
@@ -133,6 +134,13 @@ impl LoopAbstraction {
         })
     }
 
+    /// The reduction whose accumulator is live-out `v`, if one is: the one
+    /// spelling of "the dispatcher can rebuild this live-out" (it folds
+    /// reduction partials and rebuilds nothing else).
+    pub fn reduction_of(&self, v: Value) -> Option<&Reduction> {
+        self.reductions.iter().find(|r| Value::Inst(r.phi) == v)
+    }
+
     fn handles(&self, i: InstId) -> bool {
         self.handled.binary_search(&i).is_ok()
     }
@@ -166,7 +174,6 @@ mod tests {
     use noelle_ir::loops::LoopForest;
     use noelle_ir::module::Module;
     use noelle_ir::types::Type;
-    use noelle_ir::value::Value;
 
     fn sum_loop() -> (Module, FuncId, LoopInfo) {
         let mut m = Module::new("t");

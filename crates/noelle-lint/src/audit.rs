@@ -31,7 +31,6 @@ use noelle_ir::value::Value;
 use noelle_pdg::depgraph::{DataDepKind, DepEdge, DepKind};
 use noelle_pdg::sccdag::SccKind;
 use noelle_transforms::common::{gate, ParallelizeError, Parallelizer, Recipe};
-use noelle_transforms::helix;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
@@ -748,8 +747,9 @@ fn scc_is_reduction_like(f: &noelle_ir::module::Function, insts: &[InstId]) -> b
     op.is_some()
 }
 
-/// Attribute a technique refusal to blockers, by refusal variant;
-/// `carried` classifies the loop's carried dependences.
+/// Attribute a technique refusal to blockers, by refusal variant, from what
+/// the refusal carries; `carried` classifies the loop's carried
+/// dependences.
 fn blockers_for(
     m: &Module,
     fid: FuncId,
@@ -760,8 +760,8 @@ fn blockers_for(
     match e {
         ParallelizeError::CarriedDependences => carried(),
         ParallelizeError::NoGoverningIv => vec![no_iv_blocker(m, fid, la)],
-        ParallelizeError::UnsupportedLiveOut => liveout_blockers(m, fid, la),
-        ParallelizeError::Segments(why) => segment_blockers(m, fid, la, why),
+        ParallelizeError::UnsupportedLiveOut(live_outs) => liveout_blockers(live_outs),
+        ParallelizeError::Segments { why, groups } => segment_blockers(why, groups),
         ParallelizeError::Stages(why) => cyclic_scc_blockers(m, fid, la, why),
         ParallelizeError::Shape(why) => vec![shape_blocker(m, fid, la, why)],
     }
@@ -817,30 +817,21 @@ fn no_iv_blocker(m: &Module, fid: FuncId, la: &LoopAbstraction) -> Blocker {
     }
 }
 
-fn liveout_blockers(m: &Module, fid: FuncId, la: &LoopAbstraction) -> Vec<Blocker> {
-    let mut out = Vec::new();
-    for (v, _) in &la.env.live_outs {
-        if la.reductions.iter().any(|r| Value::Inst(r.phi) == *v) {
-            continue;
-        }
-        let anchor = match v {
-            Value::Inst(i) => *i,
-            _ => header_terminator(m, fid, la),
-        };
-        out.push(Blocker {
-            kind: BlockerKind::UnsupportedLiveOut,
-            inst: anchor,
-            related: Vec::new(),
-            cross: Vec::new(),
-            objects: Vec::new(),
-            detail: exact(format_args!(
-                "live-out %v{} is not a recognized reduction accumulator",
-                anchor.0
-            )),
-            hint: Hint::Reduction,
-        });
-    }
-    out
+/// One blocker per live-out the refusal names.
+fn liveout_blockers(live_outs: &[InstId]) -> Vec<Blocker> {
+    let blocker = |&anchor: &InstId| Blocker {
+        kind: BlockerKind::UnsupportedLiveOut,
+        inst: anchor,
+        related: Vec::new(),
+        cross: Vec::new(),
+        objects: Vec::new(),
+        detail: exact(format_args!(
+            "live-out %v{} is not a recognized reduction accumulator",
+            anchor.0
+        )),
+        hint: Hint::Reduction,
+    };
+    live_outs.iter().map(blocker).collect()
 }
 
 fn shape_blocker(m: &Module, fid: FuncId, la: &LoopAbstraction, reason: &str) -> Blocker {
@@ -855,27 +846,15 @@ fn shape_blocker(m: &Module, fid: FuncId, la: &LoopAbstraction, reason: &str) ->
     }
 }
 
-/// HELIX blockers: one per sequential segment (or per sequential SCC when
-/// the segments cannot even be bracketed).
-fn segment_blockers(m: &Module, fid: FuncId, la: &LoopAbstraction, reason: &str) -> Vec<Blocker> {
-    let mut out = Vec::new();
-    let groups: Vec<BTreeSet<InstId>> = match helix::sequential_segments(m, fid, la) {
-        Some(segments) => segments,
-        None => la
-            .sequential_sccs()
-            .into_iter()
-            .map(|s| la.sccdag.insts(s).iter().copied().collect())
-            .collect(),
-    };
-    for insts in groups {
-        let Some(&anchor) = insts.iter().next() else {
-            continue;
-        };
-        let related: Vec<InstId> = insts.iter().copied().skip(1).take(MAX_RELATED).collect();
-        out.push(Blocker {
+/// HELIX blockers: one per group the refusal carries — each sequential
+/// segment, or each sequential SCC when the segments cannot be bracketed.
+fn segment_blockers(reason: &str, groups: &[Vec<InstId>]) -> Vec<Blocker> {
+    let blocker = |insts: &Vec<InstId>| {
+        let (&anchor, rest) = insts.split_first()?;
+        Some(Blocker {
             kind: BlockerKind::SequentialSegment,
             inst: anchor,
-            related,
+            related: rest[..rest.len().min(MAX_RELATED)].to_vec(),
             cross: Vec::new(),
             objects: Vec::new(),
             detail: exact(format_args!(
@@ -883,9 +862,9 @@ fn segment_blockers(m: &Module, fid: FuncId, la: &LoopAbstraction, reason: &str)
                 insts.len()
             )),
             hint: Hint::QueueMediate,
-        });
-    }
-    out
+        })
+    };
+    groups.iter().filter_map(blocker).collect()
 }
 
 /// DSWP blockers: the largest cyclic (non-induction) SCC is what collapses

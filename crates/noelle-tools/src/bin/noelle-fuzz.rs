@@ -17,6 +17,7 @@ use noelle_fuzz::driver::{run_campaign, FuzzConfig};
 use noelle_fuzz::oracle::{FuzzTool, OracleConfig};
 use noelle_tools::registry::{self, ToolOptions};
 use noelle_tools::{die, Args};
+use noelle_transforms::LoopTargetOpts;
 
 /// Tools fuzzed by `--tool all`: the semantics-preserving pipeline. The
 /// registry's remaining entries (e.g. `time`, `carat`) instrument or
@@ -65,7 +66,7 @@ fn main() {
     if args.flag("help").is_some() || !args.positional.is_empty() {
         usage();
     }
-    let cores = args.flag_usize("cores", 4);
+    let cores = args.flag_usize("cores", LoopTargetOpts::default().workers);
     let tools = selected_tools(args.flag_or("tool", "all"), cores);
     let corpus_dir = args.flag("corpus-dir").map(PathBuf::from);
     let cfg = FuzzConfig {

@@ -32,6 +32,7 @@ use noelle_server::server::{run_request_text, Server, ServerConfig};
 use noelle_server::Client;
 use noelle_tools::{die, Args};
 use std::io::Read;
+use std::str::Utf8Error;
 
 /// Peel every complete JSON value off `buf`, returning the commands and
 /// leaving the unconsumed tail (a partial value mid-arrival) in place.
@@ -51,6 +52,20 @@ fn drain_commands(buf: &mut String) -> Vec<Json> {
             }
         }
     }
+}
+
+/// Move the whole characters at the front of `pending` into `buf`, keeping
+/// the bytes of one a read cut short for the next read; errs on bytes that
+/// are not UTF-8 however the input goes on.
+fn decode_utf8(pending: &mut Vec<u8>, buf: &mut String) -> Result<(), Utf8Error> {
+    let whole = match std::str::from_utf8(pending) {
+        Ok(_) => pending.len(),
+        Err(e) if e.error_len().is_none() => e.valid_up_to(),
+        Err(e) => return Err(e),
+    };
+    buf.push_str(std::str::from_utf8(&pending[..whole])?);
+    pending.drain(..whole);
+    Ok(())
 }
 
 /// Turn one script command into a request (`cmd` becomes the `ide/` method
@@ -156,22 +171,59 @@ fn main() {
             let mut stdin = std::io::stdin().lock();
             let mut buf = String::new();
             let mut chunk = [0u8; 4096];
+            // Bytes read but not yet decoded: a character split by a read.
+            let mut pending: Vec<u8> = Vec::new();
             loop {
                 let n = stdin
                     .read(&mut chunk)
                     .unwrap_or_else(|e| die(&format!("stdin: {e}")));
                 if n == 0 {
+                    if !pending.is_empty() {
+                        die("stdin is not UTF-8");
+                    }
                     if !buf.trim().is_empty() {
                         die(&format!("stdin ended with partial input: {buf:?}"));
                     }
                     break;
                 }
-                match std::str::from_utf8(&chunk[..n]) {
-                    Ok(s) => buf.push_str(s),
-                    Err(_) => die("stdin is not UTF-8"),
+                pending.extend_from_slice(&chunk[..n]);
+                if decode_utf8(&mut pending, &mut buf).is_err() {
+                    die("stdin is not UTF-8");
                 }
                 run(drain_commands(&mut buf), &mut next_id);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A character split across two reads decodes whole once its second
+    /// half arrives, and the command around it parses.
+    #[test]
+    fn a_character_split_across_reads_is_decoded_whole() -> Result<(), Utf8Error> {
+        let text = r#"{"cmd":"open","doc":"é","path":"workload:crc32"}"#.as_bytes();
+        let cut = text.iter().position(|&b| b == 0xC3).map_or(0, |at| at + 1);
+        let (mut pending, mut buf) = (Vec::new(), String::new());
+        pending.extend_from_slice(&text[..cut]);
+        decode_utf8(&mut pending, &mut buf)?;
+        assert_eq!(pending, [0xC3], "the first half waits for the next read");
+        assert!(drain_commands(&mut buf).is_empty());
+        pending.extend_from_slice(&text[cut..]);
+        decode_utf8(&mut pending, &mut buf)?;
+        assert!(pending.is_empty());
+        let cmds = drain_commands(&mut buf);
+        assert_eq!(cmds.len(), 1);
+        assert_eq!(cmds[0].get("doc").and_then(Json::as_str), Some("é"));
+        Ok(())
+    }
+
+    /// A byte no continuation can make UTF-8 is refused at once.
+    #[test]
+    fn invalid_bytes_are_refused() {
+        let (mut pending, mut buf) = (b"{\"cmd\":\xFF".to_vec(), String::new());
+        assert!(decode_utf8(&mut pending, &mut buf).is_err());
     }
 }

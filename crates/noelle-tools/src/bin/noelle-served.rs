@@ -22,14 +22,18 @@ use std::sync::Arc;
 
 fn main() {
     let args = Args::parse();
+    // Every default is the library's but the address: the daemon listens
+    // on its own well-known port, not on one the system picks.
+    let lib = ServerConfig::default();
     let cfg = ServerConfig {
         addr: args.flag_or("addr", "127.0.0.1:7711").to_string(),
-        workers: args.flag_usize("workers", 4),
-        shards: args.flag_usize("shards", 2),
-        queue_capacity: args.flag_usize("queue-cap", 64),
-        max_sessions: args.flag_usize("max-sessions", 8),
-        max_bytes: args.flag_usize("max-bytes", 256 << 20),
-        default_deadline_ms: args.flag_usize("deadline-ms", 30_000) as u64,
+        workers: args.flag_usize("workers", lib.workers),
+        shards: args.flag_usize("shards", lib.shards),
+        queue_capacity: args.flag_usize("queue-cap", lib.queue_capacity),
+        max_sessions: args.flag_usize("max-sessions", lib.max_sessions),
+        max_bytes: args.flag_usize("max-bytes", lib.max_bytes),
+        default_deadline_ms: args.flag_usize("deadline-ms", lib.default_deadline_ms as usize)
+            as u64,
         store_dir: args
             .flag("store-dir")
             .filter(|d| !d.is_empty())

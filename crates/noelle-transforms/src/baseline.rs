@@ -22,6 +22,7 @@ use noelle_core::loop_abs::LoopAbstraction;
 use noelle_core::noelle::{AliasTier, Noelle};
 use noelle_ir::cfg::Cfg;
 use noelle_ir::dom::DomTree;
+use noelle_ir::loops::LoopForest;
 use noelle_ir::module::Module;
 use noelle_pdg::pdg::PdgBuilder;
 
@@ -37,14 +38,11 @@ pub fn licm_llvm(m: &mut Module) -> usize {
             let f = m.func(fid);
             let cfg = Cfg::new(f);
             let dt = DomTree::new(f, &cfg);
-            noelle_ir::loops::LoopForest::new(f, &cfg, &dt)
+            let forest = LoopForest::new(f, &cfg, &dt);
+            forest
                 .innermost_first()
-                .iter()
-                .map(|&lid| {
-                    noelle_ir::loops::LoopForest::new(f, &cfg, &dt)
-                        .loop_info(lid)
-                        .clone()
-                })
+                .into_iter()
+                .map(|lid| forest.loop_info(lid).clone())
                 .collect::<Vec<_>>()
         };
         for l in loops {

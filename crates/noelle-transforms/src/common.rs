@@ -45,13 +45,20 @@ pub enum ParallelizeError {
     Shape(Cow<'static, str>),
     /// The loop has no governing induction variable.
     NoGoverningIv,
-    /// A live-out is neither a reduction nor reconstructible.
-    UnsupportedLiveOut,
+    /// Live-outs no reduction stands behind, in environment order: the
+    /// dispatcher rebuilds nothing else.
+    UnsupportedLiveOut(Vec<InstId>),
     /// Loop-carried dependences the technique cannot handle.
     CarriedDependences,
     /// HELIX: the sequential segments refuse the loop — they cannot be
     /// bracketed, cover most of the body, or outweigh the parallel work.
-    Segments(&'static str),
+    Segments {
+        /// Which of the three.
+        why: &'static str,
+        /// The instructions of each segment the gate found, ascending; of
+        /// each sequential SCC when the segments cannot be bracketed.
+        groups: Vec<Vec<InstId>>,
+    },
     /// DSWP: the SCC structure admits no forward pipeline.
     Stages(&'static str),
 }
@@ -60,11 +67,11 @@ impl std::fmt::Display for ParallelizeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ParallelizeError::Shape(s) => write!(f, "unsupported loop shape: {s}"),
-            ParallelizeError::Segments(s) | ParallelizeError::Stages(s) => {
+            ParallelizeError::Segments { why: s, .. } | ParallelizeError::Stages(s) => {
                 write!(f, "unsupported loop shape: {s}")
             }
             ParallelizeError::NoGoverningIv => write!(f, "no governing induction variable"),
-            ParallelizeError::UnsupportedLiveOut => write!(f, "unsupported live-out"),
+            ParallelizeError::UnsupportedLiveOut(_) => write!(f, "unsupported live-out"),
             ParallelizeError::CarriedDependences => write!(f, "unhandled loop-carried dependences"),
         }
     }
@@ -266,10 +273,7 @@ pub fn fixed_cost(la: &LoopAbstraction, recipe: &Recipe) -> FixedCost {
         .env
         .live_outs
         .iter()
-        .map(|(v, ty)| {
-            let red = la.reductions.iter().find(|r| Value::Inst(r.phi) == *v);
-            add + slot(ty) + red.map_or(0, |r| bin_cost(r.op))
-        })
+        .map(|(v, ty)| add + slot(ty) + la.reduction_of(*v).map_or(0, |r| bin_cost(r.op)))
         .sum();
     let merge = if la.env.live_outs.is_empty() {
         0
@@ -360,10 +364,7 @@ pub fn mechanics_gate(
     la: &LoopAbstraction,
     stepped: bool,
 ) -> Result<(), ParallelizeError> {
-    // The dispatcher rebuilds live-outs from reduction partials only.
-    if !liveouts_supported(la) {
-        return Err(ParallelizeError::UnsupportedLiveOut);
-    }
+    liveouts_gate(la)?;
     let l = &la.structure;
     let f = m.func(fid);
     // Outlining and the dispatcher need one exit block.
@@ -445,13 +446,17 @@ pub fn declare_dispatch(m: &mut Module) -> FuncId {
     )
 }
 
-/// Check that every live-out of the loop is the accumulator of one of its
-/// reductions (the only live-outs the dispatcher knows how to reconstruct).
-pub fn liveouts_supported(la: &LoopAbstraction) -> bool {
-    la.env
-        .live_outs
-        .iter()
-        .all(|(v, _)| la.reductions.iter().any(|r| Value::Inst(r.phi) == *v))
+/// Refuse a loop with a live-out no reduction stands behind (the dispatcher
+/// rebuilds live-outs from reduction partials only), naming each one. A
+/// live-out is an instruction the loop defines.
+pub(crate) fn liveouts_gate(la: &LoopAbstraction) -> Result<(), ParallelizeError> {
+    let unsupported =
+        |&(v, _): &(Value, Type)| v.as_inst().filter(|_| la.reduction_of(v).is_none());
+    let live_outs: Vec<InstId> = la.env.live_outs.iter().filter_map(unsupported).collect();
+    if live_outs.is_empty() {
+        return Ok(());
+    }
+    Err(ParallelizeError::UnsupportedLiveOut(live_outs))
 }
 
 /// Rewire a cloned reduction accumulator to start from the operator identity
@@ -586,20 +591,18 @@ pub fn emit_dispatcher_with_queues(
         };
         let t_phi = phi(f, &Type::I64, Value::const_i64(0));
         let t = Value::Inst(t_phi);
+        // The gate refused every live-out no reduction stands behind.
         let mut accs = Vec::with_capacity(env.live_outs.len());
-        for (v, ty) in &env.live_outs {
-            let red = la
-                .reductions
-                .iter()
-                .find(|r| Value::Inst(r.phi) == *v)
-                .ok_or(ParallelizeError::UnsupportedLiveOut)?;
-            accs.push((red.op, phi(f, ty, red.initial)));
+        for (idx, (v, ty)) in env.live_outs.iter().enumerate() {
+            if let Some(red) = la.reduction_of(*v) {
+                accs.push((idx, v, ty, red.op, phi(f, ty, red.initial)));
+            }
         }
         let bin = |f: &mut Function, op, ty: &Type, lhs, rhs| {
             let ty = ty.clone();
             Value::Inst(f.append_inst(merge, Inst::Bin { op, ty, lhs, rhs }))
         };
-        for (idx, ((v, ty), (op, acc))) in env.live_outs.iter().zip(accs).enumerate() {
+        for (idx, v, ty, op, acc) in accs {
             let first = Value::const_i64((env.live_out_base() + idx * n_tasks) as i64);
             let slot = bin(f, BinOp::Add, &Type::I64, t, first);
             let part = EnvironmentBuilder::load_slot(f, merge, env_ptr, slot, ty);

@@ -12,7 +12,7 @@
 //! cross-stage memory accesses.
 
 use crate::common::{
-    emit_dispatcher_with_queues, liveouts_supported, mechanics_gate, reset_reduction_initials,
+    emit_dispatcher_with_queues, liveouts_gate, mechanics_gate, reset_reduction_initials,
     task_loop, ParallelizeError, QUEUE_POP_INTRINSIC, QUEUE_PUSH_INTRINSIC,
 };
 use noelle_core::architecture::{static_cost, Architecture};
@@ -21,11 +21,11 @@ use noelle_core::loop_abs::LoopAbstraction;
 use noelle_core::noelle::Abstraction;
 use noelle_core::reduction::identity_for;
 use noelle_core::task::{outline_loop_as_task, TaskFunction};
-use noelle_ir::inst::{Callee, Inst, InstId, Terminator};
+use noelle_ir::inst::{BinOp, Callee, Inst, InstId, Terminator};
 use noelle_ir::module::{BlockId, FuncId, Function, Module};
 use noelle_ir::types::Type;
 use noelle_ir::value::Value;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// The abstractions DSWP asks NOELLE for (its Table 4 row).
 pub const ABSTRACTIONS: [Abstraction; 14] = [
@@ -77,9 +77,7 @@ pub fn gate(
     }
     // Also the first thing `mechanics_gate` checks, below; asked here so a
     // loop refused on several counts keeps reporting this one first.
-    if !liveouts_supported(la) {
-        return Err(ParallelizeError::UnsupportedLiveOut);
-    }
+    liveouts_gate(la)?;
     let latch = l
         .single_latch()
         .ok_or_else(|| ParallelizeError::Shape("multiple latches".into()))?;
@@ -145,14 +143,6 @@ pub fn gate(
     };
 
     // Cross-stage register dependences: (def, consumer stage) pairs.
-    let stage_of_inst = |i: InstId| -> Option<usize> {
-        if plan.replicates(i) || matches!(f.inst(i), Inst::Term(_)) {
-            return None; // present everywhere
-        }
-        la.sccdag
-            .scc_of(i)
-            .and_then(|s| plan.stage_of_scc.get(&s).copied())
-    };
     let mut value_queues: Vec<(InstId, usize)> = Vec::new(); // (def, consumer stage)
     for e in la.pdg.edges() {
         if !e.attrs.is_data() || e.attrs.memory {
@@ -161,10 +151,10 @@ pub fn gate(
         if !la.pdg.is_internal(e.src) || !la.pdg.is_internal(e.dst) {
             continue;
         }
-        let (Some(sa), db) = (stage_of_inst(e.src), stage_of_inst(e.dst)) else {
+        let (Some(sa), Some(sb)) = (plan.stage_of(f, la, e.src), plan.stage_of(f, la, e.dst))
+        else {
             continue;
         };
-        let Some(sb) = db else { continue };
         if sa == sb {
             continue;
         }
@@ -212,17 +202,17 @@ pub fn emit(
     plan: &StagePlan,
 ) -> Result<(), ParallelizeError> {
     let l = &la.structure;
-    let value_queues = &plan.value_queues;
     let n_stages = plan.n_stages;
-    let n_queues = plan.n_queues();
-    let queue_index: HashMap<(InstId, usize), usize> = value_queues
-        .iter()
-        .enumerate()
-        .map(|(qi, &(d, s))| ((d, s), qi))
+    // The stage owning each loop instruction, read once off the original.
+    let f = m.func(fid);
+    let owners: Vec<(InstId, Option<usize>)> = la
+        .pdg
+        .internal_nodes()
+        .map(|i| (i, plan.stage_of(f, la, i)))
         .collect();
 
     // Build one pruned clone per stage.
-    let fname = m.func(fid).name.clone();
+    let fname = f.name.clone();
     let mut stage_fids = Vec::new();
     for s in 0..n_stages {
         let task = outline_loop_as_task(
@@ -233,7 +223,7 @@ pub fn emit(
             &format!("{fname}.dswp.{}.stage{}", l.header.0, s),
         )?;
         reset_reduction_initials(m, &task, &la.reductions);
-        prune_stage(m, la, &task, s, plan, &queue_index)?;
+        prune_stage(m, la, &task, s, plan, &owners)?;
         stage_fids.push(task.fid);
     }
 
@@ -244,7 +234,7 @@ pub fn emit(
         &stage_fids,
     );
 
-    emit_dispatcher_with_queues(m, fid, la, tramp, &la.env, n_stages, n_queues)?;
+    emit_dispatcher_with_queues(m, fid, la, tramp, &la.env, n_stages, plan.n_queues())?;
     Ok(())
 }
 
@@ -272,6 +262,28 @@ impl StagePlan {
         self.replicated.binary_search(&i).is_ok()
     }
 
+    /// The stage that owns `i`: its SCC's, or `None` for what every stage
+    /// runs (the replicated set and the terminators).
+    fn stage_of(&self, f: &Function, la: &LoopAbstraction, i: InstId) -> Option<usize> {
+        if self.replicates(i) || matches!(f.inst(i), Inst::Term(_)) {
+            return None;
+        }
+        la.sccdag
+            .scc_of(i)
+            .and_then(|s| self.stage_of_scc.get(&s).copied())
+    }
+
+    /// The value queues `def` feeds, as `(queue index, consumer stage)`,
+    /// stages ascending.
+    fn queues_of(&self, def: InstId) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let first = self.value_queues.partition_point(|&(d, _)| d < def);
+        self.value_queues[first..]
+            .iter()
+            .take_while(move |&&(d, _)| d == def)
+            .zip(first..)
+            .map(|(&(_, consumer), qi)| (qi, consumer))
+    }
+
     /// Queues the pipeline runs on: one per cross-stage value and a token
     /// queue between consecutive stages.
     pub fn n_queues(&self) -> usize {
@@ -296,11 +308,7 @@ impl StagePlan {
         }
         let mut queue_ops = vec![0u64; self.n_stages];
         for &(d, consumer) in &self.value_queues {
-            if let Some(s) = la
-                .sccdag
-                .scc_of(d)
-                .and_then(|s| self.stage_of_scc.get(&s).copied())
-            {
+            if let Some(s) = self.stage_of(f, la, d) {
                 queue_ops[s] += 1; // push in the producer stage
             }
             queue_ops[consumer] += 1; // pop in the consumer stage
@@ -403,13 +411,14 @@ fn walk(
 /// Prune a stage clone: keep this stage's SCCs plus the replicated set,
 /// replace consumed foreign values with queue pops, push produced values,
 /// insert the token chain, and patch dead live-out stores with identities.
+/// `owners` is each loop instruction beside [`StagePlan::stage_of`].
 fn prune_stage(
     m: &mut Module,
     la: &LoopAbstraction,
     task: &TaskFunction,
     stage: usize,
     plan: &StagePlan,
-    queue_index: &HashMap<(InstId, usize), usize>,
+    owners: &[(InstId, Option<usize>)],
 ) -> Result<(), ParallelizeError> {
     let (n_value_queues, n_stages) = (plan.value_queues.len(), plan.n_stages);
     let pop_fn = m.get_or_declare(QUEUE_POP_INTRINSIC, vec![Type::I64], Type::I64);
@@ -438,40 +447,28 @@ fn prune_stage(
         }
     }
 
-    // Instruction stage classification on the ORIGINAL ids.
-    let stage_of = |i: InstId| -> Option<usize> {
-        la.sccdag
-            .scc_of(i)
-            .and_then(|s| plan.stage_of_scc.get(&s).copied())
-    };
-
-    // Walk all original loop instructions.
-    let originals: Vec<InstId> = la.pdg.internal_nodes().collect();
-    let mut to_delete: Vec<InstId> = Vec::new(); // clone ids
-    for &orig in &originals {
+    // Walk all original loop instructions. A foreign one no pop replaces
+    // is deleted, and what its remaining uses read instead is noted.
+    let mut dead: Vec<(InstId, Value)> = Vec::new(); // (clone, replacement)
+    for &(orig, owner) in owners {
         let Some(Value::Inst(clone)) = task.value_map.get(&Value::Inst(orig)).copied() else {
             continue;
         };
-        let kept = plan.replicates(orig)
-            || matches!(tf.inst(clone), Inst::Term(_))
-            || stage_of(orig) == Some(stage);
-        if kept {
+        let mut queues = plan.queues_of(orig).peekable();
+        match owner {
+            // Replicated in every stage, or a terminator.
+            None => {}
             // Producer side: push for each consumer stage.
-            let mut consumer_stages: Vec<usize> = queue_index
-                .iter()
-                .filter(|((d, _), _)| *d == orig)
-                .map(|((_, t), _)| *t)
-                .collect();
-            consumer_stages.sort();
-            consumer_stages.dedup();
-            if stage_of(orig) == Some(stage) && !consumer_stages.is_empty() {
+            Some(s) if s == stage => {
+                if queues.peek().is_none() {
+                    continue;
+                }
                 let ty = tf.inst(clone).result_type();
                 let b = tf.parent_block(clone);
                 let pos = tf.position_in_block(clone).expect("attached") + 1;
                 let (payload, npos) =
                     EnvironmentBuilder::to_slot_value(tf, b, pos, Value::Inst(clone), &ty);
-                for (pos, t) in (npos..).zip(consumer_stages) {
-                    let qi = queue_index[&(orig, t)];
+                for (pos, (qi, _)) in (npos..).zip(queues) {
                     tf.insert_inst(
                         b,
                         pos,
@@ -483,29 +480,36 @@ fn prune_stage(
                     );
                 }
             }
-            continue;
-        }
-        // Foreign instruction: consumed here?
-        if let Some(&qi) = queue_index.get(&(orig, stage)) {
-            // Replace with a pop at the same position.
-            let ty = tf.inst(clone).result_type();
-            let b = tf.parent_block(clone);
-            let pos = tf.position_in_block(clone).expect("attached");
-            let pop = tf.insert_inst(
-                b,
-                pos,
-                Inst::Call {
-                    callee: Callee::Direct(pop_fn),
-                    args: vec![qids[qi]],
-                    ret_ty: Type::I64,
-                },
-            );
-            let (val, _) =
-                EnvironmentBuilder::from_slot_value(tf, b, pos + 1, Value::Inst(pop), &ty);
-            tf.replace_all_uses(Value::Inst(clone), val);
-            tf.remove_inst(clone);
-        } else {
-            to_delete.push(clone);
+            // Foreign instruction: consumed here, it is replaced with a
+            // pop at the same position; otherwise it is deleted.
+            Some(_) => {
+                let ty = tf.inst(clone).result_type();
+                let Some((qi, _)) = queues.find(|&(_, consumer)| consumer == stage) else {
+                    // What survives of its uses can only be the finish
+                    // block's live-out stores of reductions other stages
+                    // own: they store the reduction's identity.
+                    let red = la.reduction_of(Value::Inst(orig));
+                    let identity =
+                        red.map_or_else(|| identity_for(BinOp::Add, &ty), |r| r.identity());
+                    dead.push((clone, Value::Const(identity)));
+                    continue;
+                };
+                let b = tf.parent_block(clone);
+                let pos = tf.position_in_block(clone).expect("attached");
+                let pop = tf.insert_inst(
+                    b,
+                    pos,
+                    Inst::Call {
+                        callee: Callee::Direct(pop_fn),
+                        args: vec![qids[qi]],
+                        ret_ty: Type::I64,
+                    },
+                );
+                let (val, _) =
+                    EnvironmentBuilder::from_slot_value(tf, b, pos + 1, Value::Inst(pop), &ty);
+                tf.replace_all_uses(Value::Inst(clone), val);
+                tf.remove_inst(clone);
+            }
         }
     }
 
@@ -555,34 +559,20 @@ fn prune_stage(
         );
     }
 
-    // Delete foreign unconsumed instructions; patch any remaining use (these
-    // can only be the finish block's live-out stores of reductions owned by
-    // other stages) with the reduction identity.
-    for clone in to_delete {
-        let uses = tf.compute_uses();
-        if let Some(users) = uses.get(&clone) {
-            // Find the matching reduction identity through the original id.
-            let orig = task
-                .value_map
-                .iter()
-                .find(|(_, v)| **v == Value::Inst(clone))
-                .and_then(|(k, _)| k.as_inst());
-            let replacement = orig
-                .and_then(|o| la.reductions.iter().find(|r| r.phi == o))
-                .map(|r| Value::Const(r.identity()))
-                .unwrap_or_else(|| {
-                    let ty = tf.inst(clone).result_type();
-                    Value::Const(identity_for(noelle_ir::inst::BinOp::Add, &ty))
-                });
-            if !users.is_empty() {
-                tf.replace_all_uses(Value::Inst(clone), replacement);
-            }
-        }
+    // Delete the dead foreign instructions, then point each remaining use
+    // at its replacement in one walk of the clone.
+    dead.sort_unstable_by_key(|&(clone, _)| clone);
+    for &(clone, _) in &dead {
         tf.remove_inst(clone);
     }
-    // Second pass: deleting may orphan more foreign pure instructions that
-    // only fed deleted ones; they are already detached (removed) above, so
-    // nothing further is needed — removals were unconditional.
+    let replaced = |v: Value| {
+        let Value::Inst(i) = v else { return v };
+        dead.binary_search_by_key(&i, |&(clone, _)| clone)
+            .map_or(v, |k| dead[k].1)
+    };
+    for id in tf.inst_ids() {
+        tf.inst_mut(id).map_operands(replaced);
+    }
     Ok(())
 }
 

@@ -55,8 +55,8 @@ const MAX_SEQUENTIAL_FRACTION: f64 = 0.7;
 /// what one pass through them costs.
 #[derive(Debug, Clone)]
 pub struct Segments {
-    /// The instructions of each segment.
-    pub groups: Vec<BTreeSet<InstId>>,
+    /// The instructions of each segment, ascending.
+    pub groups: Vec<Vec<InstId>>,
     /// Estimated cycles per iteration spent inside segments.
     pub cost: u64,
 }
@@ -64,11 +64,7 @@ pub struct Segments {
 /// Compute the sequential segments of a loop: connected groups of SCCs that
 /// must execute in iteration order. Returns `None` when a segment cannot be
 /// safely bracketed (its instructions may be skipped within an iteration).
-pub fn sequential_segments(
-    m: &Module,
-    fid: FuncId,
-    la: &LoopAbstraction,
-) -> Option<Vec<BTreeSet<InstId>>> {
+fn sequential_segments(m: &Module, fid: FuncId, la: &LoopAbstraction) -> Option<Vec<Vec<InstId>>> {
     let f = m.func(fid);
     let l = &la.structure;
 
@@ -102,10 +98,7 @@ pub fn sequential_segments(
     let latch = l.single_latch()?;
     let mut segments = Vec::new();
     for g in groups {
-        let mut insts: BTreeSet<InstId> = BTreeSet::new();
-        for scc in g {
-            insts.extend(la.sccdag.insts(scc).iter().copied());
-        }
+        let insts = sorted_insts(la, g);
         if insts
             .iter()
             .any(|&i| !la.dom.dominates(f.parent_block(i), latch))
@@ -115,6 +108,16 @@ pub fn sequential_segments(
         segments.push(insts);
     }
     Some(segments)
+}
+
+/// The instructions of `sccs`, ascending (an instruction is in one SCC).
+fn sorted_insts(la: &LoopAbstraction, sccs: impl IntoIterator<Item = usize>) -> Vec<InstId> {
+    let mut insts: Vec<InstId> = sccs
+        .into_iter()
+        .flat_map(|s| la.sccdag.insts(s).iter().copied())
+        .collect();
+    insts.sort_unstable();
+    insts
 }
 
 /// HELIX takes a loop with a governing IV whose sequential segments can be
@@ -129,13 +132,18 @@ pub fn gate(
     if la.ivs.governing().is_none() {
         return Err(ParallelizeError::NoGoverningIv);
     }
+    let refuse = |why, groups| Err(ParallelizeError::Segments { why, groups });
     let Some(groups) = sequential_segments(m, fid, la) else {
-        return Err(ParallelizeError::Segments("unbracketably sequential"));
+        let sccs = la.sequential_sccs().into_iter();
+        return refuse(
+            "unbracketably sequential",
+            sccs.map(|s| sorted_insts(la, [s])).collect(),
+        );
     };
-    let seg_insts: usize = groups.iter().map(BTreeSet::len).sum();
+    let seg_insts: usize = groups.iter().map(Vec::len).sum();
     let total = la.pdg.num_internal().max(1);
     if seg_insts as f64 / total as f64 > MAX_SEQUENTIAL_FRACTION {
-        return Err(ParallelizeError::Segments("mostly sequential"));
+        return refuse("mostly sequential", groups);
     }
     // The signal and its latency are paid once per iteration on the
     // sequential chain; the parallel work per iteration must outweigh it.
@@ -152,7 +160,7 @@ pub fn gate(
             .map(|i| static_cost(m, f.inst(i)))
             .sum();
         if body_cost < (cost + arch.signal_cycles() + arch.max_latency()) * 13 / 10 {
-            return Err(ParallelizeError::Segments("sequential segment dominates"));
+            return refuse("sequential segment dominates", groups);
         }
     }
     // HELIX rides on the same outline + cyclic distribution + dispatcher as
@@ -195,7 +203,7 @@ pub fn emit(
 fn bracket_segments(
     m: &mut Module,
     task: &TaskFunction,
-    segments: &[BTreeSet<InstId>],
+    segments: &[Vec<InstId>],
     seg_base: i64,
 ) -> Result<(), ParallelizeError> {
     if segments.is_empty() {
@@ -415,7 +423,7 @@ exit:
         let arch = noelle.architecture();
         let refusal = gate(noelle.module(), fid, &la, &arch).unwrap_err();
         assert!(
-            matches!(refusal, ParallelizeError::Segments(_)),
+            matches!(refusal, ParallelizeError::Segments { .. }),
             "{refusal}"
         );
         let report = parallelize(

@@ -388,8 +388,8 @@ fn gate_ok_means_emit_ok_and_refusals_attribute_by_variant() {
                                 EscapingInduction,
                                 ImpureCall,
                             ],
-                            ParallelizeError::UnsupportedLiveOut => &[UnsupportedLiveOut],
-                            ParallelizeError::Segments(_) => &[SequentialSegment],
+                            ParallelizeError::UnsupportedLiveOut(_) => &[UnsupportedLiveOut],
+                            ParallelizeError::Segments { .. } => &[SequentialSegment],
                             ParallelizeError::Stages(_) => &[CyclicSccSpan],
                             ParallelizeError::NoGoverningIv | ParallelizeError::Shape(_) => {
                                 &[LoopShape]
@@ -429,6 +429,103 @@ fn gate_ok_means_emit_ok_and_refusals_attribute_by_variant() {
 }
 
 // ---------------------------------------------------------------------------
+// A refusal carries what its gate found, and the audit renders its blockers
+// from that alone: a HELIX segment refusal's groups, an unsupported
+// live-out refusal's live-outs.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn blockers_are_rendered_from_what_the_refusal_carries() {
+    use noelle::ir::inst::InstId;
+    let (mut segment_refusals, mut liveout_refusals) = (0, 0);
+    for (name, m) in workloads_all() {
+        let mut n = Noelle::new(m, AliasTier::Full);
+        let audit = run_audit(&mut n);
+        for laud in &audit.loops {
+            let la = &laud.abstraction;
+            let sorted_scc = |s: usize| {
+                let mut insts = la.sccdag.insts(s).to_vec();
+                insts.sort_unstable();
+                insts
+            };
+            for v in &laud.verdicts {
+                let at = format!(
+                    "{name} @{}:{} {:?}",
+                    laud.function, laud.header_name, v.technique
+                );
+                let anchors: Vec<InstId> = v.blockers.iter().map(|b| b.inst).collect();
+                match &v.outcome {
+                    Err(ParallelizeError::Segments { why, groups }) => {
+                        segment_refusals += 1;
+                        // The groups are what HELIX's gate found: inside the
+                        // loop, ascending, disjoint, and every sequential SCC
+                        // is in one — each one alone when the segments
+                        // cannot be bracketed.
+                        let mut all: Vec<InstId> = groups.concat();
+                        assert!(all.iter().all(|&i| la.pdg.is_internal(i)), "{at}");
+                        assert!(groups.iter().all(|g| g.is_sorted()), "{at}");
+                        all.sort_unstable();
+                        let total = all.len();
+                        all.dedup();
+                        assert_eq!(all.len(), total, "{at}: groups overlap");
+                        let sequential: Vec<Vec<InstId>> =
+                            la.sequential_sccs().into_iter().map(sorted_scc).collect();
+                        if *why == "unbracketably sequential" {
+                            assert_eq!(groups, &sequential, "{at}");
+                        }
+                        for scc in &sequential {
+                            assert!(scc.iter().all(|i| all.binary_search(i).is_ok()), "{at}");
+                        }
+                        // One blocker per group, anchored at its first
+                        // instruction, naming the rest of it and its size.
+                        assert!(!groups.is_empty(), "{at}");
+                        assert_eq!(v.blockers.len(), groups.len(), "{at}");
+                        for b in &v.blockers {
+                            let g = groups
+                                .iter()
+                                .find(|g| g[0] == b.inst)
+                                .unwrap_or_else(|| panic!("{at}: {b:?} anchors no group"));
+                            assert_eq!(b.kind, BlockerKind::SequentialSegment, "{at}");
+                            assert!(g[1..].starts_with(&b.related), "{at}: {b:?}");
+                            let size = format!("segment of {} instruction(s)", g.len());
+                            assert!(b.detail.contains(&size), "{at}: {}", b.detail);
+                        }
+                    }
+                    Err(ParallelizeError::UnsupportedLiveOut(live_outs)) => {
+                        liveout_refusals += 1;
+                        // The live-outs no reduction stands behind, in
+                        // environment order, and one blocker each.
+                        let unsupported: Vec<InstId> = la
+                            .env
+                            .live_outs
+                            .iter()
+                            .filter(|&&(v, _)| la.reduction_of(v).is_none())
+                            .filter_map(|(v, _)| v.as_inst())
+                            .collect();
+                        assert!(!live_outs.is_empty(), "{at}");
+                        assert_eq!(live_outs, &unsupported, "{at}");
+                        let mut expected = live_outs.clone();
+                        expected.sort_unstable();
+                        assert_eq!(anchors, expected, "{at}");
+                        assert!(
+                            v.blockers
+                                .iter()
+                                .all(|b| b.kind == BlockerKind::UnsupportedLiveOut),
+                            "{at}"
+                        );
+                    }
+                    _ => {}
+                }
+            }
+        }
+    }
+    // The suite's HELIX refusals are all segment refusals, and DSWP refuses
+    // loops for their live-outs (`results/technique_coverage.txt`).
+    assert_eq!(segment_refusals, 42);
+    assert_eq!(liveout_refusals, 30);
+}
+
+// ---------------------------------------------------------------------------
 // Coverage: per technique, how many of the suite's loops its gate takes, how
 // many of those the planner chooses, and what refuses the rest — a fold over
 // the verdicts the audit carries, refusals told apart by variant (ROADMAP
@@ -462,10 +559,10 @@ fn technique_coverage_matches_the_checked_in_table() {
                         continue;
                     }
                     Err(ParallelizeError::Shape(why)) => ("Shape", why.to_string()),
-                    Err(ParallelizeError::Segments(why)) => ("Segments", why.to_string()),
+                    Err(ParallelizeError::Segments { why, .. }) => ("Segments", why.to_string()),
                     Err(ParallelizeError::Stages(why)) => ("Stages", why.to_string()),
                     Err(ParallelizeError::NoGoverningIv) => ("NoGoverningIv", String::new()),
-                    Err(ParallelizeError::UnsupportedLiveOut) => {
+                    Err(ParallelizeError::UnsupportedLiveOut(_)) => {
                         ("UnsupportedLiveOut", String::new())
                     }
                     Err(ParallelizeError::CarriedDependences) => {
