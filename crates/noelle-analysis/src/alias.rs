@@ -360,14 +360,6 @@ impl<'m> BasicAlias<'m> {
             _ => false,
         })
     }
-
-    fn pointee_scalar_kind(&self, fid: FuncId, v: Value) -> Option<Type> {
-        let f = self.module.func(fid);
-        match f.value_type(self.module, v) {
-            Type::Ptr(p) if p.is_scalar() => Some(*p),
-            _ => None,
-        }
-    }
 }
 
 impl AliasAnalysis for BasicAlias<'_> {
@@ -391,16 +383,11 @@ impl AliasAnalysis for BasicAlias<'_> {
             (Some((ba, oa)), Some((bb, ob))) if ba == bb => {
                 // Access sizes: the pointee of each pointer.
                 let f = self.module.func(fid);
-                let sa = f
-                    .value_type(self.module, a)
-                    .pointee()
-                    .map(Type::size_bytes)
-                    .unwrap_or(1) as i64;
-                let sb = f
-                    .value_type(self.module, b)
-                    .pointee()
-                    .map(Type::size_bytes)
-                    .unwrap_or(1) as i64;
+                let size = |v| {
+                    let view = f.type_view(self.module, v);
+                    view.pointee().map_or(1, Type::size_bytes) as i64
+                };
+                let (sa, sb) = (size(a), size(b));
                 if oa == ob {
                     return AliasResult::Must;
                 }
@@ -426,11 +413,10 @@ impl AliasAnalysis for BasicAlias<'_> {
 
         // Strict-aliasing (TBAA-lite): distinct scalar pointee types do not
         // alias.
-        if let (Some(ta), Some(tb)) = (
-            self.pointee_scalar_kind(fid, a),
-            self.pointee_scalar_kind(fid, b),
-        ) {
-            if ta != tb {
+        let f = self.module.func(fid);
+        let (ta, tb) = (f.type_view(self.module, a), f.type_view(self.module, b));
+        if let (Some(pa), Some(pb)) = (ta.pointee(), tb.pointee()) {
+            if pa.is_scalar() && pb.is_scalar() && pa != pb {
                 return AliasResult::No;
             }
         }

@@ -80,7 +80,7 @@ impl Liveness {
         // Universe: arguments + value-producing instructions.
         let mut values: Vec<Value> = (0..f.params.len() as u32).map(Value::Arg).collect();
         for id in f.inst_ids() {
-            if f.inst(id).result_type().is_value_type() {
+            if f.inst(id).has_result() {
                 values.push(Value::Inst(id));
             }
         }

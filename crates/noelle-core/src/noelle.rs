@@ -332,25 +332,29 @@ impl EditTx<'_> {
 /// call sites.
 #[derive(Default)]
 pub struct CallEdges {
-    /// By caller: its deduped direct callees.
-    callees: Vec<BTreeSet<FuncId>>,
-    /// By callee: its direct callers (the reverse index).
-    callers: Vec<BTreeSet<FuncId>>,
+    /// By caller: its direct callees, ascending and deduplicated.
+    callees: Vec<Vec<FuncId>>,
+    /// By callee: its direct callers, ascending (the reverse index).
+    callers: Vec<Vec<FuncId>>,
 }
 
 impl CallEdges {
-    fn scan_function(m: &Module, fid: FuncId) -> BTreeSet<FuncId> {
+    /// The direct callees of `fid`, ascending and deduplicated: one sort
+    /// per scanned function.
+    fn scan_function(m: &Module, fid: FuncId) -> Vec<FuncId> {
         let f = m.func(fid);
-        let mut out = BTreeSet::new();
+        let mut out = Vec::new();
         for &id in f.block_order().iter().flat_map(|&b| &f.block(b).insts) {
             if let Inst::Call {
                 callee: Callee::Direct(cid),
                 ..
             } = f.inst(id)
             {
-                out.insert(*cid);
+                out.push(*cid);
             }
         }
+        out.sort_unstable();
+        out.dedup();
         out
     }
 
@@ -361,19 +365,44 @@ impl CallEdges {
     }
 
     /// Rescan the call sites of `touched` functions, repairing both
-    /// directions. The tables grow to cover appended functions.
+    /// directions: one merge of each function's old and new callee lists
+    /// says which callers lists lose it and which gain it. The tables grow
+    /// to cover appended functions.
     fn update(&mut self, m: &Module, touched: impl IntoIterator<Item = FuncId>) {
         let n = m.functions().len();
-        self.callees.resize_with(n, BTreeSet::new);
-        self.callers.resize_with(n, BTreeSet::new);
+        self.callees.resize_with(n, Vec::new);
+        self.callers.resize_with(n, Vec::new);
         for f in touched {
             let new = Self::scan_function(m, f);
-            let old = &self.callees[f.index()];
-            for c in old.difference(&new) {
-                self.callers[c.index()].remove(&f);
-            }
-            for c in new.difference(old) {
-                self.callers[c.index()].insert(f);
+            let old = std::mem::take(&mut self.callees[f.index()]);
+            let (mut i, mut j) = (0, 0);
+            loop {
+                // The smaller head of the two ascending lists moves on; a
+                // callee on both keeps its callers list as it is.
+                let gone = match (old.get(i), new.get(j)) {
+                    (None, None) => break,
+                    (Some(o), Some(n)) if o == n => {
+                        (i, j) = (i + 1, j + 1);
+                        continue;
+                    }
+                    (Some(&o), n) => n.is_none_or(|&n| o < n),
+                    (None, Some(_)) => false,
+                };
+                if gone {
+                    // `f` calls `old[i]` no more.
+                    let list = &mut self.callers[old[i].index()];
+                    if let Ok(at) = list.binary_search(&f) {
+                        list.remove(at);
+                    }
+                    i += 1;
+                } else {
+                    // `f` newly calls `new[j]`.
+                    let list = &mut self.callers[new[j].index()];
+                    if let Err(at) = list.binary_search(&f) {
+                        list.insert(at, f);
+                    }
+                    j += 1;
+                }
             }
             self.callees[f.index()] = new;
         }
@@ -1116,6 +1145,59 @@ mod tests {
     use noelle_ir::inst::{BinOp, IcmpPred};
     use noelle_ir::types::Type;
     use noelle_ir::value::Value;
+
+    /// `@f` (id 4) calls each of `callees` in turn: ids of the functions
+    /// `@a` to `@d` the module declares first.
+    fn call_module(callees: &[u32]) -> Module {
+        let mut m = Module::new("calls");
+        for name in ["a", "b", "c", "d"] {
+            m.declare_function(name, vec![], Type::Void);
+        }
+        let mut b = FunctionBuilder::new("f", vec![], Type::Void);
+        for &callee in callees {
+            b.call(FuncId(callee), vec![], Type::Void);
+        }
+        b.ret(None);
+        m.add_function(b.finish());
+        m
+    }
+
+    fn call_lists(e: &CallEdges, m: &Module) -> Vec<(Vec<FuncId>, Vec<FuncId>)> {
+        let list = |it: &mut dyn Iterator<Item = FuncId>| it.collect();
+        m.func_ids()
+            .map(|f| (list(&mut e.callers_of(f)), list(&mut e.callees_of(f))))
+            .collect()
+    }
+
+    #[test]
+    fn an_updated_call_index_is_the_one_a_fresh_scan_builds() {
+        // Callees in any order and repeated; the edit drops `@b`, keeps
+        // `@c` and adds `@a` and `@d`.
+        let before = call_module(&[2, 1, 2, 1]);
+        let mut edges = CallEdges::build(&before);
+        let f = FuncId(4);
+        assert_eq!(
+            edges.callees_of(f).collect::<Vec<_>>(),
+            [FuncId(1), FuncId(2)]
+        );
+        let after = call_module(&[3, 2, 0, 3]);
+        edges.update(&after, [f]);
+        assert_eq!(
+            call_lists(&edges, &after),
+            call_lists(&CallEdges::build(&after), &after)
+        );
+        assert_eq!(
+            edges.callees_of(f).collect::<Vec<_>>(),
+            [FuncId(0), FuncId(2), FuncId(3)]
+        );
+        assert_eq!(edges.callers_of(FuncId(1)).count(), 0);
+        // An edit that calls nothing empties every callers list.
+        let none = call_module(&[]);
+        edges.update(&none, [f]);
+        assert!(call_lists(&edges, &none)
+            .iter()
+            .all(|(r, e)| r.is_empty() && e.is_empty()));
+    }
 
     fn loop_module() -> Module {
         let mut m = Module::new("t");

@@ -1,7 +1,7 @@
 //! Instructions: the nodes of the IR and, later, of the PDG.
 
 use crate::module::{BlockId, FuncId};
-use crate::types::Type;
+use crate::types::{Type, TypeView};
 use crate::value::Value;
 use std::fmt;
 
@@ -568,20 +568,24 @@ pub enum Inst {
 impl Inst {
     /// The type of the value this instruction produces (`Void` if none).
     pub fn result_type(&self) -> Type {
+        self.result_view().to_type()
+    }
+
+    /// [`Inst::result_type`], borrowed from the instruction's own types.
+    pub(crate) fn result_view(&self) -> TypeView<'_> {
         match self {
-            Inst::Alloca { ty, .. } => ty.ptr_to(),
-            Inst::Load { ty, .. } => ty.clone(),
-            Inst::Store { .. } => Type::Void,
+            Inst::Alloca { ty, .. } => TypeView::PtrTo(ty),
             Inst::Gep {
                 base_ty, indices, ..
-            } => gep_result_type(base_ty, indices).ptr_to(),
-            Inst::Bin { ty, .. } => ty.clone(),
-            Inst::Icmp { .. } | Inst::Fcmp { .. } => Type::I1,
-            Inst::Cast { to, .. } => to.clone(),
-            Inst::Select { ty, .. } => ty.clone(),
-            Inst::Phi { ty, .. } => ty.clone(),
-            Inst::Call { ret_ty, .. } => ret_ty.clone(),
-            Inst::Term(_) => Type::Void,
+            } => TypeView::PtrTo(gep_pointee(base_ty, indices)),
+            Inst::Load { ty, .. }
+            | Inst::Bin { ty, .. }
+            | Inst::Select { ty, .. }
+            | Inst::Phi { ty, .. }
+            | Inst::Cast { to: ty, .. }
+            | Inst::Call { ret_ty: ty, .. } => TypeView::Is(ty),
+            Inst::Icmp { .. } | Inst::Fcmp { .. } => TypeView::Is(&Type::I1),
+            Inst::Store { .. } | Inst::Term(_) => TypeView::Is(&Type::Void),
         }
     }
 
@@ -740,19 +744,24 @@ impl Inst {
 /// Result *pointee* type of a GEP with the given base pointee type and
 /// indices (the returned type is what the resulting pointer points to).
 pub fn gep_result_type(base_ty: &Type, indices: &[Value]) -> Type {
-    let mut ty = base_ty.clone();
+    gep_pointee(base_ty, indices).clone()
+}
+
+/// [`gep_result_type`], borrowed: the indices are walked by reference.
+fn gep_pointee<'a>(base_ty: &'a Type, indices: &[Value]) -> &'a Type {
+    let mut ty = base_ty;
     // The first index only scales the base pointer; it does not change type.
     for idx in indices.iter().skip(1) {
-        ty = match &ty {
-            Type::Array(elem, _) => (**elem).clone(),
+        ty = match ty {
+            Type::Array(elem, _) => elem,
             Type::Struct(fields) => {
                 let i = match idx {
                     Value::Const(crate::value::Constant::Int(v, _)) => *v as usize,
                     _ => 0,
                 };
-                fields.get(i).cloned().unwrap_or(Type::Void)
+                fields.get(i).unwrap_or(&Type::Void)
             }
-            other => other.clone(),
+            other => other,
         };
     }
     ty

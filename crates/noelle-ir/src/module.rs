@@ -1,7 +1,7 @@
 //! Modules, functions, blocks, and globals.
 
 use crate::inst::{Inst, InstData, InstId, Terminator};
-use crate::types::{FuncType, Type};
+use crate::types::{FuncType, Type, TypeView};
 use crate::value::{Constant, Value};
 use std::collections::BTreeMap;
 use std::collections::HashMap;
@@ -420,12 +420,20 @@ impl Function {
 
     /// The type of `v` in the context of this function and `module`.
     pub fn value_type(&self, module: &Module, v: Value) -> Type {
+        self.type_view(module, v).to_type()
+    }
+
+    /// [`Function::value_type`], borrowed from where the IR spells it; only
+    /// a function's address builds its type.
+    pub fn type_view<'a>(&'a self, module: &'a Module, v: Value) -> TypeView<'a> {
         match v {
-            Value::Inst(id) => self.inst(id).result_type(),
-            Value::Arg(i) => self.params[i as usize].1.clone(),
-            Value::Const(c) => c.ty().unwrap_or_else(|| Type::I64.ptr_to()),
-            Value::Global(g) => module.global(g).ty.ptr_to(),
-            Value::Func(f) => Type::Func(Arc::new(module.func(f).func_type())).ptr_to(),
+            Value::Inst(id) => self.inst(id).result_view(),
+            Value::Arg(i) => TypeView::Is(&self.params[i as usize].1),
+            Value::Const(c) => c.ty_ref().map_or(TypeView::PtrTo(&Type::I64), TypeView::Is),
+            Value::Global(g) => TypeView::PtrTo(&module.global(g).ty),
+            Value::Func(f) => {
+                TypeView::Built(Type::Func(Arc::new(module.func(f).func_type())).ptr_to())
+            }
         }
     }
 }

@@ -77,6 +77,11 @@ struct Namer<'m> {
 struct Claimed<'m> {
     names: HashSet<Cow<'m, str>>,
     scratch: String,
+    /// Whether a name the namespace claims for itself (a parameter, an own
+    /// instruction or block name) spells a generated one. When none does,
+    /// a generated name is free by construction: a suffixed name holds a
+    /// `.`, which no generated one does.
+    spells_generated: bool,
 }
 
 impl<'m> Namer<'m> {
@@ -84,6 +89,8 @@ impl<'m> Namer<'m> {
         self.blocks.clear();
         self.blocks.resize(f.num_blocks(), UNNAMED);
         self.claimed.names.clear();
+        let block_names = f.block_order().iter().map(|&b| f.block(b).name.as_str());
+        self.claimed.spells_generated = spell_generated(block_names, "bb");
         for &b in f.block_order() {
             let own = Some(f.block(b).name.as_str()).filter(|n| !n.is_empty());
             let generated =
@@ -93,8 +100,10 @@ impl<'m> Namer<'m> {
         self.insts.clear();
         self.insts.resize(f.inst_arena_len(), UNNAMED);
         self.claimed.names.clear();
-        let params = f.params.iter().map(|(n, _)| Cow::Borrowed(n.as_str()));
-        self.claimed.names.extend(params);
+        let params = f.params.iter().map(|(n, _)| n.as_str());
+        let own = f.inst_names.values().map(String::as_str);
+        self.claimed.spells_generated = spell_generated(params.clone().chain(own), "v");
+        self.claimed.names.extend(params.map(Cow::Borrowed));
         let ids = f.block_order().iter().flat_map(|&b| &f.block(b).insts);
         for &id in ids.filter(|&&id| f.inst(id).has_result()) {
             let generated =
@@ -116,12 +125,17 @@ impl<'m> Claimed<'m> {
         index: u32,
         generated: impl Fn(usize) -> bool,
     ) -> u32 {
-        let Claimed { names, scratch } = self;
+        let Claimed {
+            names,
+            scratch,
+            spells_generated,
+        } = self;
         let base_free = match own {
             // An own name can also meet an earlier entry's generated one.
             Some(name) => {
                 !names.contains(name) && !generated_index(name, prefix).is_some_and(generated)
             }
+            None if !*spells_generated => true,
             None => {
                 scratch.clear();
                 let _ = write!(scratch, "{prefix}{index}");
@@ -142,6 +156,11 @@ impl<'m> Claimed<'m> {
         };
         (1..).find(free).expect("some suffix is free")
     }
+}
+
+/// True when one of `names` spells a generated `<prefix><index>`.
+fn spell_generated<'a>(mut names: impl Iterator<Item = &'a str>, prefix: &str) -> bool {
+    names.any(|name| generated_index(name, prefix).is_some())
 }
 
 /// The index whose generated name `name` is: `prefix` followed by the
@@ -175,8 +194,29 @@ impl<'m> Printer<'m> {
         self
     }
 
+    /// `v` in decimal.
     fn int(&mut self, v: impl Into<i64>) -> &mut Self {
-        let _ = write!(self.out, "{}", v.into());
+        let v = v.into();
+        if v < 0 {
+            self.out.push('-');
+        }
+        self.digits(v.unsigned_abs())
+    }
+
+    /// The decimal digits of `n`, written without `core::fmt`.
+    fn digits(&mut self, mut n: u64) -> &mut Self {
+        let mut digits = [0u8; 20];
+        let mut start = digits.len();
+        loop {
+            start -= 1;
+            digits[start] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                break;
+            }
+        }
+        self.out
+            .extend(digits[start..].iter().map(|&d| char::from(d)));
         self
     }
 
@@ -200,9 +240,20 @@ impl<'m> Printer<'m> {
             Type::Float(FloatWidth::F32) => self.put("f32"),
             Type::Float(FloatWidth::F64) => self.put("f64"),
             Type::Ptr(pointee) => self.ty(pointee).put("*"),
-            Type::Array(..) | Type::Struct(_) | Type::Func(_) => {
-                let _ = write!(self.out, "{ty}");
-                self
+            Type::Array(elem, n) => self.put("[").digits(*n).put(" x ").ty(elem).put("]"),
+            Type::Struct(fields) => {
+                self.put("{");
+                self.list(fields, ", ", |p, t| {
+                    p.ty(t);
+                })
+                .put("}")
+            }
+            Type::Func(ft) => {
+                self.put("fn ").ty(&ft.ret).put("(");
+                self.list(&ft.params, ", ", |p, t| {
+                    p.ty(t);
+                })
+                .put(")")
             }
         }
     }

@@ -217,6 +217,64 @@ impl Type {
     }
 }
 
+/// A value's type, borrowed from where the IR already spells it: asking
+/// "what is this value's type" builds no `T*` for an alloca, a gep, a
+/// global or an untyped constant. Only a function's address, whose type the
+/// IR spells nowhere, is built.
+#[derive(Debug)]
+pub enum TypeView<'a> {
+    /// The value has this type.
+    Is(&'a Type),
+    /// The value is a pointer to this type.
+    PtrTo(&'a Type),
+    /// A type built for the question: a function's address.
+    Built(Type),
+}
+
+impl TypeView<'_> {
+    /// The type as an owned value.
+    pub fn to_type(&self) -> Type {
+        match self {
+            TypeView::Is(t) => (*t).clone(),
+            TypeView::PtrTo(t) => t.ptr_to(),
+            TypeView::Built(t) => t.clone(),
+        }
+    }
+
+    /// The pointee type if the value is a pointer.
+    pub fn pointee(&self) -> Option<&Type> {
+        match self {
+            TypeView::Is(t) => t.pointee(),
+            TypeView::PtrTo(t) => Some(t),
+            TypeView::Built(t) => t.pointee(),
+        }
+    }
+
+    /// True when the value's type is `ty`.
+    pub fn is(&self, ty: &Type) -> bool {
+        match self {
+            TypeView::Is(t) => *t == ty,
+            TypeView::PtrTo(t) => ty.pointee() == Some(t),
+            TypeView::Built(t) => t == ty,
+        }
+    }
+
+    /// True for integer types.
+    pub fn is_int(&self) -> bool {
+        matches!(self, TypeView::Is(Type::Int(_)))
+    }
+}
+
+impl fmt::Display for TypeView<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            TypeView::Is(t) => write!(f, "{t}"),
+            TypeView::PtrTo(t) => write!(f, "{t}*"),
+            TypeView::Built(t) => write!(f, "{t}"),
+        }
+    }
+}
+
 impl fmt::Display for Type {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

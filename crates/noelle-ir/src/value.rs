@@ -57,11 +57,21 @@ impl Constant {
     ///
     /// `Null` and `Undef` are typed by context, so they return `None`.
     pub fn ty(&self) -> Option<Type> {
-        match self {
-            Constant::Int(_, w) => Some(Type::Int(*w)),
-            Constant::Float(_, w) => Some(Type::Float(*w)),
-            Constant::Null | Constant::Undef => None,
-        }
+        self.ty_ref().cloned()
+    }
+
+    /// [`Constant::ty`], borrowed: the type of a width builds nothing.
+    pub(crate) fn ty_ref(&self) -> Option<&'static Type> {
+        Some(match self {
+            Constant::Int(_, IntWidth::I1) => &Type::I1,
+            Constant::Int(_, IntWidth::I8) => &Type::I8,
+            Constant::Int(_, IntWidth::I16) => &Type::I16,
+            Constant::Int(_, IntWidth::I32) => &Type::I32,
+            Constant::Int(_, IntWidth::I64) => &Type::I64,
+            Constant::Float(_, FloatWidth::F32) => &Type::F32,
+            Constant::Float(_, FloatWidth::F64) => &Type::F64,
+            Constant::Null | Constant::Undef => return None,
+        })
     }
 }
 

@@ -7,6 +7,7 @@ use crate::layout::LayoutIndex;
 use crate::module::{BlockId, Function, Module};
 use crate::types::Type;
 use crate::value::{Constant, Value};
+use std::collections::BTreeSet;
 use std::error::Error;
 use std::fmt;
 
@@ -87,12 +88,12 @@ pub fn verify_function(m: &Module, f: &Function, errors: &mut Vec<String>) {
         }
         // Successor validity.
         if let Some(t) = f.terminator(b) {
-            for s in t.successors() {
+            t.for_each_successor(|s| {
                 if s.index() >= f.num_blocks() {
                     errors.push(format!("@{fname}: branch to non-existent block {s}"));
                     structural_ok = false;
                 }
-            }
+            });
         }
     }
     if !structural_ok {
@@ -106,23 +107,30 @@ pub fn verify_function(m: &Module, f: &Function, errors: &mut Vec<String>) {
     let layout = LayoutIndex::new(f);
 
     // Phi incoming edges match predecessors; SSA dominance; type rules.
+    // Both block lists are sorted and deduplicated, and reused across the
+    // function.
+    let mut preds: Vec<BlockId> = Vec::new();
+    let mut inc: Vec<BlockId> = Vec::new();
     for &b in &cfg.rpo {
-        let preds: std::collections::BTreeSet<BlockId> = cfg.preds(b).iter().copied().collect();
+        preds.clear();
+        preds.extend(cfg.preds(b).iter().filter(|p| cfg.is_reachable(**p)));
+        preds.sort_unstable();
+        preds.dedup();
         for &id in &f.block(b).insts {
             if let Inst::Phi { incomings, .. } = f.inst(id) {
-                let inc: std::collections::BTreeSet<BlockId> =
-                    incomings.iter().map(|(p, _)| *p).collect();
+                inc.clear();
+                inc.extend(incomings.iter().map(|(p, _)| *p));
+                inc.sort_unstable();
+                inc.dedup();
                 if inc.len() != incomings.len() {
                     errors.push(format!("@{fname}: phi {id} has duplicate incoming blocks"));
                 }
-                let preds_reachable: std::collections::BTreeSet<BlockId> = preds
-                    .iter()
-                    .copied()
-                    .filter(|p| cfg.is_reachable(*p))
-                    .collect();
-                if inc != preds_reachable && !preds_reachable.is_subset(&inc) {
+                if !preds.iter().all(|p| inc.binary_search(p).is_ok()) {
+                    let set = |blocks: &[BlockId]| blocks.iter().copied().collect::<BTreeSet<_>>();
                     errors.push(format!(
-                        "@{fname}: phi {id} incoming blocks {inc:?} do not cover predecessors {preds_reachable:?}"
+                        "@{fname}: phi {id} incoming blocks {:?} do not cover predecessors {:?}",
+                        set(&inc),
+                        set(&preds)
                     ));
                 }
             }
@@ -209,7 +217,16 @@ fn const_matches(c: &Constant, ty: &Type) -> bool {
 fn value_matches(m: &Module, f: &Function, v: Value, ty: &Type) -> bool {
     match v {
         Value::Const(c) => const_matches(&c, ty),
-        other => &f.value_type(m, other) == ty,
+        other => f.type_view(m, other).is(ty),
+    }
+}
+
+/// True when `v` may stand in for a value of type `pointee*`: the value's
+/// pointee is compared, and no `pointee*` is built.
+fn pointer_matches(m: &Module, f: &Function, v: Value, pointee: &Type) -> bool {
+    match v {
+        Value::Const(c) => matches!(c, Constant::Undef | Constant::Null),
+        other => f.type_view(m, other).pointee() == Some(pointee),
     }
 }
 
@@ -226,7 +243,7 @@ fn check_types(m: &Module, f: &Function, id: InstId, errors: &mut Vec<String>) {
             }
         }
         Inst::Load { ty, ptr } => {
-            if !value_matches(m, f, *ptr, &ty.ptr_to()) {
+            if !pointer_matches(m, f, *ptr, ty) {
                 bad(format!("load pointer is not {ty}*"));
             }
         }
@@ -234,7 +251,7 @@ fn check_types(m: &Module, f: &Function, id: InstId, errors: &mut Vec<String>) {
             if !value_matches(m, f, *val, ty) {
                 bad(format!("stored value is not {ty}"));
             }
-            if !value_matches(m, f, *ptr, &ty.ptr_to()) {
+            if !pointer_matches(m, f, *ptr, ty) {
                 bad(format!("store pointer is not {ty}*"));
             }
         }
@@ -243,17 +260,17 @@ fn check_types(m: &Module, f: &Function, id: InstId, errors: &mut Vec<String>) {
             base_ty,
             indices,
         } => {
-            if !value_matches(m, f, *base, &base_ty.ptr_to()) {
+            if !pointer_matches(m, f, *base, base_ty) {
                 bad(format!("gep base is not {base_ty}*"));
             }
             // Struct indices must be constants so the result type is static.
-            let mut ty = base_ty.clone();
+            let mut ty = base_ty;
             for idx in indices.iter().skip(1) {
-                match &ty {
-                    Type::Array(elem, _) => ty = (**elem).clone(),
+                match ty {
+                    Type::Array(elem, _) => ty = elem,
                     Type::Struct(fields) => match idx {
                         Value::Const(Constant::Int(v, _)) => match fields.get(*v as usize) {
-                            Some(t) => ty = t.clone(),
+                            Some(t) => ty = t,
                             None => {
                                 bad(format!("gep struct index {v} out of range"));
                                 return;
@@ -376,7 +393,7 @@ fn check_types(m: &Module, f: &Function, id: InstId, errors: &mut Vec<String>) {
                 }
             }
             Terminator::Switch { value, .. } => {
-                let ty = f.value_type(m, *value);
+                let ty = f.type_view(m, *value);
                 if !ty.is_int() {
                     bad(format!("switch on non-integer type {ty}"));
                 }

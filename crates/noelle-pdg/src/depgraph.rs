@@ -50,8 +50,10 @@ pub struct EdgeAttrs {
     /// True when the dependence crosses loop iterations (meaningful in loop
     /// dependence graphs).
     pub loop_carried: bool,
-    /// Iteration distance, when known (`Some(0)` = intra-iteration).
-    pub distance: Option<i64>,
+    /// Iteration distance, when known (`Some(0)` = intra-iteration). An
+    /// `i16` keeps a [`DepEdge`] at 16 bytes; the only distance the builder
+    /// proves is 0.
+    pub distance: Option<i16>,
 }
 
 impl EdgeAttrs {
@@ -168,10 +170,11 @@ fn find<N: Copy + Ord>(nodes: &[(N, bool)], n: N) -> Option<usize> {
     nodes.binary_search_by_key(&n, |&(node, _)| node).ok()
 }
 
-/// Arena index -> slot in the node table, for every node of the table.
-struct SlotTable(Vec<u32>);
+/// Arena index -> slot in the node table, for every node of the table, in
+/// a buffer the caller may keep across builds.
+struct SlotTable<'t>(&'t mut Vec<u32>);
 
-impl SlotTable {
+impl<'t> SlotTable<'t> {
     /// No slot: the arena index belongs to no node (yet).
     const NONE: u32 = u32::MAX;
 
@@ -185,19 +188,24 @@ impl SlotTable {
     /// for the first time is appended as an external node, and the table is
     /// sorted again if there were any. One pass over the edges, no search.
     /// `None` when `N` is not an arena id.
-    fn build<N: Node>(nodes: &mut Vec<(N, bool)>, edges: &[DepEdge<N>]) -> Option<SlotTable> {
+    fn build<N: Node>(
+        nodes: &mut Vec<(N, bool)>,
+        edges: &[DepEdge<N>],
+        table: &'t mut Vec<u32>,
+    ) -> Option<SlotTable<'t>> {
         let internal = nodes.len();
         let len = match nodes.last() {
             Some(&(last, _)) => last.arena_index()? + 1,
             None => 0,
         };
-        let mut table = vec![SlotTable::NONE; len];
+        table.clear();
+        table.resize(len, SlotTable::NONE);
         let number = |table: &mut Vec<u32>, nodes: &[(N, bool)]| {
             for (slot, &(n, _)) in nodes.iter().enumerate() {
                 table[n.arena_index().expect("checked when met")] = slot as u32;
             }
         };
-        number(&mut table, nodes);
+        number(table, nodes);
         for e in edges {
             for n in [e.src, e.dst] {
                 let i = n.arena_index()?;
@@ -212,7 +220,7 @@ impl SlotTable {
         }
         if nodes.len() > internal {
             nodes.sort_unstable();
-            number(&mut table, nodes);
+            number(table, nodes);
         }
         Some(SlotTable(table))
     }
@@ -266,10 +274,21 @@ impl<N: Node> DepGraph<N> {
         internal: impl IntoIterator<Item = N>,
         edges: Vec<DepEdge<N>>,
     ) -> DepGraph<N> {
+        DepGraph::from_edges_in(internal, edges, &mut Vec::new())
+    }
+
+    /// [`DepGraph::from_edges`], with the arena-index table in `slots`: a
+    /// caller that keeps the buffer across builds allocates it only for an
+    /// arena larger than any before.
+    pub(crate) fn from_edges_in(
+        internal: impl IntoIterator<Item = N>,
+        edges: Vec<DepEdge<N>>,
+        slots: &mut Vec<u32>,
+    ) -> DepGraph<N> {
         let mut nodes: Vec<(N, bool)> = internal.into_iter().map(|n| (n, true)).collect();
         nodes.sort_unstable();
         nodes.dedup();
-        if let Some(table) = SlotTable::build(&mut nodes, &edges) {
+        if let Some(table) = SlotTable::build(&mut nodes, &edges, slots) {
             let ends = |i: usize| [table.slot(edges[i].src), table.slot(edges[i].dst)];
             let index = csr(nodes.len(), edges.len(), ends);
             return DepGraph::assemble(nodes, edges, index);
@@ -483,7 +502,7 @@ impl<N: Node> DepGraph<N> {
                 | (u8::from(e.attrs.distance.is_some()) << 5);
             w.u8(flags);
             if let Some(d) = e.attrs.distance {
-                w.ivarint(d);
+                w.ivarint(i64::from(d));
             }
         }
         w.into_bytes()
@@ -502,9 +521,9 @@ impl<N: Node> DepGraph<N> {
     /// # Errors
     /// Truncated input, trailing bytes, a count larger than the input could
     /// hold, a node list that is not strictly ascending, a node listed as
-    /// both internal and external, out-of-domain attribute flags and edge
-    /// endpoints outside the node lists all surface as [`DecodeError`] —
-    /// never a panic.
+    /// both internal and external, out-of-domain attribute flags, a
+    /// distance outside `i16` and edge endpoints outside the node lists all
+    /// surface as [`DecodeError`] — never a panic.
     pub fn decode_with(
         bytes: &[u8],
         mut node: impl FnMut(u64) -> Result<N, DecodeError>,
@@ -558,7 +577,10 @@ impl<N: Node> DepGraph<N> {
                 _ => DepKind::Data(DataDepKind::Waw),
             };
             let distance = if flags & 0x20 != 0 {
-                Some(r.ivarint("depgraph: edge distance")?)
+                let d = r.ivarint("depgraph: edge distance")?;
+                let d =
+                    i16::try_from(d).map_err(|_| DecodeError::new("depgraph: edge distance"))?;
+                Some(d)
             } else {
                 None
             };
@@ -833,6 +855,32 @@ mod tests {
         // The format itself, pinned on a graph small enough to read.
         let g = graph([1], &[(1, 4, EdgeAttrs::register())]);
         assert_eq!(g.encode_with(u64::from), raw(&[1], &[4], &[(1, 4, 0b1001)]));
+    }
+
+    #[test]
+    fn an_edge_is_sixteen_bytes() {
+        assert_eq!(size_of::<DepEdge<InstId>>(), 16);
+    }
+
+    #[test]
+    fn codec_refuses_a_distance_outside_i16() {
+        // One carried edge with a distance: the flags byte, then the
+        // distance as a zigzag varint.
+        let forged = |d: i64| {
+            let mut bytes = raw(&[0, 1], &[], &[(0, 1, 0b10_0001)]);
+            let mut w = ByteWriter::new();
+            w.ivarint(d);
+            bytes.extend_from_slice(&w.into_bytes());
+            bytes
+        };
+        let distance = |d| decode_u32(&forged(d)).map(|g| g.edges()[0].attrs.distance);
+        for d in [0, -3, i64::from(i16::MIN), i64::from(i16::MAX)] {
+            assert_eq!(distance(d), Ok(Some(d as i16)));
+        }
+        for d in [40_000, -40_000, i64::from(i16::MAX) + 1, i64::MIN] {
+            let refused = Err(DecodeError::new("depgraph: edge distance"));
+            assert_eq!(distance(d), refused, "{d}");
+        }
     }
 
     #[test]

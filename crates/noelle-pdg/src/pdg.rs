@@ -147,6 +147,8 @@ pub struct BuildBuffers {
     loop_conflicts: Vec<(InstId, InstId, bool)>,
     /// Tarjan's walk over the loop graph.
     pub(crate) scc: SccScratch,
+    /// The function graph's arena index -> node slot table.
+    slots: Vec<u32>,
 }
 
 /// Builds PDGs for one module against a chosen alias-analysis stack.
@@ -553,7 +555,7 @@ impl<'a> PdgBuilder<'a> {
         }
         edges.extend(conflicts.iter().flat_map(|c| c.edges(mem)));
         debug_assert_eq!(edges.len(), n_register + n_control + n_memory);
-        DepGraph::from_edges(buf.insts.iter().copied(), edges)
+        DepGraph::from_edges_in(buf.insts.iter().copied(), edges, &mut buf.slots)
     }
 
     /// Memory dependences that cross a function boundary: every ordered pair

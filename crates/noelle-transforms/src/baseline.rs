@@ -27,34 +27,36 @@ use noelle_ir::module::Module;
 use noelle_pdg::pdg::PdgBuilder;
 
 /// LICM with Algorithm 1: returns total instructions hoisted.
+///
+/// A hoist moves instructions within one function: it moves no mod/ref
+/// summary, so the summaries are computed once, and it moves the CFG only
+/// when it adds a pre-header, so the dominator tree is built once per
+/// function and again only after that.
 pub fn licm_llvm(m: &mut Module) -> usize {
+    let modref = ModRefSummaries::compute(m);
     let mut hoisted_total = 0;
     let fids: Vec<_> = m.func_ids().collect();
     for fid in fids {
-        if m.func(fid).is_declaration() {
+        let f = m.func(fid);
+        if f.is_declaration() {
             continue;
         }
-        let loops = {
-            let f = m.func(fid);
-            let cfg = Cfg::new(f);
-            let dt = DomTree::new(f, &cfg);
-            let forest = LoopForest::new(f, &cfg, &dt);
-            forest
-                .innermost_first()
-                .into_iter()
-                .map(|lid| forest.loop_info(lid).clone())
-                .collect::<Vec<_>>()
-        };
+        let cfg = Cfg::new(f);
+        let mut dt = DomTree::new(f, &cfg);
+        let forest = LoopForest::new(f, &cfg, &dt);
+        let loops: Vec<_> = forest
+            .innermost_first()
+            .into_iter()
+            .map(|lid| forest.loop_info(lid).clone())
+            .collect();
         for l in loops {
-            let inv = {
-                let f = m.func(fid);
-                let cfg = Cfg::new(f);
-                let dt = DomTree::new(f, &cfg);
-                let basic = BasicAlias::new(m);
-                let modref = ModRefSummaries::compute(m);
-                invariants_llvm(m, fid, &l, &dt, &basic, &modref)
-            };
+            let inv = invariants_llvm(m, fid, &l, &dt, &BasicAlias::new(m), &modref);
+            let blocks = m.func(fid).num_blocks();
             hoisted_total += crate::licm::hoist_invariants(m, fid, &l, &inv);
+            if m.func(fid).num_blocks() != blocks {
+                let f = m.func(fid);
+                dt = DomTree::new(f, &Cfg::new(f));
+            }
         }
     }
     hoisted_total

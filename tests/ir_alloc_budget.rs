@@ -40,6 +40,7 @@ use noelle::ir::parser::{parse_function_text, parse_module, parse_module_spanned
 use noelle::ir::printer::print_module;
 use noelle::ir::types::Type;
 use noelle::ir::value::Value;
+use noelle::ir::verifier::verify_module;
 use noelle::pdg::pdg::PdgBuilder;
 use noelle::transforms::common::gate;
 use noelle::transforms::{ParallelizeError, Parallelizer};
@@ -174,6 +175,24 @@ fn parse_and_print_stay_within_their_allocation_budget() {
     );
 }
 
+/// The verifier builds each function's CFG, dominator tree and layout
+/// index, and nothing per instruction: a pointer check compares the
+/// operand's pointee with the type the instruction spells instead of
+/// building a `T*`, and the phi checks sort into two reused buffers.
+#[test]
+fn verifying_a_module_allocates_per_function_not_per_instruction() {
+    let _turn = alone();
+    let module = scale_module(256, 1);
+    let insts = module.total_insts();
+    let (verdict, verify) = allocations(|| verify_module(&module));
+    assert!(verdict.is_ok());
+    eprintln!("{insts} instructions: verify {verify} allocations");
+    assert!(
+        100 * verify <= 25 * insts,
+        "verify: {verify} allocations for {insts}"
+    );
+}
+
 /// `%v<n>` resolves through a table indexed by `n` only below the table's
 /// bound; a far number is hashed like any other name and reserves nothing.
 #[test]
@@ -244,15 +263,18 @@ fn a_function_graph_costs_a_bounded_number_of_blocks_and_bytes() {
     );
     assert!(insts > 20_000, "{insts} instructions");
     // Nothing is allocated per instruction, per access pair or per edge,
-    // and nothing per function but the graph's own tables, its `Arc` and
-    // what the basic tier's pointer types allocate: every temporary — the
-    // layout index, accesses, pointers, groups, buckets, pairs, conflicts,
-    // the post-dominator tree and the control dependences — lives in the
-    // manager's buffers, which grow to the largest function and stay.
-    // 2 334 allocations (0.11 per instruction) and 2 882 076 bytes, 1.07x
-    // the graphs. The parent built through a fresh builder per function,
-    // with a CFG, a post-dominator tree and a set of temporaries of each
-    // build's own: 10 698 (0.49) and 4 691 798 bytes (1.75x); with a fresh
+    // and nothing per function but the graph's own tables and its `Arc`:
+    // every temporary — the layout index, accesses, pointers, groups,
+    // buckets, pairs, conflicts, the post-dominator tree, the control
+    // dependences and the node slot table — lives in the manager's buffers,
+    // which grow to the largest function and stay, and the basic tier's
+    // type rule builds no pointer type. 1 874 allocations (0.09 per
+    // instruction) and 1 857 993 bytes, 1.06x the graphs of 16-byte edges;
+    // with a slot table per graph and a `T*` built per typed alias query it
+    // was 2 334 and 1.07x the graphs of 32-byte edges. Before that, it
+    // built through a fresh builder per function, with a CFG, a
+    // post-dominator tree and a set of temporaries of each build's own:
+    // 10 698 (0.49) and 4 691 798 bytes (1.75x); with a fresh
     // set per tier per base-object query it was 19 471 (0.89); with maps
     // keyed by values and pairs, a position scan per instruction and a
     // doubling edge list, 54 991 (2.52) and 3.5x graphs a fifth larger.

@@ -22,7 +22,8 @@
 //! other.
 
 use noelle::ir::builder::FunctionBuilder;
-use noelle::ir::inst::{BinOp, Inst, InstId};
+use noelle::ir::inst::{BinOp, Inst, InstId, Terminator};
+use noelle::ir::module::Function;
 use noelle::ir::module::Module;
 use noelle::ir::parser::parse_module;
 use noelle::ir::printer::print_module;
@@ -428,4 +429,82 @@ fn a_numbered_name_meets_a_parameter_or_an_own_name_as_a_duplicate() {
             (5, 22, format!("unknown value '%{name}' in @f"))
         );
     }
+}
+
+/// The printer checks a generated `v<i>` or `bb<i>` against the names it
+/// has handed out only when a parameter, an own instruction name or an own
+/// block name spells a generated one. `@clash` has such names everywhere,
+/// so every generated name goes through that check; `@plain` has none. The
+/// text was recorded from the printer that checked every generated name.
+#[test]
+fn names_that_spell_generated_ones_still_take_a_suffix() {
+    let mut m = Module::new("names");
+    let one = Value::const_i64(1);
+    let params = vec![("v0".to_string(), Type::I64), ("v4".to_string(), Type::I64)];
+    let mut f = Function::new("clash", params, Type::I64);
+    // Own `bb3` first, then `bb1` to `bb3` without names, then own `bb1`.
+    let blocks = ["bb3", "", "", "", "bb1"].map(|name| f.add_block(name));
+    let mut last = Value::Arg(1);
+    let owns = [None, Some("v3"), None, None, None, Some("v5"), Some("v2")];
+    for (i, own) in owns.into_iter().enumerate() {
+        let add = Inst::Bin {
+            op: BinOp::Add,
+            ty: Type::I64,
+            lhs: last,
+            rhs: one,
+        };
+        let id = f.append_inst(blocks[i / 2], add);
+        if let Some(name) = own {
+            f.set_inst_name(id, name);
+        }
+        last = Value::Inst(id);
+    }
+    for (&from, &to) in blocks.iter().zip(&blocks[1..]) {
+        f.set_terminator(from, Terminator::Br(to));
+    }
+    f.set_terminator(blocks[4], Terminator::Ret(Some(last)));
+    m.add_function(f);
+    let mut b = FunctionBuilder::new("plain", vec![("x", Type::I64)], Type::I64);
+    let next = b.block("");
+    let s = b.binop(BinOp::Add, Type::I64, b.arg(0), one);
+    b.br(next);
+    b.switch_to(next);
+    let t = b.binop(BinOp::Mul, Type::I64, s, s);
+    b.ret(Some(t));
+    m.add_function(b.finish());
+    let text = print_module(&m);
+    let recorded = r#"module "names" {
+define i64 @clash(i64 %v0, i64 %v4) {
+bb3:
+  %v0.1 = add i64 %v4, i64 1
+  %v3 = add i64 %v0.1, i64 1
+  br bb1
+bb1:
+  %v2 = add i64 %v3, i64 1
+  %v3.1 = add i64 %v2, i64 1
+  br bb2
+bb2:
+  %v4.1 = add i64 %v3.1, i64 1
+  %v5 = add i64 %v4.1, i64 1
+  br bb3.1
+bb3.1:
+  %v2.1 = add i64 %v5, i64 1
+  br bb1.1
+bb1.1:
+  ret %v2.1
+}
+
+define i64 @plain(i64 %x) {
+entry:
+  %v0 = add i64 %x, i64 1
+  br bb1
+bb1:
+  %v2 = mul i64 %v0, %v0
+  ret %v2
+}
+
+}
+"#;
+    assert_eq!(text, recorded);
+    assert_eq!(print_module(&parse_module(&text).unwrap()), text);
 }
