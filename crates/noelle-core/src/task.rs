@@ -14,8 +14,9 @@
 
 use crate::architecture::{bin_cost, BR_CYCLES, RET_CYCLES};
 use crate::env::{Environment, EnvironmentBuilder};
+use noelle_analysis::scev::AddRec;
 use noelle_ir::inst::{BinOp, Inst, InstId, Terminator};
-use noelle_ir::loops::LoopInfo;
+use noelle_ir::loops::{LoopId, LoopInfo};
 use noelle_ir::module::{BlockId, FuncId, Function, Module};
 use noelle_ir::types::Type;
 use noelle_ir::value::Value;
@@ -42,7 +43,8 @@ impl std::fmt::Display for TaskError {
 impl std::error::Error for TaskError {}
 
 /// A materialized task: the outlined function plus the maps linking it back
-/// to the original loop.
+/// to the original loop. Only a loop with one exit block is outlined, so
+/// holding a task proves the loop has exactly one.
 #[derive(Debug)]
 pub struct TaskFunction {
     /// The task function (`void (i64* env, i64 task_id, i64 n_tasks)`).
@@ -51,12 +53,32 @@ pub struct TaskFunction {
     pub entry: BlockId,
     /// Block that stores live-outs and returns.
     pub finish: BlockId,
+    /// The cloned loop: the original's header, latches, blocks and exit
+    /// edges mapped through `block_map`, pre-header `entry`, every exit
+    /// edge to `finish`. The nesting fields describe it alone in the task.
+    pub structure: LoopInfo,
+    /// The original loop's one exit block, in the source function.
+    pub exit: BlockId,
     /// Original value → clone value (covers live-ins and loop instructions).
     pub value_map: HashMap<Value, Value>,
     /// Original loop block → cloned block.
     pub block_map: HashMap<BlockId, BlockId>,
-    /// The environment shared with the dispatcher.
-    pub env: Environment,
+}
+
+impl TaskFunction {
+    /// The clone of a recurrence of the original loop: its constants,
+    /// globals and functions are its own.
+    pub fn clone_rec(&self, rec: &AddRec) -> AddRec {
+        let value = |v: Value| self.value_map.get(&v).copied().unwrap_or(v);
+        let inst = |i: InstId| value(Value::Inst(i)).as_inst().unwrap_or(i);
+        AddRec {
+            phi: inst(rec.phi),
+            start: value(rec.start),
+            step: value(rec.step),
+            update: inst(rec.update),
+            negated: rec.negated,
+        }
+    }
 }
 
 /// Clone loop `l` of `src_fid` into a fresh task function named `name`.
@@ -69,7 +91,8 @@ pub struct TaskFunction {
 ///
 /// # Errors
 /// Fails when the loop has more than one exit block, which the current
-/// outliner does not support.
+/// outliner does not support, or when an operand is neither a live-in nor
+/// defined in the loop (the first such operand in instruction order).
 pub fn outline_loop_as_task(
     m: &mut Module,
     src_fid: FuncId,
@@ -78,10 +101,10 @@ pub fn outline_loop_as_task(
     name: &str,
 ) -> Result<TaskFunction, TaskError> {
     let exits = l.exit_blocks();
-    let &[_exit] = exits.as_slice() else {
+    let &[exit] = exits.as_slice() else {
         return Err(TaskError::MultipleExits);
     };
-    let src = m.func(src_fid).clone();
+    let src = m.func(src_fid);
 
     let mut task = Function::new(
         name,
@@ -109,12 +132,8 @@ pub fn outline_loop_as_task(
 
     // 2. Clone the loop blocks.
     let mut block_map: HashMap<BlockId, BlockId> = HashMap::new();
-    let mut ordered_blocks: Vec<BlockId> = vec![l.header];
-    for &b in &l.blocks {
-        if b != l.header {
-            ordered_blocks.push(b);
-        }
-    }
+    let rest = l.blocks.iter().copied().filter(|&b| b != l.header);
+    let ordered_blocks: Vec<BlockId> = std::iter::once(l.header).chain(rest).collect();
     for &b in &ordered_blocks {
         let nb = task.add_block(src.block(b).name.clone());
         block_map.insert(b, nb);
@@ -122,17 +141,18 @@ pub fn outline_loop_as_task(
     let finish = task.add_block("finish");
 
     // Pass 1: clone instructions with original operands.
-    let mut inst_map: HashMap<InstId, InstId> = HashMap::new();
+    let mut cloned: Vec<InstId> = Vec::new();
     for &b in &ordered_blocks {
         let nb = block_map[&b];
         for &id in &src.block(b).insts {
-            let cloned = task.append_inst(nb, src.inst(id).clone());
-            inst_map.insert(id, cloned);
-            value_map.insert(Value::Inst(id), Value::Inst(cloned));
+            let clone = task.append_inst(nb, src.inst(id).clone());
+            cloned.push(clone);
+            value_map.insert(Value::Inst(id), Value::Inst(clone));
         }
     }
 
-    // Pass 2: remap operands, blocks, and loop boundaries.
+    // Pass 2: remap operands, blocks, and loop boundaries, in instruction
+    // order.
     let map_value = |v: Value| -> Result<Value, TaskError> {
         match v {
             Value::Const(_) | Value::Global(_) | Value::Func(_) => Ok(v),
@@ -142,22 +162,18 @@ pub fn outline_loop_as_task(
                 .ok_or_else(|| TaskError::UnmappedValue(format!("{other:?}"))),
         }
     };
-    let mut errors: Vec<TaskError> = Vec::new();
-    for (&old_id, &new_id) in &inst_map {
+    let mut failed = None;
+    for &id in &cloned {
         // Remap value operands.
-        let mut failed = None;
-        task.inst_mut(new_id).map_operands(|v| match map_value(v) {
+        task.inst_mut(id).map_operands(|v| match map_value(v) {
             Ok(nv) => nv,
             Err(e) => {
-                failed = Some(e);
+                failed.get_or_insert(e);
                 v
             }
         });
-        if let Some(e) = failed {
-            errors.push(e);
-        }
         // Remap block references.
-        match task.inst_mut(new_id) {
+        match task.inst_mut(id) {
             Inst::Phi { incomings, .. } => {
                 for (b, _) in incomings.iter_mut() {
                     *b = block_map.get(b).copied().unwrap_or(entry);
@@ -172,9 +188,8 @@ pub fn outline_loop_as_task(
             }
             _ => {}
         }
-        let _ = old_id;
     }
-    if let Some(e) = errors.into_iter().next() {
+    if let Some(e) = failed {
         return Err(e);
     }
 
@@ -182,59 +197,51 @@ pub fn outline_loop_as_task(
     task.set_terminator(entry, Terminator::Br(block_map[&l.header]));
 
     // 3. Live-out stores: env[base + idx * n_tasks + task_id].
+    let base = Value::const_i64(env.live_out_base() as i64);
     for (idx, (v, ty)) in env.live_outs.iter().enumerate() {
         let clone = map_value(*v)?;
-        let base = env.live_out_base() as i64;
-        let pos = task.block(finish).insts.len();
-        let mul = task.insert_inst(
-            finish,
-            pos,
-            Inst::Bin {
-                op: BinOp::Mul,
-                ty: Type::I64,
-                lhs: Value::const_i64(idx as i64),
-                rhs: Value::Arg(2),
-            },
-        );
-        let add1 = task.insert_inst(
-            finish,
-            pos + 1,
-            Inst::Bin {
-                op: BinOp::Add,
-                ty: Type::I64,
-                lhs: Value::Inst(mul),
-                rhs: Value::Arg(1),
-            },
-        );
-        let slot = task.insert_inst(
-            finish,
-            pos + 2,
-            Inst::Bin {
-                op: BinOp::Add,
-                ty: Type::I64,
-                lhs: Value::Inst(add1),
-                rhs: Value::const_i64(base),
-            },
-        );
-        EnvironmentBuilder::store_slot(
-            &mut task,
-            finish,
-            Value::Arg(0),
-            Value::Inst(slot),
-            clone,
-            ty,
-        );
+        let mut bin = |op, lhs, rhs| {
+            let ty = Type::I64;
+            Value::Inst(task.append_inst(finish, Inst::Bin { op, ty, lhs, rhs }))
+        };
+        let scaled = bin(BinOp::Mul, Value::const_i64(idx as i64), Value::Arg(2));
+        let own = bin(BinOp::Add, scaled, Value::Arg(1));
+        let slot = bin(BinOp::Add, own, base);
+        EnvironmentBuilder::store_slot(&mut task, finish, Value::Arg(0), slot, clone, ty);
     }
     task.set_terminator(finish, Terminator::Ret(None));
+
+    // The clone's loop, read off the original's.
+    let mapped = |b: &BlockId| block_map[b];
+    let mut latches: Vec<BlockId> = l.latches.iter().map(mapped).collect();
+    latches.sort_unstable();
+    let mut exit_edges: Vec<(BlockId, BlockId)> = l
+        .exit_edges
+        .iter()
+        .map(|(b, _)| (mapped(b), finish))
+        .collect();
+    exit_edges.sort_unstable();
+    let structure = LoopInfo {
+        id: LoopId(0),
+        header: mapped(&l.header),
+        latches,
+        blocks: l.blocks.iter().map(mapped).collect(),
+        preheader: Some(entry),
+        exit_edges,
+        parent: None,
+        children: Vec::new(),
+        depth: 1,
+    };
 
     let fid = m.add_function(task);
     Ok(TaskFunction {
         fid,
         entry,
         finish,
+        structure,
+        exit,
         value_map,
         block_map,
-        env: env.clone(),
     })
 }
 

@@ -7,7 +7,7 @@
 //! parallelizers: instead of *transforming* code, the lint passes *audit* it.
 //!
 //! The headline pass is the NL0001 race detector ([`races`]): it proves (or
-//! refutes) that every cross-task memory dependence in `parallelize_with`
+//! refutes) that every cross-task memory dependence in the parallelizers'
 //! output is mediated by the environment, queue, or sequential-segment
 //! protocol, and reports any unmediated shared access pair with both
 //! locations. The supporting suite ([`passes`]) covers dead stores, unused

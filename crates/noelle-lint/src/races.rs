@@ -1,6 +1,6 @@
 //! NL0001: static race detection for parallelized task code.
 //!
-//! The parallelization enablers (`parallelize_with` DOALL/HELIX/DSWP) emit
+//! The parallelizers (DOALL/HELIX/DSWP, through `common::emit`) emit
 //! task functions that run concurrently under `noelle.task.dispatch`. Their
 //! correctness contract is that every cross-task memory dependence is
 //! mediated by one of the runtime protocols:

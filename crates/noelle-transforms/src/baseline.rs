@@ -12,8 +12,10 @@
 //!   the paper's observation that "both gcc and icc did not obtain
 //!   additional performance benefits from their parallelization techniques".
 
-use crate::common::{candidate_loops, parallelize_with, ParallelReport};
-use crate::doall::distribute_cyclically;
+use crate::common::{
+    candidate_loops, distribute_cyclically, emit_dispatcher, mechanics_gate, outline,
+    ParallelReport,
+};
 use noelle_analysis::alias::BasicAlias;
 use noelle_analysis::modref::ModRefSummaries;
 use noelle_core::induction::ivs_llvm;
@@ -108,17 +110,18 @@ pub fn conservative_parallelize(m: Module, n_tasks: usize) -> (Module, ParallelR
             ));
             continue;
         }
-        let task_name = format!("{fname}.autopar.{}", l.header.0);
-        match noelle.edit(|tx| {
-            parallelize_with(
-                tx.module_touching([fid]),
-                fid,
-                &la,
-                n_tasks,
-                &task_name,
-                distribute_cyclically,
-            )
-        }) {
+        // Gated like every emitter: an edit does not roll back, so a late
+        // failure would leave a half-outlined task function behind.
+        let name = format!("{fname}.autopar.{}", l.header.0);
+        let outcome = mechanics_gate(noelle.module(), fid, &la, true).and_then(|()| {
+            noelle.edit(|tx| {
+                let m = tx.module_touching([fid]);
+                let task = outline(m, fid, &la, &name)?;
+                distribute_cyclically(m, &task, &la)?;
+                emit_dispatcher(m, fid, &la, &task, task.fid, n_tasks, 0)
+            })
+        });
+        match outcome {
             Ok(()) => report.parallelized.push((fname, l.header)),
             Err(e) => report.skipped.push((fname, l.header, e.to_string())),
         }

@@ -1,5 +1,7 @@
-//! Shared machinery for the parallelizing custom tools: task customization
-//! hooks, the dispatcher codegen, and loop-selection helpers. This is the
+//! Shared machinery for the parallelizing custom tools: the gate and emit
+//! entry points, the three steps every emit composes ([`outline`], a
+//! technique's rewrite such as [`distribute_cyclically`], and
+//! [`emit_dispatcher`]), and loop-selection helpers. This is the
 //! NOELLE-powered part that makes DOALL/HELIX/DSWP expressible in a few
 //! hundred lines each (the Table 3 claim).
 
@@ -9,10 +11,10 @@ use noelle_core::architecture::{
     ICMP_CYCLES, RET_CYCLES, SWITCH_CYCLES,
 };
 use noelle_core::env::{Environment, EnvironmentBuilder};
+use noelle_core::ivstepper::{offset_start, scale_step, IvsError};
 use noelle_core::loop_abs::LoopAbstraction;
 use noelle_core::loop_builder::{bypass_loop, ensure_preheader, LoopBuilderError};
 use noelle_core::noelle::{Abstraction, Noelle};
-use noelle_core::reduction::Reduction;
 use noelle_core::task::{outline_loop_as_task, task_frame_cycles, TaskError, TaskFunction};
 use noelle_ir::inst::{BinOp, IcmpPred, Inst, InstId, Terminator};
 use noelle_ir::loops::LoopInfo;
@@ -81,6 +83,12 @@ impl std::error::Error for ParallelizeError {}
 
 impl From<TaskError> for ParallelizeError {
     fn from(e: TaskError) -> ParallelizeError {
+        ParallelizeError::Shape(e.to_string().into())
+    }
+}
+
+impl From<IvsError> for ParallelizeError {
+    fn from(e: IvsError) -> ParallelizeError {
         ParallelizeError::Shape(e.to_string().into())
     }
 }
@@ -459,65 +467,75 @@ pub(crate) fn liveouts_gate(la: &LoopAbstraction) -> Result<(), ParallelizeError
     Err(ParallelizeError::UnsupportedLiveOut(live_outs))
 }
 
-/// Rewire a cloned reduction accumulator to start from the operator identity
-/// (each task computes a partial value; the dispatcher combines them).
-pub fn reset_reduction_initials(m: &mut Module, task: &TaskFunction, reductions: &[Reduction]) {
-    let entry = task.entry;
+/// Step 1, outline: clone the loop into a task function named `name`, each
+/// cloned reduction accumulator starting from its operator's identity (a
+/// task computes a partial value; the dispatcher folds them).
+pub fn outline(
+    m: &mut Module,
+    fid: FuncId,
+    la: &LoopAbstraction,
+    name: &str,
+) -> Result<TaskFunction, ParallelizeError> {
+    let task = outline_loop_as_task(m, fid, &la.structure, &la.env, name)?;
     let tf = m.func_mut(task.fid);
-    for r in reductions {
+    for r in &la.reductions {
         let Some(Value::Inst(clone_phi)) = task.value_map.get(&Value::Inst(r.phi)).copied() else {
             continue;
         };
-        let identity = Value::Const(r.identity());
         if let Inst::Phi { incomings, .. } = tf.inst_mut(clone_phi) {
             for (b, v) in incomings.iter_mut() {
-                if *b == entry {
-                    *v = identity;
+                if *b == task.entry {
+                    *v = Value::Const(r.identity());
                 }
             }
         }
     }
+    Ok(task)
 }
 
-/// Emit the dispatcher in the original function and make the loop
-/// unreachable:
+/// Step 2 of the techniques that distribute iterations: task `t` of `n`
+/// starts every affine recurrence at `start + t*step` and strides by
+/// `n*step` — pure IVS usage, on the loop's IVs (one per recurrence, the
+/// governing one and those that follow suit) mapped into the clone.
+pub fn distribute_cyclically(
+    m: &mut Module,
+    task: &TaskFunction,
+    la: &LoopAbstraction,
+) -> Result<(), ParallelizeError> {
+    let tf = m.func_mut(task.fid);
+    for iv in &la.ivs.ivs {
+        let rec = task.clone_rec(&iv.rec);
+        offset_start(tf, &task.structure, &rec, Value::Arg(1))?;
+        scale_step(tf, &task.structure, &rec, Value::Arg(2))?;
+    }
+    Ok(())
+}
+
+/// Step 3, dispatch: emit the dispatcher of `target` (the task, or DSWP's
+/// trampoline over its stage tasks) in the original function and make the
+/// loop unreachable:
 ///
-/// 1. a `dispatch` block allocates the environment and stores the live-ins,
-/// 2. calls `noelle.task.dispatch(task, env, n_tasks)`,
+/// 1. a `dispatch` block allocates the environment, stores the live-ins and
+///    creates `n_queues` inter-core queues, their ids in the slots after the
+///    live-out section (DSWP's),
+/// 2. calls `noelle.task.dispatch(target, env, n_tasks)`,
 /// 3. when the loop has live-outs, branches to a `merge` block that loops
 ///    over the task ids, reloading each task's live-out slots and folding
 ///    them into the reductions, and
-/// 4. bypasses the loop, rewiring its exit phis and external uses.
+/// 4. bypasses the loop to the task's exit block, rewiring its phis and
+///    the external uses.
 pub fn emit_dispatcher(
     m: &mut Module,
     fid: FuncId,
     la: &LoopAbstraction,
     task: &TaskFunction,
-    n_tasks: usize,
-) -> Result<(), ParallelizeError> {
-    emit_dispatcher_with_queues(m, fid, la, task.fid, &task.env, n_tasks, 0)
-}
-
-/// Like [`emit_dispatcher`], but additionally creates `n_queues` inter-core
-/// queues before dispatching and stores their ids in the environment slots
-/// following the live-out section (used by DSWP stages).
-#[allow(clippy::too_many_arguments)]
-pub fn emit_dispatcher_with_queues(
-    m: &mut Module,
-    fid: FuncId,
-    la: &LoopAbstraction,
-    dispatch_target: FuncId,
-    env: &Environment,
+    target: FuncId,
     n_tasks: usize,
     n_queues: usize,
 ) -> Result<(), ParallelizeError> {
     let dispatch_fn = declare_dispatch(m);
     let queue_create = m.get_or_declare(QUEUE_CREATE_INTRINSIC, vec![Type::I64], Type::I64);
-    let l = &la.structure;
-    let exits = l.exit_blocks();
-    let &[exit_block] = exits.as_slice() else {
-        return Err(ParallelizeError::Shape("multiple exit blocks".into()));
-    };
+    let (l, env, exit_block) = (&la.structure, &la.env, task.exit);
 
     let f = m.func_mut(fid);
     ensure_preheader(f, l)?;
@@ -553,7 +571,7 @@ pub fn emit_dispatcher_with_queues(
         Inst::Call {
             callee: noelle_ir::inst::Callee::Direct(dispatch_fn),
             args: vec![
-                Value::Func(dispatch_target),
+                Value::Func(target),
                 env_ptr,
                 Value::const_i64(n_tasks as i64),
             ],
@@ -654,10 +672,9 @@ pub fn emit_dispatcher_with_queues(
 
     // Remaining external uses of live-outs (outside the now-dead loop and
     // not through the exit phis) read the rebuilt values.
-    let loop_blocks = l.blocks.clone();
     for id in f.inst_ids() {
         let b = f.parent_block(id);
-        if loop_blocks.contains(&b) || b == dispatch || b == tail {
+        if l.contains(b) || b == dispatch || b == tail {
             continue;
         }
         for (orig, rebuilt) in &combined {
@@ -667,34 +684,6 @@ pub fn emit_dispatcher_with_queues(
         }
     }
     Ok(())
-}
-
-/// Outline + customize + dispatch: the emit skeleton DOALL, HELIX and
-/// Perspective share. `customize` receives the module and the freshly
-/// outlined task to apply technique-specific rewriting (IV stepping,
-/// sequential-segment brackets, privatization).
-pub fn parallelize_with(
-    m: &mut Module,
-    fid: FuncId,
-    la: &LoopAbstraction,
-    n_tasks: usize,
-    task_name: &str,
-    customize: impl FnOnce(&mut Module, &TaskFunction) -> Result<(), ParallelizeError>,
-) -> Result<(), ParallelizeError> {
-    let task = outline_loop_as_task(m, fid, &la.structure, &la.env, task_name)?;
-    reset_reduction_initials(m, &task, &la.reductions);
-    customize(m, &task)?;
-    emit_dispatcher(m, fid, la, &task, n_tasks)?;
-    Ok(())
-}
-
-/// The cloned loop inside a task function (there is exactly one).
-pub fn task_loop(m: &Module, task_fid: FuncId) -> LoopInfo {
-    let tf = m.func(task_fid);
-    let cfg = noelle_ir::cfg::Cfg::new(tf);
-    let dt = noelle_ir::dom::DomTree::new(tf, &cfg);
-    let forest = noelle_ir::loops::LoopForest::new(tf, &cfg, &dt);
-    forest.loops()[0].clone()
 }
 
 #[cfg(test)]

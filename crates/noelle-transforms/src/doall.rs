@@ -7,13 +7,12 @@
 //! distribution (cyclic: task `t` starts at `start + t*step` and strides by
 //! `n_tasks*step`); RD parallelizes reductions by accumulator cloning.
 
-use crate::common::{mechanics_gate, parallelize_with, task_loop, ParallelizeError};
-use noelle_core::ivstepper::{offset_start, scale_step};
+use crate::common::{
+    distribute_cyclically, emit_dispatcher, mechanics_gate, outline, ParallelizeError,
+};
 use noelle_core::loop_abs::LoopAbstraction;
 use noelle_core::noelle::Abstraction;
-use noelle_core::task::TaskFunction;
 use noelle_ir::module::{FuncId, Module};
-use noelle_ir::value::Value;
 
 /// The abstractions DOALL asks NOELLE for (its Table 4 row).
 pub const ABSTRACTIONS: [Abstraction; 13] = [
@@ -49,28 +48,10 @@ pub fn emit(
     la: &LoopAbstraction,
     workers: usize,
 ) -> Result<(), ParallelizeError> {
-    let task_name = format!("{}.doall.{}", m.func(fid).name, la.structure.header.0);
-    parallelize_with(m, fid, la, workers, &task_name, distribute_cyclically)
-}
-
-/// Rewrite the task's governing IV for cyclic distribution: start at
-/// `start + task_id*step`, stride by `n_tasks*step` — pure IVS usage.
-pub fn distribute_cyclically(m: &mut Module, task: &TaskFunction) -> Result<(), ParallelizeError> {
-    let l = task_loop(m, task.fid);
-    let tf = m.func_mut(task.fid);
-    let recs = noelle_analysis::scev::affine_recurrences(tf, &l);
-    // Every affine recurrence must stride by n_tasks; the governing one
-    // controls termination, secondary IVs (e.g. a second index) follow suit.
-    if recs.is_empty() {
-        return Err(ParallelizeError::NoGoverningIv);
-    }
-    for rec in &recs {
-        offset_start(tf, &l, rec, Value::Arg(1))
-            .map_err(|e| ParallelizeError::Shape(e.to_string().into()))?;
-        scale_step(tf, &l, rec, Value::Arg(2))
-            .map_err(|e| ParallelizeError::Shape(e.to_string().into()))?;
-    }
-    Ok(())
+    let name = format!("{}.doall.{}", m.func(fid).name, la.structure.header.0);
+    let task = outline(m, fid, la, &name)?;
+    distribute_cyclically(m, &task, la)?;
+    emit_dispatcher(m, fid, la, &task, task.fid, workers, 0)
 }
 
 #[cfg(test)]

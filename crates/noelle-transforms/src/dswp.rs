@@ -12,15 +12,15 @@
 //! cross-stage memory accesses.
 
 use crate::common::{
-    emit_dispatcher_with_queues, liveouts_gate, mechanics_gate, reset_reduction_initials,
-    task_loop, ParallelizeError, QUEUE_POP_INTRINSIC, QUEUE_PUSH_INTRINSIC,
+    emit_dispatcher, liveouts_gate, mechanics_gate, outline, ParallelizeError, QUEUE_POP_INTRINSIC,
+    QUEUE_PUSH_INTRINSIC,
 };
 use noelle_core::architecture::{static_cost, Architecture};
 use noelle_core::env::EnvironmentBuilder;
 use noelle_core::loop_abs::LoopAbstraction;
 use noelle_core::noelle::Abstraction;
 use noelle_core::reduction::identity_for;
-use noelle_core::task::{outline_loop_as_task, TaskFunction};
+use noelle_core::task::TaskFunction;
 use noelle_ir::inst::{BinOp, Callee, Inst, InstId, Terminator};
 use noelle_ir::module::{BlockId, FuncId, Function, Module};
 use noelle_ir::types::Type;
@@ -58,6 +58,12 @@ pub struct StagePlan {
     pub n_stages: usize,
     /// `(def, consumer stage)` of each cross-stage value queue, sorted.
     value_queues: Vec<(InstId, usize)>,
+    /// The loop's one latch: a stage pushes its token at its end.
+    latch: BlockId,
+    /// The block that runs once per iteration from its top: the header's
+    /// one in-loop successor, or the header of a one-block loop. A stage
+    /// pops its token there.
+    token_block: BlockId,
 }
 
 /// DSWP takes a loop whose blocks all run once per iteration, whose SCCs
@@ -140,6 +146,8 @@ pub fn gate(
         replicated,
         n_stages,
         value_queues: Vec::new(),
+        latch,
+        token_block: l.header,
     };
 
     // Cross-stage register dependences: (def, consumer stage) pairs.
@@ -177,16 +185,16 @@ pub fn gate(
     }
     // The token pop lands in the header's unique in-loop successor.
     if l.header != latch {
-        let in_loop = f
+        let mut in_loop = f
             .successors(l.header)
             .into_iter()
-            .filter(|b| l.contains(*b))
-            .count();
-        if in_loop != 1 {
+            .filter(|b| l.contains(*b));
+        let (Some(body), None) = (in_loop.next(), in_loop.next()) else {
             return Err(ParallelizeError::Shape(
                 "header with multiple in-loop successors".into(),
             ));
-        }
+        };
+        plan.token_block = body;
     }
     mechanics_gate(m, fid, la, false)?;
     plan.value_queues = value_queues;
@@ -201,8 +209,7 @@ pub fn emit(
     la: &LoopAbstraction,
     plan: &StagePlan,
 ) -> Result<(), ParallelizeError> {
-    let l = &la.structure;
-    let n_stages = plan.n_stages;
+    let header = la.structure.header.0;
     // The stage owning each loop instruction, read once off the original.
     let f = m.func(fid);
     let owners: Vec<(InstId, Option<usize>)> = la
@@ -210,32 +217,17 @@ pub fn emit(
         .internal_nodes()
         .map(|i| (i, plan.stage_of(f, la, i)))
         .collect();
-
-    // Build one pruned clone per stage.
     let fname = f.name.clone();
-    let mut stage_fids = Vec::new();
-    for s in 0..n_stages {
-        let task = outline_loop_as_task(
-            m,
-            fid,
-            l,
-            &la.env,
-            &format!("{fname}.dswp.{}.stage{}", l.header.0, s),
-        )?;
-        reset_reduction_initials(m, &task, &la.reductions);
-        prune_stage(m, la, &task, s, plan, &owners)?;
-        stage_fids.push(task.fid);
+    let mut stages = Vec::with_capacity(plan.n_stages);
+    for s in 0..plan.n_stages {
+        let task = outline(m, fid, la, &format!("{fname}.dswp.{header}.stage{s}"))?;
+        prune_stage(m, la, &task, s, plan, &owners);
+        stages.push(task);
     }
-
     // Trampoline: dispatch target that forwards to the stage of task_id.
-    let tramp = build_trampoline(
-        m,
-        &format!("{fname}.dswp.{}.tramp", l.header.0),
-        &stage_fids,
-    );
-
-    emit_dispatcher_with_queues(m, fid, la, tramp, &la.env, n_stages, plan.n_queues())?;
-    Ok(())
+    let tramp = build_trampoline(m, &format!("{fname}.dswp.{header}.tramp"), &stages);
+    let n_queues = plan.n_queues();
+    emit_dispatcher(m, fid, la, &stages[0], tramp, plan.n_stages, n_queues)
 }
 
 /// Pipeline shape summary for the planner's cost model: per-stage compute
@@ -419,33 +411,22 @@ fn prune_stage(
     stage: usize,
     plan: &StagePlan,
     owners: &[(InstId, Option<usize>)],
-) -> Result<(), ParallelizeError> {
+) {
     let (n_value_queues, n_stages) = (plan.value_queues.len(), plan.n_stages);
     let pop_fn = m.get_or_declare(QUEUE_POP_INTRINSIC, vec![Type::I64], Type::I64);
     let push_fn = m.get_or_declare(QUEUE_PUSH_INTRINSIC, vec![Type::I64, Type::I64], Type::Void);
 
     // Load all queue ids in the entry block (before its terminator).
     let env_base_slot = la.env.num_slots(n_stages) as i64;
-    let n_queues = plan.n_queues();
-    let tl = task_loop(m, task.fid);
-    let latch = tl
-        .single_latch()
-        .ok_or_else(|| ParallelizeError::Shape("clone lost its latch".into()))?;
+    let latch = task.block_map[&plan.latch];
+    let token_block = task.block_map[&plan.token_block];
     let tf = m.func_mut(task.fid);
-    let mut qids: Vec<Value> = Vec::new();
-    {
-        let entry = task.entry;
-        for qi in 0..n_queues {
-            let v = EnvironmentBuilder::load_slot(
-                tf,
-                entry,
-                Value::Arg(0),
-                Value::const_i64(env_base_slot + qi as i64),
-                &Type::I64,
-            );
-            qids.push(v);
-        }
-    }
+    let qids: Vec<Value> = (0..plan.n_queues() as i64)
+        .map(|qi| {
+            let slot = Value::const_i64(env_base_slot + qi);
+            EnvironmentBuilder::load_slot(tf, task.entry, Value::Arg(0), slot, &Type::I64)
+        })
+        .collect();
 
     // Walk all original loop instructions. A foreign one no pop replaces
     // is deleted, and what its remaining uses read instead is noted.
@@ -517,21 +498,6 @@ fn prune_stage(
     // (which runs exactly once per iteration, unlike the header, which also
     // runs for the final, failing test), push to stage+1 at the end of the
     // latch (before the terminator).
-    let token_block = if tl.header == latch {
-        tl.header
-    } else {
-        let in_loop: Vec<BlockId> = tf
-            .successors(tl.header)
-            .into_iter()
-            .filter(|b| tl.contains(*b))
-            .collect();
-        let &[body] = in_loop.as_slice() else {
-            return Err(ParallelizeError::Shape(
-                "header with multiple in-loop successors".into(),
-            ));
-        };
-        body
-    };
     if stage > 0 {
         let q = qids[n_value_queues + stage - 1];
         let pos = tf.phis(token_block).len();
@@ -573,11 +539,10 @@ fn prune_stage(
     for id in tf.inst_ids() {
         tf.inst_mut(id).map_operands(replaced);
     }
-    Ok(())
 }
 
 /// Build `void tramp(env, id, n)` that forwards to `stages[id]`.
-fn build_trampoline(m: &mut Module, name: &str, stages: &[FuncId]) -> FuncId {
+fn build_trampoline(m: &mut Module, name: &str, stages: &[TaskFunction]) -> FuncId {
     let mut f = Function::new(
         name,
         vec![
@@ -589,12 +554,12 @@ fn build_trampoline(m: &mut Module, name: &str, stages: &[FuncId]) -> FuncId {
     );
     let entry = f.add_block("entry");
     let mut case_blocks = Vec::new();
-    for (s, &sf) in stages.iter().enumerate() {
+    for (s, stage) in stages.iter().enumerate() {
         let b = f.add_block(format!("stage{s}"));
         f.append_inst(
             b,
             Inst::Call {
-                callee: Callee::Direct(sf),
+                callee: Callee::Direct(stage.fid),
                 args: vec![Value::Arg(0), Value::Arg(1), Value::Arg(2)],
                 ret_ty: Type::Void,
             },

@@ -13,16 +13,15 @@
 //! core-to-core signal latency charged from the AR abstraction.
 
 use crate::common::{
-    mechanics_gate, parallelize_with, task_loop, ParallelizeError, SS_SIGNAL_INTRINSIC,
-    SS_WAIT_INTRINSIC,
+    distribute_cyclically, emit_dispatcher, mechanics_gate, outline, ParallelizeError,
+    SS_SIGNAL_INTRINSIC, SS_WAIT_INTRINSIC,
 };
-use crate::doall::distribute_cyclically;
 use noelle_core::architecture::{static_cost, Architecture};
 use noelle_core::loop_abs::LoopAbstraction;
 use noelle_core::noelle::Abstraction;
 use noelle_core::task::TaskFunction;
 use noelle_ir::inst::{Callee, Inst, InstId};
-use noelle_ir::module::{FuncId, Module};
+use noelle_ir::module::{BlockId, FuncId, Module};
 use noelle_ir::types::Type;
 use noelle_ir::value::Value;
 use noelle_pdg::islands::islands_of;
@@ -59,12 +58,20 @@ pub struct Segments {
     pub groups: Vec<Vec<InstId>>,
     /// Estimated cycles per iteration spent inside segments.
     pub cost: u64,
+    /// The loop's one latch, where the iteration counter steps: there is
+    /// one when there are segments to bracket.
+    latch: Option<BlockId>,
 }
 
 /// Compute the sequential segments of a loop: connected groups of SCCs that
-/// must execute in iteration order. Returns `None` when a segment cannot be
-/// safely bracketed (its instructions may be skipped within an iteration).
-fn sequential_segments(m: &Module, fid: FuncId, la: &LoopAbstraction) -> Option<Vec<Vec<InstId>>> {
+/// must execute in iteration order, with the one latch their brackets
+/// need when there are any. Returns `None` when a segment cannot be safely
+/// bracketed (its instructions may be skipped within an iteration).
+fn sequential_segments(
+    m: &Module,
+    fid: FuncId,
+    la: &LoopAbstraction,
+) -> Option<(Vec<Vec<InstId>>, Option<BlockId>)> {
     let f = m.func(fid);
     let l = &la.structure;
 
@@ -86,7 +93,7 @@ fn sequential_segments(m: &Module, fid: FuncId, la: &LoopAbstraction) -> Option<
         }
     }
     if problem.is_empty() {
-        return Some(Vec::new());
+        return Some((Vec::new(), None));
     }
 
     // Group into segments via the islands capability.
@@ -107,7 +114,7 @@ fn sequential_segments(m: &Module, fid: FuncId, la: &LoopAbstraction) -> Option<
         }
         segments.push(insts);
     }
-    Some(segments)
+    Some((segments, Some(latch)))
 }
 
 /// The instructions of `sccs`, ascending (an instruction is in one SCC).
@@ -133,7 +140,7 @@ pub fn gate(
         return Err(ParallelizeError::NoGoverningIv);
     }
     let refuse = |why, groups| Err(ParallelizeError::Segments { why, groups });
-    let Some(groups) = sequential_segments(m, fid, la) else {
+    let Some((groups, latch)) = sequential_segments(m, fid, la) else {
         let sccs = la.sequential_sccs().into_iter();
         return refuse(
             "unbracketably sequential",
@@ -166,7 +173,11 @@ pub fn gate(
     // HELIX rides on the same outline + cyclic distribution + dispatcher as
     // DOALL, minus the dependence gate (that is the point of the brackets).
     mechanics_gate(m, fid, la, true)?;
-    Ok(Segments { groups, cost })
+    Ok(Segments {
+        groups,
+        cost,
+        latch,
+    })
 }
 
 /// Metadata key counting the segment ids handed out so far, so every
@@ -182,16 +193,16 @@ pub fn emit(
     segments: &Segments,
     workers: usize,
 ) -> Result<(), ParallelizeError> {
-    let task_name = format!("{}.helix.{}", m.func(fid).name, la.structure.header.0);
+    let name = format!("{}.helix.{}", m.func(fid).name, la.structure.header.0);
     let seg_base: i64 = m
         .metadata
         .get(SEGMENTS_KEY)
         .and_then(|s| s.parse().ok())
         .unwrap_or(0);
-    parallelize_with(m, fid, la, workers, &task_name, |m, task| {
-        distribute_cyclically(m, task)?;
-        bracket_segments(m, task, &segments.groups, seg_base)
-    })?;
+    let task = outline(m, fid, la, &name)?;
+    distribute_cyclically(m, &task, la)?;
+    bracket_segments(m, &task, segments, seg_base);
+    emit_dispatcher(m, fid, la, &task, task.fid, workers, 0)?;
     let next = seg_base + segments.groups.len() as i64;
     m.metadata
         .insert(SEGMENTS_KEY.to_string(), next.to_string());
@@ -200,27 +211,18 @@ pub fn emit(
 
 /// Insert the iteration counter and the wait/signal brackets into the task
 /// clone.
-fn bracket_segments(
-    m: &mut Module,
-    task: &TaskFunction,
-    segments: &[Vec<InstId>],
-    seg_base: i64,
-) -> Result<(), ParallelizeError> {
-    if segments.is_empty() {
-        return Ok(());
-    }
+fn bracket_segments(m: &mut Module, task: &TaskFunction, segments: &Segments, seg_base: i64) {
+    let Some(latch) = segments.latch else {
+        return; // no segments
+    };
     let wait = m.get_or_declare(SS_WAIT_INTRINSIC, vec![Type::I64, Type::I64], Type::Void);
     let signal = m.get_or_declare(SS_SIGNAL_INTRINSIC, vec![Type::I64], Type::Void);
-
-    let l = task_loop(m, task.fid);
-    let latch = l
-        .single_latch()
-        .ok_or_else(|| ParallelizeError::Shape("multiple latches".into()))?;
+    let latch = task.block_map[&latch];
     let tf = m.func_mut(task.fid);
 
     // Global iteration counter: k = phi [entry: task_id] [latch: k + n_tasks].
     let k_phi = tf.insert_inst(
-        l.header,
+        task.structure.header,
         0,
         Inst::Phi {
             ty: Type::I64,
@@ -243,7 +245,7 @@ fn bracket_segments(
     }
 
     // Bracket each segment around its (mapped) first/last instruction.
-    for (si, seg) in segments.iter().enumerate() {
+    for (si, seg) in segments.groups.iter().enumerate() {
         let seg_id = seg_base + si as i64;
         let mut placed: Vec<(usize, usize, InstId)> = Vec::new();
         for &orig in seg {
@@ -289,7 +291,6 @@ fn bracket_segments(
             },
         );
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -445,8 +446,9 @@ exit:
         let fid = noelle.module().func_id_by_name("kernel").unwrap();
         let l = noelle.loops_of(fid)[0].clone();
         let la = noelle.loop_abstraction(fid, l);
-        let segs = sequential_segments(noelle.module(), fid, &la).expect("bracketable");
+        let (segs, latch) = sequential_segments(noelle.module(), fid, &la).expect("bracketable");
         assert_eq!(segs.len(), 1, "one sequential segment (the acc recurrence)");
         assert!(segs[0].len() >= 2);
+        assert_eq!(latch, la.structure.single_latch(), "the brackets' latch");
     }
 }

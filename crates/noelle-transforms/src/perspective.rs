@@ -9,8 +9,9 @@
 //! the loop parallelizes like DOALL. Speculation support is out of scope, as
 //! DESIGN.md documents.
 
-use crate::common::{mechanics_gate, parallelize_with, ParallelizeError};
-use crate::doall::distribute_cyclically;
+use crate::common::{
+    distribute_cyclically, emit_dispatcher, mechanics_gate, outline, ParallelizeError,
+};
 use noelle_core::loop_abs::LoopAbstraction;
 use noelle_core::noelle::Abstraction;
 use noelle_core::task::TaskFunction;
@@ -47,12 +48,12 @@ pub fn emit(
     cell: InstId,
     workers: usize,
 ) -> Result<(), ParallelizeError> {
-    let task_name = format!("{}.pers.{}", m.func(fid).name, la.structure.header.0);
+    let name = format!("{}.pers.{}", m.func(fid).name, la.structure.header.0);
     let alloca = m.func(fid).inst(cell).clone();
-    parallelize_with(m, fid, la, workers, &task_name, |m, task| {
-        privatize(m, task, Value::Inst(cell), alloca)?;
-        distribute_cyclically(m, task)
-    })
+    let task = outline(m, fid, la, &name)?;
+    privatize(m, &task, Value::Inst(cell), alloca)?;
+    distribute_cyclically(m, &task, la)?;
+    emit_dispatcher(m, fid, la, &task, task.fid, workers, 0)
 }
 
 /// Find a scratch allocation whose carried dependences are the *only*

@@ -10,11 +10,17 @@
 
 use std::path::PathBuf;
 
+use noelle::analysis::scev::{affine_recurrences, AddRec};
 use noelle::core::json::Json;
+use noelle::core::loop_abs::LoopAbstraction;
 use noelle::core::noelle::{AliasTier, Noelle};
+use noelle::ir::cfg::Cfg;
+use noelle::ir::dom::DomTree;
+use noelle::ir::loops::{LoopForest, LoopInfo};
+use noelle::ir::module::{FuncId, Module};
 use noelle::ir::parser::parse_module;
 use noelle::ir::verifier::verify_module;
-use noelle::transforms::common::{emit, gate, Parallelizer};
+use noelle::transforms::common::{emit, gate, outline, Parallelizer};
 use noelle::transforms::{LoopTargetOpts, ParallelizeError};
 use noelle_fuzz::generator::{generate, GenConfig};
 use noelle_lint::audit::{BlockerKind, Hint, ModuleAudit, TechniqueAudit, AUDIT_WORKERS};
@@ -323,13 +329,134 @@ fn workers_for(t: Parallelizer) -> usize {
 // variant — never by comparing its text.
 // ---------------------------------------------------------------------------
 
+/// The loop `outline` hands the emit steps, and the loop's recurrences
+/// mapped into the clone, against what a loop forest rebuilt on the task
+/// function finds: the reference for what the emitters no longer compute.
+fn assert_outlined_loop_is_the_rebuilt_one(
+    m: &Module,
+    fid: FuncId,
+    la: &LoopAbstraction,
+    loop_name: &str,
+) {
+    let mut m = m.clone();
+    let task = outline(&mut m, fid, la, "outlined.task")
+        .unwrap_or_else(|e| panic!("{loop_name}: a single-exit loop outlines: {e}"));
+    let tf = m.func(task.fid);
+    let cfg = Cfg::new(tf);
+    let dt = DomTree::new(tf, &cfg);
+    let forest = LoopForest::new(tf, &cfg, &dt);
+    let &[top] = forest.top_level() else {
+        panic!(
+            "{loop_name}: the task holds {} outermost loops",
+            forest.top_level().len()
+        );
+    };
+    let rebuilt = forest.loop_info(top);
+    let shape = |l: &LoopInfo| {
+        let edges = l.exit_edges.clone();
+        (
+            l.header,
+            l.latches.clone(),
+            l.blocks.clone(),
+            l.preheader,
+            edges,
+        )
+    };
+    assert_eq!(
+        shape(&task.structure),
+        shape(rebuilt),
+        "{loop_name}: the outliner's loop"
+    );
+    let mapped: Vec<AddRec> = la
+        .ivs
+        .ivs
+        .iter()
+        .map(|iv| task.clone_rec(&iv.rec))
+        .collect();
+    assert_eq!(
+        mapped,
+        affine_recurrences(tf, rebuilt),
+        "{loop_name}: the clone's recurrences"
+    );
+}
+
+/// Loop shapes the suite and the generator lack: recurrences that start
+/// and step at live-ins (one counting down), a loop with two latches, and
+/// a nest.
+const OUTLINE_SHAPES: &str = r#"
+module "outline_shapes" {
+define void @strided(i64* %a, i64 %lo, i64 %n, i64 %s) {
+entry:
+  br header
+header:
+  %i = phi i64 [entry: %lo] [body: %i2]
+  %j = phi i64 [entry: %n] [body: %j2]
+  %c = icmp slt i64 %i, %n
+  condbr %c, body, exit
+body:
+  %p = gep i64, %a, %i
+  store i64 %j, %p
+  %i2 = add i64 %i, %s
+  %j2 = sub i64 %j, i64 1
+  br header
+exit:
+  ret void
+}
+define void @two_latches(i64* %a, i64 %n) {
+entry:
+  br header
+header:
+  %i = phi i64 [entry: i64 0] [even: %i2] [odd: %i2]
+  %c = icmp slt i64 %i, %n
+  condbr %c, body, exit
+body:
+  %i2 = add i64 %i, i64 1
+  %b = and i64 %i, i64 1
+  %z = icmp eq i64 %b, i64 0
+  condbr %z, even, odd
+even:
+  %p = gep i64, %a, %i
+  store i64 %i, %p
+  br header
+odd:
+  br header
+exit:
+  ret void
+}
+define void @nest(i64* %a, i64 %n) {
+entry:
+  br outer
+outer:
+  %i = phi i64 [entry: i64 0] [latch: %i2]
+  %c = icmp slt i64 %i, %n
+  condbr %c, inner, exit
+inner:
+  %j = phi i64 [outer: i64 0] [inner: %j2]
+  %k = mul i64 %i, %n
+  %x = add i64 %k, %j
+  %p = gep i64, %a, %x
+  store i64 %j, %p
+  %j2 = add i64 %j, i64 1
+  %d = icmp slt i64 %j2, %n
+  condbr %d, inner, latch
+latch:
+  %i2 = add i64 %i, i64 1
+  br outer
+exit:
+  ret void
+}
+}
+"#;
+
 #[test]
 fn gate_ok_means_emit_ok_and_refusals_attribute_by_variant() {
     let cfg = GenConfig::default();
+    let shapes = parse_module(OUTLINE_SHAPES).expect("the shapes parse");
     let corpus = workloads_all()
         .into_iter()
+        .chain(std::iter::once(("outline_shapes".to_string(), shapes)))
         .chain((0..200).map(|seed| (format!("fuzz_{seed}"), generate(seed, &cfg))));
-    let (mut emitted, mut refused) = (0usize, 0usize);
+    let (mut emitted, mut refused, mut outlined) = (0usize, 0usize, 0usize);
     for (name, m) in corpus {
         let mut n = Noelle::new(m.clone(), AliasTier::Full);
         let audit = run_audit(&mut n);
@@ -342,6 +469,10 @@ fn gate_ok_means_emit_ok_and_refusals_attribute_by_variant() {
                 .find(|l| l.header == laud.header)
                 .expect("audited loop exists");
             let la = n.loop_abstraction(laud.fid, l);
+            if la.structure.exit_blocks().len() == 1 {
+                assert_outlined_loop_is_the_rebuilt_one(&m, laud.fid, &la, &loop_name);
+                outlined += 1;
+            }
             for p in Parallelizer::AUDITED
                 .into_iter()
                 .chain([Parallelizer::Perspective])
@@ -412,6 +543,10 @@ fn gate_ok_means_emit_ok_and_refusals_attribute_by_variant() {
     assert!(
         emitted >= 100 && refused >= 100,
         "the corpus must exercise both directions (emitted {emitted}, refused {refused})"
+    );
+    assert!(
+        outlined >= 100,
+        "only {outlined} single-exit loops outlined"
     );
     // The refusals the auditor attributes specially are variants now.
     let auditor = include_str!("../crates/noelle-lint/src/audit.rs");
