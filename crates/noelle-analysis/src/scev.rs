@@ -10,6 +10,7 @@
 use noelle_ir::inst::{BinOp, IcmpPred, Inst, InstId, Terminator};
 use noelle_ir::loops::LoopInfo;
 use noelle_ir::module::Function;
+use noelle_ir::types::{IntWidth, Type};
 use noelle_ir::value::{Constant, Value};
 
 /// An affine recurrence `value(k) = start + k * step` carried by a header
@@ -211,6 +212,11 @@ pub fn const_trip_count(f: &Function, l: &LoopInfo, recs: &[AddRec]) -> Option<i
 /// [`const_trip_count`] for a caller that knows more than `f` says: a
 /// governing bound that is not a literal is taken to be `bound` (an
 /// argument every call site passes the same constant, say).
+///
+/// The count is computed in `i128` and answered only when every value the
+/// exit test reads lies in the counter's integer type — in its non-negative
+/// half for an unsigned test, where unsigned and signed order agree. A
+/// counter that would wrap before the test fails gets no count.
 pub fn trip_count_given(
     f: &Function,
     l: &LoopInfo,
@@ -219,12 +225,23 @@ pub fn trip_count_given(
 ) -> Option<i64> {
     let cond = exit_condition(f, l, recs)?;
     let rec = &recs[cond.rec_index];
-    let start = rec.const_start()?;
-    let step = rec.const_step()?;
-    let bound = match cond.bound {
+    let Inst::Phi {
+        ty: Type::Int(width),
+        ..
+    } = f.inst(rec.phi)
+    else {
+        return None;
+    };
+    if *width == IntWidth::I1 {
+        return None;
+    }
+    let max = (1i128 << (width.bits() - 1)) - 1;
+    let start = i128::from(rec.const_start()?);
+    let step = i128::from(rec.const_step()?);
+    let bound = i128::from(match cond.bound {
         Value::Const(Constant::Int(v, _)) => v,
         _ => bound?,
-    };
+    });
     if step == 0 {
         return None;
     }
@@ -249,19 +266,17 @@ pub fn trip_count_given(
     // The value seen by the k-th test (0-based) is start + k*step when the
     // phi is tested, or start + (k+1)*step when the updated value is tested.
     let first = start + if cond.compares_update { step } else { 0 };
-
-    // For unsigned predicates, only handle the non-negative range where they
-    // coincide with the signed ones.
-    if matches!(
+    let unsigned = matches!(
         pred,
         IcmpPred::Ult | IcmpPred::Ule | IcmpPred::Ugt | IcmpPred::Uge
-    ) && (first < 0 || bound < 0)
-    {
+    );
+    let fits = |v: i128| (if unsigned { 0 } else { -max - 1 }..=max).contains(&v);
+    if !(-max - 1..=max).contains(&start) || !fits(first) || !fits(bound) {
         return None;
     }
 
     // N = number of consecutive passing tests, starting from the k = 0 test.
-    let passes: i64 = match pred {
+    let passes: i128 = match pred {
         IcmpPred::Slt | IcmpPred::Ult => {
             if step <= 0 {
                 return None; // moving away from the bound or not at all
@@ -314,11 +329,15 @@ pub fn trip_count_given(
         }
         IcmpPred::Eq => return None,
     };
+    // The tested values run monotonically from `first` to the failing one:
+    // if that one fits too, no test read a wrapped value.
+    if !fits(first + passes * step) {
+        return None;
+    }
 
     // While-shaped loops run the body once per passing test; do-while loops
     // run the body once before the first test as well.
-    let runs = passes + i64::from(l.is_do_while());
-    (runs >= 0).then_some(runs)
+    i64::try_from(passes + i128::from(l.is_do_while())).ok()
 }
 
 #[cfg(test)]

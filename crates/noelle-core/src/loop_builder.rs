@@ -16,15 +16,12 @@ use noelle_ir::value::Value;
 pub enum LoopBuilderError {
     /// The header's out-of-loop predecessors cannot be determined.
     MalformedLoop(String),
-    /// The operation requires a single exit block.
-    MultipleExits,
 }
 
 impl std::fmt::Display for LoopBuilderError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             LoopBuilderError::MalformedLoop(m) => write!(f, "malformed loop: {m}"),
-            LoopBuilderError::MultipleExits => write!(f, "loop has multiple exit blocks"),
         }
     }
 }
@@ -128,28 +125,23 @@ pub fn hoist_to_preheader(
     Ok(())
 }
 
-/// Redirect the pre-header of `l` to `replacement` instead of the loop
-/// header, making the loop body unreachable. The code `replacement` starts
-/// must branch to the loop's (unique) exit block from block `tail` (which
-/// may be `replacement` itself); the caller is responsible for replacing
-/// uses of loop-defined values that escape. Exit-block phis with incomings
-/// from exiting blocks are rewired to come from `tail` using
-/// `exit_phi_values` (phi instruction → new incoming value).
-///
-/// # Errors
-/// Fails if the loop has several exit blocks or no pre-header can be made.
+/// Redirect `pre`, the pre-header of `l` (what [`ensure_preheader`]
+/// returned), to `replacement` instead of the loop header, making the loop
+/// body unreachable. The code `replacement` starts must branch to `exit`,
+/// the loop's one exit block, from block `tail` (which may be `replacement`
+/// itself); the caller is responsible for replacing uses of loop-defined
+/// values that escape. Exit-block phis with incomings from exiting blocks
+/// are rewired to come from `tail` using `exit_phi_values` (phi instruction
+/// → new incoming value).
 pub fn bypass_loop(
     f: &mut Function,
     l: &LoopInfo,
+    pre: BlockId,
+    exit: BlockId,
     replacement: BlockId,
     tail: BlockId,
     exit_phi_values: &[(InstId, Value)],
-) -> Result<BlockId, LoopBuilderError> {
-    let exits = l.exit_blocks();
-    let &[exit] = exits.as_slice() else {
-        return Err(LoopBuilderError::MultipleExits);
-    };
-    let pre = ensure_preheader(f, l)?;
+) {
     if let Some(tid) = f.terminator_id(pre) {
         if let Inst::Term(t) = f.inst_mut(tid) {
             t.replace_successor(l.header, replacement);
@@ -180,7 +172,6 @@ pub fn bypass_loop(
             *incomings = rewired;
         }
     }
-    Ok(exit)
 }
 
 #[cfg(test)]
@@ -323,54 +314,15 @@ mod tests {
                 rhs: Value::const_i64(2),
             },
         );
-        f.set_terminator(dispatch, Terminator::Br(l.exit_blocks()[0]));
-        bypass_loop(
-            f,
-            &l,
-            dispatch,
-            dispatch,
-            &[(out.as_inst().unwrap(), Value::Inst(v))],
-        )
-        .unwrap();
+        f.set_terminator(dispatch, Terminator::Br(exit));
+        let pre = ensure_preheader(f, &l).unwrap();
+        let outs = [(out.as_inst().unwrap(), Value::Inst(v))];
+        bypass_loop(f, &l, pre, exit, dispatch, dispatch, &outs);
         noelle_ir::verifier::verify_module(&m).expect("verifies after bypass");
         // The loop is unreachable now.
         let f = m.func(fid);
         let cfg = Cfg::new(f);
         assert!(!cfg.is_reachable(l.header));
         assert!(cfg.is_reachable(dispatch));
-    }
-
-    #[test]
-    fn bypass_rejects_multi_exit_loops() {
-        let mut m = Module::new("t");
-        let mut b = FunctionBuilder::new("f", vec![("n", Type::I64), ("c", Type::I1)], Type::Void);
-        let entry = b.entry_block();
-        let header = b.block("header");
-        let body = b.block("body");
-        let exit1 = b.block("exit1");
-        let exit2 = b.block("exit2");
-        b.switch_to(entry);
-        b.br(header);
-        b.switch_to(header);
-        let i = b.phi(Type::I64, vec![(entry, Value::const_i64(0))]);
-        let c = b.icmp(IcmpPred::Slt, Type::I64, i, b.arg(0));
-        b.cond_br(c, body, exit1);
-        b.switch_to(body);
-        let i2 = b.binop(BinOp::Add, Type::I64, i, Value::const_i64(1));
-        b.cond_br(b.arg(1), header, exit2);
-        b.add_incoming(i, body, i2);
-        b.switch_to(exit1);
-        b.ret(None);
-        b.switch_to(exit2);
-        b.ret(None);
-        let fid = m.add_function(b.finish());
-        let l = loop_of(m.func(fid));
-        let f = m.func_mut(fid);
-        let dispatch = f.add_block("dispatch");
-        f.set_terminator(dispatch, Terminator::Unreachable);
-        assert_eq!(
-            bypass_loop(f, &l, dispatch, dispatch, &[]),
-            Err(LoopBuilderError::MultipleExits)
-        );
     }
 }

@@ -27,7 +27,9 @@ use noelle_ir::module::{FuncId, Function, Module};
 use noelle_pdg::callgraph::CallGraph;
 use noelle_pdg::depgraph::DepGraph;
 use noelle_pdg::pdg::{BuildBuffers, PdgBuilder, ProgramPdg};
-use noelle_store::{artifact, ArtifactKind, KeyCtx, Store};
+/// The codec partitions persist with, for oracles that check it.
+pub use noelle_store::artifact;
+use noelle_store::{ArtifactKind, KeyCtx, Store};
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -504,14 +506,9 @@ impl Noelle {
         self.store = Some(store);
     }
 
-    /// The attached durable store, if any.
-    pub fn store(&self) -> Option<&Arc<Store>> {
-        self.store.as_ref()
-    }
-
     /// The store-key context for the module's *current* content. Partition
-    /// keys bake in a module-wide code fingerprint (their inputs are
-    /// interprocedural); forest keys use only the owning function.
+    /// keys bake in a module-wide code fingerprint: their inputs are
+    /// interprocedural.
     fn store_key_ctx(&mut self) -> KeyCtx {
         let n = self.module.functions().len() as u32;
         KeyCtx {
@@ -1056,8 +1053,7 @@ impl Noelle {
         // Carve from the function's cached partition: requesting several
         // loops of one function analyzes the function once, and no other
         // function at all — after an edit only this partition is repaired,
-        // and a restarted daemon answers from the store without decoding
-        // the rest of the program.
+        // and a store-warm manager decodes only this function's partition.
         let fg = self.partition(fid, &mut None);
         let dom = Arc::clone(&self.cached_structures(fid).dom);
         let modref = self.ensure_modref();

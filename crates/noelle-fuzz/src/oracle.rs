@@ -56,7 +56,7 @@ pub struct OracleConfig {
     pub check_incremental: bool,
     /// Round-trip every durable-store artifact codec over the input
     /// module's analyses: encode, decode, re-encode must be byte-identical
-    /// (the invariant a warm restart from `noelle-store` rests on).
+    /// (the invariant a store-warm manager rests on).
     pub check_store: bool,
     /// Validate the parallelism auditor's verdicts: every *clean* verdict
     /// must survive actually running that transform on the audited loop
@@ -119,7 +119,7 @@ pub enum FailureKind {
     /// of the transformed module (an invalidation-engine bug).
     IncrementalMismatch,
     /// A durable-store artifact codec failed the encode/decode/re-encode
-    /// byte-identity round trip (a `noelle-store` codec bug).
+    /// byte-identity round trip (a partition codec bug).
     StoreRoundTrip,
     /// The parallelism auditor's verdict disagreed with reality: a clean
     /// verdict whose transform refused or miscompiled the loop (a false
@@ -243,7 +243,7 @@ fn panic_text(p: Box<dyn std::any::Any + Send>) -> String {
 /// Byte-identity (not just structural equality) is what content addressing
 /// needs: the same analysis state must always persist as the same payload.
 fn store_round_trip_failures(m: &Module) -> Vec<Failure> {
-    use noelle_store::artifact;
+    use noelle_core::noelle::artifact;
     let fail = |what: String| Failure {
         tool: None,
         kind: FailureKind::StoreRoundTrip,
@@ -980,7 +980,7 @@ entry:
 
     #[test]
     fn store_codecs_round_trip_generated_modules() {
-        // The store oracle runs directly: every artifact the daemon would
+        // The store oracle runs directly: every artifact a manager would
         // persist (PDG partitions) must re-encode byte-identically after
         // a decode.
         for seed in 0..10 {

@@ -20,9 +20,6 @@
 //! - **Admission control** ([`server`]): a full shard queue sheds new
 //!   requests with a structured `overloaded` error instead of growing the
 //!   tail, keeping latency bounded for admitted work.
-//! - **Durable warm starts** ([`server`]): with `--store-dir`, analysis
-//!   artifacts persist in a content-addressed on-disk store
-//!   (`noelle-store`), so a restarted daemon skips recomputation.
 //! - **In-flight coalescing** ([`session`]): concurrent identical builds
 //!   share one execution via the per-session build lock; warm `pdg`
 //!   replies are served from a serialized-reply cache.
@@ -32,7 +29,7 @@
 //!   connection.
 //! - **Observability** ([`metrics`]): one `stats` reply carries per-method
 //!   counters and latency quantiles, per-shard queue depth and shed counts,
-//!   store hit/miss counters, per-session build/cache counters, and the
+//!   per-session build/cache counters, and the
 //!   daemon-wide IDE, audit and plan counters, each number once.
 //! - **Graceful shutdown**: queued requests drain before workers exit.
 

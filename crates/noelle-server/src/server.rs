@@ -14,9 +14,6 @@
 //! The admitted path keeps its deadline: if the reply does not arrive in
 //! time, the client gets a `timeout` error and the (still running) build
 //! finishes in the background and warms the cache for the next attempt.
-//! When the daemon is configured with a store directory, every loaded
-//! session writes its analysis artifacts through the content-addressed
-//! durable store, so a restarted daemon warm-starts from disk.
 //!
 //! Shutdown is graceful: the `shutdown` method flips a flag; the accept
 //! loop stops, connection readers wind down, and each shard's workers
@@ -34,7 +31,6 @@ use noelle_core::noelle::{Abstraction, AliasTier, Noelle};
 use noelle_core::wire;
 use noelle_ide::{Change, DocCounters, DocSession};
 use noelle_ir::module::{FuncId, Module};
-use noelle_store::Store;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
@@ -75,9 +71,6 @@ pub struct ServerConfig {
     pub max_bytes: usize,
     /// Default per-request deadline (ms) when the request carries none.
     pub default_deadline_ms: u64,
-    /// Directory of the durable content-addressed artifact store. `None`
-    /// runs fully in-memory (the pre-store behavior).
-    pub store_dir: Option<String>,
 }
 
 impl Default for ServerConfig {
@@ -90,7 +83,6 @@ impl Default for ServerConfig {
             max_sessions: 8,
             max_bytes: 256 << 20,
             default_deadline_ms: 30_000,
-            store_dir: None,
         }
     }
 }
@@ -159,8 +151,6 @@ pub struct ServerState {
     shards: Vec<Shard>,
     /// Request counters and latency histograms.
     pub metrics: Metrics,
-    /// The durable artifact store, when configured.
-    pub store: Option<Arc<Store>>,
     /// IDE document sessions (`ide/*` methods).
     ide: IdeState,
     tool_runner: Option<ToolRunner>,
@@ -173,7 +163,6 @@ impl ServerState {
     fn new(
         cfg: ServerConfig,
         tool_runner: Option<ToolRunner>,
-        store: Option<Arc<Store>>,
     ) -> (ServerState, Vec<Receiver<Job>>) {
         let num_shards = cfg.shards.max(1);
         let per_entries = (cfg.max_sessions / num_shards).max(1);
@@ -194,7 +183,6 @@ impl ServerState {
         let state = ServerState {
             shards,
             metrics: Metrics::new(),
-            store,
             ide: IdeState::default(),
             tool_runner,
             shutdown: AtomicBool::new(false),
@@ -247,17 +235,6 @@ impl ServerState {
     }
 }
 
-/// Open the configured store directory, if any.
-fn open_store(cfg: &ServerConfig) -> io::Result<Option<Arc<Store>>> {
-    match &cfg.store_dir {
-        None => Ok(None),
-        Some(dir) => {
-            std::fs::create_dir_all(dir)?;
-            Ok(Some(Arc::new(Store::open(dir)?)))
-        }
-    }
-}
-
 /// A configured (not yet started) daemon.
 pub struct Server {
     cfg: ServerConfig,
@@ -280,20 +257,18 @@ impl Server {
         self
     }
 
-    /// Bind the TCP listener, open the store (when configured), and spawn
-    /// the accept loop plus each shard's workers. Returns a handle carrying
-    /// the bound address.
+    /// Bind the TCP listener and spawn the accept loop plus each shard's
+    /// workers. Returns a handle carrying the bound address.
     ///
     /// # Errors
-    /// Propagates bind failures and store-open failures.
+    /// Propagates bind failures.
     pub fn start(self) -> io::Result<RunningServer> {
         let listener = TcpListener::bind(&self.cfg.addr)?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
-        let store = open_store(&self.cfg)?;
         let num_shards = self.cfg.shards.max(1);
         let per_shard_workers = (self.cfg.workers / num_shards).max(1);
-        let (state, receivers) = ServerState::new(self.cfg, self.tool_runner, store);
+        let (state, receivers) = ServerState::new(self.cfg, self.tool_runner);
         let state = Arc::new(state);
 
         let mut worker_handles: Vec<JoinHandle<()>> = Vec::new();
@@ -333,13 +308,9 @@ impl Server {
     /// the `noelle-ide` tool's default mode) that drive it synchronously
     /// through [`run_request_text`]. The shard queues exist but have no
     /// workers; only the inline paths are meaningful.
-    ///
-    /// # Errors
-    /// Propagates store-open failures.
-    pub fn embedded(self) -> io::Result<Arc<ServerState>> {
-        let store = open_store(&self.cfg)?;
-        let (state, _receivers) = ServerState::new(self.cfg, self.tool_runner, store);
-        Ok(Arc::new(state))
+    pub fn embedded(self) -> Arc<ServerState> {
+        let (state, _receivers) = ServerState::new(self.cfg, self.tool_runner);
+        Arc::new(state)
     }
 
     /// Serve one connection over stdin/stdout using newline-delimited JSON
@@ -347,12 +318,11 @@ impl Server {
     /// synchronous, until EOF or `shutdown`.
     ///
     /// # Errors
-    /// Propagates stdout write failures and store-open failures.
+    /// Propagates stdin read and stdout write failures.
     pub fn serve_stdio(self, input: &mut impl BufRead, output: &mut impl Write) -> io::Result<()> {
-        let store = open_store(&self.cfg)?;
         // The stdio server is synchronous: the shard queues and their
         // receivers are never used, only the sharded session tables.
-        let (state, _receivers) = ServerState::new(self.cfg, self.tool_runner, store);
+        let (state, _receivers) = ServerState::new(self.cfg, self.tool_runner);
         let state = Arc::new(state);
         for line in input.lines() {
             let line = line?;
@@ -871,27 +841,6 @@ fn session_of(state: &ServerState, req: &Request) -> Result<Arc<Session>, (Error
     })
 }
 
-/// Store counters as a JSON object (`null` when no store is configured).
-fn store_json(state: &ServerState) -> Json {
-    match &state.store {
-        None => Json::Null,
-        Some(store) => {
-            let s = store.stats();
-            Json::object([
-                ("entries".to_string(), Json::Int(s.entries as i64)),
-                (
-                    "bytes_on_disk".to_string(),
-                    Json::Int(s.bytes_on_disk as i64),
-                ),
-                ("hits".to_string(), Json::Int(s.hits as i64)),
-                ("misses".to_string(), Json::Int(s.misses as i64)),
-                ("writes".to_string(), Json::Int(s.writes as i64)),
-                ("corrupt".to_string(), Json::Int(s.corrupt as i64)),
-            ])
-        }
-    }
-}
-
 /// One stats row per shard: queue health and table occupancy.
 fn shards_json(state: &ServerState) -> Json {
     Json::Array(
@@ -994,7 +943,6 @@ fn stats_json(state: &ServerState) -> Json {
         ("requests".to_string(), state.metrics.to_json()),
         ("table".to_string(), table_json(state)),
         ("shards".to_string(), shards_json(state)),
-        ("store".to_string(), store_json(state)),
         ("ide".to_string(), Json::object(ide)),
         (
             "audit".to_string(),
@@ -1070,11 +1018,7 @@ fn handler(method: &str) -> Option<Handler> {
                 None => state.generate_name(),
             };
             let functions = m.functions().len();
-            let mut noelle = Noelle::new(m, tier);
-            if let Some(store) = &state.store {
-                noelle.set_store(Arc::clone(store));
-            }
-            let s = state.shard_of(&name).sessions.insert(&name, noelle);
+            let s = (state.shard_of(&name).sessions).insert(&name, Noelle::new(m, tier));
             Ok(Body::Value(Json::object([
                 ("session".to_string(), Json::Str(name)),
                 ("functions".to_string(), Json::Int(functions as i64)),
@@ -1103,8 +1047,8 @@ fn handler(method: &str) -> Option<Handler> {
                 // The serialized reply is versioned by the session epoch,
                 // read under the build lock: any mutating request bumps it
                 // there, so a stale payload is never served. A rebuild
-                // without a content change (store-warm reconstruction,
-                // first build) yields identical text, so reuse is safe.
+                // without a content change yields identical text, so reuse
+                // is safe.
                 let epoch = s.epoch();
                 match s.cached_reply("pdg", epoch) {
                     Some(text) => text,

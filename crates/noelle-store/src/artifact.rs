@@ -2,7 +2,7 @@
 //!
 //! A thin shim over the codec that lives next to the data structure
 //! (`DepGraph` in noelle-pdg): this module only fixes the node numbering
-//! and gives the store one `validate` entry point for fsck/compact.
+//! and gives the store one `validate` entry point for fsck.
 
 use crate::key::ArtifactKind;
 use noelle_ir::bytes::DecodeError;
@@ -26,8 +26,8 @@ pub fn decode_partition(bytes: &[u8]) -> Result<DepGraph<InstId>, DecodeError> {
     })
 }
 
-/// True when `payload` decodes cleanly as `kind` — the deep check fsck and
-/// compact apply on top of the CRC.
+/// True when `payload` decodes cleanly as `kind` — the deep check fsck
+/// applies on top of the CRC.
 pub fn validate(kind: ArtifactKind, payload: &[u8]) -> bool {
     match kind {
         ArtifactKind::PdgPartition => decode_partition(payload).is_ok(),

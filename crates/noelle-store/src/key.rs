@@ -11,8 +11,8 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 
 /// Store format revision. Baked into every key, so bumping it orphans all
-/// previously written entries (they become unreferenced garbage for
-/// `compact` to drop) instead of requiring a migration. Bump whenever an
+/// previously written entries (they become unreferenced, never read)
+/// instead of requiring a migration. Bump whenever an
 /// artifact encoding or the key derivation itself changes.
 pub const STORE_REVISION: u32 = 3;
 
@@ -32,13 +32,6 @@ impl ArtifactKind {
         match tag {
             1 => Some(ArtifactKind::PdgPartition),
             _ => None,
-        }
-    }
-
-    /// Short human-readable name (fsck output, stats).
-    pub fn name(self) -> &'static str {
-        match self {
-            ArtifactKind::PdgPartition => "pdg-partition",
         }
     }
 }

@@ -1,12 +1,10 @@
 //! # noelle-store
 //!
-//! A durable, content-addressed store of per-function analysis artifacts —
-//! the on-disk half of the NOELLE proposition (Matni et al., CGO 2022) that
-//! expensive whole-program abstractions are computed *once* and shared by
-//! many tools. The in-process `Noelle` manager already shares PDG
-//! partitions across requests; this crate makes that cache survive the
-//! process, so a restarted daemon (or a second replica pointed at the same
-//! directory) warm-starts instead of recomputing.
+//! A content-addressed, on-disk cache of PDG partitions behind the
+//! `noelle_core` manager: `Noelle::set_store` attaches one, after which a
+//! partition miss consults the store before building and a built partition
+//! is written back in the background. Only the manager talks to it; the
+//! benchmark's store probe measures a warm start against a cold build.
 //!
 //! ## Addressing
 //!
@@ -36,8 +34,7 @@
 //! to decode is recomputed and overwritten.
 //!
 //! [`Store::fsck`] reports per-segment health (live, superseded, corrupt)
-//! and [`Store::compact`] rewrites the live entries into a single fresh
-//! segment, dropping garbage.
+//! without opening the store.
 
 pub mod artifact;
 pub mod crc;

@@ -5,7 +5,7 @@
 //! `pread`); writes are fire-and-forget — [`Store::put`] hands the payload
 //! to a writer thread that batches entries and publishes each batch as an
 //! atomically renamed segment. The writer publishes eagerly (a short idle
-//! tick flushes any pending batch), so even a daemon killed by SIGTERM —
+//! tick flushes any pending batch), so even a process killed by SIGTERM —
 //! which std Rust cannot catch — loses at most the last few milliseconds
 //! of writes, and never corrupts what was already published.
 
@@ -52,8 +52,7 @@ struct Shared {
     next_seg: AtomicU64,
     bytes_on_disk: AtomicU64,
     counters: Counters,
-    /// Held while publishing or compacting, so segment files never appear
-    /// or vanish under a concurrent publish.
+    /// Held while publishing, so two publishes never interleave.
     publish: Mutex<()>,
 }
 
@@ -151,11 +150,6 @@ impl Store {
         })
     }
 
-    /// The store's root directory.
-    pub fn dir(&self) -> &Path {
-        &self.shared.dir
-    }
-
     /// Fetch the payload stored under `key`, re-verifying its CRC. Any
     /// failure — absent key, vanished segment, bit rot since open — is a
     /// miss; a read can degrade performance but never answers wrongly.
@@ -241,51 +235,6 @@ impl Store {
         }
     }
 
-    /// Rewrite all live, decodable entries into one fresh segment and
-    /// delete every older segment — dropping superseded duplicates,
-    /// CRC-rejected entries, foreign-revision files, and payloads that no
-    /// longer decode. Returns `(entries_kept, bytes_reclaimed)`.
-    ///
-    /// # Errors
-    /// Propagates I/O failures; on error the old segments are left intact.
-    pub fn compact(&self) -> io::Result<(usize, u64)> {
-        self.flush();
-        let _publish = self.shared.publish.lock().expect("store publish poisoned");
-        let mut index = self.shared.index.write().expect("store index poisoned");
-        let mut batch: Vec<(StoreKey, u8, Vec<u8>)> = Vec::new();
-        let mut keys: Vec<StoreKey> = index.keys().copied().collect();
-        keys.sort_unstable();
-        for key in keys {
-            let r = index[&key];
-            let path = self.shared.dir.join(segment_file_name(r.seg));
-            if let Ok(Some(payload)) = read_payload(&path, &r.entry) {
-                let decodes = ArtifactKind::from_tag(r.entry.kind)
-                    .is_some_and(|kind| artifact::validate(kind, &payload));
-                if decodes {
-                    batch.push((key, r.entry.kind, payload));
-                }
-            }
-        }
-        let before = self.shared.bytes_on_disk.load(Ordering::Relaxed);
-        let id = self.shared.next_seg.fetch_add(1, Ordering::Relaxed);
-        let (path, bytes) = write_segment(&self.shared.dir, id, &batch)?;
-        let scan = scan_segment(&path)?;
-        index.clear();
-        for entry in scan.entries {
-            index.insert(entry.key, EntryRef { seg: id, entry });
-        }
-        for e in fs::read_dir(&self.shared.dir)? {
-            let e = e?;
-            let name = e.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if parse_segment_file_name(name).is_some_and(|other| other != id) {
-                let _ = fs::remove_file(e.path());
-            }
-        }
-        self.shared.bytes_on_disk.store(bytes, Ordering::Relaxed);
-        Ok((batch.len(), before.saturating_sub(bytes)))
-    }
-
     /// Offline integrity check of the store directory at `dir`: walks every
     /// segment without opening a store (no writer, no counters touched).
     ///
@@ -305,21 +254,19 @@ impl Store {
             }
         }
         seg_ids.sort_unstable();
-        let mut live: HashMap<StoreKey, (u64, ArtifactKind, bool)> = HashMap::new();
+        let mut live: HashMap<StoreKey, bool> = HashMap::new();
         let mut segments = Vec::new();
         let mut superseded_total = 0usize;
         let mut unknown_kind = 0usize;
         for id in seg_ids {
             let path = dir.join(segment_file_name(id));
             let scan = scan_segment(&path)?;
-            let mut entries = 0usize;
             for entry in &scan.entries {
-                entries += 1;
                 match ArtifactKind::from_tag(entry.kind) {
                     Some(kind) => {
                         let payload = read_payload(&path, entry)?.unwrap_or_default();
                         let ok = artifact::validate(kind, &payload);
-                        if live.insert(entry.key, (id, kind, ok)).is_some() {
+                        if live.insert(entry.key, ok).is_some() {
                             superseded_total += 1;
                         }
                     }
@@ -328,24 +275,12 @@ impl Store {
             }
             segments.push(SegmentReport {
                 file: segment_file_name(id),
-                entries,
+                entries: scan.entries.len(),
                 corrupt: scan.corrupt,
                 bytes: scan.bytes,
             });
         }
-        let mut live_by_kind = [(ArtifactKind::PdgPartition, 0usize)];
-        let mut undecodable = 0usize;
-        for &(_, kind, ok) in live.values() {
-            if !ok {
-                undecodable += 1;
-                continue;
-            }
-            for slot in &mut live_by_kind {
-                if slot.0 == kind {
-                    slot.1 += 1;
-                }
-            }
-        }
+        let undecodable = live.values().filter(|&&ok| !ok).count();
         Ok(FsckReport {
             segments,
             live: live.len() - undecodable,
@@ -353,7 +288,6 @@ impl Store {
             unknown_kind,
             undecodable,
             temp_files,
-            live_by_kind,
         })
     }
 }
@@ -389,7 +323,7 @@ pub struct FsckReport {
     pub segments: Vec<SegmentReport>,
     /// Distinct keys whose newest entry is valid and decodable.
     pub live: usize,
-    /// Older duplicates shadowed by a newer segment (compact drops them).
+    /// Older duplicates shadowed by a newer segment.
     pub superseded: usize,
     /// CRC-valid entries with an unrecognized kind tag (orphans).
     pub unknown_kind: usize,
@@ -397,8 +331,6 @@ pub struct FsckReport {
     pub undecodable: usize,
     /// Leftover `.tmp-*` files from interrupted publishes.
     pub temp_files: usize,
-    /// Live-entry counts per artifact kind.
-    pub live_by_kind: [(ArtifactKind, usize); 1],
 }
 
 impl FsckReport {
@@ -407,13 +339,8 @@ impl FsckReport {
         self.segments.iter().map(|s| s.corrupt).sum()
     }
 
-    /// Total bytes on disk across segments.
-    pub fn bytes(&self) -> u64 {
-        self.segments.iter().map(|s| s.bytes).sum()
-    }
-
     /// True when nothing needs attention: no corruption, no orphans, no
-    /// garbage worth compacting.
+    /// shadowed duplicates, no leftover temp files.
     pub fn clean(&self) -> bool {
         self.corrupt() == 0
             && self.superseded == 0
@@ -605,30 +532,18 @@ mod tests {
     }
 
     #[test]
-    fn compact_merges_segments_and_drops_garbage() {
-        let dir = tmp_dir("compact");
+    fn entries_in_many_segments_stay_readable_and_fsck_clean() {
+        let dir = tmp_dir("segments");
         let store = Store::open(&dir).unwrap();
         for i in 0..10u64 {
             store.put(key(i), ArtifactKind::PdgPartition, partition_payload());
             store.flush(); // one segment per entry
         }
         assert!(fs::read_dir(&dir).unwrap().count() >= 10);
-        let (kept, _reclaimed) = store.compact().unwrap();
-        assert_eq!(kept, 10);
-        assert_eq!(
-            fs::read_dir(&dir)
-                .unwrap()
-                .filter(|e| {
-                    parse_segment_file_name(e.as_ref().unwrap().file_name().to_str().unwrap())
-                        .is_some()
-                })
-                .count(),
-            1
-        );
         for i in 0..10u64 {
             assert!(store.get(key(i)).is_some(), "key {i} lost");
         }
-        let report = Store::fsck(store.dir()).unwrap();
+        let report = Store::fsck(&dir).unwrap();
         assert!(report.clean(), "{report:?}");
         assert_eq!(report.live, 10);
         drop(store);
@@ -636,7 +551,7 @@ mod tests {
     }
 
     #[test]
-    fn fsck_reports_corruption_and_compact_heals() {
+    fn fsck_reports_corruption() {
         let dir = tmp_dir("fsck");
         {
             let store = Store::open(&dir).unwrap();
@@ -654,12 +569,6 @@ mod tests {
         assert_eq!(report.corrupt(), 1);
         assert_eq!(report.live, 1);
         assert!(!report.clean());
-        let store = Store::open(&dir).unwrap();
-        store.compact().unwrap();
-        drop(store);
-        let healed = Store::fsck(&dir).unwrap();
-        assert!(healed.clean(), "{healed:?}");
-        assert_eq!(healed.live, 1);
         fs::remove_dir_all(&dir).unwrap();
     }
 

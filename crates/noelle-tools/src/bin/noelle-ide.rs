@@ -109,11 +109,7 @@ fn main() {
         Client::connect(addr).unwrap_or_else(|e| die(&format!("connect to {addr}: {e}")))
     });
     let embedded = if client.is_none() {
-        Some(
-            Server::new(ServerConfig::default())
-                .embedded()
-                .unwrap_or_else(|e| die(&format!("start embedded daemon: {e}"))),
-        )
+        Some(Server::new(ServerConfig::default()).embedded())
     } else {
         None
     };

@@ -8,12 +8,12 @@
 //!
 //! ```text
 //! noelle-served [--addr 127.0.0.1:7711] [--workers N] [--shards N]
-//!               [--queue-cap N] [--store-dir DIR] [--max-sessions N]
-//!               [--max-bytes N] [--deadline-ms N] [--stdio]
+//!               [--queue-cap N] [--max-sessions N] [--max-bytes N]
+//!               [--deadline-ms N] [--stdio]
 //! ```
 //!
-//! With `--store-dir`, analysis artifacts persist in a content-addressed
-//! on-disk store and a restarted daemon warm-starts from it.
+//! Everything the daemon keeps lives in its process: a restarted daemon
+//! builds each loaded module's abstractions again, on demand.
 
 use noelle_server::{Server, ServerConfig, ToolRunner};
 use noelle_tools::registry::ToolInvocation;
@@ -34,10 +34,6 @@ fn main() {
         max_bytes: args.flag_usize("max-bytes", lib.max_bytes),
         default_deadline_ms: args.flag_usize("deadline-ms", lib.default_deadline_ms as usize)
             as u64,
-        store_dir: args
-            .flag("store-dir")
-            .filter(|d| !d.is_empty())
-            .map(str::to_string),
     };
     // The registry lives here, not in noelle-server, so the daemon crate
     // stays decoupled from the transforms; inject it. The server hands the

@@ -538,7 +538,7 @@ pub fn emit_dispatcher(
     let (l, env, exit_block) = (&la.structure, &la.env, task.exit);
 
     let f = m.func_mut(fid);
-    ensure_preheader(f, l)?;
+    let pre = ensure_preheader(f, l)?;
     let dispatch = f.add_block("dispatch");
 
     // 1. Environment allocation + live-in stores + queue creation.
@@ -668,7 +668,7 @@ pub fn emit_dispatcher(
                 .map(|(_, rebuilt)| (phi, *rebuilt))
         })
         .collect();
-    bypass_loop(f, l, dispatch, tail, &exit_phi_values)?;
+    bypass_loop(f, l, pre, exit_block, dispatch, tail, &exit_phi_values);
 
     // Remaining external uses of live-outs (outside the now-dead loop and
     // not through the exit phis) read the rebuilt values.

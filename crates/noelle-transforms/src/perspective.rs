@@ -51,7 +51,7 @@ pub fn emit(
     let name = format!("{}.pers.{}", m.func(fid).name, la.structure.header.0);
     let alloca = m.func(fid).inst(cell).clone();
     let task = outline(m, fid, la, &name)?;
-    privatize(m, &task, Value::Inst(cell), alloca)?;
+    privatize(m, &task, Value::Inst(cell), alloca);
     distribute_cyclically(m, &task, la)?;
     emit_dispatcher(m, fid, la, &task, task.fid, workers, 0)
 }
@@ -135,24 +135,14 @@ fn privatizable_scratch(m: &Module, fid: FuncId, la: &LoopAbstraction) -> Option
 }
 
 /// Give the task its own private copy of the scratch cell: a clone of the
-/// original `alloca`, so the copy has the cell's type and size.
-fn privatize(
-    m: &mut Module,
-    task: &TaskFunction,
-    cell: Value,
-    alloca: Inst,
-) -> Result<(), ParallelizeError> {
-    // The cell arrived as a live-in: its loaded clone must be replaced by a
-    // fresh per-task alloca.
-    let Some(&loaded) = task.value_map.get(&cell) else {
-        return Err(ParallelizeError::Shape(
-            "privatizable cell is not a live-in".into(),
-        ));
-    };
+/// original `alloca`, so the copy has the cell's type and size. The cell
+/// arrived as a live-in; its loaded clone is replaced by the copy.
+fn privatize(m: &mut Module, task: &TaskFunction, cell: Value, alloca: Inst) {
+    let loaded = *(task.value_map.get(&cell))
+        .expect("the gate's cell is defined outside the loop and used in it: a live-in");
     let tf = m.func_mut(task.fid);
     let private = tf.insert_inst(task.entry, 0, alloca);
     tf.replace_all_uses(loaded, Value::Inst(private));
-    Ok(())
 }
 
 #[cfg(test)]
@@ -161,7 +151,7 @@ mod tests {
     use crate::common::{parallelize, LoopTargetOpts, Parallelizer};
     use noelle_core::noelle::{AliasTier, Noelle};
     use noelle_ir::parser::parse_module;
-    use noelle_runtime::{run_module, RunConfig};
+    use noelle_runtime::{run_module, RunConfig, RunResult};
 
     /// A loop blocked from DOALL only by a scratch cell that every iteration
     /// writes before reading — the privatization pattern Perspective
@@ -209,6 +199,10 @@ done:
 }
 "#;
 
+    fn run(m: &Module) -> RunResult {
+        run_module(m, "main", &[], &RunConfig::default()).expect("runs")
+    }
+
     fn ungated() -> LoopTargetOpts {
         LoopTargetOpts {
             min_hotness: 0.0,
@@ -221,12 +215,12 @@ done:
     /// the transformed module.
     fn privatized(src: &str) -> (crate::ParallelReport, Module) {
         let m = parse_module(src).unwrap();
-        let seq = run_module(&m, "main", &[], &RunConfig::default()).unwrap();
+        let seq = run(&m);
         let mut noelle = Noelle::new(m, AliasTier::Full);
         let report = parallelize(&mut noelle, Parallelizer::Perspective, &ungated());
         let m2 = noelle.into_module();
         noelle_ir::verifier::verify_module(&m2).unwrap_or_else(|e| panic!("verifies: {e}"));
-        let par = run_module(&m2, "main", &[], &RunConfig::default()).unwrap();
+        let par = run(&m2);
         assert_eq!(par.ret_i64(), seq.ret_i64(), "semantics preserved");
         let speedup = seq.cycles as f64 / par.cycles as f64;
         assert!(speedup > 1.3, "speedup = {speedup:.2}");
@@ -329,12 +323,11 @@ exit:
 }
 "#;
         let m = parse_module(src).unwrap();
-        let seq = run_module(&m, "main", &[], &RunConfig::default()).unwrap();
+        let seq = run(&m);
         let mut noelle = Noelle::new(m, AliasTier::Full);
         let report = parallelize(&mut noelle, Parallelizer::Perspective, &ungated());
         assert_eq!(report.count(), 0, "{report:?}");
         let m2 = noelle.into_module();
-        let again = run_module(&m2, "main", &[], &RunConfig::default()).unwrap();
-        assert_eq!(again.ret_i64(), seq.ret_i64());
+        assert_eq!(run(&m2).ret_i64(), seq.ret_i64());
     }
 }

@@ -371,9 +371,7 @@ fn assert_lazy_is_decoded(text: &str) -> Json {
 
 /// Every reply the IDE replay scripts get from an in-process daemon.
 fn replay_replies() -> Vec<String> {
-    let state = Server::new(ServerConfig::default())
-        .embedded()
-        .expect("embedded daemon");
+    let state = Server::new(ServerConfig::default()).embedded();
     let mut replies = Vec::new();
     for script in ["session.ndjson", "hostile.ndjson"] {
         let path = Path::new("tests/corpus/ide").join(script);

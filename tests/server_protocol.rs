@@ -2,8 +2,9 @@
 //! queries coalesce into one build, replies match a direct in-process
 //! build byte-for-byte, deadlines produce timeout errors instead of hung
 //! connections, shutdown drains in-flight work, pipelined replies come back
-//! in request order, `--stdio` mode speaks newline-delimited JSON, and one
-//! `stats` reply reports every counter once.
+//! in request order, `--stdio` mode speaks newline-delimited JSON, one
+//! `stats` reply reports every counter once, and an overloaded shard sheds
+//! with structured `overloaded` errors instead of unbounded queueing.
 
 use noelle::core::json::Json;
 use noelle::core::noelle::{AliasTier, Noelle};
@@ -52,6 +53,10 @@ fn load(client: &mut Client, path: &str, session: &str) {
         )
         .expect("load succeeds");
     assert_eq!(ok.get("session").and_then(Json::as_str), Some(session));
+}
+
+fn sess(name: &str) -> Json {
+    Json::object([("session".to_string(), Json::Str(name.into()))])
 }
 
 #[test]
@@ -595,7 +600,6 @@ const STATS_PATHS: &[&str] = &[
     "shards[1].queue_depth",
     "shards[1].sessions",
     "shards[1].shed",
-    "store",
     "table.count",
     "table.evictions",
     "table.max_bytes",
@@ -674,7 +678,6 @@ fn stats_reports_each_number_once() {
         "protocol_version",
         "requests",
         "shards",
-        "store",
         "table",
         "uptime_ms",
     ];
@@ -757,9 +760,7 @@ fn ide_totals_in_stats_never_go_backwards() {
     // open that replaces a document of the same name, so a `stats` polled
     // while documents open, change, reopen and close sees every `ide`
     // total only grow.
-    let state = Server::new(ServerConfig::default())
-        .embedded()
-        .expect("embedded daemon");
+    let state = Server::new(ServerConfig::default()).embedded();
     let call = |method: &str, params: Json| {
         let req = Json::object([
             ("id".to_string(), Json::Int(1)),
@@ -822,4 +823,75 @@ fn ide_totals_in_stats_never_go_backwards() {
     ] {
         assert_eq!(ide.get(key).and_then(Json::as_i64), Some(n), "ide.{key}");
     }
+}
+
+#[test]
+fn overloaded_shard_sheds_with_structured_errors() {
+    // One shard, one worker, a one-deep queue: concurrent cold builds
+    // cannot all be admitted.
+    let server = Server::new(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 1,
+        shards: 1,
+        queue_capacity: 1,
+        ..ServerConfig::default()
+    })
+    .start()
+    .expect("bind ephemeral port");
+    let addr = server.addr.to_string();
+    let mut c = Client::connect(&addr).expect("connect");
+    load(&mut c, "workload:pdg_stress", "hot");
+
+    const FLOOD: usize = 12;
+    let replies: Vec<Json> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..FLOOD)
+            .map(|_| {
+                let addr = addr.clone();
+                scope.spawn(move || {
+                    let mut c = Client::connect(&addr).expect("connect");
+                    c.request("pdg", sess("hot"))
+                        .expect("a reply frame arrives")
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("join"))
+            .collect()
+    });
+
+    // Every request got a definite answer: the build result or a
+    // structured `overloaded` error — never a hang, never a bare close.
+    let mut oks = 0;
+    let mut sheds = 0;
+    for r in &replies {
+        if r.get("ok").is_some() {
+            oks += 1;
+        } else {
+            let code = r
+                .get("error")
+                .and_then(|e| e.get("code"))
+                .and_then(Json::as_str);
+            assert_eq!(code, Some("overloaded"), "unexpected reply: {r:?}");
+            sheds += 1;
+        }
+    }
+    assert!(oks > 0, "admitted requests completed");
+    assert!(sheds > 0, "a one-deep queue under a 12-way flood must shed");
+
+    // The shed counter and a bounded tail latency show up in stats: the
+    // admitted requests' p99 is build+queue time, not unbounded backlog.
+    let stats = c.call("stats", Json::object([])).expect("stats");
+    let pdg = stats
+        .get("requests")
+        .and_then(|r| r.get("pdg"))
+        .expect("pdg metrics");
+    assert!(pdg.get("sheds").and_then(Json::as_i64).unwrap() >= sheds as i64);
+    let p99_us = pdg.get("p99_us").and_then(Json::as_i64).expect("p99");
+    assert!(
+        p99_us < 30_000_000,
+        "admitted p99 stays bounded (got {p99_us}us)"
+    );
+
+    server.shutdown_and_join();
 }
