@@ -1,7 +1,8 @@
 //! Trip counts checked against concrete semantics at narrow widths: the
 //! count `scev::const_trip_count` answers must be none or exact. A table of
-//! wrap-around loops runs on the interpreter, and an exhaustive i8 sweep
-//! compares every answer with a direct model of the loop.
+//! wrap-around loops runs on the interpreter, an exhaustive i8 sweep
+//! compares every answer with a direct model of the loop, and a fixed slice
+//! of that sweep runs on the interpreter against the same model.
 
 use noelle::analysis::scev::{affine_recurrences, const_trip_count};
 use noelle::ir::builder::FunctionBuilder;
@@ -83,13 +84,13 @@ impl CounterLoop {
         const_trip_count(&self.f, &self.l, &affine_recurrences(&self.f, &self.l))
     }
 
-    /// The body runs on the interpreter; `None` when the loop outlives a
-    /// step budget no finite loop here comes near.
-    fn interpreted(&self) -> Option<i64> {
+    /// The body runs on the interpreter; `None` when the loop outlives
+    /// `max_steps`, a budget no finite loop here comes near.
+    fn interpreted(&self, max_steps: u64) -> Option<i64> {
         let mut m = Module::new("trip");
         m.add_function(self.f.clone());
         let cfg = RunConfig {
-            max_steps: 100_000,
+            max_steps,
             ..RunConfig::default()
         };
         match run_module(&m, "main", &[], &cfg) {
@@ -115,7 +116,7 @@ fn wrapping_counters_get_no_count_and_the_rest_are_exact() {
     for (w, start, step, pred, bound, scev, ran) in rows {
         let lp = counter_loop(w, (start, step, bound), pred, true, false);
         let row = format!("{w} {start}, {step:+}, {pred:?} {bound}");
-        assert_eq!(lp.interpreted(), ran, "interpreter on {row}");
+        assert_eq!(lp.interpreted(100_000), ran, "interpreter on {row}");
         assert_eq!(lp.scev(), scev, "scev on {row}");
     }
 }
@@ -220,5 +221,49 @@ fn every_i8_trip_count_is_none_or_exact() {
     assert!(
         exact > 1_000_000,
         "the sweep reached few counted loops: {exact}"
+    );
+}
+
+/// Every shape of the sweep, and for each a fixed slice of its 65 536
+/// (start, bound) pairs, runs on the interpreter: the count it returns must
+/// be the model's, and a loop the model never sees exit must end in
+/// `StepLimit`. The slice takes every 1021st pair in the sweep's order, about
+/// one in 1024; the stride is prime, so both the start and the bound vary.
+#[test]
+fn the_interpreter_counts_what_the_model_counts_on_a_slice_of_the_i8_sweep() {
+    // A finite loop runs its body at most 256 times, five steps a trip.
+    const MAX_STEPS: u64 = 2_000;
+    let (mut finite, mut endless) = (0u64, 0u64);
+    for pred in PREDS {
+        for continue_on_true in [true, false] {
+            for step in [1i8, -1, 3, -3, 10, -10] {
+                for test_update in [false, true] {
+                    let shape = (0, i64::from(step), 0);
+                    let mut lp =
+                        counter_loop(IntWidth::I8, shape, pred, continue_on_true, test_update);
+                    for pair in (0..1u32 << 16).step_by(1021) {
+                        let start = (pair >> 8) as u8 as i8;
+                        let bound = pair as u8 as i8;
+                        set_constants(&mut lp, Some(start), bound);
+                        let real = model((start, step, bound), pred, continue_on_true, test_update);
+                        assert_eq!(
+                            lp.interpreted(MAX_STEPS),
+                            real,
+                            "i8 {start}, {step:+}, {pred:?} {bound}, continue on \
+                             {continue_on_true}, tests the update: {test_update}"
+                        );
+                        match real {
+                            Some(_) => finite += 1,
+                            None => endless += 1,
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(finite + endless, 240 * 65, "every shape, 65 pairs each");
+    assert!(
+        finite > 10_000 && endless > 100,
+        "{finite} finite, {endless} endless"
     );
 }
