@@ -348,7 +348,7 @@ pub fn table4_usage() -> Vec<(&'static str, Vec<&'static str>)> {
                 tools::coos::run(&mut noelle);
             }
             "PRVJ" => {
-                tools::prvj::run(&mut noelle, &tools::prvj::PrvjOptions::default());
+                tools::prvj::run(&mut noelle);
             }
             "LICM" => {
                 tools::licm::run(&mut noelle);

@@ -29,7 +29,7 @@ use noelle_ir::parser::parse_module;
 use noelle_ir::printer::print_module;
 
 use crate::generator::{generate, GenConfig};
-use crate::oracle::{check_module, fails_like, Failure, FuzzTool, OracleConfig, Outcome};
+use crate::oracle::{check_module, fails_like, Failure, FuzzTool, Outcome, DEFAULT_MAX_STEPS};
 use crate::reducer::{reduce, DEFAULT_MAX_ROUNDS};
 
 /// Step budget used while *reducing* a failure. Mutated candidates can
@@ -46,9 +46,8 @@ pub struct FuzzConfig {
     pub seed_start: u64,
     /// Optional wall-clock budget; the seed loop stops once exceeded.
     pub time_budget_ms: Option<u64>,
-    /// The oracle's knobs: which checks run on every module, and the
-    /// interpreter's step budget per run.
-    pub oracle: OracleConfig,
+    /// The interpreter's step budget per oracle run.
+    pub max_steps: u64,
     /// Directory of persisted repros to replay (and to write new ones).
     pub corpus_dir: Option<PathBuf>,
     /// Write failing seeds + minimized repros into `corpus_dir`.
@@ -65,7 +64,7 @@ impl Default for FuzzConfig {
             seeds: 100,
             seed_start: 0,
             time_budget_ms: None,
-            oracle: OracleConfig::default(),
+            max_steps: DEFAULT_MAX_STEPS,
             corpus_dir: None,
             persist: false,
             gen: GenConfig::default(),
@@ -106,8 +105,8 @@ pub struct CampaignSummary {
     pub seed_failures: Vec<SeedFailure>,
     /// Observed dynamic dependences checked against the static PDG.
     pub deps_checked: usize,
-    /// Passing seeds whose applied plan simulated slower than the baseline
-    /// (with `check_plan`): a number to watch, not a failure.
+    /// Passing seeds whose applied plan simulated slower than the baseline:
+    /// a number to watch, not a failure.
     pub plans_slower: u64,
     /// Whether the wall-clock budget ended the seed loop early.
     pub stopped_early: bool,
@@ -214,7 +213,7 @@ fn replay_corpus(
                 continue;
             }
         };
-        match check_module(&m, tools, &cfg.oracle) {
+        match check_module(&m, tools, cfg.max_steps) {
             Outcome::Fail { failures } => {
                 let f = &failures[0];
                 let tool = f.tool.as_deref().unwrap_or("oracle");
@@ -247,11 +246,8 @@ fn persist_failure(
         return (None, None, None);
     }
 
-    let reduce_cfg = OracleConfig {
-        max_steps: cfg.oracle.max_steps.min(REDUCE_MAX_STEPS),
-        ..cfg.oracle.clone()
-    };
-    let pred = |c: &noelle_ir::module::Module| fails_like(c, tools, &reduce_cfg, failure);
+    let max_steps = cfg.max_steps.min(REDUCE_MAX_STEPS);
+    let pred = |c: &noelle_ir::module::Module| fails_like(c, tools, max_steps, failure);
     let (min, stats) = reduce(m, &pred, cfg.reduce_rounds);
     let min_path = dir.join(format!("{stem}.min.nir"));
     if std::fs::write(&min_path, print_module(&min)).is_err() {
@@ -282,7 +278,7 @@ pub fn run_campaign(cfg: &FuzzConfig, tools: &[FuzzTool]) -> CampaignSummary {
         }
         summary.seeds_run += 1;
         let m = generate(seed, &cfg.gen);
-        match check_module(&m, tools, &cfg.oracle) {
+        match check_module(&m, tools, cfg.max_steps) {
             Outcome::Pass {
                 deps_checked,
                 plan_slower,
@@ -325,10 +321,6 @@ mod tests {
     fn small_cfg() -> FuzzConfig {
         FuzzConfig {
             seeds: 10,
-            oracle: OracleConfig {
-                trace_deps: true,
-                ..OracleConfig::default()
-            },
             gen: GenConfig {
                 max_kernels: 1,
                 size_budget: 60,
@@ -368,7 +360,7 @@ mod tests {
         let b = run_campaign(&cfg, &[]);
         assert!(a.ok(), "clean campaign failed:\n{}", a.render());
         assert_eq!(a.seeds_run, 10);
-        assert!(a.deps_checked > 0, "trace_deps should check dependences");
+        assert!(a.deps_checked > 0, "the PDG-soundness oracle should fire");
         assert_eq!(a.render(), b.render(), "summary must be deterministic");
     }
 

@@ -7,10 +7,11 @@
 //!   corpus's loop shapes.
 //! - [`oracle`] — the differential harness: interpret the original module,
 //!   apply each transform, re-interpret, and compare return values, output
-//!   traces, and the globals region of memory bit-for-bit. With dependence
-//!   tracing on, it additionally asserts every runtime-observed memory
-//!   dependence is covered by the static PDG — a dynamic soundness check of
-//!   the alias analysis.
+//!   traces, and the globals region of memory bit-for-bit. Every module
+//!   also gets every other check: each runtime-observed memory dependence
+//!   must be covered by the static PDG — a dynamic soundness check of the
+//!   alias analysis — and the store, audit, plan, incremental and race
+//!   oracles run too. No switch turns one off.
 //! - [`reducer`] — a fixpoint shrinker preserving "still fails the oracle",
 //!   used to turn failing seeds into minimized checked-in repros.
 //! - [`driver`] — the campaign loop: replay the persisted corpus, run fresh

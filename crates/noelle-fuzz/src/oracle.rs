@@ -42,53 +42,17 @@ impl FuzzTool {
     }
 }
 
-/// Oracle knobs.
-#[derive(Clone, Debug)]
-pub struct OracleConfig {
-    /// Also run the dynamic PDG-soundness check.
-    pub trace_deps: bool,
-    /// Also run the static NL0001 race detector over each tool's output
-    /// (tool-produced tasks must be race-free).
-    pub lint_races: bool,
-    /// After each tool edits through `Noelle::edit`, check that the warm
-    /// manager's incrementally repaired PDG is wire-identical to a
-    /// from-scratch build of the transformed module.
-    pub check_incremental: bool,
-    /// Round-trip every durable-store artifact codec over the input
-    /// module's analyses: encode, decode, re-encode must be byte-identical
-    /// (the invariant a store-warm manager rests on).
-    pub check_store: bool,
-    /// Validate the parallelism auditor's verdicts: every *clean* verdict
-    /// must survive actually running that transform on the audited loop
-    /// (transform applies + the differential oracle passes), and every
-    /// *blocked* verdict must name at least one concrete instruction-level
-    /// blocker carrying a resolution hint.
-    pub check_audit: bool,
-    /// Validate the parallelization planner: planning the module twice from
-    /// fresh managers must produce byte-identical JSON (determinism — the
-    /// property the golden-report gate rests on), and applying the chosen
-    /// plan must preserve observable behavior under the differential oracle.
-    pub check_plan: bool,
-    /// Interpreter step budget per run.
-    pub max_steps: u64,
-    /// Entry function name.
-    pub entry: String,
-}
+/// The semantics-preserving pipeline a campaign fuzzes by default, by
+/// registry name. The registry's other entries (e.g. `time`, `carat`)
+/// instrument or annotate rather than optimize, so comparing their output
+/// with the uninstrumented baseline would say nothing.
+pub const PIPELINE: &[&str] = &["licm", "dead", "doall", "dswp", "helix", "perspective"];
 
-impl Default for OracleConfig {
-    fn default() -> OracleConfig {
-        OracleConfig {
-            trace_deps: false,
-            lint_races: false,
-            check_incremental: true,
-            check_store: true,
-            check_audit: false,
-            check_plan: false,
-            max_steps: 20_000_000,
-            entry: "main".into(),
-        }
-    }
-}
+/// The function every checked module is run from.
+const ENTRY: &str = "main";
+
+/// Interpreter step budget per run unless a caller sets its own.
+pub const DEFAULT_MAX_STEPS: u64 = 20_000_000;
 
 /// What went wrong, in increasing order of "the compiler is broken".
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -184,9 +148,9 @@ pub enum Outcome {
         tools_applied: usize,
         /// Observed dependences checked against the PDG.
         deps_checked: usize,
-        /// The applied plan simulated slower than the baseline (only with
-        /// [`OracleConfig::check_plan`]). Counted, not failed: a generated
-        /// loop's trip count is the planner's default guess.
+        /// The applied plan simulated slower than the baseline. Counted,
+        /// not failed: a generated loop's trip count is the planner's
+        /// default guess.
         plan_slower: bool,
     },
     /// The baseline run itself errored (e.g. a checked-in repro whose very
@@ -219,12 +183,8 @@ fn ret_bits(r: &RunResult) -> Option<(u8, u64)> {
     }
 }
 
-fn run_caught(
-    m: &Module,
-    cfg: &RunConfig,
-    entry: &str,
-) -> Result<Result<RunResult, RtError>, String> {
-    catch_unwind(AssertUnwindSafe(|| run_module(m, entry, &[], cfg))).map_err(panic_text)
+fn run_caught(m: &Module, cfg: &RunConfig) -> Result<Result<RunResult, RtError>, String> {
+    catch_unwind(AssertUnwindSafe(|| run_module(m, ENTRY, &[], cfg))).map_err(panic_text)
 }
 
 fn panic_text(p: Box<dyn std::any::Any + Send>) -> String {
@@ -277,7 +237,7 @@ fn store_round_trip_failures(m: &Module) -> Vec<Failure> {
 /// trace, globals digest) must match the baseline. A *blocked* verdict must
 /// name at least one instruction-level blocker, each carrying a resolution
 /// hint. Any disagreement is an `AuditMismatch`.
-fn audit_failures(m: &Module, base: &RunResult, run_cfg: &RunConfig, entry: &str) -> Vec<Failure> {
+fn audit_failures(m: &Module, base: &RunResult, run_cfg: &RunConfig) -> Vec<Failure> {
     use noelle_transforms::common::{emit, LoopTargetOpts};
     let fail = |technique: &str, what: String| Failure {
         tool: Some(format!("audit:{technique}")),
@@ -323,7 +283,7 @@ fn audit_failures(m: &Module, base: &RunResult, run_cfg: &RunConfig, entry: &str
                 continue;
             }
             // ...and the parallelized module must still behave.
-            if let Err(why) = rerun(&tn.into_module(), base, run_cfg, entry) {
+            if let Err(why) = rerun(&tn.into_module(), base, run_cfg) {
                 failures.push(fail(
                     tname,
                     format!("clean verdict on {loop_name}, transformed {why}"),
@@ -344,12 +304,7 @@ fn audit_failures(m: &Module, base: &RunResult, run_cfg: &RunConfig, entry: &str
 ///    the baseline on return value, output trace, and globals digest.
 ///
 /// Also says whether the planned module ran slower than the baseline.
-fn plan_failures(
-    m: &Module,
-    base: &RunResult,
-    run_cfg: &RunConfig,
-    entry: &str,
-) -> (Vec<Failure>, bool) {
+fn plan_failures(m: &Module, base: &RunResult, run_cfg: &RunConfig) -> (Vec<Failure>, bool) {
     use noelle_plan::{apply_plan, plan_module, PlanOptions};
     let fail = |what: String| Failure {
         tool: Some("plan".to_string()),
@@ -374,7 +329,7 @@ fn plan_failures(
         return (failures, false);
     }
     apply_plan(&mut n, &plan);
-    match rerun(&n.into_module(), base, run_cfg, entry) {
+    match rerun(&n.into_module(), base, run_cfg) {
         Err(why) => {
             failures.push(fail(format!("planned {why}")));
             (failures, false)
@@ -385,14 +340,9 @@ fn plan_failures(
 
 /// Verify and run a transformed module against the baseline's return
 /// value, output trace and globals digest; `Err` says how it fails.
-fn rerun(
-    tm: &Module,
-    base: &RunResult,
-    run_cfg: &RunConfig,
-    entry: &str,
-) -> Result<RunResult, String> {
+fn rerun(tm: &Module, base: &RunResult, run_cfg: &RunConfig) -> Result<RunResult, String> {
     verify_module(tm).map_err(|e| format!("module rejects: {e:?}"))?;
-    let after = run_caught(tm, run_cfg, entry)
+    let after = run_caught(tm, run_cfg)
         .map_err(|p| format!("run panicked: {p}"))?
         .map_err(|e| format!("run errored: {e}"))?;
     if ret_bits(base) != ret_bits(&after)
@@ -407,9 +357,12 @@ fn rerun(
     Ok(after)
 }
 
-/// Run the full oracle over `m`: baseline, optional PDG-soundness pass, then
-/// one differential round per tool.
-pub fn check_module(m: &Module, tools: &[FuzzTool], cfg: &OracleConfig) -> Outcome {
+/// Run every check over `m`, each interpreter run bounded by `max_steps`:
+/// the traced baseline and its PDG-soundness pass, the store round trip,
+/// the audit and plan oracles, then per tool the incremental≡fresh check
+/// and its destructive edit script, the race lint of its output and the
+/// differential comparison.
+pub fn check_module(m: &Module, tools: &[FuzzTool], max_steps: u64) -> Outcome {
     if let Err(e) = verify_module(m) {
         return Outcome::Fail {
             failures: vec![Failure {
@@ -421,11 +374,11 @@ pub fn check_module(m: &Module, tools: &[FuzzTool], cfg: &OracleConfig) -> Outco
     }
 
     let base_cfg = RunConfig {
-        trace_deps: cfg.trace_deps,
-        max_steps: cfg.max_steps,
+        trace_deps: true,
+        max_steps,
         ..RunConfig::default()
     };
-    let base = match run_caught(m, &base_cfg, &cfg.entry) {
+    let base = match run_caught(m, &base_cfg) {
         Err(p) => {
             return Outcome::Fail {
                 failures: vec![Failure {
@@ -444,12 +397,11 @@ pub fn check_module(m: &Module, tools: &[FuzzTool], cfg: &OracleConfig) -> Outco
     };
 
     let mut failures = Vec::new();
-    let mut deps_checked = 0usize;
-    if cfg.trace_deps {
+    let deps_checked = base.observed_deps.len();
+    {
         let mut n = Noelle::new(m.clone(), AliasTier::Full);
         let pdg = n.pdg();
         for d in &base.observed_deps {
-            deps_checked += 1;
             if !pdg.covers_memory_dep(d.func, d.src, d.dst) {
                 let fname = &m.func(d.func).name;
                 failures.push(Failure {
@@ -464,23 +416,15 @@ pub fn check_module(m: &Module, tools: &[FuzzTool], cfg: &OracleConfig) -> Outco
         }
     }
 
-    if cfg.check_store {
-        failures.extend(store_round_trip_failures(m));
-    }
+    failures.extend(store_round_trip_failures(m));
 
     let run_cfg = RunConfig {
-        max_steps: cfg.max_steps,
+        max_steps,
         ..RunConfig::default()
     };
-    if cfg.check_audit {
-        failures.extend(audit_failures(m, &base, &run_cfg, &cfg.entry));
-    }
-    let mut plan_slower = false;
-    if cfg.check_plan {
-        let (plan, slower) = plan_failures(m, &base, &run_cfg, &cfg.entry);
-        failures.extend(plan);
-        plan_slower = slower;
-    }
+    failures.extend(audit_failures(m, &base, &run_cfg));
+    let (plan, plan_slower) = plan_failures(m, &base, &run_cfg);
+    failures.extend(plan);
     for tool in tools {
         let mut n = Noelle::new(m.clone(), AliasTier::Full);
         match catch_unwind(AssertUnwindSafe(|| tool.run(&mut n))) {
@@ -506,54 +450,50 @@ pub fn check_module(m: &Module, tools: &[FuzzTool], cfg: &OracleConfig) -> Outco
         // `Noelle::edit`, so the warm manager repairs its PDG from the
         // touched set only. The repaired graph must be wire-identical to
         // a from-scratch build of the transformed module.
-        if cfg.check_incremental {
-            if let Some(detail) = points_to_divergence(&n) {
-                failures.push(Failure {
-                    tool: Some(tool.name.clone()),
-                    kind: FailureKind::IncrementalMismatch,
-                    detail,
-                });
-                continue;
-            }
-            let inc_pdg = n.pdg();
-            let inc = noelle_core::wire::pdg_to_json(n.module(), &inc_pdg).to_string_compact();
-            let mut fresh = Noelle::new(n.module().clone(), AliasTier::Full);
-            let fresh_pdg = fresh.pdg();
-            let scratch =
-                noelle_core::wire::pdg_to_json(fresh.module(), &fresh_pdg).to_string_compact();
-            if inc != scratch {
-                failures.push(Failure {
-                    tool: Some(tool.name.clone()),
-                    kind: FailureKind::IncrementalMismatch,
-                    detail: format!(
-                        "incrementally repaired PDG differs from a from-scratch build \
-                         ({} vs {} bytes of wire encoding)",
-                        inc.len(),
-                        scratch.len()
-                    ),
-                });
-                continue;
-            }
+        if let Some(detail) = points_to_divergence(&n) {
+            failures.push(Failure {
+                tool: Some(tool.name.clone()),
+                kind: FailureKind::IncrementalMismatch,
+                detail,
+            });
+            continue;
+        }
+        let inc_pdg = n.pdg();
+        let inc = noelle_core::wire::pdg_to_json(n.module(), &inc_pdg).to_string_compact();
+        let mut fresh = Noelle::new(n.module().clone(), AliasTier::Full);
+        let fresh_pdg = fresh.pdg();
+        let scratch =
+            noelle_core::wire::pdg_to_json(fresh.module(), &fresh_pdg).to_string_compact();
+        if inc != scratch {
+            failures.push(Failure {
+                tool: Some(tool.name.clone()),
+                kind: FailureKind::IncrementalMismatch,
+                detail: format!(
+                    "incrementally repaired PDG differs from a from-scratch build \
+                     ({} vs {} bytes of wire encoding)",
+                    inc.len(),
+                    scratch.len()
+                ),
+            });
+            continue;
         }
         let tm = n.module().clone();
         // The tool only added pointer flow. Take it away again, on the
         // manager the tool left warm — its tasks, environment stores and
         // dispatch calls are there to delete — with a script that is a
         // function of the module and the tool, so the reducer can replay it.
-        if cfg.check_incremental {
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            (&m.name, &tool.name).hash(&mut h);
-            let seed = h.finish();
-            let script = || edit_script_divergence(&mut n, seed, EDIT_SCRIPT_STEPS);
-            let diverged = catch_unwind(AssertUnwindSafe(script));
-            if let Some(detail) = diverged.unwrap_or_else(|p| Some(panic_text(p))) {
-                failures.push(Failure {
-                    tool: Some(tool.name.clone()),
-                    kind: FailureKind::IncrementalMismatch,
-                    detail,
-                });
-                continue;
-            }
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        (&m.name, &tool.name).hash(&mut h);
+        let seed = h.finish();
+        let script = || edit_script_divergence(&mut n, seed, EDIT_SCRIPT_STEPS);
+        let diverged = catch_unwind(AssertUnwindSafe(script));
+        if let Some(detail) = diverged.unwrap_or_else(|p| Some(panic_text(p))) {
+            failures.push(Failure {
+                tool: Some(tool.name.clone()),
+                kind: FailureKind::IncrementalMismatch,
+                detail,
+            });
+            continue;
         }
         if let Err(e) = verify_module(&tm) {
             failures.push(Failure {
@@ -563,19 +503,17 @@ pub fn check_module(m: &Module, tools: &[FuzzTool], cfg: &OracleConfig) -> Outco
             });
             continue;
         }
-        if cfg.lint_races {
-            let mut ln = Noelle::new(tm.clone(), AliasTier::Full);
-            let races = noelle_lint::detect_races(&mut ln);
-            if !races.is_empty() {
-                failures.push(Failure {
-                    tool: Some(tool.name.clone()),
-                    kind: FailureKind::RaceFinding,
-                    detail: noelle_lint::render_text(&races),
-                });
-                continue;
-            }
+        let mut ln = Noelle::new(tm.clone(), AliasTier::Full);
+        let races = noelle_lint::detect_races(&mut ln);
+        if !races.is_empty() {
+            failures.push(Failure {
+                tool: Some(tool.name.clone()),
+                kind: FailureKind::RaceFinding,
+                detail: noelle_lint::render_text(&races),
+            });
+            continue;
         }
-        let after = match run_caught(&tm, &run_cfg, &cfg.entry) {
+        let after = match run_caught(&tm, &run_cfg) {
             Err(p) => {
                 failures.push(Failure {
                     tool: Some(tool.name.clone()),
@@ -850,8 +788,8 @@ pub fn edit_script_divergence(n: &mut Noelle, seed: u64, steps: usize) -> Option
 /// Reducer predicate: does `m` still exhibit a failure matching `proto`
 /// (same tool, same kind)? Used so shrinking cannot drift onto a different
 /// bug.
-pub fn fails_like(m: &Module, tools: &[FuzzTool], cfg: &OracleConfig, proto: &Failure) -> bool {
-    match check_module(m, tools, cfg) {
+pub fn fails_like(m: &Module, tools: &[FuzzTool], max_steps: u64, proto: &Failure) -> bool {
+    match check_module(m, tools, max_steps) {
         Outcome::Fail { failures } => failures
             .iter()
             .any(|f| f.tool == proto.tool && f.kind == proto.kind),
@@ -896,13 +834,9 @@ mod tests {
 
     #[test]
     fn identity_passes_generated_modules() {
-        let cfg = OracleConfig {
-            trace_deps: true,
-            ..OracleConfig::default()
-        };
         for seed in 0..10 {
             let m = generate(seed, &GenConfig::default());
-            let out = check_module(&m, &[identity_tool()], &cfg);
+            let out = check_module(&m, &[identity_tool()], DEFAULT_MAX_STEPS);
             match out {
                 Outcome::Pass { tools_applied, .. } => assert_eq!(tools_applied, 1),
                 other => panic!("seed {seed}: expected Pass, got {other:?}"),
@@ -913,7 +847,7 @@ mod tests {
     #[test]
     fn miscompile_is_reported_as_return_mismatch() {
         let m = generate(3, &GenConfig::default());
-        let out = check_module(&m, &[breaking_tool()], &OracleConfig::default());
+        let out = check_module(&m, &[breaking_tool()], DEFAULT_MAX_STEPS);
         let Outcome::Fail { failures } = out else {
             panic!("expected Fail, got {out:?}");
         };
@@ -930,11 +864,7 @@ mod tests {
         let hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {})); // keep the test log clean
         let m = generate(1, &GenConfig::default());
-        let out = check_module(
-            &m,
-            &[panicking_tool(), identity_tool()],
-            &OracleConfig::default(),
-        );
+        let out = check_module(&m, &[panicking_tool(), identity_tool()], DEFAULT_MAX_STEPS);
         std::panic::set_hook(hook);
         let Outcome::Fail { failures } = out else {
             panic!("expected Fail, got {out:?}");
@@ -971,7 +901,7 @@ entry:
 "#,
         )
         .unwrap();
-        let out = check_module(&m, &[identity_tool()], &OracleConfig::default());
+        let out = check_module(&m, &[identity_tool()], DEFAULT_MAX_STEPS);
         let Outcome::Skip { reason } = out else {
             panic!("expected Skip, got {out:?}");
         };
@@ -991,34 +921,11 @@ entry:
     }
 
     #[test]
-    fn store_check_can_be_disabled() {
-        let cfg = OracleConfig {
-            check_store: false,
-            ..OracleConfig::default()
-        };
-        let m = generate(2, &GenConfig::default());
-        let out = check_module(&m, &[identity_tool()], &cfg);
-        assert!(
-            !matches!(
-                &out,
-                Outcome::Fail { failures } if failures
-                    .iter()
-                    .any(|f| f.kind == FailureKind::StoreRoundTrip)
-            ),
-            "store check ran while disabled: {out:?}"
-        );
-    }
-
-    #[test]
     fn incremental_repair_matches_fresh_build_after_edits() {
         // A behavior-preserving editing tool: warm the PDG, then add a
         // dead instruction to `main` through `edit` — a body edit, so the
         // oracle's incremental check exercises real damage propagation and
         // partition reuse (a bare touch moves no body and damages nothing).
-        let cfg = OracleConfig {
-            check_incremental: true,
-            ..OracleConfig::default()
-        };
         for seed in 0..5 {
             let warm_then_edit = FuzzTool::new("nop-edit", |n| {
                 let _ = n.pdg(); // build, so the edit repairs instead of rebuilding
@@ -1038,7 +945,7 @@ entry:
                 Ok("added a dead instruction to main".into())
             });
             let m = generate(seed, &GenConfig::default());
-            let out = check_module(&m, &[warm_then_edit], &cfg);
+            let out = check_module(&m, &[warm_then_edit], DEFAULT_MAX_STEPS);
             assert!(
                 !matches!(
                     &out,
@@ -1056,15 +963,9 @@ entry:
         // No false "clean" verdicts: on generated modules, every clean
         // verdict must hold up when the transform actually runs, and every
         // blocked verdict must carry instruction-level attribution.
-        let cfg = OracleConfig {
-            check_audit: true,
-            check_store: false,
-            check_incremental: false,
-            ..OracleConfig::default()
-        };
         for seed in 0..10 {
             let m = generate(seed, &GenConfig::default());
-            let out = check_module(&m, &[], &cfg);
+            let out = check_module(&m, &[], DEFAULT_MAX_STEPS);
             assert!(
                 !matches!(
                     &out,
@@ -1081,15 +982,9 @@ entry:
     fn plans_are_deterministic_and_sound_on_generated_modules() {
         // The plan oracle: byte-identical plans across two fresh managers,
         // and the applied plan preserves observable behavior.
-        let cfg = OracleConfig {
-            check_plan: true,
-            check_store: false,
-            check_incremental: false,
-            ..OracleConfig::default()
-        };
         for seed in 0..10 {
             let m = generate(seed, &GenConfig::default());
-            let out = check_module(&m, &[], &cfg);
+            let out = check_module(&m, &[], DEFAULT_MAX_STEPS);
             assert!(
                 !matches!(
                     &out,
@@ -1113,13 +1008,13 @@ entry:
         assert!(fails_like(
             &m,
             &[breaking_tool()],
-            &OracleConfig::default(),
+            DEFAULT_MAX_STEPS,
             &proto
         ));
         assert!(!fails_like(
             &m,
             &[identity_tool()],
-            &OracleConfig::default(),
+            DEFAULT_MAX_STEPS,
             &proto
         ));
     }

@@ -375,7 +375,7 @@ pub fn reduce(
 mod tests {
     use super::*;
     use crate::generator::{generate, GenConfig};
-    use crate::oracle::{check_module, fails_like, FuzzTool, OracleConfig};
+    use crate::oracle::{check_module, fails_like, FuzzTool};
     use noelle_core::Noelle;
     use noelle_ir::parser::parse_module;
     use noelle_ir::printer::print_module;
@@ -428,17 +428,14 @@ mod tests {
         // Mutated candidates can loop forever (e.g. a zeroed loop
         // increment); a small step budget rejects them quickly instead of
         // burning the full default interpreter budget per candidate.
-        let cfg = OracleConfig {
-            max_steps: 200_000,
-            ..OracleConfig::default()
-        };
-        let out = check_module(&m, &[breaker()], &cfg);
+        let max_steps = 200_000;
+        let out = check_module(&m, &[breaker()], max_steps);
         let failures = match out {
             crate::oracle::Outcome::Fail { failures } => failures,
             other => panic!("breaker should fail, got {other:?}"),
         };
         let proto = failures[0].clone();
-        let pred = |c: &Module| fails_like(c, &[breaker()], &cfg, &proto);
+        let pred = |c: &Module| fails_like(c, &[breaker()], max_steps, &proto);
         assert!(pred(&m), "original must fail like itself");
         let (red, stats) = reduce(&m, &pred, DEFAULT_MAX_ROUNDS);
         assert!(pred(&red), "reduced module no longer fails the oracle");

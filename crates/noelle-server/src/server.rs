@@ -27,7 +27,7 @@ use crate::protocol::{
 };
 use crate::session::{Session, SessionTable};
 use noelle_core::json::{envelope, Json};
-use noelle_core::noelle::{Abstraction, AliasTier, Noelle};
+use noelle_core::noelle::{AliasTier, Noelle};
 use noelle_core::wire;
 use noelle_ide::{Change, DocCounters, DocSession};
 use noelle_ir::module::{FuncId, Module};
@@ -738,10 +738,6 @@ fn bad(msg: impl Into<String>) -> (ErrorCode, String) {
     (ErrorCode::BadRequest, msg.into())
 }
 
-fn internal(msg: impl Into<String>) -> (ErrorCode, String) {
-    (ErrorCode::Internal, msg.into())
-}
-
 fn param_str<'a>(req: &'a Request, key: &str) -> Option<&'a str> {
     req.params.get(key).and_then(Json::as_str)
 }
@@ -757,7 +753,7 @@ fn load_module(path: &str) -> Result<Module, (ErrorCode, String)> {
     if let Some(n) = path.strip_prefix("workload:scale:") {
         let n: usize = n
             .parse()
-            .map_err(|_| internal(format!("bad scale size '{n}' (expected a function count)")))?;
+            .map_err(|_| bad(format!("bad scale size '{n}' (expected a function count)")))?;
         if n > MAX_SCALE_FUNCTIONS {
             return Err(bad(format!(
                 "scale size {n} exceeds the limit of {MAX_SCALE_FUNCTIONS} functions"
@@ -768,10 +764,10 @@ fn load_module(path: &str) -> Result<Module, (ErrorCode, String)> {
     if let Some(name) = path.strip_prefix("workload:") {
         return noelle_workloads::by_name(name)
             .map(|w| w.build())
-            .ok_or_else(|| internal(format!("unknown workload '{name}'")));
+            .ok_or_else(|| bad(format!("unknown workload '{name}'")));
     }
-    let text = std::fs::read_to_string(path).map_err(|e| internal(format!("{path}: {e}")))?;
-    noelle_ir::parser::parse_module(&text).map_err(|e| internal(format!("{path}: {e}")))
+    let text = std::fs::read_to_string(path).map_err(|e| bad(format!("{path}: {e}")))?;
+    noelle_ir::parser::parse_module(&text).map_err(|e| bad(format!("{path}: {e}")))
 }
 
 /// Resolve the *text* a document opens with: inline `text`, or a `path`
@@ -781,11 +777,11 @@ fn load_document_text(req: &Request) -> Result<String, (ErrorCode, String)> {
     if let Some(text) = param_str(req, "text") {
         return Ok(text.to_string());
     }
-    let path = param_str(req, "path").ok_or_else(|| internal("need 'text' or 'path'"))?;
+    let path = param_str(req, "path").ok_or_else(|| bad("need 'text' or 'path'"))?;
     if path.starts_with("workload:") {
         return Ok(noelle_ir::printer::print_module(&load_module(path)?));
     }
-    std::fs::read_to_string(path).map_err(|e| internal(format!("{path}: {e}")))
+    std::fs::read_to_string(path).map_err(|e| bad(format!("{path}: {e}")))
 }
 
 /// The tier an IDE document analyzes under. Unlike `load`, the default is
@@ -1030,20 +1026,8 @@ fn handler(method: &str) -> Option<Handler> {
         },
         "pdg" => |state, req| {
             let s = session_of(state, req)?;
-            let text = {
-                let mut n = s.noelle.lock().expect("session build lock");
-                // Partition builds so far (none recorded yet on a fresh
-                // manager, or ever on a module of declarations).
-                let builds = |n: &Noelle| {
-                    n.build_stats()
-                        .get(&Abstraction::Pdg)
-                        .map_or(0, |st| st.builds)
-                };
-                let before = builds(&n);
+            let text = state.shard_of(&s.name).sessions.with_manager(&s, |n| {
                 let pdg = n.pdg();
-                if builds(&n) > before {
-                    s.note_pdg_built(pdg.num_edges());
-                }
                 // The serialized reply is versioned by the session epoch,
                 // read under the build lock: any mutating request bumps it
                 // there, so a stale payload is never served. A rebuild
@@ -1059,47 +1043,46 @@ fn handler(method: &str) -> Option<Handler> {
                         text
                     }
                 }
-            };
-            // The graph may have grown the session's footprint past budget.
-            state.shard_of(&s.name).sessions.evict_over_budget();
+            });
             Ok(Body::Text(text))
         },
         "loops" => |state, req| {
             let s = session_of(state, req)?;
-            let mut n = s.noelle.lock().expect("session build lock");
-            let whole_module = param_str(req, "func").is_none();
-            let epoch = s.epoch();
-            if whole_module {
-                if let Some(text) = s.cached_reply("loops", epoch) {
+            state.shard_of(&s.name).sessions.with_manager(&s, |n| {
+                let whole_module = param_str(req, "func").is_none();
+                let epoch = s.epoch();
+                if whole_module {
+                    if let Some(text) = s.cached_reply("loops", epoch) {
+                        return Ok(Body::Text(text));
+                    }
+                }
+                let fids: Vec<FuncId> = match param_str(req, "func") {
+                    Some(name) => vec![n
+                        .module()
+                        .func_id_by_name(name)
+                        .ok_or_else(|| bad(format!("no function '{name}'")))?],
+                    None => n
+                        .module()
+                        .func_ids()
+                        .filter(|&f| !n.module().func(f).is_declaration())
+                        .collect(),
+                };
+                let mut per_fn = Vec::new();
+                for fid in fids {
+                    let fname = n.module().func(fid).name.clone();
+                    let loops = n.loops_of(fid);
+                    per_fn.push((
+                        fname,
+                        Json::Array(loops.iter().map(wire::loop_to_json).collect()),
+                    ));
+                }
+                if whole_module {
+                    let text = Arc::new(Json::object(per_fn).to_string_compact());
+                    s.store_reply("loops", epoch, Arc::clone(&text));
                     return Ok(Body::Text(text));
                 }
-            }
-            let fids: Vec<FuncId> = match param_str(req, "func") {
-                Some(name) => vec![n
-                    .module()
-                    .func_id_by_name(name)
-                    .ok_or_else(|| bad(format!("no function '{name}'")))?],
-                None => n
-                    .module()
-                    .func_ids()
-                    .filter(|&f| !n.module().func(f).is_declaration())
-                    .collect(),
-            };
-            let mut per_fn = Vec::new();
-            for fid in fids {
-                let fname = n.module().func(fid).name.clone();
-                let loops = n.loops_of(fid);
-                per_fn.push((
-                    fname,
-                    Json::Array(loops.iter().map(wire::loop_to_json).collect()),
-                ));
-            }
-            if whole_module {
-                let text = Arc::new(Json::object(per_fn).to_string_compact());
-                s.store_reply("loops", epoch, Arc::clone(&text));
-                return Ok(Body::Text(text));
-            }
-            Ok(Body::Value(Json::object(per_fn)))
+                Ok(Body::Value(Json::object(per_fn)))
+            })
         },
         "sccdag" | "induction" | "invariants" => |state, req| {
             let s = session_of(state, req)?;
@@ -1107,29 +1090,31 @@ fn handler(method: &str) -> Option<Handler> {
                 .ok_or_else(|| bad("missing 'func' param"))?
                 .to_string();
             let idx = req.params.get("loop").and_then(Json::as_u64).unwrap_or(0) as usize;
-            let mut n = s.noelle.lock().expect("session build lock");
-            let fid = n
-                .module()
-                .func_id_by_name(&fname)
-                .ok_or_else(|| bad(format!("no function '{fname}'")))?;
-            let loops = n.loops_of(fid);
-            let l = loops
-                .get(idx)
-                .ok_or_else(|| bad(format!("function '{fname}' has {} loops", loops.len())))?
-                .clone();
-            let la = n.loop_abstraction(fid, l);
-            Ok(Body::Value(match req.method.as_str() {
-                "sccdag" => wire::sccdag_to_json(&la.sccdag),
-                "induction" => wire::ivs_to_json(&la.ivs),
-                _ => wire::invariants_to_json(&la.invariants),
-            }))
+            state.shard_of(&s.name).sessions.with_manager(&s, |n| {
+                let fid = n
+                    .module()
+                    .func_id_by_name(&fname)
+                    .ok_or_else(|| bad(format!("no function '{fname}'")))?;
+                let loops = n.loops_of(fid);
+                let l = loops
+                    .get(idx)
+                    .ok_or_else(|| bad(format!("function '{fname}' has {} loops", loops.len())))?
+                    .clone();
+                let la = n.loop_abstraction(fid, l);
+                Ok(Body::Value(match req.method.as_str() {
+                    "sccdag" => wire::sccdag_to_json(&la.sccdag),
+                    "induction" => wire::ivs_to_json(&la.ivs),
+                    _ => wire::invariants_to_json(&la.invariants),
+                }))
+            })
         },
         "callgraph" => |state, req| {
             let s = session_of(state, req)?;
-            let mut n = s.noelle.lock().expect("session build lock");
-            let _ = n.call_graph();
-            let cg = n.cached_call_graph().expect("just built");
-            Ok(Body::Value(wire::callgraph_to_json(n.module(), cg)))
+            state.shard_of(&s.name).sessions.with_manager(&s, |n| {
+                let _ = n.call_graph();
+                let cg = n.cached_call_graph().expect("just built");
+                Ok(Body::Value(wire::callgraph_to_json(n.module(), cg)))
+            })
         },
         "run-tool" => |state, req| {
             let runner = state
@@ -1138,58 +1123,61 @@ fn handler(method: &str) -> Option<Handler> {
                 .ok_or_else(|| bad("this daemon was started without a tool registry"))?;
             let s = session_of(state, req)?;
             let tool = param_str(req, "tool").ok_or_else(|| bad("missing 'tool' param"))?;
-            let mut n = s.noelle.lock().expect("session build lock");
-            n.reset_requests();
-            let summary = runner(&mut n, &req.params);
-            // The tool may have edited the module even on failure: advance
-            // the epoch under the build lock so no stale cached reply text
-            // survives the mutation.
-            s.bump_epoch();
-            let summary = summary.map_err(internal)?;
-            let requested = n
-                .requested()
-                .iter()
-                .map(|a| Json::Str(a.short_name().to_string()))
-                .collect();
-            Ok(Body::Value(Json::object([
-                ("tool".to_string(), Json::Str(tool.to_string())),
-                ("summary".to_string(), Json::Str(summary)),
-                ("requested".to_string(), Json::Array(requested)),
-            ])))
+            state.shard_of(&s.name).sessions.with_manager(&s, |n| {
+                n.reset_requests();
+                let summary = runner(n, &req.params);
+                // The tool may have edited the module even on failure: advance
+                // the epoch under the build lock so no stale cached reply text
+                // survives the mutation.
+                s.bump_epoch();
+                let summary = summary.map_err(|e| (ErrorCode::Internal, e))?;
+                let requested = n
+                    .requested()
+                    .iter()
+                    .map(|a| Json::Str(a.short_name().to_string()))
+                    .collect();
+                Ok(Body::Value(Json::object([
+                    ("tool".to_string(), Json::Str(tool.to_string())),
+                    ("summary".to_string(), Json::Str(summary)),
+                    ("requested".to_string(), Json::Array(requested)),
+                ])))
+            })
         },
         "lint" => |state, req| {
             let s = session_of(state, req)?;
             let check = param_str(req, "check").unwrap_or("all");
-            let mut n = s.noelle.lock().expect("session build lock");
-            n.reset_requests();
-            let findings =
-                noelle_lint::run_checks(&mut n, check).map_err(|e| (ErrorCode::BadRequest, e))?;
-            Ok(Body::Value(envelope(
-                "lint",
-                noelle_lint::render_json(&findings),
-            )))
+            state.shard_of(&s.name).sessions.with_manager(&s, |n| {
+                n.reset_requests();
+                let findings =
+                    noelle_lint::run_checks(n, check).map_err(|e| (ErrorCode::BadRequest, e))?;
+                Ok(Body::Value(envelope(
+                    "lint",
+                    noelle_lint::render_json(&findings),
+                )))
+            })
         },
         "audit" => |state, req| {
             let s = session_of(state, req)?;
-            let mut n = s.noelle.lock().expect("session build lock");
-            n.reset_requests();
-            let audit = noelle_lint::run_audit(&mut n);
-            let metrics = &state.metrics;
-            metrics.add(Counter::AuditRuns, 1);
-            metrics.add(Counter::AuditLoops, audit.loops.len() as u64);
-            metrics.add(Counter::AuditParallelizable, audit.parallelizable() as u64);
-            metrics.add(Counter::AuditBlockers, audit.num_blockers() as u64);
-            let findings = noelle_lint::audit_findings(n.module(), &audit);
-            Ok(Body::Value(envelope(
-                "audit",
-                Json::object([
-                    ("audit".to_string(), audit.to_json()),
-                    (
-                        "diagnostics".to_string(),
-                        noelle_lint::render_json(&findings),
-                    ),
-                ]),
-            )))
+            state.shard_of(&s.name).sessions.with_manager(&s, |n| {
+                n.reset_requests();
+                let audit = noelle_lint::run_audit(n);
+                let metrics = &state.metrics;
+                metrics.add(Counter::AuditRuns, 1);
+                metrics.add(Counter::AuditLoops, audit.loops.len() as u64);
+                metrics.add(Counter::AuditParallelizable, audit.parallelizable() as u64);
+                metrics.add(Counter::AuditBlockers, audit.num_blockers() as u64);
+                let findings = noelle_lint::audit_findings(n.module(), &audit);
+                Ok(Body::Value(envelope(
+                    "audit",
+                    Json::object([
+                        ("audit".to_string(), audit.to_json()),
+                        (
+                            "diagnostics".to_string(),
+                            noelle_lint::render_json(&findings),
+                        ),
+                    ]),
+                )))
+            })
         },
         "plan" => |state, req| {
             let s = session_of(state, req)?;
@@ -1199,17 +1187,18 @@ fn handler(method: &str) -> Option<Handler> {
                 .and_then(Json::as_u64)
                 .map(|w| w as usize)
                 .unwrap_or(noelle_plan::PlanOptions::default().workers);
-            let mut n = s.noelle.lock().expect("session build lock");
-            n.reset_requests();
-            let plan = noelle_plan::plan_module(&mut n, &noelle_plan::PlanOptions { workers });
-            let metrics = &state.metrics;
-            metrics.add(Counter::PlanRuns, 1);
-            metrics.add(Counter::PlanLoops, plan.loops.len() as u64);
-            metrics.add(Counter::PlanPlanned, plan.planned() as u64);
-            Ok(Body::Value(envelope(
-                "plan",
-                Json::object([("plan".to_string(), plan.to_json())]),
-            )))
+            state.shard_of(&s.name).sessions.with_manager(&s, |n| {
+                n.reset_requests();
+                let plan = noelle_plan::plan_module(n, &noelle_plan::PlanOptions { workers });
+                let metrics = &state.metrics;
+                metrics.add(Counter::PlanRuns, 1);
+                metrics.add(Counter::PlanLoops, plan.loops.len() as u64);
+                metrics.add(Counter::PlanPlanned, plan.planned() as u64);
+                Ok(Body::Value(envelope(
+                    "plan",
+                    Json::object([("plan".to_string(), plan.to_json())]),
+                )))
+            })
         },
         "ide/open" => |state, req| {
             let tier = ide_tier(req)?;

@@ -10,9 +10,10 @@
 //! stays busy across modules.
 //!
 //! The table evicts least-recently-used sessions when either budget —
-//! entry count or approximate resident bytes — is exceeded. Byte usage is
-//! a coarse estimate (instruction count when loaded, plus PDG edges once
-//! built); the point is bounding growth, not accounting to the byte.
+//! entry count or approximate resident bytes — is exceeded. A session's
+//! bytes are a load estimate for the module (by instruction count) plus
+//! what its manager measures it holds in PDG partitions and points-to rows,
+//! re-read after every request that runs the manager.
 
 use noelle_core::noelle::Noelle;
 use noelle_ir::module::Module;
@@ -22,8 +23,6 @@ use std::sync::{Arc, Mutex};
 
 /// Rough per-instruction resident cost (module + per-function structures).
 const BYTES_PER_INST: usize = 256;
-/// Rough per-PDG-edge resident cost once the graph is built.
-const BYTES_PER_EDGE: usize = 96;
 
 /// Estimate the resident footprint of a freshly loaded module.
 pub fn estimate_module_bytes(m: &Module) -> usize {
@@ -39,7 +38,10 @@ pub struct Session {
     pub noelle: Mutex<Noelle>,
     /// LRU clock value of the last touch.
     touched: AtomicU64,
-    /// Approximate resident bytes (grows once the PDG is built).
+    /// The module's load estimate ([`estimate_module_bytes`]).
+    load_bytes: usize,
+    /// `load_bytes` plus the manager's measured PDG and points-to bytes, as
+    /// of the last request that ran the manager.
     approx_bytes: AtomicUsize,
     /// Module-content epoch: bumped (under the `noelle` build lock) every
     /// time a request mutates the module, i.e. on `run-tool`. Cached reply
@@ -57,13 +59,6 @@ impl Session {
     /// Current byte estimate.
     pub fn approx_bytes(&self) -> usize {
         self.approx_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Grow the byte estimate after an abstraction build (e.g. by
-    /// `edges * BYTES_PER_EDGE` once the PDG exists).
-    pub fn note_pdg_built(&self, num_edges: usize) {
-        self.approx_bytes
-            .fetch_add(num_edges * BYTES_PER_EDGE, Ordering::Relaxed);
     }
 
     /// The current module-content epoch.
@@ -134,6 +129,7 @@ impl SessionTable {
             name: name.to_string(),
             noelle: Mutex::new(noelle),
             touched: AtomicU64::new(self.tick()),
+            load_bytes: bytes,
             approx_bytes: AtomicUsize::new(bytes),
             epoch: AtomicU64::new(0),
             replies: Mutex::new(HashMap::new()),
@@ -154,9 +150,26 @@ impl SessionTable {
         Some(s)
     }
 
+    /// Run `f` on session `s`'s manager under its build lock, re-measure
+    /// the session's footprint — the load estimate plus the bytes of the PDG
+    /// partitions and points-to rows the manager now holds — and evict if
+    /// the table is now over budget.
+    pub fn with_manager<R>(&self, s: &Session, f: impl FnOnce(&mut Noelle) -> R) -> R {
+        let r = {
+            let mut n = s.noelle.lock().expect("session build lock");
+            let r = f(&mut n);
+            let mem = n.memory_stats();
+            let bytes = s.load_bytes + mem.pdg_bytes + mem.andersen_bytes;
+            s.approx_bytes.store(bytes, Ordering::Relaxed);
+            r
+        };
+        self.evict_over_budget();
+        r
+    }
+
     /// Drop least-recently-used sessions until both budgets hold (always
     /// keeping the most recent one).
-    pub fn evict_over_budget(&self) {
+    fn evict_over_budget(&self) {
         let mut map = self.inner.lock().expect("session lock");
         loop {
             let total: usize = map.values().map(|s| s.approx_bytes()).sum();

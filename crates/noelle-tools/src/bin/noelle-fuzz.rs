@@ -1,11 +1,11 @@
 //! `noelle-fuzz`: differential fuzzing of the transform pipeline.
 //!
 //! Replays the persisted repro corpus, then generates fresh seed-driven
-//! modules and checks each transform preserves observable behavior
-//! (return value, output trace, globals memory). With `--trace-deps` it
-//! additionally asserts every runtime-observed memory dependence is
-//! covered by the static PDG. Failing seeds are persisted and minimized
-//! into the corpus directory.
+//! modules and runs every oracle on each: each transform preserves
+//! observable behavior (return value, output trace, globals memory), every
+//! runtime-observed memory dependence is covered by the static PDG, and the
+//! store, audit, plan, incremental and race checks hold. Failing seeds are
+//! persisted and minimized into the corpus directory.
 //!
 //! The engine lives in the `noelle-fuzz` crate; this binary only wires the
 //! shared tool registry into it and parses flags.
@@ -14,30 +14,22 @@ use std::path::PathBuf;
 
 use noelle_core::noelle::Noelle;
 use noelle_fuzz::driver::{run_campaign, FuzzConfig};
-use noelle_fuzz::oracle::{FuzzTool, OracleConfig};
+use noelle_fuzz::oracle::{FuzzTool, PIPELINE};
 use noelle_tools::registry::{self, ToolOptions};
 use noelle_tools::{die, Args};
 use noelle_transforms::LoopTargetOpts;
 
-/// Tools fuzzed by `--tool all`: the semantics-preserving pipeline. The
-/// registry's remaining entries (e.g. `time`, `carat`) instrument or
-/// annotate rather than optimize, so differential comparison against the
-/// uninstrumented baseline would be meaningless.
-const DEFAULT_TOOLS: &[&str] = &["licm", "dead", "doall", "dswp", "helix", "perspective"];
-
 fn usage() -> ! {
     die(&format!(
         "usage: noelle-fuzz [--seeds N] [--seed-start N] [--time-budget-ms MS] \
-         [--tool all|{}] [--trace-deps] [--lint-races] [--no-incremental-check] \
-         [--no-store-check] [--check-audit] [--check-plan] [--corpus-dir DIR] [--no-persist] \
-         [--cores N]",
+         [--tool all|{}] [--corpus-dir DIR] [--no-persist] [--cores N]",
         registry::usage()
     ));
 }
 
 fn selected_tools(selector: &str, cores: usize) -> Vec<FuzzTool> {
     let names: Vec<&str> = if selector == "all" {
-        DEFAULT_TOOLS.to_vec()
+        PIPELINE.to_vec()
     } else {
         selector.split(',').collect()
     };
@@ -75,15 +67,6 @@ fn main() {
         time_budget_ms: args
             .flag("time-budget-ms")
             .map(|s| s.parse().unwrap_or_else(|_| usage())),
-        oracle: OracleConfig {
-            trace_deps: args.flag("trace-deps").is_some(),
-            lint_races: args.flag("lint-races").is_some(),
-            check_incremental: args.flag("no-incremental-check").is_none(),
-            check_store: args.flag("no-store-check").is_none(),
-            check_audit: args.flag("check-audit").is_some(),
-            check_plan: args.flag("check-plan").is_some(),
-            ..OracleConfig::default()
-        },
         persist: corpus_dir.is_some() && args.flag("no-persist").is_none(),
         corpus_dir,
         ..FuzzConfig::default()

@@ -136,10 +136,7 @@ fn run_coos(n: &mut Noelle, _o: &ToolOptions) -> Result<String, String> {
 }
 
 fn run_prvj(n: &mut Noelle, _o: &ToolOptions) -> Result<String, String> {
-    Ok(format!(
-        "{:?}",
-        tools::prvj::run(n, &tools::prvj::PrvjOptions::default())
-    ))
+    Ok(format!("{:?}", tools::prvj::run(n)))
 }
 
 fn run_time(n: &mut Noelle, _o: &ToolOptions) -> Result<String, String> {

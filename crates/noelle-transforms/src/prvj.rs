@@ -31,23 +31,13 @@ pub struct PrvjReport {
     pub generators: usize,
 }
 
-/// Options controlling PRVJ.
-#[derive(Clone, Debug)]
-pub struct PrvjOptions {
-    /// Minimum executions of a call site's block for its generator to be
-    /// considered hot. When no profiles are embedded, every generator is
-    /// retargeted.
-    pub hot_threshold: u64,
-}
-
-impl Default for PrvjOptions {
-    fn default() -> PrvjOptions {
-        PrvjOptions { hot_threshold: 100 }
-    }
-}
+/// Minimum executions of a call site's block for its generator to be
+/// considered hot. When no profiles are embedded, every generator is
+/// retargeted.
+const HOT_THRESHOLD: u64 = 100;
 
 /// Run PRVJeeves.
-pub fn run(noelle: &mut Noelle, opts: &PrvjOptions) -> PrvjReport {
+pub fn run(noelle: &mut Noelle) -> PrvjReport {
     for a in [
         Abstraction::Pdg,
         Abstraction::Cg,
@@ -98,7 +88,7 @@ pub fn run(noelle: &mut Noelle, opts: &PrvjOptions) -> PrvjReport {
     //    sites of a hot generator together (consistency across uses).
     let hot_gens: BTreeSet<Option<i64>> = sites
         .iter()
-        .filter(|(_, _, _, count)| !have_profiles || *count >= opts.hot_threshold)
+        .filter(|(_, _, _, count)| !have_profiles || *count >= HOT_THRESHOLD)
         .map(|(_, _, g, _)| *g)
         .collect();
 
@@ -172,7 +162,7 @@ exit:
         let m = profiled(PROGRAM);
         let before = run_module(&m, "main", &[], &RunConfig::default()).unwrap();
         let mut noelle = Noelle::new(m, AliasTier::Full);
-        let report = run(&mut noelle, &PrvjOptions { hot_threshold: 100 });
+        let report = run(&mut noelle);
         assert_eq!(report.replaced, 1, "{report:?}");
         assert_eq!(report.kept, 1, "{report:?}");
         assert_eq!(report.generators, 1);
@@ -193,7 +183,7 @@ exit:
     fn without_profiles_everything_is_retargeted() {
         let m = parse_module(PROGRAM).unwrap();
         let mut noelle = Noelle::new(m, AliasTier::Full);
-        let report = run(&mut noelle, &PrvjOptions::default());
+        let report = run(&mut noelle);
         assert_eq!(report.replaced, 2);
         assert_eq!(report.kept, 0);
     }
@@ -210,7 +200,7 @@ entry:
 "#;
         let m = parse_module(src).unwrap();
         let mut noelle = Noelle::new(m, AliasTier::Full);
-        let report = run(&mut noelle, &PrvjOptions::default());
+        let report = run(&mut noelle);
         assert_eq!(report.replaced + report.kept, 0);
     }
 }

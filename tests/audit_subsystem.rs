@@ -247,7 +247,7 @@ fn workload_audit_matches_checked_in_golden() {
 // every blocked verdict must name at least one concrete instruction with a
 // hint.
 // (Behavioral equivalence of the transformed modules is the differential
-// fuzz oracle's job — `noelle-fuzz --check-audit` — so this sweep stops at
+// fuzz oracle's job — every `noelle-fuzz` campaign — so this sweep stops at
 // "applies and verifies".)
 // ---------------------------------------------------------------------------
 

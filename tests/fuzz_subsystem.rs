@@ -11,12 +11,9 @@ use noelle::ir::verifier::verify_module;
 use noelle::runtime::{run_module, RtError, RunConfig};
 use noelle_fuzz::driver::{run_campaign, FuzzConfig};
 use noelle_fuzz::generator::GenConfig;
-use noelle_fuzz::oracle::{FuzzTool, OracleConfig};
+use noelle_fuzz::oracle::{FuzzTool, PIPELINE};
 use noelle_fuzz::reducer::{reduce, DEFAULT_MAX_ROUNDS};
 use noelle_tools::registry::{self, ToolOptions};
-
-/// The semantics-preserving pipeline fuzzed by `noelle-fuzz --tool all`.
-const PIPELINE: &[&str] = &["licm", "dead", "doall", "dswp", "helix", "perspective"];
 
 fn pipeline_tools() -> Vec<FuzzTool> {
     registry::tools()
@@ -42,10 +39,6 @@ fn corpus_dir() -> PathBuf {
 fn fuzz_campaign_over_the_registry_pipeline_is_clean_and_deterministic() {
     let cfg = FuzzConfig {
         seeds: 25,
-        oracle: OracleConfig {
-            trace_deps: true,
-            ..OracleConfig::default()
-        },
         corpus_dir: Some(corpus_dir()),
         persist: false, // never write into the repo from a test
         gen: GenConfig {
@@ -148,10 +141,6 @@ fn corpus_repros_replay_as_reported_errors_not_aborts() {
     // the point: the runtime reports them instead of killing the process.
     let cfg = FuzzConfig {
         seeds: 0,
-        oracle: OracleConfig {
-            trace_deps: true,
-            ..OracleConfig::default()
-        },
         corpus_dir: Some(corpus_dir()),
         persist: false,
         ..FuzzConfig::default()

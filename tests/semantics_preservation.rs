@@ -78,7 +78,7 @@ fn coos_preserves_semantics() {
 #[test]
 fn prvj_preserves_semantics() {
     check_tool("prvj", |n| {
-        tools::prvj::run(n, &tools::prvj::PrvjOptions::default());
+        tools::prvj::run(n);
     });
 }
 

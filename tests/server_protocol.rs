@@ -363,6 +363,86 @@ fn stdio_mode_answers_line_delimited_requests() {
     assert!(lines[3].get("ok").is_some(), "shutdown acknowledged");
 }
 
+/// The replies of a `--stdio` daemon to `requests`, one per request.
+fn stdio_replies(requests: &[String]) -> Vec<Json> {
+    let mut input = requests.join("\n");
+    input.push('\n');
+    let mut out = Vec::new();
+    Server::new(ServerConfig::default())
+        .serve_stdio(&mut Cursor::new(input), &mut out)
+        .expect("stdio serve");
+    let text = String::from_utf8(out).expect("utf8");
+    let replies: Vec<Json> = (text.lines())
+        .map(|l| Json::parse(l).expect("each reply line is one JSON value"))
+        .collect();
+    assert_eq!(replies.len(), requests.len(), "{text}");
+    replies
+}
+
+#[test]
+fn what_the_client_got_wrong_is_a_bad_request() {
+    // A module or document the client names that does not exist or does
+    // not parse is the client's error; `internal` is left for a tool that
+    // fails under `run-tool`.
+    let not_nir = concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml");
+    let table = [
+        ("load", r#"{"path":"workload:nope"}"#.to_string()),
+        ("load", r#"{"path":"workload:scale:abc"}"#.to_string()),
+        ("load", r#"{"path":"/nonexistent.nir"}"#.to_string()),
+        ("load", format!(r#"{{"path":"{not_nir}"}}"#)),
+        ("ide/open", "{}".to_string()),
+    ];
+    let requests: Vec<String> = (table.iter().enumerate())
+        .map(|(i, (method, params))| {
+            format!(r#"{{"id":{i},"method":"{method}","params":{params}}}"#)
+        })
+        .collect();
+    for (request, reply) in requests.iter().zip(stdio_replies(&requests)) {
+        let code = reply.get("error").and_then(|e| e.get("code"));
+        assert_eq!(
+            code.and_then(Json::as_str),
+            Some("bad_request"),
+            "{request} -> {reply:?}"
+        );
+    }
+}
+
+#[test]
+fn a_sessions_footprint_is_what_its_manager_holds() {
+    // After `audit` built the partitions and the points-to rows, and again
+    // after `pdg`, the session's bytes are its load estimate plus what its
+    // manager measures it holds: nothing built goes uncounted, nothing is
+    // counted twice.
+    let request = |id: usize, method: &str, params: &str| {
+        format!(r#"{{"id":{id},"method":"{method}","params":{params}}}"#)
+    };
+    let s = r#"{"session":"s"}"#;
+    let replies = stdio_replies(&[
+        request(
+            1,
+            "load",
+            r#"{"path":"workload:blackscholes","session":"s"}"#,
+        ),
+        request(2, "audit", s),
+        request(3, "stats", "{}"),
+        request(4, "pdg", s),
+        request(5, "stats", "{}"),
+    ]);
+    let int = |v: &Json, path: &[&str]| {
+        let at = path.iter().try_fold(v, |v, k| v.get(k));
+        at.and_then(Json::as_i64)
+            .unwrap_or_else(|| panic!("no {path:?} in {v:?}"))
+    };
+    let loaded = int(&replies[0], &["ok", "approx_bytes"]);
+    for stats in [&replies[2], &replies[4]] {
+        let row = &["ok", "table", "sessions", "s"];
+        let at = |rest: &[&str]| int(stats, &[row.as_slice(), rest].concat());
+        let held = at(&["memory", "pdg_bytes"]) + at(&["memory", "andersen_bytes"]);
+        assert!(held > 0, "the audit built nothing: {stats:?}");
+        assert_eq!(at(&["approx_bytes"]), loaded + held, "{stats:?}");
+    }
+}
+
 #[test]
 fn protocol_version_mismatch_is_a_typed_error() {
     use noelle_server::protocol::PROTOCOL_VERSION;
