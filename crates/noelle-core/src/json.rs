@@ -542,50 +542,19 @@ impl Json {
     /// # Errors
     /// The first byte that does not fit, and what was expected there.
     pub fn try_parse(text: &str) -> Result<Json, JsonError> {
-        Json::read(text, true).map(|(v, _)| v)
-    }
-
-    /// Parse one JSON value off the front of `text`, returning the value and
-    /// the number of bytes consumed (leading whitespace included, trailing
-    /// whitespace not).
-    ///
-    /// The incremental twin of [`Json::parse`] for concatenated or partial
-    /// NDJSON buffers: a transport can peel complete frames off an
-    /// accumulating read buffer without re-scanning or copying the rest, and
-    /// a `None` on a *prefix* of a valid document simply means "read more
-    /// bytes". Callers feeding newline-delimited streams should strip the
-    /// frame separator themselves (it is trailing, not leading, whitespace).
-    ///
-    /// Caveat: a bare number at the very end of the buffer is ambiguous
-    /// (`12` may be the prefix of `123`), and is parsed greedily as
-    /// complete. NDJSON framing resolves this in practice — a number is only
-    /// final once its newline separator has arrived, so split buffers end
-    /// either mid-token (syntax error → `None`) or at a separator. Nesting
-    /// deeper than [`MAX_DEPTH`] is `None` however many bytes follow.
-    pub fn parse_prefix(text: &str) -> Option<(Json, usize)> {
-        Json::read(text, false).ok()
-    }
-
-    /// Validate the value at the front of `text` (all of `text` when
-    /// `whole`), then decode what is not left raw: the value and the end of
-    /// its text.
-    fn read(text: &str, whole: bool) -> Result<(Json, usize), JsonError> {
         let mut v = Validator {
             text,
             pos: 0,
             tape: Vec::new(),
-            whole,
         };
         v.skip_ws();
         let start = v.pos;
         let fault = |f: Fault| JsonError::new(text, f.at, f.expected);
         v.value(MAX_DEPTH, &mut true).map_err(fault)?;
         let end = v.pos;
-        if whole {
-            v.skip_ws();
-            if v.pos < text.len() {
-                return Err(JsonError::new(text, v.pos, "the end of the text"));
-            }
+        v.skip_ws();
+        if v.pos < text.len() {
+            return Err(JsonError::new(text, v.pos, "the end of the text"));
         }
         let text = text.get(..end).unwrap_or(text);
         if v.tape.is_empty() {
@@ -598,7 +567,7 @@ impl Json {
                 next: 0,
                 nest: Nest::Held(Weak::new()),
             };
-            return Ok((decoder.value(), end));
+            return Ok(decoder.value());
         }
         let mut tape = v.tape;
         if tape.capacity() > 2 * tape.len() {
@@ -610,7 +579,7 @@ impl Json {
             tape,
         });
         if doc.text.as_bytes().get(start) == Some(&b'{') {
-            return Ok((Json::Object(Map(Repr::Raw(doc, 0))), end));
+            return Ok(Json::Object(Map(Repr::Raw(doc, 0))));
         }
         let mut decoder = Decoder {
             text: &doc.text,
@@ -619,7 +588,7 @@ impl Json {
             next: 0,
             nest: Nest::Owned(&doc),
         };
-        Ok((decoder.value(), end))
+        Ok(decoder.value())
     }
 }
 
@@ -746,9 +715,6 @@ struct Validator<'a> {
     text: &'a str,
     pos: usize,
     tape: Vec<Node>,
-    /// Is the value all of `text`, so that `text`'s brackets bound its
-    /// containers? Not when it is a prefix of a stream.
-    whole: bool,
 }
 
 /// Most tape entries a parse reserves before validation reaches them: 1 MiB.
@@ -819,8 +785,8 @@ impl Validator<'_> {
             return Ok(canonical);
         }
         let node = self.tape.len();
-        if node == 0 && self.whole {
-            // A whole document has no more containers than brackets: room
+        if node == 0 {
+            // A document has no more containers than brackets: room
             // for them in one block, so a reply's tape is one allocation.
             // The brackets counted may sit in strings or past an error not
             // reached yet, so at most `TAPE_RESERVE` are; past that the
@@ -1525,49 +1491,6 @@ mod tests {
         };
         assert!(std::ptr::eq(copy.members(), o.members()));
         assert!(Map::default().is_empty());
-    }
-
-    #[test]
-    fn parse_prefix_peels_concatenated_values() {
-        // Two NDJSON frames plus the start of a third in one buffer.
-        let buf = "{\"id\":1,\"ok\":true}\n{\"id\":2}\n{\"id\":";
-        let (v1, n1) = Json::parse_prefix(buf).expect("first frame complete");
-        assert_eq!(v1.as_object().unwrap().get("id"), Some(&Json::Int(1)));
-        assert_eq!(&buf[..n1], "{\"id\":1,\"ok\":true}");
-        let rest = &buf[n1..];
-        let (v2, n2) = Json::parse_prefix(rest).expect("second frame complete");
-        assert_eq!(v2, Json::object([("id".to_string(), Json::Int(2))]));
-        // Leading whitespace (the frame separator) is consumed.
-        assert_eq!(&rest[..n2], "\n{\"id\":2}");
-        // The trailing partial frame is not a value yet.
-        assert_eq!(Json::parse_prefix(&rest[n2..]), None);
-    }
-
-    #[test]
-    fn parse_prefix_rejects_split_mid_frame() {
-        let full = r#"{"method":"ide/change","params":{"lines":["a","b"]}}"#;
-        // Every strict prefix is incomplete (no bare top-level numbers in
-        // the protocol, so no ambiguity): parse_prefix must say "need more".
-        for cut in 1..full.len() {
-            assert_eq!(
-                Json::parse_prefix(&full[..cut]),
-                None,
-                "cut at {cut} must be incomplete"
-            );
-        }
-        let (v, n) = Json::parse_prefix(full).expect("whole frame parses");
-        assert_eq!(n, full.len());
-        assert_eq!(Json::parse(full), Some(v));
-    }
-
-    #[test]
-    fn parse_prefix_matches_parse_on_whole_documents() {
-        for doc in ["[1,2,3]", "\"x\"", "null", "  {\"a\":[true,false]} "] {
-            let whole = Json::parse(doc.trim());
-            let (v, n) = Json::parse_prefix(doc).expect("parses");
-            assert_eq!(Some(v), whole);
-            assert!(n <= doc.len());
-        }
     }
 
     /// A SplitMix64 stream: the tests' seeded inputs.

@@ -67,8 +67,9 @@ pub struct GenConfig {
     pub max_kernels: usize,
     /// Stop adding kernels once the module holds this many instructions.
     pub size_budget: usize,
-    /// Smallest array length / trip count (must be ≥ 8 so `& 7` masks are
-    /// always in bounds).
+    /// Smallest array length / trip count: at least 1, since the do-while
+    /// shape runs one trip, reading `a[0]`, before it tests `n`. (The `& 7`
+    /// masks index 8-slot buffers, not the n-long arrays.)
     pub min_n: i64,
     /// Largest array length / trip count.
     pub max_n: i64,
@@ -524,7 +525,7 @@ fn emit_indirect(m: &mut Module, rng: &mut SplitMix64, k: usize) -> FuncId {
     m.add_function(b.finish())
 }
 
-/// Bottom-tested do-while loop (trip count ≥ 1 is guaranteed by min_n ≥ 8).
+/// Bottom-tested do-while loop: one trip whatever `n`, so `min_n` ≥ 1.
 fn emit_dowhile(m: &mut Module, rng: &mut SplitMix64, k: usize) -> FuncId {
     let c1 = rng.range(1, 9);
     let mut b = FunctionBuilder::new(&format!("k{k}_dowhile"), kernel_params(), Type::I64);

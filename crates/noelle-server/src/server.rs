@@ -30,7 +30,7 @@ use noelle_core::json::{envelope, Json};
 use noelle_core::noelle::{AliasTier, Noelle};
 use noelle_core::wire;
 use noelle_ide::{Change, DocCounters, DocSession};
-use noelle_ir::module::{FuncId, Module};
+use noelle_ir::module::FuncId;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
@@ -304,10 +304,9 @@ impl Server {
     }
 
     /// Build the daemon state without binding a socket or spawning
-    /// threads: an in-process daemon for embedders (the latency benches,
-    /// the `noelle-ide` tool's default mode) that drive it synchronously
-    /// through [`run_request_text`]. The shard queues exist but have no
-    /// workers; only the inline paths are meaningful.
+    /// threads: an in-process daemon that a caller (the stdio loop, a test)
+    /// drives synchronously through [`run_request_text`]. The shard queues
+    /// exist but have no workers; only the inline paths are meaningful.
     pub fn embedded(self) -> Arc<ServerState> {
         let (state, _receivers) = ServerState::new(self.cfg, self.tool_runner);
         Arc::new(state)
@@ -320,10 +319,7 @@ impl Server {
     /// # Errors
     /// Propagates stdin read and stdout write failures.
     pub fn serve_stdio(self, input: &mut impl BufRead, output: &mut impl Write) -> io::Result<()> {
-        // The stdio server is synchronous: the shard queues and their
-        // receivers are never used, only the sharded session tables.
-        let (state, _receivers) = ServerState::new(self.cfg, self.tool_runner);
-        let state = Arc::new(state);
+        let state = self.embedded();
         for line in input.lines() {
             let line = line?;
             if line.trim().is_empty() {
@@ -742,34 +738,6 @@ fn param_str<'a>(req: &'a Request, key: &str) -> Option<&'a str> {
     req.params.get(key).and_then(Json::as_str)
 }
 
-/// The largest `workload:scale:N` a client may ask for: the size the daemon
-/// is designed for (DESIGN §12). The module is built in this process.
-const MAX_SCALE_FUNCTIONS: usize = 100_000;
-
-fn load_module(path: &str) -> Result<Module, (ErrorCode, String)> {
-    // `workload:scale:N` builds the synthetic compilation-scale module with
-    // N defined functions (deterministic), so benches and smoke tests can
-    // exercise daemon behavior at sizes the bundled corpus does not reach.
-    if let Some(n) = path.strip_prefix("workload:scale:") {
-        let n: usize = n
-            .parse()
-            .map_err(|_| bad(format!("bad scale size '{n}' (expected a function count)")))?;
-        if n > MAX_SCALE_FUNCTIONS {
-            return Err(bad(format!(
-                "scale size {n} exceeds the limit of {MAX_SCALE_FUNCTIONS} functions"
-            )));
-        }
-        return Ok(noelle_workloads::scale_module(n, 42));
-    }
-    if let Some(name) = path.strip_prefix("workload:") {
-        return noelle_workloads::by_name(name)
-            .map(|w| w.build())
-            .ok_or_else(|| bad(format!("unknown workload '{name}'")));
-    }
-    let text = std::fs::read_to_string(path).map_err(|e| bad(format!("{path}: {e}")))?;
-    noelle_ir::parser::parse_module(&text).map_err(|e| bad(format!("{path}: {e}")))
-}
-
 /// Resolve the *text* a document opens with: inline `text`, or a `path`
 /// (file, `workload:NAME`, `workload:scale:N`) printed to `.nir` source so
 /// the IDE session always edits real text.
@@ -779,7 +747,8 @@ fn load_document_text(req: &Request) -> Result<String, (ErrorCode, String)> {
     }
     let path = param_str(req, "path").ok_or_else(|| bad("need 'text' or 'path'"))?;
     if path.starts_with("workload:") {
-        return Ok(noelle_ir::printer::print_module(&load_module(path)?));
+        let m = noelle_workloads::read_module(path).map_err(bad)?;
+        return Ok(noelle_ir::printer::print_module(&m));
     }
     std::fs::read_to_string(path).map_err(|e| bad(format!("{path}: {e}")))
 }
@@ -1006,7 +975,7 @@ fn handler(method: &str) -> Option<Handler> {
                 "full" => AliasTier::Full,
                 other => return Err(bad(format!("unknown tier '{other}'"))),
             };
-            let m = load_module(path)?;
+            let m = noelle_workloads::read_module(path).map_err(bad)?;
             // TCP connections inject a generated name before routing; the
             // fallback covers stdio mode and direct embedders.
             let name = match param_str(req, "session") {

@@ -4,8 +4,10 @@
 use noelle_core::architecture::Architecture;
 use noelle_tools::{die, read_module, write_module, Args};
 
+const USAGE: &str = "usage: noelle-arch [in.nir] [--cores N] [--numa N] [--o out.nir]";
+
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["cores", "numa", "o"], &[], USAGE);
     let arch = Architecture::synthetic(args.flag_usize("cores", 12), args.flag_usize("numa", 1));
     match args.positional.first() {
         Some(input) => {

@@ -6,10 +6,12 @@ use noelle_core::architecture::Architecture;
 use noelle_runtime::{run_module, RunConfig};
 use noelle_tools::{die, read_module, Args};
 
+const USAGE: &str = "usage: noelle-bin <in.nir> [--entry main] [--cores N]";
+
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["entry", "cores"], &[], USAGE);
     let Some(input) = args.positional.first() else {
-        die("usage: noelle-bin <in.nir> [--entry main] [--cores N]");
+        die(USAGE);
     };
     let m = read_module(input).unwrap_or_else(|e| die(&e));
     let arch = Architecture::from_module(&m)

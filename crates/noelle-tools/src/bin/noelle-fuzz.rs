@@ -19,12 +19,12 @@ use noelle_tools::registry::{self, ToolOptions};
 use noelle_tools::{die, Args};
 use noelle_transforms::LoopTargetOpts;
 
-fn usage() -> ! {
-    die(&format!(
+fn usage() -> String {
+    format!(
         "usage: noelle-fuzz [--seeds N] [--seed-start N] [--time-budget-ms MS] \
          [--tool all|{}] [--corpus-dir DIR] [--no-persist] [--cores N]",
         registry::usage()
-    ));
+    )
 }
 
 fn selected_tools(selector: &str, cores: usize) -> Vec<FuzzTool> {
@@ -54,9 +54,17 @@ fn selected_tools(selector: &str, cores: usize) -> Vec<FuzzTool> {
 }
 
 fn main() {
-    let args = Args::parse();
+    let valued = [
+        "seeds",
+        "seed-start",
+        "time-budget-ms",
+        "tool",
+        "corpus-dir",
+        "cores",
+    ];
+    let args = Args::parse(&valued, &["no-persist", "help"], &usage());
     if args.flag("help").is_some() || !args.positional.is_empty() {
-        usage();
+        die(&usage());
     }
     let cores = args.flag_usize("cores", LoopTargetOpts::default().workers);
     let tools = selected_tools(args.flag_or("tool", "all"), cores);
@@ -66,7 +74,7 @@ fn main() {
         seed_start: args.flag_usize("seed-start", 0) as u64,
         time_budget_ms: args
             .flag("time-budget-ms")
-            .map(|s| s.parse().unwrap_or_else(|_| usage())),
+            .map(|s| s.parse().unwrap_or_else(|_| die(&usage()))),
         persist: corpus_dir.is_some() && args.flag("no-persist").is_none(),
         corpus_dir,
         ..FuzzConfig::default()

@@ -3,10 +3,12 @@
 
 use noelle_tools::{die, link_modules, read_module, write_module, Args};
 
+const USAGE: &str = "usage: noelle-linker <a.nir> <b.nir> ... [--o out.nir]";
+
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["o"], &[], USAGE);
     if args.positional.len() < 2 {
-        die("usage: noelle-linker <a.nir> <b.nir> ... [--o out.nir]");
+        die(USAGE);
     }
     let mods: Vec<_> = args
         .positional

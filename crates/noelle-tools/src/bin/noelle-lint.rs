@@ -20,12 +20,13 @@ use noelle_lint::{audit_findings, has_errors, render_json, render_text, run_audi
 use noelle_tools::{die, read_module, Args};
 
 fn main() {
-    let args = Args::parse();
+    let usage = format!(
+        "usage: noelle-lint <in.nir> [--check <{}>] [--audit] [--format text|json]",
+        noelle_lint::check_usage()
+    );
+    let args = Args::parse(&["check", "format"], &["audit"], &usage);
     let Some(input) = args.positional.first() else {
-        die(&format!(
-            "usage: noelle-lint <in.nir> [--check <{}>] [--audit] [--format text|json]",
-            noelle_lint::check_usage()
-        ));
+        die(&usage);
     };
     let format = args.flag_or("format", "text").to_string();
     if args.flag("audit").is_some() {

@@ -9,12 +9,13 @@ use noelle_tools::registry::{self, ToolInvocation};
 use noelle_tools::{die, read_module, write_module, Args};
 
 fn main() {
-    let args = Args::parse();
+    let usage = format!(
+        "usage: noelle-load <in.nir> --tool <{}> [--cores N] [--o out.nir]",
+        registry::usage()
+    );
+    let args = Args::parse(&["tool", "cores", "o"], &[], &usage);
     let Some(input) = args.positional.first() else {
-        die(&format!(
-            "usage: noelle-load <in.nir> --tool <{}> [--cores N] [--o out.nir]",
-            registry::usage()
-        ));
+        die(&usage);
     };
     let inv = ToolInvocation::from_args(&args);
     let m = read_module(input).unwrap_or_else(|e| die(&e));

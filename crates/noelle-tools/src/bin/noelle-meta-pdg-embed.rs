@@ -8,10 +8,12 @@ use noelle_core::json::Json;
 use noelle_pdg::pdg::PdgBuilder;
 use noelle_tools::{die, read_module, write_module, Args};
 
+const USAGE: &str = "usage: noelle-meta-pdg-embed <in.nir> [--o out.nir]";
+
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["o"], &[], USAGE);
     let Some(input) = args.positional.first() else {
-        die("usage: noelle-meta-pdg-embed <in.nir> [--o out.nir]");
+        die(USAGE);
     };
     let mut m = read_module(input).unwrap_or_else(|e| die(&e));
     noelle_ir::ids::assign_ids(&mut m);

@@ -4,10 +4,12 @@
 use noelle_core::profiler::Profiles;
 use noelle_tools::{die, read_module, write_module, Args};
 
+const USAGE: &str = "usage: noelle-meta-prof-embed <in.nir> <prof.json> [--o out.nir]";
+
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["o"], &[], USAGE);
     let (Some(input), Some(prof)) = (args.positional.first(), args.positional.get(1)) else {
-        die("usage: noelle-meta-prof-embed <in.nir> <prof.json> [--o out.nir]");
+        die(USAGE);
     };
     let mut m = read_module(input).unwrap_or_else(|e| die(&e));
     let text = std::fs::read_to_string(prof).unwrap_or_else(|e| die(&e.to_string()));

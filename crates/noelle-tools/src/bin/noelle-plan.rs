@@ -19,10 +19,12 @@ use noelle_plan::{apply_plan, plan_module, PlanOptions};
 use noelle_tools::calibrate::{calibrate, corpus, render};
 use noelle_tools::{die, read_module, write_module, Args};
 
+const USAGE: &str = "usage: noelle-plan <in.nir|workload:NAME|workload:all> [--workers N] [--format text|json] [--calibrate] [--apply] [--o out.nir]";
+
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["workers", "format", "o"], &["calibrate", "apply"], USAGE);
     let Some(input) = args.positional.first() else {
-        die("usage: noelle-plan <in.nir|workload:NAME|workload:all> [--workers N] [--format text|json] [--calibrate] [--apply] [--o out.nir]");
+        die(USAGE);
     };
     let format = args.flag_or("format", "text").to_string();
     let opts = PlanOptions {

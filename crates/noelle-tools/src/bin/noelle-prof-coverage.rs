@@ -4,10 +4,12 @@
 use noelle_runtime::{run_module, RunConfig};
 use noelle_tools::{die, read_module, Args};
 
+const USAGE: &str = "usage: noelle-prof-coverage <in.nir> [--entry main] [--o prof.json]";
+
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["entry", "o"], &[], USAGE);
     let Some(input) = args.positional.first() else {
-        die("usage: noelle-prof-coverage <in.nir> [--entry main] [--o prof.json]");
+        die(USAGE);
     };
     let m = read_module(input).unwrap_or_else(|e| die(&e));
     let cfg = RunConfig {

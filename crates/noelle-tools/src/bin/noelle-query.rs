@@ -23,12 +23,23 @@ use noelle_server::Client;
 use noelle_tools::registry::ToolInvocation;
 use noelle_tools::{die, Args};
 
+const USAGE: &str = "usage: noelle-query <load|pdg|sccdag|loops|induction|invariants|callgraph|run-tool|stats|ping|shutdown> [--addr HOST:PORT] [--session NAME] [--path P] [--tier basic|full] [--func F] [--loop N] [--tool T] [--cores N] [--deadline-ms N] [--compact]";
+
 fn main() {
-    let args = Args::parse();
+    let valued = [
+        "addr",
+        "session",
+        "path",
+        "tier",
+        "func",
+        "loop",
+        "tool",
+        "cores",
+        "deadline-ms",
+    ];
+    let args = Args::parse(&valued, &["compact"], USAGE);
     let Some(method) = args.positional.first() else {
-        die(
-            "usage: noelle-query <load|pdg|sccdag|loops|induction|invariants|callgraph|run-tool|stats|ping|shutdown> [--addr HOST:PORT] [--session NAME] [--path P] [--func F] [--loop N] [--tool T] [--cores N] [--deadline-ms N] [--compact]",
-        );
+        die(USAGE);
     };
     let addr = args.flag_or("addr", "127.0.0.1:7711");
 

@@ -6,10 +6,12 @@
 use noelle_core::noelle::{AliasTier, Noelle};
 use noelle_tools::{die, read_module, write_module, Args};
 
+const USAGE: &str = "usage: noelle-rm-lc-dependences <in.nir> [--o out.nir]";
+
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["o"], &[], USAGE);
     let Some(input) = args.positional.first() else {
-        die("usage: noelle-rm-lc-dependences <in.nir> [--o out.nir]");
+        die(USAGE);
     };
     let m = read_module(input).unwrap_or_else(|e| die(&e));
     let mut noelle = Noelle::new(m, AliasTier::Full);

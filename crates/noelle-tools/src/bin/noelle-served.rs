@@ -20,8 +20,20 @@ use noelle_tools::registry::ToolInvocation;
 use noelle_tools::{die, Args};
 use std::sync::Arc;
 
+const USAGE: &str = "usage: noelle-served [--addr 127.0.0.1:7711] [--workers N] [--shards N] \
+    [--queue-cap N] [--max-sessions N] [--max-bytes N] [--deadline-ms N] [--stdio]";
+
 fn main() {
-    let args = Args::parse();
+    let valued = [
+        "addr",
+        "workers",
+        "shards",
+        "queue-cap",
+        "max-sessions",
+        "max-bytes",
+        "deadline-ms",
+    ];
+    let args = Args::parse(&valued, &["stdio"], USAGE);
     // Every default is the library's but the address: the daemon listens
     // on its own well-known port, not on one the system picks.
     let lib = ServerConfig::default();

@@ -3,10 +3,12 @@
 
 use noelle_tools::{die, link_modules, read_module, write_module, Args};
 
+const USAGE: &str = "usage: noelle-whole-ir <inputs...> [--o out.nir]";
+
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["o"], &[], USAGE);
     if args.positional.is_empty() {
-        die("usage: noelle-whole-ir <inputs...> [--o out.nir]");
+        die(USAGE);
     }
     let mut mods = Vec::new();
     for p in &args.positional {

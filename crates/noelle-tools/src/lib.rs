@@ -30,20 +30,7 @@ use noelle_ir::module::{FuncId, GlobalId, Module};
 use noelle_ir::value::Value;
 use std::collections::HashMap;
 
-/// Read a module from a `.nir` file, or build a named workload when the
-/// path has the form `workload:<name>`.
-///
-/// # Errors
-/// Returns a human-readable message on IO, parse, or lookup failure.
-pub fn read_module(path: &str) -> Result<Module, String> {
-    if let Some(name) = path.strip_prefix("workload:") {
-        return noelle_workloads::by_name(name)
-            .map(|w| w.build())
-            .ok_or_else(|| format!("unknown workload '{name}'"));
-    }
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    noelle_ir::parser::parse_module(&text).map_err(|e| format!("{path}: {e}"))
-}
+pub use noelle_workloads::read_module;
 
 /// Write a module to `path` (or stdout for `-`).
 ///
@@ -59,7 +46,8 @@ pub fn write_module(m: &Module, path: &str) -> Result<(), String> {
     }
 }
 
-/// Minimal flag parser: `--key value` pairs plus positional arguments.
+/// Minimal flag parser: `--key value` pairs, `--switch`es and positional
+/// arguments, against the flags one binary declares.
 #[derive(Debug, Default)]
 pub struct Args {
     /// Positional arguments in order.
@@ -68,29 +56,42 @@ pub struct Args {
 }
 
 impl Args {
-    /// Parse `std::env::args()` (skipping the binary name).
-    pub fn parse() -> Args {
-        Args::parse_from(std::env::args().skip(1))
+    /// Parse `std::env::args()` (skipping the binary name) against the
+    /// binary's `valued` flags and `switches`, or die with what is wrong
+    /// and the binary's `usage`.
+    pub fn parse(valued: &[&str], switches: &[&str], usage: &str) -> Args {
+        Args::parse_from(std::env::args().skip(1), valued, switches)
+            .unwrap_or_else(|e| die(&format!("{e}\n{usage}")))
     }
 
-    /// Parse an explicit argument list. A `--key` followed by another
-    /// `--flag` (or by nothing) is recorded as a boolean flag with an
-    /// empty value rather than swallowing the next flag.
-    pub fn parse_from(args: impl IntoIterator<Item = String>) -> Args {
+    /// Parse an explicit argument list. A `valued` flag takes the word
+    /// after it, which may not be another `--flag`; a switch takes none.
+    ///
+    /// # Errors
+    /// A flag the binary does not declare, or a valued flag without a value.
+    pub fn parse_from(
+        args: impl IntoIterator<Item = String>,
+        valued: &[&str],
+        switches: &[&str],
+    ) -> Result<Args, String> {
         let mut out = Args::default();
         let mut it = args.into_iter().peekable();
         while let Some(a) = it.next() {
-            if let Some(key) = a.strip_prefix("--") {
-                let v = match it.peek() {
-                    Some(next) if !next.starts_with("--") => it.next().unwrap_or_default(),
-                    _ => String::new(),
-                };
-                out.flags.insert(key.to_string(), v);
-            } else {
+            let Some(key) = a.strip_prefix("--") else {
                 out.positional.push(a);
-            }
+                continue;
+            };
+            let v = if switches.contains(&key) {
+                String::new()
+            } else if valued.contains(&key) {
+                (it.next_if(|next| !next.starts_with("--")))
+                    .ok_or_else(|| format!("'{a}' needs a value"))?
+            } else {
+                return Err(format!("unknown flag '{a}'"));
+            };
+            out.flags.insert(key.to_string(), v);
         }
-        out
+        Ok(out)
     }
 
     /// The value of `--key`, if given.

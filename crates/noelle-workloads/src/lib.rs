@@ -309,6 +309,38 @@ pub fn by_name(name: &str) -> Option<Workload> {
     all().into_iter().find(|w| w.name == name)
 }
 
+/// The largest `workload:scale:N` a path may name: the size the daemon is
+/// designed for (DESIGN §12). The module is built in the caller's process.
+const MAX_SCALE_FUNCTIONS: usize = 100_000;
+
+/// The module `path` names: `workload:scale:N` ([`scale_module`] with N
+/// defined functions, seed 42), `workload:NAME` ([`by_name`]), or a `.nir`
+/// file. The one resolver of the tools and the daemon.
+///
+/// # Errors
+/// What is wrong with the path: a bad or too large scale size, an unknown
+/// workload, a file that cannot be read or does not parse.
+pub fn read_module(path: &str) -> Result<Module, String> {
+    if let Some(n) = path.strip_prefix("workload:scale:") {
+        let n: usize = n
+            .parse()
+            .map_err(|_| format!("bad scale size '{n}' (expected a function count)"))?;
+        if n > MAX_SCALE_FUNCTIONS {
+            return Err(format!(
+                "scale size {n} exceeds the limit of {MAX_SCALE_FUNCTIONS} functions"
+            ));
+        }
+        return Ok(scale_module(n, 42));
+    }
+    if let Some(name) = path.strip_prefix("workload:") {
+        return by_name(name)
+            .map(|w| w.build())
+            .ok_or_else(|| format!("unknown workload '{name}'"));
+    }
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+    noelle_ir::parser::parse_module(&text).map_err(|e| format!("{path}: {e}"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -408,6 +440,33 @@ mod tests {
         let r = run_module(&scale_module(50, 7), "main", &[], &RunConfig::default())
             .expect("scale module runs");
         assert!(r.ret_i64().is_some());
+    }
+
+    #[test]
+    fn one_resolver_names_workloads_scale_modules_and_files() -> Result<(), String> {
+        let print = noelle_ir::printer::print_module;
+        let scale = read_module("workload:scale:100")?;
+        assert_eq!(print(&scale), print(&scale_module(100, 42)));
+        assert_eq!(print(&read_module("workload:crc32")?), {
+            let crc32 = by_name("crc32").ok_or("crc32 is a workload")?;
+            print(&crc32.build())
+        });
+        for (path, error) in [
+            ("workload:nope", "unknown workload 'nope'"),
+            (
+                "workload:scale:abc",
+                "bad scale size 'abc' (expected a function count)",
+            ),
+            (
+                "workload:scale:100001",
+                "scale size 100001 exceeds the limit of 100000 functions",
+            ),
+        ] {
+            assert_eq!(read_module(path).err().as_deref(), Some(error), "{path}");
+        }
+        let missing = read_module("/nonexistent.nir").err();
+        assert!(missing.is_some_and(|e| e.starts_with("/nonexistent.nir: ")));
+        Ok(())
     }
 
     #[test]

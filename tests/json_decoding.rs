@@ -47,12 +47,8 @@ fn on_small_stack<R: Send + 'static>(f: impl FnOnce() -> R + Send + 'static) -> 
 #[test]
 fn a_document_nested_past_the_bound_is_refused_on_a_small_stack() {
     // 20 KB of brackets; before the bound this aborted the process.
-    let (parsed, prefix) = on_small_stack(|| {
-        let deep = nested(10_000);
-        (Json::parse(&deep), Json::parse_prefix(&deep))
-    });
+    let parsed = on_small_stack(|| Json::parse(&nested(10_000)));
     assert_eq!(parsed, None);
-    assert_eq!(prefix, None);
     // Objects are levels too.
     let levels = MAX_DEPTH + 1;
     let objects = "{\"a\":".repeat(levels) + "1" + &"}".repeat(levels);
@@ -376,19 +372,9 @@ fn replay_replies() -> Vec<String> {
     for script in ["session.ndjson", "hostile.ndjson"] {
         let path = Path::new("tests/corpus/ide").join(script);
         let text = std::fs::read_to_string(&path).expect("replay script");
-        let mut rest = text.as_str();
-        while let Some((cmd, used)) = Json::parse_prefix(rest.trim_start()) {
-            rest = &rest.trim_start()[used..];
-            let name = cmd.get("cmd").and_then(Json::as_str).expect("a cmd");
-            let params = cmd.as_object().expect("an object").iter();
-            let params = params.filter(|(k, _)| k.as_str() != "cmd");
-            let req = Request {
-                id: replies.len() as i64 + 1,
-                method: format!("ide/{name}"),
-                params: Json::object(params.map(|(k, v)| (k.clone(), v.clone()))),
-                deadline_ms: None,
-                v: None,
-            };
+        for line in text.lines() {
+            let line = Json::parse(line).expect("a request line is JSON");
+            let req = Request::from_json(&line).expect("a request line is a request");
             replies.push(run_request_text(&state, &req));
         }
     }
