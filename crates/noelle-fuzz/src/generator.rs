@@ -8,13 +8,19 @@
 //! (GEP/load/store aliasing), scratch buffers, nested loops, and indirect
 //! calls — so the differential oracle exercises the same loop structures the
 //! transforms were written for, plus the hostile corners between them.
+//!
+//! Every counted loop is built by the corpus's own skeleton,
+//! `noelle_workloads::kernels::counted_loop` (or its `sum_loop` form), and
+//! the stencil *is* `kernels::add_stencil`. The histogram differs from the
+//! corpus's on purpose (8 bins, global or `alloca`, zeroed and summed by
+//! labelled loops of its own); `tests/corpus/ir/text_golden.json` pins both.
 
 use noelle_ir::builder::FunctionBuilder;
 use noelle_ir::inst::{BinOp, CastOp, IcmpPred};
 use noelle_ir::module::{FuncId, Global, GlobalInit, Module};
 use noelle_ir::types::{FuncType, Type};
 use noelle_ir::value::Value;
-use noelle_workloads::kernels::{counted_loop, counted_loop_from, kernel_params};
+use noelle_workloads::kernels::{self, counted_loop, kernel_params, sum_loop};
 use std::sync::Arc;
 
 /// SplitMix64: tiny, fast, and deterministic across platforms — the whole
@@ -188,7 +194,7 @@ fn emit_kernel(
         Shape::Map => emit_map(m, rng, k, print_i64),
         Shape::Reduce => emit_reduce(m, rng, k),
         Shape::Recurrence => emit_recurrence(m, rng, k),
-        Shape::Stencil => emit_stencil(m, rng, k),
+        Shape::Stencil => kernels::add_stencil(m, &format!("k{k}_stencil")),
         Shape::Hist => emit_hist(m, rng, k),
         Shape::Scratch => emit_scratch(m, rng, k),
         Shape::Nested => emit_nested(m, rng, k),
@@ -206,7 +212,7 @@ fn emit_map(m: &mut Module, rng: &mut SplitMix64, k: usize, print_i64: FuncId) -
     let n_ops = 1 + rng.below(3);
     let inv_c = rng.range(2, 13);
     let choices: Vec<OpChoice> = (0..n_ops).map(|_| draw_op(rng)).collect();
-    counted_loop(&mut b, |b, i| {
+    sum_loop(&mut b, |b, i| {
         let inv1 = b.binop(BinOp::Mul, Type::I64, b.arg(2), Value::const_i64(inv_c));
         let inv2 = b.binop(BinOp::Add, Type::I64, inv1, Value::const_i64(3));
         let p = b.index_ptr(Type::I64, b.arg(0), i);
@@ -233,26 +239,13 @@ fn emit_reduce(m: &mut Module, rng: &mut SplitMix64, k: usize) -> FuncId {
         (BinOp::SMax, i64::MIN),
     ]);
     let mut b = FunctionBuilder::new(&format!("k{k}_reduce"), kernel_params(), Type::I64);
-    let entry = b.entry_block();
-    let header = b.block("header");
-    let body = b.block("body");
-    let exit = b.block("exit");
-    b.switch_to(entry);
-    b.br(header);
-    b.switch_to(header);
-    let i = b.phi(Type::I64, vec![(entry, Value::const_i64(0))]);
-    let acc = b.phi(Type::I64, vec![(entry, Value::const_i64(init))]);
-    let c = b.icmp(IcmpPred::Slt, Type::I64, i, b.arg(2));
-    b.cond_br(c, body, exit);
-    b.switch_to(body);
-    let p = b.index_ptr(Type::I64, b.arg(0), i);
-    let v = b.load(Type::I64, p);
-    let acc2 = b.binop(op, Type::I64, acc, v);
-    let i2 = b.binop(BinOp::Add, Type::I64, i, Value::const_i64(1));
-    b.br(header);
-    b.add_incoming(i, body, i2);
-    b.add_incoming(acc, body, acc2);
-    b.switch_to(exit);
+    let n = b.arg(2);
+    let init = Value::const_i64(init);
+    let acc = counted_loop(&mut b, 0, n, Type::I64, init, |b, i, acc| {
+        let p = b.index_ptr(Type::I64, b.arg(0), i);
+        let v = b.load(Type::I64, p);
+        b.binop(op, Type::I64, acc, v)
+    });
     b.ret(Some(acc));
     m.add_function(b.finish())
 }
@@ -263,72 +256,20 @@ fn emit_recurrence(m: &mut Module, rng: &mut SplitMix64, k: usize) -> FuncId {
     let c1 = rng.range(2, 7);
     let store_through = rng.chance(50);
     let mut b = FunctionBuilder::new(&format!("k{k}_rec"), kernel_params(), Type::I64);
-    let entry = b.entry_block();
-    let header = b.block("header");
-    let body = b.block("body");
-    let exit = b.block("exit");
-    b.switch_to(entry);
-    b.br(header);
-    b.switch_to(header);
-    let i = b.phi(Type::I64, vec![(entry, Value::const_i64(0))]);
-    let acc = b.phi(Type::I64, vec![(entry, Value::const_i64(1))]);
-    let c = b.icmp(IcmpPred::Slt, Type::I64, i, b.arg(2));
-    b.cond_br(c, body, exit);
-    b.switch_to(body);
-    let p = b.index_ptr(Type::I64, b.arg(0), i);
-    let v = b.load(Type::I64, p);
-    let scaled = b.binop(BinOp::Mul, Type::I64, acc, Value::const_i64(c1));
-    let acc2 = b.binop(BinOp::Add, Type::I64, scaled, v);
-    if store_through {
-        let q = b.index_ptr(Type::I64, b.arg(1), i);
-        b.store(Type::I64, acc2, q);
-    }
-    let i2 = b.binop(BinOp::Add, Type::I64, i, Value::const_i64(1));
-    b.br(header);
-    b.add_incoming(i, body, i2);
-    b.add_incoming(acc, body, acc2);
-    b.switch_to(exit);
+    let n = b.arg(2);
+    let acc = counted_loop(&mut b, 0, n, Type::I64, Value::const_i64(1), |b, i, acc| {
+        let p = b.index_ptr(Type::I64, b.arg(0), i);
+        let v = b.load(Type::I64, p);
+        let scaled = b.binop(BinOp::Mul, Type::I64, acc, Value::const_i64(c1));
+        let acc2 = b.binop(BinOp::Add, Type::I64, scaled, v);
+        if store_through {
+            let q = b.index_ptr(Type::I64, b.arg(1), i);
+            b.store(Type::I64, acc2, q);
+        }
+        acc2
+    });
     let masked = b.binop(BinOp::And, Type::I64, acc, Value::const_i64(0xFFFF_FFFF));
     b.ret(Some(masked));
-    m.add_function(b.finish())
-}
-
-/// 3-point stencil `b[i] = a[i-1] + a[i] + a[i+1]` for `i` in `[1, n-1)`,
-/// returning the sum (cross-array flow the alias analysis must separate).
-fn emit_stencil(m: &mut Module, _rng: &mut SplitMix64, k: usize) -> FuncId {
-    let mut b = FunctionBuilder::new(&format!("k{k}_stencil"), kernel_params(), Type::I64);
-    let entry = b.entry_block();
-    let header = b.block("header");
-    let body = b.block("body");
-    let exit = b.block("exit");
-    b.switch_to(entry);
-    let limit = b.binop(BinOp::Sub, Type::I64, b.arg(2), Value::const_i64(1));
-    b.br(header);
-    b.switch_to(header);
-    let i = b.phi(Type::I64, vec![(entry, Value::const_i64(1))]);
-    let acc = b.phi(Type::I64, vec![(entry, Value::const_i64(0))]);
-    let c = b.icmp(IcmpPred::Slt, Type::I64, i, limit);
-    b.cond_br(c, body, exit);
-    b.switch_to(body);
-    let im1 = b.binop(BinOp::Sub, Type::I64, i, Value::const_i64(1));
-    let ip1 = b.binop(BinOp::Add, Type::I64, i, Value::const_i64(1));
-    let p0 = b.index_ptr(Type::I64, b.arg(0), im1);
-    let p1 = b.index_ptr(Type::I64, b.arg(0), i);
-    let p2 = b.index_ptr(Type::I64, b.arg(0), ip1);
-    let v0 = b.load(Type::I64, p0);
-    let v1 = b.load(Type::I64, p1);
-    let v2 = b.load(Type::I64, p2);
-    let s01 = b.binop(BinOp::Add, Type::I64, v0, v1);
-    let s = b.binop(BinOp::Add, Type::I64, s01, v2);
-    let q = b.index_ptr(Type::I64, b.arg(1), i);
-    b.store(Type::I64, s, q);
-    let acc2 = b.binop(BinOp::Add, Type::I64, acc, s);
-    let i2 = b.binop(BinOp::Add, Type::I64, i, Value::const_i64(1));
-    b.br(header);
-    b.add_incoming(i, body, i2);
-    b.add_incoming(acc, body, acc2);
-    b.switch_to(exit);
-    b.ret(Some(acc));
     m.add_function(b.finish())
 }
 
@@ -424,10 +365,8 @@ fn emit_hist(m: &mut Module, rng: &mut SplitMix64, k: usize) -> FuncId {
 fn emit_scratch(m: &mut Module, rng: &mut SplitMix64, k: usize) -> FuncId {
     let mul = rng.range(2, 9);
     let mut b = FunctionBuilder::new(&format!("k{k}_scratch"), kernel_params(), Type::I64);
-    let entry = b.entry_block();
-    b.switch_to(entry);
     let tmp = b.alloca_n(Type::I64, Value::const_i64(8));
-    counted_loop_from(&mut b, entry, |b, i| {
+    sum_loop(&mut b, |b, i| {
         let p = b.index_ptr(Type::I64, b.arg(0), i);
         let v = b.load(Type::I64, p);
         let x = b.binop(BinOp::Mul, Type::I64, v, Value::const_i64(mul));
@@ -508,7 +447,7 @@ fn emit_indirect(m: &mut Module, rng: &mut SplitMix64, k: usize) -> FuncId {
     let leaf_b = m.add_function(lb.finish());
 
     let mut b = FunctionBuilder::new(&format!("k{k}_indirect"), kernel_params(), Type::I64);
-    counted_loop(&mut b, |b, i| {
+    sum_loop(&mut b, |b, i| {
         let p = b.index_ptr(Type::I64, b.arg(0), i);
         let v = b.load(Type::I64, p);
         let parity = b.binop(BinOp::And, Type::I64, v, Value::const_i64(1));
@@ -558,7 +497,7 @@ fn emit_floatmix(m: &mut Module, rng: &mut SplitMix64, k: usize) -> FuncId {
     let scale = rng.range(2, 5) as f64 / 2.0;
     let sqrt = use_sqrt.then(|| m.get_or_declare("sqrt", vec![Type::F64], Type::F64));
     let mut b = FunctionBuilder::new(&format!("k{k}_float"), kernel_params(), Type::I64);
-    counted_loop(&mut b, |b, i| {
+    sum_loop(&mut b, |b, i| {
         let p = b.index_ptr(Type::I64, b.arg(0), i);
         let v = b.load(Type::I64, p);
         let fv = b.cast(CastOp::SiToFp, Type::I64, Type::F64, v);

@@ -314,26 +314,33 @@ impl Server {
 
     /// Serve one connection over stdin/stdout using newline-delimited JSON
     /// (the `--stdio` test mode): one request per line, one reply per line,
-    /// synchronous, until EOF or `shutdown`.
+    /// synchronous, until EOF or `shutdown`. A line ends at `\n` or `\r\n`;
+    /// one that is not UTF-8 or not JSON is answered with `bad_request`.
     ///
     /// # Errors
     /// Propagates stdin read and stdout write failures.
     pub fn serve_stdio(self, input: &mut impl BufRead, output: &mut impl Write) -> io::Result<()> {
         let state = self.embedded();
-        for line in input.lines() {
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
+        let mut bytes = Vec::new();
+        loop {
+            bytes.clear();
+            if input.read_until(b'\n', &mut bytes)? == 0 {
+                break;
             }
-            let reply = match Json::try_parse(&line) {
-                Err(e) => {
-                    let message = format!("line is not valid JSON: {e}");
-                    response_err(0, ErrorCode::BadRequest, &message).to_string_compact()
+            let line = match bytes.strip_suffix(b"\n") {
+                Some(l) => l.strip_suffix(b"\r").unwrap_or(l),
+                None => &bytes,
+            };
+            let parsed = match std::str::from_utf8(line) {
+                Ok(line) if line.trim().is_empty() => continue,
+                Ok(line) => {
+                    Json::try_parse(line).map_err(|e| format!("line is not valid JSON: {e}"))
                 }
-                Ok(v) => match Request::from_json(&v) {
-                    Err(e) => response_err(0, ErrorCode::BadRequest, &e).to_string_compact(),
-                    Ok(req) => run_request_text(&state, &req),
-                },
+                Err(e) => Err(format!("line is not valid UTF-8: {e}")),
+            };
+            let reply = match parsed.and_then(|v| Request::from_json(&v)) {
+                Err(e) => response_err(0, ErrorCode::BadRequest, &e).to_string_compact(),
+                Ok(req) => run_request_text(&state, &req),
             };
             writeln!(output, "{reply}")?;
             output.flush()?;

@@ -17,7 +17,7 @@ fn main() {
     let Some(input) = args.positional.first() else {
         die(&usage);
     };
-    let inv = ToolInvocation::from_args(&args);
+    let inv = ToolInvocation::from_args(&args).unwrap_or_else(|e| die(&format!("{e}\n{usage}")));
     let m = read_module(input).unwrap_or_else(|e| die(&e));
     let mut noelle = Noelle::new(m, AliasTier::Full);
     let summary = inv.run(&mut noelle).unwrap_or_else(|e| die(&e));

@@ -58,12 +58,9 @@ fn main() {
     // Tool flags parse through the registry's own ToolInvocation, so
     // `noelle-query run-tool` and `noelle-load` accept identical options.
     if method == "run-tool" || args.flag("tool").is_some() {
-        if let Some(v) = args.flag("cores") {
-            if v.parse::<usize>().is_err() {
-                die("--cores expects an integer");
-            }
-        }
-        params.extend(ToolInvocation::from_args(&args).to_params());
+        let inv =
+            ToolInvocation::from_args(&args).unwrap_or_else(|e| die(&format!("{e}\n{USAGE}")));
+        params.extend(inv.to_params());
     }
     let deadline = args.flag("deadline-ms").map(|v| {
         v.parse()

@@ -53,6 +53,8 @@ pub struct Args {
     /// Positional arguments in order.
     pub positional: Vec<String>,
     flags: HashMap<String, String>,
+    /// The binary's usage, printed when a flag's value does not parse.
+    usage: String,
 }
 
 impl Args {
@@ -60,8 +62,12 @@ impl Args {
     /// binary's `valued` flags and `switches`, or die with what is wrong
     /// and the binary's `usage`.
     pub fn parse(valued: &[&str], switches: &[&str], usage: &str) -> Args {
-        Args::parse_from(std::env::args().skip(1), valued, switches)
-            .unwrap_or_else(|e| die(&format!("{e}\n{usage}")))
+        let args = Args::parse_from(std::env::args().skip(1), valued, switches)
+            .unwrap_or_else(|e| die(&format!("{e}\n{usage}")));
+        Args {
+            usage: usage.to_string(),
+            ..args
+        }
     }
 
     /// Parse an explicit argument list. A `valued` flag takes the word
@@ -104,11 +110,25 @@ impl Args {
         self.flag(key).unwrap_or(default)
     }
 
-    /// Integer flag with default.
-    pub fn flag_usize(&self, key: &str, default: usize) -> usize {
+    /// The value of `--key` as a non-negative integer, if given.
+    ///
+    /// # Errors
+    /// A value that is not one: `'--workers' expects a non-negative integer,
+    /// got 'abc'`.
+    pub fn flag_number(&self, key: &str) -> Result<Option<usize>, String> {
+        let bad = |v: &str| format!("'--{key}' expects a non-negative integer, got '{v}'");
         self.flag(key)
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(default)
+            .map(|v| v.parse().map_err(|_| bad(v)))
+            .transpose()
+    }
+
+    /// [`Args::flag_number`], or `default` when the flag is absent. A value
+    /// that does not parse ends the binary with the message and its usage.
+    pub fn flag_usize(&self, key: &str, default: usize) -> usize {
+        match self.flag_number(key) {
+            Ok(n) => n.unwrap_or(default),
+            Err(e) => die(&format!("{e}\n{}", self.usage)),
+        }
     }
 }
 

@@ -41,13 +41,16 @@ pub struct ToolInvocation {
 impl ToolInvocation {
     /// Parse from command-line flags: `--tool <name>` (default `doall`) and
     /// `--cores <n>` (default: unset, each tool's own).
-    pub fn from_args(args: &crate::Args) -> ToolInvocation {
-        ToolInvocation {
+    ///
+    /// # Errors
+    /// A `--cores` value that is not a non-negative integer.
+    pub fn from_args(args: &crate::Args) -> Result<ToolInvocation, String> {
+        Ok(ToolInvocation {
             name: args.flag_or("tool", "doall").to_string(),
             options: ToolOptions {
-                cores: args.flag("cores").and_then(|s| s.parse().ok()),
+                cores: args.flag_number("cores")?,
             },
-        }
+        })
     }
 
     /// Parse from wire params: `{"tool": <name>, "cores": <n>?}`.

@@ -1,6 +1,11 @@
 //! Kernel-shape builders: the loop/memory/call patterns that make up the
 //! synthetic benchmark corpus. Each builder appends one kernel function to a
 //! module and returns its id; `main` composes them.
+//!
+//! Every counted loop here, in `scale_module` and in the fuzzer's generator
+//! is built by [`counted_loop`], most through its [`sum_loop`] form. Only
+//! loops with labels of their own (`main`'s fill loop and mix tail) are
+//! written out by hand.
 
 use noelle_ir::builder::FunctionBuilder;
 use noelle_ir::inst::{BinOp, CastOp, IcmpPred};
@@ -19,42 +24,63 @@ pub fn kernel_params() -> Vec<(&'static str, Type)> {
     ]
 }
 
-/// Standard counted-loop skeleton: calls `body` with (builder, i) inside
-/// `for (i = 0; i < n; i++)`, threading an i64 accumulator. `body` returns
-/// the value to add to the accumulator. Public for reuse by the fuzzer's
-/// program generator.
+/// The trip bound of a [`kernel_params`] kernel: its `n`.
+const N: Value = Value::Arg(2);
+
+/// The one counted-loop skeleton: `for (i = start; i < bound; i++) acc =
+/// step(b, i, acc)`, built from the current block with an i64 counter and an
+/// accumulator of type `acc_ty` that starts at `init`. Leaves the builder in
+/// the exit block and returns the accumulator's header phi, its value after
+/// the loop. The printer numbers values in creation order, so that order is
+/// fixed: the counter phi, the accumulator phi, the compare, the step's
+/// instructions, the increment. Public so the fuzzer's generator builds its
+/// loops with it too.
 pub fn counted_loop(
     b: &mut FunctionBuilder,
-    body: impl FnOnce(&mut FunctionBuilder, Value) -> Value,
+    start: i64,
+    bound: Value,
+    acc_ty: Type,
+    init: Value,
+    step: impl FnOnce(&mut FunctionBuilder, Value, Value) -> Value,
 ) -> Value {
-    let entry = b.entry_block();
+    let pre = b.current_block();
     let header = b.block("header");
-    let body_bb = b.block("body");
+    let body = b.block("body");
     let exit = b.block("exit");
-    b.switch_to(entry);
     b.br(header);
     b.switch_to(header);
-    let i = b.phi(Type::I64, vec![(entry, Value::const_i64(0))]);
-    let acc = b.phi(Type::I64, vec![(entry, Value::const_i64(0))]);
-    let c = b.icmp(IcmpPred::Slt, Type::I64, i, b.arg(2));
-    b.cond_br(c, body_bb, exit);
-    b.switch_to(body_bb);
-    let contrib = body(b, i);
-    let acc2 = b.binop(BinOp::Add, Type::I64, acc, contrib);
+    let i = b.phi(Type::I64, vec![(pre, Value::const_i64(start))]);
+    let acc = b.phi(acc_ty, vec![(pre, init)]);
+    let c = b.icmp(IcmpPred::Slt, Type::I64, i, bound);
+    b.cond_br(c, body, exit);
+    b.switch_to(body);
+    let acc2 = step(b, i, acc);
     let i2 = b.binop(BinOp::Add, Type::I64, i, Value::const_i64(1));
     b.br(header);
-    b.add_incoming(i, body_bb, i2);
-    b.add_incoming(acc, body_bb, acc2);
+    b.add_incoming(i, body, i2);
+    b.add_incoming(acc, body, acc2);
     b.switch_to(exit);
-    b.ret(Some(acc));
     acc
+}
+
+/// The common kernel: `acc += contrib(b, i)` for `i` in `[0, n)` from an i64
+/// zero, then `ret acc`. Built from the current block.
+pub fn sum_loop(
+    b: &mut FunctionBuilder,
+    contrib: impl FnOnce(&mut FunctionBuilder, Value) -> Value,
+) {
+    let acc = counted_loop(b, 0, N, Type::I64, Value::const_i64(0), |b, i, acc| {
+        let c = contrib(b, i);
+        b.binop(BinOp::Add, Type::I64, acc, c)
+    });
+    b.ret(Some(acc));
 }
 
 /// DOALL map over `a`: `a[i] = f(a[i])` with a configurable op chain; the
 /// kernel returns the sum of the written values (a reduction).
 pub fn add_map(m: &mut Module, name: &str, heavy: bool) -> FuncId {
     let mut b = FunctionBuilder::new(name, kernel_params(), Type::I64);
-    counted_loop(&mut b, |b, i| {
+    sum_loop(&mut b, |b, i| {
         // Invariant chain: k1 depends only on the argument; k2 chains off
         // k1 (Algorithm 2 catches the chain, Algorithm 1 only k1).
         let k1 = b.binop(BinOp::Mul, Type::I64, b.arg(2), Value::const_i64(5));
@@ -79,7 +105,7 @@ pub fn add_map(m: &mut Module, name: &str, heavy: bool) -> FuncId {
 /// Reduction sum over `a` with optional extra per-element work.
 pub fn add_sum(m: &mut Module, name: &str, heavy: bool) -> FuncId {
     let mut b = FunctionBuilder::new(name, kernel_params(), Type::I64);
-    counted_loop(&mut b, |b, i| {
+    sum_loop(&mut b, |b, i| {
         let p = b.index_ptr(Type::I64, b.arg(0), i);
         let v = b.load(Type::I64, p);
         if heavy {
@@ -98,28 +124,14 @@ pub fn add_sum(m: &mut Module, name: &str, heavy: bool) -> FuncId {
 /// Min-reduction (streamcluster/dijkstra shape).
 pub fn add_min(m: &mut Module, name: &str) -> FuncId {
     let mut b = FunctionBuilder::new(name, kernel_params(), Type::I64);
-    let entry = b.entry_block();
-    let header = b.block("header");
-    let body = b.block("body");
-    let exit = b.block("exit");
-    b.switch_to(entry);
-    b.br(header);
-    b.switch_to(header);
-    let i = b.phi(Type::I64, vec![(entry, Value::const_i64(0))]);
-    let best = b.phi(Type::I64, vec![(entry, Value::const_i64(i64::MAX))]);
-    let c = b.icmp(IcmpPred::Slt, Type::I64, i, b.arg(2));
-    b.cond_br(c, body, exit);
-    b.switch_to(body);
-    let p = b.index_ptr(Type::I64, b.arg(0), i);
-    let v = b.load(Type::I64, p);
-    let d = b.binop(BinOp::Mul, Type::I64, v, Value::const_i64(17));
-    let dist = b.binop(BinOp::Xor, Type::I64, d, Value::const_i64(0x55));
-    let best2 = b.binop(BinOp::SMin, Type::I64, best, dist);
-    let i2 = b.binop(BinOp::Add, Type::I64, i, Value::const_i64(1));
-    b.br(header);
-    b.add_incoming(i, body, i2);
-    b.add_incoming(best, body, best2);
-    b.switch_to(exit);
+    let init = Value::const_i64(i64::MAX);
+    let best = counted_loop(&mut b, 0, N, Type::I64, init, |b, i, best| {
+        let p = b.index_ptr(Type::I64, b.arg(0), i);
+        let v = b.load(Type::I64, p);
+        let d = b.binop(BinOp::Mul, Type::I64, v, Value::const_i64(17));
+        let dist = b.binop(BinOp::Xor, Type::I64, d, Value::const_i64(0x55));
+        b.binop(BinOp::SMin, Type::I64, best, dist)
+    });
     b.ret(Some(best));
     m.add_function(b.finish())
 }
@@ -128,34 +140,20 @@ pub fn add_min(m: &mut Module, name: &str) -> FuncId {
 pub fn add_fsum(m: &mut Module, name: &str) -> FuncId {
     let sqrt = m.get_or_declare("sqrt", vec![Type::F64], Type::F64);
     let mut b = FunctionBuilder::new(name, kernel_params(), Type::I64);
-    let entry = b.entry_block();
-    let header = b.block("header");
-    let body = b.block("body");
-    let exit = b.block("exit");
-    b.switch_to(entry);
-    b.br(header);
-    b.switch_to(header);
-    let i = b.phi(Type::I64, vec![(entry, Value::const_i64(0))]);
-    let acc = b.phi(Type::F64, vec![(entry, Value::const_f64(0.0))]);
-    let c = b.icmp(IcmpPred::Slt, Type::I64, i, b.arg(2));
-    b.cond_br(c, body, exit);
-    b.switch_to(body);
-    let p = b.index_ptr(Type::I64, b.arg(0), i);
-    let v = b.load(Type::I64, p);
-    let fk1 = b.cast(CastOp::SiToFp, Type::I64, Type::F64, b.arg(2));
-    let fk2 = b.binop(BinOp::FMul, Type::F64, fk1, Value::const_f64(0.001));
-    let fk3 = b.binop(BinOp::FAdd, Type::F64, fk2, Value::const_f64(1.0));
-    let x = b.cast(CastOp::SiToFp, Type::I64, Type::F64, v);
-    let x1 = b.binop(BinOp::FMul, Type::F64, x, fk3);
-    let x2 = b.binop(BinOp::FAdd, Type::F64, x1, Value::const_f64(1.0));
-    let r = b.call(sqrt, vec![x2], Type::F64);
-    let r2 = b.binop(BinOp::FDiv, Type::F64, r, Value::const_f64(1.5));
-    let acc2 = b.binop(BinOp::FAdd, Type::F64, acc, r2);
-    let i2 = b.binop(BinOp::Add, Type::I64, i, Value::const_i64(1));
-    b.br(header);
-    b.add_incoming(i, body, i2);
-    b.add_incoming(acc, body, acc2);
-    b.switch_to(exit);
+    let init = Value::const_f64(0.0);
+    let acc = counted_loop(&mut b, 0, N, Type::F64, init, |b, i, acc| {
+        let p = b.index_ptr(Type::I64, b.arg(0), i);
+        let v = b.load(Type::I64, p);
+        let fk1 = b.cast(CastOp::SiToFp, Type::I64, Type::F64, b.arg(2));
+        let fk2 = b.binop(BinOp::FMul, Type::F64, fk1, Value::const_f64(0.001));
+        let fk3 = b.binop(BinOp::FAdd, Type::F64, fk2, Value::const_f64(1.0));
+        let x = b.cast(CastOp::SiToFp, Type::I64, Type::F64, v);
+        let x1 = b.binop(BinOp::FMul, Type::F64, x, fk3);
+        let x2 = b.binop(BinOp::FAdd, Type::F64, x1, Value::const_f64(1.0));
+        let r = b.call(sqrt, vec![x2], Type::F64);
+        let r2 = b.binop(BinOp::FDiv, Type::F64, r, Value::const_f64(1.5));
+        b.binop(BinOp::FAdd, Type::F64, acc, r2)
+    });
     let out = b.cast(CastOp::FpToSi, Type::F64, Type::I64, acc);
     b.ret(Some(out));
     m.add_function(b.finish())
@@ -166,37 +164,29 @@ pub fn add_fsum(m: &mut Module, name: &str) -> FuncId {
 /// allocations).
 pub fn add_stencil(m: &mut Module, name: &str) -> FuncId {
     let mut b = FunctionBuilder::new(name, kernel_params(), Type::I64);
-    let entry = b.entry_block();
-    let header = b.block("header");
-    let body = b.block("body");
-    let exit = b.block("exit");
-    b.switch_to(entry);
-    let n1 = b.binop(BinOp::Sub, Type::I64, b.arg(2), Value::const_i64(1));
-    b.br(header);
-    b.switch_to(header);
-    let i = b.phi(Type::I64, vec![(entry, Value::const_i64(1))]);
-    let acc = b.phi(Type::I64, vec![(entry, Value::const_i64(0))]);
-    let c = b.icmp(IcmpPred::Slt, Type::I64, i, n1);
-    b.cond_br(c, body, exit);
-    b.switch_to(body);
-    let im1 = b.binop(BinOp::Sub, Type::I64, i, Value::const_i64(1));
-    let ip1 = b.binop(BinOp::Add, Type::I64, i, Value::const_i64(1));
-    let p0 = b.index_ptr(Type::I64, b.arg(0), im1);
-    let p1 = b.index_ptr(Type::I64, b.arg(0), i);
-    let p2 = b.index_ptr(Type::I64, b.arg(0), ip1);
-    let v0 = b.load(Type::I64, p0);
-    let v1 = b.load(Type::I64, p1);
-    let v2 = b.load(Type::I64, p2);
-    let s01 = b.binop(BinOp::Add, Type::I64, v0, v1);
-    let s = b.binop(BinOp::Add, Type::I64, s01, v2);
-    let q = b.index_ptr(Type::I64, b.arg(1), i);
-    b.store(Type::I64, s, q);
-    let acc2 = b.binop(BinOp::Add, Type::I64, acc, s);
-    let i2 = b.binop(BinOp::Add, Type::I64, i, Value::const_i64(1));
-    b.br(header);
-    b.add_incoming(i, body, i2);
-    b.add_incoming(acc, body, acc2);
-    b.switch_to(exit);
+    let n1 = b.binop(BinOp::Sub, Type::I64, N, Value::const_i64(1));
+    let acc = counted_loop(
+        &mut b,
+        1,
+        n1,
+        Type::I64,
+        Value::const_i64(0),
+        |b, i, acc| {
+            let im1 = b.binop(BinOp::Sub, Type::I64, i, Value::const_i64(1));
+            let ip1 = b.binop(BinOp::Add, Type::I64, i, Value::const_i64(1));
+            let p0 = b.index_ptr(Type::I64, b.arg(0), im1);
+            let p1 = b.index_ptr(Type::I64, b.arg(0), i);
+            let p2 = b.index_ptr(Type::I64, b.arg(0), ip1);
+            let v0 = b.load(Type::I64, p0);
+            let v1 = b.load(Type::I64, p1);
+            let v2 = b.load(Type::I64, p2);
+            let s01 = b.binop(BinOp::Add, Type::I64, v0, v1);
+            let s = b.binop(BinOp::Add, Type::I64, s01, v2);
+            let q = b.index_ptr(Type::I64, b.arg(1), i);
+            b.store(Type::I64, s, q);
+            b.binop(BinOp::Add, Type::I64, acc, s)
+        },
+    );
     b.ret(Some(acc));
     m.add_function(b.finish())
 }
@@ -207,28 +197,20 @@ pub fn add_stencil(m: &mut Module, name: &str) -> FuncId {
 /// observation.
 pub fn add_seq_chain(m: &mut Module, name: &str) -> FuncId {
     let mut b = FunctionBuilder::new(name, kernel_params(), Type::I64);
-    let entry = b.entry_block();
-    let header = b.block("header");
-    let body = b.block("body");
-    let exit = b.block("exit");
-    b.switch_to(entry);
-    b.br(header);
-    b.switch_to(header);
-    let i = b.phi(Type::I64, vec![(entry, Value::const_i64(0))]);
-    let crc = b.phi(Type::I64, vec![(entry, Value::const_i64(-1))]);
-    let c = b.icmp(IcmpPred::Slt, Type::I64, i, b.arg(2));
-    b.cond_br(c, body, exit);
-    b.switch_to(body);
-    let p = b.index_ptr(Type::I64, b.arg(0), i);
-    let v = b.load(Type::I64, p);
-    let sh = b.binop(BinOp::Shl, Type::I64, crc, Value::const_i64(1));
-    let x = b.binop(BinOp::Xor, Type::I64, sh, v);
-    let crc2 = b.binop(BinOp::And, Type::I64, x, Value::const_i64(0xFFFF_FFFF));
-    let i2 = b.binop(BinOp::Add, Type::I64, i, Value::const_i64(1));
-    b.br(header);
-    b.add_incoming(i, body, i2);
-    b.add_incoming(crc, body, crc2);
-    b.switch_to(exit);
+    let crc = counted_loop(
+        &mut b,
+        0,
+        N,
+        Type::I64,
+        Value::const_i64(-1),
+        |b, i, crc| {
+            let p = b.index_ptr(Type::I64, b.arg(0), i);
+            let v = b.load(Type::I64, p);
+            let sh = b.binop(BinOp::Shl, Type::I64, crc, Value::const_i64(1));
+            let x = b.binop(BinOp::Xor, Type::I64, sh, v);
+            b.binop(BinOp::And, Type::I64, x, Value::const_i64(0xFFFF_FFFF))
+        },
+    );
     b.ret(Some(crc));
     m.add_function(b.finish())
 }
@@ -239,32 +221,24 @@ pub fn add_seq_chain(m: &mut Module, name: &str) -> FuncId {
 /// fraction (the paper's explanation for SPEC's 1-5% ceilings).
 pub fn add_seq_chain_heavy(m: &mut Module, name: &str) -> FuncId {
     let mut b = FunctionBuilder::new(name, kernel_params(), Type::I64);
-    let entry = b.entry_block();
-    let header = b.block("header");
-    let body = b.block("body");
-    let exit = b.block("exit");
-    b.switch_to(entry);
-    b.br(header);
-    b.switch_to(header);
-    let i = b.phi(Type::I64, vec![(entry, Value::const_i64(0))]);
-    let acc = b.phi(Type::I64, vec![(entry, Value::const_i64(-1))]);
-    let c = b.icmp(IcmpPred::Slt, Type::I64, i, b.arg(2));
-    b.cond_br(c, body, exit);
-    b.switch_to(body);
-    let p = b.index_ptr(Type::I64, b.arg(0), i);
-    let v = b.load(Type::I64, p);
-    let mut x = b.binop(BinOp::Xor, Type::I64, acc, v);
-    for d in [7i64, 11, 5, 13, 3, 17, 9, 23] {
-        let sh = b.binop(BinOp::Shl, Type::I64, x, Value::const_i64(1));
-        let dv = b.binop(BinOp::Div, Type::I64, sh, Value::const_i64(d));
-        x = b.binop(BinOp::Xor, Type::I64, dv, v);
-    }
-    let acc2 = b.binop(BinOp::And, Type::I64, x, Value::const_i64(0xFFFF_FFFF));
-    let i2 = b.binop(BinOp::Add, Type::I64, i, Value::const_i64(1));
-    b.br(header);
-    b.add_incoming(i, body, i2);
-    b.add_incoming(acc, body, acc2);
-    b.switch_to(exit);
+    let acc = counted_loop(
+        &mut b,
+        0,
+        N,
+        Type::I64,
+        Value::const_i64(-1),
+        |b, i, acc| {
+            let p = b.index_ptr(Type::I64, b.arg(0), i);
+            let v = b.load(Type::I64, p);
+            let mut x = b.binop(BinOp::Xor, Type::I64, acc, v);
+            for d in [7i64, 11, 5, 13, 3, 17, 9, 23] {
+                let sh = b.binop(BinOp::Shl, Type::I64, x, Value::const_i64(1));
+                let dv = b.binop(BinOp::Div, Type::I64, sh, Value::const_i64(d));
+                x = b.binop(BinOp::Xor, Type::I64, dv, v);
+            }
+            b.binop(BinOp::And, Type::I64, x, Value::const_i64(0xFFFF_FFFF))
+        },
+    );
     b.ret(Some(acc));
     m.add_function(b.finish())
 }
@@ -273,7 +247,7 @@ pub fn add_seq_chain_heavy(m: &mut Module, name: &str) -> FuncId {
 /// per-iteration disambiguation; HELIX can still bracket the bin update.
 pub fn add_hist(m: &mut Module, name: &str) -> FuncId {
     let mut b = FunctionBuilder::new(name, kernel_params(), Type::I64);
-    counted_loop(&mut b, |b, i| {
+    sum_loop(&mut b, |b, i| {
         let p = b.index_ptr(Type::I64, b.arg(0), i);
         let v = b.load(Type::I64, p);
         let bin = b.binop(BinOp::And, Type::I64, v, Value::const_i64(15));
@@ -291,10 +265,8 @@ pub fn add_hist(m: &mut Module, name: &str) -> FuncId {
 pub fn add_scratch(m: &mut Module, name: &str) -> FuncId {
     let mut b = FunctionBuilder::new(name, kernel_params(), Type::I64);
     // Pre-create the scratch cell in the entry block.
-    let entry = b.entry_block();
-    b.switch_to(entry);
     let tmp = b.alloca(Type::I64);
-    counted_loop_from(&mut b, entry, |b, i| {
+    sum_loop(&mut b, |b, i| {
         let p = b.index_ptr(Type::I64, b.arg(0), i);
         let v = b.load(Type::I64, p);
         let sq = b.binop(BinOp::Mul, Type::I64, v, v);
@@ -342,38 +314,11 @@ pub fn add_bank_scratch(m: &mut Module, name: &str, banks: usize, touches: usize
     m.add_function(b.finish())
 }
 
-/// Like [`counted_loop`] but continues from a pre-populated entry block.
-pub fn counted_loop_from(
-    b: &mut FunctionBuilder,
-    entry: noelle_ir::module::BlockId,
-    body: impl FnOnce(&mut FunctionBuilder, Value) -> Value,
-) {
-    let header = b.block("header");
-    let body_bb = b.block("body");
-    let exit = b.block("exit");
-    b.switch_to(entry);
-    b.br(header);
-    b.switch_to(header);
-    let i = b.phi(Type::I64, vec![(entry, Value::const_i64(0))]);
-    let acc = b.phi(Type::I64, vec![(entry, Value::const_i64(0))]);
-    let c = b.icmp(IcmpPred::Slt, Type::I64, i, b.arg(2));
-    b.cond_br(c, body_bb, exit);
-    b.switch_to(body_bb);
-    let contrib = body(b, i);
-    let acc2 = b.binop(BinOp::Add, Type::I64, acc, contrib);
-    let i2 = b.binop(BinOp::Add, Type::I64, i, Value::const_i64(1));
-    b.br(header);
-    b.add_incoming(i, body_bb, i2);
-    b.add_incoming(acc, body_bb, acc2);
-    b.switch_to(exit);
-    b.ret(Some(acc));
-}
-
 /// Monte-Carlo draws from a PRVG (bodytrack/swaptions shape, PRVJ fodder).
 pub fn add_monte(m: &mut Module, name: &str) -> FuncId {
     let prv = m.get_or_declare("prv.mt.next", vec![Type::I64], Type::I64);
     let mut b = FunctionBuilder::new(name, kernel_params(), Type::I64);
-    counted_loop(&mut b, |b, _i| {
+    sum_loop(&mut b, |b, _i| {
         let r = b.call(prv, vec![Value::const_i64(0)], Type::I64);
         b.binop(BinOp::And, Type::I64, r, Value::const_i64(1023))
     });
@@ -383,7 +328,7 @@ pub fn add_monte(m: &mut Module, name: &str) -> FuncId {
 /// Constant-on-the-left compares (x264/stringsearch shape, TIME fodder).
 pub fn add_branchy(m: &mut Module, name: &str) -> FuncId {
     let mut b = FunctionBuilder::new(name, kernel_params(), Type::I64);
-    counted_loop(&mut b, |b, i| {
+    sum_loop(&mut b, |b, i| {
         let p = b.index_ptr(Type::I64, b.arg(0), i);
         let v = b.load(Type::I64, p);
         let th = b.binop(BinOp::Div, Type::I64, b.arg(2), Value::const_i64(2));
@@ -413,7 +358,7 @@ pub fn add_call_work(m: &mut Module, name: &str) -> FuncId {
         m.add_function(lb.finish())
     };
     let mut b = FunctionBuilder::new(name, kernel_params(), Type::I64);
-    counted_loop(&mut b, |b, i| {
+    sum_loop(&mut b, |b, i| {
         let p = b.index_ptr(Type::I64, b.arg(0), i);
         let v = b.load(Type::I64, p);
         b.call(leaf, vec![v], Type::I64)
@@ -440,11 +385,9 @@ pub fn add_indirect(m: &mut Module, name: &str) -> FuncId {
     }))
     .ptr_to();
     let mut b = FunctionBuilder::new(name, kernel_params(), Type::I64);
-    let entry = b.entry_block();
-    b.switch_to(entry);
     let c = b.icmp(IcmpPred::Sgt, Type::I64, b.arg(2), Value::const_i64(100));
     let fp = b.select(fty, c, Value::Func(f1), Value::Func(f2));
-    counted_loop_from(&mut b, entry, |b, i| {
+    sum_loop(&mut b, |b, i| {
         let p = b.index_ptr(Type::I64, b.arg(0), i);
         let v = b.load(Type::I64, p);
         b.call_indirect(fp, vec![v], Type::I64)
@@ -456,7 +399,7 @@ pub fn add_indirect(m: &mut Module, name: &str) -> FuncId {
 /// enough work per iteration that decoupled pipelining pays for its queues.
 pub fn add_pipe(m: &mut Module, name: &str) -> FuncId {
     let mut b = FunctionBuilder::new(name, kernel_params(), Type::I64);
-    counted_loop(&mut b, |b, i| {
+    sum_loop(&mut b, |b, i| {
         let p = b.index_ptr(Type::I64, b.arg(0), i);
         let v = b.load(Type::I64, p);
         let mut x = b.binop(BinOp::Mul, Type::I64, v, v);

@@ -363,6 +363,29 @@ fn stdio_mode_answers_line_delimited_requests() {
     assert!(lines[3].get("ok").is_some(), "shutdown acknowledged");
 }
 
+/// A line that is not UTF-8 draws a `bad_request` and the daemon reads on:
+/// the next request is answered.
+#[test]
+fn a_line_that_is_not_utf8_is_a_bad_request_not_the_end() {
+    let input = b"{\"id\":1,\"method\":\"ping\"}\n\xff\xfe\n{\"id\":2,\"method\":\"ping\"}\n";
+    let mut out = Vec::new();
+    Server::new(ServerConfig::default())
+        .serve_stdio(&mut Cursor::new(&input[..]), &mut out)
+        .expect("stdio serve");
+    let text = String::from_utf8(out).expect("utf8");
+    let replies: Vec<Json> = (text.lines())
+        .map(|l| Json::parse(l).expect("each reply line is one JSON value"))
+        .collect();
+    assert_eq!(replies.len(), 3, "{text}");
+    assert_eq!(replies[0].get("id").and_then(Json::as_i64), Some(1));
+    assert!(replies[0].get("ok").is_some(), "{text}");
+    let code = replies[1].get("error").and_then(|e| e.get("code"));
+    assert_eq!(code.and_then(Json::as_str), Some("bad_request"), "{text}");
+    assert_eq!(replies[1].get("id").and_then(Json::as_i64), Some(0));
+    assert_eq!(replies[2].get("id").and_then(Json::as_i64), Some(2));
+    assert!(replies[2].get("ok").is_some(), "{text}");
+}
+
 /// The replies of a `--stdio` daemon to `requests`, one per request.
 fn stdio_replies(requests: &[String]) -> Vec<Json> {
     let mut input = requests.join("\n");

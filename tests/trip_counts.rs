@@ -1,8 +1,9 @@
 //! Trip counts checked against concrete semantics at narrow widths: the
 //! count `scev::const_trip_count` answers must be none or exact. A table of
 //! wrap-around loops runs on the interpreter, an exhaustive i8 sweep
-//! compares every answer with a direct model of the loop, and a fixed slice
-//! of that sweep runs on the interpreter against the same model.
+//! compares every answer with a direct model of the loop (and prints, per
+//! shape class, the finite loops that get no count), and a fixed slice of
+//! that sweep runs on the interpreter against the same model.
 
 use noelle::analysis::scev::{affine_recurrences, const_trip_count};
 use noelle::ir::builder::FunctionBuilder;
@@ -135,13 +136,14 @@ const PREDS: [IcmpPred; 10] = [
 ];
 
 /// The loop run directly on `i8`: how many times the body runs, `None` if
-/// it never exits (256 runs revisit a counter value).
+/// it never exits (256 runs revisit a counter value), and whether the
+/// counter had stepped past its range by the time the exit test failed.
 fn model(
     (start, step, bound): (i8, i8, i8),
     pred: IcmpPred,
     continue_on_true: bool,
     test_update: bool,
-) -> Option<i64> {
+) -> (Option<i64>, bool) {
     let holds = |t: i8| match pred {
         IcmpPred::Eq => t == bound,
         IcmpPred::Ne => t != bound,
@@ -154,15 +156,17 @@ fn model(
         IcmpPred::Ugt => (t as u8) > bound as u8,
         IcmpPred::Uge => (t as u8) >= bound as u8,
     };
-    let mut i = start;
+    let (mut i, mut wrapped) = (start, false);
     for runs in 0..=256 {
-        let tested = if test_update { i.wrapping_add(step) } else { i };
+        let (next, over) = i.overflowing_add(step);
+        let tested = if test_update { next } else { i };
         if holds(tested) != continue_on_true {
-            return Some(runs);
+            return (Some(runs), wrapped || (test_update && over));
         }
-        i = i.wrapping_add(step);
+        wrapped |= over;
+        i = next;
     }
-    None
+    (None, wrapped)
 }
 
 /// Overwrite the loop's start and bound constants in place: the shape, and
@@ -182,10 +186,16 @@ fn set_constants(lp: &mut CounterLoop, start: Option<i8>, bound: i8) {
 #[test]
 fn every_i8_trip_count_is_none_or_exact() {
     let (mut exact, mut headroom) = (0u64, 0u64);
-    for pred in PREDS {
+    // Per shape class: exact counts, finite loops without one, and how many
+    // of those exit after the counter wrapped.
+    let mut classes = std::collections::BTreeMap::<_, [u64; 3]>::new();
+    for (p, pred) in PREDS.into_iter().enumerate() {
         for continue_on_true in [true, false] {
             for step in [1i8, -1, 3, -3, 10, -10] {
                 for test_update in [false, true] {
+                    let class = classes
+                        .entry((p, continue_on_true, test_update))
+                        .or_default();
                     let shape = (0, i64::from(step), 0);
                     let mut lp =
                         counter_loop(IntWidth::I8, shape, pred, continue_on_true, test_update);
@@ -195,7 +205,7 @@ fn every_i8_trip_count_is_none_or_exact() {
                         for bound in i8::MIN..=i8::MAX {
                             set_constants(&mut lp, None, bound);
                             let scev = const_trip_count(&lp.f, &lp.l, &recs);
-                            let real =
+                            let (real, wrapped) =
                                 model((start, step, bound), pred, continue_on_true, test_update);
                             match (scev, real) {
                                 (Some(s), r) => {
@@ -206,8 +216,13 @@ fn every_i8_trip_count_is_none_or_exact() {
                                          {continue_on_true}, tests the update: {test_update}"
                                     );
                                     exact += 1;
+                                    class[0] += 1;
                                 }
-                                (None, Some(_)) => headroom += 1,
+                                (None, Some(_)) => {
+                                    headroom += 1;
+                                    class[1] += 1;
+                                    class[2] += u64::from(wrapped);
+                                }
                                 (None, None) => {}
                             }
                         }
@@ -216,8 +231,13 @@ fn every_i8_trip_count_is_none_or_exact() {
             }
         }
     }
-    // Precision headroom, ungated: finite loops that get no count.
+    // Precision headroom, ungated: finite loops that get no count, by shape.
     eprintln!("i8 sweep: {exact} exact counts, {headroom} finite loops without one");
+    eprintln!("pred continues-on tests-update     exact  no-count  of-which-wrapped");
+    for ((p, continue_on_true, test_update), [e, h, w]) in &classes {
+        let pred = format!("{:?}", PREDS[*p]);
+        eprintln!("{pred:<4} {continue_on_true:<12} {test_update:<11} {e:>9} {h:>9} {w:>17}");
+    }
     assert!(
         exact > 1_000_000,
         "the sweep reached few counted loops: {exact}"
@@ -245,7 +265,8 @@ fn the_interpreter_counts_what_the_model_counts_on_a_slice_of_the_i8_sweep() {
                         let start = (pair >> 8) as u8 as i8;
                         let bound = pair as u8 as i8;
                         set_constants(&mut lp, Some(start), bound);
-                        let real = model((start, step, bound), pred, continue_on_true, test_update);
+                        let (real, _) =
+                            model((start, step, bound), pred, continue_on_true, test_update);
                         assert_eq!(
                             lp.interpreted(MAX_STEPS),
                             real,
