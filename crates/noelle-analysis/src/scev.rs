@@ -63,6 +63,14 @@ pub fn trivially_loop_invariant(f: &Function, l: &LoopInfo, v: Value) -> bool {
 /// Find every affine recurrence rooted at a header phi of `l`.
 pub fn affine_recurrences(f: &Function, l: &LoopInfo) -> Vec<AddRec> {
     let mut out = Vec::new();
+    affine_recurrences_into(f, l, &mut out);
+    out
+}
+
+/// [`affine_recurrences`] into `out`, which is cleared first and keeps its
+/// storage.
+pub fn affine_recurrences_into(f: &Function, l: &LoopInfo, out: &mut Vec<AddRec>) {
+    out.clear();
     for &phi_id in &f.block(l.header).insts {
         let Inst::Phi { incomings, .. } = f.inst(phi_id) else {
             break; // the phis lead the block
@@ -125,7 +133,6 @@ pub fn affine_recurrences(f: &Function, l: &LoopInfo) -> Vec<AddRec> {
             }
         }
     }
-    out
 }
 
 /// The exit condition of a counted loop: the compare governing the exit
@@ -152,7 +159,7 @@ pub struct ExitCondition {
 /// `icmp(iv-or-update, invariant)` feeding a conditional branch with one edge
 /// leaving the loop.
 pub fn exit_condition(f: &Function, l: &LoopInfo, recs: &[AddRec]) -> Option<ExitCondition> {
-    for &exiting in &l.exiting_blocks() {
+    for exiting in l.exiting_blocks() {
         let Some(Terminator::CondBr {
             cond,
             then_bb,

@@ -10,6 +10,7 @@
 //! casts by the [`EnvironmentBuilder`] helpers.
 
 use crate::architecture::{CAST_CYCLES, GEP_CYCLES, MEM_CYCLES};
+use crate::loop_abs::LoopBuffers;
 use noelle_ir::inst::{CastOp, Inst, InstId};
 use noelle_ir::loops::LoopInfo;
 use noelle_ir::module::{BlockId, Function};
@@ -30,17 +31,35 @@ impl Environment {
     /// defined outside the loop (arguments included) used by loop
     /// instructions; live-outs are loop-defined values used beyond the loop.
     pub fn for_loop(m: &noelle_ir::Module, f: &Function, l: &LoopInfo) -> Environment {
-        let mut live_ins: Vec<(Value, Type)> = Vec::new();
-        let mut live_outs: Vec<(Value, Type)> = Vec::new();
+        Environment::for_loop_in(m, f, l, &mut LoopBuffers::default())
+    }
+
+    /// [`Environment::for_loop`] working in `buf`: the marks and the slots
+    /// as found live there, and each list is built at its exact size.
+    pub fn for_loop_in(
+        m: &noelle_ir::Module,
+        f: &Function,
+        l: &LoopInfo,
+        buf: &mut LoopBuffers,
+    ) -> Environment {
+        let LoopBuffers {
+            in_loop,
+            seen,
+            slots,
+            ..
+        } = buf;
         // A mark per block of the loop, and a mark per value once it has a
         // slot: instructions by arena index, arguments after them.
-        let mut in_loop = vec![false; f.num_blocks()];
+        in_loop.clear();
+        in_loop.resize(f.num_blocks(), false);
         for &b in &l.blocks {
             in_loop[b.index()] = true;
         }
         let defined_in_loop = |d: InstId| in_loop[f.parent_block(d).index()];
         let args = f.inst_arena_len();
-        let mut seen = vec![false; args + f.params.len()];
+        seen.clear();
+        seen.resize(args + f.params.len(), false);
+        slots.clear();
         for &b in f.block_order() {
             let inside = in_loop[b.index()];
             for &id in &f.block(b).insts {
@@ -55,19 +74,20 @@ impl Environment {
                         _ => return, // constants/globals need no slot
                     };
                     if !std::mem::replace(&mut seen[mark], true) {
-                        let slots = if inside {
-                            &mut live_ins
-                        } else {
-                            &mut live_outs
-                        };
-                        slots.push((op, f.value_type(m, op)));
+                        slots.push((inside, op, f.value_type(m, op)));
                     }
                 });
             }
         }
+        let section = |live_in: bool| {
+            let of = || slots.iter().filter(move |s| s.0 == live_in);
+            let mut out = Vec::with_capacity(of().count());
+            out.extend(of().map(|(_, v, ty)| (*v, ty.clone())));
+            out
+        };
         Environment {
-            live_ins,
-            live_outs,
+            live_ins: section(true),
+            live_outs: section(false),
         }
     }
 

@@ -74,21 +74,31 @@ impl InductionVariables {
 /// NOELLE's shape-independent, SCC-based IV detection over the loop's
 /// affine recurrences (`noelle_analysis::scev::affine_recurrences`).
 pub fn ivs_noelle(f: &Function, l: &LoopInfo, recs: &[AddRec]) -> InductionVariables {
+    ivs_noelle_in(f, l, recs, &mut Vec::new())
+}
+
+/// [`ivs_noelle`] listing the loop's instructions in `loop_insts`, which is
+/// cleared first and keeps its storage.
+pub(crate) fn ivs_noelle_in(
+    f: &Function,
+    l: &LoopInfo,
+    recs: &[AddRec],
+    loop_insts: &mut Vec<InstId>,
+) -> InductionVariables {
     if recs.is_empty() {
         return InductionVariables::default();
     }
     let cond = exit_condition(f, l, recs);
-    let loop_insts: Vec<InstId> = f
-        .block_order()
-        .iter()
-        .filter(|&&b| l.contains(b))
-        .flat_map(|&b| f.block(b).insts.iter().copied())
-        .collect();
+    loop_insts.clear();
+    for &b in f.block_order().iter().filter(|&&b| l.contains(b)) {
+        loop_insts.extend_from_slice(&f.block(b).insts);
+    }
+    let loop_insts: &[InstId] = loop_insts;
     let mut ivs = Vec::with_capacity(recs.len());
     for (i, rec) in recs.iter().enumerate() {
         let governing = cond.as_ref().map(|c| c.rec_index == i).unwrap_or(false);
         let bound = cond.as_ref().filter(|c| c.rec_index == i).map(|c| c.bound);
-        let derived = derived_ivs(f, l, rec, &loop_insts);
+        let derived = derived_ivs(f, l, rec, loop_insts);
         ivs.push(InductionVariable {
             rec: rec.clone(),
             governing,

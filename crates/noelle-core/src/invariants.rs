@@ -20,6 +20,7 @@
 //! Note: Algorithm 2 walks *data* dependences only. Control dependences on
 //! the loop's own exit branch would otherwise disqualify the entire body.
 
+use crate::loop_abs::LoopBuffers;
 use noelle_analysis::alias::{AliasAnalysis, AliasResult};
 use noelle_analysis::modref::ModRefSummaries;
 use noelle_ir::dom::DomTree;
@@ -27,25 +28,28 @@ use noelle_ir::inst::{Callee, Inst, InstId};
 use noelle_ir::loops::LoopInfo;
 use noelle_ir::module::{FuncId, Function, Module};
 use noelle_ir::value::Value;
-use noelle_pdg::depgraph::{DepEdge, DepGraph};
+use noelle_pdg::depgraph::DepGraph;
 use std::collections::BTreeSet;
 
 /// The set of invariant instructions of one loop, with value-level queries —
 /// the INV abstraction handed out by the manager.
 #[derive(Clone, Debug)]
 pub struct InvariantSet {
-    insts: BTreeSet<InstId>,
+    /// Ascending, none twice.
+    insts: Vec<InstId>,
 }
 
 impl InvariantSet {
     /// Wrap a computed set.
     pub fn new(insts: BTreeSet<InstId>) -> InvariantSet {
-        InvariantSet { insts }
+        InvariantSet {
+            insts: insts.into_iter().collect(),
+        }
     }
 
     /// True if instruction `id` is invariant in the loop.
     pub fn contains(&self, id: InstId) -> bool {
-        self.insts.contains(&id)
+        self.insts.binary_search(&id).is_ok()
     }
 
     /// True if `v` is invariant with respect to loop `l`: a constant, an
@@ -54,7 +58,7 @@ impl InvariantSet {
     pub fn is_invariant_value(&self, f: &Function, l: &LoopInfo, v: Value) -> bool {
         match v {
             Value::Const(_) | Value::Arg(_) | Value::Global(_) | Value::Func(_) => true,
-            Value::Inst(id) => !l.contains(f.parent_block(id)) || self.insts.contains(&id),
+            Value::Inst(id) => !l.contains(f.parent_block(id)) || self.contains(id),
         }
     }
 
@@ -219,37 +223,59 @@ fn is_invariant_llvm_one(
 /// instructions of `l` using the loop dependence graph. Smaller, simpler,
 /// and more precise — the comparison the paper draws in §2.5.
 pub fn invariants_noelle(f: &Function, l: &LoopInfo, loop_pdg: &DepGraph<InstId>) -> InvariantSet {
-    let mut in_loop = vec![false; f.num_blocks()];
+    invariants_noelle_in(f, l, loop_pdg, &mut LoopBuffers::default())
+}
+
+/// [`invariants_noelle`] working in `buf`: the loop's block marks, the
+/// walk's memo and the list of what it found live there.
+pub(crate) fn invariants_noelle_in(
+    f: &Function,
+    l: &LoopInfo,
+    loop_pdg: &DepGraph<InstId>,
+    buf: &mut LoopBuffers,
+) -> InvariantSet {
+    let LoopBuffers {
+        in_loop,
+        visits,
+        frames,
+        insts: found,
+        ..
+    } = buf;
+    in_loop.clear();
+    in_loop.resize(f.num_blocks(), false);
     for &b in &l.blocks {
         in_loop[b.index()] = true;
     }
+    visits.clear();
+    visits.resize(f.inst_arena_len(), Visit::Unknown);
     let mut walk = InvariantWalk {
         f,
         dg: loop_pdg,
         in_loop,
-        state: vec![Visit::Unknown; f.inst_arena_len()],
+        state: visits,
     };
-    // One stack of frames for every root: an instruction and the rest of
-    // its dependences to walk.
-    let mut frames = Vec::new();
-    let deps_of = |id| loop_pdg.edges_to(id);
-    let mut out = BTreeSet::new();
+    // One stack of frames for every root.
+    frames.clear();
+    found.clear();
     for &b in f.block_order() {
         if !walk.in_loop[b.index()] {
             continue;
         }
         for &id in &f.block(b).insts {
-            if walk.is_invariant(id, &mut frames, deps_of) {
-                out.insert(id);
+            if walk.is_invariant(id, frames) {
+                found.push(id);
             }
         }
     }
-    InvariantSet::new(out)
+    found.sort_unstable();
+    InvariantSet {
+        insts: found.to_vec(),
+    }
 }
 
 /// Where Algorithm 2's walk stands with one instruction.
 #[derive(Clone, Copy, PartialEq, Eq)]
-enum Visit {
+pub(crate) enum Visit {
     Unknown,
     /// On the walk's stack: reached again, it closes a dependence cycle.
     OnStack,
@@ -263,8 +289,8 @@ enum Visit {
 struct InvariantWalk<'a> {
     f: &'a Function,
     dg: &'a DepGraph<InstId>,
-    in_loop: Vec<bool>,
-    state: Vec<Visit>,
+    in_loop: &'a [bool],
+    state: &'a mut [Visit],
 }
 
 impl InvariantWalk<'_> {
@@ -289,13 +315,9 @@ impl InvariantWalk<'_> {
 
     /// Is loop instruction `root` invariant? Every instruction the walk
     /// settles on the way is memoized. `frames` is the walk's stack, empty
-    /// between calls; `deps_of` lists an instruction's dependences.
-    fn is_invariant<'g, D: Iterator<Item = &'g DepEdge<InstId>>>(
-        &mut self,
-        root: InstId,
-        frames: &mut Vec<(InstId, D)>,
-        deps_of: impl Fn(InstId) -> D,
-    ) -> bool {
+    /// between calls: an instruction and how many of its dependences
+    /// ([`DepGraph::edge_to`]) were walked.
+    fn is_invariant(&mut self, root: InstId, frames: &mut Vec<(InstId, usize)>) -> bool {
         if !self.enter(root) {
             return false;
         }
@@ -305,15 +327,15 @@ impl InvariantWalk<'_> {
         // "for PDG dependence J to I": each frame walks the data
         // dependences of its instruction, descending into the ones inside
         // the loop that are not settled yet.
-        frames.push((root, deps_of(root)));
+        frames.push((root, 0));
         // The verdict of the frame just popped, for the frame below it.
         let mut child: Option<bool> = None;
-        while let Some((id, deps)) = frames.last_mut() {
-            let id = *id;
+        while let Some(&mut (id, ref mut walked)) = frames.last_mut() {
             let mut verdict = (child.take() == Some(false)).then_some(false);
             let mut descend = None;
             if verdict.is_none() {
-                for e in deps.by_ref() {
+                while let Some(e) = self.dg.edge_to(id, *walked) {
+                    *walked += 1;
                     if !e.attrs.is_data() {
                         continue;
                     }
@@ -338,7 +360,7 @@ impl InvariantWalk<'_> {
                 }
             }
             if let Some(j) = descend {
-                frames.push((j, deps_of(j)));
+                frames.push((j, 0));
                 continue;
             }
             // Every dependence was walked without a variant one: invariant.

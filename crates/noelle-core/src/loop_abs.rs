@@ -6,15 +6,16 @@
 //! INV" — plus, per Table 1, its SCCDAG, reductions, and exits.
 
 use crate::env::Environment;
-use crate::induction::{ivs_noelle, InductionVariables};
-use crate::invariants::{invariants_noelle, InvariantSet};
+use crate::induction::{ivs_noelle_in, InductionVariables};
+use crate::invariants::{invariants_noelle_in, InvariantSet, Visit};
 use crate::reduction::{reductions, Reduction};
-use noelle_analysis::scev::{affine_recurrences, const_trip_count};
+use noelle_analysis::scev::{affine_recurrences_into, const_trip_count, AddRec};
 use noelle_ir::cfg::Cfg;
 use noelle_ir::dom::DomTree;
 use noelle_ir::inst::InstId;
-use noelle_ir::loops::LoopInfo;
+use noelle_ir::loops::{LoopForest, LoopId, LoopInfo};
 use noelle_ir::module::FuncId;
+use noelle_ir::types::Type;
 use noelle_ir::value::Value;
 use noelle_pdg::depgraph::{DepEdge, DepGraph};
 use noelle_pdg::pdg::{BuildBuffers, PdgBuilder};
@@ -26,8 +27,11 @@ use std::sync::Arc;
 pub struct LoopAbstraction {
     /// Owning function.
     pub fid: FuncId,
-    /// The loop structure (LS).
-    pub structure: LoopInfo,
+    /// The owning function's loop forest — the manager's cached one,
+    /// shared, not a copy — which holds this loop's structure.
+    forest: Arc<LoopForest>,
+    /// This loop's id in its function's forest.
+    pub id: LoopId,
     /// The owning function's dominator tree — the manager's cached one,
     /// shared, not a copy — which the techniques' gates read.
     pub dom: Arc<DomTree>,
@@ -49,48 +53,99 @@ pub struct LoopAbstraction {
     handled: Vec<InstId>,
 }
 
+/// The working storage of a loop abstraction's views, kept between builds
+/// beside the PDG's [`BuildBuffers`] by a caller that builds many (the
+/// manager). Each view clears what it uses before reading it and never
+/// shrinks it, so the set is bounded by the largest function built, and a
+/// bundle holds only what it keeps, at its exact size. Nothing one build
+/// leaves here reaches the next.
+#[derive(Default)]
+pub struct LoopBuffers {
+    /// The loop's affine recurrences.
+    pub(crate) recs: Vec<AddRec>,
+    /// Per block of the function: in the loop.
+    pub(crate) in_loop: Vec<bool>,
+    /// Per value of the function (instructions by arena index, arguments
+    /// after them): given an environment slot.
+    pub(crate) seen: Vec<bool>,
+    /// The environment's slots as found: `(live-in, value, type)`.
+    pub(crate) slots: Vec<(bool, Value, Type)>,
+    /// Algorithm 2's state per arena index.
+    pub(crate) visits: Vec<Visit>,
+    /// Algorithm 2's walk: an instruction and how many of its dependences
+    /// were walked.
+    pub(crate) frames: Vec<(InstId, usize)>,
+    /// A list of the loop's instructions: the IV walk's, the invariants
+    /// found, the handled recurrences.
+    pub(crate) insts: Vec<InstId>,
+}
+
 impl LoopAbstraction {
-    /// Build the full bundle for loop `l` of `fid` using `builder`'s alias
-    /// stack, function graph and dominator tree included — for callers
-    /// without a `Noelle` manager (the baseline parallelizer, unit tests).
-    pub fn build(builder: &PdgBuilder<'_>, fid: FuncId, l: LoopInfo) -> LoopAbstraction {
+    /// Build the full bundle for loop `id` of `forest`, a loop forest of
+    /// `fid`, using `builder`'s alias stack, function graph and dominator
+    /// tree included — for callers without a `Noelle` manager (the baseline
+    /// parallelizer, unit tests).
+    pub fn build(
+        builder: &PdgBuilder<'_>,
+        fid: FuncId,
+        forest: &Arc<LoopForest>,
+        id: LoopId,
+    ) -> LoopAbstraction {
         let f = builder.module().func(fid);
         let cfg = Cfg::new(f);
         let dom = Arc::new(DomTree::new(f, &cfg));
         let mut buf = BuildBuffers::default();
         let function_graph = builder.function_pdg_in(fid, &cfg, &mut buf);
-        LoopAbstraction::build_with(builder, fid, l, &function_graph, dom, &mut buf)
+        let mut loop_buf = LoopBuffers::default();
+        LoopAbstraction::build_with(
+            builder,
+            fid,
+            forest,
+            id,
+            dom,
+            &function_graph,
+            &mut buf,
+            &mut loop_buf,
+        )
     }
 
-    /// [`LoopAbstraction::build`] carving from an already-built function
-    /// PDG and reading an already-built dominator tree — the `Noelle`
-    /// manager passes the function's cached partition and tree, so
-    /// requesting several loop abstractions of one function analyzes the
-    /// function once — and working in the caller's buffers (the loop
-    /// graph's and the aSCCDAG's temporaries). The bundle itself is not
-    /// cached: the caller owns it.
+    /// [`LoopAbstraction::build`] for loop `id` of `forest`, carving from an
+    /// already-built function PDG and sharing an already-built dominator
+    /// tree and forest — the `Noelle` manager passes the function's cached
+    /// partition and structures, so requesting several loop abstractions of
+    /// one function analyzes the function once — and working in the
+    /// caller's buffers (the loop graph's and the aSCCDAG's temporaries in
+    /// `buf`, the views' in `loop_buf`). The bundle itself is not cached:
+    /// the caller owns it.
     ///
     /// The loop's affine recurrences are found once and handed to every
     /// view that reads them (loop PDG, aSCCDAG, IVs, trip count).
+    #[allow(clippy::too_many_arguments)]
     pub fn build_with(
         builder: &PdgBuilder<'_>,
         fid: FuncId,
-        l: LoopInfo,
-        function_graph: &DepGraph<InstId>,
+        forest: &Arc<LoopForest>,
+        id: LoopId,
         dom: Arc<DomTree>,
+        function_graph: &DepGraph<InstId>,
         buf: &mut BuildBuffers,
+        loop_buf: &mut LoopBuffers,
     ) -> LoopAbstraction {
         let m = builder.module();
         let f = m.func(fid);
-        let recs = affine_recurrences(f, &l);
-        let pdg = builder.loop_pdg_in(fid, &l, function_graph, &recs, buf);
-        let sccdag = SccDag::new_in(f, &l, &pdg, &recs, buf);
-        let ivs = ivs_noelle(f, &l, &recs);
-        let invariants = invariants_noelle(f, &l, &pdg);
-        let reds = reductions(f, &l, &sccdag);
-        let trip_count = const_trip_count(f, &l, &recs);
-        let env = Environment::for_loop(m, f, &l);
-        let mut handled: Vec<InstId> = recs.iter().flat_map(|r| [r.phi, r.update]).collect();
+        let l = forest.loop_info(id);
+        let mut recs = std::mem::take(&mut loop_buf.recs);
+        affine_recurrences_into(f, l, &mut recs);
+        let pdg = builder.loop_pdg_in(fid, l, function_graph, &recs, buf);
+        let sccdag = SccDag::new_in(f, l, &pdg, &recs, buf);
+        let ivs = ivs_noelle_in(f, l, &recs, &mut loop_buf.insts);
+        let invariants = invariants_noelle_in(f, l, &pdg, loop_buf);
+        let reds = reductions(f, l, &sccdag);
+        let trip_count = const_trip_count(f, l, &recs);
+        let env = Environment::for_loop_in(m, f, l, loop_buf);
+        let handled = &mut loop_buf.insts;
+        handled.clear();
+        handled.extend(recs.iter().flat_map(|r| [r.phi, r.update]));
         for node in sccdag.nodes() {
             if node.kind == SccKind::Reducible {
                 handled.extend_from_slice(sccdag.insts(node.id));
@@ -98,9 +153,12 @@ impl LoopAbstraction {
         }
         handled.sort_unstable();
         handled.dedup();
+        let handled = handled.to_vec();
+        loop_buf.recs = recs;
         LoopAbstraction {
             fid,
-            structure: l,
+            forest: Arc::clone(forest),
+            id,
             dom,
             pdg,
             sccdag,
@@ -111,6 +169,11 @@ impl LoopAbstraction {
             env,
             handled,
         }
+    }
+
+    /// The loop structure (LS), borrowed from the function's forest.
+    pub fn structure(&self) -> &LoopInfo {
+        self.forest.loop_info(self.id)
     }
 
     /// Instructions that belong to IV recurrences or reducible SCCs — the
@@ -149,7 +212,7 @@ impl LoopAbstraction {
     /// and the loop has a governing IV with a single exit.
     pub fn is_doall(&self) -> bool {
         self.ivs.governing().is_some()
-            && self.structure.exit_blocks().len() == 1
+            && self.structure().num_exit_blocks() == 1
             && self.blocking_edges().next().is_none()
     }
 
@@ -158,9 +221,10 @@ impl LoopAbstraction {
     /// instead of serializing on it.
     pub fn sequential_sccs(&self) -> Vec<usize> {
         self.sccdag
-            .sequential_sccs()
-            .into_iter()
-            .filter(|&s| !self.sccdag.nodes()[s].is_induction)
+            .nodes()
+            .iter()
+            .filter(|n| n.kind == SccKind::Sequential && !n.is_induction)
+            .map(|n| n.id)
             .collect()
     }
 }
@@ -175,7 +239,14 @@ mod tests {
     use noelle_ir::module::Module;
     use noelle_ir::types::Type;
 
-    fn sum_loop() -> (Module, FuncId, LoopInfo) {
+    /// The loop's function, its id and its forest.
+    fn forest_of(m: &Module, fid: FuncId) -> Arc<LoopForest> {
+        let f = m.func(fid);
+        let cfg = Cfg::new(f);
+        Arc::new(LoopForest::new(f, &cfg, &DomTree::new(f, &cfg)))
+    }
+
+    fn sum_loop() -> (Module, FuncId, Arc<LoopForest>) {
         let mut m = Module::new("t");
         let mut b = FunctionBuilder::new(
             "k",
@@ -204,12 +275,8 @@ mod tests {
         b.switch_to(exit);
         b.ret(Some(sum));
         let fid = m.add_function(b.finish());
-        let f = m.func(fid);
-        let cfg = Cfg::new(f);
-        let dt = DomTree::new(f, &cfg);
-        let forest = LoopForest::new(f, &cfg, &dt);
-        let l = forest.loops()[0].clone();
-        (m, fid, l)
+        let forest = forest_of(&m, fid);
+        (m, fid, forest)
     }
 
     #[test]
@@ -217,7 +284,7 @@ mod tests {
         let (m, fid, l) = sum_loop();
         let basic = BasicAlias::new(&m);
         let builder = PdgBuilder::new(&m, &basic);
-        let la = LoopAbstraction::build(&builder, fid, l);
+        let la = LoopAbstraction::build(&builder, fid, &l, LoopId(0));
         assert_eq!(la.ivs.len(), 1);
         assert!(la.ivs.governing().is_some());
         assert_eq!(la.reductions.len(), 1);
@@ -233,7 +300,7 @@ mod tests {
         let (m, fid, l) = sum_loop();
         let basic = BasicAlias::new(&m);
         let builder = PdgBuilder::new(&m, &basic);
-        let la = LoopAbstraction::build(&builder, fid, l);
+        let la = LoopAbstraction::build(&builder, fid, &l, LoopId(0));
         // The only carried cycles are the IV and the reducible sum.
         assert!(la.is_doall());
         assert!(la.sequential_sccs().is_empty());
@@ -256,8 +323,8 @@ mod tests {
                 if n.module().func(fid).is_declaration() {
                     continue;
                 }
-                for l in n.loops_of(fid) {
-                    let la = n.loop_abstraction(fid, l);
+                for l in n.loop_forest(fid).loops() {
+                    let la = n.loop_abstraction(fid, l.id);
                     let mut handled = la.ivs.recurrence_insts();
                     for node in la.sccdag.nodes() {
                         if node.kind == SccKind::Reducible {
@@ -287,7 +354,7 @@ mod tests {
                     assert_eq!(
                         la.is_doall(),
                         la.ivs.governing().is_some()
-                            && la.structure.exit_blocks().len() == 1
+                            && la.structure().exit_blocks().len() == 1
                             && old.is_empty(),
                         "{}",
                         w.name
@@ -338,14 +405,10 @@ mod tests {
         b.switch_to(exit);
         b.ret(Some(cnt));
         let fid = m.add_function(b.finish());
-        let f = m.func(fid);
-        let cfg = Cfg::new(f);
-        let dt = DomTree::new(f, &cfg);
-        let forest = LoopForest::new(f, &cfg, &dt);
-        let l = forest.loops()[0].clone();
+        let l = forest_of(&m, fid);
         let basic = BasicAlias::new(&m);
         let builder = PdgBuilder::new(&m, &basic);
-        let la = LoopAbstraction::build(&builder, fid, l);
+        let la = LoopAbstraction::build(&builder, fid, &l, LoopId(0));
         // The pointer chase is a sequential recurrence: no governing IV.
         assert!(!la.is_doall());
     }

@@ -15,14 +15,14 @@
 
 use crate::architecture::Architecture;
 use crate::forest::ProgramLoopForest;
-use crate::loop_abs::LoopAbstraction;
+use crate::loop_abs::{LoopAbstraction, LoopBuffers};
 use crate::profiler::Profiles;
 use noelle_analysis::alias::{AliasAnalysis, AliasStack, AndersenAlias, BasicAlias};
 use noelle_analysis::modref::ModRefSummaries;
-use noelle_ir::cfg::Cfg;
+use noelle_ir::cfg::{Cfg, StructureBuffers};
 use noelle_ir::dom::DomTree;
 use noelle_ir::inst::{Callee, Inst, InstId};
-use noelle_ir::loops::{LoopForest, LoopInfo};
+use noelle_ir::loops::{LoopForest, LoopId};
 use noelle_ir::module::{FuncId, Function, Module};
 use noelle_pdg::callgraph::CallGraph;
 use noelle_pdg::depgraph::DepGraph;
@@ -107,7 +107,7 @@ pub struct FuncStructures {
     /// it stands.
     pub dom: Arc<DomTree>,
     /// Loop forest, shared with every [`ProgramLoopForest`] assembled from
-    /// the cache.
+    /// the cache and every [`LoopAbstraction`] built while it stands.
     pub forest: Arc<LoopForest>,
 }
 
@@ -472,6 +472,10 @@ pub struct Noelle {
     /// cleared by each and never shrunk: sized by the largest function
     /// built so far.
     buffers: BuildBuffers,
+    /// The same for every function's structures.
+    structure_buffers: StructureBuffers,
+    /// The same for every loop abstraction's views.
+    loop_buffers: LoopBuffers,
 }
 
 impl Noelle {
@@ -494,6 +498,8 @@ impl Noelle {
             counters: FuncCacheCounters::default(),
             store: None,
             buffers: BuildBuffers::default(),
+            structure_buffers: StructureBuffers::default(),
+            loop_buffers: LoopBuffers::default(),
         }
     }
 
@@ -970,12 +976,17 @@ impl Noelle {
         } else {
             self.counters.struct_misses += 1;
             let t = Instant::now();
-            let f = self.module.func(fid);
-            let cfg = Cfg::new(f);
-            let dom = DomTree::new(f, &cfg);
             // Never fetched from the store: a hit would still need the
-            // dominator tree, and costs more than this walk over it.
-            let forest = LoopForest::new(f, &cfg, &dom);
+            // dominator tree, and costs more than this walk over it. Each
+            // structure is built at its exact size, every temporary in the
+            // manager's buffers.
+            let (f, buf) = (self.module.func(fid), &mut self.structure_buffers);
+            let mut cfg = Cfg::default();
+            cfg.rebuild(f, buf);
+            let mut dom = DomTree::default();
+            dom.rebuild(f, &cfg, buf);
+            let mut forest = LoopForest::default();
+            forest.rebuild(f, &cfg, &dom, buf);
             self.slot(fid).structures = Some(FuncStructures {
                 cfg,
                 dom: Arc::new(dom),
@@ -1011,15 +1022,11 @@ impl Noelle {
         noelle_analysis::dfe::DataFlowEngine::new().solve(self.module.func(fid), cfg, problem)
     }
 
-    /// The loop structures (LS) of function `fid`, cached.
-    pub fn loop_forest(&mut self, fid: FuncId) -> &LoopForest {
-        &self.structures(fid).forest
-    }
-
-    /// All loops of `fid` (cloned structures, safe to hold across other
-    /// manager calls).
-    pub fn loops_of(&mut self, fid: FuncId) -> Vec<LoopInfo> {
-        self.loop_forest(fid).loops().to_vec()
+    /// The loop structures (LS) of function `fid`, cached and shared: the
+    /// handle stays valid across other manager calls, so a caller iterates
+    /// its `loops()` while it requests their abstractions.
+    pub fn loop_forest(&mut self, fid: FuncId) -> Arc<LoopForest> {
+        Arc::clone(&self.structures(fid).forest)
     }
 
     /// The program-wide loop forest (FR), assembled from the cached
@@ -1037,9 +1044,33 @@ impl Noelle {
         ProgramLoopForest::from_forests(forests)
     }
 
-    /// The canonical Loop abstraction (L) for loop `l` of `fid`: structure,
-    /// loop PDG, aSCCDAG, IVs, invariants, reductions, environment.
-    pub fn loop_abstraction(&mut self, fid: FuncId, l: LoopInfo) -> LoopAbstraction {
+    /// The canonical Loop abstraction (L) for loop `id` of `fid`'s loop
+    /// forest as it stands: structure, loop PDG, aSCCDAG, IVs, invariants,
+    /// reductions, environment.
+    pub fn loop_abstraction(&mut self, fid: FuncId, id: LoopId) -> LoopAbstraction {
+        self.loop_abstraction_in(fid, None, id)
+    }
+
+    /// [`Noelle::loop_abstraction`] for loop `id` of `forest`, a forest of
+    /// `fid` taken earlier: a tool that edits the function between requests
+    /// reads each loop as it found it, over the function's graphs as they
+    /// stand.
+    pub fn loop_abstraction_of(
+        &mut self,
+        fid: FuncId,
+        forest: &Arc<LoopForest>,
+        id: LoopId,
+    ) -> LoopAbstraction {
+        self.loop_abstraction_in(fid, Some(forest), id)
+    }
+
+    /// Loop `id` of `forest`, or of the function's cached forest.
+    fn loop_abstraction_in(
+        &mut self,
+        fid: FuncId,
+        forest: Option<&Arc<LoopForest>>,
+        id: LoopId,
+    ) -> LoopAbstraction {
         for a in [
             Abstraction::L,
             Abstraction::ASccDag,
@@ -1055,14 +1086,18 @@ impl Noelle {
         // function at all — after an edit only this partition is repaired,
         // and a store-warm manager decodes only this function's partition.
         let fg = self.partition(fid, &mut None);
-        let dom = Arc::clone(&self.cached_structures(fid).dom);
+        let cached = self.cached_structures(fid);
+        let dom = Arc::clone(&cached.dom);
+        let forest = Arc::clone(forest.unwrap_or(&cached.forest));
         let modref = self.ensure_modref();
         let t = Instant::now();
         let mut buf = std::mem::take(&mut self.buffers);
+        let mut loop_buf = std::mem::take(&mut self.loop_buffers);
         let la = self.with_stack(modref, |_, b| {
-            LoopAbstraction::build_with(b, fid, l, &fg, dom, &mut buf)
+            LoopAbstraction::build_with(b, fid, &forest, id, dom, &fg, &mut buf, &mut loop_buf)
         });
         self.buffers = buf;
+        self.loop_buffers = loop_buf;
         self.record_build(Abstraction::L, t.elapsed());
         la
     }
@@ -1275,10 +1310,10 @@ mod tests {
         let mut n = Noelle::new(loop_module(), AliasTier::Full);
         assert!(n.requested().is_empty());
         let fid = n.module().func_ids().next().unwrap();
-        let loops = n.loops_of(fid);
+        let loops = n.loop_forest(fid);
         assert_eq!(loops.len(), 1);
         assert_eq!(n.requested(), vec![Abstraction::Ls]);
-        let la = n.loop_abstraction(fid, loops[0].clone());
+        let la = n.loop_abstraction(fid, loops.loops()[0].id);
         assert!(la.is_doall());
         let req = n.requested();
         assert!(req.contains(&Abstraction::Pdg));
@@ -1313,7 +1348,7 @@ mod tests {
         assert_eq!(n.memory_stats().pdg_bytes, 0);
         assert_ne!(n.epoch(fid), e0);
         // Re-requests still work.
-        assert_eq!(n.loops_of(fid).len(), 1);
+        assert_eq!(n.loop_forest(fid).len(), 1);
     }
 
     /// `name`'s id in the managed module.

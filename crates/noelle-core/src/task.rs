@@ -221,11 +221,13 @@ pub fn outline_loop_as_task(
         .map(|(b, _)| (mapped(b), finish))
         .collect();
     exit_edges.sort_unstable();
+    let mut blocks: Vec<BlockId> = l.blocks.iter().map(mapped).collect();
+    blocks.sort_unstable();
     let structure = LoopInfo {
         id: LoopId(0),
         header: mapped(&l.header),
         latches,
-        blocks: l.blocks.iter().map(mapped).collect(),
+        blocks,
         preheader: Some(entry),
         exit_edges,
         parent: None,

@@ -360,9 +360,9 @@ mod tests {
     fn loop_and_callgraph_encodings() {
         let mut n = Noelle::new(loop_module(), AliasTier::Full);
         let fid = n.module().func_ids().next().unwrap();
-        let loops = n.loops_of(fid);
+        let loops = n.loop_forest(fid);
         assert_eq!(loops.len(), 1);
-        let lj = loop_to_json(&loops[0]);
+        let lj = loop_to_json(&loops.loops()[0]);
         assert_eq!(lj.get("depth").and_then(Json::as_i64), Some(1));
         let cg = callgraph_to_json(&n.module().clone(), n.call_graph());
         assert!(cg.get("edges").and_then(Json::as_array).is_some());

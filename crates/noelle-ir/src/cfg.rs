@@ -13,19 +13,9 @@ pub(crate) struct Adjacency {
 }
 
 impl Adjacency {
-    /// The lists of `n` blocks from `(block index, member)` pairs; a list
-    /// holds its members in the order the pairs name them.
-    pub(crate) fn group(
-        n: usize,
-        pairs: impl Iterator<Item = (usize, BlockId)> + Clone,
-    ) -> Adjacency {
-        let mut lists = Adjacency::default();
-        lists.regroup(n, pairs);
-        lists
-    }
-
-    /// [`Adjacency::group`] in place, keeping the storage of the lists
-    /// this value held before.
+    /// Make these the lists of `n` blocks from `(block index, member)`
+    /// pairs, keeping the storage they held before; a list holds its members
+    /// in the order the pairs name them.
     pub(crate) fn regroup(
         &mut self,
         n: usize,
@@ -63,8 +53,42 @@ impl Adjacency {
     }
 }
 
+/// The working storage of the structure builds of a function body —
+/// [`Cfg::rebuild`], [`crate::dom::DomTree::rebuild`] and
+/// [`crate::loops::LoopForest::rebuild`] — kept between builds by a caller
+/// that builds many (the manager, the verifier). Each build clears what it
+/// uses before reading it and never shrinks it, so the set is bounded by the
+/// largest body built, and a structure holds only what it keeps. Nothing one
+/// build leaves here reaches the next.
+#[derive(Debug, Default)]
+pub struct StructureBuffers {
+    /// Every CFG edge: blocks in layout order, each one's successors in
+    /// terminator order; then one loop's exit edges.
+    pub(crate) edges: Vec<(BlockId, BlockId)>,
+    /// The CFG's depth-first walk: `(block, next successor)`.
+    pub(crate) walk: Vec<(BlockId, usize)>,
+    /// The CFG walk's postorder; the loop forest's body walk.
+    pub(crate) blocks: Vec<BlockId>,
+    /// The reverse postorder as node numbers, for the dominator build.
+    pub(crate) rpo: Vec<u32>,
+    /// The dominator build's reverse-postorder positions.
+    pub(crate) rpo_pos: Vec<u32>,
+    /// The dominator tree numbering's DFS stack.
+    pub(crate) number: Vec<(u32, bool)>,
+    /// The loop forest's back edges, `(header, latch)`.
+    pub(crate) pairs: Vec<(BlockId, BlockId)>,
+    /// The blocks of the loop being collected.
+    pub(crate) members: Vec<BlockId>,
+    /// Per block: in the loop being collected.
+    pub(crate) marks: Vec<bool>,
+}
+
 /// Predecessor/successor lists of a function's CFG, computed once.
-#[derive(Clone, Debug)]
+///
+/// The default value is the CFG of no function: every block has no
+/// predecessor and no successor, and none is reachable. [`Cfg::rebuild`]
+/// makes a CFG the CFG of another function in the storage it holds.
+#[derive(Clone, Debug, Default)]
 pub struct Cfg {
     /// Successors of each laid-out block, in terminator order.
     succs: Adjacency,
@@ -82,25 +106,41 @@ impl Cfg {
     /// # Panics
     /// Panics if `f` is a declaration.
     pub fn new(f: &Function) -> Cfg {
+        let mut cfg = Cfg::default();
+        cfg.rebuild(f, &mut StructureBuffers::default());
+        cfg
+    }
+
+    /// Make this the CFG of `f`, reusing the storage it holds and working
+    /// in `buf`. A fresh CFG built this way holds each list at its exact
+    /// size.
+    ///
+    /// # Panics
+    /// Panics if `f` is a declaration.
+    pub fn rebuild(&mut self, f: &Function, buf: &mut StructureBuffers) {
         assert!(!f.is_declaration(), "cannot build a CFG for a declaration");
         let n = f.num_blocks();
-        // Every CFG edge: blocks in layout order, each one's successors in
-        // terminator order.
-        let mut edges: Vec<(BlockId, BlockId)> = Vec::with_capacity(2 * f.block_order().len());
+        let edges = &mut buf.edges;
+        edges.clear();
         for &b in f.block_order() {
             if let Some(t) = f.terminator(b) {
                 t.for_each_successor(|s| edges.push((b, s)));
             }
         }
-        let succs = Adjacency::group(n, edges.iter().map(|&(b, s)| (b.index(), s)));
-        let preds = Adjacency::group(n, edges.iter().map(|&(b, s)| (s.index(), b)));
+        self.succs
+            .regroup(n, edges.iter().map(|&(b, s)| (b.index(), s)));
+        self.preds
+            .regroup(n, edges.iter().map(|&(b, s)| (s.index(), b)));
 
         // Iterative DFS from the entry with an explicit stack of (block,
         // next-successor-index); reversed postorder.
-        let mut rpo = Vec::with_capacity(f.block_order().len());
-        let mut reachable = vec![false; n];
+        let (succs, reachable) = (&self.succs, &mut self.reachable);
+        reachable.clear();
+        reachable.resize(n, false);
         let entry = f.entry();
-        let mut stack: Vec<(BlockId, usize)> = Vec::with_capacity(f.block_order().len());
+        let (stack, post) = (&mut buf.walk, &mut buf.blocks);
+        stack.clear();
+        post.clear();
         stack.push((entry, 0));
         reachable[entry.index()] = true;
         while let Some(&mut (b, ref mut next)) = stack.last_mut() {
@@ -110,17 +150,12 @@ impl Cfg {
                     stack.push((s, 0));
                 }
             } else {
-                rpo.push(b);
+                post.push(b);
                 stack.pop();
             }
         }
-        rpo.reverse();
-        Cfg {
-            succs,
-            preds,
-            rpo,
-            reachable,
-        }
+        self.rpo.clear();
+        self.rpo.extend(post.iter().rev());
     }
 
     /// Predecessors of `b`.

@@ -7,7 +7,7 @@
 //! their back. In Rust this falls out naturally: [`DomTree`] and
 //! [`PostDomTree`] are plain owned values.
 
-use crate::cfg::{Adjacency, Cfg};
+use crate::cfg::{Adjacency, Cfg, StructureBuffers};
 use crate::module::{BlockId, Function};
 
 /// "No node": an unreachable block's immediate dominator.
@@ -137,26 +137,51 @@ impl TreeCore {
 }
 
 /// The dominator tree of a function's CFG.
+///
+/// The default value is the tree of no function: every query answers
+/// `None` or `false`, and its root is block 0. [`DomTree::rebuild`] makes a
+/// tree the tree of another function in the storage it holds.
 #[derive(Clone, Debug)]
 pub struct DomTree {
     core: TreeCore,
     root: BlockId,
 }
 
+impl Default for DomTree {
+    fn default() -> DomTree {
+        DomTree {
+            core: TreeCore::default(),
+            root: BlockId(0),
+        }
+    }
+}
+
 impl DomTree {
     /// Build the dominator tree from a CFG.
     pub fn new(f: &Function, cfg: &Cfg) -> DomTree {
-        let rpo: Vec<u32> = cfg.rpo.iter().map(|b| b.0).collect();
+        let mut tree = DomTree::default();
+        tree.rebuild(f, cfg, &mut StructureBuffers::default());
+        tree
+    }
+
+    /// Make this the dominator tree of `f`, whose CFG is `cfg`, reusing the
+    /// storage the tree holds and working in `buf`.
+    pub fn rebuild(&mut self, f: &Function, cfg: &Cfg, buf: &mut StructureBuffers) {
+        buf.rpo.clear();
+        buf.rpo.extend(cfg.rpo.iter().map(|b| b.0));
         let preds = |b: u32, visit: &mut dyn FnMut(u32)| {
             cfg.preds(BlockId(b)).iter().for_each(|p| visit(p.0));
         };
-        let mut core = TreeCore::default();
-        chk_idoms(&rpo, preds, f.num_blocks(), &mut core.idom, &mut Vec::new());
-        core.number(f.entry().0, &mut Vec::new());
-        DomTree {
-            core,
-            root: f.entry(),
-        }
+        let core = &mut self.core;
+        chk_idoms(
+            &buf.rpo,
+            preds,
+            f.num_blocks(),
+            &mut core.idom,
+            &mut buf.rpo_pos,
+        );
+        core.number(f.entry().0, &mut buf.number);
+        self.root = f.entry();
     }
 
     /// The immediate dominator of `b` (`None` for the entry or unreachable

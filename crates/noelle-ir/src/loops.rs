@@ -5,10 +5,9 @@
 //! nesting. The semantic half (induction variables, invariants, dependence
 //! graph) is layered on top in `noelle-core` as the paper's L abstraction.
 
-use crate::cfg::Cfg;
+use crate::cfg::{Cfg, StructureBuffers};
 use crate::dom::DomTree;
 use crate::module::{BlockId, Function};
-use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
 /// Function-local identifier of a natural loop.
@@ -37,8 +36,8 @@ pub struct LoopInfo {
     pub header: BlockId,
     /// Blocks with a back edge to the header.
     pub latches: Vec<BlockId>,
-    /// All blocks of the loop, including the header.
-    pub blocks: BTreeSet<BlockId>,
+    /// All blocks of the loop, including the header, ascending.
+    pub blocks: Vec<BlockId>,
     /// The unique out-of-loop predecessor of the header whose only successor
     /// is the header, if the CFG has one.
     pub preheader: Option<BlockId>,
@@ -55,7 +54,7 @@ pub struct LoopInfo {
 impl LoopInfo {
     /// True if `b` belongs to the loop.
     pub fn contains(&self, b: BlockId) -> bool {
-        self.blocks.contains(&b)
+        self.blocks.binary_search(&b).is_ok()
     }
 
     /// Out-of-loop blocks targeted by exit edges, deduplicated.
@@ -66,12 +65,24 @@ impl LoopInfo {
         out
     }
 
-    /// In-loop blocks with an edge out of the loop, deduplicated.
-    pub fn exiting_blocks(&self) -> Vec<BlockId> {
-        let mut out: Vec<BlockId> = self.exit_edges.iter().map(|&(s, _)| s).collect();
-        out.sort();
-        out.dedup();
-        out
+    /// How many blocks [`LoopInfo::exit_blocks`] lists, counted in place.
+    pub fn num_exit_blocks(&self) -> usize {
+        let targets = || self.exit_edges.iter().map(|&(_, t)| t);
+        targets()
+            .enumerate()
+            .filter(|&(i, t)| !targets().take(i).any(|u| u == t))
+            .count()
+    }
+
+    /// In-loop blocks with an edge out of the loop, ascending, none twice.
+    pub fn exiting_blocks(&self) -> impl Iterator<Item = BlockId> + '_ {
+        // The exit edges are sorted, so their sources are grouped.
+        let sources = self.exit_edges.iter().map(|&(s, _)| s);
+        sources
+            .clone()
+            .enumerate()
+            .filter(move |&(i, s)| i == 0 || self.exit_edges[i - 1].0 != s)
+            .map(|(_, s)| s)
     }
 
     /// True for do-while-shaped loops: every exit test happens at a latch, so
@@ -103,13 +114,19 @@ impl LoopInfo {
     }
 }
 
+/// "Not in any loop" in [`LoopForest`]'s per-block table.
+const NO_LOOP: u32 = u32::MAX;
+
 /// The loop forest of a function: every natural loop plus nesting structure.
-#[derive(Clone, Debug)]
+///
+/// The default value is the forest of a function without loops.
+#[derive(Clone, Debug, Default)]
 pub struct LoopForest {
     loops: Vec<LoopInfo>,
     top_level: Vec<LoopId>,
-    /// Innermost loop containing each block.
-    block_map: HashMap<BlockId, LoopId>,
+    /// Innermost loop containing each block, by block index; empty when
+    /// there are no loops.
+    block_map: Vec<u32>,
 }
 
 impl LoopForest {
@@ -118,114 +135,121 @@ impl LoopForest {
     /// Back edges are CFG edges `n -> h` where `h` dominates `n`; loops with
     /// the same header are merged (as in LLVM). Irreducible cycles (no
     /// dominating header) are not recognized as loops, matching LLVM 9.
-    pub fn new(_f: &Function, cfg: &Cfg, dt: &DomTree) -> LoopForest {
-        // 1. Collect back edges grouped by header.
-        let mut latches_by_header: HashMap<BlockId, Vec<BlockId>> = HashMap::new();
+    pub fn new(f: &Function, cfg: &Cfg, dt: &DomTree) -> LoopForest {
+        let mut forest = LoopForest::default();
+        forest.rebuild(f, cfg, dt, &mut StructureBuffers::default());
+        forest
+    }
+
+    /// Make this the loop forest of `f`, whose CFG is `cfg` and dominator
+    /// tree `dt`, working in `buf`: every list the forest keeps is built at
+    /// its exact size.
+    pub fn rebuild(&mut self, f: &Function, cfg: &Cfg, dt: &DomTree, buf: &mut StructureBuffers) {
+        let n = f.num_blocks();
+        // 1. Back edges as `(header, latch)`, sorted: grouped by header,
+        //    headers and each one's latches ascending (a latch branching
+        //    twice to its header is listed twice).
+        let back = &mut buf.pairs;
+        back.clear();
         for &b in &cfg.rpo {
             for &s in cfg.succs(b) {
                 if dt.dominates(s, b) {
-                    latches_by_header.entry(s).or_default().push(b);
+                    back.push((s, b));
                 }
             }
         }
+        back.sort_unstable();
 
         // 2. For each header, the loop body is everything that can reach a
         //    latch without passing through the header.
-        let mut headers: Vec<BlockId> = latches_by_header.keys().copied().collect();
-        headers.sort();
-        let mut loops: Vec<LoopInfo> = Vec::new();
-        for header in headers {
-            let latches = {
-                let mut l = latches_by_header[&header].clone();
-                l.sort();
-                l
-            };
-            let mut blocks: BTreeSet<BlockId> = BTreeSet::new();
-            blocks.insert(header);
-            let mut work: Vec<BlockId> = latches.clone();
+        let marks = &mut buf.marks;
+        marks.clear();
+        marks.resize(n, false);
+        let (work, members, exits) = (&mut buf.blocks, &mut buf.members, &mut buf.edges);
+        self.loops.clear();
+        self.loops
+            .reserve_exact(back.chunk_by(|a, b| a.0 == b.0).count());
+        for group in back.chunk_by(|a, b| a.0 == b.0) {
+            let header = group[0].0;
+            let latches: Vec<BlockId> = group.iter().map(|&(_, l)| l).collect();
+            marks[header.index()] = true;
+            members.clear();
+            members.push(header);
+            work.clear();
+            work.extend_from_slice(&latches);
             while let Some(b) = work.pop() {
-                if !blocks.insert(b) {
-                    continue;
-                }
-                for &p in cfg.preds(b) {
-                    if cfg.is_reachable(p) {
-                        work.push(p);
-                    }
+                if !std::mem::replace(&mut marks[b.index()], true) {
+                    members.push(b);
+                    work.extend(cfg.preds(b).iter().filter(|&&p| cfg.is_reachable(p)));
                 }
             }
+            members.sort_unstable();
+            let blocks = members.to_vec();
 
-            // Exit edges.
-            let mut exit_edges = Vec::new();
+            // Exit edges, sorted.
+            exits.clear();
             for &b in &blocks {
                 for &s in cfg.succs(b) {
-                    if !blocks.contains(&s) {
-                        exit_edges.push((b, s));
+                    if !marks[s.index()] {
+                        exits.push((b, s));
                     }
                 }
             }
-            exit_edges.sort();
+            exits.sort_unstable();
 
             // Preheader: unique out-of-loop predecessor of the header with a
             // single successor.
-            let outside_preds: Vec<BlockId> = cfg
-                .preds(header)
-                .iter()
-                .copied()
-                .filter(|p| !blocks.contains(p))
-                .collect();
-            let preheader = match outside_preds.as_slice() {
-                [p] if cfg.succs(*p).len() == 1 => Some(*p),
+            let mut outside = cfg.preds(header).iter().filter(|p| !marks[p.index()]);
+            let preheader = match (outside.next(), outside.next()) {
+                (Some(&p), None) if cfg.succs(p).len() == 1 => Some(p),
                 _ => None,
             };
+            for &b in &blocks {
+                marks[b.index()] = false;
+            }
 
-            let id = LoopId(loops.len() as u32);
-            loops.push(LoopInfo {
+            let id = LoopId(self.loops.len() as u32);
+            self.loops.push(LoopInfo {
                 id,
                 header,
                 latches,
                 blocks,
                 preheader,
-                exit_edges,
+                exit_edges: exits.to_vec(),
                 parent: None,
                 children: Vec::new(),
                 depth: 0,
             });
         }
+        let loops = &mut self.loops;
 
         // 3. Nesting: loop A is an ancestor of loop B iff A contains B's
-        //    header (and A != B). The parent is the smallest such ancestor.
-        let order: Vec<usize> = {
-            let mut idx: Vec<usize> = (0..loops.len()).collect();
-            idx.sort_by_key(|&i| loops[i].blocks.len());
-            idx
-        };
-        for &i in &order {
-            let header = loops[i].header;
+        //    header (and A != B). The parent is the smallest such ancestor,
+        //    the first of equal size.
+        for i in 0..loops.len() {
+            let (header, size) = (loops[i].header, loops[i].blocks.len());
             let mut best: Option<usize> = None;
             for (j, cand) in loops.iter().enumerate() {
+                let len = cand.blocks.len();
                 if j != i
-                    && cand.blocks.contains(&header)
-                    && cand.blocks.len() > loops[i].blocks.len()
+                    && len > size
+                    && cand.contains(header)
+                    && best.is_none_or(|b| len < loops[b].blocks.len())
                 {
-                    match best {
-                        None => best = Some(j),
-                        Some(b) if cand.blocks.len() < loops[b].blocks.len() => best = Some(j),
-                        _ => {}
-                    }
+                    best = Some(j);
                 }
             }
-            if let Some(p) = best {
-                loops[i].parent = Some(LoopId(p as u32));
-                let id = loops[i].id;
-                loops[p].children.push(id);
-            }
+            loops[i].parent = best.map(|p| LoopId(p as u32));
         }
-        for l in loops.iter_mut() {
-            l.children.sort();
+        for p in 0..loops.len() {
+            let parent = Some(LoopId(p as u32));
+            let count = loops.iter().filter(|l| l.parent == parent).count();
+            let mut children = Vec::with_capacity(count);
+            children.extend(loops.iter().filter(|l| l.parent == parent).map(|l| l.id));
+            loops[p].children = children;
         }
 
         // 4. Depths and top-level list.
-        let mut top_level = Vec::new();
         for i in 0..loops.len() {
             let mut depth = 1;
             let mut cur = loops[i].parent;
@@ -234,25 +258,26 @@ impl LoopForest {
                 cur = loops[p.index()].parent;
             }
             loops[i].depth = depth;
-            if loops[i].parent.is_none() {
-                top_level.push(loops[i].id);
-            }
         }
+        let top = loops.iter().filter(|l| l.parent.is_none());
+        self.top_level.clear();
+        self.top_level.reserve_exact(top.clone().count());
+        self.top_level.extend(top.map(|l| l.id));
 
-        // 5. Innermost-loop map.
-        let mut block_map: HashMap<BlockId, LoopId> = HashMap::new();
-        let mut by_size: Vec<usize> = (0..loops.len()).collect();
-        by_size.sort_by_key(|&i| std::cmp::Reverse(loops[i].blocks.len()));
-        for &i in &by_size {
-            for &b in &loops[i].blocks {
-                block_map.insert(b, loops[i].id);
-            }
+        // 5. Innermost-loop table: natural loops are disjoint or nested,
+        //    and a nested loop is the smaller, so each block's innermost
+        //    loop is the smallest that holds it.
+        self.block_map.clear();
+        if !loops.is_empty() {
+            self.block_map.resize(n, NO_LOOP);
         }
-
-        LoopForest {
-            loops,
-            top_level,
-            block_map,
+        for l in loops.iter() {
+            for &b in &l.blocks {
+                let slot = &mut self.block_map[b.index()];
+                if *slot == NO_LOOP || loops[*slot as usize].blocks.len() > l.blocks.len() {
+                    *slot = l.id.0;
+                }
+            }
         }
     }
 
@@ -273,7 +298,8 @@ impl LoopForest {
 
     /// The innermost loop containing `b`, if any.
     pub fn innermost_containing(&self, b: BlockId) -> Option<LoopId> {
-        self.block_map.get(&b).copied()
+        let id = *self.block_map.get(b.index())?;
+        (id != NO_LOOP).then_some(LoopId(id))
     }
 
     /// True if `inner` is nested (transitively) inside `outer`.
@@ -373,7 +399,7 @@ mod tests {
         assert_eq!(l.blocks.len(), 2);
         assert_eq!(l.preheader, Some(BlockId(0)));
         assert_eq!(l.exit_blocks(), vec![BlockId(3)]);
-        assert_eq!(l.exiting_blocks(), vec![BlockId(1)]);
+        assert!(l.exiting_blocks().eq([BlockId(1)]));
         assert!(l.is_while());
         assert!(!l.is_do_while());
         assert!(!l.is_endless());

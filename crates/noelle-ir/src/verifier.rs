@@ -1,6 +1,6 @@
 //! IR verifier: SSA dominance, CFG well-formedness, and type checking.
 
-use crate::cfg::Cfg;
+use crate::cfg::{Cfg, StructureBuffers};
 use crate::dom::DomTree;
 use crate::inst::{Callee, Inst, InstId, Terminator};
 use crate::layout::LayoutIndex;
@@ -30,17 +30,32 @@ impl fmt::Display for VerifyErrors {
 
 impl Error for VerifyErrors {}
 
+/// What the verifier rebuilds for each function it checks, kept across a
+/// module's functions: the CFG, the dominator tree, the layout index, the
+/// structure builds' buffers and the phi checks' block lists. The default
+/// value holds nothing.
+#[derive(Default)]
+pub struct VerifyBuffers {
+    cfg: Cfg,
+    dt: DomTree,
+    layout: LayoutIndex,
+    structures: StructureBuffers,
+    preds: Vec<BlockId>,
+    inc: Vec<BlockId>,
+}
+
 /// Verify every function of a module.
 ///
 /// # Errors
 /// Returns all violations found across the module.
 pub fn verify_module(m: &Module) -> Result<(), VerifyErrors> {
     let mut errors = Vec::new();
+    let mut buf = VerifyBuffers::default();
     for f in m.functions() {
         if f.is_declaration() {
             continue;
         }
-        verify_function(m, f, &mut errors);
+        verify_function(m, f, &mut errors, &mut buf);
     }
     if errors.is_empty() {
         Ok(())
@@ -49,8 +64,14 @@ pub fn verify_module(m: &Module) -> Result<(), VerifyErrors> {
     }
 }
 
-/// Verify a single function, appending problems to `errors`.
-pub fn verify_function(m: &Module, f: &Function, errors: &mut Vec<String>) {
+/// Verify a single function, appending problems to `errors` and rebuilding
+/// its structures in `buf`.
+pub fn verify_function(
+    m: &Module,
+    f: &Function,
+    errors: &mut Vec<String>,
+    buf: &mut VerifyBuffers,
+) {
     let fname = &f.name;
 
     // Structural checks first; bail out of deeper checks if they fail.
@@ -100,17 +121,22 @@ pub fn verify_function(m: &Module, f: &Function, errors: &mut Vec<String>) {
         return;
     }
 
-    let cfg = Cfg::new(f);
-    let dt = DomTree::new(f, &cfg);
+    let VerifyBuffers {
+        cfg,
+        dt,
+        layout,
+        structures,
+        preds,
+        inc,
+    } = buf;
+    cfg.rebuild(f, structures);
+    dt.rebuild(f, cfg, structures);
     // Positions come from one pass over the layout: a scan per instruction
     // and per same-block operand is quadratic in block length.
-    let layout = LayoutIndex::new(f);
+    layout.rebuild(f);
 
     // Phi incoming edges match predecessors; SSA dominance; type rules.
-    // Both block lists are sorted and deduplicated, and reused across the
-    // function.
-    let mut preds: Vec<BlockId> = Vec::new();
-    let mut inc: Vec<BlockId> = Vec::new();
+    // Both block lists are sorted and deduplicated.
     for &b in &cfg.rpo {
         preds.clear();
         preds.extend(cfg.preds(b).iter().filter(|p| cfg.is_reachable(**p)));
@@ -129,12 +155,12 @@ pub fn verify_function(m: &Module, f: &Function, errors: &mut Vec<String>) {
                     let set = |blocks: &[BlockId]| blocks.iter().copied().collect::<BTreeSet<_>>();
                     errors.push(format!(
                         "@{fname}: phi {id} incoming blocks {:?} do not cover predecessors {:?}",
-                        set(&inc),
-                        set(&preds)
+                        set(inc),
+                        set(preds)
                     ));
                 }
             }
-            check_operand_dominance(f, &cfg, &dt, &layout, b, id, errors);
+            check_operand_dominance(f, cfg, dt, layout, b, id, errors);
             check_types(m, f, id, errors);
         }
     }

@@ -25,7 +25,7 @@ use noelle_core::json::Json;
 use noelle_core::loop_abs::LoopAbstraction;
 use noelle_core::noelle::{Abstraction, CallEdges, Noelle};
 use noelle_ir::inst::{Callee, Inst, InstId};
-use noelle_ir::loops::LoopInfo;
+use noelle_ir::loops::{LoopId, LoopInfo};
 use noelle_ir::module::{BlockId, FuncId, Function, Module};
 use noelle_ir::value::Value;
 use noelle_pdg::depgraph::{DataDepKind, DepEdge, DepKind};
@@ -420,13 +420,13 @@ pub fn run_audit_scoped(n: &mut Noelle, scope: Option<&BTreeSet<FuncId>>) -> Mod
     for fid in fids {
         // Each loop's header index is computed once: it orders the loops
         // and is reported.
-        let func_loops = n.loops_of(fid);
+        let forest = n.loop_forest(fid);
         let f = n.module().func(fid);
-        let at = |l: LoopInfo| (header_index(f, l.header), l);
-        buf.loops.extend(func_loops.into_iter().map(at));
+        let at = |l: &LoopInfo| (header_index(f, l.header), l.id);
+        buf.loops.extend(forest.loops().iter().map(at));
         buf.loops.sort_unstable_by_key(|&(at, _)| at);
-        for (header_index, l) in buf.loops.drain(..) {
-            let la = Arc::new(n.loop_abstraction(fid, l));
+        for (header_index, id) in buf.loops.drain(..) {
+            let la = Arc::new(n.loop_abstraction(fid, id));
             let (m, anders) = (n.module(), n.cached_points_to().expect("just built"));
             let verdicts = Parallelizer::AUDITED
                 .into_iter()
@@ -457,7 +457,7 @@ pub fn run_audit_scoped(n: &mut Noelle, scope: Option<&BTreeSet<FuncId>>) -> Mod
                     }
                 })
                 .collect();
-            let (f, header) = (m.func(fid), la.structure.header);
+            let (f, header) = (m.func(fid), la.structure().header);
             loops.push(LoopAudit {
                 fid,
                 function: f.name.clone(),
@@ -477,7 +477,7 @@ pub fn run_audit_scoped(n: &mut Noelle, scope: Option<&BTreeSet<FuncId>>) -> Mod
 #[derive(Default)]
 struct AuditBuffers {
     /// One function's loops, each beside its header's layout index.
-    loops: Vec<(usize, LoopInfo)>,
+    loops: Vec<(usize, LoopId)>,
     /// One loop's blocking edges as `(anchor, other, facets)`, grouped by
     /// instruction pair with a sort.
     pairs: Vec<(InstId, InstId, u8)>,
@@ -789,7 +789,7 @@ fn fallback_blocker(
 
 fn header_terminator(m: &Module, fid: FuncId, la: &LoopAbstraction) -> InstId {
     *m.func(fid)
-        .block(la.structure.header)
+        .block(la.structure().header)
         .insts
         .last()
         .expect("header has a terminator")
@@ -800,7 +800,7 @@ fn no_iv_blocker(m: &Module, fid: FuncId, la: &LoopAbstraction) -> Blocker {
     // else at the header terminator.
     let f = m.func(fid);
     let anchor = f
-        .block(la.structure.header)
+        .block(la.structure().header)
         .insts
         .iter()
         .copied()
@@ -1273,10 +1273,9 @@ exit:
         let cfg = noelle_ir::cfg::Cfg::new(f);
         let dt = noelle_ir::dom::DomTree::new(f, &cfg);
         let forest = noelle_ir::loops::LoopForest::new(f, &cfg, &dt);
-        let l = forest.loops()[0].clone();
         let basic = BasicAlias::new(&m);
         let builder = PdgBuilder::new(&m, &basic);
-        let la = LoopAbstraction::build(&builder, fid, l);
+        let la = LoopAbstraction::build(&builder, fid, &Arc::new(forest), LoopId(0));
         let modref = ModRefSummaries::compute(&m);
         let blockers = carried_dep_blockers(&m, &la, &modref, &mut Vec::new());
         (m, blockers)

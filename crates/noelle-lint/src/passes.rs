@@ -288,14 +288,14 @@ fn run_hoistable_calls(n: &mut Noelle, fids: &[FuncId]) -> Vec<Finding> {
             if n.module().func(fid).is_declaration() {
                 continue;
             }
-            loops_by_fn.insert(fid, n.loops_of(fid));
+            loops_by_fn.insert(fid, n.loop_forest(fid));
         }
         n.with_pdg(|m, b| {
             let mr = b.modref();
             let mut findings = Vec::new();
             for (&fid, loops) in &loops_by_fn {
                 let f = m.func(fid);
-                for l in loops {
+                for l in loops.loops() {
                     for &bb in &l.blocks {
                         for &id in &f.block(bb).insts {
                             let Inst::Call {

@@ -177,6 +177,8 @@ struct SlotTable<'t>(&'t mut Vec<u32>);
 impl<'t> SlotTable<'t> {
     /// No slot: the arena index belongs to no node (yet).
     const NONE: u32 = u32::MAX;
+    /// No slot yet: an external node met in the counting pass.
+    const MET: u32 = u32::MAX - 1;
 
     /// The node slot of `n`. `n` must be in the table this was built over.
     fn slot<N: Node>(&self, n: N) -> u32 {
@@ -185,8 +187,9 @@ impl<'t> SlotTable<'t> {
 
     /// Finish the node table of a graph whose `nodes` so far are its
     /// internal ones (ascending, none twice): every endpoint of `edges` met
-    /// for the first time is appended as an external node, and the table is
-    /// sorted again if there were any. One pass over the edges, no search.
+    /// for the first time is appended as an external node — counted first,
+    /// so the table grows once, to its exact size — and the table is sorted
+    /// again if there were any. Two passes over the edges, no search.
     /// `None` when `N` is not an arena id.
     fn build<N: Node>(
         nodes: &mut Vec<(N, bool)>,
@@ -206,6 +209,7 @@ impl<'t> SlotTable<'t> {
             }
         };
         number(table, nodes);
+        let mut externals = 0;
         for e in edges {
             for n in [e.src, e.dst] {
                 let i = n.arena_index()?;
@@ -213,6 +217,16 @@ impl<'t> SlotTable<'t> {
                     table.resize(i + 1, SlotTable::NONE);
                 }
                 if table[i] == SlotTable::NONE {
+                    table[i] = SlotTable::MET;
+                    externals += 1;
+                }
+            }
+        }
+        nodes.reserve_exact(externals);
+        for e in edges {
+            for n in [e.src, e.dst] {
+                let i = n.arena_index()?;
+                if table[i] == SlotTable::MET {
                     table[i] = 0; // any slot: numbered below
                     nodes.push((n, false));
                 }
@@ -392,6 +406,13 @@ impl<N: Node> DepGraph<N> {
         self.in_ids(n)
             .iter()
             .map(move |e| &self.edges[e.0 as usize])
+    }
+
+    /// The `k`-th edge [`DepGraph::edges_to`] lists for `n`, if it has that
+    /// many: a walk that keeps a position per node instead of an iterator.
+    pub fn edge_to(&self, n: N, k: usize) -> Option<&DepEdge<N>> {
+        let id = self.in_ids(n).get(k)?;
+        Some(&self.edges[id.0 as usize])
     }
 
     /// Edges from `src` to `dst` (there may be several, one per kind).

@@ -145,6 +145,8 @@ pub struct BuildBuffers {
     touching: Vec<EdgeId>,
     /// `(min, max, must)` per conflicting pair of loop accesses.
     loop_conflicts: Vec<(InstId, InstId, bool)>,
+    /// A loop graph's edges, copied out at their exact count.
+    loop_edges: Vec<DepEdge<InstId>>,
     /// Tarjan's walk over the loop graph.
     pub(crate) scc: SccScratch,
     /// The function graph's arena index -> node slot table.
@@ -663,6 +665,8 @@ impl<'a> PdgBuilder<'a> {
             in_loop,
             touching,
             loop_conflicts: conflicts,
+            loop_edges: edges,
+            slots,
             ..
         } = buf;
         // The loop's instructions, ascending, and the same set as a mark per
@@ -684,7 +688,7 @@ impl<'a> PdgBuilder<'a> {
         // not copied: they are read as the pair's alias verdict (unordered
         // pair -> must) and re-derived below with iteration awareness.
         let touching = function_graph.edges_touching(loop_insts.iter().copied(), touching);
-        let mut edges: Vec<DepEdge<InstId>> = Vec::with_capacity(touching.len());
+        edges.clear();
         conflicts.clear();
         for e in touching {
             let both_internal = in_loop(e.src) && in_loop(e.dst);
@@ -784,7 +788,7 @@ impl<'a> PdgBuilder<'a> {
         }
         // Every boundary node is an endpoint of a copied edge, which is
         // where `from_edges` finds the externals.
-        DepGraph::from_edges(loop_insts.iter().copied(), edges)
+        DepGraph::from_edges_in(loop_insts.iter().copied(), edges.to_vec(), slots)
     }
 }
 

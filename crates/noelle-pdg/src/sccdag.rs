@@ -93,6 +93,8 @@ pub(crate) struct SccScratch {
     call_stack: Vec<(u32, u32)>,
     /// What the loop graph's edges say of each SCC.
     facts: Vec<SccFacts>,
+    /// The inter-SCC edges, before they are copied out at their count.
+    edges: Vec<(usize, usize)>,
 }
 
 impl SccDag {
@@ -113,12 +115,14 @@ impl SccDag {
         recs: &[AddRec],
         buf: &mut BuildBuffers,
     ) -> SccDag {
-        let internal: Vec<InstId> = g.internal_nodes().collect();
+        let mut internal = Vec::with_capacity(g.num_internal());
+        internal.extend(g.internal_nodes());
         let scratch = &mut buf.scc;
         let (members, offsets, comp) = tarjan(&internal, g, scratch);
         let n = offsets.len() - 1;
         let scc_of = |x: InstId| internal.binary_search(&x).ok().map(|k| comp[k] as usize);
-        let mut edges = Vec::with_capacity(g.edges().len());
+        let edges = &mut scratch.edges;
+        edges.clear();
         let facts = &mut scratch.facts;
         facts.clear();
         facts.resize(n, SccFacts::default());
@@ -137,6 +141,7 @@ impl SccDag {
         }
         edges.sort_unstable();
         edges.dedup();
+        let edges = edges.to_vec();
         let is_rec = |x: &InstId| recs.iter().any(|r| r.phi == *x || r.update == *x);
         let nodes = (0..n)
             .map(|s| {

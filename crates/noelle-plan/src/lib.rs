@@ -407,7 +407,7 @@ pub fn plan_from_audit(n: &mut Noelle, audit: &ModuleAudit, opts: &PlanOptions) 
             header: laud.header,
             header_name: laud.header_name.clone(),
             weight: if profiled {
-                profiles.loop_hotness(m, laud.fid, &laud.abstraction.structure)
+                profiles.loop_hotness(m, laud.fid, laud.abstraction.structure())
             } else {
                 0.0 // filled by the static-share pass below
             },
@@ -455,9 +455,9 @@ pub fn plan_from_audit(n: &mut Noelle, audit: &ModuleAudit, opts: &PlanOptions) 
         };
         let (t, s, w) = (best.technique, best.predicted_speedup, best.workers);
         // Nesting conflict with an already-accepted loop of the same function?
-        let l = &laud.abstraction.structure;
+        let l = laud.abstraction.structure();
         let conflict = accepted.iter().copied().find(|&j| {
-            let (q, lj) = (&loops[j], &audit.loops[j].abstraction.structure);
+            let (q, lj) = (&loops[j], audit.loops[j].abstraction.structure());
             audit.loops[j].fid == laud.fid
                 && q.header != p.header
                 && (lj.contains(p.header) || l.contains(q.header))
@@ -567,14 +567,14 @@ fn trip_estimate(
 ) -> f64 {
     let (fid, la) = (laud.fid, &*laud.abstraction);
     if profiled {
-        let t = profiles.loop_avg_iterations(m, fid, &la.structure);
+        let t = profiles.loop_avg_iterations(m, fid, la.structure());
         if t > 0.0 {
             return t;
         }
     }
     let from_callers = || {
         let bound = known_value(m, calls, fid, la.ivs.governing()?.bound?, BOUND_DEPTH)?;
-        let (f, l) = (m.func(fid), &la.structure);
+        let (f, l) = (m.func(fid), la.structure());
         trip_count_given(f, l, &affine_recurrences(f, l), Some(bound))
     };
     match la.trip_count.or_else(from_callers) {
@@ -653,7 +653,7 @@ impl LoopCost {
     /// Price loop `i` of the audit; `trips` holds every audited loop's trip.
     fn of(m: &Module, audit: &ModuleAudit, trips: &[f64], i: usize) -> LoopCost {
         let laud = &audit.loops[i];
-        let (f, l) = (m.func(laud.fid), &laud.abstraction.structure);
+        let (f, l) = (m.func(laud.fid), laud.abstraction.structure());
         // The loops nested in this one sit beside it: the audit lists a
         // function's loops together.
         let elsewhere = |o: &LoopAudit| o.fid != laud.fid;
@@ -678,7 +678,7 @@ impl LoopCost {
             .map(|&b| {
                 let runs: f64 = (lo..hi)
                     .filter(|&j| j != i)
-                    .map(|j| (&audit.loops[j].abstraction.structure, trips[j]))
+                    .map(|j| (audit.loops[j].abstraction.structure(), trips[j]))
                     .filter(|(inner, _)| l.contains(inner.header) && inner.contains(b))
                     .map(|(_, trip)| trip)
                     .product();
@@ -920,10 +920,11 @@ pub fn apply_plan(n: &mut Noelle, plan: &ModulePlan) -> ParallelReport {
             judged.emit(n, workers)
         } else {
             // A loop the edits since have removed is not attempted.
-            let Some(lp) = n.loops_of(fid).into_iter().find(|lp| lp.header == l.header) else {
+            let forest = n.loop_forest(fid);
+            let Some(lp) = forest.loops().iter().find(|lp| lp.header == l.header) else {
                 continue;
             };
-            let la = n.loop_abstraction(fid, lp);
+            let la = n.loop_abstraction(fid, lp.id);
             // Read without `Noelle::architecture`, as `parallelize` reads it.
             let arch = Architecture::from_module(n.module()).unwrap_or_default();
             gate(c.technique, n.module(), fid, &la, &arch, workers).and_then(|recipe| {
@@ -1165,9 +1166,10 @@ entry:
                     if a.function == b.function && a.header != b.header {
                         // Re-derive containment from scratch.
                         let fid = n.module().func_id_by_name(&a.function).unwrap();
-                        let la = n
-                            .loops_of(fid)
-                            .into_iter()
+                        let forest = n.loop_forest(fid);
+                        let la = forest
+                            .loops()
+                            .iter()
                             .find(|l| l.header == a.header)
                             .unwrap();
                         assert!(

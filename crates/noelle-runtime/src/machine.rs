@@ -1123,12 +1123,24 @@ impl<'m> Machine<'m> {
             let t = &st.tasks[tid];
             match t.state {
                 TaskState::Runnable => {
-                    // Keep stepping this task while it stays the first.
+                    // Keep stepping this task while it stays the first;
+                    // else it takes the first's place on the heap, one sift
+                    // where a push and a pop took two.
                     let key = (t.clock.now, tid);
-                    match st.ready.peek() {
-                        Some(&Reverse(first)) if first < key => st.ready.push(Reverse(key)),
-                        _ => continue,
+                    let Some(mut first) = st.ready.peek_mut() else {
+                        continue;
+                    };
+                    if first.0 >= key {
+                        continue;
                     }
+                    let Reverse((_, next)) = std::mem::replace(&mut *first, Reverse(key));
+                    drop(first);
+                    if st.is_ready(next) {
+                        st.resume_if_blocked(next);
+                        tid = next;
+                        continue;
+                    }
+                    st.blocked.push(next);
                 }
                 TaskState::Done(_) => {
                     st.done += 1;

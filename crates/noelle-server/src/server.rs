@@ -1046,10 +1046,10 @@ fn handler(method: &str) -> Option<Handler> {
                 let mut per_fn = Vec::new();
                 for fid in fids {
                     let fname = n.module().func(fid).name.clone();
-                    let loops = n.loops_of(fid);
+                    let loops = n.loop_forest(fid);
                     per_fn.push((
                         fname,
-                        Json::Array(loops.iter().map(wire::loop_to_json).collect()),
+                        Json::Array(loops.loops().iter().map(wire::loop_to_json).collect()),
                     ));
                 }
                 if whole_module {
@@ -1071,12 +1071,12 @@ fn handler(method: &str) -> Option<Handler> {
                     .module()
                     .func_id_by_name(&fname)
                     .ok_or_else(|| bad(format!("no function '{fname}'")))?;
-                let loops = n.loops_of(fid);
+                let loops = n.loop_forest(fid);
                 let l = loops
+                    .loops()
                     .get(idx)
-                    .ok_or_else(|| bad(format!("function '{fname}' has {} loops", loops.len())))?
-                    .clone();
-                let la = n.loop_abstraction(fid, l);
+                    .ok_or_else(|| bad(format!("function '{fname}' has {} loops", loops.len())))?;
+                let la = n.loop_abstraction(fid, l.id);
                 Ok(Body::Value(match req.method.as_str() {
                     "sccdag" => wire::sccdag_to_json(&la.sccdag),
                     "induction" => wire::ivs_to_json(&la.ivs),

@@ -72,9 +72,7 @@ fn main() {
     let cfg = FuzzConfig {
         seeds: args.flag_usize("seeds", 100) as u64,
         seed_start: args.flag_usize("seed-start", 0) as u64,
-        time_budget_ms: args
-            .flag("time-budget-ms")
-            .map(|s| s.parse().unwrap_or_else(|_| die(&usage()))),
+        time_budget_ms: args.flag_usize_opt("time-budget-ms").map(|ms| ms as u64),
         persist: corpus_dir.is_some() && args.flag("no-persist").is_none(),
         corpus_dir,
         ..FuzzConfig::default()

@@ -49,10 +49,8 @@ fn main() {
             params.push((key.to_string(), Json::Str(v.to_string())));
         }
     }
-    if let Some(v) = args.flag("loop") {
-        let n = v
-            .parse()
-            .unwrap_or_else(|_| die("--loop expects an integer"));
+    if let Some(n) = args.flag_usize_opt("loop") {
+        let n = i64::try_from(n).unwrap_or(i64::MAX);
         params.push(("loop".to_string(), Json::Int(n)));
     }
     // Tool flags parse through the registry's own ToolInvocation, so
@@ -62,10 +60,7 @@ fn main() {
             ToolInvocation::from_args(&args).unwrap_or_else(|e| die(&format!("{e}\n{USAGE}")));
         params.extend(inv.to_params());
     }
-    let deadline = args.flag("deadline-ms").map(|v| {
-        v.parse()
-            .unwrap_or_else(|_| die("--deadline-ms expects an integer"))
-    });
+    let deadline = args.flag_usize_opt("deadline-ms").map(|ms| ms as u64);
 
     let mut client =
         Client::connect(addr).unwrap_or_else(|e| die(&format!("connect to {addr}: {e}")));

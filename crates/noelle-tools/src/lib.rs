@@ -125,10 +125,14 @@ impl Args {
     /// [`Args::flag_number`], or `default` when the flag is absent. A value
     /// that does not parse ends the binary with the message and its usage.
     pub fn flag_usize(&self, key: &str, default: usize) -> usize {
-        match self.flag_number(key) {
-            Ok(n) => n.unwrap_or(default),
-            Err(e) => die(&format!("{e}\n{}", self.usage)),
-        }
+        self.flag_usize_opt(key).unwrap_or(default)
+    }
+
+    /// [`Args::flag_number`], `None` when the flag is absent. A value that
+    /// does not parse ends the binary with the message and its usage.
+    pub fn flag_usize_opt(&self, key: &str) -> Option<usize> {
+        self.flag_number(key)
+            .unwrap_or_else(|e| die(&format!("{e}\n{}", self.usage)))
     }
 }
 

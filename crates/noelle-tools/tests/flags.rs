@@ -66,3 +66,40 @@ fn a_tool_invocation_refuses_cores_that_do_not_parse() -> Result<(), String> {
     assert_eq!(ToolInvocation::from_args(&args)?.options.cores, Some(3));
     Ok(())
 }
+
+/// What a binary run with `words` wrote to stderr, after checking that it
+/// exited 1: the way every tool dies on a flag it cannot use.
+fn dies(binary: &str, words: &[&str]) -> String {
+    let out = std::process::Command::new(binary)
+        .args(words)
+        .output()
+        .expect("the binary runs");
+    assert_eq!(out.status.code(), Some(1), "{binary} {words:?}");
+    String::from_utf8(out.stderr).expect("stderr is text")
+}
+
+#[test]
+fn a_fuzz_time_budget_that_does_not_parse_dies_with_the_flag_check() {
+    let err = dies(
+        env!("CARGO_BIN_EXE_noelle-fuzz"),
+        &["--seeds", "1", "--time-budget-ms", "abc"],
+    );
+    assert!(
+        err.starts_with("error: '--time-budget-ms' expects a non-negative integer, got 'abc'\n"),
+        "{err}"
+    );
+    assert!(err.contains("usage: noelle-fuzz"), "{err}");
+}
+
+#[test]
+fn a_query_loop_or_deadline_that_does_not_parse_dies_before_connecting() {
+    for (flag, bad) in [("--loop", "x"), ("--loop", "-1"), ("--deadline-ms", "soon")] {
+        let err = dies(
+            env!("CARGO_BIN_EXE_noelle-query"),
+            &["sccdag", "--addr", "127.0.0.1:1", flag, bad],
+        );
+        let check = format!("error: '{flag}' expects a non-negative integer, got '{bad}'\n");
+        assert!(err.starts_with(&check), "{err}");
+        assert!(err.contains("usage: noelle-query"), "{err}");
+    }
+}

@@ -69,11 +69,12 @@ pub fn conservative_parallelize(m: Module, n_tasks: usize) -> (Module, ParallelR
     let mut report = ParallelReport::default();
     // Basic alias tier only.
     let mut noelle = Noelle::new(m, AliasTier::Basic);
-    for (fid, l) in candidate_loops(&mut noelle) {
+    for (fid, forest, id) in candidate_loops(&mut noelle) {
+        let l = forest.loop_info(id);
         let fname = noelle.module().func(fid).name.clone();
 
         // 1. LLVM-style IV detection: do-while shape required.
-        let ivs = ivs_llvm(noelle.module().func(fid), &l);
+        let ivs = ivs_llvm(noelle.module().func(fid), l);
         if ivs.governing().is_none() {
             report
                 .skipped
@@ -86,7 +87,7 @@ pub fn conservative_parallelize(m: Module, n_tasks: usize) -> (Module, ParallelR
             let m = noelle.module();
             let basic = BasicAlias::new(m);
             let builder = PdgBuilder::new(m, &basic);
-            LoopAbstraction::build(&builder, fid, l.clone())
+            LoopAbstraction::build(&builder, fid, &forest, id)
         };
         let iv_insts = la.ivs.recurrence_insts();
         let has_carried = la.pdg.edges().iter().any(|e| {

@@ -119,11 +119,11 @@ pub fn run(noelle: &mut Noelle) -> CaratReport {
             continue;
         }
         // Loop invariance info for hoisting decisions (header -> set).
-        let loops = noelle.loops_of(fid);
-        let mut invariants = Vec::new();
-        for l in &loops {
-            let la = noelle.loop_abstraction(fid, l.clone());
-            invariants.push((l.clone(), la.invariants));
+        let loops = noelle.loop_forest(fid);
+        let mut invariants = Vec::with_capacity(loops.len());
+        for l in loops.loops() {
+            let la = noelle.loop_abstraction(fid, l.id);
+            invariants.push((l, la.invariants));
         }
         noelle.edit(|tx| guard_function(tx.module_touching([fid]), fid, &invariants, &mut report));
     }
@@ -134,7 +134,7 @@ fn guard_function(
     m: &mut Module,
     fid: FuncId,
     loop_invariants: &[(
-        noelle_ir::loops::LoopInfo,
+        &noelle_ir::loops::LoopInfo,
         noelle_core::invariants::InvariantSet,
     )],
     report: &mut CaratReport,

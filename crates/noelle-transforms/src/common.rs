@@ -17,7 +17,7 @@ use noelle_core::loop_builder::{bypass_loop, ensure_preheader, LoopBuilderError}
 use noelle_core::noelle::{Abstraction, Noelle};
 use noelle_core::task::{outline_loop_as_task, task_frame_cycles, TaskError, TaskFunction};
 use noelle_ir::inst::{BinOp, IcmpPred, Inst, InstId, Terminator};
-use noelle_ir::loops::LoopInfo;
+use noelle_ir::loops::{LoopForest, LoopId};
 use noelle_ir::module::{BlockId, FuncId, Function, Module};
 use noelle_ir::types::{FuncType, Type};
 use noelle_ir::value::Value;
@@ -135,16 +135,18 @@ impl Default for LoopTargetOpts {
     }
 }
 
-/// Every loop of the module with its function, outermost first (an outer
-/// loop parallelized subsumes its children; LICM walks the list backwards):
-/// the one walk of the manager's cached loop forests every loop tool shares.
-pub fn candidate_loops(noelle: &mut Noelle) -> Vec<(FuncId, LoopInfo)> {
+/// Every loop of the module as `(function, its loop forest, loop id)`,
+/// outermost first (an outer loop parallelized subsumes its children; LICM
+/// walks the list backwards): the one walk of the manager's cached loop
+/// forests every loop tool shares. A forest is shared, not copied, and
+/// stays as it was found while the tool edits its function.
+pub fn candidate_loops(noelle: &mut Noelle) -> Vec<(FuncId, Arc<LoopForest>, LoopId)> {
     let forest = noelle.program_loop_forest();
     let mut order = forest.innermost_first();
     order.reverse();
     order
         .into_iter()
-        .map(|node| (node.0, forest.loop_info(node).clone()))
+        .map(|(fid, id)| (fid, Arc::clone(&forest.per_function[&fid]), id))
         .collect()
 }
 
@@ -330,23 +332,26 @@ pub fn parallelize(
     let mut report = ParallelReport::default();
     // A loop nested in one parallelized so far is gone: its parent was
     // outlined into a task and bypassed.
-    let mut done: Vec<(FuncId, LoopInfo)> = Vec::new();
-    for (fid, l) in candidate_loops(noelle) {
-        let inside = |(df, dl): &(FuncId, LoopInfo)| *df == fid && dl.contains(l.header);
+    let mut done: Vec<(FuncId, Arc<LoopForest>, LoopId)> = Vec::new();
+    for (fid, forest, id) in candidate_loops(noelle) {
+        let l = forest.loop_info(id);
+        let inside = |(df, dforest, did): &(FuncId, Arc<LoopForest>, LoopId)| {
+            *df == fid && dforest.loop_info(*did).contains(l.header)
+        };
         if done.iter().any(inside) {
             continue;
         }
         let fname = noelle.module().func(fid).name.clone();
         if profiles
             .as_ref()
-            .is_some_and(|p| p.loop_hotness(noelle.module(), fid, &l) < target.min_hotness)
+            .is_some_and(|p| p.loop_hotness(noelle.module(), fid, l) < target.min_hotness)
         {
             report
                 .skipped
                 .push((fname, l.header, "cold loop".to_string()));
             continue;
         }
-        let la = noelle.loop_abstraction(fid, l.clone());
+        let la = noelle.loop_abstraction_of(fid, &forest, id);
         let outcome =
             gate(technique, noelle.module(), fid, &la, &arch, target.workers).and_then(|recipe| {
                 noelle.edit(|tx| emit(tx.module_touching([fid]), fid, &la, &recipe, target.workers))
@@ -354,7 +359,7 @@ pub fn parallelize(
         match outcome {
             Ok(()) => {
                 report.parallelized.push((fname, l.header));
-                done.push((fid, l));
+                done.push((fid, Arc::clone(&forest), id));
             }
             Err(e) => report.skipped.push((fname, l.header, e.to_string())),
         }
@@ -373,10 +378,10 @@ pub fn mechanics_gate(
     stepped: bool,
 ) -> Result<(), ParallelizeError> {
     liveouts_gate(la)?;
-    let l = &la.structure;
+    let l = la.structure();
     let f = m.func(fid);
     // Outlining and the dispatcher need one exit block.
-    if l.exit_blocks().len() != 1 {
+    if l.num_exit_blocks() != 1 {
         return Err(ParallelizeError::Shape(
             "loop has multiple exit blocks".into(),
         ));
@@ -476,7 +481,7 @@ pub fn outline(
     la: &LoopAbstraction,
     name: &str,
 ) -> Result<TaskFunction, ParallelizeError> {
-    let task = outline_loop_as_task(m, fid, &la.structure, &la.env, name)?;
+    let task = outline_loop_as_task(m, fid, la.structure(), &la.env, name)?;
     let tf = m.func_mut(task.fid);
     for r in &la.reductions {
         let Some(Value::Inst(clone_phi)) = task.value_map.get(&Value::Inst(r.phi)).copied() else {
@@ -535,7 +540,7 @@ pub fn emit_dispatcher(
 ) -> Result<(), ParallelizeError> {
     let dispatch_fn = declare_dispatch(m);
     let queue_create = m.get_or_declare(QUEUE_CREATE_INTRINSIC, vec![Type::I64], Type::I64);
-    let (l, env, exit_block) = (&la.structure, &la.env, task.exit);
+    let (l, env, exit_block) = (la.structure(), &la.env, task.exit);
 
     let f = m.func_mut(fid);
     let pre = ensure_preheader(f, l)?;
@@ -762,8 +767,7 @@ exit:
             let m = noelle_ir::parser::parse_module(src).unwrap();
             let mut n = Noelle::new(m, AliasTier::Full);
             let fid = n.module().func_id_by_name("kernel").unwrap();
-            let l = n.loops_of(fid)[0].clone();
-            let la = n.loop_abstraction(fid, l);
+            let la = n.loop_abstraction(fid, LoopId(0));
             let arch = Architecture::default_machine();
             let recipe = gate(technique, n.module(), fid, &la, &arch, workers)
                 .unwrap_or_else(|e| panic!("{technique:?}: {e}"));

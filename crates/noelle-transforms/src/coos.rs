@@ -59,7 +59,7 @@ pub fn run(noelle: &mut Noelle) -> CoosReport {
         if noelle.module().func(fid).is_declaration() {
             continue;
         }
-        let loops = noelle.loops_of(fid);
+        let loops = noelle.loop_forest(fid);
         noelle.edit(|tx| {
             let m = tx.module_touching([fid]);
             let cb = m.get_or_declare("coos.callback", vec![], Type::Void);
@@ -80,7 +80,7 @@ pub fn run(noelle: &mut Noelle) -> CoosReport {
             }
             // Latch callbacks (bounding gaps across iterations, including
             // endless loops).
-            for l in &loops {
+            for l in loops.loops() {
                 // CG refinement: a direct call inside the loop to a defined
                 // function means that function's entry callback already fires
                 // every iteration that executes the call — only skip when the

@@ -77,7 +77,7 @@ pub fn gate(
     arch: &Architecture,
     want_stages: usize,
 ) -> Result<StagePlan, ParallelizeError> {
-    let l = &la.structure;
+    let l = la.structure();
     if la.ivs.governing().is_none() {
         return Err(ParallelizeError::NoGoverningIv);
     }
@@ -209,7 +209,7 @@ pub fn emit(
     la: &LoopAbstraction,
     plan: &StagePlan,
 ) -> Result<(), ParallelizeError> {
-    let header = la.structure.header.0;
+    let header = la.structure().header.0;
     // The stage owning each loop instruction, read once off the original.
     let f = m.func(fid);
     let owners: Vec<(InstId, Option<usize>)> = la

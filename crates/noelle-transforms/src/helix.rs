@@ -25,7 +25,6 @@ use noelle_ir::module::{BlockId, FuncId, Module};
 use noelle_ir::types::Type;
 use noelle_ir::value::Value;
 use noelle_pdg::islands::islands_of;
-use std::collections::BTreeSet;
 
 /// The abstractions HELIX asks NOELLE for (its Table 4 row).
 pub const ABSTRACTIONS: [Abstraction; 15] = [
@@ -73,11 +72,11 @@ fn sequential_segments(
     la: &LoopAbstraction,
 ) -> Option<(Vec<Vec<InstId>>, Option<BlockId>)> {
     let f = m.func(fid);
-    let l = &la.structure;
+    let l = la.structure();
 
     // Problem SCCs: sequential ones, plus SCCs linked by a blocking edge
     // that does not run between two induction SCCs.
-    let mut problem: BTreeSet<usize> = la.sequential_sccs().into_iter().collect();
+    let mut problem = la.sequential_sccs();
     let mut links: Vec<(usize, usize)> = Vec::new();
     for e in la.blocking_edges() {
         let (Some(a), Some(b)) = (la.sccdag.scc_of(e.src), la.sccdag.scc_of(e.dst)) else {
@@ -86,8 +85,7 @@ fn sequential_segments(
         if la.sccdag.nodes()[a].is_induction && la.sccdag.nodes()[b].is_induction {
             continue;
         }
-        problem.insert(a);
-        problem.insert(b);
+        problem.extend([a, b]);
         if a != b {
             links.push((a, b));
         }
@@ -97,8 +95,9 @@ fn sequential_segments(
     }
 
     // Group into segments via the islands capability.
-    let nodes: Vec<usize> = problem.iter().copied().collect();
-    let groups = islands_of(&nodes, &links);
+    problem.sort_unstable();
+    problem.dedup();
+    let groups = islands_of(&problem, &links);
 
     // Bracketing requires every segment instruction to execute exactly once
     // per iteration: its block must dominate the (single) latch.
@@ -193,7 +192,7 @@ pub fn emit(
     segments: &Segments,
     workers: usize,
 ) -> Result<(), ParallelizeError> {
-    let name = format!("{}.helix.{}", m.func(fid).name, la.structure.header.0);
+    let name = format!("{}.helix.{}", m.func(fid).name, la.structure().header.0);
     let seg_base: i64 = m
         .metadata
         .get(SEGMENTS_KEY)
@@ -419,8 +418,7 @@ exit:
         let m = parse_module(src).unwrap();
         let mut noelle = Noelle::new(m, AliasTier::Full);
         let fid = noelle.module().func_id_by_name("main").unwrap();
-        let l = noelle.loops_of(fid)[0].clone();
-        let la = noelle.loop_abstraction(fid, l);
+        let la = noelle.loop_abstraction(fid, noelle_ir::loops::LoopId(0));
         let arch = noelle.architecture();
         let refusal = gate(noelle.module(), fid, &la, &arch).unwrap_err();
         assert!(
@@ -444,11 +442,10 @@ exit:
         let m = parse_module(HELIX_PROGRAM).unwrap();
         let mut noelle = Noelle::new(m, AliasTier::Full);
         let fid = noelle.module().func_id_by_name("kernel").unwrap();
-        let l = noelle.loops_of(fid)[0].clone();
-        let la = noelle.loop_abstraction(fid, l);
+        let la = noelle.loop_abstraction(fid, noelle_ir::loops::LoopId(0));
         let (segs, latch) = sequential_segments(noelle.module(), fid, &la).expect("bracketable");
         assert_eq!(segs.len(), 1, "one sequential segment (the acc recurrence)");
         assert!(segs[0].len() >= 2);
-        assert_eq!(latch, la.structure.single_latch(), "the brackets' latch");
+        assert_eq!(latch, la.structure().single_latch(), "the brackets' latch");
     }
 }

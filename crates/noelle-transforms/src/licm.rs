@@ -122,11 +122,12 @@ pub fn run(noelle: &mut Noelle) -> LicmReport {
     let mut report = LicmReport::default();
     // Innermost first, so an invariant hoists out of a whole nest.
     let loops = candidate_loops(noelle);
-    for (fid, l) in loops.into_iter().rev() {
-        let la = noelle.loop_abstraction(fid, l.clone());
-        let inv = la.invariants.clone();
+    for (fid, forest, id) in loops.into_iter().rev() {
+        let la = noelle.loop_abstraction_of(fid, &forest, id);
+        let l = forest.loop_info(id);
         let fname = noelle.module().func(fid).name.clone();
-        let n = noelle.edit(|tx| hoist_invariants(tx.module_touching([fid]), fid, &l, &inv));
+        let inv = &la.invariants;
+        let n = noelle.edit(|tx| hoist_invariants(tx.module_touching([fid]), fid, l, inv));
         if n > 0 {
             report.hoisted += n;
             report.per_loop.push((fname, l.header, n));

@@ -48,7 +48,7 @@ pub fn emit(
     cell: InstId,
     workers: usize,
 ) -> Result<(), ParallelizeError> {
-    let name = format!("{}.pers.{}", m.func(fid).name, la.structure.header.0);
+    let name = format!("{}.pers.{}", m.func(fid).name, la.structure().header.0);
     let alloca = m.func(fid).inst(cell).clone();
     let task = outline(m, fid, la, &name)?;
     privatize(m, &task, Value::Inst(cell), alloca);
@@ -61,8 +61,8 @@ pub fn emit(
 /// (write-first ⇒ privatizable: per-task copies preserve semantics).
 fn privatizable_scratch(m: &Module, fid: FuncId, la: &LoopAbstraction) -> Option<InstId> {
     let f = m.func(fid);
-    let l = &la.structure;
-    if la.ivs.governing().is_none() || l.exit_blocks().len() != 1 {
+    let l = la.structure();
+    if la.ivs.governing().is_none() || l.num_exit_blocks() != 1 {
         return None;
     }
     // Every endpoint of a blocking edge must be a load/store through the
@@ -233,8 +233,7 @@ done:
         {
             let mut n = Noelle::new(parse_module(PROGRAM).unwrap(), AliasTier::Full);
             let fid = n.module().func_id_by_name("kernel").unwrap();
-            let l = n.loops_of(fid)[0].clone();
-            let la = n.loop_abstraction(fid, l);
+            let la = n.loop_abstraction(fid, noelle_ir::loops::LoopId(0));
             assert!(!la.is_doall(), "tmp cell must block plain DOALL");
         }
         let (report, _) = privatized(PROGRAM);

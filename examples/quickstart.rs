@@ -65,7 +65,7 @@ fn main() {
     // Load the NOELLE layer and inspect the dot-product loop.
     let mut noelle = Noelle::new(module, AliasTier::Full);
     let fid = noelle.module().func_id_by_name("dot").expect("dot exists");
-    let l = noelle.loops_of(fid)[0].clone();
+    let l = noelle.loop_forest(fid).loops()[0].id;
     let la = noelle.loop_abstraction(fid, l);
     println!(
         "loop: {} SCCs, {} IVs (governing: {}), {} reductions, DOALL-able: {}",

@@ -463,13 +463,14 @@ fn gate_ok_means_emit_ok_and_refusals_attribute_by_variant() {
         let arch = n.architecture();
         for laud in &audit.loops {
             let loop_name = format!("{name} @{}:{}", laud.function, laud.header_name);
-            let l = n
-                .loops_of(laud.fid)
-                .into_iter()
+            let forest = n.loop_forest(laud.fid);
+            let l = forest
+                .loops()
+                .iter()
                 .find(|l| l.header == laud.header)
                 .expect("audited loop exists");
-            let la = n.loop_abstraction(laud.fid, l);
-            if la.structure.exit_blocks().len() == 1 {
+            let la = n.loop_abstraction(laud.fid, l.id);
+            if la.structure().exit_blocks().len() == 1 {
                 assert_outlined_loop_is_the_rebuilt_one(&m, laud.fid, &la, &loop_name);
                 outlined += 1;
             }

@@ -58,12 +58,12 @@ fn encode_all(n: &mut Noelle) -> String {
         .collect();
     for fid in fids {
         let name = n.module().func(fid).name.clone();
-        for l in n.loops_of(fid) {
+        for l in n.loop_forest(fid).loops() {
             s.push('\n');
             s.push_str(&name);
             s.push(' ');
-            s.push_str(&wire::loop_to_json(&l).to_string_compact());
-            let la = n.loop_abstraction(fid, l);
+            s.push_str(&wire::loop_to_json(l).to_string_compact());
+            let la = n.loop_abstraction(fid, l.id);
             s.push(' ');
             s.push_str(&wire::sccdag_to_json(&la.sccdag).to_string_compact());
         }
@@ -430,7 +430,7 @@ fn a_loop_request_repairs_its_own_partition_only() {
     let damaged = damage.len() as u64;
 
     // One loop of one damaged function costs that function's partition.
-    let l = n.loops_of(k0).remove(0);
+    let l = n.loop_forest(k0).loops()[0].id;
     let before = n.func_cache_counters().pdg_misses;
     let _ = n.loop_abstraction(k0, l);
     let asked = n.func_cache_counters().pdg_misses;

@@ -637,8 +637,8 @@ fn check_manager_builds(label: &str, n: &mut Noelle) -> (usize, usize) {
     order.sort_by_key(|&fid| std::cmp::Reverse(m.func(fid).num_insts()));
     let mut built = Vec::new();
     for fid in order {
-        for l in n.loops_of(fid) {
-            built.push(n.loop_abstraction(fid, l));
+        for l in n.loop_forest(fid).loops() {
+            built.push(n.loop_abstraction(fid, l.id));
         }
     }
     let pdg = n.pdg();
@@ -666,15 +666,15 @@ fn check_manager_builds(label: &str, n: &mut Noelle) -> (usize, usize) {
     }
     for la in &built {
         let f = m.func(la.fid);
-        let what = format!("{label}/{} loop at {:?}", f.name, la.structure.header);
-        let recs = affine_recurrences(f, &la.structure);
-        let alone = builder.loop_pdg_with(la.fid, &la.structure, &fresh[&la.fid], &recs);
+        let what = format!("{label}/{} loop at {:?}", f.name, la.structure().header);
+        let recs = affine_recurrences(f, la.structure());
+        let alone = builder.loop_pdg_with(la.fid, la.structure(), &fresh[&la.fid], &recs);
         assert_eq!(
             encode_partition(&la.pdg),
             encode_partition(&alone),
             "{what}: the loop graph differs from a fresh build"
         );
-        let dag = SccDag::new(f, &la.structure, &alone, &recs);
+        let dag = SccDag::new(f, la.structure(), &alone, &recs);
         assert_eq!(la.sccdag.nodes().len(), dag.nodes().len(), "{what}");
         for (ours, theirs) in la.sccdag.nodes().iter().zip(dag.nodes()) {
             assert_eq!(la.sccdag.insts(ours.id), dag.insts(theirs.id), "{what}");

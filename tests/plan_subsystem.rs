@@ -173,11 +173,9 @@ fn apply_plan_judges_again_only_what_an_earlier_emit_damaged() {
             let rejudged;
             let (la, recipe) = if damaged.contains(&fid) {
                 expected += 1;
-                let lp = twin
-                    .loops_of(fid)
-                    .into_iter()
-                    .find(|lp| lp.header == l.header);
-                let la = twin.loop_abstraction(fid, lp.expect("the loop stands"));
+                let forest = twin.loop_forest(fid);
+                let lp = forest.loops().iter().find(|lp| lp.header == l.header);
+                let la = twin.loop_abstraction(fid, lp.expect("the loop stands").id);
                 let recipe = gate(c.technique, twin.module(), fid, &la, &arch, c.workers);
                 rejudged = (la, recipe.expect("the suite's stale loops still pass"));
                 (&rejudged.0, &rejudged.1)
@@ -310,11 +308,9 @@ fn a_stale_verdict_is_judged_again_and_skipped_with_the_gates_reason() {
     // What the gate says of the edited loop, asked on a manager of its own.
     let mut judge = Noelle::new(edited, AliasTier::Full);
     let header = plan.loops[0].header;
-    let l = judge
-        .loops_of(kernel)
-        .into_iter()
-        .find(|l| l.header == header);
-    let la = judge.loop_abstraction(kernel, l.expect("the loop stands"));
+    let forest = judge.loop_forest(kernel);
+    let l = forest.loops().iter().find(|l| l.header == header);
+    let la = judge.loop_abstraction(kernel, l.expect("the loop stands").id);
     let arch = judge.architecture();
     let workers = plan.loops[0].chosen_candidate().expect("chosen").workers;
     let refusal = gate(

@@ -28,8 +28,9 @@ fn force(
         .module()
         .func_id_by_name(function)
         .expect("function exists");
-    let l = n.loops_of(fid).into_iter().find(|l| l.header == header);
-    let la = n.loop_abstraction(fid, l.expect("loop exists"));
+    let forest = n.loop_forest(fid);
+    let l = forest.loops().iter().find(|l| l.header == header);
+    let la = n.loop_abstraction(fid, l.expect("loop exists").id);
     let arch = n.architecture();
     let recipe = gate(t, n.module(), fid, &la, &arch, 4)?;
     n.edit(|tx| emit(tx.module_touching([fid]), fid, &la, &recipe, 4))

@@ -227,7 +227,7 @@ fn the_merge_is_one_loop_whatever_the_worker_count() {
     for workers in [1, 2, 4, 8, 12] {
         let mut n = Noelle::new(m.clone(), AliasTier::Full);
         let fid = n.module().func_id_by_name("kernel").unwrap();
-        let l = n.loops_of(fid)[0].clone();
+        let l = n.loop_forest(fid).loops()[0].id;
         let la = n.loop_abstraction(fid, l);
         assert_eq!(la.reductions.len(), 3, "add, xor and fadd");
         let arch = Architecture::default_machine();

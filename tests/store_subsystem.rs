@@ -33,7 +33,12 @@ fn manager(workload: &str, dir: Option<&Path>) -> Noelle {
 /// bytes the daemon's `sccdag` and `pdg` replies carry.
 fn answers(n: &mut Noelle) -> (String, String) {
     let main = n.module().func_id_by_name("main").expect("main");
-    let l = n.loops_of(main).first().expect("main has a loop").clone();
+    let l = n
+        .loop_forest(main)
+        .loops()
+        .first()
+        .expect("main has a loop")
+        .id;
     let dag = wire::sccdag_to_json(&n.loop_abstraction(main, l).sccdag).to_string_compact();
     let pdg = wire::pdg_to_json(&n.module().clone(), &n.pdg()).to_string_compact();
     (dag, pdg)
