@@ -163,7 +163,7 @@ impl BaseObjects {
 /// require before trusting block-local reasoning.
 pub fn alloca_address_taken(f: &noelle_ir::module::Function, id: InstId) -> bool {
     let a = Value::Inst(id);
-    for other in f.inst_ids() {
+    for other in f.inst_iter() {
         let uses_a = match f.inst(other) {
             // The pointer operand of a load (its only operand) is the
             // non-escaping use.

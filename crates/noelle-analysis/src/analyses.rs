@@ -79,7 +79,7 @@ impl Liveness {
     pub fn compute(f: &Function, cfg: &Cfg) -> Liveness {
         // Universe: arguments + value-producing instructions.
         let mut values: Vec<Value> = (0..f.params.len() as u32).map(Value::Arg).collect();
-        for id in f.inst_ids() {
+        for id in f.inst_iter() {
             if f.inst(id).has_result() {
                 values.push(Value::Inst(id));
             }
@@ -185,8 +185,7 @@ impl ReachingStores {
     /// Compute reaching stores for `f`.
     pub fn compute(f: &Function, cfg: &Cfg) -> ReachingStores {
         let stores: Vec<InstId> = f
-            .inst_ids()
-            .into_iter()
+            .inst_iter()
             .filter(|&i| matches!(f.inst(i), Inst::Store { .. }))
             .collect();
         let index_of: HashMap<InstId, usize> =

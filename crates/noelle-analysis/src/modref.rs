@@ -139,7 +139,7 @@ impl ModRefSummaries {
                 let mut r = reads[&fid];
                 let mut w = writes[&fid];
                 let mut o = io[&fid];
-                for id in f.inst_ids() {
+                for id in f.inst_iter() {
                     match f.inst(id) {
                         Inst::Load { .. } => r = true,
                         Inst::Store { .. } => w = true,
@@ -216,7 +216,7 @@ impl ModRefSummaries {
                 let mut r = self.reads[&fid];
                 let mut w = self.writes[&fid];
                 let mut o = self.io[&fid];
-                for id in f.inst_ids() {
+                for id in f.inst_iter() {
                     match f.inst(id) {
                         Inst::Load { .. } => r = true,
                         Inst::Store { .. } => w = true,

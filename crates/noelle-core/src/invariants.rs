@@ -91,8 +91,7 @@ pub fn invariants_llvm(
 ) -> InvariantSet {
     let f = m.func(fid);
     let loop_insts: Vec<InstId> = f
-        .inst_ids()
-        .into_iter()
+        .inst_iter()
         .filter(|&id| l.contains(f.parent_block(id)))
         .collect();
     let mut out = BTreeSet::new();

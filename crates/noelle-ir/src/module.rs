@@ -202,6 +202,31 @@ impl Function {
         id
     }
 
+    /// Append `inst` to the arena as part of `block`, leaving the block's
+    /// list to [`Function::close_blocks`].
+    pub(crate) fn push_inst(&mut self, block: BlockId, inst: Inst) -> InstId {
+        let id = InstId(self.insts.len() as u32);
+        self.insts.push(InstData { inst, block });
+        id
+    }
+
+    /// Fill every block's list from the arena at its exact length. Each
+    /// block's instructions must be one run of the arena, the runs in block
+    /// order: what the parser appends, since a block's instructions follow
+    /// its label and no label repeats.
+    pub(crate) fn close_blocks(&mut self) {
+        let mut start = 0;
+        for (b, block) in self.blocks.iter_mut().enumerate() {
+            let run = self.insts[start..]
+                .iter()
+                .take_while(|d| d.block.index() == b)
+                .count();
+            block.insts = (start..start + run).map(|i| InstId(i as u32)).collect();
+            start += run;
+        }
+        debug_assert_eq!(start, self.insts.len(), "a block's run is split");
+    }
+
     /// Insert `inst` into `block` at position `pos` (index into the block's
     /// instruction list), returning its id.
     ///
@@ -287,6 +312,14 @@ impl Function {
             ids.extend_from_slice(&self.blocks[b.index()].insts);
         }
         ids
+    }
+
+    /// All attached instruction ids in layout order, walked in place: what
+    /// [`Function::inst_ids`] collects, for a reader that only iterates.
+    pub fn inst_iter(&self) -> impl Iterator<Item = InstId> + '_ {
+        self.layout
+            .iter()
+            .flat_map(|b| self.blocks[b.index()].insts.iter().copied())
     }
 
     /// Size of the instruction arena: every [`InstId`] this function ever

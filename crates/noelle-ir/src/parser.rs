@@ -1063,7 +1063,7 @@ impl<'a> Parser<'a> {
                     .cur
                     .error(at, format!("%{name}: '{op}' produces no value")));
             }
-            let id = f.append_inst(block, inst);
+            let id = f.push_inst(block, inst);
             // `%v<i>` at arena index `i` is how the printer spells an
             // instruction without a name, so it is not stored.
             if let Some((name, number)) = name {
@@ -1084,6 +1084,7 @@ impl<'a> Parser<'a> {
                 })?;
             }
         };
+        f.close_blocks();
         for (k, fix) in self.local_fixups.iter().enumerate() {
             let unknown = || self.unresolved(fix.kind, fix.name, fix.at, &f.name);
             if let Use::Local(number) = fix.kind {
@@ -1114,7 +1115,7 @@ impl<'a> Parser<'a> {
 /// # Errors
 /// Returns [`ParseError`] on malformed input or unresolved references.
 pub fn parse_module(src: &str) -> Result<Module> {
-    parse_module_spanned(src).map(|(m, _)| m)
+    parse(src, None)
 }
 
 /// Parse a whole module, also reporting the source span of every `define`.
@@ -1126,11 +1127,18 @@ pub fn parse_module(src: &str) -> Result<Module> {
 /// # Errors
 /// Returns [`ParseError`] on malformed input or unresolved references.
 pub fn parse_module_spanned(src: &str) -> Result<(Module, Vec<FuncSpan>)> {
+    let mut spans = Vec::new();
+    let module = parse(src, Some(&mut spans))?;
+    Ok((module, spans))
+}
+
+/// A whole module, pushing the span of every `define` onto `spans` when
+/// the caller asked for them.
+fn parse(src: &str, mut spans: Option<&mut Vec<FuncSpan>>) -> Result<Module> {
     let mut p = Parser::new(src, None);
     p.cur.keyword("module")?;
     let mut module = Module::new(p.cur.text()?);
     p.cur.expect(b'{')?;
-    let mut spans = Vec::new();
     // Every body is built in this one arena, then moved out at its exact
     // size: one allocation per body, not a doubling series.
     let mut arena = Vec::new();
@@ -1182,11 +1190,13 @@ pub fn parse_module_spanned(src: &str) -> Result<(Module, Vec<FuncSpan>)> {
                 arena = std::mem::take(&mut f.insts);
                 f.insts = Vec::with_capacity(arena.len());
                 f.insts.append(&mut arena);
-                spans.push(FuncSpan {
-                    name: f.name.clone(),
-                    start_line: at.line,
-                    end_line,
-                });
+                if let Some(spans) = spans.as_deref_mut() {
+                    spans.push(FuncSpan {
+                        name: f.name.clone(),
+                        start_line: at.line,
+                        end_line,
+                    });
+                }
                 if p.func == id {
                     module.add_function(f);
                 } else {
@@ -1225,7 +1235,7 @@ pub fn parse_module_spanned(src: &str) -> Result<(Module, Vec<FuncSpan>)> {
             (None, _) => {}
         }
     }
-    Ok((module, spans))
+    Ok(module)
 }
 
 /// Parse one `define ... { ... }` snippet against an existing module's

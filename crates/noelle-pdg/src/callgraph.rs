@@ -52,7 +52,7 @@ impl CallGraph {
         let mut unresolved_sites = Vec::new();
         for fid in m.func_ids() {
             let f = m.func(fid);
-            for id in f.inst_ids() {
+            for id in f.inst_iter() {
                 match f.inst(id) {
                     Inst::Call {
                         callee: Callee::Direct(cid),

@@ -581,8 +581,7 @@ impl<'a> PdgBuilder<'a> {
         let mut buf = BaseObjects::new();
         let mut collect = |fid: FuncId| -> Vec<(InstId, MemEffect, Option<Vec<MemoryObject>>)> {
             let f = self.module.func(fid);
-            f.inst_ids()
-                .into_iter()
+            f.inst_iter()
                 .filter_map(|id| self.mem_effect(f, id).map(|e| (id, e)))
                 .map(|(id, e)| {
                     let bounded = e.ptr.filter(|&p| self.alias.base_objects(fid, p, &mut buf));
@@ -842,8 +841,7 @@ pub fn memory_dependence_stats(m: &Module, alias: &dyn AliasAnalysis) -> DepStat
             continue;
         }
         let accesses: Vec<(Value, bool)> = f
-            .inst_ids()
-            .into_iter()
+            .inst_iter()
             .filter_map(|id| match f.inst(id) {
                 Inst::Load { ptr, .. } => Some((*ptr, false)),
                 Inst::Store { ptr, .. } => Some((*ptr, true)),

@@ -25,7 +25,7 @@ use noelle::ir::builder::FunctionBuilder;
 use noelle::ir::inst::{BinOp, Inst, InstId, Terminator};
 use noelle::ir::module::Function;
 use noelle::ir::module::Module;
-use noelle::ir::parser::parse_module;
+use noelle::ir::parser::{parse_module, parse_module_spanned};
 use noelle::ir::printer::print_module;
 use noelle::ir::types::Type;
 use noelle::ir::value::Value;
@@ -49,6 +49,39 @@ fn corpus() -> Vec<(String, Module)> {
     let cfg = GenConfig::default();
     out.extend((0..200).map(|seed| (format!("fuzz_{seed}"), generate(seed, &cfg))));
     out
+}
+
+/// A parsed body is built at its exact size: each block's list is filled
+/// once, at the closing brace, from the block's run of the arena. A module
+/// parse builds no spans, and reads the same as one that does.
+#[test]
+fn a_parsed_block_list_is_exactly_as_long_as_the_block() {
+    let texts = all()
+        .into_iter()
+        .map(|w| (w.name.to_string(), w.build()))
+        .chain(std::iter::once((
+            "scale_module(256)".to_string(),
+            scale_module(256, 1),
+        )))
+        .map(|(name, m)| (name, print_module(&m)));
+    let fingerprints = |m: &Module| -> Vec<(u64, u64)> {
+        m.functions().iter().map(Function::fingerprints).collect()
+    };
+    for (name, text) in texts {
+        let m = parse_module(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+        for f in m.functions() {
+            for &b in f.block_order() {
+                let block = f.block(b);
+                let (len, capacity) = (block.insts.len(), block.insts.capacity());
+                assert_eq!(capacity, len, "{name}: @{} {}", f.name, block.name);
+            }
+        }
+        let (spanned, spans) =
+            parse_module_spanned(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(fingerprints(&m), fingerprints(&spanned), "{name}");
+        let defined = m.functions().iter().filter(|f| !f.is_declaration());
+        assert_eq!(spans.len(), defined.count(), "{name}");
+    }
 }
 
 #[test]
