@@ -736,6 +736,26 @@ pub struct AndersenAlias {
     blocks: Vec<Block>,
     constraints: Vec<Constraint>,
     local_vars: Vec<u32>,
+    /// The worklist state of the last update, empty, for the next.
+    buffers: SolverBuffers,
+}
+
+/// The working storage of an update that outlives none: kept by the
+/// analysis between updates, empty between them, and never shrunk, so an
+/// edit's update reuses what the cold solve grew.
+#[derive(Default)]
+struct SolverBuffers {
+    arg_seen: Vec<bool>,
+    added: Vec<(FuncId, Constraint)>,
+    queued: Vec<u64>,
+    queue: VecDeque<u32>,
+    before: HashMap<u32, (BitSet, bool)>,
+    released: Vec<u32>,
+    unbound: HashMap<(FuncId, InstId), u32>,
+    scratch: Vec<u32>,
+    fresh: Vec<usize>,
+    old_block: Vec<Constraint>,
+    new_block: Vec<Constraint>,
 }
 
 /// One update: generation of the stale blocks, then the worklist state that
@@ -764,8 +784,8 @@ struct Solver<'a> {
     retracted: bool,
     /// Non-empty rows that emptied.
     reset: usize,
-    /// Per var, grown on demand: is it on the worklist?
-    queued: Vec<bool>,
+    /// One bit per var, grown on demand: is it on the worklist?
+    queued: Vec<u64>,
     queue: VecDeque<u32>,
     /// Row and liveness, as the update found them, of every var of an
     /// untouched function whose row or liveness it changed.
@@ -779,6 +799,11 @@ struct Solver<'a> {
     /// compare with what they were; the rest are released.
     unbound: HashMap<(FuncId, InstId), u32>,
     scratch: Vec<u32>,
+    /// The objects a visited var's row gained.
+    fresh: Vec<usize>,
+    /// A regenerated block's old and new version, sorted.
+    old_block: Vec<Constraint>,
+    new_block: Vec<Constraint>,
 }
 
 impl<'a> Solver<'a> {
@@ -1086,11 +1111,16 @@ impl<'a> Solver<'a> {
             }
             return;
         }
-        let (mut old, mut new) = (old.to_vec(), self.a.constraints[cons].to_vec());
-        old.sort_unstable();
-        new.sort_unstable();
-        let mut old = old.into_iter().peekable();
-        for c in new {
+        let (mut olds, mut news) = (
+            std::mem::take(&mut self.old_block),
+            std::mem::take(&mut self.new_block),
+        );
+        olds.extend_from_slice(old);
+        news.extend_from_slice(&self.a.constraints[cons]);
+        olds.sort_unstable();
+        news.sort_unstable();
+        let mut old = olds.drain(..).peekable();
+        for &c in &news {
             while old.next_if(|o| *o < c).is_some() {
                 self.retracted = true;
             }
@@ -1099,6 +1129,9 @@ impl<'a> Solver<'a> {
             }
         }
         self.retracted |= old.next().is_some();
+        drop(old);
+        news.clear();
+        (self.old_block, self.new_block) = (olds, news);
     }
 
     /// A constraint the new version of `fid`'s block adds. The first
@@ -1130,10 +1163,12 @@ impl<'a> Solver<'a> {
     }
 
     fn enqueue(&mut self, v: u32) {
-        if self.queued.len() <= v as usize {
-            self.queued.resize(self.a.pts.len(), false);
+        let (word, bit) = (v as usize / 64, 1u64 << (v % 64));
+        if self.queued.len() <= word {
+            self.queued.resize(self.a.pts.len().div_ceil(64), 0);
         }
-        if !std::mem::replace(&mut self.queued[v as usize], true) {
+        if self.queued[word] & bit == 0 {
+            self.queued[word] |= bit;
             self.queue.push_back(v);
         }
     }
@@ -1179,11 +1214,15 @@ impl<'a> Solver<'a> {
                 let using = (matches!(c, Constraint::Store { .. }), var);
                 let d = self.a.deref.entry(ptr).or_default();
                 d.uses.push(using);
-                let served: Vec<usize> = d.done.iter().collect();
-                for o in served {
+                // The new use stands for a copy edge per object served so
+                // far. Adding those edges touches rows and content vars,
+                // never a `Deref`, so the served set is lent out meanwhile.
+                let done = std::mem::take(&mut d.done);
+                for o in done.iter() {
                     let (from, to) = derived(using, self.a.content(o));
                     self.add_copy(from, to);
                 }
+                self.a.deref.entry(ptr).or_default().done = done;
                 self.serve(ptr);
             }
             Constraint::Site { fp, inst } => {
@@ -1254,12 +1293,12 @@ impl<'a> Solver<'a> {
     /// The edit took a constraint away, and which objects a row held only
     /// because of it is not recorded. Start over from what is retained:
     /// no graph, no rows but the address constants', and every block an
-    /// addition.
+    /// addition (which the update enters from the tables).
     fn start_over(&mut self) {
         self.a.succ.clear();
         self.a.deref.clear();
         self.a.bindings.clear();
-        self.unbound = std::mem::take(&mut self.a.solve_locals);
+        std::mem::swap(&mut self.unbound, &mut self.a.solve_locals);
         self.a.referenced.fill(false);
         for v in 0..self.a.pts.len() {
             let row = std::mem::take(&mut self.a.pts[v]);
@@ -1282,23 +1321,23 @@ impl<'a> Solver<'a> {
             a.pts[v as usize].insert(o);
         }
         self.added.clear();
-        for (b, fid) in a.blocks.iter().zip((0..).map(FuncId)) {
-            let block = &a.constraints[span(b.cons)];
-            self.added.extend(block.iter().map(|&c| (fid, c)));
-        }
     }
 
     /// One step of the worklist: serve what hangs off `v` for the objects
     /// its row gained, then push the row along `v`'s copy edges.
     fn visit(&mut self, v: u32) {
-        self.queued[v as usize] = false;
+        self.queued[v as usize / 64] &= !(1u64 << (v % 64));
         let row = &self.a.pts[v as usize];
         let behind = |d: &&mut Deref| !row.is_subset(&d.done);
         if let Some(d) = self.a.deref.get_mut(&v).filter(behind) {
-            let fresh: Vec<usize> = row.iter().filter(|&o| !d.done.contains(o)).collect();
+            let mut fresh = std::mem::take(&mut self.fresh);
+            fresh.extend(row.iter().filter(|&o| !d.done.contains(o)));
             d.done.union_with(row);
-            let (uses, sites) = (d.uses.clone(), d.sites.clone());
-            for o in fresh {
+            // The uses and sites are lent out while they are served. A
+            // binding can hang new ones off `v`; those are served as they
+            // are added, and go back after the ones served here.
+            let (uses, sites) = (std::mem::take(&mut d.uses), std::mem::take(&mut d.sites));
+            for &o in &fresh {
                 for &using in &uses {
                     let (from, to) = derived(using, self.a.content(o));
                     self.add_copy(from, to);
@@ -1309,6 +1348,15 @@ impl<'a> Solver<'a> {
                     }
                 }
             }
+            fresh.clear();
+            self.fresh = fresh;
+            let d = self.a.deref.entry(v).or_default();
+            let later = (
+                std::mem::replace(&mut d.uses, uses),
+                std::mem::replace(&mut d.sites, sites),
+            );
+            d.uses.extend(later.0);
+            d.sites.extend(later.1);
         }
         let row = std::mem::take(&mut self.a.pts[v as usize]);
         let mut succs = std::mem::take(&mut self.scratch);
@@ -1323,7 +1371,7 @@ impl<'a> Solver<'a> {
     /// The fixpoint is reached: drop the vars nothing uses any more, and
     /// say which untouched functions see different rows.
     fn finish(mut self, regenerated: usize) -> AndersenUpdate {
-        self.released.extend(self.unbound.into_values());
+        self.released.extend(self.unbound.drain().map(|(_, v)| v));
         let a = &mut *self.a;
         let mut changed = BTreeSet::new();
         for (&v, (row, was_live)) in &self.before {
@@ -1338,6 +1386,29 @@ impl<'a> Solver<'a> {
             a.vars[v as usize].owner = NO_OWNER;
         }
         a.free_vars.append(&mut self.released);
+        if self.retracted {
+            // Sized by a pass over the whole system: an edit's update needs
+            // a fraction of them.
+            (self.queued, self.queue) = (Vec::new(), VecDeque::new());
+            self.before = HashMap::new();
+        }
+        self.before.clear();
+        self.arg_seen.clear();
+        debug_assert!(self.added.is_empty() && self.queue.is_empty());
+        debug_assert!(self.queued.iter().all(|&w| w == 0), "the worklist ran dry");
+        a.buffers = SolverBuffers {
+            arg_seen: self.arg_seen,
+            added: self.added,
+            queued: self.queued,
+            queue: self.queue,
+            before: self.before,
+            released: self.released,
+            unbound: self.unbound,
+            scratch: self.scratch,
+            fresh: self.fresh,
+            old_block: self.old_block,
+            new_block: self.new_block,
+        };
         AndersenUpdate {
             regenerated,
             changed: changed.into_iter().collect(),
@@ -1393,6 +1464,7 @@ impl AndersenAlias {
             blocks: Vec::new(),
             constraints: Vec::new(),
             local_vars: Vec::new(),
+            buffers: SolverBuffers::default(),
         };
         assert_eq!(a.take_var(NO_OWNER), CONST_VAR);
         for v in [UNKNOWN_SRC, UNKNOWN_CONTENT] {
@@ -1513,6 +1585,7 @@ impl AndersenAlias {
         let prev_blocks = std::mem::replace(&mut self.blocks, vec![Block::default(); n]);
         let prev_locals = std::mem::take(&mut self.local_vars);
         let prev_cons = std::mem::take(&mut self.constraints);
+        let b = std::mem::take(&mut self.buffers);
         let mut s = Solver {
             m,
             a: self,
@@ -1522,16 +1595,19 @@ impl AndersenAlias {
             generating: false,
             gen_locals: 0,
             gen_old: &[],
-            arg_seen: Vec::new(),
-            added: Vec::new(),
+            arg_seen: b.arg_seen,
+            added: b.added,
             retracted: false,
             reset: 0,
-            queued: Vec::new(),
-            queue: VecDeque::new(),
-            before: HashMap::new(),
-            released: Vec::new(),
-            unbound: HashMap::new(),
-            scratch: Vec::new(),
+            queued: b.queued,
+            queue: b.queue,
+            before: b.before,
+            released: b.released,
+            unbound: b.unbound,
+            scratch: b.scratch,
+            fresh: b.fresh,
+            old_block: b.old_block,
+            new_block: b.new_block,
         };
         // A signature moved: every block is stale, and what the old ones
         // put on that function's arguments is retracted.
@@ -1547,7 +1623,8 @@ impl AndersenAlias {
                 s.a.arg_base[fid.index()] = s.a.alloc_args(fid, sig.n_params);
             }
         }
-        s.retracted = all;
+        // A cold solve starts over from nothing.
+        s.retracted = all || known == 0;
         for (f, fid) in m.functions()[known..]
             .iter()
             .zip((known as u32..).map(FuncId))
@@ -1599,9 +1676,20 @@ impl AndersenAlias {
 
         if s.retracted {
             s.start_over();
-        }
-        for (fid, c) in std::mem::take(&mut s.added) {
-            s.add(fid, c);
+            // Every block is an addition: entered from the tables, in
+            // function order, which nothing below changes.
+            for i in 0..s.a.blocks.len() {
+                for k in span(s.a.blocks[i].cons) {
+                    let c = s.a.constraints[k];
+                    s.add(FuncId(i as u32), c);
+                }
+            }
+        } else {
+            let mut added = std::mem::take(&mut s.added);
+            for (fid, c) in added.drain(..) {
+                s.add(fid, c);
+            }
+            s.added = added;
         }
         s.settle_roots(if s.retracted { 0 } else { known });
         while let Some(v) = s.queue.pop_front() {

@@ -6,7 +6,7 @@
 
 use noelle_ir::inst::{Callee, Inst, InstId};
 use noelle_ir::module::{FuncId, Module};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 /// Memory behaviour of a known external (declared) function.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -99,6 +99,17 @@ pub fn external_effects(name: &str) -> ExternalEffect {
     }
 }
 
+/// A function's three summary bits, each `None` where it had none.
+type Summary = (Option<bool>, Option<bool>, Option<bool>);
+
+/// The working lists of [`ModRefSummaries::recompute_scoped`], kept by its
+/// caller so that a recomputation allocates nothing once they have grown.
+#[derive(Default)]
+pub struct ModRefBuffers {
+    before: Vec<Summary>,
+    moved: Vec<FuncId>,
+}
+
 /// Bottom-up memory summaries for every function of a module.
 #[derive(Clone, Debug)]
 pub struct ModRefSummaries {
@@ -169,8 +180,8 @@ impl ModRefSummaries {
         ModRefSummaries { reads, writes, io }
     }
 
-    /// Recompute the summaries of `affected` functions in place, leaving
-    /// every other entry untouched.
+    /// Recompute the summaries of `affected` functions (ascending) in
+    /// place, leaving every other entry untouched.
     ///
     /// Sound exactly when `affected` is closed under "transitive direct
     /// caller of an edited function": summaries flow callee -> caller, so a
@@ -182,8 +193,15 @@ impl ModRefSummaries {
     /// the affected entries are reset to their base before iterating.
     ///
     /// Returns the affected functions whose summary came out different
-    /// (or that had none before), ascending.
-    pub fn recompute_scoped(&mut self, m: &Module, affected: &BTreeSet<FuncId>) -> Vec<FuncId> {
+    /// (or that had none before), ascending. Both that list and the
+    /// summaries as they were live in `buf`, which the caller keeps across
+    /// recomputations.
+    pub fn recompute_scoped<'b>(
+        &mut self,
+        m: &Module,
+        affected: &[FuncId],
+        buf: &'b mut ModRefBuffers,
+    ) -> &'b [FuncId] {
         let summary = |s: &ModRefSummaries, fid: FuncId| {
             (
                 s.reads.get(&fid).copied(),
@@ -191,7 +209,9 @@ impl ModRefSummaries {
                 s.io.get(&fid).copied(),
             )
         };
-        let before: Vec<_> = affected.iter().map(|&fid| summary(self, fid)).collect();
+        buf.before.clear();
+        buf.before
+            .extend(affected.iter().map(|&fid| summary(self, fid)));
         for &fid in affected {
             let f = m.func(fid);
             if f.is_declaration() {
@@ -243,12 +263,11 @@ impl ModRefSummaries {
                 }
             }
         }
-        affected
-            .iter()
-            .zip(before)
-            .filter(|&(&fid, old)| summary(self, fid) != old)
-            .map(|(&fid, _)| fid)
-            .collect()
+        let moved = affected.iter().zip(&buf.before);
+        let moved = moved.filter(|&(&fid, &old)| summary(self, fid) != old);
+        buf.moved.clear();
+        buf.moved.extend(moved.map(|(&fid, _)| fid));
+        &buf.moved
     }
 
     /// True if function `fid` may read caller-visible memory.

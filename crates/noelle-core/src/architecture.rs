@@ -143,6 +143,12 @@ pub fn static_cost(m: &Module, inst: &Inst) -> u64 {
 pub const ARCH_KEY: &str = "noelle.arch";
 
 /// A machine description.
+///
+/// The two core-to-core tables are flat, `num_cores × num_cores` row-major,
+/// and private: every constructor ([`Architecture::synthetic`],
+/// [`Architecture::from_json`]) builds them square, and the worst latency
+/// is read off them once, where they are built. A variant of a machine is
+/// made by changing its public costs on a copy.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Architecture {
     /// Human-readable name.
@@ -155,10 +161,12 @@ pub struct Architecture {
     pub numa_nodes: usize,
     /// NUMA node of each logical core.
     pub core_to_numa: Vec<usize>,
-    /// Core-to-core latency in cycles (`latency[a][b]`).
-    pub latency: Vec<Vec<u64>>,
-    /// Core-to-core bandwidth in bytes/cycle.
-    pub bandwidth: Vec<Vec<u64>>,
+    /// Core-to-core latency in cycles, `a * num_cores + b`.
+    latency: Vec<u64>,
+    /// Core-to-core bandwidth in bytes/cycle, laid out as `latency`.
+    bandwidth: Vec<u64>,
+    /// The largest entry of `latency`.
+    max_latency: u64,
     /// Cost in cycles of dispatching one task to a core.
     pub dispatch_overhead: u64,
     /// Cost in cycles of one inter-core queue push/pop pair.
@@ -169,46 +177,36 @@ impl Architecture {
     /// A deterministic synthetic machine: `num_cores` logical cores spread
     /// evenly over `numa_nodes` nodes. Latencies follow the usual hierarchy:
     /// same core 0, same NUMA node 60 cycles, cross-node 140 cycles.
+    ///
+    /// # Panics
+    /// When either count is zero: a machine has a core and a node.
     pub fn synthetic(num_cores: usize, numa_nodes: usize) -> Architecture {
         assert!(num_cores > 0 && numa_nodes > 0);
         let per_node = num_cores.div_ceil(numa_nodes);
         let core_to_numa: Vec<usize> = (0..num_cores).map(|c| c / per_node).collect();
-        let latency: Vec<Vec<u64>> = (0..num_cores)
-            .map(|a| {
-                (0..num_cores)
-                    .map(|b| {
-                        if a == b {
-                            0
-                        } else if core_to_numa[a] == core_to_numa[b] {
-                            60
-                        } else {
-                            140
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        let bandwidth: Vec<Vec<u64>> = (0..num_cores)
-            .map(|a| {
-                (0..num_cores)
-                    .map(|b| {
-                        if a == b {
-                            64
-                        } else if core_to_numa[a] == core_to_numa[b] {
-                            32
-                        } else {
-                            16
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
+        // Same core, same node, across nodes.
+        let table = |same: u64, near: u64, far: u64| -> Vec<u64> {
+            (0..num_cores * num_cores)
+                .map(|i| {
+                    let (a, b) = (i / num_cores, i % num_cores);
+                    if a == b {
+                        same
+                    } else if core_to_numa[a] == core_to_numa[b] {
+                        near
+                    } else {
+                        far
+                    }
+                })
+                .collect()
+        };
+        let (latency, bandwidth) = (table(0, 60, 140), table(64, 32, 16));
         Architecture {
             name: format!("synthetic-{num_cores}c-{numa_nodes}n"),
             num_cores,
             smt: 2,
             numa_nodes,
             core_to_numa,
+            max_latency: latency.iter().copied().max().unwrap_or(0),
             latency,
             bandwidth,
             dispatch_overhead: 400,
@@ -228,16 +226,13 @@ impl Architecture {
 
     /// Latency between two cores in cycles.
     pub fn core_latency(&self, a: usize, b: usize) -> u64 {
-        self.latency[a.min(self.num_cores - 1)][b.min(self.num_cores - 1)]
+        let last = self.num_cores - 1;
+        self.latency[a.min(last) * self.num_cores + b.min(last)]
     }
 
     /// Worst-case latency from any core to any other.
     pub fn max_latency(&self) -> u64 {
-        self.latency
-            .iter()
-            .flat_map(|row| row.iter().copied())
-            .max()
-            .unwrap_or(0)
+        self.max_latency
     }
 
     /// The core task `i` of a dispatch runs on.
@@ -273,14 +268,12 @@ impl Architecture {
         CALL_CYCLES + external_cost("noelle.ss.signal")
     }
 
-    /// Serialize to a JSON value (the embedding format).
+    /// Serialize to a JSON value (the embedding format): each table as an
+    /// array of rows.
     pub fn to_json(&self) -> Json {
-        let matrix = |m: &Vec<Vec<u64>>| {
-            Json::Array(
-                m.iter()
-                    .map(|row| Json::Array(row.iter().map(|&c| Json::Int(c as i64)).collect()))
-                    .collect(),
-            )
+        let matrix = |m: &[u64]| {
+            let row = |r: &[u64]| Json::Array(r.iter().map(|&c| Json::Int(c as i64)).collect());
+            Json::Array(m.chunks(self.num_cores).map(row).collect())
         };
         Json::object([
             ("name".to_string(), Json::Str(self.name.clone())),
@@ -310,25 +303,57 @@ impl Architecture {
     }
 
     /// Deserialize from the JSON produced by [`Architecture::to_json`].
+    /// A description whose shape does not hold together reads as no
+    /// description: it needs a core and a NUMA node, a node below
+    /// `numa_nodes` for each core, and square `num_cores × num_cores`
+    /// tables.
     pub fn from_json(v: &Json) -> Option<Architecture> {
-        let matrix = |j: &Json| -> Option<Vec<Vec<u64>>> {
-            j.as_array()?
-                .iter()
-                .map(|row| row.as_array()?.iter().map(Json::as_u64).collect())
-                .collect()
+        let count = |key: &str| -> Option<usize> { usize::try_from(v.get(key)?.as_u64()?).ok() };
+        let (num_cores, numa_nodes) = (count("num_cores")?, count("numa_nodes")?);
+        if num_cores == 0 || numa_nodes == 0 {
+            return None;
+        }
+        let core_to_numa = v
+            .get("core_to_numa")?
+            .as_array()?
+            .iter()
+            .map(|n| {
+                usize::try_from(n.as_u64()?)
+                    .ok()
+                    .filter(|&n| n < numa_nodes)
+            })
+            .collect::<Option<Vec<usize>>>()?;
+        // Rows of `num_cores` entries, `num_cores` of them, read into one
+        // flat table.
+        let matrix = |j: &Json| -> Option<Vec<u64>> {
+            let rows = j.as_array()?;
+            if rows.len() != num_cores {
+                return None;
+            }
+            let mut flat = Vec::with_capacity(num_cores.checked_mul(num_cores)?);
+            for row in rows {
+                let row = row.as_array()?;
+                if row.len() != num_cores {
+                    return None;
+                }
+                for c in row {
+                    flat.push(c.as_u64()?);
+                }
+            }
+            Some(flat)
         };
+        if core_to_numa.len() != num_cores {
+            return None;
+        }
+        let latency = matrix(v.get("latency")?)?;
         Some(Architecture {
             name: v.get("name")?.as_str()?.to_string(),
-            num_cores: v.get("num_cores")?.as_u64()? as usize,
-            smt: v.get("smt")?.as_u64()? as usize,
-            numa_nodes: v.get("numa_nodes")?.as_u64()? as usize,
-            core_to_numa: v
-                .get("core_to_numa")?
-                .as_array()?
-                .iter()
-                .map(|n| Some(n.as_u64()? as usize))
-                .collect::<Option<Vec<usize>>>()?,
-            latency: matrix(v.get("latency")?)?,
+            num_cores,
+            smt: count("smt")?,
+            numa_nodes,
+            core_to_numa,
+            max_latency: latency.iter().copied().max().unwrap_or(0),
+            latency,
             bandwidth: matrix(v.get("bandwidth")?)?,
             dispatch_overhead: v.get("dispatch_overhead")?.as_u64()?,
             queue_op_cost: v.get("queue_op_cost")?.as_u64()?,
@@ -460,6 +485,67 @@ entry:
         assert_eq!(
             Architecture::from_module(&noelle_ir::Module::new("x")),
             None
+        );
+    }
+
+    /// A description of `cores` cores on `nodes` nodes with the given
+    /// node map and tables, as JSON text.
+    fn described(
+        cores: i64,
+        nodes: i64,
+        to_numa: &str,
+        lat: &str,
+        bw: &str,
+    ) -> Option<Architecture> {
+        let text = format!(
+            r#"{{"name":"t","num_cores":{cores},"smt":2,"numa_nodes":{nodes},"core_to_numa":{to_numa},"latency":{lat},"bandwidth":{bw},"dispatch_overhead":400,"queue_op_cost":30}}"#
+        );
+        let parsed = Json::parse(&text);
+        assert!(parsed.is_some(), "the description parses: {text}");
+        Architecture::from_json(parsed.as_ref()?)
+    }
+
+    #[test]
+    fn a_description_whose_shape_does_not_hold_reads_as_none() {
+        let square = "[[0,60],[60,0]]";
+        assert!(described(2, 1, "[0,0]", square, square).is_some());
+        for (cores, nodes, to_numa, lat, bw) in [
+            // No core, no node.
+            (0, 1, "[]", "[]", "[]"),
+            (2, 0, "[0,0]", square, square),
+            // A node map of the wrong length, or naming a node not there.
+            (2, 1, "[0]", square, square),
+            (2, 1, "[0,1]", square, square),
+            // Tables smaller than the cores, short rows, ragged rows.
+            (4, 1, "[0,0,0,0]", "[[0]]", "[[0]]"),
+            (2, 1, "[0,0]", "[[0,60]]", square),
+            (2, 1, "[0,0]", square, "[[0,60],[60]]"),
+            (2, 1, "[0,0]", "[[0,60],[60,0,1]]", square),
+            (-1, 1, "[]", "[]", "[]"),
+        ] {
+            assert_eq!(
+                described(cores, nodes, to_numa, lat, bw),
+                None,
+                "{cores} cores, {nodes} nodes, {to_numa}, {lat}, {bw}"
+            );
+        }
+    }
+
+    #[test]
+    fn the_tables_are_flat_and_serialize_as_rows() {
+        let a = Architecture::synthetic(3, 2);
+        assert_eq!(a.latency.len(), 9);
+        assert_eq!(a.latency.capacity(), 9);
+        let v = a.to_json();
+        let rows = v
+            .get("latency")
+            .and_then(Json::as_array)
+            .unwrap_or_default();
+        assert_eq!(rows.len(), 3);
+        assert_eq!(
+            rows.last().map(Json::to_string_compact).as_deref(),
+            Some("[140,140,0]"),
+            "core 2 is alone on node 1"
         );
     }
 

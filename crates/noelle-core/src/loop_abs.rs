@@ -219,13 +219,12 @@ impl LoopAbstraction {
     /// The sequential SCC ids of this loop (HELIX's sequential segments).
     /// Induction-variable SCCs are excluded: each core recomputes its own IV
     /// instead of serializing on it.
-    pub fn sequential_sccs(&self) -> Vec<usize> {
+    pub fn sequential_sccs(&self) -> impl Iterator<Item = usize> + '_ {
         self.sccdag
             .nodes()
             .iter()
             .filter(|n| n.kind == SccKind::Sequential && !n.is_induction)
             .map(|n| n.id)
-            .collect()
     }
 }
 
@@ -303,7 +302,7 @@ mod tests {
         let la = LoopAbstraction::build(&builder, fid, &l, LoopId(0));
         // The only carried cycles are the IV and the reducible sum.
         assert!(la.is_doall());
-        assert!(la.sequential_sccs().is_empty());
+        assert!(la.sequential_sccs().next().is_none());
     }
 
     /// `blocking_edges` against the filter `is_doall`, the audit's

@@ -148,29 +148,27 @@ pub fn bypass_loop(
         }
     }
     // Rewire exit phis: incomings from in-loop blocks now come from the
-    // replacement's tail.
-    for phi_id in f.phis(exit) {
+    // replacement's tail. Rewiring a phi moves no instruction, so the
+    // block's list is walked in place.
+    for k in 0..f.block(exit).insts.len() {
+        let phi_id = f.block(exit).insts[k];
+        let Inst::Phi { incomings, .. } = f.inst_mut(phi_id) else {
+            break;
+        };
         let new_value = exit_phi_values
             .iter()
             .find(|(p, _)| *p == phi_id)
             .map(|(_, v)| *v);
-        let contains: Vec<(BlockId, Value)> = match f.inst(phi_id) {
-            Inst::Phi { incomings, .. } => incomings.clone(),
-            _ => unreachable!(),
-        };
-        let rewired: Vec<(BlockId, Value)> = contains
-            .into_iter()
-            .filter_map(|(b, v)| {
-                if l.contains(b) {
-                    new_value.map(|nv| (tail, nv))
-                } else {
-                    Some((b, v))
-                }
-            })
-            .collect();
-        if let Inst::Phi { incomings, .. } = f.inst_mut(phi_id) {
-            *incomings = rewired;
-        }
+        incomings.retain_mut(|(b, v)| {
+            if !l.contains(*b) {
+                return true;
+            }
+            let Some(nv) = new_value else {
+                return false;
+            };
+            (*b, *v) = (tail, nv);
+            true
+        });
     }
 }
 

@@ -18,7 +18,7 @@ use crate::forest::ProgramLoopForest;
 use crate::loop_abs::{LoopAbstraction, LoopBuffers};
 use crate::profiler::Profiles;
 use noelle_analysis::alias::{AliasAnalysis, AliasStack, AndersenAlias, BasicAlias};
-use noelle_analysis::modref::ModRefSummaries;
+use noelle_analysis::modref::{ModRefBuffers, ModRefSummaries};
 use noelle_ir::cfg::{Cfg, StructureBuffers};
 use noelle_ir::dom::DomTree;
 use noelle_ir::inst::{Callee, Inst, InstId};
@@ -338,14 +338,16 @@ pub struct CallEdges {
     callees: Vec<Vec<FuncId>>,
     /// By callee: its direct callers, ascending (the reverse index).
     callers: Vec<Vec<FuncId>>,
+    /// A rescanned function's callees, before they replace its old list.
+    scan: Vec<FuncId>,
 }
 
 impl CallEdges {
-    /// The direct callees of `fid`, ascending and deduplicated: one sort
-    /// per scanned function.
-    fn scan_function(m: &Module, fid: FuncId) -> Vec<FuncId> {
+    /// The direct callees of `fid` into `out`, ascending and deduplicated:
+    /// one sort per scanned function.
+    fn scan_function(m: &Module, fid: FuncId, out: &mut Vec<FuncId>) {
         let f = m.func(fid);
-        let mut out = Vec::new();
+        out.clear();
         for &id in f.block_order().iter().flat_map(|&b| &f.block(b).insts) {
             if let Inst::Call {
                 callee: Callee::Direct(cid),
@@ -357,7 +359,6 @@ impl CallEdges {
         }
         out.sort_unstable();
         out.dedup();
-        out
     }
 
     fn build(m: &Module) -> CallEdges {
@@ -374,8 +375,9 @@ impl CallEdges {
         let n = m.functions().len();
         self.callees.resize_with(n, Vec::new);
         self.callers.resize_with(n, Vec::new);
+        let mut new = std::mem::take(&mut self.scan);
         for f in touched {
-            let new = Self::scan_function(m, f);
+            Self::scan_function(m, f, &mut new);
             let old = std::mem::take(&mut self.callees[f.index()]);
             let (mut i, mut j) = (0, 0);
             loop {
@@ -406,8 +408,13 @@ impl CallEdges {
                     j += 1;
                 }
             }
-            self.callees[f.index()] = new;
+            // The new list goes into the old one's block.
+            let mut kept = old;
+            kept.clear();
+            kept.extend_from_slice(&new);
+            self.callees[f.index()] = kept;
         }
+        self.scan = new;
     }
 
     /// The functions holding a direct call to `f`, ascending.
@@ -420,20 +427,32 @@ impl CallEdges {
         self.callees.get(f.index()).into_iter().flatten().copied()
     }
 
-    /// `seeds` plus every transitive direct caller of a seed — exactly the
-    /// set whose mod/ref summaries an edit of `seeds` can move.
-    fn caller_closure(&self, seeds: &BTreeSet<FuncId>) -> BTreeSet<FuncId> {
-        let mut closed = seeds.clone();
-        let mut work: Vec<FuncId> = seeds.iter().copied().collect();
+    /// `seeds` plus every transitive direct caller of a seed, ascending,
+    /// into `buf.closure` — exactly the set whose mod/ref summaries an
+    /// edit of `seeds` can move.
+    fn caller_closure(&self, seeds: &BTreeSet<FuncId>, buf: &mut CommitBuffers) {
+        let (closed, work) = (&mut buf.closure, &mut buf.work);
+        closed.clear();
+        closed.extend(seeds);
+        work.extend(seeds);
         while let Some(f) = work.pop() {
             for c in self.callers_of(f) {
-                if closed.insert(c) {
+                if let Err(at) = closed.binary_search(&c) {
+                    closed.insert(at, c);
                     work.push(c);
                 }
             }
         }
-        closed
     }
+}
+
+/// The working lists of a commit's damage computation, kept by the manager:
+/// the caller closure and its work list, and the mod/ref repair's lists.
+#[derive(Default)]
+struct CommitBuffers {
+    closure: Vec<FuncId>,
+    work: Vec<FuncId>,
+    modref: ModRefBuffers,
 }
 
 /// The NOELLE compilation layer over one module.
@@ -462,6 +481,9 @@ pub struct Noelle {
     /// function; the partitions themselves stay in their slots.
     snapshot: Option<Arc<ProgramPdg>>,
     profiles: Option<Profiles>,
+    /// The machine model, read from the module's metadata on first use and
+    /// dropped with `profiles`: both live in metadata an edit can rewrite.
+    architecture: Option<Arc<Architecture>>,
     requested: BTreeSet<Abstraction>,
     build_stats: BTreeMap<Abstraction, BuildStat>,
     counters: FuncCacheCounters,
@@ -476,6 +498,8 @@ pub struct Noelle {
     structure_buffers: StructureBuffers,
     /// The same for every loop abstraction's views.
     loop_buffers: LoopBuffers,
+    /// The same for every commit's damage computation.
+    commit_buffers: CommitBuffers,
 }
 
 impl Noelle {
@@ -493,6 +517,7 @@ impl Noelle {
             loaded: next_epoch(),
             snapshot: None,
             profiles: None,
+            architecture: None,
             requested: BTreeSet::new(),
             build_stats: BTreeMap::new(),
             counters: FuncCacheCounters::default(),
@@ -500,6 +525,7 @@ impl Noelle {
             buffers: BuildBuffers::default(),
             structure_buffers: StructureBuffers::default(),
             loop_buffers: LoopBuffers::default(),
+            commit_buffers: CommitBuffers::default(),
         }
     }
 
@@ -633,9 +659,11 @@ impl Noelle {
         if touched.is_empty() {
             return BTreeSet::new(); // read-only transaction
         }
-        // Profiles live in module metadata, which a scoped borrow may have
-        // rewritten; they are cheap to re-parse on demand.
+        // Profiles and the machine model live in module metadata, which a
+        // scoped borrow may have rewritten; they are cheap to re-read on
+        // demand.
         self.profiles = None;
+        self.architecture = None;
         // The commit's first question: did the body move? Every cached
         // abstraction reads bodies only (globals enter by id, and a changed
         // global count escalated before reaching here), so a touched
@@ -683,9 +711,11 @@ impl Noelle {
             }
             None => CallEdges::build(&self.module),
         };
-        let affected = edges.caller_closure(&damage);
+        let buf = &mut self.commit_buffers;
+        edges.caller_closure(&damage, buf);
         // In place unless someone still holds the pre-edit summaries.
-        let moved = Arc::make_mut(&mut modref).recompute_scoped(&self.module, &affected);
+        let summaries = Arc::make_mut(&mut modref);
+        let moved = summaries.recompute_scoped(&self.module, &buf.closure, &mut buf.modref);
         // Under the full tier the PDG also consults the points-to solution:
         // re-solve, regenerating the moved bodies' constraints only, and
         // damage every function whose rows moved.
@@ -705,7 +735,7 @@ impl Noelle {
         let reshaped = touched.iter().filter_map(|(&fid, &before)| {
             (self.module.func(fid).interface_fingerprint() != before).then_some(fid)
         });
-        for c in reshaped.chain(moved) {
+        for c in reshaped.chain(moved.iter().copied()) {
             damage.extend(edges.callers_of(c));
         }
         damage.extend(rows_moved);
@@ -750,6 +780,7 @@ impl Noelle {
         self.call_graph = None;
         self.snapshot = None;
         self.profiles = None;
+        self.architecture = None;
         let all: BTreeSet<FuncId> = self.module.func_ids().collect();
         for &fid in &all {
             *self.slot(fid) = FuncSlot::default();
@@ -1157,10 +1188,20 @@ impl Noelle {
     }
 
     /// The architecture description embedded in the module, or the default
-    /// machine (AR).
-    pub fn architecture(&mut self) -> Architecture {
+    /// machine (AR): read once, then shared until a commit drops it.
+    pub fn architecture(&mut self) -> Arc<Architecture> {
         self.note(Abstraction::Ar);
-        Architecture::from_module(&self.module).unwrap_or_default()
+        self.machine()
+    }
+
+    /// [`Noelle::architecture`] without recording a request: the model a
+    /// transform reads again while it runs, which Table 4 does not count.
+    pub fn machine(&mut self) -> Arc<Architecture> {
+        let module = &self.module;
+        let arch = self
+            .architecture
+            .get_or_insert_with(|| Arc::new(Architecture::from_module(module).unwrap_or_default()));
+        Arc::clone(arch)
     }
 
     /// The alias tier this manager was configured with.

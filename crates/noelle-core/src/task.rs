@@ -20,7 +20,6 @@ use noelle_ir::loops::{LoopId, LoopInfo};
 use noelle_ir::module::{BlockId, FuncId, Function, Module};
 use noelle_ir::types::Type;
 use noelle_ir::value::Value;
-use std::collections::HashMap;
 
 /// Errors raised while materializing a task.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,17 +58,34 @@ pub struct TaskFunction {
     pub structure: LoopInfo,
     /// The original loop's one exit block, in the source function.
     pub exit: BlockId,
-    /// Original value → clone value (covers live-ins and loop instructions).
-    pub value_map: HashMap<Value, Value>,
-    /// Original loop block → cloned block.
-    pub block_map: HashMap<BlockId, BlockId>,
+    /// Original value → clone value (covers live-ins and loop
+    /// instructions), ascending by original: see [`TaskFunction::value`].
+    value_map: Vec<(Value, Value)>,
+    /// Original loop block → cloned block, ascending by original.
+    block_map: Vec<(BlockId, BlockId)>,
+}
+
+/// The value `key` maps to in `map`, ascending by key.
+fn lookup<K: Ord, V: Copy>(map: &[(K, V)], key: &K) -> Option<V> {
+    let at = map.binary_search_by(|(k, _)| k.cmp(key)).ok()?;
+    Some(map[at].1)
 }
 
 impl TaskFunction {
+    /// The clone of `v`, a live-in or an instruction of the original loop.
+    pub fn value(&self, v: Value) -> Option<Value> {
+        lookup(&self.value_map, &v)
+    }
+
+    /// The clone of block `b` of the original loop.
+    pub fn block(&self, b: BlockId) -> Option<BlockId> {
+        lookup(&self.block_map, &b)
+    }
+
     /// The clone of a recurrence of the original loop: its constants,
     /// globals and functions are its own.
     pub fn clone_rec(&self, rec: &AddRec) -> AddRec {
-        let value = |v: Value| self.value_map.get(&v).copied().unwrap_or(v);
+        let value = |v: Value| self.value(v).unwrap_or(v);
         let inst = |i: InstId| value(Value::Inst(i)).as_inst().unwrap_or(i);
         AddRec {
             phi: inst(rec.phi),
@@ -98,13 +114,18 @@ pub fn outline_loop_as_task(
     src_fid: FuncId,
     l: &LoopInfo,
     env: &Environment,
-    name: &str,
+    name: String,
 ) -> Result<TaskFunction, TaskError> {
-    let exits = l.exit_blocks();
-    let &[exit] = exits.as_slice() else {
+    let mut exits = l.exit_edges.iter().map(|&(_, to)| to);
+    let exit = exits.next().ok_or(TaskError::MultipleExits)?;
+    if exits.any(|to| to != exit) {
         return Err(TaskError::MultipleExits);
-    };
+    }
     let src = m.func(src_fid);
+    // The header first, then the other loop blocks in order.
+    let ordered_blocks =
+        || std::iter::once(l.header).chain(l.blocks.iter().copied().filter(|&b| b != l.header));
+    let loop_insts: usize = l.blocks.iter().map(|&b| src.block(b).insts.len()).sum();
 
     let mut task = Function::new(
         name,
@@ -115,10 +136,15 @@ pub fn outline_loop_as_task(
         ],
         Type::Void,
     );
+    // A slot load or store is at most four instructions, a live-out's
+    // index three more.
+    let (loads, stores) = (4 * env.live_ins.len() + 1, 7 * env.live_outs.len() + 1);
+    task.reserve(l.blocks.len() + 2, loop_insts + loads + stores);
     let entry = task.add_block("entry");
+    task.reserve_in(entry, loads);
 
     // 1. Live-in loads.
-    let mut value_map: HashMap<Value, Value> = HashMap::new();
+    let mut value_map: Vec<(Value, Value)> = Vec::with_capacity(env.live_ins.len() + loop_insts);
     for (slot, (v, ty)) in env.live_ins.iter().enumerate() {
         let loaded = EnvironmentBuilder::load_slot(
             &mut task,
@@ -127,43 +153,46 @@ pub fn outline_loop_as_task(
             Value::const_i64(slot as i64),
             ty,
         );
-        value_map.insert(*v, loaded);
+        value_map.push((*v, loaded));
     }
 
     // 2. Clone the loop blocks.
-    let mut block_map: HashMap<BlockId, BlockId> = HashMap::new();
-    let rest = l.blocks.iter().copied().filter(|&b| b != l.header);
-    let ordered_blocks: Vec<BlockId> = std::iter::once(l.header).chain(rest).collect();
-    for &b in &ordered_blocks {
+    let mut block_map: Vec<(BlockId, BlockId)> = Vec::with_capacity(l.blocks.len());
+    for b in ordered_blocks() {
         let nb = task.add_block(src.block(b).name.clone());
-        block_map.insert(b, nb);
+        task.reserve_in(nb, src.block(b).insts.len());
+        block_map.push((b, nb));
     }
+    let header = block_map[0].1;
     let finish = task.add_block("finish");
+    task.reserve_in(finish, stores);
 
-    // Pass 1: clone instructions with original operands.
-    let mut cloned: Vec<InstId> = Vec::new();
-    for &b in &ordered_blocks {
-        let nb = block_map[&b];
+    // Pass 1: clone instructions with original operands, in order: the
+    // clones are one run of the task's arena.
+    let cloned_from = task.inst_arena_len();
+    for (b, nb) in ordered_blocks().zip(block_map.iter().map(|&(_, nb)| nb)) {
         for &id in &src.block(b).insts {
             let clone = task.append_inst(nb, src.inst(id).clone());
-            cloned.push(clone);
-            value_map.insert(Value::Inst(id), Value::Inst(clone));
+            value_map.push((Value::Inst(id), Value::Inst(clone)));
         }
     }
+    let cloned = (cloned_from..task.inst_arena_len()).map(|i| InstId(i as u32));
+    value_map.sort_unstable_by_key(|&(v, _)| v);
+    block_map.sort_unstable_by_key(|&(b, _)| b);
+    let mapped_block = |b: &BlockId| lookup(&block_map, b);
 
     // Pass 2: remap operands, blocks, and loop boundaries, in instruction
     // order.
     let map_value = |v: Value| -> Result<Value, TaskError> {
         match v {
             Value::Const(_) | Value::Global(_) | Value::Func(_) => Ok(v),
-            other => value_map
-                .get(&other)
-                .copied()
+            other => lookup(&value_map, &other)
                 .ok_or_else(|| TaskError::UnmappedValue(format!("{other:?}"))),
         }
     };
     let mut failed = None;
-    for &id in &cloned {
+    let mut succs = Vec::new();
+    for id in cloned {
         // Remap value operands.
         task.inst_mut(id).map_operands(|v| match map_value(v) {
             Ok(nv) => nv,
@@ -176,14 +205,15 @@ pub fn outline_loop_as_task(
         match task.inst_mut(id) {
             Inst::Phi { incomings, .. } => {
                 for (b, _) in incomings.iter_mut() {
-                    *b = block_map.get(b).copied().unwrap_or(entry);
+                    *b = mapped_block(b).unwrap_or(entry);
                 }
             }
             Inst::Term(t) => {
-                let succs = t.successors();
-                for s in succs {
-                    let target = block_map.get(&s).copied().unwrap_or(finish);
-                    t.replace_successor(s, target);
+                succs.clear();
+                t.for_each_successor(|s| succs.push(s));
+                for s in &succs {
+                    let target = mapped_block(s).unwrap_or(finish);
+                    t.replace_successor(*s, target);
                 }
             }
             _ => {}
@@ -194,7 +224,7 @@ pub fn outline_loop_as_task(
     }
 
     // Entry falls through to the cloned header.
-    task.set_terminator(entry, Terminator::Br(block_map[&l.header]));
+    task.set_terminator(entry, Terminator::Br(header));
 
     // 3. Live-out stores: env[base + idx * n_tasks + task_id].
     let base = Value::const_i64(env.live_out_base() as i64);
@@ -211,21 +241,21 @@ pub fn outline_loop_as_task(
     }
     task.set_terminator(finish, Terminator::Ret(None));
 
-    // The clone's loop, read off the original's.
-    let mapped = |b: &BlockId| block_map[b];
-    let mut latches: Vec<BlockId> = l.latches.iter().map(mapped).collect();
+    // The clone's loop, read off the original's, whose latches and exiting
+    // blocks are loop blocks.
+    let mut latches: Vec<BlockId> = l.latches.iter().filter_map(mapped_block).collect();
     latches.sort_unstable();
     let mut exit_edges: Vec<(BlockId, BlockId)> = l
         .exit_edges
         .iter()
-        .map(|(b, _)| (mapped(b), finish))
+        .filter_map(|(b, _)| Some((mapped_block(b)?, finish)))
         .collect();
     exit_edges.sort_unstable();
-    let mut blocks: Vec<BlockId> = l.blocks.iter().map(mapped).collect();
+    let mut blocks: Vec<BlockId> = block_map.iter().map(|&(_, nb)| nb).collect();
     blocks.sort_unstable();
     let structure = LoopInfo {
         id: LoopId(0),
-        header: mapped(&l.header),
+        header,
         latches,
         blocks,
         preheader: Some(entry),
@@ -315,7 +345,7 @@ mod tests {
     fn outlined_task_verifies() {
         let (mut m, fid, l) = sum_loop_module();
         let env = Environment::for_loop(&m, m.func(fid), &l);
-        let task = outline_loop_as_task(&mut m, fid, &l, &env, "k_task").unwrap();
+        let task = outline_loop_as_task(&mut m, fid, &l, &env, "k_task".to_string()).unwrap();
         noelle_ir::verifier::verify_module(&m).expect("task verifies");
         let tf = m.func(task.fid);
         assert_eq!(tf.params.len(), 3);
@@ -334,7 +364,7 @@ mod tests {
         let env = Environment::for_loop(&m, m.func(fid), &l);
         assert_eq!(env.live_ins.len(), 2);
         assert_eq!(env.live_outs.len(), 1);
-        let task = outline_loop_as_task(&mut m, fid, &l, &env, "k_task").unwrap();
+        let task = outline_loop_as_task(&mut m, fid, &l, &env, "k_task".to_string()).unwrap();
         let tf = m.func(task.fid);
         // Entry: 2 live-in loads (plus geps/casts) ending in a branch.
         let entry_loads = tf
@@ -385,7 +415,7 @@ mod tests {
         let l = forest.loops()[0].clone();
         let env = Environment::for_loop(&m, m.func(fid), &l);
         assert_eq!(
-            outline_loop_as_task(&mut m, fid, &l, &env, "t").unwrap_err(),
+            outline_loop_as_task(&mut m, fid, &l, &env, "t".to_string()).unwrap_err(),
             TaskError::MultipleExits
         );
     }

@@ -128,7 +128,7 @@ const DIVISORS: [i64; 4] = [3, 5, 7, 11];
 pub fn generate(seed: u64, cfg: &GenConfig) -> Module {
     let mut rng = SplitMix64::new(seed);
     let mut m = Module::new(format!("fuzz_{seed}"));
-    let print_i64 = m.get_or_declare("print_i64", vec![Type::I64], Type::Void);
+    let print_i64 = m.get_or_declare("print_i64", || (vec![Type::I64], Type::Void));
 
     let want = 1 + rng.below(cfg.max_kernels.max(1) as u64) as usize;
     let mut kernels: Vec<FuncId> = Vec::new();
@@ -495,7 +495,7 @@ fn emit_dowhile(m: &mut Module, rng: &mut SplitMix64, k: usize) -> FuncId {
 fn emit_floatmix(m: &mut Module, rng: &mut SplitMix64, k: usize) -> FuncId {
     let use_sqrt = rng.chance(50);
     let scale = rng.range(2, 5) as f64 / 2.0;
-    let sqrt = use_sqrt.then(|| m.get_or_declare("sqrt", vec![Type::F64], Type::F64));
+    let sqrt = use_sqrt.then(|| m.get_or_declare("sqrt", || (vec![Type::F64], Type::F64)));
     let mut b = FunctionBuilder::new(&format!("k{k}_float"), kernel_params(), Type::I64);
     sum_loop(&mut b, |b, i| {
         let p = b.index_ptr(Type::I64, b.arg(0), i);

@@ -44,6 +44,12 @@ impl Adjacency {
         off[0] = 0;
     }
 
+    /// Room for the lists of `n` blocks holding `members` in all.
+    pub(crate) fn reserve(&mut self, n: usize, members: usize) {
+        room(&mut self.off, n + 1);
+        room(&mut self.blocks, members);
+    }
+
     /// The list of `b`; empty for a block the lists were not sized for.
     pub(crate) fn of(&self, b: BlockId) -> &[BlockId] {
         match (self.off.get(b.index()), self.off.get(b.index() + 1)) {
@@ -51,6 +57,11 @@ impl Adjacency {
             _ => &[],
         }
     }
+}
+
+/// Make `v` hold at least `n` elements without growing.
+pub(crate) fn room<T>(v: &mut Vec<T>, n: usize) {
+    v.reserve(n.saturating_sub(v.len()));
 }
 
 /// The working storage of the structure builds of a function body —
@@ -100,7 +111,27 @@ pub struct Cfg {
     reachable: Vec<bool>,
 }
 
+impl StructureBuffers {
+    /// Room for the builds of a body of `blocks` blocks and `edges` edges.
+    pub(crate) fn reserve(&mut self, blocks: usize, edges: usize) {
+        room(&mut self.edges, edges);
+        room(&mut self.walk, blocks);
+        room(&mut self.blocks, blocks);
+        room(&mut self.rpo, blocks);
+        room(&mut self.rpo_pos, blocks);
+        room(&mut self.number, blocks);
+    }
+}
+
 impl Cfg {
+    /// Room for the CFG of a body of `blocks` blocks and `edges` edges.
+    pub(crate) fn reserve(&mut self, blocks: usize, edges: usize) {
+        self.succs.reserve(blocks, edges);
+        self.preds.reserve(blocks, edges);
+        room(&mut self.rpo, blocks);
+        room(&mut self.reachable, blocks);
+    }
+
     /// Compute the CFG of `f`.
     ///
     /// # Panics

@@ -157,6 +157,14 @@ impl Default for DomTree {
 }
 
 impl DomTree {
+    /// Room for the tree of a body of `blocks` blocks.
+    pub(crate) fn reserve(&mut self, blocks: usize) {
+        let core = &mut self.core;
+        crate::cfg::room(&mut core.idom, blocks);
+        core.children.reserve(blocks, blocks);
+        crate::cfg::room(&mut core.dfs, blocks);
+    }
+
     /// Build the dominator tree from a CFG.
     pub fn new(f: &Function, cfg: &Cfg) -> DomTree {
         let mut tree = DomTree::default();

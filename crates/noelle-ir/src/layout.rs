@@ -36,6 +36,11 @@ pub struct LayoutIndex {
 }
 
 impl LayoutIndex {
+    /// Room for the index of a body of `insts` arena slots.
+    pub(crate) fn reserve(&mut self, insts: usize) {
+        crate::cfg::room(&mut self.places, insts);
+    }
+
     /// Index `f` as it is laid out right now.
     pub fn new(f: &Function) -> LayoutIndex {
         let mut index = LayoutIndex::default();

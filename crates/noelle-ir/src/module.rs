@@ -6,7 +6,6 @@ use crate::value::{Constant, Value};
 use std::collections::BTreeMap;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
 
 /// Module-level identifier of a function.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -162,6 +161,19 @@ impl Function {
         });
         self.layout.push(id);
         id
+    }
+
+    /// Room for `blocks` more blocks and `insts` more instructions, so that
+    /// code of a known size is built without growing a table as it goes.
+    pub fn reserve(&mut self, blocks: usize, insts: usize) {
+        self.blocks.reserve(blocks);
+        self.layout.reserve(blocks);
+        self.insts.reserve(insts);
+    }
+
+    /// Room for `insts` more instructions in `block`'s list.
+    pub fn reserve_in(&mut self, block: BlockId, insts: usize) {
+        self.blocks[block.index()].insts.reserve_exact(insts);
     }
 
     /// Blocks in layout order.
@@ -456,8 +468,8 @@ impl Function {
         self.type_view(module, v).to_type()
     }
 
-    /// [`Function::value_type`], borrowed from where the IR spells it; only
-    /// a function's address builds its type.
+    /// [`Function::value_type`], borrowed from where the IR spells it, a
+    /// function's address included.
     pub fn type_view<'a>(&'a self, module: &'a Module, v: Value) -> TypeView<'a> {
         match v {
             Value::Inst(id) => self.inst(id).result_view(),
@@ -465,7 +477,8 @@ impl Function {
             Value::Const(c) => c.ty_ref().map_or(TypeView::PtrTo(&Type::I64), TypeView::Is),
             Value::Global(g) => TypeView::PtrTo(&module.global(g).ty),
             Value::Func(f) => {
-                TypeView::Built(Type::Func(Arc::new(module.func(f).func_type())).ptr_to())
+                let f = module.func(f);
+                TypeView::FuncPtr(&f.params, &f.ret_ty)
             }
         }
     }
@@ -520,10 +533,16 @@ impl Module {
     }
 
     /// Declare `name` if not already present; return its id either way.
-    pub fn get_or_declare(&mut self, name: &str, params: Vec<Type>, ret_ty: Type) -> FuncId {
+    /// The parameter and return types are built only for a declaration.
+    pub fn get_or_declare(
+        &mut self,
+        name: &str,
+        signature: impl FnOnce() -> (Vec<Type>, Type),
+    ) -> FuncId {
         if let Some(id) = self.func_id_by_name(name) {
             return id;
         }
+        let (params, ret_ty) = signature();
         self.declare_function(name, params, ret_ty)
     }
 
@@ -674,9 +693,9 @@ mod tests {
         let f = m.add_function(simple_func());
         assert_eq!(m.func_id_by_name("f"), Some(f));
         assert_eq!(m.func_id_by_name("g"), None);
-        let malloc = m.get_or_declare("malloc", vec![Type::I64], Type::I8.ptr_to());
+        let malloc = m.get_or_declare("malloc", || (vec![Type::I64], Type::I8.ptr_to()));
         assert_eq!(
-            m.get_or_declare("malloc", vec![Type::I64], Type::I8.ptr_to()),
+            m.get_or_declare("malloc", || (vec![Type::I64], Type::I8.ptr_to())),
             malloc
         );
         assert!(m.func(malloc).is_declaration());

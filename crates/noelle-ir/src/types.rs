@@ -219,16 +219,24 @@ impl Type {
 
 /// A value's type, borrowed from where the IR already spells it: asking
 /// "what is this value's type" builds no `T*` for an alloca, a gep, a
-/// global or an untyped constant. Only a function's address, whose type the
-/// IR spells nowhere, is built.
+/// global or an untyped constant, nor a `fn` type for a function's
+/// address — its signature is read where the function spells it.
 #[derive(Debug)]
 pub enum TypeView<'a> {
     /// The value has this type.
     Is(&'a Type),
     /// The value is a pointer to this type.
     PtrTo(&'a Type),
-    /// A type built for the question: a function's address.
-    Built(Type),
+    /// The value is the address of a function with these parameters and
+    /// this return type: `fn ret(params)*`.
+    FuncPtr(&'a [(String, Type)], &'a Type),
+}
+
+/// Is `ft` the signature `params` → `ret`?
+fn signature_is(ft: &FuncType, params: &[(String, Type)], ret: &Type) -> bool {
+    ft.ret == *ret
+        && ft.params.len() == params.len()
+        && ft.params.iter().zip(params).all(|(a, (_, b))| a == b)
 }
 
 impl TypeView<'_> {
@@ -237,16 +245,32 @@ impl TypeView<'_> {
         match self {
             TypeView::Is(t) => (*t).clone(),
             TypeView::PtrTo(t) => t.ptr_to(),
-            TypeView::Built(t) => t.clone(),
+            TypeView::FuncPtr(params, ret) => Type::Func(Arc::new(FuncType {
+                params: params.iter().map(|(_, t)| t.clone()).collect(),
+                ret: (*ret).clone(),
+            }))
+            .ptr_to(),
         }
     }
 
-    /// The pointee type if the value is a pointer.
+    /// The pointee type if the value is a pointer the IR spells; `None`
+    /// for a function's address, whose `fn` type it does not
+    /// ([`TypeView::pointee_is`] answers for every pointer).
     pub fn pointee(&self) -> Option<&Type> {
         match self {
             TypeView::Is(t) => t.pointee(),
             TypeView::PtrTo(t) => Some(t),
-            TypeView::Built(t) => t.pointee(),
+            TypeView::FuncPtr(..) => None,
+        }
+    }
+
+    /// True when the value is a pointer to `ty`.
+    pub fn pointee_is(&self, ty: &Type) -> bool {
+        match self {
+            TypeView::FuncPtr(params, ret) => {
+                matches!(ty, Type::Func(ft) if signature_is(ft, params, ret))
+            }
+            view => view.pointee() == Some(ty),
         }
     }
 
@@ -255,7 +279,7 @@ impl TypeView<'_> {
         match self {
             TypeView::Is(t) => *t == ty,
             TypeView::PtrTo(t) => ty.pointee() == Some(t),
-            TypeView::Built(t) => t == ty,
+            TypeView::FuncPtr(..) => ty.pointee().is_some_and(|p| self.pointee_is(p)),
         }
     }
 
@@ -270,7 +294,16 @@ impl fmt::Display for TypeView<'_> {
         match self {
             TypeView::Is(t) => write!(f, "{t}"),
             TypeView::PtrTo(t) => write!(f, "{t}*"),
-            TypeView::Built(t) => write!(f, "{t}"),
+            TypeView::FuncPtr(params, ret) => {
+                write!(f, "fn {ret}(")?;
+                for (i, (_, t)) in params.iter().enumerate() {
+                    if i > 0 {
+                        write!(f, ", ")?;
+                    }
+                    write!(f, "{t}")?;
+                }
+                write!(f, ")*")
+            }
         }
     }
 }

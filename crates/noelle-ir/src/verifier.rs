@@ -44,6 +44,35 @@ pub struct VerifyBuffers {
     inc: Vec<BlockId>,
 }
 
+impl VerifyBuffers {
+    /// Size every buffer once for the largest body of `m`: its most blocks,
+    /// edges and arena slots, and its widest phi.
+    fn reserve_for(&mut self, m: &Module) {
+        let (mut blocks, mut edges, mut insts, mut phi) = (0, 0, 0, 0);
+        for f in m.functions().iter().filter(|f| !f.is_declaration()) {
+            let mut out = 0;
+            for &b in f.block_order() {
+                if let Some(t) = f.terminator(b) {
+                    t.for_each_successor(|_| out += 1);
+                }
+            }
+            for id in f.inst_iter() {
+                if let Inst::Phi { incomings, .. } = f.inst(id) {
+                    phi = phi.max(incomings.len());
+                }
+            }
+            (blocks, edges) = (blocks.max(f.num_blocks()), edges.max(out));
+            insts = insts.max(f.inst_arena_len());
+        }
+        self.cfg.reserve(blocks, edges);
+        self.dt.reserve(blocks);
+        self.layout.reserve(insts);
+        self.structures.reserve(blocks, edges);
+        self.preds.reserve(edges);
+        self.inc.reserve(phi);
+    }
+}
+
 /// Verify every function of a module.
 ///
 /// # Errors
@@ -51,6 +80,7 @@ pub struct VerifyBuffers {
 pub fn verify_module(m: &Module) -> Result<(), VerifyErrors> {
     let mut errors = Vec::new();
     let mut buf = VerifyBuffers::default();
+    buf.reserve_for(m);
     for f in m.functions() {
         if f.is_declaration() {
             continue;
@@ -252,7 +282,7 @@ fn value_matches(m: &Module, f: &Function, v: Value, ty: &Type) -> bool {
 fn pointer_matches(m: &Module, f: &Function, v: Value, pointee: &Type) -> bool {
     match v {
         Value::Const(c) => matches!(c, Constant::Undef | Constant::Null),
-        other => f.type_view(m, other).pointee() == Some(pointee),
+        other => f.type_view(m, other).pointee_is(pointee),
     }
 }
 

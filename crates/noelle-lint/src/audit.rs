@@ -30,7 +30,7 @@ use noelle_ir::module::{BlockId, FuncId, Function, Module};
 use noelle_ir::value::Value;
 use noelle_pdg::depgraph::{DataDepKind, DepEdge, DepKind};
 use noelle_pdg::sccdag::SccKind;
-use noelle_transforms::common::{gate, ParallelizeError, Parallelizer, Recipe};
+use noelle_transforms::common::{gate, GateBuffers, ParallelizeError, Parallelizer, Recipe};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
@@ -431,7 +431,8 @@ pub fn run_audit_scoped(n: &mut Noelle, scope: Option<&BTreeSet<FuncId>>) -> Mod
             let verdicts = Parallelizer::AUDITED
                 .into_iter()
                 .map(|technique| {
-                    let outcome = gate(technique, m, fid, &la, &arch, AUDIT_WORKERS);
+                    let outcome =
+                        gate(technique, m, fid, &la, &arch, AUDIT_WORKERS, &mut buf.gates);
                     let mut blockers = Vec::new();
                     if let Err(e) = &outcome {
                         // The dependence-level blockers are classified for
@@ -483,6 +484,8 @@ struct AuditBuffers {
     pairs: Vec<(InstId, InstId, u8)>,
     /// One blocker's attribution, before it is rendered.
     attribution: Attribution,
+    /// The gates' working lists.
+    gates: GateBuffers,
 }
 
 /// What [`enrich`] collects for one blocker, kept across blockers.

@@ -5,15 +5,30 @@
 //! islands of compare-instruction dependences, and DEAD uses call-graph
 //! islands.
 
-use std::collections::{BTreeSet, HashMap};
-use std::hash::Hash;
+use std::collections::BTreeSet;
 
 /// Partition `nodes` into connected components of the *undirected* view of
-/// `edges`. Nodes not mentioned by any edge form singleton islands.
-pub fn islands_of<N: Copy + Eq + Ord + Hash>(nodes: &[N], edges: &[(N, N)]) -> Vec<BTreeSet<N>> {
-    // Union-find over node indices.
-    let index: HashMap<N, usize> = nodes.iter().enumerate().map(|(i, &n)| (n, i)).collect();
-    let mut parent: Vec<usize> = (0..nodes.len()).collect();
+/// `edges`. Nodes not mentioned by any edge form singleton islands. The
+/// islands are ordered by their smallest node.
+pub fn islands_of<N: Copy + Ord>(nodes: &[N], edges: &[(N, N)]) -> Vec<BTreeSet<N>> {
+    let mut sorted = nodes.to_vec();
+    sorted.sort_unstable();
+    sorted.dedup();
+    let mut island = Vec::new();
+    let mut out = vec![BTreeSet::new(); islands_in(&sorted, edges, &mut island)];
+    for (&n, &i) in sorted.iter().zip(&island) {
+        out[i].insert(n);
+    }
+    out
+}
+
+/// The islands of `nodes` (ascending, none twice) under the undirected
+/// `edges`, into `island`, which a caller that partitions many graphs
+/// keeps: each node's island, numbered in the order of the islands'
+/// smallest nodes. Edges naming a node not in `nodes` are skipped. Returns
+/// how many islands there are.
+pub fn islands_in<N: Ord>(nodes: &[N], edges: &[(N, N)], island: &mut Vec<usize>) -> usize {
+    // Union-find over node positions, each root its island's first node.
     fn find(parent: &mut [usize], mut x: usize) -> usize {
         while parent[x] != x {
             parent[x] = parent[parent[x]];
@@ -21,23 +36,28 @@ pub fn islands_of<N: Copy + Eq + Ord + Hash>(nodes: &[N], edges: &[(N, N)]) -> V
         }
         x
     }
-    for &(a, b) in edges {
-        let (Some(&ia), Some(&ib)) = (index.get(&a), index.get(&b)) else {
+    island.clear();
+    island.extend(0..nodes.len());
+    for (a, b) in edges {
+        let (Ok(ia), Ok(ib)) = (nodes.binary_search(a), nodes.binary_search(b)) else {
             continue;
         };
-        let (ra, rb) = (find(&mut parent, ia), find(&mut parent, ib));
-        if ra != rb {
-            parent[ra] = rb;
-        }
+        let (ra, rb) = (find(island, ia), find(island, ib));
+        island[ra.max(rb)] = ra.min(rb);
     }
-    let mut groups: HashMap<usize, BTreeSet<N>> = HashMap::new();
-    for (i, &n) in nodes.iter().enumerate() {
-        let r = find(&mut parent, i);
-        groups.entry(r).or_default().insert(n);
+    for i in 0..nodes.len() {
+        island[i] = find(island, i);
     }
-    let mut out: Vec<BTreeSet<N>> = groups.into_values().collect();
-    out.sort_by(|a, b| a.iter().next().cmp(&b.iter().next()));
-    out
+    // A root comes first in its island, so numbering each root as it is
+    // met numbers the islands by their smallest nodes, and every other
+    // node reads its root's number, set before it.
+    let mut n = 0;
+    for i in 0..nodes.len() {
+        let r = island[i];
+        island[i] = if r == i { n } else { island[r] };
+        n += usize::from(r == i);
+    }
+    n
 }
 
 #[cfg(test)]
@@ -66,6 +86,62 @@ mod tests {
         let nodes = [1u32, 2, 3];
         let islands = islands_of(&nodes, &[(3, 1), (1, 3), (2, 3)]);
         assert_eq!(islands.len(), 1);
+    }
+
+    /// Seeded random graphs against a flood fill over the undirected
+    /// edges, one buffer for all of them.
+    #[test]
+    fn islands_in_a_buffer_are_the_connected_components() {
+        let mut island = Vec::new();
+        let mut state = 7u64;
+        let mut next = |n: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % n
+        };
+        for round in 0..400 {
+            let width = 1 + next(24) as usize;
+            let mut nodes: Vec<usize> = (0..width).map(|_| next(40) as usize).collect();
+            nodes.sort_unstable();
+            nodes.dedup();
+            let edges: Vec<(usize, usize)> = (0..next(12))
+                .map(|_| (next(44) as usize, next(44) as usize))
+                .collect();
+            let n = islands_in(&nodes, &edges, &mut island);
+            // Flood fill from each node not yet reached, in node order.
+            let mut expected: Vec<usize> = vec![usize::MAX; nodes.len()];
+            let mut k = 0;
+            for start in 0..nodes.len() {
+                if expected[start] != usize::MAX {
+                    continue;
+                }
+                let mut work = vec![nodes[start]];
+                while let Some(v) = work.pop() {
+                    let Ok(at) = nodes.binary_search(&v) else {
+                        continue;
+                    };
+                    if expected[at] != usize::MAX {
+                        continue;
+                    }
+                    expected[at] = k;
+                    for &(a, b) in &edges {
+                        if a == v {
+                            work.push(b);
+                        }
+                        if b == v {
+                            work.push(a);
+                        }
+                    }
+                }
+                k += 1;
+            }
+            assert_eq!(
+                (n, &island),
+                (k, &expected),
+                "round {round}: {nodes:?} {edges:?}"
+            );
+        }
     }
 
     #[test]

@@ -31,7 +31,9 @@ use noelle_ir::module::{BlockId, FuncId, Module};
 use noelle_ir::value::{Constant, Value};
 use noelle_lint::audit::{LoopAudit, ModuleAudit, AUDIT_WORKERS};
 use noelle_lint::run_audit;
-use noelle_transforms::common::{emit, fixed_cost, gate, FixedCost, Parallelizer, Recipe};
+use noelle_transforms::common::{
+    emit, fixed_cost, gate, FixedCost, GateBuffers, Parallelizer, Recipe,
+};
 use noelle_transforms::dswp::StageSummary;
 use noelle_transforms::helix::Segments;
 use noelle_transforms::{ParallelReport, ParallelizeError};
@@ -378,6 +380,7 @@ pub fn plan_from_audit(n: &mut Noelle, audit: &ModuleAudit, opts: &PlanOptions) 
     // audit issued its verdicts on, and any wider DSWP recipe priced.
     let mut loops: Vec<LoopPlan> = Vec::with_capacity(audit.loops.len());
     let mut wider: Vec<Option<Recipe>> = Vec::with_capacity(audit.loops.len());
+    let mut gates = GateBuffers::default();
     for (i, laud) in audit.loops.iter().enumerate() {
         debug_assert_eq!(n.epoch(laud.fid), laud.epoch, "audit predates an edit");
         let cost = LoopCost::of(m, audit, &trips, i);
@@ -388,7 +391,16 @@ pub fn plan_from_audit(n: &mut Noelle, audit: &ModuleAudit, opts: &PlanOptions) 
             .iter()
             .map(|v| match &v.outcome {
                 Ok(recipe) => {
-                    let (c, w) = price(v.technique, m, laud, recipe, &arch, budget, &cost);
+                    let (c, w) = price(
+                        v.technique,
+                        m,
+                        laud,
+                        recipe,
+                        &arch,
+                        budget,
+                        &cost,
+                        &mut gates,
+                    );
                     priced_wider = w.or(priced_wider.take());
                     c
                 }
@@ -750,6 +762,7 @@ fn predict(
 /// the one that depends on the count: the audit's has [`AUDIT_WORKERS`]
 /// stages, and each larger count within the budget is gated here. When a
 /// wider pipeline wins, its recipe is returned beside the candidate.
+#[allow(clippy::too_many_arguments)]
 fn price(
     t: Parallelizer,
     m: &Module,
@@ -758,6 +771,7 @@ fn price(
     arch: &Architecture,
     budget: usize,
     cost: &LoopCost,
+    gates: &mut GateBuffers,
 ) -> (Candidate, Option<Recipe>) {
     let (fid, la) = (laud.fid, &*laud.abstraction);
     let at = |recipe: &Recipe, fixed: FixedCost, w: usize| {
@@ -771,7 +785,7 @@ fn price(
         }
         let mut best = at(recipe, fixed_cost(la, recipe), AUDIT_WORKERS);
         for want in AUDIT_WORKERS + 1..=budget {
-            match gate(t, m, fid, la, arch, want) {
+            match gate(t, m, fid, la, arch, want, gates) {
                 // Fewer SCCs than wanted: the partition already priced.
                 Ok(Recipe::Dswp(stages)) if stages.n_stages < want => break,
                 Ok(wider) => {
@@ -908,6 +922,7 @@ fn dswp_span(arch: &Architecture, cost: &LoopCost, frame: u64, ss: &StageSummary
 /// loop again as it stands, and a refusal is reported as skipped.
 pub fn apply_plan(n: &mut Noelle, plan: &ModulePlan) -> ParallelReport {
     let mut report = ParallelReport::default();
+    let mut gates = GateBuffers::default();
     for l in &plan.loops {
         let (Some(c), Some(judged)) = (l.chosen_candidate(), &l.judgment) else {
             continue;
@@ -925,9 +940,18 @@ pub fn apply_plan(n: &mut Noelle, plan: &ModulePlan) -> ParallelReport {
                 continue;
             };
             let la = n.loop_abstraction(fid, lp.id);
-            // Read without `Noelle::architecture`, as `parallelize` reads it.
-            let arch = Architecture::from_module(n.module()).unwrap_or_default();
-            gate(c.technique, n.module(), fid, &la, &arch, workers).and_then(|recipe| {
+            // Read through `Noelle::machine`, as `parallelize` reads it.
+            let arch = n.machine();
+            let gated = gate(
+                c.technique,
+                n.module(),
+                fid,
+                &la,
+                &arch,
+                workers,
+                &mut gates,
+            );
+            gated.and_then(|recipe| {
                 n.edit(|tx| emit(tx.module_touching([fid]), fid, &la, &recipe, workers))
             })
         };

@@ -261,10 +261,8 @@ exit:
 /// their id. Task 1 starts one `dispatch_overhead` later.
 fn print_race(burn: u64) -> Vec<String> {
     use noelle_core::architecture::{Architecture, BR_CYCLES};
-    let arch = Architecture {
-        dispatch_overhead: 4,
-        ..Architecture::default_machine()
-    };
+    let mut arch = Architecture::default_machine();
+    arch.dispatch_overhead = 4;
     // Task 0's detour costs its adds plus the branch back.
     let adds: String = (0..burn - BR_CYCLES)
         .map(|k| format!("  %x{k} = add i64 %id, i64 {k}\n"))

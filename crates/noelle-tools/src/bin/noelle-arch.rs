@@ -8,7 +8,11 @@ const USAGE: &str = "usage: noelle-arch [in.nir] [--cores N] [--numa N] [--o out
 
 fn main() {
     let args = Args::parse(&["cores", "numa", "o"], &[], USAGE);
-    let arch = Architecture::synthetic(args.flag_usize("cores", 12), args.flag_usize("numa", 1));
+    let (cores, numa) = (
+        args.flag_positive("cores", 12),
+        args.flag_positive("numa", 1),
+    );
+    let arch = Architecture::synthetic(cores, numa);
     match args.positional.first() {
         Some(input) => {
             let mut m = read_module(input).unwrap_or_else(|e| die(&e));

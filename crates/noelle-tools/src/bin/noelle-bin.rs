@@ -15,7 +15,7 @@ fn main() {
     };
     let m = read_module(input).unwrap_or_else(|e| die(&e));
     let arch = Architecture::from_module(&m)
-        .unwrap_or_else(|| Architecture::synthetic(args.flag_usize("cores", 12), 1));
+        .unwrap_or_else(|| Architecture::synthetic(args.flag_positive("cores", 12), 1));
     let cfg = RunConfig {
         arch,
         ..RunConfig::default()

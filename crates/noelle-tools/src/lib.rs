@@ -128,6 +128,20 @@ impl Args {
         self.flag_usize_opt(key).unwrap_or(default)
     }
 
+    /// [`Args::flag_usize`] for a count that must be at least one (cores,
+    /// NUMA nodes): 0 ends the binary with a message and its usage, as a
+    /// value that does not parse does.
+    pub fn flag_positive(&self, key: &str, default: usize) -> usize {
+        let n = self.flag_usize(key, default);
+        if n == 0 {
+            die(&format!(
+                "'--{key}' expects a positive integer, got '0'\n{}",
+                self.usage
+            ));
+        }
+        n
+    }
+
     /// [`Args::flag_number`], `None` when the flag is absent. A value that
     /// does not parse ends the binary with the message and its usage.
     pub fn flag_usize_opt(&self, key: &str) -> Option<usize> {

@@ -103,3 +103,13 @@ fn a_query_loop_or_deadline_that_does_not_parse_dies_before_connecting() {
         assert!(err.contains("usage: noelle-query"), "{err}");
     }
 }
+
+#[test]
+fn a_machine_of_no_cores_or_no_nodes_dies_with_the_flag_check() {
+    for flag in ["--cores", "--numa"] {
+        let err = dies(env!("CARGO_BIN_EXE_noelle-arch"), &[flag, "0"]);
+        let check = format!("error: '{flag}' expects a positive integer, got '0'\n");
+        assert!(err.starts_with(&check), "{err}");
+        assert!(err.contains("usage: noelle-arch"), "{err}");
+    }
+}

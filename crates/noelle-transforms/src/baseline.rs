@@ -117,7 +117,7 @@ pub fn conservative_parallelize(m: Module, n_tasks: usize) -> (Module, ParallelR
         let outcome = mechanics_gate(noelle.module(), fid, &la, true).and_then(|()| {
             noelle.edit(|tx| {
                 let m = tx.module_touching([fid]);
-                let task = outline(m, fid, &la, &name)?;
+                let task = outline(m, fid, &la, name)?;
                 distribute_cyclically(m, &task, &la)?;
                 emit_dispatcher(m, fid, &la, &task, task.fid, n_tasks, 0)
             })

@@ -139,7 +139,7 @@ fn guard_function(
     )],
     report: &mut CaratReport,
 ) {
-    let guard_fn = m.get_or_declare("carat.guard", vec![Type::I64, Type::I64], Type::Void);
+    let guard_fn = m.get_or_declare("carat.guard", || (vec![Type::I64, Type::I64], Type::Void));
 
     // Gather access sites first (mutation invalidates positions).
     let f = m.func(fid);

@@ -204,6 +204,15 @@ pub enum Recipe {
     Perspective(InstId),
 }
 
+/// The gates' working lists, kept by a caller that judges many loops (the
+/// audit, the planner, a driver) so that a gate allocates only what its
+/// verdict keeps. Empty between gates; sized by the largest loop so far.
+#[derive(Default)]
+pub struct GateBuffers {
+    dswp: dswp::DswpBuffers,
+    helix: helix::HelixBuffers,
+}
+
 /// Will `technique` take this loop, and how? Read-only, and the *only*
 /// place the answer is computed: legality, profitability and the emit
 /// mechanics ([`mechanics_gate`]) are all decided here, so `Ok(recipe)`
@@ -217,11 +226,14 @@ pub fn gate(
     la: &LoopAbstraction,
     arch: &Architecture,
     workers: usize,
+    buf: &mut GateBuffers,
 ) -> Result<Recipe, ParallelizeError> {
     match technique {
         Parallelizer::Doall => doall::gate(m, fid, la).map(|()| Recipe::Doall),
-        Parallelizer::Helix => helix::gate(m, fid, la, arch).map(Recipe::Helix),
-        Parallelizer::Dswp => dswp::gate(m, fid, la, arch, workers).map(Recipe::Dswp),
+        Parallelizer::Helix => helix::gate(m, fid, la, arch, &mut buf.helix).map(Recipe::Helix),
+        Parallelizer::Dswp => {
+            dswp::gate(m, fid, la, arch, workers, &mut buf.dswp).map(Recipe::Dswp)
+        }
         Parallelizer::Perspective => perspective::gate(m, fid, la).map(Recipe::Perspective),
     }
 }
@@ -321,15 +333,16 @@ pub fn parallelize(
     for &a in technique.abstractions() {
         noelle.note(a);
     }
-    // Read without `Noelle::architecture`, which would note AR for every
-    // technique: each one's own list above says whether it asks for it.
-    let arch = Architecture::from_module(noelle.module()).unwrap_or_default();
+    // Read through `Noelle::machine`, which notes nothing: each technique's
+    // own list above says whether it asks for AR.
+    let arch = noelle.machine();
     // Nothing is colder than 0: an ungated run never looks at the profile.
     let profiles = (target.min_hotness > 0.0)
         .then(|| noelle.profiles())
         .filter(|p| !p.block_counts.is_empty());
 
     let mut report = ParallelReport::default();
+    let mut buf = GateBuffers::default();
     // A loop nested in one parallelized so far is gone: its parent was
     // outlined into a task and bypassed.
     let mut done: Vec<(FuncId, Arc<LoopForest>, LoopId)> = Vec::new();
@@ -352,10 +365,18 @@ pub fn parallelize(
             continue;
         }
         let la = noelle.loop_abstraction_of(fid, &forest, id);
-        let outcome =
-            gate(technique, noelle.module(), fid, &la, &arch, target.workers).and_then(|recipe| {
-                noelle.edit(|tx| emit(tx.module_touching([fid]), fid, &la, &recipe, target.workers))
-            });
+        let outcome = gate(
+            technique,
+            noelle.module(),
+            fid,
+            &la,
+            &arch,
+            target.workers,
+            &mut buf,
+        )
+        .and_then(|recipe| {
+            noelle.edit(|tx| emit(tx.module_touching([fid]), fid, &la, &recipe, target.workers))
+        });
         match outcome {
             Ok(()) => {
                 report.parallelized.push((fname, l.header));
@@ -452,11 +473,10 @@ pub fn task_fn_signature(t: &Type) -> Result<&FuncType, String> {
 
 /// Declare (once) and return the `noelle.task.dispatch` intrinsic.
 pub fn declare_dispatch(m: &mut Module) -> FuncId {
-    m.get_or_declare(
-        DISPATCH_INTRINSIC,
-        vec![task_fn_ptr_type(), Type::I64.ptr_to(), Type::I64],
-        Type::Void,
-    )
+    m.get_or_declare(DISPATCH_INTRINSIC, || {
+        let params = vec![task_fn_ptr_type(), Type::I64.ptr_to(), Type::I64];
+        (params, Type::Void)
+    })
 }
 
 /// Refuse a loop with a live-out no reduction stands behind (the dispatcher
@@ -479,12 +499,12 @@ pub fn outline(
     m: &mut Module,
     fid: FuncId,
     la: &LoopAbstraction,
-    name: &str,
+    name: String,
 ) -> Result<TaskFunction, ParallelizeError> {
     let task = outline_loop_as_task(m, fid, la.structure(), &la.env, name)?;
     let tf = m.func_mut(task.fid);
     for r in &la.reductions {
-        let Some(Value::Inst(clone_phi)) = task.value_map.get(&Value::Inst(r.phi)).copied() else {
+        let Some(Value::Inst(clone_phi)) = task.value(Value::Inst(r.phi)) else {
             continue;
         };
         if let Inst::Phi { incomings, .. } = tf.inst_mut(clone_phi) {
@@ -539,12 +559,20 @@ pub fn emit_dispatcher(
     n_queues: usize,
 ) -> Result<(), ParallelizeError> {
     let dispatch_fn = declare_dispatch(m);
-    let queue_create = m.get_or_declare(QUEUE_CREATE_INTRINSIC, vec![Type::I64], Type::I64);
+    let queue_create = m.get_or_declare(QUEUE_CREATE_INTRINSIC, || (vec![Type::I64], Type::I64));
     let (l, env, exit_block) = (la.structure(), &la.env, task.exit);
 
     let f = m.func_mut(fid);
     let pre = ensure_preheader(f, l)?;
+    // The environment, a store of at most four instructions per live-in, a
+    // call and a store per queue, the dispatch call and the branch; the
+    // merge loop's counter, and a phi, a slot load and two operations per
+    // live-out.
+    let dispatch_len = 4 * env.live_ins.len() + 4 * n_queues + 3;
+    let merge_len = 4 + 8 * env.live_outs.len();
+    f.reserve(2, dispatch_len + merge_len);
     let dispatch = f.add_block("dispatch");
+    f.reserve_in(dispatch, dispatch_len);
 
     // 1. Environment allocation + live-in stores + queue creation.
     let env_ptr = EnvironmentBuilder::alloc(f, dispatch, env.num_slots(n_tasks) + n_queues);
@@ -594,6 +622,7 @@ pub fn emit_dispatcher(
         dispatch
     } else {
         let merge = f.add_block("merge");
+        f.reserve_in(merge, merge_len);
         f.set_terminator(dispatch, Terminator::Br(merge));
         // Phis first: the task id and one accumulator per reduction, each
         // born with its back edge, whose value the trip computes below.
@@ -656,9 +685,9 @@ pub fn emit_dispatcher(
     };
 
     // 4. Bypass the loop. Exit phis take the rebuilt values.
-    let exit_phi_values: Vec<(InstId, Value)> = f
-        .phis(exit_block)
-        .into_iter()
+    let exit_phis = f.block(exit_block).insts.iter().copied();
+    let exit_phis = exit_phis.take_while(|&i| matches!(f.inst(i), Inst::Phi { .. }));
+    let exit_phi_values: Vec<(InstId, Value)> = exit_phis
         .filter_map(|phi| {
             let incoming = match f.inst(phi) {
                 Inst::Phi { incomings, .. } => incomings
@@ -676,16 +705,23 @@ pub fn emit_dispatcher(
     bypass_loop(f, l, pre, exit_block, dispatch, tail, &exit_phi_values);
 
     // Remaining external uses of live-outs (outside the now-dead loop and
-    // not through the exit phis) read the rebuilt values.
-    for id in f.inst_ids() {
-        let b = f.parent_block(id);
+    // not through the exit phis) read the rebuilt values. Rewriting
+    // operands moves no instruction, so the blocks are walked in place.
+    if combined.is_empty() {
+        return Ok(());
+    }
+    for bi in 0..f.block_order().len() {
+        let b = f.block_order()[bi];
         if l.contains(b) || b == dispatch || b == tail {
             continue;
         }
-        for (orig, rebuilt) in &combined {
-            let (orig, rebuilt) = (*orig, *rebuilt);
-            f.inst_mut(id)
-                .map_operands(|v| if v == orig { rebuilt } else { v });
+        for k in 0..f.block(b).insts.len() {
+            let id = f.block(b).insts[k];
+            for (orig, rebuilt) in &combined {
+                let (orig, rebuilt) = (*orig, *rebuilt);
+                f.inst_mut(id)
+                    .map_operands(|v| if v == orig { rebuilt } else { v });
+            }
         }
     }
     Ok(())
@@ -769,8 +805,16 @@ exit:
             let fid = n.module().func_id_by_name("kernel").unwrap();
             let la = n.loop_abstraction(fid, LoopId(0));
             let arch = Architecture::default_machine();
-            let recipe = gate(technique, n.module(), fid, &la, &arch, workers)
-                .unwrap_or_else(|e| panic!("{technique:?}: {e}"));
+            let recipe = gate(
+                technique,
+                n.module(),
+                fid,
+                &la,
+                &arch,
+                workers,
+                &mut GateBuffers::default(),
+            )
+            .unwrap_or_else(|e| panic!("{technique:?}: {e}"));
             let predicted = fixed_cost(&la, &recipe);
             let n_tasks = match &recipe {
                 Recipe::Dswp(plan) => plan.n_stages,

@@ -62,7 +62,7 @@ pub fn run(noelle: &mut Noelle) -> CoosReport {
         let loops = noelle.loop_forest(fid);
         noelle.edit(|tx| {
             let m = tx.module_touching([fid]);
-            let cb = m.get_or_declare("coos.callback", vec![], Type::Void);
+            let cb = m.get_or_declare("coos.callback", || (vec![], Type::Void));
             // Entry callback.
             {
                 let f = m.func_mut(fid);

@@ -49,7 +49,7 @@ pub fn emit(
     workers: usize,
 ) -> Result<(), ParallelizeError> {
     let name = format!("{}.doall.{}", m.func(fid).name, la.structure().header.0);
-    let task = outline(m, fid, la, &name)?;
+    let task = outline(m, fid, la, name)?;
     distribute_cyclically(m, &task, la)?;
     emit_dispatcher(m, fid, la, &task, task.fid, workers, 0)
 }

@@ -66,6 +66,14 @@ pub struct StagePlan {
     token_block: BlockId,
 }
 
+/// The DSWP gate's working lists, kept across the loops one caller judges:
+/// the replicated set as it is closed and the closure's work list.
+#[derive(Default)]
+pub struct DswpBuffers {
+    replicated: Vec<InstId>,
+    work: Vec<InstId>,
+}
+
 /// DSWP takes a loop whose blocks all run once per iteration, whose SCCs
 /// split into at least two stages with only forward register dependences
 /// between them, and whose body outweighs the queue traffic on `arch`.
@@ -76,6 +84,7 @@ pub fn gate(
     la: &LoopAbstraction,
     arch: &Architecture,
     want_stages: usize,
+    buf: &mut DswpBuffers,
 ) -> Result<StagePlan, ParallelizeError> {
     let l = la.structure();
     if la.ivs.governing().is_none() {
@@ -95,8 +104,9 @@ pub fn gate(
     }
 
     let f = m.func(fid);
-    let replicated = replicated_set(f, la)?;
-    let owned = |s: usize| assignable(f, la, &replicated, s);
+    replicated_set(f, la, buf)?;
+    let replicated = &buf.replicated;
+    let owned = |s: usize| assignable(f, la, replicated, s);
     let n_owned = (0..la.sccdag.nodes().len()).filter(|&s| owned(s)).count();
     if n_owned < 2 {
         return Err(ParallelizeError::Stages("fewer than two pipeline stages"));
@@ -143,7 +153,7 @@ pub fn gate(
     });
     let mut plan = StagePlan {
         stage_of_scc,
-        replicated,
+        replicated: replicated.clone(),
         n_stages,
         value_queues: Vec::new(),
         latch,
@@ -220,7 +230,7 @@ pub fn emit(
     let fname = f.name.clone();
     let mut stages = Vec::with_capacity(plan.n_stages);
     for s in 0..plan.n_stages {
-        let task = outline(m, fid, la, &format!("{fname}.dswp.{header}.stage{s}"))?;
+        let task = outline(m, fid, la, format!("{fname}.dswp.{header}.stage{s}"))?;
         prune_stage(m, la, &task, s, plan, &owners);
         stages.push(task);
     }
@@ -323,11 +333,16 @@ impl StagePlan {
 }
 
 /// The instructions every stage replicates (IVs, control chains,
-/// invariants), ascending, none twice; refused when loop control reads or
-/// writes memory.
-fn replicated_set(f: &Function, la: &LoopAbstraction) -> Result<Vec<InstId>, ParallelizeError> {
-    // Room for every loop instruction: the set never grows past that.
-    let mut replicated: Vec<InstId> = Vec::with_capacity(la.pdg.num_internal());
+/// invariants), ascending, none twice, into `buf.replicated`; refused when
+/// loop control reads or writes memory.
+fn replicated_set(
+    f: &Function,
+    la: &LoopAbstraction,
+    buf: &mut DswpBuffers,
+) -> Result<(), ParallelizeError> {
+    let (replicated, work) = (&mut buf.replicated, &mut buf.work);
+    replicated.clear();
+    work.clear();
     replicated.extend(la.invariants.iter());
     for node in la.sccdag.nodes() {
         if node.is_induction {
@@ -344,7 +359,6 @@ fn replicated_set(f: &Function, la: &LoopAbstraction) -> Result<Vec<InstId>, Par
             .map(|e| e.src)
             .filter(|&src| la.pdg.is_internal(src))
     };
-    let mut work: Vec<InstId> = Vec::new();
     for i in la.pdg.internal_nodes() {
         if matches!(f.inst(i), Inst::Term(_)) {
             work.extend(register_deps(i));
@@ -357,12 +371,12 @@ fn replicated_set(f: &Function, la: &LoopAbstraction) -> Result<Vec<InstId>, Par
         replicated.insert(at, n);
         work.extend(register_deps(n));
     }
-    for &i in &replicated {
+    for &i in replicated.iter() {
         if f.inst(i).may_read_memory() || f.inst(i).may_write_memory() {
             return Err(ParallelizeError::Stages("loop control depends on memory"));
         }
     }
-    Ok(replicated)
+    Ok(())
 }
 
 /// Can a stage own SCC `s`? Not an induction, and not only replicated
@@ -413,13 +427,18 @@ fn prune_stage(
     owners: &[(InstId, Option<usize>)],
 ) {
     let (n_value_queues, n_stages) = (plan.value_queues.len(), plan.n_stages);
-    let pop_fn = m.get_or_declare(QUEUE_POP_INTRINSIC, vec![Type::I64], Type::I64);
-    let push_fn = m.get_or_declare(QUEUE_PUSH_INTRINSIC, vec![Type::I64, Type::I64], Type::Void);
+    let pop_fn = m.get_or_declare(QUEUE_POP_INTRINSIC, || (vec![Type::I64], Type::I64));
+    let push_fn = m.get_or_declare(QUEUE_PUSH_INTRINSIC, || {
+        (vec![Type::I64, Type::I64], Type::Void)
+    });
 
     // Load all queue ids in the entry block (before its terminator).
     let env_base_slot = la.env.num_slots(n_stages) as i64;
-    let latch = task.block_map[&plan.latch];
-    let token_block = task.block_map[&plan.token_block];
+    // Both are loop blocks: the gate took them off the loop.
+    let (Some(latch), Some(token_block)) = (task.block(plan.latch), task.block(plan.token_block))
+    else {
+        return;
+    };
     let tf = m.func_mut(task.fid);
     let qids: Vec<Value> = (0..plan.n_queues() as i64)
         .map(|qi| {
@@ -432,7 +451,7 @@ fn prune_stage(
     // is deleted, and what its remaining uses read instead is noted.
     let mut dead: Vec<(InstId, Value)> = Vec::new(); // (clone, replacement)
     for &(orig, owner) in owners {
-        let Some(Value::Inst(clone)) = task.value_map.get(&Value::Inst(orig)).copied() else {
+        let Some(Value::Inst(clone)) = task.value(Value::Inst(orig)) else {
             continue;
         };
         let mut queues = plan.queues_of(orig).peekable();
@@ -764,10 +783,8 @@ done:
         );
         let same = pipelined(Some(Architecture::default_machine()));
         assert_eq!(same.skipped, refused.skipped);
-        let free_queues = Architecture {
-            queue_op_cost: 0,
-            ..Architecture::default_machine()
-        };
+        let mut free_queues = Architecture::default_machine();
+        free_queues.queue_op_cost = 0;
         let taken = pipelined(Some(free_queues));
         assert!(
             taken.parallelized.iter().any(|(f, _)| f == "kernel"),

@@ -24,7 +24,7 @@ use noelle_ir::inst::{Callee, Inst, InstId};
 use noelle_ir::module::{BlockId, FuncId, Module};
 use noelle_ir::types::Type;
 use noelle_ir::value::Value;
-use noelle_pdg::islands::islands_of;
+use noelle_pdg::islands::islands_in;
 
 /// The abstractions HELIX asks NOELLE for (its Table 4 row).
 pub const ABSTRACTIONS: [Abstraction; 15] = [
@@ -62,6 +62,17 @@ pub struct Segments {
     latch: Option<BlockId>,
 }
 
+/// The HELIX gate's working lists, kept across the loops one caller
+/// judges: the problem SCCs, the links between them, and the islands'
+/// union-find over the problem list.
+#[derive(Default)]
+pub struct HelixBuffers {
+    problem: Vec<usize>,
+    links: Vec<(usize, usize)>,
+    /// By position in `problem`: its union-find parent, then its island.
+    island: Vec<usize>,
+}
+
 /// Compute the sequential segments of a loop: connected groups of SCCs that
 /// must execute in iteration order, with the one latch their brackets
 /// need when there are any. Returns `None` when a segment cannot be safely
@@ -70,14 +81,17 @@ fn sequential_segments(
     m: &Module,
     fid: FuncId,
     la: &LoopAbstraction,
+    buf: &mut HelixBuffers,
 ) -> Option<(Vec<Vec<InstId>>, Option<BlockId>)> {
     let f = m.func(fid);
     let l = la.structure();
 
     // Problem SCCs: sequential ones, plus SCCs linked by a blocking edge
     // that does not run between two induction SCCs.
-    let mut problem = la.sequential_sccs();
-    let mut links: Vec<(usize, usize)> = Vec::new();
+    let (problem, links, island) = (&mut buf.problem, &mut buf.links, &mut buf.island);
+    problem.clear();
+    links.clear();
+    problem.extend(la.sequential_sccs());
     for e in la.blocking_edges() {
         let (Some(a), Some(b)) = (la.sccdag.scc_of(e.src), la.sccdag.scc_of(e.dst)) else {
             continue;
@@ -94,17 +108,23 @@ fn sequential_segments(
         return Some((Vec::new(), None));
     }
 
-    // Group into segments via the islands capability.
+    // Group into segments: the islands of the problem SCCs under the links.
     problem.sort_unstable();
     problem.dedup();
-    let groups = islands_of(&problem, &links);
+    let n_islands = islands_in(problem, links, island);
 
     // Bracketing requires every segment instruction to execute exactly once
     // per iteration: its block must dominate the (single) latch.
     let latch = l.single_latch()?;
-    let mut segments = Vec::new();
-    for g in groups {
-        let insts = sorted_insts(la, g);
+    let mut segments = Vec::with_capacity(n_islands);
+    for g in 0..n_islands {
+        let sccs = || (problem.iter().zip(island.iter())).filter(move |&(_, &i)| i == g);
+        let len = sccs().map(|(&s, _)| la.sccdag.insts(s).len()).sum();
+        let mut insts = Vec::with_capacity(len);
+        for (&s, _) in sccs() {
+            insts.extend_from_slice(la.sccdag.insts(s));
+        }
+        insts.sort_unstable();
         if insts
             .iter()
             .any(|&i| !la.dom.dominates(f.parent_block(i), latch))
@@ -134,13 +154,14 @@ pub fn gate(
     fid: FuncId,
     la: &LoopAbstraction,
     arch: &Architecture,
+    buf: &mut HelixBuffers,
 ) -> Result<Segments, ParallelizeError> {
     if la.ivs.governing().is_none() {
         return Err(ParallelizeError::NoGoverningIv);
     }
     let refuse = |why, groups| Err(ParallelizeError::Segments { why, groups });
-    let Some((groups, latch)) = sequential_segments(m, fid, la) else {
-        let sccs = la.sequential_sccs().into_iter();
+    let Some((groups, latch)) = sequential_segments(m, fid, la, buf) else {
+        let sccs = la.sequential_sccs();
         return refuse(
             "unbracketably sequential",
             sccs.map(|s| sorted_insts(la, [s])).collect(),
@@ -198,7 +219,7 @@ pub fn emit(
         .get(SEGMENTS_KEY)
         .and_then(|s| s.parse().ok())
         .unwrap_or(0);
-    let task = outline(m, fid, la, &name)?;
+    let task = outline(m, fid, la, name)?;
     distribute_cyclically(m, &task, la)?;
     bracket_segments(m, &task, segments, seg_base);
     emit_dispatcher(m, fid, la, &task, task.fid, workers, 0)?;
@@ -214,9 +235,13 @@ fn bracket_segments(m: &mut Module, task: &TaskFunction, segments: &Segments, se
     let Some(latch) = segments.latch else {
         return; // no segments
     };
-    let wait = m.get_or_declare(SS_WAIT_INTRINSIC, vec![Type::I64, Type::I64], Type::Void);
-    let signal = m.get_or_declare(SS_SIGNAL_INTRINSIC, vec![Type::I64], Type::Void);
-    let latch = task.block_map[&latch];
+    let wait = m.get_or_declare(SS_WAIT_INTRINSIC, || {
+        (vec![Type::I64, Type::I64], Type::Void)
+    });
+    let signal = m.get_or_declare(SS_SIGNAL_INTRINSIC, || (vec![Type::I64], Type::Void));
+    let Some(latch) = task.block(latch) else {
+        return; // not a loop block: the gate found none to bracket
+    };
     let tf = m.func_mut(task.fid);
 
     // Global iteration counter: k = phi [entry: task_id] [latch: k + n_tasks].
@@ -248,7 +273,7 @@ fn bracket_segments(m: &mut Module, task: &TaskFunction, segments: &Segments, se
         let seg_id = seg_base + si as i64;
         let mut placed: Vec<(usize, usize, InstId)> = Vec::new();
         for &orig in seg {
-            let Some(Value::Inst(clone)) = task.value_map.get(&Value::Inst(orig)).copied() else {
+            let Some(Value::Inst(clone)) = task.value(Value::Inst(orig)) else {
                 continue;
             };
             let b = tf.parent_block(clone);
@@ -420,7 +445,14 @@ exit:
         let fid = noelle.module().func_id_by_name("main").unwrap();
         let la = noelle.loop_abstraction(fid, noelle_ir::loops::LoopId(0));
         let arch = noelle.architecture();
-        let refusal = gate(noelle.module(), fid, &la, &arch).unwrap_err();
+        let refusal = gate(
+            noelle.module(),
+            fid,
+            &la,
+            &arch,
+            &mut HelixBuffers::default(),
+        )
+        .unwrap_err();
         assert!(
             matches!(refusal, ParallelizeError::Segments { .. }),
             "{refusal}"
@@ -443,7 +475,9 @@ exit:
         let mut noelle = Noelle::new(m, AliasTier::Full);
         let fid = noelle.module().func_id_by_name("kernel").unwrap();
         let la = noelle.loop_abstraction(fid, noelle_ir::loops::LoopId(0));
-        let (segs, latch) = sequential_segments(noelle.module(), fid, &la).expect("bracketable");
+        let buf = &mut HelixBuffers::default();
+        let (segs, latch) =
+            sequential_segments(noelle.module(), fid, &la, buf).expect("bracketable");
         assert_eq!(segs.len(), 1, "one sequential segment (the acc recurrence)");
         assert!(segs[0].len() >= 2);
         assert_eq!(latch, la.structure().single_latch(), "the brackets' latch");

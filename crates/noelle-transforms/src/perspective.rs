@@ -50,7 +50,7 @@ pub fn emit(
 ) -> Result<(), ParallelizeError> {
     let name = format!("{}.pers.{}", m.func(fid).name, la.structure().header.0);
     let alloca = m.func(fid).inst(cell).clone();
-    let task = outline(m, fid, la, &name)?;
+    let task = outline(m, fid, la, name)?;
     privatize(m, &task, Value::Inst(cell), alloca);
     distribute_cyclically(m, &task, la)?;
     emit_dispatcher(m, fid, la, &task, task.fid, workers, 0)
@@ -138,7 +138,7 @@ fn privatizable_scratch(m: &Module, fid: FuncId, la: &LoopAbstraction) -> Option
 /// original `alloca`, so the copy has the cell's type and size. The cell
 /// arrived as a live-in; its loaded clone is replaced by the copy.
 fn privatize(m: &mut Module, task: &TaskFunction, cell: Value, alloca: Inst) {
-    let loaded = *(task.value_map.get(&cell))
+    let loaded = (task.value(cell))
         .expect("the gate's cell is defined outside the loop and used in it: a live-in");
     let tf = m.func_mut(task.fid);
     let private = tf.insert_inst(task.entry, 0, alloca);

@@ -96,7 +96,7 @@ pub fn run(noelle: &mut Noelle) -> PrvjReport {
     let mut touched_gens: BTreeSet<Option<i64>> = BTreeSet::new();
     noelle.edit(|tx| {
         let m = tx.module_touching(site_fids);
-        let fast = m.get_or_declare("prv.xs.next", vec![Type::I64], Type::I64);
+        let fast = m.get_or_declare("prv.xs.next", || (vec![Type::I64], Type::I64));
         for (fid, id, gen_id, _) in sites {
             if hot_gens.contains(&gen_id) {
                 if let Inst::Call { callee, .. } = m.func_mut(fid).inst_mut(id) {

@@ -126,7 +126,7 @@ pub fn run(noelle: &mut Noelle) -> TimeReport {
             if function_swapped > 0 || has_compares(m, fid) {
                 // Every compare in the function is canonical now: the region can
                 // run with a tightened clock.
-                let clock = m.get_or_declare("clock.set", vec![Type::I64], Type::Void);
+                let clock = m.get_or_declare("clock.set", || (vec![Type::I64], Type::Void));
                 let f = m.func_mut(fid);
                 let entry = f.entry();
                 f.insert_inst(

@@ -138,7 +138,7 @@ pub fn add_min(m: &mut Module, name: &str) -> FuncId {
 
 /// Floating-point reduction with library math (blackscholes shape).
 pub fn add_fsum(m: &mut Module, name: &str) -> FuncId {
-    let sqrt = m.get_or_declare("sqrt", vec![Type::F64], Type::F64);
+    let sqrt = m.get_or_declare("sqrt", || (vec![Type::F64], Type::F64));
     let mut b = FunctionBuilder::new(name, kernel_params(), Type::I64);
     let init = Value::const_f64(0.0);
     let acc = counted_loop(&mut b, 0, N, Type::F64, init, |b, i, acc| {
@@ -316,7 +316,7 @@ pub fn add_bank_scratch(m: &mut Module, name: &str, banks: usize, touches: usize
 
 /// Monte-Carlo draws from a PRVG (bodytrack/swaptions shape, PRVJ fodder).
 pub fn add_monte(m: &mut Module, name: &str) -> FuncId {
-    let prv = m.get_or_declare("prv.mt.next", vec![Type::I64], Type::I64);
+    let prv = m.get_or_declare("prv.mt.next", || (vec![Type::I64], Type::I64));
     let mut b = FunctionBuilder::new(name, kernel_params(), Type::I64);
     sum_loop(&mut b, |b, _i| {
         let r = b.call(prv, vec![Value::const_i64(0)], Type::I64);
@@ -438,7 +438,7 @@ pub fn add_dead_functions(m: &mut Module, count: usize, weight: usize) {
 /// Build `main`: allocate and fill two arrays of `n` i64s, call each kernel
 /// in order, and return a checksum of their results.
 pub fn add_main(m: &mut Module, kernels: &[FuncId], n: i64, passes: usize, do_while_tail: bool) {
-    let malloc = m.get_or_declare("malloc", vec![Type::I64], Type::I64.ptr_to());
+    let malloc = m.get_or_declare("malloc", || (vec![Type::I64], Type::I64.ptr_to()));
     let kernel_sigs: Vec<FuncId> = kernels.to_vec();
     let mut b = FunctionBuilder::new("main", vec![], Type::I64);
     let entry = b.entry_block();

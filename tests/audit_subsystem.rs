@@ -20,7 +20,7 @@ use noelle::ir::loops::{LoopForest, LoopInfo};
 use noelle::ir::module::{FuncId, Module};
 use noelle::ir::parser::parse_module;
 use noelle::ir::verifier::verify_module;
-use noelle::transforms::common::{emit, gate, outline, Parallelizer};
+use noelle::transforms::common::{emit, gate, outline, GateBuffers, Parallelizer};
 use noelle::transforms::{LoopTargetOpts, ParallelizeError};
 use noelle_fuzz::generator::{generate, GenConfig};
 use noelle_lint::audit::{BlockerKind, Hint, ModuleAudit, TechniqueAudit, AUDIT_WORKERS};
@@ -339,7 +339,7 @@ fn assert_outlined_loop_is_the_rebuilt_one(
     loop_name: &str,
 ) {
     let mut m = m.clone();
-    let task = outline(&mut m, fid, la, "outlined.task")
+    let task = outline(&mut m, fid, la, "outlined.task".to_string())
         .unwrap_or_else(|e| panic!("{loop_name}: a single-exit loop outlines: {e}"));
     let tf = m.func(task.fid);
     let cfg = Cfg::new(tf);
@@ -461,6 +461,9 @@ fn gate_ok_means_emit_ok_and_refusals_attribute_by_variant() {
         let mut n = Noelle::new(m.clone(), AliasTier::Full);
         let audit = run_audit(&mut n);
         let arch = n.architecture();
+        // One set of gate buffers for every loop, as the audit keeps one:
+        // what a gate leaves in them must not reach the next verdict.
+        let mut gates = GateBuffers::default();
         for laud in &audit.loops {
             let loop_name = format!("{name} @{}:{}", laud.function, laud.header_name);
             let forest = n.loop_forest(laud.fid);
@@ -479,7 +482,7 @@ fn gate_ok_means_emit_ok_and_refusals_attribute_by_variant() {
                 .chain([Parallelizer::Perspective])
             {
                 let workers = workers_for(p);
-                let fresh = gate(p, n.module(), laud.fid, &la, &arch, workers);
+                let fresh = gate(p, n.module(), laud.fid, &la, &arch, workers, &mut gates);
                 // An audited technique's verdict holds that gate's result,
                 // and its recipe is emitted on the abstraction it names;
                 // Perspective, which the auditor does not judge, is gated
@@ -605,7 +608,7 @@ fn blockers_are_rendered_from_what_the_refusal_carries() {
                         all.dedup();
                         assert_eq!(all.len(), total, "{at}: groups overlap");
                         let sequential: Vec<Vec<InstId>> =
-                            la.sequential_sccs().into_iter().map(sorted_scc).collect();
+                            la.sequential_sccs().map(sorted_scc).collect();
                         if *why == "unbracketably sequential" {
                             assert_eq!(groups, &sequential, "{at}");
                         }

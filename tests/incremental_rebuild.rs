@@ -346,10 +346,8 @@ fn a_commit_regenerates_what_it_touched_not_the_module() {
     // default machine; on one that spawns a task for 20 cycles they do,
     // and the planner prices the machine the module names.
     let mut m = scale_module(256, 7);
-    let cheap_spawn = Architecture {
-        dispatch_overhead: 20,
-        ..Architecture::default_machine()
-    };
+    let mut cheap_spawn = Architecture::default_machine();
+    cheap_spawn.dispatch_overhead = 20;
     cheap_spawn.embed(&mut m);
     let mut n = Noelle::new(m, AliasTier::Full);
     let funcs = n.module().functions().len() as u64;
@@ -448,7 +446,7 @@ fn a_loop_request_repairs_its_own_partition_only() {
     assert!(!n.modref_summaries().has_io(k0), "the kernels are quiet");
     let ((), damage) = n.edit_with_damage(|tx| {
         let m = tx.module_touching([k0]);
-        let print = m.get_or_declare("print_i64", vec![Type::I64], Type::Void);
+        let print = m.get_or_declare("print_i64", || (vec![Type::I64], Type::Void));
         let entry = m.func(k0).entry();
         let call = Inst::Call {
             callee: Callee::Direct(print),
@@ -515,7 +513,7 @@ fn flip_a_summary_bit(m: &mut Module, f: FuncId, summary: &ModRefSummaries) -> b
         };
         m.func_mut(f).insert_inst(entry, 1, access);
     } else if !summary.has_io(f) {
-        let print = m.get_or_declare("print_i64", vec![Type::I64], Type::Void);
+        let print = m.get_or_declare("print_i64", || (vec![Type::I64], Type::Void));
         let call = Inst::Call {
             callee: Callee::Direct(print),
             args: vec![Value::const_i64(7)],

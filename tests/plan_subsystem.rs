@@ -15,7 +15,7 @@ use noelle::core::noelle::{Abstraction, AliasTier, Noelle};
 use noelle::ir::printer::print_module;
 use noelle::ir::verifier::verify_module;
 use noelle::runtime::{run_module, RunConfig};
-use noelle::transforms::common::{emit, gate, Parallelizer};
+use noelle::transforms::common::{emit, gate, GateBuffers, Parallelizer};
 use noelle::workloads::scale_module;
 use noelle_ide::DocSession;
 use noelle_lint::run_audit;
@@ -176,7 +176,16 @@ fn apply_plan_judges_again_only_what_an_earlier_emit_damaged() {
                 let forest = twin.loop_forest(fid);
                 let lp = forest.loops().iter().find(|lp| lp.header == l.header);
                 let la = twin.loop_abstraction(fid, lp.expect("the loop stands").id);
-                let recipe = gate(c.technique, twin.module(), fid, &la, &arch, c.workers);
+                let gates = &mut GateBuffers::default();
+                let recipe = gate(
+                    c.technique,
+                    twin.module(),
+                    fid,
+                    &la,
+                    &arch,
+                    c.workers,
+                    gates,
+                );
                 rejudged = (la, recipe.expect("the suite's stale loops still pass"));
                 (&rejudged.0, &rejudged.1)
             } else {
@@ -320,6 +329,7 @@ fn a_stale_verdict_is_judged_again_and_skipped_with_the_gates_reason() {
         &la,
         &arch,
         workers,
+        &mut GateBuffers::default(),
     )
     .expect_err("a callee that stores to the array carries a dependence");
 
@@ -629,11 +639,9 @@ fn unknown_method_error_is_structured() {
 #[test]
 fn applied_plans_reproduce_the_recorded_golden() {
     let mut scale = noelle::workloads::scale_module(256, 1);
-    Architecture {
-        dispatch_overhead: 20,
-        ..Architecture::default_machine()
-    }
-    .embed(&mut scale);
+    let mut cheap_spawn = Architecture::default_machine();
+    cheap_spawn.dispatch_overhead = 20;
+    cheap_spawn.embed(&mut scale);
     let corpus = workloads_all().into_iter().chain(std::iter::once((
         "scale_module(256), 20-cycle spawn".to_string(),
         scale,

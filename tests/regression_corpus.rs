@@ -6,7 +6,7 @@
 use noelle::core::noelle::{AliasTier, Noelle};
 use noelle::ir::module::BlockId;
 use noelle::runtime::{run_module, RunConfig};
-use noelle::transforms::common::{emit, gate};
+use noelle::transforms::common::{emit, gate, GateBuffers};
 use noelle::transforms::{parallelize, LoopTargetOpts, ParallelizeError, Parallelizer};
 
 fn run_src(src: &str) -> noelle::runtime::RunResult {
@@ -32,7 +32,15 @@ fn force(
     let l = forest.loops().iter().find(|l| l.header == header);
     let la = n.loop_abstraction(fid, l.expect("loop exists").id);
     let arch = n.architecture();
-    let recipe = gate(t, n.module(), fid, &la, &arch, 4)?;
+    let recipe = gate(
+        t,
+        n.module(),
+        fid,
+        &la,
+        &arch,
+        4,
+        &mut GateBuffers::default(),
+    )?;
     n.edit(|tx| emit(tx.module_touching([fid]), fid, &la, &recipe, 4))
 }
 

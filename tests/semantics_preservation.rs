@@ -220,7 +220,7 @@ entry:
 #[test]
 fn the_merge_is_one_loop_whatever_the_worker_count() {
     use noelle::core::architecture::Architecture;
-    use noelle::transforms::common::{emit, gate};
+    use noelle::transforms::common::{emit, gate, GateBuffers};
     let m = noelle::ir::parser::parse_module(THREE_REDUCTIONS).expect("parses");
     let seq = run_module(&m, "main", &[], &RunConfig::default()).expect("runs");
     let mut parent_sizes = Vec::new();
@@ -238,6 +238,7 @@ fn the_merge_is_one_loop_whatever_the_worker_count() {
             &la,
             &arch,
             workers,
+            &mut GateBuffers::default(),
         )
         .expect("DOALL takes the loop");
         n.edit(|tx| emit(tx.module_touching([fid]), fid, &la, &recipe, workers))
