@@ -741,15 +741,15 @@ pub struct AndersenAlias {
 }
 
 /// The working storage of an update that outlives none: kept by the
-/// analysis between updates, empty between them, and never shrunk, so an
-/// edit's update reuses what the cold solve grew.
+/// analysis between updates and empty between them, so an edit's update
+/// reuses what the last one grew. The worklist and its marks a pass over
+/// the whole system sized (the cold solve, a start-over) are given back.
 #[derive(Default)]
 struct SolverBuffers {
     arg_seen: Vec<bool>,
     added: Vec<(FuncId, Constraint)>,
     queued: Vec<u64>,
     queue: VecDeque<u32>,
-    before: HashMap<u32, (BitSet, bool)>,
     released: Vec<u32>,
     unbound: HashMap<(FuncId, InstId), u32>,
     scratch: Vec<u32>,
@@ -1390,9 +1390,7 @@ impl<'a> Solver<'a> {
             // Sized by a pass over the whole system: an edit's update needs
             // a fraction of them.
             (self.queued, self.queue) = (Vec::new(), VecDeque::new());
-            self.before = HashMap::new();
         }
-        self.before.clear();
         self.arg_seen.clear();
         debug_assert!(self.added.is_empty() && self.queue.is_empty());
         debug_assert!(self.queued.iter().all(|&w| w == 0), "the worklist ran dry");
@@ -1401,7 +1399,6 @@ impl<'a> Solver<'a> {
             added: self.added,
             queued: self.queued,
             queue: self.queue,
-            before: self.before,
             released: self.released,
             unbound: self.unbound,
             scratch: self.scratch,
@@ -1601,7 +1598,9 @@ impl AndersenAlias {
             reset: 0,
             queued: b.queued,
             queue: b.queue,
-            before: b.before,
+            // The rows it captures are the update's result, sized by how
+            // far the edit reached; nothing of them is kept.
+            before: HashMap::new(),
             released: b.released,
             unbound: b.unbound,
             scratch: b.scratch,
