@@ -324,18 +324,16 @@ impl Architecture {
             })
             .collect::<Option<Vec<usize>>>()?;
         // Rows of `num_cores` entries, `num_cores` of them, read into one
-        // flat table.
+        // flat table. The shape is checked before the table is reserved,
+        // so what is reserved is what the text holds.
         let matrix = |j: &Json| -> Option<Vec<u64>> {
             let rows = j.as_array()?;
-            if rows.len() != num_cores {
+            let square = |row: &Json| row.as_array().is_some_and(|r| r.len() == num_cores);
+            if rows.len() != num_cores || !rows.iter().all(square) {
                 return None;
             }
-            let mut flat = Vec::with_capacity(num_cores.checked_mul(num_cores)?);
-            for row in rows {
-                let row = row.as_array()?;
-                if row.len() != num_cores {
-                    return None;
-                }
+            let mut flat = Vec::with_capacity(num_cores * num_cores);
+            for row in rows.iter().filter_map(Json::as_array) {
                 for c in row {
                     flat.push(c.as_u64()?);
                 }
@@ -509,6 +507,8 @@ entry:
     fn a_description_whose_shape_does_not_hold_reads_as_none() {
         let square = "[[0,60],[60,0]]";
         assert!(described(2, 1, "[0,0]", square, square).is_some());
+        let many_zeros = format!("[{}]", vec!["0"; 100_000].join(","));
+        let many_rows = format!("[{}]", vec!["[0]"; 100_000].join(","));
         for (cores, nodes, to_numa, lat, bw) in [
             // No core, no node.
             (0, 1, "[]", "[]", "[]"),
@@ -522,6 +522,9 @@ entry:
             (2, 1, "[0,0]", square, "[[0,60],[60]]"),
             (2, 1, "[0,0]", "[[0,60],[60,0,1]]", square),
             (-1, 1, "[]", "[]", "[]"),
+            // As many one-entry rows as cores: refused before a table of
+            // cores² entries is reserved.
+            (100_000, 1, &many_zeros, &many_rows, &many_rows),
         ] {
             assert_eq!(
                 described(cores, nodes, to_numa, lat, bw),
