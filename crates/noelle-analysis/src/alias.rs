@@ -746,14 +746,26 @@ pub struct AndersenAlias {
 /// the whole system sized (the cold solve, a start-over) are given back.
 #[derive(Default)]
 struct SolverBuffers {
+    /// The arguments of the function under generation already marked live
+    /// by its block.
     arg_seen: Vec<bool>,
+    /// Constraints the new blocks have and the old ones had not.
     added: Vec<(FuncId, Constraint)>,
+    /// One bit per var, grown on demand: is it on the worklist?
     queued: Vec<u64>,
     queue: VecDeque<u32>,
+    /// Vars no block names any more; reusable once the update is over. A
+    /// constraint on one was a deletion, so either it had none or the rows
+    /// started over: it is empty and has no edge.
     released: Vec<u32>,
+    /// The `solve_locals` of before the rows started over. A site bound
+    /// again to what it was bound to takes its vars back, so that its rows
+    /// compare with what they were; the rest are released.
     unbound: HashMap<(FuncId, InstId), u32>,
     scratch: Vec<u32>,
+    /// The objects a visited var's row gained.
     fresh: Vec<usize>,
+    /// A regenerated block's old and new version, sorted.
     old_block: Vec<Constraint>,
     new_block: Vec<Constraint>,
 }
@@ -776,34 +788,15 @@ struct Solver<'a> {
     gen_locals: usize,
     /// Its previous table, whose vars the new one takes over slot by slot.
     gen_old: &'a [u32],
-    /// Its arguments already marked live by this block.
-    arg_seen: Vec<bool>,
-    /// Constraints the new blocks have and the old ones had not.
-    added: Vec<(FuncId, Constraint)>,
     /// The edit took something away: the rows start over.
     retracted: bool,
     /// Non-empty rows that emptied.
     reset: usize,
-    /// One bit per var, grown on demand: is it on the worklist?
-    queued: Vec<u64>,
-    queue: VecDeque<u32>,
     /// Row and liveness, as the update found them, of every var of an
     /// untouched function whose row or liveness it changed.
     before: HashMap<u32, (BitSet, bool)>,
-    /// Vars no block names any more; reusable once the update is over. A
-    /// constraint on one was a deletion, so either it had none or the rows
-    /// started over: it is empty and has no edge.
-    released: Vec<u32>,
-    /// The `solve_locals` of before the rows started over. A site bound
-    /// again to what it was bound to takes its vars back, so that its rows
-    /// compare with what they were; the rest are released.
-    unbound: HashMap<(FuncId, InstId), u32>,
-    scratch: Vec<u32>,
-    /// The objects a visited var's row gained.
-    fresh: Vec<usize>,
-    /// A regenerated block's old and new version, sorted.
-    old_block: Vec<Constraint>,
-    new_block: Vec<Constraint>,
+    /// The analysis's kept buffers, lent for the update.
+    buf: SolverBuffers,
 }
 
 impl<'a> Solver<'a> {
@@ -838,7 +831,7 @@ impl<'a> Solver<'a> {
             return v;
         }
         // Minted for the binding, and shared with the function's others.
-        let v = self.unbound.remove(&(fid, id));
+        let v = self.buf.unbound.remove(&(fid, id));
         let v = v.unwrap_or_else(|| self.a.take_var(fid.0));
         self.a.solve_locals.insert((fid, id), v);
         v
@@ -852,7 +845,7 @@ impl<'a> Solver<'a> {
             return CONST_VAR;
         };
         let own = self.generating && self.func == fid;
-        if !(own && std::mem::replace(&mut self.arg_seen[i as usize], true)) {
+        if !(own && std::mem::replace(&mut self.buf.arg_seen[i as usize], true)) {
             self.emit(Constraint::ArgLive(v));
         }
         v
@@ -901,8 +894,8 @@ impl<'a> Solver<'a> {
             (self.func, self.generating) = (fid, true);
             self.gen_locals = locals_start;
             self.gen_old = old;
-            self.arg_seen.clear();
-            self.arg_seen.resize(f.params.len(), false);
+            self.buf.arg_seen.clear();
+            self.buf.arg_seen.resize(f.params.len(), false);
             for &b in f.block_order() {
                 for &id in &f.block(b).insts {
                     self.gen_inst(fid, id);
@@ -913,7 +906,7 @@ impl<'a> Solver<'a> {
         let new = &self.a.local_vars[locals_start..];
         for (slot, &v) in old.iter().enumerate() {
             if v != NO_VAR && new.get(slot) != Some(&v) {
-                self.released.push(v);
+                self.buf.released.push(v);
             }
         }
         self.a.blocks[fid.index()] = Block {
@@ -1112,8 +1105,8 @@ impl<'a> Solver<'a> {
             return;
         }
         let (mut olds, mut news) = (
-            std::mem::take(&mut self.old_block),
-            std::mem::take(&mut self.new_block),
+            std::mem::take(&mut self.buf.old_block),
+            std::mem::take(&mut self.buf.new_block),
         );
         olds.extend_from_slice(old);
         news.extend_from_slice(&self.a.constraints[cons]);
@@ -1131,7 +1124,7 @@ impl<'a> Solver<'a> {
         self.retracted |= old.next().is_some();
         drop(old);
         news.clear();
-        (self.old_block, self.new_block) = (olds, news);
+        (self.buf.old_block, self.buf.new_block) = (olds, news);
     }
 
     /// A constraint the new version of `fid`'s block adds. The first
@@ -1143,7 +1136,7 @@ impl<'a> Solver<'a> {
             let defined = self.a.sigs[i].class == ExternClass::Defined;
             self.retracted |= i < self.known && defined && !self.a.referenced[i];
         }
-        self.added.push((fid, c));
+        self.buf.added.push((fid, c));
     }
 
     /// Is `v` a var whose movement the update reports: one that a function
@@ -1164,12 +1157,12 @@ impl<'a> Solver<'a> {
 
     fn enqueue(&mut self, v: u32) {
         let (word, bit) = (v as usize / 64, 1u64 << (v % 64));
-        if self.queued.len() <= word {
-            self.queued.resize(self.a.pts.len().div_ceil(64), 0);
+        if self.buf.queued.len() <= word {
+            self.buf.queued.resize(self.a.pts.len().div_ceil(64), 0);
         }
-        if self.queued[word] & bit == 0 {
-            self.queued[word] |= bit;
-            self.queue.push_back(v);
+        if self.buf.queued[word] & bit == 0 {
+            self.buf.queued[word] |= bit;
+            self.buf.queue.push_back(v);
         }
     }
 
@@ -1298,7 +1291,7 @@ impl<'a> Solver<'a> {
         self.a.succ.clear();
         self.a.deref.clear();
         self.a.bindings.clear();
-        std::mem::swap(&mut self.unbound, &mut self.a.solve_locals);
+        std::mem::swap(&mut self.buf.unbound, &mut self.a.solve_locals);
         self.a.referenced.fill(false);
         for v in 0..self.a.pts.len() {
             let row = std::mem::take(&mut self.a.pts[v]);
@@ -1320,17 +1313,17 @@ impl<'a> Solver<'a> {
         for (&o, &v) in &a.addr_vars {
             a.pts[v as usize].insert(o);
         }
-        self.added.clear();
+        self.buf.added.clear();
     }
 
     /// One step of the worklist: serve what hangs off `v` for the objects
     /// its row gained, then push the row along `v`'s copy edges.
     fn visit(&mut self, v: u32) {
-        self.queued[v as usize / 64] &= !(1u64 << (v % 64));
+        self.buf.queued[v as usize / 64] &= !(1u64 << (v % 64));
         let row = &self.a.pts[v as usize];
         let behind = |d: &&mut Deref| !row.is_subset(&d.done);
         if let Some(d) = self.a.deref.get_mut(&v).filter(behind) {
-            let mut fresh = std::mem::take(&mut self.fresh);
+            let mut fresh = std::mem::take(&mut self.buf.fresh);
             fresh.extend(row.iter().filter(|&o| !d.done.contains(o)));
             d.done.union_with(row);
             // The uses and sites are lent out while they are served. A
@@ -1349,7 +1342,7 @@ impl<'a> Solver<'a> {
                 }
             }
             fresh.clear();
-            self.fresh = fresh;
+            self.buf.fresh = fresh;
             let d = self.a.deref.entry(v).or_default();
             let later = (
                 std::mem::replace(&mut d.uses, uses),
@@ -1359,19 +1352,21 @@ impl<'a> Solver<'a> {
             d.sites.extend(later.1);
         }
         let row = std::mem::take(&mut self.a.pts[v as usize]);
-        let mut succs = std::mem::take(&mut self.scratch);
+        let mut succs = std::mem::take(&mut self.buf.scratch);
         succs.extend(self.a.succ.range((v, 0)..=(v, u32::MAX)).map(|e| e.1));
         for s in succs.drain(..) {
             self.absorb(s, &row);
         }
-        self.scratch = succs;
+        self.buf.scratch = succs;
         self.a.pts[v as usize] = row;
     }
 
     /// The fixpoint is reached: drop the vars nothing uses any more, and
     /// say which untouched functions see different rows.
     fn finish(mut self, regenerated: usize) -> AndersenUpdate {
-        self.released.extend(self.unbound.drain().map(|(_, v)| v));
+        self.buf
+            .released
+            .extend(self.buf.unbound.drain().map(|(_, v)| v));
         let a = &mut *self.a;
         let mut changed = BTreeSet::new();
         for (&v, (row, was_live)) in &self.before {
@@ -1381,31 +1376,23 @@ impl<'a> Solver<'a> {
                 changed.insert(FuncId(a.vars[v as usize].owner));
             }
         }
-        for &v in &self.released {
+        for &v in &self.buf.released {
             debug_assert!(a.pts[v as usize].is_empty(), "no block names it");
             a.vars[v as usize].owner = NO_OWNER;
         }
-        a.free_vars.append(&mut self.released);
+        a.free_vars.append(&mut self.buf.released);
         if self.retracted {
             // Sized by a pass over the whole system: an edit's update needs
             // a fraction of them.
-            (self.queued, self.queue) = (Vec::new(), VecDeque::new());
+            (self.buf.queued, self.buf.queue) = (Vec::new(), VecDeque::new());
         }
-        self.arg_seen.clear();
-        debug_assert!(self.added.is_empty() && self.queue.is_empty());
-        debug_assert!(self.queued.iter().all(|&w| w == 0), "the worklist ran dry");
-        a.buffers = SolverBuffers {
-            arg_seen: self.arg_seen,
-            added: self.added,
-            queued: self.queued,
-            queue: self.queue,
-            released: self.released,
-            unbound: self.unbound,
-            scratch: self.scratch,
-            fresh: self.fresh,
-            old_block: self.old_block,
-            new_block: self.new_block,
-        };
+        self.buf.arg_seen.clear();
+        debug_assert!(self.buf.added.is_empty() && self.buf.queue.is_empty());
+        debug_assert!(
+            self.buf.queued.iter().all(|&w| w == 0),
+            "the worklist ran dry"
+        );
+        a.buffers = self.buf;
         AndersenUpdate {
             regenerated,
             changed: changed.into_iter().collect(),
@@ -1582,7 +1569,7 @@ impl AndersenAlias {
         let prev_blocks = std::mem::replace(&mut self.blocks, vec![Block::default(); n]);
         let prev_locals = std::mem::take(&mut self.local_vars);
         let prev_cons = std::mem::take(&mut self.constraints);
-        let b = std::mem::take(&mut self.buffers);
+        let buf = std::mem::take(&mut self.buffers);
         let mut s = Solver {
             m,
             a: self,
@@ -1592,21 +1579,12 @@ impl AndersenAlias {
             generating: false,
             gen_locals: 0,
             gen_old: &[],
-            arg_seen: b.arg_seen,
-            added: b.added,
             retracted: false,
             reset: 0,
-            queued: b.queued,
-            queue: b.queue,
             // The rows it captures are the update's result, sized by how
             // far the edit reached; nothing of them is kept.
             before: HashMap::new(),
-            released: b.released,
-            unbound: b.unbound,
-            scratch: b.scratch,
-            fresh: b.fresh,
-            old_block: b.old_block,
-            new_block: b.new_block,
+            buf,
         };
         // A signature moved: every block is stale, and what the old ones
         // put on that function's arguments is retracted.
@@ -1684,14 +1662,14 @@ impl AndersenAlias {
                 }
             }
         } else {
-            let mut added = std::mem::take(&mut s.added);
+            let mut added = std::mem::take(&mut s.buf.added);
             for (fid, c) in added.drain(..) {
                 s.add(fid, c);
             }
-            s.added = added;
+            s.buf.added = added;
         }
         s.settle_roots(if s.retracted { 0 } else { known });
-        while let Some(v) = s.queue.pop_front() {
+        while let Some(v) = s.buf.queue.pop_front() {
             s.visit(v);
         }
         s.finish(regenerated)

@@ -131,6 +131,12 @@ impl Environment {
 pub struct EnvironmentBuilder;
 
 impl EnvironmentBuilder {
+    /// The most instructions [`EnvironmentBuilder::store_slot`] or
+    /// [`EnvironmentBuilder::load_slot`] writes for one slot: the slot's
+    /// address, the access, and the two casts an `f32` takes. Emitters size
+    /// the blocks they fill with it.
+    pub const MAX_SLOT_ACCESS_LEN: usize = 4;
+
     /// Allocate an environment of `slots` 64-bit entries at the end of
     /// `block` (before its terminator, if any). Returns the `i64*` base.
     pub fn alloc(f: &mut Function, block: BlockId, slots: usize) -> Value {
@@ -339,38 +345,35 @@ mod tests {
     #[test]
     fn env_builder_round_trips_types() {
         // Store + load each scalar type through an env slot; then verify.
+        let types = [
+            Type::I64,
+            Type::F64,
+            Type::I64.ptr_to(),
+            Type::I32,
+            Type::F32,
+        ];
         let mut m = Module::new("t");
-        let mut b = FunctionBuilder::new(
-            "f",
-            vec![
-                ("x", Type::I64),
-                ("y", Type::F64),
-                ("p", Type::I64.ptr_to()),
-                ("s", Type::I32),
-            ],
-            Type::Void,
-        );
+        let params = ["x", "y", "p", "s", "z"].into_iter().zip(types.clone());
+        let mut b = FunctionBuilder::new("f", params.collect(), Type::Void);
         let entry = b.entry_block();
         b.switch_to(entry);
         b.ret(None);
         let fid = m.add_function(b.finish());
         let f = m.func_mut(fid);
         let entry = f.entry();
-        let env = EnvironmentBuilder::alloc(f, entry, 4);
-        for (i, ty) in [Type::I64, Type::F64, Type::I64.ptr_to(), Type::I32]
-            .iter()
-            .enumerate()
-        {
-            EnvironmentBuilder::store_slot(
-                f,
-                entry,
-                env,
-                Value::const_i64(i as i64),
-                Value::Arg(i as u32),
-                ty,
-            );
-            let _v = EnvironmentBuilder::load_slot(f, entry, env, Value::const_i64(i as i64), ty);
+        let env = EnvironmentBuilder::alloc(f, entry, types.len());
+        let mut longest = 0;
+        for (i, ty) in types.iter().enumerate() {
+            let slot = Value::const_i64(i as i64);
+            let before = f.block(entry).insts.len();
+            EnvironmentBuilder::store_slot(f, entry, env, slot, Value::Arg(i as u32), ty);
+            let stored = f.block(entry).insts.len();
+            let _v = EnvironmentBuilder::load_slot(f, entry, env, slot, ty);
+            let loaded = f.block(entry).insts.len();
+            longest = longest.max(stored - before).max(loaded - stored);
         }
+        // The emitters reserve by this bound: it must hold, and be tight.
+        assert_eq!(longest, EnvironmentBuilder::MAX_SLOT_ACCESS_LEN);
         noelle_ir::verifier::verify_module(&m).expect("casts type-check");
     }
 

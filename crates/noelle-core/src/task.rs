@@ -136,9 +136,11 @@ pub fn outline_loop_as_task(
         ],
         Type::Void,
     );
-    // A slot load or store is at most four instructions, a live-out's
-    // index three more.
-    let (loads, stores) = (4 * env.live_ins.len() + 1, 7 * env.live_outs.len() + 1);
+    // A slot load or store per live-in and live-out, a live-out's index
+    // three more, and each block's terminator.
+    let access = EnvironmentBuilder::MAX_SLOT_ACCESS_LEN;
+    let loads = access * env.live_ins.len() + 1;
+    let stores = (access + 3) * env.live_outs.len() + 1;
     task.reserve(l.blocks.len() + 2, loop_insts + loads + stores);
     let entry = task.add_block("entry");
     task.reserve_in(entry, loads);

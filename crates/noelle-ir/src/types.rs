@@ -295,17 +295,27 @@ impl fmt::Display for TypeView<'_> {
             TypeView::Is(t) => write!(f, "{t}"),
             TypeView::PtrTo(t) => write!(f, "{t}*"),
             TypeView::FuncPtr(params, ret) => {
-                write!(f, "fn {ret}(")?;
-                for (i, (_, t)) in params.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    write!(f, "{t}")?;
-                }
-                write!(f, ")*")
+                write_fn_sig(f, ret, params.iter().map(|(_, t)| t))?;
+                write!(f, "*")
             }
         }
     }
+}
+
+/// Write the function type `fn ret(p0, p1, ...)`.
+fn write_fn_sig<'t>(
+    f: &mut fmt::Formatter<'_>,
+    ret: &Type,
+    params: impl Iterator<Item = &'t Type>,
+) -> fmt::Result {
+    write!(f, "fn {ret}(")?;
+    for (i, t) in params.enumerate() {
+        if i > 0 {
+            write!(f, ", ")?;
+        }
+        write!(f, "{t}")?;
+    }
+    write!(f, ")")
 }
 
 impl fmt::Display for Type {
@@ -326,16 +336,7 @@ impl fmt::Display for Type {
                 }
                 write!(f, "}}")
             }
-            Type::Func(ft) => {
-                write!(f, "fn {}(", ft.ret)?;
-                for (i, t) in ft.params.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    write!(f, "{t}")?;
-                }
-                write!(f, ")")
-            }
+            Type::Func(ft) => write_fn_sig(f, &ft.ret, ft.params.iter()),
         }
     }
 }

@@ -564,12 +564,13 @@ pub fn emit_dispatcher(
 
     let f = m.func_mut(fid);
     let pre = ensure_preheader(f, l)?;
-    // The environment, a store of at most four instructions per live-in, a
-    // call and a store per queue, the dispatch call and the branch; the
-    // merge loop's counter, and a phi, a slot load and two operations per
+    // The environment, a slot store per live-in, a call and a slot store
+    // per queue, the dispatch call and the branch; the merge loop's counter
+    // and branch, and a phi, a slot's index, its load and the fold per
     // live-out.
-    let dispatch_len = 4 * env.live_ins.len() + 4 * n_queues + 3;
-    let merge_len = 4 + 8 * env.live_outs.len();
+    let access = EnvironmentBuilder::MAX_SLOT_ACCESS_LEN;
+    let dispatch_len = access * env.live_ins.len() + (1 + access) * n_queues + 3;
+    let merge_len = 4 + (3 + access) * env.live_outs.len();
     f.reserve(2, dispatch_len + merge_len);
     let dispatch = f.add_block("dispatch");
     f.reserve_in(dispatch, dispatch_len);

@@ -231,7 +231,7 @@ pub fn emit(
     let mut stages = Vec::with_capacity(plan.n_stages);
     for s in 0..plan.n_stages {
         let task = outline(m, fid, la, format!("{fname}.dswp.{header}.stage{s}"))?;
-        prune_stage(m, la, &task, s, plan, &owners);
+        prune_stage(m, la, &task, s, plan, &owners)?;
         stages.push(task);
     }
     // Trampoline: dispatch target that forwards to the stage of task_id.
@@ -425,7 +425,14 @@ fn prune_stage(
     stage: usize,
     plan: &StagePlan,
     owners: &[(InstId, Option<usize>)],
-) {
+) -> Result<(), ParallelizeError> {
+    // Both are loop blocks: the gate took them off the loop.
+    let (Some(latch), Some(token_block)) = (task.block(plan.latch), task.block(plan.token_block))
+    else {
+        return Err(ParallelizeError::Shape(
+            "the pipeline's latch or token block is not a loop block".into(),
+        ));
+    };
     let (n_value_queues, n_stages) = (plan.value_queues.len(), plan.n_stages);
     let pop_fn = m.get_or_declare(QUEUE_POP_INTRINSIC, || (vec![Type::I64], Type::I64));
     let push_fn = m.get_or_declare(QUEUE_PUSH_INTRINSIC, || {
@@ -434,11 +441,6 @@ fn prune_stage(
 
     // Load all queue ids in the entry block (before its terminator).
     let env_base_slot = la.env.num_slots(n_stages) as i64;
-    // Both are loop blocks: the gate took them off the loop.
-    let (Some(latch), Some(token_block)) = (task.block(plan.latch), task.block(plan.token_block))
-    else {
-        return;
-    };
     let tf = m.func_mut(task.fid);
     let qids: Vec<Value> = (0..plan.n_queues() as i64)
         .map(|qi| {
@@ -558,6 +560,7 @@ fn prune_stage(
     for id in tf.inst_ids() {
         tf.inst_mut(id).map_operands(replaced);
     }
+    Ok(())
 }
 
 /// Build `void tramp(env, id, n)` that forwards to `stages[id]`.

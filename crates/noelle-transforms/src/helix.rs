@@ -221,7 +221,7 @@ pub fn emit(
         .unwrap_or(0);
     let task = outline(m, fid, la, name)?;
     distribute_cyclically(m, &task, la)?;
-    bracket_segments(m, &task, segments, seg_base);
+    bracket_segments(m, &task, segments, seg_base)?;
     emit_dispatcher(m, fid, la, &task, task.fid, workers, 0)?;
     let next = seg_base + segments.groups.len() as i64;
     m.metadata
@@ -231,17 +231,25 @@ pub fn emit(
 
 /// Insert the iteration counter and the wait/signal brackets into the task
 /// clone.
-fn bracket_segments(m: &mut Module, task: &TaskFunction, segments: &Segments, seg_base: i64) {
+fn bracket_segments(
+    m: &mut Module,
+    task: &TaskFunction,
+    segments: &Segments,
+    seg_base: i64,
+) -> Result<(), ParallelizeError> {
     let Some(latch) = segments.latch else {
-        return; // no segments
+        return Ok(()); // no segments
+    };
+    // A loop block: the gate took it off the loop.
+    let Some(latch) = task.block(latch) else {
+        return Err(ParallelizeError::Shape(
+            "the segments' latch is not a loop block".into(),
+        ));
     };
     let wait = m.get_or_declare(SS_WAIT_INTRINSIC, || {
         (vec![Type::I64, Type::I64], Type::Void)
     });
     let signal = m.get_or_declare(SS_SIGNAL_INTRINSIC, || (vec![Type::I64], Type::Void));
-    let Some(latch) = task.block(latch) else {
-        return; // not a loop block: the gate found none to bracket
-    };
     let tf = m.func_mut(task.fid);
 
     // Global iteration counter: k = phi [entry: task_id] [latch: k + n_tasks].
@@ -315,6 +323,7 @@ fn bracket_segments(m: &mut Module, task: &TaskFunction, segments: &Segments, se
             },
         );
     }
+    Ok(())
 }
 
 #[cfg(test)]
