@@ -1660,23 +1660,40 @@ global @both : i64 = i64 0
 
     #[test]
     fn spans_cover_each_define() {
-        let (m, spans) = parse_module_spanned(LOOP_SRC).expect("parses");
-        assert_eq!(spans.len(), 1);
-        let s = &spans[0];
-        assert_eq!(s.name, "sum");
-        let lines: Vec<&str> = LOOP_SRC.split('\n').collect();
-        assert!(lines[s.start_line - 1].starts_with("define i64 @sum"));
-        assert_eq!(lines[s.end_line - 1].trim(), "}");
-        assert!(s.start_line < s.end_line);
-        // Re-parsing exactly the spanned lines yields the same function.
-        let snippet = lines[s.start_line - 1..s.end_line].join("\n");
-        let f = parse_function_text(&m, &snippet).expect("snippet parses");
-        let fid = m.func_id_by_name("sum").unwrap();
-        assert_eq!(
-            f.fingerprints(),
-            m.func(fid).fingerprints(),
-            "snippet reparse is content-identical"
-        );
+        let m = parse_module(LOOP_SRC).unwrap();
+        let fingerprints = m.func_by_name("sum").unwrap().fingerprints();
+        // Lines end in `\n` or `\r\n`, and a `;` comment runs to the end of
+        // its line, on a line of its own or after the code.
+        let crlf = LOOP_SRC.replace('\n', "\r\n");
+        let trailing = LOOP_SRC.replace('\n', " ; a note {\n");
+        let own_lines = LOOP_SRC.replace('\n', "\n; } define\n");
+        let both = LOOP_SRC.replace('\n', "\r\n  ;\u{a0}x\r\n");
+        for (src, start_line, end_line) in [
+            (LOOP_SRC, 10, 24),
+            (crlf.as_str(), 10, 24),
+            (trailing.as_str(), 10, 24),
+            (own_lines.as_str(), 19, 47),
+            (both.as_str(), 19, 47),
+        ] {
+            let (m, spans) = parse_module_spanned(src).expect("parses");
+            assert_eq!(spans.len(), 1);
+            let s = &spans[0];
+            assert_eq!(
+                (s.name.as_str(), s.start_line, s.end_line),
+                ("sum", start_line, end_line)
+            );
+            let lines: Vec<&str> = src.split('\n').collect();
+            assert!(lines[s.start_line - 1].starts_with("define i64 @sum"));
+            assert!(lines[s.end_line - 1].starts_with('}'));
+            // Re-parsing exactly the spanned lines yields the same function.
+            let snippet = lines[s.start_line - 1..s.end_line].join("\n");
+            let f = parse_function_text(&m, &snippet).expect("snippet parses");
+            assert_eq!(
+                f.fingerprints(),
+                fingerprints,
+                "snippet reparse is content-identical"
+            );
+        }
     }
 
     #[test]

@@ -103,14 +103,22 @@ fn parser_and_printer_reproduce_the_recorded_golden() {
         ));
     }
     doc.push_str("\n]\n");
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/corpus/ir/text_golden.json"
-    );
-    let golden = std::fs::read_to_string(path).unwrap_or_default();
+    assert_matches_golden(&doc, "text_golden.json");
+}
+
+/// `doc` must equal `tests/corpus/ir/<file>` byte for byte; otherwise it is
+/// written beside the test binary, `<file>` with `.actual` before the
+/// extension, and the first line that differs is reported.
+fn assert_matches_golden(doc: &str, file: &str) {
+    let path = format!("{}/tests/corpus/ir/{file}", env!("CARGO_MANIFEST_DIR"));
+    let golden = std::fs::read_to_string(&path).unwrap_or_default();
     if doc != golden {
-        let actual = concat!(env!("CARGO_TARGET_TMPDIR"), "/text_golden.actual.json");
-        std::fs::write(actual, &doc).expect("writes the actual document");
+        let actual = format!(
+            "{}/{}",
+            env!("CARGO_TARGET_TMPDIR"),
+            file.replace(".json", ".actual.json")
+        );
+        std::fs::write(&actual, doc).expect("writes the actual document");
         let line = doc
             .lines()
             .zip(golden.lines().chain(std::iter::repeat("")))
@@ -120,6 +128,145 @@ fn parser_and_printer_reproduce_the_recorded_golden() {
             "IR text diverges from {path} (actual written to {actual}); first difference: {line}"
         );
     }
+}
+
+/// What a text mutant inserts: the bytes at the lexer's every branch —
+/// Unicode and ASCII space, a comment, string quotes and escapes, the
+/// starts of numbers and names, line ends, punctuation, a float the
+/// integer scan gives up on, `%v<n>` either side of the numbered table's
+/// bound, and an integer past `i64`.
+const INSERTS: [&str; 28] = [
+    "\u{a0}",
+    "\u{2028}",
+    ";",
+    "\"",
+    "\\",
+    "-",
+    "0",
+    "9",
+    "%",
+    "@",
+    "e",
+    ".",
+    "\n",
+    "\r",
+    "\t",
+    "é",
+    "{",
+    "}",
+    "[",
+    "]",
+    "!",
+    "=",
+    "*",
+    "-inf",
+    "1e",
+    "%v65536",
+    "%v0",
+    "12345678901234567890",
+];
+
+/// One edit of `text`: delete 1–4 bytes, insert one of [`INSERTS`], or
+/// truncate, at a uniform byte position; drawn again until the result is
+/// UTF-8, the parser's input type.
+fn text_mutant(text: &str, rng: &mut SplitMix64) -> String {
+    loop {
+        let mut bytes = text.as_bytes().to_vec();
+        let at = rng.below(bytes.len() as u64 + 1) as usize;
+        match rng.below(3) {
+            0 => {
+                let end = (at + 1 + rng.below(4) as usize).min(bytes.len());
+                bytes.drain(at..end);
+            }
+            1 => {
+                let piece = INSERTS[rng.below(INSERTS.len() as u64) as usize];
+                bytes.splice(at..at, piece.bytes());
+            }
+            _ => bytes.truncate(at),
+        }
+        if let Ok(mutant) = String::from_utf8(bytes) {
+            return mutant;
+        }
+    }
+}
+
+/// `text` as a JSON string literal.
+fn json_string(text: &str) -> String {
+    let mut out = String::from("\"");
+    for ch in text.chars() {
+        match ch {
+            '"' | '\\' => {
+                out.push('\\');
+                out.push(ch);
+            }
+            c if u32::from(c) < 0x20 => out.push_str(&format!("\\u{:04x}", u32::from(c))),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+/// `tests/corpus/ir/parse_outcomes.json` was recorded with the lexer that
+/// stepped through whitespace, names and punctuation one `Option` at a time:
+/// for seeded mutants of the 42 workloads' printed texts (the corpus and
+/// `pdg_stress`) and of `scale_module(256)`'s, it holds the FNV-64 of the printed module and its
+/// `define` spans where the mutant parses, and the error's line, column
+/// and message where it does not. However the text is read, what it means
+/// and where it is wrong must not move.
+#[test]
+fn every_mutant_parses_or_fails_as_recorded() {
+    const MUTANTS_PER_WORKLOAD: usize = 80;
+    const SCALE_MUTANTS: usize = 40;
+    let texts = all()
+        .into_iter()
+        .chain(std::iter::once(pdg_stress()))
+        .map(|w| {
+            (
+                w.name.to_string(),
+                print_module(&w.build()),
+                MUTANTS_PER_WORKLOAD,
+            )
+        })
+        .chain(std::iter::once((
+            "scale_module(256)".to_string(),
+            print_module(&scale_module(256, 1)),
+            SCALE_MUTANTS,
+        )));
+    let mut rng = SplitMix64::new(0x5445_5854_494e);
+    let (mut parsed, mut failed) = (0, 0);
+    let mut doc = String::from("[\n");
+    for (name, text, count) in texts {
+        for i in 0..count {
+            let mutant = text_mutant(&text, &mut rng);
+            let outcome = match parse_module_spanned(&mutant) {
+                Ok((m, spans)) => {
+                    parsed += 1;
+                    let mut printed = print_module(&m);
+                    for s in &spans {
+                        printed.push_str(&format!("\n{} {} {}", s.name, s.start_line, s.end_line));
+                    }
+                    format!("\"parses\": \"{:016x}\"", fnv64(printed.as_bytes()))
+                }
+                Err(e) => {
+                    failed += 1;
+                    let message = json_string(&e.message);
+                    format!("\"fails\": [{}, {}, {message}]", e.line, e.column)
+                }
+            };
+            if doc.len() > 2 {
+                doc.push_str(",\n");
+            }
+            doc.push_str(&format!("  {{\"mutant\": \"{name}#{i}\", {outcome}}}"));
+        }
+    }
+    doc.push_str("\n]\n");
+    // The golden must hold both outcomes, or it shows nothing.
+    assert!(
+        parsed > 100 && failed > 1000,
+        "{parsed} parse, {failed} fail"
+    );
+    assert_matches_golden(&doc, "parse_outcomes.json");
 }
 
 /// One random byte-level edit of `text`: overwrite, insert, delete, or
