@@ -3,10 +3,18 @@
 //! Used by the PDG builder to decide whether a call can depend on a memory
 //! access, and by the invariant analysis (Algorithm 1 in the paper queries
 //! `getModRefBehavior` on calls).
+//!
+//! The summaries are one dense table: a byte per function, indexed by
+//! [`FuncId`], holding a read, a write and an I/O bit. Both fixed points
+//! (whole-module and scoped) index it instead of hashing, and a call's
+//! three answers come from one load. A function without a summary (past
+//! the table's end, or a gap a scoped recomputation left) holds a byte
+//! with every bit set: it reads as "may do anything", and differs from
+//! every summary a function can have, so a summary that appears counts as
+//! moved.
 
 use noelle_ir::inst::{Callee, Inst, InstId};
-use noelle_ir::module::{FuncId, Module};
-use std::collections::HashMap;
+use noelle_ir::module::{FuncId, Function, Module};
 
 /// Memory behaviour of a known external (declared) function.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -99,23 +107,69 @@ pub fn external_effects(name: &str) -> ExternalEffect {
     }
 }
 
-/// A function's three summary bits, each `None` where it had none.
-type Summary = (Option<bool>, Option<bool>, Option<bool>);
+// A summary's bits.
+const READS: u8 = 1;
+const WRITES: u8 = 2;
+const IO: u8 = 4;
+/// What a function without a summary may do: anything.
+const UNKNOWN: u8 = u8::MAX;
+
+/// A function's summary before its body is looked at: a declaration's
+/// known effects, nothing for a body.
+fn base(f: &Function) -> u8 {
+    if !f.is_declaration() {
+        return 0;
+    }
+    let e = external_effects(&f.name);
+    u8::from(e.reads_memory) * READS | u8::from(e.writes_memory) * WRITES | u8::from(e.io) * IO
+}
+
+/// Raises the summary of every defined function among `fids` to its
+/// body's effects under `table`, until nothing moves.
+fn solve(m: &Module, fids: impl Iterator<Item = FuncId> + Clone, table: &mut [u8]) {
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for fid in fids.clone() {
+            let f = m.func(fid);
+            if f.is_declaration() {
+                continue;
+            }
+            let mut bits = table[fid.index()];
+            for id in f.inst_iter() {
+                match f.inst(id) {
+                    Inst::Load { .. } => bits |= READS,
+                    Inst::Store { .. } => bits |= WRITES,
+                    Inst::Call { callee, .. } => {
+                        bits |= match callee {
+                            Callee::Direct(cid) => table.get(cid.index()).map_or(UNKNOWN, |&b| b),
+                            Callee::Indirect(_) => UNKNOWN,
+                        } & (READS | WRITES | IO)
+                    }
+                    _ => {}
+                }
+            }
+            if bits != table[fid.index()] {
+                table[fid.index()] = bits;
+                changed = true;
+            }
+        }
+    }
+}
 
 /// The working lists of [`ModRefSummaries::recompute_scoped`], kept by its
 /// caller so that a recomputation allocates nothing once they have grown.
 #[derive(Default)]
 pub struct ModRefBuffers {
-    before: Vec<Summary>,
+    before: Vec<u8>,
     moved: Vec<FuncId>,
 }
 
 /// Bottom-up memory summaries for every function of a module.
 #[derive(Clone, Debug)]
 pub struct ModRefSummaries {
-    reads: HashMap<FuncId, bool>,
-    writes: HashMap<FuncId, bool>,
-    io: HashMap<FuncId, bool>,
+    /// A summary's bits per function, indexed by `FuncId`.
+    table: Vec<u8>,
 }
 
 impl ModRefSummaries {
@@ -123,61 +177,9 @@ impl ModRefSummaries {
     /// indirect calls are conservatively assumed to read, write, and perform
     /// I/O.
     pub fn compute(m: &Module) -> ModRefSummaries {
-        let mut reads: HashMap<FuncId, bool> = HashMap::new();
-        let mut writes: HashMap<FuncId, bool> = HashMap::new();
-        let mut io: HashMap<FuncId, bool> = HashMap::new();
-        for fid in m.func_ids() {
-            let f = m.func(fid);
-            if f.is_declaration() {
-                let e = external_effects(&f.name);
-                reads.insert(fid, e.reads_memory);
-                writes.insert(fid, e.writes_memory);
-                io.insert(fid, e.io);
-            } else {
-                reads.insert(fid, false);
-                writes.insert(fid, false);
-                io.insert(fid, false);
-            }
-        }
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for fid in m.func_ids() {
-                let f = m.func(fid);
-                if f.is_declaration() {
-                    continue;
-                }
-                let mut r = reads[&fid];
-                let mut w = writes[&fid];
-                let mut o = io[&fid];
-                for id in f.inst_iter() {
-                    match f.inst(id) {
-                        Inst::Load { .. } => r = true,
-                        Inst::Store { .. } => w = true,
-                        Inst::Call { callee, .. } => match callee {
-                            Callee::Direct(cid) => {
-                                r |= reads[cid];
-                                w |= writes[cid];
-                                o |= io[cid];
-                            }
-                            Callee::Indirect(_) => {
-                                r = true;
-                                w = true;
-                                o = true;
-                            }
-                        },
-                        _ => {}
-                    }
-                }
-                if r != reads[&fid] || w != writes[&fid] || o != io[&fid] {
-                    reads.insert(fid, r);
-                    writes.insert(fid, w);
-                    io.insert(fid, o);
-                    changed = true;
-                }
-            }
-        }
-        ModRefSummaries { reads, writes, io }
+        let mut table: Vec<u8> = m.functions().iter().map(base).collect();
+        solve(m, (0..table.len() as u32).map(FuncId), &mut table);
+        ModRefSummaries { table }
     }
 
     /// Recompute the summaries of `affected` functions (ascending) in
@@ -202,87 +204,50 @@ impl ModRefSummaries {
         affected: &[FuncId],
         buf: &'b mut ModRefBuffers,
     ) -> &'b [FuncId] {
-        let summary = |s: &ModRefSummaries, fid: FuncId| {
-            (
-                s.reads.get(&fid).copied(),
-                s.writes.get(&fid).copied(),
-                s.io.get(&fid).copied(),
-            )
-        };
         buf.before.clear();
         buf.before
-            .extend(affected.iter().map(|&fid| summary(self, fid)));
+            .extend(affected.iter().map(|&fid| self.bits(fid)));
+        if let Some(last) = affected.iter().map(|fid| fid.index()).max() {
+            if last >= self.table.len() {
+                self.table.resize(last + 1, UNKNOWN);
+            }
+        }
         for &fid in affected {
-            let f = m.func(fid);
-            if f.is_declaration() {
-                let e = external_effects(&f.name);
-                self.reads.insert(fid, e.reads_memory);
-                self.writes.insert(fid, e.writes_memory);
-                self.io.insert(fid, e.io);
-            } else {
-                self.reads.insert(fid, false);
-                self.writes.insert(fid, false);
-                self.io.insert(fid, false);
-            }
+            self.table[fid.index()] = base(m.func(fid));
         }
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &fid in affected {
-                let f = m.func(fid);
-                if f.is_declaration() {
-                    continue;
-                }
-                let mut r = self.reads[&fid];
-                let mut w = self.writes[&fid];
-                let mut o = self.io[&fid];
-                for id in f.inst_iter() {
-                    match f.inst(id) {
-                        Inst::Load { .. } => r = true,
-                        Inst::Store { .. } => w = true,
-                        Inst::Call { callee, .. } => match callee {
-                            Callee::Direct(cid) => {
-                                r |= self.reads.get(cid).copied().unwrap_or(true);
-                                w |= self.writes.get(cid).copied().unwrap_or(true);
-                                o |= self.io.get(cid).copied().unwrap_or(true);
-                            }
-                            Callee::Indirect(_) => {
-                                r = true;
-                                w = true;
-                                o = true;
-                            }
-                        },
-                        _ => {}
-                    }
-                }
-                if r != self.reads[&fid] || w != self.writes[&fid] || o != self.io[&fid] {
-                    self.reads.insert(fid, r);
-                    self.writes.insert(fid, w);
-                    self.io.insert(fid, o);
-                    changed = true;
-                }
-            }
-        }
+        solve(m, affected.iter().copied(), &mut self.table);
         let moved = affected.iter().zip(&buf.before);
-        let moved = moved.filter(|&(&fid, &old)| summary(self, fid) != old);
+        let moved = moved.filter(|&(&fid, &old)| self.bits(fid) != old);
         buf.moved.clear();
         buf.moved.extend(moved.map(|(&fid, _)| fid));
         &buf.moved
     }
 
+    /// The summary bits of `fid`; all of them where it has no summary.
+    fn bits(&self, fid: FuncId) -> u8 {
+        self.table.get(fid.index()).map_or(UNKNOWN, |&b| b)
+    }
+
+    /// Whether function `fid` may read caller-visible memory, write it, and
+    /// perform I/O, in one lookup: what a call to it may do.
+    pub fn effects(&self, fid: FuncId) -> (bool, bool, bool) {
+        let bits = self.bits(fid);
+        (bits & READS != 0, bits & WRITES != 0, bits & IO != 0)
+    }
+
     /// True if function `fid` may read caller-visible memory.
     pub fn may_read(&self, fid: FuncId) -> bool {
-        self.reads.get(&fid).copied().unwrap_or(true)
+        self.bits(fid) & READS != 0
     }
 
     /// True if function `fid` may write caller-visible memory.
     pub fn may_write(&self, fid: FuncId) -> bool {
-        self.writes.get(&fid).copied().unwrap_or(true)
+        self.bits(fid) & WRITES != 0
     }
 
     /// True if function `fid` may perform I/O or other non-memory effects.
     pub fn has_io(&self, fid: FuncId) -> bool {
-        self.io.get(&fid).copied().unwrap_or(true)
+        self.bits(fid) & IO != 0
     }
 
     /// May the call instruction `id` of function `fid` read memory?

@@ -58,9 +58,12 @@ impl fmt::Display for ParseError {
 
 impl Error for ParseError {}
 
-type Result<T> = std::result::Result<T, ParseError>;
+/// What the parse passes up: a failure is boxed, so that a `Result` of a
+/// token's worth of value (`()`, a `Value`, a `Type`) is as small as the
+/// value, and every `?` on the way is a test of one word.
+type Result<T> = std::result::Result<T, Box<ParseError>>;
 
-#[derive(Clone, Copy, PartialEq, Debug)]
+#[derive(Clone, Copy, Debug)]
 enum Tok<'a> {
     Ident(&'a str),
     Local(&'a str), // %name
@@ -80,32 +83,56 @@ enum Tok<'a> {
 }
 
 /// Where a token sits in the source: its byte range and 1-based line.
-#[derive(Clone, Copy, Default)]
+#[derive(Clone, Copy)]
 struct At {
     start: usize,
     end: usize,
     line: usize,
 }
 
-// The lexer's byte classes.
-/// A byte of a name: alphanumeric, `_`, `.` or `$`.
-const NAME: u8 = 1;
+// The lexer's byte classes: what a byte starts, and whether a name goes on
+// through it. The three that a name goes on through come first.
+/// `a`–`z`, `A`–`Z` and `_`: a word, or a name's next byte.
+const LETTER: u8 = 1;
+/// `0`–`9`: a number, or a name's next byte.
+const DIGIT: u8 = 2;
+/// `.` and `$`: a name's next byte, and nothing by themselves.
+const NAME_ONLY: u8 = 3;
 /// Space that does not end a line.
-const SPACE: u8 = 2;
+const SPACE: u8 = 4;
+const NEWLINE: u8 = 5;
+/// `;`: a comment, to the end of its line.
+const COMMENT: u8 = 6;
 /// A byte that is a token by itself.
-const PUNCT: u8 = 3;
+const PUNCT: u8 = 7;
+/// `%`, `@`, `"` and `-`: a `%name`, an `@name`, a string, a number.
+const PERCENT: u8 = 8;
+const AT_SIGN: u8 = 9;
+const QUOTE: u8 = 10;
+const MINUS: u8 = 11;
+/// A byte of a multi-byte character: Unicode space, or a stray character.
+const HIGH: u8 = 12;
 
-/// The class of every byte, 0 for none of the above.
+/// The class of every byte, 0 for one that starts nothing.
 static CLASSES: [u8; 256] = {
     let mut classes = [0; 256];
     let mut c = 0;
     while c < 256 {
         let b = c as u8;
         classes[c] = match b {
-            b'_' | b'.' | b'$' => NAME,
-            _ if b.is_ascii_alphanumeric() => NAME,
+            b'_' => LETTER,
+            _ if b.is_ascii_alphabetic() => LETTER,
+            b'0'..=b'9' => DIGIT,
+            b'.' | b'$' => NAME_ONLY,
             b' ' | b'\t' | b'\r' | 0x0b | 0x0c => SPACE,
+            b'\n' => NEWLINE,
+            b';' => COMMENT,
             b'{' | b'}' | b'[' | b']' | b'(' | b')' | b',' | b':' | b'=' | b'*' | b'!' => PUNCT,
+            b'%' => PERCENT,
+            b'@' => AT_SIGN,
+            b'"' => QUOTE,
+            b'-' => MINUS,
+            0x80.. => HIGH,
             _ => 0,
         };
         c += 1;
@@ -117,31 +144,58 @@ fn class(c: u8) -> u8 {
     CLASSES[usize::from(c)]
 }
 
-/// `n` if `name` is `v<n>` with `n` spelled as the printer writes it (`0`
-/// or without a leading `0`, the rule of `generated_index`) and below 2^16.
-/// Every `%name` passes through here, so the digits are read by hand:
-/// `generated_index`'s `str::parse` cost 0.9 ms of a 13 ms parse.
-fn number(name: &str) -> Option<u16> {
-    let digits = name.strip_prefix('v')?.as_bytes();
-    if digits.is_empty() || digits.len() > 5 || (digits[0] == b'0' && digits.len() > 1) {
-        return None;
-    }
-    let mut n = 0u32;
-    for &d in digits {
-        if !d.is_ascii_digit() {
-            return None;
-        }
-        n = n * 10 + u32::from(d - b'0');
-    }
-    u16::try_from(n).ok()
+/// A byte a name goes on through: alphanumeric, `_`, `.` or `$`.
+fn is_name_byte(c: u8) -> bool {
+    matches!(class(c), LETTER | DIGIT | NAME_ONLY)
 }
 
-/// The lexer: a byte position in the source plus one token of lookahead.
+/// The end of the run of name bytes that starts at `from`.
+fn name_end(bytes: &[u8], from: usize) -> usize {
+    let mut end = from;
+    while end < bytes.len() && is_name_byte(bytes[end]) {
+        end += 1;
+    }
+    end
+}
+
+/// The number `n` and the end of the name at `from`, if it is `v<n>` with
+/// `n` spelled as the printer writes it (`0` or without a leading `0`, the
+/// rule of `generated_index`) and below 2^16. Most `%names` are, so the
+/// digits are read on the way rather than from a name found first:
+/// `generated_index`'s `str::parse` cost 0.9 ms of a 13 ms parse.
+fn numbered(bytes: &[u8], from: usize) -> Option<(u16, usize)> {
+    if bytes.get(from) != Some(&b'v') {
+        return None;
+    }
+    let digits = from + 1;
+    let mut end = digits;
+    let mut n = 0u32;
+    while end < bytes.len() && end - digits < 6 && bytes[end].is_ascii_digit() {
+        n = n * 10 + u32::from(bytes[end] - b'0');
+        end += 1;
+    }
+    let len = end - digits;
+    let name_goes_on = end < bytes.len() && is_name_byte(bytes[end]);
+    if name_goes_on || len == 0 || len > 5 || (bytes[digits] == b'0' && len > 1) {
+        return None;
+    }
+    Some((u16::try_from(n).ok()?, end))
+}
+
+/// The length of the Unicode whitespace that `rest` starts with, if it
+/// does: any of it separates tokens.
+#[cold]
+fn unicode_space(rest: &str) -> Option<usize> {
+    rest.chars()
+        .next()
+        .filter(|ch| ch.is_whitespace())
+        .map(char::len_utf8)
+}
+
+/// The lexer: the source plus one token of lookahead. The next scan starts
+/// where the lookahead token ends, on its line: no token spans a line end.
 struct Cursor<'a> {
     src: &'a str,
-    /// First byte after the lookahead token, and the line it is on.
-    pos: usize,
-    line: usize,
     tok: Tok<'a>,
     at: At,
     bad: String,
@@ -149,14 +203,16 @@ struct Cursor<'a> {
 
 impl<'a> Cursor<'a> {
     fn new(src: &'a str) -> Cursor<'a> {
-        let (tok, at, bad) = (Tok::Eof, At::default(), String::new());
+        let at = At {
+            start: 0,
+            end: 0,
+            line: 1,
+        };
         let mut cur = Cursor {
             src,
-            pos: 0,
-            line: 1,
-            tok,
+            tok: Tok::Eof,
             at,
-            bad,
+            bad: String::new(),
         };
         cur.scan();
         cur
@@ -169,75 +225,96 @@ impl<'a> Cursor<'a> {
         at
     }
 
-    /// Lex the next token into `tok`/`at`.
+    /// Lex the next token into `tok`/`at`: step over space, line ends and
+    /// comments with the position and line in locals, then read the token
+    /// that the class of its first byte starts straight into `tok`.
     fn scan(&mut self) {
         let bytes = self.src.as_bytes();
-        loop {
-            match bytes.get(self.pos) {
-                Some(&c) if class(c) == SPACE => self.pos += 1,
-                Some(b'\n') => {
-                    self.pos += 1;
-                    self.line += 1;
+        let (mut start, mut line) = (self.at.end, self.at.line);
+        let end = loop {
+            let Some(&c) = bytes.get(start) else {
+                self.tok = Tok::Eof;
+                break start;
+            };
+            match class(c) {
+                SPACE => start += 1,
+                NEWLINE => {
+                    start += 1;
+                    line += 1;
                 }
-                Some(b';') => {
-                    let rest = &bytes[self.pos..];
-                    self.pos += rest.iter().position(|&c| c == b'\n').unwrap_or(rest.len());
+                COMMENT => {
+                    let rest = &bytes[start..];
+                    start += rest.iter().position(|&c| c == b'\n').unwrap_or(rest.len());
                 }
-                Some(&c) if c >= 0x80 && self.unicode_space() => {}
-                _ => break,
+                PUNCT => {
+                    self.tok = Tok::Punct(c);
+                    break start + 1;
+                }
+                LETTER => {
+                    let end = name_end(bytes, start);
+                    self.tok = match &self.src[start..end] {
+                        "inf" => Tok::Float(f64::INFINITY),
+                        "NaN" => Tok::Float(f64::NAN),
+                        word => Tok::Ident(word),
+                    };
+                    break end;
+                }
+                PERCENT => {
+                    let from = start + 1;
+                    if let Some((n, end)) = numbered(bytes, from) {
+                        self.tok = Tok::Numbered(n);
+                        break end;
+                    }
+                    let end = name_end(bytes, from);
+                    self.tok = if end == from {
+                        self.fail("empty name after '%'")
+                    } else {
+                        Tok::Local(&self.src[from..end])
+                    };
+                    break end;
+                }
+                AT_SIGN => {
+                    let end = name_end(bytes, start + 1);
+                    self.tok = match &self.src[start + 1..end] {
+                        "" => self.fail("empty name after '@'"),
+                        name => Tok::Sym(name),
+                    };
+                    break end;
+                }
+                DIGIT => {
+                    // Up to 18 digits that neither a float nor a name goes
+                    // on from: nearly every integer, and short of overflow.
+                    // Anything else is read again in full.
+                    let mut end = start;
+                    let mut value = 0i64;
+                    while end < bytes.len() && end - start < 18 && bytes[end].is_ascii_digit() {
+                        value = value * 10 + i64::from(bytes[end] - b'0');
+                        end += 1;
+                    }
+                    if end < bytes.len() && is_name_byte(bytes[end]) {
+                        break self.number(start);
+                    }
+                    self.tok = Tok::Int(value);
+                    break end;
+                }
+                MINUS => break self.number(start),
+                QUOTE => break self.string(start),
+                HIGH => match unicode_space(&self.src[start..]) {
+                    Some(len) => start += len,
+                    None => break self.stray(start),
+                },
+                _ => break self.stray(start),
             }
-        }
-        let start = self.pos;
-        self.at = At {
-            start,
-            end: start,
-            line: self.line,
         };
-        self.tok = match bytes.get(start) {
-            None => Tok::Eof,
-            Some(b'%') => match self.word(start + 1) {
-                "" => self.fail("empty name after '%'"),
-                name => number(name).map_or(Tok::Local(name), Tok::Numbered),
-            },
-            Some(b'@') => match self.word(start + 1) {
-                "" => self.fail("empty name after '@'"),
-                name => Tok::Sym(name),
-            },
-            Some(b'"') => self.string(),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(&c) if c.is_ascii_alphabetic() || c == b'_' => match self.word(start) {
-                "inf" => Tok::Float(f64::INFINITY),
-                "NaN" => Tok::Float(f64::NAN),
-                word => Tok::Ident(word),
-            },
-            Some(&c) if class(c) == PUNCT => {
-                self.pos += 1;
-                Tok::Punct(c)
-            }
-            Some(_) => self.stray(),
-        };
-        self.at.end = self.pos;
+        self.at = At { start, end, line };
     }
 
-    /// Steps over the Unicode whitespace at `pos`, if that is what it holds:
-    /// any of it separates tokens.
+    /// The character at `start` starts no token; returns where it ends.
     #[cold]
-    fn unicode_space(&mut self) -> bool {
-        match self.src[self.pos..].chars().next() {
-            Some(ch) if ch.is_whitespace() => {
-                self.pos += ch.len_utf8();
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// The character at `pos` starts no token.
-    #[cold]
-    fn stray(&mut self) -> Tok<'a> {
-        let ch = self.src[self.pos..].chars().next().unwrap_or('\u{fffd}');
-        self.pos += ch.len_utf8();
-        self.fail(format!("unexpected character '{ch}'"))
+    fn stray(&mut self, start: usize) -> usize {
+        let ch = self.src[start..].chars().next().unwrap_or('\u{fffd}');
+        self.tok = self.fail(format!("unexpected character '{ch}'"));
+        start + ch.len_utf8()
     }
 
     #[cold]
@@ -246,57 +323,61 @@ impl<'a> Cursor<'a> {
         Tok::Bad
     }
 
-    /// The run of name bytes starting at `from`; leaves `pos` after it.
-    fn word(&mut self, from: usize) -> &'a str {
-        let rest = &self.src.as_bytes()[from..];
-        let len = rest.iter().position(|&c| class(c) != NAME);
-        self.pos = from + len.unwrap_or(rest.len());
-        &self.src[from..self.pos]
-    }
-
-    fn string(&mut self) -> Tok<'a> {
+    /// Reads the string that opens at `open` into `tok`; returns where it
+    /// ends.
+    #[inline(never)]
+    fn string(&mut self, open: usize) -> usize {
         let bytes = self.src.as_bytes();
-        let open = self.pos;
-        self.pos += 1;
+        let mut end = open + 1;
         loop {
-            match (bytes.get(self.pos), bytes.get(self.pos + 1)) {
+            match (bytes.get(end), bytes.get(end + 1)) {
                 (Some(b'"'), _) => {
-                    self.pos += 1;
-                    return Tok::Str(&self.src[open + 1..self.pos - 1]);
+                    self.tok = Tok::Str(&self.src[open + 1..end]);
+                    return end + 1;
                 }
-                (Some(b'\\'), Some(b'\\' | b'"' | b'n')) => self.pos += 2,
+                (Some(b'\\'), Some(b'\\' | b'"' | b'n')) => end += 2,
                 (Some(b'\\'), Some(_)) => {
-                    self.pos += 1;
-                    let escaped = self.src[self.pos..].chars().next().unwrap_or('\u{fffd}');
-                    return self.fail(format!("bad escape '\\{escaped}'"));
+                    let escaped = self.src[end + 1..].chars().next().unwrap_or('\u{fffd}');
+                    self.tok = self.fail(format!("bad escape '\\{escaped}'"));
+                    return end + 1;
                 }
-                (Some(b'\n' | b'\\') | None, _) => return self.fail("unterminated string"),
-                (Some(_), _) => self.pos += 1,
+                (Some(b'\n' | b'\\') | None, _) => {
+                    self.tok = self.fail("unterminated string");
+                    return end;
+                }
+                (Some(_), _) => end += 1,
             }
         }
     }
 
-    fn number(&mut self) -> Tok<'a> {
+    /// Reads the number, or `-inf`, that starts at `start` into `tok`;
+    /// returns where it ends.
+    #[inline(never)]
+    fn number(&mut self, start: usize) -> usize {
         let bytes = self.src.as_bytes();
-        let start = self.pos;
         let negative = bytes[start] == b'-';
+        let mut end = start + usize::from(negative);
         if negative {
-            self.pos += 1;
-            match bytes.get(self.pos) {
+            match bytes.get(end) {
                 Some(d) if d.is_ascii_digit() => {}
                 Some(b'i') => {
-                    return match self.word(self.pos) {
+                    let word_end = name_end(bytes, end);
+                    self.tok = match &self.src[end..word_end] {
                         "inf" => Tok::Float(f64::NEG_INFINITY),
                         word => self.fail(format!("unexpected '-{word}'")),
                     };
+                    return word_end;
                 }
-                _ => return self.fail("dangling '-'"),
+                _ => {
+                    self.tok = self.fail("dangling '-'");
+                    return end;
+                }
             }
         }
         // The value negated, so that `i64::MIN` fits; `None` once it overflows.
         let mut negated = Some(0i64);
         let mut is_float = false;
-        while let Some(&c) = bytes.get(self.pos) {
+        while let Some(&c) = bytes.get(end) {
             match c {
                 b'0'..=b'9' => {
                     let digit = i64::from(c - b'0');
@@ -305,15 +386,15 @@ impl<'a> Cursor<'a> {
                 b'.' => is_float = true,
                 b'e' | b'E' => {
                     is_float = true;
-                    if matches!(bytes.get(self.pos + 1), Some(b'+' | b'-')) {
-                        self.pos += 1;
+                    if matches!(bytes.get(end + 1), Some(b'+' | b'-')) {
+                        end += 1;
                     }
                 }
                 _ => break,
             }
-            self.pos += 1;
+            end += 1;
         }
-        let text = &self.src[start..self.pos];
+        let text = &self.src[start..end];
         let tok = if is_float {
             text.parse().map(Tok::Float).ok()
         } else if negative {
@@ -322,17 +403,18 @@ impl<'a> Cursor<'a> {
             negated.and_then(i64::checked_neg).map(Tok::Int)
         };
         let kind = if is_float { "float" } else { "integer" };
-        tok.unwrap_or_else(|| self.fail(format!("bad {kind} literal '{text}'")))
+        self.tok = tok.unwrap_or_else(|| self.fail(format!("bad {kind} literal '{text}'")));
+        end
     }
 
     #[cold]
-    fn error(&self, at: At, message: impl Into<String>) -> ParseError {
+    fn error(&self, at: At, message: impl Into<String>) -> Box<ParseError> {
         let line_start = self.src[..at.start].rfind('\n').map_or(0, |nl| nl + 1);
-        ParseError {
+        Box::new(ParseError {
             message: message.into(),
             line: at.line,
             column: self.src[line_start..at.start].chars().count() + 1,
-        }
+        })
     }
 
     /// The lookahead `%name`, and its number if it has one.
@@ -346,7 +428,7 @@ impl<'a> Cursor<'a> {
 
     /// The lookahead token is not one of `expected`.
     #[cold]
-    fn unexpected(&self, expected: &str) -> ParseError {
+    fn unexpected(&self, expected: &str) -> Box<ParseError> {
         let found = &self.src[self.at.start..self.at.end];
         let message = match self.tok {
             Tok::Bad => self.bad.clone(),
@@ -364,7 +446,7 @@ impl<'a> Cursor<'a> {
     }
 
     fn eat(&mut self, c: u8) -> bool {
-        let hit = self.tok == Tok::Punct(c);
+        let hit = matches!(self.tok, Tok::Punct(p) if p == c);
         if hit {
             self.scan();
         }
@@ -379,7 +461,7 @@ impl<'a> Cursor<'a> {
     }
 
     fn keyword(&mut self, word: &str) -> Result<()> {
-        if self.tok != Tok::Ident(word) {
+        if !matches!(self.tok, Tok::Ident(w) if w == word) {
             return Err(self.unexpected(&format!("'{word}'")));
         }
         self.scan();
@@ -586,7 +668,7 @@ impl<'a> Parser<'a> {
     }
 
     /// What a deferred (or immediate) use resolves to, or the error for it.
-    fn unresolved(&self, kind: Use, name: &str, at: At, fname: &str) -> ParseError {
+    fn unresolved(&self, kind: Use, name: &str, at: At, fname: &str) -> Box<ParseError> {
         let message = match kind {
             Use::Local(_) => format!("unknown value '%{name}' in @{fname}"),
             Use::Label => format!("unknown label '{name}' in @{fname}"),
@@ -707,7 +789,7 @@ impl<'a> Parser<'a> {
             }
             _ => return Err(self.cur.unexpected("a type")),
         };
-        while self.cur.tok == Tok::Punct(b'*') {
+        while matches!(self.cur.tok, Tok::Punct(b'*')) {
             height += 1;
             if depth + height > MAX_TYPE_DEPTH {
                 return Err(self.cur.error(self.cur.at, "type nesting too deep"));
@@ -764,7 +846,7 @@ impl<'a> Parser<'a> {
     }
 
     fn global_init(&mut self) -> Result<GlobalInit> {
-        if self.cur.tok == Tok::Ident("zero") {
+        if matches!(self.cur.tok, Tok::Ident("zero")) {
             self.cur.bump();
             return Ok(GlobalInit::Zero);
         }
@@ -945,12 +1027,14 @@ impl<'a> Parser<'a> {
                     ret_ty,
                 }
             }
-            "ret" => Inst::Term(Terminator::Ret(if self.cur.tok == Tok::Ident("void") {
-                self.cur.bump();
-                None
-            } else {
-                Some(self.value()?)
-            })),
+            "ret" => Inst::Term(Terminator::Ret(
+                if matches!(self.cur.tok, Tok::Ident("void")) {
+                    self.cur.bump();
+                    None
+                } else {
+                    Some(self.value()?)
+                },
+            )),
             "br" => Inst::Term(Terminator::Br(self.label()?)),
             "condbr" => {
                 let cond = self.value()?;
@@ -1006,7 +1090,7 @@ impl<'a> Parser<'a> {
     fn body(&mut self, f: &mut Function) -> Result<usize> {
         self.labels.clear();
         self.local_fixups.clear();
-        while self.cur.tok == Tok::Ident("fmeta") {
+        while matches!(self.cur.tok, Tok::Ident("fmeta")) {
             self.cur.bump();
             let (key, value) = self.cur.key_value()?;
             f.metadata.insert(key, value);
@@ -1114,8 +1198,8 @@ impl<'a> Parser<'a> {
 ///
 /// # Errors
 /// Returns [`ParseError`] on malformed input or unresolved references.
-pub fn parse_module(src: &str) -> Result<Module> {
-    parse(src, None)
+pub fn parse_module(src: &str) -> std::result::Result<Module, ParseError> {
+    parse(src, None).map_err(|e| *e)
 }
 
 /// Parse a whole module, also reporting the source span of every `define`.
@@ -1126,9 +1210,9 @@ pub fn parse_module(src: &str) -> Result<Module> {
 ///
 /// # Errors
 /// Returns [`ParseError`] on malformed input or unresolved references.
-pub fn parse_module_spanned(src: &str) -> Result<(Module, Vec<FuncSpan>)> {
+pub fn parse_module_spanned(src: &str) -> std::result::Result<(Module, Vec<FuncSpan>), ParseError> {
     let mut spans = Vec::new();
-    let module = parse(src, Some(&mut spans))?;
+    let module = parse(src, Some(&mut spans)).map_err(|e| *e)?;
     Ok((module, spans))
 }
 
@@ -1250,13 +1334,20 @@ fn parse(src: &str, mut spans: Option<&mut Vec<FuncSpan>>) -> Result<Module> {
 /// # Errors
 /// Returns [`ParseError`] on malformed input, unresolved references, or
 /// trailing tokens after the closing `}`.
-pub fn parse_function_text(module: &Module, src: &str) -> Result<Function> {
+pub fn parse_function_text(
+    module: &Module,
+    src: &str,
+) -> std::result::Result<Function, ParseError> {
+    function_text(module, src).map_err(|e| *e)
+}
+
+fn function_text(module: &Module, src: &str) -> Result<Function> {
     let mut p = Parser::new(src, Some(module));
     p.cur.keyword("define")?;
     let (_, mut f) = p.signature()?;
     p.cur.expect(b'{')?;
     p.body(&mut f)?;
-    if p.cur.tok != Tok::Eof {
+    if !matches!(p.cur.tok, Tok::Eof) {
         return Err(p.cur.unexpected("end of input after the function body"));
     }
     Ok(f)

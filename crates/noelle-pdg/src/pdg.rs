@@ -264,11 +264,7 @@ impl<'a> PdgBuilder<'a> {
             }),
             Inst::Call { callee, .. } => {
                 let (reads, writes, io) = match callee {
-                    Callee::Direct(cid) => (
-                        self.modref.may_read(*cid),
-                        self.modref.may_write(*cid),
-                        self.modref.has_io(*cid),
-                    ),
+                    Callee::Direct(cid) => self.modref.effects(*cid),
                     Callee::Indirect(_) => (true, true, true),
                 };
                 if reads || writes || io {

@@ -51,6 +51,7 @@ use noelle::workloads::scale_module;
 use noelle_analysis::alias::{
     AliasAnalysis, AliasResult, AliasStack, AndersenAlias, BaseObjects, BasicAlias,
 };
+use noelle_analysis::modref::ModRefSummaries;
 use noelle_ide::{Change, DocSession};
 use noelle_lint::audit::AUDIT_WORKERS;
 use noelle_lint::run_audit;
@@ -1024,6 +1025,23 @@ fn the_machine_model_is_read_once_and_built_in_four_blocks() {
     let (again, count) = allocations(|| n.architecture());
     assert!(std::sync::Arc::ptr_eq(&first, &again), "one model, shared");
     assert_eq!(count, 0, "{count} allocations to ask again");
+}
+
+/// Mod/ref summaries are one byte per function: computing them allocates
+/// the table and nothing else, however many rounds the fixed point takes.
+/// Three maps keyed by function, each grown by doubling, took 24 blocks on
+/// the same module.
+#[test]
+fn mod_ref_summaries_are_one_table() {
+    let _turn = alone();
+    let m = scale_module(256, 1);
+    let (summaries, count, bytes) = allocations_and_bytes(|| ModRefSummaries::compute(&m));
+    eprintln!("mod/ref: {count} allocations, {bytes} bytes");
+    assert_eq!(count, 1, "{count} allocations");
+    assert_eq!(bytes, m.functions().len(), "{bytes} bytes");
+    assert!(m
+        .func_ids()
+        .all(|f| summaries.may_read(f) || !summaries.may_write(f) || summaries.has_io(f)));
 }
 
 /// What `apply_plan` allocates and frees per loop it parallelizes, over
