@@ -738,37 +738,44 @@ impl<'a> Parser<'a> {
     }
 
     fn ty(&mut self) -> Result<Type> {
-        self.ty_at(0).map(|(ty, _)| ty)
+        self.ty_at(0, &mut 0)
     }
 
-    /// A type at nesting `depth`, with its own height: 0 for a scalar, one
-    /// more than its tallest member for anything built from other types.
-    fn ty_at(&mut self, depth: u32) -> Result<(Type, u32)> {
-        let at = self.cur.at;
+    /// A type at nesting `depth`; sets `height` to its own height: 0 for a
+    /// scalar, one more than its tallest member for anything built from
+    /// other types. The type alone is returned, so that a scalar comes back
+    /// in registers.
+    fn ty_at(&mut self, depth: u32, height: &mut u32) -> Result<Type> {
         if depth >= MAX_TYPE_DEPTH {
-            return Err(self.cur.error(at, "type nesting too deep"));
+            return Err(self.cur.error(self.cur.at, "type nesting too deep"));
         }
-        let (mut ty, mut height) = match self.cur.tok {
-            Tok::Ident(word) => {
+        let mut inner = 0;
+        let mut ty = match self.cur.tok {
+            Tok::Ident("fn") => {
                 self.cur.bump();
-                match word {
-                    "void" => (Type::Void, 0),
-                    "i1" => (Type::I1, 0),
-                    "i8" => (Type::I8, 0),
-                    "i16" => (Type::I16, 0),
-                    "i32" => (Type::I32, 0),
-                    "i64" => (Type::I64, 0),
-                    "f32" => (Type::F32, 0),
-                    "f64" => (Type::F64, 0),
-                    "fn" => {
-                        let (ret, ret_height) = self.ty_at(depth + 1)?;
-                        self.cur.expect(b'(')?;
-                        let (params, tallest) = self.types_until(b')', depth)?;
-                        let ty = Type::Func(Arc::new(FuncType { params, ret }));
-                        (ty, 1 + tallest.max(ret_height))
+                let ret = self.ty_at(depth + 1, &mut inner)?;
+                self.cur.expect(b'(')?;
+                let params = self.types_until(b')', depth, &mut inner)?;
+                inner += 1;
+                Type::Func(Arc::new(FuncType { params, ret }))
+            }
+            Tok::Ident(word) => {
+                let ty = match word {
+                    "void" => Type::Void,
+                    "i1" => Type::I1,
+                    "i8" => Type::I8,
+                    "i16" => Type::I16,
+                    "i32" => Type::I32,
+                    "i64" => Type::I64,
+                    "f32" => Type::F32,
+                    "f64" => Type::F64,
+                    _ => {
+                        let message = format!("unknown type '{word}'");
+                        return Err(self.cur.error(self.cur.at, message));
                     }
-                    _ => return Err(self.cur.error(at, format!("unknown type '{word}'"))),
-                }
+                };
+                self.cur.bump();
+                ty
             }
             Tok::Punct(b'[') => {
                 self.cur.bump();
@@ -778,38 +785,40 @@ impl<'a> Parser<'a> {
                     return Err(self.cur.error(len_at, "negative array length"));
                 }
                 self.cur.keyword("x")?;
-                let (elem, elem_height) = self.ty_at(depth + 1)?;
+                let elem = self.ty_at(depth + 1, &mut inner)?;
                 self.cur.expect(b']')?;
-                (Type::Array(Box::new(elem), len as u64), 1 + elem_height)
+                inner += 1;
+                Type::Array(Box::new(elem), len as u64)
             }
             Tok::Punct(b'{') => {
                 self.cur.bump();
-                let (fields, tallest) = self.types_until(b'}', depth)?;
-                (Type::Struct(Arc::new(fields)), 1 + tallest)
+                let fields = self.types_until(b'}', depth, &mut inner)?;
+                inner += 1;
+                Type::Struct(Arc::new(fields))
             }
             _ => return Err(self.cur.unexpected("a type")),
         };
         while matches!(self.cur.tok, Tok::Punct(b'*')) {
-            height += 1;
-            if depth + height > MAX_TYPE_DEPTH {
+            inner += 1;
+            if depth + inner > MAX_TYPE_DEPTH {
                 return Err(self.cur.error(self.cur.at, "type nesting too deep"));
             }
             self.cur.bump();
             ty = Type::Ptr(Box::new(ty));
         }
-        Ok((ty, height))
+        *height = inner;
+        Ok(ty)
     }
 
     /// Comma-separated member types up to `close`, whose opener is consumed;
-    /// also the height of the tallest.
-    fn types_until(&mut self, close: u8, depth: u32) -> Result<(Vec<Type>, u32)> {
-        let mut tallest = 0;
-        let types = self.list(close, |p| {
-            let (ty, height) = p.ty_at(depth + 1)?;
-            tallest = tallest.max(height);
+    /// raises `tallest` to the height of the tallest.
+    fn types_until(&mut self, close: u8, depth: u32, tallest: &mut u32) -> Result<Vec<Type>> {
+        self.list(close, |p| {
+            let mut height = 0;
+            let ty = p.ty_at(depth + 1, &mut height)?;
+            *tallest = (*tallest).max(height);
             Ok(ty)
-        })?;
-        Ok((types, tallest))
+        })
     }
 
     /// A typed constant: `i64 5`, `f64 1.5`, `null`, `undef`.
@@ -858,24 +867,36 @@ impl<'a> Parser<'a> {
 
     /// An operand: `%name`, `@name`, or a typed constant.
     fn value(&mut self) -> Result<Value> {
-        let at = self.cur.at;
-        if let Some((name, number)) = self.cur.local() {
-            self.cur.bump();
-            return Ok(match self.lookup(name, number) {
-                Some(v) => v,
-                None => Value::Inst(InstId(self.defer(Use::Local(number), name, at))),
-            });
-        }
-        match self.cur.tok {
+        let value = match self.cur.tok {
+            Tok::Numbered(n) => match self.numbered.get(n) {
+                Some(value) => value,
+                None => self.defer_local(Some(n)),
+            },
+            Tok::Local(name) => match self.names.get(name) {
+                Some(&value) => value,
+                None => self.defer_local(None),
+            },
             Tok::Sym(name) => {
-                self.cur.bump();
-                self.symbol(Use::Symbol, name, at)
+                let at = self.cur.bump();
+                return self.symbol(Use::Symbol, name, at);
             }
-            Tok::Ident(_) | Tok::Punct(b'[' | b'{') => Ok(Value::Const(self.constant()?)),
-            _ => Err(self
-                .cur
-                .unexpected("a value ('%name', '@name' or a typed constant)")),
-        }
+            Tok::Ident(_) | Tok::Punct(b'[' | b'{') => return Ok(Value::Const(self.constant()?)),
+            _ => {
+                let expected = "a value ('%name', '@name' or a typed constant)";
+                return Err(self.cur.unexpected(expected));
+            }
+        };
+        self.cur.bump();
+        Ok(value)
+    }
+
+    /// The placeholder for the lookahead `%name`, numbered `number` if it
+    /// is, whose use waits for the closing brace. Only here is where the
+    /// name stands looked at.
+    fn defer_local(&mut self, number: Option<u16>) -> Value {
+        let at = self.cur.at;
+        let name = &self.cur.src[at.start + 1..at.end];
+        Value::Inst(InstId(self.defer(Use::Local(number), name, at)))
     }
 
     /// What `@name` stands for in a `kind` use, when that can be told: a
