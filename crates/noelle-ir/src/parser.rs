@@ -417,6 +417,18 @@ impl<'a> Cursor<'a> {
         })
     }
 
+    /// Where the lookahead token starts, for an error that may name it once
+    /// the cursor has moved on. Not a copy of `at`: read field by field, it
+    /// waits on no store `scan` has just made.
+    fn start(&self) -> At {
+        let (start, line) = (self.at.start, self.at.line);
+        At {
+            start,
+            end: start,
+            line,
+        }
+    }
+
     /// The lookahead `%name`, and its number if it has one.
     fn local(&self) -> Option<(&'a str, Option<u16>)> {
         match self.tok {
@@ -597,7 +609,8 @@ impl NumberedNames {
             // Whole powers of two from 64 on: few steps for a body that
             // counts up from `%v0`, one for a lone far number.
             let len = (n + 1).next_power_of_two().max(64);
-            self.slots.resize(len, (0, value));
+            // Stamp 0 is no body's: the value beside it is never read.
+            self.slots.resize(len, (0, Value::Arg(0)));
         }
         let fresh = self.slots[n].0 != self.stamp;
         self.slots[n] = (self.stamp, value);
@@ -1118,7 +1131,7 @@ impl<'a> Parser<'a> {
         }
         let mut block = None;
         let end_line = loop {
-            let at = self.cur.at;
+            let at = self.cur.start();
             let (name, op, op_at) = match self.cur.tok {
                 Tok::Punct(b'}') if block.is_some() => {
                     self.cur.bump();
@@ -1142,7 +1155,7 @@ impl<'a> Parser<'a> {
                     let local = self.cur.local();
                     self.cur.bump();
                     self.cur.expect(b'=')?;
-                    let op_at = self.cur.at;
+                    let op_at = self.cur.start();
                     (local, self.cur.ident("an opcode")?, op_at)
                 }
                 Tok::Eof => {
