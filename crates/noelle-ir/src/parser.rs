@@ -236,6 +236,11 @@ impl<'a> Cursor<'a> {
                 self.tok = Tok::Eof;
                 break start;
             };
+            // The space between two tokens, without the table.
+            if c == b' ' {
+                start += 1;
+                continue;
+            }
             match class(c) {
                 SPACE => start += 1,
                 NEWLINE => {
@@ -978,25 +983,28 @@ impl<'a> Parser<'a> {
         Ok((lhs, self.value()?))
     }
 
-    /// The instruction whose opcode `op` (at `op_at`) was just consumed.
-    fn inst(&mut self, op: &str, op_at: At) -> Result<Inst> {
+    /// The instruction whose opcode `op` (at `op_at`) was just consumed,
+    /// appended to `block` of `f`. Each kind is pushed where it is built,
+    /// so that it is written once, into the arena.
+    fn inst(&mut self, f: &mut Function, block: BlockId, op: &str, op_at: At) -> Result<InstId> {
+        let mut push = |inst| f.push_inst(block, inst);
         Ok(match op {
             "alloca" => {
                 let ty = self.ty()?;
                 self.cur.expect(b',')?;
                 let count = self.value()?;
-                Inst::Alloca { ty, count }
+                push(Inst::Alloca { ty, count })
             }
             "load" => {
                 let ty = self.ty()?;
                 self.cur.expect(b',')?;
                 let ptr = self.value()?;
-                Inst::Load { ty, ptr }
+                push(Inst::Load { ty, ptr })
             }
             "store" => {
                 let ty = self.ty()?;
                 let (val, ptr) = self.pair()?;
-                Inst::Store { val, ptr, ty }
+                push(Inst::Store { val, ptr, ty })
             }
             "gep" => {
                 let base_ty = self.ty()?;
@@ -1009,35 +1017,35 @@ impl<'a> Parser<'a> {
                 if indices.is_empty() {
                     return Err(self.cur.unexpected("',' and a gep index"));
                 }
-                Inst::Gep {
+                push(Inst::Gep {
                     base,
                     base_ty,
                     indices,
-                }
+                })
             }
             "icmp" => {
                 let pred = self.pred("icmp predicate", IcmpPred::from_mnemonic)?;
                 let ty = self.ty()?;
                 let (lhs, rhs) = self.pair()?;
-                Inst::Icmp { pred, ty, lhs, rhs }
+                push(Inst::Icmp { pred, ty, lhs, rhs })
             }
             "fcmp" => {
                 let pred = self.pred("fcmp predicate", FcmpPred::from_mnemonic)?;
                 let ty = self.ty()?;
                 let (lhs, rhs) = self.pair()?;
-                Inst::Fcmp { pred, ty, lhs, rhs }
+                push(Inst::Fcmp { pred, ty, lhs, rhs })
             }
             "select" => {
                 let ty = self.ty()?;
                 let cond = self.value()?;
                 self.cur.expect(b',')?;
                 let (tval, fval) = self.pair()?;
-                Inst::Select {
+                push(Inst::Select {
                     ty,
                     cond,
                     tval,
                     fval,
-                }
+                })
             }
             "phi" => {
                 let ty = self.ty()?;
@@ -1048,39 +1056,43 @@ impl<'a> Parser<'a> {
                     incomings.push((from, self.value()?));
                     self.cur.expect(b']')?;
                 }
-                Inst::Phi { ty, incomings }
+                push(Inst::Phi { ty, incomings })
             }
             "call" => {
                 let ret_ty = self.ty()?;
                 let callee = self.callee()?;
                 self.cur.expect(b'(')?;
                 let args = self.list(b')', Self::value)?;
-                Inst::Call {
+                push(Inst::Call {
                     callee,
                     args,
                     ret_ty,
-                }
+                })
             }
-            "ret" => Inst::Term(Terminator::Ret(
-                if matches!(self.cur.tok, Tok::Ident("void")) {
+            "ret" => {
+                let value = if matches!(self.cur.tok, Tok::Ident("void")) {
                     self.cur.bump();
                     None
                 } else {
                     Some(self.value()?)
-                },
-            )),
-            "br" => Inst::Term(Terminator::Br(self.label()?)),
+                };
+                push(Inst::Term(Terminator::Ret(value)))
+            }
+            "br" => {
+                let target = self.label()?;
+                push(Inst::Term(Terminator::Br(target)))
+            }
             "condbr" => {
                 let cond = self.value()?;
                 self.cur.expect(b',')?;
                 let then_bb = self.label()?;
                 self.cur.expect(b',')?;
                 let else_bb = self.label()?;
-                Inst::Term(Terminator::CondBr {
+                push(Inst::Term(Terminator::CondBr {
                     cond,
                     then_bb,
                     else_bb,
-                })
+                }))
             }
             "switch" => {
                 let value = self.value()?;
@@ -1093,24 +1105,24 @@ impl<'a> Parser<'a> {
                     cases.push((case, self.label()?));
                     self.cur.expect(b']')?;
                 }
-                Inst::Term(Terminator::Switch {
+                push(Inst::Term(Terminator::Switch {
                     value,
                     default,
                     cases,
-                })
+                }))
             }
-            "unreachable" => Inst::Term(Terminator::Unreachable),
+            "unreachable" => push(Inst::Term(Terminator::Unreachable)),
             _ => {
                 if let Some(op) = BinOp::from_mnemonic(op) {
                     let ty = self.ty()?;
                     let (lhs, rhs) = self.pair()?;
-                    Inst::Bin { op, ty, lhs, rhs }
+                    push(Inst::Bin { op, ty, lhs, rhs })
                 } else if let Some(op) = CastOp::from_mnemonic(op) {
                     let from = self.ty()?;
                     let val = self.value()?;
                     self.cur.keyword("to")?;
                     let to = self.ty()?;
-                    Inst::Cast { op, from, to, val }
+                    push(Inst::Cast { op, from, to, val })
                 } else {
                     return Err(self.cur.error(op_at, format!("unknown opcode '{op}'")));
                 }
@@ -1175,13 +1187,12 @@ impl<'a> Parser<'a> {
                     return Err(self.cur.error(at, message));
                 }
             }
-            let inst = self.inst(op, op_at)?;
-            if let Some((name, _)) = name.filter(|_| !inst.has_result()) {
+            let id = self.inst(f, block, op, op_at)?;
+            if let Some((name, _)) = name.filter(|_| !f.inst(id).has_result()) {
                 return Err(self
                     .cur
                     .error(at, format!("%{name}: '{op}' produces no value")));
             }
-            let id = f.push_inst(block, inst);
             // `%v<i>` at arena index `i` is how the printer spells an
             // instruction without a name, so it is not stored.
             if let Some((name, number)) = name {
