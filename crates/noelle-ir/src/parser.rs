@@ -611,15 +611,20 @@ impl NumberedNames {
     fn insert(&mut self, n: u16, value: Value) -> bool {
         let n = usize::from(n);
         if n >= self.slots.len() {
-            // Whole powers of two from 64 on: few steps for a body that
-            // counts up from `%v0`, one for a lone far number.
-            let len = (n + 1).next_power_of_two().max(64);
-            // Stamp 0 is no body's: the value beside it is never read.
-            self.slots.resize(len, (0, Value::Arg(0)));
+            self.grow(n);
         }
         let fresh = self.slots[n].0 != self.stamp;
         self.slots[n] = (self.stamp, value);
         fresh
+    }
+
+    /// Makes room for `%v<n>`, in whole powers of two from 64 on: few steps
+    /// for a body that counts up from `%v0`, one for a lone far number.
+    #[cold]
+    fn grow(&mut self, n: usize) {
+        let len = (n + 1).next_power_of_two().max(64);
+        // Stamp 0 is no body's: the value beside it is never read.
+        self.slots.resize(len, (0, Value::Arg(0)));
     }
 }
 
