@@ -121,7 +121,8 @@ fn base(f: &Function) -> u8 {
         return 0;
     }
     let e = external_effects(&f.name);
-    u8::from(e.reads_memory) * READS | u8::from(e.writes_memory) * WRITES | u8::from(e.io) * IO
+    let bit = |on: bool, bit: u8| if on { bit } else { 0 };
+    bit(e.reads_memory, READS) | bit(e.writes_memory, WRITES) | bit(e.io, IO)
 }
 
 /// Raises the summary of every defined function among `fids` to its
