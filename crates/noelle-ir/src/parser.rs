@@ -329,7 +329,7 @@ impl<'a> Cursor<'a> {
     }
 
     /// Reads the string that opens at `open` into `tok`; returns where it
-    /// ends.
+    /// ends. Out of line: a rare token, kept out of `scan`.
     #[inline(never)]
     fn string(&mut self, open: usize) -> usize {
         let bytes = self.src.as_bytes();
@@ -356,7 +356,8 @@ impl<'a> Cursor<'a> {
     }
 
     /// Reads the number, or `-inf`, that starts at `start` into `tok`;
-    /// returns where it ends.
+    /// returns where it ends. Out of line: `scan` reads plain integers
+    /// itself, and sends here only a sign, a float, a long number.
     #[inline(never)]
     fn number(&mut self, start: usize) -> usize {
         let bytes = self.src.as_bytes();
