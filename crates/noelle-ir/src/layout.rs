@@ -69,6 +69,14 @@ impl LayoutIndex {
         self.places.get(id.index()).copied().filter(|&p| p != HOLE)
     }
 
+    /// Every instruction that has a place, ascending by arena index.
+    pub fn placed(&self) -> impl Iterator<Item = InstId> + '_ {
+        let ids = (0..self.places.len() as u32).map(InstId);
+        ids.zip(&self.places)
+            .filter(|&(_, &p)| p != HOLE)
+            .map(|(id, _)| id)
+    }
+
     /// What [`Function::position_in_block`] answers, without the scan.
     pub fn position(&self, id: InstId) -> Option<usize> {
         self.place(id).map(|p| p.pos as usize)
@@ -113,6 +121,9 @@ mod tests {
             assert_eq!(index.position(id), f.position_in_block(id));
         }
         assert_eq!(index.place(dead), None);
+        let mut attached = f.inst_ids();
+        attached.sort_unstable();
+        assert_eq!(index.placed().collect::<Vec<_>>(), attached);
         assert_eq!(index.position(dead), f.position_in_block(dead));
         // Layout order, not arena order.
         let places: Vec<Place> = f

@@ -128,20 +128,24 @@ pub struct DepEdge<N> {
 /// node table sorted for binary search, each node flagged internal or
 /// external; the edge list, in the order the builder produced it; and a
 /// compressed-sparse-row index over that list — per-node ranges of edge ids
-/// packed into two flat arrays per direction. Within a node's range the ids
-/// ascend, so every adjacency query yields edges in edge-list order.
+/// packed into one offsets array and one ids array, the out direction's
+/// half first. Within a node's range the ids ascend, so every adjacency
+/// query yields edges in edge-list order.
 ///
 /// Edge order is part of the contract: [`EdgeId`]s, the wire JSON and the
-/// durable store's bytes all key on an edge's position in the list.
-#[derive(Clone, Debug)]
+/// durable store's bytes all key on an edge's position in the list. Two
+/// graphs are equal when their node tables, edge lists and indexes are.
+#[derive(Clone, Debug, PartialEq)]
 pub struct DepGraph<N> {
     /// Every node, ascending, with `true` for internal ones.
     nodes: Vec<(N, bool)>,
     edges: Vec<DepEdge<N>>,
-    out_off: Vec<u32>,
-    out_ids: Vec<EdgeId>,
-    in_off: Vec<u32>,
-    in_ids: Vec<EdgeId>,
+    /// Per direction, one range start per node slot and one more: the out
+    /// direction's `nodes.len() + 1`, then the in direction's.
+    off: Vec<u32>,
+    /// Per direction, every edge id once, grouped by slot: the out
+    /// direction's `edges.len()`, then the in direction's.
+    ids: Vec<EdgeId>,
 }
 
 /// What a [`DepGraph`] asks of its node type: an order, which the node table
@@ -185,30 +189,33 @@ impl<'t> SlotTable<'t> {
         self.0[n.arena_index().expect("an arena id")]
     }
 
+    /// Give each node of `nodes` its slot in `table`, which reaches every
+    /// node's arena index.
+    fn number<N: Node>(table: &mut [u32], nodes: &[(N, bool)]) {
+        for (slot, &(n, _)) in nodes.iter().enumerate() {
+            table[n.arena_index().expect("an arena id")] = slot as u32;
+        }
+    }
+
     /// Finish the node table of a graph whose `nodes` so far are its
     /// internal ones (ascending, none twice): every endpoint of `edges` met
     /// for the first time is appended as an external node — counted first,
     /// so the table grows once, to its exact size — and the table is sorted
-    /// again if there were any. Two passes over the edges, no search.
-    /// `None` when `N` is not an arena id.
+    /// again if there were any. No search, and one pass over the edges when
+    /// they meet no external node, two when they do. `None` when `N` is not
+    /// an arena id.
     fn build<N: Node>(
         nodes: &mut Vec<(N, bool)>,
         edges: &[DepEdge<N>],
         table: &'t mut Vec<u32>,
     ) -> Option<SlotTable<'t>> {
-        let internal = nodes.len();
         let len = match nodes.last() {
             Some(&(last, _)) => last.arena_index()? + 1,
             None => 0,
         };
         table.clear();
         table.resize(len, SlotTable::NONE);
-        let number = |table: &mut Vec<u32>, nodes: &[(N, bool)]| {
-            for (slot, &(n, _)) in nodes.iter().enumerate() {
-                table[n.arena_index().expect("checked when met")] = slot as u32;
-            }
-        };
-        number(table, nodes);
+        SlotTable::number(table, nodes);
         let mut externals = 0;
         for e in edges {
             for n in [e.src, e.dst] {
@@ -222,6 +229,9 @@ impl<'t> SlotTable<'t> {
                 }
             }
         }
+        if externals == 0 {
+            return Some(SlotTable(table));
+        }
         nodes.reserve_exact(externals);
         for e in edges {
             for n in [e.src, e.dst] {
@@ -232,50 +242,56 @@ impl<'t> SlotTable<'t> {
                 }
             }
         }
-        if nodes.len() > internal {
-            nodes.sort_unstable();
-            number(table, nodes);
-        }
+        nodes.sort_unstable();
+        SlotTable::number(table, nodes);
         Some(SlotTable(table))
     }
 }
 
-/// Both directions of the compressed-sparse-row index over `n_edges` edges
-/// and `n_nodes` node slots, `ends(i)` being edge `i`'s `[source,
-/// destination]` slots: per direction, `off[s]..off[s + 1]` is the range of
-/// `ids` belonging to slot `s`, ascending.
+/// Both directions of the compressed-sparse-row index over `n_nodes` node
+/// slots, `ends` yielding each edge's `[source, destination]` slots in
+/// edge-list order: `(off, ids)` as [`DepGraph`] keeps them. Per
+/// direction, `off[s]..off[s + 1]` is the range of `ids` belonging to slot
+/// `s`, ascending. `None`, before anything is placed, if `ends` yields a
+/// `None`: an endpoint without a slot.
 fn csr(
     n_nodes: usize,
-    n_edges: usize,
-    ends: impl Fn(usize) -> [u32; 2],
-) -> [(Vec<u32>, Vec<EdgeId>); 2] {
+    ends: impl ExactSizeIterator<Item = Option<[u32; 2]>> + Clone,
+) -> Option<(Vec<u32>, Vec<EdgeId>)> {
     // Counting sort: count, prefix-sum into range starts, then replay the
     // edge list in order, using each start as that slot's write cursor.
-    let mut index = [(); 2].map(|()| (vec![0u32; n_nodes + 1], vec![EdgeId(0); n_edges]));
-    for i in 0..n_edges {
-        for ((off, _), slot) in index.iter_mut().zip(ends(i)) {
-            off[slot as usize + 1] += 1;
-        }
+    let (width, n_edges) = (n_nodes + 1, ends.len());
+    let mut off = vec![0u32; 2 * width];
+    let (out_off, in_off) = off.split_at_mut(width);
+    for end in ends.clone() {
+        let [src, dst] = end?;
+        out_off[src as usize + 1] += 1;
+        in_off[dst as usize + 1] += 1;
     }
-    for (off, _) in &mut index {
+    for half in [&mut *out_off, &mut *in_off] {
         for s in 0..n_nodes {
-            off[s + 1] += off[s];
+            half[s + 1] += half[s];
         }
     }
-    for i in 0..n_edges {
-        for ((off, ids), slot) in index.iter_mut().zip(ends(i)) {
-            let cursor = &mut off[slot as usize];
-            ids[*cursor as usize] = EdgeId(i as u32);
-            *cursor += 1;
-        }
+    let mut ids = vec![EdgeId(0); 2 * n_edges];
+    let (out_ids, in_ids) = ids.split_at_mut(n_edges);
+    for (i, end) in ends.enumerate() {
+        let [src, dst] = end.expect("resolved by the counting pass");
+        let id = EdgeId(i as u32);
+        let cursor = &mut out_off[src as usize];
+        out_ids[*cursor as usize] = id;
+        *cursor += 1;
+        let cursor = &mut in_off[dst as usize];
+        in_ids[*cursor as usize] = id;
+        *cursor += 1;
     }
     // Every cursor now sits at its slot's range end, which is the next
     // slot's start: shift right by one to get the starts back.
-    for (off, _) in &mut index {
-        off.rotate_right(1);
-        off[0] = 0;
+    for half in [out_off, in_off] {
+        half.rotate_right(1);
+        half[0] = 0;
     }
-    index
+    Some((off, ids))
 }
 
 impl<N: Node> DepGraph<N> {
@@ -303,8 +319,10 @@ impl<N: Node> DepGraph<N> {
         nodes.sort_unstable();
         nodes.dedup();
         if let Some(table) = SlotTable::build(&mut nodes, &edges, slots) {
-            let ends = |i: usize| [table.slot(edges[i].src), table.slot(edges[i].dst)];
-            let index = csr(nodes.len(), edges.len(), ends);
+            let ends = edges
+                .iter()
+                .map(|e| Some([table.slot(e.src), table.slot(e.dst)]));
+            let index = csr(nodes.len(), ends).expect("every endpoint has a slot");
             return DepGraph::assemble(nodes, edges, index);
         }
         // No arena: the node table is the internal nodes and every endpoint,
@@ -321,52 +339,90 @@ impl<N: Node> DepGraph<N> {
         });
         let slot = |n| find(&nodes, n).expect("every endpoint was put in the node table") as u32;
         let ends: Vec<[u32; 2]> = edges.iter().map(|e| [slot(e.src), slot(e.dst)]).collect();
-        let index = csr(nodes.len(), edges.len(), |i| ends[i]);
+        let index = csr(nodes.len(), ends.iter().map(|&end| Some(end))).expect("all resolved");
         DepGraph::assemble(nodes, edges, index)
+    }
+
+    /// [`DepGraph::from_edges_in`] for a graph expected to be closed: the
+    /// `n_internal` nodes of `internal` (arena ids, ascending, none twice)
+    /// are every endpoint of `edges`, so the node table is `internal` as
+    /// given and has no external node. One pass over the edges resolves
+    /// their endpoints through `slots` and counts degrees, one more places
+    /// the ids. An endpoint outside `internal` — an operand naming an
+    /// instruction no block lists — sends the build to `from_edges_in`,
+    /// which makes it an external node.
+    pub(crate) fn closed_in(
+        internal: impl IntoIterator<Item = N>,
+        n_internal: usize,
+        edges: Vec<DepEdge<N>>,
+        slots: &mut Vec<u32>,
+    ) -> DepGraph<N> {
+        let mut nodes = Vec::with_capacity(n_internal);
+        nodes.extend(internal.into_iter().map(|n| (n, true)));
+        let len = nodes
+            .last()
+            .map_or(0, |&(n, _)| n.arena_index().expect("an arena id") + 1);
+        slots.clear();
+        slots.resize(len, SlotTable::NONE);
+        SlotTable::number(slots, &nodes);
+        let slot = |n: N| {
+            let s = *slots.get(n.arena_index()?)?;
+            (s != SlotTable::NONE).then_some(s)
+        };
+        let ends = edges.iter().map(|e| Some([slot(e.src)?, slot(e.dst)?]));
+        match csr(nodes.len(), ends) {
+            Some(index) => DepGraph::assemble(nodes, edges, index),
+            None => DepGraph::from_edges_in(nodes.into_iter().map(|(n, _)| n), edges, slots),
+        }
     }
 
     /// The graph of a finished node table, edge list and index over them.
     fn assemble(
         nodes: Vec<(N, bool)>,
         edges: Vec<DepEdge<N>>,
-        [(out_off, out_ids), (in_off, in_ids)]: [(Vec<u32>, Vec<EdgeId>); 2],
+        (off, ids): (Vec<u32>, Vec<EdgeId>),
     ) -> DepGraph<N> {
         DepGraph {
             nodes,
             edges,
-            out_off,
-            out_ids,
-            in_off,
-            in_ids,
+            off,
+            ids,
         }
     }
 
-    /// The slice of `ids` that `off` assigns to node `n`.
-    fn range<'a>(&self, n: N, off: &[u32], ids: &'a [EdgeId]) -> &'a [EdgeId] {
-        match find(&self.nodes, n) {
-            Some(i) => &ids[off[i] as usize..off[i + 1] as usize],
-            None => &[],
-        }
+    /// The ids of the edges whose source (`out`) or destination is `n`,
+    /// ascending.
+    fn range(&self, n: N, out: bool) -> &[EdgeId] {
+        let Some(i) = find(&self.nodes, n) else {
+            return &[];
+        };
+        let (width, n_edges) = (self.nodes.len() + 1, self.edges.len());
+        let (off, ids) = if out {
+            (&self.off[..width], &self.ids[..n_edges])
+        } else {
+            (&self.off[width..], &self.ids[n_edges..])
+        };
+        &ids[off[i] as usize..off[i + 1] as usize]
     }
 
     /// Edge ids whose source is `n`, ascending.
     fn out_ids(&self, n: N) -> &[EdgeId] {
-        self.range(n, &self.out_off, &self.out_ids)
+        self.range(n, true)
     }
 
     /// Edge ids whose destination is `n`, ascending.
     fn in_ids(&self, n: N) -> &[EdgeId] {
-        self.range(n, &self.in_off, &self.in_ids)
+        self.range(n, false)
     }
 
     /// Approximate heap footprint in bytes: the node table, the edge list
-    /// and the four index arrays. Used for the `bytes_per_function` estimate.
+    /// and the two index arrays. Used for the `bytes_per_function` estimate.
     pub fn approx_heap_bytes(&self) -> usize {
         use std::mem::size_of;
         self.nodes.capacity() * size_of::<(N, bool)>()
             + self.edges.capacity() * size_of::<DepEdge<N>>()
-            + (self.out_off.capacity() + self.in_off.capacity()) * size_of::<u32>()
-            + (self.out_ids.capacity() + self.in_ids.capacity()) * size_of::<EdgeId>()
+            + self.off.capacity() * size_of::<u32>()
+            + self.ids.capacity() * size_of::<EdgeId>()
     }
 
     /// Internal nodes (the code region itself), ascending.
@@ -618,7 +674,7 @@ impl<N: Node> DepGraph<N> {
             });
         }
         r.finish("depgraph: trailing bytes")?;
-        let index = csr(nodes.len(), edges.len(), |i| ends[i]);
+        let index = csr(nodes.len(), ends.iter().map(|&end| Some(end))).expect("all resolved");
         Ok(DepGraph::assemble(nodes, edges, index))
     }
 }
@@ -822,10 +878,8 @@ mod tests {
             searched.nodes,
             [1, 3, 4, 5, 7, 40].map(|n| (n, internal.contains(&n)))
         );
-        assert_eq!(dense.out_off, searched.out_off);
-        assert_eq!(dense.out_ids, searched.out_ids);
-        assert_eq!(dense.in_off, searched.in_off);
-        assert_eq!(dense.in_ids, searched.in_ids);
+        assert_eq!(dense.off, searched.off);
+        assert_eq!(dense.ids, searched.ids);
         assert_eq!(
             dense.encode_with(|n| u64::from(n.0)),
             searched.encode_with(u64::from)

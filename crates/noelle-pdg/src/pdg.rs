@@ -42,6 +42,9 @@ struct Access {
     inst: InstId,
     effect: MemEffect,
     place: Place,
+    /// Its pointer group: the id of its pointer, or one past the last id
+    /// when it has none.
+    group: u32,
 }
 
 /// Two accesses `a < b` (indices into the function's access list) that
@@ -80,19 +83,6 @@ impl Conflict {
             must,
         })
     }
-
-    /// The pair's memory edges, `a -> b` first.
-    fn edges<'m>(&self, mem: &'m [Access]) -> impl Iterator<Item = DepEdge<InstId>> + 'm {
-        let (a, b) = (mem[self.a as usize].inst, mem[self.b as usize].inst);
-        let must = self.must;
-        [(a, b, self.forward), (b, a, self.backward)]
-            .into_iter()
-            .filter_map(move |(src, dst, kind)| {
-                let mut attrs = EdgeAttrs::memory(kind?);
-                attrs.must = must;
-                Some(DepEdge { src, dst, attrs })
-            })
-    }
 }
 
 /// The working storage of PDG partition and loop-abstraction builds: every
@@ -110,17 +100,17 @@ impl Conflict {
 /// same code on a fresh set.
 #[derive(Default)]
 pub struct BuildBuffers {
-    /// The function's instructions, in layout order.
-    insts: Vec<InstId>,
-    /// Where each of them sits: the function's, or the loop's function's.
+    /// Where each instruction sits: the function's, or the loop's
+    /// function's.
     layout: LayoutIndex,
-    /// Its memory accesses, in the same order.
+    /// The function's memory accesses, in layout order.
     mem: Vec<Access>,
     /// The distinct pointer operands of `mem`, ascending: a pointer's id
     /// is its rank.
     ptrs: Vec<Value>,
-    /// `(pointer id, access)`, ascending: the accesses by pointer group.
-    by_group: Vec<(u32, u32)>,
+    /// The accesses by pointer group, each group ascending; the group of
+    /// the accesses with no pointer last.
+    by_group: Vec<u32>,
     /// `(object, pointer id)`: the base-object buckets.
     bucketed: Vec<(MemoryObject, u32)>,
     /// The pointer pairs the alias stack is asked about.
@@ -131,7 +121,8 @@ pub struct BuildBuffers {
     conflicts: Vec<Conflict>,
     /// The counting sort's output, swapped with `conflicts`.
     sorted: Vec<Conflict>,
-    /// The counting sort's bucket cursors, one per access and one more.
+    /// The counting sorts' bucket starts: one per pointer group and one
+    /// more, then one per access and one more.
     starts: Vec<u32>,
     /// The function's post-dominator tree, rebuilt in place.
     pdt: PostDomTree,
@@ -145,11 +136,13 @@ pub struct BuildBuffers {
     touching: Vec<EdgeId>,
     /// `(min, max, must)` per conflicting pair of loop accesses.
     loop_conflicts: Vec<(InstId, InstId, bool)>,
-    /// A loop graph's edges, copied out at their exact count.
-    loop_edges: Vec<DepEdge<InstId>>,
+    /// Edges gathered before their count is known, then copied out: a
+    /// function graph's register edges, or a loop graph's edges.
+    edges: Vec<DepEdge<InstId>>,
     /// Tarjan's walk over the loop graph.
     pub(crate) scc: SccScratch,
-    /// The function graph's arena index -> node slot table.
+    /// An arena-sized table: a pointer's id by its instruction, then the
+    /// graph's node slot by arena index.
     slots: Vec<u32>,
 }
 
@@ -347,17 +340,21 @@ impl<'a> PdgBuilder<'a> {
     }
 
     /// The pairs of accesses of `buf.mem` that depend on each other,
-    /// ascending by `(a, b)`, into `buf.conflicts`.
+    /// ascending by `(a, b)`, into `buf.conflicts`; returns the number of
+    /// memory edges they make.
     ///
     /// Works on interned pointers: the distinct pointer operands of `mem`
-    /// get dense ids once, the accesses are sorted into groups by them, and
-    /// the alias stack is asked once per distinct unordered pointer pair
-    /// some access pair could need (`alias` is symmetric; a pointer is paired with
-    /// itself only when two accesses share it). A verdict other than `No`
-    /// makes candidates of every access pair over the two pointers, `must`
-    /// recording `Must`. Accesses without a pointer — calls, I/O — are not
-    /// disambiguated: each pairs with every other access.
-    fn conflicts(&self, fid: FuncId, buf: &mut BuildBuffers, all_pairs: bool) {
+    /// get dense ids once — an instruction through a table indexed by its
+    /// arena slot, any other by a search among the few distinct ones — and
+    /// a counting sort groups the accesses by them. The alias stack is
+    /// asked once per distinct unordered pointer pair some access pair could
+    /// need (`alias` is symmetric; a pointer is paired with itself only when
+    /// two accesses share it). A verdict other than `No` makes candidates of
+    /// every access pair over the two pointers, `must` recording `Must`.
+    /// Accesses without a pointer — calls, I/O — are not disambiguated: each
+    /// pairs with every other access.
+    fn conflicts(&self, fid: FuncId, buf: &mut BuildBuffers, all_pairs: bool) -> usize {
+        const UNSEEN: u32 = u32::MAX;
         let BuildBuffers {
             mem,
             ptrs,
@@ -368,27 +365,71 @@ impl<'a> PdgBuilder<'a> {
             conflicts,
             sorted,
             starts,
+            slots,
             ..
         } = buf;
-        // Pointer ids ascend as the values do, so `(p, q)` with `p <= q` is
-        // also the `(min, max)` order `alias` is asked in.
+        // Pointer ids ascend as the values do — every instruction before
+        // any other value, instructions by arena index — so `(p, q)` with
+        // `p <= q` is also the `(min, max)` order `alias` is asked in. An
+        // instruction is marked in `slots` and numbered by a walk of the
+        // table; the other pointers are sorted, and go after them.
+        slots.clear();
+        slots.resize(self.module.func(fid).inst_arena_len(), UNSEEN);
         ptrs.clear();
-        ptrs.extend(mem.iter().filter_map(|a| a.effect.ptr));
+        for a in mem.iter() {
+            match a.effect.ptr {
+                Some(Value::Inst(p)) => {
+                    if p.index() >= slots.len() {
+                        slots.resize(p.index() + 1, UNSEEN);
+                    }
+                    slots[p.index()] = 0;
+                }
+                Some(other) => ptrs.push(other),
+                None => {}
+            }
+        }
         ptrs.sort_unstable();
         ptrs.dedup();
-        // The accesses by group, each group ascending: group `g` holds the
-        // accesses through `ptrs[g]`; the last one, those with no pointer.
+        let n_other = ptrs.len();
+        for (i, id) in slots.iter_mut().enumerate() {
+            if *id != UNSEEN {
+                *id = (ptrs.len() - n_other) as u32;
+                ptrs.push(Value::Inst(InstId(i as u32)));
+            }
+        }
+        ptrs.rotate_left(n_other);
+        let (n_inst, n_groups) = (ptrs.len() - n_other, ptrs.len() + 1);
+        // The accesses by group, by a counting sort: count, prefix-sum into
+        // each group's end, then place the accesses last to first, each
+        // group's cursor falling to its start. Group `g` holds the accesses
+        // through `ptrs[g]`; the last one, those with no pointer.
+        starts.clear();
+        starts.resize(n_groups + 1, 0);
+        for a in mem.iter_mut() {
+            a.group = match a.effect.ptr {
+                Some(Value::Inst(p)) => slots[p.index()],
+                Some(other) => {
+                    let rank = ptrs[n_inst..].binary_search(&other);
+                    (n_inst + rank.expect("interned above")) as u32
+                }
+                None => ptrs.len() as u32,
+            };
+            starts[a.group as usize] += 1;
+        }
+        for g in 1..=n_groups {
+            starts[g] += starts[g - 1];
+        }
         by_group.clear();
-        by_group.extend(mem.iter().zip(0..).map(|(a, i)| match a.effect.ptr {
-            Some(p) => (ptrs.binary_search(&p).expect("interned above") as u32, i),
-            None => (ptrs.len() as u32, i),
-        }));
-        by_group.sort_unstable();
-        let by_group = &*by_group;
+        by_group.resize(mem.len(), 0);
+        for (i, a) in mem.iter().enumerate().rev() {
+            let cursor = &mut starts[a.group as usize];
+            *cursor -= 1;
+            by_group[*cursor as usize] = i as u32;
+        }
+        let (by_group, group_starts) = (&*by_group, &*starts);
         let uses = |g: u32| {
-            let lo = by_group.partition_point(|&(h, _)| h < g);
-            let len = by_group[lo..].partition_point(|&(h, _)| h == g);
-            &by_group[lo..lo + len]
+            let g = g as usize;
+            &by_group[group_starts[g] as usize..group_starts[g + 1] as usize]
         };
 
         if all_pairs {
@@ -408,24 +449,27 @@ impl<'a> PdgBuilder<'a> {
                 AliasResult::No => continue,
                 verdict => verdict == AliasResult::Must,
             };
-            for (k, &(_, i)) in through_p.iter().enumerate() {
+            for (k, &i) in through_p.iter().enumerate() {
                 let later = &through_p[k + 1..];
                 let partners = if p == q { later } else { through_q }.iter();
-                conflicts.extend(partners.filter_map(|&(_, j)| Conflict::of(mem, i, j, must)));
+                conflicts.extend(partners.filter_map(|&j| Conflict::of(mem, i, j, must)));
             }
         }
-        for &(_, i) in uses(ptrs.len() as u32) {
+        for &i in uses(ptrs.len() as u32) {
             let others =
                 (0..mem.len() as u32).filter(|&j| mem[j as usize].effect.ptr.is_some() || j > i);
             conflicts.extend(others.filter_map(|j| Conflict::of(mem, i, j, false)));
         }
         // A counting sort on `a`, then each run by `b`: the `(a, b)` keys
         // are unique, so this is the order a comparison sort of the whole
-        // list gives, without comparing across runs.
+        // list gives, without comparing across runs. The counting pass
+        // counts the edges too.
         starts.clear();
         starts.resize(mem.len() + 1, 0);
+        let mut n_edges = 0;
         for c in conflicts.iter() {
             starts[c.a as usize + 1] += 1;
+            n_edges += usize::from(c.forward.is_some()) + usize::from(c.backward.is_some());
         }
         for i in 0..mem.len() {
             starts[i + 1] += starts[i];
@@ -444,6 +488,7 @@ impl<'a> PdgBuilder<'a> {
             lo = hi as usize;
         }
         std::mem::swap(conflicts, sorted);
+        n_edges
     }
 
     /// Build the dependence graph of one function (all instructions
@@ -483,26 +528,37 @@ impl<'a> PdgBuilder<'a> {
     ) -> DepGraph<InstId> {
         let f = self.module.func(fid);
         buf.layout.rebuild(f);
-        let layout = &buf.layout;
-        buf.insts.clear();
-        for &b in f.block_order() {
-            buf.insts.extend_from_slice(&f.block(b).insts);
-        }
 
-        // One pass over the body finds the memory accesses and counts the
-        // register dependences: with the other two kinds counted below, the
-        // edge list is reserved once, at its final size.
-        buf.mem.clear();
-        let mut n_register = 0;
-        for &inst in &buf.insts {
-            f.inst(inst)
-                .for_each_operand(|op| n_register += usize::from(matches!(op, Value::Inst(_))));
-            buf.mem
-                .extend(self.mem_effect(f, inst).map(|effect| Access {
+        // One walk over the body, in layout order, finds the memory
+        // accesses and gathers the register dependences: with the other two
+        // kinds counted below, the edge list is allocated once, at its final
+        // size.
+        let BuildBuffers {
+            layout, mem, edges, ..
+        } = &mut *buf;
+        mem.clear();
+        edges.clear();
+        let mut n_insts = 0;
+        for &b in f.block_order() {
+            let insts = &f.block(b).insts;
+            n_insts += insts.len();
+            for &inst in insts {
+                f.inst(inst).for_each_operand(|op| {
+                    if let Value::Inst(def) = op {
+                        edges.push(DepEdge {
+                            src: def,
+                            dst: inst,
+                            attrs: EdgeAttrs::register(),
+                        });
+                    }
+                });
+                mem.extend(self.mem_effect(f, inst).map(|effect| Access {
                     inst,
                     effect,
                     place: layout.place(inst).expect("listed in a block"),
+                    group: 0,
                 }));
+            }
         }
 
         // Control dependences: dependent block's instructions depend on the
@@ -524,25 +580,15 @@ impl<'a> PdgBuilder<'a> {
         // The graph is the memo of this call's alias verdicts that outlives
         // it: a memory edge between two accesses records "not `No`", its
         // `must` flag records `Must` (see `loop_pdg_with`).
-        self.conflicts(fid, buf, all_pairs);
-        let (mem, conflicts) = (&buf.mem, &buf.conflicts);
-        let n_memory: usize = conflicts.iter().map(|c| c.edges(mem).count()).sum();
+        let n_memory = self.conflicts(fid, buf, all_pairs);
 
         // The edge list's order is the graph's edge order, which `EdgeId`s,
         // the wire JSON and the store bytes key on: register, control,
-        // memory.
-        let mut edges: Vec<DepEdge<InstId>> = Vec::with_capacity(n_register + n_control + n_memory);
-        for &id in &buf.insts {
-            f.inst(id).for_each_operand(|op| {
-                if let Value::Inst(def) = op {
-                    edges.push(DepEdge {
-                        src: def,
-                        dst: id,
-                        attrs: EdgeAttrs::register(),
-                    });
-                }
-            });
-        }
+        // memory — each conflicting pair `a -> b` first.
+        let register = &buf.edges;
+        let n_edges = register.len() + n_control + n_memory;
+        let mut edges = Vec::with_capacity(n_edges);
+        edges.extend_from_slice(register);
         for (term, insts) in buf.control.iter().filter_map(controlled) {
             let attrs = EdgeAttrs::control();
             edges.extend(insts.iter().map(|&dst| DepEdge {
@@ -551,9 +597,21 @@ impl<'a> PdgBuilder<'a> {
                 attrs,
             }));
         }
-        edges.extend(conflicts.iter().flat_map(|c| c.edges(mem)));
-        debug_assert_eq!(edges.len(), n_register + n_control + n_memory);
-        DepGraph::from_edges_in(buf.insts.iter().copied(), edges, &mut buf.slots)
+        let mem = &buf.mem;
+        for c in &buf.conflicts {
+            let (a, b) = (mem[c.a as usize].inst, mem[c.b as usize].inst);
+            for (src, dst, kind) in [(a, b, c.forward), (b, a, c.backward)] {
+                if let Some(kind) = kind {
+                    let mut attrs = EdgeAttrs::memory(kind);
+                    attrs.must = c.must;
+                    edges.push(DepEdge { src, dst, attrs });
+                }
+            }
+        }
+        debug_assert_eq!(edges.len(), n_edges);
+        // Every instruction with a place is a node, and every endpoint is
+        // one unless an operand names an instruction no block lists.
+        DepGraph::closed_in(buf.layout.placed(), n_insts, edges, &mut buf.slots)
     }
 
     /// Memory dependences that cross a function boundary: every ordered pair
@@ -660,7 +718,7 @@ impl<'a> PdgBuilder<'a> {
             in_loop,
             touching,
             loop_conflicts: conflicts,
-            loop_edges: edges,
+            edges,
             slots,
             ..
         } = buf;

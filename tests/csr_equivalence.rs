@@ -12,6 +12,15 @@
 //! every function and loop graph of the bundled corpus and of a 500-seed
 //! fuzz-generator campaign.
 //!
+//! A function graph is built closed: its node table is read off the layout
+//! index and its index is placed in two passes over the edges, with no
+//! external node to look for. It must equal `DepGraph::from_edges` over
+//! the same instructions and edge list — node table, edge order and both
+//! adjacencies — on every function of the corpus, `pdg_stress`,
+//! `scale_module(256, 1)` and the fuzz campaign; and an operand naming an
+//! instruction that no block lists must send the build to `from_edges`,
+//! which keeps that instruction as an external node.
+//!
 //! The same scan judges what the partition decoder makes of hostile bytes:
 //! byte-mutated encodings of the corpus graphs must come back as `Err` or
 //! as a graph that is consistent with itself — never a panic (ROADMAP item
@@ -34,6 +43,7 @@ use noelle::analysis::scev::{affine_recurrences, AddRec};
 use noelle::core::env::Environment;
 use noelle::core::invariants::invariants_noelle;
 use noelle::core::wire;
+use noelle::ir::builder::FunctionBuilder;
 use noelle::ir::cfg::Cfg;
 use noelle::ir::dom::DomTree;
 use noelle::ir::inst::{BinOp, Inst, InstId};
@@ -44,7 +54,7 @@ use noelle::ir::value::Value;
 use noelle::pdg::depgraph::{DepEdge, DepGraph};
 use noelle::pdg::pdg::{PdgBuilder, ProgramPdg};
 use noelle::pdg::sccdag::{SccDag, SccKind};
-use noelle::workloads::{all, pdg_stress};
+use noelle::workloads::{all, pdg_stress, scale_module};
 use noelle_analysis::alias::{AliasAnalysis, AliasStack, AndersenAlias, BasicAlias};
 use noelle_fuzz::generator::{generate, GenConfig, SplitMix64};
 use noelle_store::artifact::{decode_partition, encode_partition};
@@ -167,6 +177,20 @@ fn round_trip(name: &str, g: &DepGraph<InstId>, internal: &BTreeSet<InstId>) -> 
     decoded
 }
 
+/// Assert that `g`, a function graph over the instructions `insts`, is the
+/// graph `from_edges` builds over them and `g`'s own edge list.
+fn assert_closed_build_matches_from_edges(
+    name: &str,
+    g: &DepGraph<InstId>,
+    insts: &BTreeSet<InstId>,
+) {
+    let general = DepGraph::from_edges(insts.iter().copied(), g.edges().to_vec());
+    assert!(
+        *g == general,
+        "{name}: the closed build differs from from_edges"
+    );
+}
+
 /// Check every function graph of `m`, each loop's carve, loop graph and
 /// aSCCDAG, and the whole-program wire JSON.
 fn check_module(name: &str, m: &Module) {
@@ -186,6 +210,7 @@ fn check_module(name: &str, m: &Module) {
         let g = builder.function_pdg(fid);
         let insts: BTreeSet<InstId> = f.inst_ids().into_iter().collect();
         assert_index_matches_scan(&label, &g, &insts);
+        assert_closed_build_matches_from_edges(&label, &g, &insts);
         let decoded = round_trip(&label, &g, &insts);
 
         let cfg = Cfg::new(f);
@@ -296,6 +321,59 @@ fn index_matches_linear_scan_across_500_fuzz_seeds() {
         let m = generate(seed, &cfg);
         check_module(&format!("seed{seed}"), &m);
     }
+}
+
+#[test]
+fn the_closed_build_matches_from_edges_on_a_scale_module() {
+    let m = scale_module(256, 1);
+    let basic = BasicAlias::new(&m);
+    let andersen = AndersenAlias::new(&m);
+    let tiers = [&basic as &dyn AliasAnalysis, &andersen];
+    let stack = AliasStack::new(&tiers);
+    let builder = PdgBuilder::new(&m, &stack);
+    let mut checked = 0;
+    for fid in m.func_ids().filter(|&fid| !m.func(fid).is_declaration()) {
+        let f = m.func(fid);
+        let insts: BTreeSet<InstId> = f.inst_ids().into_iter().collect();
+        let g = builder.function_pdg(fid);
+        assert_eq!(
+            g.external_nodes().count(),
+            0,
+            "{}: an external node",
+            f.name
+        );
+        assert_closed_build_matches_from_edges(&f.name, &g, &insts);
+        checked += 1;
+    }
+    assert!(checked >= 256, "{checked} functions");
+}
+
+#[test]
+fn an_operand_naming_a_detached_instruction_keeps_it_as_an_external_node() {
+    // `%live` reads `%dead`, which is then taken out of its block: the
+    // arena keeps it, the layout gives it no place.
+    let mut b = FunctionBuilder::new("f", vec![("x", Type::I64)], Type::I64);
+    let entry = b.entry_block();
+    b.switch_to(entry);
+    let dead = b.binop(BinOp::Add, Type::I64, b.arg(0), Value::const_i64(1));
+    let live = b.binop(BinOp::Mul, Type::I64, dead, Value::const_i64(2));
+    b.ret(Some(live));
+    let mut f = b.finish();
+    let (dead, live) = (
+        dead.as_inst().expect("an instruction"),
+        live.as_inst().expect("an instruction"),
+    );
+    f.remove_inst(dead);
+    let mut m = Module::new("detached");
+    let fid = m.add_function(f);
+    let basic = BasicAlias::new(&m);
+    let g = PdgBuilder::new(&m, &basic).function_pdg(fid);
+    let insts: BTreeSet<InstId> = m.func(fid).inst_ids().into_iter().collect();
+    assert!(!insts.contains(&dead));
+    assert_eq!(g.external_nodes().collect::<Vec<_>>(), [dead]);
+    assert!(g.edges_from(dead).any(|e| e.dst == live && !e.attrs.memory));
+    assert_index_matches_scan("detached", &g, &insts);
+    assert_closed_build_matches_from_edges("detached", &g, &insts);
 }
 
 /// The encoded function graph and loop graphs of every function of `m`.

@@ -334,12 +334,15 @@ fn a_function_graph_costs_a_bounded_number_of_blocks_and_bytes() {
     // buckets, pairs, conflicts, the post-dominator tree, the control
     // dependences and the node slot table — lives in the manager's buffers,
     // which grow to the largest function and stay, and the basic tier's
-    // type rule builds no pointer type. 1 874 allocations (0.09 per
-    // instruction) and 1 857 993 bytes, 1.06x the graphs of 16-byte edges;
-    // with a slot table per graph and a `T*` built per typed alias query it
-    // was 2 334 and 1.07x the graphs of 32-byte edges. Before that, it
-    // built through a fresh builder per function, with a CFG, a
-    // post-dominator tree and a set of temporaries of each build's own:
+    // type rule builds no pointer type. 1 355 allocations (0.06 per
+    // instruction) and 1 854 252 bytes, 1.06x the graphs, with one offsets
+    // and one ids array per graph; 1 874 (0.09) and 1 857 993 bytes with
+    // four index arrays, a second walk over the operands and a pointer
+    // table sorted from every access. With a slot table per graph and a
+    // `T*` built per typed alias query it was 2 334 and 1.07x the graphs of
+    // 32-byte edges. Before that, it built through a fresh builder per
+    // function, with a CFG, a post-dominator tree and a set of temporaries
+    // of each build's own:
     // 10 698 (0.49) and 4 691 798 bytes (1.75x); with a fresh
     // set per tier per base-object query it was 19 471 (0.89); with maps
     // keyed by values and pairs, a position scan per instruction and a
@@ -352,6 +355,58 @@ fn a_function_graph_costs_a_bounded_number_of_blocks_and_bytes() {
         100 * requested <= 110 * kept,
         "function graphs: {requested} bytes requested for {kept} kept"
     );
+}
+
+/// A fresh manager pays for its first `pdg()` everything the partitions
+/// read — points-to, mod/ref, each function's structures — and the growth
+/// of its build buffers, which one manager pays once and a compile of many
+/// small modules pays per module. Its blocks may not exceed what the build
+/// cost through four index arrays per graph, a second walk over the
+/// operands and a pointer table sorted from every access. The function
+/// build gathers its register edges in the buffer the loop graphs gather
+/// their edges in, so the first `pdg()` grows what the loops would have:
+/// the bytes are bounded over the `pdg()` and every loop abstraction after
+/// it.
+#[test]
+fn a_fresh_managers_first_pdg_on_a_small_module_costs_no_more_than_before() {
+    let _turn = alone();
+    // Small modules of different shapes (float sums, indirect calls, a
+    // sequential chain, a min reduction), with the blocks of the first
+    // `pdg()` and the bytes of it and of the loop abstractions as the build
+    // through four index arrays took them. The build into final arrays
+    // took 197 and 33 309, 225 and 27 744, 225 and 45 457, 183 and 23 995.
+    let before = [
+        ("blackscholes", 206, 33_829),
+        ("ferret", 239, 28_336),
+        ("xz", 235, 46_273),
+        ("dijkstra", 193, 24_491),
+    ];
+    for (name, most_blocks, most_bytes) in before {
+        let w = noelle::workloads::by_name(name).expect("a suite workload");
+        let mut n = Noelle::new(w.build(), AliasTier::Full);
+        let (pdg, blocks, pdg_bytes) = allocations_and_bytes(|| n.pdg());
+        let m = n.module();
+        let fids: Vec<FuncId> = m
+            .func_ids()
+            .filter(|&f| !m.func(f).is_declaration())
+            .collect();
+        let (_, _, loop_bytes) = allocations_and_bytes(|| {
+            for &fid in &fids {
+                for l in n.loop_forest(fid).loops() {
+                    black_box(n.loop_abstraction(fid, l.id));
+                }
+            }
+        });
+        let bytes = pdg_bytes + loop_bytes;
+        eprintln!(
+            "{name}: {} edges in {blocks} allocations; {bytes} bytes with the loops",
+            pdg.num_edges()
+        );
+        assert!(
+            blocks <= most_blocks && bytes <= most_bytes,
+            "{name}: {blocks} allocations and {bytes} bytes, against {most_blocks} and {most_bytes}"
+        );
+    }
 }
 
 /// Every load and store pointer of `m`, with its function.
