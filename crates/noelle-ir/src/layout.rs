@@ -33,6 +33,8 @@ const HOLE: Place = Place {
 #[derive(Default)]
 pub struct LayoutIndex {
     places: Vec<Place>,
+    /// How many entries of `places` are not holes.
+    n_placed: usize,
 }
 
 impl LayoutIndex {
@@ -54,9 +56,12 @@ impl LayoutIndex {
         let places = &mut self.places;
         places.clear();
         places.resize(f.inst_arena_len(), HOLE);
+        self.n_placed = 0;
         for (rank, &b) in f.block_order().iter().enumerate() {
             for (pos, &id) in f.block(b).insts.iter().enumerate() {
-                places[id.index()] = Place {
+                let place = &mut places[id.index()];
+                self.n_placed += usize::from(*place == HOLE);
+                *place = Place {
                     block_rank: rank as u32,
                     pos: pos as u32,
                 };
@@ -69,12 +74,13 @@ impl LayoutIndex {
         self.places.get(id.index()).copied().filter(|&p| p != HOLE)
     }
 
-    /// Every instruction that has a place, ascending by arena index.
-    pub fn placed(&self) -> impl Iterator<Item = InstId> + '_ {
-        let ids = (0..self.places.len() as u32).map(InstId);
-        ids.zip(&self.places)
-            .filter(|&(_, &p)| p != HOLE)
-            .map(|(id, _)| id)
+    /// Every instruction that has a place, ascending by arena index, with
+    /// its exact length known up front.
+    pub fn placed(&self) -> Placed<'_> {
+        Placed {
+            places: self.places.iter().enumerate(),
+            left: self.n_placed,
+        }
     }
 
     /// What [`Function::position_in_block`] answers, without the scan.
@@ -82,6 +88,29 @@ impl LayoutIndex {
         self.place(id).map(|p| p.pos as usize)
     }
 }
+
+/// The instructions of a [`LayoutIndex`] that have a place: see
+/// [`LayoutIndex::placed`].
+pub struct Placed<'a> {
+    places: std::iter::Enumerate<std::slice::Iter<'a, Place>>,
+    left: usize,
+}
+
+impl Iterator for Placed<'_> {
+    type Item = InstId;
+
+    fn next(&mut self) -> Option<InstId> {
+        let (i, _) = self.places.find(|&(_, &p)| p != HOLE)?;
+        self.left -= 1;
+        Some(InstId(i as u32))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Placed<'_> {}
 
 #[cfg(test)]
 mod tests {
@@ -123,6 +152,7 @@ mod tests {
         assert_eq!(index.place(dead), None);
         let mut attached = f.inst_ids();
         attached.sort_unstable();
+        assert_eq!(index.placed().len(), attached.len());
         assert_eq!(index.placed().collect::<Vec<_>>(), attached);
         assert_eq!(index.position(dead), f.position_in_block(dead));
         // Layout order, not arena order.

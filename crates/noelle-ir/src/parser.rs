@@ -28,7 +28,7 @@
 use crate::inst::{BinOp, Callee, CastOp, FcmpPred, IcmpPred, Inst, InstId, Terminator};
 use crate::module::{BlockId, FuncId, Function, Global, GlobalId, GlobalInit, Module};
 use crate::printer::generated_index;
-use crate::types::{FloatWidth, FuncType, IntWidth, Type};
+use crate::types::{FuncType, Type};
 use crate::value::{Constant, Value};
 use std::collections::HashMap;
 use std::error::Error;
@@ -583,16 +583,9 @@ fn hole(k: usize) -> u32 {
 /// holds a binding only if it carries the body's stamp, so a new body
 /// clears the table by taking the next stamp, whatever numbers the bodies
 /// before it reached.
-///
-/// A slot is two `u32`s, the stamp and the value packed: an instruction's
-/// id, or a parameter's index with [`NumberedNames::PARAM`] set (a source
-/// text cannot hold 2^31 of either). A binding is written as one eight-byte
-/// store and read back by loads that lie inside it. A `Value` there would
-/// be written in pieces and reloaded whole by a use soon after, and a load
-/// that spans several recent stores waits for them to complete.
 struct NumberedNames {
     stamp: u32,
-    slots: Vec<(u32, u32)>,
+    slots: Vec<(u32, Value)>,
 }
 
 impl NumberedNames {
@@ -604,40 +597,25 @@ impl NumberedNames {
         }
     }
 
-    /// The bit that marks a packed parameter index.
-    const PARAM: u32 = 1 << 31;
-
     fn clear(&mut self) {
         self.stamp += 1;
     }
 
     fn get(&self, n: u16) -> Option<Value> {
         match self.slots.get(usize::from(n)) {
-            Some(&(stamp, packed)) if stamp == self.stamp => Some(if packed & Self::PARAM != 0 {
-                Value::Arg(packed & !Self::PARAM)
-            } else {
-                Value::Inst(InstId(packed))
-            }),
+            Some(&(stamp, value)) if stamp == self.stamp => Some(value),
             _ => None,
         }
     }
 
-    /// Binds `%v<n>` to `value`, an instruction or a parameter; false if
-    /// the body had bound it already.
+    /// Binds `%v<n>` to `value`; false if the body had bound it already.
     fn insert(&mut self, n: u16, value: Value) -> bool {
-        let (index, kind) = match value {
-            Value::Inst(id) => (id.0, 0),
-            Value::Arg(index) => (index, Self::PARAM),
-            _ => unreachable!("only instructions and parameters are named"),
-        };
-        debug_assert!(index < Self::PARAM, "{value:?} does not pack");
-        let packed = index | kind;
         let n = usize::from(n);
         if n >= self.slots.len() {
             self.grow(n);
         }
         let fresh = self.slots[n].0 != self.stamp;
-        self.slots[n] = (self.stamp, packed);
+        self.slots[n] = (self.stamp, value);
         fresh
     }
 
@@ -647,26 +625,7 @@ impl NumberedNames {
     fn grow(&mut self, n: usize) {
         let len = (n + 1).next_power_of_two().max(64);
         // Stamp 0 is no body's: the value beside it is never read.
-        self.slots.resize(len, (0, 0));
-    }
-}
-
-/// A scalar type: two bytes, which a call returns in a register, where a
-/// [`Type`] comes back through memory.
-#[derive(Clone, Copy)]
-enum Scalar {
-    Void,
-    Int(IntWidth),
-    Float(FloatWidth),
-}
-
-impl Scalar {
-    fn ty(self) -> Type {
-        match self {
-            Scalar::Void => Type::Void,
-            Scalar::Int(w) => Type::Int(w),
-            Scalar::Float(w) => Type::Float(w),
-        }
+        self.slots.resize(len, (0, Value::Arg(0)));
     }
 }
 
@@ -802,56 +761,20 @@ impl<'a> Parser<'a> {
         Ok(items)
     }
 
-    /// A type. A scalar that no `*` follows — most types in a body — is
-    /// built in the caller from what [`Parser::scalar`] returns in a
-    /// register: a `Result<Type>` returned from a call comes back through
-    /// memory, written in pieces and read back whole, and the read waits
-    /// for the writes.
-    #[inline]
     fn ty(&mut self) -> Result<Type> {
-        let Some(scalar) = self.scalar() else {
-            return self.ty_at(0, &mut 0);
-        };
-        let ty = scalar.ty();
-        if matches!(self.cur.tok, Tok::Punct(b'*')) {
-            return self.pointers(ty, 0, 0, &mut 0);
-        }
-        Ok(ty)
-    }
-
-    /// The scalar type the current token names, if it names one; the
-    /// cursor then moves past it.
-    fn scalar(&mut self) -> Option<Scalar> {
-        let Tok::Ident(word) = self.cur.tok else {
-            return None;
-        };
-        let scalar = match word {
-            "void" => Scalar::Void,
-            "i1" => Scalar::Int(IntWidth::I1),
-            "i8" => Scalar::Int(IntWidth::I8),
-            "i16" => Scalar::Int(IntWidth::I16),
-            "i32" => Scalar::Int(IntWidth::I32),
-            "i64" => Scalar::Int(IntWidth::I64),
-            "f32" => Scalar::Float(FloatWidth::F32),
-            "f64" => Scalar::Float(FloatWidth::F64),
-            _ => return None,
-        };
-        self.cur.bump();
-        Some(scalar)
+        self.ty_at(0, &mut 0)
     }
 
     /// A type at nesting `depth`; sets `height` to its own height: 0 for a
     /// scalar, one more than its tallest member for anything built from
-    /// other types.
+    /// other types. The type alone is returned, so that a scalar comes back
+    /// in registers.
     fn ty_at(&mut self, depth: u32, height: &mut u32) -> Result<Type> {
         if depth >= MAX_TYPE_DEPTH {
             return Err(self.cur.error(self.cur.at, "type nesting too deep"));
         }
-        if let Some(scalar) = self.scalar() {
-            return self.pointers(scalar.ty(), depth, 0, height);
-        }
         let mut inner = 0;
-        let ty = match self.cur.tok {
+        let mut ty = match self.cur.tok {
             Tok::Ident("fn") => {
                 self.cur.bump();
                 let ret = self.ty_at(depth + 1, &mut inner)?;
@@ -861,8 +784,22 @@ impl<'a> Parser<'a> {
                 Type::Func(Arc::new(FuncType { params, ret }))
             }
             Tok::Ident(word) => {
-                let message = format!("unknown type '{word}'");
-                return Err(self.cur.error(self.cur.at, message));
+                let ty = match word {
+                    "void" => Type::Void,
+                    "i1" => Type::I1,
+                    "i8" => Type::I8,
+                    "i16" => Type::I16,
+                    "i32" => Type::I32,
+                    "i64" => Type::I64,
+                    "f32" => Type::F32,
+                    "f64" => Type::F64,
+                    _ => {
+                        let message = format!("unknown type '{word}'");
+                        return Err(self.cur.error(self.cur.at, message));
+                    }
+                };
+                self.cur.bump();
+                ty
             }
             Tok::Punct(b'[') => {
                 self.cur.bump();
@@ -885,18 +822,6 @@ impl<'a> Parser<'a> {
             }
             _ => return Err(self.cur.unexpected("a type")),
         };
-        self.pointers(ty, depth, inner, height)
-    }
-
-    /// `ty`, of height `inner` at nesting `depth`, as the pointer type the
-    /// `*`s at the cursor make of it; sets `height` to that type's height.
-    fn pointers(
-        &mut self,
-        mut ty: Type,
-        depth: u32,
-        mut inner: u32,
-        height: &mut u32,
-    ) -> Result<Type> {
         while matches!(self.cur.tok, Tok::Punct(b'*')) {
             inner += 1;
             if depth + inner > MAX_TYPE_DEPTH {

@@ -133,9 +133,8 @@ pub struct DepEdge<N> {
 /// query yields edges in edge-list order.
 ///
 /// Edge order is part of the contract: [`EdgeId`]s, the wire JSON and the
-/// durable store's bytes all key on an edge's position in the list. Two
-/// graphs are equal when their node tables, edge lists and indexes are.
-#[derive(Clone, Debug, PartialEq)]
+/// durable store's bytes all key on an edge's position in the list.
+#[derive(Clone, Debug)]
 pub struct DepGraph<N> {
     /// Every node, ascending, with `true` for internal ones.
     nodes: Vec<(N, bool)>,
@@ -184,38 +183,56 @@ impl<'t> SlotTable<'t> {
     /// No slot yet: an external node met in the counting pass.
     const MET: u32 = u32::MAX - 1;
 
-    /// The node slot of `n`. `n` must be in the table this was built over.
-    fn slot<N: Node>(&self, n: N) -> u32 {
-        self.0[n.arena_index().expect("an arena id")]
-    }
-
-    /// Give each node of `nodes` its slot in `table`, which reaches every
-    /// node's arena index.
-    fn number<N: Node>(table: &mut [u32], nodes: &[(N, bool)]) {
-        for (slot, &(n, _)) in nodes.iter().enumerate() {
-            table[n.arena_index().expect("an arena id")] = slot as u32;
-        }
-    }
-
-    /// Finish the node table of a graph whose `nodes` so far are its
-    /// internal ones (ascending, none twice): every endpoint of `edges` met
-    /// for the first time is appended as an external node — counted first,
-    /// so the table grows once, to its exact size — and the table is sorted
-    /// again if there were any. No search, and one pass over the edges when
-    /// they meet no external node, two when they do. `None` when `N` is not
-    /// an arena id.
-    fn build<N: Node>(
-        nodes: &mut Vec<(N, bool)>,
-        edges: &[DepEdge<N>],
-        table: &'t mut Vec<u32>,
-    ) -> Option<SlotTable<'t>> {
+    /// The table of `nodes` (ascending, none twice), in `table`. `None`
+    /// when `N` is not an arena id.
+    fn new<N: Node>(nodes: &[(N, bool)], table: &'t mut Vec<u32>) -> Option<SlotTable<'t>> {
         let len = match nodes.last() {
             Some(&(last, _)) => last.arena_index()? + 1,
             None => 0,
         };
         table.clear();
         table.resize(len, SlotTable::NONE);
-        SlotTable::number(table, nodes);
+        let mut table = SlotTable(table);
+        table.number(nodes)?;
+        Some(table)
+    }
+
+    /// Give each node of `nodes` its slot.
+    fn number<N: Node>(&mut self, nodes: &[(N, bool)]) -> Option<()> {
+        for (slot, &(n, _)) in nodes.iter().enumerate() {
+            self.0[n.arena_index()?] = slot as u32;
+        }
+        Some(())
+    }
+
+    /// The slot of `n`; `None` when `n` has none.
+    fn get<N: Node>(&self, n: N) -> Option<u32> {
+        let slot = *self.0.get(n.arena_index()?)?;
+        (slot < SlotTable::MET).then_some(slot)
+    }
+
+    /// Each edge's `[source, destination]` slots, in edge-list order:
+    /// `None` for an edge with an endpoint that has no slot.
+    fn ends<'a, N: Node>(
+        &'a self,
+        edges: &'a [DepEdge<N>],
+    ) -> impl ExactSizeIterator<Item = Option<[u32; 2]>> + Clone + 'a {
+        edges
+            .iter()
+            .map(|e| Some([self.get(e.src)?, self.get(e.dst)?]))
+    }
+
+    /// Finish the node table `nodes` (ascending, none twice) of a graph
+    /// whose edges meet nodes outside it: every endpoint of `edges` without
+    /// a slot is appended as an external node — counted first, so the
+    /// table grows once, to its exact size — and the table is sorted and
+    /// numbered again. Two passes over the edges, no search.
+    fn add_externals<N: Node>(
+        &mut self,
+        nodes: &mut Vec<(N, bool)>,
+        edges: &[DepEdge<N>],
+    ) -> Option<()> {
+        let table = &mut *self.0;
         let mut externals = 0;
         for e in edges {
             for n in [e.src, e.dst] {
@@ -229,9 +246,6 @@ impl<'t> SlotTable<'t> {
                 }
             }
         }
-        if externals == 0 {
-            return Some(SlotTable(table));
-        }
         nodes.reserve_exact(externals);
         for e in edges {
             for n in [e.src, e.dst] {
@@ -243,8 +257,7 @@ impl<'t> SlotTable<'t> {
             }
         }
         nodes.sort_unstable();
-        SlotTable::number(table, nodes);
-        Some(SlotTable(table))
+        self.number(nodes)
     }
 }
 
@@ -275,8 +288,8 @@ fn csr(
     }
     let mut ids = vec![EdgeId(0); 2 * n_edges];
     let (out_ids, in_ids) = ids.split_at_mut(n_edges);
-    for (i, end) in ends.enumerate() {
-        let [src, dst] = end.expect("resolved by the counting pass");
+    // The counting pass met no `None`: flattening drops nothing.
+    for (i, [src, dst]) in ends.flatten().enumerate() {
         let id = EdgeId(i as u32);
         let cursor = &mut out_off[src as usize];
         out_ids[*cursor as usize] = id;
@@ -310,20 +323,37 @@ impl<N: Node> DepGraph<N> {
     /// [`DepGraph::from_edges`], with the arena-index table in `slots`: a
     /// caller that keeps the buffer across builds allocates it only for an
     /// arena larger than any before.
+    ///
+    /// A closed graph of arena ids — every endpoint internal, as in a
+    /// function's graph — takes two passes over the edges: one resolves
+    /// the endpoints and counts degrees, one places the ids. The first
+    /// endpoint outside `internal` stops the counting pass; the endpoints
+    /// without a slot are then added as external nodes and the index is
+    /// built over the finished table.
     pub(crate) fn from_edges_in(
         internal: impl IntoIterator<Item = N>,
         edges: Vec<DepEdge<N>>,
         slots: &mut Vec<u32>,
     ) -> DepGraph<N> {
-        let mut nodes: Vec<(N, bool)> = internal.into_iter().map(|n| (n, true)).collect();
-        nodes.sort_unstable();
-        nodes.dedup();
-        if let Some(table) = SlotTable::build(&mut nodes, &edges, slots) {
-            let ends = edges
-                .iter()
-                .map(|e| Some([table.slot(e.src), table.slot(e.dst)]));
-            let index = csr(nodes.len(), ends).expect("every endpoint has a slot");
-            return DepGraph::assemble(nodes, edges, index);
+        // Sized once when `internal` knows its length, as the layout's
+        // instructions and a slice do.
+        let internal = internal.into_iter();
+        let mut nodes = Vec::with_capacity(internal.size_hint().0);
+        nodes.extend(internal.map(|n| (n, true)));
+        // A function's instructions come ascending: one look, no sort.
+        if !nodes.is_sorted_by(|a, b| a.0 < b.0) {
+            nodes.sort_unstable();
+            nodes.dedup();
+        }
+        if let Some(mut table) = SlotTable::new(&nodes, slots) {
+            if let Some(index) = csr(nodes.len(), table.ends(&edges)) {
+                return DepGraph::assemble(nodes, edges, index);
+            }
+            if table.add_externals(&mut nodes, &edges).is_some() {
+                if let Some(index) = csr(nodes.len(), table.ends(&edges)) {
+                    return DepGraph::assemble(nodes, edges, index);
+                }
+            }
         }
         // No arena: the node table is the internal nodes and every endpoint,
         // sorted (an internal node after its own mentions as an endpoint)
@@ -337,43 +367,14 @@ impl<N: Node> DepGraph<N> {
                 true
             }
         });
-        let slot = |n| find(&nodes, n).expect("every endpoint was put in the node table") as u32;
-        let ends: Vec<[u32; 2]> = edges.iter().map(|e| [slot(e.src), slot(e.dst)]).collect();
-        let index = csr(nodes.len(), ends.iter().map(|&end| Some(end))).expect("all resolved");
+        let slot = |n| find(&nodes, n).map(|slot| slot as u32);
+        let ends: Vec<_> = edges
+            .iter()
+            .map(|e| Some([slot(e.src)?, slot(e.dst)?]))
+            .collect();
+        let index = csr(nodes.len(), ends.iter().copied())
+            .expect("every endpoint was put in the node table");
         DepGraph::assemble(nodes, edges, index)
-    }
-
-    /// [`DepGraph::from_edges_in`] for a graph expected to be closed: the
-    /// `n_internal` nodes of `internal` (arena ids, ascending, none twice)
-    /// are every endpoint of `edges`, so the node table is `internal` as
-    /// given and has no external node. One pass over the edges resolves
-    /// their endpoints through `slots` and counts degrees, one more places
-    /// the ids. An endpoint outside `internal` — an operand naming an
-    /// instruction no block lists — sends the build to `from_edges_in`,
-    /// which makes it an external node.
-    pub(crate) fn closed_in(
-        internal: impl IntoIterator<Item = N>,
-        n_internal: usize,
-        edges: Vec<DepEdge<N>>,
-        slots: &mut Vec<u32>,
-    ) -> DepGraph<N> {
-        let mut nodes = Vec::with_capacity(n_internal);
-        nodes.extend(internal.into_iter().map(|n| (n, true)));
-        let len = nodes
-            .last()
-            .map_or(0, |&(n, _)| n.arena_index().expect("an arena id") + 1);
-        slots.clear();
-        slots.resize(len, SlotTable::NONE);
-        SlotTable::number(slots, &nodes);
-        let slot = |n: N| {
-            let s = *slots.get(n.arena_index()?)?;
-            (s != SlotTable::NONE).then_some(s)
-        };
-        let ends = edges.iter().map(|e| Some([slot(e.src)?, slot(e.dst)?]));
-        match csr(nodes.len(), ends) {
-            Some(index) => DepGraph::assemble(nodes, edges, index),
-            None => DepGraph::from_edges_in(nodes.into_iter().map(|(n, _)| n), edges, slots),
-        }
     }
 
     /// The graph of a finished node table, edge list and index over them.
@@ -674,7 +675,8 @@ impl<N: Node> DepGraph<N> {
             });
         }
         r.finish("depgraph: trailing bytes")?;
-        let index = csr(nodes.len(), ends.iter().map(|&end| Some(end))).expect("all resolved");
+        let index = csr(nodes.len(), ends.iter().map(|&end| Some(end)))
+            .ok_or_else(|| DecodeError::new("depgraph: edge endpoint unknown"))?;
         Ok(DepGraph::assemble(nodes, edges, index))
     }
 }

@@ -538,11 +538,8 @@ impl<'a> PdgBuilder<'a> {
         } = &mut *buf;
         mem.clear();
         edges.clear();
-        let mut n_insts = 0;
         for &b in f.block_order() {
-            let insts = &f.block(b).insts;
-            n_insts += insts.len();
-            for &inst in insts {
+            for &inst in &f.block(b).insts {
                 f.inst(inst).for_each_operand(|op| {
                     if let Value::Inst(def) = op {
                         edges.push(DepEdge {
@@ -609,9 +606,10 @@ impl<'a> PdgBuilder<'a> {
             }
         }
         debug_assert_eq!(edges.len(), n_edges);
-        // Every instruction with a place is a node, and every endpoint is
-        // one unless an operand names an instruction no block lists.
-        DepGraph::closed_in(buf.layout.placed(), n_insts, edges, &mut buf.slots)
+        // Every instruction with a place is a node, ascending already, and
+        // every endpoint is one unless an operand names an instruction no
+        // block lists.
+        DepGraph::from_edges_in(buf.layout.placed(), edges, &mut buf.slots)
     }
 
     /// Memory dependences that cross a function boundary: every ordered pair

@@ -13,13 +13,15 @@
 //! fuzz-generator campaign.
 //!
 //! A function graph is built closed: its node table is read off the layout
-//! index and its index is placed in two passes over the edges, with no
-//! external node to look for. It must equal `DepGraph::from_edges` over
-//! the same instructions and edge list — node table, edge order and both
-//! adjacencies — on every function of the corpus, `pdg_stress`,
-//! `scale_module(256, 1)` and the fuzz campaign; and an operand naming an
-//! instruction that no block lists must send the build to `from_edges`,
-//! which keeps that instruction as an external node.
+//! index, and one pass over the edges resolves endpoints through the
+//! arena-index table and counts degrees, one more places the ids. It must
+//! equal what `DepGraph::from_edges` builds over the same instructions and
+//! edge list with plain `u32` nodes, which searches the node table instead
+//! — node table, edge order and both adjacencies — on every function of the
+//! corpus, `pdg_stress`, `scale_module(256, 1)` and the fuzz campaign; and
+//! an operand naming an instruction that no block lists must stop the
+//! counting pass, so that the build keeps that instruction as an external
+//! node.
 //!
 //! The same scan judges what the partition decoder makes of hostile bytes:
 //! byte-mutated encodings of the corpus graphs must come back as `Err` or
@@ -177,18 +179,64 @@ fn round_trip(name: &str, g: &DepGraph<InstId>, internal: &BTreeSet<InstId>) -> 
     decoded
 }
 
+/// The positions in `all` of `edges`, each an element of `all`.
+fn edge_ids<'a, N: 'a>(
+    all: &'a [DepEdge<N>],
+    edges: impl Iterator<Item = &'a DepEdge<N>>,
+) -> Vec<usize> {
+    let base = all.as_ptr() as usize;
+    edges
+        .map(|e| (e as *const DepEdge<N> as usize - base) / std::mem::size_of::<DepEdge<N>>())
+        .collect()
+}
+
 /// Assert that `g`, a function graph over the instructions `insts`, is the
-/// graph `from_edges` builds over them and `g`'s own edge list.
-fn assert_closed_build_matches_from_edges(
+/// graph that `from_edges` builds over them and `g`'s own edge list with
+/// plain `u32` nodes — the path that searches the node table, not the one
+/// that reads slots off an arena-index table: the same node lists, the same
+/// edge list and both adjacencies, edge id for edge id.
+fn assert_function_build_matches_search(
     name: &str,
     g: &DepGraph<InstId>,
     insts: &BTreeSet<InstId>,
 ) {
-    let general = DepGraph::from_edges(insts.iter().copied(), g.edges().to_vec());
+    let n = |id: InstId| id.0;
+    let edges = g.edges().iter().map(|e| DepEdge {
+        src: n(e.src),
+        dst: n(e.dst),
+        attrs: e.attrs,
+    });
+    let searched = DepGraph::from_edges(insts.iter().map(|&id| n(id)), edges.collect());
     assert!(
-        *g == general,
-        "{name}: the closed build differs from from_edges"
+        g.internal_nodes().map(n).eq(searched.internal_nodes()),
+        "{name}: internal nodes differ from the searched build"
     );
+    assert!(
+        g.external_nodes().map(n).eq(searched.external_nodes()),
+        "{name}: external nodes differ from the searched build"
+    );
+    let same_edge =
+        |a: &Edge, b: &DepEdge<u32>| n(a.src) == b.src && n(a.dst) == b.dst && a.attrs == b.attrs;
+    assert!(
+        g.edges().len() == searched.edges().len()
+            && g.edges()
+                .iter()
+                .zip(searched.edges())
+                .all(|(a, b)| same_edge(a, b)),
+        "{name}: edge list differs from the searched build"
+    );
+    for node in g.internal_nodes().chain(g.external_nodes()) {
+        assert_eq!(
+            edge_ids(g.edges(), g.edges_from(node)),
+            edge_ids(searched.edges(), searched.edges_from(n(node))),
+            "{name}: out-edges of {node:?}"
+        );
+        assert_eq!(
+            edge_ids(g.edges(), g.edges_to(node)),
+            edge_ids(searched.edges(), searched.edges_to(n(node))),
+            "{name}: in-edges of {node:?}"
+        );
+    }
 }
 
 /// Check every function graph of `m`, each loop's carve, loop graph and
@@ -210,7 +258,7 @@ fn check_module(name: &str, m: &Module) {
         let g = builder.function_pdg(fid);
         let insts: BTreeSet<InstId> = f.inst_ids().into_iter().collect();
         assert_index_matches_scan(&label, &g, &insts);
-        assert_closed_build_matches_from_edges(&label, &g, &insts);
+        assert_function_build_matches_search(&label, &g, &insts);
         let decoded = round_trip(&label, &g, &insts);
 
         let cfg = Cfg::new(f);
@@ -324,7 +372,7 @@ fn index_matches_linear_scan_across_500_fuzz_seeds() {
 }
 
 #[test]
-fn the_closed_build_matches_from_edges_on_a_scale_module() {
+fn the_function_build_matches_the_searched_build_on_a_scale_module() {
     let m = scale_module(256, 1);
     let basic = BasicAlias::new(&m);
     let andersen = AndersenAlias::new(&m);
@@ -342,7 +390,7 @@ fn the_closed_build_matches_from_edges_on_a_scale_module() {
             "{}: an external node",
             f.name
         );
-        assert_closed_build_matches_from_edges(&f.name, &g, &insts);
+        assert_function_build_matches_search(&f.name, &g, &insts);
         checked += 1;
     }
     assert!(checked >= 256, "{checked} functions");
@@ -373,7 +421,7 @@ fn an_operand_naming_a_detached_instruction_keeps_it_as_an_external_node() {
     assert_eq!(g.external_nodes().collect::<Vec<_>>(), [dead]);
     assert!(g.edges_from(dead).any(|e| e.dst == live && !e.attrs.memory));
     assert_index_matches_scan("detached", &g, &insts);
-    assert_closed_build_matches_from_edges("detached", &g, &insts);
+    assert_function_build_matches_search("detached", &g, &insts);
 }
 
 /// The encoded function graph and loop graphs of every function of `m`.

@@ -366,22 +366,26 @@ fn a_function_graph_costs_a_bounded_number_of_blocks_and_bytes() {
 /// build gathers its register edges in the buffer the loop graphs gather
 /// their edges in, so the first `pdg()` grows what the loops would have:
 /// the bytes are bounded over the `pdg()` and every loop abstraction after
-/// it.
+/// it, against that build, and over the `pdg()` alone, against this one.
 #[test]
 fn a_fresh_managers_first_pdg_on_a_small_module_costs_no_more_than_before() {
     let _turn = alone();
     // Small modules of different shapes (float sums, indirect calls, a
-    // sequential chain, a min reduction), with the blocks of the first
-    // `pdg()` and the bytes of it and of the loop abstractions as the build
-    // through four index arrays took them. The build into final arrays
-    // took 197 and 33 309, 225 and 27 744, 225 and 45 457, 183 and 23 995.
-    let before = [
-        ("blackscholes", 206, 33_829),
-        ("ferret", 239, 28_336),
-        ("xz", 235, 46_273),
-        ("dijkstra", 193, 24_491),
+    // sequential chain, a min reduction): the blocks of the first `pdg()`
+    // and the bytes of it and of the loop abstractions as the build through
+    // four index arrays took them, then the bytes of the `pdg()` alone as
+    // the build into final arrays takes them. That build takes 197 blocks
+    // and 33 781 bytes with the loops, 225 and 28 048, 225 and 46 081, 183
+    // and 24 267. With four index arrays, before its register edges went to
+    // the shared buffer, the `pdg()` alone took 18 271, 18 072, 24 619 and
+    // 15 898 bytes.
+    let bounds = [
+        ("blackscholes", 206, 33_829, 19_735),
+        ("ferret", 239, 28_336, 18_440),
+        ("xz", 235, 46_273, 27_835),
+        ("dijkstra", 193, 24_491, 16_362),
     ];
-    for (name, most_blocks, most_bytes) in before {
+    for (name, most_blocks, most_bytes, most_pdg_bytes) in bounds {
         let w = noelle::workloads::by_name(name).expect("a suite workload");
         let mut n = Noelle::new(w.build(), AliasTier::Full);
         let (pdg, blocks, pdg_bytes) = allocations_and_bytes(|| n.pdg());
@@ -399,12 +403,17 @@ fn a_fresh_managers_first_pdg_on_a_small_module_costs_no_more_than_before() {
         });
         let bytes = pdg_bytes + loop_bytes;
         eprintln!(
-            "{name}: {} edges in {blocks} allocations; {bytes} bytes with the loops",
+            "{name}: {} edges in {blocks} allocations and {pdg_bytes} bytes; \
+             {bytes} bytes with the loops",
             pdg.num_edges()
         );
         assert!(
             blocks <= most_blocks && bytes <= most_bytes,
             "{name}: {blocks} allocations and {bytes} bytes, against {most_blocks} and {most_bytes}"
+        );
+        assert!(
+            pdg_bytes <= most_pdg_bytes,
+            "{name}: the first pdg() alone took {pdg_bytes} bytes, against {most_pdg_bytes}"
         );
     }
 }
